@@ -216,23 +216,27 @@ impl Analyzer {
         let field = self.field.clone();
         for sample in dataset.samples_mut() {
             ctx.invalidate();
-            let text = sample.text_at(&field).to_string();
             for dim in &self.dimensions {
                 if !sample.has_stat(dim) {
+                    // Borrow the text, compute, record once the borrow ends.
+                    let text = sample.text_at(&field);
                     let v = match dim.as_str() {
-                        "text_len" => text.chars().count() as f64,
-                        "word_count" => ctx.words(&text).len() as f64,
-                        "avg_word_length" => tstats::avg_word_length(ctx.words(&text)),
-                        "alnum_ratio" => tstats::alnum_ratio(&text),
-                        "special_char_ratio" => tstats::special_char_ratio(&text),
-                        "whitespace_ratio" => tstats::whitespace_ratio(&text),
-                        "digit_ratio" => tstats::digit_ratio(&text),
-                        "char_rep_ratio" => tstats::char_rep_ratio(&text, 10),
-                        "word_rep_ratio" => tstats::word_rep_ratio(ctx.words(&text), 5),
-                        "stopword_ratio" => tstats::lexicon_ratio(ctx.words(&text), &stopwords),
-                        "flagged_word_ratio" => tstats::lexicon_ratio(ctx.words(&text), &flagged),
-                        "paragraph_count" => tstats::paragraph_count(&text) as f64,
-                        "word_entropy" => tstats::word_entropy(ctx.words(&text)),
+                        "text_len" => ctx.chars(text).chars as f64,
+                        "word_count" => ctx.words(text).len() as f64,
+                        "avg_word_length" => tstats::avg_word_length(ctx.words(text)),
+                        "alnum_ratio" => ctx.chars(text).alnum_ratio(),
+                        "special_char_ratio" => ctx.chars(text).special_ratio(),
+                        "whitespace_ratio" => ctx.chars(text).whitespace_ratio(),
+                        "digit_ratio" => ctx.chars(text).digit_ratio(),
+                        "char_rep_ratio" => tstats::char_rep_ratio(text, 10, ctx.scratch()),
+                        "word_rep_ratio" => {
+                            let (words, scratch) = ctx.words_and_scratch(text);
+                            tstats::word_rep_ratio(words, 5, scratch)
+                        }
+                        "stopword_ratio" => tstats::lexicon_ratio(ctx.words(text), &stopwords),
+                        "flagged_word_ratio" => tstats::lexicon_ratio(ctx.words(text), &flagged),
+                        "paragraph_count" => tstats::paragraph_count(text) as f64,
+                        "word_entropy" => tstats::word_entropy(ctx.words(text)),
                         _ => continue, // unknown custom dimension: only reused if present
                     };
                     sample.set_stat(dim, v);
@@ -241,7 +245,8 @@ impl Analyzer {
                     columns.get_mut(dim).expect("dim registered").push(v);
                 }
             }
-            for pair in lexicon::verb_noun_pairs(ctx.words(&text), &verbs, &nouns) {
+            let words = ctx.words(sample.text_at(&field));
+            for pair in lexicon::verb_noun_pairs(words, &verbs, &nouns) {
                 *verb_noun.entry(pair).or_insert(0) += 1;
             }
         }

@@ -99,8 +99,8 @@ pub fn diversity_sample(dataset: &Dataset, n: usize, seed: u64) -> Dataset {
     let nouns = lexicon::common_nouns();
     // Bucket by first verb-noun pair (or "none").
     let bucket_of = |s: &Sample| {
-        let words = dj_core::segment_words(s.text());
-        lexicon::verb_noun_pairs(&words, &verbs, &nouns)
+        let mut ctx = dj_core::SampleContext::new();
+        lexicon::verb_noun_pairs(ctx.words(s.text()), &verbs, &nouns)
             .first()
             .map(|(v, o)| format!("{v}/{o}"))
             .unwrap_or_else(|| "none".to_string())

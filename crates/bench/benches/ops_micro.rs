@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use dj_core::{OpParams, Sample, SampleContext, Value};
+use dj_bench::baselines::{matched_dj_ops, MatchedPipeline};
+use dj_core::{Dataset, Op, OpParams, Sample, SampleContext, Value};
+use dj_exec::{ExecOptions, Executor};
 use dj_ops::builtin_registry;
 use dj_synth::{web_corpus, WebNoise};
 
@@ -116,9 +118,62 @@ fn bench_stats_reuse(c: &mut Criterion) {
     group.finish();
 }
 
+/// Each Fig. 8 operator alone on a warmed context, then the whole chain as
+/// the executor plans it (fused, one worker). A batch is 1 000 samples, so
+/// a median in milliseconds reads as µs per sample.
+fn bench_fig8_chain(c: &mut Criterion) {
+    const BATCH: usize = 1000;
+    // The matched Fig. 8 pipeline without its dedup barrier: the chain
+    // `djbench` reports as `op.*.ns_per_sample`.
+    let ops: Vec<Op> = matched_dj_ops(MatchedPipeline::default())
+        .into_iter()
+        .filter(|op| !matches!(op, Op::Deduplicator(_)))
+        .collect();
+    let mut group = c.benchmark_group("fig8_us_per_sample");
+    for op in &ops {
+        group.bench_function(op.name(), |b| {
+            let mut ctx = SampleContext::new();
+            b.iter_batched(
+                || samples(BATCH),
+                |mut data| {
+                    for s in &mut data {
+                        ctx.invalidate();
+                        match op {
+                            Op::Mapper(m) => {
+                                criterion::black_box(m.process(s, &mut ctx).unwrap());
+                            }
+                            Op::Filter(f) => {
+                                f.compute_stats(s, &mut ctx).unwrap();
+                                criterion::black_box(f.process(s).unwrap());
+                            }
+                            Op::Deduplicator(_) => unreachable!("chain has no barrier"),
+                        }
+                    }
+                    data
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    let exec = Executor::new(ops).with_options(ExecOptions {
+        num_workers: 1,
+        op_fusion: true,
+        shard_size: Some(BATCH),
+        ..ExecOptions::default()
+    });
+    group.bench_function("fused_chain", |b| {
+        b.iter_batched(
+            || Dataset::from_samples(samples(BATCH)),
+            |data| exec.run(data).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_mappers, bench_filters, bench_stats_reuse
+    targets = bench_mappers, bench_filters, bench_stats_reuse, bench_fig8_chain
 }
 criterion_main!(benches);

@@ -21,11 +21,19 @@
 
 use std::collections::HashMap;
 
-use dj_core::Dataset;
+use dj_core::{CharCounts, Dataset, SampleContext};
 use dj_hash::hash128;
 use dj_text::lexicon;
 use dj_text::normalize;
 use dj_text::stats as tstats;
+
+/// Word 5-gram repetition the way the baselines compute everything: from a
+/// tokenization of its own, shared with no other predicate.
+fn word_rep_ratio(text: &str, rep_len: usize) -> f64 {
+    let mut ctx = SampleContext::new();
+    let (words, scratch) = ctx.words_and_scratch(text);
+    tstats::word_rep_ratio(words, rep_len, scratch)
+}
 
 /// The matched pipeline parameters shared by every system in Fig. 8.
 #[derive(Debug, Clone, Copy)]
@@ -117,7 +125,7 @@ impl RedPajamaStyle {
                 let t = normalize::normalize_whitespace(
                     d.get("text").map(String::as_str).unwrap_or(""),
                 );
-                nd.insert("text".into(), t);
+                nd.insert("text".into(), t.into_owned());
                 nd
             })
             .collect();
@@ -130,7 +138,7 @@ impl RedPajamaStyle {
             .map(|d| {
                 let mut nd = d.clone();
                 let t = normalize::remove_links(d.get("text").map(String::as_str).unwrap_or(""));
-                nd.insert("text".into(), t);
+                nd.insert("text".into(), t.into_owned());
                 nd
             })
             .collect();
@@ -151,14 +159,13 @@ impl RedPajamaStyle {
                 if dj_core::segment_words(t).len() < p.min_words {
                     return false;
                 }
-                if tstats::alnum_ratio(t) < p.min_alnum {
+                if CharCounts::of(t).alnum_ratio() < p.min_alnum {
                     return false;
                 }
-                if tstats::special_char_ratio(t) > p.max_special {
+                if CharCounts::of(t).special_ratio() > p.max_special {
                     return false;
                 }
-                let words = dj_core::segment_words(t);
-                if tstats::word_rep_ratio(&words, p.rep_len) > p.max_word_rep {
+                if word_rep_ratio(t, p.rep_len) > p.max_word_rep {
                     return false;
                 }
                 true
@@ -220,23 +227,22 @@ impl DolmaStyle {
                 .map(|d| {
                     let t = d
                         .get("text")
-                        .map(|s| normalize::normalize_whitespace(&normalize::remove_links(s)))
+                        .map(|s| {
+                            normalize::normalize_whitespace(&normalize::remove_links(s))
+                                .into_owned()
+                        })
                         .unwrap_or_default();
                     let mut a = HashMap::new();
                     a.insert("len".to_string(), t.chars().count() as f64);
                     a.insert("words".to_string(), dj_core::segment_words(&t).len() as f64);
-                    a.insert("alnum".to_string(), tstats::alnum_ratio(&t));
-                    a.insert("special".to_string(), tstats::special_char_ratio(&t));
-                    let words = dj_core::segment_words(&t);
-                    a.insert(
-                        "word_rep".to_string(),
-                        tstats::word_rep_ratio(&words, p.rep_len),
-                    );
+                    a.insert("alnum".to_string(), CharCounts::of(&t).alnum_ratio());
+                    a.insert("special".to_string(), CharCounts::of(&t).special_ratio());
+                    a.insert("word_rep".to_string(), word_rep_ratio(&t, p.rep_len));
                     // The flagged-words tagger tokenizes yet again.
                     let flagged = lexicon::flagged_words();
                     a.insert(
                         "flagged".to_string(),
-                        tstats::lexicon_ratio(&dj_core::segment_words(&t), &flagged),
+                        tstats::lexicon_ratio(SampleContext::new().words(&t), &flagged),
                     );
                     a
                 })
@@ -268,7 +274,7 @@ impl DolmaStyle {
                 let t = nd.get("text").cloned().unwrap_or_default();
                 nd.insert(
                     "text".into(),
-                    normalize::normalize_whitespace(&normalize::remove_links(&t)),
+                    normalize::normalize_whitespace(&normalize::remove_links(&t)).into_owned(),
                 );
                 kept.push(nd);
             }

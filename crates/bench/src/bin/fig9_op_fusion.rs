@@ -51,13 +51,17 @@ fn fig9_recipe() -> Recipe {
         .then(OpSpec::new("document_deduplicator"))
 }
 
-/// Wall time plus the time spent in the WORDS-sharing fusible filters.
+/// Wall time plus the time spent in the fusible filters: the four that
+/// share the WORDS view and the three that share the one-pass CHARS view.
 fn run(data: Dataset, np: usize, fusion: bool) -> (f64, f64, usize) {
-    const FUSIBLE: [&str; 4] = [
+    const FUSIBLE: [&str; 7] = [
         "word_num_filter",
         "word_repetition_filter",
         "stopwords_filter",
         "flagged_words_filter",
+        "alphanumeric_ratio_filter",
+        "text_length_filter",
+        "special_characters_filter",
     ];
     let ops = fig9_recipe()
         .build_ops(&dj_ops::builtin_registry())

@@ -40,7 +40,10 @@ pub mod shard;
 pub mod sync;
 pub mod value;
 
-pub use context::{is_cjk, segment_sentences, segment_words, ContextNeeds, SampleContext};
+pub use context::{
+    is_cjk, line_spans, segment_sentences, segment_words, sentence_spans, word_spans, CharCounts,
+    ContextNeeds, SampleContext, Span, SpanIter, Spans,
+};
 pub use dataset::Dataset;
 pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};

@@ -85,7 +85,7 @@ impl Sample {
     }
 
     /// Dotted write under the root. The root is constructed as a map and
-    /// no API replaces it wholesale, so this cannot fail — the single
+    /// no API replaces it wholesale, so this cannot fail — an
     /// allow-listed `expect` documenting that invariant.
     fn set_root_path(&mut self, path: &str, value: Value) {
         #[allow(clippy::expect_used)]
@@ -99,21 +99,46 @@ impl Sample {
         self.root.set_path(field, Value::Str(text.into()))
     }
 
+    /// Look up `<section>.<key>` (`key` may itself be dotted) without
+    /// building the joined path.
+    fn section_get(&self, section: &str, key: &str) -> Option<&Value> {
+        self.root.as_map()?.get(section)?.get_path(key)
+    }
+
+    /// Write `<section>.<key>`, creating the section map on first use.
+    /// Allocates only for map entries that do not exist yet.
+    fn section_set(&mut self, section: &str, key: &str, value: Value) {
+        let Some(root) = self.root.as_map_mut() else {
+            return; // unreachable: the root is constructed as a map
+        };
+        let written = match root.get_mut(section) {
+            Some(map) => map.set_path(key, value),
+            None => {
+                let mut map = Value::map();
+                let written = map.set_path(key, value);
+                root.insert(section.to_string(), map);
+                written
+            }
+        };
+        // A section holding a non-map (hostile input) is a caller error,
+        // as it always was — the allow-listed `expect` for that invariant.
+        #[allow(clippy::expect_used)]
+        written.expect("`meta` / `stats` sections are maps");
+    }
+
     /// Read a metadata field (`meta.<key>`).
     pub fn meta(&self, key: &str) -> Option<&Value> {
-        self.root.get_path(&format!("{META_KEY}.{key}"))
+        self.section_get(META_KEY, key)
     }
 
     /// Write a metadata field (`meta.<key>`).
     pub fn set_meta(&mut self, key: &str, value: impl Into<Value>) {
-        self.set_root_path(&format!("{META_KEY}.{key}"), value.into());
+        self.section_set(META_KEY, key, value.into());
     }
 
     /// Read a numeric statistic (`stats.<key>`), coercing ints to floats.
     pub fn stat(&self, key: &str) -> Option<f64> {
-        self.root
-            .get_path(&format!("{STATS_KEY}.{key}"))
-            .and_then(Value::as_float)
+        self.section_get(STATS_KEY, key).and_then(Value::as_float)
     }
 
     /// Write a numeric statistic (`stats.<key>`).
@@ -122,12 +147,12 @@ impl Sample {
     /// `process` — and any later analyzer pass — reads a recorded value
     /// rather than recomputing it (the decoupling of paper §3.2).
     pub fn set_stat(&mut self, key: &str, value: f64) {
-        self.set_root_path(&format!("{STATS_KEY}.{key}"), Value::Float(value));
+        self.section_set(STATS_KEY, key, Value::Float(value));
     }
 
     /// True when the statistic has already been computed.
     pub fn has_stat(&self, key: &str) -> bool {
-        self.root.get_path(&format!("{STATS_KEY}.{key}")).is_some()
+        self.section_get(STATS_KEY, key).is_some()
     }
 
     /// All recorded statistics as `(key, value)` pairs.

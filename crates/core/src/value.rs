@@ -120,20 +120,33 @@ impl Value {
     ///
     /// Fails if an intermediate segment exists but is not a map.
     pub fn set_path(&mut self, path: &str, value: Value) -> Result<()> {
-        let mut cur = self;
-        let mut segs = path.split('.').peekable();
-        while let Some(seg) = segs.next() {
-            let is_last = segs.peek().is_none();
-            let map = cur.as_map_mut().ok_or_else(|| {
-                DjError::Field(format!("`{path}`: segment before `{seg}` is not a map"))
-            })?;
-            if is_last {
+        self.set_segments(path, path, value)
+    }
+
+    /// `set_path` over the not-yet-walked `rest` of `path`. A key is only
+    /// allocated for a segment that does not exist yet, so overwriting a
+    /// field (every mapper edit) costs no key allocation.
+    fn set_segments(&mut self, path: &str, rest: &str, value: Value) -> Result<()> {
+        let (seg, tail) = match rest.split_once('.') {
+            Some((seg, tail)) => (seg, Some(tail)),
+            None => (rest, None),
+        };
+        let map = self.as_map_mut().ok_or_else(|| {
+            DjError::Field(format!("`{path}`: segment before `{seg}` is not a map"))
+        })?;
+        match (map.get_mut(seg), tail) {
+            (Some(slot), None) => *slot = value,
+            (Some(next), Some(tail)) => return next.set_segments(path, tail, value),
+            (None, None) => {
                 map.insert(seg.to_string(), value);
-                return Ok(());
             }
-            cur = map.entry(seg.to_string()).or_insert_with(Value::map);
+            (None, Some(tail)) => {
+                let mut sub = Value::map();
+                sub.set_segments(path, tail, value)?;
+                map.insert(seg.to_string(), sub);
+            }
         }
-        Err(DjError::Field(format!("empty path `{path}`")))
+        Ok(())
     }
 
     /// Remove the value at a dotted path; returns the removed value if present.

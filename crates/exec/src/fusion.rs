@@ -417,14 +417,14 @@ mod tests {
             "clean_links_mapper",
             "clean_email_mapper",
             "remove_long_words_mapper",
-            "alphanumeric_ratio_filter",
-            "text_length_filter",
-            "word_num_filter",        // fusible (WORDS)
-            "word_repetition_filter", // fusible (WORDS)
-            "stopwords_filter",       // fusible (WORDS)
-            "flagged_words_filter",   // fusible (WORDS)
-            "special_characters_filter",
-            "average_line_length_filter", // fusible (LINES)? separate view
+            "alphanumeric_ratio_filter",  // fusible (CHARS)
+            "text_length_filter",         // fusible (CHARS)
+            "word_num_filter",            // fusible (WORDS)
+            "word_repetition_filter",     // fusible (WORDS)
+            "stopwords_filter",           // fusible (WORDS)
+            "flagged_words_filter",       // fusible (WORDS)
+            "special_characters_filter",  // fusible (CHARS)
+            "average_line_length_filter", // LINES: shared with nobody
             "document_deduplicator",
         ])
     }
@@ -461,19 +461,32 @@ mod tests {
     }
 
     #[test]
-    fn cheap_filters_run_before_fused_op() {
+    fn char_class_filters_share_one_fused_step() {
+        // `text_length_filter` counts characters, so it declares CHARS and
+        // fuses with the ratio filters that read the same one-pass view.
         let ops = fig9_ops();
         let plan = plan_fused(&ops);
-        let fused_idx = plan.steps.iter().position(|s| s.is_fused()).unwrap();
-        let cheap_idx = plan
+        assert_eq!(plan.fused_groups, 2);
+        assert_eq!(plan.fused_ops, 7);
+        let chars_idx = plan
             .steps
             .iter()
-            .position(|s| s.name() == "text_length_filter")
-            .unwrap();
-        assert!(
-            cheap_idx < fused_idx,
-            "cheap filter should precede fused op"
-        );
+            .position(|s| s.is_fused() && s.name().contains("text_length_filter"))
+            .expect("has a CHARS fused step");
+        let chars = plan.steps[chars_idx].name();
+        assert!(chars.contains("alphanumeric_ratio_filter"));
+        assert!(chars.contains("special_characters_filter"));
+        assert!(!chars.contains("word_num_filter"));
+        // The unshared LINES filter runs first, then the smaller (CHARS)
+        // fused step, then the WORDS one.
+        let position = |name: &str| {
+            plan.steps
+                .iter()
+                .position(|s| s.name().contains(name))
+                .unwrap()
+        };
+        assert!(position("average_line_length_filter") < chars_idx);
+        assert!(chars_idx < position("word_num_filter"));
     }
 
     #[test]

@@ -49,31 +49,56 @@ impl MinHasher {
 
     /// Signature of a token sequence. Empty inputs yield an all-`u64::MAX`
     /// signature (matching only other empty documents).
-    pub fn signature<S: AsRef<str>>(&self, tokens: &[S]) -> Vec<u64> {
+    ///
+    /// Takes any re-iterable token stream (a slice of strings, a borrowed
+    /// word view), so callers never have to copy tokens to fingerprint them.
+    pub fn signature<I>(&self, tokens: I) -> Vec<u64>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+        I::IntoIter: Clone,
+    {
         let mut sig = vec![u64::MAX; self.seeds.len()];
-        if tokens.is_empty() {
-            return sig;
-        }
-        let n = self.shingle_size.min(tokens.len());
-        let mut shingle = String::new();
-        for window in tokens.windows(n) {
-            shingle.clear();
-            for (i, t) in window.iter().enumerate() {
-                if i > 0 {
-                    shingle.push('\u{1}'); // unambiguous token separator
-                }
-                shingle.push_str(t.as_ref());
-            }
+        let mut absorb = |shingle: &[u8]| {
             // One base hash per shingle, remixed per seed: much cheaper than
             // rehashing the string k times and statistically equivalent for
             // dedup purposes.
-            let base = hash64_seeded(shingle.as_bytes(), 0);
+            let base = hash64_seeded(shingle, 0);
             for (slot, &seed) in sig.iter_mut().zip(&self.seeds) {
                 let h = remix(base, seed);
                 if h < *slot {
                     *slot = h;
                 }
             }
+        };
+        // The shingle is the window's tokens joined by an unambiguous
+        // separator; sliding drops the oldest token from the front and
+        // appends the next one, so `trail` runs one window behind `lead`.
+        const SEP: u8 = 1;
+        let lead = tokens.into_iter();
+        let mut trail = lead.clone();
+        let mut shingle: Vec<u8> = Vec::new();
+        let mut held = 0;
+        for token in lead {
+            if held == self.shingle_size {
+                // The oldest token and, unless it was alone, its separator.
+                let oldest = trail.next().map_or(0, |t| t.as_ref().len());
+                shingle.drain(..(oldest + 1).min(shingle.len()));
+                held -= 1;
+            }
+            if held > 0 {
+                shingle.push(SEP);
+            }
+            shingle.extend_from_slice(token.as_ref().as_bytes());
+            held += 1;
+            if held == self.shingle_size {
+                absorb(&shingle);
+            }
+        }
+        // Fewer tokens than the shingle size: the whole document is one
+        // shingle.
+        if held > 0 && held < self.shingle_size {
+            absorb(&shingle);
         }
         sig
     }

@@ -40,10 +40,13 @@ where
 
 /// SimHash over a token stream using unit feature weights with frequency
 /// accumulation.
-pub fn simhash_tokens<S: AsRef<str>>(tokens: &[S]) -> u64 {
+pub fn simhash_tokens<'a, I>(tokens: I) -> u64
+where
+    I: IntoIterator<Item = &'a str>,
+{
     let mut freq: FxHashMap<&str, f64> = FxHashMap::default();
     for t in tokens {
-        *freq.entry(t.as_ref()).or_insert(0.0) += 1.0;
+        *freq.entry(t).or_insert(0.0) += 1.0;
     }
     simhash_weighted(freq)
 }
@@ -143,14 +146,14 @@ impl SimHashIndex {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<&str> {
-        s.split_whitespace().collect()
+    fn toks(s: &str) -> impl Iterator<Item = &str> {
+        s.split_whitespace()
     }
 
     #[test]
     fn identical_text_identical_fingerprint() {
-        let a = simhash_tokens(&toks("large language models eat data"));
-        let b = simhash_tokens(&toks("large language models eat data"));
+        let a = simhash_tokens(toks("large language models eat data"));
+        let b = simhash_tokens(toks("large language models eat data"));
         assert_eq!(a, b);
         assert_eq!(hamming(a, b), 0);
     }
@@ -163,17 +166,16 @@ mod tests {
                     for large language model pretraining with composable operator";
         let far = "meanwhile in an unrelated document we discuss gardening techniques \
                    tomato cultivation soil acidity and greenhouse design principles";
-        let ha = simhash_tokens(&toks(base));
-        let hb = simhash_tokens(&toks(near));
-        let hc = simhash_tokens(&toks(far));
+        let ha = simhash_tokens(toks(base));
+        let hb = simhash_tokens(toks(near));
+        let hc = simhash_tokens(toks(far));
         assert!(hamming(ha, hb) <= 8, "near dist={}", hamming(ha, hb));
         assert!(hamming(ha, hc) > 12, "far dist={}", hamming(ha, hc));
     }
 
     #[test]
     fn empty_input_hashes_to_zero() {
-        let empty: Vec<&str> = vec![];
-        assert_eq!(simhash_tokens(&empty), 0);
+        assert_eq!(simhash_tokens(std::iter::empty()), 0);
     }
 
     #[test]

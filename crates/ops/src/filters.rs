@@ -2,6 +2,10 @@
 //! (Table 1). Every filter writes its statistic into `sample.stats` in
 //! `compute_stats` (skipping when already present) and decides from the
 //! recorded value in `process` — the stats/decision decoupling of §3.2.
+//!
+//! `compute_stats` never copies the text it reads: it borrows the field,
+//! computes the value from the context's shared views, and records the
+//! stat once the borrow has ended ([`record_stat`]).
 
 use std::sync::Arc;
 
@@ -108,12 +112,7 @@ macro_rules! range_filter {
             }
 
             fn compute_stats(&self, sample: &mut Sample, $ctx: &mut SampleContext) -> Result<()> {
-                if sample.has_stat($stats_key) {
-                    return Ok(());
-                }
-                let $text = sample.text_at(&self.field).to_string();
-                let v: f64 = $compute;
-                sample.set_stat($stats_key, v);
+                record_stat(sample, &self.field, $stats_key, |$text| $compute);
                 Ok(())
             }
 
@@ -134,7 +133,7 @@ range_filter!(
     /// (`alphanumeric_ratio_filter`).
     AlnumRatioFilter, "alphanumeric_ratio_filter", "alnum_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::alnum_ratio(&text)
+    |text, ctx| ctx.chars(text).alnum_ratio()
 );
 
 range_filter!(
@@ -142,7 +141,7 @@ range_filter!(
     /// (`special_characters_filter`).
     SpecialCharsFilter, "special_characters_filter", "special_char_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::special_char_ratio(&text)
+    |text, ctx| ctx.chars(text).special_ratio()
 );
 
 range_filter!(
@@ -150,7 +149,7 @@ range_filter!(
     /// (`whitespace_ratio_filter`).
     WhitespaceRatioFilter, "whitespace_ratio_filter", "whitespace_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::whitespace_ratio(&text)
+    |text, ctx| ctx.chars(text).whitespace_ratio()
 );
 
 range_filter!(
@@ -158,7 +157,7 @@ range_filter!(
     /// (`uppercase_ratio_filter`).
     UppercaseRatioFilter, "uppercase_ratio_filter", "uppercase_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::uppercase_ratio(&text)
+    |text, ctx| ctx.chars(text).uppercase_ratio()
 );
 
 range_filter!(
@@ -166,21 +165,21 @@ range_filter!(
     /// recipes relax the max (`spec_numerals_filter`).
     DigitRatioFilter, "spec_numerals_filter", "digit_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::digit_ratio(&text)
+    |text, ctx| ctx.chars(text).digit_ratio()
 );
 
 range_filter!(
     /// Keep samples whose character count is in range (`text_length_filter`).
     TextLengthFilter, "text_length_filter", "text_len",
-    needs: ContextNeeds::NONE, cost: OpCost::Cheap,
-    |text, _ctx| text.chars().count() as f64
+    needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
+    |text, ctx| ctx.chars(text).chars as f64
 );
 
 range_filter!(
     /// Keep samples whose word count is in range (`word_num_filter`).
     WordNumFilter, "word_num_filter", "word_count",
     needs: ContextNeeds::WORDS, cost: OpCost::Cheap,
-    |text, ctx| ctx.words(&text).len() as f64
+    |text, ctx| ctx.words(text).len() as f64
 );
 
 range_filter!(
@@ -188,7 +187,7 @@ range_filter!(
     /// (`average_line_length_filter`).
     AvgLineLengthFilter, "average_line_length_filter", "avg_line_length",
     needs: ContextNeeds::LINES, cost: OpCost::Cheap,
-    |text, ctx| tstats::avg_line_length(ctx.lines(&text))
+    |text, ctx| tstats::avg_line_length(ctx.lines(text))
 );
 
 range_filter!(
@@ -196,7 +195,7 @@ range_filter!(
     /// (`maximum_line_length_filter`).
     MaxLineLengthFilter, "maximum_line_length_filter", "max_line_length",
     needs: ContextNeeds::LINES, cost: OpCost::Cheap,
-    |text, ctx| tstats::max_line_length(ctx.lines(&text))
+    |text, ctx| tstats::max_line_length(ctx.lines(text))
 );
 
 range_filter!(
@@ -204,7 +203,7 @@ range_filter!(
     /// (`paragraph_count_filter`).
     ParagraphCountFilter, "paragraph_count_filter", "paragraph_count",
     needs: ContextNeeds::NONE, cost: OpCost::Cheap,
-    |text, _ctx| tstats::paragraph_count(&text) as f64
+    |text, _ctx| tstats::paragraph_count(text) as f64
 );
 
 range_filter!(
@@ -212,7 +211,7 @@ range_filter!(
     /// (`average_word_length_filter`).
     AvgWordLengthFilter, "average_word_length_filter", "avg_word_length",
     needs: ContextNeeds::WORDS, cost: OpCost::Cheap,
-    |text, ctx| tstats::avg_word_length(ctx.words(&text))
+    |text, ctx| tstats::avg_word_length(ctx.words(text))
 );
 
 range_filter!(
@@ -220,7 +219,7 @@ range_filter!(
     /// range (`word_entropy_filter`).
     WordEntropyFilter, "word_entropy_filter", "word_entropy",
     needs: ContextNeeds::WORDS, cost: OpCost::Moderate,
-    |text, ctx| tstats::word_entropy(ctx.words(&text))
+    |text, ctx| tstats::word_entropy(ctx.words(text))
 );
 
 /// Keep samples whose character n-gram repetition ratio is in range
@@ -261,11 +260,10 @@ impl Filter for CharRepetitionFilter {
     fn cost(&self) -> OpCost {
         OpCost::Moderate
     }
-    fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("char_rep_ratio") {
-            let v = tstats::char_rep_ratio(sample.text_at(&self.field), self.ngram);
-            sample.set_stat("char_rep_ratio", v);
-        }
+    fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
+        record_stat(sample, &self.field, "char_rep_ratio", |text| {
+            tstats::char_rep_ratio(text, self.ngram, ctx.scratch())
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -314,11 +312,10 @@ impl Filter for WordRepetitionFilter {
         OpCost::Moderate
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("word_rep_ratio") {
-            let text = sample.text_at(&self.field).to_string();
-            let v = tstats::word_rep_ratio(ctx.words(&text), self.rep_len);
-            sample.set_stat("word_rep_ratio", v);
-        }
+        record_stat(sample, &self.field, "word_rep_ratio", |text| {
+            let (words, scratch) = ctx.words_and_scratch(text);
+            tstats::word_rep_ratio(words, self.rep_len, scratch)
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -364,11 +361,9 @@ impl Filter for StopwordsFilter {
         ContextNeeds::WORDS
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("stopword_ratio") {
-            let text = sample.text_at(&self.field).to_string();
-            let v = tstats::lexicon_ratio(ctx.words(&text), &self.lexicon);
-            sample.set_stat("stopword_ratio", v);
-        }
+        record_stat(sample, &self.field, "stopword_ratio", |text| {
+            tstats::lexicon_ratio(ctx.words(text), &self.lexicon)
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -412,11 +407,9 @@ impl Filter for FlaggedWordsFilter {
         ContextNeeds::WORDS
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("flagged_word_ratio") {
-            let text = sample.text_at(&self.field).to_string();
-            let v = tstats::lexicon_ratio(ctx.words(&text), &self.lexicon);
-            sample.set_stat("flagged_word_ratio", v);
-        }
+        record_stat(sample, &self.field, "flagged_word_ratio", |text| {
+            tstats::lexicon_ratio(ctx.words(text), &self.lexicon)
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -462,12 +455,9 @@ impl Filter for LanguageIdScoreFilter {
         OpCost::Expensive
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("lang_score") {
-            let v = self
-                .model
-                .score_for(sample.text_at(&self.field), &self.lang);
-            sample.set_stat("lang_score", v);
-        }
+        record_stat(sample, &self.field, "lang_score", |text| {
+            self.model.score_for(text, &self.lang)
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -513,11 +503,15 @@ impl Filter for PerplexityFilter {
         OpCost::Expensive
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("perplexity") {
-            let v = self.model.perplexity(sample.text_at(&self.field));
+        record_stat(sample, &self.field, "perplexity", |text| {
+            let v = self.model.perplexity(text);
             // Record infinities as a large sentinel so stats stay JSON-safe.
-            sample.set_stat("perplexity", if v.is_finite() { v } else { 1e9 });
-        }
+            if v.is_finite() {
+                v
+            } else {
+                1e9
+            }
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -568,14 +562,13 @@ impl Filter for TokenNumFilter {
         }
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("num_tokens") {
-            let text = sample.text_at(&self.field);
+        record_stat(sample, &self.field, "num_tokens", |text| {
             let n = match &self.tokenizer {
                 Some(tok) => tok.count_tokens(text),
                 None => dj_text::tokenize::estimate_tokens(text, self.chars_per_token),
             };
-            sample.set_stat("num_tokens", n as f64);
-        }
+            n as f64
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -624,10 +617,9 @@ impl Filter for QualityScoreFilter {
         OpCost::Expensive
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("quality_score") {
-            let v = self.classifier.score(sample.text_at(&self.field));
-            sample.set_stat("quality_score", v);
-        }
+        record_stat(sample, &self.field, "quality_score", |text| {
+            self.classifier.score(text)
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -753,11 +745,9 @@ impl Filter for ActionVerbFilter {
         OpCost::Moderate
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("verb_noun_pairs") {
-            let text = sample.text_at(&self.field).to_string();
-            let pairs = lexicon::verb_noun_pairs(ctx.words(&text), &self.verbs, &self.nouns);
-            sample.set_stat("verb_noun_pairs", pairs.len() as f64);
-        }
+        record_stat(sample, &self.field, "verb_noun_pairs", |text| {
+            lexicon::verb_noun_pairs(ctx.words(text), &self.verbs, &self.nouns).len() as f64
+        });
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -842,6 +832,17 @@ impl Filter for StatsRangeFilter {
             None => Ok(self.keep_if_missing),
         }
     }
+}
+
+/// The "borrow text, write stat after" rule in one place: unless `key` is
+/// already recorded, compute it from the borrowed text of `field`, then —
+/// the borrow over — record it.
+fn record_stat(sample: &mut Sample, field: &str, key: &str, compute: impl FnOnce(&str) -> f64) {
+    if sample.has_stat(key) {
+        return;
+    }
+    let value = compute(sample.text_at(field));
+    sample.set_stat(key, value);
 }
 
 fn stat(sample: &Sample, key: &str, op: &str) -> Result<f64> {

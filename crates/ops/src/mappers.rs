@@ -5,11 +5,17 @@
 //! specified to other ... data fields"), reports whether it changed the
 //! text (so the executor can invalidate the sample context), and registers
 //! a factory in [`crate::registry`].
+//!
+//! An edit is a `fn(&str) -> Cow<str>` over the borrowed field: text that
+//! needs no change comes back borrowed and costs no allocation, changed
+//! text costs the one buffer that replaces it ([`edit_field`]).
+
+use std::borrow::Cow;
 
 use dj_core::{
     ContextNeeds, DjError, FieldSet, Mapper, OpCost, Result, Sample, SampleContext, TEXT_KEY,
 };
-use dj_text::normalize;
+use dj_text::normalize::{self, Rewrite};
 
 /// Every mapper in this catalog reads and rewrites exactly its configured
 /// text field — declare that footprint so the columnar executor can decode
@@ -25,16 +31,31 @@ macro_rules! field_footprint {
     };
 }
 
-/// Shared plumbing: read the configured field, transform, write back.
-/// Returns whether the text changed.
-fn edit_field(sample: &mut Sample, field: &str, f: impl FnOnce(&str) -> String) -> Result<bool> {
-    let old = sample.text_at(field).to_string();
-    let new = f(&old);
+/// Shared plumbing: borrow the configured field, transform, and write back
+/// only a changed text. Returns whether the text changed.
+fn edit_field(
+    sample: &mut Sample,
+    field: &str,
+    f: impl FnOnce(&str) -> Cow<'_, str>,
+) -> Result<bool> {
+    let old = sample.text_at(field);
+    let new = f(old);
     if new == old {
         return Ok(false);
     }
+    let new = new.into_owned();
     sample.set_text_at(field, new)?;
     Ok(true)
+}
+
+/// Push `pieces` joined by `sep`, as `[..].join(sep)` would.
+fn push_joined<'p>(out: &mut Rewrite<'_>, pieces: impl IntoIterator<Item = &'p str>, sep: &str) {
+    for (i, piece) in pieces.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        out.push_str(piece);
+    }
 }
 
 macro_rules! simple_mapper {
@@ -145,7 +166,7 @@ simple_mapper!(
     /// Lowercase the text (`lowercase_mapper`).
     LowercaseMapper,
     "lowercase_mapper",
-    |t: &str| t.to_lowercase()
+    normalize::lowercase
 );
 
 simple_mapper!(
@@ -182,15 +203,15 @@ impl Mapper for RemoveLongWordsMapper {
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         let max = self.max_len;
         edit_field(sample, &self.field, |t| {
-            t.split('\n')
-                .map(|line| {
-                    line.split(' ')
-                        .filter(|w| w.chars().count() <= max)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
+            let mut out = Rewrite::new(t);
+            for (i, line) in t.split('\n').enumerate() {
+                if i > 0 {
+                    out.push_str("\n");
+                }
+                let short = line.split(' ').filter(|w| w.chars().count() <= max);
+                push_joined(&mut out, short, " ");
+            }
+            out.finish()
         })
     }
 }
@@ -220,7 +241,11 @@ impl Mapper for RemoveSpecificCharsMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.chars().filter(|c| !self.chars.contains(c)).collect()
+            let mut out = Rewrite::new(t);
+            for c in t.chars().filter(|c| !self.chars.contains(c)) {
+                out.push(c);
+            }
+            out.finish()
         })
     }
 }
@@ -255,10 +280,10 @@ impl Mapper for RemoveBibliographyMapper {
                 "\nREFERENCES\n",
             ];
             let cut = MARKERS.iter().filter_map(|m| t.find(m)).min();
-            match cut {
-                Some(pos) => t[..pos].trim_end().to_string(),
-                None => t.to_string(),
-            }
+            Cow::Borrowed(match cut {
+                Some(pos) => t[..pos].trim_end(),
+                None => t,
+            })
         })
     }
 }
@@ -289,14 +314,14 @@ impl Mapper for RemoveTableTextMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.split('\n')
-                .filter(|line| {
-                    let pipes = line.matches('|').count();
-                    let dashes = line.matches("--").count();
-                    pipes < 3 && dashes < 3
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
+            let prose = t.split('\n').filter(|line| {
+                let pipes = line.matches('|').count();
+                let dashes = line.matches("--").count();
+                pipes < 3 && dashes < 3
+            });
+            let mut out = Rewrite::new(t);
+            push_joined(&mut out, prose, "\n");
+            out.finish()
         })
     }
 }
@@ -331,13 +356,11 @@ impl Mapper for SentenceSplitMapper {
     }
 
     fn process(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<bool> {
-        let text = sample.text_at(&self.field).to_string();
-        let joined = ctx.sentences(&text).join("\n");
-        if joined == text {
-            return Ok(false);
-        }
-        sample.set_text_at(&self.field, joined)?;
-        Ok(true)
+        edit_field(sample, &self.field, |t| {
+            let mut out = Rewrite::new(t);
+            push_joined(&mut out, ctx.sentences(t), "\n");
+            out.finish()
+        })
     }
 }
 
@@ -371,10 +394,7 @@ impl Mapper for TextTruncateMapper {
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         let max = self.max_chars;
         edit_field(sample, &self.field, |t| {
-            t.char_indices()
-                .nth(max)
-                .map(|(byte, _)| t[..byte].to_string())
-                .unwrap_or_else(|| t.to_string())
+            Cow::Borrowed(t.char_indices().nth(max).map_or(t, |(byte, _)| &t[..byte]))
         })
     }
 }
@@ -410,7 +430,11 @@ impl Mapper for ReplaceContentMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.replace(&self.pattern, &self.replacement)
+            if t.contains(&self.pattern) {
+                Cow::Owned(t.replace(&self.pattern, &self.replacement))
+            } else {
+                Cow::Borrowed(t)
+            }
         })
     }
 }
@@ -448,23 +472,17 @@ impl Mapper for RemoveRepeatSentencesMapper {
     }
 
     fn process(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<bool> {
-        let text = sample.text_at(&self.field).to_string();
-        let mut seen: dj_hash::FxHashMap<u64, usize> = dj_hash::FxHashMap::default();
-        let mut kept = Vec::new();
-        for s in ctx.sentences(&text) {
-            let h = dj_hash::hash64(s.as_bytes());
-            let count = seen.entry(h).or_insert(0);
-            *count += 1;
-            if *count <= self.max_repeats {
-                kept.push(s.clone());
-            }
-        }
-        let joined = kept.join(" ");
-        if joined == text {
-            return Ok(false);
-        }
-        sample.set_text_at(&self.field, joined)?;
-        Ok(true)
+        edit_field(sample, &self.field, |t| {
+            let mut seen: dj_hash::FxHashMap<u64, usize> = dj_hash::FxHashMap::default();
+            let kept = ctx.sentences(t).iter().filter(|s| {
+                let count = seen.entry(dj_hash::hash64(s.as_bytes())).or_insert(0);
+                *count += 1;
+                *count <= self.max_repeats
+            });
+            let mut out = Rewrite::new(t);
+            push_joined(&mut out, kept, " ");
+            out.finish()
+        })
     }
 }
 
@@ -491,6 +509,9 @@ impl Mapper for ExpandMacroMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
+            if !t.contains("\\newcommand{") {
+                return Cow::Borrowed(t); // nothing defined, nothing to expand
+            }
             // Collect zero-argument \newcommand{\name}{body} definitions.
             let mut macros: Vec<(String, String)> = Vec::new();
             let mut kept_lines = Vec::new();
@@ -511,7 +532,7 @@ impl Mapper for ExpandMacroMapper {
             for (name, body) in &macros {
                 out = out.replace(name.as_str(), body);
             }
-            out
+            Cow::Owned(out)
         })
     }
 }
@@ -711,7 +732,7 @@ impl TextAugmentMapper {
             ("result", "outcome"),
             ("outcome", "result"),
         ];
-        let lower = word.to_lowercase();
+        let lower = normalize::lowercase(word);
         THESAURUS.iter().find(|(k, _)| *k == lower).map(|(_, v)| *v)
     }
 }
@@ -745,25 +766,24 @@ impl Mapper for TextAugmentMapper {
         let drop = self.dropout_rate;
         let min_words = self.min_words;
         edit_field(sample, &self.field, |t| {
-            let words: Vec<&str> = t.split(' ').collect();
-            if words.iter().filter(|w| !w.is_empty()).count() < min_words {
-                return t.to_string();
+            if t.split(' ').filter(|w| !w.is_empty()).count() < min_words {
+                return Cow::Borrowed(t);
             }
-            let mut out: Vec<String> = Vec::with_capacity(words.len());
-            for w in words {
+            let augmented = t.split(' ').filter_map(|w| {
                 let r = next();
                 if r < drop && !w.is_empty() {
-                    continue; // dropout
+                    return None; // dropout
                 }
-                if r < drop + syn {
-                    if let Some(s) = Self::synonym(w) {
-                        out.push(s.to_string());
-                        continue;
-                    }
-                }
-                out.push(w.to_string());
-            }
-            out.join(" ")
+                let synonym = if r < drop + syn {
+                    Self::synonym(w)
+                } else {
+                    None
+                };
+                Some(synonym.unwrap_or(w))
+            });
+            let mut out = Rewrite::new(t);
+            push_joined(&mut out, augmented, " ");
+            out.finish()
         })
     }
 }
@@ -782,16 +802,6 @@ impl CleanCopyrightMapper {
             field: TEXT_KEY.to_string(),
         }
     }
-
-    fn is_copyright_line(line: &str) -> bool {
-        let l = line.to_lowercase();
-        l.contains("copyright")
-            || l.contains("all rights reserved")
-            || l.contains("(c) 19")
-            || l.contains("(c) 20")
-            || l.contains("licensed under")
-            || l.contains("spdx-license-identifier")
-    }
 }
 
 impl Mapper for CleanCopyrightMapper {
@@ -806,10 +816,12 @@ impl Mapper for CleanCopyrightMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.split('\n')
-                .filter(|line| !Self::is_copyright_line(line))
-                .collect::<Vec<_>>()
-                .join("\n")
+            let kept = t
+                .split('\n')
+                .filter(|line| !normalize::is_copyright_line(line));
+            let mut out = Rewrite::new(t);
+            push_joined(&mut out, kept, "\n");
+            out.finish()
         })
     }
 }

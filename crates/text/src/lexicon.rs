@@ -5,6 +5,7 @@
 //! drive; we embed compact, synthetic-corpus-matched lists. All functions
 //! return owned `FxHashSet`s so callers can extend them with user resources.
 
+use dj_core::Spans;
 use dj_hash::FxHashSet;
 
 /// English stopwords (fluent text has a healthy fraction of these).
@@ -152,11 +153,11 @@ fn to_set(words: &[&str]) -> FxHashSet<String> {
 /// within 4 words by a lexicon noun. A cheap stand-in for dependency
 /// parsing that drives the same diversity statistics.
 pub fn verb_noun_pairs(
-    words: &[String],
+    words: Spans<'_>,
     verbs: &FxHashSet<String>,
     nouns: &FxHashSet<String>,
 ) -> Vec<(String, String)> {
-    let lowered: Vec<String> = words.iter().map(|w| w.to_lowercase()).collect();
+    let lowered: Vec<String> = words.iter().map(str::to_lowercase).collect();
     let mut pairs = Vec::new();
     for (i, w) in lowered.iter().enumerate() {
         if verbs.contains(w) {
@@ -174,7 +175,12 @@ pub fn verb_noun_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dj_core::segment_words;
+    use dj_core::SampleContext;
+
+    fn pairs_of(text: &str) -> Vec<(String, String)> {
+        let mut ctx = SampleContext::new();
+        verb_noun_pairs(ctx.words(text), &common_verbs(), &common_nouns())
+    }
 
     #[test]
     fn lexicons_nonempty_and_lowercase() {
@@ -191,24 +197,21 @@ mod tests {
 
     #[test]
     fn verb_noun_extraction() {
-        let words = segment_words("Write a short story about dragons and explain the plan");
-        let pairs = verb_noun_pairs(&words, &common_verbs(), &common_nouns());
+        let pairs = pairs_of("Write a short story about dragons and explain the plan");
         assert!(pairs.contains(&("write".into(), "story".into())));
         assert!(pairs.contains(&("explain".into(), "plan".into())));
     }
 
     #[test]
     fn verb_without_object_is_skipped() {
-        let words = segment_words("write about nothing in particular today friends");
-        let pairs = verb_noun_pairs(&words, &common_verbs(), &common_nouns());
+        let pairs = pairs_of("write about nothing in particular today friends");
         assert!(pairs.is_empty());
     }
 
     #[test]
     fn object_window_is_limited() {
         // noun appears 6 words after verb → outside the 4-word window.
-        let words = segment_words("write one two three four five story");
-        let pairs = verb_noun_pairs(&words, &common_verbs(), &common_nouns());
+        let pairs = pairs_of("write one two three four five story");
         assert!(pairs.is_empty());
     }
 }

@@ -1,0 +1,164 @@
+//! Steady-state allocation budget of the operator hot path.
+//!
+//! The Fig. 8 chain (2 mappers, 5 filters) over an already-clean sample and
+//! a warmed `SampleContext` may allocate only what the sample keeps: the
+//! `stats` map and its keys. In particular the count must not grow with
+//! the document — no copy of the text, no string per word, no table per
+//! n-gram pass. This is the guard that keeps the next operator from
+//! bringing `to_string()` back into `compute_stats`.
+//!
+//! Its own test binary, with one test: the counting allocator is global.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use data_juicer::config::{OpSpec, Recipe};
+use data_juicer::core::{Op, Sample, SampleContext};
+use data_juicer::ops::builtin_registry;
+use data_juicer::synth::{web_corpus, WebNoise};
+use data_juicer::text::normalize;
+
+thread_local! {
+    /// Allocator calls made by this thread. No destructor, so counting
+    /// stays valid through thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// implementation upholds the `GlobalAlloc` contract; counting touches only
+// a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above; `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The Fig. 8 operators with the thresholds `fig8_end2end` and `djbench`
+/// run them at.
+fn fig8_chain() -> Vec<Op> {
+    let range = |name: &str, lo: &str, min: f64, hi: &str, max: f64| {
+        OpSpec::new(name).with(lo, min).with(hi, max)
+    };
+    Recipe::new("fig8-chain")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(OpSpec::new("clean_links_mapper"))
+        .then(range("text_length_filter", "min_len", 40.0, "max_len", 1e6))
+        .then(range("word_num_filter", "min_num", 8.0, "max_num", 1e9))
+        .then(range(
+            "alphanumeric_ratio_filter",
+            "min_ratio",
+            0.25,
+            "max_ratio",
+            1.0,
+        ))
+        .then(range(
+            "special_characters_filter",
+            "min_ratio",
+            0.0,
+            "max_ratio",
+            0.3,
+        ))
+        .then(
+            range("word_repetition_filter", "min_ratio", 0.0, "max_ratio", 0.4)
+                .with("rep_len", 5i64),
+        )
+        .build_ops(&builtin_registry())
+        .expect("builtin ops")
+}
+
+/// Run the chain on one sample the way the executor does; returns the
+/// allocator calls it took and whether the sample was kept.
+fn run_chain(chain: &[Op], sample: &mut Sample, ctx: &mut SampleContext) -> (u64, bool) {
+    let before = ALLOCATIONS.with(Cell::get);
+    ctx.invalidate();
+    let mut keep = true;
+    for op in chain {
+        match op {
+            Op::Mapper(m) => {
+                if m.process(sample, ctx).expect("mapper runs") {
+                    ctx.invalidate();
+                }
+            }
+            Op::Filter(f) => {
+                f.compute_stats(sample, ctx).expect("stats");
+                ctx.clear();
+                keep &= f.process(sample).expect("decision");
+            }
+            Op::Deduplicator(_) => unreachable!("no barrier in the chain"),
+        }
+    }
+    (ALLOCATIONS.with(Cell::get) - before, keep)
+}
+
+#[test]
+fn clean_samples_allocate_only_their_stats() {
+    let chain = fig8_chain();
+    // Already-clean texts of very different sizes: single documents, and
+    // fifty of them in one.
+    let clean: Vec<String> = web_corpus(5, 200, WebNoise::default())
+        .iter()
+        .map(|s| normalize::remove_links(&normalize::normalize_whitespace(s.text())).into_owned())
+        .filter(|t| t.split(' ').count() >= 20)
+        .collect();
+    let mut texts: Vec<String> = clean.chunks(50).map(|c| c.join("\n\n")).collect();
+    texts.extend(clean.iter().take(40).cloned());
+    let words = |t: &str| t.split_whitespace().count();
+    let (smallest, largest) = (
+        texts.iter().map(|t| words(t)).min().unwrap(),
+        texts.iter().map(|t| words(t)).max().unwrap(),
+    );
+    assert!(largest > 50 * smallest, "{smallest} vs {largest} words");
+
+    // Warm the context on the largest text, as a shard's first samples do.
+    let mut ctx = SampleContext::new();
+    let biggest = texts.iter().max_by_key(|t| t.len()).unwrap();
+    run_chain(&chain, &mut Sample::from_text(biggest.as_str()), &mut ctx);
+
+    let mut seen = std::collections::BTreeSet::new();
+    for text in &texts {
+        let mut sample = Sample::from_text(text.as_str());
+        let (allocations, _) = run_chain(&chain, &mut sample, &mut ctx);
+        assert_eq!(sample.text(), text, "sample was not clean");
+        assert_eq!(sample.stats().len(), 5);
+        // `stats` key, its map's node, and five stat keys.
+        assert!(
+            allocations <= 8,
+            "{allocations} allocations for a {}-word clean sample",
+            words(text)
+        );
+        seen.insert(allocations);
+    }
+    assert_eq!(
+        seen.len(),
+        1,
+        "allocations vary with the document: {seen:?}"
+    );
+}
