@@ -402,36 +402,12 @@ fn main() {
         });
         let _ = std::fs::remove_dir_all(&io_dir);
 
-        // Data-Juicer with the banded exchange disabled: same workers,
-        // sequential barrier clustering. Comparing this row's
-        // barrier_seconds against the matching "Data-Juicer" row isolates
-        // what the parallel dedup barrier buys on multi-core hosts.
-        let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
-            num_workers: np,
-            op_fusion: true,
-            trace_examples: 0,
-            shard_size: None,
-            dedup_parallel: false,
-            ..ExecOptions::default()
-        });
-        let t0 = Instant::now();
-        let (out, report) = exec.run(data.clone()).expect("seq-barrier pipeline runs");
-        assert_eq!(out.len(), dj_out, "sequential barrier diverged ({name})");
-        rows.push(Row {
-            dataset: name,
-            np,
-            system: "Data-Juicer-seq-barrier",
-            seconds: t0.elapsed().as_secs_f64(),
-            mem_mb: report.peak_bytes as f64 / 1e6,
-            out_len: out.len(),
-            in_len: data.len(),
-            barrier_seconds: report.barrier_duration.as_secs_f64(),
-            ingest_mb_per_sec: 0.0,
-            egress_mb_per_sec: 0.0,
-            bytes_decoded: 0,
-            bytes_passthrough: 0,
-            ..Row::default()
-        });
+        // (The former `Data-Juicer-seq-barrier` row — same workers with
+        // the banded exchange switched off — is gone with the
+        // `dedup_parallel` knob: every dataset here is below the
+        // `MIN_BARRIER_SAMPLES_PER_WORKER` gate, so it measured the same
+        // sequential clustering as the `Data-Juicer` row. The barrier
+        // comparison at scale is `djbench`'s `dup-inmem` workload.)
 
         // Data-Juicer adaptive: same pipeline planned from a warm stats
         // sidecar (the first run trains it, the second — measured here —

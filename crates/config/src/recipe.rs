@@ -49,15 +49,6 @@ pub struct Recipe {
     pub memory_budget: Option<u64>,
     /// Directory for spilled shard frames; `None` = the system temp dir.
     pub spill_dir: Option<String>,
-    /// Run dedup-barrier clustering (the banded hash exchange) on the
-    /// worker pool. `false` forces sequential clustering; the output is
-    /// identical either way.
-    pub dedup_parallel: bool,
-    /// Post-barrier shard fill threshold in `[0, 1]`: shards a dedup mask
-    /// thins below this fraction of the pre-barrier average are merged
-    /// into a neighbor. `None` uses the executor default (0.5); `0.0`
-    /// disables rebalancing.
-    pub shard_fill: Option<f64>,
     /// Default text field OPs process.
     pub text_key: String,
     /// Input corpus path or glob (`data/*.jsonl`) for file-backed
@@ -81,10 +72,6 @@ pub struct Recipe {
     /// barrier gating and knob auto-tuning (default `false`; the
     /// `DJ_ADAPTIVE` env var forces the run-local parts on).
     pub adaptive: bool,
-    /// Shards of a pipeline stage to measure before the mid-run replanner
-    /// re-ranks the remaining commutable steps. `None` = auto (a quarter
-    /// of the stage's shards, clamped to `[1, 8]`). Must be ≥ 1.
-    pub replan_after_shards: Option<usize>,
     /// Directory the cost-model sidecar persists under; `None` = the
     /// cache root (when `adaptive` is set and a cache is attached).
     pub stats_dir: Option<String>,
@@ -121,15 +108,12 @@ impl Default for Recipe {
             shard_size: None,
             memory_budget: None,
             spill_dir: None,
-            dedup_parallel: true,
-            shard_fill: None,
             text_key: "text".to_string(),
             input_path: None,
             output_path: None,
             output_format: None,
             prefetch_depth: None,
             adaptive: false,
-            replan_after_shards: None,
             stats_dir: None,
             prefix_cache: false,
             columnar: false,
@@ -179,19 +163,6 @@ impl Recipe {
         self
     }
 
-    /// Builder: toggle worker-parallel dedup-barrier clustering.
-    pub fn with_dedup_parallel(mut self, enabled: bool) -> Recipe {
-        self.dedup_parallel = enabled;
-        self
-    }
-
-    /// Builder: set the post-barrier shard fill threshold (clamped to
-    /// `[0, 1]`).
-    pub fn with_shard_fill(mut self, fill: f64) -> Recipe {
-        self.shard_fill = Some(fill.clamp(0.0, 1.0));
-        self
-    }
-
     /// Builder: set the input corpus path or glob (file-backed execution).
     pub fn with_input_path(mut self, path: impl Into<String>) -> Recipe {
         self.input_path = Some(path.into());
@@ -219,13 +190,6 @@ impl Recipe {
     /// Builder: toggle adaptive, measurement-driven planning.
     pub fn with_adaptive(mut self, enabled: bool) -> Recipe {
         self.adaptive = enabled;
-        self
-    }
-
-    /// Builder: set the mid-run replan trigger (shards measured before
-    /// re-ranking; floored to 1).
-    pub fn with_replan_after_shards(mut self, shards: usize) -> Recipe {
-        self.replan_after_shards = Some(shards.max(1));
         self
     }
 
@@ -342,15 +306,6 @@ impl Recipe {
         if let Some(dir) = v.get_path("spill_dir").and_then(Value::as_str) {
             recipe.spill_dir = Some(dir.to_string());
         }
-        if let Some(dp) = v.get_path("dedup_parallel").and_then(Value::as_bool) {
-            recipe.dedup_parallel = dp;
-        }
-        if let Some(fill) = v.get_path("shard_fill").and_then(Value::as_float) {
-            if !(0.0..=1.0).contains(&fill) {
-                return Err(DjError::Config("shard_fill must be in [0, 1]".into()));
-            }
-            recipe.shard_fill = Some(fill);
-        }
         if let Some(tk) = v.get_path("text_key").and_then(Value::as_str) {
             recipe.text_key = tk.to_string();
         }
@@ -376,12 +331,6 @@ impl Recipe {
         }
         if let Some(a) = v.get_path("adaptive").and_then(Value::as_bool) {
             recipe.adaptive = a;
-        }
-        if let Some(k) = v.get_path("replan_after_shards").and_then(Value::as_int) {
-            if k < 1 {
-                return Err(DjError::Config("replan_after_shards must be >= 1".into()));
-            }
-            recipe.replan_after_shards = Some(k as usize);
         }
         if let Some(dir) = v.get_path("stats_dir").and_then(Value::as_str) {
             recipe.stats_dir = Some(dir.to_string());
@@ -447,14 +396,6 @@ impl Recipe {
             root.set_path("spill_dir", Value::from(dir.clone()))
                 .expect("map root");
         }
-        if !self.dedup_parallel {
-            root.set_path("dedup_parallel", Value::Bool(false))
-                .expect("map root");
-        }
-        if let Some(fill) = self.shard_fill {
-            root.set_path("shard_fill", Value::Float(fill))
-                .expect("map root");
-        }
         root.set_path("text_key", Value::from(self.text_key.clone()))
             .expect("map root");
         if let Some(p) = &self.input_path {
@@ -475,10 +416,6 @@ impl Recipe {
         }
         if self.adaptive {
             root.set_path("adaptive", Value::Bool(true))
-                .expect("map root");
-        }
-        if let Some(k) = self.replan_after_shards {
-            root.set_path("replan_after_shards", Value::from(k))
                 .expect("map root");
         }
         if let Some(dir) = &self.stats_dir {
@@ -706,26 +643,18 @@ process:
     }
 
     #[test]
-    fn dedup_knobs_roundtrip_and_validate() {
-        let r = sample_recipe()
-            .with_dedup_parallel(false)
-            .with_shard_fill(0.25);
-        assert!(!r.dedup_parallel);
-        assert_eq!(r.shard_fill, Some(0.25));
-        let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
-        assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "dedup knobs participate in the cache key"
-        );
-        let y = Recipe::from_yaml("dedup_parallel: false\nshard_fill: 0.75\n").unwrap();
-        assert!(!y.dedup_parallel);
-        assert_eq!(y.shard_fill, Some(0.75));
-        assert!(Recipe::from_yaml("shard_fill: 1.5\n").is_err());
-        let defaults = Recipe::from_yaml("np: 2\n").unwrap();
-        assert!(defaults.dedup_parallel, "parallel barrier is the default");
-        assert_eq!(defaults.shard_fill, None);
+    fn retired_knobs_still_load_and_are_ignored() {
+        // `dedup_parallel`, `shard_fill` and `replan_after_shards` were
+        // recipe keys once; a recipe that still carries them (whatever the
+        // value) loads as if they were absent.
+        let old = Recipe::from_yaml(
+            "np: 2\ndedup_parallel: false\nshard_fill: 1.5\nreplan_after_shards: 0\n",
+        )
+        .unwrap();
+        let new = Recipe::from_yaml("np: 2\n").unwrap();
+        assert_eq!(old, new);
+        assert_eq!(old.fingerprint(), new.fingerprint());
+        assert!(!old.to_yaml().contains("shard_fill"));
     }
 
     #[test]
@@ -766,11 +695,9 @@ process:
     fn adaptive_knobs_roundtrip_and_validate() {
         let r = sample_recipe()
             .with_adaptive(true)
-            .with_replan_after_shards(4)
             .with_stats_dir("stats")
             .with_prefix_cache(true);
         assert!(r.adaptive);
-        assert_eq!(r.replan_after_shards, Some(4));
         assert_eq!(r.stats_dir.as_deref(), Some("stats"));
         assert!(r.prefix_cache);
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
@@ -780,18 +707,12 @@ process:
             sample_recipe().fingerprint(),
             "adaptive knobs participate in the cache key"
         );
-        let y = Recipe::from_yaml(
-            "adaptive: true\nreplan_after_shards: 2\nstats_dir: s\nprefix_cache: true\n",
-        )
-        .unwrap();
+        let y = Recipe::from_yaml("adaptive: true\nstats_dir: s\nprefix_cache: true\n").unwrap();
         assert!(y.adaptive);
-        assert_eq!(y.replan_after_shards, Some(2));
         assert_eq!(y.stats_dir.as_deref(), Some("s"));
         assert!(y.prefix_cache);
-        assert!(Recipe::from_yaml("replan_after_shards: 0\n").is_err());
         let defaults = Recipe::from_yaml("np: 2\n").unwrap();
         assert!(!defaults.adaptive, "adaptive planning is opt-in");
-        assert_eq!(defaults.replan_after_shards, None);
         assert_eq!(defaults.stats_dir, None);
         assert!(!defaults.prefix_cache);
     }

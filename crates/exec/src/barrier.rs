@@ -1,0 +1,240 @@
+//! The dedup barrier — the one pipeline breaker. Every shape runs the same
+//! three steps: fingerprint every sample ([`hash_pass`], or the
+//! fingerprint-on-ingest sidecars when the data carries them), cluster
+//! the dataset-level keep mask on the worker pool, and re-drive each shard
+//! against its slice of the mask ([`apply_mask`]) through the same
+//! feed/sink pair a pipeline stage uses.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::BTreeSet;
+use std::time::Instant;
+
+use dj_core::{Dataset, Deduplicator, Result, Sample, SampleContext, Value};
+use dj_store::split_column_path;
+
+use crate::data::{Frame, Loaded, StageData};
+use crate::executor::Executor;
+use crate::options::ExecOptions;
+use crate::report::{snippet, BarrierDecision, OpReport, RunReport, TraceEvent};
+use crate::stream::{drive, Feed, Resident, RunCtl};
+
+/// Minimum samples *per worker* before the parallel dedup barrier
+/// clustering pays for its section cost; smaller inputs cluster
+/// sequentially (the mask is identical either way).
+const MIN_BARRIER_SAMPLES_PER_WORKER: usize = 1024;
+
+/// Post-barrier shard fill threshold: after the mask is applied, adjacent
+/// in-memory shards thinned below this share of the pre-barrier average
+/// shard size are merged into a neighbor, so a low-duplicate dataset keeps
+/// its shard boundaries instead of paying a full merge + re-split.
+const SHARD_FILL: f64 = 0.5;
+
+/// What one fingerprint is computed from: a text borrowed from an
+/// undecoded frame, or a whole resident sample.
+enum HashInput<'a> {
+    Text(&'a str),
+    Sample(&'a Sample),
+}
+
+/// The fingerprint loop: one hash per input, in order.
+fn fingerprint<'a>(
+    dedup: &dyn Deduplicator,
+    inputs: impl Iterator<Item = HashInput<'a>>,
+) -> Result<Vec<Value>> {
+    let mut ctx = SampleContext::new();
+    let mut out = Vec::with_capacity(inputs.size_hint().0);
+    for input in inputs {
+        ctx.invalidate();
+        out.push(match input {
+            HashInput::Text(text) => dedup.compute_hash_text(text, &mut ctx)?,
+            HashInput::Sample(sample) => dedup.compute_hash(sample, &mut ctx)?,
+        });
+        ctx.clear();
+    }
+    Ok(out)
+}
+
+/// Fingerprint whole resident samples.
+pub(crate) fn hash_samples<'a>(
+    dedup: &dyn Deduplicator,
+    samples: impl IntoIterator<Item = &'a Sample>,
+) -> Result<Vec<Value>> {
+    fingerprint(dedup, samples.into_iter().map(HashInput::Sample))
+}
+
+/// Fingerprint one spool load, plus the decompressed bytes decoded to
+/// reach the texts. An undecoded frame lends out the hashed field's text —
+/// a row slab walks its serialized samples in place, a columnar slab
+/// decompresses only that column's region — so no `Sample` is ever built;
+/// decoded samples (a deduplicator that hashes whole samples) hash as such.
+pub(crate) fn hash_loaded(dedup: &dyn Deduplicator, loaded: &Loaded) -> Result<(Vec<Value>, u64)> {
+    let (Some(frame), Some(field)) = (&loaded.frame, dedup.hash_field()) else {
+        return Ok((hash_samples(dedup, loaded.shard.samples())?, 0));
+    };
+    let texts = |texts: &[std::borrow::Cow<'_, str>]| {
+        fingerprint(dedup, texts.iter().map(|t| HashInput::Text(t)))
+    };
+    match frame {
+        Frame::Row(slab) => Ok((texts(&slab.texts_at(field)?)?, 0)),
+        Frame::Col(slab) => {
+            let (top, rest) = split_column_path(field);
+            match slab.read_column(top)? {
+                Some(region) => Ok((texts(&region.texts_at(rest)?)?, region.raw_len())),
+                // Column absent from this frame: every sample hashes the
+                // empty string, the missing-field semantics of a full decode.
+                None => {
+                    let empty = (0..slab.sample_count()).map(|_| HashInput::Text(""));
+                    Ok((fingerprint(dedup, empty)?, 0))
+                }
+            }
+        }
+    }
+}
+
+/// The barrier's hash pass: `hash` every shard of `feed` — "the texts of
+/// the hashed field, per shard", whatever the feed loads — on the worker
+/// pool, flattening hashes and decoded-byte counts in shard order.
+pub(crate) fn hash_pass<T: Resident + Send>(
+    feed: &Feed<'_, T>,
+    options: &ExecOptions,
+    ctl: &RunCtl,
+    hash: impl Fn(&T) -> Result<(Vec<Value>, u64)> + Sync,
+) -> Result<(Vec<Value>, u64)> {
+    let (workers, depth) = (options.num_workers, options.prefetch_depth);
+    let per_shard = drive(feed, workers, depth, ctl, |_, view| hash(&view))?;
+    let mut all = Vec::with_capacity(per_shard.iter().map(|(h, _)| h.len()).sum());
+    let mut decoded = 0;
+    for (hashes, bytes) in per_shard {
+        all.extend(hashes);
+        decoded += bytes;
+    }
+    Ok((all, decoded))
+}
+
+/// Drop the samples `keep` masks out of `shard`, tracing up to `cap` of
+/// the dropped duplicates.
+fn apply_mask(shard: &mut Dataset, keep: &[bool], cap: usize) -> Vec<TraceEvent> {
+    let mut trace = Vec::new();
+    for (sample, _) in shard.iter().zip(keep).filter(|(_, keep)| !**keep).take(cap) {
+        trace.push(TraceEvent::Duplicate {
+            dropped: snippet(sample.text()),
+        });
+    }
+    shard.retain_mask(keep);
+    trace
+}
+
+impl Executor {
+    /// Worker count for barrier clustering, gated on measured benefit: the
+    /// pool size only when more than one worker is available *and* the
+    /// input is large enough to amortize the section cost
+    /// ([`MIN_BARRIER_SAMPLES_PER_WORKER`] samples per worker). The mask is
+    /// identical either way; this is a pure scheduling decision, recorded
+    /// in [`RunReport::barrier_decisions`].
+    fn gated_mask_workers(
+        &self,
+        dedup: &dyn Deduplicator,
+        samples: usize,
+        report: &mut RunReport,
+    ) -> usize {
+        let pool = self.options.num_workers.max(1);
+        let (workers, reason) = if pool <= 1 {
+            (1, "single-worker")
+        } else if samples < pool * MIN_BARRIER_SAMPLES_PER_WORKER {
+            (1, "small-input")
+        } else {
+            (pool, "parallel")
+        };
+        report.barrier_decisions.push(BarrierDecision {
+            name: dedup.name().to_string(),
+            samples,
+            workers,
+            parallel: workers > 1,
+            reason,
+        });
+        workers
+    }
+
+    /// A dedup barrier over any shape, with shard carry-through: shard
+    /// boundaries survive the barrier, and only in-memory shards the mask
+    /// thins below the fill threshold are merged into a neighbor — a
+    /// low-duplicate dataset pays near-zero materialization. With
+    /// fingerprint sidecars present a spilled barrier is a *single*
+    /// streaming pass; a columnar spool applies its mask without decoding
+    /// a column (an empty projection: every column splices through).
+    pub(crate) fn run_dedup_stage(
+        &self,
+        dedup: &dyn Deduplicator,
+        data: StageData,
+        ctl: &RunCtl,
+        report: &mut RunReport,
+    ) -> Result<StageData> {
+        let cap = self.options.trace_examples;
+        let t0 = Instant::now();
+        let mut data = data.resharded(&self.options);
+        let lens = data.shard_lens();
+        let in_len: usize = lens.iter().sum();
+        report.shards = report.shards.max(lens.len());
+
+        let (hashes, hash_bytes, from_sidecars) = data.fingerprints(dedup, &self.options, ctl)?;
+        report.fingerprinted_barriers += usize::from(from_sidecars);
+        // Clustering: the banded exchange on the worker pool (sequential
+        // when gated off — the mask is identical either way).
+        let mask_workers = self.gated_mask_workers(dedup, in_len, report);
+        let mask = dedup.keep_mask_parallel(in_len, &hashes, mask_workers)?;
+        drop(hashes);
+
+        // Re-drive each shard against its slice of the dataset-level mask.
+        // Duplicate traces need sample text; without them nothing at all
+        // needs decoding.
+        let offsets: Vec<usize> = lens
+            .iter()
+            .scan(0, |end, len| Some(std::mem::replace(end, *end + len)))
+            .collect();
+        let nothing = BTreeSet::new();
+        let cols = (cap == 0).then_some(&nothing);
+        let (feed, sink) = data.open(self, cols, true)?;
+        let per_shard = drive(
+            &feed,
+            self.options.num_workers,
+            self.options.prefetch_depth,
+            ctl,
+            |i, loaded| {
+                let Loaded {
+                    mut shard, frame, ..
+                } = loaded;
+                let keep = &mask[offsets[i]..offsets[i] + lens[i]];
+                let trace = apply_mask(&mut shard, keep, cap);
+                let passthrough = sink.store(i, frame, shard, keep, None)?;
+                Ok((trace, passthrough))
+            },
+        )?;
+        let mut trace = Vec::new();
+        for (shard_trace, passthrough) in per_shard {
+            trace.extend(shard_trace);
+            report.bytes_passthrough += passthrough;
+        }
+        trace.truncate(cap);
+        let removed = mask.iter().filter(|&&k| !k).count();
+
+        let pre_target = in_len.div_ceil(lens.len().max(1)).max(1);
+        let min_len = (pre_target as f64 * SHARD_FILL).ceil() as usize;
+        let out = sink.finish()?.rebalanced(min_len);
+
+        let elapsed = t0.elapsed();
+        report.barrier_duration += elapsed;
+        report.bytes_decoded += hash_bytes;
+        report.ops.push(OpReport {
+            name: dedup.name().to_string(),
+            samples_in: in_len,
+            samples_out: in_len - removed,
+            removed,
+            changed: 0,
+            duration: elapsed,
+            fused: false,
+            bytes_decoded: hash_bytes,
+            trace,
+        });
+        Ok(out)
+    }
+}

@@ -29,7 +29,7 @@ use std::time::Duration;
 use dj_core::{OpCost, Result};
 use dj_store::{OpAggregate, StatsSidecar};
 
-use crate::executor::RunReport;
+use crate::report::RunReport;
 
 /// EWMA smoothing factor: each new run contributes 30% of the aggregate,
 /// so a one-off slow run (page cache miss, CI noise) cannot flip the plan

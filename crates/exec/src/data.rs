@@ -1,0 +1,521 @@
+//! Where the dataset lives between stages ([`StageData`]) and the feeds
+//! and sinks that connect each shape to the one shard driver
+//! ([`crate::stream::drive`]). This module is the only code that knows
+//! which execution shape a run is in:
+//!
+//! | shape | feed | sink | what is decoded |
+//! |---|---|---|---|
+//! | in memory | [`StageData::open`]: take the shard out of its slot | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
+//! | spilled, row `DJSF` | [`spool_feed`], [`Load::Full`] | [`Sink::Spool`]: a row frame | every sample |
+//! | spilled, columnar `DJSC` | [`spool_feed`], [`Load::Project`], slab carried | [`Sink::Spool`]: a splice of the carried slab | only the pass's footprint columns |
+//! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
+//! | barrier hash pass | resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
+use dj_core::sync::lock;
+use dj_core::{
+    Dataset, Deduplicator, MemShardStore, Result, Sample, ShardSink, ShardSource, Value,
+};
+use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
+use dj_store::{CacheManager, CachedStage, Codec, ColumnarSlab, FrameSlab, ShardSpool};
+
+use crate::barrier::{hash_loaded, hash_pass, hash_samples};
+use crate::executor::Executor;
+use crate::options::ExecOptions;
+use crate::stream::{drive, Feed, Resident, RunCtl};
+
+/// Codec for spilled shard frames (cheap LZ77: spill IO shrinks without a
+/// zstd-class CPU bill).
+pub(crate) const SPILL_CODEC: Codec = Codec::Djz;
+
+/// Samples per in-memory barrier hash morsel: workers stay balanced by
+/// *samples* whatever the shard cut, and a cancelled job stops within one
+/// morsel per worker.
+const HASH_MORSEL: usize = 1024;
+
+/// The undecoded frame a spool load came from.
+pub(crate) enum Frame {
+    Row(FrameSlab),
+    Col(ColumnarSlab),
+}
+
+/// One shard as a feed hands it to a pass.
+pub(crate) struct Loaded {
+    /// The decoded samples: all of them, the projected columns of a
+    /// columnar load, or none for an undecoded load.
+    pub shard: Dataset,
+    /// The frame the shard was (or was not) decoded from, when the feed
+    /// keeps it: a columnar slab rides along to the sink, which splices
+    /// its untouched columns into the output frame.
+    pub frame: Option<Frame>,
+    /// Decompressed bytes decoded to build `shard` (columnar loads only).
+    pub decoded: u64,
+    /// The samples never left memory (a barrier re-slotting resident
+    /// shards), so the load made nothing newly resident.
+    pub resident: bool,
+}
+
+impl Loaded {
+    fn samples(shard: Dataset) -> Loaded {
+        Loaded {
+            shard,
+            frame: None,
+            decoded: 0,
+            resident: false,
+        }
+    }
+}
+
+impl Resident for Loaded {
+    /// A carried frame charges its payload; decoded samples their heap size.
+    fn residency(&self) -> (usize, usize) {
+        match &self.frame {
+            _ if self.resident => (0, 0),
+            Some(Frame::Row(slab)) => (slab.sample_count().unwrap_or(0), slab.payload_len()),
+            Some(Frame::Col(slab)) => (slab.sample_count(), slab.payload_len()),
+            None => (self.shard.len(), self.shard.approx_bytes()),
+        }
+    }
+}
+
+/// Borrowed, already-resident samples (a hash morsel) charge nothing.
+impl Resident for &[&Sample] {
+    fn residency(&self) -> (usize, usize) {
+        (0, 0)
+    }
+}
+
+/// How a spool feed loads a slot.
+#[derive(Clone, Copy)]
+pub(crate) enum Load<'a> {
+    /// Decode every sample (row or columnar frame, sniffed per slot).
+    Full,
+    /// Columnar slot: keep the slab, decode only these columns (`None` =
+    /// all of them).
+    Project(Option<&'a BTreeSet<String>>),
+    /// Keep the frame undecoded — the barrier borrows texts out of it.
+    Undecoded,
+}
+
+/// The slots of a spill spool, re-readable.
+pub(crate) fn spool_feed<'a>(spool: &'a ShardSpool, load: Load<'a>) -> Feed<'a, Loaded> {
+    Feed::indexed(spool.shard_count(), true, move |i| {
+        let (shard, frame, decoded) = match load {
+            Load::Full => (spool.read_shard(i)?, None, 0),
+            Load::Project(cols) => {
+                let slab = spool.read_columnar_slab(i)?;
+                let (shard, decoded) = slab.decode_projected(cols)?;
+                (shard, Some(Frame::Col(slab)), decoded)
+            }
+            Load::Undecoded if spool.is_columnar() => {
+                let slab = spool.read_columnar_slab(i)?;
+                (Dataset::new(), Some(Frame::Col(slab)), 0)
+            }
+            Load::Undecoded => {
+                let slab = spool.read_frame_slab(i)?;
+                (Dataset::new(), Some(Frame::Row(slab)), 0)
+            }
+        };
+        Ok(Loaded {
+            frame,
+            decoded,
+            ..Loaded::samples(shard)
+        })
+    })
+}
+
+/// Shards cut off a corpus stream: open-ended, dry when the reader is. The
+/// reader and the shard counter share a lock so indices always match
+/// stream order, whichever stepper pulls.
+pub(crate) fn reader_feed(
+    reader: &Mutex<(CorpusReader, usize)>,
+    shard_size: usize,
+) -> Feed<'_, Loaded> {
+    Feed {
+        len: None,
+        overlaps_io: true,
+        next: Box::new(move || {
+            let mut guard = lock(reader);
+            let Some(shard) = guard.0.next_shard(shard_size)? else {
+                return Ok(None);
+            };
+            guard.1 += 1;
+            Ok(Some((guard.1 - 1, Loaded::samples(shard))))
+        }),
+    }
+}
+
+/// Where a pass stores each shard's outcome.
+pub(crate) enum Sink<'a> {
+    /// One memory slot per shard.
+    Mem(MemShardStore),
+    /// A fresh spill spool. A shard whose load carried a columnar slab is
+    /// stored as a splice — the named columns re-encoded from the processed
+    /// samples, every other column copied from the slab undecoded; anything
+    /// else is encoded whole in the spool's own format.
+    Spool(ShardSpool, Option<&'a BTreeSet<String>>),
+}
+
+impl Sink<'_> {
+    /// Whether stored shards can carry fingerprints for the next barrier.
+    pub(crate) fn carries_fingerprints(&self) -> bool {
+        matches!(self, Sink::Spool(..))
+    }
+
+    /// Store shard `idx`. `frame` is what the load carried, `keep` says per
+    /// *input* sample whether it survived into `shard`. Returns the
+    /// decompressed bytes that crossed input→output undecoded.
+    pub(crate) fn store(
+        &self,
+        idx: usize,
+        frame: Option<Frame>,
+        shard: Dataset,
+        keep: &[bool],
+        fingerprints: Option<Vec<Value>>,
+    ) -> Result<u64> {
+        let (out, cols) = match self {
+            Sink::Mem(slots) => return slots.store_shard(idx, shard).map(|()| 0),
+            Sink::Spool(out, cols) => (out, *cols),
+        };
+        let passthrough = match frame {
+            Some(Frame::Col(slab)) => {
+                let (bytes, passthrough) = slab.splice(&shard, cols, keep, SPILL_CODEC)?;
+                out.write_frame_bytes(idx, &bytes, shard.len())?;
+                passthrough
+            }
+            _ => {
+                out.write_shard(idx, &shard)?;
+                0
+            }
+        };
+        if let Some(fp) = fingerprints {
+            out.write_fingerprints(idx, &fp)?;
+        }
+        Ok(passthrough)
+    }
+
+    /// The stored shards, as the next stage's input.
+    pub(crate) fn finish(self) -> Result<StageData> {
+        match self {
+            Sink::Mem(slots) => slots.into_shards().map(StageData::Mem),
+            Sink::Spool(out, _) => Ok(StageData::Spilled(out)),
+        }
+    }
+}
+
+/// Where the dataset lives between stages: in memory as ordered shards
+/// (default) or spilled to a disk spool of checksummed shard frames
+/// (out-of-core mode).
+///
+/// The in-memory representation stays sharded *across* stage boundaries —
+/// including through dedup barriers — so the engine never pays a full
+/// merge + re-split between stages; concatenating the shards in index
+/// order is the dataset.
+pub(crate) enum StageData {
+    Mem(Vec<Dataset>),
+    Spilled(ShardSpool),
+}
+
+impl StageData {
+    pub(crate) fn len(&self) -> usize {
+        self.shard_lens().iter().sum()
+    }
+
+    /// Heap bytes held in memory (a spool holds none).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        match self {
+            StageData::Mem(shards) => shards.iter().map(Dataset::approx_bytes).sum(),
+            StageData::Spilled(_) => 0,
+        }
+    }
+
+    /// Sample count per shard, in shard order.
+    pub(crate) fn shard_lens(&self) -> Vec<usize> {
+        match self {
+            StageData::Mem(shards) => shards.iter().map(Dataset::len).collect(),
+            StageData::Spilled(s) => (0..s.shard_count())
+                .map(|i| s.shard_len(i).unwrap_or(0))
+                .collect(),
+        }
+    }
+
+    /// A resumed cache entry as stage input. A multi-frame entry may come
+    /// from carried in-memory shards, not only from a spill — it is pulled
+    /// back into memory when it fits `budget`, so an under-budget run never
+    /// downgrades to out-of-core on resume. The probe loads shard by shard
+    /// and bails the moment the budget is exceeded, so it never holds more
+    /// than `budget` bytes.
+    pub(crate) fn from_cached(cached: CachedStage, budget: u64) -> Result<StageData> {
+        let spool = match cached {
+            CachedStage::Mem(ds) => return Ok(StageData::Mem(vec![ds])),
+            CachedStage::Spooled(spool) => spool,
+        };
+        let mut shards = Vec::with_capacity(spool.shard_count());
+        let mut bytes = 0u64;
+        for i in 0..spool.shard_count() {
+            let shard = spool.read_shard(i)?;
+            bytes += shard.approx_bytes() as u64;
+            if bytes > budget {
+                return Ok(StageData::Spilled(spool));
+            }
+            shards.push(shard);
+        }
+        Ok(StageData::Mem(shards))
+    }
+
+    pub(crate) fn is_spilled(&self) -> bool {
+        matches!(self, StageData::Spilled(_))
+    }
+
+    /// Merge into one in-memory dataset — the deliberate materialization
+    /// at the end of a run that returns its result.
+    pub(crate) fn into_dataset(self) -> Result<Dataset> {
+        match self {
+            StageData::Mem(shards) => Ok(Dataset::from_shards(shards)),
+            StageData::Spilled(spool) => spool.materialize(),
+        }
+    }
+
+    /// Persist as cache entry `idx`/`key` without merging or decoding:
+    /// carried shards go out as a multi-frame stream straight from the
+    /// borrowed shards, a spool's raw frame files are concatenated.
+    pub(crate) fn save(&self, cache: &CacheManager, idx: usize, key: &str) -> Result<()> {
+        match self {
+            StageData::Mem(shards) if shards.len() > 1 => cache.save_shards(idx, key, shards),
+            StageData::Mem(shards) => match shards.first() {
+                Some(ds) => cache.save(idx, key, ds),
+                None => cache.save(idx, key, &Dataset::new()),
+            },
+            StageData::Spilled(spool) => cache.save_spool(idx, key, spool),
+        }
+        .map(drop)
+    }
+
+    /// Write every shard to `writer`. A row spool already holds the
+    /// `frames` output format, so its slot bytes are copied through
+    /// undecoded; a columnar spool decodes (the frame output contract is
+    /// row frames byte-identical to a row-format run), as does JSONL.
+    pub(crate) fn egress(
+        &self,
+        writer: &ShardedWriter,
+        format: OutputFormat,
+        options: &ExecOptions,
+        ctl: &RunCtl,
+    ) -> Result<()> {
+        match self {
+            StageData::Mem(shards) => {
+                for (i, shard) in shards.iter().enumerate() {
+                    writer.store_shard(i, shard)?;
+                }
+            }
+            StageData::Spilled(spool) if format == OutputFormat::Frames && !spool.is_columnar() => {
+                for i in 0..spool.shard_count() {
+                    let mut frame = Vec::new();
+                    spool.copy_shard_frame_into(i, &mut frame)?;
+                    writer.store_frame_bytes(i, &frame, spool.shard_len(i).unwrap_or(0))?;
+                }
+            }
+            StageData::Spilled(spool) => {
+                drive(
+                    &spool_feed(spool, Load::Full),
+                    options.num_workers,
+                    options.prefetch_depth,
+                    ctl,
+                    |i, loaded| writer.store_shard(i, &loaded.shard),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Spill into `spool`, recut to `shard_count` shards (the spill cut is
+    /// budget-derived, so carried boundaries are redrawn). With `upcoming`
+    /// — the barrier about to consume the spool — each shard is
+    /// fingerprinted as its frame is written (fingerprint-on-ingest).
+    pub(crate) fn spill(
+        self,
+        spool: ShardSpool,
+        shard_count: usize,
+        upcoming: Option<&dyn Deduplicator>,
+    ) -> Result<StageData> {
+        let sink = Sink::Spool(spool, None);
+        let shards = self.into_dataset()?.into_shards(shard_count);
+        for (i, shard) in shards.into_iter().enumerate() {
+            let fingerprints = upcoming
+                .map(|d| hash_samples(d, shard.samples()))
+                .transpose()?;
+            sink.store(i, None, shard, &[], fingerprints)?;
+        }
+        sink.finish()
+    }
+
+    /// Cut fresh (single-shard) in-memory data to the configured shard
+    /// count; reuse carried multi-shard boundaries as-is — unless barrier
+    /// rebalancing merged them below the worker count, in which case
+    /// carrying them further would cap stage parallelism, so the data is
+    /// recut. (The recut moves samples, it does not copy their text.)
+    /// Spilled data keeps the cut it was spilled with.
+    pub(crate) fn resharded(self, options: &ExecOptions) -> StageData {
+        let StageData::Mem(mut shards) = self else {
+            return self;
+        };
+        let desired = options.shard_count(shards.iter().map(Dataset::len).sum());
+        let floor = desired.min(options.num_workers.max(1));
+        let recut = match shards.len() {
+            1 => desired > 1,
+            n => n < floor,
+        };
+        if recut {
+            let whole = match shards.len() {
+                1 => shards.swap_remove(0),
+                _ => Dataset::from_shards(shards),
+            };
+            shards = whole.into_shards(desired);
+        }
+        StageData::Mem(shards)
+    }
+
+    /// Merge in-memory shards a barrier thinned below `min_len` samples
+    /// into their left neighbor (the first shard absorbs rightward).
+    /// Shards at or above the floor keep their boundaries — the
+    /// carry-through fast path. Spool slots are never merged.
+    pub(crate) fn rebalanced(self, min_len: usize) -> StageData {
+        let StageData::Mem(shards) = self else {
+            return self;
+        };
+        if min_len == 0 || shards.len() <= 1 {
+            return StageData::Mem(shards);
+        }
+        let mut out: Vec<Dataset> = Vec::with_capacity(shards.len());
+        for shard in shards {
+            match out.last_mut() {
+                Some(prev) if prev.len() < min_len || shard.len() < min_len => prev.extend(shard),
+                _ => out.push(shard),
+            }
+        }
+        StageData::Mem(out)
+    }
+
+    /// Open this data for one decoding pass: the feed that loads its
+    /// shards and the sink that stores the pass's output. `cols` is the
+    /// pass's decode set (`None` = everything); only a columnar spool
+    /// honors it, splicing every other column through undecoded. In-memory
+    /// shards are moved into the feed; `resident` marks them as never
+    /// having left memory (a barrier's mask-apply), so they charge nothing.
+    pub(crate) fn open<'a>(
+        &'a mut self,
+        exec: &Executor,
+        cols: Option<&'a BTreeSet<String>>,
+        resident: bool,
+    ) -> Result<(Feed<'a, Loaded>, Sink<'a>)> {
+        Ok(match self {
+            StageData::Mem(shards) => {
+                let n = shards.len();
+                let slots = MemShardStore::from_shards(std::mem::take(shards));
+                let feed = Feed::indexed(n, false, move |i| {
+                    Ok(Loaded {
+                        resident,
+                        ..Loaded::samples(slots.load_shard(i)?)
+                    })
+                });
+                (feed, Sink::Mem(MemShardStore::with_capacity(n)))
+            }
+            StageData::Spilled(spool) => {
+                // Projection needs the slots to hold columnar frames; a row
+                // spool (e.g. rehydrated from a cache entry) decodes fully
+                // and converts at the output spool.
+                let load = if spool.is_columnar() {
+                    Load::Project(cols)
+                } else {
+                    Load::Full
+                };
+                let out = exec.new_spool(spool.shard_count())?;
+                (spool_feed(spool, load), Sink::Spool(out, cols))
+            }
+        })
+    }
+
+    /// Fingerprint every sample for `dedup`, in dataset order: `(hashes,
+    /// decompressed bytes decoded, read from sidecars)`. Sidecars written
+    /// while the frames were spilled (fingerprint-on-ingest) are the
+    /// shortcut — no hash pass runs at all. Otherwise resident samples are
+    /// hashed in place, in sample-balanced morsels, and spilled ones by
+    /// borrowing the hashed field's text out of undecoded frames — a full
+    /// decode only when the deduplicator hashes whole samples.
+    pub(crate) fn fingerprints(
+        &self,
+        dedup: &dyn Deduplicator,
+        options: &ExecOptions,
+        ctl: &RunCtl,
+    ) -> Result<(Vec<Value>, u64, bool)> {
+        let (hashes, decoded) = match self {
+            StageData::Mem(shards) => {
+                let samples: Vec<&Sample> = shards.iter().flat_map(Dataset::iter).collect();
+                let morsels: Vec<&[&Sample]> = samples.chunks(HASH_MORSEL).collect();
+                let feed = Feed::indexed(morsels.len(), false, |i| Ok(morsels[i]));
+                hash_pass(&feed, options, ctl, |morsel| {
+                    hash_samples(dedup, morsel.iter().copied()).map(|h| (h, 0))
+                })?
+            }
+            StageData::Spilled(spool) => {
+                if let Some(hashes) = spool.read_all_fingerprints()? {
+                    return Ok((hashes, 0, true));
+                }
+                let load = match dedup.hash_field() {
+                    Some(_) => Load::Undecoded,
+                    None => Load::Full,
+                };
+                let feed = spool_feed(spool, load);
+                hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))?
+            }
+        };
+        Ok((hashes, decoded, false))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rebalance_merges_only_underfilled_shards() {
+        let full = || Dataset::from_texts(["a", "b", "c", "d"]);
+        let thin = || Dataset::from_texts(["x"]);
+        // Threshold 2: full shards keep their boundaries.
+        let rebalance = |shards: Vec<Dataset>, min_len: usize| match StageData::Mem(shards)
+            .rebalanced(min_len)
+        {
+            StageData::Mem(shards) => shards,
+            StageData::Spilled(_) => unreachable!("memory stays memory"),
+        };
+        let kept = rebalance(vec![full(), full(), full()], 2);
+        assert_eq!(kept.len(), 3, "well-filled shards are carried through");
+        // A thinned middle shard merges into its left neighbor.
+        let merged = rebalance(vec![full(), thin(), full()], 2);
+        assert_eq!(merged.len(), 2);
+        assert_eq!(merged[0].len(), 5);
+        assert_eq!(merged[1].len(), 4);
+        // A thinned leading shard absorbs its right neighbor.
+        let lead = rebalance(vec![thin(), full(), full()], 2);
+        assert_eq!(lead.len(), 2);
+        assert_eq!(lead[0].len(), 5);
+        // Order is preserved across merges.
+        let texts: Vec<_> = rebalance(
+            vec![
+                Dataset::from_texts(["1"]),
+                Dataset::from_texts(["2"]),
+                Dataset::from_texts(["3", "4"]),
+            ],
+            2,
+        )
+        .into_iter()
+        .flat_map(|d| d.iter().map(|s| s.text().to_string()).collect::<Vec<_>>())
+        .collect();
+        assert_eq!(texts, vec!["1", "2", "3", "4"]);
+        // Threshold 0 disables rebalancing entirely.
+        assert_eq!(rebalance(vec![thin(), thin()], 0).len(), 2);
+    }
+}

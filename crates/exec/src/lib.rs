@@ -13,52 +13,77 @@
 //!    pipeline breakers: deduplicators, which need every sample's
 //!    fingerprint before deciding anything. Mappers and filters are
 //!    sample-local, so any run of them forms one `Stage::Pipeline`.
-//! 3. **Shards.** For each pipeline stage the dataset is split into
-//!    contiguous, order-preserving shards
-//!    ([`Dataset::into_shards`](dj_core::Dataset::into_shards)). Worker
-//!    threads claim shards off a shared queue (morsel-driven scheduling,
-//!    over-partitioned ~4× the worker count so fast workers absorb
-//!    stragglers) and drive each shard through **every step of the stage**
-//!    before touching the next shard. A sample flows through the whole
-//!    mapper/filter chain while hot in cache; samples a filter drops never
-//!    reach later steps; no intermediate dataset is ever materialized.
-//! 4. **Barriers.** At a `Stage::Barrier`, fingerprints are computed
-//!    shard-parallel, the dataset-level keep mask is clustered on the
+//! 3. **One driver.** Every pass over the data — a pipeline stage, a
+//!    barrier's hash pass, its mask-apply pass, ingest, egress — is the
+//!    same loop (`stream::drive`): a *feed* yields `(shard index, loaded
+//!    shard)`, pool workers claim shards (morsel-driven, over-partitioned
+//!    ~4× the worker count so fast workers absorb stragglers) and run a
+//!    *body* on each, and a *sink* stores the outcome. For a pipeline stage
+//!    the body drives the shard through **every step of the stage** before
+//!    touching the next shard: a sample flows through the whole
+//!    mapper/filter chain while hot in cache, samples a filter drops never
+//!    reach later steps, and no intermediate dataset is ever materialized.
+//!    The loop owns the streaming contract — the live-set reservation is
+//!    taken before a load, so at most `num_workers × prefetch_depth` shards
+//!    are resident; cancellation, the `exec.shard.claim` fault site,
+//!    residency accounting and shard progress each sit in exactly one
+//!    place — and is the same code whatever shape the data is in.
+//! 4. **Shapes are feeds and sinks.** Where the data lives only decides
+//!    which feed and sink the stage is handed (`data` module):
+//!
+//!    | shape | feed | sink | what is decoded |
+//!    |---|---|---|---|
+//!    | in memory | take the shard out of its slot | store into a slot | nothing — samples are resident |
+//!    | spilled, row `DJSF` frames | read + decode slot *i* | encode a row frame | every sample |
+//!    | spilled, columnar `DJSC` frames | read slot *i*, decode only the stage's footprint columns, carry the slab | splice: re-encode the decoded columns, copy every other column from the carried slab undecoded | the footprint columns |
+//!    | file ingest ([`Executor::run_io`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame (either format) | the parsed records |
+//!
+//!    A sink that writes frames also writes each shard's fingerprints for
+//!    the barrier that follows (fingerprint-on-ingest).
+//! 5. **Barriers.** A `Stage::Barrier` is three steps on any shape:
+//!    fingerprint every sample, cluster the dataset-level keep mask on the
 //!    worker pool (`keep_mask_parallel` — the banded hash exchange:
 //!    candidate generation partitioned by LSH band / SimHash block /
-//!    keyspace range, pairs deduplicated across bands, similarity
-//!    verified in parallel, merged through a lock-free concurrent
-//!    union-find), each existing shard applies its slice of the mask in
-//!    parallel, and shard boundaries **carry through** the barrier: only
-//!    shards the mask thins below [`ExecOptions::shard_fill`] × the
-//!    pre-barrier average are merged into a neighbor, so a low-duplicate
-//!    dataset pays near-zero barrier materialization instead of a full
-//!    merge + re-split.
+//!    keyspace range, pairs deduplicated across bands, similarity verified
+//!    in parallel, merged through a lock-free concurrent union-find), and
+//!    re-drive each shard against its slice of the mask through the same
+//!    feed/sink pair a pipeline stage uses. The fingerprints come from the
+//!    sidecars when the data carries them (a spilled barrier is then a
+//!    *single* streaming pass); otherwise from one hash pass that borrows
+//!    the hashed field's text — from resident samples in sample-balanced
+//!    morsels, from an undecoded row slab, or from one decompressed column
+//!    region — and only decodes whole samples for a deduplicator that
+//!    hashes whole samples. A columnar spool applies its mask with an empty
+//!    decode set: every column splices through. Shard boundaries **carry
+//!    through** the barrier: only in-memory shards the mask thins below
+//!    half the pre-barrier average are merged into a neighbor, so a
+//!    low-duplicate dataset pays near-zero barrier materialization instead
+//!    of a full merge + re-split.
 //!
 //! Because shards are contiguous and merged in order, the output is
-//! byte-identical to sequential single-shard execution for every shard
-//! count and worker count (property-tested in `tests/properties.rs`).
+//! byte-identical to sequential single-shard execution for every shape,
+//! shard count and worker count — checked against a naive reference
+//! executor over the whole mode matrix in `tests/mode_matrix.rs`.
 //!
 //! ## Knobs
 //!
 //! * [`ExecOptions::num_workers`] — worker threads; defaults to
 //!   `available_parallelism` (the recipe's `np` when built via
-//!   [`executor_from_recipe`]).
+//!   [`executor_from_recipe`]). `1` is the fully sequential engine —
+//!   sequential hash pass, sequential barrier clustering — and the
+//!   reference the parallel paths are tested against. With more workers a
+//!   barrier clusters on the pool once it holds ≥ 1024 samples per worker
+//!   ([`RunReport::barrier_decisions`] records each decision).
 //! * [`ExecOptions::shard_size`] — samples per shard; `None` auto-shards
 //!   to `4 × num_workers` shards. Exposed in recipe YAML as `shard_size`.
 //! * [`ExecOptions::memory_budget`] / [`ExecOptions::spill_dir`] — the
 //!   out-of-core knobs (recipe YAML `memory_budget` / `spill_dir`); see
 //!   below.
-//! * [`ExecOptions::dedup_parallel`] — cluster dedup barriers on the
-//!   worker pool (default true; recipe YAML `dedup_parallel`). The mask
-//!   is identical either way — workers are a pure performance knob.
-//! * [`ExecOptions::shard_fill`] — post-barrier shard fill threshold in
-//!   `[0, 1]` (default 0.5; recipe YAML `shard_fill`; `0.0` disables
-//!   rebalancing).
-//! * [`ExecOptions::prefetch_depth`] — shards buffered per worker while
-//!   streaming (default 2 = double buffering; 1 disables read-ahead;
-//!   recipe YAML `prefetch_depth`). The streaming resident ceiling is
-//!   `num_workers × prefetch_depth × shard_size` samples.
+//! * [`ExecOptions::prefetch_depth`] — shards in flight per worker while
+//!   a pass streams from disk (default 2 = double buffering; 1 disables
+//!   read-ahead; recipe YAML `prefetch_depth`). The streaming resident
+//!   ceiling is `num_workers × prefetch_depth × shard_size` samples, on
+//!   every spilled and file-backed shape.
 //! * [`ExecOptions::input`] / [`ExecOptions::output`] /
 //!   [`ExecOptions::output_format`] — the file-backed IO knobs for
 //!   [`Executor::run_io`] (recipe YAML `input_path` / `output_path` /
@@ -66,12 +91,10 @@
 //! * [`ExecOptions::adaptive`] — measurement-driven planning (recipe YAML
 //!   `adaptive`; env `DJ_ADAPTIVE=1` enables the *run-local* parts only).
 //!   Ranks fusible steps by measured ns/sample ÷ selectivity from the
-//!   [`CostModel`], re-plans commutable stage suffixes mid-run, and
+//!   [`CostModel`], re-plans commutable stage suffixes mid-run (once per
+//!   stage, after a quarter of its shards, clamped to `[1, 8]`), and
 //!   auto-tunes unset streaming knobs from a warm model. Output is
 //!   byte-identical to the static plan; see `docs/planning.md`.
-//! * [`ExecOptions::replan_after_shards`] — shards measured before the
-//!   one mid-run replan of each stage (recipe YAML `replan_after_shards`;
-//!   default: a quarter of the stage's shards, clamped to `[1, 8]`).
 //! * [`ExecOptions::stats_dir`] — directory for the persistent
 //!   `planner_stats.djcs` cost sidecar (recipe YAML `stats_dir`). Without
 //!   it, measurements persist only when `adaptive` is set per options
@@ -80,6 +103,17 @@
 //!   `prefix_cache`): each step becomes its own cache stage keyed by the
 //!   chained fingerprint of every step before it, so editing op *k*
 //!   resumes ops `0..k` from cache.
+//! * [`ExecOptions::columnar`] — columnar spill frames with projection
+//!   pushdown (recipe YAML `columnar`; env `DJ_COLUMNAR=1`).
+//! * [`ExecOptions::on_error`] / [`ExecOptions::max_error_ratio`] — the
+//!   record-level error policy (`docs/robustness.md`).
+//!
+//! Three former knobs are constants or derived now, because no recipe,
+//! test or benchmark needed another value: the post-barrier shard fill
+//! threshold (0.5), the mid-run replan point (derived from the stage's
+//! shard count, above) and the parallel-barrier switch (`num_workers: 1`
+//! is the sequential barrier). Recipes that still carry `shard_fill`,
+//! `replan_after_shards` or `dedup_parallel` load; the keys are ignored.
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!
@@ -92,30 +126,24 @@
 //!    is written to a `dj-store` [`ShardSpool`](dj_store::ShardSpool) — a
 //!    directory of length-prefixed, checksummed, atomically-renamed frame
 //!    files under `spill_dir` (default: the system temp dir).
-//! 2. Each pipeline stage streams spool→spool: a loader thread prefetches
-//!    shards into a bounded channel while workers drive them through the
-//!    whole stage and spill the results — `prefetch_depth`-deep
-//!    buffering (default 2 = double buffering), so disk IO overlaps
-//!    compute and at most `prefetch_depth × num_workers` shards
+//! 2. Each pipeline stage streams spool→spool through the driver:
+//!    steppers read ahead into a bounded prefetch queue while others drive
+//!    shards through the whole stage and spill the results —
+//!    `prefetch_depth`-deep buffering, so disk IO overlaps compute and at
+//!    most `prefetch_depth × num_workers` shards
 //!    (`RunReport::peak_resident_samples` ≤ `num_workers ×
 //!    prefetch_depth × shard_size`) are ever resident.
 //! 3. When the stage feeding a dedup barrier spills, each shard is
 //!    hashed as its frame is written and the fingerprints persist in a
 //!    sidecar (fingerprint-on-ingest; see `docs/formats.md`). The
-//!    barrier then runs a **single** streaming pass: the dataset-level
-//!    mask is clustered from sidecar fingerprints alone — on the worker
-//!    pool, exactly like the in-memory barrier — and one pass
-//!    re-streams each shard against its slice of the mask
-//!    (`RunReport::fingerprinted_barriers` counts these). Without
-//!    sidecars the barrier falls back to a zero-copy slab hash pass
-//!    (undecoded frames, `Cow` texts) before the mask-apply pass.
+//!    barrier then runs a **single** streaming pass
+//!    (`RunReport::fingerprinted_barriers` counts these).
 //! 4. Cache/checkpoint entries of spilled stages are written as multi-frame
 //!    shard streams (`CacheManager::save_streamed`), so persistence and
 //!    resume also never materialize the dataset.
-//! 5. With [`ExecOptions::columnar`] (recipe `columnar: true`, or
-//!    `DJ_COLUMNAR=1`) spilled shards use the columnar `DJSC` frame
-//!    format and every pipeline stage decodes only the top-level columns
-//!    named by its steps' field footprints
+//! 5. With [`ExecOptions::columnar`] spilled shards use the columnar
+//!    `DJSC` frame format and every pass decodes only the top-level
+//!    columns named by its steps' field footprints
 //!    ([`Mapper::fields_read`](dj_core::Mapper::fields_read) et al.);
 //!    untouched columns splice into the output frame byte-for-byte
 //!    without ever materializing values. `RunReport::bytes_decoded` /
@@ -125,23 +153,21 @@
 //! ## File-backed execution ([`Executor::run_io`])
 //!
 //! With [`ExecOptions::input`] set (a JSONL/CSV path or glob), the whole
-//! pipeline runs file-to-file as one continuous stream: ingest parses
-//! samples and cuts `shard_size` shard frames straight into the spool
-//! machinery (the plan's first pipeline stage runs *during* ingest, and
-//! ingest-adjacent barriers get fingerprint-on-ingest sidecars), every
-//! stage streams as above, and with [`ExecOptions::output`] set the
-//! result is written as manifest-tracked shard parts (atomic temp+rename
-//! per part, append-only commit log, resumable after a kill; `jsonl` or
-//! raw-frame `frames` parts). The resident set stays ≤ `num_workers ×
-//! prefetch_depth × shard_size` samples no matter the corpus size, and
-//! the output is byte-identical to the in-memory engine on the
-//! concatenated corpus (property-tested in `tests/io_roundtrip.rs`).
+//! pipeline runs file-to-file as one continuous stream: the ingest stage
+//! is the stage driver fed by a corpus reader (the plan's first pipeline
+//! stage runs *during* ingest, and ingest-adjacent barriers get
+//! fingerprint-on-ingest sidecars), every later stage streams as above,
+//! and with [`ExecOptions::output`] set the result is written as
+//! manifest-tracked shard parts (atomic temp+rename per part, append-only
+//! commit log, resumable after a kill; `jsonl` or raw-frame `frames`
+//! parts). The resident set stays ≤ `num_workers × prefetch_depth ×
+//! shard_size` samples no matter the corpus size, and the output is
+//! byte-identical to the in-memory engine on the concatenated corpus
+//! (property-tested in `tests/io_roundtrip.rs`).
 //!
-//! Output is byte-identical to the in-memory path for every budget, worker
-//! count and shard size (property-tested in `tests/properties.rs`); spools
-//! delete themselves when the run finishes or fails. The final dataset
-//! returned by `run()` is materialized once, at the very end, for the
-//! caller.
+//! Spools delete themselves when the run finishes or fails. The final
+//! dataset returned by `run()` is materialized once, at the very end, for
+//! the caller.
 //!
 //! ## Reporting & caching
 //!
@@ -152,19 +178,27 @@
 //! **stage** boundaries — the only points where a full dataset exists —
 //! with `RunReport::resumed_steps` still counting covered plan steps.
 
+mod barrier;
 pub mod cost;
+mod data;
 pub mod executor;
 pub mod fusion;
+pub mod options;
+pub mod report;
 pub mod runtime;
+mod stage;
+mod stream;
 
 pub use cost::{fallback_score, rank_score, CostModel, EWMA_ALPHA, MIN_MEASURED_SAMPLES};
-pub use executor::{
-    default_parallelism, executor_from_recipe, BarrierDecision, EnvKnobs, ExecOptions, Executor,
-    OpReport, RunReport, TraceEvent, ADAPTIVE_ENV, COLUMNAR_ENV, DEFAULT_IO_SHARD_SIZE,
-    DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, INPUT_ENV, MEMORY_BUDGET_ENV, RUNTIME_ENV,
-};
+pub use executor::Executor;
 pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
+pub use options::{
+    default_parallelism, executor_from_recipe, EnvKnobs, ExecOptions, ADAPTIVE_ENV, COLUMNAR_ENV,
+    DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, INPUT_ENV, MEMORY_BUDGET_ENV,
+    RUNTIME_ENV,
+};
+pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};
 pub use runtime::{
     global_runtime, JobControl, JobHandle, JobOutput, JobProgress, RetryPolicy, Runtime,
     RuntimeConfig,

@@ -1,0 +1,190 @@
+//! What a run reports back: per-OP [`OpReport`]s with tracer events and the
+//! whole-pipeline [`RunReport`] (the Fig. 4 visualizations and the Fig. 8/9
+//! measurements read these).
+
+use std::time::Duration;
+
+use dj_core::ShardStats;
+
+use crate::fusion::PlanStep;
+
+/// A recorded per-OP observation for the interactive tracer (§4.2).
+#[derive(Debug, Clone)]
+pub enum TraceEvent {
+    /// A sample a Filter discarded, with the stats that decided it.
+    Discarded {
+        text: String,
+        stats: Vec<(String, f64)>,
+    },
+    /// A Mapper edit: before/after pair.
+    Edited { before: String, after: String },
+    /// A Deduplicator drop: the dropped near-duplicate's text.
+    Duplicate { dropped: String },
+}
+
+/// Per-OP execution report.
+#[derive(Debug, Clone)]
+pub struct OpReport {
+    pub name: String,
+    pub samples_in: usize,
+    pub samples_out: usize,
+    /// Samples removed (filters/dedups) at this step.
+    pub removed: usize,
+    /// Samples whose text a mapper changed.
+    pub changed: usize,
+    /// The step's critical-path time: the maximum across shards of the
+    /// time each shard spent inside this step.
+    pub duration: Duration,
+    pub fused: bool,
+    /// Decompressed spill bytes decoded to run this step (columnar stages
+    /// only; every step of a stage reports the stage's shared decode).
+    pub bytes_decoded: u64,
+    pub trace: Vec<TraceEvent>,
+}
+
+/// Whole-pipeline execution report (feeds the Fig. 4 visualizations and the
+/// Fig. 8/9 measurements).
+#[derive(Debug, Clone, Default)]
+pub struct RunReport {
+    pub ops: Vec<OpReport>,
+    pub total_duration: Duration,
+    pub initial_samples: usize,
+    pub final_samples: usize,
+    /// Peak approximate dataset heap footprint observed at stage
+    /// boundaries while the dataset was held in memory (inside a stage only
+    /// one shard per worker is hot).
+    pub peak_bytes: usize,
+    pub fused_groups: usize,
+    /// Plan steps that were resumed from cache instead of executed.
+    pub resumed_steps: usize,
+    /// Pipeline stages the plan was segmented into.
+    pub stages: usize,
+    /// Shards cut for the largest pipeline stage.
+    pub shards: usize,
+    /// Whether the run spilled shards to disk (out-of-core mode).
+    pub spilled: bool,
+    /// Peak samples simultaneously resident in the streaming stage
+    /// machinery. With double-buffered prefetch this stays ≤
+    /// `num_workers × 2 × shard_size` — the engine's constant-memory bound
+    /// while stages stream spilled shards.
+    pub peak_resident_samples: usize,
+    /// Approximate heap bytes of those resident samples at the peak.
+    pub peak_resident_bytes: usize,
+    /// Total wall time spent inside dedup barriers (fingerprinting,
+    /// clustering and mask application) — the serial-section share the
+    /// banded exchange attacks.
+    pub barrier_duration: Duration,
+    /// Spilled dedup barriers that skipped their fingerprint streaming
+    /// pass because every shard carried a fingerprint sidecar
+    /// (fingerprint-on-ingest): the barrier ran as a single mask-apply
+    /// pass instead of two streaming passes.
+    pub fingerprinted_barriers: usize,
+    /// Raw corpus bytes consumed by [`Executor::run_io`](crate::Executor::run_io)'s ingest stream.
+    pub ingest_bytes: u64,
+    /// Bytes physically written by the egress writer (resumed parts
+    /// excluded).
+    pub egress_bytes: u64,
+    /// Wall time of the ingest stage (read + parse + first pipeline stage).
+    pub ingest_duration: Duration,
+    /// Wall time of the egress stage (serialize + write + manifest).
+    pub egress_duration: Duration,
+    /// Whether adaptive planning was in force for this run (option or
+    /// `DJ_ADAPTIVE` env).
+    pub adaptive: bool,
+    /// Plan steps positioned by measured rank at plan time (warm model).
+    pub measured_steps: usize,
+    /// Mid-run re-plans performed (at most one per pipeline stage).
+    pub replans: usize,
+    /// Per-barrier parallel-vs-sequential clustering decisions, in
+    /// execution order.
+    pub barrier_decisions: Vec<BarrierDecision>,
+    /// Shard size the auto-tuner picked from measured throughput, when it
+    /// overrode an unset `shard_size`.
+    pub tuned_shard_size: Option<usize>,
+    /// Prefetch depth the auto-tuner picked, when it overrode the default.
+    pub tuned_prefetch_depth: Option<usize>,
+    /// Whether columnar spill frames with projection pushdown were in
+    /// force (option or `DJ_COLUMNAR` env).
+    pub columnar: bool,
+    /// Decompressed bytes the columnar stages actually decoded — the
+    /// projected columns' share of the spilled data (plus full decodes
+    /// where a step declared `FieldSet::All` or tracing was on).
+    pub bytes_decoded: u64,
+    /// Decompressed bytes of untouched columns that crossed stage
+    /// input→output as byte-for-byte splices, never materialized into
+    /// `Value`s — the work projection pushdown avoided.
+    pub bytes_passthrough: u64,
+    /// Records dropped by the `on_error: skip` policy (malformed ingest
+    /// lines plus samples an OP rejected).
+    pub records_skipped: u64,
+    /// Records preserved in the quarantine sidecar by `on_error:
+    /// quarantine`.
+    pub records_quarantined: u64,
+    /// Final bad-record ratio: `(skipped + quarantined) / records seen`.
+    pub error_ratio: f64,
+}
+
+/// How a dedup barrier's clustering was scheduled: on the worker pool or
+/// sequentially, and why.
+#[derive(Debug, Clone)]
+pub struct BarrierDecision {
+    /// The deduplicator's name.
+    pub name: String,
+    /// Samples entering the barrier.
+    pub samples: usize,
+    /// Worker threads the clustering actually used.
+    pub workers: usize,
+    /// Whether the banded parallel exchange ran (`workers > 1`).
+    pub parallel: bool,
+    /// The gating rule that decided (`"parallel"`, `"disabled"`,
+    /// `"single-worker"`, `"small-input"`).
+    pub reason: &'static str,
+}
+impl RunReport {
+    /// The Fig. 4(b) funnel: `(op name, samples remaining after it)`.
+    pub fn funnel(&self) -> Vec<(String, usize)> {
+        self.ops
+            .iter()
+            .map(|r| (r.name.clone(), r.samples_out))
+            .collect()
+    }
+}
+
+/// Merge per-shard stage outcomes (stats + traces, in shard order) into
+/// the run report's per-op entries.
+pub(crate) fn merge_stage_reports(
+    steps: &[PlanStep],
+    mut per_shard: Vec<(Vec<ShardStats>, Vec<Vec<TraceEvent>>)>,
+    cap: usize,
+    report: &mut RunReport,
+) {
+    for (k, step) in steps.iter().enumerate() {
+        let stat = ShardStats::merged(per_shard.iter().map(|(stats, _)| &stats[k]));
+        let trace = per_shard
+            .iter_mut()
+            .flat_map(|(_, traces)| std::mem::take(&mut traces[k]))
+            .take(cap)
+            .collect();
+        report.ops.push(OpReport {
+            name: step.name(),
+            samples_in: stat.samples_in,
+            samples_out: stat.samples_out,
+            removed: stat.removed,
+            changed: stat.changed,
+            duration: stat.duration,
+            fused: step.is_fused(),
+            bytes_decoded: stat.bytes_decoded,
+            trace,
+        });
+    }
+}
+
+pub(crate) fn snippet(text: &str) -> String {
+    const MAX: usize = 120;
+    if text.chars().count() <= MAX {
+        text.to_string()
+    } else {
+        let cut: String = text.chars().take(MAX).collect();
+        format!("{cut}…")
+    }
+}

@@ -38,7 +38,8 @@ use std::time::Duration;
 
 use dj_core::{panic_message, Dataset, DjError, ResidencyGauge, Result};
 
-use crate::executor::{Executor, RunReport};
+use crate::executor::Executor;
+use crate::report::RunReport;
 
 /// Configuration of a [`Runtime`].
 #[derive(Debug, Clone)]
@@ -578,7 +579,7 @@ pub fn global_runtime() -> &'static Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::ExecOptions;
+    use crate::options::ExecOptions;
     use dj_ops::builtin_registry;
 
     fn exec(np: usize) -> Executor {
@@ -672,7 +673,7 @@ mod tests {
             .unwrap()];
         let bad = rt.submit_io(Executor::new(ops).with_options(ExecOptions {
             input: None,
-            env: crate::executor::EnvKnobs::default(),
+            env: crate::options::EnvKnobs::default(),
             ..ExecOptions::default()
         }));
         let good = rt.submit(exec(1), dataset(8, "after"));
@@ -706,7 +707,7 @@ mod tests {
         let h = rt.submit_io(Executor::new(ops).with_options(ExecOptions {
             input: Some(input.display().to_string()),
             output: Some(occupied),
-            env: crate::executor::EnvKnobs::default(),
+            env: crate::options::EnvKnobs::default(),
             ..ExecOptions::default()
         }));
         let ctl = h.control();
@@ -728,7 +729,7 @@ mod tests {
             .unwrap()];
         let h = rt.submit_io(Executor::new(ops).with_options(ExecOptions {
             input: None,
-            env: crate::executor::EnvKnobs::default(),
+            env: crate::options::EnvKnobs::default(),
             ..ExecOptions::default()
         }));
         let ctl = h.control();

@@ -1,0 +1,436 @@
+//! A pipeline stage: a run of sample-local steps driven whole over every
+//! shard. [`Executor::drive_stage`] is the one stage driver — any feed,
+//! any sink — and [`run_stage_on_shard`] the per-shard step loop it calls;
+//! [`StageSchedule`] is the mid-run replanner that may reorder a stage's
+//! commutable steps between shards.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+use dj_core::sync::lock;
+use dj_core::{
+    faults, Dataset, Deduplicator, DjError, FieldSet, Result, Sample, SampleContext, ShardStats,
+};
+use dj_io::ErrorLedger;
+
+use crate::barrier::hash_samples;
+use crate::cost::{fallback_score, rank_score};
+use crate::data::{Loaded, Sink, StageData};
+use crate::executor::Executor;
+use crate::fusion::{step_static_cost, PlanStep};
+use crate::report::{merge_stage_reports, snippet, RunReport, TraceEvent};
+use crate::stream::{drive, Feed, RunCtl};
+
+impl Executor {
+    /// Build the mid-run replan schedule for a pipeline stage: present
+    /// only when adaptive planning is in force, the stage contains a
+    /// commutable window (≥ 2 adjacent commutable steps), and the stage
+    /// has enough shards both to measure (a quarter of them, clamped to
+    /// `[1, 8]`) and to benefit (at least one shard runs under the revised
+    /// order).
+    fn stage_schedule(&self, steps: &[PlanStep], nshards: usize) -> Option<StageSchedule> {
+        // Validation already ran at the run entry point; a malformed knob
+        // cannot reach here, so a parse failure just means "not forced".
+        if !self.effective_adaptive().unwrap_or(false) || steps.len() < 2 {
+            return None;
+        }
+        let k = (nshards / 4).clamp(1, 8);
+        if nshards <= k {
+            return None;
+        }
+        StageSchedule::new(steps, k)
+    }
+
+    /// The one stage driver: pull each shard off `feed`, run it through
+    /// the stage's steps in the order current when it starts, remap its
+    /// stats onto plan positions, feed them to the replanner, fingerprint
+    /// the survivors for `next_dedup` when the sink can carry fingerprints
+    /// (so the barrier that follows skips its hash pass), and store the
+    /// outcome in `sink`. Per-shard stats and traces merge in shard order,
+    /// so output and report are independent of worker scheduling.
+    pub(crate) fn drive_stage(
+        &self,
+        steps: &[PlanStep],
+        next_dedup: Option<&dyn Deduplicator>,
+        feed: &Feed<'_, Loaded>,
+        sink: &Sink<'_>,
+        ctl: &RunCtl,
+        report: &mut RunReport,
+    ) -> Result<()> {
+        let cap = self.options.trace_examples;
+        // Kept samples pass every filter of a commutable window under any
+        // order and collect the same (key-sorted) stats, and reordering
+        // never changes the stage's union footprint, so neither the output
+        // nor a projected decode set depends on the order a shard ran.
+        let sched = feed.len.and_then(|n| self.stage_schedule(steps, n));
+        let fp_dedup = next_dedup.filter(|_| sink.carries_fingerprints());
+        let per_shard = drive(
+            feed,
+            self.options.num_workers,
+            self.options.prefetch_depth,
+            ctl,
+            |i, loaded| {
+                let Loaded {
+                    shard,
+                    frame,
+                    decoded,
+                    ..
+                } = loaded;
+                let mut ctx = SampleContext::new();
+                let order = sched.as_ref().map(StageSchedule::order);
+                let live = order.as_ref().map_or(steps, |o| &o.steps);
+                let mut outcome = run_stage_on_shard(live, shard, &mut ctx, cap, ctl.ledger(), i)?;
+                if let (Some(sched), Some(order)) = (&sched, &order) {
+                    outcome = remap_outcome(order, outcome);
+                    sched.observe(&outcome.stats);
+                }
+                let fingerprints = fp_dedup
+                    .map(|d| hash_samples(d, outcome.shard.samples()))
+                    .transpose()?;
+                let passthrough =
+                    sink.store(i, frame, outcome.shard, &outcome.keep, fingerprints)?;
+                for st in &mut outcome.stats {
+                    st.bytes_decoded = decoded;
+                }
+                Ok((outcome.stats, outcome.traces, decoded, passthrough))
+            },
+        )?;
+        report.shards = report.shards.max(per_shard.len());
+        let mut merged = Vec::with_capacity(per_shard.len());
+        for (stats, traces, decoded, passthrough) in per_shard {
+            report.bytes_decoded += decoded;
+            report.bytes_passthrough += passthrough;
+            merged.push((stats, traces));
+        }
+        merge_stage_reports(steps, merged, cap, report);
+        if let Some(sched) = &sched {
+            report.replans += sched.replans.load(Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// A pipeline stage over any shape: open the data's feed and sink and
+    /// hand them to the stage driver. A columnar spool decodes only the
+    /// stage's footprint columns.
+    pub(crate) fn run_pipeline_stage(
+        &self,
+        steps: &[PlanStep],
+        next_dedup: Option<&dyn Deduplicator>,
+        data: StageData,
+        ctl: &RunCtl,
+        report: &mut RunReport,
+    ) -> Result<StageData> {
+        if steps.is_empty() {
+            return Ok(data);
+        }
+        let cols = stage_decode_columns(steps, next_dedup, self.options.trace_examples);
+        let mut data = data.resharded(&self.options);
+        let (feed, sink) = data.open(self, cols.as_ref(), false)?;
+        self.drive_stage(steps, next_dedup, &feed, &sink, ctl, report)?;
+        sink.finish()
+    }
+}
+
+/// The top-level columns a columnar pipeline stage must decode, or `None`
+/// for every column.
+///
+/// The set is the union of every step's read+write footprint, plus the
+/// next barrier's read footprint when fingerprints are computed on spill.
+/// Tracing reads sample text and stats outside any op's declared fields,
+/// so a non-zero trace cap disables projection rather than producing
+/// truncated trace events.
+fn stage_decode_columns(
+    steps: &[PlanStep],
+    next_dedup: Option<&dyn Deduplicator>,
+    trace_cap: usize,
+) -> Option<BTreeSet<String>> {
+    if trace_cap > 0 {
+        return None;
+    }
+    let mut fields = steps
+        .iter()
+        .fold(FieldSet::none(), |acc, s| acc.union(s.footprint()));
+    if let Some(dedup) = next_dedup {
+        fields = fields.union(dedup.fields_read());
+    }
+    fields.top_level_columns()
+}
+
+/// The steps of one pipeline stage in a live execution order, plus the
+/// permutation back to canonical (plan) positions.
+struct StepOrder {
+    /// Steps in execution order.
+    steps: Vec<PlanStep>,
+    /// `canon[pos]` = canonical index of `steps[pos]` — remaps per-shard
+    /// stats/traces onto the plan's step list before merging.
+    canon: Vec<usize>,
+}
+
+/// Mid-run replanner state for one pipeline stage.
+///
+/// The stage starts under its canonical (plan-time) step order. Every
+/// finished shard folds its per-step measurements in; once `replan_after`
+/// shards have been measured, the remaining commutable windows are
+/// re-ranked by the same cheapest-and-most-selective-first score the
+/// plan-time reorderer uses, and later shards run under the revised
+/// order. One replan per stage: measurements beyond the trigger point
+/// keep accumulating into the run's cost model but do not flip the order
+/// again (a mid-run order oscillating per shard would thrash caches for
+/// no measurable gain).
+///
+/// Legality mirrors plan-time reordering exactly: only maximal runs of
+/// adjacent [`commutable`](PlanStep::commutable) steps are permuted, so
+/// mappers and non-commutable filters pin their positions and output is
+/// byte-identical under every order the replanner can pick.
+struct StageSchedule {
+    /// The canonical step list (plan order) — merge target for stats.
+    canonical: Vec<PlanStep>,
+    /// Canonical-index ranges within which steps may be permuted.
+    windows: Vec<std::ops::Range<usize>>,
+    /// The order new shards pick up (swapped at the replan).
+    current: Mutex<Arc<StepOrder>>,
+    /// Per-step totals (durations summed) over the shards measured so far,
+    /// and how many that is.
+    live: Mutex<(Vec<ShardStats>, usize)>,
+    replan_after: usize,
+    /// Replans that actually changed the order (reported).
+    replans: AtomicUsize,
+}
+
+impl StageSchedule {
+    /// `None` when the stage has no window of ≥ 2 adjacent commutable
+    /// steps — nothing could legally move.
+    fn new(steps: &[PlanStep], replan_after: usize) -> Option<StageSchedule> {
+        let mut windows = Vec::new();
+        let mut start = 0;
+        for run in steps.chunk_by(|a, b| a.commutable() && b.commutable()) {
+            if run.len() >= 2 {
+                windows.push(start..start + run.len());
+            }
+            start += run.len();
+        }
+        if windows.is_empty() {
+            return None;
+        }
+        Some(StageSchedule {
+            canonical: steps.to_vec(),
+            windows,
+            current: Mutex::new(Arc::new(StepOrder {
+                steps: steps.to_vec(),
+                canon: (0..steps.len()).collect(),
+            })),
+            live: Mutex::new((vec![ShardStats::default(); steps.len()], 0)),
+            replan_after,
+            replans: AtomicUsize::new(0),
+        })
+    }
+
+    /// The order a shard starting now should execute under.
+    fn order(&self) -> Arc<StepOrder> {
+        Arc::clone(&lock(&self.current))
+    }
+
+    /// Fold one shard's canonical-order stats in. Exactly one shard makes
+    /// the measured count hit `replan_after`: that one replans.
+    fn observe(&self, stats: &[ShardStats]) {
+        let mut live = lock(&self.live);
+        for (total, s) in live.0.iter_mut().zip(stats) {
+            total.samples_in += s.samples_in;
+            total.samples_out += s.samples_out;
+            total.duration += s.duration;
+        }
+        live.1 += 1;
+        if live.1 == self.replan_after {
+            self.replan(&live.0);
+        }
+    }
+
+    /// Re-rank each commutable window from the measured totals and publish
+    /// the revised order (stable sort: unmeasured steps keep their static
+    /// position among equals).
+    fn replan(&self, totals: &[ShardStats]) {
+        let scores: Vec<f64> = totals
+            .iter()
+            .zip(&self.canonical)
+            .map(|(t, step)| match t.samples_in {
+                // An earlier step drained the funnel before this one saw
+                // a sample — fall back to the static tier.
+                0 => fallback_score(step_static_cost(step)),
+                n => rank_score(
+                    t.duration.as_nanos() as f64 / n as f64,
+                    t.samples_out as f64 / n as f64,
+                ),
+            })
+            .collect();
+        let mut canon: Vec<usize> = (0..self.canonical.len()).collect();
+        for w in &self.windows {
+            canon[w.clone()].sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+        }
+        if canon.iter().enumerate().all(|(pos, &c)| pos == c) {
+            return; // measurements agree with the current order
+        }
+        let steps = canon.iter().map(|&c| self.canonical[c].clone()).collect();
+        *lock(&self.current) = Arc::new(StepOrder { steps, canon });
+        self.replans.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Remap a shard outcome produced under `order` back onto canonical step
+/// positions, so per-shard stats and traces merge by plan index no matter
+/// which order each shard actually ran.
+fn remap_outcome(order: &StepOrder, outcome: ShardOutcome) -> ShardOutcome {
+    let n = order.canon.len();
+    let mut stats = vec![ShardStats::default(); n];
+    let mut traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); n];
+    for (pos, (s, t)) in outcome.stats.into_iter().zip(outcome.traces).enumerate() {
+        stats[order.canon[pos]] = s;
+        traces[order.canon[pos]] = t;
+    }
+    ShardOutcome {
+        stats,
+        traces,
+        ..outcome
+    }
+}
+
+/// What one shard produces after running a whole pipeline stage.
+struct ShardOutcome {
+    shard: Dataset,
+    stats: Vec<ShardStats>,
+    traces: Vec<Vec<TraceEvent>>,
+    /// Per input sample, whether it survived the stage (in input order).
+    /// The columnar splice path uses this to filter passthrough columns
+    /// without ever decoding them.
+    keep: Vec<bool>,
+}
+
+/// What one step decided for one sample.
+enum Verdict {
+    Keep { changed: bool },
+    Drop,
+}
+
+/// Apply one step to one sample. An OP failure comes back with the OP's
+/// name, for the error policy's provenance.
+#[inline]
+fn apply_step(
+    step: &PlanStep,
+    sample: &mut Sample,
+    ctx: &mut SampleContext,
+) -> std::result::Result<Verdict, (DjError, &'static str)> {
+    match step {
+        PlanStep::Mapper(m) => {
+            let changed = m.process(sample, ctx).map_err(|e| (e, m.name()))?;
+            if changed {
+                ctx.invalidate();
+            }
+            Ok(Verdict::Keep { changed })
+        }
+        PlanStep::Filters(filters) => {
+            // Phase 1: stats for every member filter with one shared
+            // context — fused filters derive words/lines views once.
+            let computed = filters
+                .iter()
+                .try_for_each(|f| f.compute_stats(sample, ctx).map_err(|e| (e, f.name())));
+            // Fused-OP contract: contexts are cleaned after the op.
+            ctx.clear();
+            computed?;
+            // Phase 2: boolean decisions from recorded stats only.
+            for f in filters.iter() {
+                if !f.process(sample).map_err(|e| (e, f.name()))? {
+                    return Ok(Verdict::Drop);
+                }
+            }
+            Ok(Verdict::Keep { changed: false })
+        }
+        PlanStep::Dedup(_) => unreachable!("dedup steps are barriers, not pipeline steps"),
+    }
+}
+
+/// Run every step of a stage over one shard, sample by sample: each sample
+/// flows through the full mapper/filter chain while it is hot in cache,
+/// and dropped samples never reach later steps.
+///
+/// With a ledger, a sample that makes an OP error is routed through the
+/// `on_error` policy — dropped (and optionally quarantined with
+/// `op@shard-N` provenance) instead of failing the stage — unless the
+/// policy is `fail` or the error budget is spent.
+fn run_stage_on_shard(
+    steps: &[PlanStep],
+    shard: Dataset,
+    ctx: &mut SampleContext,
+    trace_cap: usize,
+    ledger: Option<&ErrorLedger>,
+    shard_idx: usize,
+) -> Result<ShardOutcome> {
+    // Chaos-harness injection point: one fault per stage-shard pass.
+    faults::check("exec.worker.step")?;
+    let mut stats = vec![ShardStats::default(); steps.len()];
+    let mut traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); steps.len()];
+    let mut kept = Vec::with_capacity(shard.len());
+    let mut keep_mask = Vec::with_capacity(shard.len());
+
+    'samples: for mut sample in shard {
+        ctx.invalidate();
+        // One clock read per step boundary: each step's end timestamp is
+        // the next step's start, halving timing overhead in this hot loop.
+        let mut step_start = Instant::now();
+        for (k, step) in steps.iter().enumerate() {
+            stats[k].samples_in += 1;
+            let tracing_edit = matches!(step, PlanStep::Mapper(_)) && trace_cap > traces[k].len();
+            let before = tracing_edit.then(|| sample.text().to_string());
+            let verdict = match apply_step(step, &mut sample, ctx) {
+                Ok(verdict) => verdict,
+                Err((e, op)) => {
+                    let Some(ledger) = ledger else {
+                        return Err(e);
+                    };
+                    ledger.absorb(e, &format!("{op}@shard-{shard_idx}"), || {
+                        sample.value().clone()
+                    })?;
+                    stats[k].removed += 1;
+                    keep_mask.push(false);
+                    continue 'samples;
+                }
+            };
+            let now = Instant::now();
+            stats[k].duration += now - step_start;
+            step_start = now;
+            match verdict {
+                Verdict::Keep { changed } => {
+                    stats[k].samples_out += 1;
+                    stats[k].changed += usize::from(changed);
+                    if let (true, Some(before)) = (changed, before) {
+                        traces[k].push(TraceEvent::Edited {
+                            before: snippet(&before),
+                            after: snippet(sample.text()),
+                        });
+                    }
+                }
+                Verdict::Drop => {
+                    stats[k].removed += 1;
+                    if traces[k].len() < trace_cap {
+                        traces[k].push(TraceEvent::Discarded {
+                            text: snippet(sample.text()),
+                            stats: sample.stats(),
+                        });
+                    }
+                    keep_mask.push(false);
+                    continue 'samples;
+                }
+            }
+        }
+        kept.push(sample);
+        keep_mask.push(true);
+    }
+
+    Ok(ShardOutcome {
+        shard: Dataset::from_samples(kept),
+        stats,
+        traces,
+        keep: keep_mask,
+    })
+}

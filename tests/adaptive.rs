@@ -149,7 +149,7 @@ proptest! {
         let (adaptive_out, _) = run_with(
             build(&recipe),
             data.clone(),
-            ExecOptions { adaptive: true, replan_after_shards: Some(1), ..base.clone() },
+            ExecOptions { adaptive: true, ..base.clone() },
         );
         prop_assert_eq!(texts(&static_out), texts(&adaptive_out));
 
@@ -245,14 +245,14 @@ fn midrun_replan_flips_misordered_stage() {
     let (static_out, _) = run_with(build(&recipe), data.clone(), static_opts.clone());
 
     // Run-local adaptive (no sidecar): the replanner measures the first
-    // two shards, sees the keep-all WORDS pair scoring ~1000× worse than
-    // the selective CHARS pair, and reorders the remaining 38 shards.
+    // eight shards (a quarter of the stage's 40, clamped to [1, 8]), sees
+    // the keep-all WORDS pair scoring ~1000× worse than the selective
+    // CHARS pair, and reorders the remaining 32 shards.
     let (out, report) = run_with(
         build(&recipe),
         data,
         ExecOptions {
             adaptive: true,
-            replan_after_shards: Some(2),
             ..static_opts
         },
     );
@@ -386,18 +386,6 @@ fn barrier_gating_decisions_are_recorded() {
     assert_eq!((d.reason, d.workers, d.parallel), ("small-input", 1, false));
     assert_eq!(d.name, "document_deduplicator");
     assert_eq!(d.samples, 50);
-
-    // Knob off: "disabled".
-    let (_, r) = run_with(
-        build(&recipe),
-        small.clone(),
-        ExecOptions {
-            num_workers: 2,
-            dedup_parallel: false,
-            ..ExecOptions::default()
-        },
-    );
-    assert_eq!(r.barrier_decisions[0].reason, "disabled");
 
     // One worker: "single-worker".
     let (_, r) = run_with(

@@ -6,9 +6,9 @@
 //! 2. fails with a clean *typed* error — never a harness panic, and
 //!    never partial or corrupt egress left on disk.
 //!
-//! The matrix runs three execution shapes — in-memory, forced-spill and
-//! file-to-file — so the store, IO and exec layers each see their sites
-//! exercised. Fault plans install process-globally, so everything here
+//! The matrix runs four execution shapes — in-memory, forced-spill row,
+//! forced-spill columnar and file-to-file — so the store, IO and exec
+//! layers each see their sites exercised. Fault plans install process-globally, so everything here
 //! serializes through one gate mutex.
 
 use std::path::{Path, PathBuf};
@@ -80,11 +80,16 @@ fn runtime() -> Runtime {
     })
 }
 
-fn mem_options(spill: bool, plan: Arc<FaultPlan>) -> ExecOptions {
+/// The resident-input shapes: in-memory, forced-spill row frames,
+/// forced-spill columnar frames.
+const MEM_SHAPES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+
+fn mem_options(spill: bool, columnar: bool, plan: Arc<FaultPlan>) -> ExecOptions {
     ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         memory_budget: spill.then_some(1),
+        columnar,
         faults: Some(plan),
         env: EnvKnobs::default(),
         ..ExecOptions::default()
@@ -143,13 +148,19 @@ fn every_site_and_kind_holds_the_chaos_property_in_memory() {
         });
         exec.run(dataset(48)).unwrap().0
     };
-    for spill in [false, true] {
+    for (spill, columnar) in MEM_SHAPES {
         for &site in SITES {
             for &kind in KINDS {
-                let ctx = format!("site={site} kind={} spill={spill}", kind.name());
+                let ctx = format!(
+                    "site={site} kind={} spill={spill} columnar={columnar}",
+                    kind.name()
+                );
                 let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
-                let exec =
-                    Executor::new(ops.clone()).with_options(mem_options(spill, Arc::clone(&plan)));
+                let exec = Executor::new(ops.clone()).with_options(mem_options(
+                    spill,
+                    columnar,
+                    Arc::clone(&plan),
+                ));
                 let result = runtime().submit(exec, dataset(48)).wait();
                 match result {
                     Ok(out) => {
@@ -236,19 +247,63 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
     let _ = std::fs::remove_dir_all(&baseline_dir);
 }
 
+/// "Every site × every shape" includes the columnar pipeline stage: it runs
+/// on the same shard driver as every other shape, so a shard claim and a
+/// worker step inside it are fault sites like anywhere else. The recipe has
+/// no barrier, so the one streaming pass of the run *is* the columnar
+/// pipeline stage — a hit on either site can only have come from there.
+#[test]
+fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let ops = Recipe::new("chaos-columnar-stage")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(
+            OpSpec::new("text_length_filter")
+                .with("min_len", 1.0)
+                .with("max_len", 1e9),
+        )
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let baseline = Executor::new(ops.clone())
+        .with_options(ExecOptions {
+            num_workers: 2,
+            shard_size: Some(8),
+            env: EnvKnobs::default(),
+            ..ExecOptions::default()
+        })
+        .run(dataset(48))
+        .unwrap()
+        .0;
+    for site in ["exec.shard.claim", "exec.worker.step"] {
+        let plan = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, 1, 7));
+        let exec =
+            Executor::new(ops.clone()).with_options(mem_options(true, true, Arc::clone(&plan)));
+        let out = runtime()
+            .submit(exec, dataset(48))
+            .wait()
+            .unwrap_or_else(|e| panic!("{site}: a transient fault must be retried away: {e}"));
+        assert!(out.report.spilled && out.report.columnar, "{site}: shape");
+        assert!(
+            plan.hits(site) > 0,
+            "{site} was never reached inside the columnar pipeline stage"
+        );
+        assert_eq!(out.dataset.unwrap(), baseline, "{site}: byte identity");
+    }
+}
+
 #[test]
 fn env_seed_smoke() {
     // CI's chaos matrix runs this binary with `DJ_FAULTS=seed:N` for a
     // range of seeds. The other tests here insulate their executors from
     // the ambient env, so this test is the one that honors the variable:
     // it parses the spec (defaulting to `seed:1` for plain local runs)
-    // and drives the derived fault through all three execution shapes,
+    // and drives the derived fault through all four execution shapes,
     // asserting the chaos property for each.
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let spec = std::env::var("DJ_FAULTS").unwrap_or_else(|_| "seed:1".into());
     let ops = recipe().build_ops(&builtin_registry()).unwrap();
 
-    // In-memory + forced-spill shapes.
+    // In-memory + forced-spill (row and columnar) shapes.
     let baseline = {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
@@ -258,10 +313,14 @@ fn env_seed_smoke() {
         });
         exec.run(dataset(48)).unwrap().0
     };
-    for spill in [false, true] {
+    for (spill, columnar) in MEM_SHAPES {
         let plan = Arc::new(FaultPlan::parse(&spec).unwrap());
-        let ctx = format!("env spec={spec} spill={spill}");
-        let exec = Executor::new(ops.clone()).with_options(mem_options(spill, Arc::clone(&plan)));
+        let ctx = format!("env spec={spec} spill={spill} columnar={columnar}");
+        let exec = Executor::new(ops.clone()).with_options(mem_options(
+            spill,
+            columnar,
+            Arc::clone(&plan),
+        ));
         match runtime().submit(exec, dataset(48)).wait() {
             Ok(out) => assert_eq!(
                 out.dataset.expect("mem job returns a dataset"),

@@ -2,7 +2,8 @@
 //! exchange): for every deduplicator, over random datasets × duplicate
 //! rates × worker counts, the parallel keep mask must be identical to the
 //! sequential one — and the executor's barrier must produce byte-identical
-//! output whether it clusters sequentially, on the worker pool, in memory,
+//! output whether it runs on one worker (`num_workers: 1`: sequential hash,
+//! sequential clustering — the reference) or on the worker pool, in memory
 //! or in spilled (`memory_budget = 1`) mode.
 
 use proptest::prelude::*;
@@ -90,15 +91,14 @@ proptest! {
         }
     }
 
-    /// The executor's barrier — parallel clustering, shard carry-through,
-    /// fill-threshold rebalancing, in-memory and spilled — never changes
-    /// the output relative to the fully sequential engine.
+    /// The executor's barrier at `np = N` — parallel hash morsels, pooled
+    /// clustering, shard carry-through and rebalancing, in-memory and
+    /// spilled — never changes the output relative to `np = 1`.
     #[test]
     fn prop_executor_barrier_identical_across_modes(
         texts in corpus_strategy(),
         np in 2usize..5,
         shard_size in 1usize..16,
-        shard_fill in 0.0f64..1.001,
     ) {
         let reg = builtin_registry();
         for dedup_op in [
@@ -115,7 +115,7 @@ proptest! {
             let ops = recipe.build_ops(&reg).unwrap();
             let data = Dataset::from_texts(texts.iter().cloned());
 
-            // Reference: one worker, sequential clustering, in memory
+            // Reference: one worker — sequential clustering — in memory
             // (u64::MAX budget pins it in memory even when CI forces
             // spilling via DJ_MEMORY_BUDGET).
             let reference = Executor::new(ops.clone()).with_options(ExecOptions {
@@ -124,7 +124,6 @@ proptest! {
                 trace_examples: 0,
                 shard_size: Some(shard_size),
                 memory_budget: Some(u64::MAX),
-                dedup_parallel: false,
                 ..ExecOptions::default()
             });
             let (expected, _) = reference.run(data.clone()).unwrap();
@@ -136,15 +135,13 @@ proptest! {
                     trace_examples: 0,
                     shard_size: Some(shard_size),
                     memory_budget: Some(budget),
-                    dedup_parallel: true,
-                    shard_fill,
                     ..ExecOptions::default()
                 });
                 let (out, report) = exec.run(data.clone()).unwrap();
                 prop_assert_eq!(
                     &out, &expected,
-                    "{} np={} budget={} shard_fill={} diverged",
-                    dedup_op, np, budget, shard_fill
+                    "{} np={} budget={} diverged",
+                    dedup_op, np, budget
                 );
                 if budget == 1 && !data.is_empty() {
                     prop_assert!(report.spilled);

@@ -1,0 +1,431 @@
+//! The mode matrix against a naive oracle: every execution shape the engine
+//! has — in-memory, forced-spill row, forced-spill columnar, file→file row,
+//! file→file columnar — × worker count × adaptive planning × prefetch depth
+//! must produce output byte-equal to a deliberately simple reference
+//! (apply the ops in recipe order, sample by sample, unfused, with a global
+//! dedup through `keep_mask`), and must agree with each other on every
+//! per-op `samples_in / samples_out / removed`.
+//!
+//! The modes are iterated *in process* through `ExecOptions` (the `DJ_*`
+//! force-toggles are for operators, not the test strategy), over random
+//! recipes — always ≥ 1 barrier; leading barriers, adjacent barriers (an
+//! empty stage between them) and zero-sample corpora included — and
+//! `dj-synth` corpora with metadata columns no op reads.
+
+use std::fs;
+use std::path::PathBuf;
+
+use proptest::prelude::*;
+
+use data_juicer::config::{OpSpec, Recipe};
+use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
+use data_juicer::exec::{EgressManifest, EnvKnobs, ExecOptions, Executor, RunReport};
+use data_juicer::ops::builtin_registry;
+use data_juicer::store::to_jsonl;
+use data_juicer::synth::{code_corpus, web_corpus, wiki_corpus, WebNoise};
+
+// ---- the oracle -------------------------------------------------------
+
+/// The paper's semantics, nothing else: one op at a time over the whole
+/// dataset, in recipe order; a filter computes its stats then decides; a
+/// deduplicator hashes every sample and keeps what its dataset-level mask
+/// keeps. No shards, no fusion, no reordering, no threads.
+fn oracle(ops: &[Op], data: Dataset) -> Dataset {
+    let mut samples: Vec<Sample> = data.into_samples();
+    let mut ctx = SampleContext::new();
+    for op in ops {
+        match op {
+            Op::Mapper(m) => {
+                for s in &mut samples {
+                    ctx.invalidate();
+                    m.process(s, &mut ctx).unwrap();
+                    ctx.clear();
+                }
+            }
+            Op::Filter(f) => {
+                samples.retain_mut(|s| {
+                    ctx.invalidate();
+                    f.compute_stats(s, &mut ctx).unwrap();
+                    ctx.clear();
+                    f.process(s).unwrap()
+                });
+            }
+            Op::Deduplicator(d) => {
+                let hashes: Vec<Value> = samples
+                    .iter()
+                    .map(|s| {
+                        ctx.invalidate();
+                        let h = d.compute_hash(s, &mut ctx).unwrap();
+                        ctx.clear();
+                        h
+                    })
+                    .collect();
+                let mut keep = d.keep_mask(samples.len(), &hashes).unwrap().into_iter();
+                samples.retain(|_| keep.next().unwrap());
+            }
+        }
+    }
+    Dataset::from_samples(samples)
+}
+
+// ---- the modes --------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    InMemory,
+    SpillRow,
+    SpillColumnar,
+    FileRow,
+    FileColumnar,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    shape: Shape,
+    np: usize,
+    adaptive: bool,
+    prefetch_depth: usize,
+}
+
+impl Mode {
+    fn all() -> Vec<Mode> {
+        let mut modes = Vec::new();
+        for shape in [
+            Shape::InMemory,
+            Shape::SpillRow,
+            Shape::SpillColumnar,
+            Shape::FileRow,
+            Shape::FileColumnar,
+        ] {
+            for np in [1, 3] {
+                for adaptive in [false, true] {
+                    for prefetch_depth in [1, 2] {
+                        modes.push(Mode {
+                            shape,
+                            np,
+                            adaptive,
+                            prefetch_depth,
+                        });
+                    }
+                }
+            }
+        }
+        modes
+    }
+
+    /// The options that *are* this mode. `EnvKnobs::default()` pins the
+    /// mode whatever `DJ_*` variables the surrounding CI pass sets.
+    fn options(&self, shard_size: usize) -> ExecOptions {
+        let file = matches!(self.shape, Shape::FileRow | Shape::FileColumnar);
+        ExecOptions {
+            num_workers: self.np,
+            shard_size: Some(shard_size),
+            memory_budget: Some(if self.shape == Shape::InMemory || file {
+                u64::MAX
+            } else {
+                1
+            }),
+            columnar: matches!(self.shape, Shape::SpillColumnar | Shape::FileColumnar),
+            adaptive: self.adaptive,
+            prefetch_depth: self.prefetch_depth,
+            env: EnvKnobs::default(),
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Run the mode; the output comes back as JSONL bytes (what a file
+    /// mode wrote, or the serialization of what a resident mode returned).
+    fn run(&self, ops: &[Op], case: &Case) -> (String, RunReport) {
+        let mut options = self.options(case.shard_size);
+        match self.shape {
+            Shape::InMemory | Shape::SpillRow | Shape::SpillColumnar => {
+                let exec = Executor::new(ops.to_vec()).with_options(options);
+                let (out, report) = exec.run(case.data.clone()).unwrap();
+                let spilled = self.shape != Shape::InMemory && !case.data.is_empty();
+                assert_eq!(report.spilled, spilled, "{self:?}: wrong shape ran");
+                (to_jsonl(&out), report)
+            }
+            Shape::FileRow | Shape::FileColumnar => {
+                let out_dir = case.dir.join("out");
+                let _ = fs::remove_dir_all(&out_dir);
+                options.input = Some(format!("{}/in/*.jsonl", case.dir.display()));
+                options.output = Some(out_dir.clone());
+                let exec = Executor::new(ops.to_vec()).with_options(options);
+                let (out, report) = exec.run_io().unwrap();
+                assert!(out.is_none(), "{self:?}: file mode returned a dataset");
+                let manifest = EgressManifest::load(&out_dir).unwrap();
+                let written: String = manifest
+                    .parts
+                    .iter()
+                    .map(|p| fs::read_to_string(out_dir.join(&p.file)).unwrap())
+                    .collect();
+                (written, report)
+            }
+        }
+    }
+}
+
+/// `(name, samples_in, samples_out, removed)` per reported op.
+fn funnel(report: &RunReport) -> Vec<(String, usize, usize, usize)> {
+    report
+        .ops
+        .iter()
+        .map(|r| (r.name.clone(), r.samples_in, r.samples_out, r.removed))
+        .collect()
+}
+
+// ---- cases ------------------------------------------------------------
+
+struct Case {
+    data: Dataset,
+    shard_size: usize,
+    /// Scratch directory holding `in/*.jsonl` (the corpus, in three files).
+    dir: PathBuf,
+}
+
+impl Case {
+    fn new(tag: &str, data: Dataset, shard_size: usize) -> Case {
+        let dir = std::env::temp_dir().join(format!("dj-mode-matrix-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(dir.join("in")).unwrap();
+        for (i, shard) in data.clone().into_shards(3).iter().enumerate() {
+            fs::write(dir.join(format!("in/{i:02}.jsonl")), to_jsonl(shard)).unwrap();
+        }
+        Case {
+            data,
+            shard_size,
+            dir,
+        }
+    }
+}
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A `dj-synth` corpus with cross-shard duplicates (exact and
+/// whitespace-variant) and provenance columns no op ever reads, so the
+/// columnar modes have something to splice through undecoded.
+fn corpus(seed: u64, n: usize) -> Dataset {
+    let mut ds = match seed % 3 {
+        0 => web_corpus(seed, n, WebNoise::default()),
+        1 => wiki_corpus(seed, n),
+        _ => code_corpus(seed, n),
+    };
+    let copies: Vec<Sample> = ds.iter().step_by(4).cloned().collect();
+    for (k, mut s) in copies.into_iter().enumerate() {
+        if k % 2 == 1 {
+            let spaced = s.text().replace(' ', "  ");
+            s.set_text(spaced);
+        }
+        ds.push(s);
+    }
+    for (i, s) in ds.samples_mut().iter_mut().enumerate() {
+        let root = s.value_mut();
+        root.set_path("url", Value::Str(format!("https://example.org/{i}")))
+            .unwrap();
+        root.set_path("crawl.ts", Value::Int(1_700_000_000 + i as i64))
+            .unwrap();
+        if i % 3 == 0 {
+            root.set_path("headers", Value::Str("server: nginx; ".repeat(6)))
+                .unwrap();
+        }
+    }
+    ds
+}
+
+/// The ops recipes are drawn from: mappers, filters that drop a real share
+/// of a synthetic corpus, and all four deduplicators.
+fn pool() -> Vec<OpSpec> {
+    vec![
+        OpSpec::new("whitespace_normalization_mapper"),
+        OpSpec::new("clean_links_mapper"),
+        OpSpec::new("lowercase_mapper"),
+        OpSpec::new("text_length_filter")
+            .with("min_len", 60.0)
+            .with("max_len", 1e9),
+        OpSpec::new("word_num_filter")
+            .with("min_num", 12.0)
+            .with("max_num", 1e9),
+        OpSpec::new("alphanumeric_ratio_filter")
+            .with("min_ratio", 0.6)
+            .with("max_ratio", 1.0),
+        OpSpec::new("special_characters_filter")
+            .with("min_ratio", 0.0)
+            .with("max_ratio", 0.25),
+        OpSpec::new("word_repetition_filter")
+            .with("rep_len", 3i64)
+            .with("min_ratio", 0.0)
+            .with("max_ratio", 0.4),
+        OpSpec::new("document_deduplicator"),
+        OpSpec::new("document_minhash_deduplicator"),
+        OpSpec::new("document_simhash_deduplicator"),
+        OpSpec::new("paragraph_deduplicator"),
+    ]
+}
+
+const FIRST_DEDUP: usize = 8;
+
+fn build(picks: &[usize]) -> Vec<Op> {
+    let pool = pool();
+    let mut recipe = Recipe::new("mode-matrix");
+    for &i in picks {
+        recipe = recipe.then(pool[i].clone());
+    }
+    recipe.build_ops(&builtin_registry()).unwrap()
+}
+
+/// The property itself: every mode equals the oracle byte for byte, and
+/// all modes agree on the per-op funnel. A mid-run replan legitimately
+/// changes which commutable filter sees a sample first, so a replanned
+/// run is held to the order-independent part of the funnel: the op names,
+/// each barrier's counts, and the total removed.
+fn check_case(picks: &[usize], case: &Case) -> usize {
+    let ops = build(picks);
+    let kept = oracle(&ops, case.data.clone());
+    let expected = to_jsonl(&kept);
+    let mut reference: Option<Vec<(String, usize, usize, usize)>> = None;
+    for mode in Mode::all() {
+        let ctx = format!(
+            "{mode:?} picks={picks:?} n={} shard={}",
+            case.data.len(),
+            case.shard_size
+        );
+        let (out, report) = mode.run(&ops, case);
+        assert_eq!(out, expected, "{ctx}: output diverged from the oracle");
+        assert_eq!(report.initial_samples, case.data.len(), "{ctx}");
+        let got = funnel(&report);
+        let want = reference.get_or_insert_with(|| got.clone());
+        if report.replans == 0 {
+            assert_eq!(&got, want, "{ctx}: per-op counts diverged across modes");
+        } else {
+            let order_free = |f: &[(String, usize, usize, usize)]| {
+                let dedups: Vec<_> = f
+                    .iter()
+                    .filter(|r| r.0.contains("dedup"))
+                    .cloned()
+                    .collect();
+                let names: Vec<_> = f.iter().map(|r| r.0.clone()).collect();
+                (names, dedups, f.iter().map(|r| r.3).sum::<usize>())
+            };
+            assert_eq!(
+                order_free(&got),
+                order_free(want),
+                "{ctx}: replanned funnel"
+            );
+        }
+    }
+    kept.len()
+}
+
+/// The named corner cases, every run: a leading barrier (file modes ingest
+/// raw shards through an empty stage), adjacent barriers (the second has no
+/// fingerprint sidecars and hashes undecoded frames), a barrier-only
+/// recipe, and a corpus of zero samples and of one.
+#[test]
+fn corner_recipes_and_corpora_match_the_oracle_in_every_mode() {
+    let leading = [9, 0, 3, 4];
+    let adjacent = [0, 3, 8, 10, 1, 4, 11];
+    let barrier_only = [8];
+    let full = [0, 1, 3, 4, 5, 6, 7, 8];
+    check_case(&leading, &Case::new("lead", corpus(3, 70), 16));
+    check_case(&adjacent, &Case::new("adj", corpus(4, 90), 7));
+    check_case(&barrier_only, &Case::new("only", corpus(5, 40), 64));
+    let full_case = Case::new("full", corpus(6, 120), 8);
+    let kept = check_case(&full, &full_case);
+    assert!(
+        kept > 0 && kept * 10 < full_case.data.len() * 9,
+        "the full recipe must both keep and drop a real share ({kept} of {})",
+        full_case.data.len()
+    );
+    check_case(&adjacent, &Case::new("zero", corpus(7, 0), 4));
+    check_case(&leading, &Case::new("one", corpus(8, 1), 1));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random recipes × random corpora × every mode.
+    #[test]
+    fn prop_every_mode_matches_the_oracle(
+        picks in proptest::collection::vec(0usize..12, 1..7),
+        seed in 0u64..1000,
+        n in prop_oneof![Just(0usize), Just(9), 20usize..80],
+        shard_size in prop_oneof![Just(1usize), Just(5), Just(13), Just(64)],
+    ) {
+        let mut picks = picks;
+        if !picks.iter().any(|&i| i >= FIRST_DEDUP) {
+            picks.push(FIRST_DEDUP + (seed % 4) as usize);
+        }
+        check_case(&picks, &Case::new("prop", corpus(seed, n), shard_size));
+    }
+}
+
+/// The matrix only proves something if each mode really is a different
+/// path: the spill shapes spill, the columnar shapes splice, the file
+/// shapes ingest within the streaming residency bound, and the adaptive
+/// modes replan — on a stage misordered on purpose (an expensive keep-all
+/// WORDS pair ahead of a cheap selective CHARS pair, a quarter of the
+/// corpus symbol soup), which also holds the replanned funnel to the
+/// oracle.
+#[test]
+fn the_modes_are_distinct_paths() {
+    let mut data = corpus(9, 150);
+    for (i, s) in data.samples_mut().iter_mut().enumerate() {
+        if i % 4 == 0 {
+            s.set_text(format!("@@@@ #### $$$$ %%%% ^^^^ &&&& **** (((( )))) {i}"));
+        }
+    }
+    let case = Case::new("distinct", data, 8);
+    let recipe = Recipe::new("distinct")
+        .then(
+            OpSpec::new("word_entropy_filter")
+                .with("min_entropy", 0.0)
+                .with("max_entropy", 1e6),
+        )
+        .then(
+            OpSpec::new("average_word_length_filter")
+                .with("min_len", 0.0)
+                .with("max_len", 1e6),
+        )
+        .then(
+            OpSpec::new("alphanumeric_ratio_filter")
+                .with("min_ratio", 0.5)
+                .with("max_ratio", 1.0),
+        )
+        .then(
+            OpSpec::new("special_characters_filter")
+                .with("min_ratio", 0.0)
+                .with("max_ratio", 0.4),
+        )
+        .then(OpSpec::new("document_deduplicator"));
+    let ops = recipe.build_ops(&builtin_registry()).unwrap();
+    let expected = to_jsonl(&oracle(&ops, case.data.clone()));
+    let mut replans = 0;
+    for mode in Mode::all() {
+        let (out, report) = mode.run(&ops, &case);
+        assert_eq!(out, expected, "{mode:?}: output diverged from the oracle");
+        let file = matches!(mode.shape, Shape::FileRow | Shape::FileColumnar);
+        let columnar = matches!(mode.shape, Shape::SpillColumnar | Shape::FileColumnar);
+        assert_eq!(report.spilled, mode.shape != Shape::InMemory, "{mode:?}");
+        assert_eq!(report.columnar, columnar, "{mode:?}");
+        assert_eq!(report.bytes_passthrough > 0, columnar, "{mode:?}");
+        assert_eq!(report.ingest_bytes > 0, file, "{mode:?}");
+        assert_eq!(report.adaptive, mode.adaptive, "{mode:?}");
+        if report.spilled {
+            let bound = mode.np * mode.prefetch_depth * case.shard_size;
+            assert!(
+                report.peak_resident_samples <= bound,
+                "{mode:?}: {} resident samples > {bound}",
+                report.peak_resident_samples
+            );
+        }
+        if !mode.adaptive {
+            assert_eq!(report.replans, 0, "{mode:?}");
+        }
+        replans += report.replans;
+    }
+    assert!(replans > 0, "no adaptive mode ever replanned");
+}

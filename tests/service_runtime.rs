@@ -217,6 +217,54 @@ fn cancellation_releases_resources_and_survivors_complete() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cancellation reaches an *in-memory* dedup barrier: the recipe is a lone
+/// MinHash deduplicator over resident data, so the only shard progress the
+/// job can report comes from inside the barrier's hash pass. Once it has,
+/// a cancel must stop the barrier at the next morsel — `Cancelled`, no
+/// output, residency drained — instead of hashing, clustering and
+/// mask-applying the whole corpus first.
+#[test]
+fn cancellation_stops_an_in_memory_barrier() {
+    let ops = Recipe::new("barrier-only")
+        .then(OpSpec::new("document_minhash_deduplicator"))
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let rt = Runtime::new(RuntimeConfig {
+        max_jobs: 1,
+        memory_budget: None,
+        ..RuntimeConfig::default()
+    });
+    let job = rt.submit(
+        Executor::new(ops).with_options(mem_opts(2)),
+        corpus(700, 30_000),
+    );
+    let ctl = job.control();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while ctl.shards_done() < 1 {
+        assert!(
+            Instant::now() < deadline && !job.is_finished(),
+            "an in-memory barrier reported no shard progress before finishing"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    job.cancel();
+    match job.wait() {
+        Err(DjError::Cancelled) => {}
+        Ok(_) => panic!("the cancelled barrier ran to completion and produced its output"),
+        Err(other) => panic!("expected Cancelled, got {other:?}"),
+    }
+    assert_eq!(
+        ctl.live_samples(),
+        0,
+        "cancelled barrier left samples accounted"
+    );
+    assert_eq!(
+        ctl.live_bytes(),
+        0,
+        "cancelled barrier left bytes accounted"
+    );
+}
+
 /// Cancelling a job that is still queued resolves it as `Cancelled`
 /// without it ever running (its progress counters stay zero).
 #[test]
