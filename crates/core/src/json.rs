@@ -1,192 +1,346 @@
-//! A small, strict JSON parser producing [`Value`] trees.
+//! JSON text in and out of [`Value`] trees, both directions at byte level.
 //!
-//! Serialization is `Value`'s `Display` impl; this module provides the
-//! inverse. Implemented from scratch because `serde_json` is outside the
-//! allowed dependency set (see DESIGN.md). Supports the full JSON grammar
-//! with `\uXXXX` escapes (including surrogate pairs).
+//! Implemented from scratch because `serde_json` is outside the allowed
+//! dependency set (see DESIGN.md).
+//!
+//! **The writer** ([`write_json`], [`write_json_str`], [`write_json_f64`])
+//! is the one place JSON text is produced: `Value`'s `Display`, the JSONL
+//! exporter and `dj-store`'s frame → JSONL transcoder all call it, so every
+//! output is byte-identical whichever path rendered it. The text contract
+//! (also in `docs/formats.md`):
+//!
+//! * strings escape exactly `"` → `\"`, `\` → `\\`, LF → `\n`, CR → `\r`,
+//!   TAB → `\t` and every other byte below `0x20` → `\u00xx` (lower-case
+//!   hex); everything else — DEL, non-ASCII — is copied through as UTF-8;
+//! * floats: non-finite → `null`; integral with `|x| < 1e15` → one decimal
+//!   (`2.0`); anything else Rust's shortest round-trip form (`{x}`);
+//! * ints `{i}`, bools `true`/`false`, `null`;
+//! * no whitespace; map keys in the map's own (sorted) order.
+//!
+//! **The parser** ([`parse_json`]) accepts the full JSON grammar with
+//! `\uXXXX` escapes (including surrogate pairs), walking the input's bytes
+//! in place: the run between two escapes is copied in one piece and numbers
+//! are parsed from the borrowed slice. Error offsets are byte offsets into
+//! the input.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::error::{DjError, Result};
 use crate::value::Value;
 
+// ---- writer -----------------------------------------------------------
+
+const LOW7: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// Whether any of the eight bytes of `w` is zero.
+#[inline]
+fn has_zero(w: u64) -> bool {
+    w.wrapping_sub(LOW7) & !w & HIGH != 0
+}
+
+/// Whether any of the eight bytes of `w` needs escaping inside a JSON
+/// string: below `0x20`, `"` or `\`.
+#[inline]
+fn word_needs_escape(w: u64) -> bool {
+    let control = w.wrapping_sub(LOW7 * 0x20) & !w & HIGH != 0;
+    control || has_zero(w ^ (LOW7 * b'"' as u64)) || has_zero(w ^ (LOW7 * b'\\' as u64))
+}
+
+/// The index of the first byte at or after `from` that cannot sit in a
+/// JSON string as it is — `"`, `\` or a control byte — or `bytes.len()`.
+/// Eight clean bytes are stepped over at a time. Such a byte is ASCII, so
+/// in UTF-8 text the index is a char boundary.
+fn next_special(bytes: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while let Some(chunk) = bytes[i..].first_chunk::<8>() {
+        if word_needs_escape(u64::from_le_bytes(*chunk)) {
+            break;
+        }
+        i += 8;
+    }
+    while let Some(&b) = bytes.get(i) {
+        if b == b'"' || b == b'\\' || b < 0x20 {
+            break;
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Write `s` as a JSON string literal: clean runs are copied whole, only
+/// the bytes of the escape set are rewritten.
+pub fn write_json_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.write_char('"')?;
+    let mut start = 0;
+    loop {
+        let at = next_special(bytes, start);
+        out.write_str(&s[start..at])?;
+        let Some(&b) = bytes.get(at) else { break };
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => {
+                out.write_str("\\u00")?;
+                out.write_char(HEX[(b >> 4) as usize] as char)?;
+                out.write_char(HEX[(b & 0xf) as usize] as char)?;
+            }
+        }
+        start = at + 1;
+    }
+    out.write_char('"')
+}
+
+/// Write a float the way every output of this workspace renders it.
+pub fn write_json_f64<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        // JSON has no Inf/NaN literal; emit null like Python's json.
+        out.write_str("null")
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
+    }
+}
+
+/// Write a whole [`Value`] tree as JSON text (what `Display` prints).
+pub fn write_json<W: fmt::Write>(out: &mut W, v: &Value) -> fmt::Result {
+    match v {
+        Value::Null => out.write_str("null"),
+        Value::Bool(true) => out.write_str("true"),
+        Value::Bool(false) => out.write_str("false"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(x) => write_json_f64(out, *x),
+        Value::Str(s) => write_json_str(out, s),
+        Value::List(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_json(out, item)?;
+            }
+            out.write_char(']')
+        }
+        Value::Map(m) => {
+            out.write_char('{')?;
+            for (i, (k, item)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_json_str(out, k)?;
+                out.write_char(':')?;
+                write_json(out, item)?;
+            }
+            out.write_char('}')
+        }
+    }
+}
+
+// ---- parser -----------------------------------------------------------
+
 /// Parse a JSON document into a [`Value`].
 pub fn parse_json(input: &str) -> Result<Value> {
     let mut p = Parser {
-        chars: input.chars().collect(),
+        src: input,
+        bytes: input.as_bytes(),
         pos: 0,
     };
-    p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.chars.len() {
+    if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
-struct Parser {
-    chars: Vec<char>,
+/// A cursor over the input's bytes. `pos` only ever steps over ASCII bytes
+/// one at a time (multi-byte characters are crossed inside string runs,
+/// which end at an ASCII byte), so it always sits on a char boundary.
+struct Parser<'a> {
+    src: &'a str,
+    bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn err(&self, msg: &str) -> DjError {
         DjError::Parse(format!("json: {msg} at offset {}", self.pos))
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<()> {
-        if self.bump() == Some(c) {
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<()> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
             Ok(())
         } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.err(&format!("expected `{c}`")))
+            Err(self.err(&format!("expected `{}`", b as char)))
         }
     }
 
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
-            Some('"') => Ok(Value::Str(self.parse_string()?)),
-            Some('t') => self.parse_literal("true", Value::Bool(true)),
-            Some('f') => self.parse_literal("false", Value::Bool(false)),
-            Some('n') => self.parse_literal("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(self.err(&format!("unexpected character `{c}`"))),
+            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_array(),
+            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b't') => self.parse_literal("true", Value::Bool(true)),
+            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
+            Some(b'n') => self.parse_literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(_) => {
+                let c = self.src[self.pos..].chars().next().unwrap_or('\u{fffd}');
+                Err(self.err(&format!("unexpected character `{c}`")))
+            }
             None => Err(self.err("unexpected end of input")),
         }
     }
 
     fn parse_literal(&mut self, lit: &str, v: Value) -> Result<Value> {
-        for c in lit.chars() {
-            if self.bump() != Some(c) {
-                return Err(self.err(&format!("invalid literal, expected `{lit}`")));
-            }
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(self.err(&format!("invalid literal, expected `{lit}`")))
         }
-        Ok(v)
     }
 
     fn parse_object(&mut self) -> Result<Value> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
-            self.bump();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
             return Ok(Value::Map(map));
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             let value = self.parse_value()?;
             map.insert(key, value);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(Value::Map(map)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected `,` or `}` in object"));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(map));
                 }
+                _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
     fn parse_array(&mut self) -> Result<Value> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
-            self.bump();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
             return Ok(Value::List(items));
         }
         loop {
             items.push(self.parse_value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(Value::List(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected `,` or `]` in array"));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::List(items));
                 }
+                _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
 
     fn parse_string(&mut self) -> Result<String> {
-        self.expect('"')?;
-        let mut out = String::new();
+        self.expect(b'"')?;
+        // The common string has no escape: one run, one exact allocation.
+        let run = next_special(self.bytes, self.pos);
+        let mut out = String::from(&self.src[self.pos..run]);
+        self.pos = run;
         loop {
-            match self.bump() {
+            match self.peek() {
                 None => return Err(self.err("unterminated string")),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let hi = self.parse_hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require \uXXXX low surrogate.
-                            self.expect('\\')?;
-                            self.expect('u')?;
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(code)
-                        } else {
-                            char::from_u32(hi)
-                        };
-                        out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(c) if (c as u32) < 0x20 => {
-                    return Err(self.err("raw control character in string"))
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                Some(c) => out.push(c),
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let escaped = self.peek();
+                    self.pos += usize::from(escaped.is_some());
+                    match escaped {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => out.push(self.parse_unicode_escape()?),
+                        _ => return Err(self.err("invalid escape sequence")),
+                    }
+                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
+            let run = next_special(self.bytes, self.pos);
+            out.push_str(&self.src[self.pos..run]);
+            self.pos = run;
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` is already consumed,
+    /// pairing a high surrogate with the `\uXXXX` low surrogate after it.
+    fn parse_unicode_escape(&mut self) -> Result<char> {
+        let hi = self.parse_hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            self.expect(b'\\')?;
+            self.expect(b'u')?;
+            let lo = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
     }
 
     fn parse_hex4(&mut self) -> Result<u32> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let c = self
-                .bump()
+            let b = self
+                .peek()
                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = c
+            let d = (b as char)
                 .to_digit(16)
                 .ok_or_else(|| self.err("non-hex digit in \\u escape"))?;
+            self.pos += 1;
             v = v * 16 + d;
         }
         Ok(v)
@@ -194,31 +348,25 @@ impl Parser {
 
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some('-') {
-            self.bump();
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
+        self.skip_digits();
         let mut is_float = false;
-        if self.peek() == Some('.') {
+        if self.peek() == Some(b'.') {
             is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.pos += 1;
+            self.skip_digits();
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
-            self.bump();
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.bump();
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.skip_digits();
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -265,13 +413,23 @@ mod tests {
             parse_json(r#""a\"b\\c\nd\teA""#).unwrap(),
             Value::Str("a\"b\\c\nd\teA".into())
         );
+        // Escapes at the start, back to back, and after a long clean run.
+        assert_eq!(
+            parse_json(r#""\n\n0123456789abcdef\/Aé\b\f""#).unwrap(),
+            Value::Str("\n\n0123456789abcdef/Aé\u{8}\u{c}".into())
+        );
     }
 
     #[test]
     fn surrogate_pairs() {
         assert_eq!(parse_json(r#""😀""#).unwrap(), Value::Str("😀".into()));
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00""#).unwrap(),
+            Value::Str("😀".into())
+        );
         assert!(parse_json(r#""\ud83d""#).is_err());
         assert!(parse_json(r#""\ud83dx""#).is_err());
+        assert!(parse_json(r#""\ude00""#).is_err());
     }
 
     #[test]
@@ -285,12 +443,31 @@ mod tests {
             "tru",
             "01x",
             "\"unterminated",
+            "\"raw\ncontrol\"",
+            "\"bad \\x escape\"",
+            "\"cut \\",
+            "\"\\u12",
             "{\"a\":1} extra",
             "[1 2]",
             "nan",
+            "-",
+            "1e",
+            "é",
         ] {
             assert!(parse_json(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn error_offsets_are_byte_offsets() {
+        // `é` is two bytes: the stray `x` sits at byte 7 (char 6).
+        let err = parse_json("[\"é\", x]").unwrap_err().to_string();
+        assert!(
+            err.contains("unexpected character `x` at offset 7"),
+            "{err}"
+        );
+        let err = parse_json("[\"éé\", x]").unwrap_err().to_string();
+        assert!(err.contains("at offset 9"), "{err}");
     }
 
     #[test]
@@ -315,5 +492,37 @@ mod tests {
     fn whitespace_tolerance() {
         let v = parse_json(" \n\t{ \"a\" :\r[ 1 , 2 ] } \n").unwrap();
         assert_eq!(v.get_path("a").unwrap().as_list().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn writer_escapes_exactly_the_escape_set() {
+        let mut out = String::new();
+        write_json_str(&mut out, "a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{7f}é😀").unwrap();
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\u{7f}é😀\"");
+        // An escape in every position of a word-sized window.
+        for at in 0..20 {
+            let mut s = "x".repeat(20);
+            s.replace_range(at..at + 1, "\n");
+            let mut out = String::new();
+            write_json_str(&mut out, &s).unwrap();
+            assert_eq!(out, format!("\"{}\"", s.replace('\n', "\\n")), "at {at}");
+        }
+    }
+
+    #[test]
+    fn writer_float_rules() {
+        let render = |x: f64| {
+            let mut out = String::new();
+            write_json_f64(&mut out, x).unwrap();
+            out
+        };
+        assert_eq!(render(2.0), "2.0");
+        assert_eq!(render(-0.0), "-0.0");
+        assert_eq!(render(0.25), "0.25");
+        assert_eq!(render(1e15), "1000000000000000");
+        assert_eq!(render(999_999_999_999_999.0), "999999999999999.0");
+        assert_eq!(render(1e300), format!("{}", 1e300));
+        assert_eq!(render(f64::NAN), "null");
+        assert_eq!(render(f64::NEG_INFINITY), "null");
     }
 }

@@ -47,7 +47,7 @@ pub use context::{
 pub use dataset::Dataset;
 pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};
-pub use json::parse_json;
+pub use json::{parse_json, write_json, write_json_f64, write_json_str};
 pub use op::{
     params, Deduplicator, FieldSet, Filter, Formatter, Mapper, Op, OpCost, OpFactory, OpKind,
     OpParams, OpRegistry,

@@ -231,64 +231,12 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 }
 
 impl fmt::Display for Value {
-    /// JSON-compatible rendering (used by the JSONL exporter).
+    /// JSON rendering through the shared byte-level writer
+    /// ([`crate::json::write_json`]) — the JSONL exporter and the frame
+    /// transcoder print the same text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => {
-                if x.is_finite() {
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    // JSON has no Inf/NaN literal; emit null like Python's json.
-                    write!(f, "null")
-                }
-            }
-            Value::Str(s) => write_json_string(f, s),
-            Value::List(l) => {
-                write!(f, "[")?;
-                for (i, v) in l.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Value::Map(m) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_json_string(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
+        crate::json::write_json(f, self)
     }
-}
-
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
 }
 
 #[cfg(test)]

@@ -1,21 +1,19 @@
 //! The dedup barrier — the one pipeline breaker. Every shape runs the same
 //! three steps: fingerprint every sample ([`hash_pass`], or the
 //! fingerprint-on-ingest sidecars when the data carries them), cluster
-//! the dataset-level keep mask on the worker pool, and re-drive each shard
-//! against its slice of the mask ([`apply_mask`]) through the same
-//! feed/sink pair a pipeline stage uses.
+//! the dataset-level keep mask on the worker pool, and hand the mask to the
+//! data ([`StageData::masked`]: resident shards are thinned in place,
+//! spilled data carries the mask to whichever pass opens the spool next).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-use dj_core::{Dataset, Deduplicator, Result, Sample, SampleContext, Value};
-use dj_store::split_column_path;
+use dj_core::{Deduplicator, Result, Sample, SampleContext, Value};
 
-use crate::data::{Frame, Loaded, StageData};
+use crate::data::{kept, Loaded, StageData};
 use crate::executor::Executor;
 use crate::options::ExecOptions;
-use crate::report::{snippet, BarrierDecision, OpReport, RunReport, TraceEvent};
+use crate::report::{BarrierDecision, OpReport, RunReport};
 use crate::stream::{drive, Feed, Resident, RunCtl};
 
 /// Minimum samples *per worker* before the parallel dedup barrier
@@ -63,32 +61,20 @@ pub(crate) fn hash_samples<'a>(
 }
 
 /// Fingerprint one spool load, plus the decompressed bytes decoded to
-/// reach the texts. An undecoded frame lends out the hashed field's text —
-/// a row slab walks its serialized samples in place, a columnar slab
-/// decompresses only that column's region — so no `Sample` is ever built;
+/// reach the texts. An undecoded frame lends out the hashed field's text of
+/// the samples its deferred mask keeps, so no `Sample` is ever built;
 /// decoded samples (a deduplicator that hashes whole samples) hash as such.
-pub(crate) fn hash_loaded(dedup: &dyn Deduplicator, loaded: &Loaded) -> Result<(Vec<Value>, u64)> {
+pub(crate) fn hash_loaded(
+    dedup: &dyn Deduplicator,
+    loaded: &Loaded<'_>,
+) -> Result<(Vec<Value>, u64)> {
     let (Some(frame), Some(field)) = (&loaded.frame, dedup.hash_field()) else {
         return Ok((hash_samples(dedup, loaded.shard.samples())?, 0));
     };
-    let texts = |texts: &[std::borrow::Cow<'_, str>]| {
-        fingerprint(dedup, texts.iter().map(|t| HashInput::Text(t)))
-    };
-    match frame {
-        Frame::Row(slab) => Ok((texts(&slab.texts_at(field)?)?, 0)),
-        Frame::Col(slab) => {
-            let (top, rest) = split_column_path(field);
-            match slab.read_column(top)? {
-                Some(region) => Ok((texts(&region.texts_at(rest)?)?, region.raw_len())),
-                // Column absent from this frame: every sample hashes the
-                // empty string, the missing-field semantics of a full decode.
-                None => {
-                    let empty = (0..slab.sample_count()).map(|_| HashInput::Text(""));
-                    Ok((fingerprint(dedup, empty)?, 0))
-                }
-            }
-        }
-    }
+    frame.with_texts(field, |texts| {
+        let live = kept(texts.iter(), loaded.keep);
+        fingerprint(dedup, live.map(|t| HashInput::Text(t)))
+    })
 }
 
 /// The barrier's hash pass: `hash` every shard of `feed` — "the texts of
@@ -109,19 +95,6 @@ pub(crate) fn hash_pass<T: Resident + Send>(
         decoded += bytes;
     }
     Ok((all, decoded))
-}
-
-/// Drop the samples `keep` masks out of `shard`, tracing up to `cap` of
-/// the dropped duplicates.
-fn apply_mask(shard: &mut Dataset, keep: &[bool], cap: usize) -> Vec<TraceEvent> {
-    let mut trace = Vec::new();
-    for (sample, _) in shard.iter().zip(keep).filter(|(_, keep)| !**keep).take(cap) {
-        trace.push(TraceEvent::Duplicate {
-            dropped: snippet(sample.text()),
-        });
-    }
-    shard.retain_mask(keep);
-    trace
 }
 
 impl Executor {
@@ -158,10 +131,9 @@ impl Executor {
     /// A dedup barrier over any shape, with shard carry-through: shard
     /// boundaries survive the barrier, and only in-memory shards the mask
     /// thins below the fill threshold are merged into a neighbor — a
-    /// low-duplicate dataset pays near-zero materialization. With
-    /// fingerprint sidecars present a spilled barrier is a *single*
-    /// streaming pass; a columnar spool applies its mask without decoding
-    /// a column (an empty projection: every column splices through).
+    /// low-duplicate dataset pays near-zero materialization. A spilled
+    /// barrier with fingerprint sidecars present touches no frame at all:
+    /// it reads the sidecars, clusters, and leaves the mask on the spool.
     pub(crate) fn run_dedup_stage(
         &self,
         dedup: &dyn Deduplicator,
@@ -171,7 +143,7 @@ impl Executor {
     ) -> Result<StageData> {
         let cap = self.options.trace_examples;
         let t0 = Instant::now();
-        let mut data = data.resharded(&self.options);
+        let data = data.resharded(&self.options);
         let lens = data.shard_lens();
         let in_len: usize = lens.iter().sum();
         report.shards = report.shards.max(lens.len());
@@ -184,42 +156,13 @@ impl Executor {
         let mask = dedup.keep_mask_parallel(in_len, &hashes, mask_workers)?;
         drop(hashes);
 
-        // Re-drive each shard against its slice of the dataset-level mask.
-        // Duplicate traces need sample text; without them nothing at all
-        // needs decoding.
-        let offsets: Vec<usize> = lens
-            .iter()
-            .scan(0, |end, len| Some(std::mem::replace(end, *end + len)))
-            .collect();
-        let nothing = BTreeSet::new();
-        let cols = (cap == 0).then_some(&nothing);
-        let (feed, sink) = data.open(self, cols, true)?;
-        let per_shard = drive(
-            &feed,
-            self.options.num_workers,
-            self.options.prefetch_depth,
-            ctl,
-            |i, loaded| {
-                let Loaded {
-                    mut shard, frame, ..
-                } = loaded;
-                let keep = &mask[offsets[i]..offsets[i] + lens[i]];
-                let trace = apply_mask(&mut shard, keep, cap);
-                let passthrough = sink.store(i, frame, shard, keep, None)?;
-                Ok((trace, passthrough))
-            },
-        )?;
-        let mut trace = Vec::new();
-        for (shard_trace, passthrough) in per_shard {
-            trace.extend(shard_trace);
-            report.bytes_passthrough += passthrough;
-        }
-        trace.truncate(cap);
+        let shards = lens.len();
+        let (data, trace) = data.masked(&mask, cap, &self.options, ctl)?;
         let removed = mask.iter().filter(|&&k| !k).count();
 
-        let pre_target = in_len.div_ceil(lens.len().max(1)).max(1);
+        let pre_target = in_len.div_ceil(shards.max(1)).max(1);
         let min_len = (pre_target as f64 * SHARD_FILL).ceil() as usize;
-        let out = sink.finish()?.rebalanced(min_len);
+        let out = data.rebalanced(min_len);
 
         let elapsed = t0.elapsed();
         report.barrier_duration += elapsed;

@@ -6,25 +6,38 @@
 //! | shape | feed | sink | what is decoded |
 //! |---|---|---|---|
 //! | in memory | [`StageData::open`]: take the shard out of its slot | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
-//! | spilled, row `DJSF` | [`spool_feed`], [`Load::Full`] | [`Sink::Spool`]: a row frame | every sample |
-//! | spilled, columnar `DJSC` | [`spool_feed`], [`Load::Project`], slab carried | [`Sink::Spool`]: a splice of the carried slab | only the pass's footprint columns |
+//! | spilled, row `DJSF` | [`spool_feed`], [`Load::Full`] | [`Sink::Spool`]: a row frame | every sample the deferred mask keeps |
+//! | spilled, columnar `DJSC` | [`spool_feed`], [`Load::Project`], slab carried | [`Sink::Spool`]: a splice of the carried slab | only the pass's footprint columns, kept entries only |
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
 //! | barrier hash pass | resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
+//! | barrier mask, in memory | resident shards, in parallel | [`Sink::Mem`] | nothing — `retain` by mask |
+//! | barrier mask, spilled | — (nothing is read or written: [`StageData::masked`] attaches the mask to the spool) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
+//! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
+//! | `frames` egress of a row spool | slot files (entry-filtered when masked) | `ShardedWriter::store_frame_bytes` | nothing |
+//!
+//! A spilled barrier writes nothing: its keep mask rides on the
+//! [`Spilled`] data and is consumed by whichever pass opens the spool next —
+//! the following stage's load, the next barrier's hash pass, egress,
+//! materialization or a cache save.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use dj_core::sync::lock;
 use dj_core::{
-    Dataset, Deduplicator, MemShardStore, Result, Sample, ShardSink, ShardSource, Value,
+    Dataset, Deduplicator, MemShardStore, Result, Sample, ShardSink, ShardSource, Value, TEXT_KEY,
 };
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
-use dj_store::{CacheManager, CachedStage, Codec, ColumnarSlab, FrameSlab, ShardSpool};
+use dj_store::{
+    split_column_path, CacheManager, CachedStage, Codec, ColumnarSlab, FrameSlab, ShardSpool,
+};
 
 use crate::barrier::{hash_loaded, hash_pass, hash_samples};
 use crate::executor::Executor;
 use crate::options::ExecOptions;
+use crate::report::{snippet, TraceEvent};
 use crate::stream::{drive, Feed, Resident, RunCtl};
 
 /// Codec for spilled shard frames (cheap LZ77: spill IO shrinks without a
@@ -42,15 +55,79 @@ pub(crate) enum Frame {
     Col(ColumnarSlab),
 }
 
+impl Frame {
+    /// Lend `f` the text at dotted path `field` of every stored sample,
+    /// borrowed from the undecoded frame — a row slab walks its serialized
+    /// samples in place, a columnar slab decompresses only that column's
+    /// region — so no `Sample` is ever built. Returns `f`'s result and the
+    /// decompressed bytes decoded to reach the texts.
+    pub(crate) fn with_texts<R>(
+        &self,
+        field: &str,
+        f: impl FnOnce(&[Cow<'_, str>]) -> Result<R>,
+    ) -> Result<(R, u64)> {
+        match self {
+            Frame::Row(slab) => Ok((f(&slab.texts_at(field)?)?, 0)),
+            Frame::Col(slab) => {
+                let (top, rest) = split_column_path(field);
+                match slab.read_column(top)? {
+                    Some(region) => Ok((f(&region.texts_at(rest)?)?, region.raw_len())),
+                    // Column absent from this frame: every sample reads as
+                    // the empty string, the missing-field semantics of a
+                    // full decode.
+                    None => Ok((f(&vec![Cow::Borrowed(""); slab.sample_count()])?, 0)),
+                }
+            }
+        }
+    }
+
+    /// Transcode the samples `keep` keeps to JSON-Lines text in `out`.
+    fn write_jsonl(&self, keep: Option<&[bool]>, out: &mut String) -> Result<usize> {
+        match self {
+            Frame::Row(slab) => slab.write_jsonl(keep, out),
+            Frame::Col(slab) => slab.write_jsonl(keep, out),
+        }
+    }
+}
+
+/// The items of `items` a keep mask keeps (all of them without one).
+pub(crate) fn kept<'k, T>(
+    items: impl Iterator<Item = T> + 'k,
+    keep: Option<&'k [bool]>,
+) -> impl Iterator<Item = T> + 'k {
+    items
+        .enumerate()
+        .filter(move |(i, _)| keep.is_none_or(|k| k[*i]))
+        .map(|(_, item)| item)
+}
+
+/// Spread `keep` — one verdict per sample a `deferred` mask kept — over the
+/// stored samples `deferred` covers: a stored sample survives when both
+/// masks keep it.
+pub(crate) fn widen_keep(deferred: Option<&[bool]>, keep: Vec<bool>) -> Vec<bool> {
+    let Some(deferred) = deferred else {
+        return keep;
+    };
+    let mut verdicts = keep.into_iter();
+    deferred
+        .iter()
+        .map(|stored| *stored && verdicts.next().unwrap_or(false))
+        .collect()
+}
+
 /// One shard as a feed hands it to a pass.
-pub(crate) struct Loaded {
-    /// The decoded samples: all of them, the projected columns of a
-    /// columnar load, or none for an undecoded load.
+pub(crate) struct Loaded<'a> {
+    /// The decoded samples: all the deferred mask keeps, their projected
+    /// columns for a columnar load, or none for an undecoded load.
     pub shard: Dataset,
     /// The frame the shard was (or was not) decoded from, when the feed
     /// keeps it: a columnar slab rides along to the sink, which splices
     /// its untouched columns into the output frame.
     pub frame: Option<Frame>,
+    /// The deferred barrier mask over the frame's stored samples, if the
+    /// spool carries one: `shard` already honors it; whoever reads `frame`
+    /// must.
+    pub keep: Option<&'a [bool]>,
     /// Decompressed bytes decoded to build `shard` (columnar loads only).
     pub decoded: u64,
     /// The samples never left memory (a barrier re-slotting resident
@@ -58,18 +135,19 @@ pub(crate) struct Loaded {
     pub resident: bool,
 }
 
-impl Loaded {
-    fn samples(shard: Dataset) -> Loaded {
+impl Loaded<'_> {
+    fn samples(shard: Dataset) -> Loaded<'static> {
         Loaded {
             shard,
             frame: None,
+            keep: None,
             decoded: 0,
             resident: false,
         }
     }
 }
 
-impl Resident for Loaded {
+impl Resident for Loaded<'_> {
     /// A carried frame charges its payload; decoded samples their heap size.
     fn residency(&self) -> (usize, usize) {
         match &self.frame {
@@ -91,38 +169,50 @@ impl Resident for &[&Sample] {
 /// How a spool feed loads a slot.
 #[derive(Clone, Copy)]
 pub(crate) enum Load<'a> {
-    /// Decode every sample (row or columnar frame, sniffed per slot).
+    /// Decode every kept sample (row or columnar frame, sniffed per slot).
     Full,
     /// Columnar slot: keep the slab, decode only these columns (`None` =
-    /// all of them).
+    /// all of them) of the kept samples.
     Project(Option<&'a BTreeSet<String>>),
-    /// Keep the frame undecoded — the barrier borrows texts out of it.
+    /// Keep the frame undecoded — a barrier borrows texts out of it, JSONL
+    /// egress transcodes it.
     Undecoded,
 }
 
-/// The slots of a spill spool, re-readable.
-pub(crate) fn spool_feed<'a>(spool: &'a ShardSpool, load: Load<'a>) -> Feed<'a, Loaded> {
+/// The slots of a spill spool, re-readable. Entries the spool's deferred
+/// mask drops are skipped at load; an undecoded load hands the mask on.
+pub(crate) fn spool_feed<'a>(data: &'a Spilled, load: Load<'a>) -> Feed<'a, Loaded<'a>> {
+    let spool = &data.spool;
     Feed::indexed(spool.shard_count(), true, move |i| {
+        let keep = data.keep(i);
         let (shard, frame, decoded) = match load {
-            Load::Full => (spool.read_shard(i)?, None, 0),
+            Load::Full => (spool.read_shard_kept(i, keep)?, None, 0),
             Load::Project(cols) => {
                 let slab = spool.read_columnar_slab(i)?;
-                let (shard, decoded) = slab.decode_projected(cols)?;
+                let (shard, decoded) = slab.decode_kept(cols, keep)?;
                 (shard, Some(Frame::Col(slab)), decoded)
             }
-            Load::Undecoded if spool.is_columnar() => {
-                let slab = spool.read_columnar_slab(i)?;
-                (Dataset::new(), Some(Frame::Col(slab)), 0)
-            }
-            Load::Undecoded => {
-                let slab = spool.read_frame_slab(i)?;
-                (Dataset::new(), Some(Frame::Row(slab)), 0)
-            }
+            Load::Undecoded => (Dataset::new(), Some(data.undecoded(i)?), 0),
         };
         Ok(Loaded {
             frame,
+            keep,
             decoded,
             ..Loaded::samples(shard)
+        })
+    })
+}
+
+/// Resident shards, moved out of their slots as the pass reaches them.
+/// `resident` marks them as never having left memory (a barrier's
+/// mask-apply), so they charge nothing.
+fn mem_feed<'a>(shards: Vec<Dataset>, resident: bool) -> Feed<'a, Loaded<'a>> {
+    let n = shards.len();
+    let slots = MemShardStore::from_shards(shards);
+    Feed::indexed(n, false, move |i| {
+        Ok(Loaded {
+            resident,
+            ..Loaded::samples(slots.load_shard(i)?)
         })
     })
 }
@@ -130,10 +220,10 @@ pub(crate) fn spool_feed<'a>(spool: &'a ShardSpool, load: Load<'a>) -> Feed<'a, 
 /// Shards cut off a corpus stream: open-ended, dry when the reader is. The
 /// reader and the shard counter share a lock so indices always match
 /// stream order, whichever stepper pulls.
-pub(crate) fn reader_feed(
-    reader: &Mutex<(CorpusReader, usize)>,
+pub(crate) fn reader_feed<'a>(
+    reader: &'a Mutex<(CorpusReader, usize)>,
     shard_size: usize,
-) -> Feed<'_, Loaded> {
+) -> Feed<'a, Loaded<'a>> {
     Feed {
         len: None,
         overlaps_io: true,
@@ -166,8 +256,9 @@ impl Sink<'_> {
     }
 
     /// Store shard `idx`. `frame` is what the load carried, `keep` says per
-    /// *input* sample whether it survived into `shard`. Returns the
-    /// decompressed bytes that crossed input→output undecoded.
+    /// *stored* sample of that frame whether it survived into `shard` (see
+    /// [`widen_keep`]). Returns the decompressed bytes that crossed
+    /// input→output undecoded.
     pub(crate) fn store(
         &self,
         idx: usize,
@@ -201,9 +292,62 @@ impl Sink<'_> {
     pub(crate) fn finish(self) -> Result<StageData> {
         match self {
             Sink::Mem(slots) => slots.into_shards().map(StageData::Mem),
-            Sink::Spool(out, _) => Ok(StageData::Spilled(out)),
+            Sink::Spool(out, _) => Ok(StageData::Spilled(Spilled::new(out))),
         }
     }
+}
+
+/// Spilled data: a spool of shard frames plus the keep mask a dedup
+/// barrier left on it instead of rewriting every frame.
+pub(crate) struct Spilled {
+    spool: ShardSpool,
+    /// Per slot, per *stored* sample: whether it is still part of the
+    /// dataset. `None` = every stored sample is. Back-to-back barriers
+    /// and-combine into the one mask. The spool's fingerprint sidecars
+    /// describe the stored samples for the barrier that set the mask, so
+    /// they are spent once a mask is present.
+    mask: Option<Vec<Vec<bool>>>,
+}
+
+impl Spilled {
+    fn new(spool: ShardSpool) -> Spilled {
+        Spilled { spool, mask: None }
+    }
+
+    /// The deferred mask over slot `i`'s stored samples, if any.
+    fn keep(&self, i: usize) -> Option<&[bool]> {
+        self.mask.as_ref()?.get(i).map(Vec::as_slice)
+    }
+
+    /// Samples of slot `i` still part of the dataset.
+    fn shard_len(&self, i: usize) -> usize {
+        match self.keep(i) {
+            Some(keep) => keep.iter().filter(|k| **k).count(),
+            None => self.spool.shard_len(i).unwrap_or(0),
+        }
+    }
+
+    /// Slot `i`'s frame, loaded but not decoded.
+    fn undecoded(&self, i: usize) -> Result<Frame> {
+        Ok(if self.spool.is_columnar() {
+            Frame::Col(self.spool.read_columnar_slab(i)?)
+        } else {
+            Frame::Row(self.spool.read_frame_slab(i)?)
+        })
+    }
+}
+
+/// Drop the samples `keep` masks out of `shard`, tracing up to `cap` of
+/// the dropped duplicates.
+fn apply_mask(shard: &mut Dataset, keep: &[bool], cap: usize) -> Vec<TraceEvent> {
+    let mut trace = Vec::new();
+    for (sample, _) in shard.iter().zip(keep).filter(|(_, keep)| !**keep).take(cap) {
+        trace.push(TraceEvent::Duplicate {
+            dropped: snippet(sample.text()),
+        });
+    }
+    shard.retain_mask(keep);
+    trace
 }
 
 /// Where the dataset lives between stages: in memory as ordered shards
@@ -216,7 +360,7 @@ impl Sink<'_> {
 /// order is the dataset.
 pub(crate) enum StageData {
     Mem(Vec<Dataset>),
-    Spilled(ShardSpool),
+    Spilled(Spilled),
 }
 
 impl StageData {
@@ -232,12 +376,13 @@ impl StageData {
         }
     }
 
-    /// Sample count per shard, in shard order.
+    /// Sample count per shard, in shard order (what a deferred mask drops
+    /// is not counted).
     pub(crate) fn shard_lens(&self) -> Vec<usize> {
         match self {
             StageData::Mem(shards) => shards.iter().map(Dataset::len).collect(),
-            StageData::Spilled(s) => (0..s.shard_count())
-                .map(|i| s.shard_len(i).unwrap_or(0))
+            StageData::Spilled(data) => (0..data.spool.shard_count())
+                .map(|i| data.shard_len(i))
                 .collect(),
         }
     }
@@ -259,7 +404,7 @@ impl StageData {
             let shard = spool.read_shard(i)?;
             bytes += shard.approx_bytes() as u64;
             if bytes > budget {
-                return Ok(StageData::Spilled(spool));
+                return Ok(StageData::Spilled(Spilled::new(spool)));
             }
             shards.push(shard);
         }
@@ -275,13 +420,20 @@ impl StageData {
     pub(crate) fn into_dataset(self) -> Result<Dataset> {
         match self {
             StageData::Mem(shards) => Ok(Dataset::from_shards(shards)),
-            StageData::Spilled(spool) => spool.materialize(),
+            StageData::Spilled(data) => {
+                let mut out = Dataset::new();
+                for i in 0..data.spool.shard_count() {
+                    out.extend(data.spool.read_shard_kept(i, data.keep(i))?);
+                }
+                Ok(out)
+            }
         }
     }
 
     /// Persist as cache entry `idx`/`key` without merging or decoding:
     /// carried shards go out as a multi-frame stream straight from the
-    /// borrowed shards, a spool's raw frame files are concatenated.
+    /// borrowed shards, a spool's frame files are concatenated (slots a
+    /// deferred mask thins are entry-filtered on the way).
     pub(crate) fn save(&self, cache: &CacheManager, idx: usize, key: &str) -> Result<()> {
         match self {
             StageData::Mem(shards) if shards.len() > 1 => cache.save_shards(idx, key, shards),
@@ -289,15 +441,21 @@ impl StageData {
                 Some(ds) => cache.save(idx, key, ds),
                 None => cache.save(idx, key, &Dataset::new()),
             },
-            StageData::Spilled(spool) => cache.save_spool(idx, key, spool),
+            StageData::Spilled(data) => {
+                let slots = 0..data.spool.shard_count();
+                let frames = slots.map(|i| data.spool.read_frame_bytes(i, data.keep(i)));
+                cache.save_encoded(idx, key, frames)
+            }
         }
         .map(drop)
     }
 
-    /// Write every shard to `writer`. A row spool already holds the
-    /// `frames` output format, so its slot bytes are copied through
-    /// undecoded; a columnar spool decodes (the frame output contract is
-    /// row frames byte-identical to a row-format run), as does JSONL.
+    /// Write every shard to `writer`. Nothing spilled is decoded on the
+    /// way out: a row spool already holds the `frames` output format, so
+    /// its slot bytes are copied through, and JSONL is transcoded from the
+    /// undecoded frames — the one exception is `frames` output of a
+    /// columnar spool, which decodes (the frame output contract is row
+    /// frames byte-identical to a row-format run).
     pub(crate) fn egress(
         &self,
         writer: &ShardedWriter,
@@ -311,20 +469,30 @@ impl StageData {
                     writer.store_shard(i, shard)?;
                 }
             }
-            StageData::Spilled(spool) if format == OutputFormat::Frames && !spool.is_columnar() => {
-                for i in 0..spool.shard_count() {
-                    let mut frame = Vec::new();
-                    spool.copy_shard_frame_into(i, &mut frame)?;
-                    writer.store_frame_bytes(i, &frame, spool.shard_len(i).unwrap_or(0))?;
+            StageData::Spilled(data)
+                if format == OutputFormat::Frames && !data.spool.is_columnar() =>
+            {
+                for i in 0..data.spool.shard_count() {
+                    let frame = data.spool.read_frame_bytes(i, data.keep(i))?;
+                    writer.store_frame_bytes(i, &frame, data.shard_len(i))?;
                 }
             }
-            StageData::Spilled(spool) => {
+            StageData::Spilled(data) => {
+                let load = match format {
+                    OutputFormat::Jsonl => Load::Undecoded,
+                    OutputFormat::Frames => Load::Full,
+                };
                 drive(
-                    &spool_feed(spool, Load::Full),
+                    &spool_feed(data, load),
                     options.num_workers,
                     options.prefetch_depth,
                     ctl,
-                    |i, loaded| writer.store_shard(i, &loaded.shard),
+                    |i, loaded| match &loaded.frame {
+                        Some(frame) => {
+                            writer.store_jsonl(i, |out| frame.write_jsonl(loaded.keep, out))
+                        }
+                        None => writer.store_shard(i, &loaded.shard),
+                    },
                 )?;
             }
         }
@@ -403,37 +571,28 @@ impl StageData {
     /// shards and the sink that stores the pass's output. `cols` is the
     /// pass's decode set (`None` = everything); only a columnar spool
     /// honors it, splicing every other column through undecoded. In-memory
-    /// shards are moved into the feed; `resident` marks them as never
-    /// having left memory (a barrier's mask-apply), so they charge nothing.
+    /// shards are moved into the feed.
     pub(crate) fn open<'a>(
         &'a mut self,
         exec: &Executor,
         cols: Option<&'a BTreeSet<String>>,
-        resident: bool,
-    ) -> Result<(Feed<'a, Loaded>, Sink<'a>)> {
+    ) -> Result<(Feed<'a, Loaded<'a>>, Sink<'a>)> {
         Ok(match self {
             StageData::Mem(shards) => {
-                let n = shards.len();
-                let slots = MemShardStore::from_shards(std::mem::take(shards));
-                let feed = Feed::indexed(n, false, move |i| {
-                    Ok(Loaded {
-                        resident,
-                        ..Loaded::samples(slots.load_shard(i)?)
-                    })
-                });
-                (feed, Sink::Mem(MemShardStore::with_capacity(n)))
+                let sink = Sink::Mem(MemShardStore::with_capacity(shards.len()));
+                (mem_feed(std::mem::take(shards), false), sink)
             }
-            StageData::Spilled(spool) => {
+            StageData::Spilled(data) => {
                 // Projection needs the slots to hold columnar frames; a row
                 // spool (e.g. rehydrated from a cache entry) decodes fully
                 // and converts at the output spool.
-                let load = if spool.is_columnar() {
+                let load = if data.spool.is_columnar() {
                     Load::Project(cols)
                 } else {
                     Load::Full
                 };
-                let out = exec.new_spool(spool.shard_count())?;
-                (spool_feed(spool, load), Sink::Spool(out, cols))
+                let out = exec.new_spool(data.spool.shard_count())?;
+                (spool_feed(data, load), Sink::Spool(out, cols))
             }
         })
     }
@@ -460,19 +619,88 @@ impl StageData {
                     hash_samples(dedup, morsel.iter().copied()).map(|h| (h, 0))
                 })?
             }
-            StageData::Spilled(spool) => {
-                if let Some(hashes) = spool.read_all_fingerprints()? {
-                    return Ok((hashes, 0, true));
+            StageData::Spilled(data) => {
+                // Sidecars still on a masked spool fed the barrier that
+                // masked it, not this one.
+                if data.mask.is_none() {
+                    if let Some(hashes) = data.spool.read_all_fingerprints()? {
+                        return Ok((hashes, 0, true));
+                    }
                 }
                 let load = match dedup.hash_field() {
                     Some(_) => Load::Undecoded,
                     None => Load::Full,
                 };
-                let feed = spool_feed(spool, load);
+                let feed = spool_feed(data, load);
                 hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))?
             }
         };
         Ok((hashes, decoded, false))
+    }
+
+    /// Apply a barrier's dataset-level keep `mask`; returns the thinned
+    /// data and up to `cap` traces of the first duplicates dropped.
+    ///
+    /// This is the one place that decides *how*: resident shards are
+    /// thinned in place, in parallel on the worker pool. Spilled data is
+    /// not touched at all — the mask is attached to the spool (and-combined
+    /// with one already there) for the next pass that opens it to consume,
+    /// so a spilled barrier reads and writes no frame; only duplicate
+    /// traces borrow the dropped texts out of the slots that hold the first
+    /// `cap` of them.
+    pub(crate) fn masked(
+        self,
+        mask: &[bool],
+        cap: usize,
+        options: &ExecOptions,
+        ctl: &RunCtl,
+    ) -> Result<(StageData, Vec<TraceEvent>)> {
+        let lens = self.shard_lens();
+        let mut slices = lens.iter().scan(0, |end, len| {
+            let start = std::mem::replace(end, *end + len);
+            Some(&mask[start..*end])
+        });
+        let mut trace = Vec::new();
+        match self {
+            StageData::Mem(shards) => {
+                let slices: Vec<&[bool]> = slices.collect();
+                let sink = MemShardStore::with_capacity(shards.len());
+                let per_shard = drive(
+                    &mem_feed(shards, true),
+                    options.num_workers,
+                    options.prefetch_depth,
+                    ctl,
+                    |i, loaded| {
+                        let mut shard = loaded.shard;
+                        let trace = apply_mask(&mut shard, slices[i], cap);
+                        sink.store_shard(i, shard).map(|()| trace)
+                    },
+                )?;
+                trace.extend(per_shard.into_iter().flatten().take(cap));
+                Ok((StageData::Mem(sink.into_shards()?), trace))
+            }
+            StageData::Spilled(mut data) => {
+                let mut stored = Vec::with_capacity(lens.len());
+                for i in 0..lens.len() {
+                    let keep = slices.next().unwrap_or_default();
+                    if trace.len() < cap && keep.contains(&false) {
+                        data.undecoded(i)?.with_texts(TEXT_KEY, |texts| {
+                            let live = kept(texts.iter(), data.keep(i));
+                            let dropped = live.zip(keep).filter(|(_, keep)| !**keep);
+                            for (text, _) in dropped.take(cap - trace.len()) {
+                                trace.push(TraceEvent::Duplicate {
+                                    dropped: snippet(text),
+                                });
+                            }
+                            Ok(())
+                        })?;
+                    }
+                    stored.push(widen_keep(data.keep(i), keep.to_vec()));
+                }
+                data.mask = Some(stored);
+                Ok((StageData::Spilled(data), trace))
+            }
+        }
     }
 }
 

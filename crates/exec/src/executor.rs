@@ -214,8 +214,11 @@ impl Executor {
     /// large the input is. The plan's first pipeline stage runs *during*
     /// ingest (samples flow through it as they are parsed), and when the
     /// stage after it is a dedup barrier each shard is fingerprinted as
-    /// its frame is written (fingerprint-on-ingest), so the barrier runs a
-    /// single streaming pass. Stage caching is not applied on this path —
+    /// its frame is written (fingerprint-on-ingest), so the barrier opens
+    /// no frame at all: it clusters the sidecar hashes and leaves its keep
+    /// mask on the spool for the next pass — a stage, or egress, which
+    /// transcodes the kept entries of each undecoded frame straight to
+    /// JSONL. Stage caching is not applied on this path —
     /// file-backed runs are keyed by their input files, not by an
     /// in-memory dataset.
     pub fn run_io(&self) -> Result<(Option<Dataset>, RunReport)> {
@@ -510,7 +513,7 @@ impl Executor {
     /// demands it. `next_dedup` is the following stage's deduplicator, if
     /// any — spilled pipeline stages fingerprint their output shards for
     /// it as the frames are written (fingerprint-on-ingest), so the
-    /// barrier that follows runs in a single streaming pass.
+    /// barrier that follows never reads a frame.
     fn execute_stage(
         &self,
         stage: &Stage,

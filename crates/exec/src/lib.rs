@@ -14,7 +14,8 @@
 //!    fingerprint before deciding anything. Mappers and filters are
 //!    sample-local, so any run of them forms one `Stage::Pipeline`.
 //! 3. **One driver.** Every pass over the data — a pipeline stage, a
-//!    barrier's hash pass, its mask-apply pass, ingest, egress — is the
+//!    barrier's hash pass, a resident barrier's mask-apply, ingest, egress
+//!    — is the
 //!    same loop (`stream::drive`): a *feed* yields `(shard index, loaded
 //!    shard)`, pool workers claim shards (morsel-driven, over-partitioned
 //!    ~4× the worker count so fast workers absorb stragglers) and run a
@@ -136,10 +137,11 @@
 //! 3. When the stage feeding a dedup barrier spills, each shard is
 //!    hashed as its frame is written and the fingerprints persist in a
 //!    sidecar (fingerprint-on-ingest; see `docs/formats.md`). The
-//!    barrier then runs a **single** streaming pass
+//!    barrier then opens **no frame**: it clusters the sidecar hashes and
+//!    leaves its keep mask on the spool for the next pass to consume
 //!    (`RunReport::fingerprinted_barriers` counts these).
-//! 4. Cache/checkpoint entries of spilled stages are written as multi-frame
-//!    shard streams (`CacheManager::save_streamed`), so persistence and
+//! 4. Cache/checkpoint entries of spilled stages are the spool's frames
+//!    concatenated (`CacheManager::save_encoded`), so persistence and
 //!    resume also never materialize the dataset.
 //! 5. With [`ExecOptions::columnar`] spilled shards use the columnar
 //!    `DJSC` frame format and every pass decodes only the top-level

@@ -71,13 +71,13 @@ pub struct RunReport {
     /// Approximate heap bytes of those resident samples at the peak.
     pub peak_resident_bytes: usize,
     /// Total wall time spent inside dedup barriers (fingerprinting,
-    /// clustering and mask application) — the serial-section share the
-    /// banded exchange attacks.
+    /// clustering and — for resident data — mask application; a spilled
+    /// barrier defers its mask to the next pass over the spool).
     pub barrier_duration: Duration,
     /// Spilled dedup barriers that skipped their fingerprint streaming
     /// pass because every shard carried a fingerprint sidecar
-    /// (fingerprint-on-ingest): the barrier ran as a single mask-apply
-    /// pass instead of two streaming passes.
+    /// (fingerprint-on-ingest): the barrier read the sidecars, clustered,
+    /// and opened no frame at all.
     pub fingerprinted_barriers: usize,
     /// Raw corpus bytes consumed by [`Executor::run_io`](crate::Executor::run_io)'s ingest stream.
     pub ingest_bytes: u64,
@@ -108,11 +108,15 @@ pub struct RunReport {
     pub columnar: bool,
     /// Decompressed bytes the columnar stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes
-    /// where a step declared `FieldSet::All` or tracing was on).
+    /// where a step declared `FieldSet::All` or tracing was on) and the
+    /// column regions a barrier's hash pass read. Applying a barrier's
+    /// mask decodes nothing.
     pub bytes_decoded: u64,
     /// Decompressed bytes of untouched columns that crossed stage
     /// input→output as byte-for-byte splices, never materialized into
-    /// `Value`s — the work projection pushdown avoided.
+    /// `Value`s — the work projection pushdown avoided. Pipeline stages
+    /// only: a spilled barrier rewrites no frame (its mask rides on the
+    /// spool), so it adds nothing here, and neither does egress.
     pub bytes_passthrough: u64,
     /// Records dropped by the `on_error: skip` policy (malformed ingest
     /// lines plus samples an OP rejected).

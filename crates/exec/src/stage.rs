@@ -18,7 +18,7 @@ use dj_io::ErrorLedger;
 
 use crate::barrier::hash_samples;
 use crate::cost::{fallback_score, rank_score};
-use crate::data::{Loaded, Sink, StageData};
+use crate::data::{widen_keep, Loaded, Sink, StageData};
 use crate::executor::Executor;
 use crate::fusion::{step_static_cost, PlanStep};
 use crate::report::{merge_stage_reports, snippet, RunReport, TraceEvent};
@@ -55,7 +55,7 @@ impl Executor {
         &self,
         steps: &[PlanStep],
         next_dedup: Option<&dyn Deduplicator>,
-        feed: &Feed<'_, Loaded>,
+        feed: &Feed<'_, Loaded<'_>>,
         sink: &Sink<'_>,
         ctl: &RunCtl,
         report: &mut RunReport,
@@ -76,6 +76,7 @@ impl Executor {
                 let Loaded {
                     shard,
                     frame,
+                    keep: deferred,
                     decoded,
                     ..
                 } = loaded;
@@ -90,8 +91,8 @@ impl Executor {
                 let fingerprints = fp_dedup
                     .map(|d| hash_samples(d, outcome.shard.samples()))
                     .transpose()?;
-                let passthrough =
-                    sink.store(i, frame, outcome.shard, &outcome.keep, fingerprints)?;
+                let keep = widen_keep(deferred, outcome.keep);
+                let passthrough = sink.store(i, frame, outcome.shard, &keep, fingerprints)?;
                 for st in &mut outcome.stats {
                     st.bytes_decoded = decoded;
                 }
@@ -128,7 +129,7 @@ impl Executor {
         }
         let cols = stage_decode_columns(steps, next_dedup, self.options.trace_examples);
         let mut data = data.resharded(&self.options);
-        let (feed, sink) = data.open(self, cols.as_ref(), false)?;
+        let (feed, sink) = data.open(self, cols.as_ref())?;
         self.drive_stage(steps, next_dedup, &feed, &sink, ctl, report)?;
         sink.finish()
     }

@@ -255,27 +255,55 @@ impl ShardedWriter {
         format!("part-{idx:05}.{}", self.format.extension())
     }
 
+    /// Whether part `idx` is already on disk from a previous run (verified
+    /// at open); it is then adopted as it stands.
+    fn adopt_resumed(&self, idx: usize) -> bool {
+        let Some(prev) = self.resumed.get(&idx) else {
+            return false;
+        };
+        sync::lock(&self.parts).insert(idx, prev.clone());
+        true
+    }
+
     /// Serialize and commit shard `idx`.
     pub fn store_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        if let Some(prev) = self.resumed.get(&idx) {
-            // Already on disk from a previous run, verified at open.
-            sync::lock(&self.parts).insert(idx, prev.clone());
-            return Ok(());
-        }
         match self.format {
-            OutputFormat::Jsonl => {
-                let mut buf = sync::lock(&self.bufs).pop().unwrap_or_default();
-                buf.clear();
-                write_jsonl_into(shard, &mut buf);
-                let result = self.commit_part(idx, buf.as_bytes(), shard.len());
-                sync::lock(&self.bufs).push(buf);
-                result
-            }
+            OutputFormat::Jsonl => self.store_jsonl(idx, |buf| {
+                write_jsonl_into(shard, buf);
+                Ok(shard.len())
+            }),
             OutputFormat::Frames => {
+                if self.adopt_resumed(idx) {
+                    return Ok(());
+                }
                 let bytes = encode_shard_frame(shard, self.codec);
                 self.commit_part(idx, &bytes, shard.len())
             }
         }
+    }
+
+    /// Commit JSONL part `idx` from text the caller prints: `fill` appends
+    /// the part's lines to one of the writer's reused part buffers (empty
+    /// when handed over) and returns how many samples that was. This is how
+    /// a spool transcodes straight into the part without building samples.
+    pub fn store_jsonl(
+        &self,
+        idx: usize,
+        fill: impl FnOnce(&mut String) -> Result<usize>,
+    ) -> Result<()> {
+        if self.format != OutputFormat::Jsonl {
+            return Err(DjError::Storage(
+                "store_jsonl requires the `jsonl` output format".into(),
+            ));
+        }
+        if self.adopt_resumed(idx) {
+            return Ok(());
+        }
+        let mut buf = sync::lock(&self.bufs).pop().unwrap_or_default();
+        buf.clear();
+        let result = fill(&mut buf).and_then(|n| self.commit_part(idx, buf.as_bytes(), n));
+        sync::lock(&self.bufs).push(buf);
+        result
     }
 
     /// Commit raw pre-encoded frame bytes as part `idx` (the zero-copy
@@ -286,8 +314,7 @@ impl ShardedWriter {
                 "store_frame_bytes requires the `frames` output format".into(),
             ));
         }
-        if let Some(prev) = self.resumed.get(&idx) {
-            sync::lock(&self.parts).insert(idx, prev.clone());
+        if self.adopt_resumed(idx) {
             return Ok(());
         }
         self.commit_part(idx, frame, samples)

@@ -473,9 +473,12 @@ impl Mapper for RemoveRepeatSentencesMapper {
 
     fn process(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            let mut seen: dj_hash::FxHashMap<u64, usize> = dj_hash::FxHashMap::default();
+            // Keyed by the sentence itself: a bare `hash64` key counted two
+            // different sentences that collide as repeats of each other. The
+            // default hasher, because the keys are corpus text.
+            let mut seen: std::collections::HashMap<&str, usize> = Default::default();
             let kept = ctx.sentences(t).iter().filter(|s| {
-                let count = seen.entry(dj_hash::hash64(s.as_bytes())).or_insert(0);
+                let count = seen.entry(*s).or_insert(0);
                 *count += 1;
                 *count <= self.max_repeats
             });

@@ -90,10 +90,17 @@ impl CacheManager {
             .join(format!("{op_index:04}-{}.djc", safe_name(op_name)))
     }
 
-    /// Persist the dataset state after OP `op_index`. In checkpoint mode,
-    /// earlier entries are removed *after* the new entry is safely written
-    /// (so a crash can at worst leave one extra file, never zero).
-    pub fn save(&self, op_index: usize, op_name: &str, dataset: &Dataset) -> Result<PathBuf> {
+    /// Write cache entry `op_index`/`op_name` through `write`, atomically
+    /// (temp file, then rename; a failed write leaves nothing behind). In
+    /// checkpoint mode, earlier entries are removed *after* the new entry
+    /// is safely written (so a crash can at worst leave one extra file,
+    /// never zero).
+    fn save_entry(
+        &self,
+        op_index: usize,
+        op_name: &str,
+        write: impl FnOnce(&mut std::io::BufWriter<fs::File>) -> Result<()>,
+    ) -> Result<PathBuf> {
         if self.mode == CacheMode::Disabled {
             return Ok(PathBuf::new());
         }
@@ -101,8 +108,16 @@ impl CacheManager {
         fs::create_dir_all(&dir)?;
         let path = self.entry_path(op_index, op_name);
         let tmp = path.with_extension("tmp");
-        let frame = compress(&to_bytes(dataset), self.codec);
-        fs::write(&tmp, &frame)?;
+        let write_all = || -> Result<()> {
+            let mut out = std::io::BufWriter::new(fs::File::create(&tmp)?);
+            write(&mut out)?;
+            std::io::Write::flush(&mut out)?;
+            Ok(())
+        };
+        if let Err(e) = write_all() {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         fs::rename(&tmp, &path)?;
         if self.mode == CacheMode::Checkpoint {
             for entry in list_entries(&dir)? {
@@ -112,6 +127,15 @@ impl CacheManager {
             }
         }
         Ok(path)
+    }
+
+    /// Persist the dataset state after OP `op_index` as one compressed
+    /// frame.
+    pub fn save(&self, op_index: usize, op_name: &str, dataset: &Dataset) -> Result<PathBuf> {
+        self.save_entry(op_index, op_name, |out| {
+            let frame = compress(&to_bytes(dataset), self.codec);
+            Ok(std::io::Write::write_all(out, &frame)?)
+        })
     }
 
     /// Persist a stage that lives on disk as spilled shards without ever
@@ -144,76 +168,29 @@ impl CacheManager {
         I: IntoIterator<Item = Result<D>>,
         D: std::borrow::Borrow<Dataset>,
     {
-        if self.mode == CacheMode::Disabled {
-            return Ok(PathBuf::new());
-        }
-        let dir = self.dir();
-        fs::create_dir_all(&dir)?;
-        let path = self.entry_path(op_index, op_name);
-        let tmp = path.with_extension("tmp");
-        let mut writer =
-            ShardStreamWriter::new(std::io::BufWriter::new(fs::File::create(&tmp)?), self.codec);
-        let mut failed = None;
-        for shard in shards {
-            if let Err(e) = shard.and_then(|s| writer.write(s.borrow())) {
-                failed = Some(e);
-                break;
+        self.save_entry(op_index, op_name, |out| {
+            let mut writer = ShardStreamWriter::new(out, self.codec);
+            for shard in shards {
+                writer.write(shard?.borrow())?;
             }
-        }
-        if let Some(e) = failed {
-            drop(writer);
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        writer.finish()?;
-        fs::rename(&tmp, &path)?;
-        if self.mode == CacheMode::Checkpoint {
-            for entry in list_entries(&dir)? {
-                if entry.op_index != op_index {
-                    let _ = fs::remove_file(&entry.path);
-                }
-            }
-        }
-        Ok(path)
+            Ok(())
+        })
     }
 
-    /// Persist a spilled stage by concatenating its spool's raw frame
-    /// files into a multi-frame entry — no decode/re-encode round-trip and
-    /// no materialization; one sequential copy per shard.
-    pub fn save_spool(
-        &self,
-        op_index: usize,
-        op_name: &str,
-        spool: &ShardSpool,
-    ) -> Result<PathBuf> {
-        if self.mode == CacheMode::Disabled {
-            return Ok(PathBuf::new());
-        }
-        let dir = self.dir();
-        fs::create_dir_all(&dir)?;
-        let path = self.entry_path(op_index, op_name);
-        let tmp = path.with_extension("tmp");
-        let copy_all = || -> Result<()> {
-            let mut out = std::io::BufWriter::new(fs::File::create(&tmp)?);
-            for i in 0..spool.shard_count() {
-                spool.copy_shard_frame_into(i, &mut out)?;
+    /// Persist a spilled stage from its already-encoded shard frames (row
+    /// or columnar, one per item — e.g. `ShardSpool::read_frame_bytes` of
+    /// every slot) by concatenating them into a multi-frame entry — no
+    /// decode/re-encode round-trip and no materialization.
+    pub fn save_encoded<I>(&self, op_index: usize, op_name: &str, frames: I) -> Result<PathBuf>
+    where
+        I: IntoIterator<Item = Result<Vec<u8>>>,
+    {
+        self.save_entry(op_index, op_name, |out| {
+            for frame in frames {
+                std::io::Write::write_all(out, &frame?)?;
             }
-            std::io::Write::flush(&mut out)?;
             Ok(())
-        };
-        if let Err(e) = copy_all() {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        fs::rename(&tmp, &path)?;
-        if self.mode == CacheMode::Checkpoint {
-            for entry in list_entries(&dir)? {
-                if entry.op_index != op_index {
-                    let _ = fs::remove_file(&entry.path);
-                }
-            }
-        }
-        Ok(path)
+        })
     }
 
     /// Load the dataset state after OP `op_index`, if cached.

@@ -51,8 +51,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use bytes::{BufMut, BytesMut};
-
 use dj_core::{Dataset, DjError, Result, Sample, Value};
 use dj_hash::fnv1a;
 
@@ -61,7 +59,8 @@ use crate::serialize::{
     le_u64, read_value_slice, skip_value, take_str, take_u32, take_u64, take_u8, walk_path,
     write_value,
 };
-use crate::shard_stream::{HEADER_LEN, MAX_FRAME_PAYLOAD};
+use crate::shard_stream::{frame_bytes, HEADER_LEN, MAX_FRAME_PAYLOAD};
+use crate::transcode::{check_mask, keeps};
 
 /// Magic prefix of columnar shard frames.
 pub const COLUMNAR_FRAME_MAGIC: &[u8; 4] = b"DJSC";
@@ -79,50 +78,53 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
     }
 
     // Build each column's (compressed) region.
-    let mut regions: Vec<(&str, Vec<u8>, u64)> = Vec::with_capacity(names.len());
-    for name in &names {
-        let mut body = BytesMut::new();
-        for s in shard.iter() {
-            match s.value() {
-                Value::Map(m) => match m.get(*name) {
-                    Some(v) => {
-                        body.put_u8(1);
-                        write_value(&mut body, v);
-                    }
-                    None => body.put_u8(0),
-                },
-                _ => body.put_u8(0),
-            }
-        }
-        let raw_len = body.len() as u64;
-        regions.push((name, compress(&body, codec), raw_len));
-    }
+    let regions: Vec<(&str, Vec<u8>, u64)> = names
+        .iter()
+        .map(|name| {
+            let body = column_body(shard, name);
+            (*name, compress(&body, codec), body.len() as u64)
+        })
+        .collect();
+    assemble_frame(shard.len(), &regions)
+}
 
-    // Directory + concatenated regions form the payload.
-    let mut payload = BytesMut::new();
-    payload.put_u8(COLUMNAR_VERSION);
-    payload.put_u64_le(shard.len() as u64);
-    payload.put_u32_le(regions.len() as u32);
+/// One column's region before compression: per sample a presence byte and,
+/// when present, the tagged value.
+fn column_body(shard: &Dataset, name: &str) -> Vec<u8> {
+    let mut body = Vec::new();
+    for s in shard.iter() {
+        match s.value().as_map().and_then(|m| m.get(name)) {
+            Some(v) => {
+                body.push(1);
+                write_value(&mut body, v);
+            }
+            None => body.push(0),
+        }
+    }
+    body
+}
+
+/// Directory + concatenated regions behind the frame envelope. `regions`
+/// is `(name, compressed region, raw_len)` in directory (sorted) order.
+fn assemble_frame<R: AsRef<[u8]>>(samples: usize, regions: &[(&str, R, u64)]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.push(COLUMNAR_VERSION);
+    payload.extend_from_slice(&(samples as u64).to_le_bytes());
+    payload.extend_from_slice(&(regions.len() as u32).to_le_bytes());
     let mut offset = 0u64;
-    for (name, region, raw_len) in &regions {
-        payload.put_u32_le(name.len() as u32);
-        payload.put_slice(name.as_bytes());
-        payload.put_u64_le(offset);
-        payload.put_u64_le(region.len() as u64);
-        payload.put_u64_le(*raw_len);
-        payload.put_u64_le(fnv1a(region));
+    for (name, region, raw_len) in regions {
+        let region = region.as_ref();
+        payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        payload.extend_from_slice(name.as_bytes());
+        for word in [offset, region.len() as u64, *raw_len, fnv1a(region)] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
         offset += region.len() as u64;
     }
-    for (_, region, _) in &regions {
-        payload.put_slice(region);
+    for (_, region, _) in regions {
+        payload.extend_from_slice(region.as_ref());
     }
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(COLUMNAR_FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame_bytes(COLUMNAR_FRAME_MAGIC, &payload)
 }
 
 /// Decode a columnar frame *payload* (envelope already stripped and
@@ -130,6 +132,17 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
 /// entry point.
 pub(crate) fn decode_columnar_payload(payload: &[u8]) -> Result<Dataset> {
     ColumnarSlab::from_payload(payload.to_vec())?.decode()
+}
+
+/// Read one entry's presence byte: whether a tagged value follows.
+fn take_entry(cur: &mut &[u8], column: &str) -> Result<bool> {
+    match take_u8(cur)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(DjError::Storage(format!(
+            "bad presence byte {other} in column `{column}`"
+        ))),
+    }
 }
 
 /// One column's directory entry.
@@ -289,12 +302,8 @@ impl ColumnarSlab {
         Ok(region)
     }
 
-    /// Decompress one column's region (checksum-verified), or `Ok(None)`
-    /// when the frame has no such column.
-    pub fn read_column(&self, name: &str) -> Result<Option<ColumnRegion>> {
-        let Some(c) = self.entry(name) else {
-            return Ok(None);
-        };
+    /// One region decompressed, checksum- and size-verified.
+    fn region_raw(&self, c: &ColumnEntry) -> Result<Vec<u8>> {
         let data = decompress(self.region_bytes(c)?)?;
         if data.len() as u64 != c.raw_len {
             return Err(DjError::Storage(format!(
@@ -304,6 +313,16 @@ impl ColumnarSlab {
                 c.raw_len
             )));
         }
+        Ok(data)
+    }
+
+    /// Decompress one column's region (checksum-verified), or `Ok(None)`
+    /// when the frame has no such column.
+    pub fn read_column(&self, name: &str) -> Result<Option<ColumnRegion>> {
+        let Some(c) = self.entry(name) else {
+            return Ok(None);
+        };
+        let data = self.region_raw(c)?;
         Ok(Some(ColumnRegion {
             data,
             samples: self.samples,
@@ -318,26 +337,37 @@ impl ColumnarSlab {
     /// frame columns not requested are skipped entirely (their regions are
     /// never decompressed).
     pub fn decode_projected(&self, cols: Option<&BTreeSet<String>>) -> Result<(Dataset, u64)> {
-        let mut maps: Vec<BTreeMap<String, Value>> = vec![BTreeMap::new(); self.samples];
+        self.decode_kept(cols, None)
+    }
+
+    /// [`decode_projected`](ColumnarSlab::decode_projected) of the samples
+    /// `keep` keeps (all of them without a mask): a masked-out entry is
+    /// stepped over, never built.
+    pub fn decode_kept(
+        &self,
+        cols: Option<&BTreeSet<String>>,
+        keep: Option<&[bool]>,
+    ) -> Result<(Dataset, u64)> {
+        check_mask(keep, self.samples)?;
+        let kept = keep.map_or(self.samples, |k| k.iter().filter(|k| **k).count());
+        let mut maps: Vec<BTreeMap<String, Value>> = vec![BTreeMap::new(); kept];
         let mut bytes_decoded = 0u64;
         for c in &self.columns {
-            if let Some(wanted) = cols {
-                if !wanted.contains(&c.name) {
-                    continue;
-                }
+            if cols.is_some_and(|wanted| !wanted.contains(&c.name)) {
+                continue;
             }
-            let region = decompress(self.region_bytes(c)?)?;
+            let region = self.region_raw(c)?;
             bytes_decoded += c.raw_len;
             let mut cur: &[u8] = &region;
-            for map in maps.iter_mut() {
-                let present = take_u8(&mut cur)?;
-                if present == 1 {
+            let mut maps = maps.iter_mut();
+            for i in 0..self.samples {
+                let present = take_entry(&mut cur, &c.name)?;
+                if !keeps(keep, i) {
+                    if present {
+                        skip_value(&mut cur)?;
+                    }
+                } else if let (Some(map), true) = (maps.next(), present) {
                     map.insert(c.name.clone(), read_value_slice(&mut cur)?);
-                } else if present != 0 {
-                    return Err(DjError::Storage(format!(
-                        "bad presence byte {present} in column `{}`",
-                        c.name
-                    )));
                 }
             }
             if !cur.is_empty() {
@@ -352,6 +382,15 @@ impl ColumnarSlab {
             .map(|m| Sample::from_value(Value::Map(m)))
             .collect::<Result<Vec<_>>>()?;
         Ok((Dataset::from_samples(samples), bytes_decoded))
+    }
+
+    /// Every region decompressed (checksum- and size-verified), with its
+    /// column name, in directory order — the transcoder's input.
+    pub(crate) fn raw_regions(&self) -> Result<Vec<(&str, Vec<u8>)>> {
+        self.columns
+            .iter()
+            .map(|c| Ok((c.name.as_str(), self.region_raw(c)?)))
+            .collect()
     }
 
     /// Full decode into an owned dataset.
@@ -383,13 +422,7 @@ impl ColumnarSlab {
         keep: &[bool],
         codec: Codec,
     ) -> Result<(Vec<u8>, u64)> {
-        if keep.len() != self.samples {
-            return Err(DjError::Storage(format!(
-                "splice keep mask covers {} samples, frame has {}",
-                keep.len(),
-                self.samples
-            )));
-        }
+        check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
         if processed.len() != kept {
             return Err(DjError::Storage(format!(
@@ -423,23 +456,14 @@ impl ColumnarSlab {
             }
         }
 
-        // (name, compressed region or verbatim range, raw_len, passthrough?)
-        enum Region<'a> {
-            Verbatim(&'a [u8]),
-            Fresh(Vec<u8>),
-        }
-        let mut out_regions: Vec<(&str, Region<'_>, u64, bool)> = Vec::new();
+        // (name, compressed region — verbatim range or fresh — and raw_len)
+        let mut out_regions: Vec<(&str, Cow<'_, [u8]>, u64)> = Vec::new();
         let mut bytes_passthrough = 0u64;
 
         for c in &passthrough {
             if kept == self.samples {
                 // Nothing dropped: the compressed region crosses verbatim.
-                out_regions.push((
-                    &c.name,
-                    Region::Verbatim(self.region_bytes(c)?),
-                    c.raw_len,
-                    true,
-                ));
+                out_regions.push((&c.name, Cow::Borrowed(self.region_bytes(c)?), c.raw_len));
                 bytes_passthrough += c.raw_len;
             } else {
                 // Entry-level splice: walk presence+value byte ranges and
@@ -448,19 +472,12 @@ impl ColumnarSlab {
                 let mut body = Vec::with_capacity(region.len());
                 let mut cur: &[u8] = &region;
                 for keep_it in keep {
-                    let entry_start = region.len() - cur.len();
-                    let present = take_u8(&mut cur)?;
-                    if present == 1 {
+                    let entry = cur;
+                    if take_entry(&mut cur, &c.name)? {
                         skip_value(&mut cur)?;
-                    } else if present != 0 {
-                        return Err(DjError::Storage(format!(
-                            "bad presence byte {present} in column `{}`",
-                            c.name
-                        )));
                     }
-                    let entry_end = region.len() - cur.len();
                     if *keep_it {
-                        body.extend_from_slice(&region[entry_start..entry_end]);
+                        body.extend_from_slice(&entry[..entry.len() - cur.len()]);
                     }
                 }
                 if !cur.is_empty() {
@@ -471,73 +488,24 @@ impl ColumnarSlab {
                 }
                 let raw_len = body.len() as u64;
                 bytes_passthrough += raw_len;
-                out_regions.push((
-                    &c.name,
-                    Region::Fresh(compress(&body, codec)),
-                    raw_len,
-                    true,
-                ));
+                out_regions.push((&c.name, Cow::Owned(compress(&body, codec)), raw_len));
             }
         }
 
         for name in &encoded_names {
-            let mut body = BytesMut::new();
-            for s in processed.iter() {
-                match s.value() {
-                    Value::Map(m) => match m.get(*name) {
-                        Some(v) => {
-                            body.put_u8(1);
-                            write_value(&mut body, v);
-                        }
-                        None => body.put_u8(0),
-                    },
-                    _ => body.put_u8(0),
-                }
-            }
-            let raw_len = body.len() as u64;
-            out_regions.push((name, Region::Fresh(compress(&body, codec)), raw_len, false));
+            let body = column_body(processed, name);
+            out_regions.push((name, Cow::Owned(compress(&body, codec)), body.len() as u64));
         }
 
         // Directory order is sorted by name.
         out_regions.sort_by(|a, b| a.0.cmp(b.0));
-
-        let mut payload = BytesMut::new();
-        payload.put_u8(COLUMNAR_VERSION);
-        payload.put_u64_le(kept as u64);
-        payload.put_u32_le(out_regions.len() as u32);
-        let mut offset = 0u64;
-        for (name, region, raw_len, _) in &out_regions {
-            let bytes: &[u8] = match region {
-                Region::Verbatim(b) => b,
-                Region::Fresh(v) => v,
-            };
-            payload.put_u32_le(name.len() as u32);
-            payload.put_slice(name.as_bytes());
-            payload.put_u64_le(offset);
-            payload.put_u64_le(bytes.len() as u64);
-            payload.put_u64_le(*raw_len);
-            payload.put_u64_le(fnv1a(bytes));
-            offset += bytes.len() as u64;
-        }
-        for (_, region, _, _) in &out_regions {
-            let bytes: &[u8] = match region {
-                Region::Verbatim(b) => b,
-                Region::Fresh(v) => v,
-            };
-            payload.put_slice(bytes);
-        }
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(COLUMNAR_FRAME_MAGIC);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok((out, bytes_passthrough))
+        Ok((assemble_frame(kept, &out_regions), bytes_passthrough))
     }
 
-    /// Apply a keep mask to *every* column by entry splice — the dedup
-    /// barrier's mask-apply pass, which never materializes a `Value`.
-    /// Returns the new frame plus the passthrough byte count.
+    /// Apply a keep mask to *every* column by entry splice, never
+    /// materializing a `Value` — how a spool carrying a deferred barrier
+    /// mask is persisted. Returns the new frame plus the passthrough byte
+    /// count.
     pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<(Vec<u8>, u64)> {
         // With `decoded = ∅`, every column is passthrough; `processed` is a
         // run of columnless samples standing in for the kept count.
@@ -578,14 +546,10 @@ impl ColumnRegion {
         let mut cur: &[u8] = &self.data;
         let mut out = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
-            let present = take_u8(&mut cur)?;
-            match present {
-                0 => out.push(Cow::Borrowed("")),
-                1 => out.push(walk_path(&mut cur, &segments)?),
-                other => {
-                    return Err(DjError::Storage(format!("bad presence byte {other}")));
-                }
-            }
+            out.push(match take_entry(&mut cur, "")? {
+                true => walk_path(&mut cur, &segments)?,
+                false => Cow::Borrowed(""),
+            });
         }
         if !cur.is_empty() {
             return Err(DjError::Storage("trailing bytes after column".into()));

@@ -14,6 +14,10 @@
 //!   checksummed regions behind an offset table, so projection-aware
 //!   stages decode only the columns their OPs' field footprints name and
 //!   splice the rest through byte-for-byte;
+//! * `transcode` — frame → JSONL transcoding
+//!   ([`FrameSlab::write_jsonl`], [`ColumnarSlab::write_jsonl`]): spool
+//!   egress prints JSON text straight from undecoded row-frame bytes /
+//!   column regions, never building a `Value`;
 //! * [`sidecar`] — the checksummed `DJCS` planner-stats sidecar: EWMA
 //!   per-op cost/selectivity aggregates persisted under the cache root so
 //!   the adaptive planner (`dj-exec`) learns across runs.
@@ -30,6 +34,7 @@ pub mod serialize;
 pub mod shard_stream;
 pub mod sidecar;
 pub mod space;
+mod transcode;
 
 pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedStage};
 pub use codec::{compress, decompress, Codec};

@@ -4,180 +4,119 @@
 
 use std::borrow::Cow;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use dj_core::{parse_json, Dataset, DjError, Result, Sample, Value};
+use dj_core::{parse_json, write_json, Dataset, DjError, Result, Sample, Value};
 
 const FORMAT_VERSION: u8 = 1;
 
 /// Serialize a dataset to the binary cache format.
 pub fn to_bytes(dataset: &Dataset) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(dataset.approx_bytes() / 2 + 64);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(dataset.len() as u64);
+    let mut buf = Vec::with_capacity(dataset.approx_bytes() / 2 + 64);
+    buf.push(FORMAT_VERSION);
+    buf.extend_from_slice(&(dataset.len() as u64).to_le_bytes());
     for s in dataset.iter() {
         write_value(&mut buf, s.value());
     }
-    buf.to_vec()
+    buf
 }
 
 /// Deserialize a dataset from the binary cache format.
 pub fn from_bytes(data: &[u8]) -> Result<Dataset> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 9 {
-        return Err(DjError::Storage("dataset frame too short".into()));
-    }
-    let version = buf.get_u8();
-    if version != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported dataset format version {version}"
-        )));
-    }
-    let n = buf.get_u64_le() as usize;
+    let (n, mut cur) = read_header(data, "dataset")?;
     let mut samples = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        let v = read_value(&mut buf)?;
-        samples.push(Sample::from_value(v)?);
+        samples.push(Sample::from_value(read_value_slice(&mut cur)?)?);
     }
-    if buf.has_remaining() {
+    if !cur.is_empty() {
         return Err(DjError::Storage("trailing bytes after dataset".into()));
     }
     Ok(Dataset::from_samples(samples))
 }
 
-const TAG_NULL: u8 = 0;
-const TAG_BOOL_FALSE: u8 = 1;
-const TAG_BOOL_TRUE: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_FLOAT: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_LIST: u8 = 6;
-const TAG_MAP: u8 = 7;
+/// The header every tagged-value payload starts with — format version and
+/// entry count — and the cursor positioned after it. `what` names the
+/// payload in errors.
+pub(crate) fn read_header<'a>(data: &'a [u8], what: &str) -> Result<(usize, &'a [u8])> {
+    if data.len() < 9 {
+        return Err(DjError::Storage(format!("{what} frame too short")));
+    }
+    if data[0] != FORMAT_VERSION {
+        return Err(DjError::Storage(format!(
+            "unsupported {what} format version {}",
+            data[0]
+        )));
+    }
+    Ok((le_u64(&data[1..9]) as usize, &data[9..]))
+}
 
-pub(crate) fn write_value(buf: &mut BytesMut, v: &Value) {
+pub(crate) const TAG_NULL: u8 = 0;
+pub(crate) const TAG_BOOL_FALSE: u8 = 1;
+pub(crate) const TAG_BOOL_TRUE: u8 = 2;
+pub(crate) const TAG_INT: u8 = 3;
+pub(crate) const TAG_FLOAT: u8 = 4;
+pub(crate) const TAG_STR: u8 = 5;
+pub(crate) const TAG_LIST: u8 = 6;
+pub(crate) const TAG_MAP: u8 = 7;
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+pub(crate) fn write_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Bool(false) => buf.put_u8(TAG_BOOL_FALSE),
-        Value::Bool(true) => buf.put_u8(TAG_BOOL_TRUE),
+        Value::Null => buf.push(TAG_NULL),
+        Value::Bool(false) => buf.push(TAG_BOOL_FALSE),
+        Value::Bool(true) => buf.push(TAG_BOOL_TRUE),
         Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64_le(*i);
+            buf.push(TAG_INT);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Float(f) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_f64_le(*f);
+            buf.push(TAG_FLOAT);
+            buf.extend_from_slice(&f.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            buf.push(TAG_STR);
+            put_str(buf, s);
         }
         Value::List(items) => {
-            buf.put_u8(TAG_LIST);
-            buf.put_u32_le(items.len() as u32);
+            buf.push(TAG_LIST);
+            buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
             for item in items {
                 write_value(buf, item);
             }
         }
         Value::Map(m) => {
-            buf.put_u8(TAG_MAP);
-            buf.put_u32_le(m.len() as u32);
+            buf.push(TAG_MAP);
+            buf.extend_from_slice(&(m.len() as u32).to_le_bytes());
             for (k, val) in m {
-                buf.put_u32_le(k.len() as u32);
-                buf.put_slice(k.as_bytes());
+                put_str(buf, k);
                 write_value(buf, val);
             }
         }
     }
 }
 
-fn read_value(buf: &mut Bytes) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(DjError::Storage("truncated value".into()));
-    }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL_FALSE => Value::Bool(false),
-        TAG_BOOL_TRUE => Value::Bool(true),
-        TAG_INT => {
-            ensure(buf, 8)?;
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_FLOAT => {
-            ensure(buf, 8)?;
-            Value::Float(buf.get_f64_le())
-        }
-        TAG_STR => Value::Str(read_string(buf)?),
-        TAG_LIST => {
-            ensure(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(read_value(buf)?);
-            }
-            Value::List(items)
-        }
-        TAG_MAP => {
-            ensure(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut m = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let k = read_string(buf)?;
-                let v = read_value(buf)?;
-                m.insert(k, v);
-            }
-            Value::Map(m)
-        }
-        other => return Err(DjError::Storage(format!("unknown value tag {other}"))),
-    })
-}
-
-fn read_string(buf: &mut Bytes) -> Result<String> {
-    ensure(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    ensure(buf, n)?;
-    let bytes = buf.split_to(n);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DjError::Storage("invalid utf8 in string".into()))
-}
-
-fn ensure(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(DjError::Storage("truncated frame".into()));
-    }
-    Ok(())
-}
-
 /// Serialize a flat list of values (e.g. per-sample dedup fingerprints)
 /// in the same tagged binary format as datasets.
 pub fn values_to_bytes(values: &[Value]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(values.len() * 16 + 16);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(values.len() as u64);
+    let mut buf = Vec::with_capacity(values.len() * 16 + 16);
+    buf.push(FORMAT_VERSION);
+    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
     for v in values {
         write_value(&mut buf, v);
     }
-    buf.to_vec()
+    buf
 }
 
 /// Deserialize a value list written by [`values_to_bytes`].
 pub fn values_from_bytes(data: &[u8]) -> Result<Vec<Value>> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 9 {
-        return Err(DjError::Storage("value frame too short".into()));
-    }
-    let version = buf.get_u8();
-    if version != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported value format version {version}"
-        )));
-    }
-    let n = buf.get_u64_le() as usize;
+    let (n, mut cur) = read_header(data, "value")?;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        out.push(read_value(&mut buf)?);
+        out.push(read_value_slice(&mut cur)?);
     }
-    if buf.has_remaining() {
+    if !cur.is_empty() {
         return Err(DjError::Storage("trailing bytes after value list".into()));
     }
     Ok(out)
@@ -185,16 +124,7 @@ pub fn values_from_bytes(data: &[u8]) -> Result<Vec<Value>> {
 
 /// Sample count of a serialized dataset, read from the header alone.
 pub fn sample_count(data: &[u8]) -> Result<usize> {
-    if data.len() < 9 {
-        return Err(DjError::Storage("dataset frame too short".into()));
-    }
-    if data[0] != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported dataset format version {}",
-            data[0]
-        )));
-    }
-    Ok(le_u64(&data[1..9]) as usize)
+    read_header(data, "dataset").map(|(n, _)| n)
 }
 
 /// `u64` from the first 8 little-endian bytes of `b`, zero-padded if
@@ -225,14 +155,7 @@ pub(crate) fn le_u32(b: &[u8]) -> u32 {
 /// nothing per sample. Semantics mirror [`dj_core::Sample::text_at`]:
 /// a missing path or a non-string value yields `""`.
 pub fn texts_at<'a>(data: &'a [u8], field: &str) -> Result<Vec<Cow<'a, str>>> {
-    let mut cur = data;
-    let version = take_u8(&mut cur)?;
-    if version != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported dataset format version {version}"
-        )));
-    }
-    let n = take_u64(&mut cur)? as usize;
+    let (n, mut cur) = read_header(data, "dataset")?;
     let segments: Vec<&str> = field.split('.').collect();
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -277,9 +200,9 @@ pub(crate) fn skip_value(cur: &mut &[u8]) -> Result<()> {
     skip_value_body(cur, tag)
 }
 
-/// Decode one tagged value from a slice cursor (the owned-`Value` twin of
-/// [`skip_value`], used by the columnar codec to decode projected column
-/// regions without going through `Bytes`).
+/// Decode one tagged value from a slice cursor — the one owned-`Value`
+/// decoder (row frames, column regions and fingerprint sidecars all come
+/// through here); [`skip_value`] is its non-materializing twin.
 pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
     let tag = take_u8(cur)?;
     Ok(match tag {
@@ -379,11 +302,10 @@ pub fn to_jsonl(dataset: &Dataset) -> String {
 /// shards, so the hot path allocates nothing per sample (the old path built
 /// a fresh escaped `String` per sample via `Value::to_string`).
 pub fn write_jsonl_into(dataset: &Dataset, out: &mut String) {
-    use std::fmt::Write as _;
     out.reserve(dataset.approx_bytes());
     for s in dataset.iter() {
         // Writing into a String cannot fail.
-        let _ = write!(out, "{}", s.value());
+        let _ = write_json(out, s.value());
         out.push('\n');
     }
 }

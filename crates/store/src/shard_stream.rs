@@ -32,7 +32,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dj_core::{Dataset, DjError, Result, ShardSink, ShardSource, Value};
+use dj_core::{Dataset, DjError, Result, Sample, ShardSink, ShardSource, Value};
 use dj_hash::fnv1a;
 
 use crate::codec::{compress, decompress, Codec};
@@ -40,8 +40,10 @@ use crate::columnar::{
     decode_columnar_payload, encode_columnar_frame, ColumnarSlab, COLUMNAR_FRAME_MAGIC,
 };
 use crate::serialize::{
-    from_bytes, le_u64, sample_count, texts_at, to_bytes, values_from_bytes, values_to_bytes,
+    from_bytes, le_u64, read_header, read_value_slice, sample_count, skip_value, texts_at,
+    to_bytes, values_from_bytes, values_to_bytes,
 };
+use crate::transcode::{check_mask, keeps};
 
 /// Magic prefix of every shard frame (and of multi-frame stream files).
 pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
@@ -55,15 +57,20 @@ pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
 /// prefixes must not turn into huge allocations).
 pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 40;
 
+/// Wrap `payload` in the envelope every frame and sidecar shares: magic,
+/// payload length, FNV-1a checksum, payload.
+pub(crate) fn frame_bytes(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
 /// Encode one shard into a self-contained frame.
 pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
-    let payload = compress(&to_bytes(shard), codec);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(SHARD_FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame_bytes(SHARD_FRAME_MAGIC, &compress(&to_bytes(shard), codec))
 }
 
 /// Append one shard frame to a writer; returns the bytes written.
@@ -315,7 +322,59 @@ impl FrameSlab {
 
     /// Full decode into an owned dataset (the copying fallback).
     pub fn decode(&self) -> Result<Dataset> {
-        from_bytes(&self.payload)
+        self.decode_kept(None)
+    }
+
+    /// Decode the samples `keep` keeps (all of them without a mask); a
+    /// masked-out sample is stepped over, never built.
+    pub fn decode_kept(&self, keep: Option<&[bool]>) -> Result<Dataset> {
+        let mut samples = Vec::new();
+        self.walk(keep, |cur| {
+            samples.push(Sample::from_value(read_value_slice(cur)?)?);
+            Ok(())
+        })?;
+        Ok(Dataset::from_samples(samples))
+    }
+
+    /// Re-encode this frame with only the samples `keep` keeps, copying
+    /// their serialized byte ranges — the row twin of
+    /// [`ColumnarSlab::filter_frame`]; no value is decoded. The result
+    /// equals `encode_shard_frame` of the decoded-then-masked shard.
+    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<Vec<u8>> {
+        let kept = keep.iter().filter(|k| **k).count();
+        let mut body = Vec::with_capacity(self.payload.len());
+        body.extend_from_slice(&self.payload[..1]);
+        body.extend_from_slice(&(kept as u64).to_le_bytes());
+        self.walk(Some(keep), |cur| {
+            let entry = *cur;
+            skip_value(cur)?;
+            body.extend_from_slice(&entry[..entry.len() - cur.len()]);
+            Ok(())
+        })?;
+        Ok(frame_bytes(SHARD_FRAME_MAGIC, &compress(&body, codec)))
+    }
+
+    /// Visit every kept sample's serialized value with a cursor positioned
+    /// at it (`visit` must consume exactly that value); masked-out samples
+    /// are skipped.
+    pub(crate) fn walk(
+        &self,
+        keep: Option<&[bool]>,
+        mut visit: impl FnMut(&mut &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let (samples, mut cur) = read_header(&self.payload, "dataset")?;
+        check_mask(keep, samples)?;
+        for i in 0..samples {
+            if keeps(keep, i) {
+                visit(&mut cur)?;
+            } else {
+                skip_value(&mut cur)?;
+            }
+        }
+        if !cur.is_empty() {
+            return Err(DjError::Storage("trailing bytes after dataset".into()));
+        }
+        Ok(())
     }
 }
 
@@ -430,12 +489,7 @@ impl ShardSpool {
     /// (`shard-N.fpr`, atomic temp+rename). Fingerprints travel with the
     /// frame so a later dedup barrier can skip its hash pass entirely.
     pub fn write_fingerprints(&self, idx: usize, fingerprints: &[Value]) -> Result<()> {
-        let payload = values_to_bytes(fingerprints);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(FINGERPRINT_MAGIC);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = frame_bytes(FINGERPRINT_MAGIC, &values_to_bytes(fingerprints));
         dj_core::faults::corrupt("store.fpr.write", &mut out)?;
         let path = self.sidecar_path(idx);
         let tmp = path.with_extension("fpr.tmp");
@@ -505,21 +559,52 @@ impl ShardSpool {
         ColumnarSlab::load(self.slot_path(idx))
     }
 
-    /// Read slot `idx` back, sniffing the frame format from its magic.
-    /// Non-destructive: spilled shards can be re-streamed (the dedup
-    /// barrier reads twice — hash pass, mask pass).
-    pub fn read_shard(&self, idx: usize) -> Result<Dataset> {
+    /// Slot `idx`'s frame file, whole.
+    fn slot_bytes(&self, idx: usize) -> Result<Vec<u8>> {
         let path = self.slot_path(idx);
-        let mut bytes = fs::read(&path).map_err(|e| {
-            DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}"))
-        })?;
+        fs::read(&path)
+            .map_err(|e| DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}")))
+    }
+
+    /// Read slot `idx` back, sniffing the frame format from its magic.
+    /// Non-destructive: spilled shards can be re-streamed.
+    pub fn read_shard(&self, idx: usize) -> Result<Dataset> {
+        self.read_shard_kept(idx, None)
+    }
+
+    /// [`read_shard`](ShardSpool::read_shard) of the samples `keep` keeps
+    /// (all of them without a mask) — a deferred barrier mask consumed at
+    /// load: masked-out samples are stepped over, never decoded.
+    pub fn read_shard_kept(&self, idx: usize, keep: Option<&[bool]>) -> Result<Dataset> {
+        let mut bytes = self.slot_bytes(idx)?;
         dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
         // Exactly one frame per slot file (both slab parsers reject
         // trailing bytes).
-        if bytes.len() >= 4 && &bytes[..4] == COLUMNAR_FRAME_MAGIC {
-            ColumnarSlab::from_frame_bytes(&bytes)?.decode()
+        if bytes.starts_with(COLUMNAR_FRAME_MAGIC) {
+            Ok(ColumnarSlab::from_frame_bytes(&bytes)?
+                .decode_kept(None, keep)?
+                .0)
         } else {
-            FrameSlab::from_frame_bytes(&bytes)?.decode()
+            FrameSlab::from_frame_bytes(&bytes)?.decode_kept(keep)
+        }
+    }
+
+    /// Slot `idx` as frame bytes holding the samples `keep` keeps. Without
+    /// a mask that is the slot file as it stands — spool slots, multi-frame
+    /// cache entries and `frames` output parts share one format, so a spool
+    /// persists by plain copying. With a mask the frame is re-encoded from
+    /// the kept entries' byte ranges; no value is decoded either way.
+    pub fn read_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
+        let mut bytes = self.slot_bytes(idx)?;
+        let Some(keep) = keep else {
+            return Ok(bytes);
+        };
+        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
+        if bytes.starts_with(COLUMNAR_FRAME_MAGIC) {
+            let slab = ColumnarSlab::from_frame_bytes(&bytes)?;
+            Ok(slab.filter_frame(keep, self.codec)?.0)
+        } else {
+            FrameSlab::from_frame_bytes(&bytes)?.filter_frame(keep, self.codec)
         }
     }
 
@@ -533,17 +618,6 @@ impl ShardSpool {
         (0..self.shard_count())
             .filter_map(|i| self.shard_len(i))
             .sum()
-    }
-
-    /// Copy slot `idx`'s raw frame bytes into `w` without decoding —
-    /// spool slot files and multi-frame stream entries share the same
-    /// frame format, so a spool can be persisted by pure concatenation.
-    pub fn copy_shard_frame_into(&self, idx: usize, w: &mut dyn Write) -> Result<u64> {
-        let path = self.slot_path(idx);
-        let mut file = fs::File::open(&path).map_err(|e| {
-            DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}"))
-        })?;
-        Ok(std::io::copy(&mut file, w)?)
     }
 
     /// Bytes currently on disk in this spool.
@@ -835,7 +909,7 @@ mod tests {
         // multi-frame stream reader sniffs per-frame magic.
         let mut buf = Vec::new();
         for i in 0..3 {
-            spool.copy_shard_frame_into(i, &mut buf).unwrap();
+            buf.extend(spool.read_frame_bytes(i, None).unwrap());
         }
         assert_eq!(
             read_shard_stream(buf.as_slice()).unwrap(),

@@ -7,14 +7,23 @@
 //! n-gram pass. This is the guard that keeps the next operator from
 //! bringing `to_string()` back into `compute_stats`.
 //!
-//! Its own test binary, with one test: the counting allocator is global.
+//! One level up, the way out of a spool has a budget too: transcoding a
+//! spilled shard to a JSONL part may allocate per *shard* and per *column*
+//! (the frame, its decompressed regions, the part's bookkeeping) but never
+//! per *sample* — no `Sample`, `Value` or `BTreeMap` is built on the way
+//! out.
+//!
+//! Its own test binary: the counting allocator is global (the counter is
+//! per thread, so the tests do not see each other).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::{Op, Sample, SampleContext};
+use data_juicer::core::{Dataset, Op, Sample, SampleContext};
+use data_juicer::io::{OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
+use data_juicer::store::{to_jsonl, Codec, ShardSpool};
 use data_juicer::synth::{web_corpus, WebNoise};
 use data_juicer::text::normalize;
 
@@ -161,4 +170,79 @@ fn clean_samples_allocate_only_their_stats() {
         1,
         "allocations vary with the document: {seen:?}"
     );
+}
+
+/// Spool → JSONL egress, per shard: load the undecoded frame, transcode
+/// it (past a keep mask) into the writer's reused part buffer, commit the
+/// part. Shards of 8, 64 and 512 samples must cost the same number of
+/// allocations, row frames and columnar frames alike.
+#[test]
+fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
+    let dir = std::env::temp_dir().join(format!("dj-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sizes = [512usize, 8, 64, 512];
+    let shards: Vec<Dataset> = sizes
+        .iter()
+        .map(|&n| {
+            let mut shard = web_corpus(n as u64, n, WebNoise::default());
+            for (i, s) in shard.samples_mut().iter_mut().enumerate() {
+                s.set_meta("url", format!("https://example.org/{i}"));
+                s.set_meta("tags", data_juicer::core::Value::from(vec!["a", "b"]));
+                s.set_stat("ratio", i as f64 / 7.0);
+            }
+            shard
+        })
+        .collect();
+    for columnar in [false, true] {
+        let spool_dir = dir.join(format!("spool-{columnar}"));
+        let spool = if columnar {
+            ShardSpool::create_columnar(&spool_dir, sizes.len(), Codec::Djz)
+        } else {
+            ShardSpool::create(&spool_dir, sizes.len(), Codec::Djz)
+        }
+        .unwrap();
+        for (i, shard) in shards.iter().enumerate() {
+            spool.write_shard(i, shard).unwrap();
+        }
+        let out_dir = dir.join(format!("out-{columnar}"));
+        let writer = ShardedWriter::create(&out_dir, OutputFormat::Jsonl).unwrap();
+        let mut per_shard = Vec::new();
+        for (i, shard) in shards.iter().enumerate() {
+            let keep: Vec<bool> = (0..shard.len()).map(|k| k % 3 != 1).collect();
+            let before = ALLOCATIONS.with(Cell::get);
+            if columnar {
+                let slab = spool.read_columnar_slab(i).unwrap();
+                writer
+                    .store_jsonl(i, |out| slab.write_jsonl(Some(&keep), out))
+                    .unwrap();
+            } else {
+                let slab = spool.read_frame_slab(i).unwrap();
+                writer
+                    .store_jsonl(i, |out| slab.write_jsonl(Some(&keep), out))
+                    .unwrap();
+            }
+            per_shard.push(ALLOCATIONS.with(Cell::get) - before);
+            // The part holds what a decode → mask → print would have.
+            let mut kept = shard.clone();
+            kept.retain_mask(&keep);
+            let part = std::fs::read_to_string(out_dir.join(format!("part-{i:05}.jsonl")));
+            assert_eq!(
+                part.unwrap(),
+                to_jsonl(&kept),
+                "columnar={columnar} shard {i}"
+            );
+        }
+        // Shard 0 warms the writer's part buffer up to the largest part.
+        let steady = &per_shard[1..];
+        assert!(
+            steady.iter().all(|n| *n == steady[0]),
+            "columnar={columnar}: allocations grow with the shard: {per_shard:?} for {sizes:?} samples"
+        );
+        assert!(
+            steady[0] < 64,
+            "columnar={columnar}: {} allocations per shard",
+            steady[0]
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -291,6 +291,91 @@ fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
     }
 }
 
+/// A file-to-file run with a terminal barrier reads each spilled frame
+/// exactly once — in the egress pass, where the barrier's deferred mask is
+/// consumed while the frame is transcoded to JSONL (the barrier itself
+/// reads only fingerprint sidecars). So the Nth `store.frame.read` hit *is*
+/// the Nth egress load: a fault there must be retried away to the same
+/// bytes or surface typed, with no manifest and no debris.
+#[test]
+fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let ops = recipe().build_ops(&builtin_registry()).unwrap();
+    let input_dir = unique_dir("masked-egress-input");
+    // Every third line repeats an earlier one: the mask drops a third.
+    let lines: Vec<String> = (0..48)
+        .map(|i| {
+            format!(
+                "masked   egress sample {}",
+                if i % 3 == 2 { i - 2 } else { i }
+            )
+        })
+        .map(|t| Sample::from_text(t).value().to_string())
+        .collect();
+    let input = input_dir.join("in.jsonl");
+    std::fs::write(&input, lines.join("\n") + "\n").unwrap();
+    let site = "store.frame.read";
+    let options = |columnar: bool, out: &Path, plan: Arc<FaultPlan>| ExecOptions {
+        num_workers: 2,
+        shard_size: Some(8),
+        columnar,
+        input: Some(input.display().to_string()),
+        output: Some(out.to_path_buf()),
+        faults: Some(plan),
+        env: EnvKnobs::default(),
+        ..ExecOptions::default()
+    };
+    for columnar in [false, true] {
+        // A plan that never fires counts the reads: one per shard.
+        let baseline_dir = unique_dir("masked-egress-baseline");
+        let idle = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, u64::MAX, 7));
+        let exec = Executor::new(ops.clone()).with_options(options(
+            columnar,
+            &baseline_dir,
+            Arc::clone(&idle),
+        ));
+        let (_, report) = exec.run_io().unwrap();
+        assert_eq!(report.final_samples, 32);
+        assert_eq!(report.fingerprinted_barriers, 1);
+        assert_eq!(
+            idle.hits(site),
+            6,
+            "columnar={columnar}: each of the 6 frames must be read exactly once"
+        );
+        let expected = egress_bytes(&baseline_dir).expect("baseline egress");
+
+        for &kind in KINDS {
+            for at in [1, 4] {
+                let ctx = format!("columnar={columnar} kind={} at={at}", kind.name());
+                let out_dir = unique_dir("masked-egress-out");
+                let plan = Arc::new(FaultPlan::single(site, kind, at, 7));
+                let exec = Executor::new(ops.clone()).with_options(options(
+                    columnar,
+                    &out_dir,
+                    Arc::clone(&plan),
+                ));
+                let result = runtime().submit_io(exec).wait();
+                assert!(plan.hits(site) >= at, "{ctx}: the fault never fired");
+                match result {
+                    Ok(_) => assert_eq!(
+                        egress_bytes(&out_dir).as_ref(),
+                        Some(&expected),
+                        "{ctx}: survived run must be byte-identical"
+                    ),
+                    Err(e) => {
+                        assert_clean_error(&e, &ctx);
+                        assert!(egress_bytes(&out_dir).is_none(), "{ctx}: manifest");
+                        assert_no_partial_egress(&out_dir, &ctx);
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&out_dir);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&baseline_dir);
+    }
+    let _ = std::fs::remove_dir_all(&input_dir);
+}
+
 #[test]
 fn env_seed_smoke() {
     // CI's chaos matrix runs this binary with `DJ_FAULTS=seed:N` for a

@@ -19,9 +19,11 @@ use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
-use data_juicer::exec::{EgressManifest, EnvKnobs, ExecOptions, Executor, RunReport};
+use data_juicer::exec::{
+    EgressManifest, EnvKnobs, ExecOptions, Executor, OutputFormat, RunReport, TraceEvent,
+};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::to_jsonl;
+use data_juicer::store::{read_shard_frame, to_jsonl, CacheManager, CacheMode};
 use data_juicer::synth::{code_corpus, web_corpus, wiki_corpus, WebNoise};
 
 // ---- the oracle -------------------------------------------------------
@@ -85,6 +87,11 @@ struct Mode {
     np: usize,
     adaptive: bool,
     prefetch_depth: usize,
+    /// `trace_examples`: a non-zero cap makes barriers collect duplicate
+    /// traces (and columnar stages decode every column).
+    trace: usize,
+    /// File shapes write `frames` parts instead of JSONL.
+    frames: bool,
 }
 
 impl Mode {
@@ -105,6 +112,33 @@ impl Mode {
                             np,
                             adaptive,
                             prefetch_depth,
+                            trace: 0,
+                            frames: false,
+                        });
+                    }
+                }
+            }
+        }
+        modes
+    }
+
+    /// The ways out of a barrier: every shape × np × `trace_examples`
+    /// {0, 2} × `jsonl` / `frames` output (the output format only exists
+    /// for the file shapes).
+    fn ways_out() -> Vec<Mode> {
+        let mut modes = Vec::new();
+        for base in Mode::all() {
+            if base.adaptive || base.prefetch_depth != 2 {
+                continue;
+            }
+            let file = matches!(base.shape, Shape::FileRow | Shape::FileColumnar);
+            for trace in [0, 2] {
+                for frames in [false, true] {
+                    if file || !frames {
+                        modes.push(Mode {
+                            trace,
+                            frames,
+                            ..base
                         });
                     }
                 }
@@ -128,6 +162,12 @@ impl Mode {
             columnar: matches!(self.shape, Shape::SpillColumnar | Shape::FileColumnar),
             adaptive: self.adaptive,
             prefetch_depth: self.prefetch_depth,
+            trace_examples: self.trace,
+            output_format: if self.frames {
+                OutputFormat::Frames
+            } else {
+                OutputFormat::Jsonl
+            },
             env: EnvKnobs::default(),
             ..ExecOptions::default()
         }
@@ -157,7 +197,14 @@ impl Mode {
                 let written: String = manifest
                     .parts
                     .iter()
-                    .map(|p| fs::read_to_string(out_dir.join(&p.file)).unwrap())
+                    .map(|p| {
+                        let bytes = fs::read(out_dir.join(&p.file)).unwrap();
+                        if self.frames {
+                            to_jsonl(&read_shard_frame(&mut bytes.as_slice()).unwrap().unwrap())
+                        } else {
+                            String::from_utf8(bytes).unwrap()
+                        }
+                    })
                     .collect();
                 (written, report)
             }
@@ -344,6 +391,115 @@ fn corner_recipes_and_corpora_match_the_oracle_in_every_mode() {
     check_case(&leading, &Case::new("one", corpus(8, 1), 1));
 }
 
+/// What each barrier traced: `(op name, dropped snippets)`.
+type DuplicateTraces = Vec<(String, Vec<String>)>;
+
+fn duplicate_traces(report: &RunReport) -> DuplicateTraces {
+    report
+        .ops
+        .iter()
+        .filter(|op| op.name.contains("dedup"))
+        .map(|op| {
+            let dropped = op.trace.iter().map(|event| match event {
+                TraceEvent::Duplicate { dropped } => dropped.clone(),
+                other => panic!("{}: a barrier traced {other:?}", op.name),
+            });
+            (op.name.clone(), dropped.collect())
+        })
+        .collect()
+}
+
+/// A spilled barrier writes nothing — its mask rides on the spool to
+/// whatever opens it next. Every next thing, in every shape: JSONL egress
+/// (transcoded), `frames` egress (entry-filtered row frames, or a masked
+/// decode of columnar ones), materialization, a following stage, a second
+/// barrier with no stage between. With a trace cap the duplicate snippets
+/// are borrowed from the undecoded frames and must be the resident run's.
+#[test]
+fn a_deferred_mask_reaches_every_way_out() {
+    let terminal = [0, 3, 8];
+    let then_stage = [1, 9, 0, 4, 2];
+    let back_to_back = [0, 8, 10, 11, 4];
+    let all_dropped = [8, 11];
+    let mut same_text = Dataset::from_texts(vec!["one body of text. repeated."; 23]);
+    same_text.extend(corpus(12, 0));
+    let cases = [
+        (&terminal[..], Case::new("out-a", corpus(10, 80), 9)),
+        (&then_stage[..], Case::new("out-b", corpus(11, 80), 16)),
+        (&back_to_back[..], Case::new("out-c", corpus(13, 90), 7)),
+        // All but the first sample of every shard after the first is
+        // dropped, so whole slots are masked out.
+        (&all_dropped[..], Case::new("out-d", same_text, 5)),
+    ];
+    for (picks, case) in &cases {
+        let ops = build(picks);
+        let expected = to_jsonl(&oracle(&ops, case.data.clone()));
+        // The reference per trace cap: what the first mode (resident) traced.
+        let mut traces: [Option<DuplicateTraces>; 3] = [None, None, None];
+        for mode in Mode::ways_out() {
+            let (out, report) = mode.run(&ops, case);
+            assert_eq!(out, expected, "{mode:?} picks={picks:?}");
+            let got = duplicate_traces(&report);
+            for (name, dropped) in &got {
+                let removed = report
+                    .ops
+                    .iter()
+                    .find(|op| &op.name == name)
+                    .unwrap()
+                    .removed;
+                assert_eq!(dropped.len(), mode.trace.min(removed), "{mode:?} {name}");
+            }
+            let want = traces[mode.trace].get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "{mode:?} picks={picks:?}: duplicate traces");
+        }
+    }
+}
+
+/// A stage cache entry saved right after a spilled barrier holds the
+/// masked data (the deferred mask is applied on the way into the entry),
+/// so a later run that resumes from it equals a fresh run — per-stage keys
+/// and `prefix_cache` keys, row and columnar spools.
+#[test]
+fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
+    let data = corpus(14, 90);
+    let head = [0, 3, 8];
+    // No second barrier: duplicates that slipped into the entry would show.
+    let extended = [0, 3, 8, 1, 4];
+    let fresh = to_jsonl(&oracle(&build(&extended), data.clone()));
+    for (columnar, prefix_cache) in [(false, false), (true, false), (false, true), (true, true)] {
+        let dir = std::env::temp_dir().join(format!(
+            "dj-mode-matrix-cache-{columnar}-{prefix_cache}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = CacheManager::new(dir.join("cache"), 7, CacheMode::Cache);
+        let exec = |picks: &[usize]| {
+            Executor::new(build(picks)).with_options(ExecOptions {
+                num_workers: 2,
+                shard_size: Some(8),
+                memory_budget: Some(1),
+                spill_dir: Some(dir.join("spill")),
+                columnar,
+                prefix_cache,
+                // One step per stage either way, so both runs cut the
+                // recipe into the same cache keys.
+                op_fusion: false,
+                env: EnvKnobs::default(),
+                ..ExecOptions::default()
+            })
+        };
+        let (_, first) = exec(&head).run_with_cache(data.clone(), &cache).unwrap();
+        assert!(first.spilled && first.resumed_steps == 0);
+        let (out, resumed) = exec(&extended)
+            .run_with_cache(data.clone(), &cache)
+            .unwrap();
+        let tag = format!("columnar={columnar} prefix_cache={prefix_cache}");
+        assert_eq!(resumed.resumed_steps, head.len(), "{tag}");
+        assert_eq!(to_jsonl(&out), fresh, "{tag}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -411,7 +567,12 @@ fn the_modes_are_distinct_paths() {
         let columnar = matches!(mode.shape, Shape::SpillColumnar | Shape::FileColumnar);
         assert_eq!(report.spilled, mode.shape != Shape::InMemory, "{mode:?}");
         assert_eq!(report.columnar, columnar, "{mode:?}");
-        assert_eq!(report.bytes_passthrough > 0, columnar, "{mode:?}");
+        // Only a pipeline stage over a columnar spool splices columns
+        // through. The file shape runs this recipe's one stage during
+        // ingest, and a spilled barrier rewrites no frame (its mask rides
+        // on the spool), so nothing is passed through there.
+        let splices = mode.shape == Shape::SpillColumnar;
+        assert_eq!(report.bytes_passthrough > 0, splices, "{mode:?}");
         assert_eq!(report.ingest_bytes > 0, file, "{mode:?}");
         assert_eq!(report.adaptive, mode.adaptive, "{mode:?}");
         if report.spilled {

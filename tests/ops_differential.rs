@@ -302,6 +302,37 @@ fn ngram_counts_do_not_depend_on_hash_collisions() {
     assert_eq!(tstats::word_rep_ratio(words, 5, scratch), 0.0);
 }
 
+/// The same collision class one level up: `remove_repeat_sentences_mapper`
+/// used to count sentences by bare `hash64`, so two *different* sentences
+/// whose hashes collide were counted as repeats of each other and the
+/// later one was deleted. The pair below collides under FxHash (found by a
+/// birthday search over 16-byte sentences); neither repeats more than the
+/// default `max_repeats = 2`, so the text must come back unchanged.
+#[test]
+fn repeat_sentences_do_not_depend_on_hash_collisions() {
+    let (a, b) = ("zjtpgdy uxxribj.", "bpyrdzp byhsyjo.");
+    assert_ne!(a, b);
+    assert_eq!(
+        data_juicer::hash::hash64(a.as_bytes()),
+        data_juicer::hash::hash64(b.as_bytes()),
+        "the pair no longer collides: pick a new one"
+    );
+    let text = format!("{a} {b} {b} {a}");
+    assert_eq!(
+        ops_reference::mapped("remove_repeat_sentences_mapper", &text).as_deref(),
+        Some(text.as_str())
+    );
+    // A real third repeat still goes, whichever sentence it is.
+    let thrice = format!("{a} {b} {a} {b} {a} {b}");
+    assert_eq!(
+        ops_reference::mapped("remove_repeat_sentences_mapper", &thrice).as_deref(),
+        Some(format!("{a} {b} {a} {b}").as_str())
+    );
+    let mut ctx = SampleContext::new();
+    check_all_ops(&text, &mut ctx);
+    check_all_ops(&thrice, &mut ctx);
+}
+
 /// Pieces random texts are assembled from: every character class the
 /// byte-level paths branch on, and the tokens the mappers look for.
 const PIECES: &[&str] = &[

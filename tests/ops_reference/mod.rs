@@ -449,10 +449,10 @@ fn remove_bibliography(t: &str) -> String {
 }
 
 fn remove_repeat_sentences(text: &str, max_repeats: usize) -> String {
-    let mut seen: HashMap<u64, usize> = HashMap::new();
+    let mut seen: HashMap<String, usize> = HashMap::new();
     let mut kept = Vec::new();
     for s in sentences(text) {
-        let count = seen.entry(hash64(s.as_bytes())).or_insert(0);
+        let count = seen.entry(s.clone()).or_insert(0);
         *count += 1;
         if *count <= max_repeats {
             kept.push(s);
