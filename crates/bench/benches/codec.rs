@@ -1,4 +1,4 @@
-//! Cache-compression ablation (DESIGN.md #5): djz vs RLE vs passthrough on
+//! Cache-compression ablation (DESIGN.md #5): djz vs passthrough on
 //! serialized dataset bytes — the space/time trade the §6 cache compression
 //! banks on.
 
@@ -11,7 +11,7 @@ fn bench_codecs(c: &mut Criterion) {
     let payload = to_bytes(&web_corpus(31, 400, WebNoise::default()));
     let mut group = c.benchmark_group("codec");
     group.throughput(Throughput::Bytes(payload.len() as u64));
-    for codec in [Codec::None, Codec::Rle, Codec::Djz] {
+    for codec in [Codec::None, Codec::Djz] {
         let label = format!("{codec:?}");
         group.bench_function(format!("compress_{label}"), |b| {
             b.iter(|| compress(criterion::black_box(&payload), codec))

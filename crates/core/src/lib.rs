@@ -54,5 +54,5 @@ pub use op::{
 };
 pub use pool::{Step, WorkerPool};
 pub use sample::{Sample, META_KEY, STATS_KEY, TEXT_KEY};
-pub use shard::{MemShardStore, ResidencyGauge, ShardSink, ShardSource, ShardStats};
+pub use shard::{MemShardStore, ResidencyGauge, ShardStats};
 pub use value::Value;

@@ -1,4 +1,4 @@
-//! Per-shard statistics accumulation and shard I/O abstractions for the
+//! Per-shard statistics accumulation and in-memory shard slots for the
 //! sharded pipeline executor.
 //!
 //! Each worker drives a whole plan stage over one shard and records, per
@@ -8,12 +8,9 @@
 //! counts add up, durations take the maximum across shards (the step's
 //! contribution to the stage's critical path).
 //!
-//! [`ShardSource`]/[`ShardSink`] abstract *where* shards live while a stage
-//! streams them: [`MemShardStore`] keeps them in memory (the default), and
-//! `dj-store`'s spool keeps them on disk so datasets larger than RAM flow
-//! through stages with bounded peak memory. [`ResidencyGauge`] counts the
-//! samples currently resident in the streaming machinery so tests can
-//! assert the out-of-core memory ceiling.
+//! [`MemShardStore`] holds the shards of a resident stage, one slot each.
+//! [`ResidencyGauge`] counts the samples currently resident in the
+//! streaming machinery so tests can assert the out-of-core memory ceiling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -67,31 +64,11 @@ impl ShardStats {
     }
 }
 
-/// Where a streaming stage reads its input shards from.
-///
-/// Implementations may hand out each index destructively (the in-memory
-/// store moves the shard out of its slot), so a streaming pass loads every
-/// index at most once. Disk-backed sources re-read from their files and can
-/// therefore be streamed multiple times (the dedup barrier hashes in one
-/// pass and applies the keep mask in a second).
-pub trait ShardSource: Send + Sync {
-    /// How many shards this source holds.
-    fn shard_count(&self) -> usize;
-    /// Load shard `idx`.
-    fn load_shard(&self, idx: usize) -> Result<Dataset>;
-}
-
-/// Where a streaming stage writes its output shards to.
-///
-/// `idx` preserves shard order: reassembling a sink's shards in index order
-/// must reproduce the order-preserving concatenation the merge step relies
-/// on for byte-identical output.
-pub trait ShardSink: Send + Sync {
-    fn store_shard(&self, idx: usize, shard: Dataset) -> Result<()>;
-}
-
 /// In-memory shard store: the default (non-spilling) backing of the stage
-/// driver. One mutex-guarded slot per shard; loads take the shard out.
+/// driver. One mutex-guarded slot per shard; a load takes the shard out, so
+/// a pass loads every index at most once. `idx` preserves shard order:
+/// draining the slots in index order reproduces the order-preserving
+/// concatenation byte-identical output relies on.
 #[derive(Debug, Default)]
 pub struct MemShardStore {
     slots: Vec<Mutex<Option<Dataset>>>,
@@ -112,6 +89,24 @@ impl MemShardStore {
         }
     }
 
+    /// How many slots this store has.
+    pub fn shard_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Take shard `idx` out of its slot.
+    pub fn load_shard(&self, idx: usize) -> Result<Dataset> {
+        crate::sync::lock(&self.slots[idx])
+            .take()
+            .ok_or_else(|| DjError::Storage(format!("shard {idx} already loaded")))
+    }
+
+    /// Put `shard` into slot `idx`.
+    pub fn store_shard(&self, idx: usize, shard: Dataset) -> Result<()> {
+        *crate::sync::lock(&self.slots[idx]) = Some(shard);
+        Ok(())
+    }
+
     /// Drain the stored shards in index order. Errors if a slot was never
     /// filled (a worker died before storing its shard).
     pub fn into_shards(self) -> Result<Vec<Dataset>> {
@@ -124,24 +119,6 @@ impl MemShardStore {
                     .ok_or_else(|| DjError::Storage(format!("shard {i} was never stored")))
             })
             .collect()
-    }
-}
-
-impl ShardSource for MemShardStore {
-    fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-    fn load_shard(&self, idx: usize) -> Result<Dataset> {
-        crate::sync::lock(&self.slots[idx])
-            .take()
-            .ok_or_else(|| DjError::Storage(format!("shard {idx} already loaded")))
-    }
-}
-
-impl ShardSink for MemShardStore {
-    fn store_shard(&self, idx: usize, shard: Dataset) -> Result<()> {
-        *crate::sync::lock(&self.slots[idx]) = Some(shard);
-        Ok(())
     }
 }
 

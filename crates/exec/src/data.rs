@@ -6,14 +6,17 @@
 //! | shape | feed | sink | what is decoded |
 //! |---|---|---|---|
 //! | in memory | [`StageData::open`]: take the shard out of its slot | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
-//! | spilled, row `DJSF` | [`spool_feed`], [`Load::Full`] | [`Sink::Spool`]: a row frame | every sample the deferred mask keeps |
-//! | spilled, columnar `DJSC` | [`spool_feed`], [`Load::Project`], slab carried | [`Sink::Spool`]: a splice of the carried slab | only the pass's footprint columns, kept entries only |
+//! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | every sample the deferred mask keeps; a columnar frame decodes only the pass's footprint columns `cols` and rides to the sink, which splices the rest through undecoded; a row frame ignores `cols` and is dropped once decoded |
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
 //! | barrier hash pass | resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
 //! | barrier mask, in memory | resident shards, in parallel | [`Sink::Mem`] | nothing — `retain` by mask |
 //! | barrier mask, spilled | — (nothing is read or written: [`StageData::masked`] attaches the mask to the spool) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
-//! | `frames` egress of a row spool | slot files (entry-filtered when masked) | `ShardedWriter::store_frame_bytes` | nothing |
+//! | `frames` egress of a spool | checked slot bytes (entry-filtered when masked) | `ShardedWriter::store_frame_bytes` | nothing, unless a slot has to be converted to a row frame |
+//! | cache resume | [`StageData::from_cached`]: the entry's frames, one at a time | memory, or spool slots | every frame while the budget holds; past it, none — frame bytes are copied into slots |
+//!
+//! Which format a frame has — row or columnar — is `dj-store`'s business:
+//! everything here works on its `Frame`.
 //!
 //! A spilled barrier writes nothing: its keep mask rides on the
 //! [`Spilled`] data and is consumed by whichever pass opens the spool next —
@@ -21,18 +24,13 @@
 //! materialization or a cache save.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use dj_core::sync::lock;
-use dj_core::{
-    Dataset, Deduplicator, MemShardStore, Result, Sample, ShardSink, ShardSource, Value, TEXT_KEY,
-};
+use dj_core::{Dataset, Deduplicator, MemShardStore, Result, Sample, Value, TEXT_KEY};
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
-use dj_store::{
-    split_column_path, CacheManager, CachedStage, Codec, ColumnarSlab, FrameSlab, ShardSpool,
-};
+use dj_store::{encode_shard_frame, CacheManager, CachedEntry, Codec, Frame, ShardSpool};
 
 use crate::barrier::{hash_loaded, hash_pass, hash_samples};
 use crate::executor::Executor;
@@ -48,47 +46,6 @@ pub(crate) const SPILL_CODEC: Codec = Codec::Djz;
 /// *samples* whatever the shard cut, and a cancelled job stops within one
 /// morsel per worker.
 const HASH_MORSEL: usize = 1024;
-
-/// The undecoded frame a spool load came from.
-pub(crate) enum Frame {
-    Row(FrameSlab),
-    Col(ColumnarSlab),
-}
-
-impl Frame {
-    /// Lend `f` the text at dotted path `field` of every stored sample,
-    /// borrowed from the undecoded frame — a row slab walks its serialized
-    /// samples in place, a columnar slab decompresses only that column's
-    /// region — so no `Sample` is ever built. Returns `f`'s result and the
-    /// decompressed bytes decoded to reach the texts.
-    pub(crate) fn with_texts<R>(
-        &self,
-        field: &str,
-        f: impl FnOnce(&[Cow<'_, str>]) -> Result<R>,
-    ) -> Result<(R, u64)> {
-        match self {
-            Frame::Row(slab) => Ok((f(&slab.texts_at(field)?)?, 0)),
-            Frame::Col(slab) => {
-                let (top, rest) = split_column_path(field);
-                match slab.read_column(top)? {
-                    Some(region) => Ok((f(&region.texts_at(rest)?)?, region.raw_len())),
-                    // Column absent from this frame: every sample reads as
-                    // the empty string, the missing-field semantics of a
-                    // full decode.
-                    None => Ok((f(&vec![Cow::Borrowed(""); slab.sample_count()])?, 0)),
-                }
-            }
-        }
-    }
-
-    /// Transcode the samples `keep` keeps to JSON-Lines text in `out`.
-    fn write_jsonl(&self, keep: Option<&[bool]>, out: &mut String) -> Result<usize> {
-        match self {
-            Frame::Row(slab) => slab.write_jsonl(keep, out),
-            Frame::Col(slab) => slab.write_jsonl(keep, out),
-        }
-    }
-}
 
 /// The items of `items` a keep mask keeps (all of them without one).
 pub(crate) fn kept<'k, T>(
@@ -117,18 +74,20 @@ pub(crate) fn widen_keep(deferred: Option<&[bool]>, keep: Vec<bool>) -> Vec<bool
 
 /// One shard as a feed hands it to a pass.
 pub(crate) struct Loaded<'a> {
-    /// The decoded samples: all the deferred mask keeps, their projected
-    /// columns for a columnar load, or none for an undecoded load.
+    /// The decoded samples: all the deferred mask keeps (the decode set's
+    /// columns of them, where the frame can project), or none for an
+    /// undecoded load.
     pub shard: Dataset,
     /// The frame the shard was (or was not) decoded from, when the feed
-    /// keeps it: a columnar slab rides along to the sink, which splices
-    /// its untouched columns into the output frame.
+    /// keeps it: an undecoded load, or a frame the sink still has columns
+    /// to splice from.
     pub frame: Option<Frame>,
     /// The deferred barrier mask over the frame's stored samples, if the
     /// spool carries one: `shard` already honors it; whoever reads `frame`
     /// must.
     pub keep: Option<&'a [bool]>,
-    /// Decompressed bytes decoded to build `shard` (columnar loads only).
+    /// Decompressed bytes decoded to build `shard`, where the frame
+    /// attributes them.
     pub decoded: u64,
     /// The samples never left memory (a barrier re-slotting resident
     /// shards), so the load made nothing newly resident.
@@ -152,10 +111,23 @@ impl Resident for Loaded<'_> {
     fn residency(&self) -> (usize, usize) {
         match &self.frame {
             _ if self.resident => (0, 0),
-            Some(Frame::Row(slab)) => (slab.sample_count().unwrap_or(0), slab.payload_len()),
-            Some(Frame::Col(slab)) => (slab.sample_count(), slab.payload_len()),
+            Some(frame) => frame.residency(),
             None => (self.shard.len(), self.shard.approx_bytes()),
         }
+    }
+}
+
+/// An undecoded frame charges the payload it holds.
+impl Resident for Frame {
+    fn residency(&self) -> (usize, usize) {
+        (self.sample_count().unwrap_or(0), self.payload_len())
+    }
+}
+
+/// Sealed frame bytes on their way out hold no samples, only themselves.
+impl Resident for Vec<u8> {
+    fn residency(&self) -> (usize, usize) {
+        (0, self.len())
     }
 }
 
@@ -169,11 +141,10 @@ impl Resident for &[&Sample] {
 /// How a spool feed loads a slot.
 #[derive(Clone, Copy)]
 pub(crate) enum Load<'a> {
-    /// Decode every kept sample (row or columnar frame, sniffed per slot).
-    Full,
-    /// Columnar slot: keep the slab, decode only these columns (`None` =
-    /// all of them) of the kept samples.
-    Project(Option<&'a BTreeSet<String>>),
+    /// Decode every kept sample — these columns of it (`None` = all) where
+    /// the frame can project — and keep the frame only while the sink has
+    /// something left to splice from it.
+    Decode(Option<&'a BTreeSet<String>>),
     /// Keep the frame undecoded — a barrier borrows texts out of it, JSONL
     /// egress transcodes it.
     Undecoded,
@@ -185,14 +156,13 @@ pub(crate) fn spool_feed<'a>(data: &'a Spilled, load: Load<'a>) -> Feed<'a, Load
     let spool = &data.spool;
     Feed::indexed(spool.shard_count(), true, move |i| {
         let keep = data.keep(i);
+        let frame = spool.read(i)?;
         let (shard, frame, decoded) = match load {
-            Load::Full => (spool.read_shard_kept(i, keep)?, None, 0),
-            Load::Project(cols) => {
-                let slab = spool.read_columnar_slab(i)?;
-                let (shard, decoded) = slab.decode_kept(cols, keep)?;
-                (shard, Some(Frame::Col(slab)), decoded)
+            Load::Decode(cols) => {
+                let (shard, decoded) = frame.decode(cols, keep)?;
+                (shard, frame.into_splice_source(), decoded)
             }
-            Load::Undecoded => (Dataset::new(), Some(data.undecoded(i)?), 0),
+            Load::Undecoded => (Dataset::new(), Some(frame), 0),
         };
         Ok(Loaded {
             frame,
@@ -242,9 +212,9 @@ pub(crate) fn reader_feed<'a>(
 pub(crate) enum Sink<'a> {
     /// One memory slot per shard.
     Mem(MemShardStore),
-    /// A fresh spill spool. A shard whose load carried a columnar slab is
-    /// stored as a splice — the named columns re-encoded from the processed
-    /// samples, every other column copied from the slab undecoded; anything
+    /// A fresh spill spool. A shard whose load carried its frame is stored
+    /// as that frame's splice — the named columns re-encoded from the
+    /// processed samples, every other column copied undecoded; anything
     /// else is encoded whole in the spool's own format.
     Spool(ShardSpool, Option<&'a BTreeSet<String>>),
 }
@@ -272,12 +242,13 @@ impl Sink<'_> {
             Sink::Spool(out, cols) => (out, *cols),
         };
         let passthrough = match frame {
-            Some(Frame::Col(slab)) => {
-                let (bytes, passthrough) = slab.splice(&shard, cols, keep, SPILL_CODEC)?;
+            Some(frame) => {
+                let (bytes, passthrough) =
+                    frame.store_processed(&shard, cols, keep, SPILL_CODEC)?;
                 out.write_frame_bytes(idx, &bytes, shard.len())?;
                 passthrough
             }
-            _ => {
+            None => {
                 out.write_shard(idx, &shard)?;
                 0
             }
@@ -325,15 +296,6 @@ impl Spilled {
             Some(keep) => keep.iter().filter(|k| **k).count(),
             None => self.spool.shard_len(i).unwrap_or(0),
         }
-    }
-
-    /// Slot `i`'s frame, loaded but not decoded.
-    fn undecoded(&self, i: usize) -> Result<Frame> {
-        Ok(if self.spool.is_columnar() {
-            Frame::Col(self.spool.read_columnar_slab(i)?)
-        } else {
-            Frame::Row(self.spool.read_frame_slab(i)?)
-        })
     }
 }
 
@@ -387,23 +349,34 @@ impl StageData {
         }
     }
 
-    /// A resumed cache entry as stage input. A multi-frame entry may come
-    /// from carried in-memory shards, not only from a spill — it is pulled
-    /// back into memory when it fits `budget`, so an under-budget run never
-    /// downgrades to out-of-core on resume. The probe loads shard by shard
-    /// and bails the moment the budget is exceeded, so it never holds more
-    /// than `budget` bytes.
-    pub(crate) fn from_cached(cached: CachedStage, budget: u64) -> Result<StageData> {
-        let spool = match cached {
-            CachedStage::Mem(ds) => return Ok(StageData::Mem(vec![ds])),
-            CachedStage::Spooled(spool) => spool,
-        };
-        let mut shards = Vec::with_capacity(spool.shard_count());
+    /// A resumed cache entry as stage input: its frames are decoded into
+    /// memory one at a time while they fit `budget` (an entry need not come
+    /// from a spill, and an under-budget run never downgrades to
+    /// out-of-core on resume). The moment one does not fit, what was decoded
+    /// is dropped and the entry's frames are copied — as bytes, each
+    /// checked, none decoded or re-encoded — into the slots of a spool from
+    /// `new_spool`, so a columnar entry resumes as columnar slots. At most
+    /// `budget` bytes and one frame are ever held.
+    pub(crate) fn from_cached(
+        mut entry: CachedEntry,
+        budget: u64,
+        new_spool: impl FnOnce() -> Result<ShardSpool>,
+    ) -> Result<StageData> {
+        let mut shards = Vec::new();
         let mut bytes = 0u64;
-        for i in 0..spool.shard_count() {
-            let shard = spool.read_shard(i)?;
+        while let Some(sealed) = entry.next_frame()? {
+            let shard = Frame::parse(&sealed)?.decode(None, None)?.0;
             bytes += shard.approx_bytes() as u64;
             if bytes > budget {
+                drop(shards);
+                entry.rewind()?;
+                let spool = new_spool()?;
+                let mut slot = 0;
+                while let Some(sealed) = entry.next_frame()? {
+                    let samples = Frame::parse(&sealed)?.sample_count()?;
+                    spool.write_frame_bytes(slot, &sealed, samples)?;
+                    slot += 1;
+                }
                 return Ok(StageData::Spilled(Spilled::new(spool)));
             }
             shards.push(shard);
@@ -423,39 +396,41 @@ impl StageData {
             StageData::Spilled(data) => {
                 let mut out = Dataset::new();
                 for i in 0..data.spool.shard_count() {
-                    out.extend(data.spool.read_shard_kept(i, data.keep(i))?);
+                    out.extend(data.spool.read(i)?.decode(None, data.keep(i))?.0);
                 }
                 Ok(out)
             }
         }
     }
 
-    /// Persist as cache entry `idx`/`key` without merging or decoding:
-    /// carried shards go out as a multi-frame stream straight from the
-    /// borrowed shards, a spool's frame files are concatenated (slots a
-    /// deferred mask thins are entry-filtered on the way).
+    /// Persist as cache entry `idx`/`key` without merging: resident shards
+    /// are encoded one frame each, a spool's slot files are copied as they
+    /// are once their checksums held (slots a deferred mask thins are
+    /// entry-filtered on the way).
     pub(crate) fn save(&self, cache: &CacheManager, idx: usize, key: &str) -> Result<()> {
         match self {
-            StageData::Mem(shards) if shards.len() > 1 => cache.save_shards(idx, key, shards),
-            StageData::Mem(shards) => match shards.first() {
-                Some(ds) => cache.save(idx, key, ds),
-                None => cache.save(idx, key, &Dataset::new()),
-            },
+            StageData::Mem(shards) if shards.is_empty() => cache.save(idx, key, &Dataset::new()),
+            StageData::Mem(shards) => {
+                let frames = shards
+                    .iter()
+                    .map(|s| Ok(encode_shard_frame(s, cache.codec())));
+                cache.save_frames(idx, key, frames)
+            }
             StageData::Spilled(data) => {
                 let slots = 0..data.spool.shard_count();
                 let frames = slots.map(|i| data.spool.read_frame_bytes(i, data.keep(i)));
-                cache.save_encoded(idx, key, frames)
+                cache.save_frames(idx, key, frames)
             }
         }
         .map(drop)
     }
 
     /// Write every shard to `writer`. Nothing spilled is decoded on the
-    /// way out: a row spool already holds the `frames` output format, so
-    /// its slot bytes are copied through, and JSONL is transcoded from the
-    /// undecoded frames — the one exception is `frames` output of a
-    /// columnar spool, which decodes (the frame output contract is row
-    /// frames byte-identical to a row-format run).
+    /// way out: a spool already holds the `frames` output format, so its
+    /// checked slot bytes are copied through, and JSONL is transcoded from
+    /// the undecoded frames. (The one exception is inside the store: a slot
+    /// that is not a row frame is converted, because the `frames` contract
+    /// is row frames byte-identical to a row-format run.)
     pub(crate) fn egress(
         &self,
         writer: &ShardedWriter,
@@ -463,37 +438,30 @@ impl StageData {
         options: &ExecOptions,
         ctl: &RunCtl,
     ) -> Result<()> {
-        match self {
+        let data = match self {
             StageData::Mem(shards) => {
                 for (i, shard) in shards.iter().enumerate() {
                     writer.store_shard(i, shard)?;
                 }
+                return Ok(());
             }
-            StageData::Spilled(data)
-                if format == OutputFormat::Frames && !data.spool.is_columnar() =>
-            {
-                for i in 0..data.spool.shard_count() {
-                    let frame = data.spool.read_frame_bytes(i, data.keep(i))?;
-                    writer.store_frame_bytes(i, &frame, data.shard_len(i))?;
-                }
+            StageData::Spilled(data) => data,
+        };
+        let (workers, depth) = (options.num_workers, options.prefetch_depth);
+        match format {
+            OutputFormat::Frames => {
+                let slots = Feed::indexed(data.spool.shard_count(), true, |i| {
+                    data.spool.read_row_frame_bytes(i, data.keep(i))
+                });
+                drive(&slots, workers, depth, ctl, |i, frame| {
+                    writer.store_frame_bytes(i, &frame, data.shard_len(i))
+                })?;
             }
-            StageData::Spilled(data) => {
-                let load = match format {
-                    OutputFormat::Jsonl => Load::Undecoded,
-                    OutputFormat::Frames => Load::Full,
-                };
-                drive(
-                    &spool_feed(data, load),
-                    options.num_workers,
-                    options.prefetch_depth,
-                    ctl,
-                    |i, loaded| match &loaded.frame {
-                        Some(frame) => {
-                            writer.store_jsonl(i, |out| frame.write_jsonl(loaded.keep, out))
-                        }
-                        None => writer.store_shard(i, &loaded.shard),
-                    },
-                )?;
+            OutputFormat::Jsonl => {
+                let slots = Feed::indexed(data.spool.shard_count(), true, |i| data.spool.read(i));
+                drive(&slots, workers, depth, ctl, |i, frame| {
+                    writer.store_jsonl(i, |out| frame.write_jsonl(data.keep(i), out))
+                })?;
             }
         }
         Ok(())
@@ -569,9 +537,9 @@ impl StageData {
 
     /// Open this data for one decoding pass: the feed that loads its
     /// shards and the sink that stores the pass's output. `cols` is the
-    /// pass's decode set (`None` = everything); only a columnar spool
-    /// honors it, splicing every other column through undecoded. In-memory
-    /// shards are moved into the feed.
+    /// pass's decode set (`None` = everything); a spilled frame that can
+    /// project honors it and has every other column spliced through
+    /// undecoded. In-memory shards are moved into the feed.
     pub(crate) fn open<'a>(
         &'a mut self,
         exec: &Executor,
@@ -583,16 +551,8 @@ impl StageData {
                 (mem_feed(std::mem::take(shards), false), sink)
             }
             StageData::Spilled(data) => {
-                // Projection needs the slots to hold columnar frames; a row
-                // spool (e.g. rehydrated from a cache entry) decodes fully
-                // and converts at the output spool.
-                let load = if data.spool.is_columnar() {
-                    Load::Project(cols)
-                } else {
-                    Load::Full
-                };
                 let out = exec.new_spool(data.spool.shard_count())?;
-                (spool_feed(data, load), Sink::Spool(out, cols))
+                (spool_feed(data, Load::Decode(cols)), Sink::Spool(out, cols))
             }
         })
     }
@@ -629,7 +589,7 @@ impl StageData {
                 }
                 let load = match dedup.hash_field() {
                     Some(_) => Load::Undecoded,
-                    None => Load::Full,
+                    None => Load::Decode(None),
                 };
                 let feed = spool_feed(data, load);
                 hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))?
@@ -684,7 +644,7 @@ impl StageData {
                 for i in 0..lens.len() {
                     let keep = slices.next().unwrap_or_default();
                     if trace.len() < cap && keep.contains(&false) {
-                        data.undecoded(i)?.with_texts(TEXT_KEY, |texts| {
+                        data.spool.read(i)?.with_texts(TEXT_KEY, |texts| {
                             let live = kept(texts.iter(), data.keep(i));
                             let dropped = live.zip(keep).filter(|(_, keep)| !**keep);
                             for (text, _) in dropped.take(cap - trace.len()) {
@@ -707,6 +667,63 @@ impl StageData {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_cache_entry_over_budget_resumes_as_its_own_frames_copied_into_slots() {
+        use dj_store::{encode_columnar_frame, CacheMode};
+        let root = std::env::temp_dir().join(format!("dj-exec-from-cached-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let shards =
+            Dataset::from_texts((0..20).map(|i| format!("cached document {i}"))).into_shards(3);
+        // Row and columnar frames side by side, in codecs the spool itself
+        // would not pick: only a byte copy can reproduce them.
+        let frames: Vec<Vec<u8>> = vec![
+            encode_shard_frame(&shards[0], Codec::None),
+            encode_columnar_frame(&shards[1], Codec::None),
+            encode_shard_frame(&shards[2], Codec::Djz),
+        ];
+        let cache = CacheManager::new(root.join("cache"), 1, CacheMode::Cache);
+        cache
+            .save_frames(0, "stage", frames.iter().cloned().map(Ok))
+            .unwrap();
+        let open = || {
+            cache
+                .latest_match(&[(0, "stage".to_string())])
+                .unwrap()
+                .unwrap()
+                .1
+        };
+        let spool_dir = root.join("spool");
+        let new_spool = || ShardSpool::create(&spool_dir, 0, SPILL_CODEC);
+
+        // Under budget: decoded into memory, no spool is ever created.
+        let resident = StageData::from_cached(open(), u64::MAX, new_spool).unwrap();
+        assert!(!resident.is_spilled() && !spool_dir.exists());
+        assert_eq!(resident.shard_lens(), vec![7, 7, 6]);
+        assert_eq!(
+            resident.into_dataset().unwrap(),
+            Dataset::from_shards(shards.clone())
+        );
+
+        // Over budget from the second frame on: every slot file is the
+        // entry's frame, byte for byte — the first one included.
+        let first = shards[0].approx_bytes() as u64;
+        for budget in [1, first] {
+            let spilled = StageData::from_cached(open(), budget, new_spool).unwrap();
+            assert!(spilled.is_spilled());
+            assert_eq!(spilled.shard_lens(), vec![7, 7, 6]);
+            for (i, frame) in frames.iter().enumerate() {
+                let slot = std::fs::read(spool_dir.join(format!("shard-{i:05}.djs"))).unwrap();
+                assert_eq!(&slot, frame, "slot {i} was re-encoded");
+            }
+            assert_eq!(
+                spilled.into_dataset().unwrap(),
+                Dataset::from_shards(shards.clone())
+            );
+            assert!(!spool_dir.exists(), "the spool outlived its data");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     #[test]
     fn rebalance_merges_only_underfilled_shards() {

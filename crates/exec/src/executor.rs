@@ -15,7 +15,7 @@ use std::time::Instant;
 use dj_core::{faults, Dataset, Deduplicator, DjError, FaultGuard, Op, Result};
 use dj_hash::fnv1a;
 use dj_io::{CorpusReader, ErrorLedger, ShardedWriter};
-use dj_store::{CacheManager, CachedStage, ShardSpool, STATS_SIDECAR_FILE};
+use dj_store::{CacheManager, ShardSpool, STATS_SIDECAR_FILE};
 
 use crate::cost::CostModel;
 use crate::data::{reader_feed, Sink, StageData, SPILL_CODEC};
@@ -267,14 +267,9 @@ impl Executor {
 
     fn run_io_inner(&self, model: Option<&CostModel>) -> Result<(Option<Dataset>, RunReport)> {
         self.validated_depth()?;
-        let input = match self.options.input.as_deref() {
-            Some(p) => p,
-            None => self.options.env.input().ok_or_else(|| {
-                DjError::Config(
-                    "run_io requires ExecOptions::input (a path or glob) or DJ_INPUT".into(),
-                )
-            })?,
-        };
+        let input = self.options.input.as_deref().ok_or_else(|| {
+            DjError::Config("run_io requires ExecOptions::input (a path or glob)".into())
+        })?;
         let plan = self.plan_adaptive(model);
         let stages = plan.stages();
         let start = Instant::now();
@@ -472,20 +467,21 @@ impl Executor {
         let mut data = StageData::Mem(vec![dataset]);
 
         // Resume from the longest cached stage prefix. A corrupt or
-        // unreadable cache must never fail the run — fall back to fresh
-        // execution (the §4.1.1 resilience goal).
+        // unreadable cache entry must never fail the run — or reach it: the
+        // entry's frames are verified as they are pulled, and anything but
+        // a clean read of all of them falls back to fresh execution (the
+        // §4.1.1 resilience goal).
         let mut first_stage = 0;
         if let Some(cm) = cache {
-            // With a budget in force, streamed (spilled) entries rehydrate
-            // into a spool so resume never materializes the dataset either.
-            let resumed = if budget.is_some() {
-                cm.latest_match_streamed(&keys, self.fresh_spill_dir())
-            } else {
-                cm.latest_match(&keys)
-                    .map(|o| o.map(|(idx, ds)| (idx, CachedStage::Mem(ds))))
-            };
+            let resumed = cm.latest_match(&keys).and_then(|hit| {
+                let Some((idx, entry)) = hit else {
+                    return Ok(None);
+                };
+                let budget = budget.unwrap_or(u64::MAX);
+                StageData::from_cached(entry, budget, || self.new_spool(0)).map(|d| Some((idx, d)))
+            });
             if let Ok(Some((idx, cached))) = resumed {
-                data = StageData::from_cached(cached, budget.unwrap_or(u64::MAX))?;
+                data = cached;
                 report.spilled |= data.is_spilled();
                 first_stage = idx + 1;
                 report.resumed_steps = stages[..first_stage].iter().map(Stage::step_count).sum();

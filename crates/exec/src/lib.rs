@@ -140,9 +140,13 @@
 //!    barrier then opens **no frame**: it clusters the sidecar hashes and
 //!    leaves its keep mask on the spool for the next pass to consume
 //!    (`RunReport::fingerprinted_barriers` counts these).
-//! 4. Cache/checkpoint entries of spilled stages are the spool's frames
-//!    concatenated (`CacheManager::save_encoded`), so persistence and
-//!    resume also never materialize the dataset.
+//! 4. Every cache/checkpoint entry is a concatenation of sealed shard
+//!    frames (`CacheManager::save_frames`): a spilled stage's slot files
+//!    copied as they are, a resident stage's shards encoded one frame
+//!    each. A resume pulls the frames back one at a time — decoded while
+//!    they fit the budget, copied as bytes into spool slots once they do
+//!    not — so persistence and resume never materialize the dataset
+//!    either, and a columnar entry resumes as columnar slots.
 //! 5. With [`ExecOptions::columnar`] spilled shards use the columnar
 //!    `DJSC` frame format and every pass decodes only the top-level
 //!    columns named by its steps' field footprints
@@ -197,8 +201,7 @@ pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, 
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
 pub use options::{
     default_parallelism, executor_from_recipe, EnvKnobs, ExecOptions, ADAPTIVE_ENV, COLUMNAR_ENV,
-    DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, INPUT_ENV, MEMORY_BUDGET_ENV,
-    RUNTIME_ENV,
+    DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, MEMORY_BUDGET_ENV, RUNTIME_ENV,
 };
 pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};
 pub use runtime::{

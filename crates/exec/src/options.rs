@@ -49,13 +49,6 @@ pub const COLUMNAR_ENV: &str = "DJ_COLUMNAR";
 /// pooled path suite-wide (`DJ_RUNTIME=1 cargo test`).
 pub const RUNTIME_ENV: &str = "DJ_RUNTIME";
 
-/// Environment fallback for [`ExecOptions::input`] (a JSONL/CSV path or
-/// glob), used by [`Executor::run_io`] when the option is unset. Like
-/// every other env knob it is snapshotted once at `ExecOptions`
-/// construction — a long-lived `dj serve` process gives every job the
-/// view that existed when its options were built.
-pub const INPUT_ENV: &str = "DJ_INPUT";
-
 /// Environment knob installing a deterministic fault plan for the run
 /// (see [`dj_core::faults`] for the grammar: `seed:N` and/or
 /// `site:kind[@n]` clauses). Snapshotted like every other knob; a
@@ -82,7 +75,6 @@ pub struct EnvKnobs {
     adaptive: Option<String>,
     columnar: Option<String>,
     runtime: Option<String>,
-    input: Option<String>,
     faults: Option<String>,
 }
 
@@ -95,7 +87,6 @@ impl EnvKnobs {
             adaptive: grab(ADAPTIVE_ENV),
             columnar: grab(COLUMNAR_ENV),
             runtime: grab(RUNTIME_ENV),
-            input: grab(INPUT_ENV),
             faults: grab(FAULTS_ENV),
         }
     }
@@ -144,14 +135,6 @@ impl EnvKnobs {
     /// Whether `DJ_RUNTIME` routes `run` through the service runtime.
     pub fn runtime(&self) -> Result<bool> {
         Self::flag(&self.runtime, RUNTIME_ENV)
-    }
-
-    /// The `DJ_INPUT` corpus pattern fallback, if set and non-empty.
-    pub fn input(&self) -> Option<&str> {
-        self.input
-            .as_deref()
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
     }
 
     /// The `DJ_FAULTS` fault plan, parsed fresh. Callers that retry must

@@ -424,8 +424,8 @@ impl Runtime {
     }
 
     /// Submit a file-to-file job ([`Executor::run_io`] semantics: input
-    /// from `ExecOptions::input`/`DJ_INPUT`, output to
-    /// `ExecOptions::output` when set).
+    /// from `ExecOptions::input`, output to `ExecOptions::output` when
+    /// set).
     pub fn submit_io(&self, exec: Executor) -> JobHandle {
         self.submit_spec(exec, JobSpec::Io)
     }

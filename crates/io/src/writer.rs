@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dj_core::{faults, parse_json, sync, Dataset, DjError, Result, ShardSink, Value};
+use dj_core::{faults, parse_json, sync, Dataset, DjError, Result, Value};
 use dj_hash::fnv1a;
 use dj_store::codec::Codec;
 use dj_store::serialize::write_jsonl_into;
@@ -386,18 +386,12 @@ impl ShardedWriter {
     }
 }
 
-impl ShardSink for ShardedWriter {
-    fn store_shard(&self, idx: usize, shard: Dataset) -> Result<()> {
-        ShardedWriter::store_shard(self, idx, &shard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dj_core::Sample;
     use dj_store::from_jsonl;
-    use dj_store::shard_stream::read_shard_frame;
+    use dj_store::read_shard_frame;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dj-writer-{tag}-{}", std::process::id()));

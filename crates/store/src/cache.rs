@@ -11,20 +11,23 @@
 //!   entries are cleaned up after each successful save (Appendix A.2's
 //!   3×S peak-space pipeline).
 //!
-//! Entries are optionally compressed with a [`Codec`].
+//! Every entry is a concatenation of sealed shard frames (see
+//! [`crate::frame`]) — one frame for a resident dataset, one per shard for a
+//! sharded or spilled stage, row and columnar frames mixed freely — so every
+//! byte of every entry is under a checksum, a spilled stage is saved by
+//! copying its slot files, and a resume can pull the entry back frame by
+//! frame ([`CachedEntry`]) without ever holding more than one.
 
 use std::fs;
+use std::io::{BufReader, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use dj_core::{Dataset, Result};
+use dj_hash::fnv1a;
 
-use crate::codec::{compress, decompress, Codec};
-use crate::columnar::COLUMNAR_FRAME_MAGIC;
-use crate::serialize::{from_bytes, to_bytes};
-use crate::shard_stream::{
-    count_frames, read_shard_stream, ShardSpool, ShardStreamReader, ShardStreamWriter,
-    SHARD_FRAME_MAGIC,
-};
+use crate::codec::Codec;
+use crate::frame::{envelope, Frame};
+use crate::shard_stream::encode_shard_frame;
 
 /// Cache retention policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,16 +93,33 @@ impl CacheManager {
             .join(format!("{op_index:04}-{}.djc", safe_name(op_name)))
     }
 
-    /// Write cache entry `op_index`/`op_name` through `write`, atomically
-    /// (temp file, then rename; a failed write leaves nothing behind). In
+    /// The codec resident shards are encoded with on their way into an
+    /// entry (frames copied out of a spool keep the codec they have).
+    pub fn codec(&self) -> Codec {
+        self.codec
+    }
+
+    /// Persist the dataset state after OP `op_index` as a one-frame entry.
+    pub fn save(&self, op_index: usize, op_name: &str, dataset: &Dataset) -> Result<PathBuf> {
+        let frame = encode_shard_frame(dataset, self.codec);
+        self.save_frames(op_index, op_name, std::iter::once(Ok(frame)))
+    }
+
+    /// Persist the state after OP `op_index` from its sealed shard frames,
+    /// in shard order — freshly encoded resident shards, or a spool's slot
+    /// files copied as they are (`ShardSpool::read_frame_bytes`): nothing
+    /// is decoded, re-encoded or materialized on the way in.
+    ///
+    /// The entry appears atomically (temp file, then rename; a failing
+    /// `frames` item aborts the save and leaves nothing behind). In
     /// checkpoint mode, earlier entries are removed *after* the new entry
     /// is safely written (so a crash can at worst leave one extra file,
     /// never zero).
-    fn save_entry(
+    pub fn save_frames(
         &self,
         op_index: usize,
         op_name: &str,
-        write: impl FnOnce(&mut std::io::BufWriter<fs::File>) -> Result<()>,
+        frames: impl IntoIterator<Item = Result<Vec<u8>>>,
     ) -> Result<PathBuf> {
         if self.mode == CacheMode::Disabled {
             return Ok(PathBuf::new());
@@ -110,8 +130,10 @@ impl CacheManager {
         let tmp = path.with_extension("tmp");
         let write_all = || -> Result<()> {
             let mut out = std::io::BufWriter::new(fs::File::create(&tmp)?);
-            write(&mut out)?;
-            std::io::Write::flush(&mut out)?;
+            for frame in frames {
+                out.write_all(&frame?)?;
+            }
+            out.flush()?;
             Ok(())
         };
         if let Err(e) = write_all() {
@@ -129,83 +151,21 @@ impl CacheManager {
         Ok(path)
     }
 
-    /// Persist the dataset state after OP `op_index` as one compressed
-    /// frame.
-    pub fn save(&self, op_index: usize, op_name: &str, dataset: &Dataset) -> Result<PathBuf> {
-        self.save_entry(op_index, op_name, |out| {
-            let frame = compress(&to_bytes(dataset), self.codec);
-            Ok(std::io::Write::write_all(out, &frame)?)
-        })
-    }
-
-    /// Persist a stage that lives on disk as spilled shards without ever
-    /// materializing it: shard frames are appended to the entry as a
-    /// multi-frame stream (each `shards` item is loaded, written, and
-    /// dropped). The entry loads back through the same `load`/
-    /// `latest_match` calls as a monolithic one.
-    pub fn save_streamed<I>(&self, op_index: usize, op_name: &str, shards: I) -> Result<PathBuf>
-    where
-        I: IntoIterator<Item = Result<Dataset>>,
-    {
-        self.save_frames(op_index, op_name, shards)
-    }
-
-    /// Persist an in-memory sharded stage as a multi-frame entry straight
-    /// from borrowed shards — no clone, no materialization. The entry
-    /// loads back through the same `load`/`latest_match` calls as a
-    /// monolithic one.
-    pub fn save_shards(
-        &self,
-        op_index: usize,
-        op_name: &str,
-        shards: &[Dataset],
-    ) -> Result<PathBuf> {
-        self.save_frames(op_index, op_name, shards.iter().map(Ok))
-    }
-
-    fn save_frames<I, D>(&self, op_index: usize, op_name: &str, shards: I) -> Result<PathBuf>
-    where
-        I: IntoIterator<Item = Result<D>>,
-        D: std::borrow::Borrow<Dataset>,
-    {
-        self.save_entry(op_index, op_name, |out| {
-            let mut writer = ShardStreamWriter::new(out, self.codec);
-            for shard in shards {
-                writer.write(shard?.borrow())?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Persist a spilled stage from its already-encoded shard frames (row
-    /// or columnar, one per item — e.g. `ShardSpool::read_frame_bytes` of
-    /// every slot) by concatenating them into a multi-frame entry — no
-    /// decode/re-encode round-trip and no materialization.
-    pub fn save_encoded<I>(&self, op_index: usize, op_name: &str, frames: I) -> Result<PathBuf>
-    where
-        I: IntoIterator<Item = Result<Vec<u8>>>,
-    {
-        self.save_entry(op_index, op_name, |out| {
-            for frame in frames {
-                std::io::Write::write_all(out, &frame?)?;
-            }
-            Ok(())
-        })
-    }
-
     /// Load the dataset state after OP `op_index`, if cached.
     pub fn load(&self, op_index: usize, op_name: &str) -> Result<Option<Dataset>> {
         let path = self.entry_path(op_index, op_name);
         if !path.exists() {
             return Ok(None);
         }
-        Ok(Some(read_entry(&fs::read(&path)?)?))
+        CachedEntry::open(&path)?.into_dataset().map(Some)
     }
 
     /// The most recent cached state whose `(index, name)` matches a prefix
-    /// of `ops`: returns `(op_index, dataset)` for the longest usable
-    /// entry, enabling resume-after-change (§4.1.1).
-    pub fn latest_match(&self, ops: &[(usize, String)]) -> Result<Option<(usize, Dataset)>> {
+    /// of `ops`: returns `(op_index, entry)` for the longest usable entry,
+    /// enabling resume-after-change (§4.1.1). The entry is only opened —
+    /// the caller pulls its frames, and decides per frame whether to decode
+    /// it into memory or copy it into a spool.
+    pub fn latest_match(&self, ops: &[(usize, String)]) -> Result<Option<(usize, CachedEntry)>> {
         let dir = self.dir();
         if !dir.exists() {
             return Ok(None);
@@ -216,60 +176,8 @@ impl CacheManager {
                 .iter()
                 .find(|e| e.op_index == *idx && e.op_name == safe_name(name))
             {
-                let ds = read_entry(&fs::read(&e.path)?)?;
-                return Ok(Some((*idx, ds)));
+                return Ok(Some((*idx, CachedEntry::open(&e.path)?)));
             }
-        }
-        Ok(None)
-    }
-
-    /// Like [`CacheManager::latest_match`], but an entry saved as a
-    /// multi-frame shard stream (a spilled stage) is rehydrated frame by
-    /// frame into a [`ShardSpool`] under `spool_dir` instead of being
-    /// materialized — at most one shard is in memory at a time, preserving
-    /// the out-of-core memory ceiling across resume. Monolithic entries
-    /// still come back as in-memory datasets; `spool_dir` is only created
-    /// when a streamed entry is actually found.
-    pub fn latest_match_streamed(
-        &self,
-        ops: &[(usize, String)],
-        spool_dir: PathBuf,
-    ) -> Result<Option<(usize, CachedStage)>> {
-        let dir = self.dir();
-        if !dir.exists() {
-            return Ok(None);
-        }
-        let entries = list_entries(&dir)?;
-        for (idx, name) in ops.iter().rev() {
-            let Some(e) = entries
-                .iter()
-                .find(|e| e.op_index == *idx && e.op_name == safe_name(name))
-            else {
-                continue;
-            };
-            use std::io::{Read, Seek, SeekFrom};
-            let mut file = fs::File::open(&e.path)?;
-            let mut magic = [0u8; 4];
-            let n = file.read(&mut magic)?;
-            // Streamed entries may mix row (`DJSF`) and columnar (`DJSC`)
-            // frames — e.g. saved by a columnar run; anything else is a
-            // legacy whole-dataset entry.
-            if n < 4 || (&magic != SHARD_FRAME_MAGIC && &magic != COLUMNAR_FRAME_MAGIC) {
-                let ds = read_entry(&fs::read(&e.path)?)?;
-                return Ok(Some((*idx, CachedStage::Mem(ds))));
-            }
-            file.seek(SeekFrom::Start(0))?;
-            let frames = count_frames(&mut file)?;
-            file.seek(SeekFrom::Start(0))?;
-            let spool = ShardSpool::create(spool_dir, frames as usize, self.codec)?;
-            let mut reader = ShardStreamReader::new(std::io::BufReader::new(file));
-            for i in 0..frames as usize {
-                let shard = reader.next_shard()?.ok_or_else(|| {
-                    dj_core::DjError::Storage(format!("cache entry lost frame {i} of {frames}"))
-                })?;
-                spool.write_shard(i, &shard)?;
-            }
-            return Ok(Some((*idx, CachedStage::Spooled(spool))));
         }
         Ok(None)
     }
@@ -306,21 +214,40 @@ impl CacheManager {
     }
 }
 
-/// A resumed stage as [`CacheManager::latest_match_streamed`] hands it
-/// back: in memory for monolithic entries, rehydrated into a disk spool
-/// for streamed (spilled) ones.
-pub enum CachedStage {
-    Mem(Dataset),
-    Spooled(ShardSpool),
+/// An opened cache entry: its sealed shard frames, pulled one at a time.
+pub struct CachedEntry {
+    frames: BufReader<fs::File>,
 }
 
-/// Decode a cache entry: either a single compressed dataset frame (the
-/// in-memory save path) or a multi-frame shard stream (the spilled path).
-fn read_entry(bytes: &[u8]) -> Result<Dataset> {
-    if bytes.starts_with(SHARD_FRAME_MAGIC) || bytes.starts_with(COLUMNAR_FRAME_MAGIC) {
-        read_shard_stream(bytes)
-    } else {
-        from_bytes(&decompress(bytes)?)
+impl CachedEntry {
+    fn open(path: &Path) -> Result<CachedEntry> {
+        Ok(CachedEntry {
+            frames: BufReader::new(fs::File::open(path)?),
+        })
+    }
+
+    /// The next frame's sealed bytes, or `None` at the end of the entry.
+    /// They are handed out as stored: [`Frame::parse`] is what verifies
+    /// them, whether the caller goes on to decode the frame or to copy
+    /// these bytes somewhere else.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
+        envelope::read_one(&mut self.frames)
+    }
+
+    /// Start over from the first frame.
+    pub fn rewind(&mut self) -> Result<()> {
+        self.frames.rewind()?;
+        Ok(())
+    }
+
+    /// Decode the whole entry into one dataset (frames concatenate in
+    /// order, mirroring `Dataset::from_shards`).
+    pub fn into_dataset(mut self) -> Result<Dataset> {
+        let mut out = Dataset::new();
+        while let Some(sealed) = self.next_frame()? {
+            out.extend(Frame::parse(&sealed)?.decode(None, None)?.0);
+        }
+        Ok(out)
     }
 }
 
@@ -350,11 +277,7 @@ fn safe_name(name: &str) -> String {
     if clean.len() <= MAX {
         return clean;
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in clean.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(clean.as_bytes());
     let mut prefix_end = MAX - 17; // room for `~` + 16 hex digits
     while !clean.is_char_boundary(prefix_end) {
         prefix_end -= 1;
@@ -392,13 +315,6 @@ fn list_entries(dir: &Path) -> Result<Vec<Entry>> {
 /// Best-effort removal of a whole cache root (test/bench hygiene).
 pub fn remove_cache_root(root: &Path) {
     let _ = fs::remove_dir_all(root);
-}
-
-impl Drop for CacheManager {
-    fn drop(&mut self) {
-        // Nothing: entries intentionally outlive the manager so later runs
-        // can resume. Call `clear()` for explicit cleanup.
-    }
 }
 
 #[cfg(test)]
@@ -473,9 +389,9 @@ mod tests {
             (1, "filter".to_string()),
             (2, "different_op".to_string()),
         ];
-        let (idx, d) = cm.latest_match(&ops).unwrap().unwrap();
+        let (idx, entry) = cm.latest_match(&ops).unwrap().unwrap();
         assert_eq!(idx, 1);
-        assert_eq!(d.len(), 8);
+        assert_eq!(entry.into_dataset().unwrap().len(), 8);
         remove_cache_root(&dir);
     }
 
@@ -519,39 +435,88 @@ mod tests {
         cm.save(0, &long_a, &ds(4)).unwrap();
         assert_eq!(cm.load(0, &long_a).unwrap().unwrap(), ds(4));
         // latest_match resolves through the same encoding.
-        let (idx, d) = cm
+        let (idx, entry) = cm
             .latest_match(&[(0usize, long_a.clone())])
             .unwrap()
             .unwrap();
         assert_eq!(idx, 0);
-        assert_eq!(d, ds(4));
+        assert_eq!(entry.into_dataset().unwrap(), ds(4));
         // A different long name does not collide.
         assert!(cm.load(0, &long_b).unwrap().is_none());
         remove_cache_root(&dir);
     }
 
     #[test]
-    fn streamed_entries_load_like_monolithic_ones() {
-        let dir = tmpdir("streamed");
+    fn an_entry_is_its_frames_in_order_whatever_their_format() {
+        let dir = tmpdir("frames");
         let cm = CacheManager::new(&dir, 31, CacheMode::Cache);
         let full = ds(10);
         let shards: Vec<Dataset> = full.clone().into_shards(3);
-        cm.save_streamed(0, "stage_a", shards.into_iter().map(Ok))
+        // Row and columnar frames side by side, as a resumed columnar run
+        // would leave them.
+        let frames: Vec<Vec<u8>> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match i % 2 {
+                0 => encode_shard_frame(s, Codec::Djz),
+                _ => crate::encode_columnar_frame(s, Codec::None),
+            })
+            .collect();
+        let path = cm
+            .save_frames(0, "stage_a", frames.iter().cloned().map(Ok))
             .unwrap();
+        assert_eq!(fs::read(&path).unwrap(), frames.concat());
         assert_eq!(cm.load(0, "stage_a").unwrap().unwrap(), full);
-        let (idx, back) = cm
+        // Pulled lazily, the frames come back byte for byte, and again
+        // after a rewind.
+        let (idx, mut entry) = cm
             .latest_match(&[(0usize, "stage_a".to_string())])
             .unwrap()
             .unwrap();
         assert_eq!(idx, 0);
-        assert_eq!(back, full);
-        // A failing shard iterator aborts the save and leaves no entry.
+        for _ in 0..2 {
+            for frame in &frames {
+                assert_eq!(entry.next_frame().unwrap().as_ref(), Some(frame));
+            }
+            assert!(entry.next_frame().unwrap().is_none());
+            entry.rewind().unwrap();
+        }
+        assert_eq!(entry.into_dataset().unwrap(), full);
+        // `save` is the one-frame case of the same format.
+        let path = cm.save(1, "whole", &full).unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            encode_shard_frame(&full, Codec::Djz)
+        );
+        // A failing frame iterator aborts the save and leaves no entry.
         let err_iter = vec![
-            Ok(ds(2)),
+            Ok(frames[0].clone()),
             Err(dj_core::DjError::Storage("spill read failed".into())),
         ];
-        assert!(cm.save_streamed(1, "stage_b", err_iter).is_err());
-        assert!(cm.load(1, "stage_b").unwrap().is_none());
+        assert!(cm.save_frames(2, "stage_b", err_iter).is_err());
+        assert!(cm.load(2, "stage_b").unwrap().is_none());
+        assert_eq!(cm.entry_count().unwrap(), 2);
+        remove_cache_root(&dir);
+    }
+
+    #[test]
+    fn a_damaged_or_foreign_entry_is_a_typed_error_never_data() {
+        let dir = tmpdir("damaged");
+        let cm = CacheManager::new(&dir, 32, CacheMode::Cache);
+        let path = cm.save(0, "op", &ds(6)).unwrap();
+        let good = fs::read(&path).unwrap();
+        // One flipped bit anywhere — envelope or payload — of the
+        // one-frame entry (the kind that used to carry no checksum).
+        for pos in 0..good.len() {
+            let mut bad = good.clone();
+            bad[pos] ^= 0x04;
+            fs::write(&path, &bad).unwrap();
+            let err = cm.load(0, "op").unwrap_err();
+            assert!(matches!(err, dj_core::DjError::Storage(_)), "byte {pos}");
+        }
+        // An entry in the retired un-enveloped blob format is not read.
+        fs::write(&path, crate::compress(&crate::to_bytes(&ds(6)), Codec::Djz)).unwrap();
+        assert!(cm.load(0, "op").is_err());
         remove_cache_root(&dir);
     }
 

@@ -1,17 +1,17 @@
 //! Cache-file compression codecs (paper §6, "Optimized Space Utilization").
 //!
 //! The original system wires zstd/LZ4 into its cache manager; those crates
-//! are outside the allowed dependency set, so this module implements two
-//! codecs from scratch with the same role — shrink cache files between OPs
+//! are outside the allowed dependency set, so this module implements one
+//! codec from scratch with the same role — shrink cache files between OPs
 //! at negligible (de)compression cost relative to processing time:
 //!
-//! * [`Codec::Rle`] — byte run-length encoding (fast, wins on repetitive
-//!   cache pages);
 //! * [`Codec::Djz`] — an LZ77-family codec with a 64 KiB window and greedy
 //!   hash-table matching (the general-purpose default);
 //! * [`Codec::None`] — passthrough.
 //!
 //! Every frame starts with a 4-byte magic + codec id so files self-describe.
+//! Id `1` belonged to a run-length codec nothing selected; it stays reserved,
+//! so a stray frame carrying it is refused as an unknown codec.
 
 use dj_core::{DjError, Result};
 
@@ -19,7 +19,6 @@ use dj_core::{DjError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
     None,
-    Rle,
     Djz,
 }
 
@@ -29,7 +28,6 @@ impl Codec {
     fn id(self) -> u8 {
         match self {
             Codec::None => 0,
-            Codec::Rle => 1,
             Codec::Djz => 2,
         }
     }
@@ -37,7 +35,6 @@ impl Codec {
     fn from_id(id: u8) -> Result<Codec> {
         match id {
             0 => Ok(Codec::None),
-            1 => Ok(Codec::Rle),
             2 => Ok(Codec::Djz),
             other => Err(DjError::Storage(format!("unknown codec id {other}"))),
         }
@@ -52,10 +49,16 @@ pub fn compress(data: &[u8], codec: Codec) -> Vec<u8> {
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     match codec {
         Codec::None => out.extend_from_slice(data),
-        Codec::Rle => rle_compress(data, &mut out),
         Codec::Djz => djz_compress(data, &mut out),
     }
     out
+}
+
+/// The most bytes `compressed_len` bytes can decompress to: the densest
+/// token is a 3-byte djz match standing for [`MAX_MATCH`] bytes. A length
+/// field claiming more is damage, and nothing is allocated on its word.
+pub(crate) fn max_raw_len(compressed_len: usize) -> u64 {
+    (compressed_len as u64).saturating_mul(MAX_MATCH.div_ceil(3) as u64)
 }
 
 /// Decompress a frame produced by [`compress`].
@@ -64,11 +67,17 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
         return Err(DjError::Storage("bad compression frame header".into()));
     }
     let codec = Codec::from_id(frame[3])?;
-    let expected = crate::serialize::le_u64(&frame[4..12]) as usize;
+    let expected = crate::serialize::le_u64(&frame[4..12]);
     let body = &frame[12..];
+    if expected > max_raw_len(body.len()) {
+        return Err(DjError::Storage(format!(
+            "implausible decompressed size {expected} for {} bytes",
+            body.len()
+        )));
+    }
+    let expected = expected as usize;
     let out = match codec {
         Codec::None => body.to_vec(),
-        Codec::Rle => rle_decompress(body, expected)?,
         Codec::Djz => djz_decompress(body, expected)?,
     };
     if out.len() != expected {
@@ -76,68 +85,6 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
             "decompressed size mismatch: got {}, expected {expected}",
             out.len()
         )));
-    }
-    Ok(out)
-}
-
-// ---- RLE -----------------------------------------------------------------
-// Control byte c: 0x00..=0x7F → literal run of c+1 bytes follows;
-//                 0x80..=0xFF → repeat next byte (c - 0x80 + 2) times.
-
-fn rle_compress(data: &[u8], out: &mut Vec<u8>) {
-    let mut i = 0;
-    let mut lit_start = 0;
-    while i < data.len() {
-        // Measure the run at i.
-        let b = data[i];
-        let mut run = 1;
-        while i + run < data.len() && data[i + run] == b && run < 129 {
-            run += 1;
-        }
-        if run >= 3 {
-            flush_literals(&data[lit_start..i], out);
-            out.push(0x80 + (run - 2) as u8);
-            out.push(b);
-            i += run;
-            lit_start = i;
-        } else {
-            i += run;
-        }
-    }
-    flush_literals(&data[lit_start..], out);
-}
-
-fn flush_literals(mut lits: &[u8], out: &mut Vec<u8>) {
-    while !lits.is_empty() {
-        let n = lits.len().min(128);
-        out.push((n - 1) as u8);
-        out.extend_from_slice(&lits[..n]);
-        lits = &lits[n..];
-    }
-}
-
-fn rle_decompress(body: &[u8], expected: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected);
-    let mut i = 0;
-    while i < body.len() {
-        let c = body[i];
-        i += 1;
-        if c < 0x80 {
-            let n = c as usize + 1;
-            if i + n > body.len() {
-                return Err(DjError::Storage("rle: truncated literal run".into()));
-            }
-            out.extend_from_slice(&body[i..i + n]);
-            i += n;
-        } else {
-            if i >= body.len() {
-                return Err(DjError::Storage("rle: truncated repeat".into()));
-            }
-            let n = (c - 0x80) as usize + 2;
-            let b = body[i];
-            i += 1;
-            out.extend(std::iter::repeat_n(b, n));
-        }
     }
     Ok(out)
 }
@@ -263,7 +210,7 @@ mod tests {
 
     #[test]
     fn roundtrips_basic() {
-        for codec in [Codec::None, Codec::Rle, Codec::Djz] {
+        for codec in [Codec::None, Codec::Djz] {
             roundtrip(b"", codec);
             roundtrip(b"a", codec);
             roundtrip(b"hello world hello world hello world", codec);
@@ -287,17 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn rle_compresses_runs() {
-        let mut data = Vec::new();
-        for b in 0..50u8 {
-            data.extend(std::iter::repeat_n(b, 100));
-        }
-        let frame = compress(&data, Codec::Rle);
-        assert!(frame.len() < data.len() / 10);
-        roundtrip(&data, Codec::Rle);
-    }
-
-    #[test]
     fn corrupt_frames_rejected() {
         assert!(decompress(b"xx").is_err());
         assert!(decompress(b"BAD0aaaaaaaaaa").is_err());
@@ -308,6 +244,11 @@ mod tests {
         let mut frame2 = compress(b"abc", Codec::None);
         frame2[4] = 99;
         assert!(decompress(&frame2).is_err());
+        // The retired run-length codec's id stays reserved.
+        let mut rle = compress(b"abc", Codec::None);
+        rle[3] = 1;
+        let err = decompress(&rle).unwrap_err();
+        assert!(err.to_string().contains("unknown codec id 1"), "{err}");
     }
 
     #[test]
@@ -321,11 +262,6 @@ mod tests {
         #[test]
         fn prop_roundtrip_djz(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             roundtrip(&data, Codec::Djz);
-        }
-
-        #[test]
-        fn prop_roundtrip_rle(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-            roundtrip(&data, Codec::Rle);
         }
 
         #[test]
@@ -346,7 +282,6 @@ mod tests {
                 });
             }
             roundtrip(s.as_bytes(), Codec::Djz);
-            roundtrip(s.as_bytes(), Codec::Rle);
         }
     }
 }

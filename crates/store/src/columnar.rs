@@ -7,12 +7,8 @@
 //! addressable from an offset table:
 //!
 //! ```text
-//! ┌──────────┬──────────────┬──────────────┬─────────────────────┐
-//! │ "DJSC"   │ payload_len  │ checksum     │ payload             │
-//! │ 4 bytes  │ u64 LE       │ u64 LE (FNV) │ (not compressed)    │
-//! └──────────┴──────────────┴──────────────┴─────────────────────┘
-//!
-//! payload:
+//! payload (behind the [`crate::frame`] envelope, magic `DJSC`; the
+//! payload itself is not compressed, its regions are):
 //!   version       u8 (= 1)
 //!   sample_count  u64 LE
 //!   column_count  u32 LE
@@ -30,10 +26,9 @@
 //! ```
 //!
 //! The presence byte distinguishes a *missing* column from an explicit
-//! `null`, so columnar↔row round-trips are value-identical. The envelope
-//! shares the row frame's header shape (magic, length, FNV checksum), so
-//! spool slots and multi-frame cache streams can mix both formats — readers
-//! sniff the 4-byte magic.
+//! `null`, so columnar↔row round-trips are value-identical. Row and
+//! columnar frames share one envelope, so spool slots and cache entries can
+//! mix both formats ([`crate::Frame::parse`] tells them apart).
 //!
 //! Two access patterns motivate the format:
 //!
@@ -48,24 +43,26 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::path::Path;
 
 use dj_core::{Dataset, DjError, Result, Sample, Value};
 use dj_hash::fnv1a;
 
-use crate::codec::{compress, decompress, Codec};
+use crate::codec::{compress, decompress, max_raw_len, Codec};
+use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
 use crate::serialize::{
-    le_u64, read_value_slice, skip_value, take_str, take_u32, take_u64, take_u8, walk_path,
-    write_value,
+    read_value_slice, skip_value, take_str, take_u32, take_u64, take_u8, walk_path, write_value,
 };
-use crate::shard_stream::{frame_bytes, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use crate::transcode::{check_mask, keeps};
 
-/// Magic prefix of columnar shard frames.
-pub const COLUMNAR_FRAME_MAGIC: &[u8; 4] = b"DJSC";
-
 const COLUMNAR_VERSION: u8 = 1;
+
+/// Bytes of the shortest directory entry (an empty name and four words).
+const MIN_DIRECTORY_ENTRY: usize = 4 + 4 * 8;
+
+/// Most samples a frame with no column at all may claim. Such a frame —
+/// every sample an empty map — is 33 bytes whatever its count, so nothing in
+/// it bounds the count; no shard the executor cuts comes near this.
+const MAX_COLUMNLESS_SAMPLES: u64 = 1 << 20;
 
 /// Encode one shard as a columnar frame.
 pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
@@ -124,14 +121,7 @@ fn assemble_frame<R: AsRef<[u8]>>(samples: usize, regions: &[(&str, R, u64)]) ->
     for (_, region, _) in regions {
         payload.extend_from_slice(region.as_ref());
     }
-    frame_bytes(COLUMNAR_FRAME_MAGIC, &payload)
-}
-
-/// Decode a columnar frame *payload* (envelope already stripped and
-/// checksum-verified) into a dataset — the multi-frame stream reader's
-/// entry point.
-pub(crate) fn decode_columnar_payload(payload: &[u8]) -> Result<Dataset> {
-    ColumnarSlab::from_payload(payload.to_vec())?.decode()
+    envelope::seal(COLUMNAR_FRAME_MAGIC, &payload)
 }
 
 /// Read one entry's presence byte: whether a tagged value follows.
@@ -168,54 +158,19 @@ pub struct ColumnarSlab {
 }
 
 impl ColumnarSlab {
-    /// Parse one columnar frame held fully in memory (envelope + payload).
+    /// Parse one columnar frame held fully in memory (envelope + payload,
+    /// exactly one frame).
     pub fn from_frame_bytes(frame: &[u8]) -> Result<ColumnarSlab> {
-        if frame.len() < HEADER_LEN {
-            return Err(DjError::Storage(format!(
-                "truncated columnar frame header ({} of {HEADER_LEN} bytes)",
-                frame.len()
-            )));
+        match Frame::parse(frame)? {
+            Frame::Col(slab) => Ok(slab),
+            Frame::Row(_) => Err(DjError::Storage("not a columnar shard frame".into())),
         }
-        if &frame[..4] != COLUMNAR_FRAME_MAGIC {
-            return Err(DjError::Storage("bad columnar frame magic".into()));
-        }
-        let len = le_u64(&frame[4..12]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(DjError::Storage(format!(
-                "implausible columnar frame length {len}"
-            )));
-        }
-        let checksum = le_u64(&frame[12..20]);
-        let body = &frame[HEADER_LEN..];
-        if (body.len() as u64) < len {
-            return Err(DjError::Storage(format!(
-                "truncated columnar frame payload ({} of {len} bytes)",
-                body.len()
-            )));
-        }
-        if (body.len() as u64) > len {
-            return Err(DjError::Storage(
-                "trailing bytes after columnar frame".into(),
-            ));
-        }
-        if fnv1a(body) != checksum {
-            return Err(DjError::Storage(
-                "columnar frame checksum mismatch (corrupted spill data)".into(),
-            ));
-        }
-        ColumnarSlab::from_payload(body.to_vec())
     }
 
-    /// Load a single-frame file (a spool slot) into a slab.
-    pub fn load(path: impl AsRef<Path>) -> Result<ColumnarSlab> {
-        let path = path.as_ref();
-        let mut bytes = fs::read(path)
-            .map_err(|e| DjError::Storage(format!("columnar frame missing at {path:?}: {e}")))?;
-        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        ColumnarSlab::from_frame_bytes(&bytes)
-    }
-
-    fn from_payload(payload: Vec<u8>) -> Result<ColumnarSlab> {
+    /// The slab of a columnar frame's verified payload. Every count and
+    /// length the header claims is checked against the bytes that are
+    /// actually there before anything is sized by it.
+    pub(crate) fn from_payload(payload: Vec<u8>) -> Result<ColumnarSlab> {
         let mut cur: &[u8] = &payload;
         let version = take_u8(&mut cur)?;
         if version != COLUMNAR_VERSION {
@@ -223,9 +178,9 @@ impl ColumnarSlab {
                 "unsupported columnar format version {version}"
             )));
         }
-        let samples = take_u64(&mut cur)? as usize;
+        let samples = take_u64(&mut cur)?;
         let count = take_u32(&mut cur)? as usize;
-        let mut raw_columns = Vec::with_capacity(count.min(1 << 16));
+        let mut raw_columns = Vec::with_capacity(count.min(cur.len() / MIN_DIRECTORY_ENTRY));
         for _ in 0..count {
             let name = take_str(&mut cur)?.to_string();
             let offset = take_u64(&mut cur)?;
@@ -247,6 +202,14 @@ impl ColumnarSlab {
                     "columnar region for column `{name}` out of bounds ({end} > {regions_len})"
                 )));
             }
+            // Every sample has a presence byte in every region, and a
+            // region cannot decompress to more than its codec allows.
+            if raw_len > max_raw_len(len as usize) || samples > raw_len {
+                return Err(DjError::Storage(format!(
+                    "implausible sizes for column `{name}`: {samples} samples, \
+                     {len} bytes holding {raw_len}"
+                )));
+            }
             columns.push(ColumnEntry {
                 name,
                 start: regions_base + offset as usize,
@@ -255,9 +218,15 @@ impl ColumnarSlab {
                 checksum,
             });
         }
+        // Only a frame of column-less samples has a count no region bounds.
+        if columns.is_empty() && samples > MAX_COLUMNLESS_SAMPLES {
+            return Err(DjError::Storage(format!(
+                "implausible sample count {samples} in a frame without columns"
+            )));
+        }
         Ok(ColumnarSlab {
             payload,
-            samples,
+            samples: samples as usize,
             columns,
         })
     }
@@ -598,7 +567,7 @@ mod tests {
 
     #[test]
     fn roundtrip_all_codecs() {
-        for codec in [Codec::None, Codec::Rle, Codec::Djz] {
+        for codec in [Codec::None, Codec::Djz] {
             for ds in [Dataset::new(), rich_shard()] {
                 let frame = encode_columnar_frame(&ds, codec);
                 let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
@@ -771,39 +740,20 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected() {
+    fn region_corruption_behind_a_valid_envelope_is_detected() {
+        // Flip a region byte but re-seal, so only the per-region checksum
+        // can catch it (the envelope's own checks are `frame`'s business).
         let ds = rich_shard();
         let frame = encode_columnar_frame(&ds, Codec::Djz);
-        // Envelope checksum.
-        let mut flipped = frame.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert!(ColumnarSlab::from_frame_bytes(&flipped).is_err());
-        // Truncation at several prefixes.
-        for cut in [0, 3, HEADER_LEN - 1, HEADER_LEN + 4, frame.len() - 2] {
-            assert!(
-                ColumnarSlab::from_frame_bytes(&frame[..cut]).is_err(),
-                "cut={cut}"
-            );
-        }
-        // Trailing bytes.
-        let mut extra = frame.clone();
-        extra.push(0);
-        assert!(ColumnarSlab::from_frame_bytes(&extra).is_err());
-        // Bad magic.
-        let mut bad = frame.clone();
-        bad[0] = b'X';
-        assert!(ColumnarSlab::from_frame_bytes(&bad).is_err());
-        // Per-region corruption: flip a payload byte but fix the envelope
-        // checksum so only the region checksum can catch it.
-        let mut region_flip = frame.clone();
-        let last = region_flip.len() - 1;
-        region_flip[last] ^= 0x01;
-        let body_checksum = fnv1a(&region_flip[HEADER_LEN..]);
-        region_flip[12..20].copy_from_slice(&body_checksum.to_le_bytes());
-        let slab = ColumnarSlab::from_frame_bytes(&region_flip).unwrap();
+        let (magic, payload) = envelope::open_one(&frame).unwrap();
+        let mut payload = payload.to_vec();
+        let last = payload.len() - 1;
+        payload[last] ^= 0x01;
+        let slab = ColumnarSlab::from_frame_bytes(&envelope::seal(&magic, &payload)).unwrap();
         assert!(slab.decode().is_err());
-        assert!(ColumnarSlab::load("/no/such/columnar-frame").is_err());
+        // A columnar slab is only ever built from a columnar frame.
+        let row = crate::encode_shard_frame(&ds, Codec::Djz);
+        assert!(ColumnarSlab::from_frame_bytes(&row).is_err());
     }
 
     #[test]

@@ -1,23 +1,27 @@
 //! # dj-store — storage substrate (paper §4.1.1, §6)
 //!
-//! * [`codec`] — from-scratch cache-file compression (RLE and the LZ77-family
-//!   "djz" codec standing in for zstd/LZ4);
+//! * [`codec`] — from-scratch cache-file compression (the LZ77-family "djz"
+//!   codec standing in for zstd/LZ4);
 //! * [`serialize`] — compact binary dataset format + JSONL import/export;
 //! * [`cache`] — per-OP cache & checkpoint management with resume-from-
-//!   longest-prefix, the backbone of the feedback-loop acceleration;
+//!   longest-prefix, the backbone of the feedback-loop acceleration; an
+//!   entry is a concatenation of sealed frames, pulled back one at a time;
 //! * [`space`] — the Appendix A.2 space-usage model and the automatic
 //!   cache/checkpoint deployment policy;
-//! * [`shard_stream`] — length-prefixed, checksummed shard frames and the
-//!   disk-backed [`ShardSpool`], the storage substrate of the out-of-core
+//! * [`frame`] — the one envelope (magic · length · FNV · payload) every
+//!   spool slot, sidecar, `frames` part and cache entry is sealed in, and
+//!   the one [`Frame`] over the two shard-frame formats: the only module
+//!   that checks an envelope or tells row from columnar;
+//! * [`shard_stream`] — row `DJSF` shard frames and the disk-backed
+//!   [`ShardSpool`], the storage substrate of the out-of-core
 //!   (spill-to-disk) execution mode;
 //! * [`columnar`] — columnar `DJSC` shard frames: per-column compressed,
 //!   checksummed regions behind an offset table, so projection-aware
 //!   stages decode only the columns their OPs' field footprints name and
 //!   splice the rest through byte-for-byte;
-//! * `transcode` — frame → JSONL transcoding
-//!   ([`FrameSlab::write_jsonl`], [`ColumnarSlab::write_jsonl`]): spool
-//!   egress prints JSON text straight from undecoded row-frame bytes /
-//!   column regions, never building a `Value`;
+//! * `transcode` — frame → JSONL transcoding ([`Frame::write_jsonl`]):
+//!   spool egress prints JSON text straight from undecoded row-frame bytes
+//!   / column regions, never building a `Value`;
 //! * [`sidecar`] — the checksummed `DJCS` planner-stats sidecar: EWMA
 //!   per-op cost/selectivity aggregates persisted under the cache root so
 //!   the adaptive planner (`dj-exec`) learns across runs.
@@ -30,16 +34,18 @@
 pub mod cache;
 pub mod codec;
 pub mod columnar;
+pub mod frame;
 pub mod serialize;
 pub mod shard_stream;
 pub mod sidecar;
 pub mod space;
 mod transcode;
 
-pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedStage};
+pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedEntry};
 pub use codec::{compress, decompress, Codec};
-pub use columnar::{
-    encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab, COLUMNAR_FRAME_MAGIC,
+pub use columnar::{encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab};
+pub use frame::{
+    envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
 pub use serialize::{
     from_bytes, from_jsonl, sample_count, texts_at, to_bytes, to_jsonl, values_from_bytes,
@@ -49,11 +55,7 @@ pub use sidecar::{
     OpAggregate, StatsSidecar, STATS_SIDECAR_FILE, STATS_SIDECAR_MAGIC, STATS_SIDECAR_VERSION,
 };
 
-pub use shard_stream::{
-    count_frames, encode_shard_frame, read_shard_frame, read_shard_stream, write_shard_frame,
-    FrameSlab, ShardSpool, ShardStreamReader, ShardStreamWriter, FINGERPRINT_MAGIC,
-    SHARD_FRAME_MAGIC,
-};
+pub use shard_stream::{encode_shard_frame, FrameSlab, ShardSpool};
 pub use space::{
     cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, PipelineShape, StoragePlan,
 };

@@ -22,7 +22,7 @@ pub fn to_bytes(dataset: &Dataset) -> Vec<u8> {
 /// Deserialize a dataset from the binary cache format.
 pub fn from_bytes(data: &[u8]) -> Result<Dataset> {
     let (n, mut cur) = read_header(data, "dataset")?;
-    let mut samples = Vec::with_capacity(n.min(1 << 20));
+    let mut samples = Vec::with_capacity(n.min(cur.len()));
     for _ in 0..n {
         samples.push(Sample::from_value(read_value_slice(&mut cur)?)?);
     }
@@ -112,7 +112,7 @@ pub fn values_to_bytes(values: &[Value]) -> Vec<u8> {
 /// Deserialize a value list written by [`values_to_bytes`].
 pub fn values_from_bytes(data: &[u8]) -> Result<Vec<Value>> {
     let (n, mut cur) = read_header(data, "value")?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = Vec::with_capacity(n.min(cur.len()));
     for _ in 0..n {
         out.push(read_value_slice(&mut cur)?);
     }
@@ -157,7 +157,7 @@ pub(crate) fn le_u32(b: &[u8]) -> u32 {
 pub fn texts_at<'a>(data: &'a [u8], field: &str) -> Result<Vec<Cow<'a, str>>> {
     let (n, mut cur) = read_header(data, "dataset")?;
     let segments: Vec<&str> = field.split('.').collect();
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = Vec::with_capacity(n.min(cur.len()));
     for _ in 0..n {
         out.push(walk_path(&mut cur, &segments)?);
     }
@@ -214,7 +214,7 @@ pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
         TAG_STR => Value::Str(take_str(cur)?.to_string()),
         TAG_LIST => {
             let n = take_u32(cur)? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
+            let mut items = Vec::with_capacity(n.min(cur.len()));
             for _ in 0..n {
                 items.push(read_value_slice(cur)?);
             }

@@ -1,246 +1,36 @@
-//! Streaming shard frames: the on-disk format of the out-of-core executor.
+//! Row shard frames (`DJSF`) and the disk-backed [`ShardSpool`].
 //!
-//! A *shard frame* wraps one serialized (and codec-compressed) shard so it
-//! can be appended to a byte stream and read back with integrity checking:
+//! A row frame is the [`crate::frame`] envelope around one codec-compressed
+//! run of whole serialized samples (`compress(to_bytes(shard))`); the
+//! payload reuses the self-describing [`Codec`] frame, so frames of
+//! different codecs can sit side by side. [`FrameSlab`] is the frame loaded
+//! but not decoded.
 //!
-//! ```text
-//! ┌──────────┬──────────────┬──────────────┬─────────────────────┐
-//! │ "DJSF"   │ payload_len  │ checksum     │ payload             │
-//! │ 4 bytes  │ u64 LE       │ u64 LE (FNV) │ compress(to_bytes)  │
-//! └──────────┴──────────────┴──────────────┴─────────────────────┘
-//! ```
-//!
-//! The length prefix makes frames skippable, the checksum detects bit rot
-//! and torn writes, and the payload reuses the self-describing [`Codec`]
-//! frame so a stream can mix codecs. Truncated or corrupted frames are
-//! reported as clean [`DjError::Storage`] errors — never a panic, never
-//! silently short data.
-//!
-//! Two consumers build on the format:
-//!
-//! * [`ShardStreamWriter`]/[`ShardStreamReader`] — many frames appended to
-//!   one stream (used by the cache manager to persist spilled stages
-//!   without materializing them);
-//! * [`ShardSpool`] — a directory with one frame file per shard, the
-//!   disk backing of the executor's spill path. Files are written to a
-//!   temporary name and atomically renamed, so a reader (or a restarted
-//!   run) never observes a partial frame. The spool removes its directory
-//!   on drop.
+//! [`ShardSpool`] is a directory with one frame file per shard — row or
+//! columnar — the disk backing of the executor's spill path. Files are
+//! written to a temporary name and atomically renamed, so a reader (or a
+//! restarted run) never observes a partial frame, and every read goes
+//! through the one checked [`ShardSpool::read`]. The spool removes its
+//! directory on drop.
 
 use std::fs;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dj_core::{Dataset, DjError, Result, Sample, ShardSink, ShardSource, Value};
-use dj_hash::fnv1a;
+use dj_core::{Dataset, DjError, Result, Sample, Value};
 
 use crate::codec::{compress, decompress, Codec};
-use crate::columnar::{
-    decode_columnar_payload, encode_columnar_frame, ColumnarSlab, COLUMNAR_FRAME_MAGIC,
-};
+use crate::columnar::encode_columnar_frame;
+use crate::frame::{checked_copy, envelope, Frame, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC};
 use crate::serialize::{
-    from_bytes, le_u64, read_header, read_value_slice, sample_count, skip_value, texts_at,
-    to_bytes, values_from_bytes, values_to_bytes,
+    read_header, read_value_slice, sample_count, skip_value, texts_at, to_bytes, values_from_bytes,
+    values_to_bytes,
 };
 use crate::transcode::{check_mask, keeps};
 
-/// Magic prefix of every shard frame (and of multi-frame stream files).
-pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
-
-/// Magic prefix of fingerprint sidecar files (`shard-N.fpr`).
-pub const FINGERPRINT_MAGIC: &[u8; 4] = b"DJFP";
-
-pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
-
-/// Refuse to allocate for frames claiming more than this (corrupt length
-/// prefixes must not turn into huge allocations).
-pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 40;
-
-/// Wrap `payload` in the envelope every frame and sidecar shares: magic,
-/// payload length, FNV-1a checksum, payload.
-pub(crate) fn frame_bytes(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Encode one shard into a self-contained frame.
+/// Encode one shard into a self-contained row frame.
 pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
-    frame_bytes(SHARD_FRAME_MAGIC, &compress(&to_bytes(shard), codec))
-}
-
-/// Append one shard frame to a writer; returns the bytes written.
-pub fn write_shard_frame<W: Write>(w: &mut W, shard: &Dataset, codec: Codec) -> Result<u64> {
-    let frame = encode_shard_frame(shard, codec);
-    w.write_all(&frame)?;
-    Ok(frame.len() as u64)
-}
-
-/// Read the next shard frame from a reader — row (`DJSF`) or columnar
-/// (`DJSC`), sniffed from the magic; both share the same envelope shape.
-///
-/// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
-/// boundary). A frame cut off mid-header or mid-payload, a bad magic, an
-/// implausible length, or a checksum mismatch all yield a descriptive
-/// [`DjError::Storage`].
-pub fn read_shard_frame<R: Read>(r: &mut R) -> Result<Option<Dataset>> {
-    let mut header = [0u8; HEADER_LEN];
-    let got = read_up_to(r, &mut header)?;
-    if got == 0 {
-        return Ok(None);
-    }
-    if got < HEADER_LEN {
-        return Err(DjError::Storage(format!(
-            "truncated shard frame header ({got} of {HEADER_LEN} bytes)"
-        )));
-    }
-    let columnar = if &header[..4] == SHARD_FRAME_MAGIC {
-        false
-    } else if &header[..4] == COLUMNAR_FRAME_MAGIC {
-        true
-    } else {
-        return Err(DjError::Storage("bad shard frame magic".into()));
-    };
-    let len = le_u64(&header[4..12]);
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(DjError::Storage(format!(
-            "implausible shard frame length {len}"
-        )));
-    }
-    let checksum = le_u64(&header[12..20]);
-    let mut payload = vec![0u8; len as usize];
-    let got = read_up_to(r, &mut payload)?;
-    if got < payload.len() {
-        return Err(DjError::Storage(format!(
-            "truncated shard frame payload ({got} of {len} bytes)"
-        )));
-    }
-    if fnv1a(&payload) != checksum {
-        return Err(DjError::Storage(
-            "shard frame checksum mismatch (corrupted spill data)".into(),
-        ));
-    }
-    if columnar {
-        decode_columnar_payload(&payload).map(Some)
-    } else {
-        from_bytes(&decompress(&payload)?).map(Some)
-    }
-}
-
-/// Fill `buf` as far as the reader allows; returns bytes read (< `buf.len()`
-/// only at end-of-stream).
-fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(filled)
-}
-
-/// Sequentially append shard frames to any writer.
-pub struct ShardStreamWriter<W: Write> {
-    inner: W,
-    codec: Codec,
-    frames: u64,
-    bytes: u64,
-}
-
-impl<W: Write> ShardStreamWriter<W> {
-    pub fn new(inner: W, codec: Codec) -> Self {
-        ShardStreamWriter {
-            inner,
-            codec,
-            frames: 0,
-            bytes: 0,
-        }
-    }
-
-    pub fn write(&mut self, shard: &Dataset) -> Result<()> {
-        self.bytes += write_shard_frame(&mut self.inner, shard, self.codec)?;
-        self.frames += 1;
-        Ok(())
-    }
-
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Flush and hand back the underlying writer.
-    pub fn finish(mut self) -> Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-}
-
-/// Sequentially read shard frames from any reader.
-pub struct ShardStreamReader<R: Read> {
-    inner: R,
-}
-
-impl<R: Read> ShardStreamReader<R> {
-    pub fn new(inner: R) -> Self {
-        ShardStreamReader { inner }
-    }
-
-    /// The next shard, or `None` at a clean end-of-stream.
-    pub fn next_shard(&mut self) -> Result<Option<Dataset>> {
-        read_shard_frame(&mut self.inner)
-    }
-}
-
-/// Read a whole multi-frame stream into one dataset (frames concatenate in
-/// order, mirroring `Dataset::from_shards`).
-pub fn read_shard_stream<R: Read>(r: R) -> Result<Dataset> {
-    let mut reader = ShardStreamReader::new(r);
-    let mut out = Dataset::new();
-    while let Some(shard) = reader.next_shard()? {
-        out.extend(shard);
-    }
-    Ok(out)
-}
-
-/// Count the frames in a multi-frame stream by walking headers and seeking
-/// over payloads — no payload is read or decoded. A final frame whose
-/// payload was cut off is still counted; the decode pass reports the
-/// truncation when it reaches it.
-pub fn count_frames<R: Read + std::io::Seek>(r: &mut R) -> Result<u64> {
-    let mut count = 0u64;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        let got = read_up_to(r, &mut header)?;
-        if got == 0 {
-            return Ok(count);
-        }
-        if got < HEADER_LEN {
-            return Err(DjError::Storage(format!(
-                "truncated shard frame header ({got} of {HEADER_LEN} bytes)"
-            )));
-        }
-        if &header[..4] != SHARD_FRAME_MAGIC && &header[..4] != COLUMNAR_FRAME_MAGIC {
-            return Err(DjError::Storage("bad shard frame magic".into()));
-        }
-        let len = le_u64(&header[4..12]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(DjError::Storage(format!(
-                "implausible shard frame length {len}"
-            )));
-        }
-        r.seek(std::io::SeekFrom::Current(len as i64))?;
-        count += 1;
-    }
+    envelope::seal(SHARD_FRAME_MAGIC, &compress(&to_bytes(shard), codec))
 }
 
 /// A loaded-but-undecoded shard frame: the zero-copy spool read path.
@@ -257,52 +47,20 @@ pub struct FrameSlab {
 }
 
 impl FrameSlab {
-    /// Parse one frame held fully in memory. Rejects trailing bytes —
-    /// a slab is exactly one frame (the spool slot-file invariant).
+    /// Parse one row frame held fully in memory (exactly one: trailing
+    /// bytes are refused, the spool slot-file invariant).
     pub fn from_frame_bytes(frame: &[u8]) -> Result<FrameSlab> {
-        if frame.len() < HEADER_LEN {
-            return Err(DjError::Storage(format!(
-                "truncated shard frame header ({} of {HEADER_LEN} bytes)",
-                frame.len()
-            )));
+        match Frame::parse(frame)? {
+            Frame::Row(slab) => Ok(slab),
+            Frame::Col(_) => Err(DjError::Storage("not a row shard frame".into())),
         }
-        if &frame[..4] != SHARD_FRAME_MAGIC {
-            return Err(DjError::Storage("bad shard frame magic".into()));
-        }
-        let len = le_u64(&frame[4..12]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(DjError::Storage(format!(
-                "implausible shard frame length {len}"
-            )));
-        }
-        let checksum = le_u64(&frame[12..20]);
-        let body = &frame[HEADER_LEN..];
-        if (body.len() as u64) < len {
-            return Err(DjError::Storage(format!(
-                "truncated shard frame payload ({} of {len} bytes)",
-                body.len()
-            )));
-        }
-        if (body.len() as u64) > len {
-            return Err(DjError::Storage("trailing bytes after shard frame".into()));
-        }
-        if fnv1a(body) != checksum {
-            return Err(DjError::Storage(
-                "shard frame checksum mismatch (corrupted spill data)".into(),
-            ));
-        }
-        Ok(FrameSlab {
-            payload: decompress(body)?,
-        })
     }
 
-    /// Load a single-frame file (a spool slot) into a slab.
-    pub fn load(path: impl AsRef<Path>) -> Result<FrameSlab> {
-        let path = path.as_ref();
-        let mut bytes = fs::read(path)
-            .map_err(|e| DjError::Storage(format!("shard frame missing at {path:?}: {e}")))?;
-        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        FrameSlab::from_frame_bytes(&bytes)
+    /// The slab of a row frame's verified payload.
+    pub(crate) fn from_payload(payload: &[u8]) -> Result<FrameSlab> {
+        Ok(FrameSlab {
+            payload: decompress(payload)?,
+        })
     }
 
     /// Decompressed payload size in bytes (the slab's memory footprint).
@@ -343,7 +101,7 @@ impl FrameSlab {
     pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<Vec<u8>> {
         let kept = keep.iter().filter(|k| **k).count();
         let mut body = Vec::with_capacity(self.payload.len());
-        body.extend_from_slice(&self.payload[..1]);
+        body.extend(self.payload.first());
         body.extend_from_slice(&(kept as u64).to_le_bytes());
         self.walk(Some(keep), |cur| {
             let entry = *cur;
@@ -351,7 +109,7 @@ impl FrameSlab {
             body.extend_from_slice(&entry[..entry.len() - cur.len()]);
             Ok(())
         })?;
-        Ok(frame_bytes(SHARD_FRAME_MAGIC, &compress(&body, codec)))
+        Ok(envelope::seal(SHARD_FRAME_MAGIC, &compress(&body, codec)))
     }
 
     /// Visit every kept sample's serialized value with a cursor positioned
@@ -387,9 +145,9 @@ impl FrameSlab {
 pub struct ShardSpool {
     dir: PathBuf,
     codec: Codec,
-    /// Write shards as columnar (`DJSC`) frames instead of row frames.
-    /// Reads sniff the per-file magic either way, so a resumed or
-    /// rehydrated spool can mix formats.
+    /// Which format [`write_shard`](ShardSpool::write_shard) encodes:
+    /// columnar (`DJSC`) instead of row frames. Reads take whatever format a
+    /// slot holds, so a resumed or rehydrated spool can mix them.
     columnar: bool,
     /// Sample count per written slot (`None` until stored) — the shard
     /// layout metadata the dedup barrier needs to slice its dataset-level
@@ -415,9 +173,8 @@ impl ShardSpool {
 
     /// Like [`create`](ShardSpool::create), but shards written through
     /// [`write_shard`](ShardSpool::write_shard) are stored as columnar
-    /// `DJSC` frames, enabling projection ([`read_columnar_slab`]
-    /// (ShardSpool::read_columnar_slab)) and byte-for-byte column splicing
-    /// ([`write_frame_bytes`](ShardSpool::write_frame_bytes)).
+    /// `DJSC` frames, enabling projection ([`Frame::decode`]) and
+    /// byte-for-byte column splicing ([`Frame::store_processed`]).
     pub fn create_columnar(
         dir: impl Into<PathBuf>,
         slots: usize,
@@ -426,11 +183,6 @@ impl ShardSpool {
         let mut spool = ShardSpool::create(dir, slots, codec)?;
         spool.columnar = true;
         Ok(spool)
-    }
-
-    /// Whether this spool writes columnar frames.
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
     }
 
     pub fn dir(&self) -> &Path {
@@ -460,9 +212,9 @@ impl ShardSpool {
         self.write_frame_bytes(idx, &frame, shard.len())
     }
 
-    /// Store a pre-encoded frame (row or columnar — e.g. the output of a
-    /// column splice) into slot `idx` atomically, recording `samples` as
-    /// the slot's sample count.
+    /// Store a pre-encoded frame (row or columnar — a column splice, a
+    /// frame copied out of a cache entry) into slot `idx` atomically,
+    /// recording `samples` as the slot's sample count.
     pub fn write_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
         let path = self.slot_path(idx);
         let tmp = path.with_extension("djs.tmp");
@@ -489,7 +241,7 @@ impl ShardSpool {
     /// (`shard-N.fpr`, atomic temp+rename). Fingerprints travel with the
     /// frame so a later dedup barrier can skip its hash pass entirely.
     pub fn write_fingerprints(&self, idx: usize, fingerprints: &[Value]) -> Result<()> {
-        let mut out = frame_bytes(FINGERPRINT_MAGIC, &values_to_bytes(fingerprints));
+        let mut out = envelope::seal(FINGERPRINT_MAGIC, &values_to_bytes(fingerprints));
         dj_core::faults::corrupt("store.fpr.write", &mut out)?;
         let path = self.sidecar_path(idx);
         let tmp = path.with_extension("fpr.tmp");
@@ -508,24 +260,10 @@ impl ShardSpool {
             Err(e) => return Err(e.into()),
         };
         dj_core::faults::corrupt("store.fpr.read", &mut bytes)?;
-        if bytes.len() < HEADER_LEN || &bytes[..4] != FINGERPRINT_MAGIC {
-            return Err(DjError::Storage(format!(
-                "bad fingerprint sidecar header at {path:?}"
-            )));
-        }
-        let len = le_u64(&bytes[4..12]);
-        let checksum = le_u64(&bytes[12..20]);
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() as u64 != len {
-            return Err(DjError::Storage(format!(
-                "fingerprint sidecar length mismatch at {path:?}: got {}, expected {len}",
-                payload.len()
-            )));
-        }
-        if fnv1a(payload) != checksum {
-            return Err(DjError::Storage(format!(
-                "fingerprint sidecar checksum mismatch at {path:?}"
-            )));
+        let at = |e: DjError| DjError::Storage(format!("fingerprint sidecar {path:?}: {e}"));
+        let (magic, payload) = envelope::open_one(&bytes).map_err(at)?;
+        if &magic != FINGERPRINT_MAGIC {
+            return Err(at(DjError::Storage("bad magic".into())));
         }
         values_from_bytes(payload).map(Some)
     }
@@ -547,65 +285,44 @@ impl ShardSpool {
         Ok(Some(all))
     }
 
-    /// Load slot `idx` as an undecoded zero-copy row slab. Errors when the
-    /// slot holds a columnar frame — use
-    /// [`read_columnar_slab`](ShardSpool::read_columnar_slab) for those.
-    pub fn read_frame_slab(&self, idx: usize) -> Result<FrameSlab> {
-        FrameSlab::load(self.slot_path(idx))
-    }
-
-    /// Load slot `idx` as an undecoded columnar slab.
-    pub fn read_columnar_slab(&self, idx: usize) -> Result<ColumnarSlab> {
-        ColumnarSlab::load(self.slot_path(idx))
-    }
-
-    /// Slot `idx`'s frame file, whole.
+    /// Slot `idx`'s frame file as it stands on disk — the one place a slot
+    /// is read, and so the `store.frame.read` fault site. Nothing that
+    /// comes out of here is used before its checksum was verified.
     fn slot_bytes(&self, idx: usize) -> Result<Vec<u8>> {
         let path = self.slot_path(idx);
-        fs::read(&path)
-            .map_err(|e| DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}")))
+        let mut bytes = fs::read(&path).map_err(|e| {
+            DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}"))
+        })?;
+        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
+        Ok(bytes)
     }
 
-    /// Read slot `idx` back, sniffing the frame format from its magic.
-    /// Non-destructive: spilled shards can be re-streamed.
+    /// Load slot `idx`: checksum verified, format taken from the frame,
+    /// nothing decoded. Non-destructive: spilled shards can be re-streamed.
+    pub fn read(&self, idx: usize) -> Result<Frame> {
+        Frame::parse(&self.slot_bytes(idx)?)
+    }
+
+    /// Slot `idx` decoded whole.
     pub fn read_shard(&self, idx: usize) -> Result<Dataset> {
-        self.read_shard_kept(idx, None)
+        Ok(self.read(idx)?.decode(None, None)?.0)
     }
 
-    /// [`read_shard`](ShardSpool::read_shard) of the samples `keep` keeps
-    /// (all of them without a mask) — a deferred barrier mask consumed at
-    /// load: masked-out samples are stepped over, never decoded.
-    pub fn read_shard_kept(&self, idx: usize, keep: Option<&[bool]>) -> Result<Dataset> {
-        let mut bytes = self.slot_bytes(idx)?;
-        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        // Exactly one frame per slot file (both slab parsers reject
-        // trailing bytes).
-        if bytes.starts_with(COLUMNAR_FRAME_MAGIC) {
-            Ok(ColumnarSlab::from_frame_bytes(&bytes)?
-                .decode_kept(None, keep)?
-                .0)
-        } else {
-            FrameSlab::from_frame_bytes(&bytes)?.decode_kept(keep)
-        }
-    }
-
-    /// Slot `idx` as frame bytes holding the samples `keep` keeps. Without
-    /// a mask that is the slot file as it stands — spool slots, multi-frame
-    /// cache entries and `frames` output parts share one format, so a spool
-    /// persists by plain copying. With a mask the frame is re-encoded from
-    /// the kept entries' byte ranges; no value is decoded either way.
+    /// Slot `idx` as frame bytes holding the samples `keep` keeps, in the
+    /// format the slot has — how a spool is persisted as a cache entry.
+    /// Without a mask that is a checked copy of the slot file; with one the
+    /// frame is re-encoded from the kept entries' byte ranges. No value is
+    /// decoded either way.
     pub fn read_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
-        let mut bytes = self.slot_bytes(idx)?;
-        let Some(keep) = keep else {
-            return Ok(bytes);
-        };
-        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        if bytes.starts_with(COLUMNAR_FRAME_MAGIC) {
-            let slab = ColumnarSlab::from_frame_bytes(&bytes)?;
-            Ok(slab.filter_frame(keep, self.codec)?.0)
-        } else {
-            FrameSlab::from_frame_bytes(&bytes)?.filter_frame(keep, self.codec)
-        }
+        checked_copy(self.slot_bytes(idx)?, keep, false, self.codec)
+    }
+
+    /// [`read_frame_bytes`](ShardSpool::read_frame_bytes) as a *row* frame,
+    /// whatever the slot holds — the `frames` output contract. A row slot
+    /// is copied (or entry-filtered) as above; a columnar slot is decoded
+    /// and re-encoded, the one conversion that contract requires.
+    pub fn read_row_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
+        checked_copy(self.slot_bytes(idx)?, keep, true, self.codec)
     }
 
     /// Sample count of slot `idx`, if it has been written.
@@ -627,31 +344,6 @@ impl ShardSpool {
             .map(|m| m.len())
             .sum()
     }
-
-    /// Materialize the whole spool back into one in-memory dataset,
-    /// preserving shard order.
-    pub fn materialize(&self) -> Result<Dataset> {
-        let mut out = Dataset::new();
-        for i in 0..self.shard_count() {
-            out.extend(self.read_shard(i)?);
-        }
-        Ok(out)
-    }
-}
-
-impl ShardSource for ShardSpool {
-    fn shard_count(&self) -> usize {
-        self.shard_count()
-    }
-    fn load_shard(&self, idx: usize) -> Result<Dataset> {
-        self.read_shard(idx)
-    }
-}
-
-impl ShardSink for ShardSpool {
-    fn store_shard(&self, idx: usize, shard: Dataset) -> Result<()> {
-        self.write_shard(idx, &shard)
-    }
 }
 
 impl Drop for ShardSpool {
@@ -664,6 +356,7 @@ impl Drop for ShardSpool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::read_shard_frame;
     use dj_core::Sample;
     use proptest::prelude::*;
 
@@ -687,37 +380,13 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_all_codecs() {
-        for codec in [Codec::None, Codec::Rle, Codec::Djz] {
+        for codec in [Codec::None, Codec::Djz] {
             for ds in [Dataset::new(), shard(&["a", "b"]), rich_shard()] {
                 let frame = encode_shard_frame(&ds, codec);
                 let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
                 assert_eq!(back, ds, "codec {codec:?}");
             }
         }
-    }
-
-    #[test]
-    fn multi_frame_stream_roundtrips_in_order() {
-        let shards = vec![
-            shard(&["first", "second"]),
-            Dataset::new(), // empty shard mid-stream
-            rich_shard(),
-            shard(&["Ünïcødé ♥ 中文 🦀", ""]),
-        ];
-        let mut w = ShardStreamWriter::new(Vec::new(), Codec::Djz);
-        for s in &shards {
-            w.write(s).unwrap();
-        }
-        assert_eq!(w.frames(), 4);
-        let buf = w.finish().unwrap();
-        let mut r = ShardStreamReader::new(buf.as_slice());
-        for expect in &shards {
-            assert_eq!(&r.next_shard().unwrap().unwrap(), expect);
-        }
-        assert!(r.next_shard().unwrap().is_none());
-        // And the concatenating reader matches from_shards.
-        let merged = read_shard_stream(buf.as_slice()).unwrap();
-        assert_eq!(merged, Dataset::from_shards(shards));
     }
 
     #[test]
@@ -740,55 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn truncated_frames_error_cleanly() {
-        let frame = encode_shard_frame(&rich_shard(), Codec::Djz);
-        // Truncation at every prefix length must be a clean Storage error
-        // (or clean EOF for the empty prefix), never a panic.
-        for cut in [
-            0,
-            1,
-            HEADER_LEN - 1,
-            HEADER_LEN,
-            HEADER_LEN + 5,
-            frame.len() - 1,
-        ] {
-            let res = read_shard_frame(&mut &frame[..cut]);
-            if cut == 0 {
-                assert!(matches!(res, Ok(None)), "cut=0 is clean EOF");
-            } else {
-                let err = res.unwrap_err();
-                assert!(matches!(err, DjError::Storage(_)), "cut={cut} gave {err:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_payload_fails_checksum() {
-        let mut frame = encode_shard_frame(&shard(&["corruption target"]), Codec::None);
-        let last = frame.len() - 1;
-        frame[last] ^= 0x40;
-        let err = read_shard_frame(&mut frame.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        // Bad magic likewise.
-        let mut bad = encode_shard_frame(&shard(&["x"]), Codec::None);
-        bad[0] = b'X';
-        assert!(read_shard_frame(&mut bad.as_slice()).is_err());
-    }
-
-    #[test]
-    fn implausible_length_rejected_without_allocation() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(SHARD_FRAME_MAGIC);
-        frame.extend_from_slice(&u64::MAX.to_le_bytes());
-        frame.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_shard_frame(&mut frame.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("implausible"), "{err}");
-    }
-
-    #[test]
     fn spool_write_read_and_cleanup_on_drop() {
         let dir = tmpdir("spool");
-        let shards = vec![shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
+        let shards = [shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
         {
             let spool = ShardSpool::create(&dir, 3, Codec::Djz).unwrap();
             for (i, s) in shards.iter().enumerate() {
@@ -801,7 +424,6 @@ mod tests {
             for (i, s) in shards.iter().enumerate() {
                 assert_eq!(&spool.read_shard(i).unwrap(), s);
             }
-            assert_eq!(spool.materialize().unwrap(), Dataset::from_shards(shards));
             assert!(dir.exists());
         }
         assert!(!dir.exists(), "spool must remove its dir on drop");
@@ -874,62 +496,46 @@ mod tests {
         // Length mismatch with its shard disqualifies the whole set.
         spool.write_fingerprints(1, &[]).unwrap();
         assert!(spool.read_all_fingerprints().unwrap().is_none());
-        // Corruption is a Storage error, not a silent miss.
+        // A shard frame in a sidecar's place is refused by its magic.
         let path = dir.join("shard-00000.fpr");
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(spool.read_fingerprints(0).is_err());
+        fs::write(&path, encode_shard_frame(&shard(&["a"]), Codec::None)).unwrap();
+        let err = spool.read_fingerprints(0).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]
-    fn columnar_spool_roundtrips_and_streams() {
+    fn a_spool_reads_whatever_format_a_slot_holds() {
         let dir = tmpdir("spool-columnar");
-        let shards = vec![shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
+        let shards = [shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
         let spool = ShardSpool::create_columnar(&dir, 3, Codec::Djz).unwrap();
-        assert!(spool.is_columnar());
         for (i, s) in shards.iter().enumerate() {
             spool.write_shard(i, s).unwrap();
         }
-        // read_shard sniffs DJSC and decodes whole samples.
         for (i, s) in shards.iter().enumerate() {
+            assert!(matches!(spool.read(i).unwrap(), Frame::Col(_)));
             assert_eq!(&spool.read_shard(i).unwrap(), s);
         }
-        assert_eq!(
-            spool.materialize().unwrap(),
-            Dataset::from_shards(shards.clone())
-        );
-        // The columnar slab path sees the same data.
-        let slab = spool.read_columnar_slab(2).unwrap();
-        assert_eq!(slab.decode().unwrap(), shards[2]);
-        // Row slab loads must refuse columnar slots.
-        assert!(spool.read_frame_slab(0).is_err());
-        // Raw frame concatenation (the cache save path) stays readable: the
-        // multi-frame stream reader sniffs per-frame magic.
-        let mut buf = Vec::new();
-        for i in 0..3 {
-            buf.extend(spool.read_frame_bytes(i, None).unwrap());
-        }
-        assert_eq!(
-            read_shard_stream(buf.as_slice()).unwrap(),
-            Dataset::from_shards(shards.clone())
-        );
-        assert_eq!(count_frames(&mut std::io::Cursor::new(&buf)).unwrap(), 3);
-        // A pre-encoded splice output lands like any other write.
-        let frame = crate::columnar::encode_columnar_frame(&shards[0], Codec::Djz);
+        // A pre-encoded frame of the other format lands like any other
+        // write, and reads back through the same call.
+        let frame = encode_shard_frame(&shards[0], Codec::Djz);
         spool.write_frame_bytes(1, &frame, shards[0].len()).unwrap();
+        assert!(matches!(spool.read(1).unwrap(), Frame::Row(_)));
         assert_eq!(spool.read_shard(1).unwrap(), shards[0]);
         assert_eq!(spool.shard_len(1), Some(3));
+        // Byte reads keep a slot's format; row-frame reads convert the
+        // columnar slots and copy the row one.
+        assert_eq!(spool.read_frame_bytes(1, None).unwrap(), frame);
+        assert_eq!(spool.read_row_frame_bytes(1, None).unwrap(), frame);
+        assert_eq!(
+            spool.read_row_frame_bytes(2, None).unwrap(),
+            encode_shard_frame(&shards[2], Codec::Djz)
+        );
     }
 
     #[test]
     fn frame_slab_matches_full_decode() {
-        let dir = tmpdir("slab");
-        let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
         let ds = rich_shard();
-        spool.write_shard(0, &ds).unwrap();
-        let slab = spool.read_frame_slab(0).unwrap();
+        let slab = FrameSlab::from_frame_bytes(&encode_shard_frame(&ds, Codec::Djz)).unwrap();
         assert_eq!(slab.sample_count().unwrap(), ds.len());
         assert!(slab.payload_len() > 0);
         assert_eq!(slab.decode().unwrap(), ds);
@@ -939,23 +545,9 @@ mod tests {
             texts.iter().map(|c| c.as_ref()).collect::<Vec<_>>(),
             expected
         );
-    }
-
-    #[test]
-    fn frame_slab_rejects_corruption_and_trailing_bytes() {
-        let frame = encode_shard_frame(&rich_shard(), Codec::None);
-        assert!(FrameSlab::from_frame_bytes(&frame).is_ok());
-        assert!(FrameSlab::from_frame_bytes(&frame[..frame.len() - 1]).is_err());
-        let mut extra = frame.clone();
-        extra.push(0);
-        let err = FrameSlab::from_frame_bytes(&extra).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-        let mut flipped = frame;
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        let err = FrameSlab::from_frame_bytes(&flipped).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        assert!(FrameSlab::load(tmpdir("no-such-slab")).is_err());
+        // A row slab is only ever built from a row frame.
+        let columnar = encode_columnar_frame(&ds, Codec::Djz);
+        assert!(FrameSlab::from_frame_bytes(&columnar).is_err());
     }
 
     proptest! {
@@ -966,31 +558,13 @@ mod tests {
         #[test]
         fn prop_frame_roundtrip(
             texts in proptest::collection::vec(".{0,60}", 0..12),
-            codec_id in 0u8..3,
+            codec_id in 0u8..2,
         ) {
-            let codec = [Codec::None, Codec::Rle, Codec::Djz][codec_id as usize];
+            let codec = [Codec::None, Codec::Djz][codec_id as usize];
             let ds = Dataset::from_texts(texts);
             let frame = encode_shard_frame(&ds, codec);
             let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
             prop_assert_eq!(back, ds);
-        }
-
-        /// Any single corrupted byte in a frame is detected (magic, length,
-        /// checksum or payload — corruption never round-trips silently).
-        #[test]
-        fn prop_single_byte_corruption_detected(
-            flip_pos in 0usize..200,
-            flip_bit in 0u8..8,
-        ) {
-            let ds = shard(&["a stable document body for corruption testing 0123456789"]);
-            let mut frame = encode_shard_frame(&ds, Codec::None);
-            let pos = flip_pos % frame.len();
-            frame[pos] ^= 1 << flip_bit;
-            match read_shard_frame(&mut frame.as_slice()) {
-                Ok(Some(back)) => prop_assert!(back != ds, "corruption at {} slipped through", pos),
-                Ok(None) => prop_assert!(false, "corrupt frame read as clean EOF"),
-                Err(_) => {} // detected — the expected outcome
-            }
         }
     }
 }

@@ -179,8 +179,9 @@ mod tests {
     use super::*;
     use crate::codec::Codec;
     use crate::columnar::encode_columnar_frame;
+    use crate::frame::{envelope::seal, SHARD_FRAME_MAGIC};
     use crate::serialize::{to_jsonl, write_value};
-    use crate::shard_stream::{encode_shard_frame, frame_bytes, SHARD_FRAME_MAGIC};
+    use crate::shard_stream::encode_shard_frame;
     use dj_core::{Dataset, Sample, Value};
 
     fn rich_shard() -> Dataset {
@@ -262,7 +263,7 @@ mod tests {
             payload.extend_from_slice(key.as_bytes());
             write_value(&mut payload, &Value::Int(1));
         }
-        let frame = frame_bytes(
+        let frame = seal(
             SHARD_FRAME_MAGIC,
             &crate::codec::compress(&payload, Codec::None),
         );
@@ -273,7 +274,7 @@ mod tests {
         let mut payload = vec![1u8];
         payload.extend_from_slice(&1u64.to_le_bytes());
         write_value(&mut payload, &Value::Int(7));
-        let frame = frame_bytes(
+        let frame = seal(
             SHARD_FRAME_MAGIC,
             &crate::codec::compress(&payload, Codec::None),
         );

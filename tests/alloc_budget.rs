@@ -210,17 +210,10 @@ fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
         for (i, shard) in shards.iter().enumerate() {
             let keep: Vec<bool> = (0..shard.len()).map(|k| k % 3 != 1).collect();
             let before = ALLOCATIONS.with(Cell::get);
-            if columnar {
-                let slab = spool.read_columnar_slab(i).unwrap();
-                writer
-                    .store_jsonl(i, |out| slab.write_jsonl(Some(&keep), out))
-                    .unwrap();
-            } else {
-                let slab = spool.read_frame_slab(i).unwrap();
-                writer
-                    .store_jsonl(i, |out| slab.write_jsonl(Some(&keep), out))
-                    .unwrap();
-            }
+            let frame = spool.read(i).unwrap();
+            writer
+                .store_jsonl(i, |out| frame.write_jsonl(Some(&keep), out))
+                .unwrap();
             per_shard.push(ALLOCATIONS.with(Cell::get) - before);
             // The part holds what a decode → mask → print would have.
             let mut kept = shard.clone();

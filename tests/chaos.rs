@@ -7,8 +7,8 @@
 //!    never partial or corrupt egress left on disk.
 //!
 //! The matrix runs four execution shapes — in-memory, forced-spill row,
-//! forced-spill columnar and file-to-file — so the store, IO and exec
-//! layers each see their sites exercised. Fault plans install process-globally, so everything here
+//! forced-spill columnar and file-to-file (JSONL and `frames` output) — so
+//! the store, IO and exec layers each see their sites exercised. Fault plans install process-globally, so everything here
 //! serializes through one gate mutex.
 
 use std::path::{Path, PathBuf};
@@ -184,67 +184,124 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
     let ops = recipe().build_ops(&builtin_registry()).unwrap();
     let input_dir = unique_dir("input");
     let input = write_corpus(&input_dir, 48);
-
-    let baseline_dir = unique_dir("baseline");
-    let baseline_exec = Executor::new(ops.clone()).with_options(ExecOptions {
+    let options = |format: OutputFormat, out: &Path, plan: Option<Arc<FaultPlan>>| ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         input: Some(input.display().to_string()),
-        output: Some(baseline_dir.clone()),
-        output_format: OutputFormat::Jsonl,
+        output: Some(out.to_path_buf()),
+        output_format: format,
+        faults: plan,
         env: EnvKnobs::default(),
         ..ExecOptions::default()
-    });
-    baseline_exec.run_io().unwrap();
-    let expected = egress_bytes(&baseline_dir).expect("baseline egress");
+    };
 
-    let mut fired = 0u32;
-    for &site in SITES {
-        for &kind in KINDS {
-            let ctx = format!("site={site} kind={} io", kind.name());
-            let out_dir = unique_dir(&format!("{site}-{}", kind.name()));
-            let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
+    // Both ways out of the spool: JSONL transcodes every frame, `frames`
+    // copies slot bytes — which must be just as checked.
+    for format in [OutputFormat::Jsonl, OutputFormat::Frames] {
+        let baseline_dir = unique_dir("baseline");
+        let baseline_exec =
+            Executor::new(ops.clone()).with_options(options(format, &baseline_dir, None));
+        baseline_exec.run_io().unwrap();
+        let expected = egress_bytes(&baseline_dir).expect("baseline egress");
+
+        let mut fired = 0u32;
+        for &site in SITES {
+            for &kind in KINDS {
+                let ctx = format!("site={site} kind={} io {}", kind.name(), format.name());
+                let out_dir = unique_dir(&format!("{site}-{}", kind.name()));
+                let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
+                let exec = Executor::new(ops.clone()).with_options(options(
+                    format,
+                    &out_dir,
+                    Some(Arc::clone(&plan)),
+                ));
+                let result = runtime().submit_io(exec).wait();
+                if plan.hits(site) > 0 {
+                    fired += 1;
+                }
+                match result {
+                    Ok(_) => {
+                        let got = egress_bytes(&out_dir)
+                            .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));
+                        assert_eq!(got, expected, "{ctx}: survived run must be byte-identical");
+                    }
+                    Err(e) => {
+                        assert_clean_error(&e, &ctx);
+                        assert!(
+                            egress_bytes(&out_dir).is_none(),
+                            "{ctx}: failed run must not commit a manifest"
+                        );
+                        assert_no_partial_egress(&out_dir, &ctx);
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&out_dir);
+            }
+        }
+        // The matrix is only meaningful if the file-to-file path actually
+        // reaches its sites: every io.* and exec.* site must have been hit.
+        assert!(
+            fired >= 20,
+            "{}: only {fired} of the armed site/kind pairs were ever reached",
+            format.name()
+        );
+        let _ = std::fs::remove_dir_all(&baseline_dir);
+    }
+
+    let _ = std::fs::remove_dir_all(&input_dir);
+}
+
+/// `frames` egress copies slot bytes instead of decoding them, and used to
+/// copy an unmasked slot without opening its envelope: a frame damaged as it
+/// was written went out as a committed part that no reader could open. The
+/// job gets one attempt, so the one damaged write stays damaged — it must
+/// end in the typed storage error the copy's checksum raises, with no
+/// manifest and no part (parts of undamaged slots that other workers
+/// committed meanwhile are the runtime's to clear).
+#[test]
+fn frames_egress_never_ships_a_slot_damaged_at_write() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let ops = Recipe::new("chaos-frames-egress")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let input_dir = unique_dir("frames-egress-input");
+    let input = write_corpus(&input_dir, 48);
+    for columnar in [false, true] {
+        for kind in [faults::ErrKind::BitFlip, faults::ErrKind::Truncate] {
+            let ctx = format!("columnar={columnar} kind={}", kind.name());
+            let out_dir = unique_dir("frames-egress-out");
+            let plan = Arc::new(FaultPlan::single("store.frame.write", kind, 1, 7));
             let exec = Executor::new(ops.clone()).with_options(ExecOptions {
                 num_workers: 2,
                 shard_size: Some(8),
+                columnar,
                 input: Some(input.display().to_string()),
                 output: Some(out_dir.clone()),
-                output_format: OutputFormat::Jsonl,
+                output_format: OutputFormat::Frames,
                 faults: Some(Arc::clone(&plan)),
                 env: EnvKnobs::default(),
                 ..ExecOptions::default()
             });
-            let result = runtime().submit_io(exec).wait();
-            if plan.hits(site) > 0 {
-                fired += 1;
-            }
-            match result {
-                Ok(_) => {
-                    let got = egress_bytes(&out_dir)
-                        .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));
-                    assert_eq!(got, expected, "{ctx}: survived run must be byte-identical");
-                }
-                Err(e) => {
-                    assert_clean_error(&e, &ctx);
-                    assert!(
-                        egress_bytes(&out_dir).is_none(),
-                        "{ctx}: failed run must not commit a manifest"
-                    );
-                    assert_no_partial_egress(&out_dir, &ctx);
-                }
-            }
+            let err = Runtime::new(RuntimeConfig {
+                max_jobs: 1,
+                ..RuntimeConfig::default()
+            })
+            .submit_io(exec)
+            .wait()
+            .err()
+            .unwrap_or_else(|| panic!("{ctx}: a damaged slot was shipped"));
+            assert_eq!(
+                plan.hits("store.frame.write"),
+                6,
+                "{ctx}: six frames written"
+            );
+            assert!(matches!(err, DjError::Storage(_)), "{ctx}: {err:?}");
+            assert!(egress_bytes(&out_dir).is_none(), "{ctx}: manifest");
+            assert_no_partial_egress(&out_dir, &ctx);
             let _ = std::fs::remove_dir_all(&out_dir);
         }
     }
-    // The matrix is only meaningful if the file-to-file path actually
-    // reaches its sites: every io.* and exec.* site must have been hit.
-    assert!(
-        fired >= 20,
-        "only {fired} of the armed site/kind pairs were ever reached"
-    );
-
     let _ = std::fs::remove_dir_all(&input_dir);
-    let _ = std::fs::remove_dir_all(&baseline_dir);
 }
 
 /// "Every site × every shape" includes the columnar pipeline stage: it runs

@@ -1,0 +1,368 @@
+//! Bytes we did not write: one seeded, structure-aware mutation loop over
+//! everything that opens sealed bytes — `envelope::open`, `Frame::parse` and
+//! every operation on the parsed frame (both formats), the `Read` adapter,
+//! the spool's byte-copy reads and the `DJFP` sidecar reader.
+//!
+//! Whatever the input — flipped bits, truncation at every header boundary,
+//! length-prefix bombs (a length, count or size field claiming far more than
+//! the input holds), trailing bytes, swapped magics, a columnar directory
+//! pointing out of bounds, and the same damage *behind a valid checksum*
+//! (the payload is mutated, then re-sealed) — a parser may only
+//!
+//! * return `Ok`, or a typed `DjError::Storage` (`DjError::Field` for the
+//!   one well-formed frame of ill-formed samples: a root that is not a map);
+//! * never panic;
+//! * never make an allocation larger than a bound derived from the input
+//!   length: a claimed size is not a reason to allocate.
+//!
+//! Damage under the envelope's checksum (no re-seal) must always be
+//! *refused*: a single flipped bit never reads back as data.
+//!
+//! Its own test binary: the size-tracking allocator is global (the high-water
+//! mark is per thread).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+use proptest::TestRng;
+
+use data_juicer::core::{Dataset, DjError, Sample, Value};
+use data_juicer::store::{
+    compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
+    values_to_bytes, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC,
+    FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
+};
+
+thread_local! {
+    /// Largest single request this thread made of the allocator since the
+    /// last reset. No destructor, so tracking stays valid through teardown.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Tracking;
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|max| max.set(max.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// implementation upholds the `GlobalAlloc` contract; tracking touches only
+// a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above; `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tracking = Tracking;
+
+/// The largest allocation `len` input bytes may cause. The factor covers the
+/// legitimate amplification chain (a djz match token expands 44×, a one-byte
+/// value decodes to a 32-byte `Value`); the constant covers the one count no
+/// input length bounds, a column-less columnar frame's (capped at 2²⁰).
+fn allocation_bound(len: usize) -> usize {
+    2048 * len + (64 << 20)
+}
+
+fn shard() -> Dataset {
+    let mut ds = Dataset::new();
+    for i in 0..6 {
+        let mut s = Sample::from_text(format!("hostile   frames sample {i} — ünïcødé {}", i % 3));
+        s.set_meta("lang", if i % 2 == 0 { "en" } else { "zh" });
+        s.set_meta("tags", Value::from(vec!["a", "b"]));
+        s.set_stat("wc", i as f64);
+        ds.push(s);
+    }
+    ds.push(Sample::new());
+    ds
+}
+
+const MASK: [bool; 7] = [true, false, true, true, false, true, false];
+
+/// Who accepted the bytes they were fed.
+struct Accepted {
+    /// `Frame::parse`: they are one shard frame.
+    frame: bool,
+    /// `ShardSpool::read_fingerprints`: they are one fingerprint sidecar.
+    sidecar: bool,
+}
+
+/// Everything that opens sealed bytes, fed `bytes`.
+fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
+    let text: BTreeSet<String> = ["text".to_string()].into();
+    let mut results: Vec<Result<(), DjError>> = Vec::new();
+
+    // The envelope itself, walked as a concatenation.
+    let mut rest = bytes;
+    results.push(loop {
+        match envelope::open(rest) {
+            Ok((_, _, [])) => break Ok(()),
+            Ok((_, _, tail)) => rest = tail,
+            Err(e) => break Err(e),
+        }
+    });
+
+    // One frame of either format, and every operation on it.
+    let parsed = Frame::parse(bytes);
+    let frame = parsed.is_ok();
+    match parsed {
+        Ok(frame) => {
+            results.push(frame.sample_count().map(drop));
+            results.push(frame.decode(None, None).map(drop));
+            results.push(frame.decode(Some(&text), Some(&MASK)).map(drop));
+            results.push(frame.with_texts("meta.lang", |t| Ok(t.len())).map(drop));
+            results.push(frame.write_jsonl(None, &mut String::new()).map(drop));
+            results.push(frame.write_jsonl(Some(&MASK), &mut String::new()).map(drop));
+        }
+        Err(e) => results.push(Err(e)),
+    }
+    results.push(FrameSlab::from_frame_bytes(bytes).map(drop));
+    results.push(ColumnarSlab::from_frame_bytes(bytes).map(drop));
+    let mut stream = bytes;
+    results.push(read_shard_frame(&mut stream).map(drop));
+
+    // As a spool slot: the checked reads, byte-copying ones included.
+    spool.write_frame_bytes(0, bytes, MASK.len()).unwrap();
+    results.push(spool.read(0).map(drop));
+    for keep in [None, Some(&MASK[..])] {
+        results.push(spool.read_frame_bytes(0, keep).map(drop));
+        results.push(spool.read_row_frame_bytes(0, keep).map(drop));
+    }
+
+    // As a fingerprint sidecar.
+    std::fs::write(spool.dir().join("shard-00000.fpr"), bytes).unwrap();
+    let fingerprints = spool.read_fingerprints(0);
+    let sidecar = fingerprints.is_ok();
+    results.push(fingerprints.map(drop));
+
+    for result in results {
+        match result {
+            Ok(()) | Err(DjError::Storage(_)) | Err(DjError::Field(_)) => {}
+            Err(other) => panic!("untyped error: {other:?}"),
+        }
+    }
+    Accepted { frame, sidecar }
+}
+
+/// [`feed`] under the guards: no panic, no oversized allocation. Returns
+/// whether anyone accepted the bytes.
+fn check(spool: &ShardSpool, what: &str, bytes: &[u8]) -> bool {
+    LARGEST.with(|max| max.set(0));
+    let outcome = catch_unwind(AssertUnwindSafe(|| feed(spool, bytes)));
+    let largest = LARGEST.with(Cell::get);
+    let accepted = outcome.unwrap_or_else(|_| panic!("{what}: a parser panicked on {bytes:02x?}"));
+    assert!(
+        !(accepted.frame && accepted.sidecar),
+        "{what}: both a frame and a sidecar"
+    );
+    assert!(
+        largest <= allocation_bound(bytes.len()),
+        "{what}: a {largest}-byte allocation for {} input bytes: {bytes:02x?}",
+        bytes.len()
+    );
+    accepted.frame || accepted.sidecar
+}
+
+fn with_u64(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    if at + 8 <= out.len() {
+        out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    out
+}
+
+/// A size no input here comes near.
+fn bomb(rng: &mut TestRng) -> u64 {
+    match rng.below(5) {
+        0 => u64::MAX,
+        1 => (1 << 40) + 1,
+        2 => 1 << 39,
+        3 => 1 << 32,
+        _ => (1 << 27) + rng.below(1 << 20),
+    }
+}
+
+/// One structure-aware mutation of a frame payload (the bytes behind the
+/// envelope); the caller re-seals it, so it reaches the inner parsers.
+fn mutate_payload(rng: &mut TestRng, magic: &[u8; 4], payload: &[u8]) -> (String, Vec<u8>) {
+    let mut out = payload.to_vec();
+    let pick = rng.below(7);
+    let what = match pick {
+        0 if !out.is_empty() => {
+            let at = rng.below(out.len() as u64) as usize;
+            out[at] ^= 1 << rng.below(8);
+            format!("payload bit flip @{at}")
+        }
+        1 => {
+            let cut = rng.below(out.len() as u64 + 1) as usize;
+            out.truncate(cut);
+            format!("payload cut to {cut}")
+        }
+        // The first words of either payload are sizes: a row payload's codec
+        // header (magic, id, raw length), a columnar payload's version,
+        // sample count and column count.
+        2 => {
+            let at = [1, 4, 9][rng.below(3) as usize];
+            out = with_u64(&out, at, bomb(rng));
+            format!("size bomb @{at}")
+        }
+        // A columnar directory entry's words (offset, length, raw length,
+        // checksum) sit after its name; aim at the first entries.
+        3 if magic == COLUMNAR_FRAME_MAGIC => {
+            let at = 13 + rng.below(96.min(out.len() as u64).max(1)) as usize;
+            let value = if rng.below(2) == 0 {
+                bomb(rng)
+            } else {
+                rng.below(out.len() as u64 * 2 + 1)
+            };
+            out = with_u64(&out, at, value);
+            format!("directory word @{at} = {value}")
+        }
+        // The serialized samples inside a row payload: counts and length
+        // prefixes of the tagged-value encoding.
+        4 | 5 if magic == SHARD_FRAME_MAGIC => match decompress(&out) {
+            Ok(mut inner) => {
+                let what = if pick == 4 || inner.len() < 9 {
+                    let cut = rng.below(inner.len() as u64 + 1) as usize;
+                    inner.truncate(cut);
+                    format!("samples cut to {cut}")
+                } else if rng.below(2) == 0 {
+                    inner = with_u64(&inner, 1, bomb(rng));
+                    "sample count bomb".to_string()
+                } else {
+                    let at = 9 + rng.below((inner.len() - 9).max(1) as u64) as usize;
+                    if at + 4 <= inner.len() {
+                        inner[at..at + 4].copy_from_slice(&(bomb(rng) as u32).to_le_bytes());
+                    }
+                    format!("length prefix bomb @{at}")
+                };
+                out = compress(&inner, Codec::None);
+                what
+            }
+            Err(_) => "unreadable row payload".to_string(),
+        },
+        _ => {
+            out.extend((0..rng.below(9)).map(|_| rng.next_u64() as u8));
+            "payload tail".to_string()
+        }
+    };
+    (what, out)
+}
+
+#[test]
+fn no_parser_panics_overallocates_or_lets_damage_through() {
+    let dir = std::env::temp_dir().join(format!("dj-hostile-frames-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
+    let ds = shard();
+    let fingerprints: Vec<Value> = (0..7).map(|i| Value::Int(i * 31)).collect();
+    let seeds: Vec<(&[u8; 4], Vec<u8>)> = vec![
+        (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::None)),
+        (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::Djz)),
+        (
+            COLUMNAR_FRAME_MAGIC,
+            encode_columnar_frame(&ds, Codec::None),
+        ),
+        (COLUMNAR_FRAME_MAGIC, encode_columnar_frame(&ds, Codec::Djz)),
+        (
+            COLUMNAR_FRAME_MAGIC,
+            encode_columnar_frame(&Dataset::new(), Codec::Djz),
+        ),
+        (
+            FINGERPRINT_MAGIC,
+            envelope::seal(FINGERPRINT_MAGIC, &values_to_bytes(&fingerprints)),
+        ),
+    ];
+
+    // The sweeps: every seed as it is, cut at every header boundary and a
+    // byte either side, under every magic, with every length-field bomb.
+    for (magic, sealed) in &seeds {
+        assert!(check(&spool, "seed", sealed), "{magic:?} seed refused");
+        let n = sealed.len();
+        for cut in [0, 1, 3, 4, 5, 11, 12, 13, 19, 20, 21, n / 2, n - 1] {
+            let accepted = check(&spool, &format!("cut at {cut}"), &sealed[..cut]);
+            assert!(!accepted, "{magic:?} cut at {cut} of {n} was accepted");
+        }
+        for other in [
+            SHARD_FRAME_MAGIC,
+            COLUMNAR_FRAME_MAGIC,
+            FINGERPRINT_MAGIC,
+            b"DJCS",
+            b"\0\0\0\0",
+        ] {
+            // The checksum does not cover the magic: a swap hands a payload
+            // to the wrong parser, which must refuse it on its own.
+            let mut swapped = sealed.clone();
+            swapped[..4].copy_from_slice(other);
+            let accepted = check(&spool, "swapped magic", &swapped);
+            assert_eq!(accepted, other == *magic, "{magic:?} as {other:?}");
+        }
+        for len in [
+            u64::MAX,
+            (1 << 40) + 1,
+            1 << 40,
+            1 << 32,
+            n as u64,
+            n as u64 - 19,
+        ] {
+            let accepted = check(&spool, "length bomb", &with_u64(sealed, 4, len));
+            assert!(!accepted, "length {len} accepted for {n} sealed bytes");
+        }
+        let mut trailing = sealed.clone();
+        trailing.push(0);
+        assert!(!check(&spool, "trailing byte", &trailing));
+        let mut doubled = sealed.clone();
+        doubled.extend_from_slice(sealed);
+        assert!(!check(&spool, "two frames where one belongs", &doubled));
+    }
+
+    // The loop: seeded, so a failure replays; time-boxed, so it stays in the
+    // default test pass.
+    let mut rng = TestRng::from_name("hostile_frames");
+    let start = Instant::now();
+    let mut rounds = 0u32;
+    while rounds < 400 || (rounds < 20_000 && start.elapsed() < Duration::from_secs(4)) {
+        rounds += 1;
+        let (magic, sealed) = &seeds[rng.below(seeds.len() as u64) as usize];
+        if rng.below(3) == 0 {
+            // Damage under the checksum: always refused.
+            let mut bad = sealed.clone();
+            let at = rng.below(bad.len() as u64) as usize;
+            bad[at] ^= 1 << rng.below(8);
+            let accepted = check(&spool, "bit flip", &bad);
+            // (No two of the magics are one bit apart, so a flip inside
+            // one never lands on another.)
+            assert!(!accepted, "{magic:?} bit flip @{at} read back as data");
+        } else {
+            // Damage behind a valid checksum: the inner parsers' turn.
+            let (_, payload) = envelope::open_one(sealed).unwrap();
+            let (what, mutated) = mutate_payload(&mut rng, magic, payload);
+            check(&spool, &what, &envelope::seal(magic, &mutated));
+        }
+    }
+    drop(spool);
+    assert!(!dir.exists());
+}

@@ -281,11 +281,10 @@ fn csv_ingest_end_to_end() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The committed fixture corpus runs end-to-end. `DJ_INPUT` overrides the
-/// glob so CI can point the suite at any corpus.
+/// The committed fixture corpus runs end-to-end.
 #[test]
-fn fixture_corpus_runs_under_dj_input() {
-    let pattern = std::env::var("DJ_INPUT").unwrap_or_else(|_| "fixtures/*.jsonl".to_string());
+fn fixture_corpus_runs_end_to_end() {
+    let pattern = "fixtures/*.jsonl".to_string();
     let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
     let exec = Executor::new(ops).with_options(ExecOptions {
         num_workers: 2,

@@ -500,6 +500,92 @@ fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
     }
 }
 
+/// Cache resume × {in-memory, row spill, columnar spill}: a recipe extended
+/// past a cached prefix resumes from the entry and equals the oracle, and
+/// the resumed data is the entry's frames as they were saved — a columnar
+/// entry comes back as columnar slots, so the stage that runs on it still
+/// projects and splices (a re-encode into row slots would decode whole
+/// samples and pass nothing through). One flipped bit anywhere in the entry
+/// — the resident one-frame kind included — is a cache miss and a correct
+/// fresh run, never a resumed wrong answer.
+#[test]
+fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
+    let data = corpus(21, 90);
+    let head = [0, 3, 8];
+    let extended = [0, 3, 8, 1, 4];
+    let fresh = to_jsonl(&oracle(&build(&extended), data.clone()));
+    for shape in [Shape::InMemory, Shape::SpillRow, Shape::SpillColumnar] {
+        let tag = format!("{shape:?}");
+        let dir = std::env::temp_dir().join(format!(
+            "dj-mode-matrix-resume-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = CacheManager::new(dir.join("cache"), 9, CacheMode::Cache);
+        let mode = Mode {
+            shape,
+            np: 2,
+            adaptive: false,
+            prefetch_depth: 2,
+            trace: 0,
+            frames: false,
+        };
+        // One shard in memory, so that shape saves the one-frame entry.
+        let shard_size = if shape == Shape::InMemory { 1000 } else { 8 };
+        let exec = |picks: &[usize]| {
+            Executor::new(build(picks)).with_options(ExecOptions {
+                spill_dir: Some(dir.join("spill")),
+                // One step per stage, so both recipes cut the same keys.
+                op_fusion: false,
+                ..mode.options(shard_size)
+            })
+        };
+        let (_, first) = exec(&head).run_with_cache(data.clone(), &cache).unwrap();
+        assert_eq!(first.resumed_steps, 0, "{tag}");
+        let (out, resumed) = exec(&extended)
+            .run_with_cache(data.clone(), &cache)
+            .unwrap();
+        assert_eq!(resumed.resumed_steps, head.len(), "{tag}");
+        assert_eq!(resumed.spilled, shape != Shape::InMemory, "{tag}");
+        assert_eq!(to_jsonl(&out), fresh, "{tag}");
+        // Only columnar slots can be projected and spliced.
+        let columnar = shape == Shape::SpillColumnar;
+        assert_eq!(resumed.bytes_passthrough > 0, columnar, "{tag}");
+        assert_eq!(resumed.bytes_decoded > 0, columnar, "{tag}");
+
+        // The entry the second run resumed from: the barrier's.
+        let mut entries: Vec<PathBuf> = fs::read_dir(dir.join("cache"))
+            .unwrap()
+            .flat_map(|recipe| fs::read_dir(recipe.unwrap().path()).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("0002-")
+            })
+            .collect();
+        let entry = entries.pop().expect("the barrier's cache entry");
+        let good = fs::read(&entry).unwrap();
+        for pos in [0, 5, 13, 20, good.len() / 2, good.len() - 1] {
+            let mut bad = good.clone();
+            bad[pos] ^= 0x20;
+            fs::write(&entry, &bad).unwrap();
+            let (out, rerun) = exec(&extended)
+                .run_with_cache(data.clone(), &cache)
+                .unwrap();
+            assert_eq!(
+                rerun.resumed_steps, 0,
+                "{tag}: resumed from a damaged entry @{pos}"
+            );
+            assert_eq!(to_jsonl(&out), fresh, "{tag} @{pos}");
+            // The fresh run saved the entry again, whole.
+            assert_eq!(fs::read(&entry).unwrap(), good, "{tag} @{pos}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
