@@ -3,7 +3,7 @@
 //! Filters, pre/post differences for Mappers, (near-)duplicate pairs for
 //! Deduplicators — without committing the change.
 
-use dj_core::{Dataset, Op, Result, SampleContext};
+use dj_core::{Dataset, Fingerprints, Op, Result, SampleContext};
 
 /// One traced effect of an OP on a specific sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,12 +132,12 @@ pub fn trace_op(op: &Op, dataset: &Dataset) -> Result<TraceReport> {
             }
         }
         Op::Deduplicator(d) => {
-            let mut hashes = Vec::with_capacity(dataset.len());
+            let mut hashes = Fingerprints::with_capacity(dataset.len());
             for s in dataset.iter() {
                 ctx.invalidate();
-                hashes.push(d.compute_hash(s, &mut ctx)?);
+                hashes.push_with(|out| d.fingerprint(s, &mut ctx, out))?;
             }
-            let mask = d.keep_mask(dataset.len(), &hashes)?;
+            let mask = d.cluster(&hashes, 1)?;
             // Attribute each drop to the nearest earlier kept sample with an
             // identical fingerprint when possible; otherwise to the first
             // kept sample (an approximation adequate for inspection).
@@ -147,7 +147,7 @@ pub fn trace_op(op: &Op, dataset: &Dataset) -> Result<TraceReport> {
                 }
                 let kept = (0..i)
                     .rev()
-                    .find(|&j| mask[j] && hashes[j].structural_eq(&hashes[i]))
+                    .find(|&j| mask[j] && hashes.get(j) == hashes.get(i))
                     .or_else(|| (0..i).rev().find(|&j| mask[j]))
                     .unwrap_or(0);
                 report

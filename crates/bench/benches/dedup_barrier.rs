@@ -1,19 +1,25 @@
-//! Dedup-barrier bench: the clustering step (`keep_mask`) of each
-//! deduplicator, sequential vs the banded worker-parallel exchange, on a
-//! corpus seeded with exact and near duplicates. Fingerprints are computed
-//! once outside the timer — the barrier's clustering is the serial section
-//! this group tracks.
+//! Dedup-barrier bench, on a corpus seeded with exact and near duplicates.
+//!
+//! `dedup_barrier`: the clustering step (`cluster`) of each deduplicator,
+//! sequential vs the banded worker-parallel exchange. Fingerprints are
+//! computed once outside the timer — the barrier's clustering is the
+//! serial section this group tracks.
+//!
+//! `hash_lane`: the MinHash signature of every document, the portable
+//! instantiation of the lane loop against the one this CPU dispatches to
+//! (the same one, on a CPU without AVX2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use dj_core::{Deduplicator, SampleContext, Value};
+use dj_core::{word_spans, Dataset, Deduplicator, Fingerprints, SampleContext, Spans};
+use dj_hash::{Lanes, MinHasher};
 use dj_ops::{
     DocumentDeduplicator, MinHashDeduplicator, ParagraphDeduplicator, SimHashDeduplicator,
 };
 use dj_synth::{web_corpus, WebNoise};
 
-fn bench_dedup_barrier(c: &mut Criterion) {
-    let data = web_corpus(
+fn corpus() -> Dataset {
+    web_corpus(
         23,
         600,
         WebNoise {
@@ -21,7 +27,11 @@ fn bench_dedup_barrier(c: &mut Criterion) {
             near_dup_rate: 0.15,
             ..WebNoise::default()
         },
-    );
+    )
+}
+
+fn bench_dedup_barrier(c: &mut Criterion) {
+    let data = corpus();
     let dedups: Vec<Box<dyn Deduplicator>> = vec![
         Box::new(DocumentDeduplicator::new()),
         Box::new(MinHashDeduplicator::default_config()),
@@ -31,22 +41,48 @@ fn bench_dedup_barrier(c: &mut Criterion) {
     let mut group = c.benchmark_group("dedup_barrier");
     for dedup in &dedups {
         let mut ctx = SampleContext::new();
-        let hashes: Vec<Value> = data
-            .iter()
-            .map(|s| {
-                ctx.invalidate();
-                dedup.compute_hash(s, &mut ctx).unwrap()
-            })
-            .collect();
+        let mut hashes = Fingerprints::with_capacity(data.len());
+        for s in data.iter() {
+            ctx.invalidate();
+            hashes
+                .push_with(|out| dedup.fingerprint(s, &mut ctx, out))
+                .unwrap();
+        }
         for workers in [1usize, 2, 4] {
             group.bench_function(format!("{}/np{workers}", dedup.name()), |b| {
-                b.iter(|| {
-                    dedup
-                        .keep_mask_parallel(data.len(), &hashes, workers)
-                        .unwrap()
-                })
+                b.iter(|| dedup.cluster(&hashes, workers).unwrap())
             });
         }
+    }
+    group.finish();
+}
+
+fn bench_hash_lane(c: &mut Criterion) {
+    let data = corpus();
+    let mut group = c.benchmark_group("hash_lane");
+    let spans: Vec<_> = data
+        .iter()
+        .map(|s| {
+            let mut spans = Vec::new();
+            word_spans(s.text(), &mut spans);
+            spans
+        })
+        .collect();
+    for (role, lanes) in [
+        ("portable", Lanes::available()[0]),
+        ("dispatched", Lanes::widest()),
+    ] {
+        let hasher = MinHasher::with_lanes(128, 5, lanes);
+        let (mut joined, mut bases, mut sig) = (Vec::new(), Vec::new(), vec![0; 128]);
+        group.bench_function(format!("{role}/{}", lanes.name()), |b| {
+            b.iter(|| {
+                for (s, spans) in data.iter().zip(&spans) {
+                    let words = Spans::new(s.text(), spans);
+                    hasher.signature_into(words, &mut joined, &mut bases, &mut sig);
+                    std::hint::black_box(&sig);
+                }
+            })
+        });
     }
     group.finish();
 }
@@ -54,6 +90,6 @@ fn bench_dedup_barrier(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(12);
-    targets = bench_dedup_barrier
+    targets = bench_dedup_barrier, bench_hash_lane
 }
 criterion_main!(benches);

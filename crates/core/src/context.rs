@@ -287,6 +287,7 @@ pub struct SampleContext {
     sentences: Vec<Span>,
     chars: CharCounts,
     scratch: Vec<u64>,
+    bytes: Vec<u8>,
     /// Count of (re)computations, exposed for the context-reuse ablation.
     pub compute_count: u64,
 }
@@ -338,10 +339,26 @@ impl SampleContext {
     /// for kernels that need working memory while they read the words
     /// (n-gram counting). The buffer's contents are unspecified.
     pub fn words_and_scratch<'a>(&'a mut self, text: &'a str) -> (Spans<'a>, &'a mut Vec<u64>) {
+        let (words, _, scratch) = self.words_and_buffers(text);
+        (words, scratch)
+    }
+
+    /// [`words_and_scratch`](SampleContext::words_and_scratch) plus a byte
+    /// buffer, for kernels that also build a string while they read the
+    /// words (MinHash shingling). Both buffers survive across samples;
+    /// their contents are unspecified.
+    pub fn words_and_buffers<'a>(
+        &'a mut self,
+        text: &'a str,
+    ) -> (Spans<'a>, &'a mut Vec<u8>, &'a mut Vec<u64>) {
         if self.stale(text, ContextNeeds::WORDS) {
             word_spans(text, &mut self.words);
         }
-        (Spans::new(text, &self.words), &mut self.scratch)
+        (
+            Spans::new(text, &self.words),
+            &mut self.bytes,
+            &mut self.scratch,
+        )
     }
 
     /// Working memory that survives across samples. Contents unspecified.

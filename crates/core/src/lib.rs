@@ -32,6 +32,7 @@ pub mod context;
 pub mod dataset;
 pub mod error;
 pub mod faults;
+pub mod fingerprints;
 pub mod json;
 pub mod op;
 pub mod pool;
@@ -47,6 +48,7 @@ pub use context::{
 pub use dataset::Dataset;
 pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};
+pub use fingerprints::{words_to_value, Fingerprints};
 pub use json::{parse_json, write_json, write_json_f64, write_json_str};
 pub use op::{
     params, Deduplicator, FieldSet, Filter, Formatter, Mapper, Op, OpCost, OpFactory, OpKind,

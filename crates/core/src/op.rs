@@ -6,6 +6,7 @@
 //! * [`Mapper`]     — `process(sample) -> sample` (in-place text editing)
 //! * [`Filter`]     — `compute_stats(sample)` then `process(sample) -> bool`
 //! * [`Deduplicator`] — `compute_hash(sample)` then dataset-level `process`
+//!   (as `u64` words: `fingerprint` then `cluster`)
 //!
 //! The Filter split is the stats/decision decoupling the paper highlights:
 //! statistics land in the sample's `stats` column where the analyzer (and any
@@ -17,6 +18,7 @@ use std::sync::Arc;
 use crate::context::{ContextNeeds, SampleContext};
 use crate::dataset::Dataset;
 use crate::error::{DjError, Result};
+use crate::fingerprints::{words_to_value, Fingerprints};
 use crate::sample::Sample;
 use crate::value::Value;
 
@@ -219,46 +221,48 @@ pub trait Filter: Send + Sync {
 }
 
 /// Deduplicator: whole-dataset duplicate removal in two decoupled phases.
+///
+/// A fingerprint is a run of `u64` words ([`Fingerprints`]). An
+/// implementation writes two methods — [`fingerprint`](Deduplicator::fingerprint)
+/// appends one sample's words, [`cluster`](Deduplicator::cluster) turns
+/// everyone's words into the keep mask — and the executor, the fingerprint
+/// sidecars and the analyzer move nothing else. Listing 1's
+/// `compute_hash` / `keep_mask` are provided on top of the two for callers
+/// that want one [`Value`] per sample.
 pub trait Deduplicator: Send + Sync {
     fn name(&self) -> &'static str;
 
-    /// Per-sample fingerprint (hash signature) — parallelizable phase.
-    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value>;
-
-    /// Dataset-level keep mask from all fingerprints. `mask[i]` is `true`
-    /// when sample `i` survives. Must be deterministic (first occurrence of a
-    /// duplicate cluster is kept).
-    ///
-    /// `samples` is the number of samples the fingerprints were computed
-    /// from (always `hashes.len()` when the executor drives the call; the
-    /// pair lets implementations sanity-check the contract). Decisions are
-    /// made from fingerprints alone — never from sample data — which is
-    /// what allows the out-of-core executor to spill shards to disk between
-    /// the hashing pass and the mask application pass.
-    fn keep_mask(&self, samples: usize, hashes: &[Value]) -> Result<Vec<bool>>;
-
-    /// [`keep_mask`](Deduplicator::keep_mask) computed with up to
-    /// `num_workers` threads (the banded hash exchange). The mask MUST be
-    /// identical to the sequential one for every worker count — the
-    /// executor treats worker count as a pure performance knob.
-    ///
-    /// The default ignores `num_workers` and runs sequentially, so custom
-    /// deduplicators stay correct without opting in.
-    fn keep_mask_parallel(
+    /// Append this sample's fingerprint words to `out` — the
+    /// parallelizable phase. `out` already holds the words of earlier
+    /// samples: append only. The number of words may vary from sample to
+    /// sample (zero included).
+    fn fingerprint(
         &self,
-        samples: usize,
-        hashes: &[Value],
-        num_workers: usize,
-    ) -> Result<Vec<bool>> {
-        let _ = num_workers;
-        self.keep_mask(samples, hashes)
-    }
+        sample: &Sample,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()>;
+
+    /// Dataset-level keep mask from all fingerprints, computed with up to
+    /// `num_workers` threads: `mask[i]` is `true` when sample `i` survives.
+    /// Must be deterministic (the first occurrence of a duplicate cluster
+    /// is kept) and identical for every worker count — the executor treats
+    /// the count as a pure performance knob, and an implementation is free
+    /// to ignore it.
+    ///
+    /// Decisions are made from fingerprints alone — never from sample data —
+    /// which is what allows the out-of-core executor to spill shards to
+    /// disk between the hashing pass and the mask application pass. The
+    /// words may have been read back from disk: a fingerprint of a shape
+    /// this deduplicator never writes is an error, not a panic.
+    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>>;
 
     /// The single dotted text field this deduplicator fingerprints, when
     /// its hash is a pure function of that field's text. Returning
     /// `Some(field)` is a contract: for every sample,
-    /// `compute_hash(sample, ctx)` must equal
-    /// [`compute_hash_text`](Deduplicator::compute_hash_text)`(sample.text_at(field), ctx)`.
+    /// `fingerprint(sample, ctx, out)` must append what
+    /// [`fingerprint_text`](Deduplicator::fingerprint_text)`(sample.text_at(field), ctx, out)`
+    /// appends.
     ///
     /// The executor uses this for zero-copy hash passes: it borrows the
     /// field's text straight out of a decompressed frame slab instead of
@@ -271,15 +275,59 @@ pub trait Deduplicator: Send + Sync {
     /// Fingerprint raw text (the [`hash_field`](Deduplicator::hash_field)
     /// fast path). Only called when `hash_field` returns `Some`; the
     /// default errors so the two methods cannot fall out of sync silently.
-    fn compute_hash_text(&self, text: &str, ctx: &mut SampleContext) -> Result<Value> {
-        let _ = (text, ctx);
-        Err(crate::DjError::op(
+    fn fingerprint_text(
+        &self,
+        text: &str,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        let _ = (text, ctx, out);
+        Err(DjError::op(
             self.name(),
-            "hash_field() is Some but compute_hash_text is not implemented",
+            "hash_field() is Some but fingerprint_text is not implemented",
         ))
     }
 
-    /// Dotted field paths `compute_hash` reads — the same footprint API the
+    /// Listing 1's `compute_hash`: this sample's fingerprint as one
+    /// [`Value`], a list of ints (each word as an `i64`) — an adapter over
+    /// [`fingerprint`](Deduplicator::fingerprint) for callers outside the
+    /// engine.
+    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value> {
+        let mut words = Vec::new();
+        self.fingerprint(sample, ctx, &mut words)?;
+        Ok(words_to_value(&words))
+    }
+
+    /// Listing 1's dataset-level `process`: the keep mask from one
+    /// fingerprint [`Value`] per sample, sequentially. `samples` is the
+    /// number of samples the fingerprints were computed from; the pair
+    /// lets the call sanity-check the contract.
+    fn keep_mask(&self, samples: usize, hashes: &[Value]) -> Result<Vec<bool>> {
+        self.keep_mask_parallel(samples, hashes, 1)
+    }
+
+    /// [`keep_mask`](Deduplicator::keep_mask) with up to `num_workers`
+    /// threads — an adapter that unwraps the values (an int, or a list of
+    /// ints, per sample) and calls [`cluster`](Deduplicator::cluster).
+    fn keep_mask_parallel(
+        &self,
+        samples: usize,
+        hashes: &[Value],
+        num_workers: usize,
+    ) -> Result<Vec<bool>> {
+        if samples != hashes.len() {
+            return Err(DjError::op(
+                self.name(),
+                format!("{} hashes for {samples} samples", hashes.len()),
+            ));
+        }
+        self.cluster(
+            &Fingerprints::from_values(self.name(), hashes)?,
+            num_workers,
+        )
+    }
+
+    /// Dotted field paths `fingerprint` reads — the same footprint API the
     /// other OP kinds use. The default derives it from
     /// [`hash_field`](Deduplicator::hash_field): a single-field fingerprint
     /// footprint when that contract holds, `All` otherwise. The executor's
@@ -591,11 +639,17 @@ mod tests {
             fn name(&self) -> &'static str {
                 "hash_text"
             }
-            fn compute_hash(&self, s: &Sample, _ctx: &mut SampleContext) -> Result<Value> {
-                Ok(Value::from(s.text()))
+            fn fingerprint(
+                &self,
+                s: &Sample,
+                _ctx: &mut SampleContext,
+                out: &mut Vec<u64>,
+            ) -> Result<()> {
+                out.push(s.text().len() as u64);
+                Ok(())
             }
-            fn keep_mask(&self, samples: usize, _hashes: &[Value]) -> Result<Vec<bool>> {
-                Ok(vec![true; samples])
+            fn cluster(&self, fingerprints: &Fingerprints, _workers: usize) -> Result<Vec<bool>> {
+                Ok(vec![true; fingerprints.len()])
             }
             fn hash_field(&self) -> Option<&str> {
                 Some("text")

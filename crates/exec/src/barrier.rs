@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use dj_core::{Deduplicator, Result, Sample, SampleContext, Value};
+use dj_core::{Deduplicator, DjError, Fingerprints, Result, Sample, SampleContext};
 
 use crate::data::{kept, Loaded, StageData};
 use crate::executor::Executor;
@@ -34,19 +34,20 @@ enum HashInput<'a> {
     Sample(&'a Sample),
 }
 
-/// The fingerprint loop: one hash per input, in order.
+/// The fingerprint loop: every input's words, in order, each written
+/// straight into the one buffer — nothing is allocated per sample.
 fn fingerprint<'a>(
     dedup: &dyn Deduplicator,
     inputs: impl Iterator<Item = HashInput<'a>>,
-) -> Result<Vec<Value>> {
+) -> Result<Fingerprints> {
     let mut ctx = SampleContext::new();
-    let mut out = Vec::with_capacity(inputs.size_hint().0);
+    let mut out = Fingerprints::with_capacity(inputs.size_hint().0);
     for input in inputs {
         ctx.invalidate();
-        out.push(match input {
-            HashInput::Text(text) => dedup.compute_hash_text(text, &mut ctx)?,
-            HashInput::Sample(sample) => dedup.compute_hash(sample, &mut ctx)?,
-        });
+        out.push_with(|words| match input {
+            HashInput::Text(text) => dedup.fingerprint_text(text, &mut ctx, words),
+            HashInput::Sample(sample) => dedup.fingerprint(sample, &mut ctx, words),
+        })?;
         ctx.clear();
     }
     Ok(out)
@@ -56,7 +57,7 @@ fn fingerprint<'a>(
 pub(crate) fn hash_samples<'a>(
     dedup: &dyn Deduplicator,
     samples: impl IntoIterator<Item = &'a Sample>,
-) -> Result<Vec<Value>> {
+) -> Result<Fingerprints> {
     fingerprint(dedup, samples.into_iter().map(HashInput::Sample))
 }
 
@@ -67,7 +68,7 @@ pub(crate) fn hash_samples<'a>(
 pub(crate) fn hash_loaded(
     dedup: &dyn Deduplicator,
     loaded: &Loaded<'_>,
-) -> Result<(Vec<Value>, u64)> {
+) -> Result<(Fingerprints, u64)> {
     let (Some(frame), Some(field)) = (&loaded.frame, dedup.hash_field()) else {
         return Ok((hash_samples(dedup, loaded.shard.samples())?, 0));
     };
@@ -79,19 +80,19 @@ pub(crate) fn hash_loaded(
 
 /// The barrier's hash pass: `hash` every shard of `feed` — "the texts of
 /// the hashed field, per shard", whatever the feed loads — on the worker
-/// pool, flattening hashes and decoded-byte counts in shard order.
+/// pool, joining fingerprints and decoded-byte counts in shard order.
 pub(crate) fn hash_pass<T: Resident + Send>(
     feed: &Feed<'_, T>,
     options: &ExecOptions,
     ctl: &RunCtl,
-    hash: impl Fn(&T) -> Result<(Vec<Value>, u64)> + Sync,
-) -> Result<(Vec<Value>, u64)> {
+    hash: impl Fn(&T) -> Result<(Fingerprints, u64)> + Sync,
+) -> Result<(Fingerprints, u64)> {
     let (workers, depth) = (options.num_workers, options.prefetch_depth);
     let per_shard = drive(feed, workers, depth, ctl, |_, view| hash(&view))?;
-    let mut all = Vec::with_capacity(per_shard.iter().map(|(h, _)| h.len()).sum());
+    let mut all = Fingerprints::with_capacity(per_shard.iter().map(|(fp, _)| fp.len()).sum());
     let mut decoded = 0;
-    for (hashes, bytes) in per_shard {
-        all.extend(hashes);
+    for (fingerprints, bytes) in per_shard {
+        all.append(&fingerprints)?;
         decoded += bytes;
     }
     Ok((all, decoded))
@@ -148,13 +149,20 @@ impl Executor {
         let in_len: usize = lens.iter().sum();
         report.shards = report.shards.max(lens.len());
 
-        let (hashes, hash_bytes, from_sidecars) = data.fingerprints(dedup, &self.options, ctl)?;
+        let (fingerprints, hash_bytes, from_sidecars) =
+            data.fingerprints(dedup, &self.options, ctl)?;
         report.fingerprinted_barriers += usize::from(from_sidecars);
         // Clustering: the banded exchange on the worker pool (sequential
         // when gated off — the mask is identical either way).
         let mask_workers = self.gated_mask_workers(dedup, in_len, report);
-        let mask = dedup.keep_mask_parallel(in_len, &hashes, mask_workers)?;
-        drop(hashes);
+        let mask = dedup.cluster(&fingerprints, mask_workers)?;
+        drop(fingerprints);
+        if mask.len() != in_len {
+            return Err(DjError::op(
+                dedup.name(),
+                format!("a mask of {} verdicts for {in_len} samples", mask.len()),
+            ));
+        }
 
         let shards = lens.len();
         let (data, trace) = data.masked(&mask, cap, &self.options, ctl)?;

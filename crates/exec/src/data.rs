@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use dj_core::sync::lock;
-use dj_core::{Dataset, Deduplicator, MemShardStore, Result, Sample, Value, TEXT_KEY};
+use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample, TEXT_KEY};
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
 use dj_store::{encode_shard_frame, CacheManager, CachedEntry, Codec, Frame, ShardSpool};
 
@@ -235,7 +235,7 @@ impl Sink<'_> {
         frame: Option<Frame>,
         shard: Dataset,
         keep: &[bool],
-        fingerprints: Option<Vec<Value>>,
+        fingerprints: Option<Fingerprints>,
     ) -> Result<u64> {
         let (out, cols) = match self {
             Sink::Mem(slots) => return slots.store_shard(idx, shard).map(|()| 0),
@@ -557,10 +557,10 @@ impl StageData {
         })
     }
 
-    /// Fingerprint every sample for `dedup`, in dataset order: `(hashes,
-    /// decompressed bytes decoded, read from sidecars)`. Sidecars written
-    /// while the frames were spilled (fingerprint-on-ingest) are the
-    /// shortcut — no hash pass runs at all. Otherwise resident samples are
+    /// Fingerprint every sample for `dedup`, in dataset order:
+    /// `(fingerprints, decompressed bytes decoded, read from sidecars)`.
+    /// Sidecars written while the frames were spilled
+    /// (fingerprint-on-ingest) are the shortcut — no hash pass runs at all. Otherwise resident samples are
     /// hashed in place, in sample-balanced morsels, and spilled ones by
     /// borrowing the hashed field's text out of undecoded frames — a full
     /// decode only when the deduplicator hashes whole samples.
@@ -569,8 +569,8 @@ impl StageData {
         dedup: &dyn Deduplicator,
         options: &ExecOptions,
         ctl: &RunCtl,
-    ) -> Result<(Vec<Value>, u64, bool)> {
-        let (hashes, decoded) = match self {
+    ) -> Result<(Fingerprints, u64, bool)> {
+        let (fingerprints, decoded) = match self {
             StageData::Mem(shards) => {
                 let samples: Vec<&Sample> = shards.iter().flat_map(Dataset::iter).collect();
                 let morsels: Vec<&[&Sample]> = samples.chunks(HASH_MORSEL).collect();
@@ -583,8 +583,8 @@ impl StageData {
                 // Sidecars still on a masked spool fed the barrier that
                 // masked it, not this one.
                 if data.mask.is_none() {
-                    if let Some(hashes) = data.spool.read_all_fingerprints()? {
-                        return Ok((hashes, 0, true));
+                    if let Some(fingerprints) = data.spool.read_all_fingerprints()? {
+                        return Ok((fingerprints, 0, true));
                     }
                 }
                 let load = match dedup.hash_field() {
@@ -595,7 +595,7 @@ impl StageData {
                 hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))?
             }
         };
-        Ok((hashes, decoded, false))
+        Ok((fingerprints, decoded, false))
     }
 
     /// Apply a barrier's dataset-level keep `mask`; returns the thinned

@@ -43,7 +43,7 @@
 //!    the barrier that follows (fingerprint-on-ingest).
 //! 5. **Barriers.** A `Stage::Barrier` is three steps on any shape:
 //!    fingerprint every sample, cluster the dataset-level keep mask on the
-//!    worker pool (`keep_mask_parallel` — the banded hash exchange:
+//!    worker pool (`Deduplicator::cluster` — the banded hash exchange:
 //!    candidate generation partitioned by LSH band / SimHash block /
 //!    keyspace range, pairs deduplicated across bands, similarity verified
 //!    in parallel, merged through a lock-free concurrent union-find), and

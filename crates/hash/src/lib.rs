@@ -27,7 +27,7 @@ pub mod unionfind;
 
 pub use fnv::{fnv1a, Fnv1a};
 pub use fxhash::{hash128, hash64, hash64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use minhash::{lsh_band_pairs, LshIndex, MinHasher};
+pub use minhash::{lsh_band_pairs, Lanes, LshIndex, MinHasher};
 pub use simhash::{
     hamming, simhash_block_pairs, simhash_tokens, simhash_weighted, SimHashIndex, SIMHASH_BLOCKS,
 };

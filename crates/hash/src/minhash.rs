@@ -10,6 +10,13 @@
 //! For sub-quadratic candidate generation, signatures are cut into `b` bands
 //! of `r` rows (`k = b*r`); documents sharing any banded sub-signature become
 //! candidates (classic LSH banding).
+//!
+//! Nearly all of a signature's cost is the lane loop — `k` remixes and
+//! minima per shingle ([`absorb`]). It is written once and compiled once
+//! per instruction set ([`Lanes`]): on x86-64 also under AVX2 and under
+//! AVX-512, where the compiler has 64-bit vector multiplies and unsigned
+//! minima to vectorize it with. [`MinHasher::new`] picks by what the CPU
+//! reports; the signatures are the same whichever runs.
 
 use crate::fxhash::{hash64_seeded, FxHashMap};
 
@@ -18,12 +25,21 @@ use crate::fxhash::{hash64_seeded, FxHashMap};
 pub struct MinHasher {
     seeds: Vec<u64>,
     shingle_size: usize,
+    lanes: Lanes,
 }
 
 impl MinHasher {
     /// `num_hashes` independent permutations over word shingles of
     /// `shingle_size` tokens. `shingle_size = 1` hashes individual words.
+    /// The lane loop runs in the widest instantiation the CPU has.
     pub fn new(num_hashes: usize, shingle_size: usize) -> MinHasher {
+        MinHasher::with_lanes(num_hashes, shingle_size, Lanes::widest())
+    }
+
+    /// [`new`](MinHasher::new) with the lane loop pinned to one
+    /// instantiation — for the tests and benches that compare them; every
+    /// instantiation computes the same signatures.
+    pub fn with_lanes(num_hashes: usize, shingle_size: usize, lanes: Lanes) -> MinHasher {
         assert!(num_hashes > 0, "need at least one hash function");
         assert!(shingle_size > 0, "shingle size must be positive");
         // Derive a deterministic seed family via splitmix64.
@@ -40,6 +56,7 @@ impl MinHasher {
         MinHasher {
             seeds,
             shingle_size,
+            lanes,
         }
     }
 
@@ -50,57 +67,76 @@ impl MinHasher {
     /// Signature of a token sequence. Empty inputs yield an all-`u64::MAX`
     /// signature (matching only other empty documents).
     ///
-    /// Takes any re-iterable token stream (a slice of strings, a borrowed
-    /// word view), so callers never have to copy tokens to fingerprint them.
+    /// Allocates its result and working memory; a hash pass lends both to
+    /// [`signature_into`](MinHasher::signature_into) instead.
     pub fn signature<I>(&self, tokens: I) -> Vec<u64>
     where
         I: IntoIterator,
         I::Item: AsRef<str>,
-        I::IntoIter: Clone,
     {
-        let mut sig = vec![u64::MAX; self.seeds.len()];
-        let mut absorb = |shingle: &[u8]| {
-            // One base hash per shingle, remixed per seed: much cheaper than
-            // rehashing the string k times and statistically equivalent for
-            // dedup purposes.
-            let base = hash64_seeded(shingle, 0);
-            for (slot, &seed) in sig.iter_mut().zip(&self.seeds) {
-                let h = remix(base, seed);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        };
-        // The shingle is the window's tokens joined by an unambiguous
-        // separator; sliding drops the oldest token from the front and
-        // appends the next one, so `trail` runs one window behind `lead`.
+        let mut sig = vec![0; self.seeds.len()];
+        self.signature_into(tokens, &mut Vec::new(), &mut Vec::new(), &mut sig);
+        sig
+    }
+
+    /// [`signature`](MinHasher::signature) written over `sig` (one slot per
+    /// hash function), with `joined` and `bases` as working memory whose
+    /// contents are unspecified before and after: once they have grown to
+    /// the largest document, a signature allocates nothing.
+    pub fn signature_into<I>(
+        &self,
+        tokens: I,
+        joined: &mut Vec<u8>,
+        bases: &mut Vec<u64>,
+        sig: &mut [u64],
+    ) where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        assert_eq!(sig.len(), self.seeds.len(), "one slot per hash function");
+        self.shingle_bases(tokens, joined, bases);
+        sig.fill(u64::MAX);
+        self.lanes.absorb(bases, &self.seeds, sig);
+    }
+
+    /// Replace `bases` with one base hash per shingle of `tokens`. A
+    /// shingle is a window of `shingle_size` tokens joined by an
+    /// unambiguous separator; the document is joined once into `joined`, so
+    /// every window is a slice of it.
+    fn shingle_bases<I>(&self, tokens: I, joined: &mut Vec<u8>, bases: &mut Vec<u64>)
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
         const SEP: u8 = 1;
-        let lead = tokens.into_iter();
-        let mut trail = lead.clone();
-        let mut shingle: Vec<u8> = Vec::new();
-        let mut held = 0;
-        for token in lead {
-            if held == self.shingle_size {
-                // The oldest token and, unless it was alone, its separator.
-                let oldest = trail.next().map_or(0, |t| t.as_ref().len());
-                shingle.drain(..(oldest + 1).min(shingle.len()));
-                held -= 1;
-            }
-            if held > 0 {
-                shingle.push(SEP);
-            }
-            shingle.extend_from_slice(token.as_ref().as_bytes());
-            held += 1;
-            if held == self.shingle_size {
-                absorb(&shingle);
-            }
+        joined.clear();
+        bases.clear();
+        // First the offset each token starts at (a separator trails every
+        // token, the last included), closed by where the next would start.
+        let tokens = tokens.into_iter();
+        bases.reserve(tokens.size_hint().0 + 1);
+        for token in tokens {
+            bases.push(joined.len() as u64);
+            joined.extend_from_slice(token.as_ref().as_bytes());
+            joined.push(SEP);
         }
+        let tokens = bases.len();
+        if tokens == 0 {
+            return;
+        }
+        bases.push(joined.len() as u64);
         // Fewer tokens than the shingle size: the whole document is one
         // shingle.
-        if held > 0 && held < self.shingle_size {
-            absorb(&shingle);
+        let window = self.shingle_size.min(tokens);
+        let shingles = tokens - window + 1;
+        for i in 0..shingles {
+            // Shingle `i` runs from token `i` up to the separator trailing
+            // token `i + window - 1`. Its hash takes the place of start
+            // offset `i`, which no later shingle reads.
+            let (start, end) = (bases[i] as usize, bases[i + window] as usize - 1);
+            bases[i] = hash64_seeded(&joined[start..end], 0);
         }
-        sig
+        bases.truncate(shingles);
     }
 
     /// Estimated Jaccard similarity of two signatures.
@@ -114,12 +150,108 @@ impl MinHasher {
     }
 }
 
-#[inline]
+#[inline(always)]
 fn remix(base: u64, seed: u64) -> u64 {
     let mut z = base ^ seed;
     z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     z ^ (z >> 33)
+}
+
+/// The lane loop: every shingle's base hash, remixed per seed (much cheaper
+/// than rehashing the shingle `k` times and statistically equivalent for
+/// dedup purposes), lowers the minimum of each lane it undercuts. The one
+/// body every [`Lanes`] instantiation compiles.
+#[inline(always)]
+fn absorb(bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+    for &base in bases {
+        for (slot, &seed) in sig.iter_mut().zip(seeds) {
+            *slot = (*slot).min(remix(base, seed));
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn absorb_avx2(bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+    absorb(bases, seeds, sig);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn absorb_avx512(bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+    absorb(bases, seeds, sig);
+}
+
+/// One compiled instantiation of the lane loop: the same Rust body built
+/// for one instruction set, so the compiler vectorizes the 64-bit
+/// multiplies and minima as far as that set goes. All of them compute the
+/// same signatures.
+///
+/// A value exists only for an instruction set the running CPU has — the
+/// constructors are [`Lanes::available`] and [`Lanes::widest`] — which is
+/// what makes running it safe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes(Isa);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Lanes {
+    /// Every instantiation this CPU can run, narrowest (the portable one)
+    /// first.
+    pub fn available() -> Vec<Lanes> {
+        #[allow(unused_mut)]
+        let mut all = vec![Lanes(Isa::Scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                all.push(Lanes(Isa::Avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
+                all.push(Lanes(Isa::Avx512));
+            }
+        }
+        all
+    }
+
+    /// The widest instantiation this CPU can run.
+    pub fn widest() -> Lanes {
+        Lanes::available().pop().unwrap_or(Lanes(Isa::Scalar))
+    }
+
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Isa::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+        }
+    }
+
+    fn absorb(self, bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+        match self.0 {
+            Isa::Scalar => absorb(bases, seeds, sig),
+            // SAFETY: a `Lanes` of this variant is only ever built by
+            // `available`, after the CPU reported the features the function
+            // is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { absorb_avx2(bases, seeds, sig) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { absorb_avx512(bases, seeds, sig) },
+        }
+    }
 }
 
 /// LSH banding index over MinHash signatures.
@@ -186,23 +318,23 @@ fn band_key_for(band: usize, rows: usize, signature: &[u64]) -> u64 {
 
 /// One band's share of the LSH exchange: every candidate pair `(i, j)`
 /// with `i < j` whose signatures collide in `band`, sorted ascending.
+/// `words` holds the signatures back to back, `width` words each.
 ///
 /// Equivalent to what the sequential [`LshIndex`] surfaces for this band —
 /// each worker of the parallel dedup runs a disjoint subset of bands and
 /// the union of all bands' pairs (deduplicated) is exactly the sequential
 /// candidate set.
-pub fn lsh_band_pairs(band: usize, rows: usize, signatures: &[Vec<u64>]) -> Vec<(u32, u32)> {
+pub fn lsh_band_pairs(band: usize, rows: usize, words: &[u64], width: usize) -> Vec<(u32, u32)> {
     assert!(
-        signatures.len() <= u32::MAX as usize,
+        width > 0 && width.is_multiple_of(rows) && words.len().is_multiple_of(width),
+        "signature width must be a multiple of rows, the words of the width"
+    );
+    assert!(
+        words.len() / width <= u32::MAX as usize,
         "id count exceeds u32 range"
     );
     let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for (i, sig) in signatures.iter().enumerate() {
-        assert_eq!(
-            sig.len() % rows,
-            0,
-            "signature length must be a multiple of rows"
-        );
+    for (i, sig) in words.chunks_exact(width).enumerate() {
         buckets
             .entry(band_key_for(band, rows, sig))
             .or_default()
@@ -320,11 +452,11 @@ mod tests {
             "completely different sentence about cooking pasta",
             "another unrelated line mentioning tomato gardens",
         ];
-        let sigs: Vec<Vec<u64>> = docs.iter().map(|d| mh.signature(&words(d))).collect();
+        let sigs: Vec<u64> = docs.iter().flat_map(|d| mh.signature(words(d))).collect();
         // Sequential candidate set.
         let mut idx = LshIndex::new(bands, rows);
         let mut sequential: Vec<(u32, u32)> = Vec::new();
-        for (i, sig) in sigs.iter().enumerate() {
+        for (i, sig) in sigs.chunks_exact(bands * rows).enumerate() {
             for cand in idx.insert(i, sig) {
                 sequential.push((cand as u32, i as u32));
             }
@@ -332,7 +464,7 @@ mod tests {
         sequential.sort_unstable();
         // Banded candidate set: union of per-band pairs, deduplicated.
         let mut banded: Vec<(u32, u32)> = (0..bands)
-            .flat_map(|b| lsh_band_pairs(b, rows, &sigs))
+            .flat_map(|b| lsh_band_pairs(b, rows, &sigs, bands * rows))
             .collect();
         banded.sort_unstable();
         banded.dedup();

@@ -39,16 +39,14 @@ where
 }
 
 /// SimHash over a token stream using unit feature weights with frequency
-/// accumulation.
+/// accumulation. Every occurrence votes with weight one — the sums a
+/// per-token count would cast at once, exactly (the votes are small
+/// integers) — so no frequency table is built and nothing is allocated.
 pub fn simhash_tokens<'a, I>(tokens: I) -> u64
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let mut freq: FxHashMap<&str, f64> = FxHashMap::default();
-    for t in tokens {
-        *freq.entry(t).or_insert(0.0) += 1.0;
-    }
-    simhash_weighted(freq)
+    simhash_weighted(tokens.into_iter().map(|t| (t, 1.0)))
 }
 
 /// Number of differing bits between two fingerprints.
@@ -176,6 +174,16 @@ mod tests {
     #[test]
     fn empty_input_hashes_to_zero() {
         assert_eq!(simhash_tokens(std::iter::empty()), 0);
+    }
+
+    #[test]
+    fn tokens_vote_like_their_counts() {
+        let text = "a b a c a b d e e e e f a";
+        let mut freq: FxHashMap<&str, f64> = FxHashMap::default();
+        for t in text.split(' ') {
+            *freq.entry(t).or_insert(0.0) += 1.0;
+        }
+        assert_eq!(simhash_tokens(text.split(' ')), simhash_weighted(freq));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Deduplicator OPs: whole-dataset duplicate removal (Table 1, "compare
 //! with hash-based and vector-based deduplication methods").
 //!
-//! All deduplicators follow the two-phase protocol of Listing 1:
-//! `compute_hash` produces a per-sample fingerprint [`Value`] (parallelizable)
-//! and `keep_mask` clusters fingerprints at dataset level, retaining the
-//! first occurrence of each duplicate cluster.
+//! All deduplicators follow the two-phase protocol of Listing 1, on `u64`
+//! words: `fingerprint` appends a sample's words (parallelizable) and
+//! `cluster` turns the dataset's [`Fingerprints`] into the keep mask,
+//! retaining the first occurrence of each duplicate cluster. Listing 1's
+//! `compute_hash` / `keep_mask` are the trait's adapters over the two.
 
 use std::borrow::Cow;
 
-use dj_core::{Dataset, Deduplicator, DjError, Result, Sample, SampleContext, Value, TEXT_KEY};
+use dj_core::{
+    Dataset, Deduplicator, DjError, Fingerprints, Result, Sample, SampleContext, Value, TEXT_KEY,
+};
 use dj_hash::{hash128, simhash_tokens, MinHasher};
 
 use crate::par_dedup::ParallelDedup;
@@ -71,40 +74,34 @@ impl Deduplicator for DocumentDeduplicator {
         "document_deduplicator"
     }
 
-    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value> {
-        self.compute_hash_text(sample.text_at(&self.field), ctx)
+    fn fingerprint(
+        &self,
+        sample: &Sample,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        self.fingerprint_text(sample.text_at(&self.field), ctx, out)
     }
 
     fn hash_field(&self) -> Option<&str> {
         Some(&self.field)
     }
 
-    fn compute_hash_text(&self, text: &str, _ctx: &mut SampleContext) -> Result<Value> {
-        let canon = self.canonical(text);
-        let h = hash128(canon.as_bytes());
-        // 128-bit hash stored as two i64 limbs (Value has no u128).
-        Ok(Value::List(vec![
-            Value::Int((h >> 64) as u64 as i64),
-            Value::Int(h as u64 as i64),
-        ]))
-    }
-
-    fn keep_mask(&self, samples: usize, hashes: &[Value]) -> Result<Vec<bool>> {
-        self.keep_mask_parallel(samples, hashes, 1)
-    }
-
-    fn keep_mask_parallel(
+    /// The 128-bit content hash as two words, high limb first.
+    fn fingerprint_text(
         &self,
-        samples: usize,
-        hashes: &[Value],
-        num_workers: usize,
-    ) -> Result<Vec<bool>> {
-        check_len(self.name(), samples, hashes)?;
-        let keys: Vec<(i64, i64)> = hashes
-            .iter()
-            .map(|h| limbs(h, self.name()))
-            .collect::<Result<_>>()?;
-        Ok(ParallelDedup::new(num_workers).exact_mask(&keys))
+        text: &str,
+        _ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        let h = hash128(self.canonical(text).as_bytes());
+        out.extend([(h >> 64) as u64, h as u64]);
+        Ok(())
+    }
+
+    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>> {
+        let words = fixed_width(self.name(), fingerprints, 2)?;
+        Ok(ParallelDedup::new(num_workers).exact_mask(words.as_chunks().0))
     }
 }
 
@@ -159,38 +156,42 @@ impl Deduplicator for MinHashDeduplicator {
         "document_minhash_deduplicator"
     }
 
-    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value> {
-        self.compute_hash_text(sample.text_at(&self.field), ctx)
+    fn fingerprint(
+        &self,
+        sample: &Sample,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        self.fingerprint_text(sample.text_at(&self.field), ctx, out)
     }
 
     fn hash_field(&self) -> Option<&str> {
         Some(&self.field)
     }
 
-    fn compute_hash_text(&self, text: &str, ctx: &mut SampleContext) -> Result<Value> {
-        let sig = self.hasher.signature(ctx.words(text));
-        Ok(Value::List(
-            sig.into_iter().map(|v| Value::Int(v as i64)).collect(),
-        ))
-    }
-
-    fn keep_mask(&self, samples: usize, hashes: &[Value]) -> Result<Vec<bool>> {
-        self.keep_mask_parallel(samples, hashes, 1)
-    }
-
-    fn keep_mask_parallel(
+    /// The `bands × rows` signature, written straight into `out`.
+    fn fingerprint_text(
         &self,
-        samples: usize,
-        hashes: &[Value],
-        num_workers: usize,
-    ) -> Result<Vec<bool>> {
-        check_len(self.name(), samples, hashes)?;
-        let sigs: Vec<Vec<u64>> = hashes
-            .iter()
-            .map(|h| signature(h, self.name()))
-            .collect::<Result<_>>()?;
+        text: &str,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        let start = out.len();
+        out.resize(start + self.hasher.num_hashes(), 0);
+        let (words, joined, bases) = ctx.words_and_buffers(text);
+        // Every word and its separator: a cold buffer grows once, not by
+        // doubling.
+        joined.clear();
+        joined.reserve(text.len() + words.len());
+        self.hasher
+            .signature_into(words, joined, bases, &mut out[start..]);
+        Ok(())
+    }
+
+    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>> {
+        let words = fixed_width(self.name(), fingerprints, self.bands * self.rows)?;
         Ok(ParallelDedup::new(num_workers).minhash_mask(
-            &sigs,
+            words,
             self.bands,
             self.rows,
             self.jaccard_threshold,
@@ -225,39 +226,38 @@ impl Deduplicator for SimHashDeduplicator {
         "document_simhash_deduplicator"
     }
 
-    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value> {
-        self.compute_hash_text(sample.text_at(&self.field), ctx)
+    fn fingerprint(
+        &self,
+        sample: &Sample,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        self.fingerprint_text(sample.text_at(&self.field), ctx, out)
     }
 
     fn hash_field(&self) -> Option<&str> {
         Some(&self.field)
     }
 
-    fn compute_hash_text(&self, text: &str, ctx: &mut SampleContext) -> Result<Value> {
-        let fp = simhash_tokens(ctx.words(text));
-        Ok(Value::Int(fp as i64))
-    }
-
-    fn keep_mask(&self, samples: usize, hashes: &[Value]) -> Result<Vec<bool>> {
-        self.keep_mask_parallel(samples, hashes, 1)
-    }
-
-    fn keep_mask_parallel(
+    fn fingerprint_text(
         &self,
-        samples: usize,
-        hashes: &[Value],
-        num_workers: usize,
-    ) -> Result<Vec<bool>> {
-        check_len(self.name(), samples, hashes)?;
-        let fps: Vec<u64> = hashes
-            .iter()
-            .map(|h| {
-                h.as_int()
-                    .map(|i| i as u64)
-                    .ok_or_else(|| DjError::op(self.name(), "fingerprint must be an int"))
-            })
-            .collect::<Result<_>>()?;
-        Ok(ParallelDedup::new(num_workers).simhash_mask(&fps, self.max_distance))
+        text: &str,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        out.push(simhash_tokens(ctx.words(text)));
+        Ok(())
+    }
+
+    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>> {
+        let words = fixed_width(self.name(), fingerprints, 1)?;
+        Ok(ParallelDedup::new(num_workers).simhash_mask(words, self.max_distance))
+    }
+
+    /// The one-word fingerprint as a bare int, not a one-element list.
+    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value> {
+        let fp = simhash_tokens(ctx.words(sample.text_at(&self.field)));
+        Ok(Value::Int(fp as i64))
     }
 }
 
@@ -288,120 +288,62 @@ impl Deduplicator for ParagraphDeduplicator {
         "paragraph_deduplicator"
     }
 
-    fn compute_hash(&self, sample: &Sample, ctx: &mut SampleContext) -> Result<Value> {
-        self.compute_hash_text(sample.text_at(&self.field), ctx)
+    fn fingerprint(
+        &self,
+        sample: &Sample,
+        ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        self.fingerprint_text(sample.text_at(&self.field), ctx, out)
     }
 
     fn hash_field(&self) -> Option<&str> {
         Some(&self.field)
     }
 
-    fn compute_hash_text(&self, text: &str, _ctx: &mut SampleContext) -> Result<Value> {
-        let hashes: Vec<Value> = text
-            .split("\n\n")
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(|p| Value::Int(dj_hash::hash64(p.as_bytes()) as i64))
-            .collect();
-        Ok(Value::List(hashes))
-    }
-
-    fn keep_mask(&self, samples: usize, hashes: &[Value]) -> Result<Vec<bool>> {
-        self.keep_mask_parallel(samples, hashes, 1)
-    }
-
-    fn keep_mask_parallel(
+    /// One word per non-blank paragraph.
+    fn fingerprint_text(
         &self,
-        samples: usize,
-        hashes: &[Value],
-        num_workers: usize,
-    ) -> Result<Vec<bool>> {
-        check_len(self.name(), samples, hashes)?;
-        fn para_list<'a>(op: &str, h: &'a Value) -> Result<&'a [Value]> {
-            h.as_list()
-                .ok_or_else(|| DjError::op(op, "expected list fingerprint"))
-        }
-        fn para_key(op: &str, p: &Value) -> Result<i64> {
-            p.as_int()
-                .ok_or_else(|| DjError::op(op, "expected int paragraph hash"))
-        }
-        if num_workers <= 1 {
-            // Stream the borrowed fingerprints directly — no typed copy of
-            // every paragraph hash on the common sequential path.
-            let mut seen = dj_hash::FxHashSet::default();
-            let mut mask = Vec::with_capacity(hashes.len());
-            for h in hashes {
-                let paras = para_list(self.name(), h)?;
-                if paras.is_empty() {
-                    mask.push(true); // nothing to compare; keep
-                    continue;
-                }
-                let mut any_new = false;
-                for p in paras {
-                    if seen.insert(para_key(self.name(), p)?) {
-                        any_new = true;
-                    }
-                }
-                mask.push(any_new);
-            }
-            return Ok(mask);
-        }
-        let paragraphs: Vec<Vec<i64>> = hashes
-            .iter()
-            .map(|h| {
-                para_list(self.name(), h)?
-                    .iter()
-                    .map(|p| para_key(self.name(), p))
-                    .collect()
-            })
-            .collect::<Result<_>>()?;
-        Ok(ParallelDedup::new(num_workers).paragraph_mask(&paragraphs))
+        text: &str,
+        _ctx: &mut SampleContext,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        let paragraphs = text.split("\n\n").map(str::trim).filter(|p| !p.is_empty());
+        out.extend(paragraphs.map(|p| dj_hash::hash64(p.as_bytes())));
+        Ok(())
+    }
+
+    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>> {
+        Ok(ParallelDedup::new(num_workers).paragraph_mask(fingerprints))
     }
 }
 
-fn check_len(op: &str, samples: usize, hashes: &[Value]) -> Result<()> {
-    if samples != hashes.len() {
-        return Err(DjError::op(
+/// The words of `fingerprints` once every sample's run is `width` long —
+/// the shape clustering indexes by; fingerprints of any other shape (a
+/// damaged sidecar, a caller's own values) are an error naming the sample.
+fn fixed_width<'a>(op: &str, fingerprints: &'a Fingerprints, width: usize) -> Result<&'a [u64]> {
+    match fingerprints.first_not_of_width(width) {
+        None => Ok(fingerprints.words()),
+        Some(i) => Err(DjError::op(
             op,
-            format!("{} hashes for {samples} samples", hashes.len()),
-        ));
+            format!(
+                "fingerprint of sample {i} has {} words, expected {width}",
+                fingerprints.get(i).len()
+            ),
+        )),
     }
-    Ok(())
-}
-
-fn limbs(v: &Value, op: &str) -> Result<(i64, i64)> {
-    let l = v
-        .as_list()
-        .filter(|l| l.len() == 2)
-        .ok_or_else(|| DjError::op(op, "expected 2-limb fingerprint"))?;
-    match (l[0].as_int(), l[1].as_int()) {
-        (Some(a), Some(b)) => Ok((a, b)),
-        _ => Err(DjError::op(op, "fingerprint limbs must be ints")),
-    }
-}
-
-fn signature(v: &Value, op: &str) -> Result<Vec<u64>> {
-    v.as_list()
-        .ok_or_else(|| DjError::op(op, "expected signature list"))?
-        .iter()
-        .map(|x| {
-            x.as_int()
-                .map(|i| i as u64)
-                .ok_or_else(|| DjError::op(op, "signature entries must be ints"))
-        })
-        .collect()
 }
 
 /// Run a deduplicator end-to-end on a dataset (hash phase then mask phase),
 /// returning the deduplicated dataset and the number of removed samples.
 pub fn run_dedup(dedup: &dyn Deduplicator, mut dataset: Dataset) -> Result<(Dataset, usize)> {
     let mut ctx = SampleContext::new();
-    let mut hashes = Vec::with_capacity(dataset.len());
+    let mut fingerprints = Fingerprints::with_capacity(dataset.len());
     for s in dataset.iter() {
         ctx.invalidate();
-        hashes.push(dedup.compute_hash(s, &mut ctx)?);
+        fingerprints.push_with(|out| dedup.fingerprint(s, &mut ctx, out))?;
     }
-    let mask = dedup.keep_mask(dataset.len(), &hashes)?;
+    let mask = dedup.cluster(&fingerprints, 1)?;
     let removed = mask.iter().filter(|&&k| !k).count();
     dataset.retain_mask(&mask);
     Ok((dataset, removed))
@@ -520,8 +462,9 @@ mod tests {
     }
 
     /// The `hash_field` contract: for every built-in deduplicator,
-    /// `compute_hash_text(sample.text_at(field))` must equal
-    /// `compute_hash(sample)` — the zero-copy slab hash pass relies on it.
+    /// `fingerprint_text(sample.text_at(field))` must append what
+    /// `fingerprint(sample)` appends — the zero-copy slab hash pass relies
+    /// on it — and `compute_hash` must be those words as a `Value`.
     #[test]
     fn compute_hash_text_matches_compute_hash() {
         let d = ds(&[
@@ -543,34 +486,60 @@ mod tests {
                 .hash_field()
                 .expect("built-ins are single-field")
                 .to_string();
+            // One context and one buffer for all samples, as a hash pass has.
+            let (mut ctx, mut whole, mut text_only) = (SampleContext::new(), vec![7], vec![7]);
             for s in d.iter() {
-                let mut ctx = SampleContext::new();
-                let whole = dedup.compute_hash(s, &mut ctx).unwrap();
-                let mut ctx = SampleContext::new();
-                let text_only = dedup
-                    .compute_hash_text(s.text_at(&field), &mut ctx)
+                let (start, name) = (whole.len(), dedup.name());
+                ctx.invalidate();
+                dedup.fingerprint(s, &mut ctx, &mut whole).unwrap();
+                ctx.invalidate();
+                dedup
+                    .fingerprint_text(s.text_at(&field), &mut ctx, &mut text_only)
                     .unwrap();
-                assert_eq!(whole, text_only, "{}", dedup.name());
+                assert_eq!(whole, text_only, "{name}");
+                // The adapter wraps the same words, and unwraps back to them.
+                let value = dedup.compute_hash(s, &mut SampleContext::new()).unwrap();
+                let unwrapped = Fingerprints::from_values(name, &[value]).unwrap();
+                assert_eq!(unwrapped.words(), &whole[start..], "{name}");
             }
         }
     }
 
-    /// Every deduplicator's parallel mask must be identical to its
-    /// sequential mask (the executor treats workers as a pure perf knob).
-    #[test]
-    fn parallel_keep_mask_matches_sequential() {
+    fn dup_heavy_corpus() -> Dataset {
         let base = LONG_BASE;
         let near = format!("{base} indeed truly");
-        let texts: Vec<String> = (0..40)
-            .map(|i| match i % 5 {
-                0 => base.to_string(),
-                1 => near.clone(),
-                2 => format!("unique document number {i} about methodology\n\nshared para"),
-                3 => "shared para".to_string(),
-                _ => format!("unique document number {i} about methodology"),
-            })
-            .collect();
-        let d = Dataset::from_texts(texts);
+        Dataset::from_texts((0..40).map(|i| match i % 5 {
+            0 => base.to_string(),
+            1 => near.clone(),
+            2 => format!("unique document number {i} about methodology\n\nshared para"),
+            3 => "shared para".to_string(),
+            _ => format!("unique document number {i} about methodology"),
+        }))
+    }
+
+    /// Both representations of one dataset's fingerprints: the words the
+    /// engine moves and the `Value`s of the Listing 1 adapters.
+    fn hash_both_ways(dedup: &dyn Deduplicator, d: &Dataset) -> (Fingerprints, Vec<Value>) {
+        let mut ctx = SampleContext::new();
+        let mut words = Fingerprints::new();
+        let mut values = Vec::new();
+        for s in d.iter() {
+            ctx.invalidate();
+            words
+                .push_with(|out| dedup.fingerprint(s, &mut ctx, out))
+                .unwrap();
+            ctx.invalidate();
+            values.push(dedup.compute_hash(s, &mut ctx).unwrap());
+        }
+        (words, values)
+    }
+
+    /// Every deduplicator's parallel mask must be identical to its
+    /// sequential mask (the executor treats workers as a pure perf knob),
+    /// through the word method and through the `Value` adapter alike.
+    #[test]
+    fn parallel_keep_mask_matches_sequential() {
+        let d = dup_heavy_corpus();
         let dedups: Vec<Box<dyn Deduplicator>> = vec![
             Box::new(DocumentDeduplicator::new()),
             Box::new(MinHashDeduplicator::default_config()),
@@ -578,23 +547,66 @@ mod tests {
             Box::new(ParagraphDeduplicator::new()),
         ];
         for dedup in &dedups {
-            let mut ctx = SampleContext::new();
-            let hashes: Vec<Value> = d
-                .iter()
-                .map(|s| {
-                    ctx.invalidate();
-                    dedup.compute_hash(s, &mut ctx).unwrap()
-                })
-                .collect();
-            let sequential = dedup.keep_mask(d.len(), &hashes).unwrap();
+            let (words, values) = hash_both_ways(dedup.as_ref(), &d);
+            assert_eq!(
+                Fingerprints::from_values(dedup.name(), &values).unwrap(),
+                words
+            );
+            let sequential = dedup.keep_mask(d.len(), &values).unwrap();
             assert!(
                 sequential.iter().any(|&k| !k),
                 "{} must drop something",
                 dedup.name()
             );
             for workers in [1usize, 2, 3, 4, 8] {
-                let parallel = dedup.keep_mask_parallel(d.len(), &hashes, workers).unwrap();
-                assert_eq!(parallel, sequential, "{} workers={workers}", dedup.name());
+                let adapter = dedup.keep_mask_parallel(d.len(), &values, workers).unwrap();
+                assert_eq!(adapter, sequential, "{} workers={workers}", dedup.name());
+                let direct = dedup.cluster(&words, workers).unwrap();
+                assert_eq!(direct, sequential, "{} workers={workers}", dedup.name());
+            }
+        }
+    }
+
+    /// A fingerprint of the wrong width — words read back from a damaged
+    /// sidecar, or a caller's own values — is an error naming the operator
+    /// and the sample, whichever way it comes in and at any worker count.
+    /// (A short or long MinHash signature used to reach `LshIndex::insert`'s
+    /// assertion, or the band slicing of the parallel exchange, and panic.)
+    #[test]
+    fn a_fingerprint_of_the_wrong_width_is_an_error_not_a_panic() {
+        let d = dup_heavy_corpus();
+        let dedups: Vec<Box<dyn Deduplicator>> = vec![
+            Box::new(DocumentDeduplicator::new()),
+            Box::new(MinHashDeduplicator::default_config()),
+            Box::new(SimHashDeduplicator::new(3).unwrap()),
+        ];
+        for dedup in &dedups {
+            let (words, values) = hash_both_ways(dedup.as_ref(), &d);
+            let width = words.get(0).len();
+            let resized = |len: usize| {
+                let mut sample = words.get(17).to_vec();
+                sample.resize(len, 1);
+                sample
+            };
+            for bad in [resized(width - 1), resized(width + 1), resized(2 * width)] {
+                let mut damaged = Fingerprints::new();
+                for (i, sample) in words.iter().enumerate() {
+                    damaged.push(if i == 17 { &bad } else { sample }).unwrap();
+                }
+                let mut bad_values = values.clone();
+                bad_values[17] = dj_core::words_to_value(&bad);
+                for workers in [1, 2] {
+                    let by_words = dedup.cluster(&damaged, workers);
+                    let by_values = dedup.keep_mask_parallel(d.len(), &bad_values, workers);
+                    for err in [by_words.unwrap_err(), by_values.unwrap_err()] {
+                        assert!(matches!(err, DjError::Op { .. }), "{err}");
+                        let text = err.to_string();
+                        assert!(
+                            text.contains(dedup.name()) && text.contains("sample 17"),
+                            "{text}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The banded, worker-parallel dedup exchange behind every
-//! [`Deduplicator::keep_mask`](dj_core::Deduplicator::keep_mask).
+//! [`Deduplicator::cluster`](dj_core::Deduplicator::cluster).
 //!
 //! Each clustering strategy partitions its fingerprint space so workers
 //! can index independently — by LSH band (MinHash), by 16-bit rotation
@@ -20,7 +20,7 @@
 //! exchange is a pure performance knob: the mask is identical for every
 //! worker count (property-tested in `tests/dedup_parallel.rs`).
 
-use dj_core::WorkerPool;
+use dj_core::{Fingerprints, WorkerPool};
 use dj_hash::{
     lsh_band_pairs, simhash_block_pairs, ConcurrentUnionFind, FxHashMap, FxHashSet, LshIndex,
     MinHasher, SimHashIndex, UnionFind, SIMHASH_BLOCKS,
@@ -45,14 +45,21 @@ impl ParallelDedup {
 
     /// MinHash-LSH keep mask: band-sharded candidate generation, global
     /// pair dedup, parallel similarity verification, concurrent union.
+    /// `words` holds the signatures back to back, `bands * rows` words each.
     pub fn minhash_mask(
         &self,
-        signatures: &[Vec<u64>],
+        words: &[u64],
         bands: usize,
         rows: usize,
         jaccard_threshold: f64,
     ) -> Vec<bool> {
-        let n = signatures.len();
+        let width = bands * rows;
+        assert!(
+            width > 0 && words.len().is_multiple_of(width),
+            "signatures must be bands*rows words each"
+        );
+        let n = words.len() / width;
+        let signature = |i: usize| &words[i * width..(i + 1) * width];
         if self.workers == 1 || n < 2 {
             // Sequential special case: the original index-as-you-insert
             // loop, skipping similarity checks for pairs whose endpoints
@@ -60,12 +67,12 @@ impl ParallelDedup {
             // than comparing two b*r-long signatures).
             let mut index = LshIndex::new(bands, rows);
             let mut uf = UnionFind::new(n);
-            for (i, sig) in signatures.iter().enumerate() {
+            for (i, sig) in words.chunks_exact(width).enumerate() {
                 for cand in index.insert(i, sig) {
                     if uf.connected(i, cand) {
                         continue;
                     }
-                    if MinHasher::similarity(sig, &signatures[cand]) >= jaccard_threshold {
+                    if MinHasher::similarity(sig, signature(cand)) >= jaccard_threshold {
                         uf.union(i, cand);
                     }
                 }
@@ -80,7 +87,7 @@ impl ParallelDedup {
                 let mut local = Vec::new();
                 let mut band = w;
                 while band < bands {
-                    local.extend(lsh_band_pairs(band, rows, signatures));
+                    local.extend(lsh_band_pairs(band, rows, words, width));
                     band += band_workers;
                 }
                 local
@@ -100,7 +107,7 @@ impl ParallelDedup {
                 if uf.find(a) == uf.find(b) {
                     continue; // already clustered via another pair
                 }
-                if MinHasher::similarity(&signatures[a], &signatures[b]) >= jaccard_threshold {
+                if MinHasher::similarity(signature(a), signature(b)) >= jaccard_threshold {
                     uf.union(a, b);
                 }
             }
@@ -150,7 +157,7 @@ impl ParallelDedup {
     /// range (O(n) total work), partial elections merge by range order
     /// (earlier ranges hold smaller indices, so first-merged wins), and a
     /// parallel pass checks each key against its elected winner.
-    pub fn exact_mask(&self, keys: &[(i64, i64)]) -> Vec<bool> {
+    pub fn exact_mask(&self, keys: &[[u64; 2]]) -> Vec<bool> {
         let n = keys.len();
         if self.workers == 1 || n < 2 {
             let mut seen = FxHashSet::default();
@@ -159,11 +166,11 @@ impl ParallelDedup {
         assert!(n <= u32::MAX as usize, "sample count exceeds u32 range");
         let parts = self.workers.min(n);
         let chunk = n.div_ceil(parts);
-        let slices: Vec<&[(i64, i64)]> = keys.chunks(chunk).collect();
-        let maps: Vec<FxHashMap<(i64, i64), u32>> =
+        let slices: Vec<&[[u64; 2]]> = keys.chunks(chunk).collect();
+        let maps: Vec<FxHashMap<[u64; 2], u32>> =
             WorkerPool::global().run_indexed(parts, slices.len(), |c| {
                 let base = (c * chunk) as u32;
-                let mut first: FxHashMap<(i64, i64), u32> = FxHashMap::default();
+                let mut first: FxHashMap<[u64; 2], u32> = FxHashMap::default();
                 for (off, k) in slices[c].iter().enumerate() {
                     first.entry(*k).or_insert(base + off as u32);
                 }
@@ -173,7 +180,7 @@ impl ParallelDedup {
         // range c is smaller than any index in range c+1, so the first
         // insertion per key is the global minimum.
         let mut maps = maps.into_iter();
-        let mut winner: FxHashMap<(i64, i64), u32> = maps.next().expect("parts >= 1");
+        let mut winner: FxHashMap<[u64; 2], u32> = maps.next().expect("parts >= 1");
         for m in maps {
             for (k, i) in m {
                 winner.entry(k).or_insert(i);
@@ -196,12 +203,12 @@ impl ParallelDedup {
     /// paragraph hashes first occurs in it. Index-range sharding elects
     /// each paragraph's owning sample (O(total paragraphs) work), then a
     /// parallel pass over sample ranges builds the mask.
-    pub fn paragraph_mask(&self, paragraphs: &[Vec<i64>]) -> Vec<bool> {
+    pub fn paragraph_mask(&self, paragraphs: &Fingerprints) -> Vec<bool> {
         let n = paragraphs.len();
         if self.workers == 1 || n < 2 {
             let mut seen = FxHashSet::default();
             let mut mask = Vec::with_capacity(n);
-            for paras in paragraphs {
+            for paras in paragraphs.iter() {
                 if paras.is_empty() {
                     mask.push(true); // nothing to compare; keep
                     continue;
@@ -220,16 +227,18 @@ impl ParallelDedup {
         assert!(n <= u32::MAX as usize, "sample count exceeds u32 range");
         let parts = self.workers.min(n);
         let chunk = n.div_ceil(parts);
-        let slices: Vec<&[Vec<i64>]> = paragraphs.chunks(chunk).collect();
+        let ranges: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(chunk)
+            .map(|start| start..(start + chunk).min(n))
+            .collect();
         // Pass 1: per-sample-range first-occurrence election; each worker
         // only scans its own contiguous range.
-        let maps: Vec<FxHashMap<i64, u32>> =
-            WorkerPool::global().run_indexed(parts, slices.len(), |c| {
-                let base = (c * chunk) as u32;
-                let mut first: FxHashMap<i64, u32> = FxHashMap::default();
-                for (off, paras) in slices[c].iter().enumerate() {
-                    for &p in paras {
-                        first.entry(p).or_insert(base + off as u32);
+        let maps: Vec<FxHashMap<u64, u32>> =
+            WorkerPool::global().run_indexed(parts, ranges.len(), |c| {
+                let mut first: FxHashMap<u64, u32> = FxHashMap::default();
+                for i in ranges[c].clone() {
+                    for &p in paragraphs.get(i) {
+                        first.entry(p).or_insert(i as u32);
                     }
                 }
                 first
@@ -237,7 +246,7 @@ impl ParallelDedup {
         // Merge in ascending range order: first insertion per key wins,
         // which is the global minimum sample index.
         let mut maps = maps.into_iter();
-        let mut owner: FxHashMap<i64, u32> = maps.next().expect("parts >= 1");
+        let mut owner: FxHashMap<u64, u32> = maps.next().expect("parts >= 1");
         for m in maps {
             for (k, i) in m {
                 owner.entry(k).or_insert(i);
@@ -246,16 +255,12 @@ impl ParallelDedup {
 
         // Pass 2: parallel mask over the same contiguous sample ranges.
         let owner = &owner;
-        let chunks: Vec<Vec<bool>> = WorkerPool::global().run_indexed(parts, slices.len(), |c| {
-            let base = (c * chunk) as u32;
-            slices[c]
-                .iter()
-                .enumerate()
-                .map(|(off, paras)| {
-                    paras.is_empty()
-                        || paras
-                            .iter()
-                            .any(|p| owner.get(p) == Some(&(base + off as u32)))
+        let chunks: Vec<Vec<bool>> = WorkerPool::global().run_indexed(parts, ranges.len(), |c| {
+            ranges[c]
+                .clone()
+                .map(|i| {
+                    let paras = paragraphs.get(i);
+                    paras.is_empty() || paras.iter().any(|p| owner.get(p) == Some(&(i as u32)))
                 })
                 .collect::<Vec<bool>>()
         });
@@ -267,11 +272,11 @@ impl ParallelDedup {
 mod tests {
     use super::*;
 
-    fn sigs_for(texts: &[&str], bands: usize, rows: usize) -> Vec<Vec<u64>> {
+    fn sigs_for(texts: &[&str], bands: usize, rows: usize) -> Vec<u64> {
         let mh = MinHasher::new(bands * rows, 2);
         texts
             .iter()
-            .map(|t| mh.signature(&t.split_whitespace().collect::<Vec<_>>()))
+            .flat_map(|t| mh.signature(t.split_whitespace()))
             .collect()
     }
 
@@ -316,7 +321,7 @@ mod tests {
 
     #[test]
     fn exact_mask_identical_across_worker_counts() {
-        let keys = vec![(1, 1), (2, 2), (1, 1), (3, 3), (2, 2), (1, 1), (4, 4)];
+        let keys = [[1, 1], [2, 2], [1, 1], [3, 3], [2, 2], [1, 1], [4, 4]];
         let reference = ParallelDedup::new(1).exact_mask(&keys);
         assert_eq!(reference, vec![true, true, false, true, false, false, true]);
         for w in [2, 3, 5] {
@@ -326,14 +331,10 @@ mod tests {
 
     #[test]
     fn paragraph_mask_identical_across_worker_counts() {
-        let paras = vec![
-            vec![10, 20],
-            vec![20, 30],
-            vec![10, 30],
-            vec![],
-            vec![10, 10],
-            vec![40],
-        ];
+        let mut paras = Fingerprints::new();
+        for p in [&[10, 20][..], &[20, 30], &[10, 30], &[], &[10, 10], &[40]] {
+            paras.push(p).unwrap();
+        }
         let reference = ParallelDedup::new(1).paragraph_mask(&paras);
         assert_eq!(reference, vec![true, true, false, true, false, true]);
         for w in [2, 3, 4] {
@@ -346,10 +347,12 @@ mod tests {
         for w in [1, 4] {
             let pd = ParallelDedup::new(w);
             assert!(pd.exact_mask(&[]).is_empty());
-            assert_eq!(pd.exact_mask(&[(5, 5)]), vec![true]);
+            assert_eq!(pd.exact_mask(&[[5, 5]]), vec![true]);
             assert!(pd.minhash_mask(&[], 4, 2, 0.5).is_empty());
             assert!(pd.simhash_mask(&[], 3).is_empty());
-            assert_eq!(pd.paragraph_mask(&[vec![]]), vec![true]);
+            let mut blank = Fingerprints::new();
+            blank.push(&[]).unwrap();
+            assert_eq!(pd.paragraph_mask(&blank), vec![true]);
         }
     }
 }

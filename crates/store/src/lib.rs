@@ -48,14 +48,15 @@ pub use frame::{
     envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
 pub use serialize::{
-    from_bytes, from_jsonl, sample_count, texts_at, to_bytes, to_jsonl, values_from_bytes,
-    values_to_bytes, write_jsonl_into,
+    from_bytes, from_jsonl, sample_count, texts_at, to_bytes, to_jsonl, write_jsonl_into,
 };
 pub use sidecar::{
     OpAggregate, StatsSidecar, STATS_SIDECAR_FILE, STATS_SIDECAR_MAGIC, STATS_SIDECAR_VERSION,
 };
 
-pub use shard_stream::{encode_shard_frame, FrameSlab, ShardSpool};
+pub use shard_stream::{
+    encode_shard_frame, open_fingerprints, seal_fingerprints, FrameSlab, ShardSpool,
+};
 pub use space::{
     cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, PipelineShape, StoragePlan,
 };

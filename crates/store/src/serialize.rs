@@ -97,31 +97,6 @@ pub(crate) fn write_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Serialize a flat list of values (e.g. per-sample dedup fingerprints)
-/// in the same tagged binary format as datasets.
-pub fn values_to_bytes(values: &[Value]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 16 + 16);
-    buf.push(FORMAT_VERSION);
-    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    for v in values {
-        write_value(&mut buf, v);
-    }
-    buf
-}
-
-/// Deserialize a value list written by [`values_to_bytes`].
-pub fn values_from_bytes(data: &[u8]) -> Result<Vec<Value>> {
-    let (n, mut cur) = read_header(data, "value")?;
-    let mut out = Vec::with_capacity(n.min(cur.len()));
-    for _ in 0..n {
-        out.push(read_value_slice(&mut cur)?);
-    }
-    if !cur.is_empty() {
-        return Err(DjError::Storage("trailing bytes after value list".into()));
-    }
-    Ok(out)
-}
-
 /// Sample count of a serialized dataset, read from the header alone.
 pub fn sample_count(data: &[u8]) -> Result<usize> {
     read_header(data, "dataset").map(|(n, _)| n)
@@ -381,27 +356,6 @@ mod tests {
     fn corrupt_jsonl_rejected() {
         assert!(from_jsonl("{\"ok\": 1}\nnot json\n").is_err());
         assert!(from_jsonl("[1, 2, 3]\n").is_err()); // root must be a map
-    }
-
-    #[test]
-    fn values_roundtrip() {
-        let vals = vec![
-            Value::Null,
-            Value::Bool(true),
-            Value::Int(-7),
-            Value::Float(2.5),
-            Value::Str("中文 fingerprint".into()),
-            Value::from(vec!["a", "b"]),
-        ];
-        assert_eq!(values_from_bytes(&values_to_bytes(&vals)).unwrap(), vals);
-        assert_eq!(
-            values_from_bytes(&values_to_bytes(&[])).unwrap(),
-            Vec::<Value>::new()
-        );
-        assert!(values_from_bytes(&[]).is_err());
-        let mut bytes = values_to_bytes(&vals);
-        bytes.push(0);
-        assert!(values_from_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -17,14 +17,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dj_core::{Dataset, DjError, Result, Sample, Value};
+use dj_core::{Dataset, DjError, Fingerprints, Result, Sample};
 
 use crate::codec::{compress, decompress, Codec};
 use crate::columnar::encode_columnar_frame;
 use crate::frame::{checked_copy, envelope, Frame, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC};
 use crate::serialize::{
-    read_header, read_value_slice, sample_count, skip_value, texts_at, to_bytes, values_from_bytes,
-    values_to_bytes,
+    le_u64, read_header, read_value_slice, sample_count, skip_value, texts_at, to_bytes,
 };
 use crate::transcode::{check_mask, keeps};
 
@@ -136,6 +135,46 @@ impl FrameSlab {
     }
 }
 
+/// One shard's fingerprints as a sealed sidecar: the envelope, magic `DJFP`,
+/// around the sample count (`u64`), each sample's end offset into the words
+/// (`u32`) and the words (`u64`), all little-endian.
+pub fn seal_fingerprints(fingerprints: &Fingerprints) -> Vec<u8> {
+    let (words, ends) = (fingerprints.words(), fingerprints.ends());
+    let mut payload = Vec::with_capacity(8 + 4 * ends.len() + 8 * words.len());
+    payload.extend_from_slice(&(ends.len() as u64).to_le_bytes());
+    payload.extend(ends.iter().flat_map(|end| end.to_le_bytes()));
+    payload.extend(words.iter().flat_map(|word| word.to_le_bytes()));
+    envelope::seal(FINGERPRINT_MAGIC, &payload)
+}
+
+/// Open what [`seal_fingerprints`] sealed (exactly one sidecar). The count
+/// is checked against the bytes that are there before anything is sized by
+/// it, the offsets against the words.
+pub fn open_fingerprints(sealed: &[u8]) -> Result<Fingerprints> {
+    let bad = |what: &str| DjError::Storage(format!("fingerprint sidecar: {what}"));
+    let (magic, payload) = envelope::open_one(sealed)?;
+    if &magic != FINGERPRINT_MAGIC {
+        return Err(bad("bad magic"));
+    }
+    let (count, rest) = payload
+        .split_at_checked(8)
+        .ok_or_else(|| bad("no sample count"))?;
+    let (ends, words) = usize::try_from(le_u64(count))
+        .ok()
+        .and_then(|count| count.checked_mul(4))
+        .and_then(|len| rest.split_at_checked(len))
+        .ok_or_else(|| bad("fewer end offsets than samples"))?;
+    let (ends, _) = ends.as_chunks::<4>();
+    let (words, tail) = words.as_chunks::<8>();
+    if !tail.is_empty() {
+        return Err(bad("words are not whole"));
+    }
+    Fingerprints::from_parts(
+        words.iter().map(|w| u64::from_le_bytes(*w)).collect(),
+        ends.iter().map(|e| u32::from_le_bytes(*e)).collect(),
+    )
+}
+
 /// A directory of shard frame files: the disk backing of spilled stages.
 ///
 /// Slot `i` lives in `shard-i.djs`, written atomically (temp file + rename)
@@ -240,8 +279,8 @@ impl ShardSpool {
     /// Persist per-sample dedup fingerprints for slot `idx` in its sidecar
     /// (`shard-N.fpr`, atomic temp+rename). Fingerprints travel with the
     /// frame so a later dedup barrier can skip its hash pass entirely.
-    pub fn write_fingerprints(&self, idx: usize, fingerprints: &[Value]) -> Result<()> {
-        let mut out = envelope::seal(FINGERPRINT_MAGIC, &values_to_bytes(fingerprints));
+    pub fn write_fingerprints(&self, idx: usize, fingerprints: &Fingerprints) -> Result<()> {
+        let mut out = seal_fingerprints(fingerprints);
         dj_core::faults::corrupt("store.fpr.write", &mut out)?;
         let path = self.sidecar_path(idx);
         let tmp = path.with_extension("fpr.tmp");
@@ -252,7 +291,7 @@ impl ShardSpool {
 
     /// Read slot `idx`'s fingerprint sidecar. `Ok(None)` when the sidecar
     /// was never written; corruption is a [`DjError::Storage`] error.
-    pub fn read_fingerprints(&self, idx: usize) -> Result<Option<Vec<Value>>> {
+    pub fn read_fingerprints(&self, idx: usize) -> Result<Option<Fingerprints>> {
         let path = self.sidecar_path(idx);
         let mut bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -260,25 +299,22 @@ impl ShardSpool {
             Err(e) => return Err(e.into()),
         };
         dj_core::faults::corrupt("store.fpr.read", &mut bytes)?;
-        let at = |e: DjError| DjError::Storage(format!("fingerprint sidecar {path:?}: {e}"));
-        let (magic, payload) = envelope::open_one(&bytes).map_err(at)?;
-        if &magic != FINGERPRINT_MAGIC {
-            return Err(at(DjError::Storage("bad magic".into())));
-        }
-        values_from_bytes(payload).map(Some)
+        open_fingerprints(&bytes)
+            .map(Some)
+            .map_err(|e| DjError::Storage(format!("{path:?}: {e}")))
     }
 
-    /// All fingerprints across all slots, flattened in slot order —
-    /// `Ok(None)` unless *every* written slot has a sidecar whose length
-    /// matches its shard (a partial set cannot seed a barrier).
-    pub fn read_all_fingerprints(&self) -> Result<Option<Vec<Value>>> {
-        let mut all = Vec::new();
+    /// All fingerprints across all slots, in slot order — `Ok(None)` unless
+    /// *every* written slot has a sidecar whose sample count matches its
+    /// shard (a partial set cannot seed a barrier).
+    pub fn read_all_fingerprints(&self) -> Result<Option<Fingerprints>> {
+        let mut all = Fingerprints::with_capacity(self.total_samples());
         for i in 0..self.shard_count() {
             let Some(expected) = self.shard_len(i) else {
                 return Ok(None);
             };
             match self.read_fingerprints(i)? {
-                Some(fp) if fp.len() == expected => all.extend(fp),
+                Some(fp) if fp.len() == expected => all.append(&fp)?,
                 _ => return Ok(None),
             }
         }
@@ -484,17 +520,23 @@ mod tests {
         let spool = ShardSpool::create(&dir, 2, Codec::Djz).unwrap();
         spool.write_shard(0, &shard(&["a", "b"])).unwrap();
         spool.write_shard(1, &shard(&["c"])).unwrap();
-        let fp0 = vec![Value::Int(7), Value::Str("h".into())];
-        let fp1 = vec![Value::from(vec![Value::Int(1), Value::Int(2)])];
+        let sidecar = |samples: &[&[u64]]| {
+            let mut fp = Fingerprints::new();
+            samples.iter().for_each(|words| fp.push(words).unwrap());
+            fp
+        };
+        let fp0 = sidecar(&[&[7], &[8, u64::MAX, 9]]);
+        let fp1 = sidecar(&[&[]]);
         spool.write_fingerprints(0, &fp0).unwrap();
         // One sidecar missing → no flattened set.
         assert!(spool.read_all_fingerprints().unwrap().is_none());
         spool.write_fingerprints(1, &fp1).unwrap();
         assert_eq!(spool.read_fingerprints(0).unwrap(), Some(fp0.clone()));
+        assert_eq!(spool.read_fingerprints(1).unwrap(), Some(fp1));
         let all = spool.read_all_fingerprints().unwrap().unwrap();
-        assert_eq!(all, vec![fp0[0].clone(), fp0[1].clone(), fp1[0].clone()]);
-        // Length mismatch with its shard disqualifies the whole set.
-        spool.write_fingerprints(1, &[]).unwrap();
+        assert_eq!(all, sidecar(&[&[7], &[8, u64::MAX, 9], &[]]));
+        // Sample count mismatch with its shard disqualifies the whole set.
+        spool.write_fingerprints(1, &Fingerprints::new()).unwrap();
         assert!(spool.read_all_fingerprints().unwrap().is_none());
         // A shard frame in a sidecar's place is refused by its magic.
         let path = dir.join("shard-00000.fpr");

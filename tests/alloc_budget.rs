@@ -7,6 +7,11 @@
 //! n-gram pass. This is the guard that keeps the next operator from
 //! bringing `to_string()` back into `compute_stats`.
 //!
+//! The barrier's hash pass has the tighter budget: a fixed-width
+//! deduplicator writes each sample's words into the pass's one buffer out
+//! of a warmed context — no shingle string, no signature, no `Value` —
+//! so a sample costs no allocation at all.
+//!
 //! One level up, the way out of a spool has a budget too: transcoding a
 //! spilled shard to a JSONL part may allocate per *shard* and per *column*
 //! (the frame, its decompressed regions, the part's bookkeeping) but never
@@ -20,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::{Dataset, Op, Sample, SampleContext};
+use data_juicer::core::{Dataset, Fingerprints, Op, Sample, SampleContext};
 use data_juicer::io::{OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{to_jsonl, Codec, ShardSpool};
@@ -170,6 +175,53 @@ fn clean_samples_allocate_only_their_stats() {
         1,
         "allocations vary with the document: {seen:?}"
     );
+}
+
+/// The hash pass of every fixed-width built-in deduplicator (exact: 2 words
+/// a sample, SimHash: 1, MinHash: bands × rows), the way the barrier runs
+/// it: one context, one `Fingerprints`, sample after sample. With the
+/// context warmed, all that is left to allocate is the word buffer's own
+/// doubling — a handful of calls for the pass, none for a sample. (MinHash
+/// used to make three per sample: shingle, signature, `Value` list.)
+#[test]
+fn a_warmed_hash_pass_allocates_nothing_per_sample() {
+    let corpus = web_corpus(17, 300, WebNoise::default());
+    let biggest = corpus.iter().map(Sample::text).max_by_key(|t| t.len());
+    for name in [
+        "document_deduplicator",
+        "document_simhash_deduplicator",
+        "document_minhash_deduplicator",
+    ] {
+        let op = Recipe::new("hash-pass")
+            .then(OpSpec::new(name))
+            .build_ops(&builtin_registry())
+            .expect("builtin op")
+            .remove(0);
+        let Op::Deduplicator(dedup) = op else {
+            unreachable!("{name} is a deduplicator")
+        };
+        let mut ctx = SampleContext::new();
+        let mut hash = |text: &str, out: &mut Fingerprints| {
+            ctx.invalidate();
+            out.push_with(|words| dedup.fingerprint_text(text, &mut ctx, words))
+                .expect("hash runs");
+        };
+        hash(biggest.expect("a corpus"), &mut Fingerprints::new());
+
+        let mut out = Fingerprints::with_capacity(corpus.len());
+        let before = ALLOCATIONS.with(Cell::get);
+        for sample in corpus.iter() {
+            hash(sample.text(), &mut out);
+        }
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(out.len(), corpus.len());
+        assert!(
+            allocations <= 20,
+            "{name}: {allocations} allocations for {} samples, {} words",
+            corpus.len(),
+            out.words().len()
+        );
+    }
 }
 
 /// Spool → JSONL egress, per shard: load the undecoded frame, transcode

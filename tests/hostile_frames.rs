@@ -29,10 +29,10 @@ use std::time::{Duration, Instant};
 
 use proptest::TestRng;
 
-use data_juicer::core::{Dataset, DjError, Sample, Value};
+use data_juicer::core::{Dataset, DjError, Fingerprints, Sample, Value};
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
-    values_to_bytes, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC,
+    seal_fingerprints, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC,
     FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
 
@@ -152,11 +152,21 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
         results.push(spool.read_row_frame_bytes(0, keep).map(drop));
     }
 
-    // As a fingerprint sidecar.
+    // As a fingerprint sidecar: alone, and as the set a barrier would take
+    // (ignored whole unless it describes the slot's samples one for one).
     std::fs::write(spool.dir().join("shard-00000.fpr"), bytes).unwrap();
     let fingerprints = spool.read_fingerprints(0);
     let sidecar = fingerprints.is_ok();
+    let set = spool.read_all_fingerprints();
+    if let (Ok(one), Ok(set)) = (&fingerprints, &set) {
+        let usable = one.as_ref().filter(|fp| fp.len() == MASK.len());
+        assert_eq!(set.as_ref(), usable, "a sidecar set of the wrong count");
+        // Whatever was accepted is safe to walk.
+        let walked: usize = one.iter().flat_map(|fp| fp.iter()).map(<[u64]>::len).sum();
+        assert_eq!(walked, one.as_ref().map_or(0, |fp| fp.words().len()));
+    }
     results.push(fingerprints.map(drop));
+    results.push(set.map(drop));
 
     for result in results {
         match result {
@@ -221,9 +231,32 @@ fn mutate_payload(rng: &mut TestRng, magic: &[u8; 4], payload: &[u8]) -> (String
             out.truncate(cut);
             format!("payload cut to {cut}")
         }
-        // The first words of either payload are sizes: a row payload's codec
-        // header (magic, id, raw length), a columnar payload's version,
-        // sample count and column count.
+        // A sidecar payload is a sample count, that many `u32` end offsets,
+        // and `u64` words: offsets out of order or past the words, a count
+        // off by a few (the words then start mid-offset), a count bomb.
+        2 | 3 if magic == FINGERPRINT_MAGIC => {
+            let count = (out.len() as u64).saturating_sub(8) / 4;
+            let at = 8 + 4 * rng.below(count.max(1)) as usize;
+            match rng.below(3) {
+                0 if at + 4 <= out.len() => {
+                    let end = [0, 1, 5, rng.next_u64() as u32][rng.below(4) as usize];
+                    out[at..at + 4].copy_from_slice(&end.to_le_bytes());
+                    format!("end offset @{at} = {end}")
+                }
+                1 => {
+                    let claimed = rng.below(2 * count + 2);
+                    out = with_u64(&out, 0, claimed);
+                    format!("sample count {claimed}")
+                }
+                _ => {
+                    out = with_u64(&out, 0, bomb(rng));
+                    "sample count bomb".to_string()
+                }
+            }
+        }
+        // The first words of either frame payload are sizes: a row
+        // payload's codec header (magic, id, raw length), a columnar
+        // payload's version, sample count and column count.
         2 => {
             let at = [1, 4, 9][rng.below(3) as usize];
             out = with_u64(&out, at, bomb(rng));
@@ -278,7 +311,12 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
     let _ = std::fs::remove_dir_all(&dir);
     let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
     let ds = shard();
-    let fingerprints: Vec<Value> = (0..7).map(|i| Value::Int(i * 31)).collect();
+    // One run per sample of `shard()`: MASK.len() of them, an empty one too.
+    let mut fingerprints = Fingerprints::new();
+    for i in 0..MASK.len() as u64 {
+        let words: Vec<u64> = (0..i % 4).map(|w| i * 31 + w).collect();
+        fingerprints.push(&words).unwrap();
+    }
     let seeds: Vec<(&[u8; 4], Vec<u8>)> = vec![
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::None)),
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::Djz)),
@@ -291,10 +329,7 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             COLUMNAR_FRAME_MAGIC,
             encode_columnar_frame(&Dataset::new(), Codec::Djz),
         ),
-        (
-            FINGERPRINT_MAGIC,
-            envelope::seal(FINGERPRINT_MAGIC, &values_to_bytes(&fingerprints)),
-        ),
+        (FINGERPRINT_MAGIC, seal_fingerprints(&fingerprints)),
     ];
 
     // The sweeps: every seed as it is, cut at every header boundary and a

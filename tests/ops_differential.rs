@@ -248,6 +248,57 @@ fn very_long_inputs_match_reference() {
     check(&"spam and eggs and ham 数据 ".repeat(5_000), &mut ctx);
 }
 
+/// Every instantiation of the MinHash lane loop this CPU can run — the
+/// portable one and each `#[target_feature]` build of the same body — is
+/// the reference's signature to the bit: hash counts with a vector tail
+/// (1, 7, 13), a whole vector (8) and the default (128), one-token and
+/// five-token shingles, and documents with no shingle at all, fewer tokens
+/// than a shingle, non-ASCII tokens and 10 000 words. Working buffers are
+/// handed over dirty, as a hash pass hands them from sample to sample.
+#[test]
+fn every_minhash_lane_instantiation_matches_reference() {
+    use data_juicer::hash::{Lanes, MinHasher};
+    let long = (0..10_000)
+        .map(|i| format!("w{}", i * 7919 % 3001))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let documents = [
+        "",
+        " \n\t — ",
+        "one",
+        "only four tokens here",
+        "exactly five tokens right here",
+        "Ünïcødé ♥ 中文数据 🦀 смешанный текст και ελληνικά, naïve café",
+        long.as_str(),
+    ];
+    let lanes = Lanes::available();
+    assert_eq!(lanes[0].name(), "scalar");
+    let names: Vec<_> = lanes.iter().map(|l| l.name()).collect();
+    println!("minhash lane instantiations checked on this CPU: {names:?}");
+    let mut ctx = SampleContext::new();
+    let (mut joined, mut bases) = (b"stale".to_vec(), vec![7; 3]);
+    for &lanes in &lanes {
+        for k in [1, 7, 8, 13, 128] {
+            let seeds = ops_reference::minhash_seeds(k);
+            for shingle in [1, 5] {
+                let hasher = MinHasher::with_lanes(k, shingle, lanes);
+                for text in documents {
+                    let want = ops_reference::minhash_signature(text, &seeds, shingle);
+                    let mut got = vec![0; k];
+                    ctx.invalidate();
+                    hasher.signature_into(ctx.words(text), &mut joined, &mut bases, &mut got);
+                    let case = format!("{} k={k} shingle={shingle}", lanes.name());
+                    assert_eq!(got, want, "{case} on {:.40?}", text);
+                    assert_eq!(hasher.signature(ctx.words(text)), want, "{case}");
+                    if ops_reference::words(text).is_empty() {
+                        assert!(got.iter().all(|&v| v == u64::MAX), "{case}: empty");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn synthetic_mixtures_match_reference() {
     let mut ctx = SampleContext::new();
