@@ -32,8 +32,8 @@
 //! `np × 2 × shard_size` samples in memory, and the output is byte-identical
 //! to an in-memory run. Omit `memory_budget` (or leave it larger than the
 //! dataset) to keep everything in memory. `DJ_MEMORY_BUDGET=<bytes>` in the
-//! environment overrides an unset budget — CI uses it to force the spill
-//! path through the whole test suite. Both keys participate in the recipe
+//! environment overrides an unset budget — a host-level cap for recipes
+//! that set none. Both keys participate in the recipe
 //! fingerprint, so cached stages invalidate when they change.
 
 pub mod recipe;

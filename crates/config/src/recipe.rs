@@ -69,8 +69,7 @@ pub struct Recipe {
     pub prefetch_depth: Option<usize>,
     /// Adaptive, measurement-driven planning: plan steps ordered from the
     /// persisted cost-model sidecar, mid-run re-planning, measured
-    /// barrier gating and knob auto-tuning (default `false`; the
-    /// `DJ_ADAPTIVE` env var forces the run-local parts on).
+    /// barrier gating and knob auto-tuning (default `false`).
     pub adaptive: bool,
     /// Directory the cost-model sidecar persists under; `None` = the
     /// cache root (when `adaptive` is set and a cache is attached).
@@ -82,9 +81,8 @@ pub struct Recipe {
     /// Columnar shard frames with field-projection pushdown: spilled
     /// shards are stored as per-column `DJSC` frames and each stage
     /// decodes only the columns its OPs' field footprints name, splicing
-    /// every other column through byte-for-byte (default `false`; the
-    /// `DJ_COLUMNAR` env var forces it on). Output is byte-identical to
-    /// the row format.
+    /// every other column through byte-for-byte (default `false`). Output
+    /// is byte-identical to the row format.
     pub columnar: bool,
     /// Record-level error policy: `"fail"` (default), `"skip"` or
     /// `"quarantine"`. Under `skip`/`quarantine` a malformed ingest

@@ -30,7 +30,7 @@
 //!
 //! * `seed:N` — sets the plan seed (drives which byte a bit-flip hits /
 //!   how many bytes a truncation drops). A seed-only plan derives one
-//!   fault deterministically from the seed — the CI smoke-matrix form.
+//!   fault deterministically from the seed — the smoke-matrix form.
 //! * `site:kind@n` — fire `kind` (`io` | `truncate` | `bitflip` |
 //!   `panic`) on the `n`th hit of `site`; `@n` defaults to `@1`.
 //!
@@ -218,8 +218,8 @@ impl FaultPlan {
                     "DJ_FAULTS must contain `seed:N` and/or `site:kind@n` clauses".into(),
                 ));
             }
-            // Seed-only plan: derive one fault from the seed — the CI
-            // smoke-matrix form (`DJ_FAULTS=seed:K` for K in 0..M).
+            // Seed-only plan: derive one fault from the seed — the
+            // smoke-matrix form (`chaos::env_seed_smoke` runs seed:0..8).
             let mut s = seed;
             let site = SITES[(splitmix64(&mut s) % SITES.len() as u64) as usize];
             let kind = KINDS[(splitmix64(&mut s) % KINDS.len() as u64) as usize];

@@ -21,13 +21,20 @@
 //! `\uXXXX` escapes (including surrogate pairs), walking the input's bytes
 //! in place: the run between two escapes is copied in one piece and numbers
 //! are parsed from the borrowed slice. Error offsets are byte offsets into
-//! the input.
+//! the input. Arrays and objects nest at most [`MAX_NESTING_DEPTH`] deep.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::{DjError, Result};
 use crate::value::Value;
+
+/// How deep arrays and objects may nest in anything this workspace decodes
+/// — JSON text here, tagged values in `dj-store` — serde_json's default.
+/// The decoders recurse once per level; past the limit they return a typed
+/// error instead of letting a nesting bomb overflow the stack, which no
+/// error policy could catch.
+pub const MAX_NESTING_DEPTH: usize = 128;
 
 // ---- writer -----------------------------------------------------------
 
@@ -151,6 +158,7 @@ pub fn parse_json(input: &str) -> Result<Value> {
         src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -167,6 +175,8 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -202,8 +212,8 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
@@ -215,6 +225,20 @@ impl Parser<'_> {
             }
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse the array or object at `pos` one level deeper, refusing to go
+    /// past [`MAX_NESTING_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nested deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, lit: &str, v: Value) -> Result<Value> {
@@ -480,6 +504,59 @@ mod tests {
         v.set_path("tags", Value::from(vec!["a", "b"])).unwrap();
         let parsed = parse_json(&v.to_string()).unwrap();
         assert_eq!(parsed, v);
+    }
+
+    /// `levels` nested arrays (alternating with objects) around one `null`,
+    /// as the value of a sample's `text`.
+    fn nested(levels: usize) -> String {
+        let mut doc = String::from("{\"text\":");
+        for i in 1..levels {
+            doc.push_str(if i % 2 == 0 { "{\"k\":" } else { "[" });
+        }
+        doc.push_str("null");
+        for i in (1..levels).rev() {
+            doc.push(if i % 2 == 0 { '}' } else { ']' });
+        }
+        doc.push('}');
+        doc
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit_with_a_typed_error() {
+        let at_limit = parse_json(&nested(MAX_NESTING_DEPTH)).unwrap();
+        let mut depth = 0;
+        let mut v = &at_limit;
+        while let Some(inner) = v
+            .as_list()
+            .and_then(|l| l.first())
+            .or(v.as_map().and_then(|m| m.values().next()))
+        {
+            depth += 1;
+            v = inner;
+        }
+        assert_eq!((depth, v), (MAX_NESTING_DEPTH, &Value::Null));
+
+        let past = nested(MAX_NESTING_DEPTH + 1);
+        let err = parse_json(&past).unwrap_err();
+        // The offset is the opening bracket of level 129.
+        let offset = past
+            .match_indices(['[', '{'])
+            .nth(MAX_NESTING_DEPTH)
+            .unwrap()
+            .0;
+        assert!(matches!(err, DjError::Parse(_)), "{err:?}");
+        assert!(
+            err.to_string().ends_with(&format!("at offset {offset}")),
+            "{err}"
+        );
+
+        // A nesting bomb far past any stack: 200 000 levels.
+        let bomb = format!(
+            "{{\"text\": {}{}}}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        assert!(matches!(parse_json(&bomb), Err(DjError::Parse(_))));
     }
 
     #[test]

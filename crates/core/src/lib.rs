@@ -49,7 +49,7 @@ pub use dataset::Dataset;
 pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};
 pub use fingerprints::{words_to_value, Fingerprints};
-pub use json::{parse_json, write_json, write_json_f64, write_json_str};
+pub use json::{parse_json, write_json, write_json_f64, write_json_str, MAX_NESTING_DEPTH};
 pub use op::{
     params, Deduplicator, FieldSet, Filter, Formatter, Mapper, Op, OpCost, OpFactory, OpKind,
     OpParams, OpRegistry,

@@ -130,6 +130,13 @@ pub struct WorkerPool {
 /// leave this counter flat where the scoped engine re-spawned per pass.
 static SPAWNED_TOTAL: AtomicUsize = AtomicUsize::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// Pool threads spawned from this thread: what a unit test can count
+    /// without seeing the private pools its siblings build meanwhile.
+    static SPAWNED_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// How long an idle pool thread sleeps between eligibility polls. Section
 /// registration notifies `work_cv`, so this is only a safety net against
 /// missed wakeups; steps are shard-sized, so 1 ms is noise.
@@ -159,6 +166,8 @@ impl WorkerPool {
             // section's caller is a stepper of last resort.
             if let Ok(h) = spawned {
                 SPAWNED_TOTAL.fetch_add(1, Ordering::Relaxed);
+                #[cfg(test)]
+                SPAWNED_HERE.with(|n| n.set(n.get() + 1));
                 handles.push(h);
             }
         }
@@ -472,17 +481,19 @@ mod tests {
         assert_eq!(pool.run_indexed(3, 3, |i| i), vec![0, 1, 2]);
     }
 
+    /// Counted per thread: the sibling tests above build private pools on
+    /// their own threads meanwhile, and the process-wide total sees those
+    /// (`tests/service_runtime.rs` has no such siblings and reads it).
     #[test]
     fn global_pool_spawns_once() {
-        let before = {
-            WorkerPool::global().run_indexed(2, 4, |i| i);
-            WorkerPool::spawned_total()
-        };
+        let spawned_here = || SPAWNED_HERE.with(std::cell::Cell::get);
+        WorkerPool::global().run_indexed(2, 4, |i| i);
+        let before = spawned_here();
         for _ in 0..5 {
             WorkerPool::global().run_indexed(4, 16, |i| i);
         }
         assert_eq!(
-            WorkerPool::spawned_total(),
+            spawned_here(),
             before,
             "warm global pool must not re-spawn threads"
         );

@@ -77,18 +77,6 @@ impl Executor {
         }
     }
 
-    /// Whether adaptive planning is in force: the explicit option, or the
-    /// `DJ_ADAPTIVE` snapshot (`1`/`true`/`yes`).
-    pub(crate) fn effective_adaptive(&self) -> Result<bool> {
-        Ok(self.options.adaptive || self.options.env.adaptive()?)
-    }
-
-    /// Whether columnar spill frames are in force: the explicit option, or
-    /// the `DJ_COLUMNAR` snapshot (`1`/`true`/`yes`).
-    fn effective_columnar(&self) -> Result<bool> {
-        Ok(self.options.columnar || self.options.env.columnar()?)
-    }
-
     /// Install the fault plan in force — the explicit option, else the
     /// `DJ_FAULTS` snapshot — for the duration of the returned guard.
     /// Resolution is memoized on the options value so retry attempts
@@ -123,10 +111,10 @@ impl Executor {
         Ok(ledger)
     }
 
-    /// A fresh spill spool in the mode in force — columnar `DJSC` frames
-    /// when columnar execution is on, row `DJSF` frames otherwise.
+    /// A fresh spill spool in the configured format — columnar `DJSC`
+    /// frames when [`ExecOptions::columnar`] is set, row `DJSF` otherwise.
     pub(crate) fn new_spool(&self, slots: usize) -> Result<ShardSpool> {
-        if self.effective_columnar()? {
+        if self.options.columnar {
             ShardSpool::create_columnar(self.fresh_spill_dir(), slots, SPILL_CODEC)
         } else {
             ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
@@ -134,20 +122,12 @@ impl Executor {
     }
 
     /// Where the cost-model sidecar persists, if anywhere: an explicit
-    /// `stats_dir` always wins; otherwise the cache root, but only under
-    /// the explicit `adaptive` option — an env-forced adaptive run stays
-    /// run-local so `DJ_ADAPTIVE=1` across a test suite cannot reorder
-    /// plans (and therefore cache keys) between runs that share a cache.
+    /// `stats_dir`, else the attached cache's root.
     fn stats_path(&self, cache: Option<&CacheManager>) -> Option<PathBuf> {
-        if let Some(dir) = &self.options.stats_dir {
-            return Some(dir.join(STATS_SIDECAR_FILE));
+        match &self.options.stats_dir {
+            Some(dir) => Some(dir.join(STATS_SIDECAR_FILE)),
+            None => cache.map(CacheManager::stats_sidecar_path),
         }
-        if self.options.adaptive {
-            if let Some(cm) = cache {
-                return Some(cm.stats_sidecar_path());
-            }
-        }
-        None
     }
 
     /// Auto-tune unset performance knobs from a warm model's measured
@@ -179,14 +159,8 @@ impl Executor {
         })
     }
 
-    /// Execute the pipeline. With `DJ_RUNTIME` set (and no job already
-    /// attached) the dataset is submitted to the process-wide service
-    /// runtime and executes on the shared persistent pool; the result is
-    /// byte-identical either way.
+    /// Execute the pipeline over an in-memory dataset.
     pub fn run(&self, dataset: Dataset) -> Result<(Dataset, RunReport)> {
-        if self.options.job.is_none() && self.options.env.runtime()? {
-            return crate::runtime::global_runtime().run_direct(self.clone(), dataset);
-        }
         self.run_adaptive(None, |exec, model| exec.run_stages(dataset, None, model))
     }
 
@@ -238,7 +212,7 @@ impl Executor {
     ) -> Result<(T, RunReport)> {
         self.options.env.validate()?;
         let _faults = self.fault_guard()?;
-        let adaptive = self.effective_adaptive()?;
+        let adaptive = self.options.adaptive;
         let stats_path = self.stats_path(cache).filter(|_| adaptive);
         let mut model = adaptive.then(|| match &stats_path {
             Some(p) => CostModel::load(p),
@@ -281,7 +255,7 @@ impl Executor {
             stages: stages.len(),
             spilled: true,
             measured_steps: plan.measured_steps,
-            columnar: self.effective_columnar()?,
+            columnar: self.options.columnar,
             ..RunReport::default()
         };
         let shard_size = self
@@ -461,7 +435,7 @@ impl Executor {
             fused_groups: plan.fused_groups,
             stages: stages.len(),
             measured_steps: plan.measured_steps,
-            columnar: self.effective_columnar()?,
+            columnar: self.options.columnar,
             ..RunReport::default()
         };
         let mut data = StageData::Mem(vec![dataset]);

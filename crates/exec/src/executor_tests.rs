@@ -164,8 +164,8 @@ fn shard_count_never_changes_output() {
 fn spilled_run_matches_in_memory_run() {
     let reg = builtin_registry();
     let base = noisy_dataset();
-    // u64::MAX pins the reference in memory even when CI forces
-    // spilling everywhere via DJ_MEMORY_BUDGET.
+    // u64::MAX pins the reference in memory whatever `DJ_MEMORY_BUDGET`
+    // the host sets.
     let mut base_opts = opts(1, false, 0);
     base_opts.memory_budget = Some(u64::MAX);
     let baseline = Executor::new(pipeline(&reg)).with_options(base_opts);

@@ -90,11 +90,10 @@
 //!   [`Executor::run_io`] (recipe YAML `input_path` / `output_path` /
 //!   `output_format`); see below.
 //! * [`ExecOptions::adaptive`] — measurement-driven planning (recipe YAML
-//!   `adaptive`; env `DJ_ADAPTIVE=1` enables the *run-local* parts only).
-//!   Ranks fusible steps by measured ns/sample ÷ selectivity from the
-//!   [`CostModel`], re-plans commutable stage suffixes mid-run (once per
-//!   stage, after a quarter of its shards, clamped to `[1, 8]`), and
-//!   auto-tunes unset streaming knobs from a warm model. Output is
+//!   `adaptive`). Ranks fusible steps by measured ns/sample ÷ selectivity
+//!   from the [`CostModel`], re-plans commutable stage suffixes mid-run
+//!   (once per stage, after a quarter of its shards, clamped to `[1, 8]`),
+//!   and auto-tunes unset streaming knobs from a warm model. Output is
 //!   byte-identical to the static plan; see `docs/planning.md`.
 //! * [`ExecOptions::stats_dir`] — directory for the persistent
 //!   `planner_stats.djcs` cost sidecar (recipe YAML `stats_dir`). Without
@@ -105,9 +104,15 @@
 //!   chained fingerprint of every step before it, so editing op *k*
 //!   resumes ops `0..k` from cache.
 //! * [`ExecOptions::columnar`] — columnar spill frames with projection
-//!   pushdown (recipe YAML `columnar`; env `DJ_COLUMNAR=1`).
+//!   pushdown (recipe YAML `columnar`).
 //! * [`ExecOptions::on_error`] / [`ExecOptions::max_error_ratio`] — the
 //!   record-level error policy (`docs/robustness.md`).
+//!
+//! The recipe (or these options) is the one place a run's shape is
+//! chosen. The environment carries two host-level knobs only
+//! ([`EnvKnobs`]): `DJ_MEMORY_BUDGET`, a byte cap for runs that set no
+//! budget, and `DJ_FAULTS`, a chaos plan to replay. The test suite picks
+//! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
 //! Three former knobs are constants or derived now, because no recipe,
 //! test or benchmark needed another value: the post-barrier shard fill
@@ -200,13 +205,12 @@ pub use executor::Executor;
 pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
 pub use options::{
-    default_parallelism, executor_from_recipe, EnvKnobs, ExecOptions, ADAPTIVE_ENV, COLUMNAR_ENV,
-    DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, MEMORY_BUDGET_ENV, RUNTIME_ENV,
+    default_parallelism, executor_from_recipe, EnvKnobs, ExecOptions, DEFAULT_IO_SHARD_SIZE,
+    DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, MEMORY_BUDGET_ENV,
 };
 pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};
 pub use runtime::{
-    global_runtime, JobControl, JobHandle, JobOutput, JobProgress, RetryPolicy, Runtime,
-    RuntimeConfig,
+    JobControl, JobHandle, JobOutput, JobProgress, RetryPolicy, Runtime, RuntimeConfig,
 };
 
 pub use dj_io as io;

@@ -15,66 +15,32 @@ use crate::runtime::JobControl;
 /// scheduling) instead of idling at the stage join.
 const AUTO_SHARDS_PER_WORKER: usize = 4;
 
-/// Environment override for [`ExecOptions::memory_budget`] (bytes). Lets CI
-/// force the spill path through the whole test suite without touching any
-/// recipe (`DJ_MEMORY_BUDGET=1 cargo test`).
+/// Environment override for [`ExecOptions::memory_budget`] (bytes): an
+/// operator's host-level cap, applied to every run whose options set no
+/// budget of their own.
 pub const MEMORY_BUDGET_ENV: &str = "DJ_MEMORY_BUDGET";
-
-/// Environment override forcing [`ExecOptions::adaptive`] on (`1`, `true`
-/// or `yes`; anything else leaves the option as configured). Lets CI run
-/// the whole suite with adaptive planning live (`DJ_ADAPTIVE=1 cargo
-/// test`).
-///
-/// Env-forced adaptive enables every *run-local* adaptation — mid-run
-/// re-planning, measured barrier gating, model accumulation — all of
-/// which are cache-key-neutral and output-identical. Cross-run sidecar
-/// persistence (which lets plan-time step order change between runs, and
-/// therefore changes stage cache keys) additionally requires an explicit
-/// opt-in: `ExecOptions::adaptive = true` with a cache attached, or an
-/// explicit [`ExecOptions::stats_dir`].
-pub const ADAPTIVE_ENV: &str = "DJ_ADAPTIVE";
-
-/// Environment override forcing [`ExecOptions::columnar`] on (`1`, `true`
-/// or `yes`; anything else leaves the option as configured). Lets CI run
-/// the whole suite over columnar `DJSC` spill frames with field-projection
-/// pushdown (`DJ_COLUMNAR=1 cargo test`). Output is byte-identical to the
-/// row format, so the override is safe suite-wide.
-pub const COLUMNAR_ENV: &str = "DJ_COLUMNAR";
-
-/// Environment override routing [`Executor::run`] through the
-/// process-wide service runtime (`1`/`true`/`yes`): the dataset is
-/// submitted as a job to [`crate::runtime::global_runtime`] and executes
-/// on the shared persistent worker pool instead of ad-hoc scoped threads.
-/// Output is byte-identical to a direct run, so CI can exercise the
-/// pooled path suite-wide (`DJ_RUNTIME=1 cargo test`).
-pub const RUNTIME_ENV: &str = "DJ_RUNTIME";
 
 /// Environment knob installing a deterministic fault plan for the run
 /// (see [`dj_core::faults`] for the grammar: `seed:N` and/or
-/// `site:kind[@n]` clauses). Snapshotted like every other knob; a
+/// `site:kind[@n]` clauses). Snapshotted like [`MEMORY_BUDGET_ENV`]; a
 /// malformed plan is a hard config error. The parsed plan is resolved
 /// once per options value, so retry attempts share one plan — and its
 /// hit counters — and a transient injected fault fires once, not once
 /// per attempt.
 pub const FAULTS_ENV: &str = "DJ_FAULTS";
 
-/// A one-shot snapshot of every executor env knob, captured when
-/// [`ExecOptions`] is constructed.
+/// A one-shot snapshot of the two executor env knobs, captured when
+/// [`ExecOptions`] is constructed. Everything else about a run's shape is
+/// the recipe's (or the options') to say; these two are for the host:
+/// a memory cap, and a chaos seed to replay.
 ///
-/// The knobs used to be read straight from the environment at varying
-/// points mid-run, which has two failure modes the service runtime makes
-/// acute: (a) a long-lived `dj serve` process would hand different jobs
-/// different views if the environment changed between reads, and (b) a
-/// malformed value was silently ignored by some knobs (`DJ_ADAPTIVE=typo`
-/// meant "off") while a hard error in others. The snapshot pins the view
-/// per-options-construction, and [`EnvKnobs::validate`] makes every
-/// malformed value a hard [`DjError::Config`].
+/// A long-lived `dj serve` process gives every job the view it had when
+/// the job's options were built, whatever the environment does later, and
+/// [`EnvKnobs::validate`] makes a malformed value a hard
+/// [`DjError::Config`] instead of a silent default.
 #[derive(Debug, Clone, Default)]
 pub struct EnvKnobs {
     memory_budget: Option<String>,
-    adaptive: Option<String>,
-    columnar: Option<String>,
-    runtime: Option<String>,
     faults: Option<String>,
 }
 
@@ -84,23 +50,7 @@ impl EnvKnobs {
         let grab = |name: &str| std::env::var(name).ok();
         EnvKnobs {
             memory_budget: grab(MEMORY_BUDGET_ENV),
-            adaptive: grab(ADAPTIVE_ENV),
-            columnar: grab(COLUMNAR_ENV),
-            runtime: grab(RUNTIME_ENV),
             faults: grab(FAULTS_ENV),
-        }
-    }
-
-    /// Parse a boolean force-on knob: `1`/`true`/`yes` forces the option
-    /// on, unset/empty/`0`/`false`/`no` leaves it as configured, anything
-    /// else is a hard config error.
-    fn flag(raw: &Option<String>, name: &str) -> Result<bool> {
-        match raw.as_deref().map(str::trim) {
-            None | Some("" | "0" | "false" | "no") => Ok(false),
-            Some("1" | "true" | "yes") => Ok(true),
-            Some(junk) => Err(DjError::Config(format!(
-                "{name} must be one of 1/true/yes/0/false/no, got `{junk}`"
-            ))),
         }
     }
 
@@ -122,21 +72,6 @@ impl EnvKnobs {
         }
     }
 
-    /// Whether `DJ_ADAPTIVE` forces adaptive planning on.
-    pub fn adaptive(&self) -> Result<bool> {
-        Self::flag(&self.adaptive, ADAPTIVE_ENV)
-    }
-
-    /// Whether `DJ_COLUMNAR` forces columnar spill frames on.
-    pub fn columnar(&self) -> Result<bool> {
-        Self::flag(&self.columnar, COLUMNAR_ENV)
-    }
-
-    /// Whether `DJ_RUNTIME` routes `run` through the service runtime.
-    pub fn runtime(&self) -> Result<bool> {
-        Self::flag(&self.runtime, RUNTIME_ENV)
-    }
-
     /// The `DJ_FAULTS` fault plan, parsed fresh. Callers that retry must
     /// parse once and share the plan (see [`FAULTS_ENV`]); the executor
     /// does this through `ExecOptions::resolved_faults`.
@@ -155,9 +90,6 @@ impl EnvKnobs {
     /// the knob).
     pub fn validate(&self) -> Result<()> {
         self.memory_budget()?;
-        self.adaptive()?;
-        self.columnar()?;
-        self.runtime()?;
         self.faults()?;
         Ok(())
     }
@@ -204,8 +136,7 @@ pub struct ExecOptions {
     /// Enable the adaptive, measurement-driven planner: plan-time step
     /// reordering from the persisted cost model, mid-run re-planning
     /// after the first shards of a stage, measured barrier gating and
-    /// knob auto-tuning. Also forced on by the `DJ_ADAPTIVE` env var
-    /// (see [`ADAPTIVE_ENV`] for what the env force does *not* enable).
+    /// knob auto-tuning (recipe `adaptive:`).
     pub adaptive: bool,
     /// Where the cost-model sidecar lives. `None` = under the cache root
     /// when [`ExecOptions::adaptive`] is set and a cache is attached;
@@ -225,11 +156,10 @@ pub struct ExecOptions {
     /// only the columns its OPs' declared footprints
     /// ([`dj_core::Mapper::fields_read`] and friends) name, splicing every
     /// untouched column through byte-for-byte. Output is byte-identical
-    /// to the row format. Also forced on by the `DJ_COLUMNAR` env var.
+    /// to the row format (recipe `columnar:`).
     pub columnar: bool,
-    /// Snapshot of the executor env knobs, captured when these options
-    /// were constructed. All env reads go through this snapshot so a
-    /// long-lived service process gives every job a consistent view.
+    /// Snapshot of the executor env knobs (`DJ_MEMORY_BUDGET`,
+    /// `DJ_FAULTS`), captured when these options were constructed.
     pub env: EnvKnobs,
     /// The owning service job, when this run was submitted through the
     /// runtime: cancellation checks, shard-progress counters and
@@ -359,9 +289,100 @@ pub fn executor_from_recipe(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
-    use dj_core::Dataset;
+    use dj_core::{Dataset, Mapper, Op, Sample, SampleContext};
     use dj_ops::builtin_registry;
+    use dj_store::{CacheManager, CacheMode};
+
+    fn knobs(memory_budget: Option<&str>, faults: Option<&str>) -> EnvKnobs {
+        EnvKnobs {
+            memory_budget: memory_budget.map(str::to_string),
+            faults: faults.map(str::to_string),
+        }
+    }
+
+    #[test]
+    fn malformed_env_values_are_config_errors() {
+        for raw in ["lots", "0", "-1", "1.5"] {
+            let err = knobs(Some(raw), None).validate().unwrap_err();
+            assert!(
+                matches!(err, DjError::Config(_)),
+                "{MEMORY_BUDGET_ENV}={raw}: {err:?}"
+            );
+        }
+        for raw in [
+            "seed:x",
+            "nowhere.at.all:io",
+            "store.frame.read:explode",
+            "store.frame.read:io@0",
+        ] {
+            let err = knobs(None, Some(raw)).validate().unwrap_err();
+            assert!(
+                matches!(err, DjError::Config(_)),
+                "{FAULTS_ENV}={raw}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_env_values_mean_unset() {
+        for raw in ["", "  "] {
+            let env = knobs(Some(raw), Some(raw));
+            env.validate().unwrap();
+            assert_eq!(env.memory_budget().unwrap(), None);
+            assert!(env.faults().unwrap().is_none());
+        }
+        let env = knobs(Some(" 4096 "), Some("seed:3"));
+        assert_eq!(env.memory_budget().unwrap(), Some(4096));
+        assert!(env.faults().unwrap().is_some());
+    }
+
+    /// Counts the samples it is handed.
+    struct Counting(AtomicUsize);
+
+    impl Mapper for Counting {
+        fn name(&self) -> &'static str {
+            "counting_mapper"
+        }
+        fn process(&self, _: &mut Sample, _: &mut SampleContext) -> Result<bool> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(false)
+        }
+    }
+
+    #[test]
+    fn every_entry_point_validates_the_env_before_any_work() {
+        let dir = std::env::temp_dir().join(format!("dj-env-validate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("in.jsonl");
+        std::fs::write(&input, "{\"text\":\"a\"}\n").unwrap();
+        let counting = Arc::new(Counting(AtomicUsize::new(0)));
+        let cache = CacheManager::new(dir.join("cache"), 1, CacheMode::Cache);
+        for env in [knobs(Some("lots"), None), knobs(None, Some("seed:x"))] {
+            let exec =
+                Executor::new(vec![Op::Mapper(counting.clone())]).with_options(ExecOptions {
+                    input: Some(input.display().to_string()),
+                    output: Some(dir.join("out")),
+                    env,
+                    ..ExecOptions::default()
+                });
+            let data = || Dataset::from_texts(["a", "b"]);
+            for err in [
+                exec.run(data()).err(),
+                exec.run_with_cache(data(), &cache).err(),
+                exec.run_io().err(),
+            ] {
+                assert!(matches!(err, Some(DjError::Config(_))), "{err:?}");
+            }
+        }
+        assert_eq!(counting.0.load(Ordering::Relaxed), 0, "an op ran");
+        assert!(!dir.join("cache").exists(), "a cache entry was written");
+        assert!(!dir.join("out").exists(), "egress started");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn executor_from_recipe_builds() {

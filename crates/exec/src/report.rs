@@ -88,8 +88,7 @@ pub struct RunReport {
     pub ingest_duration: Duration,
     /// Wall time of the egress stage (serialize + write + manifest).
     pub egress_duration: Duration,
-    /// Whether adaptive planning was in force for this run (option or
-    /// `DJ_ADAPTIVE` env).
+    /// Whether adaptive planning was in force for this run.
     pub adaptive: bool,
     /// Plan steps positioned by measured rank at plan time (warm model).
     pub measured_steps: usize,
@@ -104,7 +103,7 @@ pub struct RunReport {
     /// Prefetch depth the auto-tuner picked, when it overrode the default.
     pub tuned_prefetch_depth: Option<usize>,
     /// Whether columnar spill frames with projection pushdown were in
-    /// force (option or `DJ_COLUMNAR` env).
+    /// force.
     pub columnar: bool,
     /// Decompressed bytes the columnar stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes

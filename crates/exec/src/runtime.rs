@@ -24,16 +24,15 @@
 //! * **Progress** — [`JobHandle::progress`] reports shards completed and
 //!   samples/bytes currently resident, live while the job runs.
 //!
-//! `DJ_RUNTIME=1` routes every plain [`Executor::run`] through
-//! [`global_runtime`], which keeps no global budget and therefore
-//! executes byte- and spill-identically to a direct run — the CI lever
-//! for exercising the pooled path suite-wide.
+//! A job's output is byte-identical to a direct [`Executor::run`] /
+//! [`Executor::run_io`] of the same executor; `tests/mode_matrix.rs` runs
+//! a `runtime` row of every shape to hold it to that.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use dj_core::{panic_message, Dataset, DjError, ResidencyGauge, Result};
@@ -464,20 +463,6 @@ impl Runtime {
         };
         JobHandle { id, ctl, slot }
     }
-
-    /// Submit + wait, unwrapping the in-memory result — the redirect
-    /// target for `DJ_RUNTIME=1` direct runs.
-    pub(crate) fn run_direct(
-        &self,
-        exec: Executor,
-        dataset: Dataset,
-    ) -> Result<(Dataset, RunReport)> {
-        let out = self.submit(exec, dataset).wait()?;
-        let dataset = out.dataset.ok_or_else(|| {
-            DjError::op("service-job", "in-memory job resolved without a dataset")
-        })?;
-        Ok((dataset, out.report))
-    }
 }
 
 impl RuntimeInner {
@@ -565,15 +550,6 @@ impl RuntimeInner {
             })
             .expect("spawn job driver thread");
     }
-}
-
-/// The process-wide runtime `DJ_RUNTIME=1` routes [`Executor::run`]
-/// through: up to 4 concurrent jobs, **no** global memory budget — so a
-/// redirected run keeps its own budget (or lack of one) and stays byte-
-/// and spill-identical to a direct run.
-pub fn global_runtime() -> &'static Runtime {
-    static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-    GLOBAL.get_or_init(|| Runtime::new(RuntimeConfig::default()))
 }
 
 #[cfg(test)]

@@ -32,9 +32,7 @@ impl Executor {
     /// `[1, 8]`) and to benefit (at least one shard runs under the revised
     /// order).
     fn stage_schedule(&self, steps: &[PlanStep], nshards: usize) -> Option<StageSchedule> {
-        // Validation already ran at the run entry point; a malformed knob
-        // cannot reach here, so a parse failure just means "not forced".
-        if !self.effective_adaptive().unwrap_or(false) || steps.len() < 2 {
+        if !self.options.adaptive || steps.len() < 2 {
             return None;
         }
         let k = (nshards / 4).clamp(1, 8);

@@ -50,7 +50,8 @@ use dj_hash::fnv1a;
 use crate::codec::{compress, decompress, max_raw_len, Codec};
 use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
 use crate::serialize::{
-    read_value_slice, skip_value, take_str, take_u32, take_u64, take_u8, walk_path, write_value,
+    read_value_at, skip_value_at, take_str, take_u32, take_u64, take_u8, walk_path, write_value,
+    COLUMN_DEPTH,
 };
 use crate::transcode::{check_mask, keeps};
 
@@ -333,10 +334,10 @@ impl ColumnarSlab {
                 let present = take_entry(&mut cur, &c.name)?;
                 if !keeps(keep, i) {
                     if present {
-                        skip_value(&mut cur)?;
+                        skip_value_at(&mut cur, COLUMN_DEPTH)?;
                     }
                 } else if let (Some(map), true) = (maps.next(), present) {
-                    map.insert(c.name.clone(), read_value_slice(&mut cur)?);
+                    map.insert(c.name.clone(), read_value_at(&mut cur, COLUMN_DEPTH)?);
                 }
             }
             if !cur.is_empty() {
@@ -443,7 +444,7 @@ impl ColumnarSlab {
                 for keep_it in keep {
                     let entry = cur;
                     if take_entry(&mut cur, &c.name)? {
-                        skip_value(&mut cur)?;
+                        skip_value_at(&mut cur, COLUMN_DEPTH)?;
                     }
                     if *keep_it {
                         body.extend_from_slice(&entry[..entry.len() - cur.len()]);

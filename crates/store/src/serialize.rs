@@ -4,7 +4,7 @@
 
 use std::borrow::Cow;
 
-use dj_core::{parse_json, write_json, Dataset, DjError, Result, Sample, Value};
+use dj_core::{parse_json, write_json, Dataset, DjError, Result, Sample, Value, MAX_NESTING_DEPTH};
 
 const FORMAT_VERSION: u8 = 1;
 
@@ -150,11 +150,11 @@ pub(crate) fn walk_path<'a>(cur: &mut &'a [u8], segments: &[&str]) -> Result<Cow
         if tag == TAG_STR {
             return Ok(Cow::Borrowed(take_str(cur)?));
         }
-        skip_value_body(cur, tag)?;
+        skip_value_body(cur, tag, 0)?;
         return Ok(Cow::Borrowed(""));
     }
     if tag != TAG_MAP {
-        skip_value_body(cur, tag)?;
+        skip_value_body(cur, tag, 0)?;
         return Ok(Cow::Borrowed(""));
     }
     let n = take_u32(cur)? as usize;
@@ -171,14 +171,40 @@ pub(crate) fn walk_path<'a>(cur: &mut &'a [u8], segments: &[&str]) -> Result<Cow
 }
 
 pub(crate) fn skip_value(cur: &mut &[u8]) -> Result<()> {
-    let tag = take_u8(cur)?;
-    skip_value_body(cur, tag)
+    skip_value_at(cur, 0)
 }
+
+/// [`skip_value`] for a value `depth` lists and maps down.
+pub(crate) fn skip_value_at(cur: &mut &[u8], depth: usize) -> Result<()> {
+    let tag = take_u8(cur)?;
+    skip_value_body(cur, tag, depth)
+}
+
+/// The depth of a list or map's items, one below `depth`: a typed error
+/// past [`MAX_NESTING_DEPTH`], so a nesting bomb behind a valid checksum
+/// cannot overflow a decoder's stack.
+pub(crate) fn deeper(depth: usize) -> Result<usize> {
+    if depth == MAX_NESTING_DEPTH {
+        return Err(DjError::Storage(format!(
+            "value nested deeper than {MAX_NESTING_DEPTH} levels"
+        )));
+    }
+    Ok(depth + 1)
+}
+
+/// The depth a column value starts at: one level inside its sample's root
+/// object, so a column region is held to the same limit as a row frame.
+pub(crate) const COLUMN_DEPTH: usize = 1;
 
 /// Decode one tagged value from a slice cursor — the one owned-`Value`
 /// decoder (row frames, column regions and fingerprint sidecars all come
 /// through here); [`skip_value`] is its non-materializing twin.
 pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
+    read_value_at(cur, 0)
+}
+
+/// [`read_value_slice`] for a value `depth` lists and maps down.
+pub(crate) fn read_value_at(cur: &mut &[u8], depth: usize) -> Result<Value> {
     let tag = take_u8(cur)?;
     Ok(match tag {
         TAG_NULL => Value::Null,
@@ -189,18 +215,20 @@ pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
         TAG_STR => Value::Str(take_str(cur)?.to_string()),
         TAG_LIST => {
             let n = take_u32(cur)? as usize;
+            let depth = deeper(depth)?;
             let mut items = Vec::with_capacity(n.min(cur.len()));
             for _ in 0..n {
-                items.push(read_value_slice(cur)?);
+                items.push(read_value_at(cur, depth)?);
             }
             Value::List(items)
         }
         TAG_MAP => {
             let n = take_u32(cur)? as usize;
+            let depth = deeper(depth)?;
             let mut m = std::collections::BTreeMap::new();
             for _ in 0..n {
                 let k = take_str(cur)?.to_string();
-                let v = read_value_slice(cur)?;
+                let v = read_value_at(cur, depth)?;
                 m.insert(k, v);
             }
             Value::Map(m)
@@ -209,7 +237,7 @@ pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
     })
 }
 
-fn skip_value_body(cur: &mut &[u8], tag: u8) -> Result<()> {
+fn skip_value_body(cur: &mut &[u8], tag: u8, depth: usize) -> Result<()> {
     match tag {
         TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => {}
         TAG_INT | TAG_FLOAT => {
@@ -221,16 +249,18 @@ fn skip_value_body(cur: &mut &[u8], tag: u8) -> Result<()> {
         }
         TAG_LIST => {
             let n = take_u32(cur)? as usize;
+            let depth = deeper(depth)?;
             for _ in 0..n {
-                skip_value(cur)?;
+                skip_value_at(cur, depth)?;
             }
         }
         TAG_MAP => {
             let n = take_u32(cur)? as usize;
+            let depth = deeper(depth)?;
             for _ in 0..n {
                 let k = take_u32(cur)? as usize;
                 take_bytes(cur, k)?;
-                skip_value(cur)?;
+                skip_value_at(cur, depth)?;
             }
         }
         other => return Err(DjError::Storage(format!("unknown value tag {other}"))),

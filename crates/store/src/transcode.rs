@@ -7,7 +7,7 @@
 //! `dj-core`'s byte-level writer — the same writer `Value`'s `Display`
 //! uses, so the text equals `decode()` → `write_jsonl_into` byte for byte.
 //! No `Sample`, `Value` or `BTreeMap` is built on the way, and samples a
-//! deferred barrier mask drops are stepped over by [`skip_value`].
+//! deferred barrier mask drops are stepped over by [`skip_value_at`].
 //!
 //! Key order is the stored order, which for every frame this crate writes
 //! is `BTreeMap` order (a row map's entries, a columnar directory). A frame
@@ -21,8 +21,8 @@ use dj_core::{write_json_f64, write_json_str, DjError, Result};
 
 use crate::columnar::ColumnarSlab;
 use crate::serialize::{
-    le_u64, skip_value, take_bytes, take_str, take_u32, take_u8, TAG_BOOL_FALSE, TAG_BOOL_TRUE,
-    TAG_FLOAT, TAG_INT, TAG_LIST, TAG_MAP, TAG_NULL, TAG_STR,
+    deeper, le_u64, skip_value_at, take_bytes, take_str, take_u32, take_u8, COLUMN_DEPTH,
+    TAG_BOOL_FALSE, TAG_BOOL_TRUE, TAG_FLOAT, TAG_INT, TAG_LIST, TAG_MAP, TAG_NULL, TAG_STR,
 };
 use crate::shard_stream::FrameSlab;
 
@@ -56,8 +56,9 @@ fn check_key_order<'a>(prev: &mut Option<&'a str>, key: &'a str) -> Result<()> {
 // Writing into a `String` cannot fail, so the `fmt::Result`s below are
 // dropped.
 
-/// Print the tagged value at `cur` as JSON text, consuming it.
-fn transcode_value(cur: &mut &[u8], out: &mut String) -> Result<()> {
+/// Print the tagged value at `cur` as JSON text, consuming it; `depth` is
+/// how many lists and maps enclose it.
+fn transcode_value(cur: &mut &[u8], out: &mut String, depth: usize) -> Result<()> {
     match take_u8(cur)? {
         TAG_NULL => out.push_str("null"),
         TAG_BOOL_FALSE => out.push_str("false"),
@@ -72,16 +73,18 @@ fn transcode_value(cur: &mut &[u8], out: &mut String) -> Result<()> {
             let _ = write_json_str(out, take_str(cur)?);
         }
         TAG_LIST => {
+            let depth = deeper(depth)?;
             out.push('[');
             for i in 0..take_u32(cur)? {
                 if i > 0 {
                     out.push(',');
                 }
-                transcode_value(cur, out)?;
+                transcode_value(cur, out, depth)?;
             }
             out.push(']');
         }
         TAG_MAP => {
+            let depth = deeper(depth)?;
             out.push('{');
             let mut prev = None;
             for i in 0..take_u32(cur)? {
@@ -92,7 +95,7 @@ fn transcode_value(cur: &mut &[u8], out: &mut String) -> Result<()> {
                 check_key_order(&mut prev, key)?;
                 let _ = write_json_str(out, key);
                 out.push(':');
-                transcode_value(cur, out)?;
+                transcode_value(cur, out, depth)?;
             }
             out.push('}');
         }
@@ -111,7 +114,7 @@ impl FrameSlab {
             if cur.first() != Some(&TAG_MAP) {
                 return Err(DjError::Field("sample root must be a map".into()));
             }
-            transcode_value(cur, out)?;
+            transcode_value(cur, out, 0)?;
             out.push('\n');
             written += 1;
             Ok(())
@@ -149,13 +152,13 @@ impl ColumnarSlab {
             for (cur, key) in cursors.iter_mut().zip(&keys) {
                 match take_u8(cur)? {
                     0 => {}
-                    1 if !kept => skip_value(cur)?,
+                    1 if !kept => skip_value_at(cur, COLUMN_DEPTH)?,
                     1 => {
                         if !std::mem::take(&mut first) {
                             out.push(',');
                         }
                         out.push_str(key);
-                        transcode_value(cur, out)?;
+                        transcode_value(cur, out, COLUMN_DEPTH)?;
                     }
                     other => {
                         return Err(DjError::Storage(format!("bad presence byte {other}")));

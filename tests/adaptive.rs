@@ -75,6 +75,10 @@ fn selective_corpus(n: usize) -> Dataset {
     Dataset::from_texts(docs)
 }
 
+/// Where the data lives: resident, spilled to row frames, spilled to
+/// columnar frames — `(memory_budget, columnar)`.
+const SHAPES: [(Option<u64>, bool); 3] = [(None, false), (Some(1), false), (Some(1), true)];
+
 fn run_with(
     ops: Vec<data_juicer::core::Op>,
     data: Dataset,
@@ -118,13 +122,14 @@ proptest! {
 
     /// Adaptive planning (run-local and warm-sidecar) never changes the
     /// output: for random pipelines × worker counts × shard sizes, in
-    /// memory and spilled, adaptive output is byte-identical to static.
+    /// memory and spilled (row or columnar), adaptive output is
+    /// byte-identical to static.
     #[test]
     fn prop_adaptive_matches_static(
         mask in 1u32..(1 << 8),
         np in 1usize..4,
         shard in prop_oneof![Just(None), Just(Some(3usize)), Just(Some(17usize))],
-        spill in any::<bool>(),
+        shape in 0usize..3,
         seed in 0u64..500,
     ) {
         let pool = spec_pool();
@@ -135,12 +140,13 @@ proptest! {
             }
         }
         let data = web_corpus(seed, 60, WebNoise::default());
-        let budget = if spill { Some(1) } else { Some(u64::MAX) };
+        let (memory_budget, columnar) = SHAPES[shape];
         let base = ExecOptions {
             num_workers: np,
             op_fusion: true,
             shard_size: shard,
-            memory_budget: budget,
+            memory_budget,
+            columnar,
             ..ExecOptions::default()
         };
         let (static_out, _) = run_with(build(&recipe), data.clone(), base.clone());
@@ -170,64 +176,73 @@ proptest! {
 
 // ---- warm-sidecar plan reordering ------------------------------------
 
+/// Measurements taken in any shape plan the next run: the sidecar a
+/// resident, row-spilled or columnar-spilled run persists reorders the
+/// warm run the same way.
 #[test]
 fn warm_sidecar_reorders_misordered_recipe() {
     let recipe = misordered_recipe();
     let data = selective_corpus(400);
-    let stats = scratch_dir("warm");
-    let opts = ExecOptions {
-        num_workers: 2,
-        op_fusion: true,
-        adaptive: true,
-        stats_dir: Some(stats.clone()),
-        ..ExecOptions::default()
-    };
-
-    let (cold_out, cold) = run_with(build(&recipe), data.clone(), opts.clone());
-    assert!(cold.adaptive);
-    assert_eq!(
-        cold.measured_steps, 0,
-        "first run has no sidecar to plan from"
-    );
-    assert!(
-        cold.ops[0].name.contains("word_entropy_filter"),
-        "static tie keeps recipe (misordered) order, got {}",
-        cold.ops[0].name
-    );
-    assert!(
-        stats.join(STATS_SIDECAR_FILE).is_file(),
-        "run persists the stats sidecar"
-    );
-
-    let (warm_out, warm) = run_with(build(&recipe), data.clone(), opts);
-    assert!(
-        warm.measured_steps >= 2,
-        "second run ranks from measurements, got {}",
-        warm.measured_steps
-    );
-    assert!(
-        warm.ops[0].name.contains("alphanumeric_ratio_filter"),
-        "warm plan runs the cheap selective CHARS pair first, got {}",
-        warm.ops[0].name
-    );
-    assert_eq!(
-        texts(&cold_out),
-        texts(&warm_out),
-        "reordering is invisible"
-    );
-
-    // And identical to a fully static run.
+    // A fully static run: the output every adaptive one must equal.
     let (static_out, _) = run_with(
         build(&recipe),
-        data,
+        data.clone(),
         ExecOptions {
             num_workers: 2,
             op_fusion: true,
             ..ExecOptions::default()
         },
     );
-    assert_eq!(texts(&static_out), texts(&warm_out));
-    let _ = std::fs::remove_dir_all(&stats);
+    for (memory_budget, columnar) in SHAPES {
+        let shape = format!("budget={memory_budget:?} columnar={columnar}");
+        let stats = scratch_dir("warm");
+        let opts = ExecOptions {
+            num_workers: 2,
+            op_fusion: true,
+            adaptive: true,
+            stats_dir: Some(stats.clone()),
+            shard_size: memory_budget.map(|_| 40),
+            memory_budget,
+            columnar,
+            ..ExecOptions::default()
+        };
+
+        let (cold_out, cold) = run_with(build(&recipe), data.clone(), opts.clone());
+        assert!(cold.adaptive);
+        assert_eq!(cold.spilled, memory_budget.is_some(), "{shape}");
+        assert_eq!(
+            cold.measured_steps, 0,
+            "{shape}: first run has no sidecar to plan from"
+        );
+        assert!(
+            cold.ops[0].name.contains("word_entropy_filter"),
+            "{shape}: static tie keeps recipe (misordered) order, got {}",
+            cold.ops[0].name
+        );
+        assert!(
+            stats.join(STATS_SIDECAR_FILE).is_file(),
+            "{shape}: run persists the stats sidecar"
+        );
+
+        let (warm_out, warm) = run_with(build(&recipe), data.clone(), opts);
+        assert!(
+            warm.measured_steps >= 2,
+            "{shape}: second run ranks from measurements, got {}",
+            warm.measured_steps
+        );
+        assert!(
+            warm.ops[0].name.contains("alphanumeric_ratio_filter"),
+            "{shape}: warm plan runs the cheap selective CHARS pair first, got {}",
+            warm.ops[0].name
+        );
+        assert_eq!(
+            texts(&cold_out),
+            texts(&warm_out),
+            "{shape}: reordering is invisible"
+        );
+        assert_eq!(texts(&static_out), texts(&warm_out), "{shape}");
+        let _ = std::fs::remove_dir_all(&stats);
+    }
 }
 
 // ---- mid-run re-planning ---------------------------------------------
@@ -236,37 +251,47 @@ fn warm_sidecar_reorders_misordered_recipe() {
 fn midrun_replan_flips_misordered_stage() {
     let recipe = misordered_recipe();
     let data = selective_corpus(400);
-    let static_opts = ExecOptions {
-        num_workers: 2,
-        op_fusion: true,
-        shard_size: Some(10),
-        ..ExecOptions::default()
-    };
-    let (static_out, _) = run_with(build(&recipe), data.clone(), static_opts.clone());
+    for (memory_budget, columnar) in SHAPES {
+        let shape = format!("budget={memory_budget:?} columnar={columnar}");
+        let static_opts = ExecOptions {
+            num_workers: 2,
+            op_fusion: true,
+            shard_size: Some(10),
+            memory_budget,
+            columnar,
+            ..ExecOptions::default()
+        };
+        let (static_out, _) = run_with(build(&recipe), data.clone(), static_opts.clone());
 
-    // Run-local adaptive (no sidecar): the replanner measures the first
-    // eight shards (a quarter of the stage's 40, clamped to [1, 8]), sees
-    // the keep-all WORDS pair scoring ~1000× worse than the selective
-    // CHARS pair, and reorders the remaining 32 shards.
-    let (out, report) = run_with(
-        build(&recipe),
-        data,
-        ExecOptions {
-            adaptive: true,
-            ..static_opts
-        },
-    );
-    assert!(
-        report.replans >= 1,
-        "misordered commutable stage must trigger a mid-run replan"
-    );
-    assert_eq!(
-        texts(&static_out),
-        texts(&out),
-        "mid-run reordering is byte-invisible"
-    );
-    // Stats still merge onto canonical plan positions.
-    assert!(report.ops[0].name.contains("word_entropy_filter"));
+        // Run-local adaptive (no sidecar): the replanner measures the first
+        // eight shards (a quarter of the stage's 40, clamped to [1, 8]), sees
+        // the keep-all WORDS pair scoring ~1000× worse than the selective
+        // CHARS pair, and reorders the remaining 32 shards — resident or
+        // streamed from a spool.
+        let (out, report) = run_with(
+            build(&recipe),
+            data.clone(),
+            ExecOptions {
+                adaptive: true,
+                ..static_opts
+            },
+        );
+        assert_eq!(report.spilled, memory_budget.is_some(), "{shape}");
+        assert!(
+            report.replans >= 1,
+            "{shape}: misordered commutable stage must trigger a mid-run replan"
+        );
+        assert_eq!(
+            texts(&static_out),
+            texts(&out),
+            "{shape}: mid-run reordering is byte-invisible"
+        );
+        // Stats still merge onto canonical plan positions.
+        assert!(
+            report.ops[0].name.contains("word_entropy_filter"),
+            "{shape}"
+        );
+    }
 }
 
 // ---- per-op prefix caching -------------------------------------------
@@ -338,111 +363,116 @@ fn prefix_cache_resumes_ops_before_the_edit() {
 }
 
 /// Prefix caching composes with the out-of-core engine: spilled per-step
-/// entries resume exactly like in-memory ones.
+/// entries, row or columnar, resume exactly like in-memory ones.
 #[test]
 fn prefix_cache_resumes_spilled_entries() {
     let data = web_corpus(11, 80, WebNoise::default());
-    let dir = scratch_dir("prefix-spill");
-    let cache = CacheManager::new(&dir, 0xD1CE, CacheMode::Cache);
-    let opts = ExecOptions {
-        num_workers: 2,
-        op_fusion: false,
-        prefix_cache: true,
-        shard_size: Some(16),
-        memory_budget: Some(1),
-        ..ExecOptions::default()
-    };
-    let exec = Executor::new(build(&edit_pipeline(false))).with_options(opts.clone());
-    let (out1, r1) = exec.run_with_cache(data.clone(), &cache).expect("run 1");
-    assert!(r1.spilled, "1-byte budget must spill");
-    let (out2, r2) = exec.run_with_cache(data.clone(), &cache).expect("run 2");
-    assert_eq!(r2.resumed_steps, 5);
-    assert_eq!(texts(&out1), texts(&out2));
+    for columnar in [false, true] {
+        let dir = scratch_dir("prefix-spill");
+        let cache = CacheManager::new(&dir, 0xD1CE, CacheMode::Cache);
+        let opts = ExecOptions {
+            num_workers: 2,
+            op_fusion: false,
+            prefix_cache: true,
+            shard_size: Some(16),
+            memory_budget: Some(1),
+            columnar,
+            ..ExecOptions::default()
+        };
+        let exec = Executor::new(build(&edit_pipeline(false))).with_options(opts.clone());
+        let (out1, r1) = exec.run_with_cache(data.clone(), &cache).expect("run 1");
+        assert!(r1.spilled, "1-byte budget must spill");
+        assert_eq!(r1.columnar, columnar);
+        let (out2, r2) = exec.run_with_cache(data.clone(), &cache).expect("run 2");
+        assert_eq!(r2.resumed_steps, 5, "columnar={columnar}");
+        assert_eq!(texts(&out1), texts(&out2), "columnar={columnar}");
 
-    let edited = Executor::new(build(&edit_pipeline(true))).with_options(opts);
-    let (out3, r3) = edited.run_with_cache(data, &cache).expect("run 3");
-    assert_eq!(r3.resumed_steps, 2);
-    assert!(!texts(&out3).is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
+        let edited = Executor::new(build(&edit_pipeline(true))).with_options(opts.clone());
+        let (out3, r3) = edited.run_with_cache(data.clone(), &cache).expect("run 3");
+        assert_eq!(r3.resumed_steps, 2, "columnar={columnar}");
+        let (fresh, _) = run_with(build(&edit_pipeline(true)), data.clone(), opts);
+        assert_eq!(texts(&fresh), texts(&out3), "columnar={columnar}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---- barrier gating ---------------------------------------------------
 
+/// The gating decision is the barrier's, whatever shape the data is in.
 #[test]
 fn barrier_gating_decisions_are_recorded() {
     let recipe = Recipe::new("gate").then(OpSpec::new("document_deduplicator"));
     let small = web_corpus(3, 50, WebNoise::default());
-
-    // Small input on a 2-worker pool: sequential, "small-input".
-    let (_, r) = run_with(
-        build(&recipe),
-        small.clone(),
-        ExecOptions {
-            num_workers: 2,
-            ..ExecOptions::default()
-        },
-    );
-    let d = &r.barrier_decisions[0];
-    assert_eq!((d.reason, d.workers, d.parallel), ("small-input", 1, false));
-    assert_eq!(d.name, "document_deduplicator");
-    assert_eq!(d.samples, 50);
-
-    // One worker: "single-worker".
-    let (_, r) = run_with(
-        build(&recipe),
-        small,
-        ExecOptions {
-            num_workers: 1,
-            ..ExecOptions::default()
-        },
-    );
-    assert_eq!(r.barrier_decisions[0].reason, "single-worker");
-
-    // Enough samples per worker: the banded exchange runs.
     let tiny_docs: Vec<String> = (0..2100).map(|i| format!("doc {i} text")).collect();
-    let (_, r) = run_with(
-        build(&recipe),
-        Dataset::from_texts(tiny_docs),
-        ExecOptions {
-            num_workers: 2,
+    for (memory_budget, columnar) in SHAPES {
+        let opts = |num_workers| ExecOptions {
+            num_workers,
+            shard_size: Some(64),
+            memory_budget,
+            columnar,
             ..ExecOptions::default()
-        },
-    );
-    let d = &r.barrier_decisions[0];
-    assert_eq!((d.reason, d.workers, d.parallel), ("parallel", 2, true));
+        };
+
+        // Small input on a 2-worker pool: sequential, "small-input".
+        let (_, r) = run_with(build(&recipe), small.clone(), opts(2));
+        assert_eq!(r.spilled, memory_budget.is_some());
+        let d = &r.barrier_decisions[0];
+        assert_eq!((d.reason, d.workers, d.parallel), ("small-input", 1, false));
+        assert_eq!(d.name, "document_deduplicator");
+        assert_eq!(d.samples, 50);
+
+        // One worker: "single-worker".
+        let (_, r) = run_with(build(&recipe), small.clone(), opts(1));
+        assert_eq!(r.barrier_decisions[0].reason, "single-worker");
+
+        // Enough samples per worker: the banded exchange runs.
+        let (_, r) = run_with(
+            build(&recipe),
+            Dataset::from_texts(tiny_docs.clone()),
+            opts(2),
+        );
+        let d = &r.barrier_decisions[0];
+        assert_eq!((d.reason, d.workers, d.parallel), ("parallel", 2, true));
+    }
 }
 
 // ---- knob auto-tuning -------------------------------------------------
 
+/// The tuner sizes unset shards from a warm model — also the shards a
+/// spilled run cuts, which would otherwise be sized from the budget.
 #[test]
 fn warm_model_autotunes_unset_knobs() {
     let recipe = misordered_recipe();
     let data = selective_corpus(300);
-    let stats = scratch_dir("tune");
-    let opts = ExecOptions {
-        num_workers: 2,
-        op_fusion: true,
-        adaptive: true,
-        stats_dir: Some(stats.clone()),
-        shard_size: None,
-        ..ExecOptions::default()
-    };
-    let (_, cold) = run_with(build(&recipe), data.clone(), opts.clone());
-    assert_eq!(cold.tuned_shard_size, None, "cold model tunes nothing");
+    for memory_budget in [None, Some(4096)] {
+        let stats = scratch_dir("tune");
+        let opts = ExecOptions {
+            num_workers: 2,
+            op_fusion: true,
+            adaptive: true,
+            stats_dir: Some(stats.clone()),
+            shard_size: None,
+            memory_budget,
+            ..ExecOptions::default()
+        };
+        let (_, cold) = run_with(build(&recipe), data.clone(), opts.clone());
+        assert_eq!(cold.spilled, memory_budget.is_some());
+        assert_eq!(cold.tuned_shard_size, None, "cold model tunes nothing");
 
-    let (_, warm) = run_with(build(&recipe), data.clone(), opts.clone());
-    let tuned = warm.tuned_shard_size.expect("warm model sizes shards");
-    assert!((64..=1 << 16).contains(&tuned), "tuned size {tuned} sane");
+        let (_, warm) = run_with(build(&recipe), data.clone(), opts.clone());
+        let tuned = warm.tuned_shard_size.expect("warm model sizes shards");
+        assert!((64..=1 << 16).contains(&tuned), "tuned size {tuned} sane");
 
-    // An explicit shard_size is never overridden.
-    let (_, pinned) = run_with(
-        build(&recipe),
-        data,
-        ExecOptions {
-            shard_size: Some(32),
-            ..opts
-        },
-    );
-    assert_eq!(pinned.tuned_shard_size, None);
-    let _ = std::fs::remove_dir_all(&stats);
+        // An explicit shard_size is never overridden.
+        let (_, pinned) = run_with(
+            build(&recipe),
+            data.clone(),
+            ExecOptions {
+                shard_size: Some(32),
+                ..opts
+            },
+        );
+        assert_eq!(pinned.tuned_shard_size, None);
+        let _ = std::fs::remove_dir_all(&stats);
+    }
 }

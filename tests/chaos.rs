@@ -8,8 +8,9 @@
 //!
 //! The matrix runs four execution shapes — in-memory, forced-spill row,
 //! forced-spill columnar and file-to-file (JSONL and `frames` output) — so
-//! the store, IO and exec layers each see their sites exercised. Fault plans install process-globally, so everything here
-//! serializes through one gate mutex.
+//! the store, IO and exec layers each see their sites exercised. Fault
+//! plans install process-globally, so everything here serializes through
+//! one gate mutex.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -18,7 +19,7 @@ use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::faults::{self, FaultPlan, KINDS, SITES};
 use data_juicer::core::{Dataset, DjError, Sample};
 use data_juicer::exec::{
-    EnvKnobs, ExecOptions, Executor, OutputFormat, RetryPolicy, Runtime, RuntimeConfig,
+    EnvKnobs, ExecOptions, Executor, OutputFormat, RetryPolicy, Runtime, RuntimeConfig, FAULTS_ENV,
 };
 use data_juicer::ops::builtin_registry;
 
@@ -433,19 +434,20 @@ fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
     let _ = std::fs::remove_dir_all(&input_dir);
 }
 
+/// The seeded smoke matrix: each `seed:N` derives one fault (site × kind ×
+/// Nth hit) and drives it through all four execution shapes, asserting the
+/// chaos property for each — seeds 0..8 in process. A `DJ_FAULTS` set in
+/// the environment narrows the loop to that one spec, to replay a failure
+/// (`DJ_FAULTS=seed:5 cargo test --test chaos env_seed_smoke`). The other
+/// tests here insulate their executors from the ambient env.
 #[test]
 fn env_seed_smoke() {
-    // CI's chaos matrix runs this binary with `DJ_FAULTS=seed:N` for a
-    // range of seeds. The other tests here insulate their executors from
-    // the ambient env, so this test is the one that honors the variable:
-    // it parses the spec (defaulting to `seed:1` for plain local runs)
-    // and drives the derived fault through all four execution shapes,
-    // asserting the chaos property for each.
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = std::env::var("DJ_FAULTS").unwrap_or_else(|_| "seed:1".into());
+    let specs: Vec<String> = match std::env::var(FAULTS_ENV) {
+        Ok(spec) if !spec.trim().is_empty() => vec![spec],
+        _ => (0..8).map(|seed| format!("seed:{seed}")).collect(),
+    };
     let ops = recipe().build_ops(&builtin_registry()).unwrap();
-
-    // In-memory + forced-spill (row and columnar) shapes.
     let baseline = {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
@@ -455,79 +457,71 @@ fn env_seed_smoke() {
         });
         exec.run(dataset(48)).unwrap().0
     };
-    for (spill, columnar) in MEM_SHAPES {
-        let plan = Arc::new(FaultPlan::parse(&spec).unwrap());
-        let ctx = format!("env spec={spec} spill={spill} columnar={columnar}");
-        let exec = Executor::new(ops.clone()).with_options(mem_options(
-            spill,
-            columnar,
-            Arc::clone(&plan),
-        ));
-        match runtime().submit(exec, dataset(48)).wait() {
-            Ok(out) => assert_eq!(
-                out.dataset.expect("mem job returns a dataset"),
-                baseline,
-                "{ctx}: survived run must be byte-identical"
-            ),
-            Err(e) => assert_clean_error(&e, &ctx),
-        }
-    }
-
-    // File-to-file shape.
     let input_dir = unique_dir("env-input");
     let input = write_corpus(&input_dir, 48);
+    let io_options = |out: &Path, plan: Option<Arc<FaultPlan>>| ExecOptions {
+        num_workers: 2,
+        shard_size: Some(8),
+        input: Some(input.display().to_string()),
+        output: Some(out.to_path_buf()),
+        output_format: OutputFormat::Jsonl,
+        faults: plan,
+        env: EnvKnobs::default(),
+        ..ExecOptions::default()
+    };
     let baseline_dir = unique_dir("env-baseline");
     Executor::new(ops.clone())
-        .with_options(ExecOptions {
-            num_workers: 2,
-            shard_size: Some(8),
-            input: Some(input.display().to_string()),
-            output: Some(baseline_dir.clone()),
-            output_format: OutputFormat::Jsonl,
-            env: EnvKnobs::default(),
-            ..ExecOptions::default()
-        })
+        .with_options(io_options(&baseline_dir, None))
         .run_io()
         .unwrap();
     let expected = egress_bytes(&baseline_dir).expect("baseline egress");
 
-    let out_dir = unique_dir("env-out");
-    let plan = Arc::new(FaultPlan::parse(&spec).unwrap());
-    let ctx = format!("env spec={spec} io");
-    let exec = Executor::new(ops).with_options(ExecOptions {
-        num_workers: 2,
-        shard_size: Some(8),
-        input: Some(input.display().to_string()),
-        output: Some(out_dir.clone()),
-        output_format: OutputFormat::Jsonl,
-        faults: Some(plan),
-        env: EnvKnobs::default(),
-        ..ExecOptions::default()
-    });
-    match runtime().submit_io(exec).wait() {
-        Ok(_) => {
-            let got = egress_bytes(&out_dir)
-                .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));
-            assert_eq!(got, expected, "{ctx}: survived run must be byte-identical");
+    for spec in &specs {
+        // In-memory + forced-spill (row and columnar) shapes.
+        for (spill, columnar) in MEM_SHAPES {
+            let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+            let ctx = format!("{spec} spill={spill} columnar={columnar}");
+            let exec = Executor::new(ops.clone()).with_options(mem_options(spill, columnar, plan));
+            match runtime().submit(exec, dataset(48)).wait() {
+                Ok(out) => assert_eq!(
+                    out.dataset.expect("mem job returns a dataset"),
+                    baseline,
+                    "{ctx}: survived run must be byte-identical"
+                ),
+                Err(e) => assert_clean_error(&e, &ctx),
+            }
         }
-        Err(e) => {
-            assert_clean_error(&e, &ctx);
-            assert!(
-                egress_bytes(&out_dir).is_none(),
-                "{ctx}: failed run must not commit a manifest"
-            );
-            assert_no_partial_egress(&out_dir, &ctx);
+
+        // File-to-file shape.
+        let out_dir = unique_dir("env-out");
+        let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+        let ctx = format!("{spec} io");
+        let exec = Executor::new(ops.clone()).with_options(io_options(&out_dir, Some(plan)));
+        match runtime().submit_io(exec).wait() {
+            Ok(_) => {
+                let got = egress_bytes(&out_dir)
+                    .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));
+                assert_eq!(got, expected, "{ctx}: survived run must be byte-identical");
+            }
+            Err(e) => {
+                assert_clean_error(&e, &ctx);
+                assert!(
+                    egress_bytes(&out_dir).is_none(),
+                    "{ctx}: failed run must not commit a manifest"
+                );
+                assert_no_partial_egress(&out_dir, &ctx);
+            }
         }
+        let _ = std::fs::remove_dir_all(&out_dir);
     }
 
     let _ = std::fs::remove_dir_all(&input_dir);
     let _ = std::fs::remove_dir_all(&baseline_dir);
-    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]
 fn seeded_env_plans_reproduce_the_same_fault() {
-    // `DJ_FAULTS=seed:N` (the CI smoke-matrix form) must derive the same
+    // `DJ_FAULTS=seed:N` (the smoke-matrix form) must derive the same
     // fault on every parse — the contract that makes a failing chaos run
     // replayable from its seed alone.
     for seed in 0..32 {

@@ -1,6 +1,8 @@
 //! Columnar (`DJSC`) execution invariants: field-projection pushdown must
 //! never change pipeline output, and its byte accounting must honor the
-//! projected columns' share of the corpus.
+//! projected columns' share of the corpus. Row vs columnar spools over
+//! random recipes is a row of `tests/mode_matrix.rs`; this file keeps the
+//! metadata-heavy corpus, the byte accounting and the recipe knob.
 
 use proptest::prelude::*;
 
@@ -105,31 +107,6 @@ fn columnar_spilled_run_matches_in_memory_output() {
         report.bytes_passthrough > 0,
         "untouched metadata columns must splice through undecoded"
     );
-}
-
-/// Row-format and columnar spilled runs agree sample-for-sample — the
-/// format knob is invisible to pipeline semantics.
-#[test]
-fn columnar_and_row_spilled_runs_are_identical() {
-    let registry = builtin_registry();
-    let data = metadata_heavy_corpus(90);
-    let ops = full_recipe().build_ops(&registry).unwrap();
-    let (row_out, row_report) = Executor::new(ops.clone())
-        .with_options(spill_opts(false))
-        .run(data.clone())
-        .unwrap();
-    let (col_out, col_report) = Executor::new(ops)
-        .with_options(spill_opts(true))
-        .run(data)
-        .unwrap();
-    assert!(row_report.spilled && col_report.spilled);
-    assert!(col_report.columnar);
-    assert_eq!(col_out, row_out);
-    // Under the CI-wide `DJ_COLUMNAR=1` mode the "row" run is columnar
-    // too; only assert row semantics when the override is off.
-    if !row_report.columnar {
-        assert_eq!(row_report.bytes_decoded, 0, "row runs decode whole frames");
-    }
 }
 
 /// The acceptance bound: on a single-field filter recipe the run's
@@ -262,39 +239,5 @@ proptest! {
             let again = encode_columnar_frame(&decoded, codec);
             prop_assert_eq!(again, frame, "re-encode must be deterministic");
         }
-    }
-
-    /// For random worker/shard-size splits, the spilled columnar engine
-    /// equals the row engine on the same corpus.
-    #[test]
-    fn prop_columnar_spill_matches_row_spill(
-        np in 1usize..4,
-        shard_size in 3usize..12,
-        seed in 0u64..200,
-    ) {
-        let registry = builtin_registry();
-        let data = {
-            let mut ds = web_corpus(seed, 40, WebNoise::default());
-            for (i, s) in ds.samples_mut().iter_mut().enumerate() {
-                s.value_mut()
-                    .set_path("docid", Value::Str(format!("{seed}-{i}")))
-                    .unwrap();
-            }
-            ds
-        };
-        let ops = full_recipe().build_ops(&registry).unwrap();
-        let mk = |columnar: bool| ExecOptions {
-            num_workers: np,
-            op_fusion: true,
-            trace_examples: 0,
-            shard_size: Some(shard_size),
-            memory_budget: Some(1),
-            columnar,
-            ..ExecOptions::default()
-        };
-        let (row, _) = Executor::new(ops.clone()).with_options(mk(false)).run(data.clone()).unwrap();
-        let (col, report) = Executor::new(ops).with_options(mk(true)).run(data).unwrap();
-        prop_assert!(report.columnar);
-        prop_assert_eq!(col, row);
     }
 }

@@ -1,18 +1,14 @@
 //! Property tests for the parallel dedup barrier (the banded hash
 //! exchange): for every deduplicator, over random datasets × duplicate
 //! rates × worker counts, the parallel keep mask must be identical to the
-//! sequential one — and the executor's barrier must produce byte-identical
-//! output whether it runs on one worker (`num_workers: 1`: sequential hash,
-//! sequential clustering — the reference) or on the worker pool, in memory
-//! or in spilled (`memory_budget = 1`) mode.
+//! sequential one. The executor's barrier in every shape is held to a
+//! sequential `keep_mask` oracle by `tests/mode_matrix.rs`.
 
 use proptest::prelude::*;
 
 use data_juicer::core::{Dataset, Deduplicator, SampleContext, Value};
-use data_juicer::exec::{ExecOptions, Executor};
 use data_juicer::ops::{
-    builtin_registry, DocumentDeduplicator, MinHashDeduplicator, ParagraphDeduplicator,
-    SimHashDeduplicator,
+    DocumentDeduplicator, MinHashDeduplicator, ParagraphDeduplicator, SimHashDeduplicator,
 };
 
 /// A corpus with tunable duplication: each sample is either an exact
@@ -88,65 +84,6 @@ proptest! {
                 &parallel, &sequential,
                 "{} diverged at workers={}", dedup.name(), workers
             );
-        }
-    }
-
-    /// The executor's barrier at `np = N` — parallel hash morsels, pooled
-    /// clustering, shard carry-through and rebalancing, in-memory and
-    /// spilled — never changes the output relative to `np = 1`.
-    #[test]
-    fn prop_executor_barrier_identical_across_modes(
-        texts in corpus_strategy(),
-        np in 2usize..5,
-        shard_size in 1usize..16,
-    ) {
-        let reg = builtin_registry();
-        for dedup_op in [
-            "document_deduplicator",
-            "document_minhash_deduplicator",
-            "document_simhash_deduplicator",
-            "paragraph_deduplicator",
-        ] {
-            let recipe = data_juicer::config::Recipe::new("dedup-parallel-prop")
-                .then(data_juicer::config::OpSpec::new(
-                    "whitespace_normalization_mapper",
-                ))
-                .then(data_juicer::config::OpSpec::new(dedup_op));
-            let ops = recipe.build_ops(&reg).unwrap();
-            let data = Dataset::from_texts(texts.iter().cloned());
-
-            // Reference: one worker — sequential clustering — in memory
-            // (u64::MAX budget pins it in memory even when CI forces
-            // spilling via DJ_MEMORY_BUDGET).
-            let reference = Executor::new(ops.clone()).with_options(ExecOptions {
-                num_workers: 1,
-                op_fusion: true,
-                trace_examples: 0,
-                shard_size: Some(shard_size),
-                memory_budget: Some(u64::MAX),
-                ..ExecOptions::default()
-            });
-            let (expected, _) = reference.run(data.clone()).unwrap();
-
-            for budget in [u64::MAX, 1] {
-                let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-                    num_workers: np,
-                    op_fusion: true,
-                    trace_examples: 0,
-                    shard_size: Some(shard_size),
-                    memory_budget: Some(budget),
-                    ..ExecOptions::default()
-                });
-                let (out, report) = exec.run(data.clone()).unwrap();
-                prop_assert_eq!(
-                    &out, &expected,
-                    "{} np={} budget={} diverged",
-                    dedup_op, np, budget
-                );
-                if budget == 1 && !data.is_empty() {
-                    prop_assert!(report.spilled);
-                }
-            }
         }
     }
 }

@@ -5,8 +5,9 @@
 use data_juicer::analyze::Analyzer;
 use data_juicer::config::{recipes, Recipe};
 use data_juicer::eval::{measure_profile, ProxyLlm};
-use data_juicer::exec::{ExecOptions, Executor};
+use data_juicer::exec::{ExecOptions, Executor, Runtime, RuntimeConfig};
 use data_juicer::ops::builtin_registry;
+use data_juicer::store::to_bytes;
 use data_juicer::synth::{web_corpus, WebNoise};
 
 #[test]
@@ -25,28 +26,68 @@ fn every_catalog_recipe_resolves_against_the_registry() {
     }
 }
 
+/// Every catalog recipe runs on mixed data without growing it — and gives
+/// the same bytes in every shape a recipe can ask for: spilled to row or
+/// columnar frames, planned adaptively, and submitted to a runtime. The
+/// catalog is where ops meet in stages (and footprints add up) the way
+/// users combine them.
 #[test]
 fn every_catalog_recipe_runs_on_mixed_data() {
     let registry = builtin_registry();
     let data = web_corpus(5, 80, WebNoise::default());
+    let runtime = Runtime::new(RuntimeConfig::default());
+    let base = ExecOptions {
+        num_workers: 2,
+        shard_size: Some(8),
+        memory_budget: Some(u64::MAX),
+        ..ExecOptions::default()
+    };
+    let shapes = [
+        (
+            "spill-row",
+            ExecOptions {
+                memory_budget: Some(1),
+                ..base.clone()
+            },
+        ),
+        (
+            "spill-columnar",
+            ExecOptions {
+                memory_budget: Some(1),
+                columnar: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "adaptive",
+            ExecOptions {
+                adaptive: true,
+                ..base.clone()
+            },
+        ),
+    ];
     for name in recipes::catalog() {
         let recipe = recipes::by_name(name).expect("catalog entry exists");
         let ops = recipe.build_ops(&registry).expect("builds");
-        let exec = Executor::new(ops).with_options(ExecOptions {
-            num_workers: 2,
-            op_fusion: true,
-            trace_examples: 0,
-            shard_size: None,
-            ..ExecOptions::default()
-        });
-        let (out, report) = exec
-            .run(data.clone())
-            .unwrap_or_else(|e| panic!("recipe `{name}` fails to run: {e}"));
+        let run = |options: &ExecOptions| {
+            Executor::new(ops.clone())
+                .with_options(options.clone())
+                .run(data.clone())
+                .unwrap_or_else(|e| panic!("recipe `{name}` fails to run: {e}"))
+        };
+        let (out, report) = run(&base);
         assert!(
             out.len() <= data.len(),
             "`{name}` must not grow the dataset"
         );
         assert_eq!(report.final_samples, out.len());
+        let expected = to_bytes(&out);
+        for (shape, options) in &shapes {
+            assert!(to_bytes(&run(options).0) == expected, "`{name}` {shape}");
+        }
+        let job = runtime.submit(Executor::new(ops).with_options(base.clone()), data.clone());
+        let job = job.wait().unwrap().dataset.unwrap();
+        assert!(to_bytes(&job) == expected, "`{name}` as a runtime job");
     }
 }
 
@@ -98,7 +139,8 @@ fn yaml_recipe_file_roundtrip_via_disk() {
 #[test]
 fn analyzer_stats_are_consumed_by_later_filters() {
     // An analyzer pass precomputes stats; the pipeline's filters must not
-    // recompute them (the §3.2 decoupling across tools).
+    // recompute them (the §3.2 decoupling across tools) — whether the stats
+    // stay resident or travel through a spool, row or columnar.
     let registry = builtin_registry();
     let mut data = web_corpus(8, 60, WebNoise::default());
     Analyzer::new().probe(&mut data);
@@ -109,11 +151,20 @@ fn analyzer_stats_are_consumed_by_later_filters() {
     );
     let ops = recipe.build_ops(&registry).unwrap();
     let before_stats: Vec<Option<f64>> = data.iter().map(|s| s.stat("word_count")).collect();
-    let (out, _) = Executor::new(ops).run(data).unwrap();
-    // Every surviving sample keeps the exact analyzer-computed value.
-    for s in out.iter() {
-        let v = s.stat("word_count").expect("stat present");
-        assert!(before_stats.contains(&Some(v)));
+    for (memory_budget, columnar) in [(None, false), (Some(1), false), (Some(1), true)] {
+        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+            shard_size: Some(8),
+            memory_budget,
+            columnar,
+            ..ExecOptions::default()
+        });
+        let (out, report) = exec.run(data.clone()).unwrap();
+        assert_eq!(report.spilled, memory_budget.is_some());
+        // Every surviving sample keeps the exact analyzer-computed value.
+        for s in out.iter() {
+            let v = s.stat("word_count").expect("stat present");
+            assert!(before_stats.contains(&Some(v)), "columnar={columnar}");
+        }
     }
 }
 

@@ -16,13 +16,29 @@ fn texts(d: &Dataset) -> Vec<String> {
     d.iter().map(|s| s.text().to_string()).collect()
 }
 
+/// Where the data lives: resident, spilled to row frames, spilled to
+/// columnar frames — `(memory_budget, columnar)`.
+const SHAPES: [(Option<u64>, bool); 3] = [(None, false), (Some(1), false), (Some(1), true)];
+
 fn run(ops: Vec<data_juicer::core::Op>, data: Dataset, np: usize, fusion: bool) -> Dataset {
+    run_in(ops, data, np, fusion, SHAPES[0])
+}
+
+fn run_in(
+    ops: Vec<data_juicer::core::Op>,
+    data: Dataset,
+    np: usize,
+    fusion: bool,
+    (memory_budget, columnar): (Option<u64>, bool),
+) -> Dataset {
     Executor::new(ops)
         .with_options(ExecOptions {
             num_workers: np,
             op_fusion: fusion,
             trace_examples: 0,
-            shard_size: None,
+            shard_size: memory_budget.map(|_| 7),
+            memory_budget,
+            columnar,
             ..ExecOptions::default()
         })
         .run(data)
@@ -58,11 +74,14 @@ fn spec_pool() -> Vec<OpSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For random subsets/orders of the OP pool: fused == unfused == parallel.
+    /// For random subsets/orders of the OP pool: fused == unfused ==
+    /// parallel, resident or spilled. (The unfused plan is the one thing
+    /// here `tests/mode_matrix.rs` does not vary.)
     #[test]
     fn prop_fusion_and_parallelism_preserve_output(
         indices in proptest::collection::vec(0usize..11, 1..7),
         seed in 0u64..1000,
+        shape in 0usize..3,
     ) {
         let pool = spec_pool();
         let mut recipe = Recipe::new("prop");
@@ -74,9 +93,10 @@ proptest! {
         let data = web_corpus(seed, 40, WebNoise::default());
 
         let baseline = run(ops.clone(), data.clone(), 1, false);
-        let fused = run(ops.clone(), data.clone(), 1, true);
-        let parallel = run(ops.clone(), data.clone(), 4, false);
-        let both = run(ops, data, 4, true);
+        let shape = SHAPES[shape];
+        let fused = run_in(ops.clone(), data.clone(), 1, true, shape);
+        let parallel = run_in(ops.clone(), data.clone(), 4, false, shape);
+        let both = run_in(ops, data, 4, true, shape);
         prop_assert_eq!(texts(&fused), texts(&baseline));
         prop_assert_eq!(texts(&parallel), texts(&baseline));
         prop_assert_eq!(texts(&both), texts(&baseline));

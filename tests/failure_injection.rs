@@ -74,20 +74,28 @@ fn mapper_error_propagates_serial_and_parallel() {
 #[test]
 fn mapper_error_propagates_through_spilled_execution() {
     // The streaming (out-of-core) driver must fail fast with the same
-    // clean operator error as the in-memory paths — no panic, no hang.
+    // clean operator error as the in-memory paths — no panic, no hang —
+    // over either spool format.
     for np in [1usize, 4] {
-        let exec =
-            Executor::new(vec![Op::Mapper(Arc::new(FailingMapper))]).with_options(ExecOptions {
-                num_workers: np,
-                op_fusion: false,
-                trace_examples: 0,
-                shard_size: Some(8),
-                memory_budget: Some(1),
-                spill_dir: None,
-                ..ExecOptions::default()
-            });
-        let err = exec.run(poisoned_dataset()).unwrap_err();
-        assert!(err.to_string().contains("failing_mapper"), "np={np}: {err}");
+        for columnar in [false, true] {
+            let exec = Executor::new(vec![Op::Mapper(Arc::new(FailingMapper))]).with_options(
+                ExecOptions {
+                    num_workers: np,
+                    op_fusion: false,
+                    trace_examples: 0,
+                    shard_size: Some(8),
+                    memory_budget: Some(1),
+                    spill_dir: None,
+                    columnar,
+                    ..ExecOptions::default()
+                },
+            );
+            let err = exec.run(poisoned_dataset()).unwrap_err();
+            assert!(
+                err.to_string().contains("failing_mapper"),
+                "np={np} columnar={columnar}: {err}"
+            );
+        }
     }
 }
 
@@ -144,23 +152,29 @@ fn run_restarts_cleanly_after_simulated_mid_stage_kill() {
     let ops = recipe.build_ops(&registry).unwrap();
     let data = web_corpus(11, 60, WebNoise::default());
     let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
-        memory_budget: Some(u64::MAX), // in-memory reference under forced-spill CI
+        memory_budget: Some(u64::MAX), // in memory, whatever the host's `DJ_MEMORY_BUDGET`
         ..ExecOptions::default()
     });
     let (expected, _) = baseline.run(data.clone()).unwrap();
 
-    let exec = Executor::new(ops).with_options(ExecOptions {
-        num_workers: 2,
-        op_fusion: false,
-        trace_examples: 0,
-        shard_size: Some(8),
-        memory_budget: Some(1),
-        spill_dir: Some(dir.clone()),
-        ..ExecOptions::default()
-    });
-    let (out, report) = exec.run(data).unwrap();
-    assert!(report.spilled);
-    assert_eq!(out, expected, "restart must not be polluted by debris");
+    for columnar in [false, true] {
+        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+            num_workers: 2,
+            op_fusion: false,
+            trace_examples: 0,
+            shard_size: Some(8),
+            memory_budget: Some(1),
+            spill_dir: Some(dir.clone()),
+            columnar,
+            ..ExecOptions::default()
+        });
+        let (out, report) = exec.run(data.clone()).unwrap();
+        assert!(report.spilled);
+        assert_eq!(
+            out, expected,
+            "columnar={columnar}: restart must not be polluted by debris"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -177,15 +191,23 @@ fn filter_error_propagates_through_fused_plan() {
         f
     };
     let ops = vec![Op::Filter(word_filter), Op::Filter(Arc::new(FailingFilter))];
-    let exec = Executor::new(ops).with_options(ExecOptions {
-        num_workers: 2,
-        op_fusion: true,
-        trace_examples: 0,
-        shard_size: None,
-        ..ExecOptions::default()
-    });
-    let err = exec.run(poisoned_dataset()).unwrap_err();
-    assert!(err.to_string().contains("failing_filter"), "{err}");
+    // Resident, and streamed from a row or a columnar spool.
+    for (memory_budget, columnar) in [(None, false), (Some(1), false), (Some(1), true)] {
+        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+            num_workers: 2,
+            op_fusion: true,
+            trace_examples: 0,
+            shard_size: Some(8),
+            memory_budget,
+            columnar,
+            ..ExecOptions::default()
+        });
+        let err = exec.run(poisoned_dataset()).unwrap_err();
+        assert!(
+            err.to_string().contains("failing_filter"),
+            "columnar={columnar}: {err}"
+        );
+    }
 }
 
 #[test]

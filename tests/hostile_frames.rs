@@ -29,11 +29,11 @@ use std::time::{Duration, Instant};
 
 use proptest::TestRng;
 
-use data_juicer::core::{Dataset, DjError, Fingerprints, Sample, Value};
+use data_juicer::core::{Dataset, DjError, Fingerprints, Sample, Value, MAX_NESTING_DEPTH};
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
-    seal_fingerprints, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC,
-    FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
+    seal_fingerprints, to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool,
+    COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
 
 thread_local! {
@@ -398,6 +398,80 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             check(&spool, &what, &envelope::seal(magic, &mutated));
         }
     }
+    drop(spool);
+    assert!(!dir.exists());
+}
+
+/// One sample whose `text` is `lists` nested lists around a `null`.
+fn nested_sample(lists: usize) -> Dataset {
+    let mut text = Value::Null;
+    for _ in 0..lists {
+        text = Value::List(vec![text]);
+    }
+    let mut sample = Sample::new();
+    sample.value_mut().set_path("text", text).unwrap();
+    Dataset::from_samples(vec![sample])
+}
+
+/// Nesting behind a valid checksum. The tagged-value decoders recurse once
+/// per level, so without a limit a deep enough payload overflows the stack
+/// — an abort no `catch_unwind` sees. A sample may nest `MAX_NESTING_DEPTH`
+/// levels, its root object included (the JSON text limit), in either
+/// format; one level more, or 200 000, is a typed storage error from
+/// every decoder.
+#[test]
+fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("dj-hostile-nesting-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
+    fn refused<T: std::fmt::Debug>(result: Result<T, DjError>, what: &str) {
+        assert!(
+            matches!(result, Err(DjError::Storage(_))),
+            "{what}: {result:?}"
+        );
+    }
+
+    for (lists, fits) in [(MAX_NESTING_DEPTH - 1, true), (MAX_NESTING_DEPTH, false)] {
+        let ds = nested_sample(lists);
+        for sealed in [
+            encode_shard_frame(&ds, Codec::Djz),
+            encode_columnar_frame(&ds, Codec::Djz),
+        ] {
+            check(&spool, "nesting at the limit", &sealed);
+            let frame = Frame::parse(&sealed).unwrap();
+            let decoded = frame.decode(None, None).map(|(d, _)| d);
+            let mut printed = String::new();
+            let written = frame.write_jsonl(None, &mut printed);
+            if fits {
+                assert_eq!(decoded.unwrap(), ds, "{lists} lists");
+                written.unwrap();
+                assert_eq!(printed, to_jsonl(&ds), "{lists} lists");
+            } else {
+                refused(decoded, "decode one level past");
+                refused(written, "transcode one level past");
+            }
+        }
+    }
+
+    // 200 000 levels, written as bytes: a `Value` that deep could not even
+    // be dropped without recursing.
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.push(7); // map of one entry: "text" →
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&4u32.to_le_bytes());
+    payload.extend_from_slice(b"text");
+    for _ in 0..200_000 {
+        payload.push(6); // a list of one item
+        payload.extend_from_slice(&1u32.to_le_bytes());
+    }
+    payload.push(0); // null
+    let sealed = envelope::seal(SHARD_FRAME_MAGIC, &compress(&payload, Codec::None));
+    check(&spool, "nesting bomb", &sealed);
+    let frame = Frame::parse(&sealed).unwrap();
+    refused(frame.decode(None, None), "decode");
+    refused(frame.write_jsonl(None, &mut String::new()), "transcode");
+    refused(frame.with_texts("meta.lang", |t| Ok(t.len())), "skip");
     drop(spool);
     assert!(!dir.exists());
 }

@@ -1,30 +1,37 @@
 //! The mode matrix against a naive oracle: every execution shape the engine
 //! has — in-memory, forced-spill row, forced-spill columnar, file→file row,
 //! file→file columnar — × worker count × adaptive planning × prefetch depth
-//! must produce output byte-equal to a deliberately simple reference
-//! (apply the ops in recipe order, sample by sample, unfused, with a global
-//! dedup through `keep_mask`), and must agree with each other on every
-//! per-op `samples_in / samples_out / removed`.
+//! × direct call or service-runtime job must produce output byte-equal to a
+//! deliberately simple reference (apply the ops in recipe order, sample by
+//! sample, unfused, with a global dedup through `keep_mask`), and must
+//! agree with each other on every per-op `samples_in / samples_out /
+//! removed`.
 //!
-//! The modes are iterated *in process* through `ExecOptions` (the `DJ_*`
-//! force-toggles are for operators, not the test strategy), over random
-//! recipes — always ≥ 1 barrier; leading barriers, adjacent barriers (an
-//! empty stage between them) and zero-sample corpora included — and
-//! `dj-synth` corpora with metadata columns no op reads.
+//! This file is how the test suite picks execution shapes: in process,
+//! through `ExecOptions` and a test-local `Runtime` — there is no
+//! environment toggle for a shape. The random recipes always hold ≥ 1
+//! barrier (leading barriers, adjacent barriers with an empty stage between
+//! them and zero-sample corpora included) and run over `dj-synth` corpora
+//! with metadata columns no op reads; one more case runs every registered
+//! op, alone, through every shape.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use data_juicer::config::{OpSpec, Recipe};
+use data_juicer::config::{recipes, OpSpec, Recipe};
 use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
 use data_juicer::exec::{
-    EgressManifest, EnvKnobs, ExecOptions, Executor, OutputFormat, RunReport, TraceEvent,
+    EgressManifest, EnvKnobs, ExecOptions, Executor, OutputFormat, RunReport, Runtime,
+    RuntimeConfig, TraceEvent,
 };
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{read_shard_frame, to_jsonl, CacheManager, CacheMode};
-use data_juicer::synth::{code_corpus, web_corpus, wiki_corpus, WebNoise};
+use data_juicer::synth::{
+    arxiv_corpus, chinese_corpus, code_corpus, dialog_corpus, web_corpus, wiki_corpus, WebNoise,
+};
 
 // ---- the oracle -------------------------------------------------------
 
@@ -81,12 +88,23 @@ enum Shape {
     FileColumnar,
 }
 
+const SHAPES: [Shape; 5] = [
+    Shape::InMemory,
+    Shape::SpillRow,
+    Shape::SpillColumnar,
+    Shape::FileRow,
+    Shape::FileColumnar,
+];
+
 #[derive(Debug, Clone, Copy)]
 struct Mode {
     shape: Shape,
     np: usize,
     adaptive: bool,
     prefetch_depth: usize,
+    /// Submitted as a job to the test's [`runtime`] (`submit` /
+    /// `submit_io`, then `wait`) instead of calling the executor.
+    runtime: bool,
     /// `trace_examples`: a non-zero cap makes barriers collect duplicate
     /// traces (and columnar stages decode every column).
     trace: usize,
@@ -94,26 +112,44 @@ struct Mode {
     frames: bool,
 }
 
+/// One service runtime for the whole binary, the way `dj serve` holds one:
+/// the `runtime` modes of every test share it.
+fn runtime() -> &'static Runtime {
+    static RUNTIME: OnceLock<Runtime> = OnceLock::new();
+    RUNTIME.get_or_init(|| Runtime::new(RuntimeConfig::default()))
+}
+
 impl Mode {
+    /// A shape with everything else at its plainest: two workers, static
+    /// plan, double buffering, a direct call.
+    fn plain(shape: Shape) -> Mode {
+        Mode {
+            shape,
+            np: 2,
+            adaptive: false,
+            prefetch_depth: 2,
+            runtime: false,
+            trace: 0,
+            frames: false,
+        }
+    }
+
+    /// Every shape × np {1, 3} × adaptive × prefetch depth {1, 2}, with the
+    /// runtime dimension laid across the last two pairwise: each of its
+    /// values meets each adaptive value and each depth, in every shape ×
+    /// np, without doubling the matrix.
     fn all() -> Vec<Mode> {
         let mut modes = Vec::new();
-        for shape in [
-            Shape::InMemory,
-            Shape::SpillRow,
-            Shape::SpillColumnar,
-            Shape::FileRow,
-            Shape::FileColumnar,
-        ] {
+        for shape in SHAPES {
             for np in [1, 3] {
                 for adaptive in [false, true] {
                     for prefetch_depth in [1, 2] {
                         modes.push(Mode {
-                            shape,
                             np,
                             adaptive,
                             prefetch_depth,
-                            trace: 0,
-                            frames: false,
+                            runtime: adaptive == (prefetch_depth == 2),
+                            ..Mode::plain(shape)
                         });
                     }
                 }
@@ -147,8 +183,9 @@ impl Mode {
         modes
     }
 
-    /// The options that *are* this mode. `EnvKnobs::default()` pins the
-    /// mode whatever `DJ_*` variables the surrounding CI pass sets.
+    /// The options that *are* this mode. `EnvKnobs::default()` keeps an
+    /// operator's environment out of it (a `DJ_FAULTS` seed being replayed
+    /// in the same shell would fault every run).
     fn options(&self, shard_size: usize) -> ExecOptions {
         let file = matches!(self.shape, Shape::FileRow | Shape::FileColumnar);
         ExecOptions {
@@ -177,22 +214,39 @@ impl Mode {
     /// mode wrote, or the serialization of what a resident mode returned).
     fn run(&self, ops: &[Op], case: &Case) -> (String, RunReport) {
         let mut options = self.options(case.shard_size);
-        match self.shape {
-            Shape::InMemory | Shape::SpillRow | Shape::SpillColumnar => {
-                let exec = Executor::new(ops.to_vec()).with_options(options);
-                let (out, report) = exec.run(case.data.clone()).unwrap();
+        let file = matches!(self.shape, Shape::FileRow | Shape::FileColumnar);
+        let out_dir = case.dir.join("out");
+        if file {
+            let _ = fs::remove_dir_all(&out_dir);
+            options.input = Some(format!("{}/in/*.jsonl", case.dir.display()));
+            options.output = Some(out_dir.clone());
+        }
+        let exec = Executor::new(ops.to_vec()).with_options(options);
+        let (out, report) = if !self.runtime {
+            match file {
+                false => exec.run(case.data.clone()).map(|(d, r)| (Some(d), r)),
+                true => exec.run_io(),
+            }
+            .unwrap()
+        } else {
+            let job = match file {
+                false => runtime().submit(exec, case.data.clone()),
+                true => runtime().submit_io(exec),
+            };
+            let ctl = job.control();
+            let out = job.wait().unwrap();
+            assert_eq!(ctl.attempts(), 1, "{self:?}: not run as a runtime job");
+            (out.dataset, out.report)
+        };
+        match out {
+            Some(out) => {
+                assert!(!file, "{self:?}: file mode returned a dataset");
                 let spilled = self.shape != Shape::InMemory && !case.data.is_empty();
                 assert_eq!(report.spilled, spilled, "{self:?}: wrong shape ran");
                 (to_jsonl(&out), report)
             }
-            Shape::FileRow | Shape::FileColumnar => {
-                let out_dir = case.dir.join("out");
-                let _ = fs::remove_dir_all(&out_dir);
-                options.input = Some(format!("{}/in/*.jsonl", case.dir.display()));
-                options.output = Some(out_dir.clone());
-                let exec = Executor::new(ops.to_vec()).with_options(options);
-                let (out, report) = exec.run_io().unwrap();
-                assert!(out.is_none(), "{self:?}: file mode returned a dataset");
+            None => {
+                assert!(file, "{self:?}: no dataset returned");
                 let manifest = EgressManifest::load(&out_dir).unwrap();
                 let written: String = manifest
                     .parts
@@ -522,14 +576,7 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
         ));
         let _ = fs::remove_dir_all(&dir);
         let cache = CacheManager::new(dir.join("cache"), 9, CacheMode::Cache);
-        let mode = Mode {
-            shape,
-            np: 2,
-            adaptive: false,
-            prefetch_depth: 2,
-            trace: 0,
-            frames: false,
-        };
+        let mode = Mode::plain(shape);
         // One shard in memory, so that shape saves the one-frame entry.
         let shard_size = if shape == Shape::InMemory { 1000 } else { 8 };
         let exec = |picks: &[usize]| {
@@ -606,12 +653,13 @@ proptest! {
 }
 
 /// The matrix only proves something if each mode really is a different
-/// path: the spill shapes spill, the columnar shapes splice, the file
-/// shapes ingest within the streaming residency bound, and the adaptive
-/// modes replan — on a stage misordered on purpose (an expensive keep-all
-/// WORDS pair ahead of a cheap selective CHARS pair, a quarter of the
-/// corpus symbol soup), which also holds the replanned funnel to the
-/// oracle.
+/// path: the spill shapes spill, the columnar shapes splice and only they
+/// decode by column, the file shapes ingest within the streaming residency
+/// bound, the runtime modes run as jobs (checked in [`Mode::run`]), and the
+/// adaptive modes replan — in every shape whose stage is not the ingest
+/// stage — on a stage misordered on purpose (an expensive keep-all WORDS
+/// pair ahead of a cheap selective CHARS pair, a quarter of the corpus
+/// symbol soup), which also holds the replanned funnel to the oracle.
 #[test]
 fn the_modes_are_distinct_paths() {
     let mut data = corpus(9, 150);
@@ -645,7 +693,6 @@ fn the_modes_are_distinct_paths() {
         .then(OpSpec::new("document_deduplicator"));
     let ops = recipe.build_ops(&builtin_registry()).unwrap();
     let expected = to_jsonl(&oracle(&ops, case.data.clone()));
-    let mut replans = 0;
     for mode in Mode::all() {
         let (out, report) = mode.run(&ops, &case);
         assert_eq!(out, expected, "{mode:?}: output diverged from the oracle");
@@ -653,12 +700,14 @@ fn the_modes_are_distinct_paths() {
         let columnar = matches!(mode.shape, Shape::SpillColumnar | Shape::FileColumnar);
         assert_eq!(report.spilled, mode.shape != Shape::InMemory, "{mode:?}");
         assert_eq!(report.columnar, columnar, "{mode:?}");
-        // Only a pipeline stage over a columnar spool splices columns
-        // through. The file shape runs this recipe's one stage during
-        // ingest, and a spilled barrier rewrites no frame (its mask rides
-        // on the spool), so nothing is passed through there.
+        // Only a pipeline stage over a columnar spool projects and splices.
+        // The file shape runs this recipe's one stage during ingest, and a
+        // spilled barrier rewrites no frame (its mask rides on the spool)
+        // and hashes from ingest-time sidecars, so nothing is decoded by
+        // column or passed through there; a row spool decodes whole frames.
         let splices = mode.shape == Shape::SpillColumnar;
         assert_eq!(report.bytes_passthrough > 0, splices, "{mode:?}");
+        assert_eq!(report.bytes_decoded > 0, splices, "{mode:?}");
         assert_eq!(report.ingest_bytes > 0, file, "{mode:?}");
         assert_eq!(report.adaptive, mode.adaptive, "{mode:?}");
         if report.spilled {
@@ -669,10 +718,131 @@ fn the_modes_are_distinct_paths() {
                 report.peak_resident_samples
             );
         }
-        if !mode.adaptive {
-            assert_eq!(report.replans, 0, "{mode:?}");
-        }
-        replans += report.replans;
+        // The ingest stage never replans (its shard count is unknown until
+        // the stream is dry), and this recipe's one stage is ingest there.
+        assert_eq!(
+            report.replans > 0,
+            mode.adaptive && !file,
+            "{mode:?}: {} replans",
+            report.replans
+        );
     }
-    assert!(replans > 0, "no adaptive mode ever replanned");
+}
+
+/// Params for `name`: its first use in the catalog recipes, else the
+/// registry defaults — except the two ops no recipe uses whose defaults
+/// would leave them idle on a small corpus.
+fn spec_for(name: &str) -> OpSpec {
+    let used = recipes::catalog()
+        .into_iter()
+        .filter_map(recipes::by_name)
+        .flat_map(|recipe| recipe.process)
+        .find(|spec| spec.name == name);
+    match (used, name) {
+        (Some(spec), _) => spec,
+        (None, "text_truncate_mapper") => OpSpec::new(name).with("max_chars", 200i64),
+        (None, "stats_range_filter") => OpSpec::new(name)
+            .with("key", "seeded")
+            .with("min", 0.0)
+            .with("max", 0.5),
+        (None, _) => OpSpec::new(name),
+    }
+}
+
+/// Something for every op to do: the synthetic families (web with
+/// duplicates and metadata, arXiv LaTeX, code with stars and suffixes,
+/// Chinese, dialog) plus one line per text defect a mapper exists for,
+/// language and usage tags for the meta filters, and a pre-seeded stat
+/// that `stats_range_filter` reads and filters must carry through.
+fn every_op_corpus() -> Dataset {
+    let mut ds = corpus(30, 24);
+    ds.extend(arxiv_corpus(31, 3));
+    let mut code = code_corpus(32, 5);
+    for s in code.samples_mut() {
+        let lang = s.meta("lang").and_then(Value::as_str).map(str::to_string);
+        s.set_meta("suffix", lang.unwrap_or_default());
+    }
+    ds.extend(code);
+    ds.extend(chinese_corpus(33, 4, 0.5));
+    ds.extend(dialog_corpus(34, 2));
+    for text in [
+        "<p>Some <b>markup</b> &amp; entities</p> around a sentence of ordinary words here",
+        "write to someone@example.com or reach the host at 192.168.10.20 for the report",
+        "Copyright (c) 2023 Example Corp. All rights reserved.\nThe body text follows here.",
+        "a repeated line\na repeated line\na repeated line\nand one unique line at the end",
+        "The same sentence again. The same sentence again. The same sentence again. Done.",
+        "stars ★ and boxes ■ and circles ○ sprinkled ◆ through ● the text",
+        "a supercalifragilisticexpialidociousandthensomemorelettersuntilitisverylong word",
+        "| name | value |\n| --- | --- |\n| a | 1 |\n| b | 2 |\nsome prose under the table",
+        "text with <redacted> content inside and more words after it to keep it long",
+        "donâ€™t let the mojibake â€œquotesâ€\u{9d} through the cleaning pipeline please",
+        "Ｆｕｌｌｗｉｄｔｈ，punctuation！and “curly quotes” — dashes… everywhere？",
+        "SHOUTING ALL THE WORDS IN THIS SAMPLE MAKES THE UPPERCASE RATIO VERY HIGH",
+        "\\newcommand{\\R}{\\mathbb{R}}\nwe work in \\R with a % comment\n\\bibliography{refs}",
+        "@@@@ #### $$$$ %%%% ^^^^ &&&& **** (((( )))) ~~~~ ++++",
+        "3.14159 26535 89793 23846 26433 83279 50288 41971 69399",
+        "spaced      out        words        with        gaps",
+        "xqzv kjwp qqzx vbnm zzqx pfft grrk wxyz jjjq kkvz qpwm",
+        "short",
+    ] {
+        ds.push(Sample::from_text(text));
+    }
+    for (i, s) in ds.samples_mut().iter_mut().enumerate() {
+        if i % 3 == 0 {
+            s.set_meta("language", "EN");
+        }
+        if i % 4 == 1 {
+            s.set_meta("usage", ["IFT", "CFT-MR", "CFT-P"][i % 3]);
+        }
+        if i % 5 == 2 {
+            s.set_stat("seeded", (i % 10) as f64 / 10.0);
+        }
+    }
+    ds
+}
+
+/// Every registered op, alone in a recipe (behind an exact-dedup barrier,
+/// so the file shapes run it as a stage over a spool and every shape
+/// applies a deferred mask first), through every shape, equal byte for
+/// byte to the in-memory run — and doing something there, so
+/// no op passes by having nothing to do. This is what holds each op's
+/// declared field footprint (`fields_read` / `fields_written`) to what it
+/// actually touches: the columnar shapes decode only the footprint and
+/// refuse a sample that changed a column they did not decode.
+#[test]
+fn every_registered_op_matches_in_memory_in_every_shape() {
+    let registry = builtin_registry();
+    let case = Case::new("every-op", every_op_corpus(), 7);
+    let mut idle = Vec::new();
+    for name in registry.names() {
+        let op = registry.build(name, &spec_for(name).params).unwrap();
+        let mut ops = Vec::new();
+        if !matches!(op, Op::Deduplicator(_)) {
+            let barrier = registry.build("document_deduplicator", &Default::default());
+            ops.push(barrier.unwrap());
+        }
+        ops.push(op);
+
+        let (expected, report) = Mode::plain(Shape::InMemory).run(&ops, &case);
+        let step = report.ops.last().unwrap();
+        let busy = match ops.last().unwrap() {
+            Op::Mapper(_) => step.changed > 0,
+            Op::Filter(_) => step.removed > 0 && step.samples_out > 0,
+            Op::Deduplicator(_) => step.removed > 0,
+        };
+        if !busy {
+            idle.push(name);
+        }
+        for &shape in &SHAPES[1..] {
+            let (out, _) = Mode::plain(shape).run(&ops, &case);
+            assert!(
+                out == expected,
+                "{name}: {shape:?} diverged from the in-memory run"
+            );
+        }
+    }
+    assert!(
+        idle.is_empty(),
+        "ops with nothing to do on the corpus: {idle:?}"
+    );
 }

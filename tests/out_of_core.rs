@@ -43,15 +43,16 @@ fn corpus() -> Dataset {
     ds
 }
 
-fn spill_exec(np: usize, shard_size: usize, budget: u64, dir: Option<PathBuf>) -> Executor {
+fn spill_exec(np: usize, shard_size: usize, dir: Option<PathBuf>, columnar: bool) -> Executor {
     let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
     Executor::new(ops).with_options(ExecOptions {
         num_workers: np,
         op_fusion: true,
         trace_examples: 0,
         shard_size: Some(shard_size),
-        memory_budget: Some(budget),
+        memory_budget: Some(1),
         spill_dir: dir,
+        columnar,
         ..ExecOptions::default()
     })
 }
@@ -69,7 +70,8 @@ fn peak_resident_samples_bounded_by_double_buffering() {
     let data = corpus();
     let baseline = {
         let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
-        // u64::MAX keeps the reference in memory under forced-spill CI.
+        // u64::MAX keeps the reference in memory whatever
+        // `DJ_MEMORY_BUDGET` the host sets.
         Executor::new(ops).with_options(ExecOptions {
             num_workers: 1,
             op_fusion: false,
@@ -82,7 +84,7 @@ fn peak_resident_samples_bounded_by_double_buffering() {
     };
     let (expected, _) = baseline.run(data.clone()).unwrap();
     for (np, shard_size) in [(1usize, 8usize), (2, 16), (4, 8), (3, 5)] {
-        let exec = spill_exec(np, shard_size, 1, None);
+        let exec = spill_exec(np, shard_size, None, false);
         let (out, report) = exec.run(data.clone()).unwrap();
         assert_eq!(out, expected, "np={np} shard_size={shard_size} diverged");
         assert!(report.spilled, "1-byte budget must engage spilling");
@@ -158,34 +160,35 @@ fn prefetch_depth_zero_is_a_config_error() {
 }
 
 /// Spill spools must remove themselves: after a run with an explicit
-/// `spill_dir`, the directory holds no leftover shard files or temp dirs.
+/// `spill_dir`, the directory holds no leftover shard files or temp dirs —
+/// row or columnar frames.
 #[test]
 fn spill_dir_is_left_empty_after_runs() {
     let dir = unique_dir("cleanup");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let exec = spill_exec(2, 8, 1, Some(dir.clone()));
-    let (out, report) = exec.run(corpus()).unwrap();
-    assert!(report.spilled);
-    assert!(!out.is_empty());
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "spill dir must be empty after the run, found {leftovers:?}"
-    );
+    for columnar in [false, true] {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let exec = spill_exec(2, 8, Some(dir.clone()), columnar);
+        let (out, report) = exec.run(corpus()).unwrap();
+        assert!(report.spilled);
+        assert_eq!(report.columnar, columnar);
+        assert!(!out.is_empty());
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "columnar={columnar}: spill dir must be empty after the run, found {leftovers:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A failed run must also clean its spools up (drop-based cleanup fires on
-/// the error path too).
+/// the error path too), whatever their format.
 #[test]
 fn spill_dir_is_cleaned_even_when_the_run_fails() {
-    let dir = unique_dir("cleanup-err");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
     // perplexity_filter's process errors when its stat is missing; simpler:
     // a recipe whose op errors on a poison token mid-stream.
     use data_juicer::core::{DjError, Mapper, Op, Result, Sample, SampleContext};
@@ -202,27 +205,33 @@ fn spill_dir_is_cleaned_even_when_the_run_fails() {
             Ok(false)
         }
     }
+    let dir = unique_dir("cleanup-err");
     let mut data = corpus();
     data.push(Sample::from_text("this sample is poison"));
-    let exec = Executor::new(vec![Op::Mapper(Arc::new(Poisoned))]).with_options(ExecOptions {
-        num_workers: 2,
-        op_fusion: false,
-        trace_examples: 0,
-        shard_size: Some(8),
-        memory_budget: Some(1),
-        spill_dir: Some(dir.clone()),
-        ..ExecOptions::default()
-    });
-    let err = exec.run(data).unwrap_err();
-    assert!(err.to_string().contains("poisoned_mapper"), "{err}");
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "failed run left spill data behind: {leftovers:?}"
-    );
+    for columnar in [false, true] {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let exec = Executor::new(vec![Op::Mapper(Arc::new(Poisoned))]).with_options(ExecOptions {
+            num_workers: 2,
+            op_fusion: false,
+            trace_examples: 0,
+            shard_size: Some(8),
+            memory_budget: Some(1),
+            spill_dir: Some(dir.clone()),
+            columnar,
+            ..ExecOptions::default()
+        });
+        let err = exec.run(data.clone()).unwrap_err();
+        assert!(err.to_string().contains("poisoned_mapper"), "{err}");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "columnar={columnar}: failed run left spill data behind: {leftovers:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -234,7 +243,7 @@ fn spilled_runs_cache_and_resume() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let recipe = fig9_style_recipe();
     let cache = CacheManager::new(&cache_dir, recipe.fingerprint(), CacheMode::Cache);
-    let exec = spill_exec(2, 8, 1, None);
+    let exec = spill_exec(2, 8, None, false);
     let data = corpus();
     let (out1, r1) = exec.run_with_cache(data.clone(), &cache).unwrap();
     assert!(r1.spilled);
@@ -255,7 +264,8 @@ fn recipe_knobs_engage_spilling_end_to_end() {
     let _ = std::fs::remove_dir_all(&spill_dir);
     std::fs::create_dir_all(&spill_dir).unwrap();
     let registry = builtin_registry();
-    // u64::MAX keeps the reference recipe in memory under forced-spill CI.
+    // u64::MAX keeps the reference recipe in memory whatever
+    // `DJ_MEMORY_BUDGET` the host sets.
     let plain = fig9_style_recipe().with_np(2).with_memory_budget(u64::MAX);
     let budgeted = fig9_style_recipe()
         .with_np(2)

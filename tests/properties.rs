@@ -238,9 +238,8 @@ proptest! {
         let data = duplicated_corpus(seed);
 
         // Sequential, unfused, single-shard baseline. The u64::MAX budget
-        // pins it in memory even under a DJ_MEMORY_BUDGET override (CI
-        // forces spilling suite-wide), keeping this a true in-memory
-        // reference.
+        // pins it in memory whatever `DJ_MEMORY_BUDGET` the host sets,
+        // keeping this a true in-memory reference.
         let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 1,
             op_fusion: false,
@@ -276,9 +275,10 @@ proptest! {
     }
 
     /// Out-of-core execution is byte-identical to in-memory execution for
-    /// random recipes, arbitrary shard sizes, worker counts and memory
-    /// budgets — whether the budget actually forces a spill or not — and
-    /// leaves the spill directory empty afterwards.
+    /// random recipes, arbitrary shard sizes, worker counts, memory
+    /// budgets — whether the budget actually forces a spill or not, and
+    /// from which stage on — and spool formats, and leaves the spill
+    /// directory empty afterwards.
     #[test]
     fn prop_spilled_execution_matches_in_memory(
         indices in proptest::collection::vec(0usize..8, 1..5),
@@ -286,6 +286,7 @@ proptest! {
         shard_size in 1usize..40,
         workers in 1usize..5,
         budget_exp in 0u32..22,
+        columnar in any::<bool>(),
     ) {
         let pool = shard_spec_pool();
         let mut recipe = Recipe::new("spill-prop");
@@ -296,8 +297,7 @@ proptest! {
         let data = duplicated_corpus(seed);
 
         // In-memory reference: identical shard layout, budget pinned to
-        // u64::MAX so a DJ_MEMORY_BUDGET override cannot spill it (the
-        // comparison must stay spilled-vs-in-memory under forced-spill CI).
+        // u64::MAX so a host's `DJ_MEMORY_BUDGET` cannot spill it.
         let reference = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: workers,
             op_fusion: true,
@@ -324,13 +324,15 @@ proptest! {
             shard_size: Some(shard_size),
             memory_budget: Some(budget),
             spill_dir: Some(spill_dir.clone()),
+            columnar,
             ..ExecOptions::default()
         });
         let (out, report) = spilled.run(data.clone()).unwrap();
         prop_assert_eq!(
             data_juicer::store::to_bytes(&out).as_slice(),
             expected_bytes.as_slice(),
-            "budget={} workers={} shard_size={} diverged", budget, workers, shard_size
+            "budget={} workers={} shard_size={} columnar={} diverged",
+            budget, workers, shard_size, columnar
         );
         // Oversized input must engage spilling (stats columns added
         // mid-run can also push a smaller input over the budget later, so

@@ -1,7 +1,8 @@
 //! Crash recovery for `dj serve --journal`: a serve process is SIGKILLed
 //! mid-job, restarted on the same journal, and must re-admit and finish
 //! the interrupted job — with committed output byte-identical to a run
-//! that was never interrupted.
+//! that was never interrupted. And a hostile command line must not take
+//! the process down in the first place.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -158,4 +159,49 @@ fn killed_serve_resumes_from_journal_byte_identically() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A command line nested 200 000 levels deep must not overflow the
+/// protocol parser's stack, which would abort `dj serve` and every tenant
+/// with it. It is a malformed command: one `error` event, and the service
+/// goes on to run the next submission.
+#[test]
+fn a_nesting_bomb_on_the_wire_is_an_error_event_and_serve_keeps_going() {
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_dj"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dj serve");
+    let mut stdin = serve.stdin.take().unwrap();
+    let bomb = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    writeln!(stdin, "{{\"cmd\":{bomb}}}").unwrap();
+    writeln!(
+        stdin,
+        concat!(
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"after\",",
+            "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}}]}},",
+            "\"texts\":[\"still   serving\"]}}"
+        )
+    )
+    .unwrap();
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    // Shutdown drains the job, then the process exits and stdout closes.
+    let events: Vec<String> = BufReader::new(serve.stdout.take().unwrap())
+        .lines()
+        .map(Result::unwrap)
+        .collect();
+    assert!(serve.wait().unwrap().success(), "{events:?}");
+    assert!(
+        events[0].contains("\"error\"") && events[0].contains("nested deeper than 128"),
+        "{events:?}"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| e.contains("\"done\"") && e.contains("\"samples_out\":1")),
+        "{events:?}"
+    );
 }

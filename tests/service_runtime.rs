@@ -46,18 +46,20 @@ fn exec_with(opts: ExecOptions) -> Executor {
 fn mem_opts(np: usize) -> ExecOptions {
     ExecOptions {
         num_workers: np,
-        // u64::MAX keeps solo references in memory under forced-spill CI.
+        // u64::MAX keeps solo references in memory whatever
+        // `DJ_MEMORY_BUDGET` the host sets.
         memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     }
 }
 
-fn spill_opts(np: usize, dir: Option<PathBuf>) -> ExecOptions {
+fn spill_opts(np: usize, dir: Option<PathBuf>, columnar: bool) -> ExecOptions {
     ExecOptions {
         num_workers: np,
         shard_size: Some(16),
         memory_budget: Some(1),
         spill_dir: dir,
+        columnar,
         ..ExecOptions::default()
     }
 }
@@ -69,7 +71,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// N ≥ 4 jobs with distinct datasets submitted concurrently through one
 /// runtime produce byte-identical outputs to solo direct runs — fair
 /// shard scheduling interleaves the jobs' morsels but never mixes or
-/// reorders their data. Exercised in-memory and under forced spill.
+/// reorders their data. Exercised in memory and over both spool formats.
 #[test]
 fn concurrent_jobs_byte_identical_to_solo_runs() {
     let datasets: Vec<Dataset> = (0..4).map(|i| corpus(100 + i as u64, 120)).collect();
@@ -78,7 +80,7 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
         .map(|ds| exec_with(mem_opts(2)).run(ds.clone()).unwrap().0)
         .collect();
 
-    for spill in [false, true] {
+    for (spill, columnar) in [(false, false), (true, false), (true, true)] {
         let rt = Runtime::new(RuntimeConfig {
             max_jobs: 4,
             memory_budget: None,
@@ -88,7 +90,7 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
             .iter()
             .map(|ds| {
                 let opts = if spill {
-                    spill_opts(2, None)
+                    spill_opts(2, None, columnar)
                 } else {
                     mem_opts(2)
                 };
@@ -100,9 +102,10 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
             let got = out.dataset.unwrap();
             assert_eq!(
                 got, solo[i],
-                "job {i} diverged from its solo run (spill={spill})"
+                "job {i} diverged from its solo run (spill={spill} columnar={columnar})"
             );
             assert_eq!(out.report.spilled, spill, "job {i} spill mode");
+            assert_eq!(out.report.columnar, columnar, "job {i} spool format");
         }
         assert_eq!(rt.jobs_in_flight(), 0);
     }
@@ -111,109 +114,110 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
 /// Admission control: with a global memory budget set, four concurrent
 /// forced-spill jobs each run under `budget / max_jobs`, and the
 /// aggregate gauge — samples resident across *all* jobs at once — never
-/// exceeds the global budget.
+/// exceeds the global budget, over either spool format.
 #[test]
 fn aggregate_residency_stays_under_the_global_budget() {
     let global: u64 = 64 * 1024;
-    let rt = Runtime::new(RuntimeConfig {
-        max_jobs: 4,
-        memory_budget: Some(global),
-        ..RuntimeConfig::default()
-    });
     let datasets: Vec<Dataset> = (0..4).map(|i| corpus(200 + i as u64, 150)).collect();
-    let handles: Vec<_> = datasets
-        .iter()
-        .map(|ds| {
-            // No per-job budget and no explicit shard_size: the runtime's
-            // partitioned share drives both the spill decision and the
-            // budget-derived shard cut.
-            let opts = ExecOptions {
-                num_workers: 1,
-                ..ExecOptions::default()
-            };
-            rt.submit(exec_with(opts), ds.clone())
-        })
-        .collect();
-    for h in handles {
-        let out = h.wait().unwrap();
+    for columnar in [false, true] {
+        let rt = Runtime::new(RuntimeConfig {
+            max_jobs: 4,
+            memory_budget: Some(global),
+            ..RuntimeConfig::default()
+        });
+        let handles: Vec<_> = datasets
+            .iter()
+            .map(|ds| {
+                // No per-job budget and no explicit shard_size: the runtime's
+                // partitioned share drives both the spill decision and the
+                // budget-derived shard cut.
+                let opts = ExecOptions {
+                    num_workers: 1,
+                    columnar,
+                    ..ExecOptions::default()
+                };
+                rt.submit(exec_with(opts), ds.clone())
+            })
+            .collect();
+        for h in handles {
+            let out = h.wait().unwrap();
+            assert!(
+                out.report.spilled,
+                "dataset larger than the per-job share must spill"
+            );
+        }
+        assert!(rt.peak_resident_samples() > 0);
         assert!(
-            out.report.spilled,
-            "dataset larger than the per-job share must spill"
+            rt.peak_resident_bytes() as u64 <= global,
+            "columnar={columnar}: aggregate resident bytes {} exceeded the global budget {global}",
+            rt.peak_resident_bytes()
         );
     }
-    assert!(rt.peak_resident_samples() > 0);
-    assert!(
-        rt.peak_resident_bytes() as u64 <= global,
-        "aggregate resident bytes {} exceeded the global budget {global}",
-        rt.peak_resident_bytes()
-    );
 }
 
 /// Cancellation: a running spilled job stops within shards, surfaces
 /// `DjError::Cancelled`, leaves its spill directory empty (spools remove
 /// themselves on drop — the tempdir-left-empty assertion), and a queued
-/// survivor still completes byte-identically to its solo run.
+/// survivor still completes byte-identically to its solo run — for either
+/// spool format.
 #[test]
 fn cancellation_releases_resources_and_survivors_complete() {
     let dir = unique_dir("cancel");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let victim_data = corpus(300, 4000);
     let survivor_data = corpus(301, 120);
     let solo_survivor = exec_with(mem_opts(2)).run(survivor_data.clone()).unwrap().0;
 
-    // One slot: the victim occupies it, the survivor queues behind it.
-    let rt = Runtime::new(RuntimeConfig {
-        max_jobs: 1,
-        memory_budget: None,
-        ..RuntimeConfig::default()
-    });
-    let victim = rt.submit(
-        exec_with(ExecOptions {
-            num_workers: 2,
-            shard_size: Some(8),
-            memory_budget: Some(1),
-            spill_dir: Some(dir.clone()),
-            ..ExecOptions::default()
-        }),
-        victim_data,
-    );
-    let survivor = rt.submit(exec_with(mem_opts(2)), survivor_data);
+    for columnar in [false, true] {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // One slot: the victim occupies it, the survivor queues behind it.
+        let rt = Runtime::new(RuntimeConfig {
+            max_jobs: 1,
+            memory_budget: None,
+            ..RuntimeConfig::default()
+        });
+        let victim = rt.submit(
+            exec_with(ExecOptions {
+                shard_size: Some(8),
+                ..spill_opts(2, Some(dir.clone()), columnar)
+            }),
+            corpus(300, 4000),
+        );
+        let survivor = rt.submit(exec_with(mem_opts(2)), survivor_data.clone());
 
-    // Cancel once the victim has demonstrably started streaming shards.
-    let ctl = victim.control();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while ctl.shards_done() < 1 {
-        assert!(Instant::now() < deadline, "victim never started streaming");
-        std::thread::sleep(Duration::from_millis(1));
+        // Cancel once the victim has demonstrably started streaming shards.
+        let ctl = victim.control();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while ctl.shards_done() < 1 {
+            assert!(Instant::now() < deadline, "victim never started streaming");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        victim.cancel();
+        match victim.wait() {
+            Err(DjError::Cancelled) => {}
+            other => panic!("columnar={columnar}: expected Cancelled, got {other:?}"),
+        }
+
+        // The survivor was untouched by the cancellation.
+        let out = survivor.wait().unwrap();
+        assert_eq!(out.dataset.unwrap(), solo_survivor, "columnar={columnar}");
+
+        // Spool hygiene: the cancelled job's spill dir holds nothing.
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "columnar={columnar}: cancelled job leaked spill files: {leftovers:?}"
+        );
+        // And its residency accounting drained back to zero.
+        assert_eq!(
+            ctl.live_samples(),
+            0,
+            "cancelled job left samples accounted"
+        );
+        assert_eq!(ctl.live_bytes(), 0, "cancelled job left bytes accounted");
     }
-    victim.cancel();
-    match victim.wait() {
-        Err(DjError::Cancelled) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-
-    // The survivor was untouched by the cancellation.
-    let out = survivor.wait().unwrap();
-    assert_eq!(out.dataset.unwrap(), solo_survivor);
-
-    // Spool hygiene: the cancelled job's spill dir holds nothing.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "cancelled job leaked spill files: {leftovers:?}"
-    );
-    // And its residency accounting drained back to zero.
-    assert_eq!(
-        ctl.live_samples(),
-        0,
-        "cancelled job left samples accounted"
-    );
-    assert_eq!(ctl.live_bytes(), 0, "cancelled job left bytes accounted");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -286,24 +290,35 @@ fn queued_jobs_cancel_without_running() {
 /// The tentpole regression guard: running many jobs re-uses the one
 /// persistent worker pool — the pool's lifetime thread-spawn counter does
 /// not grow with job count (the old engine spawned fresh scoped threads
-/// for every stage pass of every run).
+/// for every stage pass of every run). The jobs cover every kind of pool
+/// section: spilled and resident stage passes, and a barrier big enough
+/// to cluster on the pool (`WorkerPool::run_indexed`).
 #[test]
 fn repeated_jobs_do_not_respawn_pool_threads() {
     // Force pool creation (and any lazy one-time spawns) first.
     let rt = Runtime::new(RuntimeConfig::default());
-    rt.submit(exec_with(spill_opts(2, None)), corpus(500, 80))
+    rt.submit(exec_with(spill_opts(2, None, false)), corpus(500, 80))
         .wait()
         .unwrap();
     let before = WorkerPool::spawned_total();
     for i in 0..6 {
-        let opts = if i % 2 == 0 {
-            spill_opts(2, None)
-        } else {
-            mem_opts(3)
+        let (opts, n) = match i % 3 {
+            0 => (spill_opts(2, None, false), 80),
+            1 => (mem_opts(3), 80),
+            // ≥ 1024 samples per worker: the barrier clusters in parallel.
+            _ => (mem_opts(2), 2100),
         };
-        rt.submit(exec_with(opts), corpus(510 + i as u64, 80))
+        let out = rt
+            .submit(exec_with(opts), corpus(510 + i as u64, n))
             .wait()
             .unwrap();
+        let parallel = out.report.barrier_decisions.iter().any(|d| d.parallel);
+        assert_eq!(
+            parallel,
+            n > 1000,
+            "job {i}: {:?}",
+            out.report.barrier_decisions
+        );
     }
     let after = WorkerPool::spawned_total();
     assert_eq!(
@@ -319,7 +334,7 @@ fn repeated_jobs_do_not_respawn_pool_threads() {
 #[test]
 fn progress_counters_track_and_drain() {
     let rt = Runtime::new(RuntimeConfig::default());
-    let handle = rt.submit(exec_with(spill_opts(2, None)), corpus(600, 120));
+    let handle = rt.submit(exec_with(spill_opts(2, None, false)), corpus(600, 120));
     let ctl = handle.control();
     let out = handle.wait().unwrap();
     assert!(out.report.spilled);
