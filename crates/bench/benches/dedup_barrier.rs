@@ -1,9 +1,12 @@
-//! Dedup-barrier bench, on a corpus seeded with exact and near duplicates.
+//! Dedup-barrier bench, on corpora seeded with exact and near duplicates.
 //!
-//! `dedup_barrier`: the clustering step (`cluster`) of each deduplicator,
-//! sequential vs the banded worker-parallel exchange. Fingerprints are
-//! computed once outside the timer — the barrier's clustering is the
-//! serial section this group tracks.
+//! `dedup_barrier`: the clustering step (`cluster`) of each deduplicator
+//! at 1, 2 and 4 workers on 600 documents, plus MinHash at 1 and 2 workers
+//! on 20 000 documents with 40 % duplicates (15 % exact, 25 % near — the
+//! benchmark's `dup` corpus shape), where sorting band keys and verifying
+//! their runs takes long enough to see. Fingerprints are computed once
+//! outside the timer — the barrier's clustering is the section this group
+//! tracks.
 //!
 //! `hash_lane`: the MinHash signature of every document, the portable
 //! instantiation of the lane loop against the one this CPU dispatches to
@@ -30,6 +33,30 @@ fn corpus() -> Dataset {
     )
 }
 
+fn dup_corpus() -> Dataset {
+    web_corpus(
+        23,
+        20_000,
+        WebNoise {
+            dup_rate: 0.15,
+            near_dup_rate: 0.25,
+            ..WebNoise::default()
+        },
+    )
+}
+
+fn fingerprints(dedup: &dyn Deduplicator, data: &Dataset) -> Fingerprints {
+    let mut ctx = SampleContext::new();
+    let mut hashes = Fingerprints::with_capacity(data.len());
+    for s in data.iter() {
+        ctx.invalidate();
+        hashes
+            .push_with(|out| dedup.fingerprint(s, &mut ctx, out))
+            .unwrap();
+    }
+    hashes
+}
+
 fn bench_dedup_barrier(c: &mut Criterion) {
     let data = corpus();
     let dedups: Vec<Box<dyn Deduplicator>> = vec![
@@ -40,19 +67,19 @@ fn bench_dedup_barrier(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("dedup_barrier");
     for dedup in &dedups {
-        let mut ctx = SampleContext::new();
-        let mut hashes = Fingerprints::with_capacity(data.len());
-        for s in data.iter() {
-            ctx.invalidate();
-            hashes
-                .push_with(|out| dedup.fingerprint(s, &mut ctx, out))
-                .unwrap();
-        }
+        let hashes = fingerprints(dedup.as_ref(), &data);
         for workers in [1usize, 2, 4] {
             group.bench_function(format!("{}/np{workers}", dedup.name()), |b| {
                 b.iter(|| dedup.cluster(&hashes, workers).unwrap())
             });
         }
+    }
+    let minhash = MinHashDeduplicator::default_config();
+    let hashes = fingerprints(&minhash, &dup_corpus());
+    for workers in [1usize, 2] {
+        group.bench_function(format!("{}/20k-dup/np{workers}", minhash.name()), |b| {
+            b.iter(|| minhash.cluster(&hashes, workers).unwrap())
+        });
     }
     group.finish();
 }

@@ -6,18 +6,18 @@
 //! * [`fxhash`] — fast 64/128-bit non-cryptographic hashing plus
 //!   `FxHashMap`/`FxHashSet` aliases (the perf-book recommendation for
 //!   hot, HashDoS-immune hash tables);
-//! * [`minhash`] — min-wise independent permutations + LSH banding
+//! * [`minhash`] — min-wise independent permutations + LSH band keys
 //!   (hash-based near-dedup);
 //! * [`simhash`] — Charikar fingerprints + Hamming-budget index
 //!   (vector-based near-dedup);
 //! * [`unionfind`] — duplicate-pair clustering with deterministic
 //!   first-occurrence retention, sequential and lock-free concurrent.
 //!
-//! The banded exchange entry points ([`lsh_band_pairs`],
-//! [`simhash_block_pairs`], [`LshIndex::band_key`]) let the parallel
-//! deduplicators partition candidate generation by band/block across a
-//! worker pool while staying pair-for-pair identical to the sequential
-//! indexes.
+//! The entry points the parallel deduplicators partition work by are
+//! per band or block: [`band_key`] (a MinHash band folded into one word,
+//! sorted into runs of candidates) and [`simhash_block_pairs`] (one
+//! rotation block's pairs, identical to what the sequential
+//! [`SimHashIndex`] surfaces for it).
 
 pub mod fnv;
 pub mod fxhash;
@@ -27,7 +27,7 @@ pub mod unionfind;
 
 pub use fnv::{fnv1a, Fnv1a};
 pub use fxhash::{hash128, hash64, hash64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use minhash::{lsh_band_pairs, Lanes, LshIndex, MinHasher};
+pub use minhash::{band_key, Lanes, MinHasher};
 pub use simhash::{
     hamming, simhash_block_pairs, simhash_tokens, simhash_weighted, SimHashIndex, SIMHASH_BLOCKS,
 };

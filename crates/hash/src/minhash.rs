@@ -9,7 +9,10 @@
 //!
 //! For sub-quadratic candidate generation, signatures are cut into `b` bands
 //! of `r` rows (`k = b*r`); documents sharing any banded sub-signature become
-//! candidates (classic LSH banding).
+//! candidates (classic LSH banding). [`band_key`] folds one band into a
+//! `u64`; clustering (`dj-ops`' `ParallelDedup::minhash_mask`) sorts
+//! `(key, id)` per band and verifies the members of each run of equal
+//! keys, so no per-band hash table is kept.
 //!
 //! Nearly all of a signature's cost is the lane loop — `k` remixes and
 //! minima per shingle ([`absorb`]). It is written once and compiled once
@@ -18,7 +21,7 @@
 //! minima to vectorize it with. [`MinHasher::new`] picks by what the CPU
 //! reports; the signatures are the same whichever runs.
 
-use crate::fxhash::{hash64_seeded, FxHashMap};
+use crate::fxhash::hash64_seeded;
 
 /// MinHash signature generator with a fixed family of hash functions.
 #[derive(Debug, Clone)]
@@ -254,103 +257,25 @@ impl Lanes {
     }
 }
 
-/// LSH banding index over MinHash signatures.
-pub struct LshIndex {
-    bands: usize,
-    rows: usize,
-    /// band index → banded-hash → doc ids
-    tables: Vec<FxHashMap<u64, Vec<usize>>>,
-}
-
-impl LshIndex {
-    /// `bands * rows` must equal the signature length used at insert time.
-    pub fn new(bands: usize, rows: usize) -> LshIndex {
-        assert!(bands > 0 && rows > 0);
-        LshIndex {
-            bands,
-            rows,
-            tables: (0..bands).map(|_| FxHashMap::default()).collect(),
-        }
-    }
-
-    /// The banded sub-signature key used for bucketing: shared by the
-    /// sequential index and the band-sharded parallel exchange so both
-    /// produce identical candidate sets.
-    pub fn band_key(band: usize, rows: usize, signature: &[u64]) -> u64 {
-        band_key_for(band, rows, signature)
-    }
-
-    /// Insert a signature under `id`, returning candidate duplicate ids
-    /// (every previously-inserted id sharing at least one band).
-    pub fn insert(&mut self, id: usize, signature: &[u64]) -> Vec<usize> {
-        assert_eq!(
-            signature.len(),
-            self.bands * self.rows,
-            "signature length must be bands*rows"
-        );
-        let mut candidates = Vec::new();
-        for (band, table) in self.tables.iter_mut().enumerate() {
-            let key = band_key_for(band, self.rows, signature);
-            let bucket = table.entry(key).or_default();
-            candidates.extend_from_slice(bucket);
-            bucket.push(id);
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates
-    }
-
-    /// Probability that a pair with true Jaccard `s` becomes a candidate:
-    /// `1 - (1 - s^r)^b`. Exposed so callers can pick (b, r) for a threshold.
-    pub fn candidate_probability(&self, s: f64) -> f64 {
-        1.0 - (1.0 - s.powi(self.rows as i32)).powi(self.bands as i32)
-    }
-}
-
-fn band_key_for(band: usize, rows: usize, signature: &[u64]) -> u64 {
+/// The key of band `band` of `signature`: its `rows` words folded into one
+/// `u64`, salted with the band index. Two signatures with equal words in a
+/// band get equal keys there, so sorting `(key, id)` pairs puts every
+/// band-sharing group into one run; unequal words collide only as often as
+/// two 64-bit hashes do, and a collision costs one extra comparison, never
+/// a wrong union (every candidate pair is verified on the full signatures).
+///
+/// The words are already uniform hashes, so one multiply-rotate per word
+/// folds them and a single [`remix`] finishes: clustering computes `bands`
+/// keys per sample, and a full remix per word would be a third of its time.
+pub fn band_key(band: usize, rows: usize, signature: &[u64]) -> u64 {
     let chunk = &signature[band * rows..(band + 1) * rows];
     let mut key = band as u64;
     for &v in chunk {
-        key = remix(key ^ v, 0x6a09_e667_f3bc_c909);
+        key = (key ^ v)
+            .wrapping_mul(0x517c_c1b7_2722_0a95)
+            .rotate_left(26);
     }
-    key
-}
-
-/// One band's share of the LSH exchange: every candidate pair `(i, j)`
-/// with `i < j` whose signatures collide in `band`, sorted ascending.
-/// `words` holds the signatures back to back, `width` words each.
-///
-/// Equivalent to what the sequential [`LshIndex`] surfaces for this band —
-/// each worker of the parallel dedup runs a disjoint subset of bands and
-/// the union of all bands' pairs (deduplicated) is exactly the sequential
-/// candidate set.
-pub fn lsh_band_pairs(band: usize, rows: usize, words: &[u64], width: usize) -> Vec<(u32, u32)> {
-    assert!(
-        width > 0 && width.is_multiple_of(rows) && words.len().is_multiple_of(width),
-        "signature width must be a multiple of rows, the words of the width"
-    );
-    assert!(
-        words.len() / width <= u32::MAX as usize,
-        "id count exceeds u32 range"
-    );
-    let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for (i, sig) in words.chunks_exact(width).enumerate() {
-        buckets
-            .entry(band_key_for(band, rows, sig))
-            .or_default()
-            .push(i as u32);
-    }
-    let mut pairs = Vec::new();
-    for members in buckets.values() {
-        // Members are in ascending id order (insertion order above).
-        for (k, &j) in members.iter().enumerate() {
-            for &i in &members[..k] {
-                pairs.push((i, j));
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs
+    remix(key, 0x6a09_e667_f3bc_c909)
 }
 
 #[cfg(test)]
@@ -410,65 +335,16 @@ mod tests {
     }
 
     #[test]
-    fn lsh_flags_near_duplicates() {
-        let mh = MinHasher::new(64, 2);
-        let mut idx = LshIndex::new(16, 4);
-        let base = "data juicer is a one stop data processing system for large language models";
-        let near = "data juicer is a one stop data processing system for large language model";
-        let far = "completely different sentence about cooking pasta at home tonight";
-        assert!(idx.insert(0, &mh.signature(&words(base))).is_empty());
-        let cand = idx.insert(1, &mh.signature(&words(near)));
-        assert!(cand.contains(&0), "near-duplicate should be a candidate");
-        let cand2 = idx.insert(2, &mh.signature(&words(far)));
-        assert!(!cand2.contains(&0) && !cand2.contains(&1));
-    }
-
-    #[test]
-    fn candidate_probability_is_monotone_s_curve() {
-        let idx = LshIndex::new(16, 4);
-        let p_low = idx.candidate_probability(0.2);
-        let p_mid = idx.candidate_probability(0.6);
-        let p_high = idx.candidate_probability(0.95);
-        assert!(p_low < p_mid && p_mid < p_high);
-        assert!(p_high > 0.99);
-        assert!(p_low < 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "signature length")]
-    fn lsh_rejects_wrong_signature_length() {
-        let mut idx = LshIndex::new(4, 4);
-        idx.insert(0, &[1, 2, 3]);
-    }
-
-    #[test]
-    fn band_pairs_match_sequential_candidates() {
-        let (bands, rows) = (8usize, 2usize);
-        let mh = MinHasher::new(bands * rows, 2);
-        let docs = [
-            "data juicer is a one stop data processing system",
-            "data juicer is a one stop data processing system",
-            "data juicer is a one stop data processing systems",
-            "completely different sentence about cooking pasta",
-            "another unrelated line mentioning tomato gardens",
-        ];
-        let sigs: Vec<u64> = docs.iter().flat_map(|d| mh.signature(words(d))).collect();
-        // Sequential candidate set.
-        let mut idx = LshIndex::new(bands, rows);
-        let mut sequential: Vec<(u32, u32)> = Vec::new();
-        for (i, sig) in sigs.chunks_exact(bands * rows).enumerate() {
-            for cand in idx.insert(i, sig) {
-                sequential.push((cand as u32, i as u32));
-            }
-        }
-        sequential.sort_unstable();
-        // Banded candidate set: union of per-band pairs, deduplicated.
-        let mut banded: Vec<(u32, u32)> = (0..bands)
-            .flat_map(|b| lsh_band_pairs(b, rows, &sigs, bands * rows))
-            .collect();
-        banded.sort_unstable();
-        banded.dedup();
-        assert_eq!(banded, sequential);
-        assert!(banded.contains(&(0, 1)), "exact dup must be a candidate");
+    fn band_keys_follow_the_band_words() {
+        let (a, b) = ([1u64, 2, 3, 4], [1u64, 2, 9, 4]);
+        assert_eq!(band_key(0, 2, &a), band_key(0, 2, &b), "band 0 words equal");
+        assert_ne!(
+            band_key(1, 2, &a),
+            band_key(1, 2, &b),
+            "band 1 words differ"
+        );
+        // The band index salts the key: equal words in different bands
+        // never share a run.
+        assert_ne!(band_key(0, 2, &[5, 6, 5, 6]), band_key(1, 2, &[5, 6, 5, 6]));
     }
 }

@@ -105,6 +105,11 @@ impl Deduplicator for DocumentDeduplicator {
     }
 }
 
+/// The most words a MinHash signature may have (`bands × rows`): eight
+/// times the default 128, and 8 KB per sample in the barrier. A recipe
+/// asking for more is refused before anything is allocated.
+pub const MAX_SIGNATURE_WORDS: usize = 1024;
+
 /// MinHash-LSH near-duplicate removal (`document_minhash_deduplicator`).
 #[derive(Debug, Clone)]
 pub struct MinHashDeduplicator {
@@ -117,8 +122,8 @@ pub struct MinHashDeduplicator {
 }
 
 impl MinHashDeduplicator {
-    /// `bands * rows` hash functions; the candidate S-curve midpoint is
-    /// approximately `(1/bands)^(1/rows)`.
+    /// `bands * rows` hash functions, at most [`MAX_SIGNATURE_WORDS`]; the
+    /// candidate S-curve midpoint is approximately `(1/bands)^(1/rows)`.
     pub fn new(
         jaccard_threshold: f64,
         bands: usize,
@@ -135,13 +140,22 @@ impl MinHashDeduplicator {
                 "minhash: bands, rows and shingle_size must be positive".into(),
             ));
         }
+        let width = bands
+            .checked_mul(rows)
+            .filter(|&w| w <= MAX_SIGNATURE_WORDS)
+            .ok_or_else(|| {
+                DjError::Config(format!(
+                    "minhash: bands × rows must be at most {MAX_SIGNATURE_WORDS} \
+                     hash functions, got {bands} × {rows}"
+                ))
+            })?;
         Ok(MinHashDeduplicator {
             field: TEXT_KEY.to_string(),
             jaccard_threshold,
             bands,
             rows,
             shingle_size,
-            hasher: MinHasher::new(bands * rows, shingle_size),
+            hasher: MinHasher::new(width, shingle_size),
         })
     }
 
@@ -320,8 +334,18 @@ impl Deduplicator for ParagraphDeduplicator {
 
 /// The words of `fingerprints` once every sample's run is `width` long —
 /// the shape clustering indexes by; fingerprints of any other shape (a
-/// damaged sidecar, a caller's own values) are an error naming the sample.
+/// damaged sidecar, a caller's own values) are an error naming the sample,
+/// and so is a dataset too large for clustering's 32-bit sample ids.
 fn fixed_width<'a>(op: &str, fingerprints: &'a Fingerprints, width: usize) -> Result<&'a [u64]> {
+    if fingerprints.len() > u32::MAX as usize {
+        return Err(DjError::op(
+            op,
+            format!(
+                "{} samples in one barrier; clustering numbers them in 32 bits",
+                fingerprints.len()
+            ),
+        ));
+    }
     match fingerprints.first_not_of_width(width) {
         None => Ok(fingerprints.words()),
         Some(i) => Err(DjError::op(
@@ -444,6 +468,18 @@ mod tests {
         assert!(MinHashDeduplicator::new(1.5, 4, 4, 3).is_err());
         assert!(MinHashDeduplicator::new(0.5, 0, 4, 3).is_err());
         assert!(SimHashDeduplicator::new(40).is_err());
+        // A signature past the ceiling, or past `usize` where the product
+        // wraps, is refused before the hasher allocates its seeds.
+        for (bands, rows) in [
+            (3_000_000, 3_000_000),
+            (1 << 32, 1 << 32),
+            (MAX_SIGNATURE_WORDS + 1, 1),
+        ] {
+            let err = MinHashDeduplicator::new(0.7, bands, rows, 5).unwrap_err();
+            assert!(matches!(err, DjError::Config(_)), "{bands} × {rows}: {err}");
+        }
+        let widest = MinHashDeduplicator::new(0.7, MAX_SIGNATURE_WORDS / 8, 8, 5).unwrap();
+        assert_eq!(widest.hasher.num_hashes(), MAX_SIGNATURE_WORDS);
     }
 
     #[test]
@@ -570,8 +606,6 @@ mod tests {
     /// A fingerprint of the wrong width — words read back from a damaged
     /// sidecar, or a caller's own values — is an error naming the operator
     /// and the sample, whichever way it comes in and at any worker count.
-    /// (A short or long MinHash signature used to reach `LshIndex::insert`'s
-    /// assertion, or the band slicing of the parallel exchange, and panic.)
     #[test]
     fn a_fingerprint_of_the_wrong_width_is_an_error_not_a_panic() {
         let d = dup_heavy_corpus();

@@ -1,29 +1,29 @@
-//! The banded, worker-parallel dedup exchange behind every
+//! The worker-parallel clustering behind every
 //! [`Deduplicator::cluster`](dj_core::Deduplicator::cluster).
 //!
-//! Each clustering strategy partitions its fingerprint space so workers
-//! can index independently — by LSH band (MinHash), by 16-bit rotation
-//! block (SimHash), or by contiguous index range (exact/paragraph hashes,
-//! whose partial first-occurrence elections merge by range order) — then
-//! merges the per-worker results into one deterministic keep mask:
+//! Each strategy partitions its fingerprint space so workers can work
+//! independently, then merges what they found into one deterministic keep
+//! mask that retains the minimum index of each duplicate component:
 //!
-//! 1. workers build local indexes over their partition and emit candidate
-//!    pairs;
-//! 2. pairs are deduplicated across partitions (a pair surfaced by several
-//!    bands is verified once);
-//! 3. surviving pairs are similarity-verified in parallel and merged
-//!    through a lock-free [`ConcurrentUnionFind`] (or per-worker
-//!    [`UnionFind`] partials folded in via `merge`);
-//! 4. the mask keeps the minimum index of each component.
+//! * **MinHash**, by LSH band, one path for every worker count: each
+//!   worker sorts `(band_key, id)` for its bands and verifies the members
+//!   of every run of equal keys straight into a lock-free
+//!   [`ConcurrentUnionFind`], probing it before each signature comparison
+//!   ([`ParallelDedup::minhash_mask`]).
+//! * **SimHash**, by 16-bit rotation block: per-worker [`UnionFind`]
+//!   partials of verified pairs, folded into the shared structure.
+//! * **Exact and paragraph hashes**, by contiguous index range: partial
+//!   first-occurrence elections merged in range order.
 //!
-//! `workers == 1` takes the original sequential path, so the parallel
-//! exchange is a pure performance knob: the mask is identical for every
-//! worker count (property-tested in `tests/dedup_parallel.rs`).
+//! SimHash, exact and paragraph clustering keep a sequential path for
+//! `workers == 1`. Workers are a pure performance knob: the mask is the
+//! same for every worker count, and the MinHash mask is held to an
+//! all-pairs oracle (`tests/dedup_parallel.rs`).
 
 use dj_core::{Fingerprints, WorkerPool};
 use dj_hash::{
-    lsh_band_pairs, simhash_block_pairs, ConcurrentUnionFind, FxHashMap, FxHashSet, LshIndex,
-    MinHasher, SimHashIndex, UnionFind, SIMHASH_BLOCKS,
+    band_key, simhash_block_pairs, ConcurrentUnionFind, FxHashMap, FxHashSet, MinHasher,
+    SimHashIndex, UnionFind, SIMHASH_BLOCKS,
 };
 
 /// Worker-count-aware clustering over precomputed fingerprints.
@@ -43,9 +43,20 @@ impl ParallelDedup {
         self.workers
     }
 
-    /// MinHash-LSH keep mask: band-sharded candidate generation, global
-    /// pair dedup, parallel similarity verification, concurrent union.
-    /// `words` holds the signatures back to back, `bands * rows` words each.
+    /// MinHash-LSH keep mask. `words` holds the signatures back to back,
+    /// `bands * rows` words each.
+    ///
+    /// One pool section: worker `w` owns bands `w, w + workers, …`. It
+    /// walks the signatures once, in sample order, pushing `(band_key, id)`
+    /// into one flat buffer per owned band, then sorts each buffer and
+    /// scans its runs of equal keys. Every later member `j` of a run meets
+    /// every earlier member `i`: the union-find is probed first (a find is
+    /// far cheaper than comparing two `bands × rows` signatures), and a
+    /// pair not yet connected is unioned when its similarity reaches the
+    /// threshold. A probe only skips pairs whose ends are already
+    /// connected, so the components are the transitive closure of the
+    /// verified candidate pairs — the same for any visiting order, worker
+    /// count or interleaving.
     pub fn minhash_mask(
         &self,
         words: &[u64],
@@ -60,55 +71,42 @@ impl ParallelDedup {
         );
         let n = words.len() / width;
         let signature = |i: usize| &words[i * width..(i + 1) * width];
-        if self.workers == 1 || n < 2 {
-            // Sequential special case: the original index-as-you-insert
-            // loop, skipping similarity checks for pairs whose endpoints
-            // are already clustered (a connected() probe is far cheaper
-            // than comparing two b*r-long signatures).
-            let mut index = LshIndex::new(bands, rows);
-            let mut uf = UnionFind::new(n);
-            for (i, sig) in words.chunks_exact(width).enumerate() {
-                for cand in index.insert(i, sig) {
-                    if uf.connected(i, cand) {
-                        continue;
-                    }
-                    if MinHasher::similarity(sig, signature(cand)) >= jaccard_threshold {
-                        uf.union(i, cand);
-                    }
+        // A key and an id share one word, the id in the low `id_bits`, so a
+        // plain integer sort makes each run of equal keys, ids ascending.
+        // The key loses those bits: a collision costs a comparison, never a
+        // union.
+        let id_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        let id_of = |entry: u64| (entry & ((1 << id_bits) - 1)) as usize;
+        let uf = ConcurrentUnionFind::new(n);
+        let band_workers = self.workers.min(bands);
+        WorkerPool::global().run_indexed(band_workers, band_workers, |w| {
+            let owned: Vec<usize> = (w..bands).step_by(band_workers).collect();
+            let mut keys: Vec<Vec<u64>> = owned.iter().map(|_| Vec::with_capacity(n)).collect();
+            for (id, sig) in words.chunks_exact(width).enumerate() {
+                for (band_keys, &band) in keys.iter_mut().zip(&owned) {
+                    band_keys.push((band_key(band, rows, sig) << id_bits) | id as u64);
                 }
             }
-            return uf.first_occurrence_mask();
-        }
-
-        // Band-sharded exchange: worker w owns bands w, w+workers, ...
-        let band_workers = self.workers.min(bands);
-        let per_worker: Vec<Vec<(u32, u32)>> =
-            WorkerPool::global().run_indexed(band_workers, band_workers, |w| {
-                let mut local = Vec::new();
-                let mut band = w;
-                while band < bands {
-                    local.extend(lsh_band_pairs(band, rows, words, width));
-                    band += band_workers;
-                }
-                local
-            });
-        // A pair surfaced by multiple bands is verified exactly once.
-        let mut pairs: Vec<(u32, u32)> = per_worker.into_iter().flatten().collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        // Parallel verification straight into the concurrent union-find.
-        let uf = ConcurrentUnionFind::new(n);
-        let chunk = pairs.len().div_ceil(self.workers).max(1);
-        let chunks: Vec<&[(u32, u32)]> = pairs.chunks(chunk).collect();
-        WorkerPool::global().run_indexed(self.workers, chunks.len(), |c| {
-            for &(a, b) in chunks[c] {
-                let (a, b) = (a as usize, b as usize);
-                if uf.find(a) == uf.find(b) {
-                    continue; // already clustered via another pair
-                }
-                if MinHasher::similarity(signature(a), signature(b)) >= jaccard_threshold {
-                    uf.union(a, b);
+            for band_keys in &mut keys {
+                band_keys.sort_unstable();
+                for run in band_keys.chunk_by(|a, b| a >> id_bits == b >> id_bits) {
+                    for (k, &j) in run.iter().enumerate().skip(1) {
+                        let j = id_of(j);
+                        // A root read once may go stale as other workers
+                        // link: then a connected pair is compared again,
+                        // never a separate one skipped.
+                        let mut root_j = uf.find(j);
+                        for &i in &run[..k] {
+                            let i = id_of(i);
+                            if uf.find(i) != root_j
+                                && MinHasher::similarity(signature(i), signature(j))
+                                    >= jaccard_threshold
+                            {
+                                uf.union(i, j);
+                                root_j = uf.find(j);
+                            }
+                        }
+                    }
                 }
             }
         });

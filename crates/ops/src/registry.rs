@@ -295,8 +295,10 @@ pub fn builtin_registry() -> OpRegistry {
         Ok(Op::Deduplicator(Arc::new(d)))
     });
     reg.register("document_simhash_deduplicator", |p| {
-        let dist = params::usize_or(p, "max_distance", 3)? as u32;
-        let mut d = SimHashDeduplicator::new(dist)?;
+        // Saturate rather than wrap: a distance past `u32` is refused by
+        // `new`'s bound like any other distance above 16.
+        let dist = params::usize_or(p, "max_distance", 3)?;
+        let mut d = SimHashDeduplicator::new(u32::try_from(dist).unwrap_or(u32::MAX))?;
         d.field = field_of(p)?;
         Ok(Op::Deduplicator(Arc::new(d)))
     });
@@ -356,6 +358,25 @@ mod tests {
         let mut q = OpParams::new();
         q.insert("max_ppl".into(), Value::from("not a number"));
         assert!(reg.build("perplexity_filter", &q).is_err());
+    }
+
+    /// A MinHash width past the ceiling or past `usize`, and a SimHash
+    /// distance past `u32`, are config errors — not an allocation of 72 TB,
+    /// a hasher with no hash functions, or 2³² + 3 narrowed to 3.
+    #[test]
+    fn oversized_dedup_params_are_config_errors() {
+        let reg = builtin_registry();
+        for (bands, rows) in [(3_000_000i64, 3_000_000i64), (1 << 32, 1 << 32)] {
+            let mut p = OpParams::new();
+            p.insert("bands".into(), Value::Int(bands));
+            p.insert("rows".into(), Value::Int(rows));
+            let err = reg.build("document_minhash_deduplicator", &p).unwrap_err();
+            assert!(matches!(err, dj_core::DjError::Config(_)), "{err}");
+        }
+        let mut p = OpParams::new();
+        p.insert("max_distance".into(), Value::Int(4_294_967_299));
+        let err = reg.build("document_simhash_deduplicator", &p).unwrap_err();
+        assert!(matches!(err, dj_core::DjError::Config(_)), "{err}");
     }
 
     #[test]

@@ -323,6 +323,45 @@ fn synthetic_mixtures_match_reference() {
     }
 }
 
+/// MinHash dedup from text to keep mask with the reference at both ends —
+/// signatures from `minhash_signature`, the mask from the all-pairs
+/// `minhash_keep_mask` — on ≈ 1 500 documents shaped like the benchmark's
+/// `dup` corpus (15 % exact and 25 % near duplicates) at the default
+/// 16 bands × 8 rows, for every worker count.
+#[test]
+fn minhash_clustering_of_a_dup_corpus_matches_reference() {
+    use data_juicer::core::{Deduplicator, Fingerprints};
+    use data_juicer::ops::MinHashDeduplicator;
+    let noise = WebNoise {
+        dup_rate: 0.15,
+        near_dup_rate: 0.25,
+        ..WebNoise::default()
+    };
+    let corpus = web_corpus(6, 1_500, noise);
+    let seeds = ops_reference::minhash_seeds(128);
+    let signatures: Vec<u64> = corpus
+        .iter()
+        .flat_map(|s| ops_reference::minhash_signature(s.text(), &seeds, 5))
+        .collect();
+    let want = ops_reference::minhash_keep_mask(&signatures, 16, 8, 0.7);
+    let dropped = want.iter().filter(|&&keep| !keep).count();
+    assert!(dropped > corpus.len() / 4, "only {dropped} duplicates");
+
+    let dedup = MinHashDeduplicator::default_config();
+    let mut ctx = SampleContext::new();
+    let mut fingerprints = Fingerprints::new();
+    for s in corpus.iter() {
+        ctx.invalidate();
+        fingerprints
+            .push_with(|out| dedup.fingerprint(s, &mut ctx, out))
+            .unwrap();
+    }
+    for workers in 1..=8 {
+        let got = dedup.cluster(&fingerprints, workers).unwrap();
+        assert_eq!(got, want, "workers={workers}");
+    }
+}
+
 /// The regression behind the exact n-gram count. The operator used to
 /// count 5-gram windows by `hash64` (FxHash) of the joined window, and
 /// FxHash collides on real text: `books[884]` of the seed-11 web corpus

@@ -668,3 +668,43 @@ pub fn simhash(text: &str) -> u64 {
     }
     out
 }
+
+// ---- clustering ----------------------------------------------------------
+
+/// The MinHash keep mask by definition, over `signatures` laid back to
+/// back, `bands * rows` words each. Every pair `i < j` is looked at: it is
+/// a candidate when some band's `rows` words are equal (compared as
+/// slices, no key hash), and a candidate sharing at least `threshold` of
+/// its words joins the two components. A sample survives when it is the
+/// smallest member of its component.
+pub fn minhash_keep_mask(
+    signatures: &[u64],
+    bands: usize,
+    rows: usize,
+    threshold: f64,
+) -> Vec<bool> {
+    let width = bands * rows;
+    let sigs: Vec<&[u64]> = signatures.chunks_exact(width).collect();
+    // Every sample is labelled with the smallest member of its component.
+    let mut label: Vec<usize> = (0..sigs.len()).collect();
+    for j in 0..sigs.len() {
+        for i in 0..j {
+            let (a, b) = (sigs[i], sigs[j]);
+            if label[i] == label[j] {
+                continue; // already one component: nothing would change
+            }
+            let band = |k: usize| k * rows..(k + 1) * rows;
+            if !(0..bands).any(|k| a[band(k)] == b[band(k)]) {
+                continue;
+            }
+            let shared = a.iter().zip(b).filter(|(x, y)| x == y).count();
+            if shared as f64 / width as f64 >= threshold {
+                let (keep, gone) = (label[i].min(label[j]), label[i].max(label[j]));
+                for l in label.iter_mut().filter(|l| **l == gone) {
+                    *l = keep;
+                }
+            }
+        }
+    }
+    label.iter().enumerate().map(|(i, &l)| l == i).collect()
+}

@@ -205,3 +205,60 @@ fn a_nesting_bomb_on_the_wire_is_an_error_event_and_serve_keeps_going() {
         "{events:?}"
     );
 }
+
+/// Recipe parameters that size an allocation are checked where the
+/// operator is built, not trusted by it: a MinHash `bands × rows` of
+/// 9·10¹² words (an allocation that aborts the process) or of 2³² × 2³²
+/// (0 once wrapped, a panic in the hasher) must be one `error` event each,
+/// and the service goes on to run the next submission.
+#[test]
+fn oversized_minhash_params_are_error_events_and_serve_keeps_going() {
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_dj"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dj serve");
+    let mut stdin = serve.stdin.take().unwrap();
+    for side in ["3000000", "4294967296"] {
+        writeln!(
+            stdin,
+            concat!(
+                "{{\"cmd\":\"submit\",\"recipe\":{{\"process\":[",
+                "{{\"document_minhash_deduplicator\":{{\"bands\":{side},\"rows\":{side}}}}}",
+                "]}},\"texts\":[\"a b c\"]}}"
+            ),
+            side = side
+        )
+        .unwrap();
+    }
+    writeln!(
+        stdin,
+        concat!(
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"after\",",
+            "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}}]}},",
+            "\"texts\":[\"still   serving\"]}}"
+        )
+    )
+    .unwrap();
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    let events: Vec<String> = BufReader::new(serve.stdout.take().unwrap())
+        .lines()
+        .map(Result::unwrap)
+        .collect();
+    assert!(serve.wait().unwrap().success(), "{events:?}");
+    for event in &events[..2] {
+        assert!(
+            event.contains("\"error\"") && event.contains("bands × rows"),
+            "{events:?}"
+        );
+    }
+    assert!(
+        events
+            .iter()
+            .any(|e| e.contains("\"done\"") && e.contains("\"samples_out\":1")),
+        "{events:?}"
+    );
+}
