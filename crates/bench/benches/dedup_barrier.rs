@@ -1,12 +1,12 @@
 //! Dedup-barrier bench, on corpora seeded with exact and near duplicates.
 //!
 //! `dedup_barrier`: the clustering step (`cluster`) of each deduplicator
-//! at 1, 2 and 4 workers on 600 documents, plus MinHash at 1 and 2 workers
-//! on 20 000 documents with 40 % duplicates (15 % exact, 25 % near — the
-//! benchmark's `dup` corpus shape), where sorting band keys and verifying
-//! their runs takes long enough to see. Fingerprints are computed once
-//! outside the timer — the barrier's clustering is the section this group
-//! tracks.
+//! at 1, 2 and 4 workers on 600 documents, and again at 1 and 2 workers on
+//! 20 000 documents with 40 % duplicates (15 % exact, 25 % near — the
+//! benchmark's `dup` corpus shape), where sorting band or block keys and
+//! verifying their runs, or electing first occurrences, takes long enough
+//! to see. Fingerprints are computed once outside the timer — the
+//! barrier's clustering is the section this group tracks.
 //!
 //! `hash_lane`: the MinHash signature of every document, the portable
 //! instantiation of the lane loop against the one this CPU dispatches to
@@ -57,29 +57,29 @@ fn fingerprints(dedup: &dyn Deduplicator, data: &Dataset) -> Fingerprints {
     hashes
 }
 
-fn bench_dedup_barrier(c: &mut Criterion) {
-    let data = corpus();
-    let dedups: Vec<Box<dyn Deduplicator>> = vec![
+fn all_dedups() -> Vec<Box<dyn Deduplicator>> {
+    vec![
         Box::new(DocumentDeduplicator::new()),
         Box::new(MinHashDeduplicator::default_config()),
         Box::new(SimHashDeduplicator::new(3).unwrap()),
         Box::new(ParagraphDeduplicator::new()),
-    ];
+    ]
+}
+
+fn bench_dedup_barrier(c: &mut Criterion) {
     let mut group = c.benchmark_group("dedup_barrier");
-    for dedup in &dedups {
-        let hashes = fingerprints(dedup.as_ref(), &data);
-        for workers in [1usize, 2, 4] {
-            group.bench_function(format!("{}/np{workers}", dedup.name()), |b| {
-                b.iter(|| dedup.cluster(&hashes, workers).unwrap())
-            });
+    for (data, label, worker_counts) in [
+        (corpus(), "", &[1usize, 2, 4][..]),
+        (dup_corpus(), "20k-dup/", &[1, 2]),
+    ] {
+        for dedup in all_dedups() {
+            let hashes = fingerprints(dedup.as_ref(), &data);
+            for &workers in worker_counts {
+                group.bench_function(format!("{}/{label}np{workers}", dedup.name()), |b| {
+                    b.iter(|| dedup.cluster(&hashes, workers).unwrap())
+                });
+            }
         }
-    }
-    let minhash = MinHashDeduplicator::default_config();
-    let hashes = fingerprints(&minhash, &dup_corpus());
-    for workers in [1usize, 2] {
-        group.bench_function(format!("{}/20k-dup/np{workers}", minhash.name()), |b| {
-            b.iter(|| minhash.cluster(&hashes, workers).unwrap())
-        });
     }
     group.finish();
 }

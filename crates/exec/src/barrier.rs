@@ -16,9 +16,9 @@ use crate::options::ExecOptions;
 use crate::report::{BarrierDecision, OpReport, RunReport};
 use crate::stream::{drive, Feed, Resident, RunCtl};
 
-/// Minimum samples *per worker* before the parallel dedup barrier
-/// clustering pays for its section cost; smaller inputs cluster
-/// sequentially (the mask is identical either way).
+/// Minimum samples *per worker* before parallel dedup barrier clustering
+/// pays for its section cost; smaller inputs cluster with one worker (the
+/// mask is identical either way).
 const MIN_BARRIER_SAMPLES_PER_WORKER: usize = 1024;
 
 /// Post-barrier shard fill threshold: after the mask is applied, adjacent
@@ -152,8 +152,8 @@ impl Executor {
         let (fingerprints, hash_bytes, from_sidecars) =
             data.fingerprints(dedup, &self.options, ctl)?;
         report.fingerprinted_barriers += usize::from(from_sidecars);
-        // Clustering: the banded exchange on the worker pool (sequential
-        // when gated off — the mask is identical either way).
+        // Clustering, with the workers the gate offers (the mask is
+        // identical either way).
         let mask_workers = self.gated_mask_workers(dedup, in_len, report);
         let mask = dedup.cluster(&fingerprints, mask_workers)?;
         drop(fingerprints);

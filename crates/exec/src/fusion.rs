@@ -13,7 +13,7 @@
 //!    time-consuming OPs only need to handle fewer samples because the
 //!    preceding operators have filtered out some of them".
 //!
-//! With a warm [`CostModel`](crate::cost::CostModel)
+//! With a warm [`CostModel`]
 //! ([`plan_fused_measured`]) the static reorder of step 3 is replaced by
 //! *measured* ranking: steps within a group are stable-sorted by
 //! `ns_per_sample / (1 − keep_ratio)` ascending (cheapest and most

@@ -42,24 +42,24 @@
 //!    A sink that writes frames also writes each shard's fingerprints for
 //!    the barrier that follows (fingerprint-on-ingest).
 //! 5. **Barriers.** A `Stage::Barrier` is three steps on any shape:
-//!    fingerprint every sample, cluster the dataset-level keep mask on the
-//!    worker pool (`Deduplicator::cluster` — the banded hash exchange:
-//!    candidate generation partitioned by LSH band / SimHash block /
-//!    keyspace range, pairs deduplicated across bands, similarity verified
-//!    in parallel, merged through a lock-free concurrent union-find), and
-//!    re-drive each shard against its slice of the mask through the same
-//!    feed/sink pair a pipeline stage uses. The fingerprints come from the
-//!    sidecars when the data carries them (a spilled barrier is then a
-//!    *single* streaming pass); otherwise from one hash pass that borrows
-//!    the hashed field's text — from resident samples in sample-balanced
-//!    morsels, from an undecoded row slab, or from one decompressed column
-//!    region — and only decodes whole samples for a deduplicator that
-//!    hashes whole samples. A columnar spool applies its mask with an empty
-//!    decode set: every column splices through. Shard boundaries **carry
-//!    through** the barrier: only in-memory shards the mask thins below
-//!    half the pre-barrier average are merged into a neighbor, so a
-//!    low-duplicate dataset pays near-zero barrier materialization instead
-//!    of a full merge + re-split.
+//!    fingerprint every sample, cluster the dataset-level keep mask
+//!    (`Deduplicator::cluster`: MinHash and SimHash sort `(key, id)` words
+//!    per LSH band or 16-bit block on the worker pool and verify each run
+//!    of equal keys into a lock-free concurrent union-find; exact and
+//!    paragraph hashes elect first occurrences in one pass), and hand the
+//!    mask to the data. Resident shards are thinned in place; a spilled
+//!    dataset is not touched — the mask rides on its spool to whichever
+//!    pass opens it next (a stage load, the next barrier, egress), which
+//!    steps over the dropped samples. The fingerprints come from the
+//!    sidecars when the data carries them (a spilled barrier then opens no
+//!    frame); otherwise from one hash pass that borrows the hashed field's
+//!    text — from resident samples in sample-balanced morsels, from an
+//!    undecoded row slab, or from one decompressed column region — and
+//!    only decodes whole samples for a deduplicator that hashes whole
+//!    samples. Shard boundaries **carry through** the barrier: only
+//!    in-memory shards the mask thins below half the pre-barrier average
+//!    are merged into a neighbor, so a low-duplicate dataset pays
+//!    near-zero barrier materialization instead of a full merge + re-split.
 //!
 //! Because shards are contiguous and merged in order, the output is
 //! byte-identical to sequential single-shard execution for every shape,
@@ -70,11 +70,12 @@
 //!
 //! * [`ExecOptions::num_workers`] — worker threads; defaults to
 //!   `available_parallelism` (the recipe's `np` when built via
-//!   [`executor_from_recipe`]). `1` is the fully sequential engine —
-//!   sequential hash pass, sequential barrier clustering — and the
-//!   reference the parallel paths are tested against. With more workers a
-//!   barrier clusters on the pool once it holds ≥ 1024 samples per worker
-//!   ([`RunReport::barrier_decisions`] records each decision).
+//!   [`executor_from_recipe`]). `1` processes one shard at a time and
+//!   clusters on the calling thread. With more workers a barrier offers
+//!   them to clustering once it holds ≥ 1024 samples per worker
+//!   ([`RunReport::barrier_decisions`] records each decision); clustering
+//!   runs the same code at any worker count and is held to all-pairs
+//!   oracles, not to a one-worker run.
 //! * [`ExecOptions::shard_size`] — samples per shard; `None` auto-shards
 //!   to `4 × num_workers` shards. Exposed in recipe YAML as `shard_size`.
 //! * [`ExecOptions::memory_budget`] / [`ExecOptions::spill_dir`] — the
@@ -118,7 +119,7 @@
 //! test or benchmark needed another value: the post-barrier shard fill
 //! threshold (0.5), the mid-run replan point (derived from the stage's
 //! shard count, above) and the parallel-barrier switch (`num_workers: 1`
-//! is the sequential barrier). Recipes that still carry `shard_fill`,
+//! clusters with one worker). Recipes that still carry `shard_fill`,
 //! `replan_after_shards` or `dedup_parallel` load; the keys are ignored.
 //!
 //! ## Out-of-core execution (spill-to-disk)

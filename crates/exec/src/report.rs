@@ -94,8 +94,7 @@ pub struct RunReport {
     pub measured_steps: usize,
     /// Mid-run re-plans performed (at most one per pipeline stage).
     pub replans: usize,
-    /// Per-barrier parallel-vs-sequential clustering decisions, in
-    /// execution order.
+    /// Per-barrier clustering worker decisions, in execution order.
     pub barrier_decisions: Vec<BarrierDecision>,
     /// Shard size the auto-tuner picked from measured throughput, when it
     /// overrode an unset `shard_size`.
@@ -127,17 +126,18 @@ pub struct RunReport {
     pub error_ratio: f64,
 }
 
-/// How a dedup barrier's clustering was scheduled: on the worker pool or
-/// sequentially, and why.
+/// How many workers a dedup barrier offered its clustering, and why.
 #[derive(Debug, Clone)]
 pub struct BarrierDecision {
     /// The deduplicator's name.
     pub name: String,
     /// Samples entering the barrier.
     pub samples: usize,
-    /// Worker threads the clustering actually used.
+    /// Worker threads offered to `Deduplicator::cluster`. The built-in
+    /// MinHash and SimHash clustering use up to this many (at most one per
+    /// band or block); exact and paragraph clustering always use one.
     pub workers: usize,
-    /// Whether the banded parallel exchange ran (`workers > 1`).
+    /// Whether more than one worker was offered (`workers > 1`).
     pub parallel: bool,
     /// The gating rule that decided (`"parallel"`, `"disabled"`,
     /// `"single-worker"`, `"small-input"`).

@@ -8,16 +8,15 @@
 //!   hot, HashDoS-immune hash tables);
 //! * [`minhash`] — min-wise independent permutations + LSH band keys
 //!   (hash-based near-dedup);
-//! * [`simhash`] — Charikar fingerprints + Hamming-budget index
-//!   (vector-based near-dedup);
-//! * [`unionfind`] — duplicate-pair clustering with deterministic
-//!   first-occurrence retention, sequential and lock-free concurrent.
+//! * [`simhash`] — Charikar fingerprints, cut into 16-bit blocks for
+//!   candidate generation (vector-based near-dedup);
+//! * [`unionfind`] — lock-free duplicate-pair clustering with
+//!   deterministic first-occurrence retention.
 //!
-//! The entry points the parallel deduplicators partition work by are
-//! per band or block: [`band_key`] (a MinHash band folded into one word,
-//! sorted into runs of candidates) and [`simhash_block_pairs`] (one
-//! rotation block's pairs, identical to what the sequential
-//! [`SimHashIndex`] surfaces for it).
+//! Near-duplicate clustering partitions its work per band or block: a
+//! MinHash band folded into one word by [`band_key`], or one of a SimHash
+//! fingerprint's [`SIMHASH_BLOCKS`] 16-bit blocks. Either becomes the key
+//! of a `(key, id)` sort whose runs of equal keys are the candidates.
 
 pub mod fnv;
 pub mod fxhash;
@@ -28,7 +27,5 @@ pub mod unionfind;
 pub use fnv::{fnv1a, Fnv1a};
 pub use fxhash::{hash128, hash64, hash64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use minhash::{band_key, Lanes, MinHasher};
-pub use simhash::{
-    hamming, simhash_block_pairs, simhash_tokens, simhash_weighted, SimHashIndex, SIMHASH_BLOCKS,
-};
-pub use unionfind::{ConcurrentUnionFind, UnionFind};
+pub use simhash::{hamming, simhash_tokens, simhash_weighted, SIMHASH_BLOCKS};
+pub use unionfind::ConcurrentUnionFind;

@@ -15,7 +15,7 @@
 //! keys, so no per-band hash table is kept.
 //!
 //! Nearly all of a signature's cost is the lane loop — `k` remixes and
-//! minima per shingle ([`absorb`]). It is written once and compiled once
+//! minima per shingle (`absorb`). It is written once and compiled once
 //! per instruction set ([`Lanes`]): on x86-64 also under AVX2 and under
 //! AVX-512, where the compiler has 64-bit vector multiplies and unsigned
 //! minima to vectorize it with. [`MinHasher::new`] picks by what the CPU
@@ -265,7 +265,7 @@ impl Lanes {
 /// a wrong union (every candidate pair is verified on the full signatures).
 ///
 /// The words are already uniform hashes, so one multiply-rotate per word
-/// folds them and a single [`remix`] finishes: clustering computes `bands`
+/// folds them and a single `remix` finishes: clustering computes `bands`
 /// keys per sample, and a full remix per word would be a third of its time.
 pub fn band_key(band: usize, rows: usize, signature: &[u64]) -> u64 {
     let chunk = &signature[band * rows..(band + 1) * rows];

@@ -5,8 +5,13 @@
 //! fingerprint whose Hamming distance approximates the cosine distance
 //! between the feature-frequency vectors. Data-Juicer uses this as the
 //! "vector-based" deduplication method alongside hash-based MinHash.
+//!
+//! Clustering (`dj-ops`' `ParallelDedup::simhash_mask`) cuts every
+//! fingerprint into [`SIMHASH_BLOCKS`] 16-bit blocks, sorts `(block, id)`
+//! per block and checks the [`hamming`] distance of the members of each
+//! run of equal blocks.
 
-use crate::fxhash::{hash64, FxHashMap};
+use crate::fxhash::hash64;
 
 /// Compute a 64-bit SimHash over weighted features.
 pub fn simhash_weighted<'a, I>(features: I) -> u64
@@ -55,94 +60,17 @@ pub fn hamming(a: u64, b: u64) -> u32 {
     (a ^ b).count_ones()
 }
 
-/// Number of 16-bit rotation blocks the [`SimHashIndex`] (and the
-/// block-sharded parallel exchange) partitions fingerprints into.
+/// Number of 16-bit blocks a fingerprint is cut into for candidate
+/// generation: two fingerprints are compared only when they agree exactly
+/// on some block. Every pair within 3 bits does (pigeonhole); a pair
+/// farther apart that agrees on no block is never compared — the
+/// documented trade-off of a budget above 3.
 pub const SIMHASH_BLOCKS: usize = 4;
-
-/// One rotation block's share of the SimHash exchange: every pair
-/// `(i, j)` with `i < j` that agrees exactly on 16-bit `block` AND lies
-/// within the Hamming budget, sorted ascending.
-///
-/// The union over all [`SIMHASH_BLOCKS`] blocks (deduplicated) is exactly
-/// the duplicate-pair set the sequential [`SimHashIndex`] surfaces, so
-/// per-block workers can cluster independently and merge.
-pub fn simhash_block_pairs(block: usize, fps: &[u64], max_distance: u32) -> Vec<(u32, u32)> {
-    assert!(block < SIMHASH_BLOCKS, "block out of range");
-    assert!(fps.len() <= u32::MAX as usize, "id count exceeds u32 range");
-    let mut buckets: FxHashMap<u16, Vec<u32>> = FxHashMap::default();
-    for (i, &fp) in fps.iter().enumerate() {
-        let key = ((fp >> (16 * block)) & 0xFFFF) as u16;
-        buckets.entry(key).or_default().push(i as u32);
-    }
-    let mut pairs = Vec::new();
-    for members in buckets.values() {
-        for (k, &j) in members.iter().enumerate() {
-            for &i in &members[..k] {
-                if hamming(fps[i as usize], fps[j as usize]) <= max_distance {
-                    pairs.push((i, j));
-                }
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs
-}
-
-/// Index that finds previously-inserted fingerprints within a Hamming
-/// distance budget, using the standard 4-block permutation trick: any pair
-/// with distance ≤ 3 must agree exactly on at least one of 4 16-bit blocks.
-pub struct SimHashIndex {
-    max_distance: u32,
-    blocks: [FxHashMap<u16, Vec<usize>>; 4],
-    fingerprints: Vec<(usize, u64)>,
-}
-
-impl SimHashIndex {
-    /// `max_distance` ≤ 3 keeps the block-agreement guarantee exact; larger
-    /// budgets still work but may miss candidates (documented trade-off).
-    pub fn new(max_distance: u32) -> SimHashIndex {
-        SimHashIndex {
-            max_distance,
-            blocks: Default::default(),
-            fingerprints: Vec::new(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.fingerprints.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.fingerprints.is_empty()
-    }
-
-    /// Insert `fp` under `id`, returning ids of earlier fingerprints within
-    /// the Hamming budget.
-    pub fn insert(&mut self, id: usize, fp: u64) -> Vec<usize> {
-        let mut candidates = Vec::new();
-        for (b, table) in self.blocks.iter_mut().enumerate() {
-            let key = ((fp >> (16 * b)) & 0xFFFF) as u16;
-            let bucket = table.entry(key).or_default();
-            candidates.extend_from_slice(bucket);
-            bucket.push(self.fingerprints.len());
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let out = candidates
-            .into_iter()
-            .filter_map(|slot| {
-                let (cid, cfp) = self.fingerprints[slot];
-                (hamming(cfp, fp) <= self.max_distance).then_some(cid)
-            })
-            .collect();
-        self.fingerprints.push((id, fp));
-        out
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::FxHashMap;
 
     fn toks(s: &str) -> impl Iterator<Item = &str> {
         s.split_whitespace()
@@ -193,53 +121,5 @@ mod tests {
         let pure_a = simhash_weighted(vec![("aaa", 1.0)]);
         assert!(hamming(heavy, pure_a) <= hamming(light, pure_a));
         assert_eq!(hamming(heavy, pure_a), 0);
-    }
-
-    #[test]
-    fn index_finds_within_budget_only() {
-        let mut idx = SimHashIndex::new(3);
-        let fp = 0xDEAD_BEEF_CAFE_F00Du64;
-        idx.insert(0, fp);
-        // distance 2: flip two bits in one block
-        let near = fp ^ 0b101;
-        assert_eq!(idx.insert(1, near), vec![0]);
-        // distance 8 spread across blocks: must not match
-        let far = fp ^ 0x0101_0101_0101_0101;
-        assert!(idx.insert(2, far).is_empty());
-        assert_eq!(idx.len(), 3);
-    }
-
-    #[test]
-    fn exact_duplicate_found_via_index() {
-        let mut idx = SimHashIndex::new(0);
-        idx.insert(7, 42);
-        assert_eq!(idx.insert(8, 42), vec![7]);
-        assert!(idx.insert(9, 43).is_empty()); // distance 1 > budget 0
-    }
-
-    #[test]
-    fn block_pairs_match_sequential_index() {
-        let base = 0xDEAD_BEEF_CAFE_F00Du64;
-        let fps = [base, base ^ 0b101, base ^ 0x0101_0101_0101_0101, base, 77];
-        let max_distance = 3;
-        // Sequential pair set.
-        let mut idx = SimHashIndex::new(max_distance);
-        let mut sequential: Vec<(u32, u32)> = Vec::new();
-        for (i, &fp) in fps.iter().enumerate() {
-            for cand in idx.insert(i, fp) {
-                sequential.push((cand as u32, i as u32));
-            }
-        }
-        sequential.sort_unstable();
-        // Block-sharded pair set.
-        let mut banded: Vec<(u32, u32)> = (0..SIMHASH_BLOCKS)
-            .flat_map(|b| simhash_block_pairs(b, &fps, max_distance))
-            .collect();
-        banded.sort_unstable();
-        banded.dedup();
-        assert_eq!(banded, sequential);
-        assert!(banded.contains(&(0, 3)), "exact dup pair present");
-        assert!(banded.contains(&(0, 1)), "distance-2 pair present");
-        assert!(!banded.contains(&(0, 2)), "distance-8 pair absent");
     }
 }

@@ -1,135 +1,21 @@
-//! Disjoint-set forests for duplicate clustering.
+//! A lock-free disjoint-set forest for duplicate clustering.
 //!
 //! Near-duplicate detection produces candidate *pairs*; deduplication
-//! keeps one representative per connected component. [`UnionFind`]
-//! (path halving + union by size) turns pairs into components in
-//! near-constant amortized time on a single thread. [`ConcurrentUnionFind`]
-//! is its lock-free sibling for the band-sharded hash exchange: workers
-//! union verified pairs through shared atomic parent links, or build
-//! [`UnionFind`] partials and fold them in via [`ConcurrentUnionFind::merge`].
+//! keeps one representative per connected component. [`ConcurrentUnionFind`]
+//! turns verified pairs into components from any number of threads at
+//! once, through shared atomic parent links, and keeps each component's
+//! first occurrence.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Union-find over `0..n` with path halving and union by size.
-#[derive(Debug, Clone)]
-pub struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-    components: usize,
-}
-
-impl UnionFind {
-    pub fn new(n: usize) -> UnionFind {
-        assert!(n <= u32::MAX as usize, "element count exceeds u32 range");
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            components: n,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of connected components.
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Representative of `x`'s component (with path halving).
-    pub fn find(&mut self, mut x: usize) -> usize {
-        loop {
-            let p = self.parent[x] as usize;
-            if p == x {
-                return x;
-            }
-            let gp = self.parent[p];
-            self.parent[x] = gp;
-            x = gp as usize;
-        }
-    }
-
-    /// Merge the components of `a` and `b`; returns true if they were
-    /// previously separate.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra as u32;
-        self.size[ra] += self.size[rb];
-        self.components -= 1;
-        true
-    }
-
-    /// True when `a` and `b` share a component.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of `x`'s component.
-    pub fn component_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
-    /// Representative of `x`'s component without path compression (usable
-    /// through a shared reference, e.g. when folding per-worker partials).
-    pub fn root(&self, mut x: usize) -> usize {
-        loop {
-            let p = self.parent[x] as usize;
-            if p == x {
-                return x;
-            }
-            x = p;
-        }
-    }
-
-    /// Fold another union-find's equivalences into this one: every pair
-    /// `other` considers connected becomes connected here too. Both sides
-    /// must cover the same element range.
-    pub fn merge(&mut self, other: &UnionFind) {
-        assert_eq!(self.len(), other.len(), "merge requires equal lengths");
-        for i in 0..other.len() {
-            let r = other.root(i);
-            if r != i {
-                self.union(i, r);
-            }
-        }
-    }
-
-    /// Keep mask retaining exactly the smallest index of each component —
-    /// the deterministic "first occurrence wins" rule of the deduplicators.
-    pub fn first_occurrence_mask(&mut self) -> Vec<bool> {
-        let n = self.len();
-        let mut first = vec![usize::MAX; n];
-        for i in 0..n {
-            let r = self.find(i);
-            if first[r] == usize::MAX {
-                first[r] = i;
-            }
-        }
-        (0..n).map(|i| first[self.find(i)] == i).collect()
-    }
-}
-
-/// Lock-free union-find over `0..n` for the parallel dedup exchange.
+/// Lock-free union-find over `0..n` for dedup clustering.
 ///
 /// Parent links are atomic and every link points to a strictly smaller
 /// index, so the structure is acyclic under any interleaving and the root
 /// of each component is its minimum element — which makes the
-/// first-occurrence keep mask a root check. Workers either call
-/// [`union`](ConcurrentUnionFind::union) directly on verified pairs or
-/// build local [`UnionFind`] partials and fold them in with
-/// [`merge`](ConcurrentUnionFind::merge); both take `&self`.
+/// first-occurrence keep mask a root check. Workers call
+/// [`union`](ConcurrentUnionFind::union) directly on verified pairs; it
+/// takes `&self`.
 ///
 /// The component partition after all unions is independent of thread
 /// interleaving (it is the transitive closure of the unioned pairs), so
@@ -206,18 +92,6 @@ impl ConcurrentUnionFind {
         }
     }
 
-    /// Fold a per-worker [`UnionFind`] partial into the shared structure.
-    /// Takes `&self`, so workers can merge their partials concurrently.
-    pub fn merge(&self, other: &UnionFind) {
-        assert_eq!(self.len(), other.len(), "merge requires equal lengths");
-        for i in 0..other.len() {
-            let r = other.root(i);
-            if r != i {
-                self.union(i, r);
-            }
-        }
-    }
-
     /// Keep mask retaining exactly the smallest index of each component.
     /// Call after all unions have completed (quiescent point): because
     /// every link points downward, the root *is* the minimum index, so a
@@ -232,75 +106,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn singletons_then_unions() {
-        let mut uf = UnionFind::new(5);
-        assert_eq!(uf.component_count(), 5);
-        assert!(uf.union(0, 1));
-        assert!(uf.union(3, 4));
-        assert!(!uf.union(1, 0), "already merged");
-        assert_eq!(uf.component_count(), 3);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 3));
-        assert_eq!(uf.component_size(4), 2);
-    }
-
-    #[test]
-    fn transitive_union() {
-        let mut uf = UnionFind::new(4);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        assert!(uf.connected(0, 2));
-        assert_eq!(uf.component_size(0), 3);
-    }
-
-    #[test]
-    fn first_occurrence_mask_keeps_min_index() {
-        let mut uf = UnionFind::new(6);
-        uf.union(4, 1); // component {1,4} → keep 1
-        uf.union(5, 2); // component {2,5} → keep 2
-        let mask = uf.first_occurrence_mask();
-        assert_eq!(mask, vec![true, true, true, true, false, false]);
-    }
-
-    #[test]
-    fn mask_of_all_singletons_is_all_true() {
-        let mut uf = UnionFind::new(3);
-        assert_eq!(uf.first_occurrence_mask(), vec![true, true, true]);
-    }
-
-    #[test]
-    fn empty_structure() {
-        let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.component_count(), 0);
-        assert!(uf.first_occurrence_mask().is_empty());
-    }
-
-    #[test]
-    fn merge_folds_partial_equivalences() {
-        let mut a = UnionFind::new(6);
-        a.union(0, 1);
-        let mut b = UnionFind::new(6);
-        b.union(1, 2);
-        b.union(4, 5);
-        a.merge(&b);
-        assert!(a.connected(0, 2));
-        assert!(a.connected(4, 5));
-        assert!(!a.connected(0, 4));
-        assert_eq!(a.component_count(), 3);
-    }
-
-    #[test]
-    fn concurrent_matches_sequential_on_same_pairs() {
-        let pairs = [(0usize, 3usize), (3, 7), (2, 5), (5, 2), (8, 1), (1, 0)];
-        let mut uf = UnionFind::new(10);
+    fn unions_link_to_the_component_minimum() {
         let cuf = ConcurrentUnionFind::new(10);
-        for &(a, b) in &pairs {
-            uf.union(a, b);
-            cuf.union(a, b);
+        for (a, b) in [(0, 3), (3, 7), (2, 5), (8, 1), (1, 0)] {
+            assert!(cuf.union(a, b), "({a}, {b}) joins two components");
         }
-        assert_eq!(uf.first_occurrence_mask(), cuf.first_occurrence_mask());
+        assert!(!cuf.union(5, 2), "already one component");
         assert_eq!(cuf.find(7), 0, "root is the component minimum");
+        assert_eq!(cuf.find(5), 2);
+        assert_eq!(
+            cuf.first_occurrence_mask(),
+            [true, false, true, false, true, false, true, false, false, true]
+        );
     }
 
     #[test]
@@ -321,29 +138,6 @@ mod tests {
         let mask = cuf.first_occurrence_mask();
         assert!(mask[0]);
         assert!(mask[1..].iter().all(|&k| !k));
-    }
-
-    #[test]
-    fn concurrent_merge_of_partials() {
-        let mut p1 = UnionFind::new(8);
-        p1.union(0, 4);
-        let mut p2 = UnionFind::new(8);
-        p2.union(4, 6);
-        p2.union(3, 7);
-        let cuf = ConcurrentUnionFind::new(8);
-        std::thread::scope(|s| {
-            s.spawn(|| cuf.merge(&p1));
-            s.spawn(|| cuf.merge(&p2));
-        });
-        assert_eq!(cuf.find(6), 0);
-        assert_eq!(cuf.find(7), 3);
-        let mut reference = UnionFind::new(8);
-        reference.merge(&p1);
-        reference.merge(&p2);
-        assert_eq!(
-            reference.first_occurrence_mask(),
-            cuf.first_occurrence_mask()
-        );
     }
 
     #[test]

@@ -99,9 +99,9 @@ impl Deduplicator for DocumentDeduplicator {
         Ok(())
     }
 
-    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>> {
+    fn cluster(&self, fingerprints: &Fingerprints, _num_workers: usize) -> Result<Vec<bool>> {
         let words = fixed_width(self.name(), fingerprints, 2)?;
-        Ok(ParallelDedup::new(num_workers).exact_mask(words.as_chunks().0))
+        Ok(ParallelDedup::exact_mask(words.as_chunks().0))
     }
 }
 
@@ -327,8 +327,8 @@ impl Deduplicator for ParagraphDeduplicator {
         Ok(())
     }
 
-    fn cluster(&self, fingerprints: &Fingerprints, num_workers: usize) -> Result<Vec<bool>> {
-        Ok(ParallelDedup::new(num_workers).paragraph_mask(fingerprints))
+    fn cluster(&self, fingerprints: &Fingerprints, _num_workers: usize) -> Result<Vec<bool>> {
+        Ok(ParallelDedup::paragraph_mask(fingerprints))
     }
 }
 
@@ -570,9 +570,10 @@ mod tests {
         (words, values)
     }
 
-    /// Every deduplicator's parallel mask must be identical to its
-    /// sequential mask (the executor treats workers as a pure perf knob),
-    /// through the word method and through the `Value` adapter alike.
+    /// Every deduplicator's mask at any worker count must be identical to
+    /// its one-worker `keep_mask` (the executor treats workers as a pure
+    /// perf knob), through the word method and through the `Value` adapter
+    /// alike.
     #[test]
     fn parallel_keep_mask_matches_sequential() {
         let d = dup_heavy_corpus();

@@ -5,7 +5,7 @@
 //!
 //! `compute_stats` never copies the text it reads: it borrows the field,
 //! computes the value from the context's shared views, and records the
-//! stat once the borrow has ended ([`record_stat`]).
+//! stat once the borrow has ended (`record_stat`).
 
 use std::sync::Arc;
 

@@ -8,7 +8,7 @@
 //!
 //! An edit is a `fn(&str) -> Cow<str>` over the borrowed field: text that
 //! needs no change comes back borrowed and costs no allocation, changed
-//! text costs the one buffer that replaces it ([`edit_field`]).
+//! text costs the one buffer that replaces it (`edit_field`).
 
 use std::borrow::Cow;
 

@@ -34,12 +34,12 @@ pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
 
 /// A loaded-but-undecoded shard frame: the zero-copy spool read path.
 ///
-/// [`FrameSlab::load`] reads a slot file once, verifies its checksum, and
-/// decompresses into a single contiguous payload slab. [`FrameSlab::texts_at`]
-/// then borrows `Cow<'_, str>` text slices straight out of that slab
-/// without constructing `Sample`s — so a dedup hash pass over a spilled
-/// shard touches each text byte once and never copies strings the ops
-/// won't mutate.
+/// [`FrameSlab::from_frame_bytes`] takes a slot file read once, verifies its
+/// checksum, and decompresses into a single contiguous payload slab.
+/// [`FrameSlab::texts_at`] then borrows `Cow<'_, str>` text slices straight
+/// out of that slab without constructing `Sample`s — so a dedup hash pass
+/// over a spilled shard touches each text byte once and never copies
+/// strings the ops won't mutate.
 #[derive(Debug)]
 pub struct FrameSlab {
     payload: Vec<u8>,
@@ -95,8 +95,9 @@ impl FrameSlab {
 
     /// Re-encode this frame with only the samples `keep` keeps, copying
     /// their serialized byte ranges — the row twin of
-    /// [`ColumnarSlab::filter_frame`]; no value is decoded. The result
-    /// equals `encode_shard_frame` of the decoded-then-masked shard.
+    /// [`ColumnarSlab::filter_frame`](crate::ColumnarSlab::filter_frame); no
+    /// value is decoded. The result equals `encode_shard_frame` of the
+    /// decoded-then-masked shard.
     pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<Vec<u8>> {
         let kept = keep.iter().filter(|k| **k).count();
         let mut body = Vec::with_capacity(self.payload.len());

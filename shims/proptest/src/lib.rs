@@ -1,13 +1,14 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no network access, so this workspace vendors
-//! the API subset its property tests use: the [`Strategy`] trait with
-//! `prop_map`/`prop_recursive`, regex-ish string strategies, numeric range
-//! strategies, `Just`, `any`, tuple strategies, `collection::{vec,
-//! btree_map, hash_set}`, the `proptest!`/`prop_oneof!`/`prop_assert!*`
-//! macros and [`ProptestConfig`]. Inputs are generated from a deterministic
-//! per-test PRNG; there is **no shrinking** — a failing case panics with the
-//! generated inputs visible in the assertion message.
+//! the API subset its property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_recursive`,
+//! regex-ish string strategies, numeric range strategies, `Just`, `any`,
+//! tuple strategies, `collection::{vec, btree_map, hash_set}`, the
+//! `proptest!`/`prop_oneof!`/`prop_assert!*` macros and
+//! [`ProptestConfig`](test_runner::ProptestConfig). Inputs are generated
+//! from a deterministic per-test PRNG; there is **no shrinking** — a failing
+//! case panics with the generated inputs visible in the assertion message.
 
 pub mod strategy;
 pub mod string;

@@ -13,8 +13,13 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use data_juicer::core::{Op, OpParams, Sample, SampleContext, Value};
-use data_juicer::ops::{builtin_registry, models};
+use data_juicer::core::{
+    Dataset, Deduplicator, Fingerprints, Op, OpParams, Sample, SampleContext, Value,
+};
+use data_juicer::ops::{
+    builtin_registry, models, DocumentDeduplicator, MinHashDeduplicator, ParagraphDeduplicator,
+    SimHashDeduplicator,
+};
 use data_juicer::synth::{
     arxiv_corpus, book_corpus, chinese_corpus, code_corpus, dialog_corpus, web_corpus, wiki_corpus,
     WebNoise,
@@ -323,31 +328,20 @@ fn synthetic_mixtures_match_reference() {
     }
 }
 
-/// MinHash dedup from text to keep mask with the reference at both ends —
-/// signatures from `minhash_signature`, the mask from the all-pairs
-/// `minhash_keep_mask` — on ≈ 1 500 documents shaped like the benchmark's
-/// `dup` corpus (15 % exact and 25 % near duplicates) at the default
-/// 16 bands × 8 rows, for every worker count.
-#[test]
-fn minhash_clustering_of_a_dup_corpus_matches_reference() {
-    use data_juicer::core::{Deduplicator, Fingerprints};
-    use data_juicer::ops::MinHashDeduplicator;
+/// ≈ 1 500 documents shaped like the benchmark's `dup` corpus: 15 % exact
+/// and 25 % near duplicates.
+fn dup_corpus() -> Dataset {
     let noise = WebNoise {
         dup_rate: 0.15,
         near_dup_rate: 0.25,
         ..WebNoise::default()
     };
-    let corpus = web_corpus(6, 1_500, noise);
-    let seeds = ops_reference::minhash_seeds(128);
-    let signatures: Vec<u64> = corpus
-        .iter()
-        .flat_map(|s| ops_reference::minhash_signature(s.text(), &seeds, 5))
-        .collect();
-    let want = ops_reference::minhash_keep_mask(&signatures, 16, 8, 0.7);
-    let dropped = want.iter().filter(|&&keep| !keep).count();
-    assert!(dropped > corpus.len() / 4, "only {dropped} duplicates");
+    web_corpus(6, 1_500, noise)
+}
 
-    let dedup = MinHashDeduplicator::default_config();
+/// `dedup`'s fingerprints of every sample of `corpus`, as the barrier's
+/// hash pass takes them.
+fn fingerprints_of(dedup: &dyn Deduplicator, corpus: &Dataset) -> Fingerprints {
     let mut ctx = SampleContext::new();
     let mut fingerprints = Fingerprints::new();
     for s in corpus.iter() {
@@ -356,10 +350,66 @@ fn minhash_clustering_of_a_dup_corpus_matches_reference() {
             .push_with(|out| dedup.fingerprint(s, &mut ctx, out))
             .unwrap();
     }
+    fingerprints
+}
+
+/// `cluster` of `dedup` at every worker count equals `want`, which drops
+/// at least a tenth of the corpus.
+fn cluster_matches(dedup: &dyn Deduplicator, fingerprints: &Fingerprints, want: &[bool]) {
+    let dropped = want.iter().filter(|&&keep| !keep).count();
+    assert!(dropped > want.len() / 10, "only {dropped} duplicates");
     for workers in 1..=8 {
-        let got = dedup.cluster(&fingerprints, workers).unwrap();
-        assert_eq!(got, want, "workers={workers}");
+        let got = dedup.cluster(fingerprints, workers).unwrap();
+        assert_eq!(got, want, "{} workers={workers}", dedup.name());
     }
+}
+
+/// MinHash dedup from text to keep mask with the reference at both ends —
+/// signatures from `minhash_signature`, the mask from the all-pairs
+/// `minhash_keep_mask` — on the `dup` corpus at the default 16 bands × 8
+/// rows, for every worker count.
+#[test]
+fn minhash_clustering_of_a_dup_corpus_matches_reference() {
+    let corpus = dup_corpus();
+    let seeds = ops_reference::minhash_seeds(128);
+    let signatures: Vec<u64> = corpus
+        .iter()
+        .flat_map(|s| ops_reference::minhash_signature(s.text(), &seeds, 5))
+        .collect();
+    let want = ops_reference::minhash_keep_mask(&signatures, 16, 8, 0.7);
+    let dropped = want.iter().filter(|&&keep| !keep).count();
+    assert!(dropped > corpus.len() / 4, "only {dropped} duplicates");
+    let dedup = MinHashDeduplicator::default_config();
+    cluster_matches(&dedup, &fingerprints_of(&dedup, &corpus), &want);
+}
+
+/// The other three deduplicators on the same corpus, each mask from its
+/// all-pairs oracle: SimHash from the reference fingerprints, at a budget
+/// inside the four-block pigeonhole guarantee and at two past it; exact
+/// and paragraph from the operators' own content hashes, which have no
+/// reference of their own.
+#[test]
+fn simhash_exact_and_paragraph_clustering_of_a_dup_corpus_match_reference() {
+    let corpus = dup_corpus();
+    let simhashes: Vec<u64> = corpus
+        .iter()
+        .map(|s| ops_reference::simhash(s.text()))
+        .collect();
+    for max_distance in [3, 8, 16] {
+        let dedup = SimHashDeduplicator::new(max_distance).unwrap();
+        let want = ops_reference::simhash_keep_mask(&simhashes, max_distance);
+        cluster_matches(&dedup, &fingerprints_of(&dedup, &corpus), &want);
+    }
+
+    let exact = DocumentDeduplicator::new();
+    let keys = fingerprints_of(&exact, &corpus);
+    let want = ops_reference::exact_keep_mask(&keys.words().chunks_exact(2).collect::<Vec<_>>());
+    cluster_matches(&exact, &keys, &want);
+
+    let paragraph = ParagraphDeduplicator::new();
+    let hashes = fingerprints_of(&paragraph, &corpus);
+    let want = ops_reference::paragraph_keep_mask(&hashes.iter().collect::<Vec<_>>());
+    cluster_matches(&paragraph, &hashes, &want);
 }
 
 /// The regression behind the exact n-gram count. The operator used to

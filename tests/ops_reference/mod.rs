@@ -671,12 +671,31 @@ pub fn simhash(text: &str) -> u64 {
 
 // ---- clustering ----------------------------------------------------------
 
+/// The keep mask of the components that `linked` pairs form. Every pair
+/// `i < j` of `0..n` is looked at, and a linked pair joins the two
+/// components. A sample survives when it is the smallest member of its
+/// component.
+fn first_of_each_component(n: usize, linked: impl Fn(usize, usize) -> bool) -> Vec<bool> {
+    // Every sample is labelled with the smallest member of its component.
+    let mut label: Vec<usize> = (0..n).collect();
+    for j in 0..n {
+        for i in 0..j {
+            if label[i] == label[j] || !linked(i, j) {
+                continue; // already one component, or no link
+            }
+            let (keep, gone) = (label[i].min(label[j]), label[i].max(label[j]));
+            for l in label.iter_mut().filter(|l| **l == gone) {
+                *l = keep;
+            }
+        }
+    }
+    label.iter().enumerate().map(|(i, &l)| l == i).collect()
+}
+
 /// The MinHash keep mask by definition, over `signatures` laid back to
-/// back, `bands * rows` words each. Every pair `i < j` is looked at: it is
-/// a candidate when some band's `rows` words are equal (compared as
-/// slices, no key hash), and a candidate sharing at least `threshold` of
-/// its words joins the two components. A sample survives when it is the
-/// smallest member of its component.
+/// back, `bands * rows` words each. A pair is a candidate when some band's
+/// `rows` words are equal (compared as slices, no key hash), and a
+/// candidate sharing at least `threshold` of its words is linked.
 pub fn minhash_keep_mask(
     signatures: &[u64],
     bands: usize,
@@ -685,26 +704,40 @@ pub fn minhash_keep_mask(
 ) -> Vec<bool> {
     let width = bands * rows;
     let sigs: Vec<&[u64]> = signatures.chunks_exact(width).collect();
-    // Every sample is labelled with the smallest member of its component.
-    let mut label: Vec<usize> = (0..sigs.len()).collect();
-    for j in 0..sigs.len() {
-        for i in 0..j {
-            let (a, b) = (sigs[i], sigs[j]);
-            if label[i] == label[j] {
-                continue; // already one component: nothing would change
-            }
-            let band = |k: usize| k * rows..(k + 1) * rows;
-            if !(0..bands).any(|k| a[band(k)] == b[band(k)]) {
-                continue;
-            }
-            let shared = a.iter().zip(b).filter(|(x, y)| x == y).count();
-            if shared as f64 / width as f64 >= threshold {
-                let (keep, gone) = (label[i].min(label[j]), label[i].max(label[j]));
-                for l in label.iter_mut().filter(|l| **l == gone) {
-                    *l = keep;
-                }
-            }
-        }
-    }
-    label.iter().enumerate().map(|(i, &l)| l == i).collect()
+    first_of_each_component(sigs.len(), |i, j| {
+        let (a, b) = (sigs[i], sigs[j]);
+        let band = |k: usize| k * rows..(k + 1) * rows;
+        let shared = || a.iter().zip(b).filter(|(x, y)| x == y).count();
+        (0..bands).any(|k| a[band(k)] == b[band(k)]) && shared() as f64 / width as f64 >= threshold
+    })
+}
+
+/// The SimHash keep mask by definition, one fingerprint per sample. A pair
+/// is a candidate when the two agree on one of the four 16-bit blocks, and
+/// a candidate differing in at most `max_distance` bits is linked.
+pub fn simhash_keep_mask(fingerprints: &[u64], max_distance: u32) -> Vec<bool> {
+    first_of_each_component(fingerprints.len(), |i, j| {
+        let (a, b) = (fingerprints[i], fingerprints[j]);
+        let block = |fp: u64, k: usize| (fp >> (16 * k)) as u16;
+        (0..4).any(|k| block(a, k) == block(b, k)) && (a ^ b).count_ones() <= max_distance
+    })
+}
+
+/// The exact keep mask by definition: a sample survives when no earlier
+/// sample has its key.
+pub fn exact_keep_mask<T: PartialEq>(keys: &[T]) -> Vec<bool> {
+    (0..keys.len())
+        .map(|j| !keys[..j].contains(&keys[j]))
+        .collect()
+}
+
+/// The paragraph keep mask by definition: a sample survives when it has no
+/// paragraph hashes, or holds one that no earlier sample held.
+pub fn paragraph_keep_mask(paragraphs: &[&[u64]]) -> Vec<bool> {
+    (0..paragraphs.len())
+        .map(|j| {
+            let held_before = |p: &u64| paragraphs[..j].iter().any(|earlier| earlier.contains(p));
+            paragraphs[j].is_empty() || paragraphs[j].iter().any(|p| !held_before(p))
+        })
+        .collect()
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use data_juicer::config::yaml::{parse_yaml, to_yaml};
 use data_juicer::core::{parse_json, Value};
-use data_juicer::hash::{MinHasher, UnionFind};
+use data_juicer::hash::{ConcurrentUnionFind, MinHasher};
 use data_juicer::text::normalize;
 use data_juicer::text::BpeTokenizer;
 
@@ -99,7 +99,8 @@ proptest! {
         prop_assert!((est - true_jaccard).abs() < 0.12, "est={est} true={true_jaccard}");
     }
 
-    /// Union-find connectivity matches a naive reachability check.
+    /// Union-find connectivity matches a naive reachability check, and
+    /// the first-occurrence mask keeps exactly each component's minimum.
     #[test]
     fn prop_unionfind_matches_naive(
         n in 2usize..24,
@@ -109,7 +110,7 @@ proptest! {
             .into_iter()
             .map(|(a, b)| (a % n, b % n))
             .collect();
-        let mut uf = UnionFind::new(n);
+        let uf = ConcurrentUnionFind::new(n);
         for &(a, b) in &edges {
             uf.union(a, b);
         }
@@ -130,18 +131,14 @@ proptest! {
             }
             seen
         };
-        for i in 0..n {
+        for (i, keep) in uf.first_occurrence_mask().into_iter().enumerate() {
             let from_i = reachable(i);
             for (j, &r) in from_i.iter().enumerate() {
-                prop_assert_eq!(uf.connected(i, j), r, "pair ({}, {})", i, j);
+                prop_assert_eq!(uf.find(i) == uf.find(j), r, "pair ({}, {})", i, j);
             }
+            let first = from_i.iter().position(|&r| r);
+            prop_assert_eq!(keep, first == Some(i), "mask of {}", i);
         }
-        // The first-occurrence mask keeps exactly one index per component.
-        let mask = uf.first_occurrence_mask();
-        prop_assert_eq!(
-            mask.iter().filter(|&&k| k).count(),
-            uf.component_count()
-        );
     }
 
     /// Whitespace and punctuation normalization are idempotent.
