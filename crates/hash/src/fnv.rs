@@ -1,12 +1,15 @@
-//! FNV-1a: the stable checksum/fingerprint hash shared across the
-//! workspace.
+//! FNV-1a: the stable checksum/fingerprint hash for published bytes and
+//! keys.
 //!
-//! Unlike [`crate::fxhash`] (optimized for hot in-memory tables, no
-//! stability promise), FNV-1a here is a *format* hash: its output is
-//! written into on-disk frame checksums and recipe cache keys, so the
-//! exact bit pattern is part of the persistence contract and must never
-//! change. The known-answer tests below pin the published FNV-1a test
-//! vectors.
+//! FNV-1a is a *format* hash wherever its bits are published or used as a
+//! key: `manifest.json` part checksums, quarantine record checksums, the
+//! `DJCS` planner-stats sidecar, recipe fingerprints and cache keys. Those
+//! bit patterns are part of the persistence contract and must never change;
+//! the known-answer tests below pin the published FNV-1a test vectors.
+//!
+//! It is a serial byte-at-a-time multiply, so the bytes the engine seals
+//! and re-reads itself — frame envelopes and `DJSC` column regions — are
+//! checksummed with the word-at-a-time [`crate::fxhash::hash64`] instead.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -63,9 +66,9 @@ mod tests {
     use super::*;
 
     /// Published FNV-1a 64-bit test vectors (Landon Curt Noll's reference
-    /// suite). These constants pin the on-disk checksum format: if any of
-    /// them changes, every existing spool frame and recipe fingerprint is
-    /// invalidated.
+    /// suite). These constants pin the published checksums and keys: if any
+    /// of them changes, every existing manifest, quarantine file, `DJCS`
+    /// sidecar, recipe fingerprint and cache key is invalidated.
     #[test]
     fn known_answer_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);

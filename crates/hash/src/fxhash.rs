@@ -5,6 +5,15 @@
 //! Fx-style multiply-xor word hasher (the algorithm used inside rustc) plus a
 //! seedable 64-bit string hash used to derive the independent MinHash
 //! permutations.
+//!
+//! [`hash64`] is also a *format* hash: it is the checksum of every sealed
+//! frame envelope and of every `DJSC` column region (`dj-store::frame`,
+//! `dj-store::columnar`), so its bit pattern is pinned by the known-answer
+//! tests below like [`crate::fnv`]'s. It folds a word per multiply — several
+//! times FNV-1a's byte-at-a-time rate — and each step is a bijection of the
+//! word it takes in, so one flipped bit anywhere always changes the result.
+//! It guards against damage, not against an adversary. The hash-table
+//! hasher [`FxHasher`] shares the algorithm; nothing persists its output.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -102,6 +111,33 @@ mod tests {
         assert_eq!(hash64(b"hello"), hash64(b"hello"));
         assert_ne!(hash64(b"hello"), hash64(b"hellp"));
         assert_ne!(hash64_seeded(b"hello", 1), hash64_seeded(b"hello", 2));
+    }
+
+    /// `hash64` seals frames on disk: if any of these constants changes,
+    /// every sealed frame and column region written before reads as damage.
+    #[test]
+    fn known_answer_vectors() {
+        assert_eq!(hash64(b""), 0);
+        assert_eq!(hash64(b"a"), 0xeaf5_41b7_a1d8_6750);
+        assert_eq!(hash64(b"\0"), 0xa3c9_d2fc_ddad_2108);
+        assert_eq!(hash64(b"foobar"), 0x67b6_8023_f21a_ee40);
+        assert_eq!(hash64(b"12345678"), 0xd28d_2dd6_d229_28b3);
+        assert_eq!(hash64(b"chongo was here!\n"), 0x9496_053f_9536_7687);
+        let all: Vec<u8> = (0..=255).collect();
+        assert_eq!(hash64(&all), 0x7e11_50ba_63de_f4a4);
+    }
+
+    /// The checksum property the envelope relies on: every single-bit
+    /// flip of a buffer changes its hash.
+    #[test]
+    fn every_single_bit_flip_changes_the_hash() {
+        let data: Vec<u8> = (0u8..37).map(|b| b.wrapping_mul(71)).collect();
+        let sum = hash64(&data);
+        for bit in 0..data.len() * 8 {
+            let mut flipped = data.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(hash64(&flipped), sum, "bit {bit}");
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! file-backed run is byte-identical to loading the same text in memory.
 //! Malformed records surface as typed [`DjError::Parse`] errors carrying
 //! `path:line` — a 10 GB corpus with one bad record at line 7 004 113
-//! fails with that number, not a panic.
+//! fails with that number, not a panic. A line that is not UTF-8 is such a
+//! record too, not an IO error: it is counted, and `on_error` can skip or
+//! quarantine it.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -19,7 +21,7 @@ pub struct JsonlReader {
     path: PathBuf,
     line_no: usize,
     bytes_read: u64,
-    buf: String,
+    buf: Vec<u8>,
     /// Raw text of the last line that failed to parse, for quarantine.
     bad_record: Option<String>,
 }
@@ -33,7 +35,7 @@ impl JsonlReader {
             path,
             line_no: 0,
             bytes_read: 0,
-            buf: String::new(),
+            buf: Vec::new(),
             bad_record: None,
         })
     }
@@ -44,27 +46,36 @@ impl JsonlReader {
     }
 
     /// The next sample, or `None` at end of file. Blank lines are skipped.
+    /// A line that is not UTF-8 is a record-level [`DjError::Parse`] like
+    /// any malformed JSON, so the `on_error` policy can absorb it.
     pub fn next_sample(&mut self) -> Result<Option<Sample>> {
         loop {
             self.buf.clear();
             let n = self
                 .reader
-                .read_line(&mut self.buf)
+                .read_until(b'\n', &mut self.buf)
                 .map_err(|e| io_at(&self.path, "read", e))?;
             if n == 0 {
                 return Ok(None);
             }
             self.bytes_read += n as u64;
             self.line_no += 1;
-            let line = self.buf.trim_end_matches(['\n', '\r']);
-            if line.trim().is_empty() {
-                continue;
-            }
-            return match parse_json(line).and_then(Sample::from_value) {
+            let parsed = match std::str::from_utf8(&self.buf) {
+                Ok(text) => {
+                    let line = text.trim_end_matches(['\n', '\r']);
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    parse_json(line).and_then(Sample::from_value)
+                }
+                Err(e) => Err(DjError::Parse(format!("invalid UTF-8: {e}"))),
+            };
+            return match parsed {
                 Ok(sample) => Ok(Some(sample)),
                 Err(e) => {
                     let err = self.line_error(&e);
-                    self.bad_record = Some(line.to_string());
+                    let raw = String::from_utf8_lossy(&self.buf);
+                    self.bad_record = Some(raw.trim_end_matches(['\n', '\r']).to_string());
                     Err(err)
                 }
             };
@@ -96,10 +107,10 @@ mod tests {
     use super::*;
     use std::io::Write;
 
-    fn tmpfile(tag: &str, contents: &str) -> PathBuf {
+    fn tmpfile(tag: &str, contents: impl AsRef<[u8]>) -> PathBuf {
         let path = std::env::temp_dir().join(format!("dj-jsonl-{tag}-{}", std::process::id()));
         let mut f = File::create(&path).unwrap();
-        f.write_all(contents.as_bytes()).unwrap();
+        f.write_all(contents.as_ref()).unwrap();
         path
     }
 
@@ -130,6 +141,31 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains(":3:"), "line number missing: {msg}");
         assert!(msg.contains("dj-jsonl-bad"), "path missing: {msg}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_parse_error_at_its_line() {
+        let path = tmpfile(
+            "utf8",
+            b"{\"text\":\"one\"}\n{\"text\":\"t\xffo\"}\n{\"text\":\"three\"}\nnot json\n",
+        );
+        let mut r = JsonlReader::open(&path).unwrap();
+        assert_eq!(r.next_sample().unwrap().unwrap().text(), "one");
+        let err = r.next_sample().unwrap_err();
+        assert!(matches!(err, DjError::Parse(_)), "{err:?}");
+        assert!(!err.is_transient());
+        assert!(err.to_string().contains(":2: "), "{err}");
+        assert_eq!(
+            r.take_bad_record().as_deref(),
+            Some("{\"text\":\"t\u{fffd}o\"}")
+        );
+        // The bad line was counted: the reader carries on, and the next
+        // error names its own line.
+        assert_eq!(r.next_sample().unwrap().unwrap().text(), "three");
+        let err = r.next_sample().unwrap_err();
+        assert!(err.to_string().contains(":4: "), "{err}");
+        assert!(r.next_sample().unwrap().is_none());
         let _ = std::fs::remove_file(&path);
     }
 

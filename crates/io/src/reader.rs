@@ -225,9 +225,9 @@ mod tests {
         dir
     }
 
-    fn write(path: &Path, contents: &str) {
+    fn write(path: &Path, contents: impl AsRef<[u8]>) {
         let mut f = std::fs::File::create(path).unwrap();
-        f.write_all(contents.as_bytes()).unwrap();
+        f.write_all(contents.as_ref()).unwrap();
     }
 
     #[test]
@@ -348,6 +348,62 @@ mod tests {
         write(&dir.join("a.jsonl"), "nope\n");
         let mut r = CorpusReader::from_pattern(&format!("{}/*.jsonl", dir.display())).unwrap();
         assert!(matches!(r.next_shard(4).unwrap_err(), DjError::Parse(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One line holding a byte that is not UTF-8 is one bad record, under
+    /// every policy: skipped, quarantined at its line, or a deterministic
+    /// parse error — never an IO error that kills the ingest or is retried.
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_record_error() {
+        use crate::policy::read_quarantine;
+        use dj_core::OnError;
+        let dir = tmpdir("utf8");
+        let file = dir.join("a.jsonl");
+        write(
+            &file,
+            b"{\"text\":\"one\"}\n\xff\n{\"text\":\"three\"}\nnot json\n",
+        );
+        let texts = |shard: Dataset| {
+            shard
+                .iter()
+                .map(|s| s.text().to_string())
+                .collect::<Vec<_>>()
+        };
+
+        let ledger = Arc::new(ErrorLedger::new(OnError::Skip, 1.0));
+        let mut r = CorpusReader::from_files(vec![file.clone()])
+            .unwrap()
+            .with_ledger(Arc::clone(&ledger));
+        assert_eq!(texts(r.next_shard(10).unwrap().unwrap()), ["one", "three"]);
+        assert_eq!(ledger.records_skipped(), 2);
+
+        let ledger = Arc::new(ErrorLedger::new(OnError::Quarantine, 1.0));
+        ledger.attach_dir(&dir).unwrap();
+        let mut r = CorpusReader::from_files(vec![file.clone()])
+            .unwrap()
+            .with_ledger(Arc::clone(&ledger));
+        assert_eq!(texts(r.next_shard(10).unwrap().unwrap()), ["one", "three"]);
+        ledger.finish().unwrap();
+        let entries = read_quarantine(&ledger.quarantine_path().unwrap()).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].record, Value::Str("\u{fffd}".into()));
+        assert!(
+            entries[0].source.ends_with("a.jsonl:2"),
+            "{}",
+            entries[0].source
+        );
+        assert!(
+            entries[1].source.ends_with("a.jsonl:4"),
+            "{}",
+            entries[1].source
+        );
+
+        let mut r = CorpusReader::from_files(vec![file]).unwrap();
+        let err = r.next_shard(10).unwrap_err();
+        assert!(matches!(err, DjError::Parse(_)), "{err:?}");
+        assert!(!err.is_transient());
+        assert!(err.to_string().contains("a.jsonl:2: "), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

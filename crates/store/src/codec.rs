@@ -12,6 +12,19 @@
 //! Every frame starts with a 4-byte magic + codec id so files self-describe.
 //! Id `1` belonged to a run-length codec nothing selected; it stays reserved,
 //! so a stray frame carrying it is refused as an unknown codec.
+//!
+//! "Negligible" is held to memory speed, in safe code. The decoder makes
+//! one allocation — the declared size plus 32 bytes of slack — copies a
+//! literal run with one `copy_from_slice` (a short one as a 16-byte chunk)
+//! and a match 16 bytes at a time (a match closer than that repeats its
+//! period by doubling copies), and refuses a token that would write past
+//! the declared size at that token. The encoder keeps `u32` hints in its
+//! table, extends a match 8 bytes per compare, continues a run longer than
+//! a token can carry at the same offset without a new probe, and widens
+//! its step over incompressible stretches. Its output is a pure function of
+//! its input; the token format is the one every earlier encoder wrote, so
+//! every frame they wrote still decodes (`tests/codec_differential.rs`
+//! holds both halves to the byte-at-a-time codec they replaced).
 
 use dj_core::{DjError, Result};
 
@@ -43,7 +56,11 @@ impl Codec {
 
 /// Compress `data` into a self-describing frame.
 pub fn compress(data: &[u8], codec: Codec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    // Sized for the worst case up front, so the output never reallocates:
+    // literals cost one control byte per 128, and a djz match token (3 bytes
+    // standing for at least 4) pays for the control byte of the literal run
+    // it cuts.
+    let mut out = Vec::with_capacity(12 + data.len() + data.len() / 128 + 1);
     out.extend_from_slice(MAGIC);
     out.push(codec.id());
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
@@ -100,48 +117,94 @@ const MAX_MATCH: usize = 127 + MIN_MATCH;
 const WINDOW: usize = 65535;
 const HASH_BITS: u32 = 15;
 
+/// The decoder's copy width: a match at least this far back is copied in
+/// chunks of this many bytes (each chunk's source is written before it is
+/// read), and a literal run no longer than this as one chunk.
+const CHUNK: usize = 16;
+
+/// Room the decoder's output has past the declared size, for the chunks
+/// that run past a token's end: a match's first two chunks are copied
+/// whatever its length, so the common short match takes no branch on it.
+const SLACK: usize = 2 * CHUNK;
+
+/// Over an incompressible stretch the encoder's step between probes grows
+/// by one every this many misses in a row.
+const SKIP_STRIDE: usize = 32;
+
 #[inline]
-fn djz_hash(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn load32(data: &[u8], at: usize) -> u32 {
+    let mut word = [0; 4];
+    word.copy_from_slice(&data[at..at + 4]);
+    u32::from_le_bytes(word)
+}
+
+#[inline]
+fn load64(data: &[u8], at: usize) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+#[inline]
+fn djz_hash(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// How many bytes `data[a..]` and `data[b..]` share from their start
+/// (`a < b`), compared a word at a time.
+#[inline]
+fn common_len(data: &[u8], a: usize, b: usize) -> usize {
+    let limit = data.len() - b;
+    let mut l = 0;
+    while l + 8 <= limit {
+        let diff = load64(data, a + l) ^ load64(data, b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
 }
 
 fn djz_compress(data: &[u8], out: &mut Vec<u8>) {
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    // Each slot holds the last position whose first four bytes hashed
+    // there, as a `u32`: only a hint, which the 4-byte compare verifies, so
+    // one that wrapped past 4 GiB costs a miss, never a wrong match.
+    let mut table = vec![0u32; 1 << HASH_BITS];
     let mut i = 0;
     let mut lit_start = 0;
+    let mut misses = 0;
     while i + MIN_MATCH <= data.len() {
-        let h = djz_hash(&data[i..]);
-        let cand = table[h];
-        table[h] = i;
-        let mut match_len = 0;
-        if cand != usize::MAX
-            && i - cand <= WINDOW
-            && data[cand..cand + MIN_MATCH] == data[i..i + MIN_MATCH]
-        {
-            let max = (data.len() - i).min(MAX_MATCH);
-            let mut l = MIN_MATCH;
-            while l < max && data[cand + l] == data[i + l] {
-                l += 1;
-            }
-            match_len = l;
+        let word = load32(data, i);
+        let slot = &mut table[djz_hash(word)];
+        let offset = (i as u32).wrapping_sub(*slot) as usize;
+        *slot = i as u32;
+        if offset == 0 || offset > WINDOW.min(i) || load32(data, i - offset) != word {
+            misses += 1;
+            i += 1 + misses / SKIP_STRIDE;
+            continue;
         }
-        if match_len >= MIN_MATCH {
-            flush_djz_literals(&data[lit_start..i], out);
-            out.push(0x80 | (match_len - MIN_MATCH) as u8);
-            out.extend_from_slice(&((i - cand) as u16).to_le_bytes());
-            // Index a few positions inside the match to keep the table warm.
-            let end = i + match_len;
-            let mut j = i + 1;
-            while j + MIN_MATCH <= data.len() && j < end {
-                table[djz_hash(&data[j..])] = j;
-                j += 3;
-            }
-            i = end;
-            lit_start = i;
-        } else {
-            i += 1;
+        misses = 0;
+        flush_djz_literals(&data[lit_start..i], out);
+        // One probe, however long the run: past `MAX_MATCH` it continues as
+        // the next token at the same offset. A tail too short for a token is
+        // left to the next probe.
+        let mut len = MIN_MATCH + common_len(data, i - offset + MIN_MATCH, i + MIN_MATCH);
+        while len >= MIN_MATCH {
+            let n = len.min(MAX_MATCH);
+            out.push(0x80 | (n - MIN_MATCH) as u8);
+            out.extend_from_slice(&(offset as u16).to_le_bytes());
+            i += n;
+            len -= n;
         }
+        // One insert for the whole match: the word straddling its end.
+        if i + 2 <= data.len() {
+            table[djz_hash(load32(data, i - 2))] = (i - 2) as u32;
+        }
+        lit_start = i;
     }
     flush_djz_literals(&data[lit_start..], out);
 }
@@ -155,38 +218,88 @@ fn flush_djz_literals(mut lits: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// Expand a djz body into at most `expected` bytes (fewer only if the body
+/// ends early, which [`decompress`] refuses).
 fn djz_decompress(body: &[u8], expected: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected);
+    let mut out = vec![0; expected + SLACK];
+    let mut pos = 0;
     let mut i = 0;
     while i < body.len() {
         let t = body[i];
         i += 1;
         if t & 0x80 == 0 {
             let n = t as usize + 1;
-            if i + n > body.len() {
-                return Err(DjError::Storage("djz: truncated literal run".into()));
+            if n > expected - pos {
+                return Err(overrun(expected));
             }
-            out.extend_from_slice(&body[i..i + n]);
+            // A short run goes as one chunk when the body holds one: the
+            // bytes past the run are the next token's to overwrite, or slack.
+            let chunk = body
+                .get(i..i + CHUNK)
+                .and_then(|c| <[u8; CHUNK]>::try_from(c).ok());
+            match chunk.filter(|_| n <= CHUNK) {
+                Some(chunk) => out[pos..pos + CHUNK].copy_from_slice(&chunk),
+                None => {
+                    let Some(lits) = body.get(i..i + n) else {
+                        return Err(DjError::Storage("djz: truncated literal run".into()));
+                    };
+                    out[pos..pos + n].copy_from_slice(lits);
+                }
+            }
             i += n;
+            pos += n;
         } else {
-            if i + 2 > body.len() {
+            let Some(&[lo, hi]) = body.get(i..i + 2) else {
                 return Err(DjError::Storage("djz: truncated match token".into()));
-            }
+            };
             let len = (t & 0x7F) as usize + MIN_MATCH;
-            let offset = u16::from_le_bytes([body[i], body[i + 1]]) as usize;
+            let offset = u16::from_le_bytes([lo, hi]) as usize;
             i += 2;
-            if offset == 0 || offset > out.len() {
+            if offset == 0 || offset > pos {
                 return Err(DjError::Storage("djz: invalid match offset".into()));
             }
-            let start = out.len() - offset;
-            // Overlapping copies are the point of LZ77; copy byte-wise.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if len > expected - pos {
+                return Err(overrun(expected));
             }
+            copy_match(&mut out, pos, offset, len);
+            pos += len;
         }
     }
+    out.truncate(pos);
     Ok(out)
+}
+
+fn overrun(expected: usize) -> DjError {
+    DjError::Storage(format!(
+        "djz: token writes past the declared size {expected}"
+    ))
+}
+
+/// Write the `len` bytes of a match at `pos`: byte k is byte k − `offset`,
+/// which the match itself may have written. `out` has [`SLACK`] bytes of
+/// room past `pos + len`.
+#[inline]
+fn copy_match(out: &mut [u8], pos: usize, offset: usize, len: usize) {
+    let src = pos - offset;
+    if offset >= CHUNK {
+        out.copy_within(src..src + CHUNK, pos);
+        out.copy_within(src + CHUNK..src + 2 * CHUNK, pos + CHUNK);
+        let mut k = 2 * CHUNK;
+        while k < len {
+            out.copy_within(src + k..src + k + CHUNK, pos + k);
+            k += CHUNK;
+        }
+    } else {
+        // The match repeats the `offset` bytes before `pos`. Whatever has
+        // been copied so far is a whole number of periods, so copying it
+        // again (with the period before it) continues the pattern.
+        let mut done = 0;
+        while done < len {
+            let n = (offset + done).min(len - done);
+            out.copy_within(src..src + n, pos + done);
+            done += n;
+        }
+    }
 }
 
 /// Compression ratio (compressed/original); > 1 means expansion.
@@ -244,6 +357,12 @@ mod tests {
         let mut frame2 = compress(b"abc", Codec::None);
         frame2[4] = 99;
         assert!(decompress(&frame2).is_err());
+        // A token that would write past the declared size is refused at
+        // that token, not after the body has been expanded.
+        let mut long = compress(&[7; 64], Codec::Djz);
+        long[4..12].copy_from_slice(&8u64.to_le_bytes());
+        let err = decompress(&long).unwrap_err();
+        assert!(err.to_string().contains("past the declared size"), "{err}");
         // The retired run-length codec's id stays reserved.
         let mut rle = compress(b"abc", Codec::None);
         rle[3] = 1;

@@ -7,13 +7,15 @@
 //! ```text
 //! ┌──────────┬──────────────┬──────────────┬──────────┐
 //! │ magic    │ payload_len  │ checksum     │ payload  │
-//! │ 4 bytes  │ u64 LE       │ u64 LE (FNV) │          │
+//! │ 4 bytes  │ u64 LE       │ u64 LE       │          │
 //! └──────────┴──────────────┴──────────────┴──────────┘
 //! ```
 //!
 //! The length prefix makes sealed strings skippable (a cache entry is a
 //! plain concatenation of them), the checksum detects bit rot and torn
-//! writes. [`envelope`] is the only code that writes or checks that header.
+//! writes. It is [`dj_hash::hash64`], a word-at-a-time hash pinned as a
+//! format hash, under which one flipped bit always changes the sum.
+//! [`envelope`] is the only code that writes or checks that header.
 //! Truncated or corrupted input is a clean [`DjError::Storage`] — never a
 //! panic, never silently short data, and nothing is allocated on the word of
 //! a length field.
@@ -48,7 +50,7 @@ pub const FINGERPRINT_MAGIC: &[u8; 4] = b"DJFP";
 pub mod envelope {
     use super::*;
     use crate::serialize::le_u64;
-    use dj_hash::fnv1a;
+    use dj_hash::hash64;
 
     /// Magic, payload length, checksum.
     pub const HEADER_LEN: usize = 4 + 8 + 8;
@@ -57,12 +59,12 @@ pub mod envelope {
     /// damage, reported as such rather than as a truncation by exabytes.
     const MAX_PAYLOAD: u64 = 1 << 40;
 
-    /// Wrap `payload`: magic, payload length, FNV-1a checksum, payload.
+    /// Wrap `payload`: magic, payload length, checksum, payload.
     pub fn seal(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(magic);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        out.extend_from_slice(&hash64(payload).to_le_bytes());
         out.extend_from_slice(payload);
         out
     }
@@ -91,7 +93,7 @@ pub mod envelope {
             )));
         }
         let (payload, rest) = body.split_at(len as usize);
-        if fnv1a(payload) != checksum {
+        if hash64(payload) != checksum {
             return Err(DjError::Storage(
                 "frame checksum mismatch (corrupted data)".into(),
             ));

@@ -18,6 +18,10 @@
 //! per *sample* — no `Sample`, `Value` or `BTreeMap` is built on the way
 //! out.
 //!
+//! The codec has the tightest budget of all: `decompress` makes exactly one
+//! allocation, the declared size plus a fixed slack, and `compress` at most
+//! two, its match table and its output — no buffer grows by doubling.
+//!
 //! Its own test binary: the counting allocator is global (the counter is
 //! per thread, so the tests do not see each other).
 
@@ -28,7 +32,7 @@ use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, Fingerprints, Op, Sample, SampleContext};
 use data_juicer::io::{OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{to_jsonl, Codec, ShardSpool};
+use data_juicer::store::{compress, decompress, to_bytes, to_jsonl, Codec, ShardSpool};
 use data_juicer::synth::{web_corpus, WebNoise};
 use data_juicer::text::normalize;
 
@@ -36,12 +40,15 @@ thread_local! {
     /// Allocator calls made by this thread. No destructor, so counting
     /// stays valid through thread teardown.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Size of this thread's latest allocator request.
+    static LAST_SIZE: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LAST_SIZE.try_with(|last| last.set(size));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -49,19 +56,19 @@ fn count() {
 // a thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as above; `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -290,4 +297,56 @@ fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The codec on payloads from empty to a shard of about a megabyte,
+/// compressible and not: `compress` allocates its table and an output sized
+/// for the worst case, `decompress` one buffer of the declared size plus the
+/// same slack every time.
+#[test]
+fn the_codec_allocates_its_buffers_once() {
+    let text = to_bytes(&web_corpus(23, 2000, WebNoise::default()));
+    let noise: Vec<u8> = (0..300_000u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+        .collect();
+    let payloads = [
+        &b""[..],
+        b"x",
+        b"abcabcabcabcabc",
+        &text[..1000],
+        &text,
+        &noise,
+    ];
+    let mut slack = std::collections::BTreeSet::new();
+    for payload in payloads {
+        for codec in [Codec::None, Codec::Djz] {
+            let before = ALLOCATIONS.with(Cell::get);
+            let frame = compress(payload, codec);
+            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            let budget = if codec == Codec::Djz { 2 } else { 1 };
+            assert!(
+                allocations <= budget,
+                "{codec:?}: compress made {allocations} allocations for {} bytes",
+                payload.len()
+            );
+
+            let before = ALLOCATIONS.with(Cell::get);
+            let back = decompress(&frame).unwrap();
+            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            let size = LAST_SIZE.with(Cell::get);
+            assert_eq!(back, payload);
+            // (A passthrough frame's copy of nothing allocates nothing.)
+            assert!(
+                allocations == 1 || (codec == Codec::None && payload.is_empty()),
+                "{codec:?}: decompress made {allocations} allocations for {} bytes",
+                payload.len()
+            );
+            if codec == Codec::Djz {
+                assert!(size >= payload.len(), "{size} bytes for {}", payload.len());
+                slack.insert(size - payload.len());
+            }
+        }
+    }
+    assert_eq!(slack.len(), 1, "the slack varies: {slack:?}");
+    assert!(slack.iter().all(|&s| s <= 64), "slack {slack:?}");
 }
