@@ -6,7 +6,7 @@
 //! about ten times their text in crawl metadata (URL, response headers, a
 //! fetch log: half fixed boilerplate, half per-document values), the shape
 //! of `djbench`'s `meta-file-col`. The `checksum` group times `fnv1a`
-//! (manifest parts, cache keys) against `hash64` (frame envelopes, `DJSC`
+//! (manifest parts, cache keys) against `checksum64` (frame envelopes, `DJSC`
 //! regions).
 
 use std::fmt::Write;
@@ -14,7 +14,7 @@ use std::fmt::Write;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dj_core::{Dataset, Value};
-use dj_hash::{fnv1a, hash64};
+use dj_hash::{checksum64, fnv1a};
 use dj_store::{compress, decompress, to_bytes, Codec};
 use dj_synth::{web_corpus, WebNoise};
 
@@ -90,8 +90,8 @@ fn bench_codecs(c: &mut Criterion) {
     let mut group = c.benchmark_group("checksum");
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("fnv1a", |b| b.iter(|| fnv1a(criterion::black_box(payload))));
-    group.bench_function("hash64", |b| {
-        b.iter(|| hash64(criterion::black_box(payload)))
+    group.bench_function("checksum64", |b| {
+        b.iter(|| checksum64(criterion::black_box(payload)))
     });
     group.finish();
 }

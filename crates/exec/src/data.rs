@@ -40,9 +40,9 @@ use crate::stream::{drive, Feed, Resident, RunCtl};
 
 /// Codec for spilled shard frames (cheap LZ77: spill IO shrinks without a
 /// zstd-class CPU bill). Measured on `meta-file-col`'s shards (`djbench
-/// --trace 1`, 2-core VM): ≈ 330 MB/s to compress, ≈ 1 000 MB/s to
+/// --trace 1`, 2-core VM): ≈ 320 MB/s to compress, ≈ 770 MB/s to
 /// decompress into fresh memory, 2.7× smaller: byte for byte, writing a
-/// spilled frame costs the codec three times what reading it back does.
+/// spilled frame costs the codec about 2.4 times what reading it back does.
 pub(crate) const SPILL_CODEC: Codec = Codec::Djz;
 
 /// Samples per in-memory barrier hash morsel: workers stay balanced by

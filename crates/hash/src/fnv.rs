@@ -9,7 +9,8 @@
 //!
 //! It is a serial byte-at-a-time multiply, so the bytes the engine seals
 //! and re-reads itself — frame envelopes and `DJSC` column regions — are
-//! checksummed with the word-at-a-time [`crate::fxhash::hash64`] instead.
+//! checksummed with the word-at-a-time [`crate::fxhash::checksum64`]
+//! instead.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

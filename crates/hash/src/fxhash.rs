@@ -6,14 +6,17 @@
 //! seedable 64-bit string hash used to derive the independent MinHash
 //! permutations.
 //!
-//! [`hash64`] is also a *format* hash: it is the checksum of every sealed
-//! frame envelope and of every `DJSC` column region (`dj-store::frame`,
-//! `dj-store::columnar`), so its bit pattern is pinned by the known-answer
-//! tests below like [`crate::fnv`]'s. It folds a word per multiply — several
-//! times FNV-1a's byte-at-a-time rate — and each step is a bijection of the
-//! word it takes in, so one flipped bit anywhere always changes the result.
-//! It guards against damage, not against an adversary. The hash-table
-//! hasher [`FxHasher`] shares the algorithm; nothing persists its output.
+//! The same hash under a fixed nonzero seed, [`checksum64`], is a *format*
+//! hash: it is the checksum of every sealed frame envelope and of every
+//! `DJSC` column region (`dj-store::frame`, `dj-store::columnar`), so its
+//! bit pattern is pinned by the known-answer tests below like
+//! [`crate::fnv`]'s. It folds a word per multiply — several times FNV-1a's
+//! byte-at-a-time rate — and each step is a bijection of the word it takes
+//! in, so one flipped bit anywhere always changes the result. The seed
+//! keeps the state off zero, so no run of zero bytes sums to zero. It
+//! guards against damage, not against an adversary. [`hash64`] (seed 0)
+//! and the hash-table hasher [`FxHasher`] share the algorithm; nothing
+//! persists their output.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -92,6 +95,18 @@ pub fn hash64(bytes: &[u8]) -> u64 {
     hash64_seeded(bytes, 0)
 }
 
+/// Seed of [`checksum64`]. Any nonzero constant keeps a zero word from
+/// leaving the state at zero; this one is the bytes `djsealed`.
+const CHECKSUM_SEED: u64 = u64::from_le_bytes(*b"djsealed");
+
+/// The checksum of bytes this workspace seals and reads back (frame
+/// envelopes, `DJSC` regions): [`hash64_seeded`] under a fixed nonzero
+/// seed, so an all-zero buffer never sums to an all-zero checksum field.
+#[inline]
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    hash64_seeded(bytes, CHECKSUM_SEED)
+}
+
 /// Hash a string to 128 bits by combining two independent 64-bit hashes.
 /// Used as an exact-duplicate document fingerprint where 64 bits would risk
 /// birthday collisions at billion-document scale.
@@ -113,31 +128,44 @@ mod tests {
         assert_ne!(hash64_seeded(b"hello", 1), hash64_seeded(b"hello", 2));
     }
 
-    /// `hash64` seals frames on disk: if any of these constants changes,
-    /// every sealed frame and column region written before reads as damage.
+    /// `checksum64` seals frames on disk: if any of these constants
+    /// changes, every sealed frame and column region written before reads
+    /// as damage.
     #[test]
     fn known_answer_vectors() {
-        assert_eq!(hash64(b""), 0);
-        assert_eq!(hash64(b"a"), 0xeaf5_41b7_a1d8_6750);
-        assert_eq!(hash64(b"\0"), 0xa3c9_d2fc_ddad_2108);
-        assert_eq!(hash64(b"foobar"), 0x67b6_8023_f21a_ee40);
-        assert_eq!(hash64(b"12345678"), 0xd28d_2dd6_d229_28b3);
-        assert_eq!(hash64(b"chongo was here!\n"), 0x9496_053f_9536_7687);
+        assert_eq!(checksum64(b""), 0xa718_6e0e_8393_6843);
+        assert_eq!(checksum64(b"a"), 0x49db_3ed3_cef7_ad65);
+        assert_eq!(checksum64(b"\0"), 0x31ce_1632_acd9_3f7d);
+        assert_eq!(checksum64(b"foobar"), 0x0538_8ece_15d1_66a9);
+        assert_eq!(checksum64(b"12345678"), 0xe95d_266e_948e_5320);
+        assert_eq!(checksum64(b"chongo was here!\n"), 0x5920_3683_374a_d009);
         let all: Vec<u8> = (0..=255).collect();
-        assert_eq!(hash64(&all), 0x7e11_50ba_63de_f4a4);
+        assert_eq!(checksum64(&all), 0x1eeb_75f9_216e_cff2);
     }
 
     /// The checksum property the envelope relies on: every single-bit
-    /// flip of a buffer changes its hash.
+    /// flip of a buffer changes its sum.
     #[test]
-    fn every_single_bit_flip_changes_the_hash() {
+    fn every_single_bit_flip_changes_the_checksum() {
         let data: Vec<u8> = (0u8..37).map(|b| b.wrapping_mul(71)).collect();
-        let sum = hash64(&data);
+        let sum = checksum64(&data);
         for bit in 0..data.len() * 8 {
             let mut flipped = data.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(hash64(&flipped), sum, "bit {bit}");
+            assert_ne!(checksum64(&flipped), sum, "bit {bit}");
         }
+    }
+
+    /// A torn write that zeroes a payload and its checksum field together
+    /// must not read back: no run of zero bytes sums to zero (under seed 0
+    /// every run of whole zero words did).
+    #[test]
+    fn no_run_of_zero_bytes_sums_to_zero() {
+        let zeros = vec![0u8; 1 << 16];
+        for len in (0..=4096).chain([1 << 15, (1 << 16) - 1, 1 << 16]) {
+            assert_ne!(checksum64(&zeros[..len]), 0, "{len} zero bytes");
+        }
+        assert_eq!(hash64(&zeros[..64]), 0, "seed 0 is why the seed exists");
     }
 
     #[test]

@@ -25,7 +25,9 @@ pub mod simhash;
 pub mod unionfind;
 
 pub use fnv::{fnv1a, Fnv1a};
-pub use fxhash::{hash128, hash64, hash64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{
+    checksum64, hash128, hash64, hash64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
+};
 pub use minhash::{band_key, Lanes, MinHasher};
 pub use simhash::{hamming, simhash_tokens, simhash_weighted, SIMHASH_BLOCKS};
 pub use unionfind::ConcurrentUnionFind;

@@ -94,6 +94,8 @@ pub struct CorpusReader {
     /// When set, malformed records are routed through the `on_error`
     /// policy (skipped/quarantined and counted) instead of aborting.
     ledger: Option<Arc<ErrorLedger>>,
+    /// Set once an error has been returned: the stream ends there.
+    failed: bool,
 }
 
 impl CorpusReader {
@@ -117,6 +119,7 @@ impl CorpusReader {
             finished_bytes: 0,
             samples_read: 0,
             ledger: None,
+            failed: false,
         })
     }
 
@@ -147,7 +150,20 @@ impl CorpusReader {
     /// is exhausted. With a ledger attached, malformed records are
     /// absorbed by the `on_error` policy and the scan continues; without
     /// one, the first parse error aborts (the `fail` behaviour).
+    ///
+    /// An error ends the stream: afterwards the reader yields nothing, so
+    /// workers sharing it never read past the record that failed the run
+    /// (a later record's failure could otherwise be reported first).
     pub fn next_sample(&mut self) -> Result<Option<Sample>> {
+        if self.failed {
+            return Ok(None);
+        }
+        let next = self.read_sample();
+        self.failed = next.is_err();
+        next
+    }
+
+    fn read_sample(&mut self) -> Result<Option<Sample>> {
         loop {
             let reader = match self.current.as_mut() {
                 Some(r) => r,
@@ -346,8 +362,12 @@ mod tests {
     fn no_ledger_keeps_fail_fast_behaviour() {
         let dir = tmpdir("failfast");
         write(&dir.join("a.jsonl"), "nope\n");
+        write(&dir.join("b.jsonl"), "{\"text\":\"after\"}\n");
         let mut r = CorpusReader::from_pattern(&format!("{}/*.jsonl", dir.display())).unwrap();
         assert!(matches!(r.next_shard(4).unwrap_err(), DjError::Parse(_)));
+        // The error ended the stream: nothing past it is read.
+        assert!(r.next_shard(4).unwrap().is_none());
+        assert_eq!(r.samples_read(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,6 +19,7 @@ use std::sync::Mutex;
 use dj_core::{faults, parse_json, sync, Dataset, DjError, Result, Value};
 use dj_hash::fnv1a;
 use dj_store::codec::Codec;
+use dj_store::envelope;
 use dj_store::serialize::write_jsonl_into;
 use dj_store::shard_stream::encode_shard_frame;
 
@@ -186,7 +187,7 @@ impl ShardedWriter {
     pub fn create(dir: impl Into<PathBuf>, format: OutputFormat) -> Result<ShardedWriter> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let resumed = Self::scan_partial(&dir)?;
+        let resumed = Self::scan_partial(&dir, format)?;
         let log = OpenOptions::new()
             .create(true)
             .append(true)
@@ -204,8 +205,11 @@ impl ShardedWriter {
     }
 
     /// Read the commit log and keep only entries whose part file still
-    /// matches (exists, right size, right checksum).
-    fn scan_partial(dir: &Path) -> Result<BTreeMap<usize, PartEntry>> {
+    /// matches (exists, right size, right checksum) and, as a `frames`
+    /// part, opens under this build's envelope: one sealed by an earlier
+    /// envelope version is rewritten, never sealed into a manifest beside
+    /// parts that read back.
+    fn scan_partial(dir: &Path, format: OutputFormat) -> Result<BTreeMap<usize, PartEntry>> {
         let log_path = dir.join(PARTIAL_LOG);
         let text = match fs::read_to_string(&log_path) {
             Ok(t) => t,
@@ -230,7 +234,10 @@ impl ShardedWriter {
             let Ok(contents) = fs::read(&path) else {
                 continue;
             };
-            if contents.len() as u64 == entry.bytes && fnv1a(&contents) == entry.checksum {
+            if contents.len() as u64 == entry.bytes
+                && fnv1a(&contents) == entry.checksum
+                && (format != OutputFormat::Frames || envelope::open_one(&contents).is_ok())
+            {
                 out.insert(idx as usize, entry);
             }
         }
@@ -487,6 +494,65 @@ mod tests {
         let manifest = w.finish().unwrap();
         let text = fs::read_to_string(dir.join(&manifest.parts[0].file)).unwrap();
         assert!(text.contains("original"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_frames_part_sealed_under_an_old_envelope_is_rewritten_on_resume() {
+        let dir = tmpdir("old-envelope");
+        let shards = [shard(&["a"]), shard(&["b"]), shard(&["c"])];
+        {
+            let w = ShardedWriter::create(&dir, OutputFormat::Frames).unwrap();
+            w.store_shard(0, &shards[0]).unwrap();
+            w.store_shard(1, &shards[1]).unwrap();
+            drop(w);
+        }
+        // Part 0 as an earlier release sealed it (a plain u64 length, so
+        // version byte 0, and an FNV-1a sum), committed in the log under
+        // its own size and checksum.
+        let file = "part-00000.djs";
+        let sealed = fs::read(dir.join(file)).unwrap();
+        let payload = &sealed[envelope::HEADER_LEN..];
+        let mut old = sealed[..4].to_vec();
+        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        old.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        old.extend_from_slice(payload);
+        fs::write(dir.join(file), &old).unwrap();
+        let err = read_shard_frame(&mut old.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("envelope version 0"), "{err}");
+        let mut line = PartEntry {
+            file: file.to_string(),
+            samples: 1,
+            bytes: old.len() as u64,
+            checksum: fnv1a(&old),
+        }
+        .to_value();
+        if let Value::Map(m) = &mut line {
+            m.insert("part".to_string(), Value::Int(0));
+        }
+        let mut log = OpenOptions::new()
+            .append(true)
+            .open(dir.join(PARTIAL_LOG))
+            .unwrap();
+        writeln!(log, "{line}").unwrap();
+        drop(log);
+
+        let w = ShardedWriter::create(&dir, OutputFormat::Frames).unwrap();
+        assert_eq!(w.resumed_parts(), 1, "only the part this build reads");
+        for (i, s) in shards.iter().enumerate() {
+            w.store_shard(i, s).unwrap();
+        }
+        let written = w.bytes_written();
+        let manifest = w.finish().unwrap();
+        assert_eq!(written, manifest.parts[0].bytes + manifest.parts[2].bytes);
+        for (part, s) in manifest.parts.iter().zip(&shards) {
+            let bytes = fs::read(dir.join(&part.file)).unwrap();
+            assert_eq!(fnv1a(&bytes), part.checksum);
+            assert_eq!(
+                read_shard_frame(&mut bytes.as_slice()).unwrap().unwrap(),
+                *s
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,17 +14,17 @@
 //! so a stray frame carrying it is refused as an unknown codec.
 //!
 //! "Negligible" is held to memory speed, in safe code. The decoder makes
-//! one allocation — the declared size plus 32 bytes of slack — copies a
-//! literal run with one `copy_from_slice` (a short one as a 16-byte chunk)
-//! and a match 16 bytes at a time (a match closer than that repeats its
-//! period by doubling copies), and refuses a token that would write past
-//! the declared size at that token. The encoder keeps `u32` hints in its
-//! table, extends a match 8 bytes per compare, continues a run longer than
-//! a token can carry at the same offset without a new probe, and widens
-//! its step over incompressible stretches. Its output is a pure function of
-//! its input; the token format is the one every earlier encoder wrote, so
-//! every frame they wrote still decodes (`tests/codec_differential.rs`
-//! holds both halves to the byte-at-a-time codec they replaced).
+//! one allocation — the declared size plus 16 bytes of slack — copies a
+//! literal run with one `copy_from_slice` and a match 16 bytes at a time
+//! (a match closer than that repeats its period by doubling copies), and
+//! refuses a token that would write past the declared size at that token.
+//! The encoder keeps `u32` hints in its table, extends a match 8 bytes per
+//! compare, continues a run longer than a token can carry at the same
+//! offset without a new probe, and widens its step over incompressible
+//! stretches. Its output is a pure function of its input; the token format
+//! is the one every earlier encoder wrote, so every frame they wrote still
+//! decodes (`tests/codec_differential.rs` holds both halves to the
+//! byte-at-a-time codec they replaced).
 
 use dj_core::{DjError, Result};
 
@@ -119,13 +119,12 @@ const HASH_BITS: u32 = 15;
 
 /// The decoder's copy width: a match at least this far back is copied in
 /// chunks of this many bytes (each chunk's source is written before it is
-/// read), and a literal run no longer than this as one chunk.
+/// read).
 const CHUNK: usize = 16;
 
-/// Room the decoder's output has past the declared size, for the chunks
-/// that run past a token's end: a match's first two chunks are copied
-/// whatever its length, so the common short match takes no branch on it.
-const SLACK: usize = 2 * CHUNK;
+/// Room the decoder's output has past the declared size, for the last
+/// chunk of a match, which may run past the match's end.
+const SLACK: usize = CHUNK;
 
 /// Over an incompressible stretch the encoder's step between probes grows
 /// by one every this many misses in a row.
@@ -232,20 +231,10 @@ fn djz_decompress(body: &[u8], expected: usize) -> Result<Vec<u8>> {
             if n > expected - pos {
                 return Err(overrun(expected));
             }
-            // A short run goes as one chunk when the body holds one: the
-            // bytes past the run are the next token's to overwrite, or slack.
-            let chunk = body
-                .get(i..i + CHUNK)
-                .and_then(|c| <[u8; CHUNK]>::try_from(c).ok());
-            match chunk.filter(|_| n <= CHUNK) {
-                Some(chunk) => out[pos..pos + CHUNK].copy_from_slice(&chunk),
-                None => {
-                    let Some(lits) = body.get(i..i + n) else {
-                        return Err(DjError::Storage("djz: truncated literal run".into()));
-                    };
-                    out[pos..pos + n].copy_from_slice(lits);
-                }
-            }
+            let Some(lits) = body.get(i..i + n) else {
+                return Err(DjError::Storage("djz: truncated literal run".into()));
+            };
+            out[pos..pos + n].copy_from_slice(lits);
             i += n;
             pos += n;
         } else {
@@ -282,9 +271,7 @@ fn overrun(expected: usize) -> DjError {
 fn copy_match(out: &mut [u8], pos: usize, offset: usize, len: usize) {
     let src = pos - offset;
     if offset >= CHUNK {
-        out.copy_within(src..src + CHUNK, pos);
-        out.copy_within(src + CHUNK..src + 2 * CHUNK, pos + CHUNK);
-        let mut k = 2 * CHUNK;
+        let mut k = 0;
         while k < len {
             out.copy_within(src + k..src + k + CHUNK, pos + k);
             k += CHUNK;

@@ -17,7 +17,7 @@
 //!     offset    u64 LE   region start, relative to the end of the directory
 //!     len       u64 LE   compressed region length
 //!     raw_len   u64 LE   decompressed region length
-//!     checksum  u64 LE   `dj_hash::hash64` of the compressed region
+//!     checksum  u64 LE   `dj_hash::checksum64` of the compressed region
 //!   regions, concatenated in directory order
 //!
 //! region (before compression), one entry per sample:
@@ -45,7 +45,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dj_core::{Dataset, DjError, Result, Sample, Value};
-use dj_hash::hash64;
+use dj_hash::checksum64;
 
 use crate::codec::{compress, decompress, max_raw_len, Codec};
 use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
@@ -114,7 +114,7 @@ fn assemble_frame<R: AsRef<[u8]>>(samples: usize, regions: &[(&str, R, u64)]) ->
         let region = region.as_ref();
         payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
         payload.extend_from_slice(name.as_bytes());
-        for word in [offset, region.len() as u64, *raw_len, hash64(region)] {
+        for word in [offset, region.len() as u64, *raw_len, checksum64(region)] {
             payload.extend_from_slice(&word.to_le_bytes());
         }
         offset += region.len() as u64;
@@ -263,7 +263,7 @@ impl ColumnarSlab {
 
     fn region_bytes(&self, c: &ColumnEntry) -> Result<&[u8]> {
         let region = &self.payload[c.start..c.start + c.len];
-        if hash64(region) != c.checksum {
+        if checksum64(region) != c.checksum {
             return Err(DjError::Storage(format!(
                 "columnar region checksum mismatch for column `{}`",
                 c.name

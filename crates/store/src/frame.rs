@@ -5,16 +5,18 @@
 //! more *sealed* byte strings sharing a 20-byte envelope:
 //!
 //! ```text
-//! ┌──────────┬──────────────┬──────────────┬──────────┐
-//! │ magic    │ payload_len  │ checksum     │ payload  │
-//! │ 4 bytes  │ u64 LE       │ u64 LE       │          │
-//! └──────────┴──────────────┴──────────────┴──────────┘
+//! ┌──────────┬──────────────┬──────────┬──────────────┬──────────┐
+//! │ magic    │ payload_len  │ version  │ checksum     │ payload  │
+//! │ 4 bytes  │ u56 LE       │ u8 = 1   │ u64 LE       │          │
+//! └──────────┴──────────────┴──────────┴──────────────┴──────────┘
 //! ```
 //!
 //! The length prefix makes sealed strings skippable (a cache entry is a
 //! plain concatenation of them), the checksum detects bit rot and torn
-//! writes. It is [`dj_hash::hash64`], a word-at-a-time hash pinned as a
-//! format hash, under which one flipped bit always changes the sum.
+//! writes. It is [`dj_hash::checksum64`], a word-at-a-time hash pinned as
+//! a format hash, under which one flipped bit always changes the sum. The
+//! version names the checksum: an envelope an earlier release summed with
+//! FNV-1a has version 0 and is refused as such, not as damage.
 //! [`envelope`] is the only code that writes or checks that header.
 //! Truncated or corrupted input is a clean [`DjError::Storage`] — never a
 //! panic, never silently short data, and nothing is allocated on the word of
@@ -50,21 +52,34 @@ pub const FINGERPRINT_MAGIC: &[u8; 4] = b"DJFP";
 pub mod envelope {
     use super::*;
     use crate::serialize::le_u64;
-    use dj_hash::hash64;
+    use dj_hash::checksum64;
 
-    /// Magic, payload length, checksum.
+    /// Magic, payload length and version, checksum.
     pub const HEADER_LEN: usize = 4 + 8 + 8;
+
+    /// The envelope this build seals and opens: a [`checksum64`] sum.
+    /// Version 0 — the top byte of the length word, which the 64-bit
+    /// lengths of earlier releases left zero — summed with FNV-1a.
+    pub const VERSION: u8 = 1;
 
     /// No sealed string is this long; a length field saying otherwise is
     /// damage, reported as such rather than as a truncation by exabytes.
     const MAX_PAYLOAD: u64 = 1 << 40;
 
-    /// Wrap `payload`: magic, payload length, checksum, payload.
+    /// The payload length (low 7 bytes) and envelope version (top byte)
+    /// of the length word at `header[4..12]`.
+    fn length_word(header: &[u8]) -> (u64, u8) {
+        let word = le_u64(&header[4..12]);
+        (word & ((1 << 56) - 1), (word >> 56) as u8)
+    }
+
+    /// Wrap `payload`: magic, payload length and version, checksum, payload.
     pub fn seal(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(magic);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&hash64(payload).to_le_bytes());
+        let word = payload.len() as u64 | (VERSION as u64) << 56;
+        out.extend_from_slice(&word.to_le_bytes());
+        out.extend_from_slice(&checksum64(payload).to_le_bytes());
         out.extend_from_slice(payload);
         out
     }
@@ -80,7 +95,18 @@ pub mod envelope {
             )));
         }
         let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-        let len = le_u64(&bytes[4..12]);
+        let (len, version) = length_word(bytes);
+        if version == 0 {
+            return Err(DjError::Storage(format!(
+                "frame sealed under envelope version 0 (FNV-1a checksum) by an \
+                 earlier release; this build reads version {VERSION}"
+            )));
+        }
+        if version != VERSION {
+            return Err(DjError::Storage(format!(
+                "unknown frame envelope version {version}"
+            )));
+        }
         if len > MAX_PAYLOAD {
             return Err(DjError::Storage(format!("implausible frame length {len}")));
         }
@@ -93,7 +119,7 @@ pub mod envelope {
             )));
         }
         let (payload, rest) = body.split_at(len as usize);
-        if hash64(payload) != checksum {
+        if checksum64(payload) != checksum {
             return Err(DjError::Storage(
                 "frame checksum mismatch (corrupted data)".into(),
             ));
@@ -127,7 +153,7 @@ pub mod envelope {
             return Ok(None);
         }
         if sealed.len() == HEADER_LEN {
-            let len = le_u64(&sealed[4..12]);
+            let (len, _) = length_word(&sealed);
             r.by_ref().take(len).read_to_end(&mut sealed)?;
         }
         Ok(Some(sealed))
@@ -355,6 +381,62 @@ mod tests {
         assert_eq!(envelope::read_one(&mut stream).unwrap(), Some(a));
         assert_eq!(envelope::read_one(&mut stream).unwrap(), Some(b));
         assert_eq!(envelope::read_one(&mut stream).unwrap(), None);
+    }
+
+    /// An envelope as earlier releases sealed it: a plain u64 length (top
+    /// byte 0, the version byte now) and an FNV-1a checksum.
+    fn sealed_under_version_0(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&dj_hash::fnv1a(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn an_envelope_of_another_version_is_refused_by_its_version() {
+        let payload =
+            encode_shard_frame(&rich_shard(), Codec::Djz)[envelope::HEADER_LEN..].to_vec();
+        let old = sealed_under_version_0(SHARD_FRAME_MAGIC, &payload);
+        for err in [
+            envelope::open(&old).unwrap_err(),
+            Frame::parse(&old).unwrap_err(),
+            read_shard_frame(&mut old.as_slice()).unwrap_err(),
+        ] {
+            assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+            assert!(err.to_string().contains("envelope version 0"), "{err}");
+        }
+        let mut future = envelope::seal(SHARD_FRAME_MAGIC, &payload);
+        future[11] = envelope::VERSION + 1;
+        let err = envelope::open(&future).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown frame envelope version 2"),
+            "{err}"
+        );
+        // The stream cutter reads the length under the version byte, so a
+        // stream of current envelopes walks as before.
+        let sealed = envelope::seal(SHARD_FRAME_MAGIC, &payload);
+        assert_eq!(sealed[11], envelope::VERSION);
+        let two = sealed.repeat(2);
+        let mut stream = two.as_slice();
+        assert_eq!(
+            envelope::read_one(&mut stream).unwrap(),
+            Some(sealed.clone())
+        );
+        assert_eq!(envelope::read_one(&mut stream).unwrap(), Some(sealed));
+    }
+
+    #[test]
+    fn a_zeroed_checksum_over_a_zeroed_payload_is_refused() {
+        for len in 0..=64 {
+            let mut torn = envelope::seal(FINGERPRINT_MAGIC, &vec![7; len]);
+            torn[12..].fill(0);
+            let err = envelope::open(&torn).unwrap_err();
+            assert!(
+                err.to_string().contains("checksum mismatch"),
+                "{len}: {err}"
+            );
+        }
     }
 
     #[test]

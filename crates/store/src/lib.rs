@@ -8,10 +8,10 @@
 //!   entry is a concatenation of sealed frames, pulled back one at a time;
 //! * [`space`] — the Appendix A.2 space-usage model and the automatic
 //!   cache/checkpoint deployment policy;
-//! * [`frame`] — the one envelope (magic · length · `hash64` · payload) every
-//!   spool slot, sidecar, `frames` part and cache entry is sealed in, and
-//!   the one [`Frame`] over the two shard-frame formats: the only module
-//!   that checks an envelope or tells row from columnar;
+//! * [`frame`] — the one envelope (magic · length · version · `checksum64`
+//!   · payload) every spool slot, sidecar, `frames` part and cache entry is
+//!   sealed in, and the one [`Frame`] over the two shard-frame formats: the
+//!   only module that checks an envelope or tells row from columnar;
 //! * [`shard_stream`] — row `DJSF` shard frames and the disk-backed
 //!   [`ShardSpool`], the storage substrate of the out-of-core
 //!   (spill-to-disk) execution mode;

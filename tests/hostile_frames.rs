@@ -363,8 +363,24 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             n as u64,
             n as u64 - 19,
         ] {
-            let accepted = check(&spool, "length bomb", &with_u64(sealed, 4, len));
+            // Under the current version byte, so the length itself is judged.
+            let word = len & ((1 << 56) - 1) | u64::from(envelope::VERSION) << 56;
+            let accepted = check(&spool, "length bomb", &with_u64(sealed, 4, word));
             assert!(!accepted, "length {len} accepted for {n} sealed bytes");
+        }
+        // A torn write that zeroes the checksum and the payload but leaves
+        // magic and length standing: the envelope refuses it, whatever the
+        // payload parsers would make of zeros.
+        let mut torn = sealed.clone();
+        torn[12..].fill(0);
+        assert!(envelope::open(&torn).is_err(), "{magic:?} zeroed");
+        assert!(!check(&spool, "zeroed checksum and payload", &torn));
+        // Another envelope version: 0 is the FNV-1a envelope of earlier
+        // releases, the rest are unknown.
+        for version in [0, 2, 0xff] {
+            let mut other = sealed.clone();
+            other[11] = version;
+            assert!(!check(&spool, "envelope version", &other), "{version}");
         }
         let mut trailing = sealed.clone();
         trailing.push(0);
