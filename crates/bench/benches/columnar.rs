@@ -1,13 +1,14 @@
 //! Columnar (`DJSC`) frame micro-benchmarks: full decode vs projected
 //! decode vs raw column read on a metadata-heavy shard, plus the
-//! mask-filter splice — the per-frame costs the field-projection
-//! pushdown trades against a whole-row decode.
+//! mask-filter compaction and a stage's store of a shard it thinned — the
+//! per-frame costs the field-projection pushdown trades against a
+//! whole-row decode.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::BTreeSet;
 
 use dj_core::Value;
-use dj_store::{encode_columnar_frame, encode_shard_frame, Codec, ColumnarSlab, FrameSlab};
+use dj_store::{encode_columnar_frame, encode_shard_frame, Codec, ColumnarSlab, Frame, FrameSlab};
 use dj_synth::{web_corpus, WebNoise};
 
 /// A shard whose text is a minority share: every sample carries url,
@@ -86,12 +87,31 @@ fn bench_columnar(c: &mut Criterion) {
             region.texts_at("").unwrap().len()
         })
     });
-    // The barrier mask-apply fast path: drop half the samples without
-    // decoding any column.
+    // A masked frame compacted on its way into a cache entry: drop half
+    // the samples without decoding any value.
     let keep: Vec<bool> = (0..shard.len()).map(|i| i % 2 == 0).collect();
     group.bench_function("filter_frame_half", |b| {
         b.iter(|| {
             slab.filter_frame(criterion::black_box(&keep), Codec::Djz)
+                .unwrap()
+        })
+    });
+    // A stage's store: the text column re-encoded from the samples a
+    // filter kept, 30 % of them dropped, every other column passed through.
+    let frame = Frame::parse(&col_frame).expect("columnar frame parses");
+    let keep: Vec<bool> = (0..shard.len()).map(|i| i % 10 >= 3).collect();
+    let (kept, _) = frame
+        .decode(Some(&text_cols), Some(&keep))
+        .expect("decodes");
+    group.bench_function("store_processed_with_drops", |b| {
+        b.iter(|| {
+            frame
+                .store_processed(
+                    criterion::black_box(&kept),
+                    Some(&text_cols),
+                    &keep,
+                    Codec::Djz,
+                )
                 .unwrap()
         })
     });

@@ -6,7 +6,7 @@
 //! | shape | feed | sink | what is decoded |
 //! |---|---|---|---|
 //! | in memory | [`StageData::open`]: take the shard out of its slot | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
-//! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | every sample the deferred mask keeps; a columnar frame decodes only the pass's footprint columns `cols` and rides to the sink, which splices the rest through undecoded; a row frame ignores `cols` and is dropped once decoded |
+//! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | every sample the deferred mask keeps; a columnar frame decodes only the pass's footprint columns `cols` and rides to the sink, which copies every other region verbatim and keeps the samples the stage dropped stored, under the new spool's mask; a row frame ignores `cols` and is dropped once decoded |
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
 //! | barrier hash pass | resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
 //! | barrier mask, in memory | resident shards, in parallel | [`Sink::Mem`] | nothing — `retain` by mask |
@@ -21,7 +21,10 @@
 //! A spilled barrier writes nothing: its keep mask rides on the
 //! [`Spilled`] data and is consumed by whichever pass opens the spool next —
 //! the following stage's load, the next barrier's hash pass, egress,
-//! materialization or a cache save.
+//! materialization or a cache save. A columnar stage's filter verdicts ride
+//! the same way: its output frames keep every sample they stored, so no
+//! region the stage did not decode is rewritten, and the verdicts become the
+//! next spool's mask.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeSet;
@@ -85,9 +88,8 @@ pub(crate) struct Loaded<'a> {
     /// keeps it: an undecoded load, or a frame the sink still has columns
     /// to splice from.
     pub frame: Option<Frame>,
-    /// The deferred barrier mask over the frame's stored samples, if the
-    /// spool carries one: `shard` already honors it; whoever reads `frame`
-    /// must.
+    /// The spool's deferred mask over the frame's stored samples, if it
+    /// carries one: `shard` already honors it; whoever reads `frame` must.
     pub keep: Option<&'a [bool]>,
     /// Decompressed bytes decoded to build `shard`, where the frame
     /// attributes them.
@@ -217,8 +219,9 @@ pub(crate) enum Sink<'a> {
     Mem(MemShardStore),
     /// A fresh spill spool. A shard whose load carried its frame is stored
     /// as that frame's splice — the named columns re-encoded from the
-    /// processed samples, every other column copied undecoded; anything
-    /// else is encoded whole in the spool's own format.
+    /// processed samples, every other column copied undecoded, the dropped
+    /// samples still stored; anything else is encoded whole in the spool's
+    /// own format.
     Spool(ShardSpool, Option<&'a BTreeSet<String>>),
 }
 
@@ -231,66 +234,84 @@ impl Sink<'_> {
     /// Store shard `idx`. `frame` is what the load carried, `keep` says per
     /// *stored* sample of that frame whether it survived into `shard` (see
     /// [`widen_keep`]). Returns the decompressed bytes that crossed
-    /// input→output undecoded.
+    /// input→output undecoded and, when the stored frame still holds
+    /// samples `keep` dropped, `keep` itself: the slot's mask, for
+    /// [`finish`](Sink::finish).
     pub(crate) fn store(
         &self,
         idx: usize,
         frame: Option<Frame>,
         shard: Dataset,
-        keep: &[bool],
+        keep: Vec<bool>,
         fingerprints: Option<Fingerprints>,
-    ) -> Result<u64> {
+    ) -> Result<(u64, Option<Vec<bool>>)> {
         let (out, cols) = match self {
-            Sink::Mem(slots) => return slots.store_shard(idx, shard).map(|()| 0),
+            Sink::Mem(slots) => return slots.store_shard(idx, shard).map(|()| (0, None)),
             Sink::Spool(out, cols) => (out, *cols),
         };
-        let passthrough = match frame {
+        let (passthrough, mask) = match frame {
             Some(frame) => {
-                let (bytes, passthrough) =
-                    frame.store_processed(&shard, cols, keep, SPILL_CODEC)?;
-                out.write_frame_bytes(idx, &bytes, shard.len())?;
-                passthrough
+                let (bytes, samples, passthrough) =
+                    frame.store_processed(&shard, cols, &keep, SPILL_CODEC)?;
+                out.write_frame_bytes(idx, &bytes, samples)?;
+                (passthrough, (samples != shard.len()).then_some(keep))
             }
             None => {
                 out.write_shard(idx, &shard)?;
-                0
+                (0, None)
             }
         };
         if let Some(fp) = fingerprints {
             out.write_fingerprints(idx, &fp)?;
         }
-        Ok(passthrough)
+        Ok((passthrough, mask))
     }
 
-    /// The stored shards, as the next stage's input.
-    pub(crate) fn finish(self) -> Result<StageData> {
+    /// The stored shards, as the next stage's input. `masks` holds what
+    /// [`store`](Sink::store) returned per slot, in slot order (empty when
+    /// nothing was stored with dead samples).
+    pub(crate) fn finish(self, masks: Vec<Option<Vec<bool>>>) -> Result<StageData> {
         match self {
             Sink::Mem(slots) => slots.into_shards().map(StageData::Mem),
-            Sink::Spool(out, _) => Ok(StageData::Spilled(Spilled::new(out))),
+            Sink::Spool(out, _) => Ok(StageData::Spilled(Spilled {
+                mask: masks,
+                ..Spilled::new(out)
+            })),
         }
     }
 }
 
-/// Spilled data: a spool of shard frames plus the keep mask a dedup
-/// barrier left on it instead of rewriting every frame.
+/// Spilled data: a spool of shard frames plus the keep mask that stands
+/// for the samples its frames still store but the dataset no longer holds
+/// — what a dedup barrier dropped instead of rewriting every frame, and
+/// what a columnar stage dropped instead of rewriting the regions it never
+/// decoded.
 pub(crate) struct Spilled {
     spool: ShardSpool,
     /// Per slot, per *stored* sample: whether it is still part of the
-    /// dataset. `None` = every stored sample is. Back-to-back barriers
-    /// and-combine into the one mask. The spool's fingerprint sidecars
-    /// describe the stored samples for the barrier that set the mask, so
-    /// they are spent once a mask is present.
-    mask: Option<Vec<Vec<bool>>>,
+    /// dataset. A slot without one (`None`, or past the end) has every
+    /// stored sample live. A stage's verdicts start it; barriers
+    /// and-combine into it.
+    mask: Vec<Option<Vec<bool>>>,
+    /// A barrier consumed the spool's fingerprint sidecars: they describe
+    /// the samples that barrier clustered, not what is live after its
+    /// mask. (A stage's mask spends nothing — its sidecars hold the samples
+    /// it kept.)
+    sidecars_spent: bool,
 }
 
 impl Spilled {
     fn new(spool: ShardSpool) -> Spilled {
-        Spilled { spool, mask: None }
+        Spilled {
+            spool,
+            mask: Vec::new(),
+            sidecars_spent: false,
+        }
     }
 
-    /// The deferred mask over slot `i`'s stored samples, if any.
+    /// The mask over slot `i`'s stored samples, if any.
     fn keep(&self, i: usize) -> Option<&[bool]> {
-        self.mask.as_ref()?.get(i).map(Vec::as_slice)
+        self.mask.get(i)?.as_deref()
     }
 
     /// Samples of slot `i` still part of the dataset.
@@ -486,9 +507,9 @@ impl StageData {
             let fingerprints = upcoming
                 .map(|d| hash_samples(d, shard.samples()))
                 .transpose()?;
-            sink.store(i, None, shard, &[], fingerprints)?;
+            sink.store(i, None, shard, Vec::new(), fingerprints)?;
         }
-        sink.finish()
+        sink.finish(Vec::new())
     }
 
     /// Cut fresh (single-shard) in-memory data to the configured shard
@@ -583,10 +604,10 @@ impl StageData {
                 })?
             }
             StageData::Spilled(data) => {
-                // Sidecars still on a masked spool fed the barrier that
-                // masked it, not this one.
-                if data.mask.is_none() {
-                    if let Some(fingerprints) = data.spool.read_all_fingerprints()? {
+                // Sidecars a barrier consumed fed that barrier, not this one.
+                if !data.sidecars_spent {
+                    let live = self.shard_lens();
+                    if let Some(fingerprints) = data.spool.read_all_fingerprints(&live)? {
                         return Ok((fingerprints, 0, true));
                     }
                 }
@@ -658,9 +679,10 @@ impl StageData {
                             Ok(())
                         })?;
                     }
-                    stored.push(widen_keep(data.keep(i), keep.to_vec()));
+                    stored.push(Some(widen_keep(data.keep(i), keep.to_vec())));
                 }
-                data.mask = Some(stored);
+                data.mask = stored;
+                data.sidecars_spent = true;
                 Ok((StageData::Spilled(data), trace))
             }
         }

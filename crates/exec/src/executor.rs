@@ -279,7 +279,7 @@ impl Executor {
         // length is unknown until it is dry.
         let sink = Sink::Spool(self.new_spool(0)?, None);
         let fp_dedup = next_barrier(remaining, 0);
-        self.drive_stage(ingest_steps, fp_dedup, &feed, &sink, &ctl, &mut report)?;
+        let mut data = self.drive_stage(ingest_steps, fp_dedup, &feed, sink, &ctl, &mut report)?;
         drop(feed);
         let (reader, _) = reader.into_inner().unwrap_or_else(PoisonError::into_inner);
         report.ingest_bytes = reader.bytes_read();
@@ -287,7 +287,6 @@ impl Executor {
         report.ingest_duration = ingest_start.elapsed();
 
         // Remaining stages run exactly like an out-of-core `run`.
-        let mut data = sink.finish()?;
         for (k, stage) in remaining.iter().enumerate() {
             let next = next_barrier(remaining, k + 1);
             data = self.execute_stage(stage, next, data, budget, &ctl, &mut report)?;

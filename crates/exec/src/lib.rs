@@ -36,7 +36,7 @@
 //!    |---|---|---|---|
 //!    | in memory | take the shard out of its slot | store into a slot | nothing — samples are resident |
 //!    | spilled, row `DJSF` frames | read + decode slot *i* | encode a row frame | every sample |
-//!    | spilled, columnar `DJSC` frames | read slot *i*, decode only the stage's footprint columns, carry the slab | splice: re-encode the decoded columns, copy every other column from the carried slab undecoded | the footprint columns |
+//!    | spilled, columnar `DJSC` frames | read slot *i*, decode only the stage's footprint columns, carry the slab | splice: re-encode the decoded columns, copy every other region from the carried slab verbatim; dropped samples stay stored, masked | the footprint columns |
 //!    | file ingest ([`Executor::run_io`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame (either format) | the parsed records |
 //!
 //!    A sink that writes frames also writes each shard's fingerprints for
@@ -51,8 +51,10 @@
 //!    dataset is not touched — the mask rides on its spool to whichever
 //!    pass opens it next (a stage load, the next barrier, egress), which
 //!    steps over the dropped samples. The fingerprints come from the
-//!    sidecars when the data carries them (a spilled barrier then opens no
-//!    frame); otherwise from one hash pass that borrows the hashed field's
+//!    sidecars when the data carries them and no barrier consumed them yet
+//!    (a spilled barrier then opens no frame; a columnar stage's mask
+//!    leaves them valid, they hold the samples it kept); otherwise from one
+//!    hash pass that borrows the hashed field's
 //!    text — from resident samples in sample-balanced morsels, from an
 //!    undecoded row slab, or from one decompressed column region — and
 //!    only decodes whole samples for a deduplicator that hashes whole
@@ -157,10 +159,13 @@
 //!    `DJSC` frame format and every pass decodes only the top-level
 //!    columns named by its steps' field footprints
 //!    ([`Mapper::fields_read`](dj_core::Mapper::fields_read) et al.);
-//!    untouched columns splice into the output frame byte-for-byte
-//!    without ever materializing values. `RunReport::bytes_decoded` /
-//!    `RunReport::bytes_passthrough` account the split, and outputs stay
-//!    byte-identical to row-format runs.
+//!    untouched columns' regions are copied into the output frame
+//!    verbatim, never decompressed. Samples the stage's filters dropped
+//!    stay stored in its output frames; the verdicts ride on the new spool
+//!    as its mask (the same one step 3's barriers leave), and leave the
+//!    bytes only where the bytes leave the spool: egress or a cache save.
+//!    `RunReport::bytes_decoded` / `RunReport::bytes_passthrough` account
+//!    the split, and outputs stay byte-identical to row-format runs.
 //!
 //! ## File-backed execution ([`Executor::run_io`])
 //!

@@ -110,11 +110,12 @@ pub struct RunReport {
     /// column regions a barrier's hash pass read. Applying a barrier's
     /// mask decodes nothing.
     pub bytes_decoded: u64,
-    /// Decompressed bytes of untouched columns that crossed stage
-    /// input→output as byte-for-byte splices, never materialized into
-    /// `Value`s — the work projection pushdown avoided. Pipeline stages
-    /// only: a spilled barrier rewrites no frame (its mask rides on the
-    /// spool), so it adds nothing here, and neither does egress.
+    /// Decompressed size of the untouched columns' regions that crossed
+    /// stage input→output copied verbatim, never decompressed — the work
+    /// projection pushdown avoided. Always whole regions: samples a stage
+    /// drops stay stored under the spool's mask. Pipeline stages only: a
+    /// spilled barrier rewrites no frame (its mask rides on the spool), so
+    /// it adds nothing here, and neither does egress.
     pub bytes_passthrough: u64,
     /// Records dropped by the `on_error: skip` policy (malformed ingest
     /// lines plus samples an OP rejected).

@@ -47,17 +47,19 @@ impl Executor {
     /// stats onto plan positions, feed them to the replanner, fingerprint
     /// the survivors for `next_dedup` when the sink can carry fingerprints
     /// (so the barrier that follows skips its hash pass), and store the
-    /// outcome in `sink`. Per-shard stats and traces merge in shard order,
-    /// so output and report are independent of worker scheduling.
+    /// outcome in `sink`, which is finished into the stage's output with
+    /// the masks of slots that still store dropped samples. Per-shard stats
+    /// and traces merge in shard order, so output and report are
+    /// independent of worker scheduling.
     pub(crate) fn drive_stage(
         &self,
         steps: &[PlanStep],
         next_dedup: Option<&dyn Deduplicator>,
         feed: &Feed<'_, Loaded<'_>>,
-        sink: &Sink<'_>,
+        sink: Sink<'_>,
         ctl: &RunCtl,
         report: &mut RunReport,
-    ) -> Result<()> {
+    ) -> Result<StageData> {
         let cap = self.options.trace_examples;
         // Kept samples pass every filter of a commutable window under any
         // order and collect the same (key-sorted) stats, and reordering
@@ -90,25 +92,28 @@ impl Executor {
                     .map(|d| hash_samples(d, outcome.shard.samples()))
                     .transpose()?;
                 let keep = widen_keep(deferred, outcome.keep);
-                let passthrough = sink.store(i, frame, outcome.shard, &keep, fingerprints)?;
+                let (passthrough, mask) =
+                    sink.store(i, frame, outcome.shard, keep, fingerprints)?;
                 for st in &mut outcome.stats {
                     st.bytes_decoded = decoded;
                 }
-                Ok((outcome.stats, outcome.traces, decoded, passthrough))
+                Ok((outcome.stats, outcome.traces, decoded, passthrough, mask))
             },
         )?;
         report.shards = report.shards.max(per_shard.len());
         let mut merged = Vec::with_capacity(per_shard.len());
-        for (stats, traces, decoded, passthrough) in per_shard {
+        let mut masks = Vec::with_capacity(per_shard.len());
+        for (stats, traces, decoded, passthrough, mask) in per_shard {
             report.bytes_decoded += decoded;
             report.bytes_passthrough += passthrough;
             merged.push((stats, traces));
+            masks.push(mask);
         }
         merge_stage_reports(steps, merged, cap, report);
         if let Some(sched) = &sched {
             report.replans += sched.replans.load(Ordering::Relaxed);
         }
-        Ok(())
+        sink.finish(masks)
     }
 
     /// A pipeline stage over any shape: open the data's feed and sink and
@@ -128,8 +133,7 @@ impl Executor {
         let cols = stage_decode_columns(steps, next_dedup, self.options.trace_examples);
         let mut data = data.resharded(&self.options);
         let (feed, sink) = data.open(self, cols.as_ref())?;
-        self.drive_stage(steps, next_dedup, &feed, &sink, ctl, report)?;
-        sink.finish()
+        self.drive_stage(steps, next_dedup, &feed, sink, ctl, report)
     }
 }
 
@@ -301,8 +305,9 @@ struct ShardOutcome {
     stats: Vec<ShardStats>,
     traces: Vec<Vec<TraceEvent>>,
     /// Per input sample, whether it survived the stage (in input order).
-    /// The columnar splice path uses this to filter passthrough columns
-    /// without ever decoding them.
+    /// Widened over the frame's stored samples, it is what a columnar
+    /// splice leaves on the spool as the slot's mask, in place of cutting
+    /// the dropped samples out of the columns it copies.
     keep: Vec<bool>,
 }
 

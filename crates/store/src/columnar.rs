@@ -37,9 +37,15 @@
 //!   [`ColumnarSlab::read_column`] feeds dedup hash passes a single column's
 //!   texts as borrowed `Cow`s without building samples at all);
 //! * **passthrough splice** — [`ColumnarSlab::splice`] copies the regions of
-//!   untouched columns into the output frame byte-for-byte (verbatim when no
-//!   sample was dropped; entry-skipped, never value-decoded, when a filter
-//!   dropped samples).
+//!   untouched columns into the output frame verbatim, compressed bytes and
+//!   checksum alike. A sample the stage dropped stays stored: its entries in
+//!   the re-encoded columns are absent, and the keep mask the executor keeps
+//!   beside the spool skips it. No region the stage did not decode is ever
+//!   decompressed.
+//!
+//! Dropped entries leave the bytes only where the bytes leave the spool:
+//! [`ColumnarSlab::filter_frame`] compacts a masked frame for a cache entry
+//! by walking entry boundaries, never decoding a value.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -75,23 +81,20 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
         }
     }
 
-    // Build each column's (compressed) region.
-    let regions: Vec<(&str, Vec<u8>, u64)> = names
+    let regions: Vec<Region<'_>> = names
         .iter()
-        .map(|name| {
-            let body = column_body(shard, name);
-            (*name, compress(&body, codec), body.len() as u64)
-        })
+        .map(|name| Region::fresh(name, &column_body(shard.iter().map(Some), name), codec))
         .collect();
     assemble_frame(shard.len(), &regions)
 }
 
-/// One column's region before compression: per sample a presence byte and,
-/// when present, the tagged value.
-fn column_body(shard: &Dataset, name: &str) -> Vec<u8> {
+/// One column's region before compression: per stored sample a presence
+/// byte and, when present, the tagged value. A `None` sample — one a stage
+/// dropped — stores an absent entry.
+fn column_body<'s>(samples: impl Iterator<Item = Option<&'s Sample>>, name: &str) -> Vec<u8> {
     let mut body = Vec::new();
-    for s in shard.iter() {
-        match s.value().as_map().and_then(|m| m.get(name)) {
+    for s in samples {
+        match s.and_then(|s| s.value().as_map()).and_then(|m| m.get(name)) {
             Some(v) => {
                 body.push(1);
                 write_value(&mut body, v);
@@ -102,25 +105,50 @@ fn column_body(shard: &Dataset, name: &str) -> Vec<u8> {
     body
 }
 
+/// One column's region on its way into a frame.
+struct Region<'a> {
+    name: &'a str,
+    /// The compressed region: copied out of an input frame, or fresh.
+    bytes: Cow<'a, [u8]>,
+    raw_len: u64,
+    /// `checksum64` of `bytes`.
+    checksum: u64,
+}
+
+impl<'a> Region<'a> {
+    /// `body` compressed and checksummed.
+    fn fresh(name: &'a str, body: &[u8], codec: Codec) -> Region<'a> {
+        let bytes = compress(body, codec);
+        Region {
+            name,
+            checksum: checksum64(&bytes),
+            raw_len: body.len() as u64,
+            bytes: Cow::Owned(bytes),
+        }
+    }
+}
+
 /// Directory + concatenated regions behind the frame envelope. `regions`
-/// is `(name, compressed region, raw_len)` in directory (sorted) order.
-fn assemble_frame<R: AsRef<[u8]>>(samples: usize, regions: &[(&str, R, u64)]) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// are in directory (sorted) order.
+fn assemble_frame(samples: usize, regions: &[Region<'_>]) -> Vec<u8> {
+    let len = regions
+        .iter()
+        .map(|r| MIN_DIRECTORY_ENTRY + r.name.len() + r.bytes.len());
+    let mut payload = Vec::with_capacity(1 + 8 + 4 + len.sum::<usize>());
     payload.push(COLUMNAR_VERSION);
     payload.extend_from_slice(&(samples as u64).to_le_bytes());
     payload.extend_from_slice(&(regions.len() as u32).to_le_bytes());
     let mut offset = 0u64;
-    for (name, region, raw_len) in regions {
-        let region = region.as_ref();
-        payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        payload.extend_from_slice(name.as_bytes());
-        for word in [offset, region.len() as u64, *raw_len, checksum64(region)] {
+    for r in regions {
+        payload.extend_from_slice(&(r.name.len() as u32).to_le_bytes());
+        payload.extend_from_slice(r.name.as_bytes());
+        for word in [offset, r.bytes.len() as u64, r.raw_len, r.checksum] {
             payload.extend_from_slice(&word.to_le_bytes());
         }
-        offset += region.len() as u64;
+        offset += r.bytes.len() as u64;
     }
-    for (_, region, _) in regions {
-        payload.extend_from_slice(region.as_ref());
+    for r in regions {
+        payload.extend_from_slice(&r.bytes);
     }
     envelope::seal(COLUMNAR_FRAME_MAGIC, &payload)
 }
@@ -272,6 +300,17 @@ impl ColumnarSlab {
         Ok(region)
     }
 
+    /// Column `c`'s region as stored, for a verbatim copy: its checksum is
+    /// verified here and carried into the new directory, not recomputed.
+    fn verbatim<'a>(&'a self, c: &'a ColumnEntry) -> Result<Region<'a>> {
+        Ok(Region {
+            name: &c.name,
+            bytes: Cow::Borrowed(self.region_bytes(c)?),
+            raw_len: c.raw_len,
+            checksum: c.checksum,
+        })
+    }
+
     /// One region decompressed, checksum- and size-verified.
     fn region_raw(&self, c: &ColumnEntry) -> Result<Vec<u8>> {
         let data = decompress(self.region_bytes(c)?)?;
@@ -368,9 +407,9 @@ impl ColumnarSlab {
         Ok(self.decode_projected(None)?.0)
     }
 
-    /// Re-encode this frame with `keep`-masked samples, splicing
-    /// `decoded`-column data from `processed` and every other column
-    /// byte-for-byte from this frame.
+    /// The output frame of a stage that ran on this frame: `decoded`
+    /// columns re-encoded from `processed`, every other column's region
+    /// copied verbatim from this frame.
     ///
     /// * `processed` holds the *kept* samples (`processed.len()` must equal
     ///   the number of `true`s in `keep`) carrying only decoded/written
@@ -379,12 +418,14 @@ impl ColumnarSlab {
     ///   (`None` = everything was decoded, no passthrough);
     /// * `keep[i]` says whether input sample `i` survived the stage.
     ///
-    /// Returns the new frame plus `bytes_passthrough`: decompressed bytes
-    /// of passthrough data that crossed input→output without a `Value`
-    /// ever being built (whole regions when nothing was dropped, surviving
-    /// entries otherwise). A processed sample carrying a column that was
-    /// *not* decoded is a field-footprint violation and errors — silent
-    /// column collisions must never reach disk.
+    /// The output stores every sample this frame stores: a dropped one has
+    /// an absent entry in each re-encoded column and its old entries in the
+    /// copied ones, so `keep` must travel with the frame as its mask
+    /// ([`filter_frame`](ColumnarSlab::filter_frame) compacts it). No region
+    /// is decompressed. Returns the new frame plus `bytes_passthrough`: the
+    /// decompressed size of the regions copied. A processed sample carrying
+    /// a column that was *not* decoded is a field-footprint violation and
+    /// errors — silent column collisions must never reach disk.
     pub fn splice(
         &self,
         processed: &Dataset,
@@ -426,19 +467,37 @@ impl ColumnarSlab {
             }
         }
 
-        // (name, compressed region — verbatim range or fresh — and raw_len)
-        let mut out_regions: Vec<(&str, Cow<'_, [u8]>, u64)> = Vec::new();
-        let mut bytes_passthrough = 0u64;
+        let bytes_passthrough = passthrough.iter().map(|c| c.raw_len).sum();
+        let mut regions = passthrough
+            .into_iter()
+            .map(|c| self.verbatim(c))
+            .collect::<Result<Vec<_>>>()?;
+        for name in encoded_names {
+            let mut samples = processed.iter();
+            let stored = keep.iter().map(|k| if *k { samples.next() } else { None });
+            regions.push(Region::fresh(name, &column_body(stored, name), codec));
+        }
+        // Directory order is sorted by name.
+        regions.sort_by(|a, b| a.name.cmp(b.name));
+        Ok((assemble_frame(self.samples, &regions), bytes_passthrough))
+    }
 
-        for c in &passthrough {
-            if kept == self.samples {
-                // Nothing dropped: the compressed region crosses verbatim.
-                out_regions.push((&c.name, Cow::Borrowed(self.region_bytes(c)?), c.raw_len));
-                bytes_passthrough += c.raw_len;
-            } else {
-                // Entry-level splice: walk presence+value byte ranges and
-                // copy surviving entries — no Value is ever materialized.
-                let region = decompress(self.region_bytes(c)?)?;
+    /// This frame with only the samples `keep` keeps, never materializing a
+    /// `Value`: each region's kept entries (presence byte and value, found
+    /// by skipping) are copied and recompressed — verbatim regions when
+    /// nothing is dropped. This is where a masked spool's dead entries leave
+    /// the bytes, as the spool is saved into a cache entry.
+    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<Vec<u8>> {
+        check_mask(Some(keep), self.samples)?;
+        let kept = keep.iter().filter(|k| **k).count();
+        let regions = self
+            .columns
+            .iter()
+            .map(|c| {
+                if kept == self.samples {
+                    return self.verbatim(c);
+                }
+                let region = self.region_raw(c)?;
                 let mut body = Vec::with_capacity(region.len());
                 let mut cur: &[u8] = &region;
                 for keep_it in keep {
@@ -456,37 +515,10 @@ impl ColumnarSlab {
                         c.name
                     )));
                 }
-                let raw_len = body.len() as u64;
-                bytes_passthrough += raw_len;
-                out_regions.push((&c.name, Cow::Owned(compress(&body, codec)), raw_len));
-            }
-        }
-
-        for name in &encoded_names {
-            let body = column_body(processed, name);
-            out_regions.push((name, Cow::Owned(compress(&body, codec)), body.len() as u64));
-        }
-
-        // Directory order is sorted by name.
-        out_regions.sort_by(|a, b| a.0.cmp(b.0));
-        Ok((assemble_frame(kept, &out_regions), bytes_passthrough))
-    }
-
-    /// Apply a keep mask to *every* column by entry splice, never
-    /// materializing a `Value` — how a spool carrying a deferred barrier
-    /// mask is persisted. Returns the new frame plus the passthrough byte
-    /// count.
-    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<(Vec<u8>, u64)> {
-        // With `decoded = ∅`, every column is passthrough; `processed` is a
-        // run of columnless samples standing in for the kept count.
-        let nothing_decoded: BTreeSet<String> = BTreeSet::new();
-        let kept = keep.iter().filter(|k| **k).count();
-        let empties = Dataset::from_samples(
-            (0..kept)
-                .map(|_| Sample::from_value(Value::Map(BTreeMap::new())))
-                .collect::<Result<Vec<_>>>()?,
-        );
-        self.splice(&empties, Some(&nothing_decoded), keep, codec)
+                Ok(Region::fresh(&c.name, &body, codec))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(assemble_frame(kept, &regions))
     }
 }
 
@@ -667,38 +699,106 @@ mod tests {
         }
     }
 
+    fn masked(ds: &Dataset, keep: &[bool]) -> Dataset {
+        let mut out = ds.clone();
+        out.retain_mask(keep);
+        out
+    }
+
+    /// What a splice that drops samples wrote before dropped samples stayed
+    /// stored: every passthrough region decompressed, its kept entries
+    /// copied and recompressed, the re-encoded columns holding the kept
+    /// samples only. Cache entries and `frames` parts were made of these
+    /// bytes, so a stored splice compacted by `filter_frame` must equal
+    /// them.
+    fn compacted_splice(
+        slab: &ColumnarSlab,
+        processed: &Dataset,
+        decoded: &BTreeSet<String>,
+        keep: &[bool],
+    ) -> Vec<u8> {
+        let mut bodies: Vec<(String, Vec<u8>)> = Vec::new();
+        for c in slab.columns.iter().filter(|c| !decoded.contains(&c.name)) {
+            let region = decompress(slab.region_bytes(c).unwrap()).unwrap();
+            let mut body = Vec::new();
+            let mut cur: &[u8] = &region;
+            for keep_it in keep {
+                let entry = cur;
+                if take_entry(&mut cur, &c.name).unwrap() {
+                    skip_value_at(&mut cur, COLUMN_DEPTH).unwrap();
+                }
+                if *keep_it {
+                    body.extend_from_slice(&entry[..entry.len() - cur.len()]);
+                }
+            }
+            bodies.push((c.name.clone(), body));
+        }
+        let mut names = BTreeSet::new();
+        for s in processed.iter() {
+            names.extend(s.value().as_map().unwrap().keys().cloned());
+        }
+        for name in names {
+            let body = column_body(processed.iter().map(Some), &name);
+            bodies.push((name, body));
+        }
+        bodies.sort();
+        let regions: Vec<Region<'_>> = bodies
+            .iter()
+            .map(|(name, body)| Region::fresh(name, body, Codec::Djz))
+            .collect();
+        assemble_frame(processed.len(), &regions)
+    }
+
     #[test]
-    fn splice_with_drops_keeps_surviving_entries() {
-        let ds = rich_shard();
+    fn a_splice_that_drops_samples_copies_every_region_and_compacts_as_before() {
+        let mut ds = rich_shard();
+        ds.extend(Dataset::from_texts((0..12).map(|i| format!("doc {i}"))));
+        for (i, s) in ds.samples_mut().iter_mut().enumerate().skip(4) {
+            s.set_meta("n", i as i64);
+        }
         let frame = encode_columnar_frame(&ds, Codec::Djz);
         let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
-        let keep = vec![true, false, true, false];
-
+        // Sample 0 is the only one with `stats`; dropping it leaves that
+        // column with no kept entry at all.
+        let keep: Vec<bool> = (0..ds.len()).map(|i| i % 3 == 1 || i == 2).collect();
         let cols: BTreeSet<String> = ["text".to_string()].into();
-        let (projected, _) = slab.decode_projected(Some(&cols)).unwrap();
-        let kept_proj = Dataset::from_samples(
-            projected
-                .iter()
-                .zip(&keep)
-                .filter(|(_, k)| **k)
-                .map(|(s, _)| s.clone())
-                .collect(),
-        );
-        let (out_frame, _) = slab
-            .splice(&kept_proj, Some(&cols), &keep, Codec::Djz)
+        let (mut processed, _) = slab.decode_kept(Some(&cols), Some(&keep)).unwrap();
+        for s in processed.samples_mut() {
+            let up = s.text().to_uppercase();
+            if !up.is_empty() {
+                s.set_text(up);
+            }
+        }
+
+        let (stored, passthrough) = slab
+            .splice(&processed, Some(&cols), &keep, Codec::Djz)
             .unwrap();
-        let out = ColumnarSlab::from_frame_bytes(&out_frame)
-            .unwrap()
-            .decode()
-            .unwrap();
-        let expected = Dataset::from_samples(
-            ds.iter()
-                .zip(&keep)
-                .filter(|(_, k)| **k)
-                .map(|(s, _)| s.clone())
-                .collect(),
-        );
-        assert_eq!(out, expected);
+        let out = ColumnarSlab::from_frame_bytes(&stored).unwrap();
+        // Every stored sample is still stored.
+        assert_eq!(out.sample_count(), ds.len());
+        // Every passthrough region is the input's, bytes and directory entry.
+        assert_eq!(out.column_names(), slab.column_names());
+        let copied: Vec<&ColumnEntry> = slab.columns.iter().filter(|c| c.name != "text").collect();
+        assert_eq!(passthrough, copied.iter().map(|c| c.raw_len).sum::<u64>());
+        for c in copied {
+            let o = out.entry(&c.name).unwrap();
+            assert_eq!(out.region_bytes(o).unwrap(), slab.region_bytes(c).unwrap());
+            assert_eq!((o.raw_len, o.checksum), (c.raw_len, c.checksum));
+        }
+        // Read through the mask, the frame is the stage's output.
+        let mut expected = masked(&ds, &keep);
+        for (s, p) in expected.samples_mut().iter_mut().zip(processed.iter()) {
+            if let Some(text) = p.value().get_path("text") {
+                s.value_mut().set_path("text", text.clone()).unwrap();
+            }
+        }
+        assert_eq!(out.decode_kept(None, Some(&keep)).unwrap().0, expected);
+        // Compacted, it is byte for byte what the compacting splice wrote.
+        let compacted = out.filter_frame(&keep, Codec::Djz).unwrap();
+        assert_eq!(compacted, compacted_splice(&slab, &processed, &cols, &keep));
+        // With nothing dropped there is nothing to compact.
+        let all = vec![true; ds.len()];
+        assert_eq!(out.filter_frame(&all, Codec::Djz).unwrap(), stored);
     }
 
     #[test]
@@ -707,20 +807,13 @@ mod tests {
         let frame = encode_columnar_frame(&ds, Codec::Djz);
         let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
         let keep = vec![false, true, true, false];
-        let (out_frame, passthrough) = slab.filter_frame(&keep, Codec::Djz).unwrap();
-        assert!(passthrough > 0);
+        let out_frame = slab.filter_frame(&keep, Codec::Djz).unwrap();
         let out = ColumnarSlab::from_frame_bytes(&out_frame)
             .unwrap()
             .decode()
             .unwrap();
-        let expected = Dataset::from_samples(
-            ds.iter()
-                .zip(&keep)
-                .filter(|(_, k)| **k)
-                .map(|(s, _)| s.clone())
-                .collect(),
-        );
-        assert_eq!(out, expected);
+        assert_eq!(out, masked(&ds, &keep));
+        assert!(slab.filter_frame(&keep[1..], Codec::Djz).is_err());
     }
 
     #[test]

@@ -238,20 +238,25 @@ impl Frame {
 
     /// The output frame for `processed` — the samples of this frame that
     /// `keep` (one verdict per *stored* sample) kept, after a stage ran on
-    /// the columns `cols` — and the decompressed bytes that reached it
-    /// undecoded. A columnar frame re-encodes `cols` from `processed` and
-    /// splices every other column through; a row frame had everything
-    /// decoded, so `processed` is encoded whole.
+    /// the columns `cols` — with the samples it stores and the decompressed
+    /// bytes that reached it undecoded. A columnar frame re-encodes `cols`
+    /// from `processed`, copies every other column's region verbatim and
+    /// stores every sample this frame stored: the ones `keep` dropped stay
+    /// as dead entries, for `keep` to mask. A row frame had everything
+    /// decoded, so `processed` is encoded whole and stores just those.
     pub fn store_processed(
         &self,
         processed: &Dataset,
         cols: Option<&BTreeSet<String>>,
         keep: &[bool],
         codec: Codec,
-    ) -> Result<(Vec<u8>, u64)> {
+    ) -> Result<(Vec<u8>, usize, u64)> {
         match self {
-            Frame::Row(_) => Ok((encode_shard_frame(processed, codec), 0)),
-            Frame::Col(slab) => slab.splice(processed, cols, keep, codec),
+            Frame::Row(_) => Ok((encode_shard_frame(processed, codec), processed.len(), 0)),
+            Frame::Col(slab) => {
+                let (bytes, passthrough) = slab.splice(processed, cols, keep, codec)?;
+                Ok((bytes, slab.sample_count(), passthrough))
+            }
         }
     }
 
@@ -298,7 +303,8 @@ impl Frame {
 /// stored bytes themselves once the checksum held: spool slots, cache
 /// entries and `frames` parts share one format, so data moves between them
 /// by copying. A mask re-encodes from the kept entries' byte ranges, no
-/// value decoded. Only columnar → row decodes, because it must.
+/// value decoded — the dead entries a spool's mask covers leave the bytes
+/// here. Only columnar → row decodes, because it must.
 pub(crate) fn checked_copy(
     sealed: Vec<u8>,
     keep: Option<&[bool]>,
@@ -315,8 +321,7 @@ pub(crate) fn checked_copy(
             FrameSlab::from_payload(payload)?.filter_frame(keep, codec)
         }
         ((true, payload), Some(keep)) => {
-            let slab = ColumnarSlab::from_payload(payload.to_vec())?;
-            Ok(slab.filter_frame(keep, codec)?.0)
+            ColumnarSlab::from_payload(payload.to_vec())?.filter_frame(keep, codec)
         }
     }
 }
@@ -472,23 +477,25 @@ mod tests {
         assert!(bytes > 0);
         assert!(projected.iter().all(|s| !s.has_stat("wc")));
         // Only a columnar frame has anything to splice from.
+        // A row frame stores the processed samples, a columnar one every
+        // sample it stored, for `keep` to mask.
         let processed = masked(&ds, &keep);
-        let (stored, passthrough) = row
+        let (stored, samples, passthrough) = row
             .store_processed(&processed, None, &keep, Codec::Djz)
             .unwrap();
         assert_eq!(stored, encode_shard_frame(&processed, Codec::Djz));
-        assert_eq!(passthrough, 0);
+        assert_eq!((samples, passthrough), (processed.len(), 0));
         assert!(row.into_splice_source().is_none());
         let col = col.into_splice_source().unwrap();
         let kept_text = col.decode(Some(&text), Some(&keep)).unwrap().0;
-        let (stored, passthrough) = col
+        let (stored, samples, passthrough) = col
             .store_processed(&kept_text, Some(&text), &keep, Codec::Djz)
             .unwrap();
         assert!(passthrough > 0);
-        assert_eq!(
-            Frame::parse(&stored).unwrap().decode(None, None).unwrap().0,
-            processed
-        );
+        assert_eq!(samples, ds.len());
+        let stored = Frame::parse(&stored).unwrap();
+        assert_eq!(stored.sample_count().unwrap(), ds.len());
+        assert_eq!(stored.decode(None, Some(&keep)).unwrap().0, processed);
     }
 
     #[test]

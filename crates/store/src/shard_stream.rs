@@ -189,10 +189,11 @@ pub struct ShardSpool {
     /// columnar (`DJSC`) instead of row frames. Reads take whatever format a
     /// slot holds, so a resumed or rehydrated spool can mix them.
     columnar: bool,
-    /// Sample count per written slot (`None` until stored) — the shard
-    /// layout metadata the dedup barrier needs to slice its dataset-level
-    /// mask back into shards. Grows on demand so streaming ingest can
-    /// append slots before the total shard count is known.
+    /// Samples stored per written slot (`None` until stored) — the shard
+    /// layout metadata a keep mask over the stored samples is sized by
+    /// (a frame may store samples such a mask drops). Grows on demand so
+    /// streaming ingest can append slots before the total shard count is
+    /// known.
     lens: Mutex<Vec<Option<usize>>>,
 }
 
@@ -254,7 +255,7 @@ impl ShardSpool {
 
     /// Store a pre-encoded frame (row or columnar — a column splice, a
     /// frame copied out of a cache entry) into slot `idx` atomically,
-    /// recording `samples` as the slot's sample count.
+    /// recording `samples` as the number of samples the frame stores.
     pub fn write_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
         let path = self.slot_path(idx);
         let tmp = path.with_extension("djs.tmp");
@@ -306,14 +307,19 @@ impl ShardSpool {
     }
 
     /// All fingerprints across all slots, in slot order — `Ok(None)` unless
-    /// *every* written slot has a sidecar whose sample count matches its
-    /// shard (a partial set cannot seed a barrier).
-    pub fn read_all_fingerprints(&self) -> Result<Option<Fingerprints>> {
-        let mut all = Fingerprints::with_capacity(self.total_samples());
-        for i in 0..self.shard_count() {
-            let Some(expected) = self.shard_len(i) else {
+    /// *every* slot is written and has a sidecar of `live[i]` samples (a
+    /// partial set cannot seed a barrier). `live[i]` is how many of slot
+    /// `i`'s stored samples are still part of the dataset: a sidecar holds
+    /// the fingerprints of those only.
+    pub fn read_all_fingerprints(&self, live: &[usize]) -> Result<Option<Fingerprints>> {
+        if live.len() != self.shard_count() {
+            return Ok(None);
+        }
+        let mut all = Fingerprints::with_capacity(live.iter().sum());
+        for (i, &expected) in live.iter().enumerate() {
+            if self.shard_len(i).is_none() {
                 return Ok(None);
-            };
+            }
             match self.read_fingerprints(i)? {
                 Some(fp) if fp.len() == expected => all.append(&fp)?,
                 _ => return Ok(None),
@@ -362,16 +368,9 @@ impl ShardSpool {
         checked_copy(self.slot_bytes(idx)?, keep, true, self.codec)
     }
 
-    /// Sample count of slot `idx`, if it has been written.
+    /// Samples stored in slot `idx`, if it has been written.
     pub fn shard_len(&self, idx: usize) -> Option<usize> {
         dj_core::sync::lock(&self.lens).get(idx).copied().flatten()
-    }
-
-    /// Total samples across all written slots.
-    pub fn total_samples(&self) -> usize {
-        (0..self.shard_count())
-            .filter_map(|i| self.shard_len(i))
-            .sum()
     }
 
     /// Bytes currently on disk in this spool.
@@ -456,7 +455,7 @@ mod tests {
             }
             assert_eq!(spool.shard_len(0), Some(3));
             assert_eq!(spool.shard_len(1), Some(0));
-            assert_eq!(spool.total_samples(), 5);
+            assert_eq!(spool.shard_len(2), Some(2));
             assert!(spool.disk_usage() > 0);
             for (i, s) in shards.iter().enumerate() {
                 assert_eq!(&spool.read_shard(i).unwrap(), s);
@@ -512,7 +511,7 @@ mod tests {
         assert_eq!(spool.shard_len(1), None);
         assert_eq!(spool.shard_len(2), Some(2));
         spool.write_shard(1, &Dataset::new()).unwrap();
-        assert_eq!(spool.total_samples(), 3);
+        assert_eq!(spool.shard_len(1), Some(0));
     }
 
     #[test]
@@ -530,15 +529,20 @@ mod tests {
         let fp1 = sidecar(&[&[]]);
         spool.write_fingerprints(0, &fp0).unwrap();
         // One sidecar missing → no flattened set.
-        assert!(spool.read_all_fingerprints().unwrap().is_none());
+        assert!(spool.read_all_fingerprints(&[2, 1]).unwrap().is_none());
         spool.write_fingerprints(1, &fp1).unwrap();
         assert_eq!(spool.read_fingerprints(0).unwrap(), Some(fp0.clone()));
         assert_eq!(spool.read_fingerprints(1).unwrap(), Some(fp1));
-        let all = spool.read_all_fingerprints().unwrap().unwrap();
+        let all = spool.read_all_fingerprints(&[2, 1]).unwrap().unwrap();
         assert_eq!(all, sidecar(&[&[7], &[8, u64::MAX, 9], &[]]));
-        // Sample count mismatch with its shard disqualifies the whole set.
+        // A live count or slot count the sidecars do not describe
+        // disqualifies the whole set.
+        for live in [&[2, 0][..], &[1, 1], &[2]] {
+            assert!(spool.read_all_fingerprints(live).unwrap().is_none());
+        }
         spool.write_fingerprints(1, &Fingerprints::new()).unwrap();
-        assert!(spool.read_all_fingerprints().unwrap().is_none());
+        assert!(spool.read_all_fingerprints(&[2, 1]).unwrap().is_none());
+        assert!(spool.read_all_fingerprints(&[2, 0]).unwrap().is_some());
         // A shard frame in a sidecar's place is refused by its magic.
         let path = dir.join("shard-00000.fpr");
         fs::write(&path, encode_shard_frame(&shard(&["a"]), Codec::None)).unwrap();

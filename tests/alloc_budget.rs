@@ -18,6 +18,11 @@
 //! per *sample* — no `Sample`, `Value` or `BTreeMap` is built on the way
 //! out.
 //!
+//! A columnar spool → stage → spool cycle is bounded by size rather than by
+//! count: a column the stage did not decode crosses as the compressed
+//! region it is, so no buffer as large as that region decompressed is ever
+//! made — not even when the stage dropped samples.
+//!
 //! The codec has the tightest budget of all: `decompress` makes exactly one
 //! allocation, the declared size plus a fixed slack, and `compress` at most
 //! two, its match table and its output — no buffer grows by doubling.
@@ -27,12 +32,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, Fingerprints, Op, Sample, SampleContext};
 use data_juicer::io::{OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{compress, decompress, to_bytes, to_jsonl, Codec, ShardSpool};
+use data_juicer::store::{
+    compress, decompress, encode_columnar_frame, to_bytes, to_jsonl, Codec, ColumnarSlab,
+    ShardSpool,
+};
 use data_juicer::synth::{web_corpus, WebNoise};
 use data_juicer::text::normalize;
 
@@ -42,6 +51,8 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Size of this thread's latest allocator request.
     static LAST_SIZE: Cell<usize> = const { Cell::new(0) };
+    /// Size of this thread's largest allocator request since it was reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -49,6 +60,7 @@ struct Counting;
 fn count(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = LAST_SIZE.try_with(|last| last.set(size));
+    let _ = LARGEST.try_with(|max| max.set(max.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -296,6 +308,69 @@ fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
             steady[0]
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Spool → stage → spool, per shard, the way a columnar stage runs it: load
+/// the slot, decode the `text` column of the samples kept so far, run the
+/// stage (which rewrites text and drops 30 % of the samples), store the
+/// processed shard into the next spool. The metadata column is never
+/// decoded, so no allocation of the cycle may be as large as its region
+/// decompressed.
+#[test]
+fn a_columnar_stage_cycle_never_allocates_a_passthrough_region() {
+    let dir = std::env::temp_dir().join(format!("dj-alloc-cycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut shard = web_corpus(29, 400, WebNoise::default());
+    for (i, s) in shard.samples_mut().iter_mut().enumerate() {
+        let log = format!("fetch {i}: dns 12ms, connect 31ms, ttfb 140ms; ").repeat(60);
+        s.set_meta("render_log", log);
+    }
+    let input = ShardSpool::create_columnar(dir.join("in"), 1, Codec::Djz).unwrap();
+    let output = ShardSpool::create_columnar(dir.join("out"), 1, Codec::Djz).unwrap();
+    input.write_shard(0, &shard).unwrap();
+    let meta = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&shard, Codec::Djz))
+        .unwrap()
+        .column_raw_len("meta")
+        .unwrap();
+    let text: BTreeSet<String> = ["text".to_string()].into();
+    // A deferred mask from an earlier barrier, and the stage's own verdicts.
+    let deferred: Vec<bool> = (0..shard.len()).map(|i| i % 7 != 3).collect();
+    let verdict = |i: usize| i % 10 >= 3;
+
+    LARGEST.with(|max| max.set(0));
+    let frame = input.read(0).unwrap();
+    let (mut kept, _) = frame.decode(Some(&text), Some(&deferred)).unwrap();
+    let verdicts: Vec<bool> = (0..kept.len()).map(verdict).collect();
+    kept.retain_mask(&verdicts);
+    let mut live = verdicts.iter();
+    let keep: Vec<bool> = deferred
+        .iter()
+        .map(|d| *d && *live.next().unwrap())
+        .collect();
+    for s in kept.samples_mut() {
+        let up = s.text().to_uppercase();
+        s.set_text(up);
+    }
+    let (bytes, stored, passthrough) = frame
+        .store_processed(&kept, Some(&text), &keep, Codec::Djz)
+        .unwrap();
+    output.write_frame_bytes(0, &bytes, stored).unwrap();
+    let largest = LARGEST.with(Cell::get);
+
+    assert_eq!(passthrough, meta, "the metadata column crossed whole");
+    assert_eq!(stored, shard.len(), "every stored sample stays stored");
+    assert!(
+        (largest as u64) < meta,
+        "an allocation of {largest} bytes; the passthrough region holds {meta}"
+    );
+    // What the next pass reads through the mask is the stage's output.
+    let (out, _) = output.read(0).unwrap().decode(None, Some(&keep)).unwrap();
+    assert_eq!(out.len(), kept.len());
+    assert!(out
+        .iter()
+        .zip(kept.iter())
+        .all(|(o, k)| o.text() == k.text()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,15 +2,19 @@
 //! never change pipeline output, and its byte accounting must honor the
 //! projected columns' share of the corpus. Row vs columnar spools over
 //! random recipes is a row of `tests/mode_matrix.rs`; this file keeps the
-//! metadata-heavy corpus, the byte accounting and the recipe knob.
+//! metadata-heavy corpus, the byte accounting, the recipe knob and the
+//! masks a columnar stage leaves on its spool.
 
 use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, Sample, Value};
-use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor};
+use data_juicer::exec::{executor_from_recipe, EgressManifest, ExecOptions, Executor};
+use data_juicer::hash::fnv1a;
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{encode_columnar_frame, Codec, ColumnarSlab};
+use data_juicer::store::{
+    encode_columnar_frame, envelope, to_jsonl, CacheManager, CacheMode, Codec, ColumnarSlab, Frame,
+};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 fn texts(d: &Dataset) -> Vec<String> {
@@ -199,6 +203,167 @@ fn columnar_with_tracing_still_matches() {
     let (out, report) = Executor::new(ops).with_options(opts).run(data).unwrap();
     assert_eq!(out, expected);
     assert!(report.ops.iter().any(|o| !o.trace.is_empty()));
+}
+
+/// The meta benchmark's shape: an exact-dedup barrier, a stage whose
+/// filters drop samples (and whose ops read only `text`), then a SimHash
+/// barrier.
+fn meta_shape_recipe() -> Recipe {
+    Recipe::new("meta-shape")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(
+            OpSpec::new("text_length_filter")
+                .with("min_len", 40.0)
+                .with("max_len", 1e6),
+        )
+        .then(OpSpec::new("document_deduplicator"))
+        .then(OpSpec::new("clean_links_mapper"))
+        .then(
+            OpSpec::new("word_num_filter")
+                .with("min_num", 70.0)
+                .with("max_num", 1e9),
+        )
+        .then(
+            OpSpec::new("special_characters_filter")
+                .with("min_ratio", 0.0)
+                .with("max_ratio", 0.3),
+        )
+        .then(OpSpec::new("document_simhash_deduplicator"))
+}
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dj-columnar-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The stage between the two barriers drops samples, and a columnar stage
+/// leaves them stored under a mask instead of rewriting the regions it
+/// never decoded. That mask must not cost the SimHash barrier its sidecars
+/// — they fingerprint exactly the samples the stage kept — so both barriers
+/// cluster from sidecars, and the output is still the in-memory run's.
+#[test]
+fn a_stage_mask_keeps_the_sidecar_shortcut_file_to_file() {
+    let data = metadata_heavy_corpus(160);
+    let ops = meta_shape_recipe().build_ops(&builtin_registry()).unwrap();
+    let (expected, _) = Executor::new(ops.clone())
+        .with_options(ExecOptions {
+            num_workers: 1,
+            trace_examples: 0,
+            memory_budget: Some(u64::MAX),
+            ..ExecOptions::default()
+        })
+        .run(data.clone())
+        .unwrap();
+    let input = tmp_dir("mask-in");
+    std::fs::create_dir_all(&input).unwrap();
+    std::fs::write(input.join("corpus.jsonl"), to_jsonl(&data)).unwrap();
+    let out_dir = tmp_dir("mask-out");
+    for np in [1, 2] {
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let (_, report) = Executor::new(ops.clone())
+            .with_options(ExecOptions {
+                num_workers: np,
+                trace_examples: 0,
+                shard_size: Some(8),
+                input: Some(format!("{}/*.jsonl", input.display())),
+                output: Some(out_dir.clone()),
+                columnar: true,
+                ..ExecOptions::default()
+            })
+            .run_io()
+            .unwrap();
+        let dropped = |name: &str| report.ops.iter().find(|o| o.name == name).unwrap().removed;
+        assert!(dropped("word_num_filter") > 0 && dropped("document_simhash_deduplicator") > 0);
+        assert_eq!(report.fingerprinted_barriers, 2, "np {np}");
+        let manifest = EgressManifest::load(&out_dir).unwrap();
+        let output: String = manifest
+            .parts
+            .iter()
+            .map(|p| std::fs::read_to_string(out_dir.join(&p.file)).unwrap())
+            .collect();
+        assert_eq!(output, to_jsonl(&expected), "np {np}");
+    }
+    let _ = std::fs::remove_dir_all(&input);
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// Cache entries of a spilled columnar run are made of compacted frames:
+/// the dead entries a stage mask or a barrier mask leaves on the spool
+/// leave the bytes on the way into the entry. Pinned: each entry's length
+/// and FNV-1a as the release before stage masks wrote them (stages then
+/// compacted every frame they stored). A deliberate change to the codec or
+/// the frame layout re-pins them.
+#[test]
+fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
+    const ENTRIES: [(&str, usize, u64); 4] = [
+        (
+            "0000-whitespace_normalization_mapper+text_length_filter.djc",
+            72_696,
+            5_506_603_431_746_966_956,
+        ),
+        (
+            "0001-document_deduplicator.djc",
+            69_820,
+            6_746_886_024_807_640_559,
+        ),
+        (
+            "0002-clean_links_mapper+word_num_filter+special_characters_filter.djc",
+            54_449,
+            12_263_912_218_426_052_372,
+        ),
+        (
+            "0003-document_simhash_deduplicator.djc",
+            53_793,
+            8_915_907_762_420_069_072,
+        ),
+    ];
+    let data = metadata_heavy_corpus(160);
+    let ops = meta_shape_recipe().build_ops(&builtin_registry()).unwrap();
+    for np in [1, 2] {
+        let dir = tmp_dir(&format!("cache-{np}"));
+        let cache = CacheManager::new(dir.join("cache"), 11, CacheMode::Cache);
+        let (out, report) = Executor::new(ops.clone())
+            .with_options(ExecOptions {
+                num_workers: np,
+                trace_examples: 0,
+                shard_size: Some(8),
+                memory_budget: Some(1),
+                spill_dir: Some(dir.join("spill")),
+                columnar: true,
+                ..ExecOptions::default()
+            })
+            .run_with_cache(data.clone(), &cache)
+            .unwrap();
+        assert!(report.spilled && report.columnar);
+        let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("cache"))
+            .unwrap()
+            .flat_map(|recipe| std::fs::read_dir(recipe.unwrap().path()).unwrap())
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        let got: Vec<(String, usize, u64)> = entries
+            .iter()
+            .map(|path| {
+                let bytes = std::fs::read(path).unwrap();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, bytes.len(), fnv1a(&bytes))
+            })
+            .collect();
+        let want: Vec<(String, usize, u64)> = ENTRIES
+            .iter()
+            .map(|(name, len, sum)| (name.to_string(), *len, *sum))
+            .collect();
+        assert_eq!(got, want, "np {np}");
+        // The last entry stores exactly the run's output, no dead entry.
+        let last = std::fs::read(entries.last().unwrap()).unwrap();
+        let (mut stream, mut stored) = (&last[..], 0);
+        while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
+            stored += Frame::parse(&sealed).unwrap().sample_count().unwrap();
+        }
+        assert_eq!(stored, out.len(), "np {np}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 proptest! {
