@@ -2,11 +2,13 @@
 //! modeled Ray/Beam clusters, verify identical outputs, and print the
 //! Fig. 10 scaling curve.
 //!
-//! Run with: `cargo run --example distributed_processing`
+//! Run with: `cargo run -p dj-bench --example distributed_processing`
 
-use data_juicer::dist::{run_distributed, run_single_node, Backend, ClusterSpec};
-use data_juicer::prelude::*;
-use data_juicer::synth::dialog_corpus;
+use dj_bench::dist::{run_distributed, run_single_node, Backend, ClusterSpec};
+use dj_config::{OpSpec, Recipe};
+use dj_core::Result;
+use dj_ops::builtin_registry;
+use dj_synth::dialog_corpus;
 
 fn main() -> Result<()> {
     let ops = Recipe::new("dist-example")

@@ -7,9 +7,9 @@
 //! serialized data loading dominates. Per DESIGN.md, real OPs run on real
 //! partitions locally and the cluster wall time is modeled.
 
+use dj_bench::dist::{run_distributed, Backend, ClusterSpec};
 use dj_bench::section;
 use dj_config::{OpSpec, Recipe};
-use dj_dist::{run_distributed, Backend, ClusterSpec};
 use dj_synth::{arxiv_corpus, dialog_corpus};
 
 fn pipeline() -> Vec<dj_core::Op> {

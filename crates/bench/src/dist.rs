@@ -1,8 +1,10 @@
-//! # dj-dist — distributed execution model (paper §6, Fig. 10)
+//! The distributed wall-time model behind `fig10_scalability` (paper §6,
+//! Fig. 10). There is no distributed backend in this workspace; this is
+//! the reproduction of the figure.
 //!
 //! Data-Juicer's distributed story is "the same OP pool, partitioned data":
 //! the dataset is split across nodes, every node runs the full plan over its
-//! partitions, and dedup barriers exchange fingerprints. This crate runs
+//! partitions, and dedup barriers exchange fingerprints. This module runs
 //! the *real* OPs on real partitions locally — via the sharded pipeline
 //! executor in `dj-exec`, whose shards map one-to-one onto cluster
 //! partitions — and *models* the cluster wall time from the measured
@@ -14,8 +16,7 @@
 //!   scales out, loading does not (the flat Fig. 10 line, §7.2.4).
 //!
 //! Output equality with local execution is guaranteed by construction
-//! (the same executor runs the same plan) and asserted in the equivalence
-//! suite.
+//! (the same executor runs the same plan) and asserted in `tests/dist.rs`.
 
 use std::time::Instant;
 

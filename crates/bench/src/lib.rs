@@ -21,8 +21,10 @@
 //!
 //! Criterion micro-benches live in `benches/` (per-OP throughput, fusion
 //! on/off, dedup methods, codecs, tokenizer, classifier inference).
+//! [`dist`] is the Ray/Beam wall-time model behind `fig10_scalability`.
 
 pub mod baselines;
+pub mod dist;
 pub mod workloads;
 
 /// Print a horizontal rule + section title (shared harness formatting).

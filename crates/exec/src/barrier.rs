@@ -2,8 +2,8 @@
 //! three steps: fingerprint every sample ([`hash_pass`], or the
 //! fingerprint-on-ingest sidecars when the data carries them), cluster
 //! the dataset-level keep mask on the worker pool, and hand the mask to the
-//! data ([`StageData::masked`]: resident shards are thinned in place,
-//! spilled data carries the mask to whichever pass opens the spool next).
+//! data ([`StageData::masked`]: resident shards and spool slots alike carry
+//! it to whichever pass opens them next; no sample is touched).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::time::Instant;
@@ -20,12 +20,6 @@ use crate::stream::{drive, Feed, Resident, RunCtl};
 /// pays for its section cost; smaller inputs cluster with one worker (the
 /// mask is identical either way).
 const MIN_BARRIER_SAMPLES_PER_WORKER: usize = 1024;
-
-/// Post-barrier shard fill threshold: after the mask is applied, adjacent
-/// in-memory shards thinned below this share of the pre-barrier average
-/// shard size are merged into a neighbor, so a low-duplicate dataset keeps
-/// its shard boundaries instead of paying a full merge + re-split.
-const SHARD_FILL: f64 = 0.5;
 
 /// What one fingerprint is computed from: a text borrowed from an
 /// undecoded frame, or a whole resident sample.
@@ -129,12 +123,11 @@ impl Executor {
         workers
     }
 
-    /// A dedup barrier over any shape, with shard carry-through: shard
-    /// boundaries survive the barrier, and only in-memory shards the mask
-    /// thins below the fill threshold are merged into a neighbor — a
-    /// low-duplicate dataset pays near-zero materialization. A spilled
-    /// barrier with fingerprint sidecars present touches no frame at all:
-    /// it reads the sidecars, clusters, and leaves the mask on the spool.
+    /// A dedup barrier over any shape, with shard carry-through: the data
+    /// keeps its cut, and the keep mask rides on it to the next pass. A
+    /// spilled barrier with fingerprint sidecars present touches no frame
+    /// at all: it reads the sidecars, clusters, and leaves the mask on the
+    /// spool.
     pub(crate) fn run_dedup_stage(
         &self,
         dedup: &dyn Deduplicator,
@@ -144,7 +137,6 @@ impl Executor {
     ) -> Result<StageData> {
         let cap = self.options.trace_examples;
         let t0 = Instant::now();
-        let data = data.resharded(&self.options);
         let lens = data.shard_lens();
         let in_len: usize = lens.iter().sum();
         report.shards = report.shards.max(lens.len());
@@ -164,14 +156,8 @@ impl Executor {
             ));
         }
 
-        let shards = lens.len();
-        let (data, trace) = data.masked(&mask, cap, &self.options, ctl)?;
+        let (out, trace) = data.masked(&mask, cap)?;
         let removed = mask.iter().filter(|&&k| !k).count();
-
-        let pre_target = in_len.div_ceil(shards.max(1)).max(1);
-        let min_len = (pre_target as f64 * SHARD_FILL).ceil() as usize;
-        let out = data.rebalanced(min_len);
-
         let elapsed = t0.elapsed();
         report.barrier_duration += elapsed;
         report.bytes_decoded += hash_bytes;

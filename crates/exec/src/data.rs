@@ -5,12 +5,11 @@
 //!
 //! | shape | feed | sink | what is decoded |
 //! |---|---|---|---|
-//! | in memory | [`StageData::open`]: take the shard out of its slot | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
+//! | in memory | [`StageData::open`]: take the shard out of its slot, leaving behind what the deferred mask drops | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
 //! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | every sample the deferred mask keeps; a columnar frame decodes only the pass's footprint columns `cols` and rides to the sink, which copies every other region verbatim and keeps the samples the stage dropped stored, under the new spool's mask; a row frame ignores `cols` and is dropped once decoded |
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
-//! | barrier hash pass | resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
-//! | barrier mask, in memory | resident shards, in parallel | [`Sink::Mem`] | nothing — `retain` by mask |
-//! | barrier mask, spilled | — (nothing is read or written: [`StageData::masked`] attaches the mask to the spool) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
+//! | barrier hash pass | live resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
+//! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
 //! | `frames` egress of a spool | checked slot bytes (entry-filtered when masked) | `ShardedWriter::store_frame_bytes` | nothing, unless a slot has to be converted to a row frame |
 //! | cache resume | [`StageData::from_cached`]: the entry's frames, one at a time | memory, or spool slots | every frame while the budget holds; past it, none — frame bytes are copied into slots |
@@ -18,13 +17,14 @@
 //! Which format a frame has — row or columnar — is `dj-store`'s business:
 //! everything here works on its `Frame`.
 //!
-//! A spilled barrier writes nothing: its keep mask rides on the
-//! [`Spilled`] data and is consumed by whichever pass opens the spool next —
+//! A barrier writes nothing, in either shape: its keep mask rides on the
+//! [`StageData`] and is consumed by whichever pass opens the data next —
 //! the following stage's load, the next barrier's hash pass, egress,
-//! materialization or a cache save. A columnar stage's filter verdicts ride
-//! the same way: its output frames keep every sample they stored, so no
-//! region the stage did not decode is rewritten, and the verdicts become the
-//! next spool's mask.
+//! materialization, a spill or a cache save. Resident shards keep the
+//! samples it dropped until then, spool frames keep storing them. A
+//! columnar stage's filter verdicts ride the same way: its output frames
+//! keep every sample they stored, so no region the stage did not decode is
+//! rewritten, and the verdicts become the next spool's mask.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeSet;
@@ -78,6 +78,19 @@ pub(crate) fn widen_keep(deferred: Option<&[bool]>, keep: Vec<bool>) -> Vec<bool
         .collect()
 }
 
+/// Trace the first `cap` of the `live` texts that `keep` drops.
+fn trace_dropped<'t>(
+    live: impl Iterator<Item = &'t str>,
+    keep: &[bool],
+    cap: usize,
+    trace: &mut Vec<TraceEvent>,
+) {
+    let dropped = live.zip(keep).filter(|(_, keep)| !**keep).take(cap);
+    trace.extend(dropped.map(|(text, _)| TraceEvent::Duplicate {
+        dropped: snippet(text),
+    }));
+}
+
 /// One shard as a feed hands it to a pass.
 pub(crate) struct Loaded<'a> {
     /// The decoded samples: all the deferred mask keeps (the decode set's
@@ -94,9 +107,6 @@ pub(crate) struct Loaded<'a> {
     /// Decompressed bytes decoded to build `shard`, where the frame
     /// attributes them.
     pub decoded: u64,
-    /// The samples never left memory (a barrier re-slotting resident
-    /// shards), so the load made nothing newly resident.
-    pub resident: bool,
 }
 
 impl Loaded<'_> {
@@ -106,7 +116,6 @@ impl Loaded<'_> {
             frame: None,
             keep: None,
             decoded: 0,
-            resident: false,
         }
     }
 }
@@ -115,7 +124,6 @@ impl Resident for Loaded<'_> {
     /// A carried frame charges its payload; decoded samples their heap size.
     fn residency(&self) -> (usize, usize) {
         match &self.frame {
-            _ if self.resident => (0, 0),
             Some(frame) => frame.residency(),
             None => (self.shard.len(), self.shard.approx_bytes()),
         }
@@ -155,12 +163,11 @@ pub(crate) enum Load<'a> {
     Undecoded,
 }
 
-/// The slots of a spill spool, re-readable. Entries the spool's deferred
-/// mask drops are skipped at load; an undecoded load hands the mask on.
-pub(crate) fn spool_feed<'a>(data: &'a Spilled, load: Load<'a>) -> Feed<'a, Loaded<'a>> {
-    let spool = &data.spool;
+/// The slots of a spill spool, re-readable. Entries the deferred `mask`
+/// drops are skipped at load; an undecoded load hands the mask on.
+fn spool_feed<'a>(spool: &'a ShardSpool, mask: &'a Mask, load: Load<'a>) -> Feed<'a, Loaded<'a>> {
     Feed::indexed(spool.shard_count(), true, move |i| {
-        let keep = data.keep(i);
+        let keep = mask.slot(i);
         let frame = spool.read(i)?;
         let (shard, frame, decoded) = match load {
             Load::Decode(cols) => {
@@ -178,17 +185,18 @@ pub(crate) fn spool_feed<'a>(data: &'a Spilled, load: Load<'a>) -> Feed<'a, Load
     })
 }
 
-/// Resident shards, moved out of their slots as the pass reaches them.
-/// `resident` marks them as never having left memory (a barrier's
-/// mask-apply), so they charge nothing.
-fn mem_feed<'a>(shards: Vec<Dataset>, resident: bool) -> Feed<'a, Loaded<'a>> {
+/// Resident shards, moved out of their slots as the pass reaches them, with
+/// the samples the deferred `mask` drops left behind. The resident sink
+/// compacts anyway, so no mask is handed on.
+fn mem_feed<'a>(shards: Vec<Dataset>, mask: Mask) -> Feed<'a, Loaded<'a>> {
     let n = shards.len();
     let slots = MemShardStore::from_shards(shards);
     Feed::indexed(n, false, move |i| {
-        Ok(Loaded {
-            resident,
-            ..Loaded::samples(slots.load_shard(i)?)
-        })
+        let mut shard = slots.load_shard(i)?;
+        if let Some(keep) = mask.slot(i) {
+            shard.retain_mask(keep);
+        }
+        Ok(Loaded::samples(shard))
     })
 }
 
@@ -271,28 +279,51 @@ impl Sink<'_> {
     /// [`store`](Sink::store) returned per slot, in slot order (empty when
     /// nothing was stored with dead samples).
     pub(crate) fn finish(self, masks: Vec<Option<Vec<bool>>>) -> Result<StageData> {
-        match self {
-            Sink::Mem(slots) => slots.into_shards().map(StageData::Mem),
-            Sink::Spool(out, _) => Ok(StageData::Spilled(Spilled {
-                mask: masks,
-                ..Spilled::new(out)
-            })),
-        }
+        Ok(match self {
+            Sink::Mem(slots) => StageData::new(Slots::Mem(slots.into_shards()?)),
+            Sink::Spool(out, _) => StageData {
+                mask: Mask(masks),
+                ..StageData::new(Slots::Spool(out))
+            },
+        })
     }
 }
 
-/// Spilled data: a spool of shard frames plus the keep mask that stands
-/// for the samples its frames still store but the dataset no longer holds
-/// — what a dedup barrier dropped instead of rewriting every frame, and
-/// what a columnar stage dropped instead of rewriting the regions it never
-/// decoded.
-pub(crate) struct Spilled {
-    spool: ShardSpool,
-    /// Per slot, per *stored* sample: whether it is still part of the
-    /// dataset. A slot without one (`None`, or past the end) has every
-    /// stored sample live. A stage's verdicts start it; barriers
-    /// and-combine into it.
-    mask: Vec<Option<Vec<bool>>>,
+/// Where the shards are.
+enum Slots {
+    /// In memory, one dataset per shard.
+    Mem(Vec<Dataset>),
+    /// In a disk spool of checksummed shard frames (out-of-core mode).
+    Spool(ShardSpool),
+}
+
+/// Per slot, per *stored* sample: whether it is still part of the dataset.
+/// A slot without one (`None`, or past the end) has every stored sample
+/// live. A columnar stage's verdicts start it; barriers and-combine into
+/// it.
+#[derive(Default)]
+struct Mask(Vec<Option<Vec<bool>>>);
+
+impl Mask {
+    /// The mask over slot `i`'s stored samples, if any.
+    fn slot(&self, i: usize) -> Option<&[bool]> {
+        self.0.get(i)?.as_deref()
+    }
+}
+
+/// Where the dataset lives between stages: shards in memory (default) or
+/// in a spill spool, plus the keep mask that stands for the samples those
+/// shards still store but the dataset no longer holds — what a dedup
+/// barrier dropped instead of touching a sample, and what a columnar stage
+/// dropped instead of rewriting the regions it never decoded.
+///
+/// The in-memory representation stays sharded *across* stage boundaries —
+/// including through dedup barriers — so the engine never pays a full
+/// merge + re-split between stages; the live samples of the shards, in
+/// index order, are the dataset.
+pub(crate) struct StageData {
+    slots: Slots,
+    mask: Mask,
     /// A barrier consumed the spool's fingerprint sidecars: they describe
     /// the samples that barrier clustered, not what is live after its
     /// mask. (A stage's mask spends nothing — its sidecars hold the samples
@@ -300,77 +331,61 @@ pub(crate) struct Spilled {
     sidecars_spent: bool,
 }
 
-impl Spilled {
-    fn new(spool: ShardSpool) -> Spilled {
-        Spilled {
-            spool,
-            mask: Vec::new(),
+impl StageData {
+    fn new(slots: Slots) -> StageData {
+        StageData {
+            slots,
+            mask: Mask::default(),
             sidecars_spent: false,
         }
     }
 
-    /// The mask over slot `i`'s stored samples, if any.
-    fn keep(&self, i: usize) -> Option<&[bool]> {
-        self.mask.get(i)?.as_deref()
+    /// A whole dataset, resident as one shard.
+    pub(crate) fn resident(dataset: Dataset) -> StageData {
+        StageData::new(Slots::Mem(vec![dataset]))
+    }
+
+    fn slot_count(&self) -> usize {
+        match &self.slots {
+            Slots::Mem(shards) => shards.len(),
+            Slots::Spool(spool) => spool.shard_count(),
+        }
     }
 
     /// Samples of slot `i` still part of the dataset.
     fn shard_len(&self, i: usize) -> usize {
-        match self.keep(i) {
-            Some(keep) => keep.iter().filter(|k| **k).count(),
-            None => self.spool.shard_len(i).unwrap_or(0),
+        if let Some(keep) = self.mask.slot(i) {
+            return keep.iter().filter(|k| **k).count();
+        }
+        match &self.slots {
+            Slots::Mem(shards) => shards[i].len(),
+            Slots::Spool(spool) => spool.shard_len(i).unwrap_or(0),
         }
     }
-}
 
-/// Drop the samples `keep` masks out of `shard`, tracing up to `cap` of
-/// the dropped duplicates.
-fn apply_mask(shard: &mut Dataset, keep: &[bool], cap: usize) -> Vec<TraceEvent> {
-    let mut trace = Vec::new();
-    for (sample, _) in shard.iter().zip(keep).filter(|(_, keep)| !**keep).take(cap) {
-        trace.push(TraceEvent::Duplicate {
-            dropped: snippet(sample.text()),
-        });
+    /// The live resident samples, in dataset order (none for a spool).
+    fn resident_samples(&self) -> impl Iterator<Item = &Sample> {
+        let shards = match &self.slots {
+            Slots::Mem(shards) => &shards[..],
+            Slots::Spool(_) => &[],
+        };
+        let slots = shards.iter().enumerate();
+        slots.flat_map(|(i, shard)| kept(shard.iter(), self.mask.slot(i)))
     }
-    shard.retain_mask(keep);
-    trace
-}
 
-/// Where the dataset lives between stages: in memory as ordered shards
-/// (default) or spilled to a disk spool of checksummed shard frames
-/// (out-of-core mode).
-///
-/// The in-memory representation stays sharded *across* stage boundaries —
-/// including through dedup barriers — so the engine never pays a full
-/// merge + re-split between stages; concatenating the shards in index
-/// order is the dataset.
-pub(crate) enum StageData {
-    Mem(Vec<Dataset>),
-    Spilled(Spilled),
-}
-
-impl StageData {
     pub(crate) fn len(&self) -> usize {
         self.shard_lens().iter().sum()
     }
 
-    /// Heap bytes held in memory (a spool holds none).
+    /// Heap bytes of the live samples held in memory (a spool holds none).
     pub(crate) fn approx_bytes(&self) -> usize {
-        match self {
-            StageData::Mem(shards) => shards.iter().map(Dataset::approx_bytes).sum(),
-            StageData::Spilled(_) => 0,
-        }
+        self.resident_samples().map(Sample::approx_bytes).sum()
     }
 
-    /// Sample count per shard, in shard order (what a deferred mask drops
+    /// Sample count per shard, in shard order (what the deferred mask drops
     /// is not counted).
     pub(crate) fn shard_lens(&self) -> Vec<usize> {
-        match self {
-            StageData::Mem(shards) => shards.iter().map(Dataset::len).collect(),
-            StageData::Spilled(data) => (0..data.spool.shard_count())
-                .map(|i| data.shard_len(i))
-                .collect(),
-        }
+        (0..self.slot_count()).map(|i| self.shard_len(i)).collect()
     }
 
     /// A resumed cache entry as stage input: its frames are decoded into
@@ -401,26 +416,40 @@ impl StageData {
                     spool.write_frame_bytes(slot, &sealed, samples)?;
                     slot += 1;
                 }
-                return Ok(StageData::Spilled(Spilled::new(spool)));
+                return Ok(StageData::new(Slots::Spool(spool)));
             }
             shards.push(shard);
         }
-        Ok(StageData::Mem(shards))
+        Ok(StageData::new(Slots::Mem(shards)))
     }
 
     pub(crate) fn is_spilled(&self) -> bool {
-        matches!(self, StageData::Spilled(_))
+        matches!(self.slots, Slots::Spool(_))
+    }
+
+    /// Drop what the mask drops out of resident shards, in place, where
+    /// their samples leave. A spool keeps its mask: its readers skip the
+    /// entries it drops.
+    fn compact(&mut self) {
+        if let Slots::Mem(shards) = &mut self.slots {
+            for (shard, keep) in shards.iter_mut().zip(std::mem::take(&mut self.mask.0)) {
+                if let Some(keep) = keep {
+                    shard.retain_mask(&keep);
+                }
+            }
+        }
     }
 
     /// Merge into one in-memory dataset — the deliberate materialization
     /// at the end of a run that returns its result.
-    pub(crate) fn into_dataset(self) -> Result<Dataset> {
-        match self {
-            StageData::Mem(shards) => Ok(Dataset::from_shards(shards)),
-            StageData::Spilled(data) => {
+    pub(crate) fn into_dataset(mut self) -> Result<Dataset> {
+        self.compact();
+        match &mut self.slots {
+            Slots::Mem(shards) => Ok(Dataset::from_shards(std::mem::take(shards))),
+            Slots::Spool(spool) => {
                 let mut out = Dataset::new();
-                for i in 0..data.spool.shard_count() {
-                    out.extend(data.spool.read(i)?.decode(None, data.keep(i))?.0);
+                for i in 0..spool.shard_count() {
+                    out.extend(spool.read(i)?.decode(None, self.mask.slot(i))?.0);
                 }
                 Ok(out)
             }
@@ -428,21 +457,22 @@ impl StageData {
     }
 
     /// Persist as cache entry `idx`/`key` without merging: resident shards
-    /// are encoded one frame each, a spool's slot files are copied as they
-    /// are once their checksums held (slots a deferred mask thins are
-    /// entry-filtered on the way).
-    pub(crate) fn save(&self, cache: &CacheManager, idx: usize, key: &str) -> Result<()> {
-        match self {
-            StageData::Mem(shards) if shards.is_empty() => cache.save(idx, key, &Dataset::new()),
-            StageData::Mem(shards) => {
+    /// are compacted and encoded one frame each, a spool's slot files are
+    /// copied as they are once their checksums held (slots the deferred
+    /// mask thins are entry-filtered on the way).
+    pub(crate) fn save(&mut self, cache: &CacheManager, idx: usize, key: &str) -> Result<()> {
+        self.compact();
+        match &self.slots {
+            Slots::Mem(shards) if shards.is_empty() => cache.save(idx, key, &Dataset::new()),
+            Slots::Mem(shards) => {
                 let frames = shards
                     .iter()
                     .map(|s| Ok(encode_shard_frame(s, cache.codec())));
                 cache.save_frames(idx, key, frames)
             }
-            StageData::Spilled(data) => {
-                let slots = 0..data.spool.shard_count();
-                let frames = slots.map(|i| data.spool.read_frame_bytes(i, data.keep(i)));
+            Slots::Spool(spool) => {
+                let slots = 0..spool.shard_count();
+                let frames = slots.map(|i| spool.read_frame_bytes(i, self.mask.slot(i)));
                 cache.save_frames(idx, key, frames)
             }
         }
@@ -456,35 +486,36 @@ impl StageData {
     /// that is not a row frame is converted, because the `frames` contract
     /// is row frames byte-identical to a row-format run.)
     pub(crate) fn egress(
-        &self,
+        &mut self,
         writer: &ShardedWriter,
         format: OutputFormat,
         options: &ExecOptions,
         ctl: &RunCtl,
     ) -> Result<()> {
-        let data = match self {
-            StageData::Mem(shards) => {
+        self.compact();
+        let spool = match &self.slots {
+            Slots::Mem(shards) => {
                 for (i, shard) in shards.iter().enumerate() {
                     writer.store_shard(i, shard)?;
                 }
                 return Ok(());
             }
-            StageData::Spilled(data) => data,
+            Slots::Spool(spool) => spool,
         };
         let (workers, depth) = (options.num_workers, options.prefetch_depth);
         match format {
             OutputFormat::Frames => {
-                let slots = Feed::indexed(data.spool.shard_count(), true, |i| {
-                    data.spool.read_row_frame_bytes(i, data.keep(i))
+                let slots = Feed::indexed(spool.shard_count(), true, |i| {
+                    spool.read_row_frame_bytes(i, self.mask.slot(i))
                 });
                 drive(&slots, workers, depth, ctl, |i, frame| {
-                    writer.store_frame_bytes(i, &frame, data.shard_len(i))
+                    writer.store_frame_bytes(i, &frame, self.shard_len(i))
                 })?;
             }
             OutputFormat::Jsonl => {
-                let slots = Feed::indexed(data.spool.shard_count(), true, |i| data.spool.read(i));
+                let slots = Feed::indexed(spool.shard_count(), true, |i| spool.read(i));
                 drive(&slots, workers, depth, ctl, |i, frame| {
-                    writer.store_jsonl(i, |out| frame.write_jsonl(data.keep(i), out))
+                    writer.store_jsonl(i, |out| frame.write_jsonl(self.mask.slot(i), out))
                 })?;
             }
         }
@@ -513,101 +544,76 @@ impl StageData {
     }
 
     /// Cut fresh (single-shard) in-memory data to the configured shard
-    /// count; reuse carried multi-shard boundaries as-is — unless barrier
-    /// rebalancing merged them below the worker count, in which case
-    /// carrying them further would cap stage parallelism, so the data is
-    /// recut. (The recut moves samples, it does not copy their text.)
-    /// Spilled data keeps the cut it was spilled with.
-    pub(crate) fn resharded(self, options: &ExecOptions) -> StageData {
-        let StageData::Mem(mut shards) = self else {
-            return self;
-        };
-        let desired = options.shard_count(shards.iter().map(Dataset::len).sum());
-        let floor = desired.min(options.num_workers.max(1));
-        let recut = match shards.len() {
-            1 => desired > 1,
-            n => n < floor,
-        };
-        if recut {
-            let whole = match shards.len() {
-                1 => shards.swap_remove(0),
-                _ => Dataset::from_shards(shards),
-            };
-            shards = whole.into_shards(desired);
-        }
-        StageData::Mem(shards)
-    }
-
-    /// Merge in-memory shards a barrier thinned below `min_len` samples
-    /// into their left neighbor (the first shard absorbs rightward).
-    /// Shards at or above the floor keep their boundaries — the
-    /// carry-through fast path. Spool slots are never merged.
-    pub(crate) fn rebalanced(self, min_len: usize) -> StageData {
-        let StageData::Mem(shards) = self else {
-            return self;
-        };
-        if min_len == 0 || shards.len() <= 1 {
-            return StageData::Mem(shards);
-        }
-        let mut out: Vec<Dataset> = Vec::with_capacity(shards.len());
-        for shard in shards {
-            match out.last_mut() {
-                Some(prev) if prev.len() < min_len || shard.len() < min_len => prev.extend(shard),
-                _ => out.push(shard),
+    /// count, applying the mask as the samples move (their text is not
+    /// copied). Carried boundaries, and the mask over them, are reused as
+    /// they are; spilled data keeps the cut it was spilled with.
+    pub(crate) fn resharded(mut self, options: &ExecOptions) -> StageData {
+        let desired = options.shard_count(self.len());
+        if desired > 1 && matches!(&self.slots, Slots::Mem(shards) if shards.len() == 1) {
+            self.compact();
+            if let Slots::Mem(shards) = &mut self.slots {
+                let whole = shards.swap_remove(0);
+                *shards = whole.into_shards(desired);
             }
         }
-        StageData::Mem(out)
+        self
     }
 
     /// Open this data for one decoding pass: the feed that loads its
     /// shards and the sink that stores the pass's output. `cols` is the
     /// pass's decode set (`None` = everything); a spilled frame that can
     /// project honors it and has every other column spliced through
-    /// undecoded. In-memory shards are moved into the feed.
+    /// undecoded. In-memory shards, and their mask, are moved into the
+    /// feed.
     pub(crate) fn open<'a>(
         &'a mut self,
         exec: &Executor,
         cols: Option<&'a BTreeSet<String>>,
     ) -> Result<(Feed<'a, Loaded<'a>>, Sink<'a>)> {
-        Ok(match self {
-            StageData::Mem(shards) => {
+        let StageData { slots, mask, .. } = self;
+        Ok(match slots {
+            Slots::Mem(shards) => {
                 let sink = Sink::Mem(MemShardStore::with_capacity(shards.len()));
-                (mem_feed(std::mem::take(shards), false), sink)
+                (mem_feed(std::mem::take(shards), std::mem::take(mask)), sink)
             }
-            StageData::Spilled(data) => {
-                let out = exec.new_spool(data.spool.shard_count())?;
-                (spool_feed(data, Load::Decode(cols)), Sink::Spool(out, cols))
+            Slots::Spool(spool) => {
+                let out = exec.new_spool(spool.shard_count())?;
+                (
+                    spool_feed(spool, mask, Load::Decode(cols)),
+                    Sink::Spool(out, cols),
+                )
             }
         })
     }
 
-    /// Fingerprint every sample for `dedup`, in dataset order:
+    /// Fingerprint every live sample for `dedup`, in dataset order:
     /// `(fingerprints, decompressed bytes decoded, read from sidecars)`.
     /// Sidecars written while the frames were spilled
-    /// (fingerprint-on-ingest) are the shortcut — no hash pass runs at all. Otherwise resident samples are
-    /// hashed in place, in sample-balanced morsels, and spilled ones by
-    /// borrowing the hashed field's text out of undecoded frames — a full
-    /// decode only when the deduplicator hashes whole samples.
+    /// (fingerprint-on-ingest) are the shortcut — no hash pass runs at all.
+    /// Otherwise resident samples are hashed in place, in sample-balanced
+    /// morsels, and spilled ones by borrowing the hashed field's text out of
+    /// undecoded frames — a full decode only when the deduplicator hashes
+    /// whole samples.
     pub(crate) fn fingerprints(
         &self,
         dedup: &dyn Deduplicator,
         options: &ExecOptions,
         ctl: &RunCtl,
     ) -> Result<(Fingerprints, u64, bool)> {
-        let (fingerprints, decoded) = match self {
-            StageData::Mem(shards) => {
-                let samples: Vec<&Sample> = shards.iter().flat_map(Dataset::iter).collect();
+        let (fingerprints, decoded) = match &self.slots {
+            Slots::Mem(_) => {
+                let samples: Vec<&Sample> = self.resident_samples().collect();
                 let morsels: Vec<&[&Sample]> = samples.chunks(HASH_MORSEL).collect();
                 let feed = Feed::indexed(morsels.len(), false, |i| Ok(morsels[i]));
                 hash_pass(&feed, options, ctl, |morsel| {
                     hash_samples(dedup, morsel.iter().copied()).map(|h| (h, 0))
                 })?
             }
-            StageData::Spilled(data) => {
+            Slots::Spool(spool) => {
                 // Sidecars a barrier consumed fed that barrier, not this one.
-                if !data.sidecars_spent {
+                if !self.sidecars_spent {
                     let live = self.shard_lens();
-                    if let Some(fingerprints) = data.spool.read_all_fingerprints(&live)? {
+                    if let Some(fingerprints) = spool.read_all_fingerprints(&live)? {
                         return Ok((fingerprints, 0, true));
                     }
                 }
@@ -615,77 +621,55 @@ impl StageData {
                     Some(_) => Load::Undecoded,
                     None => Load::Decode(None),
                 };
-                let feed = spool_feed(data, load);
+                let feed = spool_feed(spool, &self.mask, load);
                 hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))?
             }
         };
         Ok((fingerprints, decoded, false))
     }
 
-    /// Apply a barrier's dataset-level keep `mask`; returns the thinned
-    /// data and up to `cap` traces of the first duplicates dropped.
+    /// Apply a barrier's dataset-level keep `mask`; returns the data and up
+    /// to `cap` traces of the first duplicates dropped, in dataset order.
     ///
-    /// This is the one place that decides *how*: resident shards are
-    /// thinned in place, in parallel on the worker pool. Spilled data is
-    /// not touched at all — the mask is attached to the spool (and-combined
-    /// with one already there) for the next pass that opens it to consume,
-    /// so a spilled barrier reads and writes no frame; only duplicate
-    /// traces borrow the dropped texts out of the slots that hold the first
-    /// `cap` of them.
+    /// One rule for every shape: the mask is and-combined, per slot, into
+    /// the data's own, and no sample is read, moved or rewritten — the next
+    /// pass that opens the data steps over what it drops. Only duplicate
+    /// traces read anything: the dropped texts, borrowed in place from
+    /// resident shards, or out of the undecoded frames of the slots that
+    /// hold the first `cap` of them.
     pub(crate) fn masked(
-        self,
+        mut self,
         mask: &[bool],
         cap: usize,
-        options: &ExecOptions,
-        ctl: &RunCtl,
     ) -> Result<(StageData, Vec<TraceEvent>)> {
-        let lens = self.shard_lens();
-        let mut slices = lens.iter().scan(0, |end, len| {
-            let start = std::mem::replace(end, *end + len);
-            Some(&mask[start..*end])
-        });
         let mut trace = Vec::new();
-        match self {
-            StageData::Mem(shards) => {
-                let slices: Vec<&[bool]> = slices.collect();
-                let sink = MemShardStore::with_capacity(shards.len());
-                let per_shard = drive(
-                    &mem_feed(shards, true),
-                    options.num_workers,
-                    options.prefetch_depth,
-                    ctl,
-                    |i, loaded| {
-                        let mut shard = loaded.shard;
-                        let trace = apply_mask(&mut shard, slices[i], cap);
-                        sink.store_shard(i, shard).map(|()| trace)
-                    },
-                )?;
-                trace.extend(per_shard.into_iter().flatten().take(cap));
-                Ok((StageData::Mem(sink.into_shards()?), trace))
-            }
-            StageData::Spilled(mut data) => {
-                let mut stored = Vec::with_capacity(lens.len());
-                for i in 0..lens.len() {
-                    let keep = slices.next().unwrap_or_default();
-                    if trace.len() < cap && keep.contains(&false) {
-                        data.spool.read(i)?.with_texts(TEXT_KEY, |texts| {
-                            let live = kept(texts.iter(), data.keep(i));
-                            let dropped = live.zip(keep).filter(|(_, keep)| !**keep);
-                            for (text, _) in dropped.take(cap - trace.len()) {
-                                trace.push(TraceEvent::Duplicate {
-                                    dropped: snippet(text),
-                                });
-                            }
+        let mut combined = Vec::with_capacity(self.slot_count());
+        let mut start = 0;
+        for i in 0..self.slot_count() {
+            let end = start + self.shard_len(i);
+            let keep = &mask[start..end];
+            start = end;
+            let (prior, room) = (self.mask.slot(i), cap.saturating_sub(trace.len()));
+            if room > 0 && keep.contains(&false) {
+                match &self.slots {
+                    Slots::Mem(shards) => {
+                        let live = kept(shards[i].iter().map(Sample::text), prior);
+                        trace_dropped(live, keep, room, &mut trace);
+                    }
+                    Slots::Spool(spool) => {
+                        spool.read(i)?.with_texts(TEXT_KEY, |texts| {
+                            let live = kept(texts.iter().map(|t| &**t), prior);
+                            trace_dropped(live, keep, room, &mut trace);
                             Ok(())
                         })?;
                     }
-                    stored.push(Some(widen_keep(data.keep(i), keep.to_vec())));
                 }
-                data.mask = stored;
-                data.sidecars_spent = true;
-                Ok((StageData::Spilled(data), trace))
             }
+            combined.push(Some(widen_keep(prior, keep.to_vec())));
         }
+        self.mask = Mask(combined);
+        self.sidecars_spent = true;
+        Ok((self, trace))
     }
 }
 
@@ -750,42 +734,163 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Three resident shards of distinct documents, the middle one of four.
+    fn resident_shards() -> Vec<Dataset> {
+        let doc = |i: usize| format!("resident document {i} with its own words {}", i * 7);
+        vec![
+            Dataset::from_texts((0..5).map(doc)),
+            Dataset::from_texts((5..9).map(doc)),
+            Dataset::from_texts((9..14).map(doc)),
+        ]
+    }
+
+    fn slices(data: &StageData) -> Vec<(*const Sample, usize)> {
+        match &data.slots {
+            Slots::Mem(shards) => shards
+                .iter()
+                .map(|s| (s.samples().as_ptr(), s.len()))
+                .collect(),
+            Slots::Spool(_) => panic!("resident data spilled"),
+        }
+    }
+
+    /// Every file under `dir`, with its bytes, in path order.
+    fn files(dir: &std::path::Path) -> Vec<Vec<u8>> {
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .flat_map(|sub| std::fs::read_dir(sub.unwrap().path()).unwrap())
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        paths.iter().map(|p| std::fs::read(p).unwrap()).collect()
+    }
+
     #[test]
-    fn rebalance_merges_only_underfilled_shards() {
-        let full = || Dataset::from_texts(["a", "b", "c", "d"]);
-        let thin = || Dataset::from_texts(["x"]);
-        // Threshold 2: full shards keep their boundaries.
-        let rebalance = |shards: Vec<Dataset>, min_len: usize| match StageData::Mem(shards)
-            .rebalanced(min_len)
-        {
-            StageData::Mem(shards) => shards,
-            StageData::Spilled(_) => unreachable!("memory stays memory"),
+    fn a_resident_mask_moves_nothing_and_every_reader_honors_it() {
+        use dj_core::{Op, OpParams};
+        use dj_store::CacheMode;
+        // The first barrier drops the whole middle shard and two others;
+        // the second, over what the first kept, drops two more.
+        let first = [
+            true, false, true, true, false, false, false, false, false, true, true, true, true,
+            true,
+        ];
+        let second = [true, true, true, false, true, true, true, false];
+        // Eager application, on fresh shards each time: `approx_bytes`
+        // counts string capacity, which a clone does not keep.
+        let retained = |masks: &[&[bool]]| {
+            let mut shards = resident_shards();
+            for mask in masks {
+                let mut start = 0;
+                for shard in &mut shards {
+                    let end = start + shard.len();
+                    shard.retain_mask(&mask[start..end]);
+                    start = end;
+                }
+            }
+            shards
         };
-        let kept = rebalance(vec![full(), full(), full()], 2);
-        assert_eq!(kept.len(), 3, "well-filled shards are carried through");
-        // A thinned middle shard merges into its left neighbor.
-        let merged = rebalance(vec![full(), thin(), full()], 2);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].len(), 5);
-        assert_eq!(merged[1].len(), 4);
-        // A thinned leading shard absorbs its right neighbor.
-        let lead = rebalance(vec![thin(), full(), full()], 2);
-        assert_eq!(lead.len(), 2);
-        assert_eq!(lead[0].len(), 5);
-        // Order is preserved across merges.
-        let texts: Vec<_> = rebalance(
+        let once = retained(&[&first]);
+        let eager = retained(&[&first, &second]);
+        let want = Dataset::from_shards(retained(&[&first, &second]));
+        let live: Vec<usize> = eager.iter().map(Dataset::len).collect();
+
+        let data = StageData::new(Slots::Mem(resident_shards()));
+        let before = slices(&data);
+        let (data, trace) = data.masked(&first, 2).unwrap();
+        assert_eq!(slices(&data), before, "the first mask moved a sample");
+        assert_eq!(data.shard_lens(), vec![3, 0, 5]);
+        let dropped: Vec<String> = trace
+            .iter()
+            .map(|t| match t {
+                TraceEvent::Duplicate { dropped } => dropped.clone(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let texts = Dataset::from_shards(resident_shards());
+        assert_eq!(
+            dropped,
             vec![
-                Dataset::from_texts(["1"]),
-                Dataset::from_texts(["2"]),
-                Dataset::from_texts(["3", "4"]),
-            ],
-            2,
-        )
-        .into_iter()
-        .flat_map(|d| d.iter().map(|s| s.text().to_string()).collect::<Vec<_>>())
-        .collect();
-        assert_eq!(texts, vec!["1", "2", "3", "4"]);
-        // Threshold 0 disables rebalancing entirely.
-        assert_eq!(rebalance(vec![thin(), thin()], 0).len(), 2);
+                snippet(texts.samples()[1].text()),
+                snippet(texts.samples()[4].text())
+            ]
+        );
+        let once_bytes: usize = once.iter().map(Dataset::approx_bytes).sum();
+        assert_eq!(data.approx_bytes(), once_bytes);
+
+        // A second mask counts only what the first kept, and-combines.
+        let (data, _) = data.masked(&second, 0).unwrap();
+        assert_eq!(slices(&data), before, "the second mask moved a sample");
+        assert_eq!(data.shard_lens(), live);
+        assert_eq!(data.len(), want.len());
+        assert_eq!(data.approx_bytes(), want.approx_bytes());
+
+        // Every way out equals eager mask application.
+        let masked = || {
+            let data = StageData::new(Slots::Mem(resident_shards()));
+            data.masked(&first, 0)
+                .unwrap()
+                .0
+                .masked(&second, 0)
+                .unwrap()
+                .0
+        };
+        assert_eq!(masked().into_dataset().unwrap(), want);
+
+        let exec = Executor::new(Vec::new());
+        let mut data = masked();
+        let (feed, sink) = data.open(&exec, None).unwrap();
+        assert!(!sink.carries_fingerprints());
+        let mut opened = Vec::new();
+        while let Some((i, loaded)) = (feed.next)().unwrap() {
+            assert!(loaded.keep.is_none() && loaded.frame.is_none());
+            assert_eq!(loaded.residency(), (live[i], eager[i].approx_bytes()));
+            opened.push(loaded.shard);
+        }
+        assert_eq!(opened, eager);
+
+        let root =
+            std::env::temp_dir().join(format!("dj-exec-resident-mask-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let Op::Deduplicator(dedup) = dj_ops::builtin_registry()
+            .build("document_deduplicator", &OpParams::new())
+            .unwrap()
+        else {
+            panic!("not a deduplicator");
+        };
+        let spool = ShardSpool::create(root.join("spool"), 2, SPILL_CODEC).unwrap();
+        let spilled = masked().spill(spool, 2, Some(dedup.as_ref())).unwrap();
+        assert_eq!(spilled.shard_lens(), vec![3, 3]);
+        assert_eq!(spilled.into_dataset().unwrap(), want);
+
+        let options = ExecOptions::default();
+        let ctl = RunCtl::new(None, None);
+        let eager_data = StageData::new(Slots::Mem(eager.clone()));
+        assert_eq!(
+            masked()
+                .fingerprints(dedup.as_ref(), &options, &ctl)
+                .unwrap(),
+            eager_data
+                .fingerprints(dedup.as_ref(), &options, &ctl)
+                .unwrap()
+        );
+
+        let saved = |data: &mut StageData, dir: &str| {
+            let cache = CacheManager::new(root.join(dir), 1, CacheMode::Cache);
+            data.save(&cache, 0, "barrier").unwrap();
+            files(&root.join(dir))
+        };
+        let mut data = masked();
+        assert_eq!(
+            saved(&mut data, "masked"),
+            saved(&mut StageData::new(Slots::Mem(eager.clone())), "eager")
+        );
+        assert_eq!(slices(&data).iter().map(|s| s.1).collect::<Vec<_>>(), live);
+        assert_eq!(
+            data.into_dataset().unwrap(),
+            want,
+            "a save compacts in place"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -303,7 +303,7 @@ impl Executor {
         let egress_start = Instant::now();
         let out = match &self.options.output {
             Some(dir) => {
-                self.write_output(dir, &data, &ctl, &mut report)?;
+                self.write_output(dir, &mut data, &ctl, &mut report)?;
                 None
             }
             None => Some(data.into_dataset()?),
@@ -319,7 +319,7 @@ impl Executor {
     fn write_output(
         &self,
         dir: &Path,
-        data: &StageData,
+        data: &mut StageData,
         ctl: &RunCtl,
         report: &mut RunReport,
     ) -> Result<()> {
@@ -367,15 +367,16 @@ impl Executor {
     }
 
     /// Shard count for the spill cut: honor an explicit `shard_size`,
-    /// otherwise size shards so the streaming live set (2 per worker,
-    /// double-buffered) stays under the budget.
+    /// otherwise size shards so the streaming live set (`prefetch_depth`
+    /// per worker, plus two) stays under the budget.
     fn spill_shard_count(&self, len: usize, bytes: usize, budget: u64) -> usize {
         if let Some(size) = self.options.shard_size {
             return len.div_ceil(size.max(1)).clamp(1, len);
         }
         let workers = self.options.num_workers.max(1) as u64;
+        let depth = self.options.prefetch_depth.max(1) as u64;
         let avg = ((bytes / len).max(1)) as u64;
-        let per_shard_bytes = (budget / (2 * workers + 2)).max(1);
+        let per_shard_bytes = (budget / (workers * depth + 2)).max(1);
         let shard_size = ((per_shard_bytes / avg).max(1)) as usize;
         len.div_ceil(shard_size).clamp(1, len)
     }
@@ -437,7 +438,7 @@ impl Executor {
             columnar: self.options.columnar,
             ..RunReport::default()
         };
-        let mut data = StageData::Mem(vec![dataset]);
+        let mut data = StageData::resident(dataset);
 
         // Resume from the longest cached stage prefix. A corrupt or
         // unreadable cache entry must never fail the run — or reach it: the

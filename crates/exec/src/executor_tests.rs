@@ -327,11 +327,144 @@ fn under_budget_resume_stays_in_memory() {
 }
 
 #[test]
+fn the_budget_derived_spill_cut_fits_every_prefetch_depth() {
+    // 1 000 samples of 100 bytes each, under a 20 kB budget.
+    let (len, bytes, budget) = (1000usize, 100_000usize, 20_000u64);
+    for np in [1usize, 2, 4] {
+        for depth in 1..=4usize {
+            let exec = Executor::new(Vec::new()).with_options(ExecOptions {
+                num_workers: np,
+                prefetch_depth: depth,
+                ..ExecOptions::default()
+            });
+            let shards = exec.spill_shard_count(len, bytes, budget);
+            let shard_bytes = len.div_ceil(shards) * (bytes / len);
+            assert!(
+                (np * depth * shard_bytes) as u64 <= budget,
+                "np {np}, depth {depth}: {np} x {depth} live shards of {shard_bytes} B"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_deep_prefetch_stays_inside_the_budget() {
+    let reg = builtin_registry();
+    let base = Dataset::from_texts((0..400).map(|i| {
+        format!("Uniform fluent document {i:04} about the research methodology and its results.")
+    }));
+    let budget = (base.approx_bytes() / 3) as u64;
+    let exec = Executor::new(pipeline(&reg)).with_options(ExecOptions {
+        num_workers: 2,
+        prefetch_depth: 4,
+        trace_examples: 0,
+        memory_budget: Some(budget),
+        ..ExecOptions::default()
+    });
+    let (out, report) = exec.run(base).unwrap();
+    assert!(report.spilled);
+    assert_eq!(out.len(), 400);
+    assert!(
+        report.peak_resident_bytes as u64 <= budget,
+        "{} resident bytes > budget {budget}",
+        report.peak_resident_bytes
+    );
+}
+
+/// Every cache entry a cached run saved, in stage order: file name, length
+/// and FNV-1a of its bytes.
+fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(root)
+        .unwrap()
+        .flat_map(|recipe| std::fs::read_dir(recipe.unwrap().path()).unwrap())
+        .map(|e| e.unwrap().path())
+        .collect();
+    entries.sort();
+    entries
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).unwrap();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, bytes.len(), fnv1a(&bytes))
+        })
+        .collect()
+}
+
+/// A resident barrier leaves its keep mask on the shards, and the cache
+/// save right after it compacts them where the bytes leave: each entry is
+/// the one a barrier that thinned its shards on the spot saved. Every
+/// eighth document repeats an earlier one, so no shard is thinned to half
+/// its fill. Pinned by length and FNV-1a; a deliberate codec or frame
+/// layout change re-pins them.
+#[test]
+fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
+    const STAGE: &str = "0000-whitespace_normalization_mapper+text_length_filter.djc";
+    const BARRIER: &str = "0001-document_deduplicator.djc";
+    // (shard size, entries): six frames, then one.
+    type Entry = (&'static str, usize, u64);
+    let pins: [(usize, [Entry; 2]); 2] = [
+        (
+            8,
+            [
+                (STAGE, 1_150, 8_340_056_087_111_528_943),
+                (BARRIER, 1_134, 17_714_607_690_819_406_091),
+            ],
+        ),
+        (
+            1000,
+            [
+                (STAGE, 396, 2_542_646_165_673_211_883),
+                (BARRIER, 382, 11_625_822_995_169_161_923),
+            ],
+        ),
+    ];
+    let reg = builtin_registry();
+    let texts = (0..48).map(|i| {
+        let n = if i % 8 == 7 { i - 5 } else { i };
+        format!("Resident document {n} on the cached barrier path, with   spacing.")
+    });
+    let base = Dataset::from_texts(texts);
+    let steps = ops(
+        &reg,
+        &[
+            ("whitespace_normalization_mapper", OpParams::new()),
+            ("text_length_filter", p(&[("min_len", Value::Float(10.0))])),
+            ("document_deduplicator", OpParams::new()),
+        ],
+    );
+    for (shard_size, want) in pins {
+        for np in [1usize, 3] {
+            let tag = format!("np {np}, shard_size {shard_size}");
+            let dir = std::env::temp_dir().join(format!(
+                "dj-exec-mempin-{}-{np}-{shard_size}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = CacheManager::new(&dir, 780, dj_store::CacheMode::Cache);
+            let mut options = opts(np, true, 0);
+            options.shard_size = Some(shard_size);
+            options.memory_budget = Some(u64::MAX);
+            let exec = Executor::new(steps.clone()).with_options(options);
+            let (out, report) = exec.run_with_cache(base.clone(), &cache).unwrap();
+            assert!(!report.spilled, "{tag}");
+            assert_eq!(out.len(), 42, "{tag}");
+            let got = cache_entries(&dir);
+            let want: Vec<(String, usize, u64)> = want
+                .iter()
+                .map(|(name, len, sum)| (name.to_string(), *len, *sum))
+                .collect();
+            assert_eq!(got, want, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
 fn barrier_worker_count_never_changes_output() {
     // np = 1 is the sequential reference: one hash stepper, sequential
-    // clustering, one mask-apply stepper. Every np = N run — parallel
-    // hash morsels, gated clustering, carried and rebalanced shards —
-    // must reproduce it byte for byte.
+    // clustering. Every np = N run — parallel hash morsels, gated
+    // clustering, carried shards under the barrier's mask — must
+    // reproduce it byte for byte.
     let reg = builtin_registry();
     let base = noisy_dataset();
     let sequential = Executor::new(pipeline(&reg)).with_options(opts(1, true, 0));

@@ -14,9 +14,8 @@
 //!    fingerprint before deciding anything. Mappers and filters are
 //!    sample-local, so any run of them forms one `Stage::Pipeline`.
 //! 3. **One driver.** Every pass over the data — a pipeline stage, a
-//!    barrier's hash pass, a resident barrier's mask-apply, ingest, egress
-//!    — is the
-//!    same loop (`stream::drive`): a *feed* yields `(shard index, loaded
+//!    barrier's hash pass, ingest, egress — is the same loop
+//!    (`stream::drive`): a *feed* yields `(shard index, loaded
 //!    shard)`, pool workers claim shards (morsel-driven, over-partitioned
 //!    ~4× the worker count so fast workers absorb stragglers) and run a
 //!    *body* on each, and a *sink* stores the outcome. For a pipeline stage
@@ -47,10 +46,11 @@
 //!    per LSH band or 16-bit block on the worker pool and verify each run
 //!    of equal keys into a lock-free concurrent union-find; exact and
 //!    paragraph hashes elect first occurrences in one pass), and hand the
-//!    mask to the data. Resident shards are thinned in place; a spilled
-//!    dataset is not touched — the mask rides on its spool to whichever
-//!    pass opens it next (a stage load, the next barrier, egress), which
-//!    steps over the dropped samples. The fingerprints come from the
+//!    mask to the data. The data is not touched, whatever its shape: the
+//!    mask rides on the resident shards or the spool to whichever pass
+//!    opens them next (a stage load, the next barrier, egress,
+//!    materialization, a spill or a cache save), which steps over the
+//!    dropped samples. The fingerprints come from the
 //!    sidecars when the data carries them and no barrier consumed them yet
 //!    (a spilled barrier then opens no frame; a columnar stage's mask
 //!    leaves them valid, they hold the samples it kept); otherwise from one
@@ -58,10 +58,8 @@
 //!    text — from resident samples in sample-balanced morsels, from an
 //!    undecoded row slab, or from one decompressed column region — and
 //!    only decodes whole samples for a deduplicator that hashes whole
-//!    samples. Shard boundaries **carry through** the barrier: only
-//!    in-memory shards the mask thins below half the pre-barrier average
-//!    are merged into a neighbor, so a low-duplicate dataset pays
-//!    near-zero barrier materialization instead of a full merge + re-split.
+//!    samples. Shard boundaries **carry through** the barrier unchanged,
+//!    so it pays no materialization, merge or re-split.
 //!
 //! Because shards are contiguous and merged in order, the output is
 //! byte-identical to sequential single-shard execution for every shape,
@@ -117,12 +115,13 @@
 //! budget, and `DJ_FAULTS`, a chaos plan to replay. The test suite picks
 //! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
-//! Three former knobs are constants or derived now, because no recipe,
-//! test or benchmark needed another value: the post-barrier shard fill
-//! threshold (0.5), the mid-run replan point (derived from the stage's
-//! shard count, above) and the parallel-barrier switch (`num_workers: 1`
-//! clusters with one worker). Recipes that still carry `shard_fill`,
-//! `replan_after_shards` or `dedup_parallel` load; the keys are ignored.
+//! Three former knobs are gone, because no recipe, test or benchmark
+//! needed another value: the post-barrier shard fill threshold (barriers
+//! no longer merge shards at all), the mid-run replan point (derived from
+//! the stage's shard count, above) and the parallel-barrier switch
+//! (`num_workers: 1` clusters with one worker). Recipes that still carry
+//! `shard_fill`, `replan_after_shards` or `dedup_parallel` load; the keys
+//! are ignored.
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!

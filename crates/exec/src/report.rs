@@ -70,9 +70,9 @@ pub struct RunReport {
     pub peak_resident_samples: usize,
     /// Approximate heap bytes of those resident samples at the peak.
     pub peak_resident_bytes: usize,
-    /// Total wall time spent inside dedup barriers (fingerprinting,
-    /// clustering and — for resident data — mask application; a spilled
-    /// barrier defers its mask to the next pass over the spool).
+    /// Total wall time spent inside dedup barriers: fingerprinting and
+    /// clustering. No barrier applies its mask; it rides on the data to the
+    /// next pass, resident or spilled.
     pub barrier_duration: Duration,
     /// Spilled dedup barriers that skipped their fingerprint streaming
     /// pass because every shard carried a fingerprint sidecar
@@ -140,8 +140,8 @@ pub struct BarrierDecision {
     pub workers: usize,
     /// Whether more than one worker was offered (`workers > 1`).
     pub parallel: bool,
-    /// The gating rule that decided (`"parallel"`, `"disabled"`,
-    /// `"single-worker"`, `"small-input"`).
+    /// The gating rule that decided (`"parallel"`, `"single-worker"`,
+    /// `"small-input"`).
     pub reason: &'static str,
 }
 impl RunReport {

@@ -78,7 +78,6 @@ impl Executor {
                     frame,
                     keep: deferred,
                     decoded,
-                    ..
                 } = loaded;
                 let mut ctx = SampleContext::new();
                 let order = sched.as_ref().map(StageSchedule::order);

@@ -4,9 +4,8 @@
 //! control block and error ledger into every pass.
 //!
 //! Every pass of every execution shape — pipeline stages, barrier hash
-//! passes, a resident barrier's mask-apply, ingest and egress — runs
-//! through this one loop, so
-//! the prefetch contract lives in exactly one place: the live-set
+//! passes, ingest and egress — runs through this one loop, so the
+//! prefetch contract lives in exactly one place: the live-set
 //! reservation is taken *before* a load (the resident bound can never
 //! overshoot `workers × depth` shards however many steppers race), and
 //! `ctl.check` / `faults::check("exec.shard.claim")` / acquire / release /

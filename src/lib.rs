@@ -5,8 +5,9 @@
 //! training corpora, with a feedback loop of analyzers, visualizers,
 //! tracers, samplers, HPO and (simulated) auto-evaluation, plus the system
 //! optimizations the paper describes — context management, OP fusion &
-//! reordering, caching/checkpointing with compression, and distributed
-//! execution.
+//! reordering, caching/checkpointing with compression, and sharded,
+//! out-of-core execution. (Fig. 10's distributed scaling is a wall-time
+//! model in the `dj-bench` harnesses, not a backend.)
 //!
 //! ## Quickstart
 //!
@@ -49,13 +50,11 @@
 //! | [`analyze`] | §4.2, §5.2 | analyzer, visualizer, tracer, samplers |
 //! | [`hpo`] | §4.1.2 | search spaces, sweeps, Hyperband, Fig. 3 analysis |
 //! | [`eval`] | §4.3 | proxy LLM evaluation, pairwise judge, leaderboard |
-//! | [`dist`] | §6, Fig. 10 | Ray/Beam-style distributed execution model |
 //! | [`synth`] | substrate | seeded synthetic corpora (web, wiki, code, IFT...) |
 
 pub use dj_analyze as analyze;
 pub use dj_config as config;
 pub use dj_core as core;
-pub use dj_dist as dist;
 pub use dj_eval as eval;
 pub use dj_exec as exec;
 pub use dj_hash as hash;

@@ -1,12 +1,11 @@
 //! Cross-crate equivalence invariants: the optimizations (fusion,
-//! parallelism, caching, distribution) must never change pipeline output.
+//! parallelism, caching) must never change pipeline output.
 //! Includes a property test over randomly composed pipelines.
 
 use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::Dataset;
-use data_juicer::dist::{run_distributed, Backend, ClusterSpec};
 use data_juicer::exec::{ExecOptions, Executor};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{CacheManager, CacheMode};
@@ -153,39 +152,6 @@ fn cache_resume_after_recipe_extension_matches_fresh_run() {
         .unwrap();
     assert_eq!(texts(&resumed), texts(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn distributed_backends_agree_with_local_execution() {
-    let registry = builtin_registry();
-    let recipe = Recipe::new("dist-eq")
-        .then(OpSpec::new("whitespace_normalization_mapper"))
-        .then(
-            OpSpec::new("word_num_filter")
-                .with("min_num", 4.0)
-                .with("max_num", 1e9),
-        )
-        .then(OpSpec::new("document_deduplicator"))
-        .then(OpSpec::new("lowercase_mapper"));
-    let ops = recipe.build_ops(&registry).unwrap();
-    let data = web_corpus(88, 150, WebNoise::default());
-    let local = run(ops.clone(), data.clone(), 2, true);
-    for backend in [Backend::Ray, Backend::Beam] {
-        for nodes in [2usize, 5] {
-            let (out, _) = run_distributed(
-                &ops,
-                data.clone(),
-                ClusterSpec::paper_platform(nodes),
-                backend,
-            )
-            .unwrap();
-            assert_eq!(
-                texts(&out),
-                texts(&local),
-                "{backend:?} with {nodes} nodes diverged"
-            );
-        }
-    }
 }
 
 #[test]

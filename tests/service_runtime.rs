@@ -225,8 +225,8 @@ fn cancellation_releases_resources_and_survivors_complete() {
 /// MinHash deduplicator over resident data, so the only shard progress the
 /// job can report comes from inside the barrier's hash pass. Once it has,
 /// a cancel must stop the barrier at the next morsel — `Cancelled`, no
-/// output, residency drained — instead of hashing, clustering and
-/// mask-applying the whole corpus first.
+/// output, residency drained — instead of hashing and clustering the
+/// whole corpus first.
 #[test]
 fn cancellation_stops_an_in_memory_barrier() {
     let ops = Recipe::new("barrier-only")
