@@ -32,9 +32,9 @@ struct Row {
     ingest_mb_per_sec: f64,
     /// Streaming-egress throughput in MB/s (0 for in-memory systems).
     egress_mb_per_sec: f64,
-    /// Raw bytes decoded from spilled frames (columnar runs only).
+    /// Raw bytes decoded from spilled frames (spilled runs only).
     bytes_decoded: u64,
-    /// Raw bytes spliced through without decoding (columnar runs only).
+    /// Raw bytes spliced through without decoding (spilled runs only).
     bytes_passthrough: u64,
     /// Median per-job submit-to-done latency (service rows only).
     p50_seconds: f64,
@@ -451,10 +451,9 @@ fn main() {
 
     // Columnar projection on a metadata-heavy corpus: the same C4-style
     // pipeline over samples dragging provenance columns (url, headers,
-    // render log) the ops never read. Row-format OOC decodes every byte
-    // of every frame; columnar OOC decodes only the projected columns
-    // and splices the metadata through verbatim — the row pair isolates
-    // what projection pushdown buys.
+    // render log) the ops never read. Out-of-core execution decodes only
+    // the projected columns of its columnar spill frames and splices the
+    // metadata through verbatim.
     section("Columnar projection: metadata-heavy C4");
     {
         use dj_core::Value;
@@ -477,50 +476,59 @@ fn main() {
             )
             .expect("sample root is a map");
         }
-        let ooc_opts = |columnar: bool| ExecOptions {
+        let (expected, _) = Executor::new(matched_dj_ops(p))
+            .with_options(ExecOptions {
+                num_workers: np,
+                memory_budget: Some(u64::MAX),
+                ..ExecOptions::default()
+            })
+            .run(data.clone())
+            .expect("meta-heavy pipeline runs in memory");
+        let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
             trace_examples: 0,
             shard_size: Some(data.len().div_ceil(4 * np.max(1) * 4)),
             memory_budget: Some(1),
-            columnar,
             ..ExecOptions::default()
-        };
-        let mut timed = |system: &'static str, columnar: bool| {
-            let exec = Executor::new(matched_dj_ops(p)).with_options(ooc_opts(columnar));
-            let t0 = Instant::now();
-            let (out, report) = exec.run(data.clone()).expect("meta-heavy pipeline runs");
-            let seconds = t0.elapsed().as_secs_f64();
-            assert!(report.spilled, "1-byte budget must spill");
-            rows.push(Row {
-                dataset: "C4-meta",
-                np,
-                system,
-                seconds,
-                mem_mb: report.peak_resident_bytes as f64 / 1e6,
-                out_len: out.len(),
-                in_len: data.len(),
-                barrier_seconds: report.barrier_duration.as_secs_f64(),
-                ingest_mb_per_sec: 0.0,
-                egress_mb_per_sec: 0.0,
-                bytes_decoded: report.bytes_decoded,
-                bytes_passthrough: report.bytes_passthrough,
-                ..Row::default()
-            });
-            (out, report, seconds)
-        };
-        let (row_out, _, row_s) = timed("Data-Juicer-OOC", false);
-        let (col_out, col_report, col_s) = timed("Data-Juicer-columnar", true);
-        assert_eq!(col_out, row_out, "columnar OOC output diverged");
-        assert!(col_report.columnar);
-        println!(
-            "row OOC {row_s:.3}s | columnar OOC {col_s:.3}s | decoded {:.2} MB, \
-             passthrough {:.2} MB",
-            col_report.bytes_decoded as f64 / 1e6,
-            col_report.bytes_passthrough as f64 / 1e6,
+        });
+        let t0 = Instant::now();
+        let (out, report) = exec.run(data.clone()).expect("meta-heavy pipeline runs");
+        let seconds = t0.elapsed().as_secs_f64();
+        assert!(report.spilled, "1-byte budget must spill");
+        assert_eq!(out, expected, "out-of-core output diverged from in-memory");
+        let whole = dj_store::Frame::encode(&data, dj_store::Codec::None);
+        let raw = dj_store::ColumnarSlab::from_frame_bytes(&whole)
+            .expect("columnar frame parses")
+            .total_raw_len();
+        assert!(
+            report.bytes_decoded < raw,
+            "decoded {} of {raw} raw bytes: projection decoded everything",
+            report.bytes_decoded
         );
-        println!("per-op decode accounting (columnar run):");
-        for op in &col_report.ops {
+        rows.push(Row {
+            dataset: "C4-meta",
+            np,
+            system: "Data-Juicer-OOC",
+            seconds,
+            mem_mb: report.peak_resident_bytes as f64 / 1e6,
+            out_len: out.len(),
+            in_len: data.len(),
+            barrier_seconds: report.barrier_duration.as_secs_f64(),
+            ingest_mb_per_sec: 0.0,
+            egress_mb_per_sec: 0.0,
+            bytes_decoded: report.bytes_decoded,
+            bytes_passthrough: report.bytes_passthrough,
+            ..Row::default()
+        });
+        println!(
+            "OOC {seconds:.3}s | decoded {:.2} of {:.2} MB raw, passthrough {:.2} MB",
+            report.bytes_decoded as f64 / 1e6,
+            raw as f64 / 1e6,
+            report.bytes_passthrough as f64 / 1e6,
+        );
+        println!("per-op decode accounting:");
+        for op in &report.ops {
             println!(
                 "  {:<56} {:>10.3} MB decoded",
                 op.name,

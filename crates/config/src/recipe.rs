@@ -78,11 +78,10 @@ pub struct Recipe {
     /// chained prefix fingerprint so editing op `k` resumes ops `0..k`
     /// from cache (default `false`; costs a materialization per step).
     pub prefix_cache: bool,
-    /// Columnar shard frames with field-projection pushdown: spilled
-    /// shards are stored as per-column `DJSC` frames and each stage
-    /// decodes only the columns its OPs' field footprints name, splicing
-    /// every other column through byte-for-byte (default `false`). Output
-    /// is byte-identical to the row format.
+    /// Parsed, emitted and part of the fingerprint, and reaches nothing:
+    /// every spilled shard and cache entry is a columnar `DJSC` frame
+    /// whatever it says (default `false`). Kept so recipes and `dj serve`
+    /// submissions that carry it load and round-trip unchanged.
     pub columnar: bool,
     /// Record-level error policy: `"fail"` (default), `"skip"` or
     /// `"quarantine"`. Under `skip`/`quarantine` a malformed ingest
@@ -203,8 +202,7 @@ impl Recipe {
         self
     }
 
-    /// Builder: toggle columnar spilled-shard frames with field-projection
-    /// pushdown.
+    /// Builder: set the [`columnar`](Recipe::columnar) key.
     pub fn with_columnar(mut self, enabled: bool) -> Recipe {
         self.columnar = enabled;
         self
@@ -277,43 +275,49 @@ impl Recipe {
         Recipe::from_value(&v)
     }
 
-    /// Parse a recipe from an already-parsed config value.
+    /// Parse a recipe from an already-parsed config value. A top-level key
+    /// whose value has the wrong type is a [`DjError::Config`] naming the
+    /// key and the type it takes (an integer is a float too); `null` leaves
+    /// the default.
     pub fn from_value(v: &Value) -> Result<Recipe> {
+        const INT: &str = "an integer";
+        const STR: &str = "a string";
+        const BOOL: &str = "a boolean";
         let mut recipe = Recipe::default();
-        if let Some(name) = v.get_path("project_name").and_then(Value::as_str) {
+        if let Some(name) = typed(v, "project_name", STR, Value::as_str)? {
             recipe.project_name = name.to_string();
         }
-        if let Some(np) = v.get_path("np").and_then(Value::as_int) {
+        if let Some(np) = typed(v, "np", INT, Value::as_int)? {
             if np < 1 {
                 return Err(DjError::Config("np must be >= 1".into()));
             }
             recipe.np = np as usize;
         }
-        if let Some(sz) = v.get_path("shard_size").and_then(Value::as_int) {
+        if let Some(sz) = typed(v, "shard_size", INT, Value::as_int)? {
             if sz < 1 {
                 return Err(DjError::Config("shard_size must be >= 1".into()));
             }
             recipe.shard_size = Some(sz as usize);
         }
-        if let Some(mb) = v.get_path("memory_budget").and_then(Value::as_int) {
+        if let Some(mb) = typed(v, "memory_budget", INT, Value::as_int)? {
             if mb < 1 {
                 return Err(DjError::Config("memory_budget must be >= 1 byte".into()));
             }
             recipe.memory_budget = Some(mb as u64);
         }
-        if let Some(dir) = v.get_path("spill_dir").and_then(Value::as_str) {
+        if let Some(dir) = typed(v, "spill_dir", STR, Value::as_str)? {
             recipe.spill_dir = Some(dir.to_string());
         }
-        if let Some(tk) = v.get_path("text_key").and_then(Value::as_str) {
+        if let Some(tk) = typed(v, "text_key", STR, Value::as_str)? {
             recipe.text_key = tk.to_string();
         }
-        if let Some(p) = v.get_path("input_path").and_then(Value::as_str) {
+        if let Some(p) = typed(v, "input_path", STR, Value::as_str)? {
             recipe.input_path = Some(p.to_string());
         }
-        if let Some(p) = v.get_path("output_path").and_then(Value::as_str) {
+        if let Some(p) = typed(v, "output_path", STR, Value::as_str)? {
             recipe.output_path = Some(p.to_string());
         }
-        if let Some(f) = v.get_path("output_format").and_then(Value::as_str) {
+        if let Some(f) = typed(v, "output_format", STR, Value::as_str)? {
             if f != "jsonl" && f != "frames" {
                 return Err(DjError::Config(format!(
                     "output_format must be `jsonl` or `frames`, got `{f}`"
@@ -321,25 +325,25 @@ impl Recipe {
             }
             recipe.output_format = Some(f.to_string());
         }
-        if let Some(d) = v.get_path("prefetch_depth").and_then(Value::as_int) {
+        if let Some(d) = typed(v, "prefetch_depth", INT, Value::as_int)? {
             if d < 1 {
                 return Err(DjError::Config("prefetch_depth must be >= 1".into()));
             }
             recipe.prefetch_depth = Some(d as usize);
         }
-        if let Some(a) = v.get_path("adaptive").and_then(Value::as_bool) {
+        if let Some(a) = typed(v, "adaptive", BOOL, Value::as_bool)? {
             recipe.adaptive = a;
         }
-        if let Some(dir) = v.get_path("stats_dir").and_then(Value::as_str) {
+        if let Some(dir) = typed(v, "stats_dir", STR, Value::as_str)? {
             recipe.stats_dir = Some(dir.to_string());
         }
-        if let Some(pc) = v.get_path("prefix_cache").and_then(Value::as_bool) {
+        if let Some(pc) = typed(v, "prefix_cache", BOOL, Value::as_bool)? {
             recipe.prefix_cache = pc;
         }
-        if let Some(c) = v.get_path("columnar").and_then(Value::as_bool) {
+        if let Some(c) = typed(v, "columnar", BOOL, Value::as_bool)? {
             recipe.columnar = c;
         }
-        if let Some(p) = v.get_path("on_error").and_then(Value::as_str) {
+        if let Some(p) = typed(v, "on_error", STR, Value::as_str)? {
             if !matches!(p, "fail" | "skip" | "quarantine") {
                 return Err(DjError::Config(format!(
                     "on_error must be `fail`, `skip` or `quarantine`, got `{p}`"
@@ -347,7 +351,7 @@ impl Recipe {
             }
             recipe.on_error = Some(p.to_string());
         }
-        if let Some(r) = v.get_path("max_error_ratio").and_then(Value::as_float) {
+        if let Some(r) = typed(v, "max_error_ratio", "a number", Value::as_float)? {
             if !(0.0..=1.0).contains(&r) {
                 return Err(DjError::Config("max_error_ratio must be in [0, 1]".into()));
             }
@@ -424,8 +428,8 @@ impl Recipe {
             root.set_path("prefix_cache", Value::Bool(true))
                 .expect("map root");
         }
-        // Emitted only when non-default so existing recipe fingerprints
-        // (and therefore cache keys) are unchanged for row-format runs.
+        // Emitted only when non-default so recipe fingerprints (and
+        // therefore cache keys) without the key stay what they were.
         if self.columnar {
             root.set_path("columnar", Value::Bool(true))
                 .expect("map root");
@@ -486,6 +490,23 @@ impl Recipe {
     /// key that lets the executor detect configuration changes (§4.1).
     pub fn fingerprint(&self) -> u64 {
         dj_hash::fnv1a(self.to_yaml().as_bytes())
+    }
+}
+
+/// Top-level key `key` of `v`, read by `read`: `None` when it is absent or
+/// `null`, a config error naming the key and `expects` when `read` refuses
+/// the value's type.
+fn typed<'v, T>(
+    v: &'v Value,
+    key: &str,
+    expects: &str,
+    read: fn(&'v Value) -> Option<T>,
+) -> Result<Option<T>> {
+    match v.get_path(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => read(value).map(Some).ok_or_else(|| {
+            DjError::Config(format!("`{key}` must be {expects}, got {}", value.kind()))
+        }),
     }
 }
 
@@ -715,6 +736,54 @@ process:
         assert!(!defaults.prefix_cache);
     }
 
+    /// Every top-level key of a scalar type, given a value of another type,
+    /// on both ways in: YAML text and the parsed value `dj serve` receives.
+    #[test]
+    fn a_key_of_the_wrong_type_is_a_config_error_naming_it() {
+        let cases = [
+            ("np", "2.0", "an integer"),
+            ("np", "\"2\"", "an integer"),
+            ("shard_size", "1.5", "an integer"),
+            ("memory_budget", "1e9", "an integer"),
+            ("memory_budget", "64MB", "an integer"),
+            ("prefetch_depth", "\"4\"", "an integer"),
+            ("adaptive", "yes", "a boolean"),
+            ("adaptive", "1", "a boolean"),
+            ("prefix_cache", "\"true\"", "a boolean"),
+            ("columnar", "0", "a boolean"),
+            ("on_error", "1", "a string"),
+            ("output_format", "true", "a string"),
+            ("project_name", "7", "a string"),
+            ("spill_dir", "3", "a string"),
+            ("max_error_ratio", "\"0.1\"", "a number"),
+            ("max_error_ratio", "false", "a number"),
+        ];
+        for (key, value, expects) in cases {
+            let yaml = format!("text_key: text\n{key}: {value}\n");
+            let parsed = parse_yaml(&yaml).unwrap();
+            let json = dj_core::parse_json(&parsed.to_string()).unwrap();
+            for (way, got) in [
+                ("yaml", Recipe::from_yaml(&yaml)),
+                ("value", Recipe::from_value(&parsed)),
+                ("json", Recipe::from_value(&json)),
+            ] {
+                let err = got.unwrap_err();
+                assert!(matches!(err, DjError::Config(_)), "{way} {key}: {err:?}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("`{key}`")) && msg.contains(expects),
+                    "{way} {key}: {value}: {msg}"
+                );
+            }
+        }
+        // An integer is a float, and `null` leaves the default.
+        let r = Recipe::from_yaml("max_error_ratio: 1\nmemory_budget: null\n").unwrap();
+        assert_eq!(r.max_error_ratio, Some(1.0));
+        assert_eq!(r.memory_budget, None);
+        let r = Recipe::from_value(&dj_core::parse_json("{\"max_error_ratio\":0}").unwrap());
+        assert_eq!(r.unwrap().max_error_ratio, Some(0.0));
+    }
+
     #[test]
     fn columnar_knob_roundtrips_and_validates() {
         let r = sample_recipe().with_columnar(true);
@@ -730,11 +799,11 @@ process:
         let y = Recipe::from_yaml("columnar: true\n").unwrap();
         assert!(y.columnar);
         let defaults = Recipe::from_yaml("np: 2\n").unwrap();
-        assert!(!defaults.columnar, "columnar frames are opt-in");
+        assert!(!defaults.columnar);
         assert!(
             !defaults.to_yaml().contains("columnar"),
-            "default stays out of the canonical serialization so row-format \
-             recipe fingerprints are unchanged"
+            "default stays out of the canonical serialization so fingerprints \
+             of recipes without the key are unchanged"
         );
     }
 

@@ -6,16 +6,16 @@
 //! | shape | feed | sink | what is decoded |
 //! |---|---|---|---|
 //! | in memory | [`StageData::open`]: take the shard out of its slot, leaving behind what the deferred mask drops | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
-//! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | every sample the deferred mask keeps; a columnar frame decodes only the pass's footprint columns `cols` and rides to the sink, which copies every other region verbatim and keeps the samples the stage dropped stored, under the new spool's mask; a row frame ignores `cols` and is dropped once decoded |
+//! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | the pass's footprint columns `cols` of every sample the deferred mask keeps; the frame rides to the sink, which copies every other region verbatim and keeps the samples the stage dropped stored, under the new spool's mask |
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
 //! | barrier hash pass | live resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
 //! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
-//! | `frames` egress of a spool | checked slot bytes (entry-filtered when masked) | `ShardedWriter::store_frame_bytes` | nothing, unless a slot has to be converted to a row frame |
+//! | `frames` egress of a spool | checked slots, converted to row frames | `ShardedWriter::store_frame_bytes` | every sample the deferred mask keeps (the `frames` format is row frames) |
 //! | cache resume | [`StageData::from_cached`]: the entry's frames, one at a time | memory, or spool slots | every frame while the budget holds; past it, none — frame bytes are copied into slots |
 //!
-//! Which format a frame has — row or columnar — is `dj-store`'s business:
-//! everything here works on its `Frame`.
+//! The frame format is `dj-store`'s business: everything here works on its
+//! `Frame`.
 //!
 //! A barrier writes nothing, in either shape: its keep mask rides on the
 //! [`StageData`] and is consumed by whichever pass opens the data next —
@@ -33,7 +33,7 @@ use std::sync::Mutex;
 use dj_core::sync::lock;
 use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample, TEXT_KEY};
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
-use dj_store::{encode_shard_frame, CacheManager, CachedEntry, Codec, Frame, ShardSpool};
+use dj_store::{CacheManager, CachedEntry, Codec, Frame, ShardSpool};
 
 use crate::barrier::{hash_loaded, hash_pass, hash_samples};
 use crate::executor::Executor;
@@ -93,13 +93,12 @@ fn trace_dropped<'t>(
 
 /// One shard as a feed hands it to a pass.
 pub(crate) struct Loaded<'a> {
-    /// The decoded samples: all the deferred mask keeps (the decode set's
-    /// columns of them, where the frame can project), or none for an
-    /// undecoded load.
+    /// The decoded samples: the decode set's columns of all the deferred
+    /// mask keeps, or none for an undecoded load.
     pub shard: Dataset,
-    /// The frame the shard was (or was not) decoded from, when the feed
-    /// keeps it: an undecoded load, or a frame the sink still has columns
-    /// to splice from.
+    /// The frame the shard was (or was not) decoded from, when it came
+    /// from a spool: the sink splices the columns it did not decode from
+    /// it.
     pub frame: Option<Frame>,
     /// The spool's deferred mask over the frame's stored samples, if it
     /// carries one: `shard` already honors it; whoever reads `frame` must.
@@ -133,7 +132,7 @@ impl Resident for Loaded<'_> {
 /// An undecoded frame charges the payload it holds.
 impl Resident for Frame {
     fn residency(&self) -> (usize, usize) {
-        (self.sample_count().unwrap_or(0), self.payload_len())
+        (self.sample_count(), self.payload_len())
     }
 }
 
@@ -154,9 +153,8 @@ impl Resident for &[&Sample] {
 /// How a spool feed loads a slot.
 #[derive(Clone, Copy)]
 pub(crate) enum Load<'a> {
-    /// Decode every kept sample — these columns of it (`None` = all) where
-    /// the frame can project — and keep the frame only while the sink has
-    /// something left to splice from it.
+    /// Decode these columns (`None` = all) of every kept sample, and keep
+    /// the frame for the sink to splice the others from.
     Decode(Option<&'a BTreeSet<String>>),
     /// Keep the frame undecoded — a barrier borrows texts out of it, JSONL
     /// egress transcodes it.
@@ -172,7 +170,7 @@ fn spool_feed<'a>(spool: &'a ShardSpool, mask: &'a Mask, load: Load<'a>) -> Feed
         let (shard, frame, decoded) = match load {
             Load::Decode(cols) => {
                 let (shard, decoded) = frame.decode(cols, keep)?;
-                (shard, frame.into_splice_source(), decoded)
+                (shard, Some(frame), decoded)
             }
             Load::Undecoded => (Dataset::new(), Some(frame), 0),
         };
@@ -228,8 +226,7 @@ pub(crate) enum Sink<'a> {
     /// A fresh spill spool. A shard whose load carried its frame is stored
     /// as that frame's splice — the named columns re-encoded from the
     /// processed samples, every other column copied undecoded, the dropped
-    /// samples still stored; anything else is encoded whole in the spool's
-    /// own format.
+    /// samples still stored; anything else is encoded whole.
     Spool(ShardSpool, Option<&'a BTreeSet<String>>),
 }
 
@@ -394,8 +391,7 @@ impl StageData {
     /// out-of-core on resume). The moment one does not fit, what was decoded
     /// is dropped and the entry's frames are copied — as bytes, each
     /// checked, none decoded or re-encoded — into the slots of a spool from
-    /// `new_spool`, so a columnar entry resumes as columnar slots. At most
-    /// `budget` bytes and one frame are ever held.
+    /// `new_spool`. At most `budget` bytes and one frame are ever held.
     pub(crate) fn from_cached(
         mut entry: CachedEntry,
         budget: u64,
@@ -412,7 +408,7 @@ impl StageData {
                 let spool = new_spool()?;
                 let mut slot = 0;
                 while let Some(sealed) = entry.next_frame()? {
-                    let samples = Frame::parse(&sealed)?.sample_count()?;
+                    let samples = Frame::parse(&sealed)?.sample_count();
                     spool.write_frame_bytes(slot, &sealed, samples)?;
                     slot += 1;
                 }
@@ -465,9 +461,7 @@ impl StageData {
         match &self.slots {
             Slots::Mem(shards) if shards.is_empty() => cache.save(idx, key, &Dataset::new()),
             Slots::Mem(shards) => {
-                let frames = shards
-                    .iter()
-                    .map(|s| Ok(encode_shard_frame(s, cache.codec())));
+                let frames = shards.iter().map(|s| Ok(Frame::encode(s, cache.codec())));
                 cache.save_frames(idx, key, frames)
             }
             Slots::Spool(spool) => {
@@ -479,12 +473,10 @@ impl StageData {
         .map(drop)
     }
 
-    /// Write every shard to `writer`. Nothing spilled is decoded on the
-    /// way out: a spool already holds the `frames` output format, so its
-    /// checked slot bytes are copied through, and JSONL is transcoded from
-    /// the undecoded frames. (The one exception is inside the store: a slot
-    /// that is not a row frame is converted, because the `frames` contract
-    /// is row frames byte-identical to a row-format run.)
+    /// Write every shard to `writer`. JSONL is transcoded from the
+    /// undecoded frames; `frames` parts are the slots converted to row
+    /// frames inside the store, because the `frames` contract is row
+    /// frames.
     pub(crate) fn egress(
         &mut self,
         writer: &ShardedWriter,
@@ -679,17 +671,17 @@ mod tests {
 
     #[test]
     fn a_cache_entry_over_budget_resumes_as_its_own_frames_copied_into_slots() {
-        use dj_store::{encode_columnar_frame, CacheMode};
+        use dj_store::CacheMode;
         let root = std::env::temp_dir().join(format!("dj-exec-from-cached-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let shards =
             Dataset::from_texts((0..20).map(|i| format!("cached document {i}"))).into_shards(3);
-        // Row and columnar frames side by side, in codecs the spool itself
-        // would not pick: only a byte copy can reproduce them.
+        // Frames of two codecs, one the spool itself would not pick: only a
+        // byte copy can reproduce them.
         let frames: Vec<Vec<u8>> = vec![
-            encode_shard_frame(&shards[0], Codec::None),
-            encode_columnar_frame(&shards[1], Codec::None),
-            encode_shard_frame(&shards[2], Codec::Djz),
+            Frame::encode(&shards[0], Codec::None),
+            Frame::encode(&shards[1], Codec::Djz),
+            Frame::encode(&shards[2], Codec::None),
         ];
         let cache = CacheManager::new(root.join("cache"), 1, CacheMode::Cache);
         cache

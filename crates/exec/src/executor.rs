@@ -111,14 +111,9 @@ impl Executor {
         Ok(ledger)
     }
 
-    /// A fresh spill spool in the configured format — columnar `DJSC`
-    /// frames when [`ExecOptions::columnar`] is set, row `DJSF` otherwise.
+    /// A fresh spill spool.
     pub(crate) fn new_spool(&self, slots: usize) -> Result<ShardSpool> {
-        if self.options.columnar {
-            ShardSpool::create_columnar(self.fresh_spill_dir(), slots, SPILL_CODEC)
-        } else {
-            ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
-        }
+        ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
     }
 
     /// Where the cost-model sidecar persists, if anywhere: an explicit
@@ -255,7 +250,6 @@ impl Executor {
             stages: stages.len(),
             spilled: true,
             measured_steps: plan.measured_steps,
-            columnar: self.options.columnar,
             ..RunReport::default()
         };
         let shard_size = self
@@ -435,7 +429,6 @@ impl Executor {
             fused_groups: plan.fused_groups,
             stages: stages.len(),
             measured_steps: plan.measured_steps,
-            columnar: self.options.columnar,
             ..RunReport::default()
         };
         let mut data = StageData::resident(dataset);

@@ -4,6 +4,7 @@
 use super::*;
 use crate::report::TraceEvent;
 use dj_core::{OpParams, OpRegistry, Value};
+use dj_io::OutputFormat;
 use dj_ops::builtin_registry;
 use std::time::Duration;
 
@@ -390,31 +391,77 @@ fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
         .collect()
 }
 
+/// One cache entry's frames, each decoded and written back as a `frames`
+/// output part — a row frame of the same samples, which is what earlier
+/// releases saved resident shards as: the parts' concatenated length and
+/// FNV-1a.
+fn entry_as_row_frames(cache: &CacheManager, idx: usize, name: &str, out: &Path) -> (usize, u64) {
+    let key = (idx, name.to_string());
+    let (_, mut entry) = cache.latest_match(&[key]).unwrap().unwrap();
+    let writer = ShardedWriter::create(out, OutputFormat::Frames).unwrap();
+    let mut shard = 0;
+    while let Some(sealed) = entry.next_frame().unwrap() {
+        let samples = dj_store::Frame::parse(&sealed).unwrap().decode(None, None);
+        writer.store_shard(shard, &samples.unwrap().0).unwrap();
+        shard += 1;
+    }
+    let parts = writer.finish().unwrap().parts;
+    let bytes: Vec<u8> = parts
+        .iter()
+        .flat_map(|part| std::fs::read(out.join(&part.file)).unwrap())
+        .collect();
+    (bytes.len(), fnv1a(&bytes))
+}
+
 /// A resident barrier leaves its keep mask on the shards, and the cache
 /// save right after it compacts them where the bytes leave: each entry is
 /// the one a barrier that thinned its shards on the spot saved. Every
 /// eighth document repeats an earlier one, so no shard is thinned to half
 /// its fill. Pinned by length and FNV-1a; a deliberate codec or frame
-/// layout change re-pins them.
+/// layout change re-pins them. Entries were row frames until resident
+/// saves took the one spill format: the row pins stay, held by the same
+/// samples written as row frames, so a re-pin cannot change what an entry
+/// holds.
 #[test]
 fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
-    const STAGE: &str = "0000-whitespace_normalization_mapper+text_length_filter.djc";
-    const BARRIER: &str = "0001-document_deduplicator.djc";
-    // (shard size, entries): six frames, then one.
-    type Entry = (&'static str, usize, u64);
+    const STAGE: &str = "whitespace_normalization_mapper+text_length_filter";
+    const BARRIER: &str = "document_deduplicator";
+    // (shard size, entries): six frames, then one. An entry: step index,
+    // name, (length, FNV-1a) as saved, and as row frames.
+    type Entry = (usize, &'static str, (usize, u64), (usize, u64));
     let pins: [(usize, [Entry; 2]); 2] = [
         (
             8,
             [
-                (STAGE, 1_150, 8_340_056_087_111_528_943),
-                (BARRIER, 1_134, 17_714_607_690_819_406_091),
+                (
+                    0,
+                    STAGE,
+                    (1_678, 7_967_219_958_824_201_082),
+                    (1_150, 8_340_056_087_111_528_943),
+                ),
+                (
+                    1,
+                    BARRIER,
+                    (1_656, 1_623_368_697_736_730_361),
+                    (1_134, 17_714_607_690_819_406_091),
+                ),
             ],
         ),
         (
             1000,
             [
-                (STAGE, 396, 2_542_646_165_673_211_883),
-                (BARRIER, 382, 11_625_822_995_169_161_923),
+                (
+                    0,
+                    STAGE,
+                    (510, 936_516_119_609_247_145),
+                    (396, 2_542_646_165_673_211_883),
+                ),
+                (
+                    1,
+                    BARRIER,
+                    (490, 16_130_685_773_108_368_857),
+                    (382, 11_625_822_995_169_161_923),
+                ),
             ],
         ),
     ];
@@ -440,7 +487,7 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let cache = CacheManager::new(&dir, 780, dj_store::CacheMode::Cache);
+            let cache = CacheManager::new(dir.join("cache"), 780, dj_store::CacheMode::Cache);
             let mut options = opts(np, true, 0);
             options.shard_size = Some(shard_size);
             options.memory_budget = Some(u64::MAX);
@@ -448,12 +495,17 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             let (out, report) = exec.run_with_cache(base.clone(), &cache).unwrap();
             assert!(!report.spilled, "{tag}");
             assert_eq!(out.len(), 42, "{tag}");
-            let got = cache_entries(&dir);
-            let want: Vec<(String, usize, u64)> = want
+            let got = cache_entries(&dir.join("cache"));
+            let saved: Vec<(String, usize, u64)> = want
                 .iter()
-                .map(|(name, len, sum)| (name.to_string(), *len, *sum))
+                .map(|(idx, name, (len, sum), _)| (format!("{idx:04}-{name}.djc"), *len, *sum))
                 .collect();
-            assert_eq!(got, want, "{tag}");
+            assert_eq!(got, saved, "{tag}");
+            for (idx, name, _, row) in want {
+                let out = dir.join(format!("row-{idx}"));
+                let got = entry_as_row_frames(&cache, idx, name, &out);
+                assert_eq!(got, row, "{tag}: {name} holds other samples");
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

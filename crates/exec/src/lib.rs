@@ -34,9 +34,8 @@
 //!    | shape | feed | sink | what is decoded |
 //!    |---|---|---|---|
 //!    | in memory | take the shard out of its slot | store into a slot | nothing — samples are resident |
-//!    | spilled, row `DJSF` frames | read + decode slot *i* | encode a row frame | every sample |
-//!    | spilled, columnar `DJSC` frames | read slot *i*, decode only the stage's footprint columns, carry the slab | splice: re-encode the decoded columns, copy every other region from the carried slab verbatim; dropped samples stay stored, masked | the footprint columns |
-//!    | file ingest ([`Executor::run_io`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame (either format) | the parsed records |
+//!    | spilled | read slot *i*, decode only the stage's footprint columns, carry the frame | splice: re-encode the decoded columns, copy every other region from the carried frame verbatim; dropped samples stay stored, masked | the footprint columns |
+//!    | file ingest ([`Executor::run_io`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame | the parsed records |
 //!
 //!    A sink that writes frames also writes each shard's fingerprints for
 //!    the barrier that follows (fingerprint-on-ingest).
@@ -55,8 +54,8 @@
 //!    (a spilled barrier then opens no frame; a columnar stage's mask
 //!    leaves them valid, they hold the samples it kept); otherwise from one
 //!    hash pass that borrows the hashed field's
-//!    text — from resident samples in sample-balanced morsels, from an
-//!    undecoded row slab, or from one decompressed column region — and
+//!    text — from resident samples in sample-balanced morsels, or from
+//!    one decompressed column region of a spilled frame — and
 //!    only decodes whole samples for a deduplicator that hashes whole
 //!    samples. Shard boundaries **carry through** the barrier unchanged,
 //!    so it pays no materialization, merge or re-split.
@@ -104,8 +103,6 @@
 //!   `prefix_cache`): each step becomes its own cache stage keyed by the
 //!   chained fingerprint of every step before it, so editing op *k*
 //!   resumes ops `0..k` from cache.
-//! * [`ExecOptions::columnar`] — columnar spill frames with projection
-//!   pushdown (recipe YAML `columnar`).
 //! * [`ExecOptions::on_error`] / [`ExecOptions::max_error_ratio`] — the
 //!   record-level error policy (`docs/robustness.md`).
 //!
@@ -115,13 +112,15 @@
 //! budget, and `DJ_FAULTS`, a chaos plan to replay. The test suite picks
 //! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
-//! Three former knobs are gone, because no recipe, test or benchmark
+//! Four former knobs are gone, because no recipe, test or benchmark
 //! needed another value: the post-barrier shard fill threshold (barriers
 //! no longer merge shards at all), the mid-run replan point (derived from
-//! the stage's shard count, above) and the parallel-barrier switch
-//! (`num_workers: 1` clusters with one worker). Recipes that still carry
-//! `shard_fill`, `replan_after_shards` or `dedup_parallel` load; the keys
-//! are ignored.
+//! the stage's shard count, above), the parallel-barrier switch
+//! (`num_workers: 1` clusters with one worker) and the spill format
+//! switch (every spool and cache entry is columnar). Recipes that still
+//! carry `shard_fill`, `replan_after_shards` or `dedup_parallel` load; the
+//! keys are ignored. `columnar` is still parsed into the recipe, and
+//! reaches nothing.
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!
@@ -148,15 +147,15 @@
 //!    leaves its keep mask on the spool for the next pass to consume
 //!    (`RunReport::fingerprinted_barriers` counts these).
 //! 4. Every cache/checkpoint entry is a concatenation of sealed shard
-//!    frames (`CacheManager::save_frames`): a spilled stage's slot files
-//!    copied as they are, a resident stage's shards encoded one frame
-//!    each. A resume pulls the frames back one at a time — decoded while
-//!    they fit the budget, copied as bytes into spool slots once they do
-//!    not — so persistence and resume never materialize the dataset
-//!    either, and a columnar entry resumes as columnar slots.
-//! 5. With [`ExecOptions::columnar`] spilled shards use the columnar
-//!    `DJSC` frame format and every pass decodes only the top-level
-//!    columns named by its steps' field footprints
+//!    frames (`CacheManager::save_frames`), in the spool's one format: a
+//!    spilled stage's slot files copied as they are, a resident stage's
+//!    shards encoded one frame each. A resume pulls the frames back one
+//!    at a time — decoded while they fit the budget, copied as bytes into
+//!    spool slots once they do not — so persistence and resume never
+//!    materialize the dataset either. An entry an earlier release saved
+//!    as row frames is a miss.
+//! 5. Spilled shards are columnar `DJSC` frames, and every pass decodes
+//!    only the top-level columns named by its steps' field footprints
 //!    ([`Mapper::fields_read`](dj_core::Mapper::fields_read) et al.);
 //!    untouched columns' regions are copied into the output frame
 //!    verbatim, never decompressed. Samples the stage's filters dropped
@@ -164,7 +163,8 @@
 //!    as its mask (the same one step 3's barriers leave), and leave the
 //!    bytes only where the bytes leave the spool: egress or a cache save.
 //!    `RunReport::bytes_decoded` / `RunReport::bytes_passthrough` account
-//!    the split, and outputs stay byte-identical to row-format runs.
+//!    the split. `frames` output is row frames, converted from the slots
+//!    on the way out.
 //!
 //! ## File-backed execution ([`Executor::run_io`])
 //!

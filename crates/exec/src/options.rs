@@ -151,13 +151,6 @@ pub struct ExecOptions {
     /// development, not production throughput). Only applies to cached
     /// runs.
     pub prefix_cache: bool,
-    /// Store spilled shards as columnar `DJSC` frames and push field
-    /// projections down into the spill reads: each pipeline stage decodes
-    /// only the columns its OPs' declared footprints
-    /// ([`dj_core::Mapper::fields_read`] and friends) name, splicing every
-    /// untouched column through byte-for-byte. Output is byte-identical
-    /// to the row format (recipe `columnar:`).
-    pub columnar: bool,
     /// Snapshot of the executor env knobs (`DJ_MEMORY_BUDGET`,
     /// `DJ_FAULTS`), captured when these options were constructed.
     pub env: EnvKnobs,
@@ -204,7 +197,6 @@ impl Default for ExecOptions {
             adaptive: false,
             stats_dir: None,
             prefix_cache: false,
-            columnar: false,
             env: EnvKnobs::capture(),
             job: None,
             on_error: OnError::Fail,
@@ -277,7 +269,6 @@ pub fn executor_from_recipe(
         adaptive: recipe.adaptive,
         stats_dir: recipe.stats_dir.as_ref().map(PathBuf::from),
         prefix_cache: recipe.prefix_cache,
-        columnar: recipe.columnar,
         on_error: match recipe.on_error.as_deref() {
             Some(name) => OnError::from_name(name)?,
             None => OnError::Fail,

@@ -36,7 +36,7 @@ pub struct OpReport {
     /// time each shard spent inside this step.
     pub duration: Duration,
     pub fused: bool,
-    /// Decompressed spill bytes decoded to run this step (columnar stages
+    /// Decompressed spill bytes decoded to run this step (spilled stages
     /// only; every step of a stage reports the stage's shared decode).
     pub bytes_decoded: u64,
     pub trace: Vec<TraceEvent>,
@@ -101,10 +101,7 @@ pub struct RunReport {
     pub tuned_shard_size: Option<usize>,
     /// Prefetch depth the auto-tuner picked, when it overrode the default.
     pub tuned_prefetch_depth: Option<usize>,
-    /// Whether columnar spill frames with projection pushdown were in
-    /// force.
-    pub columnar: bool,
-    /// Decompressed bytes the columnar stages actually decoded — the
+    /// Decompressed bytes the spilled stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes
     /// where a step declared `FieldSet::All` or tracing was on) and the
     /// column regions a barrier's hash pass read. Applying a barrier's

@@ -116,8 +116,8 @@ impl Executor {
     }
 
     /// A pipeline stage over any shape: open the data's feed and sink and
-    /// hand them to the stage driver. A columnar spool decodes only the
-    /// stage's footprint columns.
+    /// hand them to the stage driver. A spool decodes only the stage's
+    /// footprint columns.
     pub(crate) fn run_pipeline_stage(
         &self,
         steps: &[PlanStep],
@@ -136,7 +136,7 @@ impl Executor {
     }
 }
 
-/// The top-level columns a columnar pipeline stage must decode, or `None`
+/// The top-level columns a spilled pipeline stage must decode, or `None`
 /// for every column.
 ///
 /// The set is the union of every step's read+write footprint, plus the
@@ -304,7 +304,7 @@ struct ShardOutcome {
     stats: Vec<ShardStats>,
     traces: Vec<Vec<TraceEvent>>,
     /// Per input sample, whether it survived the stage (in input order).
-    /// Widened over the frame's stored samples, it is what a columnar
+    /// Widened over the frame's stored samples, it is what a spool's
     /// splice leaves on the spool as the slot's mask, in place of cutting
     /// the dropped samples out of the columns it copies.
     keep: Vec<bool>,

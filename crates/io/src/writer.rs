@@ -28,8 +28,8 @@ use dj_store::shard_stream::encode_shard_frame;
 pub enum OutputFormat {
     /// One JSON document per line — the interchange default.
     Jsonl,
-    /// Checksummed shard frames (`DJSF`) — the zero-copy spool format,
-    /// re-ingestable without a decode/encode round-trip.
+    /// Checksummed row shard frames (`DJSF`), one per part, read back with
+    /// `dj_store::read_shard_frame`.
     Frames,
 }
 
@@ -313,7 +313,7 @@ impl ShardedWriter {
         result
     }
 
-    /// Commit raw pre-encoded frame bytes as part `idx` (the zero-copy
+    /// Commit raw pre-encoded frame bytes as part `idx` (the
     /// spool→frames egress path; `frames` format only).
     pub fn store_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
         if self.format != OutputFormat::Frames {

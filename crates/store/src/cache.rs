@@ -11,12 +11,13 @@
 //!   entries are cleaned up after each successful save (Appendix A.2's
 //!   3×S peak-space pipeline).
 //!
-//! Every entry is a concatenation of sealed shard frames (see
+//! Every entry is a concatenation of sealed columnar frames (see
 //! [`crate::frame`]) — one frame for a resident dataset, one per shard for a
-//! sharded or spilled stage, row and columnar frames mixed freely — so every
-//! byte of every entry is under a checksum, a spilled stage is saved by
-//! copying its slot files, and a resume can pull the entry back frame by
-//! frame ([`CachedEntry`]) without ever holding more than one.
+//! sharded or spilled stage — so every byte of every entry is under a
+//! checksum, a spilled stage is saved by copying its slot files, and a
+//! resume can pull the entry back frame by frame ([`CachedEntry`]) without
+//! ever holding more than one. An entry an earlier release saved as row
+//! frames is refused by [`Frame::parse`] with a typed error: a cache miss.
 
 use std::fs;
 use std::io::{BufReader, Seek, Write};
@@ -27,7 +28,6 @@ use dj_hash::fnv1a;
 
 use crate::codec::Codec;
 use crate::frame::{envelope, Frame};
-use crate::shard_stream::encode_shard_frame;
 
 /// Cache retention policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +101,7 @@ impl CacheManager {
 
     /// Persist the dataset state after OP `op_index` as a one-frame entry.
     pub fn save(&self, op_index: usize, op_name: &str, dataset: &Dataset) -> Result<PathBuf> {
-        let frame = encode_shard_frame(dataset, self.codec);
+        let frame = Frame::encode(dataset, self.codec);
         self.save_frames(op_index, op_name, std::iter::once(Ok(frame)))
     }
 
@@ -447,19 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_is_its_frames_in_order_whatever_their_format() {
+    fn an_entry_is_its_frames_in_order_whatever_their_codec() {
         let dir = tmpdir("frames");
         let cm = CacheManager::new(&dir, 31, CacheMode::Cache);
         let full = ds(10);
         let shards: Vec<Dataset> = full.clone().into_shards(3);
-        // Row and columnar frames side by side, as a resumed columnar run
-        // would leave them.
+        // Frames of two codecs side by side, as copied spool slots and
+        // freshly encoded shards would leave them.
         let frames: Vec<Vec<u8>> = shards
             .iter()
             .enumerate()
             .map(|(i, s)| match i % 2 {
-                0 => encode_shard_frame(s, Codec::Djz),
-                _ => crate::encode_columnar_frame(s, Codec::None),
+                0 => Frame::encode(s, Codec::Djz),
+                _ => Frame::encode(s, Codec::None),
             })
             .collect();
         let path = cm
@@ -484,10 +484,7 @@ mod tests {
         assert_eq!(entry.into_dataset().unwrap(), full);
         // `save` is the one-frame case of the same format.
         let path = cm.save(1, "whole", &full).unwrap();
-        assert_eq!(
-            fs::read(&path).unwrap(),
-            encode_shard_frame(&full, Codec::Djz)
-        );
+        assert_eq!(fs::read(&path).unwrap(), Frame::encode(&full, Codec::Djz));
         // A failing frame iterator aborts the save and leaves no entry.
         let err_iter = vec![
             Ok(frames[0].clone()),
@@ -517,6 +514,22 @@ mod tests {
         // An entry in the retired un-enveloped blob format is not read.
         fs::write(&path, crate::compress(&crate::to_bytes(&ds(6)), Codec::Djz)).unwrap();
         assert!(cm.load(0, "op").is_err());
+        // Nor is one of row frames, as earlier releases saved resident
+        // stages: every public reader gives a typed error.
+        let row = crate::encode_shard_frame(&ds(6), Codec::Djz);
+        fs::write(&path, [good.clone(), row].concat()).unwrap();
+        for err in [
+            cm.load(0, "op").unwrap_err(),
+            cm.latest_match(&[(0, "op".to_string())])
+                .unwrap()
+                .unwrap()
+                .1
+                .into_dataset()
+                .unwrap_err(),
+        ] {
+            assert!(matches!(err, dj_core::DjError::Storage(_)), "{err:?}");
+            assert!(err.to_string().contains("DJSF"), "{err}");
+        }
         remove_cache_root(&dir);
     }
 

@@ -1,10 +1,11 @@
 //! Columnar shard frames (`DJSC`): decode only the bytes an OP touches.
 //!
-//! A row frame (`DJSF`) serializes whole samples, so a stage whose OPs read
-//! one field still decodes (and re-encodes) every metadata column. A
-//! columnar frame stores each *top-level column* of the samples' root maps
-//! as its own contiguous, individually compressed and checksummed region,
-//! addressable from an offset table:
+//! Every spool slot and cache entry is a columnar frame. A row frame
+//! (`DJSF`, the `frames` output format) serializes whole samples, so a stage
+//! whose OPs read one field would still decode (and re-encode) every
+//! metadata column. A columnar frame stores each *top-level column* of the
+//! samples' root maps as its own contiguous, individually compressed and
+//! checksummed region, addressable from an offset table:
 //!
 //! ```text
 //! payload (behind the [`crate::frame`] envelope, magic `DJSC`; the
@@ -26,9 +27,8 @@
 //! ```
 //!
 //! The presence byte distinguishes a *missing* column from an explicit
-//! `null`, so columnar↔row round-trips are value-identical. Row and
-//! columnar frames share one envelope, so spool slots and cache entries can
-//! mix both formats ([`crate::Frame::parse`] tells them apart).
+//! `null`, so columnar↔row round-trips are value-identical: a `frames`
+//! output part converted from a spool slot equals a fresh row encode.
 //!
 //! Two access patterns motivate the format:
 //!
@@ -190,10 +190,7 @@ impl ColumnarSlab {
     /// Parse one columnar frame held fully in memory (envelope + payload,
     /// exactly one frame).
     pub fn from_frame_bytes(frame: &[u8]) -> Result<ColumnarSlab> {
-        match Frame::parse(frame)? {
-            Frame::Col(slab) => Ok(slab),
-            Frame::Row(_) => Err(DjError::Storage("not a columnar shard frame".into())),
-        }
+        Ok(Frame::parse(frame)?.0)
     }
 
     /// The slab of a columnar frame's verified payload. Every count and

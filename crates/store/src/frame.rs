@@ -23,11 +23,13 @@
 //! a length field.
 //!
 //! A shard frame is a sealed string whose magic says how its payload lays
-//! the samples out: `DJSF` (row: one compressed run of whole samples,
-//! [`FrameSlab`]) or `DJSC` (columnar: per-column regions,
-//! [`ColumnarSlab`]). [`Frame::parse`] is the only place that tells them
-//! apart; every consumer — the spool, the cache, the executor's feeds and
-//! sinks — works on a [`Frame`] and never asks which one it holds.
+//! the samples out. Every spool slot and cache entry holds `DJSC` frames
+//! (columnar: per-column regions, [`ColumnarSlab`]), which [`Frame`] wraps;
+//! every consumer — the spool, the cache, the executor's feeds and sinks —
+//! works on a [`Frame`]. `DJSF` (row: one compressed run of whole samples,
+//! [`FrameSlab`]) is the `frames` output format only: the spool converts to
+//! it on the way out and [`read_shard_frame`] reads it back, and
+//! [`Frame::parse`] refuses it with a typed error.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -36,13 +38,13 @@ use std::io::Read;
 use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::Codec;
-use crate::columnar::{split_column_path, ColumnarSlab};
-use crate::shard_stream::{encode_shard_frame, FrameSlab};
+use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab};
+use crate::shard_stream::FrameSlab;
 
-/// Magic of row shard frames.
+/// Magic of row shard frames (the `frames` output format).
 pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
 
-/// Magic of columnar shard frames.
+/// Magic of columnar shard frames (every spool slot and cache entry).
 pub const COLUMNAR_FRAME_MAGIC: &[u8; 4] = b"DJSC";
 
 /// Magic of fingerprint sidecar files (`shard-N.fpr`).
@@ -160,90 +162,74 @@ pub mod envelope {
     }
 }
 
-/// The verified payload of one sealed shard frame, and whether its magic
-/// says columnar — the one place the two frame magics are compared.
-fn sniff(sealed: &[u8]) -> Result<(bool, &[u8])> {
+/// The verified payload of one sealed spill or cache frame — the one place
+/// such a frame's magic is checked. Only `DJSC` is one: a row `DJSF` frame
+/// is the `frames` output format ([`FrameSlab`]), and a spool slot or cache
+/// entry an earlier release wrote in it is refused here, which makes such an
+/// entry a cache miss.
+fn columnar_payload(sealed: &[u8]) -> Result<&[u8]> {
     let (magic, payload) = envelope::open_one(sealed)?;
-    if &magic == SHARD_FRAME_MAGIC {
-        Ok((false, payload))
-    } else if &magic == COLUMNAR_FRAME_MAGIC {
-        Ok((true, payload))
+    if &magic == COLUMNAR_FRAME_MAGIC {
+        Ok(payload)
+    } else if &magic == SHARD_FRAME_MAGIC {
+        Err(DjError::Storage(
+            "row shard frame (`DJSF`) where a columnar `DJSC` frame belongs: row \
+             frames are the `frames` output format only (a spool slot or cache \
+             entry an earlier release wrote in it is not read)"
+                .into(),
+        ))
     } else {
         Err(DjError::Storage("bad shard frame magic".into()))
     }
 }
 
-/// One shard frame, checked and loaded but not decoded.
-///
-/// A row frame holds its decompressed run of serialized samples; a
-/// columnar frame holds its directory and still-compressed regions, and
-/// every accessor decompresses only the regions it is asked for.
+/// One spill or cache frame, checked and loaded but not decoded: a
+/// columnar `DJSC` frame's directory and still-compressed regions. Every
+/// accessor decompresses only the regions it is asked for.
 #[derive(Debug)]
-pub enum Frame {
-    Row(FrameSlab),
-    Col(ColumnarSlab),
-}
+pub struct Frame(pub(crate) ColumnarSlab);
 
 impl Frame {
-    /// Parse exactly one sealed frame of either format.
+    /// Encode one shard as a sealed frame — the one format every spool
+    /// slot and cache entry holds.
+    pub fn encode(shard: &Dataset, codec: Codec) -> Vec<u8> {
+        encode_columnar_frame(shard, codec)
+    }
+
+    /// Parse exactly one sealed frame.
     pub fn parse(sealed: &[u8]) -> Result<Frame> {
-        Ok(match sniff(sealed)? {
-            (false, payload) => Frame::Row(FrameSlab::from_payload(payload)?),
-            (true, payload) => Frame::Col(ColumnarSlab::from_payload(payload.to_vec())?),
-        })
+        let payload = columnar_payload(sealed)?;
+        Ok(Frame(ColumnarSlab::from_payload(payload.to_vec())?))
     }
 
     /// Samples stored in the frame, from its header.
-    pub fn sample_count(&self) -> Result<usize> {
-        match self {
-            Frame::Row(slab) => slab.sample_count(),
-            Frame::Col(slab) => Ok(slab.sample_count()),
-        }
+    pub fn sample_count(&self) -> usize {
+        self.0.sample_count()
     }
 
     /// Bytes the loaded frame holds in memory.
     pub fn payload_len(&self) -> usize {
-        match self {
-            Frame::Row(slab) => slab.payload_len(),
-            Frame::Col(slab) => slab.payload_len(),
-        }
+        self.0.payload_len()
     }
 
-    /// Build the samples `keep` keeps (all of them without a mask), and
-    /// count the decompressed bytes decoded on a caller's request: a
-    /// columnar frame materializes only the columns `cols` names (`None` =
-    /// every column) and reports their region sizes; a row frame can only
-    /// decode whole samples, ignores `cols` and reports 0.
+    /// Build the samples `keep` keeps (all of them without a mask) from
+    /// the columns `cols` names (`None` = every column), and count the
+    /// decompressed bytes of the regions decoded to build them.
     pub fn decode(
         &self,
         cols: Option<&BTreeSet<String>>,
         keep: Option<&[bool]>,
     ) -> Result<(Dataset, u64)> {
-        match self {
-            Frame::Row(slab) => Ok((slab.decode_kept(keep)?, 0)),
-            Frame::Col(slab) => slab.decode_kept(cols, keep),
-        }
-    }
-
-    /// What must stay with the decoded samples until they are stored: a
-    /// columnar frame, whose undecoded columns
-    /// [`store_processed`](Frame::store_processed) copies into the output
-    /// frame. A row frame was decoded whole and has nothing left to give.
-    pub fn into_splice_source(self) -> Option<Frame> {
-        match self {
-            Frame::Row(_) => None,
-            Frame::Col(_) => Some(self),
-        }
+        self.0.decode_kept(cols, keep)
     }
 
     /// The output frame for `processed` — the samples of this frame that
     /// `keep` (one verdict per *stored* sample) kept, after a stage ran on
     /// the columns `cols` — with the samples it stores and the decompressed
-    /// bytes that reached it undecoded. A columnar frame re-encodes `cols`
-    /// from `processed`, copies every other column's region verbatim and
-    /// stores every sample this frame stored: the ones `keep` dropped stay
-    /// as dead entries, for `keep` to mask. A row frame had everything
-    /// decoded, so `processed` is encoded whole and stores just those.
+    /// bytes that reached it undecoded. `cols` is re-encoded from
+    /// `processed`, every other column's region is copied verbatim, and
+    /// every sample this frame stored stays stored: the ones `keep` dropped
+    /// as dead entries, for `keep` to mask.
     pub fn store_processed(
         &self,
         processed: &Dataset,
@@ -251,95 +237,69 @@ impl Frame {
         keep: &[bool],
         codec: Codec,
     ) -> Result<(Vec<u8>, usize, u64)> {
-        match self {
-            Frame::Row(_) => Ok((encode_shard_frame(processed, codec), processed.len(), 0)),
-            Frame::Col(slab) => {
-                let (bytes, passthrough) = slab.splice(processed, cols, keep, codec)?;
-                Ok((bytes, slab.sample_count(), passthrough))
-            }
-        }
+        let (bytes, passthrough) = self.0.splice(processed, cols, keep, codec)?;
+        Ok((bytes, self.0.sample_count(), passthrough))
     }
 
     /// Lend `f` the text at dotted path `field` of every stored sample,
-    /// borrowed from the undecoded frame — a row frame walks its serialized
-    /// samples in place, a columnar frame decompresses only that column's
-    /// region — so no `Sample` is ever built. Returns `f`'s result and the
-    /// decompressed bytes decoded to reach the texts.
+    /// borrowed from that column's decompressed region, so no `Sample` is
+    /// ever built. Returns `f`'s result and the decompressed bytes decoded
+    /// to reach the texts.
     pub fn with_texts<R>(
         &self,
         field: &str,
         f: impl FnOnce(&[Cow<'_, str>]) -> Result<R>,
     ) -> Result<(R, u64)> {
-        match self {
-            Frame::Row(slab) => Ok((f(&slab.texts_at(field)?)?, 0)),
-            Frame::Col(slab) => {
-                let (top, rest) = split_column_path(field);
-                match slab.read_column(top)? {
-                    Some(region) => Ok((f(&region.texts_at(rest)?)?, region.raw_len())),
-                    // Column absent from this frame: every sample reads as
-                    // the empty string, the missing-field semantics of a
-                    // full decode.
-                    None => Ok((f(&vec![Cow::Borrowed(""); slab.sample_count()])?, 0)),
-                }
-            }
+        let (top, rest) = split_column_path(field);
+        match self.0.read_column(top)? {
+            Some(region) => Ok((f(&region.texts_at(rest)?)?, region.raw_len())),
+            // Column absent from this frame: every sample reads as the
+            // empty string, the missing-field semantics of a full decode.
+            None => Ok((f(&vec![Cow::Borrowed(""); self.0.sample_count()])?, 0)),
         }
     }
 
     /// Append the JSON-Lines text of the samples `keep` keeps to `out`,
     /// transcoded from the undecoded bytes; returns the line count.
     pub fn write_jsonl(&self, keep: Option<&[bool]>, out: &mut String) -> Result<usize> {
-        match self {
-            Frame::Row(slab) => slab.write_jsonl(keep, out),
-            Frame::Col(slab) => slab.write_jsonl(keep, out),
-        }
+        self.0.write_jsonl(keep, out)
     }
 }
 
 /// One sealed frame as stored, checked and handed on as frame bytes that
-/// hold the samples `keep` keeps — in the format it has, or as a row frame
-/// when `as_row` (the `frames` output contract).
+/// hold the samples `keep` keeps.
 ///
-/// Without a mask (and without a columnar → row conversion) that is the
-/// stored bytes themselves once the checksum held: spool slots, cache
-/// entries and `frames` parts share one format, so data moves between them
-/// by copying. A mask re-encodes from the kept entries' byte ranges, no
-/// value decoded — the dead entries a spool's mask covers leave the bytes
-/// here. Only columnar → row decodes, because it must.
+/// Without a mask that is the stored bytes themselves once the checksum
+/// held: spool slots and cache entries share one format, so data moves
+/// between them by copying. A mask re-encodes from the kept entries' byte
+/// ranges, no value decoded — the dead entries a spool's mask covers leave
+/// the bytes here.
 pub(crate) fn checked_copy(
     sealed: Vec<u8>,
     keep: Option<&[bool]>,
-    as_row: bool,
     codec: Codec,
 ) -> Result<Vec<u8>> {
-    match (sniff(&sealed)?, keep) {
-        ((true, payload), _) if as_row => {
-            let slab = ColumnarSlab::from_payload(payload.to_vec())?;
-            Ok(encode_shard_frame(&slab.decode_kept(None, keep)?.0, codec))
-        }
-        (_, None) => Ok(sealed),
-        ((false, payload), Some(keep)) => {
-            FrameSlab::from_payload(payload)?.filter_frame(keep, codec)
-        }
-        ((true, payload), Some(keep)) => {
-            ColumnarSlab::from_payload(payload.to_vec())?.filter_frame(keep, codec)
-        }
+    let payload = columnar_payload(&sealed)?;
+    match keep {
+        None => Ok(sealed),
+        Some(keep) => ColumnarSlab::from_payload(payload.to_vec())?.filter_frame(keep, codec),
     }
 }
 
-/// Read the next shard frame of either format off a stream and decode it —
-/// how a `frames` output part is read back. `Ok(None)` on a clean end of
-/// stream (EOF exactly at a frame boundary).
+/// Read the next row frame off a stream and decode it — how a `frames`
+/// output part is read back. `Ok(None)` on a clean end of stream (EOF
+/// exactly at a frame boundary).
 pub fn read_shard_frame<R: Read>(r: &mut R) -> Result<Option<Dataset>> {
     let Some(sealed) = envelope::read_one(r)? else {
         return Ok(None);
     };
-    Ok(Some(Frame::parse(&sealed)?.decode(None, None)?.0))
+    Ok(Some(FrameSlab::from_frame_bytes(&sealed)?.decode()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::encode_columnar_frame;
+    use crate::shard_stream::encode_shard_frame;
     use dj_core::Sample;
 
     fn rich_shard() -> Dataset {
@@ -357,13 +317,6 @@ mod tests {
         let mut out = ds.clone();
         out.retain_mask(keep);
         out
-    }
-
-    fn both(ds: &Dataset) -> [Vec<u8>; 2] {
-        [
-            encode_shard_frame(ds, Codec::Djz),
-            encode_columnar_frame(ds, Codec::Djz),
-        ]
     }
 
     #[test]
@@ -445,105 +398,79 @@ mod tests {
     }
 
     #[test]
-    fn every_operation_agrees_across_the_two_formats() {
+    fn every_frame_operation_agrees_with_the_decoded_shard() {
         let ds = rich_shard();
         let keep = [true, false, true];
         let text: BTreeSet<String> = ["text".to_string()].into();
-        let [row, col] = both(&ds).map(|f| Frame::parse(&f).unwrap());
-        for frame in [&row, &col] {
-            assert_eq!(frame.sample_count().unwrap(), ds.len());
-            assert!(frame.payload_len() > 0);
-            assert_eq!(frame.decode(None, None).unwrap().0, ds);
-            assert_eq!(
-                frame.decode(None, Some(&keep)).unwrap().0,
-                masked(&ds, &keep)
-            );
-            let (texts, _) = frame
-                .with_texts("text", |t| {
-                    Ok(t.iter().map(|c| c.to_string()).collect::<Vec<_>>())
-                })
-                .unwrap();
-            let expected: Vec<&str> = ds.iter().map(|s| s.text()).collect();
-            assert_eq!(texts, expected);
-            let mut out = String::new();
-            assert_eq!(frame.write_jsonl(Some(&keep), &mut out).unwrap(), 2);
-            assert_eq!(out, crate::to_jsonl(&masked(&ds, &keep)));
-        }
-        // Projection is the columnar frame's alone: a row frame ignores
-        // `cols`, decodes whole samples and attributes no bytes.
-        let (whole, bytes) = row.decode(Some(&text), None).unwrap();
-        assert_eq!((whole, bytes), (ds.clone(), 0));
-        let (projected, bytes) = col.decode(Some(&text), None).unwrap();
+        let frame = Frame::parse(&Frame::encode(&ds, Codec::Djz)).unwrap();
+        assert_eq!(frame.sample_count(), ds.len());
+        assert!(frame.payload_len() > 0);
+        assert_eq!(frame.decode(None, None).unwrap().0, ds);
+        assert_eq!(
+            frame.decode(None, Some(&keep)).unwrap().0,
+            masked(&ds, &keep)
+        );
+        let (texts, _) = frame
+            .with_texts("text", |t| {
+                Ok(t.iter().map(|c| c.to_string()).collect::<Vec<_>>())
+            })
+            .unwrap();
+        let expected: Vec<&str> = ds.iter().map(|s| s.text()).collect();
+        assert_eq!(texts, expected);
+        let mut out = String::new();
+        assert_eq!(frame.write_jsonl(Some(&keep), &mut out).unwrap(), 2);
+        assert_eq!(out, crate::to_jsonl(&masked(&ds, &keep)));
+        // Projection decodes only the named columns and counts their bytes.
+        let (projected, bytes) = frame.decode(Some(&text), None).unwrap();
         assert!(bytes > 0);
         assert!(projected.iter().all(|s| !s.has_stat("wc")));
-        // Only a columnar frame has anything to splice from.
-        // A row frame stores the processed samples, a columnar one every
-        // sample it stored, for `keep` to mask.
+        // A stage's output frame stores every sample this one stored, for
+        // `keep` to mask.
         let processed = masked(&ds, &keep);
-        let (stored, samples, passthrough) = row
-            .store_processed(&processed, None, &keep, Codec::Djz)
-            .unwrap();
-        assert_eq!(stored, encode_shard_frame(&processed, Codec::Djz));
-        assert_eq!((samples, passthrough), (processed.len(), 0));
-        assert!(row.into_splice_source().is_none());
-        let col = col.into_splice_source().unwrap();
-        let kept_text = col.decode(Some(&text), Some(&keep)).unwrap().0;
-        let (stored, samples, passthrough) = col
+        let kept_text = frame.decode(Some(&text), Some(&keep)).unwrap().0;
+        let (stored, samples, passthrough) = frame
             .store_processed(&kept_text, Some(&text), &keep, Codec::Djz)
             .unwrap();
         assert!(passthrough > 0);
         assert_eq!(samples, ds.len());
         let stored = Frame::parse(&stored).unwrap();
-        assert_eq!(stored.sample_count().unwrap(), ds.len());
+        assert_eq!(stored.sample_count(), ds.len());
         assert_eq!(stored.decode(None, Some(&keep)).unwrap().0, processed);
     }
 
     #[test]
-    fn checked_copy_keeps_bytes_filters_entries_and_converts_only_when_asked() {
+    fn checked_copy_keeps_bytes_and_filters_entries() {
         let ds = rich_shard();
         let keep = [false, true, true];
-        let [row, col] = both(&ds);
-        for (sealed, columnar) in [(&row, false), (&col, true)] {
-            // Unmasked, same format: the bytes themselves.
-            let copy = checked_copy(sealed.clone(), None, false, Codec::Djz).unwrap();
-            assert_eq!(&copy, sealed);
-            // Masked: the kept samples, in the format the frame had (a row
-            // frame comes out as a fresh encode of them would; a columnar one
-            // keeps a column whose last entry was dropped, so only its
-            // content is compared).
-            let thinned = checked_copy(sealed.clone(), Some(&keep), false, Codec::Djz).unwrap();
-            let fresh = masked(&ds, &keep);
-            match Frame::parse(&thinned).unwrap() {
-                Frame::Row(_) => assert_eq!(thinned, encode_shard_frame(&fresh, Codec::Djz)),
-                Frame::Col(slab) => assert_eq!(slab.decode().unwrap(), fresh),
-            }
-            assert_eq!(
-                matches!(Frame::parse(&thinned).unwrap(), Frame::Col(_)),
-                columnar
-            );
-            // As row frames, both formats give what a row run would hold.
+        let sealed = Frame::encode(&ds, Codec::Djz);
+        // Unmasked: the bytes themselves.
+        let copy = checked_copy(sealed.clone(), None, Codec::Djz).unwrap();
+        assert_eq!(copy, sealed);
+        // Masked: the kept samples, still a columnar frame (one that keeps
+        // a column whose last entry was dropped, so only its content is
+        // compared).
+        let thinned = checked_copy(sealed.clone(), Some(&keep), Codec::Djz).unwrap();
+        let thinned = Frame::parse(&thinned).unwrap();
+        assert_eq!(thinned.decode(None, None).unwrap().0, masked(&ds, &keep));
+        // A damaged frame is never copied, masked or not, and a row frame
+        // is never a spool slot.
+        let mut bad = sealed.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x10;
+        let row = encode_shard_frame(&ds, Codec::Djz);
+        for frame in [bad, row] {
             for mask in [None, Some(&keep[..])] {
-                let out = checked_copy(sealed.clone(), mask, true, Codec::Djz).unwrap();
-                let kept = mask.map_or_else(|| ds.clone(), |k| masked(&ds, k));
-                assert_eq!(out, encode_shard_frame(&kept, Codec::Djz));
-            }
-            // A damaged frame is never copied, masked or not.
-            let mut bad = sealed.clone();
-            let last = bad.len() - 1;
-            bad[last] ^= 0x10;
-            for mask in [None, Some(&keep[..])] {
-                let err = checked_copy(bad.clone(), mask, false, Codec::Djz).unwrap_err();
+                let err = checked_copy(frame.clone(), mask, Codec::Djz).unwrap_err();
                 assert!(matches!(err, DjError::Storage(_)), "{err:?}");
             }
         }
     }
 
     #[test]
-    fn read_shard_frame_decodes_both_formats_off_a_stream() {
+    fn row_frames_are_read_back_as_output_and_refused_as_spill_frames() {
         let ds = rich_shard();
-        let [row, col] = both(&ds);
-        let mut stream = row.clone();
-        stream.extend_from_slice(&col);
+        let row = encode_shard_frame(&ds, Codec::Djz);
+        let mut stream = row.repeat(2);
         let mut r = stream.as_slice();
         assert_eq!(read_shard_frame(&mut r).unwrap().unwrap(), ds);
         assert_eq!(read_shard_frame(&mut r).unwrap().unwrap(), ds);
@@ -551,6 +478,13 @@ mod tests {
         // A frame cut short is a typed error, not a clean end.
         let err = read_shard_frame(&mut &row[..row.len() - 1]).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
+        // A row frame is no spill or cache frame, and a columnar one is no
+        // `frames` part: each is refused by its magic.
+        let err = Frame::parse(&row).unwrap_err();
+        assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+        assert!(err.to_string().contains("DJSF"), "{err}");
+        stream = Frame::encode(&ds, Codec::Djz);
+        assert!(read_shard_frame(&mut stream.as_slice()).is_err());
         // A sealed string that is not a shard frame is refused by magic.
         let sidecar = envelope::seal(FINGERPRINT_MAGIC, b"x");
         let err = Frame::parse(&sidecar).unwrap_err();

@@ -10,18 +10,19 @@
 //!   cache/checkpoint deployment policy;
 //! * [`frame`] — the one envelope (magic · length · version · `checksum64`
 //!   · payload) every spool slot, sidecar, `frames` part and cache entry is
-//!   sealed in, and the one [`Frame`] over the two shard-frame formats: the
-//!   only module that checks an envelope or tells row from columnar;
-//! * [`shard_stream`] — row `DJSF` shard frames and the disk-backed
-//!   [`ShardSpool`], the storage substrate of the out-of-core
-//!   (spill-to-disk) execution mode;
-//! * [`columnar`] — columnar `DJSC` shard frames: per-column compressed,
-//!   checksummed regions behind an offset table, so projection-aware
-//!   stages decode only the columns their OPs' field footprints name and
-//!   splice the rest through byte-for-byte;
+//!   sealed in, and the one [`Frame`] every spool slot and cache entry
+//!   holds: the only module that checks an envelope or a spill or cache
+//!   frame's magic;
+//! * [`shard_stream`] — row `DJSF` shard frames (the `frames` output
+//!   format) and the disk-backed [`ShardSpool`], the storage substrate of
+//!   the out-of-core (spill-to-disk) execution mode;
+//! * [`columnar`] — columnar `DJSC` shard frames, the one spill and cache
+//!   format: per-column compressed, checksummed regions behind an offset
+//!   table, so projection-aware stages decode only the columns their OPs'
+//!   field footprints name and splice the rest through byte-for-byte;
 //! * `transcode` — frame → JSONL transcoding ([`Frame::write_jsonl`]):
-//!   spool egress prints JSON text straight from undecoded row-frame bytes
-//!   / column regions, never building a `Value`;
+//!   spool egress prints JSON text straight from undecoded column regions,
+//!   never building a `Value`;
 //! * [`sidecar`] — the checksummed `DJCS` planner-stats sidecar: EWMA
 //!   per-op cost/selectivity aggregates persisted under the cache root so
 //!   the adaptive planner (`dj-exec`) learns across runs.
@@ -47,9 +48,7 @@ pub use columnar::{encode_columnar_frame, split_column_path, ColumnRegion, Colum
 pub use frame::{
     envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
-pub use serialize::{
-    from_bytes, from_jsonl, sample_count, texts_at, to_bytes, to_jsonl, write_jsonl_into,
-};
+pub use serialize::{from_bytes, from_jsonl, to_bytes, to_jsonl, write_jsonl_into};
 pub use sidecar::{
     OpAggregate, StatsSidecar, STATS_SIDECAR_FILE, STATS_SIDECAR_MAGIC, STATS_SIDECAR_VERSION,
 };

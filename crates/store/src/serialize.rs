@@ -97,11 +97,6 @@ pub(crate) fn write_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Sample count of a serialized dataset, read from the header alone.
-pub fn sample_count(data: &[u8]) -> Result<usize> {
-    read_header(data, "dataset").map(|(n, _)| n)
-}
-
 /// `u64` from the first 8 little-endian bytes of `b`, zero-padded if
 /// shorter — every caller bound-checks first, so the pad never shows.
 /// (Replaces the `try_into().expect("8 bytes")` idiom: length mistakes
@@ -119,27 +114,6 @@ pub(crate) fn le_u32(b: &[u8]) -> u32 {
     let n = b.len().min(4);
     buf[..n].copy_from_slice(&b[..n]);
     u32::from_le_bytes(buf)
-}
-
-/// Borrow the text at dotted path `field` out of every sample of a
-/// serialized dataset, without decoding samples into owned `Value`s.
-///
-/// This is the zero-copy read path: the returned `Cow`s point straight
-/// into `data` (the decompressed frame slab), so a hash pass over a
-/// spilled shard touches each text byte exactly once and allocates
-/// nothing per sample. Semantics mirror [`dj_core::Sample::text_at`]:
-/// a missing path or a non-string value yields `""`.
-pub fn texts_at<'a>(data: &'a [u8], field: &str) -> Result<Vec<Cow<'a, str>>> {
-    let (n, mut cur) = read_header(data, "dataset")?;
-    let segments: Vec<&str> = field.split('.').collect();
-    let mut out = Vec::with_capacity(n.min(cur.len()));
-    for _ in 0..n {
-        out.push(walk_path(&mut cur, &segments)?);
-    }
-    if !cur.is_empty() {
-        return Err(DjError::Storage("trailing bytes after dataset".into()));
-    }
-    Ok(out)
 }
 
 /// Consume one serialized value, returning the borrowed string at
@@ -388,65 +362,7 @@ mod tests {
         assert!(from_jsonl("[1, 2, 3]\n").is_err()); // root must be a map
     }
 
-    #[test]
-    fn texts_at_borrows_what_text_at_returns() {
-        let mut ds = rich_dataset();
-        // A nested text field and a sample where `text` is not a string.
-        let mut nested = Sample::new();
-        nested
-            .value_mut()
-            .set_path("content.body", Value::Str("nested body".into()))
-            .unwrap();
-        ds.push(nested);
-        let mut wrong_type = Sample::new();
-        wrong_type.set_meta("text", 42i64); // meta writes under "meta.text"
-        ds.push(wrong_type);
-        let bytes = to_bytes(&ds);
-        assert_eq!(sample_count(&bytes).unwrap(), ds.len());
-        for field in ["text", "content.body", "meta.text", "missing.path"] {
-            let texts = texts_at(&bytes, field).unwrap();
-            assert_eq!(texts.len(), ds.len());
-            for (cow, sample) in texts.iter().zip(ds.iter()) {
-                assert_eq!(cow.as_ref(), sample.text_at(field), "field {field}");
-                // Non-empty hits must borrow from the slab, not allocate.
-                if !cow.is_empty() {
-                    assert!(matches!(cow, Cow::Borrowed(_)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn texts_at_rejects_corrupt_frames() {
-        let bytes = to_bytes(&rich_dataset());
-        assert!(texts_at(&[], "text").is_err());
-        assert!(texts_at(&bytes[..bytes.len() - 2], "text").is_err());
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(texts_at(&extra, "text").is_err());
-        let mut wrong = bytes;
-        wrong[0] = 9;
-        assert!(texts_at(&wrong, "text").is_err());
-    }
-
     proptest! {
-        #[test]
-        fn prop_texts_at_matches_decode(texts in proptest::collection::vec(".{0,40}", 0..16)) {
-            let mut ds = Dataset::new();
-            for (i, t) in texts.iter().enumerate() {
-                let mut s = Sample::from_text(t.clone());
-                s.set_meta("idx", i as i64);
-                ds.push(s);
-            }
-            let bytes = to_bytes(&ds);
-            let borrowed = texts_at(&bytes, "text").unwrap();
-            let expected: Vec<&str> = ds.iter().map(|s| s.text()).collect();
-            prop_assert_eq!(
-                borrowed.iter().map(|c| c.as_ref()).collect::<Vec<_>>(),
-                expected
-            );
-        }
-
         #[test]
         fn prop_binary_roundtrip(texts in proptest::collection::vec(".*", 0..20)) {
             let mut ds = Dataset::new();

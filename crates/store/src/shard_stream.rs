@@ -2,12 +2,12 @@
 //!
 //! A row frame is the [`crate::frame`] envelope around one codec-compressed
 //! run of whole serialized samples (`compress(to_bytes(shard))`); the
-//! payload reuses the self-describing [`Codec`] frame, so frames of
-//! different codecs can sit side by side. [`FrameSlab`] is the frame loaded
-//! but not decoded.
+//! payload reuses the self-describing [`Codec`] frame. It is the `frames`
+//! output format, and nothing else: [`encode_shard_frame`] writes it,
+//! [`FrameSlab`] reads it back.
 //!
-//! [`ShardSpool`] is a directory with one frame file per shard — row or
-//! columnar — the disk backing of the executor's spill path. Files are
+//! [`ShardSpool`] is a directory with one columnar (`DJSC`) frame file per
+//! shard — the disk backing of the executor's spill path. Files are
 //! written to a temporary name and atomically renamed, so a reader (or a
 //! restarted run) never observes a partial frame, and every read goes
 //! through the one checked [`ShardSpool::read`]. The spool removes its
@@ -17,29 +17,18 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dj_core::{Dataset, DjError, Fingerprints, Result, Sample};
+use dj_core::{Dataset, DjError, Fingerprints, Result};
 
 use crate::codec::{compress, decompress, Codec};
-use crate::columnar::encode_columnar_frame;
 use crate::frame::{checked_copy, envelope, Frame, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC};
-use crate::serialize::{
-    le_u64, read_header, read_value_slice, sample_count, skip_value, texts_at, to_bytes,
-};
-use crate::transcode::{check_mask, keeps};
+use crate::serialize::{from_bytes, le_u64, to_bytes};
 
 /// Encode one shard into a self-contained row frame.
 pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
     envelope::seal(SHARD_FRAME_MAGIC, &compress(&to_bytes(shard), codec))
 }
 
-/// A loaded-but-undecoded shard frame: the zero-copy spool read path.
-///
-/// [`FrameSlab::from_frame_bytes`] takes a slot file read once, verifies its
-/// checksum, and decompresses into a single contiguous payload slab.
-/// [`FrameSlab::texts_at`] then borrows `Cow<'_, str>` text slices straight
-/// out of that slab without constructing `Sample`s — so a dedup hash pass
-/// over a spilled shard touches each text byte once and never copies
-/// strings the ops won't mutate.
+/// A row frame loaded but not decoded: its verified, decompressed payload.
 #[derive(Debug)]
 pub struct FrameSlab {
     payload: Vec<u8>,
@@ -47,92 +36,20 @@ pub struct FrameSlab {
 
 impl FrameSlab {
     /// Parse one row frame held fully in memory (exactly one: trailing
-    /// bytes are refused, the spool slot-file invariant).
+    /// bytes are refused).
     pub fn from_frame_bytes(frame: &[u8]) -> Result<FrameSlab> {
-        match Frame::parse(frame)? {
-            Frame::Row(slab) => Ok(slab),
-            Frame::Col(_) => Err(DjError::Storage("not a row shard frame".into())),
+        let (magic, payload) = envelope::open_one(frame)?;
+        if &magic != SHARD_FRAME_MAGIC {
+            return Err(DjError::Storage("not a row shard frame".into()));
         }
-    }
-
-    /// The slab of a row frame's verified payload.
-    pub(crate) fn from_payload(payload: &[u8]) -> Result<FrameSlab> {
         Ok(FrameSlab {
             payload: decompress(payload)?,
         })
     }
 
-    /// Decompressed payload size in bytes (the slab's memory footprint).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Sample count, read from the payload header without decoding.
-    pub fn sample_count(&self) -> Result<usize> {
-        sample_count(&self.payload)
-    }
-
-    /// Borrow the text at dotted path `field` for every sample.
-    pub fn texts_at(&self, field: &str) -> Result<Vec<std::borrow::Cow<'_, str>>> {
-        texts_at(&self.payload, field)
-    }
-
-    /// Full decode into an owned dataset (the copying fallback).
+    /// Full decode into an owned dataset.
     pub fn decode(&self) -> Result<Dataset> {
-        self.decode_kept(None)
-    }
-
-    /// Decode the samples `keep` keeps (all of them without a mask); a
-    /// masked-out sample is stepped over, never built.
-    pub fn decode_kept(&self, keep: Option<&[bool]>) -> Result<Dataset> {
-        let mut samples = Vec::new();
-        self.walk(keep, |cur| {
-            samples.push(Sample::from_value(read_value_slice(cur)?)?);
-            Ok(())
-        })?;
-        Ok(Dataset::from_samples(samples))
-    }
-
-    /// Re-encode this frame with only the samples `keep` keeps, copying
-    /// their serialized byte ranges — the row twin of
-    /// [`ColumnarSlab::filter_frame`](crate::ColumnarSlab::filter_frame); no
-    /// value is decoded. The result equals `encode_shard_frame` of the
-    /// decoded-then-masked shard.
-    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<Vec<u8>> {
-        let kept = keep.iter().filter(|k| **k).count();
-        let mut body = Vec::with_capacity(self.payload.len());
-        body.extend(self.payload.first());
-        body.extend_from_slice(&(kept as u64).to_le_bytes());
-        self.walk(Some(keep), |cur| {
-            let entry = *cur;
-            skip_value(cur)?;
-            body.extend_from_slice(&entry[..entry.len() - cur.len()]);
-            Ok(())
-        })?;
-        Ok(envelope::seal(SHARD_FRAME_MAGIC, &compress(&body, codec)))
-    }
-
-    /// Visit every kept sample's serialized value with a cursor positioned
-    /// at it (`visit` must consume exactly that value); masked-out samples
-    /// are skipped.
-    pub(crate) fn walk(
-        &self,
-        keep: Option<&[bool]>,
-        mut visit: impl FnMut(&mut &[u8]) -> Result<()>,
-    ) -> Result<()> {
-        let (samples, mut cur) = read_header(&self.payload, "dataset")?;
-        check_mask(keep, samples)?;
-        for i in 0..samples {
-            if keeps(keep, i) {
-                visit(&mut cur)?;
-            } else {
-                skip_value(&mut cur)?;
-            }
-        }
-        if !cur.is_empty() {
-            return Err(DjError::Storage("trailing bytes after dataset".into()));
-        }
-        Ok(())
+        from_bytes(&self.payload)
     }
 }
 
@@ -185,10 +102,6 @@ pub fn open_fingerprints(sealed: &[u8]) -> Result<Fingerprints> {
 pub struct ShardSpool {
     dir: PathBuf,
     codec: Codec,
-    /// Which format [`write_shard`](ShardSpool::write_shard) encodes:
-    /// columnar (`DJSC`) instead of row frames. Reads take whatever format a
-    /// slot holds, so a resumed or rehydrated spool can mix them.
-    columnar: bool,
     /// Samples stored per written slot (`None` until stored) — the shard
     /// layout metadata a keep mask over the stored samples is sized by
     /// (a frame may store samples such a mask drops). Grows on demand so
@@ -207,23 +120,8 @@ impl ShardSpool {
         Ok(ShardSpool {
             dir,
             codec,
-            columnar: false,
             lens: Mutex::new(vec![None; slots]),
         })
-    }
-
-    /// Like [`create`](ShardSpool::create), but shards written through
-    /// [`write_shard`](ShardSpool::write_shard) are stored as columnar
-    /// `DJSC` frames, enabling projection ([`Frame::decode`]) and
-    /// byte-for-byte column splicing ([`Frame::store_processed`]).
-    pub fn create_columnar(
-        dir: impl Into<PathBuf>,
-        slots: usize,
-        codec: Codec,
-    ) -> Result<ShardSpool> {
-        let mut spool = ShardSpool::create(dir, slots, codec)?;
-        spool.columnar = true;
-        Ok(spool)
     }
 
     pub fn dir(&self) -> &Path {
@@ -242,19 +140,13 @@ impl ShardSpool {
         self.dir.join(format!("shard-{idx:05}.fpr"))
     }
 
-    /// Serialize `shard` into slot `idx` (atomic: temp file then rename).
-    /// Row or columnar frame per the spool's mode.
+    /// Encode `shard` into slot `idx` (atomic: temp file then rename).
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        let frame = if self.columnar {
-            encode_columnar_frame(shard, self.codec)
-        } else {
-            encode_shard_frame(shard, self.codec)
-        };
-        self.write_frame_bytes(idx, &frame, shard.len())
+        self.write_frame_bytes(idx, &Frame::encode(shard, self.codec), shard.len())
     }
 
-    /// Store a pre-encoded frame (row or columnar — a column splice, a
-    /// frame copied out of a cache entry) into slot `idx` atomically,
+    /// Store a pre-encoded frame (a column splice, a frame copied out of a
+    /// cache entry) into slot `idx` atomically,
     /// recording `samples` as the number of samples the frame stores.
     pub fn write_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
         let path = self.slot_path(idx);
@@ -340,8 +232,7 @@ impl ShardSpool {
         Ok(bytes)
     }
 
-    /// Load slot `idx`: checksum verified, format taken from the frame,
-    /// nothing decoded. Non-destructive: spilled shards can be re-streamed.
+    /// Load slot `idx`: checksum verified, nothing decoded. Non-destructive: spilled shards can be re-streamed.
     pub fn read(&self, idx: usize) -> Result<Frame> {
         Frame::parse(&self.slot_bytes(idx)?)
     }
@@ -351,21 +242,21 @@ impl ShardSpool {
         Ok(self.read(idx)?.decode(None, None)?.0)
     }
 
-    /// Slot `idx` as frame bytes holding the samples `keep` keeps, in the
-    /// format the slot has — how a spool is persisted as a cache entry.
+    /// Slot `idx` as frame bytes holding the samples `keep` keeps — how a
+    /// spool is persisted as a cache entry.
     /// Without a mask that is a checked copy of the slot file; with one the
     /// frame is re-encoded from the kept entries' byte ranges. No value is
     /// decoded either way.
     pub fn read_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
-        checked_copy(self.slot_bytes(idx)?, keep, false, self.codec)
+        checked_copy(self.slot_bytes(idx)?, keep, self.codec)
     }
 
-    /// [`read_frame_bytes`](ShardSpool::read_frame_bytes) as a *row* frame,
-    /// whatever the slot holds — the `frames` output contract. A row slot
-    /// is copied (or entry-filtered) as above; a columnar slot is decoded
-    /// and re-encoded, the one conversion that contract requires.
+    /// Slot `idx`'s samples that `keep` keeps as a *row* frame — the
+    /// `frames` output contract: the slot is decoded and re-encoded, the
+    /// one conversion that contract requires.
     pub fn read_row_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
-        checked_copy(self.slot_bytes(idx)?, keep, true, self.codec)
+        let (kept, _) = self.read(idx)?.decode(None, keep)?;
+        Ok(encode_shard_frame(&kept, self.codec))
     }
 
     /// Samples stored in slot `idx`, if it has been written.
@@ -551,49 +442,59 @@ mod tests {
     }
 
     #[test]
-    fn a_spool_reads_whatever_format_a_slot_holds() {
-        let dir = tmpdir("spool-columnar");
+    fn a_spool_holds_columnar_frames_and_hands_out_row_frames_only_as_output() {
+        let dir = tmpdir("spool-format");
         let shards = [shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
-        let spool = ShardSpool::create_columnar(&dir, 3, Codec::Djz).unwrap();
+        let spool = ShardSpool::create(&dir, 3, Codec::Djz).unwrap();
         for (i, s) in shards.iter().enumerate() {
             spool.write_shard(i, s).unwrap();
         }
         for (i, s) in shards.iter().enumerate() {
-            assert!(matches!(spool.read(i).unwrap(), Frame::Col(_)));
+            let slot = fs::read(dir.join(format!("shard-{i:05}.djs"))).unwrap();
+            assert_eq!(slot, Frame::encode(s, Codec::Djz));
             assert_eq!(&spool.read_shard(i).unwrap(), s);
+            // Byte reads copy the slot; row-frame reads convert it, past a
+            // mask too: what a fresh row encode of the kept samples gives.
+            assert_eq!(spool.read_frame_bytes(i, None).unwrap(), slot);
+            assert_eq!(
+                spool.read_row_frame_bytes(i, None).unwrap(),
+                encode_shard_frame(s, Codec::Djz)
+            );
+            let keep: Vec<bool> = (0..s.len()).map(|k| k % 2 == 1).collect();
+            let mut kept = s.clone();
+            kept.retain_mask(&keep);
+            assert_eq!(
+                spool.read_row_frame_bytes(i, Some(&keep)).unwrap(),
+                encode_shard_frame(&kept, Codec::Djz)
+            );
         }
-        // A pre-encoded frame of the other format lands like any other
-        // write, and reads back through the same call.
-        let frame = encode_shard_frame(&shards[0], Codec::Djz);
+        // A pre-encoded frame lands like any other write, in a codec the
+        // spool would not pick, and reads back through the same calls.
+        let frame = Frame::encode(&shards[0], Codec::None);
         spool.write_frame_bytes(1, &frame, shards[0].len()).unwrap();
-        assert!(matches!(spool.read(1).unwrap(), Frame::Row(_)));
         assert_eq!(spool.read_shard(1).unwrap(), shards[0]);
         assert_eq!(spool.shard_len(1), Some(3));
-        // Byte reads keep a slot's format; row-frame reads convert the
-        // columnar slots and copy the row one.
         assert_eq!(spool.read_frame_bytes(1, None).unwrap(), frame);
-        assert_eq!(spool.read_row_frame_bytes(1, None).unwrap(), frame);
-        assert_eq!(
-            spool.read_row_frame_bytes(2, None).unwrap(),
-            encode_shard_frame(&shards[2], Codec::Djz)
-        );
+        // A row frame in a slot is refused by every read, typed.
+        let row = encode_shard_frame(&shards[0], Codec::Djz);
+        spool.write_frame_bytes(1, &row, shards[0].len()).unwrap();
+        for err in [
+            spool.read(1).map(drop).unwrap_err(),
+            spool.read_shard(1).map(drop).unwrap_err(),
+            spool.read_frame_bytes(1, None).map(drop).unwrap_err(),
+            spool.read_row_frame_bytes(1, None).map(drop).unwrap_err(),
+        ] {
+            assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+        }
     }
 
     #[test]
     fn frame_slab_matches_full_decode() {
         let ds = rich_shard();
         let slab = FrameSlab::from_frame_bytes(&encode_shard_frame(&ds, Codec::Djz)).unwrap();
-        assert_eq!(slab.sample_count().unwrap(), ds.len());
-        assert!(slab.payload_len() > 0);
         assert_eq!(slab.decode().unwrap(), ds);
-        let texts = slab.texts_at("text").unwrap();
-        let expected: Vec<&str> = ds.iter().map(|s| s.text()).collect();
-        assert_eq!(
-            texts.iter().map(|c| c.as_ref()).collect::<Vec<_>>(),
-            expected
-        );
         // A row slab is only ever built from a row frame.
-        let columnar = encode_columnar_frame(&ds, Codec::Djz);
+        let columnar = Frame::encode(&ds, Codec::Djz);
         assert!(FrameSlab::from_frame_bytes(&columnar).is_err());
     }
 

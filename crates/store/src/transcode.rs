@@ -1,19 +1,18 @@
 //! Frame → JSONL transcoding: the way out of a spool.
 //!
-//! JSONL egress of spilled data is not a decode: [`FrameSlab::write_jsonl`]
-//! walks the tagged-value bytes of an undecoded row frame, and
-//! [`ColumnarSlab::write_jsonl`] one cursor per column region, printing
-//! JSON text straight into the caller's (reused) part buffer through
-//! `dj-core`'s byte-level writer — the same writer `Value`'s `Display`
-//! uses, so the text equals `decode()` → `write_jsonl_into` byte for byte.
-//! No `Sample`, `Value` or `BTreeMap` is built on the way, and samples a
-//! deferred barrier mask drops are stepped over by [`skip_value_at`].
+//! JSONL egress of spilled data is not a decode: [`ColumnarSlab::write_jsonl`]
+//! walks one cursor per column region of an undecoded frame, printing JSON
+//! text straight into the caller's (reused) part buffer through `dj-core`'s
+//! byte-level writer — the same writer `Value`'s `Display` uses, so the text
+//! equals `decode()` → `write_jsonl_into` byte for byte. No `Sample`,
+//! `Value` or `BTreeMap` is built on the way, and samples a deferred
+//! barrier mask drops are stepped over by [`skip_value_at`].
 //!
 //! Key order is the stored order, which for every frame this crate writes
-//! is `BTreeMap` order (a row map's entries, a columnar directory). A frame
-//! whose keys are not strictly ascending was not written by this crate; it
-//! is refused with a typed error rather than printed in an order the
-//! decoding path would not have produced.
+//! is `BTreeMap` order (a columnar directory, a map value's entries). A
+//! frame whose keys are not strictly ascending was not written by this
+//! crate; it is refused with a typed error rather than printed in an order
+//! the decoding path would not have produced.
 
 use std::fmt::Write as _;
 
@@ -24,7 +23,6 @@ use crate::serialize::{
     deeper, le_u64, skip_value_at, take_bytes, take_str, take_u32, take_u8, COLUMN_DEPTH,
     TAG_BOOL_FALSE, TAG_BOOL_TRUE, TAG_FLOAT, TAG_INT, TAG_LIST, TAG_MAP, TAG_NULL, TAG_STR,
 };
-use crate::shard_stream::FrameSlab;
 
 /// `keep`, when present, must cover the frame's `samples` exactly.
 pub(crate) fn check_mask(keep: Option<&[bool]>, samples: usize) -> Result<()> {
@@ -104,25 +102,6 @@ fn transcode_value(cur: &mut &[u8], out: &mut String, depth: usize) -> Result<()
     Ok(())
 }
 
-impl FrameSlab {
-    /// Append the JSON-Lines text of this frame's samples to `out` — those
-    /// `keep` keeps, all of them without a mask — and return how many lines
-    /// that was.
-    pub fn write_jsonl(&self, keep: Option<&[bool]>, out: &mut String) -> Result<usize> {
-        let mut written = 0;
-        self.walk(keep, |cur| {
-            if cur.first() != Some(&TAG_MAP) {
-                return Err(DjError::Field("sample root must be a map".into()));
-            }
-            transcode_value(cur, out, 0)?;
-            out.push('\n');
-            written += 1;
-            Ok(())
-        })?;
-        Ok(written)
-    }
-}
-
 impl ColumnarSlab {
     /// Append the JSON-Lines text of this frame's samples to `out` — those
     /// `keep` keeps, all of them without a mask — and return how many lines
@@ -180,11 +159,10 @@ impl ColumnarSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Codec;
+    use crate::codec::{compress, Codec};
     use crate::columnar::encode_columnar_frame;
-    use crate::frame::{envelope::seal, SHARD_FRAME_MAGIC};
+    use crate::frame::{envelope::seal, COLUMNAR_FRAME_MAGIC};
     use crate::serialize::{to_jsonl, write_value};
-    use crate::shard_stream::encode_shard_frame;
     use dj_core::{Dataset, Sample, Value};
 
     fn rich_shard() -> Dataset {
@@ -216,9 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn both_transcoders_print_what_decode_then_display_prints() {
+    fn the_transcoder_prints_what_decode_then_display_prints() {
         let ds = rich_shard();
-        let row = FrameSlab::from_frame_bytes(&encode_shard_frame(&ds, Codec::Djz)).unwrap();
         let col = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&ds, Codec::Djz)).unwrap();
         let masks: [Option<&[bool]>; 4] = [
             None,
@@ -229,60 +206,72 @@ mod tests {
         for keep in masks {
             let expected = to_jsonl(&keep.map_or_else(|| ds.clone(), |k| masked(&ds, k)));
             let mut out = String::from("prefix\n");
-            let n = row.write_jsonl(keep, &mut out).unwrap();
-            assert_eq!(out, format!("prefix\n{expected}"), "row {keep:?}");
+            let n = col.write_jsonl(keep, &mut out).unwrap();
+            assert_eq!(out, format!("prefix\n{expected}"), "{keep:?}");
             assert_eq!(n, expected.lines().count());
-            let mut out = String::new();
-            assert_eq!(col.write_jsonl(keep, &mut out).unwrap(), n);
-            assert_eq!(out, expected, "columnar {keep:?}");
         }
         // Empty shard.
         let empty = Dataset::new();
-        let row = FrameSlab::from_frame_bytes(&encode_shard_frame(&empty, Codec::Djz)).unwrap();
         let col =
             ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&empty, Codec::Djz)).unwrap();
         let mut out = String::new();
-        assert_eq!(row.write_jsonl(None, &mut out).unwrap(), 0);
+        assert_eq!(col.write_jsonl(None, &mut out).unwrap(), 0);
         assert_eq!(col.write_jsonl(Some(&[]), &mut out).unwrap(), 0);
         assert!(out.is_empty());
+    }
+
+    /// A one-sample columnar frame whose columns hold the given
+    /// (uncompressed) region bodies, in the given order.
+    fn hand_built(columns: &[(&str, Vec<u8>)]) -> ColumnarSlab {
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+        let regions: Vec<Vec<u8>> = columns
+            .iter()
+            .map(|(_, body)| compress(body, Codec::None))
+            .collect();
+        let mut offset = 0u64;
+        for ((name, body), region) in columns.iter().zip(&regions) {
+            payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            payload.extend_from_slice(name.as_bytes());
+            let words = [
+                offset,
+                region.len() as u64,
+                body.len() as u64,
+                dj_hash::checksum64(region),
+            ];
+            words
+                .iter()
+                .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+            offset += region.len() as u64;
+        }
+        regions.iter().for_each(|r| payload.extend_from_slice(r));
+        ColumnarSlab::from_frame_bytes(&seal(COLUMNAR_FRAME_MAGIC, &payload)).unwrap()
     }
 
     #[test]
     fn wrong_mask_length_and_foreign_key_order_are_typed_errors() {
         let ds = rich_shard();
-        let row = FrameSlab::from_frame_bytes(&encode_shard_frame(&ds, Codec::None)).unwrap();
         let col = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&ds, Codec::None)).unwrap();
         let mut out = String::new();
-        assert!(row.write_jsonl(Some(&[true]), &mut out).is_err());
         assert!(col.write_jsonl(Some(&[true]), &mut out).is_err());
 
-        // A hand-built row payload whose map keys are not ascending.
-        let mut payload = vec![1u8];
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.push(TAG_MAP);
-        payload.extend_from_slice(&2u32.to_le_bytes());
+        // A map value whose keys are not ascending.
+        let mut body = vec![1u8, TAG_MAP];
+        body.extend_from_slice(&2u32.to_le_bytes());
         for key in ["b", "a"] {
-            payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            payload.extend_from_slice(key.as_bytes());
-            write_value(&mut payload, &Value::Int(1));
+            body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            body.extend_from_slice(key.as_bytes());
+            write_value(&mut body, &Value::Int(1));
         }
-        let frame = seal(
-            SHARD_FRAME_MAGIC,
-            &crate::codec::compress(&payload, Codec::None),
-        );
-        let slab = FrameSlab::from_frame_bytes(&frame).unwrap();
+        let slab = hand_built(&[("meta", body)]);
         let err = slab.write_jsonl(None, &mut out).unwrap_err();
         assert!(err.to_string().contains("out of order"), "{err}");
-        // A root that is not a map is the error `decode` gives.
-        let mut payload = vec![1u8];
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        write_value(&mut payload, &Value::Int(7));
-        let frame = seal(
-            SHARD_FRAME_MAGIC,
-            &crate::codec::compress(&payload, Codec::None),
-        );
-        let slab = FrameSlab::from_frame_bytes(&frame).unwrap();
-        assert!(slab.decode().is_err());
-        assert!(slab.write_jsonl(None, &mut out).is_err());
+        // Columns whose directory is not ascending.
+        let mut int = vec![1u8];
+        write_value(&mut int, &Value::Int(1));
+        let slab = hand_built(&[("b", int.clone()), ("a", int)]);
+        let err = slab.write_jsonl(None, &mut out).unwrap_err();
+        assert!(err.to_string().contains("out of order"), "{err}");
     }
 }

@@ -75,9 +75,8 @@ fn selective_corpus(n: usize) -> Dataset {
     Dataset::from_texts(docs)
 }
 
-/// Where the data lives: resident, spilled to row frames, spilled to
-/// columnar frames — `(memory_budget, columnar)`.
-const SHAPES: [(Option<u64>, bool); 3] = [(None, false), (Some(1), false), (Some(1), true)];
+/// Where the data lives: resident or spilled — the `memory_budget`.
+const SHAPES: [Option<u64>; 2] = [None, Some(1)];
 
 fn run_with(
     ops: Vec<data_juicer::core::Op>,
@@ -122,14 +121,14 @@ proptest! {
 
     /// Adaptive planning (run-local and warm-sidecar) never changes the
     /// output: for random pipelines × worker counts × shard sizes, in
-    /// memory and spilled (row or columnar), adaptive output is
+    /// memory and spilled, adaptive output is
     /// byte-identical to static.
     #[test]
     fn prop_adaptive_matches_static(
         mask in 1u32..(1 << 8),
         np in 1usize..4,
         shard in prop_oneof![Just(None), Just(Some(3usize)), Just(Some(17usize))],
-        shape in 0usize..3,
+        shape in 0usize..2,
         seed in 0u64..500,
     ) {
         let pool = spec_pool();
@@ -140,13 +139,12 @@ proptest! {
             }
         }
         let data = web_corpus(seed, 60, WebNoise::default());
-        let (memory_budget, columnar) = SHAPES[shape];
+        let memory_budget = SHAPES[shape];
         let base = ExecOptions {
             num_workers: np,
             op_fusion: true,
             shard_size: shard,
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         };
         let (static_out, _) = run_with(build(&recipe), data.clone(), base.clone());
@@ -177,7 +175,7 @@ proptest! {
 // ---- warm-sidecar plan reordering ------------------------------------
 
 /// Measurements taken in any shape plan the next run: the sidecar a
-/// resident, row-spilled or columnar-spilled run persists reorders the
+/// resident or spilled run persists reorders the
 /// warm run the same way.
 #[test]
 fn warm_sidecar_reorders_misordered_recipe() {
@@ -193,8 +191,8 @@ fn warm_sidecar_reorders_misordered_recipe() {
             ..ExecOptions::default()
         },
     );
-    for (memory_budget, columnar) in SHAPES {
-        let shape = format!("budget={memory_budget:?} columnar={columnar}");
+    for memory_budget in SHAPES {
+        let shape = format!("budget={memory_budget:?}");
         let stats = scratch_dir("warm");
         let opts = ExecOptions {
             num_workers: 2,
@@ -203,7 +201,6 @@ fn warm_sidecar_reorders_misordered_recipe() {
             stats_dir: Some(stats.clone()),
             shard_size: memory_budget.map(|_| 40),
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         };
 
@@ -251,14 +248,13 @@ fn warm_sidecar_reorders_misordered_recipe() {
 fn midrun_replan_flips_misordered_stage() {
     let recipe = misordered_recipe();
     let data = selective_corpus(400);
-    for (memory_budget, columnar) in SHAPES {
-        let shape = format!("budget={memory_budget:?} columnar={columnar}");
+    for memory_budget in SHAPES {
+        let shape = format!("budget={memory_budget:?}");
         let static_opts = ExecOptions {
             num_workers: 2,
             op_fusion: true,
             shard_size: Some(10),
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         };
         let (static_out, _) = run_with(build(&recipe), data.clone(), static_opts.clone());
@@ -363,37 +359,33 @@ fn prefix_cache_resumes_ops_before_the_edit() {
 }
 
 /// Prefix caching composes with the out-of-core engine: spilled per-step
-/// entries, row or columnar, resume exactly like in-memory ones.
+/// entries resume exactly like in-memory ones.
 #[test]
 fn prefix_cache_resumes_spilled_entries() {
     let data = web_corpus(11, 80, WebNoise::default());
-    for columnar in [false, true] {
-        let dir = scratch_dir("prefix-spill");
-        let cache = CacheManager::new(&dir, 0xD1CE, CacheMode::Cache);
-        let opts = ExecOptions {
-            num_workers: 2,
-            op_fusion: false,
-            prefix_cache: true,
-            shard_size: Some(16),
-            memory_budget: Some(1),
-            columnar,
-            ..ExecOptions::default()
-        };
-        let exec = Executor::new(build(&edit_pipeline(false))).with_options(opts.clone());
-        let (out1, r1) = exec.run_with_cache(data.clone(), &cache).expect("run 1");
-        assert!(r1.spilled, "1-byte budget must spill");
-        assert_eq!(r1.columnar, columnar);
-        let (out2, r2) = exec.run_with_cache(data.clone(), &cache).expect("run 2");
-        assert_eq!(r2.resumed_steps, 5, "columnar={columnar}");
-        assert_eq!(texts(&out1), texts(&out2), "columnar={columnar}");
+    let dir = scratch_dir("prefix-spill");
+    let cache = CacheManager::new(&dir, 0xD1CE, CacheMode::Cache);
+    let opts = ExecOptions {
+        num_workers: 2,
+        op_fusion: false,
+        prefix_cache: true,
+        shard_size: Some(16),
+        memory_budget: Some(1),
+        ..ExecOptions::default()
+    };
+    let exec = Executor::new(build(&edit_pipeline(false))).with_options(opts.clone());
+    let (out1, r1) = exec.run_with_cache(data.clone(), &cache).expect("run 1");
+    assert!(r1.spilled, "1-byte budget must spill");
+    let (out2, r2) = exec.run_with_cache(data.clone(), &cache).expect("run 2");
+    assert_eq!(r2.resumed_steps, 5);
+    assert_eq!(texts(&out1), texts(&out2));
 
-        let edited = Executor::new(build(&edit_pipeline(true))).with_options(opts.clone());
-        let (out3, r3) = edited.run_with_cache(data.clone(), &cache).expect("run 3");
-        assert_eq!(r3.resumed_steps, 2, "columnar={columnar}");
-        let (fresh, _) = run_with(build(&edit_pipeline(true)), data.clone(), opts);
-        assert_eq!(texts(&fresh), texts(&out3), "columnar={columnar}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let edited = Executor::new(build(&edit_pipeline(true))).with_options(opts.clone());
+    let (out3, r3) = edited.run_with_cache(data.clone(), &cache).expect("run 3");
+    assert_eq!(r3.resumed_steps, 2);
+    let (fresh, _) = run_with(build(&edit_pipeline(true)), data.clone(), opts);
+    assert_eq!(texts(&fresh), texts(&out3));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---- barrier gating ---------------------------------------------------
@@ -404,12 +396,11 @@ fn barrier_gating_decisions_are_recorded() {
     let recipe = Recipe::new("gate").then(OpSpec::new("document_deduplicator"));
     let small = web_corpus(3, 50, WebNoise::default());
     let tiny_docs: Vec<String> = (0..2100).map(|i| format!("doc {i} text")).collect();
-    for (memory_budget, columnar) in SHAPES {
+    for memory_budget in SHAPES {
         let opts = |num_workers| ExecOptions {
             num_workers,
             shard_size: Some(64),
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         };
 

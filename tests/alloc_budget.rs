@@ -246,7 +246,7 @@ fn a_warmed_hash_pass_allocates_nothing_per_sample() {
 /// Spool → JSONL egress, per shard: load the undecoded frame, transcode
 /// it (past a keep mask) into the writer's reused part buffer, commit the
 /// part. Shards of 8, 64 and 512 samples must cost the same number of
-/// allocations, row frames and columnar frames alike.
+/// allocations.
 #[test]
 fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
     let dir = std::env::temp_dir().join(format!("dj-alloc-budget-{}", std::process::id()));
@@ -264,50 +264,34 @@ fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
             shard
         })
         .collect();
-    for columnar in [false, true] {
-        let spool_dir = dir.join(format!("spool-{columnar}"));
-        let spool = if columnar {
-            ShardSpool::create_columnar(&spool_dir, sizes.len(), Codec::Djz)
-        } else {
-            ShardSpool::create(&spool_dir, sizes.len(), Codec::Djz)
-        }
-        .unwrap();
-        for (i, shard) in shards.iter().enumerate() {
-            spool.write_shard(i, shard).unwrap();
-        }
-        let out_dir = dir.join(format!("out-{columnar}"));
-        let writer = ShardedWriter::create(&out_dir, OutputFormat::Jsonl).unwrap();
-        let mut per_shard = Vec::new();
-        for (i, shard) in shards.iter().enumerate() {
-            let keep: Vec<bool> = (0..shard.len()).map(|k| k % 3 != 1).collect();
-            let before = ALLOCATIONS.with(Cell::get);
-            let frame = spool.read(i).unwrap();
-            writer
-                .store_jsonl(i, |out| frame.write_jsonl(Some(&keep), out))
-                .unwrap();
-            per_shard.push(ALLOCATIONS.with(Cell::get) - before);
-            // The part holds what a decode → mask → print would have.
-            let mut kept = shard.clone();
-            kept.retain_mask(&keep);
-            let part = std::fs::read_to_string(out_dir.join(format!("part-{i:05}.jsonl")));
-            assert_eq!(
-                part.unwrap(),
-                to_jsonl(&kept),
-                "columnar={columnar} shard {i}"
-            );
-        }
-        // Shard 0 warms the writer's part buffer up to the largest part.
-        let steady = &per_shard[1..];
-        assert!(
-            steady.iter().all(|n| *n == steady[0]),
-            "columnar={columnar}: allocations grow with the shard: {per_shard:?} for {sizes:?} samples"
-        );
-        assert!(
-            steady[0] < 64,
-            "columnar={columnar}: {} allocations per shard",
-            steady[0]
-        );
+    let spool = ShardSpool::create(dir.join("spool"), sizes.len(), Codec::Djz).unwrap();
+    for (i, shard) in shards.iter().enumerate() {
+        spool.write_shard(i, shard).unwrap();
     }
+    let out_dir = dir.join("out");
+    let writer = ShardedWriter::create(&out_dir, OutputFormat::Jsonl).unwrap();
+    let mut per_shard = Vec::new();
+    for (i, shard) in shards.iter().enumerate() {
+        let keep: Vec<bool> = (0..shard.len()).map(|k| k % 3 != 1).collect();
+        let before = ALLOCATIONS.with(Cell::get);
+        let frame = spool.read(i).unwrap();
+        writer
+            .store_jsonl(i, |out| frame.write_jsonl(Some(&keep), out))
+            .unwrap();
+        per_shard.push(ALLOCATIONS.with(Cell::get) - before);
+        // The part holds what a decode → mask → print would have.
+        let mut kept = shard.clone();
+        kept.retain_mask(&keep);
+        let part = std::fs::read_to_string(out_dir.join(format!("part-{i:05}.jsonl")));
+        assert_eq!(part.unwrap(), to_jsonl(&kept), "shard {i}");
+    }
+    // Shard 0 warms the writer's part buffer up to the largest part.
+    let steady = &per_shard[1..];
+    assert!(
+        steady.iter().all(|n| *n == steady[0]),
+        "allocations grow with the shard: {per_shard:?} for {sizes:?} samples"
+    );
+    assert!(steady[0] < 64, "{} allocations per shard", steady[0]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -326,8 +310,8 @@ fn a_columnar_stage_cycle_never_allocates_a_passthrough_region() {
         let log = format!("fetch {i}: dns 12ms, connect 31ms, ttfb 140ms; ").repeat(60);
         s.set_meta("render_log", log);
     }
-    let input = ShardSpool::create_columnar(dir.join("in"), 1, Codec::Djz).unwrap();
-    let output = ShardSpool::create_columnar(dir.join("out"), 1, Codec::Djz).unwrap();
+    let input = ShardSpool::create(dir.join("in"), 1, Codec::Djz).unwrap();
+    let output = ShardSpool::create(dir.join("out"), 1, Codec::Djz).unwrap();
     input.write_shard(0, &shard).unwrap();
     let meta = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&shard, Codec::Djz))
         .unwrap()

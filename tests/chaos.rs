@@ -6,8 +6,8 @@
 //! 2. fails with a clean *typed* error — never a harness panic, and
 //!    never partial or corrupt egress left on disk.
 //!
-//! The matrix runs four execution shapes — in-memory, forced-spill row,
-//! forced-spill columnar and file-to-file (JSONL and `frames` output) — so
+//! The matrix runs three execution shapes — in-memory, forced spill and
+//! file-to-file (JSONL and `frames` output) — so
 //! the store, IO and exec layers each see their sites exercised. Fault
 //! plans install process-globally, so everything here serializes through
 //! one gate mutex.
@@ -81,16 +81,14 @@ fn runtime() -> Runtime {
     })
 }
 
-/// The resident-input shapes: in-memory, forced-spill row frames,
-/// forced-spill columnar frames.
-const MEM_SHAPES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+/// The resident-input shapes: in-memory, forced spill.
+const MEM_SHAPES: [bool; 2] = [false, true];
 
-fn mem_options(spill: bool, columnar: bool, plan: Arc<FaultPlan>) -> ExecOptions {
+fn mem_options(spill: bool, plan: Arc<FaultPlan>) -> ExecOptions {
     ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         memory_budget: spill.then_some(1),
-        columnar,
         faults: Some(plan),
         env: EnvKnobs::default(),
         ..ExecOptions::default()
@@ -149,19 +147,13 @@ fn every_site_and_kind_holds_the_chaos_property_in_memory() {
         });
         exec.run(dataset(48)).unwrap().0
     };
-    for (spill, columnar) in MEM_SHAPES {
+    for spill in MEM_SHAPES {
         for &site in SITES {
             for &kind in KINDS {
-                let ctx = format!(
-                    "site={site} kind={} spill={spill} columnar={columnar}",
-                    kind.name()
-                );
+                let ctx = format!("site={site} kind={} spill={spill}", kind.name());
                 let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
-                let exec = Executor::new(ops.clone()).with_options(mem_options(
-                    spill,
-                    columnar,
-                    Arc::clone(&plan),
-                ));
+                let exec =
+                    Executor::new(ops.clone()).with_options(mem_options(spill, Arc::clone(&plan)));
                 let result = runtime().submit(exec, dataset(48)).wait();
                 match result {
                     Ok(out) => {
@@ -251,13 +243,13 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
     let _ = std::fs::remove_dir_all(&input_dir);
 }
 
-/// `frames` egress copies slot bytes instead of decoding them, and used to
-/// copy an unmasked slot without opening its envelope: a frame damaged as it
-/// was written went out as a committed part that no reader could open. The
-/// job gets one attempt, so the one damaged write stays damaged — it must
-/// end in the typed storage error the copy's checksum raises, with no
-/// manifest and no part (parts of undamaged slots that other workers
-/// committed meanwhile are the runtime's to clear).
+/// `frames` egress once copied an unmasked slot without opening its
+/// envelope: a frame damaged as it was written went out as a committed part
+/// that no reader could open. The job gets one attempt, so the one damaged
+/// write stays damaged — it must end in the typed storage error the slot's
+/// checksum raises on its way to a row frame, with no manifest and no part
+/// (parts of undamaged slots that other workers committed meanwhile are the
+/// runtime's to clear).
 #[test]
 fn frames_egress_never_ships_a_slot_damaged_at_write() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -267,49 +259,47 @@ fn frames_egress_never_ships_a_slot_damaged_at_write() {
         .unwrap();
     let input_dir = unique_dir("frames-egress-input");
     let input = write_corpus(&input_dir, 48);
-    for columnar in [false, true] {
-        for kind in [faults::ErrKind::BitFlip, faults::ErrKind::Truncate] {
-            let ctx = format!("columnar={columnar} kind={}", kind.name());
-            let out_dir = unique_dir("frames-egress-out");
-            let plan = Arc::new(FaultPlan::single("store.frame.write", kind, 1, 7));
-            let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-                num_workers: 2,
-                shard_size: Some(8),
-                columnar,
-                input: Some(input.display().to_string()),
-                output: Some(out_dir.clone()),
-                output_format: OutputFormat::Frames,
-                faults: Some(Arc::clone(&plan)),
-                env: EnvKnobs::default(),
-                ..ExecOptions::default()
-            });
-            let err = Runtime::new(RuntimeConfig {
-                max_jobs: 1,
-                ..RuntimeConfig::default()
-            })
-            .submit_io(exec)
-            .wait()
-            .err()
-            .unwrap_or_else(|| panic!("{ctx}: a damaged slot was shipped"));
-            assert_eq!(
-                plan.hits("store.frame.write"),
-                6,
-                "{ctx}: six frames written"
-            );
-            assert!(matches!(err, DjError::Storage(_)), "{ctx}: {err:?}");
-            assert!(egress_bytes(&out_dir).is_none(), "{ctx}: manifest");
-            assert_no_partial_egress(&out_dir, &ctx);
-            let _ = std::fs::remove_dir_all(&out_dir);
-        }
+    for kind in [faults::ErrKind::BitFlip, faults::ErrKind::Truncate] {
+        let ctx = format!("kind={}", kind.name());
+        let out_dir = unique_dir("frames-egress-out");
+        let plan = Arc::new(FaultPlan::single("store.frame.write", kind, 1, 7));
+        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+            num_workers: 2,
+            shard_size: Some(8),
+            input: Some(input.display().to_string()),
+            output: Some(out_dir.clone()),
+            output_format: OutputFormat::Frames,
+            faults: Some(Arc::clone(&plan)),
+            env: EnvKnobs::default(),
+            ..ExecOptions::default()
+        });
+        let err = Runtime::new(RuntimeConfig {
+            max_jobs: 1,
+            ..RuntimeConfig::default()
+        })
+        .submit_io(exec)
+        .wait()
+        .err()
+        .unwrap_or_else(|| panic!("{ctx}: a damaged slot was shipped"));
+        assert_eq!(
+            plan.hits("store.frame.write"),
+            6,
+            "{ctx}: six frames written"
+        );
+        assert!(matches!(err, DjError::Storage(_)), "{ctx}: {err:?}");
+        assert!(egress_bytes(&out_dir).is_none(), "{ctx}: manifest");
+        assert_no_partial_egress(&out_dir, &ctx);
+        let _ = std::fs::remove_dir_all(&out_dir);
     }
     let _ = std::fs::remove_dir_all(&input_dir);
 }
 
-/// "Every site × every shape" includes the columnar pipeline stage: it runs
-/// on the same shard driver as every other shape, so a shard claim and a
-/// worker step inside it are fault sites like anywhere else. The recipe has
-/// no barrier, so the one streaming pass of the run *is* the columnar
-/// pipeline stage — a hit on either site can only have come from there.
+/// "Every site × every shape" includes the spilled (columnar) pipeline
+/// stage: it runs on the same shard driver as every other shape, so a shard
+/// claim and a worker step inside it are fault sites like anywhere else.
+/// The recipe has no barrier, so the one streaming pass of the run *is* the
+/// columnar pipeline stage — a hit on either site can only have come from
+/// there.
 #[test]
 fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -334,13 +324,12 @@ fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
         .0;
     for site in ["exec.shard.claim", "exec.worker.step"] {
         let plan = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, 1, 7));
-        let exec =
-            Executor::new(ops.clone()).with_options(mem_options(true, true, Arc::clone(&plan)));
+        let exec = Executor::new(ops.clone()).with_options(mem_options(true, Arc::clone(&plan)));
         let out = runtime()
             .submit(exec, dataset(48))
             .wait()
             .unwrap_or_else(|e| panic!("{site}: a transient fault must be retried away: {e}"));
-        assert!(out.report.spilled && out.report.columnar, "{site}: shape");
+        assert!(out.report.spilled, "{site}: shape");
         assert!(
             plan.hits(site) > 0,
             "{site} was never reached inside the columnar pipeline stage"
@@ -373,69 +362,59 @@ fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
     let input = input_dir.join("in.jsonl");
     std::fs::write(&input, lines.join("\n") + "\n").unwrap();
     let site = "store.frame.read";
-    let options = |columnar: bool, out: &Path, plan: Arc<FaultPlan>| ExecOptions {
+    let options = |out: &Path, plan: Arc<FaultPlan>| ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
-        columnar,
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
         faults: Some(plan),
         env: EnvKnobs::default(),
         ..ExecOptions::default()
     };
-    for columnar in [false, true] {
-        // A plan that never fires counts the reads: one per shard.
-        let baseline_dir = unique_dir("masked-egress-baseline");
-        let idle = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, u64::MAX, 7));
-        let exec = Executor::new(ops.clone()).with_options(options(
-            columnar,
-            &baseline_dir,
-            Arc::clone(&idle),
-        ));
-        let (_, report) = exec.run_io().unwrap();
-        assert_eq!(report.final_samples, 32);
-        assert_eq!(report.fingerprinted_barriers, 1);
-        assert_eq!(
-            idle.hits(site),
-            6,
-            "columnar={columnar}: each of the 6 frames must be read exactly once"
-        );
-        let expected = egress_bytes(&baseline_dir).expect("baseline egress");
+    // A plan that never fires counts the reads: one per shard.
+    let baseline_dir = unique_dir("masked-egress-baseline");
+    let idle = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, u64::MAX, 7));
+    let exec = Executor::new(ops.clone()).with_options(options(&baseline_dir, Arc::clone(&idle)));
+    let (_, report) = exec.run_io().unwrap();
+    assert_eq!(report.final_samples, 32);
+    assert_eq!(report.fingerprinted_barriers, 1);
+    assert_eq!(
+        idle.hits(site),
+        6,
+        "each of the 6 frames must be read exactly once"
+    );
+    let expected = egress_bytes(&baseline_dir).expect("baseline egress");
 
-        for &kind in KINDS {
-            for at in [1, 4] {
-                let ctx = format!("columnar={columnar} kind={} at={at}", kind.name());
-                let out_dir = unique_dir("masked-egress-out");
-                let plan = Arc::new(FaultPlan::single(site, kind, at, 7));
-                let exec = Executor::new(ops.clone()).with_options(options(
-                    columnar,
-                    &out_dir,
-                    Arc::clone(&plan),
-                ));
-                let result = runtime().submit_io(exec).wait();
-                assert!(plan.hits(site) >= at, "{ctx}: the fault never fired");
-                match result {
-                    Ok(_) => assert_eq!(
-                        egress_bytes(&out_dir).as_ref(),
-                        Some(&expected),
-                        "{ctx}: survived run must be byte-identical"
-                    ),
-                    Err(e) => {
-                        assert_clean_error(&e, &ctx);
-                        assert!(egress_bytes(&out_dir).is_none(), "{ctx}: manifest");
-                        assert_no_partial_egress(&out_dir, &ctx);
-                    }
+    for &kind in KINDS {
+        for at in [1, 4] {
+            let ctx = format!("kind={} at={at}", kind.name());
+            let out_dir = unique_dir("masked-egress-out");
+            let plan = Arc::new(FaultPlan::single(site, kind, at, 7));
+            let exec =
+                Executor::new(ops.clone()).with_options(options(&out_dir, Arc::clone(&plan)));
+            let result = runtime().submit_io(exec).wait();
+            assert!(plan.hits(site) >= at, "{ctx}: the fault never fired");
+            match result {
+                Ok(_) => assert_eq!(
+                    egress_bytes(&out_dir).as_ref(),
+                    Some(&expected),
+                    "{ctx}: survived run must be byte-identical"
+                ),
+                Err(e) => {
+                    assert_clean_error(&e, &ctx);
+                    assert!(egress_bytes(&out_dir).is_none(), "{ctx}: manifest");
+                    assert_no_partial_egress(&out_dir, &ctx);
                 }
-                let _ = std::fs::remove_dir_all(&out_dir);
             }
+            let _ = std::fs::remove_dir_all(&out_dir);
         }
-        let _ = std::fs::remove_dir_all(&baseline_dir);
     }
+    let _ = std::fs::remove_dir_all(&baseline_dir);
     let _ = std::fs::remove_dir_all(&input_dir);
 }
 
 /// The seeded smoke matrix: each `seed:N` derives one fault (site × kind ×
-/// Nth hit) and drives it through all four execution shapes, asserting the
+/// Nth hit) and drives it through all three execution shapes, asserting the
 /// chaos property for each — seeds 0..8 in process. A `DJ_FAULTS` set in
 /// the environment narrows the loop to that one spec, to replay a failure
 /// (`DJ_FAULTS=seed:5 cargo test --test chaos env_seed_smoke`). The other
@@ -477,11 +456,11 @@ fn env_seed_smoke() {
     let expected = egress_bytes(&baseline_dir).expect("baseline egress");
 
     for spec in &specs {
-        // In-memory + forced-spill (row and columnar) shapes.
-        for (spill, columnar) in MEM_SHAPES {
+        // In-memory + forced-spill shapes.
+        for spill in MEM_SHAPES {
             let plan = Arc::new(FaultPlan::parse(spec).unwrap());
-            let ctx = format!("{spec} spill={spill} columnar={columnar}");
-            let exec = Executor::new(ops.clone()).with_options(mem_options(spill, columnar, plan));
+            let ctx = format!("{spec} spill={spill}");
+            let exec = Executor::new(ops.clone()).with_options(mem_options(spill, plan));
             match runtime().submit(exec, dataset(48)).wait() {
                 Ok(out) => assert_eq!(
                     out.dataset.expect("mem job returns a dataset"),

@@ -1,9 +1,9 @@
 //! Columnar (`DJSC`) execution invariants: field-projection pushdown must
 //! never change pipeline output, and its byte accounting must honor the
-//! projected columns' share of the corpus. Row vs columnar spools over
-//! random recipes is a row of `tests/mode_matrix.rs`; this file keeps the
-//! metadata-heavy corpus, the byte accounting, the recipe knob and the
-//! masks a columnar stage leaves on its spool.
+//! projected columns' share of the corpus. Spilled runs over random
+//! recipes are a row of `tests/mode_matrix.rs`; this file keeps the
+//! metadata-heavy corpus, the byte accounting, the retired recipe knob and
+//! the masks a stage leaves on its spool.
 
 use proptest::prelude::*;
 
@@ -16,10 +16,6 @@ use data_juicer::store::{
     encode_columnar_frame, envelope, to_jsonl, CacheManager, CacheMode, Codec, ColumnarSlab, Frame,
 };
 use data_juicer::synth::{web_corpus, WebNoise};
-
-fn texts(d: &Dataset) -> Vec<String> {
-    d.iter().map(|s| s.text().to_string()).collect()
-}
 
 /// A corpus where the text column is a minority of the bytes: every
 /// sample drags provenance metadata an op never reads.
@@ -69,16 +65,27 @@ fn full_recipe() -> Recipe {
         .then(OpSpec::new("document_deduplicator"))
 }
 
-fn spill_opts(columnar: bool) -> ExecOptions {
+fn spill_opts() -> ExecOptions {
     ExecOptions {
         num_workers: 2,
         op_fusion: true,
         trace_examples: 0,
         shard_size: Some(8),
         memory_budget: Some(1),
-        columnar,
         ..ExecOptions::default()
     }
+}
+
+/// The in-memory run of `ops`: the reference every spilled run equals.
+fn resident_run(ops: &[data_juicer::core::Op], data: Dataset) -> Dataset {
+    let baseline = Executor::new(ops.to_vec()).with_options(ExecOptions {
+        num_workers: 1,
+        op_fusion: false,
+        trace_examples: 0,
+        memory_budget: Some(u64::MAX),
+        ..ExecOptions::default()
+    });
+    baseline.run(data).unwrap().0
 }
 
 /// The headline equivalence: a spilled columnar run produces the same
@@ -89,20 +96,15 @@ fn columnar_spilled_run_matches_in_memory_output() {
     let registry = builtin_registry();
     let data = metadata_heavy_corpus(120);
     let ops = full_recipe().build_ops(&registry).unwrap();
-    let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
-        num_workers: 1,
-        op_fusion: false,
-        trace_examples: 0,
-        memory_budget: Some(u64::MAX),
-        ..ExecOptions::default()
-    });
-    let (expected, _) = baseline.run(data.clone()).unwrap();
+    let expected = resident_run(&ops, data.clone());
 
-    let exec = Executor::new(ops).with_options(spill_opts(true));
+    let exec = Executor::new(ops).with_options(spill_opts());
     let (out, report) = exec.run(data).unwrap();
     assert!(report.spilled);
-    assert!(report.columnar, "the report must flag columnar mode");
-    assert_eq!(out, expected, "columnar output diverged from row engine");
+    assert_eq!(
+        out, expected,
+        "columnar output diverged from the resident run"
+    );
     assert!(
         report.bytes_decoded > 0,
         "projected stages must account decoded bytes"
@@ -143,10 +145,10 @@ fn bytes_decoded_bounded_by_projected_columns_share() {
     );
     let ops = recipe.build_ops(&registry).unwrap();
     let (_, report) = Executor::new(ops)
-        .with_options(spill_opts(true))
+        .with_options(spill_opts())
         .run(data)
         .unwrap();
-    assert!(report.spilled && report.columnar);
+    assert!(report.spilled);
     assert!(report.bytes_decoded > 0);
     assert!(
         report.bytes_decoded <= projected,
@@ -163,28 +165,31 @@ fn bytes_decoded_bounded_by_projected_columns_share() {
     assert!(op.bytes_decoded > 0 && op.bytes_decoded <= projected);
 }
 
-/// The recipe knob drives columnar mode end to end, surviving a YAML
-/// round-trip, with output equal to the same recipe in row format.
+/// The retired recipe knob survives a YAML round-trip and changes nothing:
+/// every spilled run is columnar, with it or without it.
 #[test]
-fn recipe_columnar_knob_engages_and_matches_row_output() {
+fn recipe_columnar_knob_round_trips_and_changes_nothing() {
     let registry = builtin_registry();
     let data = metadata_heavy_corpus(80);
-    let row = full_recipe()
+    let plain = full_recipe()
         .with_np(2)
         .with_shard_size(8)
         .with_memory_budget(1);
-    let columnar = Recipe::from_yaml(&row.clone().with_columnar(true).to_yaml()).unwrap();
+    let columnar = Recipe::from_yaml(&plain.clone().with_columnar(true).to_yaml()).unwrap();
     assert!(columnar.columnar, "knob must survive the YAML round-trip");
-    let (expected, _) = executor_from_recipe(&row, &registry, true)
-        .unwrap()
-        .run(data.clone())
-        .unwrap();
-    let (out, report) = executor_from_recipe(&columnar, &registry, true)
-        .unwrap()
-        .run(data)
-        .unwrap();
-    assert!(report.spilled && report.columnar);
-    assert_eq!(texts(&out), texts(&expected));
+    let run = |recipe: &Recipe| {
+        executor_from_recipe(recipe, &registry, true)
+            .unwrap()
+            .run(data.clone())
+            .unwrap()
+    };
+    let (expected, plain_report) = run(&plain);
+    let (out, report) = run(&columnar);
+    assert!(report.spilled);
+    assert_eq!(out, expected);
+    let bytes = |r: &data_juicer::exec::RunReport| (r.bytes_decoded, r.bytes_passthrough);
+    assert_eq!(bytes(&report), bytes(&plain_report));
+    assert!(report.bytes_passthrough > 0);
 }
 
 /// Tracing decodes everything (trace events quote sample text), but must
@@ -194,11 +199,8 @@ fn columnar_with_tracing_still_matches() {
     let registry = builtin_registry();
     let data = metadata_heavy_corpus(60);
     let ops = full_recipe().build_ops(&registry).unwrap();
-    let (expected, _) = Executor::new(ops.clone())
-        .with_options(spill_opts(false))
-        .run(data.clone())
-        .unwrap();
-    let mut opts = spill_opts(true);
+    let expected = resident_run(&ops, data.clone());
+    let mut opts = spill_opts();
     opts.trace_examples = 3;
     let (out, report) = Executor::new(ops).with_options(opts).run(data).unwrap();
     assert_eq!(out, expected);
@@ -268,7 +270,6 @@ fn a_stage_mask_keeps_the_sidecar_shortcut_file_to_file() {
                 shard_size: Some(8),
                 input: Some(format!("{}/*.jsonl", input.display())),
                 output: Some(out_dir.clone()),
-                columnar: true,
                 ..ExecOptions::default()
             })
             .run_io()
@@ -330,12 +331,11 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
                 shard_size: Some(8),
                 memory_budget: Some(1),
                 spill_dir: Some(dir.join("spill")),
-                columnar: true,
                 ..ExecOptions::default()
             })
             .run_with_cache(data.clone(), &cache)
             .unwrap();
-        assert!(report.spilled && report.columnar);
+        assert!(report.spilled);
         let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("cache"))
             .unwrap()
             .flat_map(|recipe| std::fs::read_dir(recipe.unwrap().path()).unwrap())
@@ -359,7 +359,7 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
         let last = std::fs::read(entries.last().unwrap()).unwrap();
         let (mut stream, mut stored) = (&last[..], 0);
         while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
-            stored += Frame::parse(&sealed).unwrap().sample_count().unwrap();
+            stored += Frame::parse(&sealed).unwrap().sample_count();
         }
         assert_eq!(stored, out.len(), "np {np}");
         let _ = std::fs::remove_dir_all(&dir);

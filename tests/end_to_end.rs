@@ -27,8 +27,8 @@ fn every_catalog_recipe_resolves_against_the_registry() {
 }
 
 /// Every catalog recipe runs on mixed data without growing it — and gives
-/// the same bytes in every shape a recipe can ask for: spilled to row or
-/// columnar frames, planned adaptively, and submitted to a runtime. The
+/// the same bytes in every shape a recipe can ask for: spilled, planned
+/// adaptively, and submitted to a runtime. The
 /// catalog is where ops meet in stages (and footprints add up) the way
 /// users combine them.
 #[test]
@@ -44,17 +44,9 @@ fn every_catalog_recipe_runs_on_mixed_data() {
     };
     let shapes = [
         (
-            "spill-row",
+            "spill",
             ExecOptions {
                 memory_budget: Some(1),
-                ..base.clone()
-            },
-        ),
-        (
-            "spill-columnar",
-            ExecOptions {
-                memory_budget: Some(1),
-                columnar: true,
                 ..base.clone()
             },
         ),
@@ -140,7 +132,7 @@ fn yaml_recipe_file_roundtrip_via_disk() {
 fn analyzer_stats_are_consumed_by_later_filters() {
     // An analyzer pass precomputes stats; the pipeline's filters must not
     // recompute them (the §3.2 decoupling across tools) — whether the stats
-    // stay resident or travel through a spool, row or columnar.
+    // stay resident or travel through a spool.
     let registry = builtin_registry();
     let mut data = web_corpus(8, 60, WebNoise::default());
     Analyzer::new().probe(&mut data);
@@ -151,11 +143,10 @@ fn analyzer_stats_are_consumed_by_later_filters() {
     );
     let ops = recipe.build_ops(&registry).unwrap();
     let before_stats: Vec<Option<f64>> = data.iter().map(|s| s.stat("word_count")).collect();
-    for (memory_budget, columnar) in [(None, false), (Some(1), false), (Some(1), true)] {
+    for memory_budget in [None, Some(1)] {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             shard_size: Some(8),
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         });
         let (out, report) = exec.run(data.clone()).unwrap();
@@ -163,7 +154,7 @@ fn analyzer_stats_are_consumed_by_later_filters() {
         // Every surviving sample keeps the exact analyzer-computed value.
         for s in out.iter() {
             let v = s.stat("word_count").expect("stat present");
-            assert!(before_stats.contains(&Some(v)), "columnar={columnar}");
+            assert!(before_stats.contains(&Some(v)), "{memory_budget:?}");
         }
     }
 }

@@ -15,9 +15,8 @@ fn texts(d: &Dataset) -> Vec<String> {
     d.iter().map(|s| s.text().to_string()).collect()
 }
 
-/// Where the data lives: resident, spilled to row frames, spilled to
-/// columnar frames — `(memory_budget, columnar)`.
-const SHAPES: [(Option<u64>, bool); 3] = [(None, false), (Some(1), false), (Some(1), true)];
+/// Where the data lives: resident or spilled — the `memory_budget`.
+const SHAPES: [Option<u64>; 2] = [None, Some(1)];
 
 fn run(ops: Vec<data_juicer::core::Op>, data: Dataset, np: usize, fusion: bool) -> Dataset {
     run_in(ops, data, np, fusion, SHAPES[0])
@@ -28,7 +27,7 @@ fn run_in(
     data: Dataset,
     np: usize,
     fusion: bool,
-    (memory_budget, columnar): (Option<u64>, bool),
+    memory_budget: Option<u64>,
 ) -> Dataset {
     Executor::new(ops)
         .with_options(ExecOptions {
@@ -37,7 +36,6 @@ fn run_in(
             trace_examples: 0,
             shard_size: memory_budget.map(|_| 7),
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         })
         .run(data)
@@ -80,7 +78,7 @@ proptest! {
     fn prop_fusion_and_parallelism_preserve_output(
         indices in proptest::collection::vec(0usize..11, 1..7),
         seed in 0u64..1000,
-        shape in 0usize..3,
+        shape in 0usize..2,
     ) {
         let pool = spec_pool();
         let mut recipe = Recipe::new("prop");

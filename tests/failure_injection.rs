@@ -74,28 +74,20 @@ fn mapper_error_propagates_serial_and_parallel() {
 #[test]
 fn mapper_error_propagates_through_spilled_execution() {
     // The streaming (out-of-core) driver must fail fast with the same
-    // clean operator error as the in-memory paths — no panic, no hang —
-    // over either spool format.
+    // clean operator error as the in-memory paths — no panic, no hang.
     for np in [1usize, 4] {
-        for columnar in [false, true] {
-            let exec = Executor::new(vec![Op::Mapper(Arc::new(FailingMapper))]).with_options(
-                ExecOptions {
-                    num_workers: np,
-                    op_fusion: false,
-                    trace_examples: 0,
-                    shard_size: Some(8),
-                    memory_budget: Some(1),
-                    spill_dir: None,
-                    columnar,
-                    ..ExecOptions::default()
-                },
-            );
-            let err = exec.run(poisoned_dataset()).unwrap_err();
-            assert!(
-                err.to_string().contains("failing_mapper"),
-                "np={np} columnar={columnar}: {err}"
-            );
-        }
+        let exec =
+            Executor::new(vec![Op::Mapper(Arc::new(FailingMapper))]).with_options(ExecOptions {
+                num_workers: np,
+                op_fusion: false,
+                trace_examples: 0,
+                shard_size: Some(8),
+                memory_budget: Some(1),
+                spill_dir: None,
+                ..ExecOptions::default()
+            });
+        let err = exec.run(poisoned_dataset()).unwrap_err();
+        assert!(err.to_string().contains("failing_mapper"), "np={np}: {err}");
     }
 }
 
@@ -157,24 +149,18 @@ fn run_restarts_cleanly_after_simulated_mid_stage_kill() {
     });
     let (expected, _) = baseline.run(data.clone()).unwrap();
 
-    for columnar in [false, true] {
-        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-            num_workers: 2,
-            op_fusion: false,
-            trace_examples: 0,
-            shard_size: Some(8),
-            memory_budget: Some(1),
-            spill_dir: Some(dir.clone()),
-            columnar,
-            ..ExecOptions::default()
-        });
-        let (out, report) = exec.run(data.clone()).unwrap();
-        assert!(report.spilled);
-        assert_eq!(
-            out, expected,
-            "columnar={columnar}: restart must not be polluted by debris"
-        );
-    }
+    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+        num_workers: 2,
+        op_fusion: false,
+        trace_examples: 0,
+        shard_size: Some(8),
+        memory_budget: Some(1),
+        spill_dir: Some(dir.clone()),
+        ..ExecOptions::default()
+    });
+    let (out, report) = exec.run(data.clone()).unwrap();
+    assert!(report.spilled);
+    assert_eq!(out, expected, "restart must not be polluted by debris");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -191,21 +177,20 @@ fn filter_error_propagates_through_fused_plan() {
         f
     };
     let ops = vec![Op::Filter(word_filter), Op::Filter(Arc::new(FailingFilter))];
-    // Resident, and streamed from a row or a columnar spool.
-    for (memory_budget, columnar) in [(None, false), (Some(1), false), (Some(1), true)] {
+    // Resident, and streamed from a spool.
+    for memory_budget in [None, Some(1)] {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
             op_fusion: true,
             trace_examples: 0,
             shard_size: Some(8),
             memory_budget,
-            columnar,
             ..ExecOptions::default()
         });
         let err = exec.run(poisoned_dataset()).unwrap_err();
         assert!(
             err.to_string().contains("failing_filter"),
-            "columnar={columnar}: {err}"
+            "{memory_budget:?}: {err}"
         );
     }
 }

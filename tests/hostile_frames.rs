@@ -1,7 +1,10 @@
 //! Bytes we did not write: one seeded, structure-aware mutation loop over
 //! everything that opens sealed bytes — `envelope::open`, `Frame::parse` and
-//! every operation on the parsed frame (both formats), the `Read` adapter,
-//! the spool's byte-copy reads and the `DJFP` sidecar reader.
+//! every operation on the parsed (`DJSC`) frame, the `frames` part readers
+//! (`FrameSlab` and the `Read` adapter, the row `DJSF` parser's entry
+//! points), the spool's reads and the `DJFP` sidecar reader. A row frame is
+//! never a spill or cache frame: `Frame::parse` and every spool read refuse
+//! it with a typed error.
 //!
 //! Whatever the input — flipped bits, truncation at every header boundary,
 //! length-prefix bombs (a length, count or size field claiming far more than
@@ -30,6 +33,7 @@ use std::time::{Duration, Instant};
 use proptest::TestRng;
 
 use data_juicer::core::{Dataset, DjError, Fingerprints, Sample, Value, MAX_NESTING_DEPTH};
+use data_juicer::hash::checksum64;
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
     seal_fingerprints, to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool,
@@ -104,7 +108,7 @@ const MASK: [bool; 7] = [true, false, true, true, false, true, false];
 
 /// Who accepted the bytes they were fed.
 struct Accepted {
-    /// `Frame::parse`: they are one shard frame.
+    /// `Frame::parse` or the `frames` part reader: they are one shard frame.
     frame: bool,
     /// `ShardSpool::read_fingerprints`: they are one fingerprint sidecar.
     sidecar: bool,
@@ -125,12 +129,14 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
         }
     });
 
-    // One frame of either format, and every operation on it.
+    // One spill or cache frame, and every operation on it.
     let parsed = Frame::parse(bytes);
-    let frame = parsed.is_ok();
+    let mut frame = parsed.is_ok();
+    let row = bytes.starts_with(SHARD_FRAME_MAGIC);
     match parsed {
+        Ok(_) if row => panic!("a row frame parsed as a spill frame"),
         Ok(frame) => {
-            results.push(frame.sample_count().map(drop));
+            assert!(frame.sample_count() <= allocation_bound(bytes.len()));
             results.push(frame.decode(None, None).map(drop));
             results.push(frame.decode(Some(&text), Some(&MASK)).map(drop));
             results.push(frame.with_texts("meta.lang", |t| Ok(t.len())).map(drop));
@@ -139,18 +145,31 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
         }
         Err(e) => results.push(Err(e)),
     }
-    results.push(FrameSlab::from_frame_bytes(bytes).map(drop));
-    results.push(ColumnarSlab::from_frame_bytes(bytes).map(drop));
+    // One `frames` output part: the row parser's two entry points.
+    let part = FrameSlab::from_frame_bytes(bytes).and_then(|slab| slab.decode());
     let mut stream = bytes;
-    results.push(read_shard_frame(&mut stream).map(drop));
+    let read_back = read_shard_frame(&mut stream);
+    frame |= part.is_ok();
+    results.push(part.map(drop));
+    results.push(read_back.map(drop));
+    results.push(ColumnarSlab::from_frame_bytes(bytes).map(drop));
 
     // As a spool slot: the checked reads, byte-copying ones included.
     spool.write_frame_bytes(0, bytes, MASK.len()).unwrap();
-    results.push(spool.read(0).map(drop));
+    let mut slot = vec![spool.read(0).map(drop)];
     for keep in [None, Some(&MASK[..])] {
-        results.push(spool.read_frame_bytes(0, keep).map(drop));
-        results.push(spool.read_row_frame_bytes(0, keep).map(drop));
+        slot.push(spool.read_frame_bytes(0, keep).map(drop));
+        slot.push(spool.read_row_frame_bytes(0, keep).map(drop));
     }
+    if row {
+        for read in &slot {
+            assert!(
+                matches!(read, Err(DjError::Storage(_))),
+                "row slot: {read:?}"
+            );
+        }
+    }
+    results.extend(slot);
 
     // As a fingerprint sidecar: alone, and as the set a barrier would take
     // (ignored whole unless it describes the slot's samples one for one).
@@ -429,12 +448,34 @@ fn nested_sample(lists: usize) -> Dataset {
     Dataset::from_samples(vec![sample])
 }
 
+/// A sealed one-sample columnar frame with the single column `name` whose
+/// (uncompressed) region is `body`.
+fn one_column_frame(name: &str, body: &[u8]) -> Vec<u8> {
+    let region = compress(body, Codec::None);
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    payload.extend_from_slice(name.as_bytes());
+    let words = [
+        0,
+        region.len() as u64,
+        body.len() as u64,
+        checksum64(&region),
+    ];
+    words
+        .iter()
+        .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+    payload.extend_from_slice(&region);
+    envelope::seal(COLUMNAR_FRAME_MAGIC, &payload)
+}
+
 /// Nesting behind a valid checksum. The tagged-value decoders recurse once
 /// per level, so without a limit a deep enough payload overflows the stack
 /// — an abort no `catch_unwind` sees. A sample may nest `MAX_NESTING_DEPTH`
-/// levels, its root object included (the JSON text limit), in either
-/// format; one level more, or 200 000, is a typed storage error from
-/// every decoder.
+/// levels, its root object included (the JSON text limit), in a spill
+/// frame and in a `frames` part; one level more, or 200 000, is a typed
+/// storage error from every decoder.
 #[test]
 fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     let dir = std::env::temp_dir().join(format!("dj-hostile-nesting-{}", std::process::id()));
@@ -449,45 +490,56 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
 
     for (lists, fits) in [(MAX_NESTING_DEPTH - 1, true), (MAX_NESTING_DEPTH, false)] {
         let ds = nested_sample(lists);
-        for sealed in [
-            encode_shard_frame(&ds, Codec::Djz),
-            encode_columnar_frame(&ds, Codec::Djz),
-        ] {
-            check(&spool, "nesting at the limit", &sealed);
-            let frame = Frame::parse(&sealed).unwrap();
-            let decoded = frame.decode(None, None).map(|(d, _)| d);
-            let mut printed = String::new();
-            let written = frame.write_jsonl(None, &mut printed);
-            if fits {
-                assert_eq!(decoded.unwrap(), ds, "{lists} lists");
-                written.unwrap();
-                assert_eq!(printed, to_jsonl(&ds), "{lists} lists");
-            } else {
-                refused(decoded, "decode one level past");
-                refused(written, "transcode one level past");
-            }
+        let sealed = encode_columnar_frame(&ds, Codec::Djz);
+        check(&spool, "nesting at the limit", &sealed);
+        let frame = Frame::parse(&sealed).unwrap();
+        let decoded = frame.decode(None, None).map(|(d, _)| d);
+        let mut printed = String::new();
+        let written = frame.write_jsonl(None, &mut printed);
+        let part = encode_shard_frame(&ds, Codec::Djz);
+        check(&spool, "nesting at the limit", &part);
+        let read_back = read_shard_frame(&mut part.as_slice()).map(Option::unwrap);
+        if fits {
+            assert_eq!(decoded.unwrap(), ds, "{lists} lists");
+            written.unwrap();
+            assert_eq!(printed, to_jsonl(&ds), "{lists} lists");
+            assert_eq!(read_back.unwrap(), ds, "{lists} lists");
+        } else {
+            refused(decoded, "decode one level past");
+            refused(written, "transcode one level past");
+            refused(read_back, "read back one level past");
         }
     }
 
     // 200 000 levels, written as bytes: a `Value` that deep could not even
-    // be dropped without recursing.
+    // be dropped without recursing. As a spill frame's `text` column ...
+    let mut deep = Vec::new();
+    for _ in 0..200_000 {
+        deep.push(6); // a list of one item
+        deep.extend_from_slice(&1u32.to_le_bytes());
+    }
+    deep.push(0); // null
+    let sealed = one_column_frame("text", &[&[1u8][..], &deep].concat());
+    check(&spool, "nesting bomb", &sealed);
+    let frame = Frame::parse(&sealed).unwrap();
+    refused(frame.decode(None, None), "decode");
+    refused(frame.write_jsonl(None, &mut String::new()), "transcode");
+    refused(frame.with_texts("text.x", |t| Ok(t.len())), "skip");
+    // ... and as a `frames` part's one sample.
     let mut payload = vec![1u8];
     payload.extend_from_slice(&1u64.to_le_bytes());
     payload.push(7); // map of one entry: "text" →
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.extend_from_slice(&4u32.to_le_bytes());
     payload.extend_from_slice(b"text");
-    for _ in 0..200_000 {
-        payload.push(6); // a list of one item
-        payload.extend_from_slice(&1u32.to_le_bytes());
-    }
-    payload.push(0); // null
+    payload.extend_from_slice(&deep);
     let sealed = envelope::seal(SHARD_FRAME_MAGIC, &compress(&payload, Codec::None));
     check(&spool, "nesting bomb", &sealed);
-    let frame = Frame::parse(&sealed).unwrap();
-    refused(frame.decode(None, None), "decode");
-    refused(frame.write_jsonl(None, &mut String::new()), "transcode");
-    refused(frame.with_texts("meta.lang", |t| Ok(t.len())), "skip");
+    refused(read_shard_frame(&mut sealed.as_slice()), "read back");
+    refused(
+        FrameSlab::from_frame_bytes(&sealed).and_then(|slab| slab.decode()),
+        "decode a part",
+    );
     drop(spool);
     assert!(!dir.exists());
 }

@@ -4,8 +4,7 @@
 //! typed errors carrying `path:line`; egress manifests must account for
 //! every byte; and the whole path must stay constant-memory with
 //! single-pass (fingerprint-on-ingest) dedup barriers. A file-backed run
-//! always spools, so the round trips run over both spool formats: row and
-//! columnar frames.
+//! always spools.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -109,57 +108,53 @@ fn file_backed_run_is_byte_identical_to_in_memory() {
     let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
     let expected = in_memory_reference(ops.clone(), data.clone());
 
-    for columnar in [false, true] {
-        let _ = fs::remove_dir_all(&out_dir);
-        let (np, shard_size) = (3usize, 8usize);
-        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-            num_workers: np,
-            trace_examples: 0,
-            shard_size: Some(shard_size),
-            input: Some(pattern.clone()),
-            output: Some(out_dir.clone()),
-            columnar,
-            ..ExecOptions::default()
-        });
-        let (out, report) = exec.run_io().unwrap();
-        assert!(out.is_none(), "egress to a directory returns no dataset");
-        assert_eq!(report.columnar, columnar);
-        assert!(report.spilled);
-        assert_eq!(report.initial_samples, data.len());
-        assert_eq!(report.final_samples, expected.len());
-        assert!(report.ingest_bytes > 0);
-        assert!(report.egress_bytes > 0);
-        assert!(
-            report.fingerprinted_barriers >= 1,
-            "ingest-adjacent barrier must consume ingest-time fingerprints"
-        );
-        let bound = np * 2 * shard_size; // default prefetch_depth = 2
-        assert!(
-            report.peak_resident_samples <= bound,
-            "{} resident samples > bound {bound}",
-            report.peak_resident_samples
-        );
+    let _ = fs::remove_dir_all(&out_dir);
+    let (np, shard_size) = (3usize, 8usize);
+    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+        num_workers: np,
+        trace_examples: 0,
+        shard_size: Some(shard_size),
+        input: Some(pattern.clone()),
+        output: Some(out_dir.clone()),
+        ..ExecOptions::default()
+    });
+    let (out, report) = exec.run_io().unwrap();
+    assert!(out.is_none(), "egress to a directory returns no dataset");
+    assert!(report.spilled);
+    assert_eq!(report.initial_samples, data.len());
+    assert_eq!(report.final_samples, expected.len());
+    assert!(report.ingest_bytes > 0);
+    assert!(report.egress_bytes > 0);
+    assert!(
+        report.fingerprinted_barriers >= 1,
+        "ingest-adjacent barrier must consume ingest-time fingerprints"
+    );
+    let bound = np * 2 * shard_size; // default prefetch_depth = 2
+    assert!(
+        report.peak_resident_samples <= bound,
+        "{} resident samples > bound {bound}",
+        report.peak_resident_samples
+    );
 
-        let manifest = EgressManifest::load(&out_dir).unwrap();
-        assert_eq!(manifest.format, OutputFormat::Jsonl);
-        assert_eq!(manifest.total_samples, expected.len());
-        let mut concat = String::new();
-        for part in &manifest.parts {
-            concat.push_str(&fs::read_to_string(out_dir.join(&part.file)).unwrap());
-        }
-        assert_eq!(
-            concat,
-            to_jsonl(&expected),
-            "egress bytes diverge from the in-memory engine"
-        );
-        // The manifest accounts for every byte on disk.
-        let part_sum: u64 = manifest.parts.iter().map(|p| p.bytes).sum();
-        assert_eq!(part_sum, manifest.total_bytes);
-        assert_eq!(report.egress_bytes, manifest.total_bytes);
-        for part in &manifest.parts {
-            let on_disk = fs::metadata(out_dir.join(&part.file)).unwrap().len();
-            assert_eq!(on_disk, part.bytes, "{} size drifted", part.file);
-        }
+    let manifest = EgressManifest::load(&out_dir).unwrap();
+    assert_eq!(manifest.format, OutputFormat::Jsonl);
+    assert_eq!(manifest.total_samples, expected.len());
+    let mut concat = String::new();
+    for part in &manifest.parts {
+        concat.push_str(&fs::read_to_string(out_dir.join(&part.file)).unwrap());
+    }
+    assert_eq!(
+        concat,
+        to_jsonl(&expected),
+        "egress bytes diverge from the in-memory engine"
+    );
+    // The manifest accounts for every byte on disk.
+    let part_sum: u64 = manifest.parts.iter().map(|p| p.bytes).sum();
+    assert_eq!(part_sum, manifest.total_bytes);
+    assert_eq!(report.egress_bytes, manifest.total_bytes);
+    for part in &manifest.parts {
+        let on_disk = fs::metadata(out_dir.join(&part.file)).unwrap().len();
+        assert_eq!(on_disk, part.bytes, "{} size drifted", part.file);
     }
 
     let _ = fs::remove_dir_all(&input_dir);
@@ -179,38 +174,35 @@ fn frames_egress_round_trips_through_the_frame_format() {
     let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
     let expected = in_memory_reference(ops.clone(), data);
 
-    for columnar in [false, true] {
-        let _ = fs::remove_dir_all(&out_dir);
-        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-            num_workers: 2,
-            trace_examples: 0,
-            shard_size: Some(6),
-            input: Some(pattern.clone()),
-            output: Some(out_dir.clone()),
-            output_format: OutputFormat::Frames,
-            columnar,
-            ..ExecOptions::default()
-        });
-        let (_, report) = exec.run_io().unwrap();
-        assert!(report.egress_bytes > 0);
+    let _ = fs::remove_dir_all(&out_dir);
+    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+        num_workers: 2,
+        trace_examples: 0,
+        shard_size: Some(6),
+        input: Some(pattern.clone()),
+        output: Some(out_dir.clone()),
+        output_format: OutputFormat::Frames,
+        ..ExecOptions::default()
+    });
+    let (_, report) = exec.run_io().unwrap();
+    assert!(report.egress_bytes > 0);
 
-        let manifest = EgressManifest::load(&out_dir).unwrap();
-        assert_eq!(manifest.format, OutputFormat::Frames);
-        let mut rebuilt = Dataset::new();
-        for part in &manifest.parts {
-            let mut f = fs::File::open(out_dir.join(&part.file)).unwrap();
-            let shard = read_shard_frame(&mut f)
-                .unwrap()
-                .expect("one frame per part");
-            assert_eq!(shard.len(), part.samples, "{} sample count", part.file);
-            assert!(read_shard_frame(&mut f).unwrap().is_none());
-            for s in shard.iter() {
-                rebuilt.push(s.clone());
-            }
+    let manifest = EgressManifest::load(&out_dir).unwrap();
+    assert_eq!(manifest.format, OutputFormat::Frames);
+    let mut rebuilt = Dataset::new();
+    for part in &manifest.parts {
+        let mut f = fs::File::open(out_dir.join(&part.file)).unwrap();
+        let shard = read_shard_frame(&mut f)
+            .unwrap()
+            .expect("one frame per part");
+        assert_eq!(shard.len(), part.samples, "{} sample count", part.file);
+        assert!(read_shard_frame(&mut f).unwrap().is_none());
+        for s in shard.iter() {
+            rebuilt.push(s.clone());
         }
-        assert_eq!(rebuilt, expected, "columnar={columnar}");
-        assert_eq!(manifest.total_samples, expected.len());
     }
+    assert_eq!(rebuilt, expected);
+    assert_eq!(manifest.total_samples, expected.len());
 
     let _ = fs::remove_dir_all(&input_dir);
     let _ = fs::remove_dir_all(&out_dir);
@@ -263,35 +255,32 @@ fn csv_ingest_end_to_end() {
         )
         .build_ops(&builtin_registry())
         .unwrap();
-    for columnar in [false, true] {
-        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-            num_workers: 2,
-            trace_examples: 0,
-            shard_size: Some(2),
-            input: Some(format!("{}/*.csv", dir.display())),
-            columnar,
-            ..ExecOptions::default()
-        });
-        let (out, report) = exec.run_io().unwrap();
-        let out = out.unwrap();
-        assert_eq!(report.initial_samples, 3);
-        assert_eq!(
-            out.iter().map(|s| s.text()).collect::<Vec<_>>(),
-            vec![
-                "a quoted field, with a comma",
-                "doubled \"quotes\" and an\nembedded newline",
-                "plain text row",
-            ]
-        );
-        assert_eq!(
-            out.get(2)
-                .unwrap()
-                .value()
-                .get_path("meta.lang")
-                .and_then(|v| v.as_str()),
-            Some("fr")
-        );
-    }
+    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+        num_workers: 2,
+        trace_examples: 0,
+        shard_size: Some(2),
+        input: Some(format!("{}/*.csv", dir.display())),
+        ..ExecOptions::default()
+    });
+    let (out, report) = exec.run_io().unwrap();
+    let out = out.unwrap();
+    assert_eq!(report.initial_samples, 3);
+    assert_eq!(
+        out.iter().map(|s| s.text()).collect::<Vec<_>>(),
+        vec![
+            "a quoted field, with a comma",
+            "doubled \"quotes\" and an\nembedded newline",
+            "plain text row",
+        ]
+    );
+    assert_eq!(
+        out.get(2)
+            .unwrap()
+            .value()
+            .get_path("meta.lang")
+            .and_then(|v| v.as_str()),
+        Some("fr")
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -300,36 +289,30 @@ fn csv_ingest_end_to_end() {
 fn fixture_corpus_runs_end_to_end() {
     let pattern = "fixtures/*.jsonl".to_string();
     let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
-    let mut outs = Vec::new();
-    for columnar in [false, true] {
-        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-            num_workers: 2,
-            trace_examples: 0,
-            shard_size: Some(4),
-            input: Some(pattern.clone()),
-            columnar,
-            ..ExecOptions::default()
-        });
-        let (out, report) = exec.run_io().unwrap();
-        let out = out.unwrap();
-        assert!(report.initial_samples > 0, "corpus `{pattern}` is empty");
-        assert!(!out.is_empty());
-        assert!(report.ingest_bytes > 0);
-        assert!(
-            report.fingerprinted_barriers >= 1,
-            "fixture run must fingerprint on ingest"
-        );
-        outs.push(out);
-    }
-    assert_eq!(outs[0], outs[1], "row and columnar spools disagree");
+    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+        num_workers: 2,
+        trace_examples: 0,
+        shard_size: Some(4),
+        input: Some(pattern.clone()),
+        ..ExecOptions::default()
+    });
+    let (out, report) = exec.run_io().unwrap();
+    let out = out.unwrap();
+    assert!(report.initial_samples > 0, "corpus `{pattern}` is empty");
+    assert!(!out.is_empty());
+    assert!(report.ingest_bytes > 0);
+    assert!(
+        report.fingerprinted_barriers >= 1,
+        "fixture run must fingerprint on ingest"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For random corpora (arbitrary unicode, escape-heavy strings, empty
-    /// texts), worker counts, shard sizes, prefetch depths, file splits and
-    /// spool formats: the file-backed run returns exactly the in-memory result,
+    /// texts), worker counts, shard sizes, prefetch depths and file splits:
+    /// the file-backed run returns exactly the in-memory result,
     /// JSONL egress is byte-identical to `to_jsonl` of it, and residency
     /// stays within `np × depth × shard_size`.
     #[test]
@@ -354,9 +337,8 @@ proptest! {
         shard_size in 1usize..9,
         depth in 1usize..4,
         files in 1usize..4,
-        columnar in any::<bool>(),
     ) {
-        let tag = format!("prop-{np}-{shard_size}-{depth}-{files}-{columnar}-{}", texts.len());
+        let tag = format!("prop-{np}-{shard_size}-{depth}-{files}-{}", texts.len());
         let input_dir = fresh_dir(&format!("{tag}-in"));
         let out_dir = unique_dir(&format!("{tag}-out"));
         let _ = fs::remove_dir_all(&out_dir);
@@ -372,7 +354,6 @@ proptest! {
             shard_size: Some(shard_size),
             prefetch_depth: depth,
             input: Some(pattern),
-            columnar,
             ..ExecOptions::default()
         };
 

@@ -1,7 +1,7 @@
 //! Differential oracle for JSON text in and out.
 //!
 //! The byte-level writer (`Value`'s `Display`, `write_jsonl_into`), the
-//! byte-level parser (`parse_json`) and both frame → JSONL transcoders are
+//! byte-level parser (`parse_json`) and the frame → JSONL transcoder are
 //! checked against `json_reference` — the `char`-by-`char` `Display` and
 //! the `Vec<char>` parser they replaced, kept verbatim — over random `Value`
 //! trees built to hit every branch: control characters, `"` and `\`, DEL,
@@ -277,11 +277,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// JSONL text is the same whoever prints it: the reference `Display`,
-    /// `write_jsonl_into`, the row transcoder and the columnar transcoder,
-    /// with and without a keep mask.
+    /// `write_jsonl_into` and the transcoder, with and without a keep mask —
+    /// and so is what the masked decode, an entry-filtered frame and a
+    /// `frames` part (a row frame) read back hold.
     #[test]
     fn prop_transcoders_print_what_the_reference_prints(ds in shard(), bits in any::<u64>()) {
-        let row = FrameSlab::from_frame_bytes(&encode_shard_frame(&ds, Codec::Djz)).unwrap();
         let col = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&ds, Codec::Djz)).unwrap();
         prop_assert_eq!(to_jsonl(&ds), reference_jsonl(ds.iter()));
         let some: Vec<bool> = (0..ds.len()).map(|i| bits >> i & 1 == 1).collect();
@@ -290,19 +290,17 @@ proptest! {
             let live = ds.iter().enumerate().filter(|(i, _)| keep.is_none_or(|k| k[*i]));
             let want = reference_jsonl(live.map(|(_, s)| s));
             let mut out = String::new();
-            let n = row.write_jsonl(keep, &mut out).unwrap();
-            prop_assert_eq!(&out, &want, "row transcoder, keep {:?}", keep);
+            let n = col.write_jsonl(keep, &mut out).unwrap();
+            prop_assert_eq!(&out, &want, "transcoder, keep {:?}", keep);
             prop_assert_eq!(n, want.lines().count());
-            out.clear();
-            prop_assert_eq!(col.write_jsonl(keep, &mut out).unwrap(), n);
-            prop_assert_eq!(&out, &want, "columnar transcoder, keep {:?}", keep);
-            // The masked decodes and the entry-filtered frames agree too.
-            let decoded = row.decode_kept(keep).unwrap();
+            let decoded = col.decode_kept(None, keep).unwrap().0;
             prop_assert_eq!(to_jsonl(&decoded), want.clone());
-            prop_assert_eq!(to_jsonl(&col.decode_kept(None, keep).unwrap().0), want.clone());
+            let part = FrameSlab::from_frame_bytes(&encode_shard_frame(&decoded, Codec::Djz));
+            prop_assert_eq!(to_jsonl(&part.unwrap().decode().unwrap()), want.clone());
             if let Some(keep) = keep {
-                let filtered = row.filter_frame(keep, Codec::Djz).unwrap();
-                prop_assert_eq!(filtered, encode_shard_frame(&decoded, Codec::Djz));
+                let filtered = col.filter_frame(keep, Codec::Djz).unwrap();
+                let filtered = ColumnarSlab::from_frame_bytes(&filtered).unwrap();
+                prop_assert_eq!(to_jsonl(&filtered.decode().unwrap()), want.clone());
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The mode matrix against a naive oracle: every execution shape the engine
-//! has — in-memory, forced-spill row, forced-spill columnar, file→file row,
-//! file→file columnar — × worker count × adaptive planning × prefetch depth
+//! has — in-memory, forced spill, file→file — × worker count × adaptive
+//! planning × prefetch depth
 //! × direct call or service-runtime job must produce output byte-equal to a
 //! deliberately simple reference (apply the ops in recipe order, sample by
 //! sample, unfused, with a global dedup through `keep_mask`), and must
@@ -28,7 +28,10 @@ use data_juicer::exec::{
     RuntimeConfig, TraceEvent,
 };
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{read_shard_frame, to_jsonl, CacheManager, CacheMode};
+use data_juicer::store::{
+    encode_shard_frame, envelope, read_shard_frame, to_jsonl, CacheManager, CacheMode, Codec,
+    Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC,
+};
 use data_juicer::synth::{
     arxiv_corpus, chinese_corpus, code_corpus, dialog_corpus, web_corpus, wiki_corpus, WebNoise,
 };
@@ -82,19 +85,11 @@ fn oracle(ops: &[Op], data: Dataset) -> Dataset {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
     InMemory,
-    SpillRow,
-    SpillColumnar,
-    FileRow,
-    FileColumnar,
+    Spill,
+    File,
 }
 
-const SHAPES: [Shape; 5] = [
-    Shape::InMemory,
-    Shape::SpillRow,
-    Shape::SpillColumnar,
-    Shape::FileRow,
-    Shape::FileColumnar,
-];
+const SHAPES: [Shape; 3] = [Shape::InMemory, Shape::Spill, Shape::File];
 
 #[derive(Debug, Clone, Copy)]
 struct Mode {
@@ -106,7 +101,7 @@ struct Mode {
     /// `submit_io`, then `wait`) instead of calling the executor.
     runtime: bool,
     /// `trace_examples`: a non-zero cap makes barriers collect duplicate
-    /// traces (and columnar stages decode every column).
+    /// traces (and spilled stages decode every column).
     trace: usize,
     /// File shapes write `frames` parts instead of JSONL.
     frames: bool,
@@ -167,7 +162,7 @@ impl Mode {
             if base.adaptive || base.prefetch_depth != 2 {
                 continue;
             }
-            let file = matches!(base.shape, Shape::FileRow | Shape::FileColumnar);
+            let file = base.shape == Shape::File;
             for trace in [0, 2] {
                 for frames in [false, true] {
                     if file || !frames {
@@ -187,7 +182,7 @@ impl Mode {
     /// operator's environment out of it (a `DJ_FAULTS` seed being replayed
     /// in the same shell would fault every run).
     fn options(&self, shard_size: usize) -> ExecOptions {
-        let file = matches!(self.shape, Shape::FileRow | Shape::FileColumnar);
+        let file = self.shape == Shape::File;
         ExecOptions {
             num_workers: self.np,
             shard_size: Some(shard_size),
@@ -196,7 +191,6 @@ impl Mode {
             } else {
                 1
             }),
-            columnar: matches!(self.shape, Shape::SpillColumnar | Shape::FileColumnar),
             adaptive: self.adaptive,
             prefetch_depth: self.prefetch_depth,
             trace_examples: self.trace,
@@ -214,7 +208,7 @@ impl Mode {
     /// mode wrote, or the serialization of what a resident mode returned).
     fn run(&self, ops: &[Op], case: &Case) -> (String, RunReport) {
         let mut options = self.options(case.shard_size);
-        let file = matches!(self.shape, Shape::FileRow | Shape::FileColumnar);
+        let file = self.shape == Shape::File;
         let out_dir = case.dir.join("out");
         if file {
             let _ = fs::remove_dir_all(&out_dir);
@@ -308,7 +302,7 @@ impl Drop for Case {
 
 /// A `dj-synth` corpus with cross-shard duplicates (exact and
 /// whitespace-variant) and provenance columns no op ever reads, so the
-/// columnar modes have something to splice through undecoded.
+/// spilled modes have something to splice through undecoded.
 fn corpus(seed: u64, n: usize) -> Dataset {
     let mut ds = match seed % 3 {
         0 => web_corpus(seed, n, WebNoise::default()),
@@ -465,8 +459,8 @@ fn duplicate_traces(report: &RunReport) -> DuplicateTraces {
 
 /// A spilled barrier writes nothing — its mask rides on the spool to
 /// whatever opens it next. Every next thing, in every shape: JSONL egress
-/// (transcoded), `frames` egress (entry-filtered row frames, or a masked
-/// decode of columnar ones), materialization, a following stage, a second
+/// (transcoded), `frames` egress (a masked decode into row frames),
+/// materialization, a following stage, a second
 /// barrier with no stage between. With a trace cap the duplicate snippets
 /// are borrowed from the undecoded frames and must be the resident run's.
 #[test]
@@ -512,7 +506,7 @@ fn a_deferred_mask_reaches_every_way_out() {
 /// A stage cache entry saved right after a spilled barrier holds the
 /// masked data (the deferred mask is applied on the way into the entry),
 /// so a later run that resumes from it equals a fresh run — per-stage keys
-/// and `prefix_cache` keys, row and columnar spools.
+/// and `prefix_cache` keys.
 #[test]
 fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
     let data = corpus(14, 90);
@@ -520,9 +514,9 @@ fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
     // No second barrier: duplicates that slipped into the entry would show.
     let extended = [0, 3, 8, 1, 4];
     let fresh = to_jsonl(&oracle(&build(&extended), data.clone()));
-    for (columnar, prefix_cache) in [(false, false), (true, false), (false, true), (true, true)] {
+    for prefix_cache in [false, true] {
         let dir = std::env::temp_dir().join(format!(
-            "dj-mode-matrix-cache-{columnar}-{prefix_cache}-{}",
+            "dj-mode-matrix-cache-{prefix_cache}-{}",
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&dir);
@@ -533,7 +527,6 @@ fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
                 shard_size: Some(8),
                 memory_budget: Some(1),
                 spill_dir: Some(dir.join("spill")),
-                columnar,
                 prefix_cache,
                 // One step per stage either way, so both runs cut the
                 // recipe into the same cache keys.
@@ -547,28 +540,29 @@ fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
         let (out, resumed) = exec(&extended)
             .run_with_cache(data.clone(), &cache)
             .unwrap();
-        let tag = format!("columnar={columnar} prefix_cache={prefix_cache}");
+        let tag = format!("prefix_cache={prefix_cache}");
         assert_eq!(resumed.resumed_steps, head.len(), "{tag}");
         assert_eq!(to_jsonl(&out), fresh, "{tag}");
         let _ = fs::remove_dir_all(&dir);
     }
 }
 
-/// Cache resume × {in-memory, row spill, columnar spill}: a recipe extended
-/// past a cached prefix resumes from the entry and equals the oracle, and
-/// the resumed data is the entry's frames as they were saved — a columnar
-/// entry comes back as columnar slots, so the stage that runs on it still
-/// projects and splices (a re-encode into row slots would decode whole
-/// samples and pass nothing through). One flipped bit anywhere in the entry
-/// — the resident one-frame kind included — is a cache miss and a correct
-/// fresh run, never a resumed wrong answer.
+/// Cache resume × {in-memory, spill}: a recipe extended past a cached
+/// prefix resumes from the entry and equals the oracle, and the resumed
+/// data is the entry's frames as they were saved, so the stage that runs on
+/// a spilled resume still projects and splices (a re-encode would decode
+/// whole samples and pass nothing through). One flipped bit anywhere in the
+/// entry — the resident one-frame kind included — is a cache miss and a
+/// correct fresh run, never a resumed wrong answer, and so is the entry an
+/// earlier release saved for the same stage, made of row (`DJSF`) frames:
+/// the fresh run replaces it with a columnar one.
 #[test]
 fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
     let data = corpus(21, 90);
     let head = [0, 3, 8];
     let extended = [0, 3, 8, 1, 4];
     let fresh = to_jsonl(&oracle(&build(&extended), data.clone()));
-    for shape in [Shape::InMemory, Shape::SpillRow, Shape::SpillColumnar] {
+    for shape in [Shape::InMemory, Shape::Spill] {
         let tag = format!("{shape:?}");
         let dir = std::env::temp_dir().join(format!(
             "dj-mode-matrix-resume-{tag}-{}",
@@ -595,10 +589,10 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
         assert_eq!(resumed.resumed_steps, head.len(), "{tag}");
         assert_eq!(resumed.spilled, shape != Shape::InMemory, "{tag}");
         assert_eq!(to_jsonl(&out), fresh, "{tag}");
-        // Only columnar slots can be projected and spliced.
-        let columnar = shape == Shape::SpillColumnar;
-        assert_eq!(resumed.bytes_passthrough > 0, columnar, "{tag}");
-        assert_eq!(resumed.bytes_decoded > 0, columnar, "{tag}");
+        // Only spool slots are projected and spliced.
+        let spilled = shape == Shape::Spill;
+        assert_eq!(resumed.bytes_passthrough > 0, spilled, "{tag}");
+        assert_eq!(resumed.bytes_decoded > 0, spilled, "{tag}");
 
         // The entry the second run resumed from: the barrier's.
         let mut entries: Vec<PathBuf> = fs::read_dir(dir.join("cache"))
@@ -614,23 +608,44 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
             .collect();
         let entry = entries.pop().expect("the barrier's cache entry");
         let good = fs::read(&entry).unwrap();
-        for pos in [0, 5, 13, 20, good.len() / 2, good.len() - 1] {
+        assert!(good.starts_with(COLUMNAR_FRAME_MAGIC), "{tag}");
+        let damaged = [0, 5, 13, 20, good.len() / 2, good.len() - 1].map(|pos| {
             let mut bad = good.clone();
             bad[pos] ^= 0x20;
+            (format!("@{pos}"), bad)
+        });
+        let old_format = ("row frames".to_string(), as_row_frames(&good));
+        for (what, bad) in damaged.into_iter().chain([old_format]) {
             fs::write(&entry, &bad).unwrap();
             let (out, rerun) = exec(&extended)
                 .run_with_cache(data.clone(), &cache)
                 .unwrap();
             assert_eq!(
                 rerun.resumed_steps, 0,
-                "{tag}: resumed from a damaged entry @{pos}"
+                "{tag}: resumed from an entry of {what}"
             );
-            assert_eq!(to_jsonl(&out), fresh, "{tag} @{pos}");
+            assert_eq!(to_jsonl(&out), fresh, "{tag} {what}");
             // The fresh run saved the entry again, whole.
-            assert_eq!(fs::read(&entry).unwrap(), good, "{tag} @{pos}");
+            assert_eq!(fs::read(&entry).unwrap(), good, "{tag} {what}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A cache entry's frames, each decoded and re-encoded as a row frame —
+/// the entry an earlier release saved for the same samples.
+fn as_row_frames(entry: &[u8]) -> Vec<u8> {
+    let mut rest = entry;
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let (_, _, tail) = envelope::open(rest).unwrap();
+        let sealed = &rest[..rest.len() - tail.len()];
+        let (shard, _) = Frame::parse(sealed).unwrap().decode(None, None).unwrap();
+        out.extend(encode_shard_frame(&shard, Codec::Djz));
+        rest = tail;
+    }
+    assert!(out.starts_with(SHARD_FRAME_MAGIC));
+    out
 }
 
 proptest! {
@@ -653,8 +668,8 @@ proptest! {
 }
 
 /// The matrix only proves something if each mode really is a different
-/// path: the spill shapes spill, the columnar shapes splice and only they
-/// decode by column, the file shapes ingest within the streaming residency
+/// path: the spill shapes spill, the forced-spill shape splices and only it
+/// decodes by column, the file shapes ingest within the streaming residency
 /// bound, the runtime modes run as jobs (checked in [`Mode::run`]), and the
 /// adaptive modes replan — in every shape whose stage is not the ingest
 /// stage — on a stage misordered on purpose (an expensive keep-all WORDS
@@ -696,16 +711,14 @@ fn the_modes_are_distinct_paths() {
     for mode in Mode::all() {
         let (out, report) = mode.run(&ops, &case);
         assert_eq!(out, expected, "{mode:?}: output diverged from the oracle");
-        let file = matches!(mode.shape, Shape::FileRow | Shape::FileColumnar);
-        let columnar = matches!(mode.shape, Shape::SpillColumnar | Shape::FileColumnar);
+        let file = mode.shape == Shape::File;
         assert_eq!(report.spilled, mode.shape != Shape::InMemory, "{mode:?}");
-        assert_eq!(report.columnar, columnar, "{mode:?}");
-        // Only a pipeline stage over a columnar spool projects and splices.
-        // The file shape runs this recipe's one stage during ingest, and a
-        // spilled barrier rewrites no frame (its mask rides on the spool)
-        // and hashes from ingest-time sidecars, so nothing is decoded by
-        // column or passed through there; a row spool decodes whole frames.
-        let splices = mode.shape == Shape::SpillColumnar;
+        // Only a pipeline stage over a spool projects and splices. The file
+        // shape runs this recipe's one stage during ingest, and a spilled
+        // barrier rewrites no frame (its mask rides on the spool) and
+        // hashes from ingest-time sidecars, so nothing is decoded by column
+        // or passed through there.
+        let splices = mode.shape == Shape::Spill;
         assert_eq!(report.bytes_passthrough > 0, splices, "{mode:?}");
         assert_eq!(report.bytes_decoded > 0, splices, "{mode:?}");
         assert_eq!(report.ingest_bytes > 0, file, "{mode:?}");
@@ -807,7 +820,7 @@ fn every_op_corpus() -> Dataset {
 /// byte to the in-memory run — and doing something there, so
 /// no op passes by having nothing to do. This is what holds each op's
 /// declared field footprint (`fields_read` / `fields_written`) to what it
-/// actually touches: the columnar shapes decode only the footprint and
+/// actually touches: the spilled shapes decode only the footprint and
 /// refuse a sample that changed a column they did not decode.
 #[test]
 fn every_registered_op_matches_in_memory_in_every_shape() {

@@ -43,7 +43,7 @@ fn corpus() -> Dataset {
     ds
 }
 
-fn spill_exec(np: usize, shard_size: usize, dir: Option<PathBuf>, columnar: bool) -> Executor {
+fn spill_exec(np: usize, shard_size: usize, dir: Option<PathBuf>) -> Executor {
     let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
     Executor::new(ops).with_options(ExecOptions {
         num_workers: np,
@@ -52,7 +52,6 @@ fn spill_exec(np: usize, shard_size: usize, dir: Option<PathBuf>, columnar: bool
         shard_size: Some(shard_size),
         memory_budget: Some(1),
         spill_dir: dir,
-        columnar,
         ..ExecOptions::default()
     })
 }
@@ -84,7 +83,7 @@ fn peak_resident_samples_bounded_by_double_buffering() {
     };
     let (expected, _) = baseline.run(data.clone()).unwrap();
     for (np, shard_size) in [(1usize, 8usize), (2, 16), (4, 8), (3, 5)] {
-        let exec = spill_exec(np, shard_size, None, false);
+        let exec = spill_exec(np, shard_size, None);
         let (out, report) = exec.run(data.clone()).unwrap();
         assert_eq!(out, expected, "np={np} shard_size={shard_size} diverged");
         assert!(report.spilled, "1-byte budget must engage spilling");
@@ -160,33 +159,29 @@ fn prefetch_depth_zero_is_a_config_error() {
 }
 
 /// Spill spools must remove themselves: after a run with an explicit
-/// `spill_dir`, the directory holds no leftover shard files or temp dirs —
-/// row or columnar frames.
+/// `spill_dir`, the directory holds no leftover shard files or temp dirs.
 #[test]
 fn spill_dir_is_left_empty_after_runs() {
     let dir = unique_dir("cleanup");
-    for columnar in [false, true] {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let exec = spill_exec(2, 8, Some(dir.clone()), columnar);
-        let (out, report) = exec.run(corpus()).unwrap();
-        assert!(report.spilled);
-        assert_eq!(report.columnar, columnar);
-        assert!(!out.is_empty());
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "columnar={columnar}: spill dir must be empty after the run, found {leftovers:?}"
-        );
-    }
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let exec = spill_exec(2, 8, Some(dir.clone()));
+    let (out, report) = exec.run(corpus()).unwrap();
+    assert!(report.spilled);
+    assert!(!out.is_empty());
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "spill dir must be empty after the run, found {leftovers:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A failed run must also clean its spools up (drop-based cleanup fires on
-/// the error path too), whatever their format.
+/// the error path too).
 #[test]
 fn spill_dir_is_cleaned_even_when_the_run_fails() {
     // perplexity_filter's process errors when its stat is missing; simpler:
@@ -208,30 +203,27 @@ fn spill_dir_is_cleaned_even_when_the_run_fails() {
     let dir = unique_dir("cleanup-err");
     let mut data = corpus();
     data.push(Sample::from_text("this sample is poison"));
-    for columnar in [false, true] {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let exec = Executor::new(vec![Op::Mapper(Arc::new(Poisoned))]).with_options(ExecOptions {
-            num_workers: 2,
-            op_fusion: false,
-            trace_examples: 0,
-            shard_size: Some(8),
-            memory_budget: Some(1),
-            spill_dir: Some(dir.clone()),
-            columnar,
-            ..ExecOptions::default()
-        });
-        let err = exec.run(data.clone()).unwrap_err();
-        assert!(err.to_string().contains("poisoned_mapper"), "{err}");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "columnar={columnar}: failed run left spill data behind: {leftovers:?}"
-        );
-    }
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let exec = Executor::new(vec![Op::Mapper(Arc::new(Poisoned))]).with_options(ExecOptions {
+        num_workers: 2,
+        op_fusion: false,
+        trace_examples: 0,
+        shard_size: Some(8),
+        memory_budget: Some(1),
+        spill_dir: Some(dir.clone()),
+        ..ExecOptions::default()
+    });
+    let err = exec.run(data.clone()).unwrap_err();
+    assert!(err.to_string().contains("poisoned_mapper"), "{err}");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "failed run left spill data behind: {leftovers:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -243,7 +235,7 @@ fn spilled_runs_cache_and_resume() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let recipe = fig9_style_recipe();
     let cache = CacheManager::new(&cache_dir, recipe.fingerprint(), CacheMode::Cache);
-    let exec = spill_exec(2, 8, None, false);
+    let exec = spill_exec(2, 8, None);
     let data = corpus();
     let (out1, r1) = exec.run_with_cache(data.clone(), &cache).unwrap();
     assert!(r1.spilled);

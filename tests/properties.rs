@@ -274,8 +274,8 @@ proptest! {
     /// Out-of-core execution is byte-identical to in-memory execution for
     /// random recipes, arbitrary shard sizes, worker counts, memory
     /// budgets — whether the budget actually forces a spill or not, and
-    /// from which stage on — and spool formats, and leaves the spill
-    /// directory empty afterwards.
+    /// from which stage on — and leaves the spill directory empty
+    /// afterwards.
     #[test]
     fn prop_spilled_execution_matches_in_memory(
         indices in proptest::collection::vec(0usize..8, 1..5),
@@ -283,7 +283,6 @@ proptest! {
         shard_size in 1usize..40,
         workers in 1usize..5,
         budget_exp in 0u32..22,
-        columnar in any::<bool>(),
     ) {
         let pool = shard_spec_pool();
         let mut recipe = Recipe::new("spill-prop");
@@ -321,15 +320,14 @@ proptest! {
             shard_size: Some(shard_size),
             memory_budget: Some(budget),
             spill_dir: Some(spill_dir.clone()),
-            columnar,
             ..ExecOptions::default()
         });
         let (out, report) = spilled.run(data.clone()).unwrap();
         prop_assert_eq!(
             data_juicer::store::to_bytes(&out).as_slice(),
             expected_bytes.as_slice(),
-            "budget={} workers={} shard_size={} columnar={} diverged",
-            budget, workers, shard_size, columnar
+            "budget={} workers={} shard_size={} diverged",
+            budget, workers, shard_size
         );
         // Oversized input must engage spilling (stats columns added
         // mid-run can also push a smaller input over the budget later, so

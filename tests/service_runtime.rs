@@ -53,13 +53,12 @@ fn mem_opts(np: usize) -> ExecOptions {
     }
 }
 
-fn spill_opts(np: usize, dir: Option<PathBuf>, columnar: bool) -> ExecOptions {
+fn spill_opts(np: usize, dir: Option<PathBuf>) -> ExecOptions {
     ExecOptions {
         num_workers: np,
         shard_size: Some(16),
         memory_budget: Some(1),
         spill_dir: dir,
-        columnar,
         ..ExecOptions::default()
     }
 }
@@ -80,7 +79,7 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
         .map(|ds| exec_with(mem_opts(2)).run(ds.clone()).unwrap().0)
         .collect();
 
-    for (spill, columnar) in [(false, false), (true, false), (true, true)] {
+    for spill in [false, true] {
         let rt = Runtime::new(RuntimeConfig {
             max_jobs: 4,
             memory_budget: None,
@@ -90,7 +89,7 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
             .iter()
             .map(|ds| {
                 let opts = if spill {
-                    spill_opts(2, None, columnar)
+                    spill_opts(2, None)
                 } else {
                     mem_opts(2)
                 };
@@ -102,10 +101,9 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
             let got = out.dataset.unwrap();
             assert_eq!(
                 got, solo[i],
-                "job {i} diverged from its solo run (spill={spill} columnar={columnar})"
+                "job {i} diverged from its solo run (spill={spill})"
             );
             assert_eq!(out.report.spilled, spill, "job {i} spill mode");
-            assert_eq!(out.report.columnar, columnar, "job {i} spool format");
         }
         assert_eq!(rt.jobs_in_flight(), 0);
     }
@@ -114,110 +112,104 @@ fn concurrent_jobs_byte_identical_to_solo_runs() {
 /// Admission control: with a global memory budget set, four concurrent
 /// forced-spill jobs each run under `budget / max_jobs`, and the
 /// aggregate gauge — samples resident across *all* jobs at once — never
-/// exceeds the global budget, over either spool format.
+/// exceeds the global budget.
 #[test]
 fn aggregate_residency_stays_under_the_global_budget() {
     let global: u64 = 64 * 1024;
     let datasets: Vec<Dataset> = (0..4).map(|i| corpus(200 + i as u64, 150)).collect();
-    for columnar in [false, true] {
-        let rt = Runtime::new(RuntimeConfig {
-            max_jobs: 4,
-            memory_budget: Some(global),
-            ..RuntimeConfig::default()
-        });
-        let handles: Vec<_> = datasets
-            .iter()
-            .map(|ds| {
-                // No per-job budget and no explicit shard_size: the runtime's
-                // partitioned share drives both the spill decision and the
-                // budget-derived shard cut.
-                let opts = ExecOptions {
-                    num_workers: 1,
-                    columnar,
-                    ..ExecOptions::default()
-                };
-                rt.submit(exec_with(opts), ds.clone())
-            })
-            .collect();
-        for h in handles {
-            let out = h.wait().unwrap();
-            assert!(
-                out.report.spilled,
-                "dataset larger than the per-job share must spill"
-            );
-        }
-        assert!(rt.peak_resident_samples() > 0);
+    let rt = Runtime::new(RuntimeConfig {
+        max_jobs: 4,
+        memory_budget: Some(global),
+        ..RuntimeConfig::default()
+    });
+    let handles: Vec<_> = datasets
+        .iter()
+        .map(|ds| {
+            // No per-job budget and no explicit shard_size: the runtime's
+            // partitioned share drives both the spill decision and the
+            // budget-derived shard cut.
+            let opts = ExecOptions {
+                num_workers: 1,
+                ..ExecOptions::default()
+            };
+            rt.submit(exec_with(opts), ds.clone())
+        })
+        .collect();
+    for h in handles {
+        let out = h.wait().unwrap();
         assert!(
-            rt.peak_resident_bytes() as u64 <= global,
-            "columnar={columnar}: aggregate resident bytes {} exceeded the global budget {global}",
-            rt.peak_resident_bytes()
+            out.report.spilled,
+            "dataset larger than the per-job share must spill"
         );
     }
+    assert!(rt.peak_resident_samples() > 0);
+    assert!(
+        rt.peak_resident_bytes() as u64 <= global,
+        "aggregate resident bytes {} exceeded the global budget {global}",
+        rt.peak_resident_bytes()
+    );
 }
 
 /// Cancellation: a running spilled job stops within shards, surfaces
 /// `DjError::Cancelled`, leaves its spill directory empty (spools remove
 /// themselves on drop — the tempdir-left-empty assertion), and a queued
-/// survivor still completes byte-identically to its solo run — for either
-/// spool format.
+/// survivor still completes byte-identically to its solo run.
 #[test]
 fn cancellation_releases_resources_and_survivors_complete() {
     let dir = unique_dir("cancel");
     let survivor_data = corpus(301, 120);
     let solo_survivor = exec_with(mem_opts(2)).run(survivor_data.clone()).unwrap().0;
 
-    for columnar in [false, true] {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // One slot: the victim occupies it, the survivor queues behind it.
-        let rt = Runtime::new(RuntimeConfig {
-            max_jobs: 1,
-            memory_budget: None,
-            ..RuntimeConfig::default()
-        });
-        let victim = rt.submit(
-            exec_with(ExecOptions {
-                shard_size: Some(8),
-                ..spill_opts(2, Some(dir.clone()), columnar)
-            }),
-            corpus(300, 4000),
-        );
-        let survivor = rt.submit(exec_with(mem_opts(2)), survivor_data.clone());
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // One slot: the victim occupies it, the survivor queues behind it.
+    let rt = Runtime::new(RuntimeConfig {
+        max_jobs: 1,
+        memory_budget: None,
+        ..RuntimeConfig::default()
+    });
+    let victim = rt.submit(
+        exec_with(ExecOptions {
+            shard_size: Some(8),
+            ..spill_opts(2, Some(dir.clone()))
+        }),
+        corpus(300, 4000),
+    );
+    let survivor = rt.submit(exec_with(mem_opts(2)), survivor_data.clone());
 
-        // Cancel once the victim has demonstrably started streaming shards.
-        let ctl = victim.control();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while ctl.shards_done() < 1 {
-            assert!(Instant::now() < deadline, "victim never started streaming");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        victim.cancel();
-        match victim.wait() {
-            Err(DjError::Cancelled) => {}
-            other => panic!("columnar={columnar}: expected Cancelled, got {other:?}"),
-        }
-
-        // The survivor was untouched by the cancellation.
-        let out = survivor.wait().unwrap();
-        assert_eq!(out.dataset.unwrap(), solo_survivor, "columnar={columnar}");
-
-        // Spool hygiene: the cancelled job's spill dir holds nothing.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "columnar={columnar}: cancelled job leaked spill files: {leftovers:?}"
-        );
-        // And its residency accounting drained back to zero.
-        assert_eq!(
-            ctl.live_samples(),
-            0,
-            "cancelled job left samples accounted"
-        );
-        assert_eq!(ctl.live_bytes(), 0, "cancelled job left bytes accounted");
+    // Cancel once the victim has demonstrably started streaming shards.
+    let ctl = victim.control();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while ctl.shards_done() < 1 {
+        assert!(Instant::now() < deadline, "victim never started streaming");
+        std::thread::sleep(Duration::from_millis(1));
     }
+    victim.cancel();
+    match victim.wait() {
+        Err(DjError::Cancelled) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+
+    // The survivor was untouched by the cancellation.
+    let out = survivor.wait().unwrap();
+    assert_eq!(out.dataset.unwrap(), solo_survivor);
+
+    // Spool hygiene: the cancelled job's spill dir holds nothing.
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "cancelled job leaked spill files: {leftovers:?}"
+    );
+    // And its residency accounting drained back to zero.
+    assert_eq!(
+        ctl.live_samples(),
+        0,
+        "cancelled job left samples accounted"
+    );
+    assert_eq!(ctl.live_bytes(), 0, "cancelled job left bytes accounted");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -297,13 +289,13 @@ fn queued_jobs_cancel_without_running() {
 fn repeated_jobs_do_not_respawn_pool_threads() {
     // Force pool creation (and any lazy one-time spawns) first.
     let rt = Runtime::new(RuntimeConfig::default());
-    rt.submit(exec_with(spill_opts(2, None, false)), corpus(500, 80))
+    rt.submit(exec_with(spill_opts(2, None)), corpus(500, 80))
         .wait()
         .unwrap();
     let before = WorkerPool::spawned_total();
     for i in 0..6 {
         let (opts, n) = match i % 3 {
-            0 => (spill_opts(2, None, false), 80),
+            0 => (spill_opts(2, None), 80),
             1 => (mem_opts(3), 80),
             // ≥ 1024 samples per worker: the barrier clusters in parallel.
             _ => (mem_opts(2), 2100),
@@ -334,7 +326,7 @@ fn repeated_jobs_do_not_respawn_pool_threads() {
 #[test]
 fn progress_counters_track_and_drain() {
     let rt = Runtime::new(RuntimeConfig::default());
-    let handle = rt.submit(exec_with(spill_opts(2, None, false)), corpus(600, 120));
+    let handle = rt.submit(exec_with(spill_opts(2, None)), corpus(600, 120));
     let ctl = handle.control();
     let out = handle.wait().unwrap();
     assert!(out.report.spilled);
