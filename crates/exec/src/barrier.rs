@@ -4,7 +4,6 @@
 //! the dataset-level keep mask on the worker pool, and hand the mask to the
 //! data ([`StageData::masked`]: resident shards and spool slots alike carry
 //! it to whichever pass opens them next; no sample is touched).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::time::Instant;
 

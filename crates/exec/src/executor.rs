@@ -7,7 +7,7 @@
 //! in the `stage` and `barrier` modules; which shape the data is in is the
 //! `data` module's business; this module only sequences them.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -22,6 +22,7 @@ use crate::data::{reader_feed, Sink, StageData, SPILL_CODEC};
 use crate::fusion::{plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
 use crate::options::{ExecOptions, DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH};
 use crate::report::RunReport;
+use crate::runtime::JobControl;
 use crate::stream::RunCtl;
 
 /// Auto-tune target: size shards so one shard costs roughly this much
@@ -154,57 +155,69 @@ impl Executor {
         })
     }
 
-    /// Execute the pipeline over an in-memory dataset.
+    /// Execute the pipeline over an in-memory dataset and return the
+    /// result. Refuses a set [`ExecOptions::output`] (a
+    /// [`DjError::Config`], before any work): egress is [`Executor::run_io`]
+    /// and the runtime's jobs.
     pub fn run(&self, dataset: Dataset) -> Result<(Dataset, RunReport)> {
-        self.run_adaptive(None, |exec, model| exec.run_stages(dataset, None, model))
+        self.run_returning(dataset, None)
     }
 
     /// Execute with cache/checkpoint support: resumes from the longest
-    /// cached stage prefix and saves after every stage (§4.1.1).
+    /// cached stage prefix and saves after every stage (§4.1.1). Refuses a
+    /// set [`ExecOptions::output`], like [`Executor::run`].
     pub fn run_with_cache(
         &self,
         dataset: Dataset,
         cache: &CacheManager,
     ) -> Result<(Dataset, RunReport)> {
-        self.run_adaptive(Some(cache), |exec, model| {
-            exec.run_stages(dataset, Some(cache), model)
-        })
+        self.run_returning(dataset, Some(cache))
     }
 
     /// Execute the pipeline file-to-file: stream the corpus named by
-    /// [`ExecOptions::input`] (a JSONL/CSV path or glob), cut it into
-    /// `shard_size` shards that flow straight into the out-of-core stage
-    /// machinery, and — when [`ExecOptions::output`] is set — write the
-    /// result as manifest-tracked shard parts, returning `None` in place
-    /// of a dataset.
-    ///
-    /// Ingest, every stage and egress all stream: the resident set stays
-    /// ≤ `num_workers × prefetch_depth × shard_size` samples no matter how
-    /// large the input is. The plan's first pipeline stage runs *during*
-    /// ingest (samples flow through it as they are parsed), and when the
-    /// stage after it is a dedup barrier each shard is fingerprinted as
-    /// its frame is written (fingerprint-on-ingest), so the barrier opens
-    /// no frame at all: it clusters the sidecar hashes and leaves its keep
-    /// mask on the spool for the next pass — a stage, or egress, which
-    /// transcodes the kept entries of each undecoded frame straight to
-    /// JSONL. Stage caching is not applied on this path —
+    /// [`ExecOptions::input`] (a JSONL/CSV path or glob) through ingest,
+    /// every stage and egress, and — when [`ExecOptions::output`] is set —
+    /// write the result as manifest-tracked shard parts, returning `None`
+    /// in place of a dataset. The resident set stays ≤ `num_workers ×
+    /// prefetch_depth × shard_size` samples however large the input is
+    /// (see the crate docs). Stage caching is not applied on this path —
     /// file-backed runs are keyed by their input files, not by an
     /// in-memory dataset.
     pub fn run_io(&self) -> Result<(Option<Dataset>, RunReport)> {
-        self.run_adaptive(None, |exec, model| exec.run_io_inner(model))
+        self.run_adaptive(None, None, None)
     }
 
-    /// Orchestrate one adaptive-aware run: load the cost model (when
-    /// adaptive is in force and a sidecar location exists), auto-tune
-    /// unset knobs from it, execute, then fold this run's measurements
-    /// back in and persist. Sidecar IO is advisory — it can never fail
-    /// the run. File-backed runs have no cache, so their sidecar only
-    /// persists under an explicit `stats_dir`.
-    fn run_adaptive<T>(
+    /// `run` / `run_with_cache`: the dataset comes back, so there is no
+    /// egress directory to write.
+    fn run_returning(
         &self,
+        dataset: Dataset,
         cache: Option<&CacheManager>,
-        run: impl FnOnce(&Executor, Option<&CostModel>) -> Result<(T, RunReport)>,
-    ) -> Result<(T, RunReport)> {
+    ) -> Result<(Dataset, RunReport)> {
+        if let Some(dir) = &self.options.output {
+            return Err(DjError::Config(format!(
+                "ExecOptions::output ({}) is set, but run and run_with_cache return the \
+                 dataset: write it with run_io or a runtime job",
+                dir.display()
+            )));
+        }
+        let (out, report) = self.run_adaptive(Some(dataset), cache, None)?;
+        // Without an output directory the sequencer always materializes.
+        Ok((out.unwrap_or_default(), report))
+    }
+
+    /// One adaptive-aware run of `dataset` (`None`: the corpus named by
+    /// [`ExecOptions::input`]) for the owning runtime `job`, if any: load
+    /// the cost model (when adaptive is in force and a sidecar location
+    /// exists), auto-tune unset knobs from it, sequence the run, then fold
+    /// its measurements back in and persist. Sidecar IO is advisory — it
+    /// can never fail the run.
+    pub(crate) fn run_adaptive(
+        &self,
+        dataset: Option<Dataset>,
+        cache: Option<&CacheManager>,
+        job: Option<Arc<JobControl>>,
+    ) -> Result<(Option<Dataset>, RunReport)> {
         self.options.env.validate()?;
         let _faults = self.fault_guard()?;
         let adaptive = self.options.adaptive;
@@ -215,7 +228,7 @@ impl Executor {
         });
         let tuned = self.autotuned(model.as_ref());
         let exec = tuned.as_ref().unwrap_or(self);
-        let (out, mut report) = run(exec, model.as_ref())?;
+        let (out, mut report) = exec.sequence(dataset, cache, job, model.as_ref())?;
         report.adaptive = adaptive;
         // What the tuner overrode, if anything.
         let tuned = |ours: Option<usize>, theirs: Option<usize>| theirs.filter(|_| ours != theirs);
@@ -234,70 +247,96 @@ impl Executor {
         Ok((out, report))
     }
 
-    fn run_io_inner(&self, model: Option<&CostModel>) -> Result<(Option<Dataset>, RunReport)> {
+    /// The one run sequencer: plan → cache resume or ingest → the stage
+    /// loop → ledger seal → egress or materialize. `model` only
+    /// influences plan-time step order. After ingest nothing here knows
+    /// whether the input was a file: a resident dataset and a spooled
+    /// corpus run the same loop, and [`ExecOptions::output`] set means
+    /// manifest-tracked parts for both.
+    fn sequence(
+        &self,
+        dataset: Option<Dataset>,
+        cache: Option<&CacheManager>,
+        job: Option<Arc<JobControl>>,
+        model: Option<&CostModel>,
+    ) -> Result<(Option<Dataset>, RunReport)> {
         self.validated_depth()?;
-        let input = self.options.input.as_deref().ok_or_else(|| {
-            DjError::Config("run_io requires ExecOptions::input (a path or glob)".into())
-        })?;
+        let source = match dataset {
+            Some(dataset) => Source::Resident(dataset),
+            None => Source::Corpus(self.options.input.as_deref().ok_or_else(|| {
+                DjError::Config("run_io requires ExecOptions::input (a path or glob)".into())
+            })?),
+        };
         let plan = self.plan_adaptive(model);
-        let stages = plan.stages();
+        let prefix = self.options.prefix_cache && cache.is_some();
+        let stages = if prefix {
+            plan.stages_per_step()
+        } else {
+            plan.stages()
+        };
+        let cache = cache.map(|cm| (cm, stage_cache_keys(&stages, prefix)));
         let start = Instant::now();
         let ledger = self.new_ledger()?;
-        let ctl = RunCtl::new(self.options.job.clone(), Some(Arc::clone(&ledger)));
+        let ctl = RunCtl::new(job, Some(Arc::clone(&ledger)));
         let budget = self.effective_memory_budget()?;
         let mut report = RunReport {
             fused_groups: plan.fused_groups,
             stages: stages.len(),
-            spilled: true,
             measured_steps: plan.measured_steps,
             ..RunReport::default()
         };
-        let shard_size = self
-            .options
-            .shard_size
-            .unwrap_or(DEFAULT_IO_SHARD_SIZE)
-            .max(1);
-        let reader = CorpusReader::from_pattern(input)?.with_ledger(Arc::clone(&ledger));
 
-        // The ingest stage runs the plan's first pipeline stage while the
-        // corpus streams in; a leading barrier ingests raw shards instead.
-        let (ingest_steps, remaining): (&[PlanStep], &[Stage]) = match stages.first() {
-            Some(Stage::Pipeline { steps, .. }) => (steps.as_slice(), &stages[1..]),
-            _ => (&[][..], &stages[..]),
+        let (mut data, first_stage) = match source {
+            Source::Resident(dataset) => {
+                ledger.note_seen(dataset.len() as u64);
+                report.initial_samples = dataset.len();
+                report.peak_bytes = dataset.approx_bytes();
+                // Resume from the longest cached stage prefix. A corrupt or
+                // unreadable entry must never fail the run — or reach it:
+                // its frames are verified as they are pulled, and anything
+                // but a clean read of all of them falls back to fresh
+                // execution (the §4.1.1 resilience goal).
+                let resumed = cache.as_ref().and_then(|(cm, keys)| {
+                    let (idx, entry) = cm.latest_match(keys).ok()??;
+                    let budget = budget.unwrap_or(u64::MAX);
+                    let data = StageData::from_cached(entry, budget, || self.new_spool(0)).ok()?;
+                    report.spilled |= data.is_spilled();
+                    report.resumed_steps = stages[..=idx].iter().map(Stage::step_count).sum();
+                    Some((data, idx + 1))
+                });
+                resumed.unwrap_or_else(|| (StageData::resident(dataset), 0))
+            }
+            Source::Corpus(input) => self.ingest(input, &stages, &ledger, &ctl, &mut report)?,
         };
 
-        let ingest_start = Instant::now();
-        let reader = Mutex::new((reader, 0));
-        let feed = reader_feed(&reader, shard_size);
-        // Slot count 0: the spool grows with the stream — the corpus
-        // length is unknown until it is dry.
-        let sink = Sink::Spool(self.new_spool(0)?, None);
-        let fp_dedup = next_barrier(remaining, 0);
-        let mut data = self.drive_stage(ingest_steps, fp_dedup, &feed, sink, &ctl, &mut report)?;
-        drop(feed);
-        let (reader, _) = reader.into_inner().unwrap_or_else(PoisonError::into_inner);
-        report.ingest_bytes = reader.bytes_read();
-        report.initial_samples = reader.samples_read() as usize;
-        report.ingest_duration = ingest_start.elapsed();
-
-        // Remaining stages run exactly like an out-of-core `run`.
-        for (k, stage) in remaining.iter().enumerate() {
-            let next = next_barrier(remaining, k + 1);
+        for (i, stage) in stages.iter().enumerate().skip(first_stage) {
+            ctl.check()?;
+            let next = next_barrier(&stages, i + 1);
             data = self.execute_stage(stage, next, data, budget, &ctl, &mut report)?;
+            report.peak_bytes = report.peak_bytes.max(data.approx_bytes());
+            if let Some((cm, keys)) = &cache {
+                data.save(cm, i, &keys[i].1)?;
+            }
         }
         report.final_samples = data.len();
 
         // Seal the error policy before egress: the budget check fails
         // the run *before* a manifest is written, and a sealed
         // quarantine sidecar lands next to the manifest on success.
-        seal_ledger(&ledger, &mut report)?;
+        ledger.finish()?;
+        report.records_skipped = ledger.records_skipped();
+        report.records_quarantined = ledger.records_quarantined();
+        report.error_ratio = ledger.error_ratio();
 
         // Egress: manifest-tracked shard parts, or materialize for the
         // caller when no output directory is configured.
         let egress_start = Instant::now();
         let out = match &self.options.output {
             Some(dir) => {
-                self.write_output(dir, &mut data, &ctl, &mut report)?;
+                let writer = ShardedWriter::create(dir, self.options.output_format)?;
+                data.egress(&writer, &self.options, &ctl)?;
+                report.egress_bytes = writer.bytes_written();
+                writer.finish()?;
                 None
             }
             None => Some(data.into_dataset()?),
@@ -309,19 +348,44 @@ impl Executor {
         Ok((out, report))
     }
 
-    /// Write the final dataset as manifest-tracked shard parts.
-    fn write_output(
+    /// Ingest the corpus at `input`: the plan's first pipeline stage is
+    /// driven over shards cut off a corpus reader into a growing spool (a
+    /// leading barrier takes the raw shards instead), and each shard is
+    /// fingerprinted for the barrier that follows. Returns the spool and
+    /// the number of stages it ran.
+    fn ingest(
         &self,
-        dir: &Path,
-        data: &mut StageData,
+        input: &str,
+        stages: &[Stage],
+        ledger: &Arc<ErrorLedger>,
         ctl: &RunCtl,
         report: &mut RunReport,
-    ) -> Result<()> {
-        let writer = ShardedWriter::create(dir, self.options.output_format)?;
-        data.egress(&writer, self.options.output_format, &self.options, ctl)?;
-        report.egress_bytes = writer.bytes_written();
-        writer.finish()?;
-        Ok(())
+    ) -> Result<(StageData, usize)> {
+        let start = Instant::now();
+        let shard_size = self
+            .options
+            .shard_size
+            .unwrap_or(DEFAULT_IO_SHARD_SIZE)
+            .max(1);
+        let reader = CorpusReader::from_pattern(input)?.with_ledger(Arc::clone(ledger));
+        let (steps, ran): (&[PlanStep], usize) = match stages.first() {
+            Some(Stage::Pipeline { steps, .. }) => (steps, 1),
+            _ => (&[], 0),
+        };
+        let reader = Mutex::new((reader, 0));
+        let feed = reader_feed(&reader, shard_size);
+        // Slot count 0: the spool grows with the stream — the corpus
+        // length is unknown until it is dry.
+        let sink = Sink::Spool(self.new_spool(0)?, None);
+        let fp_dedup = next_barrier(stages, ran);
+        let data = self.drive_stage(steps, fp_dedup, &feed, sink, ctl, report)?;
+        drop(feed);
+        let (reader, _) = reader.into_inner().unwrap_or_else(PoisonError::into_inner);
+        report.spilled = true;
+        report.ingest_bytes = reader.bytes_read();
+        report.initial_samples = reader.samples_read() as usize;
+        report.ingest_duration = start.elapsed();
+        Ok((data, ran))
     }
 
     /// The memory budget in force: the explicit option, else the
@@ -401,77 +465,6 @@ impl Executor {
         data.spill(self.new_spool(shard_count)?, shard_count, upcoming)
     }
 
-    /// Plan, resume, and execute the stage sequence. `model` only
-    /// influences plan-time step order.
-    fn run_stages(
-        &self,
-        dataset: Dataset,
-        cache: Option<&CacheManager>,
-        model: Option<&CostModel>,
-    ) -> Result<(Dataset, RunReport)> {
-        let plan = self.plan_adaptive(model);
-        let prefix = self.options.prefix_cache && cache.is_some();
-        let stages = if prefix {
-            plan.stages_per_step()
-        } else {
-            plan.stages()
-        };
-        let keys = stage_cache_keys(&stages, prefix);
-        let start = Instant::now();
-        let ledger = self.new_ledger()?;
-        ledger.note_seen(dataset.len() as u64);
-        let ctl = RunCtl::new(self.options.job.clone(), Some(Arc::clone(&ledger)));
-        let budget = self.effective_memory_budget()?;
-        self.validated_depth()?;
-        let mut report = RunReport {
-            initial_samples: dataset.len(),
-            peak_bytes: dataset.approx_bytes(),
-            fused_groups: plan.fused_groups,
-            stages: stages.len(),
-            measured_steps: plan.measured_steps,
-            ..RunReport::default()
-        };
-        let mut data = StageData::resident(dataset);
-
-        // Resume from the longest cached stage prefix. A corrupt or
-        // unreadable cache entry must never fail the run — or reach it: the
-        // entry's frames are verified as they are pulled, and anything but
-        // a clean read of all of them falls back to fresh execution (the
-        // §4.1.1 resilience goal).
-        let mut first_stage = 0;
-        if let Some(cm) = cache {
-            let resumed = cm.latest_match(&keys).and_then(|hit| {
-                let Some((idx, entry)) = hit else {
-                    return Ok(None);
-                };
-                let budget = budget.unwrap_or(u64::MAX);
-                StageData::from_cached(entry, budget, || self.new_spool(0)).map(|d| Some((idx, d)))
-            });
-            if let Ok(Some((idx, cached))) = resumed {
-                data = cached;
-                report.spilled |= data.is_spilled();
-                first_stage = idx + 1;
-                report.resumed_steps = stages[..first_stage].iter().map(Stage::step_count).sum();
-            }
-        }
-
-        for (i, stage) in stages.iter().enumerate().skip(first_stage) {
-            ctl.check()?;
-            let next = next_barrier(&stages, i + 1);
-            data = self.execute_stage(stage, next, data, budget, &ctl, &mut report)?;
-            report.peak_bytes = report.peak_bytes.max(data.approx_bytes());
-            if let Some(cm) = cache {
-                data.save(cm, i, &keys[i].1)?;
-            }
-        }
-        report.final_samples = data.len();
-        seal_ledger(&ledger, &mut report)?;
-        report.peak_resident_samples = ctl.peak_samples();
-        report.peak_resident_bytes = ctl.peak_bytes();
-        report.total_duration = start.elapsed();
-        Ok((data.into_dataset()?, report))
-    }
-
     /// Run one stage over the dataset, spilling first if the budget
     /// demands it. `next_dedup` is the following stage's deduplicator, if
     /// any — spilled pipeline stages fingerprint their output shards for
@@ -499,22 +492,20 @@ impl Executor {
     }
 }
 
+/// What a run starts from.
+enum Source<'a> {
+    /// A dataset handed in by the caller.
+    Resident(Dataset),
+    /// The corpus named by [`ExecOptions::input`].
+    Corpus(&'a str),
+}
+
 /// The deduplicator of `stages[idx]`, if that stage is a barrier.
 fn next_barrier(stages: &[Stage], idx: usize) -> Option<&dyn Deduplicator> {
     match stages.get(idx) {
         Some(Stage::Barrier { dedup, .. }) => Some(dedup.as_ref()),
         _ => None,
     }
-}
-
-/// Seal the run's error policy (the budget check may fail the run here)
-/// and copy its counters into the report.
-fn seal_ledger(ledger: &ErrorLedger, report: &mut RunReport) -> Result<()> {
-    ledger.finish()?;
-    report.records_skipped = ledger.records_skipped();
-    report.records_quarantined = ledger.records_quarantined();
-    report.error_ratio = ledger.error_ratio();
-    Ok(())
 }
 
 /// Cache keys for a stage sequence.

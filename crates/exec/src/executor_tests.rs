@@ -6,6 +6,7 @@ use crate::report::TraceEvent;
 use dj_core::{OpParams, OpRegistry, Value};
 use dj_io::OutputFormat;
 use dj_ops::builtin_registry;
+use std::path::Path;
 use std::time::Duration;
 
 fn ops(reg: &OpRegistry, names: &[(&str, OpParams)]) -> Vec<Op> {

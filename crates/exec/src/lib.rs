@@ -35,7 +35,7 @@
 //!    |---|---|---|---|
 //!    | in memory | take the shard out of its slot | store into a slot | nothing — samples are resident |
 //!    | spilled | read slot *i*, decode only the stage's footprint columns, carry the frame | splice: re-encode the decoded columns, copy every other region from the carried frame verbatim; dropped samples stay stored, masked | the footprint columns |
-//!    | file ingest ([`Executor::run_io`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame | the parsed records |
+//!    | file ingest ([`ExecOptions::input`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame | the parsed records |
 //!
 //!    A sink that writes frames also writes each shard's fingerprints for
 //!    the barrier that follows (fingerprint-on-ingest).
@@ -86,9 +86,10 @@
 //!   ceiling is `num_workers × prefetch_depth × shard_size` samples, on
 //!   every spilled and file-backed shape.
 //! * [`ExecOptions::input`] / [`ExecOptions::output`] /
-//!   [`ExecOptions::output_format`] — the file-backed IO knobs for
-//!   [`Executor::run_io`] (recipe YAML `input_path` / `output_path` /
-//!   `output_format`); see below.
+//!   [`ExecOptions::output_format`] — the IO knobs (recipe YAML
+//!   `input_path` / `output_path` / `output_format`): the corpus
+//!   [`Executor::run_io`] and [`Runtime::submit_io`] read, and the egress
+//!   directory every input is written to when set; see below.
 //! * [`ExecOptions::adaptive`] — measurement-driven planning (recipe YAML
 //!   `adaptive`). Ranks fusible steps by measured ns/sample ÷ selectivity
 //!   from the [`CostModel`], re-plans commutable stage suffixes mid-run
@@ -166,24 +167,25 @@
 //!    the split. `frames` output is row frames, converted from the slots
 //!    on the way out.
 //!
-//! ## File-backed execution ([`Executor::run_io`])
+//! ## One run sequencer: ingest, stages, egress
 //!
-//! With [`ExecOptions::input`] set (a JSONL/CSV path or glob), the whole
-//! pipeline runs file-to-file as one continuous stream: the ingest stage
-//! is the stage driver fed by a corpus reader (the plan's first pipeline
-//! stage runs *during* ingest, and ingest-adjacent barriers get
-//! fingerprint-on-ingest sidecars), every later stage streams as above,
-//! and with [`ExecOptions::output`] set the result is written as
-//! manifest-tracked shard parts (atomic temp+rename per part, append-only
-//! commit log, resumable after a kill; `jsonl` or raw-frame `frames`
-//! parts). The resident set stays ≤ `num_workers × prefetch_depth ×
-//! shard_size` samples no matter the corpus size, and the output is
-//! byte-identical to the in-memory engine on the concatenated corpus
-//! (property-tested in `tests/io_roundtrip.rs`).
-//!
-//! Spools delete themselves when the run finishes or fails. The final
-//! dataset returned by `run()` is materialized once, at the very end, for
-//! the caller.
+//! [`Executor::run`], [`Executor::run_with_cache`], [`Executor::run_io`]
+//! and every [`Runtime`] job run one sequencer: plan → cache resume or
+//! ingest → the stage loop → ledger seal → egress or materialize. The
+//! input is a resident dataset or the corpus named by
+//! [`ExecOptions::input`] (a JSONL/CSV path or glob), ingested by the
+//! stage driver fed by a corpus reader: the plan's first pipeline stage
+//! runs *during* ingest into a growing spool, with fingerprint-on-ingest
+//! sidecars for an adjacent barrier. After ingest nothing knows the input
+//! was a file. With [`ExecOptions::output`] set, whatever the input, the
+//! result is written as manifest-tracked shard parts (atomic temp+rename
+//! per part, append-only commit log, resumable after a kill; `jsonl` or
+//! row-frame `frames` parts); `run` and `run_with_cache` refuse it, and
+//! materialize the result once, at the very end. A file run keeps the
+//! resident set ≤ `num_workers × prefetch_depth × shard_size` samples no
+//! matter the corpus size, and its output is byte-identical to the
+//! in-memory engine on the concatenated corpus (`tests/io_roundtrip.rs`).
+//! Spools delete themselves when the run finishes or fails.
 //!
 //! ## Reporting & caching
 //!
@@ -193,6 +195,8 @@
 //! op-at-a-time engine. Cache/checkpoint entries (`dj-store`) are keyed on
 //! **stage** boundaries — the only points where a full dataset exists —
 //! with `RunReport::resumed_steps` still counting covered plan steps.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod barrier;
 pub mod cost;

@@ -8,7 +8,6 @@ use dj_core::{DjError, FaultPlan, OnError, Result};
 use dj_io::OutputFormat;
 
 use crate::executor::Executor;
-use crate::runtime::JobControl;
 
 /// How many shards to cut per worker when `shard_size` is on auto.
 /// Over-partitioning lets fast workers steal extra shards (morsel-driven
@@ -123,13 +122,18 @@ pub struct ExecOptions {
     /// shards themselves, halving the resident bound at the cost of IO
     /// overlap. Must be ≥ 1; validated at run time.
     pub prefetch_depth: usize,
-    /// Input corpus for [`Executor::run_io`]: a file path or glob
-    /// (`data/*.jsonl`) of JSONL/CSV files, streamed and cut into
-    /// `shard_size` shards without ever materializing the corpus.
+    /// Input corpus for [`Executor::run_io`] and
+    /// [`Runtime::submit_io`](crate::Runtime::submit_io): a file path or
+    /// glob (`data/*.jsonl`) of JSONL/CSV files, streamed and cut into
+    /// `shard_size` shards without ever materializing the corpus. A
+    /// resident dataset handed to a run is its input instead.
     pub input: Option<String>,
-    /// Output directory for [`Executor::run_io`]: the processed corpus is
-    /// written as manifest-tracked shard parts (see `dj_io::ShardedWriter`)
-    /// instead of being returned in memory.
+    /// Egress directory: the processed dataset is written as
+    /// manifest-tracked shard parts (see `dj_io::ShardedWriter`) instead
+    /// of being returned in memory — whatever the input, for
+    /// [`Executor::run_io`] and every runtime job. [`Executor::run`] and
+    /// [`Executor::run_with_cache`] return the dataset, so they refuse a
+    /// set `output` with a [`DjError::Config`] before any work.
     pub output: Option<PathBuf>,
     /// Egress file format when `output` is set.
     pub output_format: OutputFormat,
@@ -154,10 +158,6 @@ pub struct ExecOptions {
     /// Snapshot of the executor env knobs (`DJ_MEMORY_BUDGET`,
     /// `DJ_FAULTS`), captured when these options were constructed.
     pub env: EnvKnobs,
-    /// The owning service job, when this run was submitted through the
-    /// runtime: cancellation checks, shard-progress counters and
-    /// admission-control accounting hang off it. `None` for direct runs.
-    pub job: Option<Arc<JobControl>>,
     /// What to do when a single record fails — a malformed ingest line
     /// or a sample an OP rejects. `Fail` (default) aborts the run;
     /// `Skip` drops the record; `Quarantine` drops it and preserves it
@@ -198,7 +198,6 @@ impl Default for ExecOptions {
             stats_dir: None,
             prefix_cache: false,
             env: EnvKnobs::capture(),
-            job: None,
             on_error: OnError::Fail,
             max_error_ratio: 1.0,
             faults: None,
@@ -353,17 +352,23 @@ mod tests {
         let counting = Arc::new(Counting(AtomicUsize::new(0)));
         let cache = CacheManager::new(dir.join("cache"), 1, CacheMode::Cache);
         for env in [knobs(Some("lots"), None), knobs(None, Some("seed:x"))] {
+            // No `output`: `run` and `run_with_cache` would refuse it
+            // before the env is looked at. `run_io` writes one.
+            let options = ExecOptions {
+                input: Some(input.display().to_string()),
+                env,
+                ..ExecOptions::default()
+            };
             let exec =
                 Executor::new(vec![Op::Mapper(counting.clone())]).with_options(ExecOptions {
-                    input: Some(input.display().to_string()),
                     output: Some(dir.join("out")),
-                    env,
-                    ..ExecOptions::default()
+                    ..options.clone()
                 });
+            let returning = Executor::new(vec![Op::Mapper(counting.clone())]).with_options(options);
             let data = || Dataset::from_texts(["a", "b"]);
             for err in [
-                exec.run(data()).err(),
-                exec.run_with_cache(data(), &cache).err(),
+                returning.run(data()).err(),
+                returning.run_with_cache(data(), &cache).err(),
                 exec.run_io().err(),
             ] {
                 assert!(matches!(err, Some(DjError::Config(_))), "{err:?}");
@@ -373,6 +378,28 @@ mod tests {
         assert!(!dir.join("cache").exists(), "a cache entry was written");
         assert!(!dir.join("out").exists(), "egress started");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_and_run_with_cache_refuse_an_output_before_any_work() {
+        let dir = std::env::temp_dir().join(format!("dj-run-output-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let counting = Arc::new(Counting(AtomicUsize::new(0)));
+        let cache = CacheManager::new(dir.join("cache"), 1, CacheMode::Cache);
+        let exec = Executor::new(vec![Op::Mapper(counting.clone())]).with_options(ExecOptions {
+            output: Some(dir.join("out")),
+            env: EnvKnobs::default(),
+            ..ExecOptions::default()
+        });
+        let data = || Dataset::from_texts(["a", "b"]);
+        for err in [
+            exec.run(data()).err(),
+            exec.run_with_cache(data(), &cache).err(),
+        ] {
+            assert!(matches!(err, Some(DjError::Config(_))), "{err:?}");
+        }
+        assert_eq!(counting.0.load(Ordering::Relaxed), 0, "an op ran");
+        assert!(!dir.exists(), "a file was written");
     }
 
     #[test]

@@ -79,14 +79,16 @@ pub struct RunReport {
     /// (fingerprint-on-ingest): the barrier read the sidecars, clustered,
     /// and opened no frame at all.
     pub fingerprinted_barriers: usize,
-    /// Raw corpus bytes consumed by [`Executor::run_io`](crate::Executor::run_io)'s ingest stream.
+    /// Raw corpus bytes consumed by the ingest stream of a corpus run
+    /// ([`ExecOptions::input`](crate::ExecOptions::input)).
     pub ingest_bytes: u64,
     /// Bytes physically written by the egress writer (resumed parts
     /// excluded).
     pub egress_bytes: u64,
     /// Wall time of the ingest stage (read + parse + first pipeline stage).
     pub ingest_duration: Duration,
-    /// Wall time of the egress stage (serialize + write + manifest).
+    /// Wall time of the egress stage (serialize + write + manifest), or of
+    /// materializing the returned dataset when no output is set.
     pub egress_duration: Duration,
     /// Whether adaptive planning was in force for this run.
     pub adaptive: bool,

@@ -24,17 +24,21 @@
 //! * **Progress** — [`JobHandle::progress`] reports shards completed and
 //!   samples/bytes currently resident, live while the job runs.
 //!
-//! A job's output is byte-identical to a direct [`Executor::run`] /
-//! [`Executor::run_io`] of the same executor; `tests/mode_matrix.rs` runs
-//! a `runtime` row of every shape to hold it to that.
+//! A job is an executor plus an optional resident dataset, and runs the
+//! executor's one sequencer — the same one [`Executor::run`] and
+//! [`Executor::run_io`] run — so its output is byte-identical to a direct
+//! call: the returned dataset, or with `ExecOptions::output` set the
+//! manifest-tracked parts, whether the input was handed in or read from
+//! `ExecOptions::input`. `tests/mode_matrix.rs` runs a `runtime` row of
+//! every shape to hold it to that.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use dj_core::sync::{lock, wait};
 use dj_core::{panic_message, Dataset, DjError, ResidencyGauge, Result};
 
 use crate::executor::Executor;
@@ -220,9 +224,8 @@ pub struct JobProgress {
 /// What a finished job produced.
 #[derive(Debug)]
 pub struct JobOutput {
-    /// The processed dataset — `None` for file-to-file jobs that wrote
-    /// their output to disk ([`Runtime::submit_io`] with
-    /// `ExecOptions::output` set).
+    /// The processed dataset — `None` for jobs that wrote their output to
+    /// disk (`ExecOptions::output` set).
     pub dataset: Option<Dataset>,
     pub report: RunReport,
 }
@@ -245,18 +248,18 @@ impl JobSlot {
     }
 
     fn resolve(&self, r: Result<JobOutput>) {
-        *self.cell.lock().expect("job slot mutex") = Some(r);
+        *lock(&self.cell) = Some(r);
         self.done.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
     fn wait(&self) -> Result<JobOutput> {
-        let mut cell = self.cell.lock().expect("job slot mutex");
+        let mut cell = lock(&self.cell);
         loop {
             if let Some(r) = cell.take() {
                 return r;
             }
-            cell = self.cv.wait(cell).expect("job slot condvar");
+            cell = wait(&self.cv, cell);
         }
     }
 }
@@ -312,51 +315,13 @@ impl JobHandle {
     }
 }
 
-/// What kind of run a queued job performs once admitted.
-enum JobSpec {
-    /// In-memory dataset through [`Executor::run`].
-    Mem(Executor, Dataset),
-    /// File-to-file through [`Executor::run_io`].
-    Io(Executor),
-}
-
-impl JobSpec {
-    /// Run one attempt. Takes `&self` so a retry can re-run the same
-    /// spec: the in-memory dataset is cloned per attempt (the executor
-    /// consumes it), and the executor — with its memoised fault plan and
-    /// prefix cache — is shared across attempts.
-    fn run(&self) -> Result<JobOutput> {
-        match self {
-            JobSpec::Mem(exec, dataset) => {
-                let (out, report) = exec.run(dataset.clone())?;
-                Ok(JobOutput {
-                    dataset: Some(out),
-                    report,
-                })
-            }
-            JobSpec::Io(exec) => {
-                let (out, report) = exec.run_io()?;
-                Ok(JobOutput {
-                    dataset: out,
-                    report,
-                })
-            }
-        }
-    }
-
-    /// The egress directory this job writes, if any — the target of
-    /// partial-output cleanup when the job fails for good.
-    fn output_dir(&self) -> Option<PathBuf> {
-        match self {
-            JobSpec::Mem(exec, _) | JobSpec::Io(exec) => exec.options.output.clone(),
-        }
-    }
-}
-
+/// A job: an executor plus, for a resident input, its dataset (`None`
+/// reads the corpus named by `ExecOptions::input`).
 struct PendingJob {
     ctl: Arc<JobControl>,
     slot: Arc<JobSlot>,
-    spec: JobSpec,
+    exec: Executor,
+    dataset: Option<Dataset>,
 }
 
 struct Sched {
@@ -412,30 +377,30 @@ impl Runtime {
 
     /// Jobs currently executing plus jobs queued for admission.
     pub fn jobs_in_flight(&self) -> usize {
-        let sched = self.inner.sched.lock().expect("runtime sched mutex");
+        let sched = lock(&self.inner.sched);
         sched.running + sched.pending.len()
     }
 
     /// Submit an in-memory dataset job. Returns immediately; the job runs
-    /// (or queues) on the runtime.
+    /// (or queues) on the runtime. With `ExecOptions::output` set the
+    /// result is written as manifest-tracked parts, as a file-to-file job's
+    /// is, and the job returns no dataset.
     pub fn submit(&self, exec: Executor, dataset: Dataset) -> JobHandle {
-        self.submit_spec(exec, |exec| JobSpec::Mem(exec, dataset))
+        self.enqueue(exec, Some(dataset))
     }
 
     /// Submit a file-to-file job ([`Executor::run_io`] semantics: input
     /// from `ExecOptions::input`, output to `ExecOptions::output` when
     /// set).
     pub fn submit_io(&self, exec: Executor) -> JobHandle {
-        self.submit_spec(exec, JobSpec::Io)
+        self.enqueue(exec, None)
     }
 
-    fn submit_spec(&self, mut exec: Executor, make: impl FnOnce(Executor) -> JobSpec) -> JobHandle {
+    fn enqueue(&self, mut exec: Executor, dataset: Option<Dataset>) -> JobHandle {
         let ctl = Arc::new(JobControl::new(Some(Arc::clone(&self.inner.aggregate))));
         let slot = Arc::new(JobSlot::new());
-        // Attach the control block (routing the executor's residency,
-        // cancellation and progress through it) and partition the global
-        // budget. The job's own budget only ever tightens further.
-        exec.options.job = Some(Arc::clone(&ctl));
+        // Partition the global budget. The job's own budget only ever
+        // tightens further.
         if let Some(global) = self.inner.cfg.memory_budget {
             let share = (global / self.inner.cfg.max_jobs.max(1) as u64).max(1);
             exec.options.memory_budget = Some(match exec.options.memory_budget {
@@ -446,10 +411,11 @@ impl Runtime {
         let job = PendingJob {
             ctl: Arc::clone(&ctl),
             slot: Arc::clone(&slot),
-            spec: make(exec),
+            exec,
+            dataset,
         };
         let id = {
-            let mut sched = self.inner.sched.lock().expect("runtime sched mutex");
+            let mut sched = lock(&self.inner.sched);
             let id = sched.next_id;
             sched.next_id += 1;
             if sched.running < self.inner.cfg.max_jobs.max(1) {
@@ -466,7 +432,7 @@ impl Runtime {
 }
 
 impl RuntimeInner {
-    /// Run a job spec to a final result under the retry policy: transient
+    /// Run a job to a final result under the retry policy: transient
     /// failures (IO, truncation, checksum — [`DjError::is_transient`])
     /// are retried with capped exponential backoff up to
     /// [`RetryPolicy::max_attempts`]; deterministic failures (op errors,
@@ -474,19 +440,27 @@ impl RuntimeInner {
     /// immediately. Every attempt re-enters the executor with the same
     /// options value, so the memoised fault plan's hit counters persist
     /// across attempts — a seeded fault consumed on attempt 1 does not
-    /// re-fire on attempt 2.
+    /// re-fire on attempt 2. The resident input is copied only for an
+    /// attempt another one can follow; the last attempt takes it.
     fn run_with_retries(
         retry: &RetryPolicy,
-        ctl: &JobControl,
-        spec: &JobSpec,
+        ctl: &Arc<JobControl>,
+        exec: &Executor,
+        mut dataset: Option<Dataset>,
     ) -> Result<JobOutput> {
         let max_attempts = retry.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             ctl.note_attempt();
-            let result = match catch_unwind(AssertUnwindSafe(|| spec.run())) {
-                Ok(r) => r,
+            let input = if (attempt as usize) < max_attempts {
+                dataset.clone()
+            } else {
+                dataset.take()
+            };
+            let run = || exec.run_adaptive(input, None, Some(Arc::clone(ctl)));
+            let result = match catch_unwind(AssertUnwindSafe(run)) {
+                Ok(r) => r.map(|(dataset, report)| JobOutput { dataset, report }),
                 Err(payload) => Err(DjError::op(
                     "service-job",
                     format!("job thread panicked: {}", panic_message(payload.as_ref())),
@@ -509,46 +483,60 @@ impl RuntimeInner {
     /// keep pulling queued jobs until none remain — completion-driven
     /// admission, no scheduler thread. The driver thread itself does
     /// little work: the executor's streaming sections run on the shared
-    /// worker pool, the driver just participates as one stepper.
+    /// worker pool, the driver just participates as one stepper. When no
+    /// thread can be spawned the job resolves with that IO error and its
+    /// admission slot is freed.
     fn spawn_driver(inner: &Arc<RuntimeInner>, job: PendingJob) {
-        let inner = Arc::clone(inner);
-        std::thread::Builder::new()
+        let slot = Arc::clone(&job.slot);
+        let driver = Arc::clone(inner);
+        let spawned = std::thread::Builder::new()
             .name("dj-job-driver".into())
-            .spawn(move || {
-                let mut job = Some(job);
-                while let Some(PendingJob { ctl, slot, spec }) = job.take() {
-                    let result = if ctl.is_cancelled() {
-                        // Cancelled while queued: resolve without running.
-                        Err(DjError::Cancelled)
-                    } else {
-                        Self::run_with_retries(&inner.cfg.retry, &ctl, &spec)
-                    };
-                    // A job that failed for good leaves no partial
-                    // egress behind: uncommitted part files, tmp files
-                    // and the quarantine sidecar are removed; committed
-                    // manifests are left alone. Cancellation is not a
-                    // failure — a cancelled run's directory is kept
-                    // as-is so a resubmission can be compared against
-                    // whatever it had already committed.
-                    if matches!(&result, Err(e) if !matches!(e, DjError::Cancelled)) {
-                        if let Some(dir) = spec.output_dir() {
-                            let _ = dj_io::cleanup_partial_egress(&dir);
-                        }
-                    }
-                    // Update the schedule *before* resolving, so a waiter
-                    // that wakes on the result already sees this slot
-                    // freed (or handed to the next queued job).
-                    {
-                        let mut sched = inner.sched.lock().expect("runtime sched mutex");
-                        match sched.pending.pop_front() {
-                            Some(next) => job = Some(next),
-                            None => sched.running -= 1,
-                        }
-                    }
-                    slot.resolve(result);
+            .spawn(move || driver.drive(job));
+        if let Err(e) = spawned {
+            lock(&inner.sched).running -= 1;
+            slot.resolve(Err(DjError::Io(e)));
+        }
+    }
+
+    /// The driver loop of [`spawn_driver`](Self::spawn_driver).
+    fn drive(&self, job: PendingJob) {
+        let mut job = Some(job);
+        while let Some(PendingJob {
+            ctl,
+            slot,
+            exec,
+            dataset,
+        }) = job.take()
+        {
+            let result = if ctl.is_cancelled() {
+                // Cancelled while queued: resolve without running.
+                Err(DjError::Cancelled)
+            } else {
+                Self::run_with_retries(&self.cfg.retry, &ctl, &exec, dataset)
+            };
+            // A job that failed for good leaves no partial egress behind:
+            // uncommitted part files, tmp files and the quarantine sidecar
+            // are removed; committed manifests are left alone.
+            // Cancellation is not a failure — a cancelled run's directory
+            // is kept as-is so a resubmission can be compared against
+            // whatever it had already committed.
+            if matches!(&result, Err(e) if !matches!(e, DjError::Cancelled)) {
+                if let Some(dir) = &exec.options.output {
+                    let _ = dj_io::cleanup_partial_egress(dir);
                 }
-            })
-            .expect("spawn job driver thread");
+            }
+            // Update the schedule *before* resolving, so a waiter that
+            // wakes on the result already sees this slot freed (or handed
+            // to the next queued job).
+            {
+                let mut sched = lock(&self.sched);
+                match sched.pending.pop_front() {
+                    Some(next) => job = Some(next),
+                    None => sched.running -= 1,
+                }
+            }
+            slot.resolve(result);
+        }
     }
 }
 
@@ -556,6 +544,7 @@ impl RuntimeInner {
 mod tests {
     use super::*;
     use crate::options::ExecOptions;
+    use dj_core::{Mapper, Op, Sample, SampleContext};
     use dj_ops::builtin_registry;
 
     fn exec(np: usize) -> Executor {
@@ -711,6 +700,45 @@ mod tests {
         let ctl = h.control();
         assert!(matches!(h.wait(), Err(DjError::Config(_))));
         assert_eq!(ctl.attempts(), 1);
+    }
+
+    /// Records the address of the text buffer of the first sample it sees.
+    struct TextAddress(AtomicUsize);
+
+    impl Mapper for TextAddress {
+        fn name(&self) -> &'static str {
+            "text_address_mapper"
+        }
+        fn process(&self, sample: &mut Sample, _: &mut SampleContext) -> Result<bool> {
+            let addr = sample.text().as_ptr() as usize;
+            let _ = self
+                .0
+                .compare_exchange(0, addr, Ordering::Relaxed, Ordering::Relaxed);
+            Ok(false)
+        }
+    }
+
+    /// A job that cannot be retried runs on the samples it was handed; one
+    /// that can keeps them for the next attempt and runs on a copy.
+    #[test]
+    fn only_a_retryable_job_copies_its_input() {
+        for attempts in [1, 2] {
+            let rt = Runtime::new(RuntimeConfig {
+                retry: RetryPolicy::attempts(attempts),
+                ..RuntimeConfig::default()
+            });
+            let seen = Arc::new(TextAddress(AtomicUsize::new(0)));
+            let exec = Executor::new(vec![Op::Mapper(seen.clone())]).with_options(ExecOptions {
+                num_workers: 1,
+                env: crate::options::EnvKnobs::default(),
+                ..ExecOptions::default()
+            });
+            let data = Dataset::from_texts(["the one sample of this job"]);
+            let submitted = data.samples()[0].text().as_ptr() as usize;
+            rt.submit(exec, data).wait().unwrap();
+            let copied = seen.0.load(Ordering::Relaxed) != submitted;
+            assert_eq!(copied, attempts > 1, "{attempts} attempts");
+        }
     }
 
     #[test]

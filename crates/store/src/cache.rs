@@ -36,8 +36,6 @@ pub enum CacheMode {
     Cache,
     /// Keep only the latest OP's output (min storage, more re-execution).
     Checkpoint,
-    /// Keep nothing (baseline / benchmark mode).
-    Disabled,
 }
 
 /// Directory-backed cache of per-OP dataset snapshots.
@@ -121,9 +119,6 @@ impl CacheManager {
         op_name: &str,
         frames: impl IntoIterator<Item = Result<Vec<u8>>>,
     ) -> Result<PathBuf> {
-        if self.mode == CacheMode::Disabled {
-            return Ok(PathBuf::new());
-        }
         let dir = self.dir();
         fs::create_dir_all(&dir)?;
         let path = self.entry_path(op_index, op_name);
@@ -149,15 +144,6 @@ impl CacheManager {
             }
         }
         Ok(path)
-    }
-
-    /// Load the dataset state after OP `op_index`, if cached.
-    pub fn load(&self, op_index: usize, op_name: &str) -> Result<Option<Dataset>> {
-        let path = self.entry_path(op_index, op_name);
-        if !path.exists() {
-            return Ok(None);
-        }
-        CachedEntry::open(&path)?.into_dataset().map(Some)
     }
 
     /// The most recent cached state whose `(index, name)` matches a prefix
@@ -202,15 +188,6 @@ impl CacheManager {
             return Ok(0);
         }
         Ok(list_entries(&dir)?.len())
-    }
-
-    /// Remove every entry for this recipe.
-    pub fn clear(&self) -> Result<()> {
-        let dir = self.dir();
-        if dir.exists() {
-            fs::remove_dir_all(&dir)?;
-        }
-        Ok(())
     }
 }
 
@@ -328,6 +305,15 @@ mod tests {
         d
     }
 
+    /// The dataset entry `op_index`/`op_name` holds, if the cache has it,
+    /// read the way a resume reads it.
+    fn load(cm: &CacheManager, op_index: usize, op_name: &str) -> Result<Option<Dataset>> {
+        match cm.latest_match(&[(op_index, op_name.to_string())])? {
+            Some((_, entry)) => entry.into_dataset().map(Some),
+            None => Ok(None),
+        }
+    }
+
     fn ds(n: usize) -> Dataset {
         Dataset::from_samples(
             (0..n)
@@ -342,9 +328,9 @@ mod tests {
         let cm = CacheManager::new(&dir, 0xABCD, CacheMode::Cache);
         let d = ds(10);
         cm.save(0, "op_a", &d).unwrap();
-        let loaded = cm.load(0, "op_a").unwrap().unwrap();
+        let loaded = load(&cm, 0, "op_a").unwrap().unwrap();
         assert_eq!(loaded, d);
-        assert!(cm.load(1, "op_b").unwrap().is_none());
+        assert!(load(&cm, 1, "op_b").unwrap().is_none());
         remove_cache_root(&dir);
     }
 
@@ -362,17 +348,8 @@ mod tests {
             ckpt.save(i, "op", &ds(5)).unwrap();
         }
         assert_eq!(ckpt.entry_count().unwrap(), 1);
-        assert!(ckpt.load(3, "op").unwrap().is_some());
-        assert!(ckpt.load(2, "op").unwrap().is_none());
-        remove_cache_root(&dir);
-    }
-
-    #[test]
-    fn disabled_mode_writes_nothing() {
-        let dir = tmpdir("disabled");
-        let cm = CacheManager::new(&dir, 3, CacheMode::Disabled);
-        cm.save(0, "op", &ds(5)).unwrap();
-        assert_eq!(cm.entry_count().unwrap(), 0);
+        assert!(load(&ckpt, 3, "op").unwrap().is_some());
+        assert!(load(&ckpt, 2, "op").unwrap().is_none());
         remove_cache_root(&dir);
     }
 
@@ -401,19 +378,20 @@ mod tests {
         let a = CacheManager::new(&dir, 10, CacheMode::Cache);
         let b = CacheManager::new(&dir, 11, CacheMode::Cache);
         a.save(0, "op", &ds(3)).unwrap();
-        assert!(b.load(0, "op").unwrap().is_none());
+        assert!(load(&b, 0, "op").unwrap().is_none());
         remove_cache_root(&dir);
     }
 
     #[test]
-    fn disk_usage_and_clear() {
+    fn disk_usage_counts_the_saved_entries() {
         let dir = tmpdir("usage");
         let cm = CacheManager::new(&dir, 12, CacheMode::Cache);
         assert_eq!(cm.disk_usage().unwrap(), 0);
-        cm.save(0, "op", &ds(50)).unwrap();
-        assert!(cm.disk_usage().unwrap() > 0);
-        cm.clear().unwrap();
-        assert_eq!(cm.entry_count().unwrap(), 0);
+        let path = cm.save(0, "op", &ds(50)).unwrap();
+        let one = fs::metadata(&path).unwrap().len();
+        assert_eq!(cm.disk_usage().unwrap(), one);
+        cm.save(1, "op", &ds(50)).unwrap();
+        assert_eq!(cm.disk_usage().unwrap(), 2 * one);
         remove_cache_root(&dir);
     }
 
@@ -433,7 +411,7 @@ mod tests {
         let dir = tmpdir("longnames");
         let cm = CacheManager::new(&dir, 21, CacheMode::Cache);
         cm.save(0, &long_a, &ds(4)).unwrap();
-        assert_eq!(cm.load(0, &long_a).unwrap().unwrap(), ds(4));
+        assert_eq!(load(&cm, 0, &long_a).unwrap().unwrap(), ds(4));
         // latest_match resolves through the same encoding.
         let (idx, entry) = cm
             .latest_match(&[(0usize, long_a.clone())])
@@ -442,7 +420,7 @@ mod tests {
         assert_eq!(idx, 0);
         assert_eq!(entry.into_dataset().unwrap(), ds(4));
         // A different long name does not collide.
-        assert!(cm.load(0, &long_b).unwrap().is_none());
+        assert!(load(&cm, 0, &long_b).unwrap().is_none());
         remove_cache_root(&dir);
     }
 
@@ -466,7 +444,7 @@ mod tests {
             .save_frames(0, "stage_a", frames.iter().cloned().map(Ok))
             .unwrap();
         assert_eq!(fs::read(&path).unwrap(), frames.concat());
-        assert_eq!(cm.load(0, "stage_a").unwrap().unwrap(), full);
+        assert_eq!(load(&cm, 0, "stage_a").unwrap().unwrap(), full);
         // Pulled lazily, the frames come back byte for byte, and again
         // after a rewind.
         let (idx, mut entry) = cm
@@ -491,7 +469,7 @@ mod tests {
             Err(dj_core::DjError::Storage("spill read failed".into())),
         ];
         assert!(cm.save_frames(2, "stage_b", err_iter).is_err());
-        assert!(cm.load(2, "stage_b").unwrap().is_none());
+        assert!(load(&cm, 2, "stage_b").unwrap().is_none());
         assert_eq!(cm.entry_count().unwrap(), 2);
         remove_cache_root(&dir);
     }
@@ -508,28 +486,19 @@ mod tests {
             let mut bad = good.clone();
             bad[pos] ^= 0x04;
             fs::write(&path, &bad).unwrap();
-            let err = cm.load(0, "op").unwrap_err();
+            let err = load(&cm, 0, "op").unwrap_err();
             assert!(matches!(err, dj_core::DjError::Storage(_)), "byte {pos}");
         }
         // An entry in the retired un-enveloped blob format is not read.
         fs::write(&path, crate::compress(&crate::to_bytes(&ds(6)), Codec::Djz)).unwrap();
-        assert!(cm.load(0, "op").is_err());
+        assert!(load(&cm, 0, "op").is_err());
         // Nor is one of row frames, as earlier releases saved resident
-        // stages: every public reader gives a typed error.
+        // stages: `into_dataset` gives a typed error naming the format.
         let row = crate::encode_shard_frame(&ds(6), Codec::Djz);
         fs::write(&path, [good.clone(), row].concat()).unwrap();
-        for err in [
-            cm.load(0, "op").unwrap_err(),
-            cm.latest_match(&[(0, "op".to_string())])
-                .unwrap()
-                .unwrap()
-                .1
-                .into_dataset()
-                .unwrap_err(),
-        ] {
-            assert!(matches!(err, dj_core::DjError::Storage(_)), "{err:?}");
-            assert!(err.to_string().contains("DJSF"), "{err}");
-        }
+        let err = load(&cm, 0, "op").unwrap_err();
+        assert!(matches!(err, dj_core::DjError::Storage(_)), "{err:?}");
+        assert!(err.to_string().contains("DJSF"), "{err}");
         remove_cache_root(&dir);
     }
 
@@ -544,7 +513,7 @@ mod tests {
         packed.save(0, "op", &d).unwrap();
         assert!(packed.disk_usage().unwrap() < raw.disk_usage().unwrap() / 2);
         // And still loads correctly.
-        assert_eq!(packed.load(0, "op").unwrap().unwrap(), d);
+        assert_eq!(load(&packed, 0, "op").unwrap().unwrap(), d);
         remove_cache_root(&dir);
     }
 }

@@ -263,14 +263,6 @@ impl ShardSpool {
     pub fn shard_len(&self, idx: usize) -> Option<usize> {
         dj_core::sync::lock(&self.lens).get(idx).copied().flatten()
     }
-
-    /// Bytes currently on disk in this spool.
-    pub fn disk_usage(&self) -> u64 {
-        (0..self.shard_count())
-            .filter_map(|i| fs::metadata(self.slot_path(i)).ok())
-            .map(|m| m.len())
-            .sum()
-    }
 }
 
 impl Drop for ShardSpool {
@@ -347,7 +339,6 @@ mod tests {
             assert_eq!(spool.shard_len(0), Some(3));
             assert_eq!(spool.shard_len(1), Some(0));
             assert_eq!(spool.shard_len(2), Some(2));
-            assert!(spool.disk_usage() > 0);
             for (i, s) in shards.iter().enumerate() {
                 assert_eq!(&spool.read_shard(i).unwrap(), s);
             }

@@ -103,8 +103,11 @@ struct Mode {
     /// `trace_examples`: a non-zero cap makes barriers collect duplicate
     /// traces (and spilled stages decode every column).
     trace: usize,
-    /// File shapes write `frames` parts instead of JSONL.
+    /// Modes that write parts write `frames` parts instead of JSONL.
     frames: bool,
+    /// A resident input (in-memory or spilled) submitted as a runtime job
+    /// with `output` set: it writes parts, as the file shape does.
+    egress: bool,
 }
 
 /// One service runtime for the whole binary, the way `dj serve` holds one:
@@ -126,6 +129,7 @@ impl Mode {
             runtime: false,
             trace: 0,
             frames: false,
+            egress: false,
         }
     }
 
@@ -155,7 +159,8 @@ impl Mode {
 
     /// The ways out of a barrier: every shape × np × `trace_examples`
     /// {0, 2} × `jsonl` / `frames` output (the output format only exists
-    /// for the file shapes).
+    /// for the modes that write parts: the file shape, and each resident
+    /// shape again as a runtime job with `output` set).
     fn ways_out() -> Vec<Mode> {
         let mut modes = Vec::new();
         for base in Mode::all() {
@@ -169,6 +174,15 @@ impl Mode {
                         modes.push(Mode {
                             trace,
                             frames,
+                            ..base
+                        });
+                    }
+                    if !file {
+                        modes.push(Mode {
+                            trace,
+                            frames,
+                            egress: true,
+                            runtime: true,
                             ..base
                         });
                     }
@@ -204,16 +218,24 @@ impl Mode {
         }
     }
 
-    /// Run the mode; the output comes back as JSONL bytes (what a file
-    /// mode wrote, or the serialization of what a resident mode returned).
+    /// Run the mode; the output comes back as JSONL bytes (the parts a
+    /// writing mode wrote, or the serialization of what a resident mode
+    /// returned).
     fn run(&self, ops: &[Op], case: &Case) -> (String, RunReport) {
         let mut options = self.options(case.shard_size);
         let file = self.shape == Shape::File;
+        let writes = file || self.egress;
+        assert!(
+            !self.egress || self.runtime,
+            "{self:?}: `run` refuses an output"
+        );
         let out_dir = case.dir.join("out");
-        if file {
+        if writes {
             let _ = fs::remove_dir_all(&out_dir);
-            options.input = Some(format!("{}/in/*.jsonl", case.dir.display()));
             options.output = Some(out_dir.clone());
+        }
+        if file {
+            options.input = Some(format!("{}/in/*.jsonl", case.dir.display()));
         }
         let exec = Executor::new(ops.to_vec()).with_options(options);
         let (out, report) = if !self.runtime {
@@ -232,15 +254,17 @@ impl Mode {
             assert_eq!(ctl.attempts(), 1, "{self:?}: not run as a runtime job");
             (out.dataset, out.report)
         };
+        if !file {
+            let spilled = self.shape != Shape::InMemory && !case.data.is_empty();
+            assert_eq!(report.spilled, spilled, "{self:?}: wrong shape ran");
+        }
         match out {
             Some(out) => {
-                assert!(!file, "{self:?}: file mode returned a dataset");
-                let spilled = self.shape != Shape::InMemory && !case.data.is_empty();
-                assert_eq!(report.spilled, spilled, "{self:?}: wrong shape ran");
+                assert!(!writes, "{self:?}: returned a dataset, wrote nothing");
                 (to_jsonl(&out), report)
             }
             None => {
-                assert!(file, "{self:?}: no dataset returned");
+                assert!(writes, "{self:?}: no dataset returned");
                 let manifest = EgressManifest::load(&out_dir).unwrap();
                 let written: String = manifest
                     .parts

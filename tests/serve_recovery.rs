@@ -8,9 +8,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use data_juicer::core::Sample;
+use data_juicer::core::{Dataset, Sample};
 use data_juicer::exec::{executor_from_recipe, EgressManifest};
 use data_juicer::ops::builtin_registry;
+use data_juicer::store::to_jsonl;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dj-serve-rec-{tag}-{}", std::process::id()));
@@ -158,6 +159,74 @@ fn killed_serve_resumes_from_journal_byte_identically() {
         "terminal jobs must not be replayed again"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An inline-`texts` job whose recipe names an `output_path` writes it:
+/// `output` means egress whatever the input, so the committed parts hold
+/// exactly the JSONL of what the same recipe returns in memory.
+#[test]
+fn inline_texts_with_an_output_path_are_written_as_parts() {
+    let dir = fresh_dir("inline-out");
+    let out_dir = dir.join("out");
+    let texts = [
+        "inline   one",
+        "inline two",
+        "inline   one",
+        "inline  three",
+    ];
+    let quoted: Vec<String> = texts.iter().map(|t| format!("\"{t}\"")).collect();
+    let cmd = format!(
+        concat!(
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"inline-out\",",
+            "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}},",
+            "{{\"document_deduplicator\":{{}}}}],\"output_path\":\"{}\"}},",
+            "\"texts\":[{}]}}"
+        ),
+        out_dir.display(),
+        quoted.join(",")
+    );
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_dj"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dj serve");
+    let mut stdin = serve.stdin.take().unwrap();
+    writeln!(stdin, "{cmd}").unwrap();
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    let events: Vec<String> = BufReader::new(serve.stdout.take().unwrap())
+        .lines()
+        .map(Result::unwrap)
+        .collect();
+    assert!(serve.wait().unwrap().success(), "{events:?}");
+    assert!(
+        events
+            .iter()
+            .any(|e| e.contains("\"done\"") && e.contains("\"samples_out\":3")),
+        "{events:?}"
+    );
+
+    // The reference: the same recipe, in memory.
+    let mut recipe = data_juicer::config::Recipe::from_value(
+        &data_juicer::core::parse_json(&cmd)
+            .unwrap()
+            .get_path("recipe")
+            .unwrap()
+            .clone(),
+    )
+    .unwrap();
+    recipe.output_path = None;
+    let (expected, _) = executor_from_recipe(&recipe, &builtin_registry(), true)
+        .unwrap()
+        .run(Dataset::from_texts(texts))
+        .unwrap();
+    assert_eq!(
+        String::from_utf8(egress_bytes(&out_dir)).unwrap(),
+        to_jsonl(&expected)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
