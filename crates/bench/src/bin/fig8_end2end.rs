@@ -479,7 +479,6 @@ fn main() {
         let (expected, _) = Executor::new(matched_dj_ops(p))
             .with_options(ExecOptions {
                 num_workers: np,
-                memory_budget: Some(u64::MAX),
                 ..ExecOptions::default()
             })
             .run(data.clone())

@@ -28,13 +28,12 @@
 //!
 //! Spilling engages automatically when the dataset's estimated byte size
 //! exceeds `memory_budget`: shards stream through each pipeline stage from
-//! checksummed frame files with double-buffered prefetch, holding at most
-//! `np × 2 × shard_size` samples in memory, and the output is byte-identical
-//! to an in-memory run. Omit `memory_budget` (or leave it larger than the
-//! dataset) to keep everything in memory. `DJ_MEMORY_BUDGET=<bytes>` in the
-//! environment overrides an unset budget — a host-level cap for recipes
-//! that set none. Both keys participate in the recipe
-//! fingerprint, so cached stages invalidate when they change.
+//! checksummed frame files with bounded prefetch, holding at most
+//! `np × prefetch_depth × shard_size` samples in memory (`prefetch_depth`
+//! defaults to 2, double buffering), and the output is byte-identical to an
+//! in-memory run. Omit `memory_budget` (or leave it larger than the
+//! dataset) to keep everything in memory. Both keys participate in the
+//! recipe fingerprint, so cached stages invalidate when they change.
 
 pub mod recipe;
 pub mod recipes;

@@ -36,6 +36,11 @@
 //!
 //! e.g. `DJ_FAULTS=seed:7,store.frame.read:bitflip@2`.
 //!
+//! No library crate reads the variable ([`FAULTS_ENV`]): a run's plan is
+//! its `ExecOptions::faults`. `dj serve` parses `DJ_FAULTS` once at
+//! startup and hands every job a fresh plan of it; the chaos suite's
+//! `env_seed_smoke` replays one spec from it.
+//!
 //! ## Hooks
 //!
 //! Sites come in two flavors. *Byte sites* pass their buffer through
@@ -66,6 +71,10 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::error::{DjError, Result};
 use crate::sync;
+
+/// The environment variable a host reads a [`FaultPlan::parse`] spec
+/// from. An empty value means unset.
+pub const FAULTS_ENV: &str = "DJ_FAULTS";
 
 /// Every named injection site, in the order seed-derived plans index
 /// them. Keep `docs/robustness.md` in sync when adding one.

@@ -20,8 +20,8 @@
 //!   [`Filter`], [`Deduplicator`]) together with the type-erased [`Op`]
 //!   and the [`OpRegistry`] extension point;
 //! * [`faults`] — the deterministic fault-injection plan chaos tests
-//!   replay (`DJ_FAULTS`), with named sites threaded through the
-//!   storage, IO and execution crates.
+//!   replay (the `DJ_FAULTS` grammar), with named sites threaded through
+//!   the storage, IO and execution crates.
 
 // Panic-on-error is banned in library code: every unwrap/expect outside
 // tests is either restructured away or carries an explicit `#[allow]`

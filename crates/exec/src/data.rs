@@ -10,6 +10,7 @@
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
 //! | barrier hash pass | live resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
 //! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
+//! | egress of resident shards | [`mem_feed`]: take the shard out of its slot, leaving behind what the deferred mask drops | `ShardedWriter::store_shard` | nothing — samples are resident |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
 //! | `frames` egress of a spool | checked slots, converted to row frames | `ShardedWriter::store_frame_bytes` | every sample the deferred mask keeps (the `frames` format is row frames) |
 //! | cache resume | [`StageData::from_cached`]: the entry's frames, one at a time | memory, or spool slots | every frame while the budget holds; past it, none — frame bytes are copied into slots |
@@ -472,8 +473,18 @@ impl StageData {
         .map(drop)
     }
 
-    /// Write every shard to `writer`, in `options.output_format`. JSONL is
-    /// transcoded from the undecoded frames; `frames` parts are the slots
+    /// The resident shards, moved out of their slots (a spool has none).
+    fn take_resident(&mut self) -> Vec<Dataset> {
+        match &mut self.slots {
+            Slots::Mem(shards) => std::mem::take(shards),
+            Slots::Spool(_) => Vec::new(),
+        }
+    }
+
+    /// Write every shard to `writer`, in `options.output_format`, through
+    /// the one driver. Resident shards leave their slots as the pass
+    /// reaches them, thinned by the mask. A spool's JSONL is transcoded
+    /// from the undecoded frames; its `frames` parts are the slots
     /// converted to row frames inside the store, because the `frames`
     /// contract is row frames.
     pub(crate) fn egress(
@@ -482,17 +493,17 @@ impl StageData {
         options: &ExecOptions,
         ctl: &RunCtl,
     ) -> Result<()> {
-        self.compact();
+        let (workers, depth) = (options.num_workers, options.prefetch_depth);
         let spool = match &self.slots {
-            Slots::Mem(shards) => {
-                for (i, shard) in shards.iter().enumerate() {
-                    writer.store_shard(i, shard)?;
-                }
+            Slots::Mem(_) => {
+                let shards = mem_feed(self.take_resident(), std::mem::take(&mut self.mask));
+                drive(&shards, workers, depth, ctl, |i, loaded| {
+                    writer.store_shard(i, &loaded.shard)
+                })?;
                 return Ok(());
             }
             Slots::Spool(spool) => spool,
         };
-        let (workers, depth) = (options.num_workers, options.prefetch_depth);
         match options.output_format {
             OutputFormat::Frames => {
                 let slots = Feed::indexed(spool.shard_count(), true, |i| {

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use dj_core::{faults, Dataset, Deduplicator, DjError, FaultGuard, Op, Result};
+use dj_core::{faults, Dataset, Deduplicator, DjError, Op, Result};
 use dj_hash::fnv1a;
 use dj_io::{CorpusReader, ErrorLedger, ShardedWriter};
 use dj_store::{CacheManager, ShardSpool, STATS_SIDECAR_FILE};
@@ -76,26 +76,6 @@ impl Executor {
         } else {
             plan_unfused(&self.ops)
         }
-    }
-
-    /// Install the fault plan in force — the explicit option, else the
-    /// `DJ_FAULTS` snapshot — for the duration of the returned guard.
-    /// Resolution is memoized on the options value so retry attempts
-    /// reinstall the *same* plan and its hit counters carry across
-    /// attempts: an injected transient fault fires on its programmed
-    /// hit, the retry re-runs clean.
-    fn fault_guard(&self) -> Result<Option<FaultGuard>> {
-        let plan = self
-            .options
-            .resolved_faults
-            .get_or_init(|| match &self.options.faults {
-                Some(p) => Some(Arc::clone(p)),
-                // `env.validate()` ran at every entry point before this,
-                // so a malformed DJ_FAULTS already failed the run.
-                None => self.options.env.faults().unwrap_or(None),
-            })
-            .clone();
-        Ok(plan.map(faults::install))
     }
 
     /// The error ledger for one run attempt: fresh counters per attempt
@@ -218,8 +198,9 @@ impl Executor {
         cache: Option<&CacheManager>,
         job: Option<Arc<JobControl>>,
     ) -> Result<(Option<Dataset>, RunReport)> {
-        self.options.env.validate()?;
-        let _faults = self.fault_guard()?;
+        // The plan in force for this attempt. Retry attempts share its
+        // `Arc`, so a fault spent on one stays spent on the next.
+        let _faults = self.options.faults.clone().map(faults::install);
         let adaptive = self.options.adaptive;
         let stats_path = self.stats_path(cache).filter(|_| adaptive);
         let mut model = adaptive.then(|| match &stats_path {
@@ -278,7 +259,7 @@ impl Executor {
         let start = Instant::now();
         let ledger = self.new_ledger()?;
         let ctl = RunCtl::new(job, Some(Arc::clone(&ledger)));
-        let budget = self.effective_memory_budget()?;
+        let budget = self.options.memory_budget;
         let mut report = RunReport {
             fused_groups: plan.fused_groups,
             stages: stages.len(),
@@ -386,17 +367,6 @@ impl Executor {
         report.initial_samples = reader.samples_read() as usize;
         report.ingest_duration = start.elapsed();
         Ok((data, ran))
-    }
-
-    /// The memory budget in force: the explicit option, else the
-    /// `DJ_MEMORY_BUDGET` env override (bytes), else none. A malformed
-    /// override is a configuration error — silently ignoring it would run
-    /// the exact corpus the knob was set to protect fully in memory.
-    fn effective_memory_budget(&self) -> Result<Option<u64>> {
-        if let Some(b) = self.options.memory_budget {
-            return Ok(Some(b));
-        }
-        self.options.env.memory_budget()
     }
 
     /// The prefetch depth in force, validated: a depth of zero would

@@ -166,11 +166,7 @@ fn shard_count_never_changes_output() {
 fn spilled_run_matches_in_memory_run() {
     let reg = builtin_registry();
     let base = noisy_dataset();
-    // u64::MAX pins the reference in memory whatever `DJ_MEMORY_BUDGET`
-    // the host sets.
-    let mut base_opts = opts(1, false, 0);
-    base_opts.memory_budget = Some(u64::MAX);
-    let baseline = Executor::new(pipeline(&reg)).with_options(base_opts);
+    let baseline = Executor::new(pipeline(&reg)).with_options(opts(1, false, 0));
     let (expected, _) = baseline.run(base.clone()).unwrap();
     for np in [1usize, 3] {
         let exec = Executor::new(pipeline(&reg)).with_options(spill_opts(np, 4, 1));
@@ -314,7 +310,6 @@ fn under_budget_resume_stays_in_memory() {
     let cache = CacheManager::new(&dir, 779, dj_store::CacheMode::Cache);
     let mut options = opts(3, true, 0);
     options.shard_size = Some(4);
-    options.memory_budget = Some(u64::MAX);
     let exec = Executor::new(pipeline(&reg)).with_options(options);
     let (out1, r1) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
     assert!(!r1.spilled);
@@ -491,7 +486,6 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             let cache = CacheManager::new(dir.join("cache"), 780, dj_store::CacheMode::Cache);
             let mut options = opts(np, true, 0);
             options.shard_size = Some(shard_size);
-            options.memory_budget = Some(u64::MAX);
             let exec = Executor::new(steps.clone()).with_options(options);
             let (out, report) = exec.run_with_cache(base.clone(), &cache).unwrap();
             assert!(!report.spilled, "{tag}");

@@ -107,10 +107,11 @@
 //! * [`ExecOptions::on_error`] / [`ExecOptions::max_error_ratio`] — the
 //!   record-level error policy (`docs/robustness.md`).
 //!
-//! The recipe (or these options) is the one place a run's shape is
-//! chosen. The environment carries two host-level knobs only
-//! ([`EnvKnobs`]): `DJ_MEMORY_BUDGET`, a byte cap for runs that set no
-//! budget, and `DJ_FAULTS`, a chaos plan to replay. The test suite picks
+//! The recipe (or these options) is the one place a run is configured:
+//! no library crate reads the environment. A host-level memory cap is
+//! [`RuntimeConfig::memory_budget`] (`dj serve --memory-budget`), and a
+//! chaos plan is [`ExecOptions::faults`] — `dj serve` fills it from
+//! `DJ_FAULTS`, the one variable the binary reads. The test suite picks
 //! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
 //! Four former knobs are gone, because no recipe, test or benchmark
@@ -125,9 +126,10 @@
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!
-//! When a `memory_budget` (bytes) is set — per options, per recipe, or via
-//! the `DJ_MEMORY_BUDGET` env var — and the estimated dataset size exceeds
-//! it, the engine spills the shard queue to disk and streams it:
+//! When a `memory_budget` (bytes) is set — per options, per recipe, or as a
+//! runtime job's share of [`RuntimeConfig::memory_budget`] — and the
+//! estimated dataset size exceeds it, the engine spills the shard queue to
+//! disk and streams it:
 //!
 //! 1. The dataset is cut into shards sized so the streaming live set fits
 //!    the budget (an explicit `shard_size` is honored as-is) and each shard
@@ -214,8 +216,8 @@ pub use executor::Executor;
 pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
 pub use options::{
-    default_parallelism, executor_from_recipe, EnvKnobs, ExecOptions, DEFAULT_IO_SHARD_SIZE,
-    DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, MEMORY_BUDGET_ENV,
+    default_parallelism, executor_from_recipe, ExecOptions, DEFAULT_IO_SHARD_SIZE,
+    DEFAULT_PREFETCH_DEPTH,
 };
 pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};
 pub use runtime::{

@@ -1,10 +1,11 @@
-//! Executor configuration: [`ExecOptions`], the one-shot [`EnvKnobs`]
-//! snapshot of the `DJ_*` environment, and the recipe → executor bridge.
+//! Executor configuration: [`ExecOptions`] and the recipe → executor
+//! bridge. Nothing here reads the environment: a run's configuration is
+//! its recipe, or these options.
 
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use dj_core::{DjError, FaultPlan, OnError, Result};
+use dj_core::{FaultPlan, OnError, Result};
 use dj_io::OutputFormat;
 
 use crate::executor::Executor;
@@ -13,86 +14,6 @@ use crate::executor::Executor;
 /// Over-partitioning lets fast workers steal extra shards (morsel-driven
 /// scheduling) instead of idling at the stage join.
 const AUTO_SHARDS_PER_WORKER: usize = 4;
-
-/// Environment override for [`ExecOptions::memory_budget`] (bytes): an
-/// operator's host-level cap, applied to every run whose options set no
-/// budget of their own.
-pub const MEMORY_BUDGET_ENV: &str = "DJ_MEMORY_BUDGET";
-
-/// Environment knob installing a deterministic fault plan for the run
-/// (see [`dj_core::faults`] for the grammar: `seed:N` and/or
-/// `site:kind[@n]` clauses). Snapshotted like [`MEMORY_BUDGET_ENV`]; a
-/// malformed plan is a hard config error. The parsed plan is resolved
-/// once per options value, so retry attempts share one plan — and its
-/// hit counters — and a transient injected fault fires once, not once
-/// per attempt.
-pub const FAULTS_ENV: &str = "DJ_FAULTS";
-
-/// A one-shot snapshot of the two executor env knobs, captured when
-/// [`ExecOptions`] is constructed. Everything else about a run's shape is
-/// the recipe's (or the options') to say; these two are for the host:
-/// a memory cap, and a chaos seed to replay.
-///
-/// A long-lived `dj serve` process gives every job the view it had when
-/// the job's options were built, whatever the environment does later, and
-/// [`EnvKnobs::validate`] makes a malformed value a hard
-/// [`DjError::Config`] instead of a silent default.
-#[derive(Debug, Clone, Default)]
-pub struct EnvKnobs {
-    memory_budget: Option<String>,
-    faults: Option<String>,
-}
-
-impl EnvKnobs {
-    /// Snapshot the current environment.
-    pub fn capture() -> EnvKnobs {
-        let grab = |name: &str| std::env::var(name).ok();
-        EnvKnobs {
-            memory_budget: grab(MEMORY_BUDGET_ENV),
-            faults: grab(FAULTS_ENV),
-        }
-    }
-
-    /// The `DJ_MEMORY_BUDGET` override in bytes, if set. A malformed
-    /// value is a configuration error — silently ignoring it would run
-    /// the exact corpus the knob was set to protect fully in memory.
-    pub fn memory_budget(&self) -> Result<Option<u64>> {
-        let Some(raw) = self.memory_budget.as_deref().map(str::trim) else {
-            return Ok(None);
-        };
-        if raw.is_empty() {
-            return Ok(None);
-        }
-        match raw.parse::<u64>() {
-            Ok(b) if b >= 1 => Ok(Some(b)),
-            _ => Err(DjError::Config(format!(
-                "{MEMORY_BUDGET_ENV} must be a positive integer byte count, got `{raw}`"
-            ))),
-        }
-    }
-
-    /// The `DJ_FAULTS` fault plan, parsed fresh. Callers that retry must
-    /// parse once and share the plan (see [`FAULTS_ENV`]); the executor
-    /// does this through `ExecOptions::resolved_faults`.
-    pub fn faults(&self) -> Result<Option<Arc<FaultPlan>>> {
-        let Some(raw) = self.faults.as_deref().map(str::trim) else {
-            return Ok(None);
-        };
-        if raw.is_empty() {
-            return Ok(None);
-        }
-        FaultPlan::parse(raw).map(|p| Some(Arc::new(p)))
-    }
-
-    /// Hard-validate every knob at once (run entry points call this so a
-    /// typo fails the run up front, not at whichever point first consults
-    /// the knob).
-    pub fn validate(&self) -> Result<()> {
-        self.memory_budget()?;
-        self.faults()?;
-        Ok(())
-    }
-}
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -109,7 +30,8 @@ pub struct ExecOptions {
     /// Peak dataset bytes the engine may keep in memory. When the estimated
     /// dataset size exceeds this, shards spill to disk and stages stream
     /// them with double-buffered prefetch (out-of-core mode). `None`
-    /// disables spilling unless the `DJ_MEMORY_BUDGET` env var is set.
+    /// disables spilling. A [`Runtime`](crate::Runtime) with a global
+    /// budget sets each job's to its share, or keeps a tighter one.
     pub memory_budget: Option<u64>,
     /// Directory for spilled shard frames; `None` = the system temp dir.
     /// Each run creates (and removes on completion) its own subdirectories.
@@ -133,7 +55,8 @@ pub struct ExecOptions {
     /// of being returned in memory — whatever the input, for
     /// [`Executor::run_io`] and every runtime job. [`Executor::run`] and
     /// [`Executor::run_with_cache`] return the dataset, so they refuse a
-    /// set `output` with a [`DjError::Config`] before any work.
+    /// set `output` with a [`DjError::Config`](dj_core::DjError::Config)
+    /// before any work.
     pub output: Option<PathBuf>,
     /// Egress file format when `output` is set.
     pub output_format: OutputFormat,
@@ -155,9 +78,6 @@ pub struct ExecOptions {
     /// development, not production throughput). Only applies to cached
     /// runs.
     pub prefix_cache: bool,
-    /// Snapshot of the executor env knobs (`DJ_MEMORY_BUDGET`,
-    /// `DJ_FAULTS`), captured when these options were constructed.
-    pub env: EnvKnobs,
     /// What to do when a single record fails — a malformed ingest line
     /// or a sample an OP rejects. `Fail` (default) aborts the run;
     /// `Skip` drops the record; `Quarantine` drops it and preserves it
@@ -167,18 +87,13 @@ pub struct ExecOptions {
     /// `(skipped + quarantined) / records_seen` exceeds this ratio.
     /// `1.0` (default) never trips.
     pub max_error_ratio: f64,
-    /// Deterministic fault plan for chaos testing. Explicitly set plans
-    /// win over the `DJ_FAULTS` snapshot; the plan's per-site hit
-    /// counters live in the `Arc`, so handing the *same* plan to every
-    /// retry attempt makes an injected transient fault fire exactly on
+    /// Deterministic fault plan for chaos testing, installed for the
+    /// duration of each run. The plan's per-site hit counters live in the
+    /// `Arc`, which every clone of these options shares — so the retry
+    /// attempts of a runtime job, and an auto-tuned copy, all count
+    /// against one plan, and an injected transient fault fires exactly on
     /// its programmed hit and never again.
     pub faults: Option<Arc<FaultPlan>>,
-    /// One-shot resolution of `faults`-or-env, shared by clones of this
-    /// options value (and therefore by retry attempts). Public only so
-    /// functional-update construction (`..ExecOptions::default()`) works
-    /// outside this crate; leave it defaulted.
-    #[doc(hidden)]
-    pub resolved_faults: OnceLock<Option<Arc<FaultPlan>>>,
 }
 
 impl Default for ExecOptions {
@@ -197,11 +112,9 @@ impl Default for ExecOptions {
             adaptive: false,
             stats_dir: None,
             prefix_cache: false,
-            env: EnvKnobs::capture(),
             on_error: OnError::Fail,
             max_error_ratio: 1.0,
             faults: None,
-            resolved_faults: OnceLock::new(),
         }
     }
 }
@@ -282,52 +195,9 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
-    use dj_core::{Dataset, Mapper, Op, Sample, SampleContext};
+    use dj_core::{Dataset, DjError, Mapper, Op, Sample, SampleContext};
     use dj_ops::builtin_registry;
     use dj_store::{CacheManager, CacheMode};
-
-    fn knobs(memory_budget: Option<&str>, faults: Option<&str>) -> EnvKnobs {
-        EnvKnobs {
-            memory_budget: memory_budget.map(str::to_string),
-            faults: faults.map(str::to_string),
-        }
-    }
-
-    #[test]
-    fn malformed_env_values_are_config_errors() {
-        for raw in ["lots", "0", "-1", "1.5"] {
-            let err = knobs(Some(raw), None).validate().unwrap_err();
-            assert!(
-                matches!(err, DjError::Config(_)),
-                "{MEMORY_BUDGET_ENV}={raw}: {err:?}"
-            );
-        }
-        for raw in [
-            "seed:x",
-            "nowhere.at.all:io",
-            "store.frame.read:explode",
-            "store.frame.read:io@0",
-        ] {
-            let err = knobs(None, Some(raw)).validate().unwrap_err();
-            assert!(
-                matches!(err, DjError::Config(_)),
-                "{FAULTS_ENV}={raw}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_env_values_mean_unset() {
-        for raw in ["", "  "] {
-            let env = knobs(Some(raw), Some(raw));
-            env.validate().unwrap();
-            assert_eq!(env.memory_budget().unwrap(), None);
-            assert!(env.faults().unwrap().is_none());
-        }
-        let env = knobs(Some(" 4096 "), Some("seed:3"));
-        assert_eq!(env.memory_budget().unwrap(), Some(4096));
-        assert!(env.faults().unwrap().is_some());
-    }
 
     /// Counts the samples it is handed.
     struct Counting(AtomicUsize);
@@ -343,44 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn every_entry_point_validates_the_env_before_any_work() {
-        let dir = std::env::temp_dir().join(format!("dj-env-validate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("in.jsonl");
-        std::fs::write(&input, "{\"text\":\"a\"}\n").unwrap();
-        let counting = Arc::new(Counting(AtomicUsize::new(0)));
-        let cache = CacheManager::new(dir.join("cache"), 1, CacheMode::Cache);
-        for env in [knobs(Some("lots"), None), knobs(None, Some("seed:x"))] {
-            // No `output`: `run` and `run_with_cache` would refuse it
-            // before the env is looked at. `run_io` writes one.
-            let options = ExecOptions {
-                input: Some(input.display().to_string()),
-                env,
-                ..ExecOptions::default()
-            };
-            let exec =
-                Executor::new(vec![Op::Mapper(counting.clone())]).with_options(ExecOptions {
-                    output: Some(dir.join("out")),
-                    ..options.clone()
-                });
-            let returning = Executor::new(vec![Op::Mapper(counting.clone())]).with_options(options);
-            let data = || Dataset::from_texts(["a", "b"]);
-            for err in [
-                returning.run(data()).err(),
-                returning.run_with_cache(data(), &cache).err(),
-                exec.run_io().err(),
-            ] {
-                assert!(matches!(err, Some(DjError::Config(_))), "{err:?}");
-            }
-        }
-        assert_eq!(counting.0.load(Ordering::Relaxed), 0, "an op ran");
-        assert!(!dir.join("cache").exists(), "a cache entry was written");
-        assert!(!dir.join("out").exists(), "egress started");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn run_and_run_with_cache_refuse_an_output_before_any_work() {
         let dir = std::env::temp_dir().join(format!("dj-run-output-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -388,7 +220,6 @@ mod tests {
         let cache = CacheManager::new(dir.join("cache"), 1, CacheMode::Cache);
         let exec = Executor::new(vec![Op::Mapper(counting.clone())]).with_options(ExecOptions {
             output: Some(dir.join("out")),
-            env: EnvKnobs::default(),
             ..ExecOptions::default()
         });
         let data = || Dataset::from_texts(["a", "b"]);

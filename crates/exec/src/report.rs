@@ -64,9 +64,9 @@ pub struct RunReport {
     /// Whether the run spilled shards to disk (out-of-core mode).
     pub spilled: bool,
     /// Peak samples simultaneously resident in the streaming stage
-    /// machinery. With double-buffered prefetch this stays ≤
-    /// `num_workers × 2 × shard_size` — the engine's constant-memory bound
-    /// while stages stream spilled shards.
+    /// machinery. This stays ≤ `num_workers × prefetch_depth × shard_size`
+    /// — the engine's constant-memory bound while stages stream spilled
+    /// shards.
     pub peak_resident_samples: usize,
     /// Approximate heap bytes of those resident samples at the peak.
     pub peak_resident_bytes: usize,

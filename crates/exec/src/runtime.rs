@@ -77,10 +77,12 @@ impl Default for RuntimeConfig {
 /// recipe over the same bytes reproduces them exactly.
 ///
 /// A retried attempt re-enters the executor with the *same* options
-/// value, so anything memoised there (the resolved fault plan and its
-/// per-site hit counters, the prefix cache, spill spools) carries over:
-/// an injected fault that fired on attempt 1 stays consumed, and the
-/// retry runs clean and byte-identical.
+/// value, so the fault plan in `ExecOptions::faults` — one `Arc`, and its
+/// per-site hit counters with it — carries over: an injected fault that
+/// fired on attempt 1 stays consumed, and the retry runs clean and
+/// byte-identical. The options hold nothing else an attempt could leave
+/// behind: spill spools and the error ledger are made fresh for every
+/// attempt.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts, including the first. `1` (default) disables
@@ -438,9 +440,9 @@ impl RuntimeInner {
     /// [`RetryPolicy::max_attempts`]; deterministic failures (op errors,
     /// config errors, error-budget overruns) and panics surface
     /// immediately. Every attempt re-enters the executor with the same
-    /// options value, so the memoised fault plan's hit counters persist
-    /// across attempts — a seeded fault consumed on attempt 1 does not
-    /// re-fire on attempt 2. The resident input is copied only for an
+    /// options value, so the fault plan's hit counters persist across
+    /// attempts — a seeded fault consumed on attempt 1 does not re-fire
+    /// on attempt 2. The resident input is copied only for an
     /// attempt another one can follow; the last attempt takes it.
     fn run_with_retries(
         retry: &RetryPolicy,
@@ -638,7 +640,6 @@ mod tests {
             .unwrap()];
         let bad = rt.submit_io(Executor::new(ops).with_options(ExecOptions {
             input: None,
-            env: crate::options::EnvKnobs::default(),
             ..ExecOptions::default()
         }));
         let good = rt.submit(exec(1), dataset(8, "after"));
@@ -672,7 +673,6 @@ mod tests {
         let h = rt.submit_io(Executor::new(ops).with_options(ExecOptions {
             input: Some(input.display().to_string()),
             output: Some(occupied),
-            env: crate::options::EnvKnobs::default(),
             ..ExecOptions::default()
         }));
         let ctl = h.control();
@@ -694,7 +694,6 @@ mod tests {
             .unwrap()];
         let h = rt.submit_io(Executor::new(ops).with_options(ExecOptions {
             input: None,
-            env: crate::options::EnvKnobs::default(),
             ..ExecOptions::default()
         }));
         let ctl = h.control();
@@ -730,7 +729,6 @@ mod tests {
             let seen = Arc::new(TextAddress(AtomicUsize::new(0)));
             let exec = Executor::new(vec![Op::Mapper(seen.clone())]).with_options(ExecOptions {
                 num_workers: 1,
-                env: crate::options::EnvKnobs::default(),
                 ..ExecOptions::default()
             });
             let data = Dataset::from_texts(["the one sample of this job"]);

@@ -14,6 +14,11 @@
 //! re-execute deterministically — the committed output is byte-identical
 //! to what an uninterrupted run would have produced. See
 //! `docs/robustness.md`.
+//!
+//! This binary is the one place the environment reaches a run: `dj serve`
+//! parses `DJ_FAULTS` once at startup (a malformed value exits with code 2
+//! before any command is read) and hands every submitted or replayed job
+//! a freshly parsed copy of that fault plan.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -22,8 +27,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use data_juicer::config::Recipe;
+use data_juicer::core::faults::{FaultPlan, FAULTS_ENV};
 use data_juicer::core::{parse_json, Dataset, Value};
-use data_juicer::exec::{executor_from_recipe, JobControl, Runtime, RuntimeConfig};
+use data_juicer::exec::{executor_from_recipe, ExecOptions, JobControl, Runtime, RuntimeConfig};
 use data_juicer::ops::builtin_registry;
 
 const USAGE: &str = "usage: dj serve [--socket PATH] [--max-jobs N] [--memory-budget BYTES] [--retries N] [--journal PATH]
@@ -31,7 +37,8 @@ const USAGE: &str = "usage: dj serve [--socket PATH] [--max-jobs N] [--memory-bu
 Commands are line-delimited JSON on stdin (or the socket); events are
 line-delimited JSON on stdout (or the socket). See docs/service.md.
 --retries N retries transiently-failed jobs up to N attempts total;
---journal PATH makes submissions crash-recoverable (docs/robustness.md).";
+--journal PATH makes submissions crash-recoverable (docs/robustness.md).
+DJ_FAULTS=<plan> in the environment hands every job a fault plan.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,6 +61,8 @@ struct ServeOpts {
     cfg: RuntimeConfig,
     socket: Option<String>,
     journal: Option<String>,
+    /// The `DJ_FAULTS` spec, validated: every job parses its own plan.
+    faults: Option<String>,
 }
 
 fn serve_config(args: &[String]) -> Result<ServeOpts, String> {
@@ -100,7 +109,21 @@ fn serve_config(args: &[String]) -> Result<ServeOpts, String> {
         cfg,
         socket,
         journal,
+        faults: faults_from_env()?,
     })
+}
+
+/// The `DJ_FAULTS` spec, if set and not blank. A value that does not
+/// parse is an error naming the variable.
+fn faults_from_env() -> Result<Option<String>, String> {
+    let spec = match std::env::var(FAULTS_ENV) {
+        Ok(spec) if spec.trim().is_empty() => return Ok(None),
+        Ok(spec) => spec,
+        Err(std::env::VarError::NotPresent) => return Ok(None),
+        Err(e) => return Err(format!("{FAULTS_ENV}: {e}")),
+    };
+    FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}=`{spec}`: {e}"))?;
+    Ok(Some(spec))
 }
 
 /// One tracked job: the control block for cancel/progress plus a flag the
@@ -147,6 +170,7 @@ struct Service {
     runtime: Runtime,
     jobs: Mutex<HashMap<u64, ServeJob>>,
     journal: Option<Arc<Journal>>,
+    faults: Option<String>,
 }
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
@@ -172,6 +196,7 @@ fn serve(opts: ServeOpts) {
         runtime: Runtime::new(opts.cfg),
         jobs: Mutex::new(HashMap::new()),
         journal,
+        faults: opts.faults,
     });
     replay_journal(&service, &history);
     match opts.socket {
@@ -370,8 +395,17 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
     let recipe_value = cmd.get_path("recipe").ok_or("submit requires `recipe`")?;
     let recipe = Recipe::from_value(recipe_value).map_err(|e| format!("bad recipe: {e}"))?;
     let registry = builtin_registry();
-    let exec =
+    let mut exec =
         executor_from_recipe(&recipe, &registry, true).map_err(|e| format!("bad recipe: {e}"))?;
+    if let Some(spec) = &service.faults {
+        // A plan of its own: hit counters are per job, shared by its retries.
+        let plan = FaultPlan::parse(spec).map_err(|e| format!("{FAULTS_ENV}: {e}"))?;
+        let options = ExecOptions {
+            faults: Some(Arc::new(plan)),
+            ..exec.options().clone()
+        };
+        exec = exec.with_options(options);
+    }
 
     // File-to-file when the recipe names an input; otherwise the command
     // must carry the samples inline as `texts`.

@@ -16,11 +16,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::faults::{self, FaultPlan, KINDS, SITES};
+use data_juicer::core::faults::{self, FaultPlan, FAULTS_ENV, KINDS, SITES};
 use data_juicer::core::{Dataset, DjError, Sample};
-use data_juicer::exec::{
-    EnvKnobs, ExecOptions, Executor, OutputFormat, RetryPolicy, Runtime, RuntimeConfig, FAULTS_ENV,
-};
+use data_juicer::exec::{ExecOptions, Executor, OutputFormat, RetryPolicy, Runtime, RuntimeConfig};
 use data_juicer::ops::builtin_registry;
 
 /// Fault plans are process-global; every test that runs with one holds
@@ -90,7 +88,6 @@ fn mem_options(spill: bool, plan: Arc<FaultPlan>) -> ExecOptions {
         shard_size: Some(8),
         memory_budget: spill.then_some(1),
         faults: Some(plan),
-        env: EnvKnobs::default(),
         ..ExecOptions::default()
     }
 }
@@ -142,7 +139,6 @@ fn every_site_and_kind_holds_the_chaos_property_in_memory() {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
             shard_size: Some(8),
-            env: EnvKnobs::default(),
             ..ExecOptions::default()
         });
         exec.run(dataset(48)).unwrap().0
@@ -184,7 +180,6 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
         output: Some(out.to_path_buf()),
         output_format: format,
         faults: plan,
-        env: EnvKnobs::default(),
         ..ExecOptions::default()
     };
 
@@ -270,7 +265,6 @@ fn frames_egress_never_ships_a_slot_damaged_at_write() {
             output: Some(out_dir.clone()),
             output_format: OutputFormat::Frames,
             faults: Some(Arc::clone(&plan)),
-            env: EnvKnobs::default(),
             ..ExecOptions::default()
         });
         let err = Runtime::new(RuntimeConfig {
@@ -316,7 +310,6 @@ fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
         .with_options(ExecOptions {
             num_workers: 2,
             shard_size: Some(8),
-            env: EnvKnobs::default(),
             ..ExecOptions::default()
         })
         .run(dataset(48))
@@ -336,6 +329,62 @@ fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
         );
         assert_eq!(out.dataset.unwrap(), baseline, "{site}: byte identity");
     }
+}
+
+/// A runtime job with a resident input and `output` set egresses through
+/// the one shard driver, like every other pass: each part's claim is a
+/// fault site (and a cancellation point). One worker, one stage, 48 samples
+/// in 8-sample shards: the stage claims its 6 shards and finds the feed dry
+/// on a 7th claim, so the 8th claim is egress's first. An `io` fault there,
+/// with no retry, must fail the job typed and leave no manifest and no part.
+#[test]
+fn a_resident_job_egresses_through_the_shard_driver() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let ops = Recipe::new("chaos-resident-egress")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let site = "exec.shard.claim";
+    let job = |out: &Path, plan: &Arc<FaultPlan>| {
+        let exec = Executor::new(ops.clone()).with_options(ExecOptions {
+            num_workers: 1,
+            shard_size: Some(8),
+            output: Some(out.to_path_buf()),
+            faults: Some(Arc::clone(plan)),
+            ..ExecOptions::default()
+        });
+        Runtime::new(RuntimeConfig {
+            max_jobs: 1,
+            ..RuntimeConfig::default()
+        })
+        .submit(exec, dataset(48))
+        .wait()
+    };
+
+    // A plan that never fires counts the claims: 7 for the stage, 7 for
+    // egress.
+    let idle_dir = unique_dir("resident-egress-idle");
+    let idle = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, u64::MAX, 7));
+    job(&idle_dir, &idle).unwrap();
+    assert_eq!(idle.hits(site), 14);
+    assert!(
+        egress_bytes(&idle_dir).is_some(),
+        "idle run committed nothing"
+    );
+
+    let out_dir = unique_dir("resident-egress-out");
+    let plan = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, 8, 7));
+    let err = job(&out_dir, &plan).expect_err("a fault on egress's first claim committed the job");
+    assert_eq!(
+        plan.hits(site),
+        8,
+        "egress went on claiming after the fault"
+    );
+    assert!(matches!(err, DjError::Io(_)), "{err:?}");
+    assert!(egress_bytes(&out_dir).is_none(), "manifest");
+    assert_no_partial_egress(&out_dir, "resident egress");
+    let _ = std::fs::remove_dir_all(&idle_dir);
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 /// A file-to-file run with a terminal barrier reads each spilled frame
@@ -368,7 +417,6 @@ fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
         faults: Some(plan),
-        env: EnvKnobs::default(),
         ..ExecOptions::default()
     };
     // A plan that never fires counts the reads: one per shard.
@@ -417,8 +465,8 @@ fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
 /// Nth hit) and drives it through all three execution shapes, asserting the
 /// chaos property for each — seeds 0..8 in process. A `DJ_FAULTS` set in
 /// the environment narrows the loop to that one spec, to replay a failure
-/// (`DJ_FAULTS=seed:5 cargo test --test chaos env_seed_smoke`). The other
-/// tests here insulate their executors from the ambient env.
+/// (`DJ_FAULTS=seed:5 cargo test --test chaos env_seed_smoke`). No library
+/// crate reads the variable, so this is the one test it reaches.
 #[test]
 fn env_seed_smoke() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -431,7 +479,6 @@ fn env_seed_smoke() {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
             shard_size: Some(8),
-            env: EnvKnobs::default(),
             ..ExecOptions::default()
         });
         exec.run(dataset(48)).unwrap().0
@@ -445,7 +492,6 @@ fn env_seed_smoke() {
         output: Some(out.to_path_buf()),
         output_format: OutputFormat::Jsonl,
         faults: plan,
-        env: EnvKnobs::default(),
         ..ExecOptions::default()
     };
     let baseline_dir = unique_dir("env-baseline");

@@ -82,7 +82,6 @@ fn resident_run(ops: &[data_juicer::core::Op], data: Dataset) -> Dataset {
         num_workers: 1,
         op_fusion: false,
         trace_examples: 0,
-        memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     });
     baseline.run(data).unwrap().0
@@ -252,7 +251,6 @@ fn a_stage_mask_keeps_the_sidecar_shortcut_file_to_file() {
         .with_options(ExecOptions {
             num_workers: 1,
             trace_examples: 0,
-            memory_budget: Some(u64::MAX),
             ..ExecOptions::default()
         })
         .run(data.clone())

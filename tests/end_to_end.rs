@@ -39,7 +39,6 @@ fn every_catalog_recipe_runs_on_mixed_data() {
     let base = ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
-        memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     };
     let shapes = [

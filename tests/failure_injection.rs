@@ -143,10 +143,7 @@ fn run_restarts_cleanly_after_simulated_mid_stage_kill() {
         .then(OpSpec::new("document_deduplicator"));
     let ops = recipe.build_ops(&registry).unwrap();
     let data = web_corpus(11, 60, WebNoise::default());
-    let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
-        memory_budget: Some(u64::MAX), // in memory, whatever the host's `DJ_MEMORY_BUDGET`
-        ..ExecOptions::default()
-    });
+    let baseline = Executor::new(ops.clone());
     let (expected, _) = baseline.run(data.clone()).unwrap();
 
     let exec = Executor::new(ops.clone()).with_options(ExecOptions {

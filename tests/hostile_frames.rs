@@ -2,9 +2,10 @@
 //! everything that opens sealed bytes — `envelope::open`, `Frame::parse` and
 //! every operation on the parsed (`DJSC`) frame, the `frames` part readers
 //! (`FrameSlab` and the `Read` adapter, the row `DJSF` parser's entry
-//! points), the spool's reads and the `DJFP` sidecar reader. A row frame is
-//! never a spill or cache frame: `Frame::parse` and every spool read refuse
-//! it with a typed error.
+//! points), the spool's reads, the `DJFP` sidecar reader and the `DJCS`
+//! planner-stats sidecar decoder. A row frame is never a spill or cache
+//! frame: `Frame::parse` and every spool read refuse it with a typed error.
+//! The stats sidecar is advisory, so it refuses with `None`, not an error.
 //!
 //! Whatever the input — flipped bits, truncation at every header boundary,
 //! length-prefix bombs (a length, count or size field claiming far more than
@@ -33,11 +34,11 @@ use std::time::{Duration, Instant};
 use proptest::TestRng;
 
 use data_juicer::core::{Dataset, DjError, Fingerprints, Sample, Value, MAX_NESTING_DEPTH};
-use data_juicer::hash::checksum64;
+use data_juicer::hash::{checksum64, fnv1a};
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
-    seal_fingerprints, to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool,
-    COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
+    seal_fingerprints, to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, OpAggregate, ShardSpool,
+    StatsSidecar, COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
 
 thread_local! {
@@ -112,6 +113,8 @@ struct Accepted {
     frame: bool,
     /// `ShardSpool::read_fingerprints`: they are one fingerprint sidecar.
     sidecar: bool,
+    /// `StatsSidecar::from_bytes`: they are one planner-stats sidecar.
+    stats: bool,
 }
 
 /// Everything that opens sealed bytes, fed `bytes`.
@@ -187,13 +190,20 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
     results.push(fingerprints.map(drop));
     results.push(set.map(drop));
 
+    // As a planner-stats sidecar.
+    let stats = StatsSidecar::from_bytes(bytes).is_some();
+
     for result in results {
         match result {
             Ok(()) | Err(DjError::Storage(_)) | Err(DjError::Field(_)) => {}
             Err(other) => panic!("untyped error: {other:?}"),
         }
     }
-    Accepted { frame, sidecar }
+    Accepted {
+        frame,
+        sidecar,
+        stats,
+    }
 }
 
 /// [`feed`] under the guards: no panic, no oversized allocation. Returns
@@ -203,16 +213,17 @@ fn check(spool: &ShardSpool, what: &str, bytes: &[u8]) -> bool {
     let outcome = catch_unwind(AssertUnwindSafe(|| feed(spool, bytes)));
     let largest = LARGEST.with(Cell::get);
     let accepted = outcome.unwrap_or_else(|_| panic!("{what}: a parser panicked on {bytes:02x?}"));
+    let takers = [accepted.frame, accepted.sidecar, accepted.stats];
     assert!(
-        !(accepted.frame && accepted.sidecar),
-        "{what}: both a frame and a sidecar"
+        takers.iter().filter(|taken| **taken).count() <= 1,
+        "{what}: two parsers took the same bytes"
     );
     assert!(
         largest <= allocation_bound(bytes.len()),
         "{what}: a {largest}-byte allocation for {} input bytes: {bytes:02x?}",
         bytes.len()
     );
-    accepted.frame || accepted.sidecar
+    takers.contains(&true)
 }
 
 fn with_u64(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
@@ -431,6 +442,114 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             let (_, payload) = envelope::open_one(sealed).unwrap();
             let (what, mutated) = mutate_payload(&mut rng, magic, payload);
             check(&spool, &what, &envelope::seal(magic, &mutated));
+        }
+    }
+    drop(spool);
+    assert!(!dir.exists());
+}
+
+/// `body` under the FNV-1a trailer a stats sidecar writer seals it with.
+fn seal_stats(body: &[u8]) -> Vec<u8> {
+    [body, &fnv1a(body).to_le_bytes()].concat()
+}
+
+/// `bytes` with `word` written over it at `at`.
+fn with_word(bytes: &[u8], at: usize, word: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + word.len()].copy_from_slice(word);
+    out
+}
+
+/// The `DJCS` planner-stats sidecar in the same harness: every truncation,
+/// with and without a recomputed trailer, is refused; so is every
+/// single-bit flip under the trailer; a flip behind a recomputed trailer is
+/// refused or reads as a sidecar of the seed's shape (a value or a name
+/// changed, never a count); and a count or name length claiming more than
+/// the bytes hold is refused without an allocation on its word.
+#[test]
+fn the_stats_sidecar_refuses_truncations_flips_and_count_bombs() {
+    let dir = std::env::temp_dir().join(format!("dj-hostile-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
+    let mut full = StatsSidecar::new();
+    let names = [
+        "fused(word_num_filter+stopwords_filter)",
+        "text_length_filter",
+    ];
+    for (i, name) in names.iter().enumerate() {
+        let agg = OpAggregate {
+            ns_per_sample: 120.5 * (i + 1) as f64,
+            keep_ratio: 0.4,
+            samples: 10_000,
+            runs: 3,
+        };
+        full.ops.insert(name.to_string(), agg);
+    }
+    full.tunables.insert("samples_per_sec".into(), 35_000.0);
+
+    for seed in [full, StatsSidecar::new()] {
+        let sealed = seed.to_bytes();
+        assert!(check(&spool, "stats seed", &sealed), "stats seed refused");
+        let body = &sealed[..sealed.len() - 8];
+        for cut in 0..sealed.len() {
+            assert!(!check(&spool, "stats cut", &sealed[..cut]), "cut {cut}");
+        }
+        for cut in 0..body.len() {
+            let resealed = seal_stats(&body[..cut]);
+            assert!(!check(&spool, "resealed stats cut", &resealed), "{cut}");
+        }
+        for bit in 0..sealed.len() * 8 {
+            let mut flipped = sealed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(!check(&spool, "stats flip", &flipped), "bit {bit}");
+        }
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let resealed = seal_stats(&flipped);
+            if check(&spool, "resealed stats flip", &resealed) {
+                let read = StatsSidecar::from_bytes(&resealed).unwrap();
+                let shape = |s: &StatsSidecar| (s.ops.len(), s.tunables.len());
+                assert_eq!(shape(&read), shape(&seed), "bit {bit}");
+                assert!(bit / 8 >= 10, "a header flip at bit {bit} was accepted");
+            }
+        }
+        // Where the count and length words sit: `op_count` after magic and
+        // version, each entry a `name_len` + name + four words, then
+        // `tunable_count` and the tunables' `name_len`s.
+        let mut counts = vec![6];
+        let mut lens = Vec::new();
+        let mut at = 10;
+        for name in seed.ops.keys() {
+            lens.push(at);
+            at += 2 + name.len() + 32;
+        }
+        counts.push(at);
+        at += 4;
+        for name in seed.tunables.keys() {
+            lens.push(at);
+            at += 2 + name.len() + 8;
+        }
+        assert_eq!(at, body.len());
+        for &at in &counts {
+            let claimed = u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+            for bomb in [claimed + 1, 1 << 20, 1 << 31, u32::MAX] {
+                let resealed = seal_stats(&with_word(body, at, &bomb.to_le_bytes()));
+                assert!(
+                    !check(&spool, "stats count bomb", &resealed),
+                    "{bomb} @{at}"
+                );
+            }
+        }
+        for &at in &lens {
+            let left = body.len() - at - 2;
+            for bomb in [left as u16 + 1, u16::MAX] {
+                let resealed = seal_stats(&with_word(body, at, &bomb.to_le_bytes()));
+                assert!(
+                    !check(&spool, "stats name_len bomb", &resealed),
+                    "{bomb} @{at}"
+                );
+            }
         }
     }
     drop(spool);

@@ -42,14 +42,12 @@ fn dedup_recipe() -> Recipe {
         .then(OpSpec::new("document_deduplicator"))
 }
 
-/// The in-memory reference: sequential, budget pinned to `u64::MAX` so a
-/// host's `DJ_MEMORY_BUDGET` cannot spill it.
+/// The in-memory reference: sequential, no memory budget.
 fn in_memory_reference(ops: Vec<data_juicer::core::Op>, data: Dataset) -> Dataset {
     let exec = Executor::new(ops).with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
         trace_examples: 0,
-        memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     });
     exec.run(data).unwrap().0

@@ -24,8 +24,8 @@ use proptest::prelude::*;
 use data_juicer::config::{recipes, OpSpec, Recipe};
 use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
 use data_juicer::exec::{
-    EgressManifest, EnvKnobs, ExecOptions, Executor, OutputFormat, RunReport, Runtime,
-    RuntimeConfig, TraceEvent,
+    EgressManifest, ExecOptions, Executor, OutputFormat, RunReport, Runtime, RuntimeConfig,
+    TraceEvent,
 };
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
@@ -192,19 +192,12 @@ impl Mode {
         modes
     }
 
-    /// The options that *are* this mode. `EnvKnobs::default()` keeps an
-    /// operator's environment out of it (a `DJ_FAULTS` seed being replayed
-    /// in the same shell would fault every run).
+    /// The options that *are* this mode.
     fn options(&self, shard_size: usize) -> ExecOptions {
-        let file = self.shape == Shape::File;
         ExecOptions {
             num_workers: self.np,
             shard_size: Some(shard_size),
-            memory_budget: Some(if self.shape == Shape::InMemory || file {
-                u64::MAX
-            } else {
-                1
-            }),
+            memory_budget: (self.shape == Shape::Spill).then_some(1),
             adaptive: self.adaptive,
             prefetch_depth: self.prefetch_depth,
             trace_examples: self.trace,
@@ -213,7 +206,6 @@ impl Mode {
             } else {
                 OutputFormat::Jsonl
             },
-            env: EnvKnobs::default(),
             ..ExecOptions::default()
         }
     }
@@ -555,7 +547,6 @@ fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
                 // One step per stage either way, so both runs cut the
                 // recipe into the same cache keys.
                 op_fusion: false,
-                env: EnvKnobs::default(),
                 ..ExecOptions::default()
             })
         };

@@ -69,14 +69,11 @@ fn peak_resident_samples_bounded_by_double_buffering() {
     let data = corpus();
     let baseline = {
         let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
-        // u64::MAX keeps the reference in memory whatever
-        // `DJ_MEMORY_BUDGET` the host sets.
         Executor::new(ops).with_options(ExecOptions {
             num_workers: 1,
             op_fusion: false,
             trace_examples: 0,
             shard_size: None,
-            memory_budget: Some(u64::MAX),
             spill_dir: None,
             ..ExecOptions::default()
         })
@@ -112,7 +109,6 @@ fn prefetch_depth_scales_the_resident_ceiling() {
         num_workers: 1,
         op_fusion: false,
         trace_examples: 0,
-        memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     });
     let (expected, _) = baseline.run(data.clone()).unwrap();
@@ -256,9 +252,7 @@ fn recipe_knobs_engage_spilling_end_to_end() {
     let _ = std::fs::remove_dir_all(&spill_dir);
     std::fs::create_dir_all(&spill_dir).unwrap();
     let registry = builtin_registry();
-    // u64::MAX keeps the reference recipe in memory whatever
-    // `DJ_MEMORY_BUDGET` the host sets.
-    let plain = fig9_style_recipe().with_np(2).with_memory_budget(u64::MAX);
+    let plain = fig9_style_recipe().with_np(2);
     let budgeted = fig9_style_recipe()
         .with_np(2)
         .with_shard_size(8)

@@ -234,15 +234,12 @@ proptest! {
         let ops = recipe.build_ops(&builtin_registry()).unwrap();
         let data = duplicated_corpus(seed);
 
-        // Sequential, unfused, single-shard baseline. The u64::MAX budget
-        // pins it in memory whatever `DJ_MEMORY_BUDGET` the host sets,
-        // keeping this a true in-memory reference.
+        // Sequential, unfused, single-shard, in-memory baseline.
         let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 1,
             op_fusion: false,
             trace_examples: 0,
             shard_size: None,
-            memory_budget: Some(u64::MAX),
             spill_dir: None,
             ..ExecOptions::default()
         });
@@ -292,14 +289,12 @@ proptest! {
         let ops = recipe.build_ops(&builtin_registry()).unwrap();
         let data = duplicated_corpus(seed);
 
-        // In-memory reference: identical shard layout, budget pinned to
-        // u64::MAX so a host's `DJ_MEMORY_BUDGET` cannot spill it.
+        // In-memory reference: identical shard layout, no budget.
         let reference = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: workers,
             op_fusion: true,
             trace_examples: 0,
             shard_size: Some(shard_size),
-            memory_budget: Some(u64::MAX),
             spill_dir: None,
             ..ExecOptions::default()
         });

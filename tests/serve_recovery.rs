@@ -2,12 +2,15 @@
 //! mid-job, restarted on the same journal, and must re-admit and finish
 //! the interrupted job — with committed output byte-identical to a run
 //! that was never interrupted. And a hostile command line must not take
-//! the process down in the first place.
+//! the process down in the first place, nor a malformed `DJ_FAULTS` get
+//! past startup.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
+use data_juicer::core::faults::FAULTS_ENV;
 use data_juicer::core::{Dataset, Sample};
 use data_juicer::exec::{executor_from_recipe, EgressManifest};
 use data_juicer::ops::builtin_registry;
@@ -48,25 +51,39 @@ fn recipe_json(input: &Path, output: &Path) -> String {
     )
 }
 
-fn spawn_serve(journal: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_dj"))
-        .args(["serve", "--journal"])
-        .arg(journal)
+/// `dj serve` on piped stdin/stdout, with no fault plan unless the test
+/// sets one: `DJ_FAULTS` is blank, which means unset — a serve that took
+/// it for a malformed plan would fail every test here at startup.
+fn serve_command() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dj"));
+    cmd.arg("serve")
+        .env(FAULTS_ENV, " ")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::null());
+    cmd
+}
+
+fn spawn_serve(journal: &Path) -> Child {
+    serve_command()
+        .arg("--journal")
+        .arg(journal)
         .spawn()
         .expect("spawn dj serve")
 }
 
+/// Committed egress parts, one byte vector each, in manifest order.
+fn egress_parts(dir: &Path) -> Vec<Vec<u8>> {
+    let manifest = EgressManifest::load(dir).expect("committed manifest");
+    let parts = manifest.parts.iter();
+    parts
+        .map(|p| std::fs::read(dir.join(&p.file)).unwrap())
+        .collect()
+}
+
 /// Concatenated committed egress bytes, in manifest part order.
 fn egress_bytes(dir: &Path) -> Vec<u8> {
-    let manifest = EgressManifest::load(dir).expect("committed manifest");
-    let mut all = Vec::new();
-    for part in &manifest.parts {
-        all.extend(std::fs::read(dir.join(&part.file)).unwrap());
-    }
-    all
+    egress_parts(dir).concat()
 }
 
 #[test]
@@ -186,13 +203,7 @@ fn inline_texts_with_an_output_path_are_written_as_parts() {
         out_dir.display(),
         quoted.join(",")
     );
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_dj"))
-        .arg("serve")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dj serve");
+    let mut serve = serve_command().spawn().expect("spawn dj serve");
     let mut stdin = serve.stdin.take().unwrap();
     writeln!(stdin, "{cmd}").unwrap();
     writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
@@ -236,13 +247,7 @@ fn inline_texts_with_an_output_path_are_written_as_parts() {
 /// goes on to run the next submission.
 #[test]
 fn a_nesting_bomb_on_the_wire_is_an_error_event_and_serve_keeps_going() {
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_dj"))
-        .arg("serve")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dj serve");
+    let mut serve = serve_command().spawn().expect("spawn dj serve");
     let mut stdin = serve.stdin.take().unwrap();
     let bomb = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
     writeln!(stdin, "{{\"cmd\":{bomb}}}").unwrap();
@@ -282,13 +287,7 @@ fn a_nesting_bomb_on_the_wire_is_an_error_event_and_serve_keeps_going() {
 /// and the service goes on to run the next submission.
 #[test]
 fn oversized_minhash_params_are_error_events_and_serve_keeps_going() {
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_dj"))
-        .arg("serve")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dj serve");
+    let mut serve = serve_command().spawn().expect("spawn dj serve");
     let mut stdin = serve.stdin.take().unwrap();
     for side in ["3000000", "4294967296"] {
         writeln!(
@@ -330,4 +329,93 @@ fn oversized_minhash_params_are_error_events_and_serve_keeps_going() {
             .any(|e| e.contains("\"done\"") && e.contains("\"samples_out\":1")),
         "{events:?}"
     );
+}
+
+/// `dj serve` owns `DJ_FAULTS`: a value that does not parse stops it at
+/// startup with exit code 2 and a message naming the variable — before it
+/// reads a command, so stdin stays open and unread here.
+#[test]
+fn a_malformed_fault_plan_stops_serve_before_it_reads_a_command() {
+    let mut serve = serve_command()
+        .env(FAULTS_ENV, "seed:x")
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dj serve");
+    let _stdin = serve.stdin.take().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = serve.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            serve.kill().unwrap();
+            serve.wait().unwrap();
+            panic!("dj serve started with {FAULTS_ENV}=seed:x and waited for commands");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    serve
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(FAULTS_ENV), "{stderr}");
+}
+
+/// Every job `dj serve` runs gets the `DJ_FAULTS` plan, its own copy: a
+/// transient fault on the first part write fails attempt 1, and the retry
+/// — same plan, the fault spent — writes the parts a fault-free run writes.
+#[test]
+fn serve_hands_each_job_the_fault_plan_and_a_retry_absorbs_it() {
+    let dir = fresh_dir("faults");
+    let input = dir.join("in.jsonl");
+    let lines: Vec<String> = (0..200)
+        .map(|i| Sample::from_text(format!("faulted   serve sample {}", i % 150)))
+        .map(|s| s.value().to_string())
+        .collect();
+    std::fs::write(&input, lines.join("\n") + "\n").unwrap();
+    let (out_dir, baseline_dir) = (dir.join("out"), dir.join("baseline"));
+    let recipe = data_juicer::config::Recipe::from_value(
+        &data_juicer::core::parse_json(&recipe_json(&input, &baseline_dir))
+            .unwrap()
+            .get_path("recipe")
+            .unwrap()
+            .clone(),
+    )
+    .unwrap();
+    executor_from_recipe(&recipe, &builtin_registry(), true)
+        .unwrap()
+        .run_io()
+        .unwrap();
+
+    let mut serve = serve_command()
+        .env(FAULTS_ENV, "io.egress.write:io@1")
+        .args(["--retries", "2"])
+        .spawn()
+        .expect("spawn dj serve");
+    let mut stdin = serve.stdin.take().unwrap();
+    let mut events = BufReader::new(serve.stdout.take().unwrap()).lines();
+    writeln!(stdin, "{}", recipe_json(&input, &out_dir)).unwrap();
+    stdin.flush().unwrap();
+    let terminal = events
+        .by_ref()
+        .map(Result::unwrap)
+        .find(|e| e.contains("\"done\"") || e.contains("\"failed\""))
+        .expect("no terminal event");
+    assert!(terminal.contains("\"done\""), "{terminal}");
+    writeln!(stdin, "{{\"cmd\":\"status\",\"job\":0}}").unwrap();
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    let rest: Vec<String> = events.map(Result::unwrap).collect();
+    assert!(serve.wait().unwrap().success(), "{rest:?}");
+    assert!(
+        rest.iter()
+            .any(|e| e.contains("\"status\"") && e.contains("\"attempts\":2")),
+        "{rest:?}"
+    );
+    assert_eq!(egress_parts(&out_dir), egress_parts(&baseline_dir));
+    let _ = std::fs::remove_dir_all(&dir);
 }

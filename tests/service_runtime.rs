@@ -46,9 +46,6 @@ fn exec_with(opts: ExecOptions) -> Executor {
 fn mem_opts(np: usize) -> ExecOptions {
     ExecOptions {
         num_workers: np,
-        // u64::MAX keeps solo references in memory whatever
-        // `DJ_MEMORY_BUDGET` the host sets.
-        memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     }
 }
