@@ -63,10 +63,6 @@ pub struct Recipe {
     /// Egress format for `output_path`: `"jsonl"` (default) or `"frames"`
     /// (raw shard frames, re-ingestable without a decode round-trip).
     pub output_format: Option<String>,
-    /// Streaming prefetch depth: shards in flight per worker while stages
-    /// stream (`2` = double buffering, the default; `1` disables the
-    /// prefetch loader). `None` uses the executor default.
-    pub prefetch_depth: Option<usize>,
     /// Adaptive, measurement-driven planning: plan steps ordered from the
     /// persisted cost-model sidecar, mid-run re-planning, measured
     /// barrier gating and knob auto-tuning (default `false`).
@@ -109,7 +105,6 @@ impl Default for Recipe {
             input_path: None,
             output_path: None,
             output_format: None,
-            prefetch_depth: None,
             adaptive: false,
             stats_dir: None,
             prefix_cache: false,
@@ -175,12 +170,6 @@ impl Recipe {
     /// Builder: set the egress format (`"jsonl"` or `"frames"`).
     pub fn with_output_format(mut self, format: impl Into<String>) -> Recipe {
         self.output_format = Some(format.into());
-        self
-    }
-
-    /// Builder: set the streaming prefetch depth (floored to 1).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Recipe {
-        self.prefetch_depth = Some(depth.max(1));
         self
     }
 
@@ -325,12 +314,6 @@ impl Recipe {
             }
             recipe.output_format = Some(f.to_string());
         }
-        if let Some(d) = typed(v, "prefetch_depth", INT, Value::as_int)? {
-            if d < 1 {
-                return Err(DjError::Config("prefetch_depth must be >= 1".into()));
-            }
-            recipe.prefetch_depth = Some(d as usize);
-        }
         if let Some(a) = typed(v, "adaptive", BOOL, Value::as_bool)? {
             recipe.adaptive = a;
         }
@@ -410,10 +393,6 @@ impl Recipe {
         }
         if let Some(f) = &self.output_format {
             root.set_path("output_format", Value::from(f.clone()))
-                .expect("map root");
-        }
-        if let Some(d) = self.prefetch_depth {
-            root.set_path("prefetch_depth", Value::from(d))
                 .expect("map root");
         }
         if self.adaptive {
@@ -681,12 +660,10 @@ process:
         let r = sample_recipe()
             .with_input_path("data/*.jsonl")
             .with_output_path("out/clean")
-            .with_output_format("frames")
-            .with_prefetch_depth(3);
+            .with_output_format("frames");
         assert_eq!(r.input_path.as_deref(), Some("data/*.jsonl"));
         assert_eq!(r.output_path.as_deref(), Some("out/clean"));
         assert_eq!(r.output_format.as_deref(), Some("frames"));
-        assert_eq!(r.prefetch_depth, Some(3));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
         assert_ne!(
@@ -694,20 +671,16 @@ process:
             sample_recipe().fingerprint(),
             "io knobs participate in the cache key"
         );
-        let y = Recipe::from_yaml(
-            "input_path: corpus/*.csv\noutput_path: out\noutput_format: jsonl\nprefetch_depth: 1\n",
-        )
-        .unwrap();
+        let y =
+            Recipe::from_yaml("input_path: corpus/*.csv\noutput_path: out\noutput_format: jsonl\n")
+                .unwrap();
         assert_eq!(y.input_path.as_deref(), Some("corpus/*.csv"));
         assert_eq!(y.output_format.as_deref(), Some("jsonl"));
-        assert_eq!(y.prefetch_depth, Some(1));
         assert!(Recipe::from_yaml("output_format: parquet\n").is_err());
-        assert!(Recipe::from_yaml("prefetch_depth: 0\n").is_err());
         let defaults = Recipe::from_yaml("np: 2\n").unwrap();
         assert_eq!(defaults.input_path, None);
         assert_eq!(defaults.output_path, None);
         assert_eq!(defaults.output_format, None);
-        assert_eq!(defaults.prefetch_depth, None);
     }
 
     #[test]
@@ -746,7 +719,6 @@ process:
             ("shard_size", "1.5", "an integer"),
             ("memory_budget", "1e9", "an integer"),
             ("memory_budget", "64MB", "an integer"),
-            ("prefetch_depth", "\"4\"", "an integer"),
             ("adaptive", "yes", "a boolean"),
             ("adaptive", "1", "a boolean"),
             ("prefix_cache", "\"true\"", "a boolean"),

@@ -15,9 +15,6 @@
 //! A section is a closure returning [`Step`]:
 //!
 //! * [`Step::Worked`] — one unit of work was done; step again.
-//! * [`Step::Idle`] — nothing claimable right now (e.g. the prefetch queue
-//!   is full and every remaining shard is being processed by someone
-//!   else); back off briefly.
 //! * [`Step::Done`] — the section is drained; nobody should step it again.
 //!
 //! The **calling thread participates** in its own section, so progress is
@@ -45,8 +42,6 @@ use crate::sync;
 pub enum Step {
     /// One unit of work was completed — step again immediately.
     Worked,
-    /// Nothing claimable at this instant — retry after a short backoff.
-    Idle,
     /// The section is exhausted — deregister it.
     Done,
 }
@@ -176,8 +171,8 @@ impl WorkerPool {
     }
 
     /// The process-wide shared pool, created on first use with
-    /// `available_parallelism - 1` threads (min 3, so the single-core test
-    /// container still overlaps IO with compute) — the calling thread of
+    /// `available_parallelism - 1` threads (min 3, so a section wider than
+    /// a small machine still gets its steppers) — the calling thread of
     /// every section is the extra stepper.
     pub fn global() -> &'static Arc<WorkerPool> {
         static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
@@ -206,13 +201,8 @@ impl WorkerPool {
         let width = width.max(1);
         if width == 1 {
             // Degenerate section: no sharing possible, skip registration.
-            loop {
-                match step() {
-                    Step::Done => return,
-                    Step::Worked => {}
-                    Step::Idle => std::thread::yield_now(),
-                }
-            }
+            while step() == Step::Worked {}
+            return;
         }
         // SAFETY: erasing the borrow lifetime only; `SectionGuard` below
         // guarantees the pointer is unreachable once the borrow ends.
@@ -259,13 +249,9 @@ impl WorkerPool {
                     step()
                 }
             };
-            match outcome {
-                Step::Worked => {}
-                Step::Idle => std::thread::sleep(Duration::from_micros(50)),
-                Step::Done => {
-                    section.drained.store(true, Ordering::Release);
-                    break;
-                }
+            if outcome == Step::Done {
+                section.drained.store(true, Ordering::Release);
+                break;
             }
         }
         drop(guard); // deregister + wait for in-flight pool steps
@@ -327,9 +313,8 @@ impl WorkerPool {
             let step = unsafe { &*section.step };
             let outcome = catch_unwind(AssertUnwindSafe(step));
             reg = sync::lock(&self.registry);
-            match &outcome {
+            match outcome {
                 Ok(Step::Worked) => {}
-                Ok(Step::Idle) => {}
                 Ok(Step::Done) => section.drained.store(true, Ordering::Release),
                 Err(payload) => {
                     let mut msg = sync::lock(&section.panic_msg);
@@ -345,10 +330,6 @@ impl WorkerPool {
             // The caller may be waiting on active == 0 under the registry
             // lock we hold — wake it.
             self.done_cv.notify_all();
-            if matches!(outcome, Ok(Step::Idle)) {
-                // The section had nothing claimable; don't spin on it.
-                reg = sync::wait_timeout(&self.work_cv, reg, IDLE_POLL);
-            }
         }
     }
 

@@ -124,10 +124,10 @@ impl MemShardStore {
 
 /// Live-sample accounting for the streaming stage driver.
 ///
-/// The loader acquires when it pulls a shard into memory; the worker
-/// releases once the shard has been handed to the sink. The recorded peaks
-/// are the engine's constant-memory evidence: with double-buffered prefetch
-/// the peak must stay ≤ `num_workers × 2 × shard_size` samples.
+/// A worker acquires when it loads a shard into memory and releases once
+/// the shard has been handed to the sink. The recorded peaks are the
+/// engine's constant-memory evidence: with one live shard per worker the
+/// peak must stay ≤ `num_workers × shard_size` samples.
 #[derive(Debug, Default)]
 pub struct ResidencyGauge {
     live_samples: AtomicUsize,

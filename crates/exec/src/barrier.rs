@@ -80,8 +80,7 @@ pub(crate) fn hash_pass<T: Resident + Send>(
     ctl: &RunCtl,
     hash: impl Fn(&T) -> Result<(Fingerprints, u64)> + Sync,
 ) -> Result<(Fingerprints, u64)> {
-    let (workers, depth) = (options.num_workers, options.prefetch_depth);
-    let per_shard = drive(feed, workers, depth, ctl, |_, view| hash(&view))?;
+    let per_shard = drive(feed, options.num_workers, ctl, |_, view| hash(&view))?;
     let mut all = Fingerprints::with_capacity(per_shard.iter().map(|(fp, _)| fp.len()).sum());
     let mut decoded = 0;
     for (fingerprints, bytes) in per_shard {

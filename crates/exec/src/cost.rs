@@ -76,7 +76,7 @@ struct Observation {
 
 /// EWMA cost/selectivity aggregates per plan-step name, with scalar
 /// tunables (measured throughput figures the executor uses to auto-size
-/// shards and prefetch depth).
+/// shards).
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
     stats: StatsSidecar,

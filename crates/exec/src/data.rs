@@ -164,7 +164,7 @@ pub(crate) enum Load<'a> {
 /// The slots of a spill spool, re-readable. Entries the deferred `mask`
 /// drops are skipped at load; an undecoded load hands the mask on.
 fn spool_feed<'a>(spool: &'a ShardSpool, mask: &'a Mask, load: Load<'a>) -> Feed<'a, Loaded<'a>> {
-    Feed::indexed(spool.shard_count(), true, move |i| {
+    Feed::indexed(spool.shard_count(), move |i| {
         let keep = mask.slot(i);
         let frame = spool.read(i)?;
         let (shard, frame, decoded) = match load {
@@ -189,7 +189,7 @@ fn spool_feed<'a>(spool: &'a ShardSpool, mask: &'a Mask, load: Load<'a>) -> Feed
 fn mem_feed<'a>(shards: Vec<Dataset>, mask: Mask) -> Feed<'a, Loaded<'a>> {
     let n = shards.len();
     let slots = MemShardStore::from_shards(shards);
-    Feed::indexed(n, false, move |i| {
+    Feed::indexed(n, move |i| {
         let mut shard = slots.load_shard(i)?;
         if let Some(keep) = mask.slot(i) {
             shard.retain_mask(keep);
@@ -207,7 +207,6 @@ pub(crate) fn reader_feed<'a>(
 ) -> Feed<'a, Loaded<'a>> {
     Feed {
         len: None,
-        overlaps_io: true,
         next: Box::new(move || {
             let mut guard = lock(reader);
             let Some(shard) = guard.0.next_shard(shard_size)? else {
@@ -493,11 +492,11 @@ impl StageData {
         options: &ExecOptions,
         ctl: &RunCtl,
     ) -> Result<()> {
-        let (workers, depth) = (options.num_workers, options.prefetch_depth);
+        let workers = options.num_workers;
         let spool = match &self.slots {
             Slots::Mem(_) => {
                 let shards = mem_feed(self.take_resident(), std::mem::take(&mut self.mask));
-                drive(&shards, workers, depth, ctl, |i, loaded| {
+                drive(&shards, workers, ctl, |i, loaded| {
                     writer.store_shard(i, &loaded.shard)
                 })?;
                 return Ok(());
@@ -506,16 +505,16 @@ impl StageData {
         };
         match options.output_format {
             OutputFormat::Frames => {
-                let slots = Feed::indexed(spool.shard_count(), true, |i| {
+                let slots = Feed::indexed(spool.shard_count(), |i| {
                     spool.read_row_frame_bytes(i, self.mask.slot(i))
                 });
-                drive(&slots, workers, depth, ctl, |i, frame| {
+                drive(&slots, workers, ctl, |i, frame| {
                     writer.store_frame_bytes(i, &frame, self.shard_len(i))
                 })?;
             }
             OutputFormat::Jsonl => {
-                let slots = Feed::indexed(spool.shard_count(), true, |i| spool.read(i));
-                drive(&slots, workers, depth, ctl, |i, frame| {
+                let slots = Feed::indexed(spool.shard_count(), |i| spool.read(i));
+                drive(&slots, workers, ctl, |i, frame| {
                     writer.store_jsonl(i, |out| frame.write_jsonl(self.mask.slot(i), out))
                 })?;
             }
@@ -605,7 +604,7 @@ impl StageData {
             Slots::Mem(_) => {
                 let samples: Vec<&Sample> = self.resident_samples().collect();
                 let morsels: Vec<&[&Sample]> = samples.chunks(HASH_MORSEL).collect();
-                let feed = Feed::indexed(morsels.len(), false, |i| Ok(morsels[i]));
+                let feed = Feed::indexed(morsels.len(), |i| Ok(morsels[i]));
                 hash_pass(&feed, options, ctl, |morsel| {
                     hash_samples(dedup, morsel.iter().copied()).map(|h| (h, 0))
                 })?

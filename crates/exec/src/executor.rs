@@ -20,7 +20,7 @@ use dj_store::{CacheManager, ShardSpool, STATS_SIDECAR_FILE};
 use crate::cost::CostModel;
 use crate::data::{reader_feed, Sink, StageData, SPILL_CODEC};
 use crate::fusion::{plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
-use crate::options::{ExecOptions, DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH};
+use crate::options::{ExecOptions, DEFAULT_IO_SHARD_SIZE};
 use crate::report::RunReport;
 use crate::runtime::JobControl;
 use crate::stream::RunCtl;
@@ -30,9 +30,8 @@ use crate::stream::RunCtl;
 /// granularity).
 const SHARD_TARGET_SECONDS: f64 = 0.05;
 
-/// Tunable keys recorded in the stats sidecar.
+/// Tunable key recorded in the stats sidecar.
 const TUNE_SAMPLES_PER_SEC: &str = "samples_per_sec";
-const TUNE_SHARD_MS: &str = "shard_ms";
 
 /// Monotonic suffix so concurrent runs in one process never share a spill
 /// directory.
@@ -106,30 +105,21 @@ impl Executor {
         }
     }
 
-    /// Auto-tune unset performance knobs from a warm model's measured
+    /// Auto-tune an unset `shard_size` from a warm model's measured
     /// throughput: a tuned executor clone, or `None` when nothing changed
-    /// (cold model, or every knob explicit).
+    /// (cold model, or the knob explicit).
     fn autotuned(&self, model: Option<&CostModel>) -> Option<Executor> {
         let model = model.filter(|m| m.is_warm())?;
+        if self.options.shard_size.is_some() {
+            return None;
+        }
+        // Size shards to ~SHARD_TARGET_SECONDS of measured work each: big
+        // enough to amortize scheduling, small enough that work stealing
+        // can absorb stragglers.
+        let sps = model.tunable(TUNE_SAMPLES_PER_SEC).filter(|s| *s > 0.0)?;
         let mut options = self.options.clone();
-        if options.shard_size.is_none() {
-            // Size shards to ~SHARD_TARGET_SECONDS of measured work each:
-            // big enough to amortize scheduling, small enough that work
-            // stealing can absorb stragglers.
-            let sps = model.tunable(TUNE_SAMPLES_PER_SEC).filter(|s| *s > 0.0);
-            options.shard_size =
-                sps.map(|sps| ((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16));
-        }
-        // Tiny measured shards starve workers on handoff latency — deepen
-        // the buffer. Chunky shards already overlap IO at 2.
-        if options.prefetch_depth == DEFAULT_PREFETCH_DEPTH
-            && model.tunable(TUNE_SHARD_MS).is_some_and(|ms| ms < 8.0)
-        {
-            options.prefetch_depth = 4;
-        }
-        let tuned = options.shard_size != self.options.shard_size
-            || options.prefetch_depth != self.options.prefetch_depth;
-        tuned.then(|| Executor {
+        options.shard_size = Some(((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16));
+        Some(Executor {
             ops: self.ops.clone(),
             options,
         })
@@ -159,8 +149,8 @@ impl Executor {
     /// every stage and egress, and — when [`ExecOptions::output`] is set —
     /// write the result as manifest-tracked shard parts, returning `None`
     /// in place of a dataset. The resident set stays ≤ `num_workers ×
-    /// prefetch_depth × shard_size` samples however large the input is
-    /// (see the crate docs). Stage caching is not applied on this path —
+    /// shard_size` samples however large the input is (see the crate
+    /// docs). Stage caching is not applied on this path —
     /// file-backed runs are keyed by their input files, not by an
     /// in-memory dataset.
     pub fn run_io(&self) -> Result<(Option<Dataset>, RunReport)> {
@@ -211,13 +201,8 @@ impl Executor {
         let exec = tuned.as_ref().unwrap_or(self);
         let (out, mut report) = exec.sequence(dataset, cache, job, model.as_ref())?;
         report.adaptive = adaptive;
-        // What the tuner overrode, if anything.
-        let tuned = |ours: Option<usize>, theirs: Option<usize>| theirs.filter(|_| ours != theirs);
-        report.tuned_shard_size = tuned(self.options.shard_size, exec.options.shard_size);
-        report.tuned_prefetch_depth = tuned(
-            Some(self.options.prefetch_depth),
-            Some(exec.options.prefetch_depth),
-        );
+        // The tuner only ever fills an unset shard size.
+        report.tuned_shard_size = tuned.and_then(|t| t.options.shard_size);
         if let Some(m) = model.as_mut() {
             m.observe_report(&report);
             record_tunables(m, &report);
@@ -241,7 +226,6 @@ impl Executor {
         job: Option<Arc<JobControl>>,
         model: Option<&CostModel>,
     ) -> Result<(Option<Dataset>, RunReport)> {
-        self.validated_depth()?;
         let source = match dataset {
             Some(dataset) => Source::Resident(dataset),
             None => Source::Corpus(self.options.input.as_deref().ok_or_else(|| {
@@ -369,17 +353,6 @@ impl Executor {
         Ok((data, ran))
     }
 
-    /// The prefetch depth in force, validated: a depth of zero would
-    /// deadlock the streaming machinery, so it is a configuration error.
-    fn validated_depth(&self) -> Result<usize> {
-        if self.options.prefetch_depth < 1 {
-            return Err(DjError::Config(
-                "prefetch_depth must be >= 1 (2 = double buffering)".into(),
-            ));
-        }
-        Ok(self.options.prefetch_depth)
-    }
-
     /// A unique, run-private directory for one spill spool.
     fn fresh_spill_dir(&self) -> PathBuf {
         let base = self
@@ -395,16 +368,15 @@ impl Executor {
     }
 
     /// Shard count for the spill cut: honor an explicit `shard_size`,
-    /// otherwise size shards so the streaming live set (`prefetch_depth`
-    /// per worker, plus two) stays under the budget.
+    /// otherwise size shards so the streaming live set (one shard per
+    /// worker, plus two) stays under the budget.
     fn spill_shard_count(&self, len: usize, bytes: usize, budget: u64) -> usize {
         if let Some(size) = self.options.shard_size {
             return len.div_ceil(size.max(1)).clamp(1, len);
         }
         let workers = self.options.num_workers.max(1) as u64;
-        let depth = self.options.prefetch_depth.max(1) as u64;
         let avg = ((bytes / len).max(1)) as u64;
-        let per_shard_bytes = (budget / (workers * depth + 2)).max(1);
+        let per_shard_bytes = (budget / (workers + 2)).max(1);
         let shard_size = ((per_shard_bytes / avg).max(1)) as usize;
         len.div_ceil(shard_size).clamp(1, len)
     }
@@ -510,18 +482,11 @@ fn stage_cache_keys(stages: &[Stage], prefix: bool) -> Vec<(usize, String)> {
 }
 
 /// Fold this run's whole-pipeline throughput figures into the model's
-/// tunables — the numbers the next run's auto-tuner sizes shards and
-/// prefetch depth from.
+/// tunables — the number the next run's auto-tuner sizes shards from.
 fn record_tunables(model: &mut CostModel, report: &RunReport) {
     let secs = report.total_duration.as_secs_f64();
-    if secs <= 0.0 {
-        return;
-    }
-    if report.initial_samples > 0 {
+    if secs > 0.0 && report.initial_samples > 0 {
         model.set_tunable(TUNE_SAMPLES_PER_SEC, report.initial_samples as f64 / secs);
-    }
-    if report.shards > 0 {
-        model.set_tunable(TUNE_SHARD_MS, secs * 1000.0 / report.shards as f64);
     }
 }
 

@@ -23,11 +23,14 @@
 //!    touching the next shard: a sample flows through the whole
 //!    mapper/filter chain while hot in cache, samples a filter drops never
 //!    reach later steps, and no intermediate dataset is ever materialized.
-//!    The loop owns the streaming contract — the live-set reservation is
-//!    taken before a load, so at most `num_workers × prefetch_depth` shards
-//!    are resident; cancellation, the `exec.shard.claim` fault site,
-//!    residency accounting and shard progress each sit in exactly one
-//!    place — and is the same code whatever shape the data is in.
+//!    The loop owns the streaming contract — `num_workers` steppers, each
+//!    claiming, loading, processing and releasing one shard per step, so
+//!    at most `num_workers` shards are resident and `num_workers: 1` is one
+//!    thread; cancellation, the `exec.shard.claim` fault site, residency
+//!    accounting and shard progress each sit in exactly one place — and is
+//!    the same code whatever shape the data is in. There is no read-ahead:
+//!    the OS already reads sequential input ahead, and a spool slot is read
+//!    back moments after it was written.
 //! 4. **Shapes are feeds and sinks.** Where the data lives only decides
 //!    which feed and sink the stage is handed (`data` module):
 //!
@@ -79,12 +82,8 @@
 //!   to `4 × num_workers` shards. Exposed in recipe YAML as `shard_size`.
 //! * [`ExecOptions::memory_budget`] / [`ExecOptions::spill_dir`] — the
 //!   out-of-core knobs (recipe YAML `memory_budget` / `spill_dir`); see
-//!   below.
-//! * [`ExecOptions::prefetch_depth`] — shards in flight per worker while
-//!   a pass streams from disk (default 2 = double buffering; 1 disables
-//!   read-ahead; recipe YAML `prefetch_depth`). The streaming resident
-//!   ceiling is `num_workers × prefetch_depth × shard_size` samples, on
-//!   every spilled and file-backed shape.
+//!   below. The streaming resident ceiling is `num_workers × shard_size`
+//!   samples, on every spilled and file-backed shape.
 //! * [`ExecOptions::input`] / [`ExecOptions::output`] /
 //!   [`ExecOptions::output_format`] — the IO knobs (recipe YAML
 //!   `input_path` / `output_path` / `output_format`): the corpus
@@ -94,7 +93,7 @@
 //!   `adaptive`). Ranks fusible steps by measured ns/sample ÷ selectivity
 //!   from the [`CostModel`], re-plans commutable stage suffixes mid-run
 //!   (once per stage, after a quarter of its shards, clamped to `[1, 8]`),
-//!   and auto-tunes unset streaming knobs from a warm model. Output is
+//!   and auto-tunes an unset `shard_size` from a warm model. Output is
 //!   byte-identical to the static plan; see `docs/planning.md`.
 //! * [`ExecOptions::stats_dir`] — directory for the persistent
 //!   `planner_stats.djcs` cost sidecar (recipe YAML `stats_dir`). Without
@@ -114,15 +113,16 @@
 //! `DJ_FAULTS`, the one variable the binary reads. The test suite picks
 //! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
-//! Four former knobs are gone, because no recipe, test or benchmark
+//! Five former knobs are gone, because no recipe, test or benchmark
 //! needed another value: the post-barrier shard fill threshold (barriers
 //! no longer merge shards at all), the mid-run replan point (derived from
 //! the stage's shard count, above), the parallel-barrier switch
-//! (`num_workers: 1` clusters with one worker) and the spill format
-//! switch (every spool and cache entry is columnar). Recipes that still
-//! carry `shard_fill`, `replan_after_shards` or `dedup_parallel` load; the
-//! keys are ignored. `columnar` is still parsed into the recipe, and
-//! reaches nothing.
+//! (`num_workers: 1` clusters with one worker), the spill format switch
+//! (every spool and cache entry is columnar) and the prefetch depth (no
+//! pass reads ahead). Recipes that still carry `shard_fill`,
+//! `replan_after_shards`, `dedup_parallel` or the read-ahead depth key
+//! load; the keys are ignored. `columnar` is still parsed into the
+//! recipe, and reaches nothing.
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!
@@ -136,13 +136,11 @@
 //!    is written to a `dj-store` [`ShardSpool`](dj_store::ShardSpool) — a
 //!    directory of length-prefixed, checksummed, atomically-renamed frame
 //!    files under `spill_dir` (default: the system temp dir).
-//! 2. Each pipeline stage streams spool→spool through the driver:
-//!    steppers read ahead into a bounded prefetch queue while others drive
-//!    shards through the whole stage and spill the results —
-//!    `prefetch_depth`-deep buffering, so disk IO overlaps compute and at
-//!    most `prefetch_depth × num_workers` shards
-//!    (`RunReport::peak_resident_samples` ≤ `num_workers ×
-//!    prefetch_depth × shard_size`) are ever resident.
+//! 2. Each pipeline stage streams spool→spool through the driver: each
+//!    of `num_workers` steppers reads one slot, drives it through the
+//!    whole stage and spills the result before it reads another, so at
+//!    most `num_workers` shards (`RunReport::peak_resident_samples` ≤
+//!    `num_workers × shard_size`) are ever resident.
 //! 3. When the stage feeding a dedup barrier spills, each shard is
 //!    hashed as its frame is written and the fingerprints persist in a
 //!    sidecar (fingerprint-on-ingest; see `docs/formats.md`). The
@@ -184,7 +182,7 @@
 //! per part, append-only commit log, resumable after a kill; `jsonl` or
 //! row-frame `frames` parts); `run` and `run_with_cache` refuse it, and
 //! materialize the result once, at the very end. A file run keeps the
-//! resident set ≤ `num_workers × prefetch_depth × shard_size` samples no
+//! resident set ≤ `num_workers × shard_size` samples no
 //! matter the corpus size, and its output is byte-identical to the
 //! in-memory engine on the concatenated corpus (`tests/io_roundtrip.rs`).
 //! Spools delete themselves when the run finishes or fails.
@@ -215,10 +213,7 @@ pub use cost::{fallback_score, rank_score, CostModel, EWMA_ALPHA, MIN_MEASURED_S
 pub use executor::Executor;
 pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
-pub use options::{
-    default_parallelism, executor_from_recipe, ExecOptions, DEFAULT_IO_SHARD_SIZE,
-    DEFAULT_PREFETCH_DEPTH,
-};
+pub use options::{default_parallelism, executor_from_recipe, ExecOptions, DEFAULT_IO_SHARD_SIZE};
 pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};
 pub use runtime::{
     JobControl, JobHandle, JobOutput, JobProgress, RetryPolicy, Runtime, RuntimeConfig,

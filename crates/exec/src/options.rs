@@ -29,21 +29,13 @@ pub struct ExecOptions {
     pub shard_size: Option<usize>,
     /// Peak dataset bytes the engine may keep in memory. When the estimated
     /// dataset size exceeds this, shards spill to disk and stages stream
-    /// them with double-buffered prefetch (out-of-core mode). `None`
+    /// them, one live shard per worker (out-of-core mode). `None`
     /// disables spilling. A [`Runtime`](crate::Runtime) with a global
     /// budget sets each job's to its share, or keeps a tighter one.
     pub memory_budget: Option<u64>,
     /// Directory for spilled shard frames; `None` = the system temp dir.
     /// Each run creates (and removes on completion) its own subdirectories.
     pub spill_dir: Option<PathBuf>,
-    /// Streaming prefetch depth: how many shards may be in flight *per
-    /// worker* while stages stream (loader hand + channel + worker hands),
-    /// bounding the live set at `num_workers × prefetch_depth` shards.
-    /// `2` (the default) is classic double buffering — disk reads overlap
-    /// compute. `1` disables the loader thread entirely: workers pull
-    /// shards themselves, halving the resident bound at the cost of IO
-    /// overlap. Must be ≥ 1; validated at run time.
-    pub prefetch_depth: usize,
     /// Input corpus for [`Executor::run_io`] and
     /// [`Runtime::submit_io`](crate::Runtime::submit_io): a file path or
     /// glob (`data/*.jsonl`) of JSONL/CSV files, streamed and cut into
@@ -105,7 +97,6 @@ impl Default for ExecOptions {
             shard_size: None,
             memory_budget: None,
             spill_dir: None,
-            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
             input: None,
             output: None,
             output_format: OutputFormat::Jsonl,
@@ -118,9 +109,6 @@ impl Default for ExecOptions {
         }
     }
 }
-
-/// Default streaming prefetch depth (double buffering).
-pub const DEFAULT_PREFETCH_DEPTH: usize = 2;
 
 /// Shard size for file-backed runs when the recipe leaves `shard_size` on
 /// auto — a fixed cut is required because the corpus length is unknown
@@ -174,7 +162,6 @@ pub fn executor_from_recipe(
         shard_size: recipe.shard_size,
         memory_budget: recipe.memory_budget,
         spill_dir: recipe.spill_dir.as_ref().map(PathBuf::from),
-        prefetch_depth: recipe.prefetch_depth.unwrap_or(DEFAULT_PREFETCH_DEPTH),
         input: recipe.input_path.clone(),
         output: recipe.output_path.as_ref().map(PathBuf::from),
         output_format,
@@ -249,6 +236,5 @@ mod tests {
         assert!(opts.num_workers >= 1);
         assert_eq!(opts.memory_budget, None);
         assert_eq!(opts.spill_dir, None);
-        assert_eq!(opts.prefetch_depth, DEFAULT_PREFETCH_DEPTH);
     }
 }

@@ -64,11 +64,14 @@ pub struct RunReport {
     /// Whether the run spilled shards to disk (out-of-core mode).
     pub spilled: bool,
     /// Peak samples simultaneously resident in the streaming stage
-    /// machinery. This stays ≤ `num_workers × prefetch_depth × shard_size`
-    /// — the engine's constant-memory bound while stages stream spilled
-    /// shards.
+    /// machinery. This stays ≤ `num_workers × shard_size` — the engine's
+    /// constant-memory bound while stages stream spilled shards: every pass
+    /// holds one live shard per worker.
     pub peak_resident_samples: usize,
-    /// Approximate heap bytes of those resident samples at the peak.
+    /// Approximate heap bytes of those resident samples at the peak: at
+    /// most `num_workers` shards' worth (`num_workers × shard_size`
+    /// samples), which is what the budget-derived spill cut sizes shards
+    /// against.
     pub peak_resident_bytes: usize,
     /// Total wall time spent inside dedup barriers: fingerprinting and
     /// clustering. No barrier applies its mask; it rides on the data to the
@@ -101,8 +104,6 @@ pub struct RunReport {
     /// Shard size the auto-tuner picked from measured throughput, when it
     /// overrode an unset `shard_size`.
     pub tuned_shard_size: Option<usize>,
-    /// Prefetch depth the auto-tuner picked, when it overrode the default.
-    pub tuned_prefetch_depth: Option<usize>,
     /// Decompressed bytes the spilled stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes
     /// where a step declared `FieldSet::All` or tracing was on) and the

@@ -66,38 +66,31 @@ impl Executor {
         // nor a projected decode set depends on the order a shard ran.
         let sched = feed.len.and_then(|n| self.stage_schedule(steps, n));
         let fp_dedup = next_dedup.filter(|_| sink.carries_fingerprints());
-        let per_shard = drive(
-            feed,
-            self.options.num_workers,
-            self.options.prefetch_depth,
-            ctl,
-            |i, loaded| {
-                let Loaded {
-                    shard,
-                    frame,
-                    keep: deferred,
-                    decoded,
-                } = loaded;
-                let mut ctx = SampleContext::new();
-                let order = sched.as_ref().map(StageSchedule::order);
-                let live = order.as_ref().map_or(steps, |o| &o.steps);
-                let mut outcome = run_stage_on_shard(live, shard, &mut ctx, cap, ctl.ledger(), i)?;
-                if let (Some(sched), Some(order)) = (&sched, &order) {
-                    outcome = remap_outcome(order, outcome);
-                    sched.observe(&outcome.stats);
-                }
-                let fingerprints = fp_dedup
-                    .map(|d| hash_samples(d, outcome.shard.samples()))
-                    .transpose()?;
-                let keep = widen_keep(deferred, outcome.keep);
-                let (passthrough, mask) =
-                    sink.store(i, frame, outcome.shard, keep, fingerprints)?;
-                for st in &mut outcome.stats {
-                    st.bytes_decoded = decoded;
-                }
-                Ok((outcome.stats, outcome.traces, decoded, passthrough, mask))
-            },
-        )?;
+        let per_shard = drive(feed, self.options.num_workers, ctl, |i, loaded| {
+            let Loaded {
+                shard,
+                frame,
+                keep: deferred,
+                decoded,
+            } = loaded;
+            let mut ctx = SampleContext::new();
+            let order = sched.as_ref().map(StageSchedule::order);
+            let live = order.as_ref().map_or(steps, |o| &o.steps);
+            let mut outcome = run_stage_on_shard(live, shard, &mut ctx, cap, ctl.ledger(), i)?;
+            if let (Some(sched), Some(order)) = (&sched, &order) {
+                outcome = remap_outcome(order, outcome);
+                sched.observe(&outcome.stats);
+            }
+            let fingerprints = fp_dedup
+                .map(|d| hash_samples(d, outcome.shard.samples()))
+                .transpose()?;
+            let keep = widen_keep(deferred, outcome.keep);
+            let (passthrough, mask) = sink.store(i, frame, outcome.shard, keep, fingerprints)?;
+            for st in &mut outcome.stats {
+                st.bytes_decoded = decoded;
+            }
+            Ok((outcome.stats, outcome.traces, decoded, passthrough, mask))
+        })?;
         report.shards = report.shards.max(per_shard.len());
         let mut merged = Vec::with_capacity(per_shard.len());
         let mut masks = Vec::with_capacity(per_shard.len());

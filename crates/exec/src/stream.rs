@@ -1,17 +1,16 @@
 //! The one shard driver: a [`Feed`] yields loaded shards, [`drive`] pushes
-//! each through a body on the shared [`WorkerPool`] with bounded
-//! read-ahead, and [`RunCtl`] carries the run's residency gauge, job
-//! control block and error ledger into every pass.
+//! each through a body on the shared [`WorkerPool`], and [`RunCtl`]
+//! carries the run's residency gauge, job control block and error ledger
+//! into every pass.
 //!
 //! Every pass of every execution shape — pipeline stages, barrier hash
-//! passes, ingest and egress — runs through this one loop, so the
-//! prefetch contract lives in exactly one place: the live-set
-//! reservation is taken *before* a load (the resident bound can never
-//! overshoot `workers × depth` shards however many steppers race), and
-//! `ctl.check` / `faults::check("exec.shard.claim")` / acquire / release /
-//! `shard_done` each appear once.
+//! passes, ingest and egress — runs through this one loop, so the live-set
+//! contract lives in exactly one place: `workers` steppers, each claiming,
+//! loading, processing and releasing one shard per step, so at most
+//! `workers` shards are ever live, and `ctl.check` /
+//! `faults::check("exec.shard.claim")` / acquire / release / `shard_done`
+//! each appear once.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -103,24 +102,16 @@ pub(crate) trait Resident {
 pub(crate) struct Feed<'a, T> {
     /// Shard count when known up front.
     pub len: Option<usize>,
-    /// Whether a load does IO worth overlapping with compute (read-ahead
-    /// into the prefetch queue); in-memory feeds say no.
-    pub overlaps_io: bool,
     #[allow(clippy::type_complexity)]
     pub next: Box<dyn Fn() -> Result<Option<(usize, T)>> + Sync + 'a>,
 }
 
 impl<'a, T> Feed<'a, T> {
     /// A feed over shards `0..n`, each loaded by `load`.
-    pub(crate) fn indexed(
-        n: usize,
-        overlaps_io: bool,
-        load: impl Fn(usize) -> Result<T> + Sync + 'a,
-    ) -> Feed<'a, T> {
+    pub(crate) fn indexed(n: usize, load: impl Fn(usize) -> Result<T> + Sync + 'a) -> Feed<'a, T> {
         let cursor = AtomicUsize::new(0);
         Feed {
             len: Some(n),
-            overlaps_io,
             next: Box::new(move || {
                 let i = cursor.fetch_add(1, SeqCst);
                 if i >= n {
@@ -135,12 +126,11 @@ impl<'a, T> Feed<'a, T> {
 /// Drive every shard of `feed` through `work`, returning the per-shard
 /// results in shard order.
 ///
-/// `depth` is the per-worker live-shard budget. When the feed does IO and
-/// `depth ≥ 2`, steppers interleave two kinds of step — load the next
-/// shard into a prefetch queue (if the reservation allows) or pop a queued
-/// shard and process it — so loads overlap compute while at most
-/// `workers × depth` shards are acquired-but-not-released. Otherwise there
-/// is no queue: each step loads and processes one shard, one per stepper.
+/// `workers` steppers (fewer when the feed is shorter) each claim, load,
+/// process and release one shard per step, so at most `workers` shards are
+/// live and `workers: 1` is a plain sequential loop on the calling thread.
+/// There is no read-ahead: the OS already reads sequential input ahead,
+/// and a spool slot is read back moments after it was written.
 ///
 /// The first error (from the feed, the body, a fault or cancellation)
 /// stops new claims and is the one returned; every acquired byte is
@@ -148,7 +138,6 @@ impl<'a, T> Feed<'a, T> {
 pub(crate) fn drive<T, R>(
     feed: &Feed<'_, T>,
     workers: usize,
-    depth: usize,
     ctl: &RunCtl,
     work: impl Fn(usize, T) -> Result<R> + Sync,
 ) -> Result<Vec<R>>
@@ -159,94 +148,41 @@ where
     let workers = workers
         .max(1)
         .min(feed.len.map_or(usize::MAX, |n| n.max(1)));
-    let use_queue = feed.overlaps_io && depth >= 2;
-    // The extra stepper is the loader's hands: one stepper can always be
-    // inside a load while `workers` others process.
-    let (width, cap_live) = if use_queue {
-        (workers + 1, workers * depth)
-    } else {
-        (workers, workers)
-    };
-    // Queued shards with the `(samples, bytes)` they were acquired for.
-    type Live<T> = (usize, T, (usize, usize));
-    let queue: Mutex<VecDeque<Live<T>>> = Mutex::new(VecDeque::new());
-    // Live-set reservations: shards loading, queued, or being processed.
-    let reserved = AtomicUsize::new(0);
-    let dry = AtomicBool::new(false);
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<DjError>> = Mutex::new(None);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
     let fail = |e: DjError| {
         abort.store(true, SeqCst);
         lock(&first_err).get_or_insert(e);
-    };
-    let finish = |(idx, item, (samples, bytes)): Live<T>| {
-        let r = work(idx, item);
-        ctl.release(samples, bytes);
-        reserved.fetch_sub(1, SeqCst);
-        ctl.shard_done();
-        match r {
-            Ok(v) => lock(&results).push((idx, v)),
-            Err(e) => fail(e),
-        }
+        Step::Done
     };
 
-    WorkerPool::global().run_section(width, &|| {
+    WorkerPool::global().run_section(workers, &|| {
         if abort.load(SeqCst) {
             return Step::Done;
         }
         if let Err(e) = ctl.check() {
-            fail(e);
-            return Step::Done;
+            return fail(e);
         }
-        // Claim a load if the feed may have more and the live set allows.
-        let claimed = !dry.load(SeqCst)
-            && reserved
-                .fetch_update(SeqCst, SeqCst, |r| (r < cap_live).then_some(r + 1))
-                .is_ok();
-        if claimed {
-            match faults::check("exec.shard.claim").and_then(|()| (feed.next)()) {
-                Ok(Some((idx, item))) => {
-                    let charge = item.residency();
-                    ctl.acquire(charge.0, charge.1);
-                    if use_queue {
-                        lock(&queue).push_back((idx, item, charge));
-                    } else {
-                        finish((idx, item, charge));
-                    }
-                    return Step::Worked;
-                }
-                Ok(None) => {
-                    dry.store(true, SeqCst);
-                    reserved.fetch_sub(1, SeqCst);
-                }
-                Err(e) => {
-                    reserved.fetch_sub(1, SeqCst);
-                    fail(e);
-                    return Step::Done;
-                }
+        let (idx, item) = match faults::check("exec.shard.claim").and_then(|()| (feed.next)()) {
+            Ok(Some(loaded)) => loaded,
+            Ok(None) => return Step::Done,
+            Err(e) => return fail(e),
+        };
+        let (samples, bytes) = item.residency();
+        ctl.acquire(samples, bytes);
+        let r = work(idx, item);
+        ctl.release(samples, bytes);
+        ctl.shard_done();
+        match r {
+            Ok(v) => {
+                lock(&results).push((idx, v));
+                Step::Worked
             }
-        }
-        // Nothing loadable — process a prefetched shard instead.
-        let popped = lock(&queue).pop_front();
-        if let Some(p) = popped {
-            finish(p);
-            return Step::Worked;
-        }
-        // A reservation outlives its load, its queue wait and its body,
-        // so "dry and nothing reserved" means every shard is done.
-        if dry.load(SeqCst) && reserved.load(SeqCst) == 0 {
-            Step::Done
-        } else {
-            Step::Idle
+            Err(e) => fail(e),
         }
     });
 
-    // A cancelled or failed pass may leave prefetched shards behind; their
-    // residency is released before the caller drops its spool.
-    for (_, _, (samples, bytes)) in queue.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        ctl.release(samples, bytes);
-    }
     if let Some(e) = first_err
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -276,7 +212,7 @@ mod tests {
             Some(bad) if bad == i => Err(DjError::Storage(format!("feed {i}"))),
             _ => Ok(i),
         };
-        let mut feed = Feed::indexed(total, true, load);
+        let mut feed = Feed::indexed(total, load);
         if !indexed {
             feed.len = None;
         }
@@ -288,76 +224,74 @@ mod tests {
         (RunCtl::new(Some(Arc::clone(&job)), None), job)
     }
 
-    /// Every (feed kind, workers, depth) the driver is exercised under.
-    fn shapes() -> impl Iterator<Item = (bool, usize, usize)> {
-        [true, false].into_iter().flat_map(|indexed| {
-            [(1, 1), (1, 2), (3, 2), (2, 3)]
-                .into_iter()
-                .map(move |(w, d)| (indexed, w, d))
-        })
+    /// Every (feed kind, workers) the driver is exercised under.
+    fn shapes() -> impl Iterator<Item = (bool, usize)> {
+        [true, false]
+            .into_iter()
+            .flat_map(|indexed| [1, 2, 3].into_iter().map(move |w| (indexed, w)))
     }
 
-    /// No residency outlives the pass, and the live set stayed inside the
-    /// reserve-before-load bound (each shard is one sample).
-    fn assert_drained(ctl: &RunCtl, job: &JobControl, workers: usize, depth: usize, tag: &str) {
+    /// No residency outlives the pass, and the live set stayed inside one
+    /// shard per worker (each shard is one sample).
+    fn assert_drained(ctl: &RunCtl, job: &JobControl, workers: usize, tag: &str) {
         assert_eq!(job.live_bytes(), 0, "{tag}: bytes still acquired");
         assert_eq!(job.live_samples(), 0, "{tag}: samples still acquired");
         assert!(
-            ctl.peak_samples() <= workers * depth,
-            "{tag}: {} live shards > {workers} x {depth}",
+            ctl.peak_samples() <= workers,
+            "{tag}: {} live shards > {workers} workers",
             ctl.peak_samples()
         );
     }
 
     #[test]
     fn results_come_back_in_shard_order_within_the_live_bound() {
-        for (indexed, workers, depth) in shapes() {
-            let tag = format!("indexed={indexed} w={workers} d={depth}");
+        for (indexed, workers) in shapes() {
+            let tag = format!("indexed={indexed} w={workers}");
             let (ctl, job) = ctl();
             let feed = test_feed(23, indexed, None);
-            let out = drive(&feed, workers, depth, &ctl, |i, item| Ok(i * 100 + item)).unwrap();
+            let out = drive(&feed, workers, &ctl, |i, item| Ok(i * 100 + item)).unwrap();
             let expected: Vec<usize> = (0..23).map(|i| i * 101).collect();
             assert_eq!(out, expected, "{tag}");
             assert_eq!(job.shards_done(), 23, "{tag}");
-            assert_drained(&ctl, &job, workers, depth, &tag);
+            assert_drained(&ctl, &job, workers, &tag);
         }
     }
 
     #[test]
     fn an_empty_feed_is_an_empty_result() {
-        for (indexed, workers, depth) in shapes() {
+        for (indexed, workers) in shapes() {
             let (ctl, job) = ctl();
             let feed = test_feed(0, indexed, None);
-            let out = drive(&feed, workers, depth, &ctl, |_, item| Ok(item)).unwrap();
+            let out = drive(&feed, workers, &ctl, |_, item| Ok(item)).unwrap();
             assert!(out.is_empty());
-            assert_drained(&ctl, &job, workers, depth, "empty");
+            assert_drained(&ctl, &job, workers, "empty");
         }
     }
 
     #[test]
     fn a_failing_feed_releases_everything_and_surfaces_its_error() {
-        for (indexed, workers, depth) in shapes() {
-            let tag = format!("indexed={indexed} w={workers} d={depth}");
+        for (indexed, workers) in shapes() {
+            let tag = format!("indexed={indexed} w={workers}");
             let (ctl, job) = ctl();
             let feed = test_feed(40, indexed, Some(7));
-            let err = drive(&feed, workers, depth, &ctl, |_, item| Ok(item)).unwrap_err();
+            let err = drive(&feed, workers, &ctl, |_, item| Ok(item)).unwrap_err();
             assert_eq!(err.to_string(), "storage error: feed 7", "{tag}");
             assert!(job.shards_done() < 40, "{tag}: pass ran to completion");
-            assert_drained(&ctl, &job, workers, depth, &tag);
+            assert_drained(&ctl, &job, workers, &tag);
         }
     }
 
     #[test]
     fn a_failing_body_releases_everything_and_surfaces_the_first_error() {
-        for (indexed, workers, depth) in shapes() {
-            let tag = format!("indexed={indexed} w={workers} d={depth}");
+        for (indexed, workers) in shapes() {
+            let tag = format!("indexed={indexed} w={workers}");
             let (ctl, job) = ctl();
             // The body fails from shard 5 on and the feed would fail at 30:
             // whichever body error lands first is the one reported, never
             // a later one and never the feed's.
             let feed = test_feed(40, indexed, Some(30));
             let first = Mutex::new(None);
-            let err = drive(&feed, workers, depth, &ctl, |i, _| -> Result<()> {
+            let err = drive(&feed, workers, &ctl, |i, _| -> Result<()> {
                 if i < 5 {
                     return Ok(());
                 }
@@ -366,7 +300,7 @@ mod tests {
             })
             .unwrap_err();
             let first = lock(&first).expect("a body failed");
-            if workers * depth == 1 {
+            if workers == 1 {
                 // One stepper: bodies run in shard order, so "first" is exact.
                 assert_eq!(first, 5, "{tag}");
                 assert_eq!(err.to_string(), "storage error: body 5", "{tag}");
@@ -374,17 +308,17 @@ mod tests {
                 let msg = err.to_string();
                 assert!(msg.starts_with("storage error: body "), "{tag}: {msg}");
             }
-            assert_drained(&ctl, &job, workers, depth, &tag);
+            assert_drained(&ctl, &job, workers, &tag);
         }
     }
 
     #[test]
     fn a_cancel_releases_everything_and_surfaces_cancelled() {
-        for (indexed, workers, depth) in shapes() {
-            let tag = format!("indexed={indexed} w={workers} d={depth}");
+        for (indexed, workers) in shapes() {
+            let tag = format!("indexed={indexed} w={workers}");
             let (ctl, job) = ctl();
             let feed = test_feed(40, indexed, None);
-            let err = drive(&feed, workers, depth, &ctl, |i, item| {
+            let err = drive(&feed, workers, &ctl, |i, item| {
                 if i == 3 {
                     job.cancel();
                 }
@@ -393,16 +327,59 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, DjError::Cancelled), "{tag}: {err}");
             assert!(job.shards_done() < 40, "{tag}: pass ran to completion");
-            assert_drained(&ctl, &job, workers, depth, &tag);
+            assert_drained(&ctl, &job, workers, &tag);
         }
     }
 
+    /// The gauge counts what [`RunCtl`] cannot see: a shard is in flight
+    /// from the moment its load starts until its body returns, so a
+    /// loaded-but-unprocessed shard counts too. At no point are there more
+    /// in flight than workers, whether the pass succeeds, fails or is
+    /// cancelled.
     #[test]
-    fn an_in_memory_feed_never_reads_ahead() {
-        let (ctl, job) = ctl();
-        let mut feed = test_feed(16, true, None);
-        feed.overlaps_io = false;
-        drive(&feed, 2, 4, &ctl, |_, item| Ok(item)).unwrap();
-        assert_drained(&ctl, &job, 2, 1, "resident");
+    fn loads_plus_bodies_in_flight_never_exceed_the_workers() {
+        #[derive(Clone, Copy, Debug)]
+        enum End {
+            Success,
+            Failure,
+            Cancel,
+        }
+        for (indexed, workers) in shapes() {
+            for end in [End::Success, End::Failure, End::Cancel] {
+                let tag = format!("indexed={indexed} w={workers} {end:?}");
+                let (ctl, job) = ctl();
+                let live = AtomicUsize::new(0);
+                let peak = AtomicUsize::new(0);
+                let pause = || std::thread::sleep(std::time::Duration::from_micros(200));
+                let mut feed = Feed::indexed(30, |i| {
+                    peak.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+                    pause();
+                    Ok(i)
+                });
+                if !indexed {
+                    feed.len = None;
+                }
+                let out = drive(&feed, workers, &ctl, |i, item| {
+                    pause();
+                    live.fetch_sub(1, SeqCst);
+                    match end {
+                        End::Failure if i == 12 => Err(DjError::Storage("body".into())),
+                        End::Cancel if i == 12 => {
+                            job.cancel();
+                            Ok(item)
+                        }
+                        _ => Ok(item),
+                    }
+                });
+                match end {
+                    End::Success => assert_eq!(out.unwrap().len(), 30, "{tag}"),
+                    End::Failure | End::Cancel => assert!(out.is_err(), "{tag}"),
+                }
+                assert_eq!(live.load(SeqCst), 0, "{tag}: a load never reached its body");
+                let peak = peak.load(SeqCst);
+                assert!(peak <= workers, "{tag}: {peak} shards in flight");
+                assert_drained(&ctl, &job, workers, &tag);
+            }
+        }
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! - [`CorpusReader`] glob-expands multi-file JSONL/CSV input and cuts
 //!   `shard_size` shard frames off the stream, feeding the executor's
-//!   prefetch machinery without ever materializing the corpus — resident
-//!   footprint stays bounded by the prefetch window, not the input size.
+//!   shard driver without ever materializing the corpus — resident
+//!   footprint stays bounded by one shard per worker, not the input size.
 //! - [`JsonlReader`] / [`CsvReader`] stream one file each; malformed
 //!   records are typed `path:line` parse errors, never panics.
 //! - [`ShardedWriter`] writes manifest-tracked sharded output (JSONL or

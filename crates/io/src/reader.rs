@@ -1,11 +1,10 @@
 //! Multi-file corpus reader: glob-expanded JSONL/CSV inputs, consumed as
 //! one continuous sample stream and cut into `shard_size` shard frames.
 //!
-//! Shard cutting is where streaming ingest meets the executor's
-//! double-buffered prefetch machinery: the reader never materializes more
-//! than one shard, and the executor never holds more than its prefetch
-//! window — so a 10 GB file runs in the same resident footprint as a
-//! 10 MB one.
+//! Shard cutting is where streaming ingest meets the executor's shard
+//! driver: the reader never materializes more than one shard, and the
+//! executor never holds more than one per worker — so a 10 GB file runs in
+//! the same resident footprint as a 10 MB one.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

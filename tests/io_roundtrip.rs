@@ -90,7 +90,7 @@ fn tricky_corpus() -> Dataset {
 /// parts — and the concatenated parts are byte-identical to `to_jsonl` of
 /// the in-memory engine's output. The barrier runs one streaming pass
 /// from ingest-time fingerprints and residency stays within the
-/// `np × prefetch_depth × shard_size` ceiling.
+/// `np × shard_size` ceiling: one live shard per worker.
 #[test]
 fn file_backed_run_is_byte_identical_to_in_memory() {
     let input_dir = fresh_dir("main-in");
@@ -127,7 +127,7 @@ fn file_backed_run_is_byte_identical_to_in_memory() {
         report.fingerprinted_barriers >= 1,
         "ingest-adjacent barrier must consume ingest-time fingerprints"
     );
-    let bound = np * 2 * shard_size; // default prefetch_depth = 2
+    let bound = np * shard_size;
     assert!(
         report.peak_resident_samples <= bound,
         "{} resident samples > bound {bound}",
@@ -309,10 +309,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For random corpora (arbitrary unicode, escape-heavy strings, empty
-    /// texts), worker counts, shard sizes, prefetch depths and file splits:
-    /// the file-backed run returns exactly the in-memory result,
-    /// JSONL egress is byte-identical to `to_jsonl` of it, and residency
-    /// stays within `np × depth × shard_size`.
+    /// texts), worker counts, shard sizes and file splits: the file-backed
+    /// run returns exactly the in-memory result, JSONL egress is
+    /// byte-identical to `to_jsonl` of it, and residency stays within
+    /// `np × shard_size`.
     #[test]
     fn prop_file_backed_matches_in_memory(
         texts in proptest::collection::vec(
@@ -333,10 +333,9 @@ proptest! {
         ),
         np in 1usize..4,
         shard_size in 1usize..9,
-        depth in 1usize..4,
         files in 1usize..4,
     ) {
-        let tag = format!("prop-{np}-{shard_size}-{depth}-{files}-{}", texts.len());
+        let tag = format!("prop-{np}-{shard_size}-{files}-{}", texts.len());
         let input_dir = fresh_dir(&format!("{tag}-in"));
         let out_dir = unique_dir(&format!("{tag}-out"));
         let _ = fs::remove_dir_all(&out_dir);
@@ -350,7 +349,6 @@ proptest! {
             num_workers: np,
             trace_examples: 0,
             shard_size: Some(shard_size),
-            prefetch_depth: depth,
             input: Some(pattern),
             ..ExecOptions::default()
         };
@@ -361,10 +359,10 @@ proptest! {
         prop_assert_eq!(
             to_bytes(&out.unwrap()).as_slice(),
             to_bytes(&expected).as_slice(),
-            "np={} shard_size={} depth={} files={} diverged", np, shard_size, depth, files
+            "np={} shard_size={} files={} diverged", np, shard_size, files
         );
         prop_assert_eq!(report.initial_samples, data.len());
-        let bound = np * depth * shard_size;
+        let bound = np * shard_size;
         prop_assert!(
             report.peak_resident_samples <= bound,
             "{} resident samples > bound {}", report.peak_resident_samples, bound

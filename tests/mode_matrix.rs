@@ -1,7 +1,7 @@
 //! The mode matrix against a naive oracle: every execution shape the engine
 //! has — in-memory, forced spill, file→file — × worker count × adaptive
-//! planning × prefetch depth
-//! × direct call or service-runtime job must produce output byte-equal to a
+//! planning × direct call or service-runtime job must produce output
+//! byte-equal to a
 //! deliberately simple reference (apply the ops in recipe order, sample by
 //! sample, unfused, with a global dedup through `keep_mask`), and must
 //! agree with each other on every per-op `samples_in / samples_out /
@@ -96,7 +96,6 @@ struct Mode {
     shape: Shape,
     np: usize,
     adaptive: bool,
-    prefetch_depth: usize,
     /// Submitted as a job to the test's [`runtime`] (`submit` /
     /// `submit_io`, then `wait`) instead of calling the executor.
     runtime: bool,
@@ -119,13 +118,12 @@ fn runtime() -> &'static Runtime {
 
 impl Mode {
     /// A shape with everything else at its plainest: two workers, static
-    /// plan, double buffering, a direct call.
+    /// plan, a direct call.
     fn plain(shape: Shape) -> Mode {
         Mode {
             shape,
             np: 2,
             adaptive: false,
-            prefetch_depth: 2,
             runtime: false,
             trace: 0,
             frames: false,
@@ -133,24 +131,20 @@ impl Mode {
         }
     }
 
-    /// Every shape × np {1, 3} × adaptive × prefetch depth {1, 2}, with the
-    /// runtime dimension laid across the last two pairwise: each of its
-    /// values meets each adaptive value and each depth, in every shape ×
-    /// np, without doubling the matrix.
+    /// Every shape × np {1, 3} × adaptive, with the runtime dimension laid
+    /// across the last two pairwise: each of its values meets each np and
+    /// each adaptive value, in every shape, without doubling the matrix.
     fn all() -> Vec<Mode> {
         let mut modes = Vec::new();
         for shape in SHAPES {
             for np in [1, 3] {
                 for adaptive in [false, true] {
-                    for prefetch_depth in [1, 2] {
-                        modes.push(Mode {
-                            np,
-                            adaptive,
-                            prefetch_depth,
-                            runtime: adaptive == (prefetch_depth == 2),
-                            ..Mode::plain(shape)
-                        });
-                    }
+                    modes.push(Mode {
+                        np,
+                        adaptive,
+                        runtime: adaptive == (np == 3),
+                        ..Mode::plain(shape)
+                    });
                 }
             }
         }
@@ -163,10 +157,12 @@ impl Mode {
     /// shape again as a runtime job with `output` set).
     fn ways_out() -> Vec<Mode> {
         let mut modes = Vec::new();
-        for base in Mode::all() {
-            if base.adaptive || base.prefetch_depth != 2 {
-                continue;
-            }
+        for base in SHAPES.into_iter().flat_map(|shape| {
+            [1, 3].map(|np| Mode {
+                np,
+                ..Mode::plain(shape)
+            })
+        }) {
             let file = base.shape == Shape::File;
             for trace in [0, 2] {
                 for frames in [false, true] {
@@ -199,7 +195,6 @@ impl Mode {
             shard_size: Some(shard_size),
             memory_budget: (self.shape == Shape::Spill).then_some(1),
             adaptive: self.adaptive,
-            prefetch_depth: self.prefetch_depth,
             trace_examples: self.trace,
             output_format: if self.frames {
                 OutputFormat::Frames
@@ -739,7 +734,7 @@ fn the_modes_are_distinct_paths() {
         assert_eq!(report.ingest_bytes > 0, file, "{mode:?}");
         assert_eq!(report.adaptive, mode.adaptive, "{mode:?}");
         if report.spilled {
-            let bound = mode.np * mode.prefetch_depth * case.shard_size;
+            let bound = mode.np * case.shard_size;
             assert!(
                 report.peak_resident_samples <= bound,
                 "{mode:?}: {} resident samples > {bound}",

@@ -62,8 +62,8 @@ fn unique_dir(tag: &str) -> PathBuf {
 
 /// The headline constant-memory property: while stages stream spilled
 /// shards, the engine's shard-resident accounting never exceeds
-/// `num_workers × 2 × shard_size` samples (one shard in each worker's
-/// hands plus one prefetched per worker — double buffering).
+/// `num_workers × shard_size` samples — one shard in each worker's hands,
+/// nothing read ahead.
 #[test]
 fn peak_resident_samples_bounded_by_double_buffering() {
     let data = corpus();
@@ -85,7 +85,7 @@ fn peak_resident_samples_bounded_by_double_buffering() {
         assert_eq!(out, expected, "np={np} shard_size={shard_size} diverged");
         assert!(report.spilled, "1-byte budget must engage spilling");
         assert!(report.peak_resident_samples > 0);
-        let bound = np * 2 * shard_size;
+        let bound = np * shard_size;
         assert!(
             report.peak_resident_samples <= bound,
             "np={np} shard_size={shard_size}: {} resident samples > bound {bound}",
@@ -97,12 +97,10 @@ fn peak_resident_samples_bounded_by_double_buffering() {
     }
 }
 
-/// The prefetch window is a knob: for any `prefetch_depth` the resident
-/// ceiling is `num_workers × depth × shard_size` (depth 1 = no read-ahead,
-/// workers load their own shards; depth 2 = the double-buffering default),
-/// and the output never changes.
+/// The worker count is the one knob on the resident ceiling: for every
+/// `np` it is `np × shard_size`, and the output never changes.
 #[test]
-fn prefetch_depth_scales_the_resident_ceiling() {
+fn np_scales_the_resident_ceiling() {
     let data = corpus();
     let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
     let baseline = Executor::new(ops).with_options(ExecOptions {
@@ -112,46 +110,48 @@ fn prefetch_depth_scales_the_resident_ceiling() {
         ..ExecOptions::default()
     });
     let (expected, _) = baseline.run(data.clone()).unwrap();
-    for (np, shard_size, depth) in [(2usize, 8usize, 1usize), (4, 5, 1), (2, 8, 3), (3, 4, 4)] {
-        let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
-        let exec = Executor::new(ops).with_options(ExecOptions {
-            num_workers: np,
-            op_fusion: true,
-            trace_examples: 0,
-            shard_size: Some(shard_size),
-            memory_budget: Some(1),
-            prefetch_depth: depth,
-            ..ExecOptions::default()
-        });
-        let (out, report) = exec.run(data.clone()).unwrap();
-        assert_eq!(
-            out, expected,
-            "np={np} shard_size={shard_size} depth={depth} diverged"
-        );
-        assert!(report.spilled);
-        let bound = np * depth * shard_size;
+    for (np, shard_size) in [(1usize, 8usize), (2, 8), (3, 4), (4, 5)] {
+        let (out, report) = spill_exec(np, shard_size, None).run(data.clone()).unwrap();
+        let tag = format!("np={np} shard_size={shard_size}");
+        assert_eq!(out, expected, "{tag} diverged");
+        assert!(report.spilled, "{tag}");
+        let bound = np * shard_size;
         assert!(
             report.peak_resident_samples <= bound,
-            "np={np} shard_size={shard_size} depth={depth}: {} resident samples > bound {bound}",
+            "{tag}: {} resident samples > bound {bound}",
             report.peak_resident_samples
         );
     }
 }
 
-/// `prefetch_depth: 0` is rejected as a configuration error before any
-/// work runs.
+/// A recipe that still carries the retired `prefetch_depth` key — even the
+/// `0` that was once a config error — loads as the same recipe without it,
+/// and runs to the same output within the same `np × shard_size` ceiling.
 #[test]
-fn prefetch_depth_zero_is_a_config_error() {
-    let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
-    let exec = Executor::new(ops).with_options(ExecOptions {
-        prefetch_depth: 0,
-        ..ExecOptions::default()
-    });
-    let err = exec.run(corpus()).unwrap_err();
-    assert!(
-        err.to_string().contains("prefetch_depth"),
-        "error must name the knob: {err}"
-    );
+fn retired_prefetch_depth_key_is_ignored() {
+    let data = corpus();
+    let registry = builtin_registry();
+    let recipe = fig9_style_recipe()
+        .with_np(2)
+        .with_shard_size(8)
+        .with_memory_budget(1);
+    let (expected, _) = executor_from_recipe(&recipe, &registry, true)
+        .unwrap()
+        .run(data.clone())
+        .unwrap();
+    for depth in [0usize, 1, 3] {
+        let yaml = format!("{}prefetch_depth: {depth}\n", recipe.to_yaml());
+        let retired = Recipe::from_yaml(&yaml).unwrap();
+        assert_eq!(
+            retired, recipe,
+            "depth={depth}: the retired key changed the recipe"
+        );
+        let exec = executor_from_recipe(&retired, &registry, true).unwrap();
+        let (out, report) = exec.run(data.clone()).unwrap();
+        assert_eq!(out, expected, "depth={depth} diverged");
+        assert!(report.spilled, "depth={depth}");
+        assert!(report.peak_resident_samples <= 2 * 8, "depth={depth}");
+    }
 }
 
 /// Spill spools must remove themselves: after a run with an explicit

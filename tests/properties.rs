@@ -331,8 +331,8 @@ proptest! {
             prop_assert!(report.spilled);
         }
         if report.spilled {
-            prop_assert!(report.peak_resident_samples <= workers * 2 * shard_size,
-                "resident {} > bound {}", report.peak_resident_samples, workers * 2 * shard_size);
+            prop_assert!(report.peak_resident_samples <= workers * shard_size,
+                "resident {} > bound {}", report.peak_resident_samples, workers * shard_size);
         }
         // Spools clean up after themselves.
         prop_assert_eq!(std::fs::read_dir(&spill_dir).unwrap().count(), 0);
