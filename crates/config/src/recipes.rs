@@ -123,7 +123,7 @@ pub fn c4_refine() -> Recipe {
     r.project_name = "pretrain-c4-refine".into();
     r.remove_op("clean_html_mapper");
     r.set_param("perplexity_filter", "max_ppl", 10000.0.into())
-        .expect("op present");
+        .ok();
     r
 }
 
@@ -377,7 +377,7 @@ pub fn domain_medical() -> Recipe {
     let mut r = domain_financial();
     r.project_name = "domain-medical".into();
     r.set_param("spec_numerals_filter", "max_ratio", 0.4.into())
-        .expect("present");
+        .ok();
     r.insert_op(
         3,
         OpSpec::new("flagged_words_filter").with("max_ratio", 0.0),
@@ -389,7 +389,7 @@ pub fn domain_legal() -> Recipe {
     let mut r = domain_financial();
     r.project_name = "domain-legal".into();
     r.set_param("text_length_filter", "min_len", 100.0.into())
-        .expect("present");
+        .ok();
     r
 }
 
@@ -483,6 +483,25 @@ mod tests {
             assert!(!r.process.is_empty(), "{name} has an empty pipeline");
         }
         assert!(by_name("nonexistent").is_none());
+    }
+
+    /// The templates derived by editing another: each edit found its op
+    /// (`set_param` on a missing op would leave the base value).
+    #[test]
+    fn edited_templates_carry_their_edits() {
+        let param = |r: Recipe, op: &str, key: &str| r.op(op).unwrap().params[key].as_float();
+        assert_eq!(
+            param(c4_refine(), "perplexity_filter", "max_ppl"),
+            Some(10000.0)
+        );
+        assert_eq!(
+            param(domain_medical(), "spec_numerals_filter", "max_ratio"),
+            Some(0.4)
+        );
+        assert_eq!(
+            param(domain_legal(), "text_length_filter", "min_len"),
+            Some(100.0)
+        );
     }
 
     #[test]

@@ -451,22 +451,35 @@ impl StageData {
         }
     }
 
-    /// Persist as cache entry `idx`/`key` without merging: resident shards
-    /// are compacted and encoded one frame each, a spool's slot files are
-    /// copied as they are once their checksums held (slots the deferred
-    /// mask thins are entry-filtered on the way).
-    pub(crate) fn save(&mut self, cache: &CacheManager, idx: usize, key: &str) -> Result<()> {
+    /// Persist as cache entry `key` (checkpoint mode retires entry
+    /// `replaces`) without merging: resident shards are compacted and
+    /// encoded one frame each, a spool's slot files are copied as they are
+    /// once their checksums held (slots the deferred mask thins are
+    /// entry-filtered on the way).
+    pub(crate) fn save(
+        &mut self,
+        cache: &CacheManager,
+        key: u64,
+        replaces: Option<u64>,
+    ) -> Result<()> {
         self.compact();
         match &self.slots {
-            Slots::Mem(shards) if shards.is_empty() => cache.save(idx, key, &Dataset::new()),
             Slots::Mem(shards) => {
+                // No shards still save one (empty) frame: a zero-byte entry
+                // would carry no checksum to refuse a truncated file by.
+                let empty = [Dataset::new()];
+                let shards = if shards.is_empty() {
+                    &empty[..]
+                } else {
+                    shards
+                };
                 let frames = shards.iter().map(|s| Ok(Frame::encode(s, cache.codec())));
-                cache.save_frames(idx, key, frames)
+                cache.save_frames(key, replaces, frames)
             }
             Slots::Spool(spool) => {
                 let slots = 0..spool.shard_count();
                 let frames = slots.map(|i| spool.read_frame_bytes(i, self.mask.slot(i)));
-                cache.save_frames(idx, key, frames)
+                cache.save_frames(key, replaces, frames)
             }
         }
         .map(drop)
@@ -691,17 +704,11 @@ mod tests {
             Frame::encode(&shards[1], Codec::Djz),
             Frame::encode(&shards[2], Codec::None),
         ];
-        let cache = CacheManager::new(root.join("cache"), 1, CacheMode::Cache);
+        let cache = CacheManager::new(root.join("cache"), CacheMode::Cache);
         cache
-            .save_frames(0, "stage", frames.iter().cloned().map(Ok))
+            .save_frames(7, None, frames.iter().cloned().map(Ok))
             .unwrap();
-        let open = || {
-            cache
-                .latest_match(&[(0, "stage".to_string())])
-                .unwrap()
-                .unwrap()
-                .1
-        };
+        let open = || cache.latest_match(&[7]).unwrap().unwrap().1;
         let spool_dir = root.join("spool");
         let new_spool = || ShardSpool::create(&spool_dir, 0, SPILL_CODEC);
 
@@ -754,11 +761,10 @@ mod tests {
         }
     }
 
-    /// Every file under `dir`, with its bytes, in path order.
+    /// Every file in `dir`, with its bytes, in path order.
     fn files(dir: &std::path::Path) -> Vec<Vec<u8>> {
         let mut paths: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
-            .flat_map(|sub| std::fs::read_dir(sub.unwrap().path()).unwrap())
             .map(|e| e.unwrap().path())
             .collect();
         paths.sort();
@@ -876,8 +882,8 @@ mod tests {
         );
 
         let saved = |data: &mut StageData, dir: &str| {
-            let cache = CacheManager::new(root.join(dir), 1, CacheMode::Cache);
-            data.save(&cache, 0, "barrier").unwrap();
+            let cache = CacheManager::new(root.join(dir), CacheMode::Cache);
+            data.save(&cache, 1, None).unwrap();
             files(&root.join(dir))
         };
         let mut data = masked();

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use dj_core::{faults, Dataset, Deduplicator, DjError, Op, Result};
-use dj_hash::fnv1a;
+use dj_core::{faults, write_json, Dataset, Deduplicator, DjError, Op, Result};
+use dj_hash::{checksum64, fnv1a, hash64_seeded};
 use dj_io::{CorpusReader, ErrorLedger, ShardedWriter};
 use dj_store::{CacheManager, ShardSpool, STATS_SIDECAR_FILE};
 
@@ -41,15 +41,28 @@ static SPILL_SEQ: AtomicUsize = AtomicUsize::new(0);
 #[derive(Clone)]
 pub struct Executor {
     ops: Vec<Op>,
+    /// Each op's identity ([`dj_config::Recipe::op_ids`]), what cache keys
+    /// are made of. `None` for bare ops, which cannot be cached.
+    op_ids: Option<Vec<u64>>,
     pub(crate) options: ExecOptions,
 }
 
 impl Executor {
+    /// An executor over bare ops. It runs, but has no identities to key a
+    /// cache with: [`Executor::run_with_cache`] needs one built by
+    /// [`executor_from_recipe`](crate::executor_from_recipe).
     pub fn new(ops: Vec<Op>) -> Executor {
         Executor {
             ops,
+            op_ids: None,
             options: ExecOptions::default(),
         }
+    }
+
+    /// The same executor with the recipe's op identities, one per op.
+    pub(crate) fn with_op_ids(mut self, op_ids: Vec<u64>) -> Executor {
+        self.op_ids = Some(op_ids);
+        self
     }
 
     pub fn with_options(mut self, options: ExecOptions) -> Executor {
@@ -117,12 +130,9 @@ impl Executor {
         // enough to amortize scheduling, small enough that work stealing
         // can absorb stragglers.
         let sps = model.tunable(TUNE_SAMPLES_PER_SEC).filter(|s| *s > 0.0)?;
-        let mut options = self.options.clone();
-        options.shard_size = Some(((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16));
-        Some(Executor {
-            ops: self.ops.clone(),
-            options,
-        })
+        let mut tuned = self.clone();
+        tuned.options.shard_size = Some(((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16));
+        Some(tuned)
     }
 
     /// Execute the pipeline over an in-memory dataset and return the
@@ -134,8 +144,13 @@ impl Executor {
     }
 
     /// Execute with cache/checkpoint support: resumes from the longest
-    /// cached stage prefix and saves after every stage (§4.1.1). Refuses a
-    /// set [`ExecOptions::output`], like [`Executor::run`].
+    /// cached stage prefix and saves after every stage (§4.1.1). An entry's
+    /// key is its content identity: the dataset's digest chained with the
+    /// identity of every op up to the stage's last, so one cache root
+    /// serves every recipe and input. Refuses a set
+    /// [`ExecOptions::output`], like [`Executor::run`], and an executor
+    /// built from bare ops, which has no identities to key entries with:
+    /// both are a [`DjError::Config`] before any work.
     pub fn run_with_cache(
         &self,
         dataset: Dataset,
@@ -233,13 +248,13 @@ impl Executor {
             })?),
         };
         let plan = self.plan_adaptive(model);
-        let prefix = self.options.prefix_cache && cache.is_some();
-        let stages = if prefix {
-            plan.stages_per_step()
-        } else {
-            plan.stages()
+        let stages = plan.stages();
+        // A cache keys its entries by the resident input's digest; a
+        // corpus on disk has none (`run_io` takes no cache).
+        let cache = match (&source, cache) {
+            (Source::Resident(dataset), Some(cm)) => Some((cm, self.stage_keys(dataset, &stages)?)),
+            _ => None,
         };
-        let cache = cache.map(|cm| (cm, stage_cache_keys(&stages, prefix)));
         let start = Instant::now();
         let ledger = self.new_ledger()?;
         let ctl = RunCtl::new(job, Some(Arc::clone(&ledger)));
@@ -251,6 +266,8 @@ impl Executor {
             ..RunReport::default()
         };
 
+        // The entry this run saved or resumed from last.
+        let mut saved = None;
         let (mut data, first_stage) = match source {
             Source::Resident(dataset) => {
                 ledger.note_seen(dataset.len() as u64);
@@ -265,6 +282,8 @@ impl Executor {
                     let (idx, entry) = cm.latest_match(keys).ok()??;
                     let budget = budget.unwrap_or(u64::MAX);
                     let data = StageData::from_cached(entry, budget, || self.new_spool(0)).ok()?;
+                    // Checkpoint mode retires it once the next stage saves.
+                    saved = Some(keys[idx]);
                     report.spilled |= data.is_spilled();
                     report.resumed_steps = stages[..=idx].iter().map(Stage::step_count).sum();
                     Some((data, idx + 1))
@@ -280,7 +299,8 @@ impl Executor {
             data = self.execute_stage(stage, next, data, budget, &ctl, &mut report)?;
             report.peak_bytes = report.peak_bytes.max(data.approx_bytes());
             if let Some((cm, keys)) = &cache {
-                data.save(cm, i, &keys[i].1)?;
+                data.save(cm, keys[i], saved)?;
+                saved = Some(keys[i]);
             }
         }
         report.final_samples = data.len();
@@ -351,6 +371,33 @@ impl Executor {
         report.initial_samples = reader.samples_read() as usize;
         report.ingest_duration = start.elapsed();
         Ok((data, ran))
+    }
+
+    /// Each stage's cache key: FNV-1a chained from the input's digest
+    /// over the identity of every op up to the last one the stage covers,
+    /// in recipe order. Stages are cut only at barriers, which never move,
+    /// so each covers a contiguous run of the recipe whatever fusion or a
+    /// cost model did inside it: the key reads nothing of the plan but
+    /// where its stages end, and every plan of one recipe shares entries.
+    fn stage_keys(&self, dataset: &Dataset, stages: &[Stage]) -> Result<Vec<u64>> {
+        let op_ids = self.op_ids.as_deref().ok_or_else(|| {
+            DjError::Config(
+                "run_with_cache needs op identities to key its entries: build the executor \
+                 with executor_from_recipe"
+                    .into(),
+            )
+        })?;
+        let mut op_ids = op_ids.iter();
+        let mut chain = input_digest(dataset);
+        Ok(stages
+            .iter()
+            .map(|stage| {
+                for id in op_ids.by_ref().take(stage.op_count()) {
+                    chain = fnv1a(&[chain.to_le_bytes(), id.to_le_bytes()].concat());
+                }
+                chain
+            })
+            .collect())
     }
 
     /// A unique, run-private directory for one spill spool.
@@ -450,35 +497,18 @@ fn next_barrier(stages: &[Stage], idx: usize) -> Option<&dyn Deduplicator> {
     }
 }
 
-/// Cache keys for a stage sequence.
-///
-/// Plain stage names by default (the status-quo keying). With prefix
-/// caching, each key is a chained FNV-1a fingerprint of every stage name
-/// up to and including this one, rendered as `p{chain:016x}` — the key
-/// encodes the *whole op prefix*, so editing, inserting or removing op
-/// `k` changes the keys of `k` and everything after it while ops before
-/// `k` keep hitting their entries, and two recipes sharing a prefix (and
-/// a cache space) can never collide on a same-named step at a different
-/// position.
-fn stage_cache_keys(stages: &[Stage], prefix: bool) -> Vec<(usize, String)> {
-    if !prefix {
-        return stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.name()))
-            .collect();
-    }
-    let mut chain = 0u64;
-    stages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let mut bytes = chain.to_le_bytes().to_vec();
-            bytes.extend_from_slice(s.name().as_bytes());
-            chain = fnv1a(&bytes);
-            (i, format!("p{chain:016x}"))
-        })
-        .collect()
+/// A resident input's identity, the first link of every cache key:
+/// [`checksum64`]'s hash folded over the samples' canonical JSON lines,
+/// each line seeded with the digest of the lines before it.
+fn input_digest(dataset: &Dataset) -> u64 {
+    let mut line = String::new();
+    dataset.iter().fold(checksum64(&[]), |digest, sample| {
+        line.clear();
+        // Writing into a String cannot fail.
+        let _ = write_json(&mut line, sample.value());
+        line.push('\n');
+        hash64_seeded(line.as_bytes(), digest)
+    })
 }
 
 /// Fold this run's whole-pipeline throughput figures into the model's

@@ -2,26 +2,15 @@
 //! points, on a small noisy corpus.
 
 use super::*;
+use crate::executor_from_recipe;
 use crate::report::TraceEvent;
-use dj_core::{OpParams, OpRegistry, Value};
+use dj_config::{OpSpec, Recipe};
+use dj_core::OpRegistry;
 use dj_io::OutputFormat;
 use dj_ops::builtin_registry;
+use dj_store::CacheMode;
 use std::path::Path;
 use std::time::Duration;
-
-fn ops(reg: &OpRegistry, names: &[(&str, OpParams)]) -> Vec<Op> {
-    names
-        .iter()
-        .map(|(n, p)| reg.build(n, p).unwrap())
-        .collect()
-}
-
-fn p(pairs: &[(&str, Value)]) -> OpParams {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect()
-}
 
 fn noisy_dataset() -> Dataset {
     let mut texts = vec![
@@ -39,39 +28,37 @@ fn noisy_dataset() -> Dataset {
     Dataset::from_texts(texts)
 }
 
+fn pipeline_recipe() -> Recipe {
+    Recipe::new("executor-tests")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(
+            OpSpec::new("text_length_filter")
+                .with("min_len", 20.0)
+                .with("max_len", 10000.0),
+        )
+        .then(
+            OpSpec::new("word_num_filter")
+                .with("min_num", 5.0)
+                .with("max_num", 10000.0),
+        )
+        .then(
+            OpSpec::new("word_repetition_filter")
+                .with("rep_len", 3i64)
+                .with("min_ratio", 0.0)
+                .with("max_ratio", 0.3),
+        )
+        .then(OpSpec::new("document_deduplicator").with("lowercase", true))
+}
+
 fn pipeline(reg: &OpRegistry) -> Vec<Op> {
-    ops(
-        reg,
-        &[
-            ("whitespace_normalization_mapper", OpParams::new()),
-            (
-                "text_length_filter",
-                p(&[
-                    ("min_len", Value::Float(20.0)),
-                    ("max_len", Value::Float(10000.0)),
-                ]),
-            ),
-            (
-                "word_num_filter",
-                p(&[
-                    ("min_num", Value::Float(5.0)),
-                    ("max_num", Value::Float(10000.0)),
-                ]),
-            ),
-            (
-                "word_repetition_filter",
-                p(&[
-                    ("rep_len", Value::Int(3)),
-                    ("min_ratio", Value::Float(0.0)),
-                    ("max_ratio", Value::Float(0.3)),
-                ]),
-            ),
-            (
-                "document_deduplicator",
-                p(&[("lowercase", Value::Bool(true))]),
-            ),
-        ],
-    )
+    pipeline_recipe().build_ops(reg).unwrap()
+}
+
+/// An executor for `recipe` that carries its op identities, as a cached
+/// run needs, under `options`.
+fn cached(recipe: &Recipe, options: ExecOptions) -> Executor {
+    let exec = executor_from_recipe(recipe, &builtin_registry(), true).unwrap();
+    exec.with_options(options)
 }
 
 fn opts(np: usize, fusion: bool, trace: usize) -> ExecOptions {
@@ -238,11 +225,10 @@ fn spilled_trace_captures_events_too() {
 
 #[test]
 fn cache_resume_skips_completed_steps() {
-    let reg = builtin_registry();
     let dir = std::env::temp_dir().join(format!("dj-exec-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = CacheManager::new(&dir, 777, dj_store::CacheMode::Cache);
-    let exec = Executor::new(pipeline(&reg)).with_options(opts(1, false, 0));
+    let cache = CacheManager::new(&dir, CacheMode::Cache);
+    let exec = cached(&pipeline_recipe(), opts(1, false, 0));
     let (out1, r1) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
     assert_eq!(r1.resumed_steps, 0);
     let (out2, r2) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
@@ -260,11 +246,10 @@ fn cache_resume_skips_completed_steps() {
 
 #[test]
 fn spilled_cache_entries_resume_like_in_memory_ones() {
-    let reg = builtin_registry();
     let dir = std::env::temp_dir().join(format!("dj-exec-spillcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = CacheManager::new(&dir, 778, dj_store::CacheMode::Cache);
-    let exec = Executor::new(pipeline(&reg)).with_options(spill_opts(2, 4, 1));
+    let cache = CacheManager::new(&dir, CacheMode::Cache);
+    let exec = cached(&pipeline_recipe(), spill_opts(2, 4, 1));
     let (out1, r1) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
     assert!(r1.spilled);
     let (out2, r2) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
@@ -304,13 +289,12 @@ fn under_budget_resume_stays_in_memory() {
     // Multi-shard in-memory stages cache as multi-frame entries; a
     // resume under a generous budget must pull them back into memory
     // rather than downgrading the run to out-of-core.
-    let reg = builtin_registry();
     let dir = std::env::temp_dir().join(format!("dj-exec-memresume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = CacheManager::new(&dir, 779, dj_store::CacheMode::Cache);
+    let cache = CacheManager::new(&dir, CacheMode::Cache);
     let mut options = opts(3, true, 0);
     options.shard_size = Some(4);
-    let exec = Executor::new(pipeline(&reg)).with_options(options);
+    let exec = cached(&pipeline_recipe(), options);
     let (out1, r1) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
     assert!(!r1.spilled);
     let (out2, r2) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
@@ -359,12 +343,11 @@ fn the_budget_derived_spill_cut_fits_every_np() {
     }
 }
 
-/// Every cache entry a cached run saved, in stage order: file name, length
-/// and FNV-1a of its bytes.
+/// Every cache entry under `root`, by file name: name, length and FNV-1a
+/// of its bytes.
 fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(root)
         .unwrap()
-        .flat_map(|recipe| std::fs::read_dir(recipe.unwrap().path()).unwrap())
         .map(|e| e.unwrap().path())
         .collect();
     entries.sort();
@@ -382,8 +365,7 @@ fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
 /// output part — a row frame of the same samples, which is what earlier
 /// releases saved resident shards as: the parts' concatenated length and
 /// FNV-1a.
-fn entry_as_row_frames(cache: &CacheManager, idx: usize, name: &str, out: &Path) -> (usize, u64) {
-    let key = (idx, name.to_string());
+fn entry_as_row_frames(cache: &CacheManager, key: u64, out: &Path) -> (usize, u64) {
     let (_, mut entry) = cache.latest_match(&[key]).unwrap().unwrap();
     let writer = ShardedWriter::create(out, OutputFormat::Frames).unwrap();
     let mut shard = 0;
@@ -408,26 +390,25 @@ fn entry_as_row_frames(cache: &CacheManager, idx: usize, name: &str, out: &Path)
 /// layout change re-pins them. Entries were row frames until resident
 /// saves took the one spill format: the row pins stay, held by the same
 /// samples written as row frames, so a re-pin cannot change what an entry
-/// holds.
+/// holds. The entries' keys are pinned too: content identity, the same at
+/// every shard size and worker count.
 #[test]
 fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
-    const STAGE: &str = "whitespace_normalization_mapper+text_length_filter";
-    const BARRIER: &str = "document_deduplicator";
-    // (shard size, entries): six frames, then one. An entry: step index,
-    // name, (length, FNV-1a) as saved, and as row frames.
-    type Entry = (usize, &'static str, (usize, u64), (usize, u64));
+    const STAGE: u64 = 0x703d_5802_4a6a_a89b;
+    const BARRIER: u64 = 0xa044_572a_5d24_0761;
+    // (shard size, entries): six frames, then one. An entry: key,
+    // (length, FNV-1a) as saved, and as row frames.
+    type Entry = (u64, (usize, u64), (usize, u64));
     let pins: [(usize, [Entry; 2]); 2] = [
         (
             8,
             [
                 (
-                    0,
                     STAGE,
                     (1_678, 7_967_219_958_824_201_082),
                     (1_150, 8_340_056_087_111_528_943),
                 ),
                 (
-                    1,
                     BARRIER,
                     (1_656, 1_623_368_697_736_730_361),
                     (1_134, 17_714_607_690_819_406_091),
@@ -438,13 +419,11 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             1000,
             [
                 (
-                    0,
                     STAGE,
                     (510, 936_516_119_609_247_145),
                     (396, 2_542_646_165_673_211_883),
                 ),
                 (
-                    1,
                     BARRIER,
                     (490, 16_130_685_773_108_368_857),
                     (382, 11_625_822_995_169_161_923),
@@ -452,20 +431,15 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             ],
         ),
     ];
-    let reg = builtin_registry();
     let texts = (0..48).map(|i| {
         let n = if i % 8 == 7 { i - 5 } else { i };
         format!("Resident document {n} on the cached barrier path, with   spacing.")
     });
     let base = Dataset::from_texts(texts);
-    let steps = ops(
-        &reg,
-        &[
-            ("whitespace_normalization_mapper", OpParams::new()),
-            ("text_length_filter", p(&[("min_len", Value::Float(10.0))])),
-            ("document_deduplicator", OpParams::new()),
-        ],
-    );
+    let recipe = Recipe::new("resident-barrier")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(OpSpec::new("text_length_filter").with("min_len", 10.0))
+        .then(OpSpec::new("document_deduplicator"));
     for (shard_size, want) in pins {
         for np in [1usize, 3] {
             let tag = format!("np {np}, shard_size {shard_size}");
@@ -474,23 +448,24 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let cache = CacheManager::new(dir.join("cache"), 780, dj_store::CacheMode::Cache);
+            let cache = CacheManager::new(dir.join("cache"), CacheMode::Cache);
             let mut options = opts(np, true, 0);
             options.shard_size = Some(shard_size);
-            let exec = Executor::new(steps.clone()).with_options(options);
+            let exec = cached(&recipe, options);
             let (out, report) = exec.run_with_cache(base.clone(), &cache).unwrap();
             assert!(!report.spilled, "{tag}");
             assert_eq!(out.len(), 42, "{tag}");
             let got = cache_entries(&dir.join("cache"));
-            let saved: Vec<(String, usize, u64)> = want
+            let mut saved: Vec<(String, usize, u64)> = want
                 .iter()
-                .map(|(idx, name, (len, sum), _)| (format!("{idx:04}-{name}.djc"), *len, *sum))
+                .map(|(key, (len, sum), _)| (format!("{key:016x}.djc"), *len, *sum))
                 .collect();
+            saved.sort();
             assert_eq!(got, saved, "{tag}");
-            for (idx, name, _, row) in want {
-                let out = dir.join(format!("row-{idx}"));
-                let got = entry_as_row_frames(&cache, idx, name, &out);
-                assert_eq!(got, row, "{tag}: {name} holds other samples");
+            for (key, _, row) in want {
+                let out = dir.join(format!("row-{key:016x}"));
+                let got = entry_as_row_frames(&cache, key, &out);
+                assert_eq!(got, row, "{tag}: {key:016x} holds other samples");
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -133,16 +133,23 @@ impl Stage {
         }
     }
 
-    /// Stable cache key for the dataset state *after* this stage: the
-    /// member step names joined with `+`. Step boundaries inside a stage
-    /// no longer materialize the dataset, so the cache is keyed on stage
-    /// boundaries — the only points where a full dataset exists.
-    ///
-    /// Tradeoff vs the old per-op cache: editing any step *inside* a
-    /// mapper/filter run changes that stage's key and recomputes the whole
-    /// stage, where per-op caching could resume mid-run. Appending steps
-    /// after a barrier still resumes everything before it. Finer-grained
-    /// intra-stage checkpoints are a ROADMAP open item.
+    /// Number of recipe ops this stage covers: a fused step covers each of
+    /// its member filters. The cache key of the data after this stage
+    /// chains every op up to its last one.
+    pub(crate) fn op_count(&self) -> usize {
+        match self {
+            Stage::Pipeline { steps, .. } => steps
+                .iter()
+                .map(|step| match step {
+                    PlanStep::Filters(fs) => fs.len(),
+                    PlanStep::Mapper(_) | PlanStep::Dedup(_) => 1,
+                })
+                .sum(),
+            Stage::Barrier { .. } => 1,
+        }
+    }
+
+    /// Display name: the member step names joined with `+`.
     pub fn name(&self) -> String {
         match self {
             Stage::Pipeline { steps, .. } => steps
@@ -166,29 +173,6 @@ impl std::fmt::Debug for Stage {
 }
 
 impl Plan {
-    /// Segment the plan into *per-step* stages: every mapper/filter step
-    /// becomes its own single-step pipeline stage (dedups stay barriers).
-    /// This is the prefix-cache segmentation — the dataset materializes at
-    /// every step boundary so each step can be cached and resumed
-    /// individually, trading intra-stage pipelining for edit-one-op
-    /// resume granularity.
-    pub fn stages_per_step(&self) -> Vec<Stage> {
-        self.steps
-            .iter()
-            .enumerate()
-            .map(|(i, step)| match step {
-                PlanStep::Dedup(d) => Stage::Barrier {
-                    step_index: i,
-                    dedup: Arc::clone(d),
-                },
-                other => Stage::Pipeline {
-                    first_step: i,
-                    steps: vec![other.clone()],
-                },
-            })
-            .collect()
-    }
-
     /// Segment the plan into pipeline stages at dedup barriers.
     pub fn stages(&self) -> Vec<Stage> {
         let mut stages = Vec::new();
@@ -550,19 +534,24 @@ mod tests {
         assert!(matches!(stages[1], Stage::Pipeline { first_step: 1, .. }));
         assert!(matches!(stages[2], Stage::Barrier { step_index: 3, .. }));
         assert!(matches!(stages[3], Stage::Pipeline { first_step: 4, .. }));
-        // Stage names are stable cache keys.
         assert_eq!(stages[1].name(), "word_num_filter+lowercase_mapper");
         assert_eq!(stages[2].name(), "document_simhash_deduplicator");
     }
 
+    /// Fusion and reordering stay inside a stage: fused and unfused plans
+    /// of one recipe cut it at the same ops, which is what lets every plan
+    /// of a recipe share cache entries.
     #[test]
-    fn stage_names_distinguish_fused_plans() {
-        let ops = fig9_ops();
-        let fused_name = plan_fused(&ops).stages()[0].name();
-        let unfused_name = plan_unfused(&ops).stages()[0].name();
-        assert_ne!(
-            fused_name, unfused_name,
-            "fused and unfused stages must not share cache entries"
-        );
+    fn fused_and_unfused_stages_cover_the_same_ops() {
+        let mut ops = fig9_ops();
+        ops.insert(7, build(&["document_simhash_deduplicator"]).remove(0));
+        let covered = |plan: Plan| {
+            plan.stages()
+                .iter()
+                .map(Stage::op_count)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(covered(plan_fused(&ops)), vec![7, 1, 6, 1]);
+        assert_eq!(covered(plan_unfused(&ops)), vec![7, 1, 6, 1]);
     }
 }

@@ -99,10 +99,6 @@
 //!   `planner_stats.djcs` cost sidecar (recipe YAML `stats_dir`). Without
 //!   it, measurements persist only when `adaptive` is set per options
 //!   *and* a cache is attached (sidecar lives at the cache root).
-//! * [`ExecOptions::prefix_cache`] — per-op cache keying (recipe YAML
-//!   `prefix_cache`): each step becomes its own cache stage keyed by the
-//!   chained fingerprint of every step before it, so editing op *k*
-//!   resumes ops `0..k` from cache.
 //! * [`ExecOptions::on_error`] / [`ExecOptions::max_error_ratio`] — the
 //!   record-level error policy (`docs/robustness.md`).
 //!
@@ -113,16 +109,17 @@
 //! `DJ_FAULTS`, the one variable the binary reads. The test suite picks
 //! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
-//! Five former knobs are gone, because no recipe, test or benchmark
+//! Six former knobs are gone, because no recipe, test or benchmark
 //! needed another value: the post-barrier shard fill threshold (barriers
 //! no longer merge shards at all), the mid-run replan point (derived from
 //! the stage's shard count, above), the parallel-barrier switch
 //! (`num_workers: 1` clusters with one worker), the spill format switch
-//! (every spool and cache entry is columnar) and the prefetch depth (no
-//! pass reads ahead). Recipes that still carry `shard_fill`,
-//! `replan_after_shards`, `dedup_parallel` or the read-ahead depth key
-//! load; the keys are ignored. `columnar` is still parsed into the
-//! recipe, and reaches nothing.
+//! (every spool and cache entry is columnar), the prefetch depth (no
+//! pass reads ahead) and the per-step cache switch (a cache resumes at
+//! stage granularity; see below). Recipes that still carry `shard_fill`,
+//! `replan_after_shards`, `dedup_parallel`, the read-ahead depth key or
+//! the per-step cache key load; the keys are ignored. `columnar` is still
+//! parsed into the recipe, and reaches nothing.
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!
@@ -192,9 +189,16 @@
 //! Per-shard [`ShardStats`](dj_core::ShardStats) accumulators merge into
 //! the per-op [`OpReport`]s (counts add; durations take the cross-shard
 //! max), so funnel/tracer/Fig. 4 outputs are unchanged from the
-//! op-at-a-time engine. Cache/checkpoint entries (`dj-store`) are keyed on
+//! op-at-a-time engine. Cache/checkpoint entries (`dj-store`) are saved at
 //! **stage** boundaries — the only points where a full dataset exists —
-//! with `RunReport::resumed_steps` still counting covered plan steps.
+//! and named by content identity: stage *k*'s key chains FNV-1a from the
+//! resident input's digest over the identity (name and params, from
+//! [`executor_from_recipe`]) of every op up to the last one stage *k*
+//! covers. Stages are cut only at barriers, so fused, unfused and
+//! reordered plans of one recipe share entries, a parameter edit misses
+//! from its stage on, and another input misses everywhere.
+//! `RunReport::resumed_steps` counts the plan steps the resumed stages
+//! cover.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -62,14 +62,6 @@ pub struct ExecOptions {
     /// set explicitly to persist measurements for cache-less runs (e.g.
     /// `run_io`).
     pub stats_dir: Option<PathBuf>,
-    /// Per-op prefix caching: segment the plan into one stage per step so
-    /// every step's output is cached under a chained prefix fingerprint —
-    /// editing op *k* of an *n*-op stage resumes ops `0..k` from cache
-    /// instead of recomputing the whole stage. Costs a dataset
-    /// materialization per step, so it is opt-in (iterative recipe
-    /// development, not production throughput). Only applies to cached
-    /// runs.
-    pub prefix_cache: bool,
     /// What to do when a single record fails — a malformed ingest line
     /// or a sample an OP rejects. `Fail` (default) aborts the run;
     /// `Skip` drops the record; `Quarantine` drops it and preserves it
@@ -102,7 +94,6 @@ impl Default for ExecOptions {
             output_format: OutputFormat::Jsonl,
             adaptive: false,
             stats_dir: None,
-            prefix_cache: false,
             on_error: OnError::Fail,
             max_error_ratio: 1.0,
             faults: None,
@@ -143,8 +134,10 @@ impl ExecOptions {
     }
 }
 
-/// Convenience: build an executor straight from a recipe + registry,
-/// threading the recipe's `np`, `shard_size` and out-of-core knobs through.
+/// Build an executor straight from a recipe + registry, threading the
+/// recipe's `np`, `shard_size` and out-of-core knobs through, and handing
+/// it each op's identity ([`Recipe::op_ids`](dj_config::Recipe::op_ids)),
+/// which [`Executor::run_with_cache`] keys entries with.
 pub fn executor_from_recipe(
     recipe: &dj_config::Recipe,
     registry: &dj_core::OpRegistry,
@@ -155,7 +148,8 @@ pub fn executor_from_recipe(
         Some(name) => OutputFormat::from_name(name)?,
         None => OutputFormat::Jsonl,
     };
-    Ok(Executor::new(ops).with_options(ExecOptions {
+    let exec = Executor::new(ops).with_op_ids(recipe.op_ids());
+    Ok(exec.with_options(ExecOptions {
         num_workers: recipe.np,
         op_fusion: fusion,
         trace_examples: 0,
@@ -167,7 +161,6 @@ pub fn executor_from_recipe(
         output_format,
         adaptive: recipe.adaptive,
         stats_dir: recipe.stats_dir.as_ref().map(PathBuf::from),
-        prefix_cache: recipe.prefix_cache,
         on_error: match recipe.on_error.as_deref() {
             Some(name) => OnError::from_name(name)?,
             None => OnError::Fail,
@@ -204,17 +197,39 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dj-run-output-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let counting = Arc::new(Counting(AtomicUsize::new(0)));
-        let cache = CacheManager::new(dir.join("cache"), 1, CacheMode::Cache);
-        let exec = Executor::new(vec![Op::Mapper(counting.clone())]).with_options(ExecOptions {
-            output: Some(dir.join("out")),
-            ..ExecOptions::default()
-        });
+        let cache = CacheManager::new(dir.join("cache"), CacheMode::Cache);
+        let exec = Executor::new(vec![Op::Mapper(counting.clone())])
+            .with_op_ids(vec![1])
+            .with_options(ExecOptions {
+                output: Some(dir.join("out")),
+                ..ExecOptions::default()
+            });
         let data = || Dataset::from_texts(["a", "b"]);
         for err in [
             exec.run(data()).err(),
             exec.run_with_cache(data(), &cache).err(),
         ] {
             assert!(matches!(err, Some(DjError::Config(_))), "{err:?}");
+        }
+        assert_eq!(counting.0.load(Ordering::Relaxed), 0, "an op ran");
+        assert!(!dir.exists(), "a file was written");
+    }
+
+    /// Bare ops carry no identity, so there is nothing to key an entry
+    /// with: a cached run of them is refused, whatever the mode, before an
+    /// op runs or the cache root is made.
+    #[test]
+    fn run_with_cache_refuses_bare_ops_before_any_work() {
+        let dir = std::env::temp_dir().join(format!("dj-run-bare-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let counting = Arc::new(Counting(AtomicUsize::new(0)));
+        for mode in [CacheMode::Cache, CacheMode::Checkpoint] {
+            let cache = CacheManager::new(dir.join("cache"), mode);
+            let exec = Executor::new(vec![Op::Mapper(counting.clone())]);
+            let err = exec.run_with_cache(Dataset::from_texts(["a", "b"]), &cache);
+            let err = err.err();
+            assert!(matches!(err, Some(DjError::Config(_))), "{err:?}");
+            assert!(format!("{err:?}").contains("executor_from_recipe"));
         }
         assert_eq!(counting.0.load(Ordering::Relaxed), 0, "an op ran");
         assert!(!dir.exists(), "a file was written");

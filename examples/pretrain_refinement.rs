@@ -1,14 +1,16 @@
 //! Pre-training data refinement: the paper's flagship workload. A noisy
 //! CommonCrawl-style corpus goes through the `pretrain-commoncrawl-refine`
-//! built-in recipe (19 OPs) with caching enabled, then the analyzer
-//! compares before/after probes and the proxy evaluator scores both
-//! datasets at an equal token budget.
+//! built-in recipe (19 OPs) with caching enabled, a second round edits one
+//! dedup threshold and resumes every stage before it from the cache, then
+//! the analyzer compares before/after probes and the proxy evaluator
+//! scores both datasets at an equal token budget.
 //!
 //! Run with: `cargo run --example pretrain_refinement`
 
 use data_juicer::analyze::visualize;
 use data_juicer::config::recipes;
 use data_juicer::eval::{measure_profile, ProxyLlm};
+use data_juicer::exec::executor_from_recipe;
 use data_juicer::prelude::*;
 use data_juicer::store::{CacheManager, CacheMode};
 use data_juicer::synth::{web_corpus, WebNoise};
@@ -30,26 +32,48 @@ fn main() -> Result<()> {
         }
     }
 
-    // Run the built-in refinement recipe with a cache directory: re-running
-    // this example resumes instantly from the cached pipeline state.
-    let recipe = recipes::commoncrawl_refine();
+    // Run the built-in refinement recipe (step 2) under one cache root.
+    // Every recipe and input shares it: an entry is found by its content
+    // identity (the input's digest, then each op's name and params), so
+    // re-running this example resumes instantly from the cached state.
+    let mut recipe = recipes::commoncrawl_refine();
     let cache_dir = std::env::temp_dir().join("dj-example-pretrain-cache");
-    let cache = CacheManager::new(&cache_dir, recipe.fingerprint(), CacheMode::Cache);
-    let ops = recipe.build_ops(&builtin_registry())?;
-    let exec = Executor::new(ops).with_options(ExecOptions {
+    let cache = CacheManager::new(&cache_dir, CacheMode::Cache);
+    let options = ExecOptions {
         num_workers: 4,
         op_fusion: true,
-        trace_examples: 0,
-        shard_size: None,
         ..ExecOptions::default()
-    });
-    let (mut refined, report) = exec.run_with_cache(raw.clone(), &cache)?;
+    };
+    let build = |recipe: &Recipe| -> Result<Executor> {
+        let exec = executor_from_recipe(recipe, &builtin_registry(), true)?;
+        Ok(exec.with_options(options.clone()))
+    };
+    let (mut refined, report) = build(&recipe)?.run_with_cache(raw.clone(), &cache)?;
     println!(
         "\nrefinement: {} -> {} docs in {:.2?} ({} steps resumed from cache)",
         report.initial_samples,
         refined.len(),
         report.total_duration,
         report.resumed_steps
+    );
+
+    // Refine one parameter and re-run (step 3): the MinHash dedup is the
+    // recipe's last op, so every stage before it resumes from the cache and
+    // only its own stage re-executes.
+    let threshold = "jaccard_threshold";
+    recipe.set_param("document_minhash_deduplicator", threshold, 0.8.into())?;
+    let edited = build(&recipe)?;
+    let (round2, report2) = edited.run_with_cache(raw.clone(), &cache)?;
+    let before_edit = edited.plan().steps.len() - 1;
+    println!(
+        "round 2 ({threshold} 0.7 -> 0.8): {} docs in {:.2?} ({} steps resumed from cache)",
+        round2.len(),
+        report2.total_duration,
+        report2.resumed_steps
+    );
+    assert!(
+        report2.resumed_steps >= before_edit,
+        "every stage before the edited dedup resumes"
     );
 
     // Compare distributions (step 4).

@@ -1,7 +1,8 @@
 //! Adaptive-planner invariants: measurement-driven planning (plan-time
 //! reordering from a warm sidecar, mid-run re-planning, barrier gating,
-//! knob auto-tuning) must never change pipeline output, and per-op prefix
-//! caching must resume exactly the ops before an edit.
+//! knob auto-tuning) must never change pipeline output, and a cache keyed
+//! by content identity is shared by every plan of a recipe and resumes
+//! exactly the stages before an edit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,9 +11,9 @@ use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::Dataset;
-use data_juicer::exec::{ExecOptions, Executor};
+use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{CacheManager, CacheMode, STATS_SIDECAR_FILE};
+use data_juicer::store::{to_jsonl, CacheManager, CacheMode, STATS_SIDECAR_FILE};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 static SCRATCH_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -290,27 +291,32 @@ fn midrun_replan_flips_misordered_stage() {
     }
 }
 
-// ---- per-op prefix caching -------------------------------------------
+// ---- cache identity ----------------------------------------------------
 
-fn edit_pipeline(swap: bool) -> Recipe {
-    let mid = if swap {
-        // The edit: replace op #2.
-        OpSpec::new("word_num_filter")
-            .with("min_num", 2.0)
-            .with("max_num", 1e9)
-    } else {
-        OpSpec::new("text_length_filter")
-            .with("min_len", 8.0)
-            .with("max_len", 1e9)
-    };
-    Recipe::new("prefix-edit")
+/// An executor for `recipe` that carries its op identities, as a cached
+/// run needs, under `opts`.
+fn cached(recipe: &Recipe, opts: ExecOptions) -> Executor {
+    executor_from_recipe(recipe, &builtin_registry(), opts.op_fusion)
+        .expect("ops build")
+        .with_options(opts)
+}
+
+/// A barrier between two filter runs, and a threshold after it to edit:
+/// stages `[3 steps] · dedup · [2 steps]`, fused or not.
+fn barrier_recipe(min_len: f64) -> Recipe {
+    Recipe::new("edit-after-barrier")
         .then(OpSpec::new("whitespace_normalization_mapper"))
         .then(OpSpec::new("lowercase_mapper"))
-        .then(mid)
         .then(
             OpSpec::new("alphanumeric_ratio_filter")
                 .with("min_ratio", 0.1)
                 .with("max_ratio", 1.0),
+        )
+        .then(OpSpec::new("document_deduplicator"))
+        .then(
+            OpSpec::new("text_length_filter")
+                .with("min_len", min_len)
+                .with("max_len", 1e9),
         )
         .then(
             OpSpec::new("word_entropy_filter")
@@ -319,73 +325,129 @@ fn edit_pipeline(swap: bool) -> Recipe {
         )
 }
 
-/// Editing op `k` of an n-op pipeline under prefix caching resumes ops
-/// `0..k` from cache — only the edited op and everything after recompute.
-#[test]
-fn prefix_cache_resumes_ops_before_the_edit() {
-    let data = web_corpus(7, 80, WebNoise::default());
-    let dir = scratch_dir("prefix");
-    // One shared cache *space* across the edit (a project-level key):
-    // the chained prefix fingerprints, not the directory, decide hits.
-    let cache = CacheManager::new(&dir, 0xD1CE, CacheMode::Cache);
-    let opts = ExecOptions {
-        num_workers: 2,
-        op_fusion: false,
-        prefix_cache: true,
-        ..ExecOptions::default()
-    };
-
-    let exec = Executor::new(build(&edit_pipeline(false))).with_options(opts.clone());
-    let (out1, r1) = exec.run_with_cache(data.clone(), &cache).expect("run 1");
-    assert_eq!(r1.resumed_steps, 0, "cold cache resumes nothing");
-    assert_eq!(r1.stages, 5, "prefix caching stages the plan per step");
-
-    // Unchanged re-run: every stage comes from cache.
-    let (out2, r2) = exec.run_with_cache(data.clone(), &cache).expect("run 2");
-    assert_eq!(r2.resumed_steps, 5, "identical recipe resumes every step");
-    assert_eq!(texts(&out1), texts(&out2));
-
-    // Edit op #2: ops 0..2 hit their prefix entries, 2.. recompute.
-    let edited = Executor::new(build(&edit_pipeline(true))).with_options(opts.clone());
-    let (out3, r3) = edited.run_with_cache(data.clone(), &cache).expect("run 3");
-    assert_eq!(r3.resumed_steps, 2, "ops before the edit resume from cache");
-    let (fresh, _) = run_with(build(&edit_pipeline(true)), data, opts);
-    assert_eq!(
-        texts(&fresh),
-        texts(&out3),
-        "prefix-cache resume is output-transparent"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+/// Under one cache root, editing the threshold of a filter placed after a
+/// barrier resumes every stage before it, and the edited run's output is
+/// byte-identical to a cold run, at np 1 and 3, static and adaptive, in
+/// the shape `memory_budget` picks.
+fn threshold_edit_after_a_barrier(memory_budget: Option<u64>, seed: u64) {
+    let data = web_corpus(seed, 80, WebNoise::default());
+    for np in [1, 3] {
+        for adaptive in [false, true] {
+            let tag = format!("np {np} adaptive {adaptive} budget {memory_budget:?}");
+            let dir = scratch_dir("edit");
+            let cache = CacheManager::new(&dir, CacheMode::Cache);
+            let opts = ExecOptions {
+                num_workers: np,
+                adaptive,
+                shard_size: Some(16),
+                memory_budget,
+                ..ExecOptions::default()
+            };
+            let exec = |min_len| cached(&barrier_recipe(min_len), opts.clone());
+            let (unedited, cold) = exec(8.0).run_with_cache(data.clone(), &cache).unwrap();
+            assert_eq!(cold.resumed_steps, 0, "{tag}: a cold root resumes nothing");
+            assert_eq!(cold.spilled, memory_budget.is_some(), "{tag}");
+            let (out, edited) = exec(500.0).run_with_cache(data.clone(), &cache).unwrap();
+            assert_eq!(edited.resumed_steps, 4, "{tag}: the stages before the edit");
+            assert_eq!(edited.ops.len(), 2, "{tag}: only the edited stage ran");
+            assert!(out.len() < unedited.len(), "{tag}: the edit drops samples");
+            let (fresh, _) = run_with(build(&barrier_recipe(500.0)), data.clone(), opts);
+            assert_eq!(to_jsonl(&out), to_jsonl(&fresh), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
-/// Prefix caching composes with the out-of-core engine: spilled per-step
-/// entries resume exactly like in-memory ones.
 #[test]
-fn prefix_cache_resumes_spilled_entries() {
-    let data = web_corpus(11, 80, WebNoise::default());
-    let dir = scratch_dir("prefix-spill");
-    let cache = CacheManager::new(&dir, 0xD1CE, CacheMode::Cache);
-    let opts = ExecOptions {
-        num_workers: 2,
-        op_fusion: false,
-        prefix_cache: true,
-        shard_size: Some(16),
-        memory_budget: Some(1),
-        ..ExecOptions::default()
-    };
-    let exec = Executor::new(build(&edit_pipeline(false))).with_options(opts.clone());
-    let (out1, r1) = exec.run_with_cache(data.clone(), &cache).expect("run 1");
-    assert!(r1.spilled, "1-byte budget must spill");
-    let (out2, r2) = exec.run_with_cache(data.clone(), &cache).expect("run 2");
-    assert_eq!(r2.resumed_steps, 5);
-    assert_eq!(texts(&out1), texts(&out2));
+fn a_threshold_edit_after_a_barrier_resumes_every_stage_before_it() {
+    threshold_edit_after_a_barrier(SHAPES[0], 7);
+}
 
-    let edited = Executor::new(build(&edit_pipeline(true))).with_options(opts.clone());
-    let (out3, r3) = edited.run_with_cache(data.clone(), &cache).expect("run 3");
-    assert_eq!(r3.resumed_steps, 2);
-    let (fresh, _) = run_with(build(&edit_pipeline(true)), data.clone(), opts);
-    assert_eq!(texts(&fresh), texts(&out3));
-    let _ = std::fs::remove_dir_all(&dir);
+#[test]
+fn a_threshold_edit_after_a_barrier_resumes_spilled_entries() {
+    threshold_edit_after_a_barrier(SHAPES[1], 11);
+}
+
+/// Fusion and the cost model only move steps inside a stage, so every plan
+/// of one recipe shares its cache entries: a run resumes every stage a run
+/// in another plan cached — fused ↔ unfused, adaptive cold ↔ warm — with
+/// byte-identical output.
+#[test]
+fn every_plan_of_a_recipe_resumes_the_entries_another_plan_cached() {
+    let recipe = misordered_recipe().then(OpSpec::new("document_deduplicator"));
+    let data = selective_corpus(400);
+    for memory_budget in SHAPES {
+        let base = ExecOptions {
+            num_workers: 2,
+            shard_size: memory_budget.map(|_| 40),
+            memory_budget,
+            ..ExecOptions::default()
+        };
+        let fused = ExecOptions {
+            op_fusion: true,
+            ..base.clone()
+        };
+        let unfused = ExecOptions {
+            op_fusion: false,
+            ..base.clone()
+        };
+        let (expected, _) = run_with(build(&recipe), data.clone(), fused.clone());
+        let expected = to_jsonl(&expected);
+        let steps = |opts: &ExecOptions| cached(&recipe, opts.clone()).plan().steps.len();
+        assert_eq!((steps(&fused), steps(&unfused)), (3, 5));
+        for (first, then) in [(&fused, &unfused), (&unfused, &fused)] {
+            let tag = format!("budget {memory_budget:?} fusion {}", first.op_fusion);
+            let dir = scratch_dir("plans");
+            let cache = CacheManager::new(&dir, CacheMode::Cache);
+            cached(&recipe, first.clone())
+                .run_with_cache(data.clone(), &cache)
+                .unwrap();
+            let (out, report) = cached(&recipe, then.clone())
+                .run_with_cache(data.clone(), &cache)
+                .unwrap();
+            assert_eq!(report.resumed_steps, steps(then), "{tag}");
+            assert!(report.ops.is_empty(), "{tag}");
+            assert_eq!(to_jsonl(&out), expected, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        // Adaptive: the stats directory `warm` holds measurements, `cold`
+        // none. Either plan resumes every stage the other cached.
+        let adaptive = |stats: &PathBuf| ExecOptions {
+            adaptive: true,
+            stats_dir: Some(stats.clone()),
+            ..fused.clone()
+        };
+        let warm = scratch_dir("warm-stats");
+        run_with(build(&recipe), data.clone(), adaptive(&warm));
+        for cold_first in [true, false] {
+            let tag = format!("budget {memory_budget:?} cold first {cold_first}");
+            let cold = scratch_dir("cold-stats");
+            let dir = scratch_dir("adaptive-plans");
+            let cache = CacheManager::new(&dir, CacheMode::Cache);
+            let (first, then) = match cold_first {
+                true => (&cold, &warm),
+                false => (&warm, &cold),
+            };
+            let (_, ran) = cached(&recipe, adaptive(first))
+                .run_with_cache(data.clone(), &cache)
+                .unwrap();
+            assert_eq!(ran.resumed_steps, 0, "{tag}");
+            let head = &ran.ops[0].name;
+            let warm_order = head.contains("alphanumeric_ratio_filter");
+            assert_eq!(warm_order, !cold_first, "{tag}: plan head {head}");
+            let (out, report) = cached(&recipe, adaptive(then))
+                .run_with_cache(data.clone(), &cache)
+                .unwrap();
+            assert_eq!(report.measured_steps > 0, cold_first, "{tag}");
+            assert_eq!(report.resumed_steps, 3, "{tag}");
+            assert!(report.ops.is_empty(), "{tag}");
+            assert_eq!(to_jsonl(&out), expected, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&cold);
+        }
+        let _ = std::fs::remove_dir_all(&warm);
+    }
 }
 
 // ---- barrier gating ---------------------------------------------------

@@ -292,37 +292,23 @@ fn a_stage_mask_keeps_the_sidecar_shortcut_file_to_file() {
 /// leave the bytes on the way into the entry. Pinned: each entry's length
 /// and FNV-1a as the release before stage masks wrote them (stages then
 /// compacted every frame they stored). A deliberate change to the codec or
-/// the frame layout re-pins them.
+/// the frame layout re-pins them. Each entry's key is pinned with it: the
+/// content identity of the stage's output, the same at every np.
 #[test]
 fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
-    const ENTRIES: [(&str, usize, u64); 4] = [
-        (
-            "0000-whitespace_normalization_mapper+text_length_filter.djc",
-            72_696,
-            5_506_603_431_746_966_956,
-        ),
-        (
-            "0001-document_deduplicator.djc",
-            69_820,
-            6_746_886_024_807_640_559,
-        ),
-        (
-            "0002-clean_links_mapper+word_num_filter+special_characters_filter.djc",
-            54_449,
-            12_263_912_218_426_052_372,
-        ),
-        (
-            "0003-document_simhash_deduplicator.djc",
-            53_793,
-            8_915_907_762_420_069_072,
-        ),
+    // Per stage, in order: key, entry length, FNV-1a of the entry.
+    const ENTRIES: [(u64, usize, u64); 4] = [
+        (0x2bde_ef65_bf30_1810, 72_696, 5_506_603_431_746_966_956),
+        (0x815c_12f2_3359_3147, 69_820, 6_746_886_024_807_640_559),
+        (0x7017_bdcb_f324_90f2, 54_449, 12_263_912_218_426_052_372),
+        (0xbc26_b5a3_f02a_fe47, 53_793, 8_915_907_762_420_069_072),
     ];
     let data = metadata_heavy_corpus(160);
-    let ops = meta_shape_recipe().build_ops(&builtin_registry()).unwrap();
     for np in [1, 2] {
         let dir = tmp_dir(&format!("cache-{np}"));
-        let cache = CacheManager::new(dir.join("cache"), 11, CacheMode::Cache);
-        let (out, report) = Executor::new(ops.clone())
+        let cache = CacheManager::new(dir.join("cache"), CacheMode::Cache);
+        let (out, report) = executor_from_recipe(&meta_shape_recipe(), &builtin_registry(), true)
+            .unwrap()
             .with_options(ExecOptions {
                 num_workers: np,
                 trace_examples: 0,
@@ -336,7 +322,6 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
         assert!(report.spilled);
         let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("cache"))
             .unwrap()
-            .flat_map(|recipe| std::fs::read_dir(recipe.unwrap().path()).unwrap())
             .map(|e| e.unwrap().path())
             .collect();
         entries.sort();
@@ -348,13 +333,16 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
                 (name, bytes.len(), fnv1a(&bytes))
             })
             .collect();
-        let want: Vec<(String, usize, u64)> = ENTRIES
+        let mut want: Vec<(String, usize, u64)> = ENTRIES
             .iter()
-            .map(|(name, len, sum)| (name.to_string(), *len, *sum))
+            .map(|(key, len, sum)| (format!("{key:016x}.djc"), *len, *sum))
             .collect();
+        want.sort();
         assert_eq!(got, want, "np {np}");
-        // The last entry stores exactly the run's output, no dead entry.
-        let last = std::fs::read(entries.last().unwrap()).unwrap();
+        // The last stage's entry stores exactly the run's output, no dead
+        // entry.
+        let last = format!("{:016x}.djc", ENTRIES[3].0);
+        let last = std::fs::read(dir.join("cache").join(last)).unwrap();
         let (mut stream, mut stored) = (&last[..], 0);
         while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
             stored += Frame::parse(&sealed).unwrap().sample_count();

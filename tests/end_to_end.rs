@@ -123,7 +123,7 @@ fn yaml_recipe_file_roundtrip_via_disk() {
     std::fs::write(&path, recipe.to_yaml()).unwrap();
     let loaded = Recipe::from_yaml(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(loaded, recipe);
-    assert_eq!(loaded.fingerprint(), recipe.fingerprint());
+    assert_eq!(loaded.op_ids(), recipe.op_ids());
     let _ = std::fs::remove_file(&path);
 }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{DjError, Filter, Mapper, Op, Result, Sample, SampleContext};
-use data_juicer::exec::{ExecOptions, Executor};
+use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{CacheManager, CacheMode};
 use data_juicer::synth::{web_corpus, WebNoise};
@@ -198,14 +198,14 @@ fn corrupt_cache_entry_falls_back_to_fresh_execution() {
     let recipe = Recipe::new("corrupt-cache")
         .then(OpSpec::new("whitespace_normalization_mapper"))
         .then(OpSpec::new("document_deduplicator"));
-    let ops = recipe.build_ops(&registry).unwrap();
     let data = web_corpus(9, 50, WebNoise::default());
 
     let dir = std::env::temp_dir().join(format!("dj-it-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = CacheManager::new(&dir, recipe.fingerprint(), CacheMode::Cache);
+    let cache = CacheManager::new(&dir, CacheMode::Cache);
 
-    let exec = Executor::new(ops).with_options(ExecOptions {
+    let exec = executor_from_recipe(&recipe, &registry, false).unwrap();
+    let exec = exec.with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
         trace_examples: 0,
@@ -214,17 +214,10 @@ fn corrupt_cache_entry_falls_back_to_fresh_execution() {
     });
     let (expected, _) = exec.run_with_cache(data.clone(), &cache).unwrap();
 
-    // Corrupt every cache file.
-    for entry in std::fs::read_dir(
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path(),
-    )
-    .unwrap()
-    {
+    // Corrupt every cache file: the run saved one per stage.
+    let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(entries.len(), 2);
+    for entry in entries {
         let p = entry.unwrap().path();
         std::fs::write(&p, b"corrupted garbage").unwrap();
     }

@@ -24,8 +24,8 @@ use proptest::prelude::*;
 use data_juicer::config::{recipes, OpSpec, Recipe};
 use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
 use data_juicer::exec::{
-    EgressManifest, ExecOptions, Executor, OutputFormat, RunReport, Runtime, RuntimeConfig,
-    TraceEvent,
+    executor_from_recipe, EgressManifest, ExecOptions, Executor, OutputFormat, RunReport, Runtime,
+    RuntimeConfig, TraceEvent,
 };
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
@@ -374,13 +374,25 @@ fn pool() -> Vec<OpSpec> {
 
 const FIRST_DEDUP: usize = 8;
 
-fn build(picks: &[usize]) -> Vec<Op> {
+fn recipe(picks: &[usize]) -> Recipe {
     let pool = pool();
     let mut recipe = Recipe::new("mode-matrix");
     for &i in picks {
         recipe = recipe.then(pool[i].clone());
     }
-    recipe.build_ops(&builtin_registry()).unwrap()
+    recipe
+}
+
+fn build(picks: &[usize]) -> Vec<Op> {
+    recipe(picks).build_ops(&builtin_registry()).unwrap()
+}
+
+/// An executor for `picks` that carries the recipe's op identities, as a
+/// cached run needs, under `options`.
+fn cached(picks: &[usize], options: ExecOptions) -> Executor {
+    executor_from_recipe(&recipe(picks), &builtin_registry(), options.op_fusion)
+        .unwrap()
+        .with_options(options)
 }
 
 /// The property itself: every mode equals the oracle byte for byte, and
@@ -516,8 +528,7 @@ fn a_deferred_mask_reaches_every_way_out() {
 
 /// A stage cache entry saved right after a spilled barrier holds the
 /// masked data (the deferred mask is applied on the way into the entry),
-/// so a later run that resumes from it equals a fresh run — per-stage keys
-/// and `prefix_cache` keys.
+/// so a later run that resumes from it equals a fresh run.
 #[test]
 fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
     let data = corpus(14, 90);
@@ -525,36 +536,31 @@ fn a_cache_entry_saved_behind_a_deferred_mask_resumes_like_a_fresh_run() {
     // No second barrier: duplicates that slipped into the entry would show.
     let extended = [0, 3, 8, 1, 4];
     let fresh = to_jsonl(&oracle(&build(&extended), data.clone()));
-    for prefix_cache in [false, true] {
-        let dir = std::env::temp_dir().join(format!(
-            "dj-mode-matrix-cache-{prefix_cache}-{}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = CacheManager::new(dir.join("cache"), 7, CacheMode::Cache);
-        let exec = |picks: &[usize]| {
-            Executor::new(build(picks)).with_options(ExecOptions {
+    let dir = std::env::temp_dir().join(format!("dj-mode-matrix-cache-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let cache = CacheManager::new(dir.join("cache"), CacheMode::Cache);
+    let exec = |picks: &[usize]| {
+        cached(
+            picks,
+            ExecOptions {
                 num_workers: 2,
                 shard_size: Some(8),
                 memory_budget: Some(1),
                 spill_dir: Some(dir.join("spill")),
-                prefix_cache,
-                // One step per stage either way, so both runs cut the
-                // recipe into the same cache keys.
+                // One step per op, so `resumed_steps` counts recipe ops.
                 op_fusion: false,
                 ..ExecOptions::default()
-            })
-        };
-        let (_, first) = exec(&head).run_with_cache(data.clone(), &cache).unwrap();
-        assert!(first.spilled && first.resumed_steps == 0);
-        let (out, resumed) = exec(&extended)
-            .run_with_cache(data.clone(), &cache)
-            .unwrap();
-        let tag = format!("prefix_cache={prefix_cache}");
-        assert_eq!(resumed.resumed_steps, head.len(), "{tag}");
-        assert_eq!(to_jsonl(&out), fresh, "{tag}");
-        let _ = fs::remove_dir_all(&dir);
-    }
+            },
+        )
+    };
+    let (_, first) = exec(&head).run_with_cache(data.clone(), &cache).unwrap();
+    assert!(first.spilled && first.resumed_steps == 0);
+    let (out, resumed) = exec(&extended)
+        .run_with_cache(data.clone(), &cache)
+        .unwrap();
+    assert_eq!(resumed.resumed_steps, head.len());
+    assert_eq!(to_jsonl(&out), fresh);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Cache resume × {in-memory, spill}: a recipe extended past a cached
@@ -579,20 +585,33 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&dir);
-        let cache = CacheManager::new(dir.join("cache"), 9, CacheMode::Cache);
+        let root = dir.join("cache");
+        let cache = CacheManager::new(&root, CacheMode::Cache);
         let mode = Mode::plain(shape);
         // One shard in memory, so that shape saves the one-frame entry.
         let shard_size = if shape == Shape::InMemory { 1000 } else { 8 };
         let exec = |picks: &[usize]| {
-            Executor::new(build(picks)).with_options(ExecOptions {
-                spill_dir: Some(dir.join("spill")),
-                // One step per stage, so both recipes cut the same keys.
-                op_fusion: false,
-                ..mode.options(shard_size)
-            })
+            cached(
+                picks,
+                ExecOptions {
+                    spill_dir: Some(dir.join("spill")),
+                    // One step per op, so `resumed_steps` counts recipe ops.
+                    op_fusion: false,
+                    ..mode.options(shard_size)
+                },
+            )
+        };
+        let entries = || -> Vec<PathBuf> {
+            let mut paths: Vec<PathBuf> = fs::read_dir(&root)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            paths.sort();
+            paths
         };
         let (_, first) = exec(&head).run_with_cache(data.clone(), &cache).unwrap();
         assert_eq!(first.resumed_steps, 0, "{tag}");
+        let head_entries = entries();
         let (out, resumed) = exec(&extended)
             .run_with_cache(data.clone(), &cache)
             .unwrap();
@@ -604,20 +623,14 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
         assert_eq!(resumed.bytes_passthrough > 0, spilled, "{tag}");
         assert_eq!(resumed.bytes_decoded > 0, spilled, "{tag}");
 
-        // The entry the second run resumed from: the barrier's.
-        let mut entries: Vec<PathBuf> = fs::read_dir(dir.join("cache"))
-            .unwrap()
-            .flat_map(|recipe| fs::read_dir(recipe.unwrap().path()).unwrap())
-            .map(|e| e.unwrap().path())
-            .filter(|p| {
-                p.file_name()
-                    .unwrap()
-                    .to_string_lossy()
-                    .starts_with("0002-")
-            })
-            .collect();
-        let entry = entries.pop().expect("the barrier's cache entry");
-        let good = fs::read(&entry).unwrap();
+        // The entry a re-run of the extended recipe resumes from: the one
+        // its last stage saved, the only entry the head run did not.
+        let mut added = entries();
+        added.retain(|path| !head_entries.contains(path));
+        let [entry] = &added[..] else {
+            panic!("{tag}: the extended run added {added:?}")
+        };
+        let good = fs::read(entry).unwrap();
         assert!(good.starts_with(COLUMNAR_FRAME_MAGIC), "{tag}");
         let damaged = [0, 5, 13, 20, good.len() / 2, good.len() - 1].map(|pos| {
             let mut bad = good.clone();
@@ -626,7 +639,7 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
         });
         let old_format = ("row frames".to_string(), as_row_frames(&good));
         for (what, bad) in damaged.into_iter().chain([old_format]) {
-            fs::write(&entry, &bad).unwrap();
+            fs::write(entry, &bad).unwrap();
             let (out, rerun) = exec(&extended)
                 .run_with_cache(data.clone(), &cache)
                 .unwrap();
@@ -636,7 +649,7 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
             );
             assert_eq!(to_jsonl(&out), fresh, "{tag} {what}");
             // The fresh run saved the entry again, whole.
-            assert_eq!(fs::read(&entry).unwrap(), good, "{tag} {what}");
+            assert_eq!(fs::read(entry).unwrap(), good, "{tag} {what}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

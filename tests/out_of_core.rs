@@ -44,8 +44,8 @@ fn corpus() -> Dataset {
 }
 
 fn spill_exec(np: usize, shard_size: usize, dir: Option<PathBuf>) -> Executor {
-    let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
-    Executor::new(ops).with_options(ExecOptions {
+    let exec = executor_from_recipe(&fig9_style_recipe(), &builtin_registry(), true).unwrap();
+    exec.with_options(ExecOptions {
         num_workers: np,
         op_fusion: true,
         trace_examples: 0,
@@ -63,42 +63,9 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// The headline constant-memory property: while stages stream spilled
 /// shards, the engine's shard-resident accounting never exceeds
 /// `num_workers × shard_size` samples — one shard in each worker's hands,
-/// nothing read ahead.
-#[test]
-fn peak_resident_samples_bounded_by_double_buffering() {
-    let data = corpus();
-    let baseline = {
-        let ops = fig9_style_recipe().build_ops(&builtin_registry()).unwrap();
-        Executor::new(ops).with_options(ExecOptions {
-            num_workers: 1,
-            op_fusion: false,
-            trace_examples: 0,
-            shard_size: None,
-            spill_dir: None,
-            ..ExecOptions::default()
-        })
-    };
-    let (expected, _) = baseline.run(data.clone()).unwrap();
-    for (np, shard_size) in [(1usize, 8usize), (2, 16), (4, 8), (3, 5)] {
-        let exec = spill_exec(np, shard_size, None);
-        let (out, report) = exec.run(data.clone()).unwrap();
-        assert_eq!(out, expected, "np={np} shard_size={shard_size} diverged");
-        assert!(report.spilled, "1-byte budget must engage spilling");
-        assert!(report.peak_resident_samples > 0);
-        let bound = np * shard_size;
-        assert!(
-            report.peak_resident_samples <= bound,
-            "np={np} shard_size={shard_size}: {} resident samples > bound {bound}",
-            report.peak_resident_samples
-        );
-        assert!(report.peak_resident_bytes > 0);
-        // The resident ceiling is far below the whole dataset.
-        assert!(report.peak_resident_bytes < data.approx_bytes());
-    }
-}
-
-/// The worker count is the one knob on the resident ceiling: for every
-/// `np` it is `np × shard_size`, and the output never changes.
+/// nothing read ahead. The worker count is the one knob on that ceiling:
+/// for every `np` it is `np × shard_size`, far below the whole dataset,
+/// and the output never changes.
 #[test]
 fn np_scales_the_resident_ceiling() {
     let data = corpus();
@@ -110,17 +77,29 @@ fn np_scales_the_resident_ceiling() {
         ..ExecOptions::default()
     });
     let (expected, _) = baseline.run(data.clone()).unwrap();
-    for (np, shard_size) in [(1usize, 8usize), (2, 8), (3, 4), (4, 5)] {
+    let shapes = [
+        (1usize, 8usize),
+        (2, 8),
+        (2, 16),
+        (3, 4),
+        (3, 5),
+        (4, 5),
+        (4, 8),
+    ];
+    for (np, shard_size) in shapes {
         let (out, report) = spill_exec(np, shard_size, None).run(data.clone()).unwrap();
         let tag = format!("np={np} shard_size={shard_size}");
         assert_eq!(out, expected, "{tag} diverged");
-        assert!(report.spilled, "{tag}");
+        assert!(report.spilled, "{tag}: 1-byte budget must engage spilling");
+        assert!(report.peak_resident_samples > 0, "{tag}");
         let bound = np * shard_size;
         assert!(
             report.peak_resident_samples <= bound,
             "{tag}: {} resident samples > bound {bound}",
             report.peak_resident_samples
         );
+        assert!(report.peak_resident_bytes > 0, "{tag}");
+        assert!(report.peak_resident_bytes < data.approx_bytes(), "{tag}");
     }
 }
 
@@ -229,8 +208,7 @@ fn spill_dir_is_cleaned_even_when_the_run_fails() {
 fn spilled_runs_cache_and_resume() {
     let cache_dir = unique_dir("cache");
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let recipe = fig9_style_recipe();
-    let cache = CacheManager::new(&cache_dir, recipe.fingerprint(), CacheMode::Cache);
+    let cache = CacheManager::new(&cache_dir, CacheMode::Cache);
     let exec = spill_exec(2, 8, None);
     let data = corpus();
     let (out1, r1) = exec.run_with_cache(data.clone(), &cache).unwrap();
