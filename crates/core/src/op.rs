@@ -32,22 +32,9 @@ pub enum OpCost {
 }
 
 impl OpCost {
-    /// Numeric rank ordered `Cheap < Moderate < Expensive`.
-    ///
-    /// The single source of truth shared by the static reorderer
-    /// (`dj-exec::fusion`) and the measured cost model's unmeasured-op
-    /// fallback — keep any new cost tier ordered here, not in callers.
-    pub fn rank(self) -> u8 {
-        match self {
-            OpCost::Cheap => 0,
-            OpCost::Moderate => 1,
-            OpCost::Expensive => 2,
-        }
-    }
-
-    /// Planner fallback estimate of per-sample cost (ns) for an OP that has
-    /// never been measured, so measured and unmeasured OPs can be ranked on
-    /// one scale. Order-of-magnitude placeholders, decades apart so a real
+    /// Replanner fallback estimate of per-sample cost (ns) for a step that
+    /// saw no sample in the shards a stage measured, so measured and
+    /// unmeasured steps rank on one scale. Order-of-magnitude placeholders, decades apart so a real
     /// measurement of a neighboring tier cannot leapfrog a tier boundary by
     /// noise alone.
     pub fn fallback_ns_per_sample(self) -> f64 {
@@ -592,14 +579,7 @@ mod tests {
 
     #[test]
     fn cost_rank_ordering_is_pinned() {
-        // The one place the Cheap < Moderate < Expensive ordering lives;
-        // planner and cost model both consume `rank()`.
-        assert_eq!(OpCost::Cheap.rank(), 0);
-        assert_eq!(OpCost::Moderate.rank(), 1);
-        assert_eq!(OpCost::Expensive.rank(), 2);
-        assert!(OpCost::Cheap.rank() < OpCost::Moderate.rank());
-        assert!(OpCost::Moderate.rank() < OpCost::Expensive.rank());
-        // `Ord` on the enum agrees with `rank()`.
+        // The static reorderer sorts by the enum's `Ord`.
         assert!(OpCost::Cheap < OpCost::Moderate && OpCost::Moderate < OpCost::Expensive);
         // Fallback ns estimates are monotone in rank.
         assert!(OpCost::Cheap.fallback_ns_per_sample() < OpCost::Moderate.fallback_ns_per_sample());

@@ -1,7 +1,6 @@
 //! The executor proper: plan the OP list, cut it into stages, and run each
 //! stage over the dataset — in memory, spilled, or file to file — with
-//! cache/checkpoint resume and the adaptive planner's measure → tune →
-//! persist loop around it.
+//! cache/checkpoint resume.
 //!
 //! See the crate docs for the execution model. What a stage *does* lives
 //! in the `stage` and `barrier` modules; which shape the data is in is the
@@ -15,23 +14,14 @@ use std::time::Instant;
 use dj_core::{faults, write_json, Dataset, Deduplicator, DjError, Op, Result};
 use dj_hash::{checksum64, fnv1a, hash64_seeded};
 use dj_io::{CorpusReader, ErrorLedger, ShardedWriter};
-use dj_store::{CacheManager, ShardSpool, STATS_SIDECAR_FILE};
+use dj_store::{CacheManager, ShardSpool};
 
-use crate::cost::CostModel;
 use crate::data::{reader_feed, Sink, StageData, SPILL_CODEC};
-use crate::fusion::{plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
+use crate::fusion::{plan_fused, plan_unfused, Plan, PlanStep, Stage};
 use crate::options::{ExecOptions, DEFAULT_IO_SHARD_SIZE};
 use crate::report::RunReport;
 use crate::runtime::JobControl;
 use crate::stream::RunCtl;
-
-/// Auto-tune target: size shards so one shard costs roughly this much
-/// wall time (balances scheduling overhead against work-stealing
-/// granularity).
-const SHARD_TARGET_SECONDS: f64 = 0.05;
-
-/// Tunable key recorded in the stats sidecar.
-const TUNE_SAMPLES_PER_SEC: &str = "samples_per_sec";
 
 /// Monotonic suffix so concurrent runs in one process never share a spill
 /// directory.
@@ -74,17 +64,12 @@ impl Executor {
         &self.options
     }
 
-    /// The plan this executor will run (exposed for inspection/tests).
-    /// Static ranking — the adaptive path goes through [`Executor::plan_adaptive`].
+    /// The plan this executor will run (exposed for inspection/tests):
+    /// static, whether or not [`ExecOptions::adaptive`] lets a stage
+    /// reorder its commutable steps mid-run.
     pub fn plan(&self) -> Plan {
-        self.plan_adaptive(None)
-    }
-
-    /// The plan with measured ranking from a cost model (when fusion is
-    /// on; unfused plans never reorder).
-    pub fn plan_adaptive(&self, model: Option<&CostModel>) -> Plan {
         if self.options.op_fusion {
-            plan_fused_measured(&self.ops, model)
+            plan_fused(&self.ops)
         } else {
             plan_unfused(&self.ops)
         }
@@ -107,32 +92,6 @@ impl Executor {
     /// A fresh spill spool.
     pub(crate) fn new_spool(&self, slots: usize) -> Result<ShardSpool> {
         ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
-    }
-
-    /// Where the cost-model sidecar persists, if anywhere: an explicit
-    /// `stats_dir`, else the attached cache's root.
-    fn stats_path(&self, cache: Option<&CacheManager>) -> Option<PathBuf> {
-        match &self.options.stats_dir {
-            Some(dir) => Some(dir.join(STATS_SIDECAR_FILE)),
-            None => cache.map(CacheManager::stats_sidecar_path),
-        }
-    }
-
-    /// Auto-tune an unset `shard_size` from a warm model's measured
-    /// throughput: a tuned executor clone, or `None` when nothing changed
-    /// (cold model, or the knob explicit).
-    fn autotuned(&self, model: Option<&CostModel>) -> Option<Executor> {
-        let model = model.filter(|m| m.is_warm())?;
-        if self.options.shard_size.is_some() {
-            return None;
-        }
-        // Size shards to ~SHARD_TARGET_SECONDS of measured work each: big
-        // enough to amortize scheduling, small enough that work stealing
-        // can absorb stragglers.
-        let sps = model.tunable(TUNE_SAMPLES_PER_SEC).filter(|s| *s > 0.0)?;
-        let mut tuned = self.clone();
-        tuned.options.shard_size = Some(((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16));
-        Some(tuned)
     }
 
     /// Execute the pipeline over an in-memory dataset and return the
@@ -169,7 +128,7 @@ impl Executor {
     /// file-backed runs are keyed by their input files, not by an
     /// in-memory dataset.
     pub fn run_io(&self) -> Result<(Option<Dataset>, RunReport)> {
-        self.run_adaptive(None, None, None)
+        self.sequence(None, None, None)
     }
 
     /// `run` / `run_with_cache`: the dataset comes back, so there is no
@@ -186,18 +145,19 @@ impl Executor {
                 dir.display()
             )));
         }
-        let (out, report) = self.run_adaptive(Some(dataset), cache, None)?;
+        let (out, report) = self.sequence(Some(dataset), cache, None)?;
         // Without an output directory the sequencer always materializes.
         Ok((out.unwrap_or_default(), report))
     }
 
-    /// One adaptive-aware run of `dataset` (`None`: the corpus named by
-    /// [`ExecOptions::input`]) for the owning runtime `job`, if any: load
-    /// the cost model (when adaptive is in force and a sidecar location
-    /// exists), auto-tune unset knobs from it, sequence the run, then fold
-    /// its measurements back in and persist. Sidecar IO is advisory — it
-    /// can never fail the run.
-    pub(crate) fn run_adaptive(
+    /// The one run sequencer, for `dataset` (`None`: the corpus named by
+    /// [`ExecOptions::input`]) and the owning runtime `job`, if any: plan →
+    /// cache resume or ingest → the stage loop → ledger seal → egress or
+    /// materialize, under [`ExecOptions::faults`]. After ingest nothing
+    /// here knows whether the input was a file: a resident dataset and a
+    /// spooled corpus run the same loop, and [`ExecOptions::output`] set
+    /// means manifest-tracked parts for both.
+    pub(crate) fn sequence(
         &self,
         dataset: Option<Dataset>,
         cache: Option<&CacheManager>,
@@ -206,48 +166,13 @@ impl Executor {
         // The plan in force for this attempt. Retry attempts share its
         // `Arc`, so a fault spent on one stays spent on the next.
         let _faults = self.options.faults.clone().map(faults::install);
-        let adaptive = self.options.adaptive;
-        let stats_path = self.stats_path(cache).filter(|_| adaptive);
-        let mut model = adaptive.then(|| match &stats_path {
-            Some(p) => CostModel::load(p),
-            None => CostModel::new(),
-        });
-        let tuned = self.autotuned(model.as_ref());
-        let exec = tuned.as_ref().unwrap_or(self);
-        let (out, mut report) = exec.sequence(dataset, cache, job, model.as_ref())?;
-        report.adaptive = adaptive;
-        // The tuner only ever fills an unset shard size.
-        report.tuned_shard_size = tuned.and_then(|t| t.options.shard_size);
-        if let Some(m) = model.as_mut() {
-            m.observe_report(&report);
-            record_tunables(m, &report);
-            if let Some(p) = &stats_path {
-                let _ = m.save(p);
-            }
-        }
-        Ok((out, report))
-    }
-
-    /// The one run sequencer: plan → cache resume or ingest → the stage
-    /// loop → ledger seal → egress or materialize. `model` only
-    /// influences plan-time step order. After ingest nothing here knows
-    /// whether the input was a file: a resident dataset and a spooled
-    /// corpus run the same loop, and [`ExecOptions::output`] set means
-    /// manifest-tracked parts for both.
-    fn sequence(
-        &self,
-        dataset: Option<Dataset>,
-        cache: Option<&CacheManager>,
-        job: Option<Arc<JobControl>>,
-        model: Option<&CostModel>,
-    ) -> Result<(Option<Dataset>, RunReport)> {
         let source = match dataset {
             Some(dataset) => Source::Resident(dataset),
             None => Source::Corpus(self.options.input.as_deref().ok_or_else(|| {
                 DjError::Config("run_io requires ExecOptions::input (a path or glob)".into())
             })?),
         };
-        let plan = self.plan_adaptive(model);
+        let plan = self.plan();
         let stages = plan.stages();
         // A cache keys its entries by the resident input's digest; a
         // corpus on disk has none (`run_io` takes no cache).
@@ -262,7 +187,7 @@ impl Executor {
         let mut report = RunReport {
             fused_groups: plan.fused_groups,
             stages: stages.len(),
-            measured_steps: plan.measured_steps,
+            adaptive: self.options.adaptive,
             ..RunReport::default()
         };
 
@@ -377,7 +302,7 @@ impl Executor {
     /// over the identity of every op up to the last one the stage covers,
     /// in recipe order. Stages are cut only at barriers, which never move,
     /// so each covers a contiguous run of the recipe whatever fusion or a
-    /// cost model did inside it: the key reads nothing of the plan but
+    /// replan did inside it: the key reads nothing of the plan but
     /// where its stages end, and every plan of one recipe shares entries.
     fn stage_keys(&self, dataset: &Dataset, stages: &[Stage]) -> Result<Vec<u64>> {
         let op_ids = self.op_ids.as_deref().ok_or_else(|| {
@@ -509,15 +434,6 @@ fn input_digest(dataset: &Dataset) -> u64 {
         line.push('\n');
         hash64_seeded(line.as_bytes(), digest)
     })
-}
-
-/// Fold this run's whole-pipeline throughput figures into the model's
-/// tunables — the number the next run's auto-tuner sizes shards from.
-fn record_tunables(model: &mut CostModel, report: &RunReport) {
-    let secs = report.total_duration.as_secs_f64();
-    if secs > 0.0 && report.initial_samples > 0 {
-        model.set_tunable(TUNE_SAMPLES_PER_SEC, report.initial_samples as f64 / secs);
-    }
 }
 
 #[cfg(test)]

@@ -13,21 +13,14 @@
 //!    time-consuming OPs only need to handle fewer samples because the
 //!    preceding operators have filtered out some of them".
 //!
-//! With a warm [`CostModel`]
-//! ([`plan_fused_measured`]) the static reorder of step 3 is replaced by
-//! *measured* ranking: steps within a group are stable-sorted by
-//! `ns_per_sample / (1 − keep_ratio)` ascending (cheapest and most
-//! selective first), with unmeasured steps scored from their static
-//! `OpCost` tier so cold and warm plans rank on one scale. Reordering
-//! stays within fusion-legality bounds: only whole filter groups
-//! (mapper/dedup-free windows) are permuted, and only when every member
-//! filter is [`commutable`](dj_core::Filter::commutable).
+//! The plan is static: it reads the ops' declared `OpCost` tiers and
+//! context needs, never a measurement. With `ExecOptions::adaptive` set,
+//! the stage driver may reorder a stage's commutable steps mid-run from
+//! what its first shards measured (the `stage` module).
 
 use std::sync::Arc;
 
-use dj_core::{ContextNeeds, FieldSet, Filter, Mapper, Op, OpCost};
-
-use crate::cost::CostModel;
+use dj_core::{ContextNeeds, FieldSet, Filter, Mapper, Op};
 
 /// One executable step of a planned pipeline.
 #[derive(Clone)]
@@ -96,9 +89,6 @@ pub struct Plan {
     pub fused_groups: usize,
     /// Number of filters folded into fused steps.
     pub fused_ops: usize,
-    /// Steps whose position came from *measured* rank (a warm cost model)
-    /// rather than the static `OpCost` table. `0` for static plans.
-    pub measured_steps: usize,
 }
 
 /// One pipeline stage of a segmented plan.
@@ -220,41 +210,24 @@ pub fn plan_unfused(ops: &[Op]) -> Plan {
         steps,
         fused_groups: 0,
         fused_ops: 0,
-        measured_steps: 0,
     }
 }
 
 /// Build a fused & reordered execution plan (the Fig. 6 procedure) using
 /// the static `OpCost` table for ordering.
 pub fn plan_fused(ops: &[Op]) -> Plan {
-    plan_fused_measured(ops, None)
-}
-
-/// Build a fused execution plan, ordering each filter group by *measured*
-/// rank when a warm [`CostModel`] is supplied (cheapest-and-most-selective
-/// first), falling back to the static order for unmeasured steps and to
-/// [`plan_fused`] semantics exactly when `model` is `None`.
-///
-/// Legality: fusion grouping is unchanged; only the order of whole steps
-/// *within* a filter group moves, and only when every filter in the group
-/// is [`commutable`](Filter::commutable). Output is byte-identical for
-/// any ordering the model picks (property-tested in `tests/adaptive.rs`).
-pub fn plan_fused_measured(ops: &[Op], model: Option<&CostModel>) -> Plan {
     let mut steps = Vec::with_capacity(ops.len());
     let mut fused_groups = 0;
     let mut fused_ops = 0;
-    let mut measured_steps = 0;
     let mut group: Vec<Arc<dyn Filter>> = Vec::new();
 
     let flush = |group: &mut Vec<Arc<dyn Filter>>,
                  steps: &mut Vec<PlanStep>,
                  fused_groups: &mut usize,
-                 fused_ops: &mut usize,
-                 measured_steps: &mut usize| {
+                 fused_ops: &mut usize| {
         if group.is_empty() {
             return;
         }
-        let commutable = group.iter().all(|f| f.commutable());
         let (fusible, contextless): (Vec<_>, Vec<_>) =
             group.drain(..).partition(|f| !f.context_needs().is_empty());
         // Cluster fusible filters into connected components under the
@@ -284,99 +257,44 @@ pub fn plan_fused_measured(ops: &[Op], model: Option<&CostModel>) -> Plan {
         }
         // Reorder: contextless (cheap) filters first by ascending cost,
         // then singleton fusibles, then fused components by ascending size
-        // — the most expensive fused OP sees the fewest samples. This
-        // static order is also the tiebreak baseline for measured ranking.
-        let mut ordered: Vec<PlanStep> = Vec::new();
+        // — the most expensive fused OP sees the fewest samples.
         let mut cheap: Vec<Arc<dyn Filter>> = contextless;
         cheap.sort_by_key(|f| f.cost());
         for f in cheap {
-            ordered.push(PlanStep::Filters(vec![f]));
+            steps.push(PlanStep::Filters(vec![f]));
         }
         let (singletons, mut fused): (Vec<_>, Vec<_>) =
             components.into_iter().partition(|(_, fs)| fs.len() == 1);
         for (_, fs) in singletons {
-            ordered.push(PlanStep::Filters(fs)); // "reorder the only 1 fusible OP"
+            steps.push(PlanStep::Filters(fs)); // "reorder the only 1 fusible OP"
         }
         fused.sort_by_key(|(_, fs)| fs.len());
         for (_, fs) in fused {
             *fused_groups += 1;
             *fused_ops += fs.len();
-            ordered.push(PlanStep::Filters(fs));
+            steps.push(PlanStep::Filters(fs));
         }
-        // Measured reorder: with a warm model (and every member filter
-        // commutable) steps are stable-sorted by ranking score ascending —
-        // ties and unmeasured steps keep the static order above.
-        if let Some(model) = model.filter(|m| commutable && m.is_warm()) {
-            let mut keyed: Vec<(f64, bool, PlanStep)> = ordered
-                .drain(..)
-                .map(|step| {
-                    let (score, measured) = model.score(&step.name(), step_static_cost(&step));
-                    (score, measured, step)
-                })
-                .collect();
-            keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            *measured_steps += keyed.iter().filter(|(_, m, _)| *m).count();
-            ordered = keyed.into_iter().map(|(_, _, s)| s).collect();
-        }
-        steps.append(&mut ordered);
     };
 
     for op in ops {
         match op {
             Op::Filter(f) => group.push(Arc::clone(f)),
             Op::Mapper(m) => {
-                flush(
-                    &mut group,
-                    &mut steps,
-                    &mut fused_groups,
-                    &mut fused_ops,
-                    &mut measured_steps,
-                );
+                flush(&mut group, &mut steps, &mut fused_groups, &mut fused_ops);
                 steps.push(PlanStep::Mapper(Arc::clone(m)));
             }
             Op::Deduplicator(d) => {
-                flush(
-                    &mut group,
-                    &mut steps,
-                    &mut fused_groups,
-                    &mut fused_ops,
-                    &mut measured_steps,
-                );
+                flush(&mut group, &mut steps, &mut fused_groups, &mut fused_ops);
                 steps.push(PlanStep::Dedup(Arc::clone(d)));
             }
         }
     }
-    flush(
-        &mut group,
-        &mut steps,
-        &mut fused_groups,
-        &mut fused_ops,
-        &mut measured_steps,
-    );
+    flush(&mut group, &mut steps, &mut fused_groups, &mut fused_ops);
     Plan {
         steps,
         fused_groups,
         fused_ops,
-        measured_steps,
     }
-}
-
-/// Static cost of a plan step for fallback scoring: a fused step costs as
-/// much as its most expensive member (the shared context is computed once,
-/// so the max member dominates).
-pub(crate) fn step_static_cost(step: &PlanStep) -> OpCost {
-    match step {
-        PlanStep::Mapper(m) => m.cost(),
-        PlanStep::Filters(fs) => fs.iter().map(|f| f.cost()).max().unwrap_or(OpCost::Cheap),
-        PlanStep::Dedup(_) => OpCost::Expensive,
-    }
-}
-
-/// Costs ordered: `Cheap < Moderate < Expensive` (used by reordering).
-/// Delegates to [`OpCost::rank`] — the single source of truth shared with
-/// the cost model's unmeasured-step fallback.
-pub fn cost_rank(c: OpCost) -> u8 {
-    c.rank()
 }
 
 #[cfg(test)]

@@ -89,16 +89,13 @@
 //!   `input_path` / `output_path` / `output_format`): the corpus
 //!   [`Executor::run_io`] and [`Runtime::submit_io`] read, and the egress
 //!   directory every input is written to when set; see below.
-//! * [`ExecOptions::adaptive`] — measurement-driven planning (recipe YAML
-//!   `adaptive`). Ranks fusible steps by measured ns/sample ÷ selectivity
-//!   from the [`CostModel`], re-plans commutable stage suffixes mid-run
-//!   (once per stage, after a quarter of its shards, clamped to `[1, 8]`),
-//!   and auto-tunes an unset `shard_size` from a warm model. Output is
-//!   byte-identical to the static plan; see `docs/planning.md`.
-//! * [`ExecOptions::stats_dir`] — directory for the persistent
-//!   `planner_stats.djcs` cost sidecar (recipe YAML `stats_dir`). Without
-//!   it, measurements persist only when `adaptive` is set per options
-//!   *and* a cache is attached (sidecar lives at the cache root).
+//! * [`ExecOptions::adaptive`] — mid-run replanning (recipe YAML
+//!   `adaptive`). Every pipeline stage, a corpus run's ingest stage
+//!   included, re-ranks its commutable steps once by measured ns/sample ÷
+//!   drop ratio: after a quarter of its shards, clamped to `[1, 8]`, or
+//!   after 8 when the count is unknown until the feed runs dry. Output is
+//!   byte-identical to the static plan, and nothing measured outlives the
+//!   run; see `docs/planning.md`.
 //! * [`ExecOptions::on_error`] / [`ExecOptions::max_error_ratio`] — the
 //!   record-level error policy (`docs/robustness.md`).
 //!
@@ -109,17 +106,19 @@
 //! `DJ_FAULTS`, the one variable the binary reads. The test suite picks
 //! shapes in process, through these options (`tests/mode_matrix.rs`).
 //!
-//! Six former knobs are gone, because no recipe, test or benchmark
+//! Seven former knobs are gone, because no recipe, test or benchmark
 //! needed another value: the post-barrier shard fill threshold (barriers
 //! no longer merge shards at all), the mid-run replan point (derived from
 //! the stage's shard count, above), the parallel-barrier switch
 //! (`num_workers: 1` clusters with one worker), the spill format switch
 //! (every spool and cache entry is columnar), the prefetch depth (no
-//! pass reads ahead) and the per-step cache switch (a cache resumes at
-//! stage granularity; see below). Recipes that still carry `shard_fill`,
-//! `replan_after_shards`, `dedup_parallel`, the read-ahead depth key or
-//! the per-step cache key load; the keys are ignored. `columnar` is still
-//! parsed into the recipe, and reaches nothing.
+//! pass reads ahead), the per-step cache switch (a cache resumes at
+//! stage granularity; see below) and the planner-stats directory (no
+//! measurement outlives its run). Recipes that still carry `shard_fill`,
+//! `replan_after_shards`, `dedup_parallel`, the read-ahead depth key, the
+//! per-step cache key or the stats directory key load; the keys are
+//! ignored. `columnar` is still parsed into the recipe, and reaches
+//! nothing.
 //!
 //! ## Out-of-core execution (spill-to-disk)
 //!
@@ -203,7 +202,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod barrier;
-pub mod cost;
 mod data;
 pub mod executor;
 pub mod fusion;
@@ -213,9 +211,8 @@ pub mod runtime;
 mod stage;
 mod stream;
 
-pub use cost::{fallback_score, rank_score, CostModel, EWMA_ALPHA, MIN_MEASURED_SAMPLES};
 pub use executor::Executor;
-pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
+pub use fusion::{plan_fused, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
 pub use options::{default_parallelism, executor_from_recipe, ExecOptions, DEFAULT_IO_SHARD_SIZE};
 pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};

@@ -52,16 +52,14 @@ pub struct ExecOptions {
     pub output: Option<PathBuf>,
     /// Egress file format when `output` is set.
     pub output_format: OutputFormat,
-    /// Enable the adaptive, measurement-driven planner: plan-time step
-    /// reordering from the persisted cost model, mid-run re-planning
-    /// after the first shards of a stage, measured barrier gating and
-    /// knob auto-tuning (recipe `adaptive:`).
+    /// Mid-run replanning (recipe `adaptive:`): each pipeline stage —
+    /// the ingest stage of a corpus run too — measures its first shards
+    /// and, once, re-ranks its commutable steps cheapest-and-most-selective
+    /// first for the shards after them. Output is byte-identical to the
+    /// static plan; the per-op report is not (which filter saw a sample
+    /// first depends on timing), so the default is off. Nothing measured
+    /// outlives the run.
     pub adaptive: bool,
-    /// Where the cost-model sidecar lives. `None` = under the cache root
-    /// when [`ExecOptions::adaptive`] is set and a cache is attached;
-    /// set explicitly to persist measurements for cache-less runs (e.g.
-    /// `run_io`).
-    pub stats_dir: Option<PathBuf>,
     /// What to do when a single record fails — a malformed ingest line
     /// or a sample an OP rejects. `Fail` (default) aborts the run;
     /// `Skip` drops the record; `Quarantine` drops it and preserves it
@@ -74,9 +72,9 @@ pub struct ExecOptions {
     /// Deterministic fault plan for chaos testing, installed for the
     /// duration of each run. The plan's per-site hit counters live in the
     /// `Arc`, which every clone of these options shares — so the retry
-    /// attempts of a runtime job, and an auto-tuned copy, all count
-    /// against one plan, and an injected transient fault fires exactly on
-    /// its programmed hit and never again.
+    /// attempts of a runtime job all count against one plan, and an
+    /// injected transient fault fires exactly on its programmed hit and
+    /// never again.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -93,7 +91,6 @@ impl Default for ExecOptions {
             output: None,
             output_format: OutputFormat::Jsonl,
             adaptive: false,
-            stats_dir: None,
             on_error: OnError::Fail,
             max_error_ratio: 1.0,
             faults: None,
@@ -160,7 +157,6 @@ pub fn executor_from_recipe(
         output: recipe.output_path.as_ref().map(PathBuf::from),
         output_format,
         adaptive: recipe.adaptive,
-        stats_dir: recipe.stats_dir.as_ref().map(PathBuf::from),
         on_error: match recipe.on_error.as_deref() {
             Some(name) => OnError::from_name(name)?,
             None => OnError::Fail,

@@ -93,17 +93,12 @@ pub struct RunReport {
     /// Wall time of the egress stage (serialize + write + manifest), or of
     /// materializing the returned dataset when no output is set.
     pub egress_duration: Duration,
-    /// Whether adaptive planning was in force for this run.
+    /// Whether mid-run replanning was in force for this run.
     pub adaptive: bool,
-    /// Plan steps positioned by measured rank at plan time (warm model).
-    pub measured_steps: usize,
     /// Mid-run re-plans performed (at most one per pipeline stage).
     pub replans: usize,
     /// Per-barrier clustering worker decisions, in execution order.
     pub barrier_decisions: Vec<BarrierDecision>,
-    /// Shard size the auto-tuner picked from measured throughput, when it
-    /// overrode an unset `shard_size`.
-    pub tuned_shard_size: Option<usize>,
     /// Decompressed bytes the spilled stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes
     /// where a step declared `FieldSet::All` or tracing was on) and the

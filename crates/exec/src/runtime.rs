@@ -460,7 +460,7 @@ impl RuntimeInner {
             } else {
                 dataset.take()
             };
-            let run = || exec.run_adaptive(input, None, Some(Arc::clone(ctl)));
+            let run = || exec.sequence(input, None, Some(Arc::clone(ctl)));
             let result = match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(r) => r.map(|(dataset, report)| JobOutput { dataset, report }),
                 Err(payload) => Err(DjError::op(

@@ -11,34 +11,38 @@ use std::time::Instant;
 
 use dj_core::sync::lock;
 use dj_core::{
-    faults, Dataset, Deduplicator, DjError, FieldSet, Result, Sample, SampleContext, ShardStats,
+    faults, Dataset, Deduplicator, DjError, FieldSet, OpCost, Result, Sample, SampleContext,
+    ShardStats,
 };
 use dj_io::ErrorLedger;
 
 use crate::barrier::hash_samples;
-use crate::cost::{fallback_score, rank_score};
 use crate::data::{widen_keep, Loaded, Sink, StageData};
 use crate::executor::Executor;
-use crate::fusion::{step_static_cost, PlanStep};
+use crate::fusion::PlanStep;
 use crate::report::{merge_stage_reports, snippet, RunReport, TraceEvent};
 use crate::stream::{drive, Feed, RunCtl};
 
 impl Executor {
     /// Build the mid-run replan schedule for a pipeline stage: present
-    /// only when adaptive planning is in force, the stage contains a
-    /// commutable window (≥ 2 adjacent commutable steps), and the stage
-    /// has enough shards both to measure (a quarter of them, clamped to
-    /// `[1, 8]`) and to benefit (at least one shard runs under the revised
-    /// order).
-    fn stage_schedule(&self, steps: &[PlanStep], nshards: usize) -> Option<StageSchedule> {
+    /// only when adaptive planning is in force and the stage contains a
+    /// commutable window (≥ 2 adjacent commutable steps). A stage of known
+    /// shard count `n` measures a quarter of them, clamped to
+    /// `[1, MAX_MEASURED_SHARDS]`, and only schedules when at least one
+    /// shard runs under the revised order; a stage whose count is unknown
+    /// until its feed runs dry (a corpus run's ingest stage) measures
+    /// `MAX_MEASURED_SHARDS`.
+    fn stage_schedule(&self, steps: &[PlanStep], nshards: Option<usize>) -> Option<StageSchedule> {
         if !self.options.adaptive || steps.len() < 2 {
             return None;
         }
-        let k = (nshards / 4).clamp(1, 8);
-        if nshards <= k {
+        let replan_after = nshards.map_or(MAX_MEASURED_SHARDS, |n| {
+            (n / 4).clamp(1, MAX_MEASURED_SHARDS)
+        });
+        if nshards.is_some_and(|n| n <= replan_after) {
             return None;
         }
-        StageSchedule::new(steps, k)
+        StageSchedule::new(steps, replan_after)
     }
 
     /// The one stage driver: pull each shard off `feed`, run it through
@@ -64,7 +68,7 @@ impl Executor {
         // order and collect the same (key-sorted) stats, and reordering
         // never changes the stage's union footprint, so neither the output
         // nor a projected decode set depends on the order a shard ran.
-        let sched = feed.len.and_then(|n| self.stage_schedule(steps, n));
+        let sched = self.stage_schedule(steps, feed.len);
         let fp_dedup = next_dedup.filter(|_| sink.carries_fingerprints());
         let per_shard = drive(feed, self.options.num_workers, ctl, |i, loaded| {
             let Loaded {
@@ -163,22 +167,57 @@ struct StepOrder {
     canon: Vec<usize>,
 }
 
+/// Most shards a stage measures before it replans: a quarter of a known
+/// shard count is clamped to it, and a stage of unknown count (the ingest
+/// stage of a corpus run) measures exactly this many.
+const MAX_MEASURED_SHARDS: usize = 8;
+
+/// Floor on the drop probability in the score denominator. A filter that
+/// keeps everything still gets a finite score — `1000 ×` its per-sample
+/// cost — which ranks keep-all filters after selective ones of similar
+/// cost instead of dividing by zero.
+const MIN_DROP_RATIO: f64 = 1e-3;
+
+/// Assumed keep ratio for a step that saw no sample.
+const FALLBACK_KEEP_RATIO: f64 = 0.9;
+
+/// The cheapest-and-most-selective-first ranking score (ascending = run
+/// earlier), the classic optimal-filter-ordering rule:
+/// `ns_per_sample / max(1 − keep_ratio, MIN_DROP_RATIO)`. A filter that is
+/// fast *and* drops many samples pays for itself before the expensive,
+/// keep-everything steps run.
+fn rank_score(ns_per_sample: f64, keep_ratio: f64) -> f64 {
+    let drop = (1.0 - keep_ratio.clamp(0.0, 1.0)).max(MIN_DROP_RATIO);
+    ns_per_sample.max(0.0) / drop
+}
+
+/// Pseudo-score for a step that saw no sample, from its static cost tier
+/// (a fused step costs as much as its most expensive member: the shared
+/// context is computed once, so that member dominates), on the same scale
+/// as measured scores.
+fn fallback_score(step: &PlanStep) -> f64 {
+    let cost = match step {
+        PlanStep::Mapper(m) => m.cost(),
+        PlanStep::Filters(fs) => fs.iter().map(|f| f.cost()).max().unwrap_or(OpCost::Cheap),
+        PlanStep::Dedup(_) => OpCost::Expensive,
+    };
+    rank_score(cost.fallback_ns_per_sample(), FALLBACK_KEEP_RATIO)
+}
+
 /// Mid-run replanner state for one pipeline stage.
 ///
-/// The stage starts under its canonical (plan-time) step order. Every
-/// finished shard folds its per-step measurements in; once `replan_after`
-/// shards have been measured, the remaining commutable windows are
-/// re-ranked by the same cheapest-and-most-selective-first score the
-/// plan-time reorderer uses, and later shards run under the revised
-/// order. One replan per stage: measurements beyond the trigger point
-/// keep accumulating into the run's cost model but do not flip the order
-/// again (a mid-run order oscillating per shard would thrash caches for
-/// no measurable gain).
+/// The stage starts under its canonical (plan) step order. Every finished
+/// shard folds its per-step measurements in; once `replan_after` shards
+/// have been measured, each commutable window is re-ranked by
+/// [`rank_score`], and later shards run under the revised order. One
+/// replan per stage: measurements beyond the trigger point do not flip
+/// the order again (a mid-run order oscillating per shard would thrash
+/// caches for no measurable gain). Nothing outlives the run.
 ///
-/// Legality mirrors plan-time reordering exactly: only maximal runs of
-/// adjacent [`commutable`](PlanStep::commutable) steps are permuted, so
-/// mappers and non-commutable filters pin their positions and output is
-/// byte-identical under every order the replanner can pick.
+/// Legality: only maximal runs of adjacent
+/// [`commutable`](PlanStep::commutable) steps are permuted, so mappers and
+/// non-commutable filters pin their positions and output is byte-identical
+/// under every order the replanner can pick.
 struct StageSchedule {
     /// The canonical step list (plan order) — merge target for stats.
     canonical: Vec<PlanStep>,
@@ -252,7 +291,7 @@ impl StageSchedule {
             .map(|(t, step)| match t.samples_in {
                 // An earlier step drained the funnel before this one saw
                 // a sample — fall back to the static tier.
-                0 => fallback_score(step_static_cost(step)),
+                0 => fallback_score(step),
                 n => rank_score(
                     t.duration.as_nanos() as f64 / n as f64,
                     t.samples_out as f64 / n as f64,
@@ -428,4 +467,22 @@ fn run_stage_on_shard(
         traces,
         keep: keep_mask,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn score_prefers_cheap_and_selective() {
+        // Cheap + selective beats expensive + unselective.
+        assert!(rank_score(100.0, 0.4) < rank_score(5_000.0, 0.97));
+        // Same cost: the more selective filter ranks first.
+        assert!(rank_score(100.0, 0.2) < rank_score(100.0, 0.8));
+        // Same selectivity: the cheaper filter ranks first.
+        assert!(rank_score(100.0, 0.5) < rank_score(200.0, 0.5));
+        // Keep-all filters get a large but finite score.
+        let keep_all = rank_score(100.0, 1.0);
+        assert!(keep_all.is_finite() && keep_all > rank_score(100.0, 0.9));
+    }
 }

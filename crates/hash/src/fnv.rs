@@ -2,11 +2,11 @@
 //! keys.
 //!
 //! FNV-1a is a *format* hash wherever its bits are published or used as a
-//! key: `manifest.json` part checksums, quarantine record checksums, the
-//! `DJCS` planner-stats sidecar, recipe op identities and the cache keys
-//! chained from them (each cache entry is a file named by one). Those bit
-//! patterns are part of the persistence contract and must never change;
-//! the known-answer tests below pin the published FNV-1a test vectors.
+//! key: `manifest.json` part checksums, quarantine record checksums,
+//! recipe op identities and the cache keys chained from them (each cache
+//! entry is a file named by one). Those bit patterns are part of the
+//! persistence contract and must never change; the known-answer tests
+//! below pin the published FNV-1a test vectors.
 //!
 //! It is a serial byte-at-a-time multiply, so the bytes the engine seals
 //! and re-reads itself — frame envelopes and `DJSC` column regions — are
@@ -69,9 +69,9 @@ mod tests {
 
     /// Published FNV-1a 64-bit test vectors (Landon Curt Noll's reference
     /// suite). These constants pin the published checksums and keys: if any
-    /// of them changes, every existing manifest, quarantine file and `DJCS`
-    /// sidecar is invalidated, and every op identity and cache key changes
-    /// (every cache entry becomes a miss).
+    /// of them changes, every existing manifest and quarantine file is
+    /// invalidated, and every op identity and cache key changes (every
+    /// cache entry becomes a miss).
     #[test]
     fn known_answer_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);

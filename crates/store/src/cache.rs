@@ -75,17 +75,9 @@ impl CacheManager {
         self.mode
     }
 
-    /// The cache root directory (shared across recipes). The adaptive
-    /// planner parks its stats sidecar here so measurements survive across
-    /// runs that share a cache.
+    /// The cache root directory (shared across recipes and inputs).
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Default path of the planner-stats sidecar: beside the entries, at
-    /// the root every recipe shares.
-    pub fn stats_sidecar_path(&self) -> PathBuf {
-        self.root.join(crate::sidecar::STATS_SIDECAR_FILE)
     }
 
     fn entry_path(&self, key: u64) -> PathBuf {
@@ -350,9 +342,6 @@ mod tests {
         let one = fs::metadata(&path).unwrap().len();
         assert_eq!(cm.disk_usage().unwrap(), one);
         save(&cm, 2, None, &ds(50));
-        assert_eq!(cm.disk_usage().unwrap(), 2 * one);
-        // The planner sidecar beside the entries is not one.
-        fs::write(cm.stats_sidecar_path(), b"stats").unwrap();
         assert_eq!(cm.disk_usage().unwrap(), 2 * one);
         remove_cache_root(&dir);
     }

@@ -22,10 +22,7 @@
 //!   field footprints name and splice the rest through byte-for-byte;
 //! * `transcode` — frame → JSONL transcoding ([`Frame::write_jsonl`]):
 //!   spool egress prints JSON text straight from undecoded column regions,
-//!   never building a `Value`;
-//! * [`sidecar`] — the checksummed `DJCS` planner-stats sidecar: EWMA
-//!   per-op cost/selectivity aggregates persisted under the cache root so
-//!   the adaptive planner (`dj-exec`) learns across runs.
+//!   never building a `Value`.
 
 // Panic-on-error is banned in library code: every unwrap/expect outside
 // tests is either restructured away or carries an explicit `#[allow]`
@@ -38,7 +35,6 @@ pub mod columnar;
 pub mod frame;
 pub mod serialize;
 pub mod shard_stream;
-pub mod sidecar;
 pub mod space;
 mod transcode;
 
@@ -49,9 +45,6 @@ pub use frame::{
     envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
 };
 pub use serialize::{from_bytes, from_jsonl, to_bytes, to_jsonl, write_jsonl_into};
-pub use sidecar::{
-    OpAggregate, StatsSidecar, STATS_SIDECAR_FILE, STATS_SIDECAR_MAGIC, STATS_SIDECAR_VERSION,
-};
 
 pub use shard_stream::{
     encode_shard_frame, open_fingerprints, seal_fingerprints, FrameSlab, ShardSpool,

@@ -1,8 +1,8 @@
-//! Adaptive-planner invariants: measurement-driven planning (plan-time
-//! reordering from a warm sidecar, mid-run re-planning, barrier gating,
-//! knob auto-tuning) must never change pipeline output, and a cache keyed
-//! by content identity is shared by every plan of a recipe and resumes
-//! exactly the stages before an edit.
+//! Adaptive-planner invariants: mid-run replanning — in every pipeline
+//! stage, a corpus run's ingest stage included — and barrier gating must
+//! never change pipeline output, and a cache keyed by content identity is
+//! shared by every plan of a recipe and resumes exactly the stages before
+//! an edit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,9 +11,9 @@ use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::Dataset;
-use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor};
+use data_juicer::exec::{executor_from_recipe, EgressManifest, ExecOptions, Executor};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{to_jsonl, CacheManager, CacheMode, STATS_SIDECAR_FILE};
+use data_juicer::store::{to_jsonl, CacheManager, CacheMode};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 static SCRATCH_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -33,8 +33,8 @@ fn build(recipe: &Recipe) -> Vec<data_juicer::core::Op> {
 
 /// The misordered recipe: two equal-size fusible pairs, so the static
 /// size-sort ties and keeps recipe order — the expensive keep-all WORDS
-/// pair runs before the cheap selective CHARS pair until measurements say
-/// otherwise.
+/// pair runs before the cheap selective CHARS pair until a stage's
+/// measurements say otherwise.
 fn misordered_recipe() -> Recipe {
     Recipe::new("misordered")
         .then(
@@ -120,10 +120,9 @@ fn spec_pool() -> Vec<OpSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Adaptive planning (run-local and warm-sidecar) never changes the
-    /// output: for random pipelines × worker counts × shard sizes, in
-    /// memory and spilled, adaptive output is
-    /// byte-identical to static.
+    /// Mid-run replanning never changes the output: for random pipelines ×
+    /// worker counts × shard sizes, in memory and spilled, adaptive output
+    /// is byte-identical to static.
     #[test]
     fn prop_adaptive_matches_static(
         mask in 1u32..(1 << 8),
@@ -149,106 +148,25 @@ proptest! {
             ..ExecOptions::default()
         };
         let (static_out, _) = run_with(build(&recipe), data.clone(), base.clone());
-
-        // Run-local adaptive: mid-run replanning + gating, no sidecar.
         let (adaptive_out, _) = run_with(
             build(&recipe),
-            data.clone(),
-            ExecOptions { adaptive: true, ..base.clone() },
+            data,
+            ExecOptions { adaptive: true, ..base },
         );
         prop_assert_eq!(texts(&static_out), texts(&adaptive_out));
-
-        // Warm-sidecar adaptive: the second run plans from measurements.
-        let stats = scratch_dir("prop");
-        let warm_opts = ExecOptions {
-            adaptive: true,
-            stats_dir: Some(stats.clone()),
-            ..base
-        };
-        let (cold_out, _) = run_with(build(&recipe), data.clone(), warm_opts.clone());
-        let (warm_out, _) = run_with(build(&recipe), data, warm_opts);
-        prop_assert_eq!(texts(&static_out), texts(&cold_out));
-        prop_assert_eq!(texts(&static_out), texts(&warm_out));
-        let _ = std::fs::remove_dir_all(&stats);
-    }
-}
-
-// ---- warm-sidecar plan reordering ------------------------------------
-
-/// Measurements taken in any shape plan the next run: the sidecar a
-/// resident or spilled run persists reorders the
-/// warm run the same way.
-#[test]
-fn warm_sidecar_reorders_misordered_recipe() {
-    let recipe = misordered_recipe();
-    let data = selective_corpus(400);
-    // A fully static run: the output every adaptive one must equal.
-    let (static_out, _) = run_with(
-        build(&recipe),
-        data.clone(),
-        ExecOptions {
-            num_workers: 2,
-            op_fusion: true,
-            ..ExecOptions::default()
-        },
-    );
-    for memory_budget in SHAPES {
-        let shape = format!("budget={memory_budget:?}");
-        let stats = scratch_dir("warm");
-        let opts = ExecOptions {
-            num_workers: 2,
-            op_fusion: true,
-            adaptive: true,
-            stats_dir: Some(stats.clone()),
-            shard_size: memory_budget.map(|_| 40),
-            memory_budget,
-            ..ExecOptions::default()
-        };
-
-        let (cold_out, cold) = run_with(build(&recipe), data.clone(), opts.clone());
-        assert!(cold.adaptive);
-        assert_eq!(cold.spilled, memory_budget.is_some(), "{shape}");
-        assert_eq!(
-            cold.measured_steps, 0,
-            "{shape}: first run has no sidecar to plan from"
-        );
-        assert!(
-            cold.ops[0].name.contains("word_entropy_filter"),
-            "{shape}: static tie keeps recipe (misordered) order, got {}",
-            cold.ops[0].name
-        );
-        assert!(
-            stats.join(STATS_SIDECAR_FILE).is_file(),
-            "{shape}: run persists the stats sidecar"
-        );
-
-        let (warm_out, warm) = run_with(build(&recipe), data.clone(), opts);
-        assert!(
-            warm.measured_steps >= 2,
-            "{shape}: second run ranks from measurements, got {}",
-            warm.measured_steps
-        );
-        assert!(
-            warm.ops[0].name.contains("alphanumeric_ratio_filter"),
-            "{shape}: warm plan runs the cheap selective CHARS pair first, got {}",
-            warm.ops[0].name
-        );
-        assert_eq!(
-            texts(&cold_out),
-            texts(&warm_out),
-            "{shape}: reordering is invisible"
-        );
-        assert_eq!(texts(&static_out), texts(&warm_out), "{shape}");
-        let _ = std::fs::remove_dir_all(&stats);
     }
 }
 
 // ---- mid-run re-planning ---------------------------------------------
 
+/// A stage misordered on purpose replans once its first shards are
+/// measured, resident, spilled and file to file, and nobody can tell from
+/// the output.
 #[test]
 fn midrun_replan_flips_misordered_stage() {
     let recipe = misordered_recipe();
     let data = selective_corpus(400);
+    let mut static_jsonl = None;
     for memory_budget in SHAPES {
         let shape = format!("budget={memory_budget:?}");
         let static_opts = ExecOptions {
@@ -260,11 +178,10 @@ fn midrun_replan_flips_misordered_stage() {
         };
         let (static_out, _) = run_with(build(&recipe), data.clone(), static_opts.clone());
 
-        // Run-local adaptive (no sidecar): the replanner measures the first
-        // eight shards (a quarter of the stage's 40, clamped to [1, 8]), sees
-        // the keep-all WORDS pair scoring ~1000× worse than the selective
-        // CHARS pair, and reorders the remaining 32 shards — resident or
-        // streamed from a spool.
+        // The replanner measures the first eight shards (a quarter of the
+        // stage's 40, clamped to [1, 8]), sees the keep-all WORDS pair
+        // scoring ~1000× worse than the selective CHARS pair, and reorders
+        // the remaining 32 shards — resident or streamed from a spool.
         let (out, report) = run_with(
             build(&recipe),
             data.clone(),
@@ -288,7 +205,45 @@ fn midrun_replan_flips_misordered_stage() {
             report.ops[0].name.contains("word_entropy_filter"),
             "{shape}"
         );
+        static_jsonl.get_or_insert_with(|| to_jsonl(&static_out));
     }
+
+    // File to file: the one stage runs during ingest, whose shard count is
+    // unknown until the reader runs dry, so it replans after eight shards.
+    let dir = scratch_dir("ingest");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("corpus.jsonl");
+    std::fs::write(&input, to_jsonl(&data)).unwrap();
+    let out_dir = dir.join("out");
+    let (_, report) = Executor::new(build(&recipe))
+        .with_options(ExecOptions {
+            num_workers: 2,
+            op_fusion: true,
+            shard_size: Some(10),
+            adaptive: true,
+            input: Some(input.to_string_lossy().into_owned()),
+            output: Some(out_dir.clone()),
+            ..ExecOptions::default()
+        })
+        .run_io()
+        .expect("file run");
+    assert!(report.ingest_bytes > 0 && report.stages == 1);
+    assert!(
+        report.replans >= 1,
+        "the ingest stage must replan a misordered stage"
+    );
+    let written: String = EgressManifest::load(&out_dir)
+        .unwrap()
+        .parts
+        .iter()
+        .map(|p| std::fs::read_to_string(out_dir.join(&p.file)).unwrap())
+        .collect();
+    assert_eq!(
+        Some(written),
+        static_jsonl,
+        "ingest-stage reordering is byte-invisible"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---- cache identity ----------------------------------------------------
@@ -368,9 +323,9 @@ fn a_threshold_edit_after_a_barrier_resumes_spilled_entries() {
     threshold_edit_after_a_barrier(SHAPES[1], 11);
 }
 
-/// Fusion and the cost model only move steps inside a stage, so every plan
-/// of one recipe shares its cache entries: a run resumes every stage a run
-/// in another plan cached — fused ↔ unfused, adaptive cold ↔ warm — with
+/// Fusion and replanning only move steps inside a stage, so every plan of
+/// one recipe shares its cache entries: a run resumes every stage a run in
+/// another plan cached — fused ↔ unfused, static ↔ adaptive — with
 /// byte-identical output.
 #[test]
 fn every_plan_of_a_recipe_resumes_the_entries_another_plan_cached() {
@@ -391,12 +346,24 @@ fn every_plan_of_a_recipe_resumes_the_entries_another_plan_cached() {
             op_fusion: false,
             ..base.clone()
         };
+        let adaptive = ExecOptions {
+            adaptive: true,
+            ..fused.clone()
+        };
         let (expected, _) = run_with(build(&recipe), data.clone(), fused.clone());
         let expected = to_jsonl(&expected);
         let steps = |opts: &ExecOptions| cached(&recipe, opts.clone()).plan().steps.len();
         assert_eq!((steps(&fused), steps(&unfused)), (3, 5));
-        for (first, then) in [(&fused, &unfused), (&unfused, &fused)] {
-            let tag = format!("budget {memory_budget:?} fusion {}", first.op_fusion);
+        for (first, then) in [
+            (&fused, &unfused),
+            (&unfused, &fused),
+            (&fused, &adaptive),
+            (&adaptive, &fused),
+        ] {
+            let tag = format!(
+                "budget {memory_budget:?} fusion {} adaptive {}",
+                first.op_fusion, first.adaptive
+            );
             let dir = scratch_dir("plans");
             let cache = CacheManager::new(&dir, CacheMode::Cache);
             cached(&recipe, first.clone())
@@ -410,43 +377,6 @@ fn every_plan_of_a_recipe_resumes_the_entries_another_plan_cached() {
             assert_eq!(to_jsonl(&out), expected, "{tag}");
             let _ = std::fs::remove_dir_all(&dir);
         }
-
-        // Adaptive: the stats directory `warm` holds measurements, `cold`
-        // none. Either plan resumes every stage the other cached.
-        let adaptive = |stats: &PathBuf| ExecOptions {
-            adaptive: true,
-            stats_dir: Some(stats.clone()),
-            ..fused.clone()
-        };
-        let warm = scratch_dir("warm-stats");
-        run_with(build(&recipe), data.clone(), adaptive(&warm));
-        for cold_first in [true, false] {
-            let tag = format!("budget {memory_budget:?} cold first {cold_first}");
-            let cold = scratch_dir("cold-stats");
-            let dir = scratch_dir("adaptive-plans");
-            let cache = CacheManager::new(&dir, CacheMode::Cache);
-            let (first, then) = match cold_first {
-                true => (&cold, &warm),
-                false => (&warm, &cold),
-            };
-            let (_, ran) = cached(&recipe, adaptive(first))
-                .run_with_cache(data.clone(), &cache)
-                .unwrap();
-            assert_eq!(ran.resumed_steps, 0, "{tag}");
-            let head = &ran.ops[0].name;
-            let warm_order = head.contains("alphanumeric_ratio_filter");
-            assert_eq!(warm_order, !cold_first, "{tag}: plan head {head}");
-            let (out, report) = cached(&recipe, adaptive(then))
-                .run_with_cache(data.clone(), &cache)
-                .unwrap();
-            assert_eq!(report.measured_steps > 0, cold_first, "{tag}");
-            assert_eq!(report.resumed_steps, 3, "{tag}");
-            assert!(report.ops.is_empty(), "{tag}");
-            assert_eq!(to_jsonl(&out), expected, "{tag}");
-            let _ = std::fs::remove_dir_all(&dir);
-            let _ = std::fs::remove_dir_all(&cold);
-        }
-        let _ = std::fs::remove_dir_all(&warm);
     }
 }
 
@@ -486,46 +416,5 @@ fn barrier_gating_decisions_are_recorded() {
         );
         let d = &r.barrier_decisions[0];
         assert_eq!((d.reason, d.workers, d.parallel), ("parallel", 2, true));
-    }
-}
-
-// ---- knob auto-tuning -------------------------------------------------
-
-/// The tuner sizes unset shards from a warm model — also the shards a
-/// spilled run cuts, which would otherwise be sized from the budget.
-#[test]
-fn warm_model_autotunes_unset_knobs() {
-    let recipe = misordered_recipe();
-    let data = selective_corpus(300);
-    for memory_budget in [None, Some(4096)] {
-        let stats = scratch_dir("tune");
-        let opts = ExecOptions {
-            num_workers: 2,
-            op_fusion: true,
-            adaptive: true,
-            stats_dir: Some(stats.clone()),
-            shard_size: None,
-            memory_budget,
-            ..ExecOptions::default()
-        };
-        let (_, cold) = run_with(build(&recipe), data.clone(), opts.clone());
-        assert_eq!(cold.spilled, memory_budget.is_some());
-        assert_eq!(cold.tuned_shard_size, None, "cold model tunes nothing");
-
-        let (_, warm) = run_with(build(&recipe), data.clone(), opts.clone());
-        let tuned = warm.tuned_shard_size.expect("warm model sizes shards");
-        assert!((64..=1 << 16).contains(&tuned), "tuned size {tuned} sane");
-
-        // An explicit shard_size is never overridden.
-        let (_, pinned) = run_with(
-            build(&recipe),
-            data.clone(),
-            ExecOptions {
-                shard_size: Some(32),
-                ..opts
-            },
-        );
-        assert_eq!(pinned.tuned_shard_size, None);
-        let _ = std::fs::remove_dir_all(&stats);
     }
 }

@@ -694,8 +694,8 @@ proptest! {
 /// path: the spill shapes spill, the forced-spill shape splices and only it
 /// decodes by column, the file shapes ingest within the streaming residency
 /// bound, the runtime modes run as jobs (checked in [`Mode::run`]), and the
-/// adaptive modes replan — in every shape whose stage is not the ingest
-/// stage — on a stage misordered on purpose (an expensive keep-all WORDS
+/// adaptive modes replan — in every shape, the file shape's ingest stage
+/// included — on a stage misordered on purpose (an expensive keep-all WORDS
 /// pair ahead of a cheap selective CHARS pair, a quarter of the corpus
 /// symbol soup), which also holds the replanned funnel to the oracle.
 #[test]
@@ -754,11 +754,11 @@ fn the_modes_are_distinct_paths() {
                 report.peak_resident_samples
             );
         }
-        // The ingest stage never replans (its shard count is unknown until
-        // the stream is dry), and this recipe's one stage is ingest there.
+        // The file shape runs this recipe's one stage during ingest, whose
+        // shard count is unknown until the stream is dry: it replans too.
         assert_eq!(
             report.replans > 0,
-            mode.adaptive && !file,
+            mode.adaptive,
             "{mode:?}: {} replans",
             report.replans
         );
