@@ -5,9 +5,9 @@
 //! MinHash signature, one per paragraph for the paragraph deduplicator.
 //! [`Fingerprints`] holds the runs of many samples back to back with the
 //! offset each one ends at. It is the one representation between the hash
-//! pass, the fingerprint sidecars and clustering: no `Value` is built per
-//! word, and a fixed-width deduplicator clusters straight off
-//! `words().chunks_exact(width)`.
+//! pass, the stage data that carries a spilled stage's fingerprints to the
+//! barrier, and clustering: no `Value` is built per word, and a
+//! fixed-width deduplicator clusters straight off `words().chunks_exact(width)`.
 
 use crate::error::{DjError, Result};
 use crate::value::Value;
@@ -34,24 +34,6 @@ impl Fingerprints {
         }
     }
 
-    /// Fingerprints from their two arrays, refused unless `ends` ascends to
-    /// exactly `words.len()` (bytes read back from a sidecar).
-    pub fn from_parts(words: Vec<u64>, ends: Vec<u32>) -> Result<Fingerprints> {
-        if !ends.is_sorted() {
-            return Err(DjError::Storage(
-                "fingerprint end offsets do not ascend".into(),
-            ));
-        }
-        let covered = ends.last().map_or(0, |end| *end as usize);
-        if covered != words.len() {
-            return Err(DjError::Storage(format!(
-                "fingerprint end offsets cover {covered} of {} words",
-                words.len()
-            )));
-        }
-        Ok(Fingerprints { words, ends })
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -64,12 +46,6 @@ impl Fingerprints {
     /// Every sample's words, back to back.
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Per sample, the offset into [`words`](Fingerprints::words) its run
-    /// ends at.
-    pub fn ends(&self) -> &[u32] {
-        &self.ends
     }
 
     /// The words of sample `i`.
@@ -179,7 +155,6 @@ mod tests {
         a.push(&[3]).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a.words(), &[1, 2, 3]);
-        assert_eq!(a.ends(), &[2, 2, 3]);
         assert_eq!(a.iter().collect::<Vec<_>>(), [&[1, 2][..], &[], &[3]]);
         assert_eq!(a.first_not_of_width(2), Some(1));
 
@@ -202,22 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_checks_the_offsets() {
-        let ok = Fingerprints::from_parts(vec![1, 2, 3], vec![1, 1, 3]).unwrap();
-        assert_eq!(ok.get(2), &[2, 3]);
-        assert!(Fingerprints::from_parts(vec![], vec![]).unwrap().is_empty());
-        for (words, ends) in [
-            (vec![1, 2, 3], vec![2, 1, 3]),
-            (vec![1, 2, 3], vec![1, 2]),
-            (vec![1], vec![1, 4]),
-            (vec![1], vec![]),
-        ] {
-            let err = Fingerprints::from_parts(words, ends).unwrap_err();
-            assert!(matches!(err, DjError::Storage(_)), "{err}");
-        }
-    }
-
-    #[test]
     fn values_unwrap_to_words_and_wrap_back() {
         let values = vec![
             Value::Int(-1),
@@ -226,7 +185,7 @@ mod tests {
         ];
         let fp = Fingerprints::from_values("op", &values).unwrap();
         assert_eq!(fp.words(), &[u64::MAX, 5, u64::MAX]);
-        assert_eq!(fp.ends(), &[1, 3, 3]);
+        assert_eq!(fp.iter().map(<[u64]>::len).collect::<Vec<_>>(), [1, 2, 0]);
         assert_eq!(words_to_value(fp.get(1)), values[1]);
         for bad in [Value::from("h"), Value::from(vec!["a"])] {
             let err = Fingerprints::from_values("my_op", &[Value::Int(1), bad]).unwrap_err();

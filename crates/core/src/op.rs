@@ -212,8 +212,8 @@ pub trait Filter: Send + Sync {
 /// A fingerprint is a run of `u64` words ([`Fingerprints`]). An
 /// implementation writes two methods — [`fingerprint`](Deduplicator::fingerprint)
 /// appends one sample's words, [`cluster`](Deduplicator::cluster) turns
-/// everyone's words into the keep mask — and the executor, the fingerprint
-/// sidecars and the analyzer move nothing else. Listing 1's
+/// everyone's words into the keep mask — and the executor and the analyzer
+/// move nothing else. Listing 1's
 /// `compute_hash` / `keep_mask` are provided on top of the two for callers
 /// that want one [`Value`] per sample.
 pub trait Deduplicator: Send + Sync {

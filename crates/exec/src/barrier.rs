@@ -1,6 +1,6 @@
 //! The dedup barrier — the one pipeline breaker. Every shape runs the same
-//! three steps: fingerprint every sample ([`hash_pass`], or the
-//! fingerprint-on-ingest sidecars when the data carries them), cluster
+//! three steps: fingerprint every sample ([`hash_pass`], or take the
+//! fingerprints the pass that wrote the data carried on it), cluster
 //! the dataset-level keep mask on the worker pool, and hand the mask to the
 //! data ([`StageData::masked`]: resident shards and spool slots alike carry
 //! it to whichever pass opens them next; no sample is touched).
@@ -81,13 +81,19 @@ pub(crate) fn hash_pass<T: Resident + Send>(
     hash: impl Fn(&T) -> Result<(Fingerprints, u64)> + Sync,
 ) -> Result<(Fingerprints, u64)> {
     let per_shard = drive(feed, options.num_workers, ctl, |_, view| hash(&view))?;
-    let mut all = Fingerprints::with_capacity(per_shard.iter().map(|(fp, _)| fp.len()).sum());
-    let mut decoded = 0;
-    for (fingerprints, bytes) in per_shard {
+    let decoded = per_shard.iter().map(|(_, bytes)| bytes).sum();
+    let fingerprints = per_shard.into_iter().map(|(fp, _)| fp).collect();
+    Ok((join(fingerprints)?, decoded))
+}
+
+/// Per-shard fingerprints joined in shard order, each shard's dropped once
+/// it is appended.
+pub(crate) fn join(per_shard: Vec<Fingerprints>) -> Result<Fingerprints> {
+    let mut all = Fingerprints::with_capacity(per_shard.iter().map(Fingerprints::len).sum());
+    for fingerprints in per_shard {
         all.append(&fingerprints)?;
-        decoded += bytes;
     }
-    Ok((all, decoded))
+    Ok(all)
 }
 
 impl Executor {
@@ -123,13 +129,12 @@ impl Executor {
 
     /// A dedup barrier over any shape, with shard carry-through: the data
     /// keeps its cut, and the keep mask rides on it to the next pass. A
-    /// spilled barrier with fingerprint sidecars present touches no frame
-    /// at all: it reads the sidecars, clusters, and leaves the mask on the
-    /// spool.
+    /// spilled barrier whose data carries fingerprints touches no frame at
+    /// all: it takes them, clusters, and leaves the mask on the spool.
     pub(crate) fn run_dedup_stage(
         &self,
         dedup: &dyn Deduplicator,
-        data: StageData,
+        mut data: StageData,
         ctl: &RunCtl,
         report: &mut RunReport,
     ) -> Result<StageData> {
@@ -139,9 +144,18 @@ impl Executor {
         let in_len: usize = lens.iter().sum();
         report.shards = report.shards.max(lens.len());
 
-        let (fingerprints, hash_bytes, from_sidecars) =
-            data.fingerprints(dedup, &self.options, ctl)?;
-        report.fingerprinted_barriers += usize::from(from_sidecars);
+        let (fingerprints, hash_bytes) = match data.take_fingerprints() {
+            Some(carried) if carried.len() != in_len => {
+                let count = carried.len();
+                let msg = format!("{count} carried fingerprints for {in_len} samples");
+                return Err(DjError::op(dedup.name(), msg));
+            }
+            Some(carried) => {
+                report.fingerprinted_barriers += 1;
+                (carried, 0)
+            }
+            None => data.hash_live(dedup, &self.options, ctl)?,
+        };
         // Clustering, with the workers the gate offers (the mask is
         // identical either way).
         let mask_workers = self.gated_mask_workers(dedup, in_len, report);

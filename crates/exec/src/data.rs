@@ -35,7 +35,7 @@ use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
 use dj_store::{CacheManager, CachedEntry, Codec, Frame, ShardSpool};
 
-use crate::barrier::{hash_loaded, hash_pass, hash_samples};
+use crate::barrier::{hash_loaded, hash_pass, hash_samples, join};
 use crate::executor::Executor;
 use crate::options::ExecOptions;
 use crate::report::{snippet, TraceEvent};
@@ -247,7 +247,6 @@ impl Sink<'_> {
         frame: Option<Frame>,
         shard: Dataset,
         keep: Vec<bool>,
-        fingerprints: Option<Fingerprints>,
     ) -> Result<(u64, Option<Vec<bool>>)> {
         let (out, cols) = match self {
             Sink::Mem(slots) => return slots.store_shard(idx, shard).map(|()| (0, None)),
@@ -265,20 +264,28 @@ impl Sink<'_> {
                 (0, None)
             }
         };
-        if let Some(fp) = fingerprints {
-            out.write_fingerprints(idx, &fp)?;
-        }
         Ok((passthrough, mask))
     }
 
     /// The stored shards, as the next stage's input. `masks` holds what
     /// [`store`](Sink::store) returned per slot, in slot order (empty when
-    /// nothing was stored with dead samples).
-    pub(crate) fn finish(self, masks: Vec<Option<Vec<bool>>>) -> Result<StageData> {
+    /// nothing was stored with dead samples); `fingerprints` each slot's
+    /// live samples hashed for the next barrier, in slot order. A spool
+    /// carries them, joined, when every slot has its own.
+    pub(crate) fn finish(
+        self,
+        masks: Vec<Option<Vec<bool>>>,
+        fingerprints: Vec<Option<Fingerprints>>,
+    ) -> Result<StageData> {
         Ok(match self {
             Sink::Mem(slots) => StageData::new(Slots::Mem(slots.into_shards()?)),
             Sink::Spool(out, _) => StageData {
                 mask: Mask(masks),
+                fingerprints: fingerprints
+                    .into_iter()
+                    .collect::<Option<Vec<_>>>()
+                    .map(join)
+                    .transpose()?,
                 ..StageData::new(Slots::Spool(out))
             },
         })
@@ -320,11 +327,11 @@ impl Mask {
 pub(crate) struct StageData {
     slots: Slots,
     mask: Mask,
-    /// A barrier consumed the spool's fingerprint sidecars: they describe
-    /// the samples that barrier clustered, not what is live after its
-    /// mask. (A stage's mask spends nothing — its sidecars hold the samples
-    /// it kept.)
-    sidecars_spent: bool,
+    /// Every live sample's fingerprints for the barrier that follows, in
+    /// dataset order, when the pass that wrote a spool hashed them as it
+    /// stored each shard (fingerprint-on-ingest). Only that barrier takes
+    /// them ([`take_fingerprints`](StageData::take_fingerprints)).
+    fingerprints: Option<Fingerprints>,
 }
 
 impl StageData {
@@ -332,7 +339,7 @@ impl StageData {
         StageData {
             slots,
             mask: Mask::default(),
-            sidecars_spent: false,
+            fingerprints: None,
         }
     }
 
@@ -547,13 +554,16 @@ impl StageData {
     ) -> Result<StageData> {
         let sink = Sink::Spool(spool, None);
         let shards = self.into_dataset()?.into_shards(shard_count);
+        let mut fingerprints = Vec::with_capacity(shards.len());
         for (i, shard) in shards.into_iter().enumerate() {
-            let fingerprints = upcoming
-                .map(|d| hash_samples(d, shard.samples()))
-                .transpose()?;
-            sink.store(i, None, shard, Vec::new(), fingerprints)?;
+            fingerprints.push(
+                upcoming
+                    .map(|d| hash_samples(d, shard.samples()))
+                    .transpose()?,
+            );
+            sink.store(i, None, shard, Vec::new())?;
         }
-        sink.finish(Vec::new())
+        sink.finish(Vec::new(), fingerprints)
     }
 
     /// Cut fresh (single-shard) in-memory data to the configured shard
@@ -599,46 +609,42 @@ impl StageData {
         })
     }
 
+    /// The fingerprints the pass that wrote this data carried for the
+    /// barrier that follows, taken out: a second barrier behind it finds
+    /// none and hashes.
+    pub(crate) fn take_fingerprints(&mut self) -> Option<Fingerprints> {
+        self.fingerprints.take()
+    }
+
     /// Fingerprint every live sample for `dedup`, in dataset order:
-    /// `(fingerprints, decompressed bytes decoded, read from sidecars)`.
-    /// Sidecars written while the frames were spilled
-    /// (fingerprint-on-ingest) are the shortcut — no hash pass runs at all.
-    /// Otherwise resident samples are hashed in place, in sample-balanced
-    /// morsels, and spilled ones by borrowing the hashed field's text out of
-    /// undecoded frames — a full decode only when the deduplicator hashes
-    /// whole samples.
-    pub(crate) fn fingerprints(
+    /// `(fingerprints, decompressed bytes decoded)`. Resident samples are
+    /// hashed in place, in sample-balanced morsels, and spilled ones by
+    /// borrowing the hashed field's text out of undecoded frames — a full
+    /// decode only when the deduplicator hashes whole samples.
+    pub(crate) fn hash_live(
         &self,
         dedup: &dyn Deduplicator,
         options: &ExecOptions,
         ctl: &RunCtl,
-    ) -> Result<(Fingerprints, u64, bool)> {
-        let (fingerprints, decoded) = match &self.slots {
+    ) -> Result<(Fingerprints, u64)> {
+        match &self.slots {
             Slots::Mem(_) => {
                 let samples: Vec<&Sample> = self.resident_samples().collect();
                 let morsels: Vec<&[&Sample]> = samples.chunks(HASH_MORSEL).collect();
                 let feed = Feed::indexed(morsels.len(), |i| Ok(morsels[i]));
                 hash_pass(&feed, options, ctl, |morsel| {
                     hash_samples(dedup, morsel.iter().copied()).map(|h| (h, 0))
-                })?
+                })
             }
             Slots::Spool(spool) => {
-                // Sidecars a barrier consumed fed that barrier, not this one.
-                if !self.sidecars_spent {
-                    let live = self.shard_lens();
-                    if let Some(fingerprints) = spool.read_all_fingerprints(&live)? {
-                        return Ok((fingerprints, 0, true));
-                    }
-                }
                 let load = match dedup.hash_field() {
                     Some(_) => Load::Undecoded,
                     None => Load::Decode(None),
                 };
                 let feed = spool_feed(spool, &self.mask, load);
-                hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))?
+                hash_pass(&feed, options, ctl, |loaded| hash_loaded(dedup, loaded))
             }
-        };
-        Ok((fingerprints, decoded, false))
+        }
     }
 
     /// Apply a barrier's dataset-level keep `mask`; returns the data and up
@@ -681,7 +687,6 @@ impl StageData {
             combined.push(Some(widen_keep(prior, keep.to_vec())));
         }
         self.mask = Mask(combined);
-        self.sidecars_spent = true;
         Ok((self, trace))
     }
 }
@@ -864,22 +869,32 @@ mod tests {
         else {
             panic!("not a deduplicator");
         };
-        let spool = ShardSpool::create(root.join("spool"), 2, SPILL_CODEC).unwrap();
-        let spilled = masked().spill(spool, 2, Some(dedup.as_ref())).unwrap();
-        assert_eq!(spilled.shard_lens(), vec![3, 3]);
-        assert_eq!(spilled.into_dataset().unwrap(), want);
-
         let options = ExecOptions::default();
         let ctl = RunCtl::new(None, None);
         let eager_data = StageData::new(Slots::Mem(eager.clone()));
+        let eager_hashes = eager_data.hash_live(dedup.as_ref(), &options, &ctl);
+        let eager_hashes = eager_hashes.unwrap();
         assert_eq!(
-            masked()
-                .fingerprints(dedup.as_ref(), &options, &ctl)
-                .unwrap(),
-            eager_data
-                .fingerprints(dedup.as_ref(), &options, &ctl)
-                .unwrap()
+            masked().hash_live(dedup.as_ref(), &options, &ctl).unwrap(),
+            eager_hashes
         );
+
+        // A spill ahead of a barrier hashes the live samples as it writes
+        // them: the fingerprints ride on the data, the spool holds slot
+        // frames only, and a second barrier would find none left to take.
+        let spool_dir = root.join("spool");
+        let spool = ShardSpool::create(&spool_dir, 2, SPILL_CODEC).unwrap();
+        let mut spilled = masked().spill(spool, 2, Some(dedup.as_ref())).unwrap();
+        assert_eq!(spilled.shard_lens(), vec![3, 3]);
+        assert_eq!(spilled.take_fingerprints(), Some(eager_hashes.0));
+        assert!(spilled.take_fingerprints().is_none());
+        let mut names: Vec<_> = std::fs::read_dir(&spool_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["shard-00000.djs", "shard-00001.djs"]);
+        assert_eq!(spilled.into_dataset().unwrap(), want);
 
         let saved = |data: &mut StageData, dir: &str| {
             let cache = CacheManager::new(root.join(dir), CacheMode::Cache);

@@ -124,9 +124,9 @@ impl Executor {
     /// write the result as manifest-tracked shard parts, returning `None`
     /// in place of a dataset. The resident set stays ≤ `num_workers ×
     /// shard_size` samples however large the input is (see the crate
-    /// docs). Stage caching is not applied on this path —
-    /// file-backed runs are keyed by their input files, not by an
-    /// in-memory dataset.
+    /// docs). Stage caching is not applied on this path: a cache key
+    /// chains from the input's digest, and a file corpus has none yet
+    /// (only a resident dataset is digested).
     pub fn run_io(&self) -> Result<(Option<Dataset>, RunReport)> {
         self.sequence(None, None, None)
     }

@@ -40,8 +40,9 @@
 //!    | spilled | read slot *i*, decode only the stage's footprint columns, carry the frame | splice: re-encode the decoded columns, copy every other region from the carried frame verbatim; dropped samples stay stored, masked | the footprint columns |
 //!    | file ingest ([`ExecOptions::input`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame | the parsed records |
 //!
-//!    A sink that writes frames also writes each shard's fingerprints for
-//!    the barrier that follows (fingerprint-on-ingest).
+//!    A sink that writes frames also hashes each shard's survivors for
+//!    the barrier that follows (fingerprint-on-ingest); they ride on the
+//!    stage's output data in memory.
 //! 5. **Barriers.** A `Stage::Barrier` is three steps on any shape:
 //!    fingerprint every sample, cluster the dataset-level keep mask
 //!    (`Deduplicator::cluster`: MinHash and SimHash sort `(key, id)` words
@@ -52,16 +53,16 @@
 //!    mask rides on the resident shards or the spool to whichever pass
 //!    opens them next (a stage load, the next barrier, egress,
 //!    materialization, a spill or a cache save), which steps over the
-//!    dropped samples. The fingerprints come from the
-//!    sidecars when the data carries them and no barrier consumed them yet
-//!    (a spilled barrier then opens no frame; a columnar stage's mask
-//!    leaves them valid, they hold the samples it kept); otherwise from one
-//!    hash pass that borrows the hashed field's
-//!    text — from resident samples in sample-balanced morsels, or from
-//!    one decompressed column region of a spilled frame — and
-//!    only decodes whole samples for a deduplicator that hashes whole
-//!    samples. Shard boundaries **carry through** the barrier unchanged,
-//!    so it pays no materialization, merge or re-split.
+//!    dropped samples. The fingerprints are the ones the data carries,
+//!    when the pass that wrote it hashed its survivors for this barrier
+//!    (a spilled barrier then opens no frame; the barrier takes them, so
+//!    a second barrier behind it hashes); otherwise they come from one
+//!    hash pass that borrows the hashed field's text — from resident
+//!    samples in sample-balanced morsels, or from one decompressed column
+//!    region of a spilled frame — and only decodes whole samples for a
+//!    deduplicator that hashes whole samples. Shard boundaries **carry
+//!    through** the barrier unchanged, so it pays no materialization,
+//!    merge or re-split.
 //!
 //! Because shards are contiguous and merged in order, the output is
 //! byte-identical to sequential single-shard execution for every shape,
@@ -137,12 +138,13 @@
 //!    whole stage and spills the result before it reads another, so at
 //!    most `num_workers` shards (`RunReport::peak_resident_samples` ≤
 //!    `num_workers × shard_size`) are ever resident.
-//! 3. When the stage feeding a dedup barrier spills, each shard is
-//!    hashed as its frame is written and the fingerprints persist in a
-//!    sidecar (fingerprint-on-ingest; see `docs/formats.md`). The
-//!    barrier then opens **no frame**: it clusters the sidecar hashes and
-//!    leaves its keep mask on the spool for the next pass to consume
-//!    (`RunReport::fingerprinted_barriers` counts these).
+//! 3. When the stage feeding a dedup barrier spills, each shard's
+//!    survivors are hashed as its frame is written, and the stage's
+//!    fingerprints ride to the barrier in memory on the stage data, the
+//!    way its mask does (fingerprint-on-ingest; nothing but slot frames
+//!    is written). The barrier then opens **no frame**: it clusters the
+//!    carried hashes and leaves its keep mask on the spool for the next
+//!    pass to consume (`RunReport::fingerprinted_barriers` counts these).
 //! 4. Every cache/checkpoint entry is a concatenation of sealed shard
 //!    frames (`CacheManager::save_frames`), in the spool's one format: a
 //!    spilled stage's slot files copied as they are, a resident stage's
@@ -171,8 +173,8 @@
 //! input is a resident dataset or the corpus named by
 //! [`ExecOptions::input`] (a JSONL/CSV path or glob), ingested by the
 //! stage driver fed by a corpus reader: the plan's first pipeline stage
-//! runs *during* ingest into a growing spool, with fingerprint-on-ingest
-//! sidecars for an adjacent barrier. After ingest nothing knows the input
+//! runs *during* ingest into a growing spool, fingerprinting its shards
+//! for an adjacent barrier. After ingest nothing knows the input
 //! was a file. With [`ExecOptions::output`] set, whatever the input, the
 //! result is written as manifest-tracked shard parts (atomic temp+rename
 //! per part, append-only commit log, resumable after a kill; `jsonl` or

@@ -78,9 +78,10 @@ pub struct RunReport {
     /// next pass, resident or spilled.
     pub barrier_duration: Duration,
     /// Spilled dedup barriers that skipped their fingerprint streaming
-    /// pass because every shard carried a fingerprint sidecar
-    /// (fingerprint-on-ingest): the barrier read the sidecars, clustered,
-    /// and opened no frame at all.
+    /// pass because the pass that wrote the spool hashed every shard it
+    /// stored (fingerprint-on-ingest) and the data carried the fingerprints
+    /// in memory: the barrier took them, clustered, and opened no frame at
+    /// all.
     pub fingerprinted_barriers: usize,
     /// Raw corpus bytes consumed by the ingest stream of a corpus run
     /// ([`ExecOptions::input`](crate::ExecOptions::input)).

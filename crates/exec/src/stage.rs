@@ -51,9 +51,10 @@ impl Executor {
     /// the survivors for `next_dedup` when the sink can carry fingerprints
     /// (so the barrier that follows skips its hash pass), and store the
     /// outcome in `sink`, which is finished into the stage's output with
-    /// the masks of slots that still store dropped samples. Per-shard stats
-    /// and traces merge in shard order, so output and report are
-    /// independent of worker scheduling.
+    /// the masks of slots that still store dropped samples and the
+    /// survivors' fingerprints. Per-shard stats, traces and fingerprints
+    /// join in shard order, so output and report are independent of worker
+    /// scheduling.
     pub(crate) fn drive_stage(
         &self,
         steps: &[PlanStep],
@@ -89,26 +90,29 @@ impl Executor {
                 .map(|d| hash_samples(d, outcome.shard.samples()))
                 .transpose()?;
             let keep = widen_keep(deferred, outcome.keep);
-            let (passthrough, mask) = sink.store(i, frame, outcome.shard, keep, fingerprints)?;
+            let (passthrough, mask) = sink.store(i, frame, outcome.shard, keep)?;
             for st in &mut outcome.stats {
                 st.bytes_decoded = decoded;
             }
-            Ok((outcome.stats, outcome.traces, decoded, passthrough, mask))
+            let (stats, traces) = (outcome.stats, outcome.traces);
+            Ok((stats, traces, decoded, passthrough, mask, fingerprints))
         })?;
         report.shards = report.shards.max(per_shard.len());
         let mut merged = Vec::with_capacity(per_shard.len());
         let mut masks = Vec::with_capacity(per_shard.len());
-        for (stats, traces, decoded, passthrough, mask) in per_shard {
+        let mut fingerprints = Vec::with_capacity(per_shard.len());
+        for (stats, traces, decoded, passthrough, mask, fp) in per_shard {
             report.bytes_decoded += decoded;
             report.bytes_passthrough += passthrough;
             merged.push((stats, traces));
             masks.push(mask);
+            fingerprints.push(fp);
         }
         merge_stage_reports(steps, merged, cap, report);
         if let Some(sched) = &sched {
             report.replans += sched.replans.load(Ordering::Relaxed);
         }
-        sink.finish(masks)
+        sink.finish(masks, fingerprints)
     }
 
     /// A pipeline stage over any shape: open the data's feed and sink and

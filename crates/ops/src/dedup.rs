@@ -160,6 +160,8 @@ impl MinHashDeduplicator {
     }
 
     /// The paper-style default: threshold 0.7, 16 bands × 8 rows, 5-shingles.
+    // Constants inside every bound `new` checks: the `expect` cannot fire.
+    #[allow(clippy::expect_used)]
     pub fn default_config() -> Self {
         Self::new(0.7, 16, 8, 5).expect("valid defaults")
     }
@@ -334,7 +336,7 @@ impl Deduplicator for ParagraphDeduplicator {
 
 /// The words of `fingerprints` once every sample's run is `width` long —
 /// the shape clustering indexes by; fingerprints of any other shape (a
-/// damaged sidecar, a caller's own values) are an error naming the sample,
+/// caller's own values) are an error naming the sample,
 /// and so is a dataset too large for clustering's 32-bit sample ids.
 fn fixed_width<'a>(op: &str, fingerprints: &'a Fingerprints, width: usize) -> Result<&'a [u64]> {
     if fingerprints.len() > u32::MAX as usize {
@@ -604,9 +606,9 @@ mod tests {
         }
     }
 
-    /// A fingerprint of the wrong width — words read back from a damaged
-    /// sidecar, or a caller's own values — is an error naming the operator
-    /// and the sample, whichever way it comes in and at any worker count.
+    /// A fingerprint of the wrong width — a caller's own values — is an
+    /// error naming the operator and the sample, whichever way it comes in
+    /// and at any worker count.
     #[test]
     fn a_fingerprint_of_the_wrong_width_is_an_error_not_a_panic() {
         let d = dup_heavy_corpus();

@@ -12,6 +12,8 @@
 //! * [`registry`] — the name → factory table recipes resolve against;
 //! * [`models`] — shared lazily-trained default auxiliary models.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dedup;
 pub mod filters;
 pub mod formatters;

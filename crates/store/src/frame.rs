@@ -1,8 +1,8 @@
 //! Sealed frames: the one envelope and the one [`Frame`].
 //!
 //! Everything this crate persists between stages — a spool slot, a
-//! fingerprint sidecar, a `frames` output part, a cache entry — is one or
-//! more *sealed* byte strings sharing a 20-byte envelope:
+//! `frames` output part, a cache entry — is one or more *sealed* byte
+//! strings sharing a 20-byte envelope:
 //!
 //! ```text
 //! ┌──────────┬──────────────┬──────────┬──────────────┬──────────┐
@@ -46,9 +46,6 @@ pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
 
 /// Magic of columnar shard frames (every spool slot and cache entry).
 pub const COLUMNAR_FRAME_MAGIC: &[u8; 4] = b"DJSC";
-
-/// Magic of fingerprint sidecar files (`shard-N.fpr`).
-pub const FINGERPRINT_MAGIC: &[u8; 4] = b"DJFP";
 
 /// The envelope: seal a payload, open sealed bytes.
 pub mod envelope {
@@ -130,7 +127,7 @@ pub mod envelope {
     }
 
     /// [`open`] bytes that must hold exactly one sealed string (a slot
-    /// file, a sidecar, an output part).
+    /// file, an output part).
     pub fn open_one(bytes: &[u8]) -> Result<([u8; 4], &[u8])> {
         let (magic, payload, rest) = open(bytes)?;
         if !rest.is_empty() {
@@ -387,7 +384,7 @@ mod tests {
     #[test]
     fn a_zeroed_checksum_over_a_zeroed_payload_is_refused() {
         for len in 0..=64 {
-            let mut torn = envelope::seal(FINGERPRINT_MAGIC, &vec![7; len]);
+            let mut torn = envelope::seal(b"TEST", &vec![7; len]);
             torn[12..].fill(0);
             let err = envelope::open(&torn).unwrap_err();
             assert!(
@@ -486,8 +483,8 @@ mod tests {
         stream = Frame::encode(&ds, Codec::Djz);
         assert!(read_shard_frame(&mut stream.as_slice()).is_err());
         // A sealed string that is not a shard frame is refused by magic.
-        let sidecar = envelope::seal(FINGERPRINT_MAGIC, b"x");
-        let err = Frame::parse(&sidecar).unwrap_err();
+        let other = envelope::seal(b"TEST", b"x");
+        let err = Frame::parse(&other).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
     }
 }

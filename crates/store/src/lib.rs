@@ -9,8 +9,8 @@
 //! * [`space`] — the Appendix A.2 space-usage model and the automatic
 //!   cache/checkpoint deployment policy;
 //! * [`frame`] — the one envelope (magic · length · version · `checksum64`
-//!   · payload) every spool slot, sidecar, `frames` part and cache entry is
-//!   sealed in, and the one [`Frame`] every spool slot and cache entry
+//!   · payload) every spool slot, `frames` part and cache entry is sealed
+//!   in, and the one [`Frame`] every spool slot and cache entry
 //!   holds: the only module that checks an envelope or a spill or cache
 //!   frame's magic;
 //! * [`shard_stream`] — row `DJSF` shard frames (the `frames` output
@@ -41,14 +41,10 @@ mod transcode;
 pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedEntry};
 pub use codec::{compress, decompress, Codec};
 pub use columnar::{encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab};
-pub use frame::{
-    envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
-};
+pub use frame::{envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC};
 pub use serialize::{from_bytes, from_jsonl, to_bytes, to_jsonl, write_jsonl_into};
 
-pub use shard_stream::{
-    encode_shard_frame, open_fingerprints, seal_fingerprints, FrameSlab, ShardSpool,
-};
+pub use shard_stream::{encode_shard_frame, FrameSlab, ShardSpool};
 pub use space::{
     cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, PipelineShape, StoragePlan,
 };

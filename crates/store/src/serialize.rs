@@ -171,8 +171,8 @@ pub(crate) fn deeper(depth: usize) -> Result<usize> {
 pub(crate) const COLUMN_DEPTH: usize = 1;
 
 /// Decode one tagged value from a slice cursor — the one owned-`Value`
-/// decoder (row frames, column regions and fingerprint sidecars all come
-/// through here); [`skip_value`] is its non-materializing twin.
+/// decoder (row frames and column regions both come through here);
+/// [`skip_value`] is its non-materializing twin.
 pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
     read_value_at(cur, 0)
 }

@@ -17,11 +17,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dj_core::{Dataset, DjError, Fingerprints, Result};
+use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::{compress, decompress, Codec};
-use crate::frame::{checked_copy, envelope, Frame, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC};
-use crate::serialize::{from_bytes, le_u64, to_bytes};
+use crate::frame::{checked_copy, envelope, Frame, SHARD_FRAME_MAGIC};
+use crate::serialize::{from_bytes, to_bytes};
 
 /// Encode one shard into a self-contained row frame.
 pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
@@ -53,52 +53,14 @@ impl FrameSlab {
     }
 }
 
-/// One shard's fingerprints as a sealed sidecar: the envelope, magic `DJFP`,
-/// around the sample count (`u64`), each sample's end offset into the words
-/// (`u32`) and the words (`u64`), all little-endian.
-pub fn seal_fingerprints(fingerprints: &Fingerprints) -> Vec<u8> {
-    let (words, ends) = (fingerprints.words(), fingerprints.ends());
-    let mut payload = Vec::with_capacity(8 + 4 * ends.len() + 8 * words.len());
-    payload.extend_from_slice(&(ends.len() as u64).to_le_bytes());
-    payload.extend(ends.iter().flat_map(|end| end.to_le_bytes()));
-    payload.extend(words.iter().flat_map(|word| word.to_le_bytes()));
-    envelope::seal(FINGERPRINT_MAGIC, &payload)
-}
-
-/// Open what [`seal_fingerprints`] sealed (exactly one sidecar). The count
-/// is checked against the bytes that are there before anything is sized by
-/// it, the offsets against the words.
-pub fn open_fingerprints(sealed: &[u8]) -> Result<Fingerprints> {
-    let bad = |what: &str| DjError::Storage(format!("fingerprint sidecar: {what}"));
-    let (magic, payload) = envelope::open_one(sealed)?;
-    if &magic != FINGERPRINT_MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let (count, rest) = payload
-        .split_at_checked(8)
-        .ok_or_else(|| bad("no sample count"))?;
-    let (ends, words) = usize::try_from(le_u64(count))
-        .ok()
-        .and_then(|count| count.checked_mul(4))
-        .and_then(|len| rest.split_at_checked(len))
-        .ok_or_else(|| bad("fewer end offsets than samples"))?;
-    let (ends, _) = ends.as_chunks::<4>();
-    let (words, tail) = words.as_chunks::<8>();
-    if !tail.is_empty() {
-        return Err(bad("words are not whole"));
-    }
-    Fingerprints::from_parts(
-        words.iter().map(|w| u64::from_le_bytes(*w)).collect(),
-        ends.iter().map(|e| u32::from_le_bytes(*e)).collect(),
-    )
-}
-
 /// A directory of shard frame files: the disk backing of spilled stages.
 ///
 /// Slot `i` lives in `shard-i.djs`, written atomically (temp file + rename)
-/// so crashes and concurrent readers never see partial frames. Distinct
-/// slots may be written concurrently. The directory and its contents are
-/// removed when the spool drops.
+/// so crashes and concurrent readers never see partial frames; the spool
+/// holds slot frames and nothing else (a barrier's fingerprints ride in
+/// memory on the executor's stage data). Distinct slots may be written
+/// concurrently. The directory and its contents are removed when the spool
+/// drops.
 pub struct ShardSpool {
     dir: PathBuf,
     codec: Codec,
@@ -136,10 +98,6 @@ impl ShardSpool {
         self.dir.join(format!("shard-{idx:05}.djs"))
     }
 
-    fn sidecar_path(&self, idx: usize) -> PathBuf {
-        self.dir.join(format!("shard-{idx:05}.fpr"))
-    }
-
     /// Encode `shard` into slot `idx` (atomic: temp file then rename).
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
         self.write_frame_bytes(idx, &Frame::encode(shard, self.codec), shard.len())
@@ -168,56 +126,6 @@ impl ShardSpool {
         }
         lens[idx] = Some(samples);
         Ok(())
-    }
-
-    /// Persist per-sample dedup fingerprints for slot `idx` in its sidecar
-    /// (`shard-N.fpr`, atomic temp+rename). Fingerprints travel with the
-    /// frame so a later dedup barrier can skip its hash pass entirely.
-    pub fn write_fingerprints(&self, idx: usize, fingerprints: &Fingerprints) -> Result<()> {
-        let mut out = seal_fingerprints(fingerprints);
-        dj_core::faults::corrupt("store.fpr.write", &mut out)?;
-        let path = self.sidecar_path(idx);
-        let tmp = path.with_extension("fpr.tmp");
-        fs::write(&tmp, out)?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
-    }
-
-    /// Read slot `idx`'s fingerprint sidecar. `Ok(None)` when the sidecar
-    /// was never written; corruption is a [`DjError::Storage`] error.
-    pub fn read_fingerprints(&self, idx: usize) -> Result<Option<Fingerprints>> {
-        let path = self.sidecar_path(idx);
-        let mut bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        dj_core::faults::corrupt("store.fpr.read", &mut bytes)?;
-        open_fingerprints(&bytes)
-            .map(Some)
-            .map_err(|e| DjError::Storage(format!("{path:?}: {e}")))
-    }
-
-    /// All fingerprints across all slots, in slot order — `Ok(None)` unless
-    /// *every* slot is written and has a sidecar of `live[i]` samples (a
-    /// partial set cannot seed a barrier). `live[i]` is how many of slot
-    /// `i`'s stored samples are still part of the dataset: a sidecar holds
-    /// the fingerprints of those only.
-    pub fn read_all_fingerprints(&self, live: &[usize]) -> Result<Option<Fingerprints>> {
-        if live.len() != self.shard_count() {
-            return Ok(None);
-        }
-        let mut all = Fingerprints::with_capacity(live.iter().sum());
-        for (i, &expected) in live.iter().enumerate() {
-            if self.shard_len(i).is_none() {
-                return Ok(None);
-            }
-            match self.read_fingerprints(i)? {
-                Some(fp) if fp.len() == expected => all.append(&fp)?,
-                _ => return Ok(None),
-            }
-        }
-        Ok(Some(all))
     }
 
     /// Slot `idx`'s frame file as it stands on disk — the one place a slot
@@ -394,42 +302,6 @@ mod tests {
         assert_eq!(spool.shard_len(2), Some(2));
         spool.write_shard(1, &Dataset::new()).unwrap();
         assert_eq!(spool.shard_len(1), Some(0));
-    }
-
-    #[test]
-    fn fingerprint_sidecars_roundtrip_and_gate_on_completeness() {
-        let dir = tmpdir("spool-fpr");
-        let spool = ShardSpool::create(&dir, 2, Codec::Djz).unwrap();
-        spool.write_shard(0, &shard(&["a", "b"])).unwrap();
-        spool.write_shard(1, &shard(&["c"])).unwrap();
-        let sidecar = |samples: &[&[u64]]| {
-            let mut fp = Fingerprints::new();
-            samples.iter().for_each(|words| fp.push(words).unwrap());
-            fp
-        };
-        let fp0 = sidecar(&[&[7], &[8, u64::MAX, 9]]);
-        let fp1 = sidecar(&[&[]]);
-        spool.write_fingerprints(0, &fp0).unwrap();
-        // One sidecar missing → no flattened set.
-        assert!(spool.read_all_fingerprints(&[2, 1]).unwrap().is_none());
-        spool.write_fingerprints(1, &fp1).unwrap();
-        assert_eq!(spool.read_fingerprints(0).unwrap(), Some(fp0.clone()));
-        assert_eq!(spool.read_fingerprints(1).unwrap(), Some(fp1));
-        let all = spool.read_all_fingerprints(&[2, 1]).unwrap().unwrap();
-        assert_eq!(all, sidecar(&[&[7], &[8, u64::MAX, 9], &[]]));
-        // A live count or slot count the sidecars do not describe
-        // disqualifies the whole set.
-        for live in [&[2, 0][..], &[1, 1], &[2]] {
-            assert!(spool.read_all_fingerprints(live).unwrap().is_none());
-        }
-        spool.write_fingerprints(1, &Fingerprints::new()).unwrap();
-        assert!(spool.read_all_fingerprints(&[2, 1]).unwrap().is_none());
-        assert!(spool.read_all_fingerprints(&[2, 0]).unwrap().is_some());
-        // A shard frame in a sidecar's place is refused by its magic.
-        let path = dir.join("shard-00000.fpr");
-        fs::write(&path, encode_shard_frame(&shard(&["a"]), Codec::None)).unwrap();
-        let err = spool.read_fingerprints(0).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -20,14 +20,17 @@
 //! before any command is read) and hands every submitted or replayed job
 //! a freshly parsed copy of that fault plan.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use data_juicer::config::Recipe;
 use data_juicer::core::faults::{FaultPlan, FAULTS_ENV};
+use data_juicer::core::sync::lock;
 use data_juicer::core::{parse_json, Dataset, Value};
 use data_juicer::exec::{executor_from_recipe, ExecOptions, JobControl, Runtime, RuntimeConfig};
 use data_juicer::ops::builtin_registry;
@@ -146,29 +149,96 @@ struct Journal {
 }
 
 impl Journal {
-    fn open(path: &str) -> Result<Journal, String> {
-        let file = std::fs::OpenOptions::new()
+    /// Read what `path` holds (nothing if it does not exist), then open it
+    /// for appending. The history is read *before* the append handle
+    /// opens, so replay sees exactly the pre-crash journal; a last line a
+    /// kill tore before its newline is then terminated, so the next event
+    /// starts a line of its own.
+    fn open(path: &str) -> Result<(Vec<u8>, Journal), String> {
+        let history = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(format!("read journal {path}: {e}")),
+        };
+        let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(|e| format!("open journal {path}: {e}"))?;
-        Ok(Journal {
+        if history.last().is_some_and(|b| *b != b'\n') {
+            file.write_all(b"\n")
+                .and_then(|()| file.sync_data())
+                .map_err(|e| format!("terminate journal {path}: {e}"))?;
+        }
+        let journal = Journal {
             file: Mutex::new(file),
-        })
+        };
+        Ok((history, journal))
     }
 
+    /// Append one event line, newline included, in one write.
     fn append(&self, fields: &[(&str, Value)]) {
-        let line = json_line(fields);
-        let mut f = self.file.lock().expect("journal mutex");
-        let _ = writeln!(f, "{line}");
-        let _ = f.flush();
+        let mut line = json_line(fields);
+        line.push('\n');
+        let mut f = lock(&self.file);
+        let _ = f.write_all(line.as_bytes());
         let _ = f.sync_data();
+    }
+}
+
+/// What a journal replays: the jobs submitted without a terminal event,
+/// with their submit commands, and the first id no journaled job holds.
+struct Replay {
+    pending: Vec<(u64, Value)>,
+    next_id: u64,
+}
+
+impl Replay {
+    /// Read the journal's lines. A line that is not UTF-8 JSON (a kill
+    /// can tear the last one, mid-character too) is skipped.
+    fn parse(history: &[u8]) -> Replay {
+        let mut submits: Vec<(u64, Value)> = Vec::new();
+        let mut terminal: Vec<u64> = Vec::new();
+        let mut next_id = 0;
+        for line in history.split(|b| *b == b'\n') {
+            let Some(entry) = std::str::from_utf8(line)
+                .ok()
+                .and_then(|line| parse_json(line).ok())
+            else {
+                continue;
+            };
+            let Some(event) = entry.get_path("event").and_then(Value::as_str) else {
+                continue;
+            };
+            let Some(id) = entry.get_path("job").and_then(Value::as_int) else {
+                continue;
+            };
+            let id = id as u64;
+            next_id = next_id.max(id.saturating_add(1));
+            match event {
+                "submit" => {
+                    if let Some(cmd) = entry.get_path("cmd") {
+                        submits.push((id, cmd.clone()));
+                    }
+                }
+                "done" | "failed" | "cancelled" | "readmitted" => terminal.push(id),
+                _ => {}
+            }
+        }
+        submits.retain(|(id, _)| !terminal.contains(id));
+        Replay {
+            pending: submits,
+            next_id,
+        }
     }
 }
 
 struct Service {
     runtime: Runtime,
     jobs: Mutex<HashMap<u64, ServeJob>>,
+    /// The id the next accepted job gets: one past the largest id of the
+    /// replayed journal, so no id names two jobs across restarts.
+    next_id: AtomicU64,
     journal: Option<Arc<Journal>>,
     faults: Option<String>,
 }
@@ -176,29 +246,25 @@ struct Service {
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 fn serve(opts: ServeOpts) {
-    // Read any prior journal *before* opening the append handle, so
-    // replay sees exactly the pre-crash history.
-    let history = match &opts.journal {
-        Some(path) => std::fs::read_to_string(path).unwrap_or_default(),
-        None => String::new(),
-    };
-    let journal = match &opts.journal {
+    let (history, journal) = match &opts.journal {
         Some(path) => match Journal::open(path) {
-            Ok(j) => Some(Arc::new(j)),
+            Ok((history, j)) => (history, Some(Arc::new(j))),
             Err(e) => {
                 eprintln!("dj serve: {e}");
                 std::process::exit(2);
             }
         },
-        None => None,
+        None => (Vec::new(), None),
     };
+    let replay = Replay::parse(&history);
     let service = Arc::new(Service {
         runtime: Runtime::new(opts.cfg),
         jobs: Mutex::new(HashMap::new()),
+        next_id: AtomicU64::new(replay.next_id),
         journal,
         faults: opts.faults,
     });
-    replay_journal(&service, &history);
+    replay_journal(&service, replay.pending);
     match opts.socket {
         None => {
             let out: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::stdout())));
@@ -217,9 +283,14 @@ fn serve(opts: ServeOpts) {
             eprintln!("dj serve: listening on {path}");
             for conn in listener.incoming() {
                 let Ok(conn) = conn else { continue };
+                // No second handle (file descriptors ran out): close the
+                // connection rather than serve it half.
+                let Ok(read_half) = conn.try_clone() else {
+                    continue;
+                };
                 let service = Arc::clone(&service);
                 std::thread::spawn(move || {
-                    let reader = BufReader::new(conn.try_clone().expect("clone unix stream"));
+                    let reader = BufReader::new(read_half);
                     let out: SharedWriter = Arc::new(Mutex::new(Box::new(conn)));
                     if serve_channel(&service, reader, out) == Verdict::Shutdown {
                         drain_and_exit(&service);
@@ -231,42 +302,16 @@ fn serve(opts: ServeOpts) {
 }
 
 /// Re-admit every journaled job without a terminal outcome. Replayed
-/// jobs re-execute deterministically from their original submit command;
-/// their events go to the journal only (there is no client channel at
-/// startup) and their status is visible to any later `status` command.
-fn replay_journal(service: &Arc<Service>, history: &str) {
+/// jobs re-execute deterministically from their original submit command
+/// under a new id; their events go to the journal only (there is no client
+/// channel at startup) and their status is visible to any later `status`
+/// command.
+fn replay_journal(service: &Arc<Service>, pending: Vec<(u64, Value)>) {
     let Some(journal) = service.journal.clone() else {
         return;
     };
-    let mut submits: Vec<(u64, Value)> = Vec::new();
-    let mut terminal: Vec<u64> = Vec::new();
-    for line in history.lines() {
-        // A crash can truncate the final line; skip anything unparseable.
-        let Ok(entry) = parse_json(line) else {
-            continue;
-        };
-        let Some(event) = entry.get_path("event").and_then(Value::as_str) else {
-            continue;
-        };
-        let Some(id) = entry.get_path("job").and_then(Value::as_int) else {
-            continue;
-        };
-        let id = id as u64;
-        match event {
-            "submit" => {
-                if let Some(cmd) = entry.get_path("cmd") {
-                    submits.push((id, cmd.clone()));
-                }
-            }
-            "done" | "failed" | "cancelled" | "readmitted" => terminal.push(id),
-            _ => {}
-        }
-    }
     let sink: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::sink())));
-    for (old_id, cmd) in submits {
-        if terminal.contains(&old_id) {
-            continue;
-        }
+    for (old_id, cmd) in pending {
         match submit(service, &cmd, &sink) {
             Ok(new_id) => {
                 journal.append(&[
@@ -295,7 +340,7 @@ fn replay_journal(service: &Arc<Service>, history: &str) {
 fn drain_and_exit(service: &Service) -> ! {
     loop {
         let all_done = {
-            let jobs = service.jobs.lock().expect("jobs mutex");
+            let jobs = lock(&service.jobs);
             jobs.values().all(|j| j.finished.load(Ordering::Acquire))
         };
         if all_done && service.runtime.jobs_in_flight() == 0 {
@@ -348,7 +393,7 @@ fn handle_command(service: &Arc<Service>, line: &str, out: &SharedWriter) -> Res
         }
         "cancel" => {
             let id = job_id(&cmd)?;
-            let jobs = service.jobs.lock().expect("jobs mutex");
+            let jobs = lock(&service.jobs);
             let job = jobs.get(&id).ok_or(format!("unknown job {id}"))?;
             job.ctl.cancel();
             emit(
@@ -361,7 +406,7 @@ fn handle_command(service: &Arc<Service>, line: &str, out: &SharedWriter) -> Res
             Ok(false)
         }
         "status" => {
-            let jobs = service.jobs.lock().expect("jobs mutex");
+            let jobs = lock(&service.jobs);
             match cmd.get_path("job") {
                 Some(_) => {
                     let id = job_id(&cmd)?;
@@ -427,9 +472,9 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
         service.runtime.submit(exec, Dataset::from_texts(texts))
     };
 
-    let id = handle.id();
+    let id = service.next_id.fetch_add(1, Ordering::Relaxed);
     let finished = Arc::new(AtomicBool::new(false));
-    service.jobs.lock().expect("jobs mutex").insert(
+    lock(&service.jobs).insert(
         id,
         ServeJob {
             ctl: handle.control(),
@@ -546,7 +591,7 @@ fn json_line(fields: &[(&str, Value)]) -> String {
 /// Write one JSON event line to the client channel.
 fn emit(out: &SharedWriter, fields: &[(&str, Value)]) {
     let line = json_line(fields);
-    let mut w = out.lock().expect("writer mutex");
+    let mut w = lock(out);
     let _ = writeln!(w, "{line}");
     let _ = w.flush();
 }

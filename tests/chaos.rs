@@ -34,8 +34,8 @@ fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A pipeline whose tail dedup barrier forces fingerprint spools on the
-/// file-backed path, so `store.fpr.*` sites are reachable.
+/// A pipeline whose tail dedup barrier takes the fingerprints its ingest
+/// stage carried on the file-backed path, so the barrier reads no frame.
 fn recipe() -> Recipe {
     Recipe::new("chaos")
         .then(OpSpec::new("whitespace_normalization_mapper"))
@@ -390,7 +390,8 @@ fn a_resident_job_egresses_through_the_shard_driver() {
 /// A file-to-file run with a terminal barrier reads each spilled frame
 /// exactly once — in the egress pass, where the barrier's deferred mask is
 /// consumed while the frame is transcoded to JSONL (the barrier itself
-/// reads only fingerprint sidecars). So the Nth `store.frame.read` hit *is*
+/// clusters the fingerprints ingest carried in memory and reads no frame).
+/// So the Nth `store.frame.read` hit *is*
 /// the Nth egress load: a fault there must be retried away to the same
 /// bytes or surface typed, with no manifest and no debris.
 #[test]

@@ -240,11 +240,12 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 /// The stage between the two barriers drops samples, and a columnar stage
 /// leaves them stored under a mask instead of rewriting the regions it
-/// never decoded. That mask must not cost the SimHash barrier its sidecars
-/// — they fingerprint exactly the samples the stage kept — so both barriers
-/// cluster from sidecars, and the output is still the in-memory run's.
+/// never decoded. That mask must not cost the SimHash barrier the
+/// fingerprints the stage carried — they hash exactly the samples the stage
+/// kept — so both barriers cluster from carried fingerprints, and the
+/// output is still the in-memory run's.
 #[test]
-fn a_stage_mask_keeps_the_sidecar_shortcut_file_to_file() {
+fn a_stage_mask_keeps_carried_fingerprints_file_to_file() {
     let data = metadata_heavy_corpus(160);
     let ops = meta_shape_recipe().build_ops(&builtin_registry()).unwrap();
     let (expected, _) = Executor::new(ops.clone())

@@ -2,9 +2,8 @@
 //! everything that opens sealed bytes — `envelope::open`, `Frame::parse` and
 //! every operation on the parsed (`DJSC`) frame, the `frames` part readers
 //! (`FrameSlab` and the `Read` adapter, the row `DJSF` parser's entry
-//! points), the spool's reads and the `DJFP` sidecar reader. A row frame
-//! is never a spill or cache frame: `Frame::parse` and every spool read
-//! refuse it with a typed error.
+//! points) and the spool's reads. A row frame is never a spill or cache
+//! frame: `Frame::parse` and every spool read refuse it with a typed error.
 //!
 //! Whatever the input — flipped bits, truncation at every header boundary,
 //! length-prefix bombs (a length, count or size field claiming far more than
@@ -32,12 +31,12 @@ use std::time::{Duration, Instant};
 
 use proptest::TestRng;
 
-use data_juicer::core::{Dataset, DjError, Fingerprints, Sample, Value, MAX_NESTING_DEPTH};
+use data_juicer::core::{Dataset, DjError, Sample, Value, MAX_NESTING_DEPTH};
 use data_juicer::hash::checksum64;
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
-    seal_fingerprints, to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool,
-    COLUMNAR_FRAME_MAGIC, FINGERPRINT_MAGIC, SHARD_FRAME_MAGIC,
+    to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC,
+    SHARD_FRAME_MAGIC,
 };
 
 thread_local! {
@@ -106,16 +105,10 @@ fn shard() -> Dataset {
 
 const MASK: [bool; 7] = [true, false, true, true, false, true, false];
 
-/// Who accepted the bytes they were fed.
-struct Accepted {
-    /// `Frame::parse` or the `frames` part reader: they are one shard frame.
-    frame: bool,
-    /// `ShardSpool::read_fingerprints`: they are one fingerprint sidecar.
-    sidecar: bool,
-}
-
-/// Everything that opens sealed bytes, fed `bytes`.
-fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
+/// Everything that opens sealed bytes, fed `bytes`. Returns whether
+/// `Frame::parse` or the `frames` part reader accepted them as one shard
+/// frame.
+fn feed(spool: &ShardSpool, bytes: &[u8]) -> bool {
     let text: BTreeSet<String> = ["text".to_string()].into();
     let mut results: Vec<Result<(), DjError>> = Vec::new();
 
@@ -171,29 +164,13 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> Accepted {
     }
     results.extend(slot);
 
-    // As a fingerprint sidecar: alone, and as the set a barrier would take
-    // (ignored whole unless it describes the slot's samples one for one).
-    std::fs::write(spool.dir().join("shard-00000.fpr"), bytes).unwrap();
-    let fingerprints = spool.read_fingerprints(0);
-    let sidecar = fingerprints.is_ok();
-    let set = spool.read_all_fingerprints(&[MASK.len()]);
-    if let (Ok(one), Ok(set)) = (&fingerprints, &set) {
-        let usable = one.as_ref().filter(|fp| fp.len() == MASK.len());
-        assert_eq!(set.as_ref(), usable, "a sidecar set of the wrong count");
-        // Whatever was accepted is safe to walk.
-        let walked: usize = one.iter().flat_map(|fp| fp.iter()).map(<[u64]>::len).sum();
-        assert_eq!(walked, one.as_ref().map_or(0, |fp| fp.words().len()));
-    }
-    results.push(fingerprints.map(drop));
-    results.push(set.map(drop));
-
     for result in results {
         match result {
             Ok(()) | Err(DjError::Storage(_)) | Err(DjError::Field(_)) => {}
             Err(other) => panic!("untyped error: {other:?}"),
         }
     }
-    Accepted { frame, sidecar }
+    frame
 }
 
 /// [`feed`] under the guards: no panic, no oversized allocation. Returns
@@ -204,15 +181,11 @@ fn check(spool: &ShardSpool, what: &str, bytes: &[u8]) -> bool {
     let largest = LARGEST.with(Cell::get);
     let accepted = outcome.unwrap_or_else(|_| panic!("{what}: a parser panicked on {bytes:02x?}"));
     assert!(
-        !(accepted.frame && accepted.sidecar),
-        "{what}: two parsers took the same bytes"
-    );
-    assert!(
         largest <= allocation_bound(bytes.len()),
         "{what}: a {largest}-byte allocation for {} input bytes: {bytes:02x?}",
         bytes.len()
     );
-    accepted.frame || accepted.sidecar
+    accepted
 }
 
 fn with_u64(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
@@ -249,29 +222,6 @@ fn mutate_payload(rng: &mut TestRng, magic: &[u8; 4], payload: &[u8]) -> (String
             let cut = rng.below(out.len() as u64 + 1) as usize;
             out.truncate(cut);
             format!("payload cut to {cut}")
-        }
-        // A sidecar payload is a sample count, that many `u32` end offsets,
-        // and `u64` words: offsets out of order or past the words, a count
-        // off by a few (the words then start mid-offset), a count bomb.
-        2 | 3 if magic == FINGERPRINT_MAGIC => {
-            let count = (out.len() as u64).saturating_sub(8) / 4;
-            let at = 8 + 4 * rng.below(count.max(1)) as usize;
-            match rng.below(3) {
-                0 if at + 4 <= out.len() => {
-                    let end = [0, 1, 5, rng.next_u64() as u32][rng.below(4) as usize];
-                    out[at..at + 4].copy_from_slice(&end.to_le_bytes());
-                    format!("end offset @{at} = {end}")
-                }
-                1 => {
-                    let claimed = rng.below(2 * count + 2);
-                    out = with_u64(&out, 0, claimed);
-                    format!("sample count {claimed}")
-                }
-                _ => {
-                    out = with_u64(&out, 0, bomb(rng));
-                    "sample count bomb".to_string()
-                }
-            }
         }
         // The first words of either frame payload are sizes: a row
         // payload's codec header (magic, id, raw length), a columnar
@@ -330,12 +280,6 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
     let _ = std::fs::remove_dir_all(&dir);
     let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
     let ds = shard();
-    // One run per sample of `shard()`: MASK.len() of them, an empty one too.
-    let mut fingerprints = Fingerprints::new();
-    for i in 0..MASK.len() as u64 {
-        let words: Vec<u64> = (0..i % 4).map(|w| i * 31 + w).collect();
-        fingerprints.push(&words).unwrap();
-    }
     let seeds: Vec<(&[u8; 4], Vec<u8>)> = vec![
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::None)),
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::Djz)),
@@ -348,7 +292,6 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             COLUMNAR_FRAME_MAGIC,
             encode_columnar_frame(&Dataset::new(), Codec::Djz),
         ),
-        (FINGERPRINT_MAGIC, seal_fingerprints(&fingerprints)),
     ];
 
     // The sweeps: every seed as it is, cut at every header boundary and a
@@ -360,12 +303,7 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             let accepted = check(&spool, &format!("cut at {cut}"), &sealed[..cut]);
             assert!(!accepted, "{magic:?} cut at {cut} of {n} was accepted");
         }
-        for other in [
-            SHARD_FRAME_MAGIC,
-            COLUMNAR_FRAME_MAGIC,
-            FINGERPRINT_MAGIC,
-            b"\0\0\0\0",
-        ] {
+        for other in [SHARD_FRAME_MAGIC, COLUMNAR_FRAME_MAGIC, b"\0\0\0\0"] {
             // The checksum does not cover the magic: a swap hands a payload
             // to the wrong parser, which must refuse it on its own.
             let mut swapped = sealed.clone();

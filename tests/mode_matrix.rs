@@ -439,8 +439,8 @@ fn check_case(picks: &[usize], case: &Case) -> usize {
 }
 
 /// The named corner cases, every run: a leading barrier (file modes ingest
-/// raw shards through an empty stage), adjacent barriers (the second has no
-/// fingerprint sidecars and hashes undecoded frames), a barrier-only
+/// raw shards through an empty stage), adjacent barriers (the first takes
+/// the carried fingerprints, so the second hashes undecoded frames), a barrier-only
 /// recipe, and a corpus of zero samples and of one.
 #[test]
 fn corner_recipes_and_corpora_match_the_oracle_in_every_mode() {
@@ -739,7 +739,7 @@ fn the_modes_are_distinct_paths() {
         // Only a pipeline stage over a spool projects and splices. The file
         // shape runs this recipe's one stage during ingest, and a spilled
         // barrier rewrites no frame (its mask rides on the spool) and
-        // hashes from ingest-time sidecars, so nothing is decoded by column
+        // clusters the fingerprints ingest carried, so nothing is decoded by column
         // or passed through there.
         let splices = mode.shape == Shape::Spill;
         assert_eq!(report.bytes_passthrough > 0, splices, "{mode:?}");

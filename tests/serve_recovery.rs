@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use data_juicer::core::faults::FAULTS_ENV;
-use data_juicer::core::{Dataset, Sample};
+use data_juicer::core::{parse_json, Dataset, Sample, Value};
 use data_juicer::exec::{executor_from_recipe, EgressManifest};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::to_jsonl;
@@ -86,6 +86,75 @@ fn egress_bytes(dir: &Path) -> Vec<u8> {
     egress_parts(dir).concat()
 }
 
+/// The reference: [`recipe_json`]'s recipe over `input`, run to `out` by
+/// this process, never interrupted.
+fn run_baseline(input: &Path, out: &Path) {
+    let recipe = data_juicer::config::Recipe::from_value(
+        &parse_json(&recipe_json(input, out))
+            .unwrap()
+            .get_path("recipe")
+            .unwrap()
+            .clone(),
+    )
+    .unwrap();
+    executor_from_recipe(&recipe, &builtin_registry(), true)
+        .unwrap()
+        .run_io()
+        .unwrap();
+}
+
+/// A journal line's `event` and `job` fields; a line that does not parse
+/// fails the test.
+fn event_and_job(line: &str) -> (String, i64) {
+    let entry = parse_json(line).unwrap_or_else(|e| panic!("`{line}` does not parse: {e}"));
+    let event = entry.get_path("event").and_then(Value::as_str).unwrap();
+    let job = entry.get_path("job").and_then(Value::as_int).unwrap();
+    (event.to_string(), job)
+}
+
+/// Poll `journal` until it holds `needle`.
+fn await_journal(journal: &Path, needle: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let log = std::fs::read_to_string(journal).unwrap_or_default();
+        if log.contains(needle) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no {needle} in the journal: {log}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Submit `cmd` to a fresh serve on `journal`, wait for its acceptance and
+/// SIGKILL it: no destructors, no flush.
+fn submit_and_kill(journal: &Path, cmd: &str) {
+    let mut serve = spawn_serve(journal);
+    let mut stdin = serve.stdin.take().unwrap();
+    let stdout = BufReader::new(serve.stdout.take().unwrap());
+    writeln!(stdin, "{cmd}").unwrap();
+    stdin.flush().unwrap();
+    let accepted = stdout
+        .lines()
+        .any(|line| line.unwrap().contains("\"accepted\""));
+    assert!(accepted, "serve never acknowledged the submission");
+    serve.kill().unwrap();
+    serve.wait().unwrap();
+}
+
+/// Restart serve on `journal` and shut it down at once: the replay
+/// re-admits what is orphaned, and shutdown drains it first.
+fn restart_and_shut_down(journal: &Path) {
+    let mut serve = spawn_serve(journal);
+    let mut stdin = serve.stdin.take().unwrap();
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    let status = serve.wait().unwrap();
+    assert!(status.success(), "restarted serve exited with {status}");
+}
+
 #[test]
 fn killed_serve_resumes_from_journal_byte_identically() {
     let dir = fresh_dir("kill");
@@ -97,18 +166,7 @@ fn killed_serve_resumes_from_journal_byte_identically() {
     // Reference: the same recipe, run to a different directory by a
     // process that is never interrupted.
     let baseline_dir = dir.join("baseline");
-    let recipe = data_juicer::config::Recipe::from_value(
-        &data_juicer::core::parse_json(&recipe_json(&input, &baseline_dir))
-            .unwrap()
-            .get_path("recipe")
-            .unwrap()
-            .clone(),
-    )
-    .unwrap();
-    executor_from_recipe(&recipe, &builtin_registry(), true)
-        .unwrap()
-        .run_io()
-        .unwrap();
+    run_baseline(&input, &baseline_dir);
     let expected = egress_bytes(&baseline_dir);
 
     // Round 1: submit, wait for acceptance, SIGKILL mid-job.
@@ -222,7 +280,7 @@ fn inline_texts_with_an_output_path_are_written_as_parts() {
 
     // The reference: the same recipe, in memory.
     let mut recipe = data_juicer::config::Recipe::from_value(
-        &data_juicer::core::parse_json(&cmd)
+        &parse_json(&cmd)
             .unwrap()
             .get_path("recipe")
             .unwrap()
@@ -378,18 +436,7 @@ fn serve_hands_each_job_the_fault_plan_and_a_retry_absorbs_it() {
         .collect();
     std::fs::write(&input, lines.join("\n") + "\n").unwrap();
     let (out_dir, baseline_dir) = (dir.join("out"), dir.join("baseline"));
-    let recipe = data_juicer::config::Recipe::from_value(
-        &data_juicer::core::parse_json(&recipe_json(&input, &baseline_dir))
-            .unwrap()
-            .get_path("recipe")
-            .unwrap()
-            .clone(),
-    )
-    .unwrap();
-    executor_from_recipe(&recipe, &builtin_registry(), true)
-        .unwrap()
-        .run_io()
-        .unwrap();
+    run_baseline(&input, &baseline_dir);
 
     let mut serve = serve_command()
         .env(FAULTS_ENV, "io.egress.write:io@1")
@@ -417,5 +464,99 @@ fn serve_hands_each_job_the_fault_plan_and_a_retry_absorbs_it() {
         "{rest:?}"
     );
     assert_eq!(egress_parts(&out_dir), egress_parts(&baseline_dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A re-admitted job gets an id no journaled job holds, so a job killed
+/// twice — once as submitted, once as re-admitted — is still pending at the
+/// second restart, which finishes it byte-identically. (With ids restarting
+/// at 0 in every process, the replay journaled `submit 0` and `readmitted 0
+/// as 0`, and the second restart took the job for finished.)
+#[test]
+fn a_job_killed_twice_is_readmitted_twice_and_finishes_byte_identically() {
+    let dir = fresh_dir("kill-twice");
+    let input = dir.join("in.jsonl");
+    write_corpus(&input);
+    let (out_dir, baseline_dir) = (dir.join("out"), dir.join("baseline"));
+    let journal = dir.join("journal.jsonl");
+    run_baseline(&input, &baseline_dir);
+
+    // Round 1: killed while the job runs.
+    submit_and_kill(&journal, &recipe_json(&input, &out_dir));
+
+    // Round 2: the restart re-admits the job; killed again while it runs.
+    let mut serve = spawn_serve(&journal);
+    let _stdin = serve.stdin.take().unwrap();
+    await_journal(&journal, "\"readmitted\"");
+    serve.kill().unwrap();
+    serve.wait().unwrap();
+    let log = std::fs::read_to_string(&journal).unwrap();
+    assert!(
+        !log.contains("\"done\""),
+        "re-admitted job finished before the second kill — grow the corpus: {log}"
+    );
+
+    // Round 3: re-admitted again, drained by the shutdown.
+    restart_and_shut_down(&journal);
+    let log = std::fs::read_to_string(&journal).unwrap();
+    let events: Vec<(String, i64)> = log.lines().map(event_and_job).collect();
+    let submits: Vec<i64> = events
+        .iter()
+        .filter(|(event, _)| event == "submit")
+        .map(|(_, job)| *job)
+        .collect();
+    assert_eq!(submits, [0, 1, 2], "{log}");
+    assert_eq!(log.matches("\"readmitted\"").count(), 2, "{log}");
+    let done = ("done".to_string(), 2);
+    assert!(events.contains(&done), "the job never finished: {log}");
+    assert_eq!(egress_bytes(&out_dir), egress_bytes(&baseline_dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kill can tear the journal's last line before its newline, even inside
+/// a multi-byte character. The restart skips that fragment, re-admits the
+/// complete submission before it and runs it to the end, and every event it
+/// appends is a line of its own.
+#[test]
+fn a_torn_last_journal_line_is_skipped_and_the_next_event_starts_a_line() {
+    let dir = fresh_dir("torn");
+    let journal = dir.join("journal.jsonl");
+    let submit = concat!(
+        "{\"cmd\":\"submit\",\"recipe\":{\"name\":\"torn\",",
+        "\"process\":[{\"whitespace_normalization_mapper\":{}},",
+        "{\"document_deduplicator\":{}}]},",
+        "\"texts\":[\"torn   one\",\"torn two\",\"torn   one\"]}"
+    );
+    let mut history = format!("{{\"event\":\"submit\",\"job\":0,\"cmd\":{submit}}}\n").into_bytes();
+    // `é` is two bytes; the kill landed between them.
+    let torn = "{\"event\":\"submit\",\"job\":1,\"cmd\":{\"recipe\":{\"name\":\"café";
+    history.extend_from_slice(&torn.as_bytes()[..torn.len() - 1]);
+    std::fs::write(&journal, &history).unwrap();
+
+    restart_and_shut_down(&journal);
+    let log = std::fs::read(&journal).unwrap();
+    assert!(log.starts_with(&history), "the history was rewritten");
+    let appended = std::str::from_utf8(&log[history.len()..]).unwrap();
+    assert!(
+        appended.starts_with('\n'),
+        "the torn line was not terminated"
+    );
+    let mut events: Vec<(String, i64)> = appended
+        .lines()
+        .filter(|line| !line.is_empty())
+        .map(event_and_job)
+        .collect();
+    // The replay's `readmitted` and the job's `done` may land either way.
+    events.sort();
+    assert_eq!(
+        events,
+        [
+            ("done".to_string(), 1),
+            ("readmitted".to_string(), 0),
+            ("submit".to_string(), 1)
+        ],
+        "{appended}"
+    );
+    assert!(appended.contains("\"samples_out\":2"), "{appended}");
     let _ = std::fs::remove_dir_all(&dir);
 }
