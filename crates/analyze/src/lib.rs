@@ -7,7 +7,10 @@
 //! * [`visualize`] — terminal histograms, box plots, before/after diff
 //!   plots and the OP-pipeline funnel of Fig. 4;
 //! * [`tracer`] — dry-run a single OP and report exactly which samples it
-//!   would discard / edit / deduplicate (Fig. 4(a));
+//!   would discard / edit / deduplicate (Fig. 4(a)). [`trace_op`] is the
+//!   system's one tracer: the executor keeps no samples for inspection,
+//!   so tracing a pipeline is `trace_op` over each OP in turn, on what the
+//!   OPs before it left (`fig4_visualization` does this);
 //! * [`sampler`] — random, stratified (by meta tag or stat quantile) and
 //!   diversity-maximizing samplers (the Table 3 selection machinery).
 

@@ -33,7 +33,6 @@ fn bench_fusion(c: &mut Criterion) {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 1,
             op_fusion: fusion,
-            trace_examples: 0,
             shard_size: None,
             ..ExecOptions::default()
         });
@@ -58,7 +57,6 @@ fn bench_parallelism(c: &mut Criterion) {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: None,
             ..ExecOptions::default()
         });

@@ -74,7 +74,6 @@ fn bench_io(c: &mut Criterion) {
             let exec = Executor::new(ops.clone()).with_options(ExecOptions {
                 num_workers: 2,
                 op_fusion: true,
-                trace_examples: 0,
                 shard_size: Some(128),
                 input: Some(input.display().to_string()),
                 output: Some(out),

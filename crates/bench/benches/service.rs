@@ -39,7 +39,6 @@ fn exec(np: usize) -> Executor {
     Executor::new(ops).with_options(ExecOptions {
         num_workers: np,
         op_fusion: true,
-        trace_examples: 0,
         shard_size: Some(64),
         ..ExecOptions::default()
     })

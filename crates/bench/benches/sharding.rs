@@ -42,7 +42,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
             let exec = Executor::new(ops.clone()).with_options(ExecOptions {
                 num_workers: np,
                 op_fusion: fusion,
-                trace_examples: 0,
                 shard_size: None,
                 ..ExecOptions::default()
             });
@@ -68,7 +67,6 @@ fn bench_shard_size(c: &mut Criterion) {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 4,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(len.div_ceil(shards)),
             ..ExecOptions::default()
         });
@@ -100,7 +98,6 @@ fn bench_out_of_core(c: &mut Criterion) {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 4,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(len.div_ceil(16)),
             memory_budget: budget,
             spill_dir: None,

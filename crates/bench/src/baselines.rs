@@ -359,7 +359,6 @@ mod tests {
             .with_options(ExecOptions {
                 num_workers: 1,
                 op_fusion: true,
-                trace_examples: 0,
                 shard_size: None,
                 ..ExecOptions::default()
             })

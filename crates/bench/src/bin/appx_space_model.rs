@@ -79,7 +79,6 @@ fn main() {
         .with_options(ExecOptions {
             num_workers: 1,
             op_fusion: false,
-            trace_examples: 0,
             shard_size: None,
             ..ExecOptions::default()
         });

@@ -1,13 +1,15 @@
 //! Fig. 4 — interactive visualization: (a) tracking specific samples per
 //! OP, (b) the OP-pipeline funnel, (c) the before/after distribution diff.
 //!
-//! Runs the flagship CommonCrawl refinement recipe with tracing enabled and
-//! renders all three panels as terminal output.
+//! Runs the flagship CommonCrawl refinement recipe and renders all three
+//! panels as terminal output: (a) from the tracer (`dj_analyze::trace_op`),
+//! each OP dry-run over what the OPs before it left, and (b), (c) from one
+//! full run.
 
-use dj_analyze::{visualize, Analyzer};
+use dj_analyze::{trace_op, visualize, Analyzer, Effect};
 use dj_bench::section;
 use dj_config::recipes;
-use dj_exec::{ExecOptions, Executor, TraceEvent};
+use dj_exec::{ExecOptions, Executor};
 use dj_synth::{web_corpus, WebNoise};
 
 fn main() {
@@ -17,41 +19,30 @@ fn main() {
     let ops = recipes::commoncrawl_refine()
         .build_ops(&dj_ops::builtin_registry())
         .expect("recipe valid");
-    let exec = Executor::new(ops).with_options(ExecOptions {
+    let options = ExecOptions {
         num_workers: 2,
         op_fusion: true,
-        trace_examples: 3,
         shard_size: None,
         ..ExecOptions::default()
-    });
-    let (out, report) = exec.run(data).expect("pipeline runs");
-    let mut after = out;
+    };
 
     section("Figure 4(a): tracking specific data samples per OP");
-    for op in &report.ops {
-        if op.trace.is_empty() {
-            continue;
+    let mut effects = Vec::new();
+    let mut current = data.clone();
+    for op in &ops {
+        let trace = trace_op(op, &current).expect("op traces");
+        if !trace.effects.is_empty() {
+            print!("\n{}", trace.render(2));
         }
-        println!("\n[{}]", op.name);
-        for event in op.trace.iter().take(2) {
-            match event {
-                TraceEvent::Edited { before, after } => {
-                    println!("  edited:   {before:?}\n        ->  {after:?}");
-                }
-                TraceEvent::Discarded { text, stats } => {
-                    let deciding: Vec<String> = stats
-                        .iter()
-                        .take(3)
-                        .map(|(k, v)| format!("{k}={v:.3}"))
-                        .collect();
-                    println!("  discarded [{}]: {text:?}", deciding.join(", "));
-                }
-                TraceEvent::Duplicate { dropped } => {
-                    println!("  duplicate dropped: {dropped:?}");
-                }
-            }
-        }
+        effects.extend(trace.effects);
+        // Advance past this op with a one-op run of the engine.
+        let step = Executor::new(vec![op.clone()]).with_options(options.clone());
+        current = step.run(current).expect("op runs").0;
     }
+
+    let exec = Executor::new(ops).with_options(options);
+    let (out, report) = exec.run(data).expect("pipeline runs");
+    let mut after = out;
 
     section("Figure 4(b): effect of the OP pipeline (number of samples)");
     let mut funnel = vec![("input".to_string(), report.initial_samples)];
@@ -78,16 +69,8 @@ fn main() {
 
     // Shape checks.
     assert!(report.final_samples < report.initial_samples);
-    let edited = report
-        .ops
-        .iter()
-        .flat_map(|o| &o.trace)
-        .any(|e| matches!(e, TraceEvent::Edited { .. }));
-    let discarded = report
-        .ops
-        .iter()
-        .flat_map(|o| &o.trace)
-        .any(|e| matches!(e, TraceEvent::Discarded { .. }));
+    let edited = effects.iter().any(|e| matches!(e, Effect::Edit { .. }));
+    let discarded = effects.iter().any(|e| matches!(e, Effect::Discard { .. }));
     assert!(
         edited && discarded,
         "tracer must capture edits and discards"

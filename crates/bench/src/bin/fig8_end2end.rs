@@ -160,7 +160,6 @@ fn planner_convergence() -> PlannerConvergence {
     let base = ExecOptions {
         num_workers: 2,
         op_fusion: true,
-        trace_examples: 0,
         ..ExecOptions::default()
     };
     let timed = |recipe: &Recipe, data: &Dataset, opts: ExecOptions| {
@@ -248,7 +247,6 @@ fn main() {
             let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
                 num_workers: np,
                 op_fusion: true,
-                trace_examples: 0,
                 shard_size: None,
                 ..ExecOptions::default()
             });
@@ -319,7 +317,6 @@ fn main() {
         let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(data.len().div_ceil(4 * np.max(1) * 4)),
             memory_budget: Some(1),
             spill_dir: None,
@@ -366,7 +363,6 @@ fn main() {
         let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(data.len().div_ceil(4 * np.max(1) * 4)),
             input: Some(corpus_path.display().to_string()),
             output: Some(out_dir.clone()),
@@ -419,7 +415,6 @@ fn main() {
         let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: None,
             adaptive: true,
             ..ExecOptions::default()
@@ -481,7 +476,6 @@ fn main() {
         let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(data.len().div_ceil(4 * np.max(1) * 4)),
             memory_budget: Some(1),
             ..ExecOptions::default()
@@ -574,7 +568,6 @@ fn main() {
                     let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
                         num_workers: np,
                         op_fusion: true,
-                        trace_examples: 0,
                         shard_size: None,
                         ..ExecOptions::default()
                     });
@@ -680,7 +673,6 @@ fn main() {
                     let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
                         num_workers: np,
                         op_fusion: true,
-                        trace_examples: 0,
                         shard_size: None,
                         faults: (i == 0).then(|| Arc::clone(&plan)),
                         ..ExecOptions::default()

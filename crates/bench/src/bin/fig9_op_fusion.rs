@@ -69,7 +69,6 @@ fn run(data: Dataset, np: usize, fusion: bool) -> (f64, f64, usize) {
     let exec = Executor::new(ops).with_options(ExecOptions {
         num_workers: np,
         op_fusion: fusion,
-        trace_examples: 0,
         shard_size: None,
         ..ExecOptions::default()
     });

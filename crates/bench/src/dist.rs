@@ -74,7 +74,6 @@ pub fn run_single_node(ops: &[Op], data: Dataset, np: usize) -> Result<(Dataset,
     let exec = Executor::new(ops.to_vec()).with_options(ExecOptions {
         num_workers: np.max(1),
         op_fusion: true,
-        trace_examples: 0,
         shard_size: None,
         ..ExecOptions::default()
     });
@@ -98,7 +97,6 @@ pub fn run_distributed(
     let exec = Executor::new(ops.to_vec()).with_options(ExecOptions {
         num_workers: 1,
         op_fusion: true,
-        trace_examples: 0,
         shard_size: Some(data.len().div_ceil(spec.nodes.max(1)).max(1)),
         ..ExecOptions::default()
     });

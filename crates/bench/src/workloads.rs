@@ -44,7 +44,6 @@ pub fn dj_refine(dataset: Dataset, np: usize) -> Result<Dataset> {
         .with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: None,
             ..ExecOptions::default()
         })

@@ -30,7 +30,6 @@ fn distributed_backends_agree_with_local_execution() {
         .with_options(ExecOptions {
             num_workers: 2,
             op_fusion: true,
-            trace_examples: 0,
             ..ExecOptions::default()
         })
         .run(data.clone())

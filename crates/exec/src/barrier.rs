@@ -138,7 +138,6 @@ impl Executor {
         ctl: &RunCtl,
         report: &mut RunReport,
     ) -> Result<StageData> {
-        let cap = self.options.trace_examples;
         let t0 = Instant::now();
         let lens = data.shard_lens();
         let in_len: usize = lens.iter().sum();
@@ -168,7 +167,7 @@ impl Executor {
             ));
         }
 
-        let (out, trace) = data.masked(&mask, cap)?;
+        let out = data.masked(&mask);
         let removed = mask.iter().filter(|&&k| !k).count();
         let elapsed = t0.elapsed();
         report.barrier_duration += elapsed;
@@ -182,7 +181,6 @@ impl Executor {
             duration: elapsed,
             fused: false,
             bytes_decoded: hash_bytes,
-            trace,
         });
         Ok(out)
     }

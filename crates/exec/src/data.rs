@@ -9,7 +9,7 @@
 //! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | the pass's footprint columns `cols` of every sample the deferred mask keeps; the frame rides to the sink, which copies every other region verbatim and keeps the samples the stage dropped stored, under the new spool's mask |
 //! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
 //! | barrier hash pass | live resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
-//! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing; duplicate traces borrow the first `cap` dropped texts |
+//! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing |
 //! | egress of resident shards | [`mem_feed`]: take the shard out of its slot, leaving behind what the deferred mask drops | `ShardedWriter::store_shard` | nothing — samples are resident |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
 //! | `frames` egress of a spool | checked slots, converted to row frames | `ShardedWriter::store_frame_bytes` | every sample the deferred mask keeps (the `frames` format is row frames) |
@@ -31,14 +31,13 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use dj_core::sync::lock;
-use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample, TEXT_KEY};
+use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample};
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
 use dj_store::{CacheManager, CachedEntry, Codec, Frame, ShardSpool};
 
 use crate::barrier::{hash_loaded, hash_pass, hash_samples, join};
 use crate::executor::Executor;
 use crate::options::ExecOptions;
-use crate::report::{snippet, TraceEvent};
 use crate::stream::{drive, Feed, Resident, RunCtl};
 
 /// Codec for spilled shard frames (cheap LZ77: spill IO shrinks without a
@@ -76,19 +75,6 @@ pub(crate) fn widen_keep(deferred: Option<&[bool]>, keep: Vec<bool>) -> Vec<bool
         .iter()
         .map(|stored| *stored && verdicts.next().unwrap_or(false))
         .collect()
-}
-
-/// Trace the first `cap` of the `live` texts that `keep` drops.
-fn trace_dropped<'t>(
-    live: impl Iterator<Item = &'t str>,
-    keep: &[bool],
-    cap: usize,
-    trace: &mut Vec<TraceEvent>,
-) {
-    let dropped = live.zip(keep).filter(|(_, keep)| !**keep).take(cap);
-    trace.extend(dropped.map(|(text, _)| TraceEvent::Duplicate {
-        dropped: snippet(text),
-    }));
 }
 
 /// One shard as a feed hands it to a pass.
@@ -647,47 +633,23 @@ impl StageData {
         }
     }
 
-    /// Apply a barrier's dataset-level keep `mask`; returns the data and up
-    /// to `cap` traces of the first duplicates dropped, in dataset order.
-    ///
-    /// One rule for every shape: the mask is and-combined, per slot, into
-    /// the data's own, and no sample is read, moved or rewritten — the next
-    /// pass that opens the data steps over what it drops. Only duplicate
-    /// traces read anything: the dropped texts, borrowed in place from
-    /// resident shards, or out of the undecoded frames of the slots that
-    /// hold the first `cap` of them.
-    pub(crate) fn masked(
-        mut self,
-        mask: &[bool],
-        cap: usize,
-    ) -> Result<(StageData, Vec<TraceEvent>)> {
-        let mut trace = Vec::new();
+    /// Apply a barrier's dataset-level keep `mask`, one rule for every
+    /// shape: the mask is and-combined, per slot, into the data's own, and
+    /// no sample is read, moved or rewritten — the next pass that opens
+    /// the data steps over what it drops.
+    pub(crate) fn masked(mut self, mask: &[bool]) -> StageData {
         let mut combined = Vec::with_capacity(self.slot_count());
         let mut start = 0;
         for i in 0..self.slot_count() {
             let end = start + self.shard_len(i);
-            let keep = &mask[start..end];
+            combined.push(Some(widen_keep(
+                self.mask.slot(i),
+                mask[start..end].to_vec(),
+            )));
             start = end;
-            let (prior, room) = (self.mask.slot(i), cap.saturating_sub(trace.len()));
-            if room > 0 && keep.contains(&false) {
-                match &self.slots {
-                    Slots::Mem(shards) => {
-                        let live = kept(shards[i].iter().map(Sample::text), prior);
-                        trace_dropped(live, keep, room, &mut trace);
-                    }
-                    Slots::Spool(spool) => {
-                        spool.read(i)?.with_texts(TEXT_KEY, |texts| {
-                            let live = kept(texts.iter().map(|t| &**t), prior);
-                            trace_dropped(live, keep, room, &mut trace);
-                            Ok(())
-                        })?;
-                    }
-                }
-            }
-            combined.push(Some(widen_keep(prior, keep.to_vec())));
         }
         self.mask = Mask(combined);
-        Ok((self, trace))
+        self
     }
 }
 
@@ -808,29 +770,14 @@ mod tests {
 
         let data = StageData::new(Slots::Mem(resident_shards()));
         let before = slices(&data);
-        let (data, trace) = data.masked(&first, 2).unwrap();
+        let data = data.masked(&first);
         assert_eq!(slices(&data), before, "the first mask moved a sample");
         assert_eq!(data.shard_lens(), vec![3, 0, 5]);
-        let dropped: Vec<String> = trace
-            .iter()
-            .map(|t| match t {
-                TraceEvent::Duplicate { dropped } => dropped.clone(),
-                other => panic!("{other:?}"),
-            })
-            .collect();
-        let texts = Dataset::from_shards(resident_shards());
-        assert_eq!(
-            dropped,
-            vec![
-                snippet(texts.samples()[1].text()),
-                snippet(texts.samples()[4].text())
-            ]
-        );
         let once_bytes: usize = once.iter().map(Dataset::approx_bytes).sum();
         assert_eq!(data.approx_bytes(), once_bytes);
 
         // A second mask counts only what the first kept, and-combines.
-        let (data, _) = data.masked(&second, 0).unwrap();
+        let data = data.masked(&second);
         assert_eq!(slices(&data), before, "the second mask moved a sample");
         assert_eq!(data.shard_lens(), live);
         assert_eq!(data.len(), want.len());
@@ -839,12 +786,7 @@ mod tests {
         // Every way out equals eager mask application.
         let masked = || {
             let data = StageData::new(Slots::Mem(resident_shards()));
-            data.masked(&first, 0)
-                .unwrap()
-                .0
-                .masked(&second, 0)
-                .unwrap()
-                .0
+            data.masked(&first).masked(&second)
         };
         assert_eq!(masked().into_dataset().unwrap(), want);
 

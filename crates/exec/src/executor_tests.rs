@@ -3,7 +3,6 @@
 
 use super::*;
 use crate::executor_from_recipe;
-use crate::report::TraceEvent;
 use dj_config::{OpSpec, Recipe};
 use dj_core::OpRegistry;
 use dj_io::OutputFormat;
@@ -61,11 +60,10 @@ fn cached(recipe: &Recipe, options: ExecOptions) -> Executor {
     exec.with_options(options)
 }
 
-fn opts(np: usize, fusion: bool, trace: usize) -> ExecOptions {
+fn opts(np: usize, fusion: bool) -> ExecOptions {
     ExecOptions {
         num_workers: np,
         op_fusion: fusion,
-        trace_examples: trace,
         ..ExecOptions::default()
     }
 }
@@ -74,7 +72,6 @@ fn spill_opts(np: usize, shard_size: usize, budget: u64) -> ExecOptions {
     ExecOptions {
         num_workers: np,
         op_fusion: true,
-        trace_examples: 0,
         shard_size: Some(shard_size),
         memory_budget: Some(budget),
         ..ExecOptions::default()
@@ -84,7 +81,7 @@ fn spill_opts(np: usize, shard_size: usize, budget: u64) -> ExecOptions {
 #[test]
 fn pipeline_runs_and_reports() {
     let reg = builtin_registry();
-    let exec = Executor::new(pipeline(&reg)).with_options(opts(1, false, 4));
+    let exec = Executor::new(pipeline(&reg)).with_options(opts(1, false));
     let (out, report) = exec.run(noisy_dataset()).unwrap();
     assert_eq!(report.initial_samples, 25);
     assert_eq!(report.final_samples, out.len());
@@ -103,8 +100,8 @@ fn pipeline_runs_and_reports() {
 fn fused_and_unfused_produce_identical_output() {
     let reg = builtin_registry();
     let base = noisy_dataset();
-    let unfused = Executor::new(pipeline(&reg)).with_options(opts(1, false, 0));
-    let fused = Executor::new(pipeline(&reg)).with_options(opts(1, true, 0));
+    let unfused = Executor::new(pipeline(&reg)).with_options(opts(1, false));
+    let fused = Executor::new(pipeline(&reg)).with_options(opts(1, true));
     let (a, ra) = unfused.run(base.clone()).unwrap();
     let (b, rb) = fused.run(base).unwrap();
     // Same surviving texts (order preserved).
@@ -119,8 +116,8 @@ fn fused_and_unfused_produce_identical_output() {
 fn parallel_equals_serial() {
     let reg = builtin_registry();
     let base = noisy_dataset();
-    let serial = Executor::new(pipeline(&reg)).with_options(opts(1, true, 0));
-    let parallel = Executor::new(pipeline(&reg)).with_options(opts(4, true, 0));
+    let serial = Executor::new(pipeline(&reg)).with_options(opts(1, true));
+    let parallel = Executor::new(pipeline(&reg)).with_options(opts(4, true));
     let (a, _) = serial.run(base.clone()).unwrap();
     let (b, _) = parallel.run(base).unwrap();
     assert_eq!(
@@ -133,13 +130,12 @@ fn parallel_equals_serial() {
 fn shard_count_never_changes_output() {
     let reg = builtin_registry();
     let base = noisy_dataset();
-    let baseline = Executor::new(pipeline(&reg)).with_options(opts(1, false, 0));
+    let baseline = Executor::new(pipeline(&reg)).with_options(opts(1, false));
     let (expected, _) = baseline.run(base.clone()).unwrap();
     for shard_size in [1usize, 2, 7, 1000] {
         let exec = Executor::new(pipeline(&reg)).with_options(ExecOptions {
             num_workers: 3,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(shard_size),
             ..ExecOptions::default()
         });
@@ -153,7 +149,7 @@ fn shard_count_never_changes_output() {
 fn spilled_run_matches_in_memory_run() {
     let reg = builtin_registry();
     let base = noisy_dataset();
-    let baseline = Executor::new(pipeline(&reg)).with_options(opts(1, false, 0));
+    let baseline = Executor::new(pipeline(&reg)).with_options(opts(1, false));
     let (expected, _) = baseline.run(base.clone()).unwrap();
     for np in [1usize, 3] {
         let exec = Executor::new(pipeline(&reg)).with_options(spill_opts(np, 4, 1));
@@ -179,56 +175,11 @@ fn large_budget_never_spills() {
 }
 
 #[test]
-fn trace_captures_events() {
-    let reg = builtin_registry();
-    let exec = Executor::new(pipeline(&reg)).with_options(opts(1, false, 8));
-    let (_, report) = exec.run(noisy_dataset()).unwrap();
-    let edited = report
-        .ops
-        .iter()
-        .flat_map(|r| &r.trace)
-        .any(|e| matches!(e, TraceEvent::Edited { .. }));
-    let discarded = report
-        .ops
-        .iter()
-        .flat_map(|r| &r.trace)
-        .any(|e| matches!(e, TraceEvent::Discarded { .. }));
-    let dup = report
-        .ops
-        .iter()
-        .flat_map(|r| &r.trace)
-        .any(|e| matches!(e, TraceEvent::Duplicate { .. }));
-    assert!(edited && discarded && dup);
-}
-
-#[test]
-fn spilled_trace_captures_events_too() {
-    let reg = builtin_registry();
-    let mut options = spill_opts(2, 4, 1);
-    options.trace_examples = 8;
-    options.op_fusion = false;
-    let exec = Executor::new(pipeline(&reg)).with_options(options);
-    let (_, report) = exec.run(noisy_dataset()).unwrap();
-    assert!(report.spilled);
-    let dup = report
-        .ops
-        .iter()
-        .flat_map(|r| &r.trace)
-        .any(|e| matches!(e, TraceEvent::Duplicate { .. }));
-    let discarded = report
-        .ops
-        .iter()
-        .flat_map(|r| &r.trace)
-        .any(|e| matches!(e, TraceEvent::Discarded { .. }));
-    assert!(dup && discarded);
-}
-
-#[test]
 fn cache_resume_skips_completed_steps() {
     let dir = std::env::temp_dir().join(format!("dj-exec-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = CacheManager::new(&dir, CacheMode::Cache);
-    let exec = cached(&pipeline_recipe(), opts(1, false, 0));
+    let exec = cached(&pipeline_recipe(), opts(1, false));
     let (out1, r1) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
     assert_eq!(r1.resumed_steps, 0);
     let (out2, r2) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
@@ -292,7 +243,7 @@ fn under_budget_resume_stays_in_memory() {
     let dir = std::env::temp_dir().join(format!("dj-exec-memresume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = CacheManager::new(&dir, CacheMode::Cache);
-    let mut options = opts(3, true, 0);
+    let mut options = opts(3, true);
     options.shard_size = Some(4);
     let exec = cached(&pipeline_recipe(), options);
     let (out1, r1) = exec.run_with_cache(noisy_dataset(), &cache).unwrap();
@@ -322,7 +273,6 @@ fn the_budget_derived_spill_cut_fits_every_np() {
     for np in 1..=4usize {
         let exec = Executor::new(pipeline(&reg)).with_options(ExecOptions {
             num_workers: np,
-            trace_examples: 0,
             memory_budget: Some(budget),
             ..ExecOptions::default()
         });
@@ -449,7 +399,7 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let cache = CacheManager::new(dir.join("cache"), CacheMode::Cache);
-            let mut options = opts(np, true, 0);
+            let mut options = opts(np, true);
             options.shard_size = Some(shard_size);
             let exec = cached(&recipe, options);
             let (out, report) = exec.run_with_cache(base.clone(), &cache).unwrap();
@@ -480,11 +430,11 @@ fn barrier_worker_count_never_changes_output() {
     // reproduce it byte for byte.
     let reg = builtin_registry();
     let base = noisy_dataset();
-    let sequential = Executor::new(pipeline(&reg)).with_options(opts(1, true, 0));
+    let sequential = Executor::new(pipeline(&reg)).with_options(opts(1, true));
     let (expected, _) = sequential.run(base.clone()).unwrap();
     for np in [2usize, 4] {
         for shard_size in [1usize, 3, 1000] {
-            let mut options = opts(np, true, 0);
+            let mut options = opts(np, true);
             options.shard_size = Some(shard_size);
             let exec = Executor::new(pipeline(&reg)).with_options(options);
             let (out, report) = exec.run(base.clone()).unwrap();

@@ -189,9 +189,11 @@
 //!
 //! Per-shard [`ShardStats`](dj_core::ShardStats) accumulators merge into
 //! the per-op [`OpReport`]s (counts add; durations take the cross-shard
-//! max), so funnel/tracer/Fig. 4 outputs are unchanged from the
-//! op-at-a-time engine. Cache/checkpoint entries (`dj-store`) are saved at
-//! **stage** boundaries — the only points where a full dataset exists —
+//! max), so the Fig. 4(b) funnel is unchanged from the op-at-a-time
+//! engine. The engine keeps no samples for inspection: the Fig. 4(a)
+//! tracer is `dj_analyze::trace_op`, which dry-runs one op outside it.
+//! Cache/checkpoint entries (`dj-store`) are saved at **stage**
+//! boundaries — the only points where a full dataset exists —
 //! and named by content identity: stage *k*'s key chains FNV-1a from the
 //! resident input's digest over the identity (name and params, from
 //! [`executor_from_recipe`]) of every op up to the last one stage *k*
@@ -217,7 +219,7 @@ pub use executor::Executor;
 pub use fusion::{plan_fused, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
 pub use options::{default_parallelism, executor_from_recipe, ExecOptions, DEFAULT_IO_SHARD_SIZE};
-pub use report::{BarrierDecision, OpReport, RunReport, TraceEvent};
+pub use report::{BarrierDecision, OpReport, RunReport};
 pub use runtime::{
     JobControl, JobHandle, JobOutput, JobProgress, RetryPolicy, Runtime, RuntimeConfig,
 };

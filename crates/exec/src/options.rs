@@ -22,8 +22,6 @@ pub struct ExecOptions {
     pub num_workers: usize,
     /// Enable OP fusion + reordering (§6).
     pub op_fusion: bool,
-    /// How many trace examples to keep per OP (0 disables tracing).
-    pub trace_examples: usize,
     /// Target samples per shard. `None` = auto: cut
     /// `num_workers * 4` shards so workers can steal work from stragglers.
     pub shard_size: Option<usize>,
@@ -83,7 +81,6 @@ impl Default for ExecOptions {
         ExecOptions {
             num_workers: default_parallelism(),
             op_fusion: true,
-            trace_examples: 0,
             shard_size: None,
             memory_budget: None,
             spill_dir: None,
@@ -149,7 +146,6 @@ pub fn executor_from_recipe(
     Ok(exec.with_options(ExecOptions {
         num_workers: recipe.np,
         op_fusion: fusion,
-        trace_examples: 0,
         shard_size: recipe.shard_size,
         memory_budget: recipe.memory_budget,
         spill_dir: recipe.spill_dir.as_ref().map(PathBuf::from),

@@ -1,26 +1,13 @@
-//! What a run reports back: per-OP [`OpReport`]s with tracer events and the
-//! whole-pipeline [`RunReport`] (the Fig. 4 visualizations and the Fig. 8/9
-//! measurements read these).
+//! What a run reports back: per-OP [`OpReport`]s and the whole-pipeline
+//! [`RunReport`] (the Fig. 4(b)/(c) visualizations and the Fig. 8/9
+//! measurements read these; the Fig. 4(a) tracer is
+//! `dj_analyze::trace_op`).
 
 use std::time::Duration;
 
 use dj_core::ShardStats;
 
 use crate::fusion::PlanStep;
-
-/// A recorded per-OP observation for the interactive tracer (§4.2).
-#[derive(Debug, Clone)]
-pub enum TraceEvent {
-    /// A sample a Filter discarded, with the stats that decided it.
-    Discarded {
-        text: String,
-        stats: Vec<(String, f64)>,
-    },
-    /// A Mapper edit: before/after pair.
-    Edited { before: String, after: String },
-    /// A Deduplicator drop: the dropped near-duplicate's text.
-    Duplicate { dropped: String },
-}
 
 /// Per-OP execution report.
 #[derive(Debug, Clone)]
@@ -39,7 +26,6 @@ pub struct OpReport {
     /// Decompressed spill bytes decoded to run this step (spilled stages
     /// only; every step of a stage reports the stage's shared decode).
     pub bytes_decoded: u64,
-    pub trace: Vec<TraceEvent>,
 }
 
 /// Whole-pipeline execution report (feeds the Fig. 4 visualizations and the
@@ -102,7 +88,7 @@ pub struct RunReport {
     pub barrier_decisions: Vec<BarrierDecision>,
     /// Decompressed bytes the spilled stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes
-    /// where a step declared `FieldSet::All` or tracing was on) and the
+    /// where a step declared `FieldSet::All`) and the
     /// column regions a barrier's hash pass read. Applying a barrier's
     /// mask decodes nothing.
     pub bytes_decoded: u64,
@@ -150,21 +136,15 @@ impl RunReport {
     }
 }
 
-/// Merge per-shard stage outcomes (stats + traces, in shard order) into
-/// the run report's per-op entries.
+/// Merge per-shard stage stats (in shard order) into the run report's
+/// per-op entries.
 pub(crate) fn merge_stage_reports(
     steps: &[PlanStep],
-    mut per_shard: Vec<(Vec<ShardStats>, Vec<Vec<TraceEvent>>)>,
-    cap: usize,
+    per_shard: &[Vec<ShardStats>],
     report: &mut RunReport,
 ) {
     for (k, step) in steps.iter().enumerate() {
-        let stat = ShardStats::merged(per_shard.iter().map(|(stats, _)| &stats[k]));
-        let trace = per_shard
-            .iter_mut()
-            .flat_map(|(_, traces)| std::mem::take(&mut traces[k]))
-            .take(cap)
-            .collect();
+        let stat = ShardStats::merged(per_shard.iter().map(|stats| &stats[k]));
         report.ops.push(OpReport {
             name: step.name(),
             samples_in: stat.samples_in,
@@ -174,17 +154,6 @@ pub(crate) fn merge_stage_reports(
             duration: stat.duration,
             fused: step.is_fused(),
             bytes_decoded: stat.bytes_decoded,
-            trace,
         });
-    }
-}
-
-pub(crate) fn snippet(text: &str) -> String {
-    const MAX: usize = 120;
-    if text.chars().count() <= MAX {
-        text.to_string()
-    } else {
-        let cut: String = text.chars().take(MAX).collect();
-        format!("{cut}…")
     }
 }

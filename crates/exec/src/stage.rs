@@ -20,7 +20,7 @@ use crate::barrier::hash_samples;
 use crate::data::{widen_keep, Loaded, Sink, StageData};
 use crate::executor::Executor;
 use crate::fusion::PlanStep;
-use crate::report::{merge_stage_reports, snippet, RunReport, TraceEvent};
+use crate::report::{merge_stage_reports, RunReport};
 use crate::stream::{drive, Feed, RunCtl};
 
 impl Executor {
@@ -52,7 +52,7 @@ impl Executor {
     /// (so the barrier that follows skips its hash pass), and store the
     /// outcome in `sink`, which is finished into the stage's output with
     /// the masks of slots that still store dropped samples and the
-    /// survivors' fingerprints. Per-shard stats, traces and fingerprints
+    /// survivors' fingerprints. Per-shard stats and fingerprints
     /// join in shard order, so output and report are independent of worker
     /// scheduling.
     pub(crate) fn drive_stage(
@@ -64,7 +64,6 @@ impl Executor {
         ctl: &RunCtl,
         report: &mut RunReport,
     ) -> Result<StageData> {
-        let cap = self.options.trace_examples;
         // Kept samples pass every filter of a commutable window under any
         // order and collect the same (key-sorted) stats, and reordering
         // never changes the stage's union footprint, so neither the output
@@ -81,7 +80,7 @@ impl Executor {
             let mut ctx = SampleContext::new();
             let order = sched.as_ref().map(StageSchedule::order);
             let live = order.as_ref().map_or(steps, |o| &o.steps);
-            let mut outcome = run_stage_on_shard(live, shard, &mut ctx, cap, ctl.ledger(), i)?;
+            let mut outcome = run_stage_on_shard(live, shard, &mut ctx, ctl.ledger(), i)?;
             if let (Some(sched), Some(order)) = (&sched, &order) {
                 outcome = remap_outcome(order, outcome);
                 sched.observe(&outcome.stats);
@@ -94,21 +93,20 @@ impl Executor {
             for st in &mut outcome.stats {
                 st.bytes_decoded = decoded;
             }
-            let (stats, traces) = (outcome.stats, outcome.traces);
-            Ok((stats, traces, decoded, passthrough, mask, fingerprints))
+            Ok((outcome.stats, decoded, passthrough, mask, fingerprints))
         })?;
         report.shards = report.shards.max(per_shard.len());
         let mut merged = Vec::with_capacity(per_shard.len());
         let mut masks = Vec::with_capacity(per_shard.len());
         let mut fingerprints = Vec::with_capacity(per_shard.len());
-        for (stats, traces, decoded, passthrough, mask, fp) in per_shard {
+        for (stats, decoded, passthrough, mask, fp) in per_shard {
             report.bytes_decoded += decoded;
             report.bytes_passthrough += passthrough;
-            merged.push((stats, traces));
+            merged.push(stats);
             masks.push(mask);
             fingerprints.push(fp);
         }
-        merge_stage_reports(steps, merged, cap, report);
+        merge_stage_reports(steps, &merged, report);
         if let Some(sched) = &sched {
             report.replans += sched.replans.load(Ordering::Relaxed);
         }
@@ -129,7 +127,7 @@ impl Executor {
         if steps.is_empty() {
             return Ok(data);
         }
-        let cols = stage_decode_columns(steps, next_dedup, self.options.trace_examples);
+        let cols = stage_decode_columns(steps, next_dedup);
         let mut data = data.resharded(&self.options);
         let (feed, sink) = data.open(self, cols.as_ref())?;
         self.drive_stage(steps, next_dedup, &feed, sink, ctl, report)
@@ -137,21 +135,14 @@ impl Executor {
 }
 
 /// The top-level columns a spilled pipeline stage must decode, or `None`
-/// for every column.
+/// for every column (a step declared [`FieldSet::All`]).
 ///
 /// The set is the union of every step's read+write footprint, plus the
 /// next barrier's read footprint when fingerprints are computed on spill.
-/// Tracing reads sample text and stats outside any op's declared fields,
-/// so a non-zero trace cap disables projection rather than producing
-/// truncated trace events.
 fn stage_decode_columns(
     steps: &[PlanStep],
     next_dedup: Option<&dyn Deduplicator>,
-    trace_cap: usize,
 ) -> Option<BTreeSet<String>> {
-    if trace_cap > 0 {
-        return None;
-    }
     let mut fields = steps
         .iter()
         .fold(FieldSet::none(), |acc, s| acc.union(s.footprint()));
@@ -167,7 +158,7 @@ struct StepOrder {
     /// Steps in execution order.
     steps: Vec<PlanStep>,
     /// `canon[pos]` = canonical index of `steps[pos]` — remaps per-shard
-    /// stats/traces onto the plan's step list before merging.
+    /// stats onto the plan's step list before merging.
     canon: Vec<usize>,
 }
 
@@ -316,28 +307,20 @@ impl StageSchedule {
 }
 
 /// Remap a shard outcome produced under `order` back onto canonical step
-/// positions, so per-shard stats and traces merge by plan index no matter
-/// which order each shard actually ran.
+/// positions, so per-shard stats merge by plan index no matter which
+/// order each shard actually ran.
 fn remap_outcome(order: &StepOrder, outcome: ShardOutcome) -> ShardOutcome {
-    let n = order.canon.len();
-    let mut stats = vec![ShardStats::default(); n];
-    let mut traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); n];
-    for (pos, (s, t)) in outcome.stats.into_iter().zip(outcome.traces).enumerate() {
+    let mut stats = vec![ShardStats::default(); order.canon.len()];
+    for (pos, s) in outcome.stats.into_iter().enumerate() {
         stats[order.canon[pos]] = s;
-        traces[order.canon[pos]] = t;
     }
-    ShardOutcome {
-        stats,
-        traces,
-        ..outcome
-    }
+    ShardOutcome { stats, ..outcome }
 }
 
 /// What one shard produces after running a whole pipeline stage.
 struct ShardOutcome {
     shard: Dataset,
     stats: Vec<ShardStats>,
-    traces: Vec<Vec<TraceEvent>>,
     /// Per input sample, whether it survived the stage (in input order).
     /// Widened over the frame's stored samples, it is what a spool's
     /// splice leaves on the spool as the slot's mask, in place of cutting
@@ -400,14 +383,12 @@ fn run_stage_on_shard(
     steps: &[PlanStep],
     shard: Dataset,
     ctx: &mut SampleContext,
-    trace_cap: usize,
     ledger: Option<&ErrorLedger>,
     shard_idx: usize,
 ) -> Result<ShardOutcome> {
     // Chaos-harness injection point: one fault per stage-shard pass.
     faults::check("exec.worker.step")?;
     let mut stats = vec![ShardStats::default(); steps.len()];
-    let mut traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); steps.len()];
     let mut kept = Vec::with_capacity(shard.len());
     let mut keep_mask = Vec::with_capacity(shard.len());
 
@@ -418,8 +399,6 @@ fn run_stage_on_shard(
         let mut step_start = Instant::now();
         for (k, step) in steps.iter().enumerate() {
             stats[k].samples_in += 1;
-            let tracing_edit = matches!(step, PlanStep::Mapper(_)) && trace_cap > traces[k].len();
-            let before = tracing_edit.then(|| sample.text().to_string());
             let verdict = match apply_step(step, &mut sample, ctx) {
                 Ok(verdict) => verdict,
                 Err((e, op)) => {
@@ -441,21 +420,9 @@ fn run_stage_on_shard(
                 Verdict::Keep { changed } => {
                     stats[k].samples_out += 1;
                     stats[k].changed += usize::from(changed);
-                    if let (true, Some(before)) = (changed, before) {
-                        traces[k].push(TraceEvent::Edited {
-                            before: snippet(&before),
-                            after: snippet(sample.text()),
-                        });
-                    }
                 }
                 Verdict::Drop => {
                     stats[k].removed += 1;
-                    if traces[k].len() < trace_cap {
-                        traces[k].push(TraceEvent::Discarded {
-                            text: snippet(sample.text()),
-                            stats: sample.stats(),
-                        });
-                    }
                     keep_mask.push(false);
                     continue 'samples;
                 }
@@ -468,7 +435,6 @@ fn run_stage_on_shard(
     Ok(ShardOutcome {
         shard: Dataset::from_samples(kept),
         stats,
-        traces,
         keep: keep_mask,
     })
 }

@@ -17,7 +17,7 @@ use data_juicer::synth::{ift_subset, IftSubsetSpec};
 fn main() -> Result<()> {
     // An instruction dataset with the weaknesses Fig. 5 uncovers: low
     // expression diversity and junky short responses.
-    let mut original = ift_subset(
+    let original = ift_subset(
         5,
         &IftSubsetSpec::new("raw-ift", 1500)
             .diversity(0.25)
@@ -25,7 +25,10 @@ fn main() -> Result<()> {
     );
 
     // ---- Step 1: analyze the original dataset -------------------------
-    let probe = Analyzer::new().probe(&mut original);
+    // Probe a copy: a probe records its stats on the samples, and a filter
+    // that finds a stat of its name already recorded reuses it, even when
+    // the probe measured another field.
+    let probe = Analyzer::new().probe(&mut original.clone());
     println!(
         "STEP 1 — original data probe ({} samples)",
         probe.sample_count
@@ -42,16 +45,19 @@ fn main() -> Result<()> {
     // ---- Step 2: refine the recipe parameters -------------------------
     // The probe shows junk (very short responses) and repetition: tighten
     // word_repetition and length thresholds — the exact edit Fig. 5 shows
-    // (rep_len 10→3, max_ratio 0.5→0.23).
+    // (rep_len 10→3, max_ratio 0.5→0.23). Both filters judge the response:
+    // `text` also holds the instruction, which hides a short junk answer.
     let mut recipe = Recipe::new("ift-refine")
         .then(OpSpec::new("whitespace_normalization_mapper"))
         .then(
             OpSpec::new("word_repetition_filter")
+                .with("field", "response")
                 .with("rep_len", 10i64)
                 .with("max_ratio", 0.5),
         )
         .then(
             OpSpec::new("text_length_filter")
+                .with("field", "response")
                 .with("min_len", 5.0)
                 .with("max_len", 1e6),
         )
@@ -69,6 +75,10 @@ fn main() -> Result<()> {
         "STEP 3 — processed: {} -> {} samples",
         report.initial_samples,
         refined.len()
+    );
+    assert!(
+        refined.len() < report.initial_samples,
+        "the refined recipe must drop the junk"
     );
 
     // ---- Step 4: analyze the refined dataset --------------------------

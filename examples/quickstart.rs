@@ -39,13 +39,12 @@ process:
 "#,
     )?;
 
-    // 3. Build against the 50+-OP registry and execute with tracing.
+    // 3. Build against the 50+-OP registry and execute.
     let registry = builtin_registry();
     let ops = recipe.build_ops(&registry)?;
     let exec = Executor::new(ops).with_options(ExecOptions {
         num_workers: recipe.np,
         op_fusion: true,
-        trace_examples: 2,
         shard_size: None,
         ..ExecOptions::default()
     });

@@ -2,8 +2,8 @@
 //!
 //! A from-scratch Rust reproduction of **Data-Juicer** (SIGMOD 2024): a
 //! composable operator pool for cleaning, filtering and deduplicating LLM
-//! training corpora, with a feedback loop of analyzers, visualizers,
-//! tracers, samplers, HPO and (simulated) auto-evaluation, plus the system
+//! training corpora, with a feedback loop of analyzers, visualizers, a
+//! tracer, samplers, HPO and (simulated) auto-evaluation, plus the system
 //! optimizations the paper describes — context management, OP fusion &
 //! reordering, caching/checkpointing with compression, and sharded,
 //! out-of-core execution. (Fig. 10's distributed scaling is a wall-time

@@ -5,10 +5,12 @@
 //! metadata-heavy corpus, the byte accounting, the retired recipe knob and
 //! the masks a stage leaves on its spool.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::{Dataset, Sample, Value};
+use data_juicer::core::{Dataset, Mapper, Op, Result, Sample, SampleContext, Value};
 use data_juicer::exec::{executor_from_recipe, EgressManifest, ExecOptions, Executor};
 use data_juicer::hash::fnv1a;
 use data_juicer::ops::builtin_registry;
@@ -69,7 +71,6 @@ fn spill_opts() -> ExecOptions {
     ExecOptions {
         num_workers: 2,
         op_fusion: true,
-        trace_examples: 0,
         shard_size: Some(8),
         memory_budget: Some(1),
         ..ExecOptions::default()
@@ -81,7 +82,6 @@ fn resident_run(ops: &[data_juicer::core::Op], data: Dataset) -> Dataset {
     let baseline = Executor::new(ops.to_vec()).with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
-        trace_examples: 0,
         ..ExecOptions::default()
     });
     baseline.run(data).unwrap().0
@@ -191,19 +191,77 @@ fn recipe_columnar_knob_round_trips_and_changes_nothing() {
     assert!(report.bytes_passthrough > 0);
 }
 
-/// Tracing decodes everything (trace events quote sample text), but must
-/// not change the output either.
+/// A mapper that declares no footprint: it reads a metadata column and
+/// rewrites `text` with it, so a stage that runs it must decode every
+/// column.
+struct DocidStamp;
+
+impl Mapper for DocidStamp {
+    fn name(&self) -> &'static str {
+        "docid_stamp_mapper"
+    }
+    fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
+        let docid = sample.value().get_path("docid").and_then(Value::as_str);
+        let tail = docid.map_or("", |id| &id[id.len().saturating_sub(8)..]);
+        let stamped = format!("{} #{tail}", sample.text());
+        sample.set_text(stamped);
+        Ok(true)
+    }
+}
+
+/// A stage behind a barrier whose mapper declares no footprint
+/// (`FieldSet::All`) decodes every column of every sample the barrier's
+/// mask keeps, so nothing splices through: spilled and file to file, the
+/// output is the resident run's byte for byte, and no byte passes through
+/// undecoded.
 #[test]
-fn columnar_with_tracing_still_matches() {
-    let registry = builtin_registry();
+fn a_mapper_without_a_footprint_decodes_every_column_behind_a_barrier() {
     let data = metadata_heavy_corpus(60);
-    let ops = full_recipe().build_ops(&registry).unwrap();
-    let expected = resident_run(&ops, data.clone());
-    let mut opts = spill_opts();
-    opts.trace_examples = 3;
-    let (out, report) = Executor::new(ops).with_options(opts).run(data).unwrap();
-    assert_eq!(out, expected);
-    assert!(report.ops.iter().any(|o| !o.trace.is_empty()));
+    let mut ops = Recipe::new("no-footprint")
+        .then(OpSpec::new("document_deduplicator"))
+        .then(
+            OpSpec::new("text_length_filter")
+                .with("min_len", 300.0)
+                .with("max_len", 1e9),
+        )
+        .build_ops(&builtin_registry())
+        .unwrap();
+    ops.insert(1, Op::Mapper(Arc::new(DocidStamp)));
+    let expected = to_jsonl(&resident_run(&ops, data.clone()));
+    assert!(expected.contains(" #0000"), "the mapper stamped no docid");
+
+    let (out, report) = Executor::new(ops.clone())
+        .with_options(spill_opts())
+        .run(data.clone())
+        .unwrap();
+    assert!(report.spilled);
+    assert_eq!(to_jsonl(&out), expected, "spilled");
+    assert!(report.ops.iter().any(|o| o.removed > 0));
+    assert!(report.bytes_decoded > 0);
+    assert_eq!(report.bytes_passthrough, 0, "spilled");
+
+    let input = tmp_dir("all-in");
+    std::fs::create_dir_all(&input).unwrap();
+    std::fs::write(input.join("corpus.jsonl"), to_jsonl(&data)).unwrap();
+    let out_dir = tmp_dir("all-out");
+    let (_, report) = Executor::new(ops)
+        .with_options(ExecOptions {
+            input: Some(format!("{}/*.jsonl", input.display())),
+            output: Some(out_dir.clone()),
+            ..spill_opts()
+        })
+        .run_io()
+        .unwrap();
+    let manifest = EgressManifest::load(&out_dir).unwrap();
+    let output: String = manifest
+        .parts
+        .iter()
+        .map(|p| std::fs::read_to_string(out_dir.join(&p.file)).unwrap())
+        .collect();
+    assert_eq!(output, expected, "file to file");
+    assert_eq!(report.bytes_passthrough, 0, "file to file");
+    let _ = std::fs::remove_dir_all(&input);
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 /// The meta benchmark's shape: an exact-dedup barrier, a stage whose
@@ -251,7 +309,6 @@ fn a_stage_mask_keeps_carried_fingerprints_file_to_file() {
     let (expected, _) = Executor::new(ops.clone())
         .with_options(ExecOptions {
             num_workers: 1,
-            trace_examples: 0,
             ..ExecOptions::default()
         })
         .run(data.clone())
@@ -265,7 +322,6 @@ fn a_stage_mask_keeps_carried_fingerprints_file_to_file() {
         let (_, report) = Executor::new(ops.clone())
             .with_options(ExecOptions {
                 num_workers: np,
-                trace_examples: 0,
                 shard_size: Some(8),
                 input: Some(format!("{}/*.jsonl", input.display())),
                 output: Some(out_dir.clone()),
@@ -312,7 +368,6 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
             .unwrap()
             .with_options(ExecOptions {
                 num_workers: np,
-                trace_examples: 0,
                 shard_size: Some(8),
                 memory_budget: Some(1),
                 spill_dir: Some(dir.join("spill")),

@@ -2,7 +2,7 @@
 //! the catalog against the registry, full pipeline runs over synthetic
 //! corpora, and the analyzer/evaluator chain.
 
-use data_juicer::analyze::Analyzer;
+use data_juicer::analyze::{trace_op, Analyzer};
 use data_juicer::config::{recipes, Recipe};
 use data_juicer::eval::{measure_profile, ProxyLlm};
 use data_juicer::exec::{ExecOptions, Executor, Runtime, RuntimeConfig};
@@ -114,6 +114,39 @@ fn refinement_improves_measured_quality_and_proxy_score() {
     let s_raw = llm.evaluate("raw", &p_raw, 100.0).average();
     let s_ref = llm.evaluate("refined", &p_ref, 100.0).average();
     assert!(s_ref > s_raw, "refined {s_ref} must beat raw {s_raw}");
+}
+
+/// The tracer dry-runs one op at a time; advanced op by op over Fig. 4's
+/// input, it must see exactly what the engine's unfused run reports for
+/// each op, and end on the same data.
+#[test]
+fn the_tracer_agrees_with_the_engine_op_by_op() {
+    let ops = recipes::commoncrawl_refine()
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let data = web_corpus(404, 600, WebNoise::default());
+    let options = ExecOptions {
+        num_workers: 2,
+        op_fusion: false,
+        ..ExecOptions::default()
+    };
+    let (expected, report) = Executor::new(ops.clone())
+        .with_options(options.clone())
+        .run(data.clone())
+        .unwrap();
+    assert_eq!(report.ops.len(), ops.len());
+    let mut current = data;
+    for (op, engine) in ops.iter().zip(&report.ops) {
+        let trace = trace_op(op, &current).unwrap();
+        assert_eq!(trace.op_name, engine.name);
+        assert_eq!(trace.samples_seen, engine.samples_in, "{}", engine.name);
+        assert_eq!(trace.removed(), engine.removed, "{}", engine.name);
+        assert_eq!(trace.edited(), engine.changed, "{}", engine.name);
+        let step = Executor::new(vec![op.clone()]).with_options(options.clone());
+        current = step.run(current).unwrap().0;
+    }
+    assert_eq!(current, expected);
+    assert!(report.ops.iter().any(|o| o.changed > 0) && report.final_samples < 600);
 }
 
 #[test]

@@ -35,7 +35,6 @@ fn run_in(
         .with_options(ExecOptions {
             num_workers: np,
             op_fusion: fusion,
-            trace_examples: 0,
             shard_size: memory_budget.map(|_| 7),
             memory_budget,
             ..ExecOptions::default()

@@ -62,7 +62,6 @@ fn mapper_error_propagates_serial_and_parallel() {
             Executor::new(vec![Op::Mapper(Arc::new(FailingMapper))]).with_options(ExecOptions {
                 num_workers: np,
                 op_fusion: false,
-                trace_examples: 0,
                 shard_size: None,
                 ..ExecOptions::default()
             });
@@ -80,7 +79,6 @@ fn mapper_error_propagates_through_spilled_execution() {
             Executor::new(vec![Op::Mapper(Arc::new(FailingMapper))]).with_options(ExecOptions {
                 num_workers: np,
                 op_fusion: false,
-                trace_examples: 0,
                 shard_size: Some(8),
                 memory_budget: Some(1),
                 spill_dir: None,
@@ -149,7 +147,6 @@ fn run_restarts_cleanly_after_simulated_mid_stage_kill() {
     let exec = Executor::new(ops.clone()).with_options(ExecOptions {
         num_workers: 2,
         op_fusion: false,
-        trace_examples: 0,
         shard_size: Some(8),
         memory_budget: Some(1),
         spill_dir: Some(dir.clone()),
@@ -179,7 +176,6 @@ fn filter_error_propagates_through_fused_plan() {
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(8),
             memory_budget,
             ..ExecOptions::default()
@@ -208,7 +204,6 @@ fn corrupt_cache_entry_falls_back_to_fresh_execution() {
     let exec = exec.with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
-        trace_examples: 0,
         shard_size: None,
         ..ExecOptions::default()
     });

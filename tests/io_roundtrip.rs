@@ -47,7 +47,6 @@ fn in_memory_reference(ops: Vec<data_juicer::core::Op>, data: Dataset) -> Datase
     let exec = Executor::new(ops).with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
-        trace_examples: 0,
         ..ExecOptions::default()
     });
     exec.run(data).unwrap().0
@@ -110,7 +109,6 @@ fn file_backed_run_is_byte_identical_to_in_memory() {
     let (np, shard_size) = (3usize, 8usize);
     let exec = Executor::new(ops.clone()).with_options(ExecOptions {
         num_workers: np,
-        trace_examples: 0,
         shard_size: Some(shard_size),
         input: Some(pattern.clone()),
         output: Some(out_dir.clone()),
@@ -175,7 +173,6 @@ fn frames_egress_round_trips_through_the_frame_format() {
     let _ = fs::remove_dir_all(&out_dir);
     let exec = Executor::new(ops.clone()).with_options(ExecOptions {
         num_workers: 2,
-        trace_examples: 0,
         shard_size: Some(6),
         input: Some(pattern.clone()),
         output: Some(out_dir.clone()),
@@ -219,7 +216,6 @@ fn malformed_record_is_a_typed_error_with_line_number() {
     let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
     let exec = Executor::new(ops).with_options(ExecOptions {
         num_workers: 2,
-        trace_examples: 0,
         shard_size: Some(2),
         input: Some(format!("{}/bad.jsonl", dir.display())),
         ..ExecOptions::default()
@@ -255,7 +251,6 @@ fn csv_ingest_end_to_end() {
         .unwrap();
     let exec = Executor::new(ops.clone()).with_options(ExecOptions {
         num_workers: 2,
-        trace_examples: 0,
         shard_size: Some(2),
         input: Some(format!("{}/*.csv", dir.display())),
         ..ExecOptions::default()
@@ -289,7 +284,6 @@ fn fixture_corpus_runs_end_to_end() {
     let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
     let exec = Executor::new(ops.clone()).with_options(ExecOptions {
         num_workers: 2,
-        trace_examples: 0,
         shard_size: Some(4),
         input: Some(pattern.clone()),
         ..ExecOptions::default()
@@ -347,7 +341,6 @@ proptest! {
 
         let options = ExecOptions {
             num_workers: np,
-            trace_examples: 0,
             shard_size: Some(shard_size),
             input: Some(pattern),
             ..ExecOptions::default()

@@ -25,7 +25,7 @@ use data_juicer::config::{recipes, OpSpec, Recipe};
 use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
 use data_juicer::exec::{
     executor_from_recipe, EgressManifest, ExecOptions, Executor, OutputFormat, RunReport, Runtime,
-    RuntimeConfig, TraceEvent,
+    RuntimeConfig,
 };
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
@@ -99,9 +99,6 @@ struct Mode {
     /// Submitted as a job to the test's [`runtime`] (`submit` /
     /// `submit_io`, then `wait`) instead of calling the executor.
     runtime: bool,
-    /// `trace_examples`: a non-zero cap makes barriers collect duplicate
-    /// traces (and spilled stages decode every column).
-    trace: usize,
     /// Modes that write parts write `frames` parts instead of JSONL.
     frames: bool,
     /// A resident input (in-memory or spilled) submitted as a runtime job
@@ -125,7 +122,6 @@ impl Mode {
             np: 2,
             adaptive: false,
             runtime: false,
-            trace: 0,
             frames: false,
             egress: false,
         }
@@ -151,10 +147,10 @@ impl Mode {
         modes
     }
 
-    /// The ways out of a barrier: every shape × np × `trace_examples`
-    /// {0, 2} × `jsonl` / `frames` output (the output format only exists
-    /// for the modes that write parts: the file shape, and each resident
-    /// shape again as a runtime job with `output` set).
+    /// The ways out of a barrier: every shape × np × `jsonl` / `frames`
+    /// output (the output format only exists for the modes that write
+    /// parts: the file shape, and each resident shape again as a runtime
+    /// job with `output` set).
     fn ways_out() -> Vec<Mode> {
         let mut modes = Vec::new();
         for base in SHAPES.into_iter().flat_map(|shape| {
@@ -164,24 +160,17 @@ impl Mode {
             })
         }) {
             let file = base.shape == Shape::File;
-            for trace in [0, 2] {
-                for frames in [false, true] {
-                    if file || !frames {
-                        modes.push(Mode {
-                            trace,
-                            frames,
-                            ..base
-                        });
-                    }
-                    if !file {
-                        modes.push(Mode {
-                            trace,
-                            frames,
-                            egress: true,
-                            runtime: true,
-                            ..base
-                        });
-                    }
+            for frames in [false, true] {
+                if file || !frames {
+                    modes.push(Mode { frames, ..base });
+                }
+                if !file {
+                    modes.push(Mode {
+                        frames,
+                        egress: true,
+                        runtime: true,
+                        ..base
+                    });
                 }
             }
         }
@@ -195,7 +184,6 @@ impl Mode {
             shard_size: Some(shard_size),
             memory_budget: (self.shape == Shape::Spill).then_some(1),
             adaptive: self.adaptive,
-            trace_examples: self.trace,
             output_format: if self.frames {
                 OutputFormat::Frames
             } else {
@@ -462,30 +450,11 @@ fn corner_recipes_and_corpora_match_the_oracle_in_every_mode() {
     check_case(&leading, &Case::new("one", corpus(8, 1), 1));
 }
 
-/// What each barrier traced: `(op name, dropped snippets)`.
-type DuplicateTraces = Vec<(String, Vec<String>)>;
-
-fn duplicate_traces(report: &RunReport) -> DuplicateTraces {
-    report
-        .ops
-        .iter()
-        .filter(|op| op.name.contains("dedup"))
-        .map(|op| {
-            let dropped = op.trace.iter().map(|event| match event {
-                TraceEvent::Duplicate { dropped } => dropped.clone(),
-                other => panic!("{}: a barrier traced {other:?}", op.name),
-            });
-            (op.name.clone(), dropped.collect())
-        })
-        .collect()
-}
-
 /// A spilled barrier writes nothing — its mask rides on the spool to
 /// whatever opens it next. Every next thing, in every shape: JSONL egress
 /// (transcoded), `frames` egress (a masked decode into row frames),
 /// materialization, a following stage, a second
-/// barrier with no stage between. With a trace cap the duplicate snippets
-/// are borrowed from the undecoded frames and must be the resident run's.
+/// barrier with no stage between.
 #[test]
 fn a_deferred_mask_reaches_every_way_out() {
     let terminal = [0, 3, 8];
@@ -505,23 +474,9 @@ fn a_deferred_mask_reaches_every_way_out() {
     for (picks, case) in &cases {
         let ops = build(picks);
         let expected = to_jsonl(&oracle(&ops, case.data.clone()));
-        // The reference per trace cap: what the first mode (resident) traced.
-        let mut traces: [Option<DuplicateTraces>; 3] = [None, None, None];
         for mode in Mode::ways_out() {
-            let (out, report) = mode.run(&ops, case);
+            let (out, _) = mode.run(&ops, case);
             assert_eq!(out, expected, "{mode:?} picks={picks:?}");
-            let got = duplicate_traces(&report);
-            for (name, dropped) in &got {
-                let removed = report
-                    .ops
-                    .iter()
-                    .find(|op| &op.name == name)
-                    .unwrap()
-                    .removed;
-                assert_eq!(dropped.len(), mode.trace.min(removed), "{mode:?} {name}");
-            }
-            let want = traces[mode.trace].get_or_insert_with(|| got.clone());
-            assert_eq!(&got, want, "{mode:?} picks={picks:?}: duplicate traces");
         }
     }
 }

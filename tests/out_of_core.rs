@@ -48,7 +48,6 @@ fn spill_exec(np: usize, shard_size: usize, dir: Option<PathBuf>) -> Executor {
     exec.with_options(ExecOptions {
         num_workers: np,
         op_fusion: true,
-        trace_examples: 0,
         shard_size: Some(shard_size),
         memory_budget: Some(1),
         spill_dir: dir,
@@ -73,7 +72,6 @@ fn np_scales_the_resident_ceiling() {
     let baseline = Executor::new(ops).with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
-        trace_examples: 0,
         ..ExecOptions::default()
     });
     let (expected, _) = baseline.run(data.clone()).unwrap();
@@ -183,7 +181,6 @@ fn spill_dir_is_cleaned_even_when_the_run_fails() {
     let exec = Executor::new(vec![Op::Mapper(Arc::new(Poisoned))]).with_options(ExecOptions {
         num_workers: 2,
         op_fusion: false,
-        trace_examples: 0,
         shard_size: Some(8),
         memory_budget: Some(1),
         spill_dir: Some(dir.clone()),

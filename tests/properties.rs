@@ -238,7 +238,6 @@ proptest! {
         let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 1,
             op_fusion: false,
-            trace_examples: 0,
             shard_size: None,
             spill_dir: None,
             ..ExecOptions::default()
@@ -252,7 +251,6 @@ proptest! {
                 let exec = Executor::new(ops.clone()).with_options(ExecOptions {
                     num_workers: 4,
                     op_fusion: fusion,
-                    trace_examples: 0,
                     shard_size: Some(shard_size),
                     ..ExecOptions::default()
                 });
@@ -293,7 +291,6 @@ proptest! {
         let reference = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: workers,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(shard_size),
             spill_dir: None,
             ..ExecOptions::default()
@@ -311,7 +308,6 @@ proptest! {
         let spilled = Executor::new(ops).with_options(ExecOptions {
             num_workers: workers,
             op_fusion: true,
-            trace_examples: 0,
             shard_size: Some(shard_size),
             memory_budget: Some(budget),
             spill_dir: Some(spill_dir.clone()),
