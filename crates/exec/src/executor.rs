@@ -89,9 +89,10 @@ impl Executor {
         Ok(ledger)
     }
 
-    /// A fresh spill spool.
-    pub(crate) fn new_spool(&self, slots: usize) -> Result<ShardSpool> {
-        ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
+    /// A fresh spill spool, in the run's buffers.
+    pub(crate) fn new_spool(&self, slots: usize, ctl: &RunCtl) -> Result<ShardSpool> {
+        let pool = ctl.buffers().clone();
+        ShardSpool::create_pooled(self.fresh_spill_dir(), slots, SPILL_CODEC, pool)
     }
 
     /// Execute the pipeline over an in-memory dataset and return the
@@ -206,7 +207,8 @@ impl Executor {
                 let resumed = cache.as_ref().and_then(|(cm, keys)| {
                     let (idx, entry) = cm.latest_match(keys).ok()??;
                     let budget = budget.unwrap_or(u64::MAX);
-                    let data = StageData::from_cached(entry, budget, || self.new_spool(0)).ok()?;
+                    let data =
+                        StageData::from_cached(entry, budget, || self.new_spool(0, &ctl)).ok()?;
                     // Checkpoint mode retires it once the next stage saves.
                     saved = Some(keys[idx]);
                     report.spilled |= data.is_spilled();
@@ -286,7 +288,7 @@ impl Executor {
         let feed = reader_feed(&reader, shard_size);
         // Slot count 0: the spool grows with the stream — the corpus
         // length is unknown until it is dry.
-        let sink = Sink::Spool(self.new_spool(0)?, None);
+        let sink = Sink::Spool(self.new_spool(0, ctl)?, None);
         let fp_dedup = next_barrier(stages, ran);
         let data = self.drive_stage(steps, fp_dedup, &feed, sink, ctl, report)?;
         drop(feed);
@@ -365,6 +367,7 @@ impl Executor {
         data: StageData,
         budget: Option<u64>,
         upcoming: Option<&dyn Deduplicator>,
+        ctl: &RunCtl,
         report: &mut RunReport,
     ) -> Result<StageData> {
         let Some(budget) = budget else {
@@ -376,7 +379,7 @@ impl Executor {
         }
         let shard_count = self.spill_shard_count(len, bytes, budget);
         report.spilled = true;
-        data.spill(self.new_spool(shard_count)?, shard_count, upcoming)
+        data.spill(self.new_spool(shard_count, ctl)?, shard_count, upcoming)
     }
 
     /// Run one stage over the dataset, spilling first if the budget
@@ -395,11 +398,11 @@ impl Executor {
     ) -> Result<StageData> {
         match stage {
             Stage::Pipeline { steps, .. } => {
-                let data = self.maybe_spill(data, budget, None, report)?;
+                let data = self.maybe_spill(data, budget, None, ctl, report)?;
                 self.run_pipeline_stage(steps, next_dedup, data, ctl, report)
             }
             Stage::Barrier { dedup, .. } => {
-                let data = self.maybe_spill(data, budget, Some(dedup.as_ref()), report)?;
+                let data = self.maybe_spill(data, budget, Some(dedup.as_ref()), ctl, report)?;
                 self.run_dedup_stage(dedup.as_ref(), data, ctl, report)
             }
         }

@@ -129,7 +129,7 @@ impl Executor {
         }
         let cols = stage_decode_columns(steps, next_dedup);
         let mut data = data.resharded(&self.options);
-        let (feed, sink) = data.open(self, cols.as_ref())?;
+        let (feed, sink) = data.open(self, cols.as_ref(), ctl)?;
         self.drive_stage(steps, next_dedup, &feed, sink, ctl, report)
     }
 }

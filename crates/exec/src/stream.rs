@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use dj_core::sync::lock;
 use dj_core::{faults, DjError, ResidencyGauge, Result, Step, WorkerPool};
 use dj_io::ErrorLedger;
+use dj_store::BufferPool;
 
 use crate::runtime::JobControl;
 
@@ -33,6 +34,10 @@ pub(crate) struct RunCtl {
     /// Record-level error policy for this run; shard workers route
     /// per-sample OP failures through it.
     ledger: Option<Arc<ErrorLedger>>,
+    /// The buffers every spool of this run reads, encodes and decompresses
+    /// in, reused shard after shard; a runtime job's are released when a
+    /// pass ends ([`drive`]).
+    buffers: BufferPool,
 }
 
 impl RunCtl {
@@ -41,7 +46,12 @@ impl RunCtl {
             gauge: ResidencyGauge::default(),
             job,
             ledger,
+            buffers: BufferPool::default(),
         }
+    }
+
+    pub(crate) fn buffers(&self) -> &BufferPool {
+        &self.buffers
     }
 
     pub(crate) fn ledger(&self) -> Option<&ErrorLedger> {
@@ -183,6 +193,15 @@ where
         }
     });
 
+    // A run alone in its process keeps its buffers for the next pass. A
+    // runtime job shares the process with other jobs, and every job kept
+    // the buffers of all its passes at once: `serve-4tenant`'s peak RSS
+    // rose 10 %. So a job's pass lets go of them instead. A direct run that
+    // released them too gave up 13 MB of `meta-file-col`'s peak RSS, because
+    // the allocator serves what a later pass takes from a heap it grows.
+    if ctl.job.is_some() {
+        ctl.buffers.release();
+    }
     if let Some(e) = first_err
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -241,6 +260,18 @@ mod tests {
             "{tag}: {} live shards > {workers} workers",
             ctl.peak_samples()
         );
+    }
+
+    #[test]
+    fn a_runtime_jobs_pass_releases_the_runs_buffers_and_a_direct_runs_keeps_them() {
+        use dj_store::Holds;
+        let (job_ctl, _job) = ctl();
+        for (ctl, kept) in [(RunCtl::new(None, None), true), (job_ctl, false)] {
+            drop(ctl.buffers().take(Holds::Raw, 4096));
+            drive(&test_feed(3, true, None), 2, &ctl, |_, i| Ok(i)).unwrap();
+            let after = ctl.buffers().take_largest(Holds::Raw).capacity();
+            assert_eq!(after >= 4096, kept, "capacity {after} after the pass");
+        }
     }
 
     #[test]

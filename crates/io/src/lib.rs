@@ -37,4 +37,4 @@ pub use policy::{
     cleanup_partial_egress, read_quarantine, ErrorLedger, QuarantineEntry, QUARANTINE_FILE,
 };
 pub use reader::{detect_format, CorpusReader, FileFormat};
-pub use writer::{EgressManifest, OutputFormat, PartEntry, ShardedWriter, MANIFEST_FILE};
+pub use writer::{EgressManifest, OutputFormat, PartEntry, PartHash, ShardedWriter, MANIFEST_FILE};

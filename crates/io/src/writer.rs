@@ -2,12 +2,15 @@
 //!
 //! Output is a directory of `part-NNNNN` files (one per shard, written to
 //! a temp name and atomically renamed) plus a `manifest.json` describing
-//! every part: file name, sample count, byte size and FNV-1a checksum.
-//! While parts are being written, an append-only `manifest.partial` log
-//! records each committed part — so a killed run can be resumed: already
-//! committed parts (verified by size + checksum) are skipped, everything
-//! else is rewritten. `finish()` seals the output by writing the full
-//! manifest and removing the partial log.
+//! every part: file name, sample count, byte size, and checksum with the
+//! hash that took it (`checksum64`, a word at a time). While parts are
+//! being written, an append-only `manifest.partial` log records each
+//! committed part — so a killed run can be resumed: already committed
+//! parts (verified by size + checksum) are skipped, everything else is
+//! rewritten. A log line that names no hash was written by an earlier
+//! release, which summed parts with FNV-1a; resume verifies it so, and
+//! seals the part under `checksum64`. `finish()` seals the output by
+//! writing the full manifest and removing the partial log.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -17,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dj_core::{faults, parse_json, sync, Dataset, DjError, Result, Value};
-use dj_hash::fnv1a;
+use dj_hash::{checksum64, fnv1a};
 use dj_store::codec::Codec;
 use dj_store::envelope;
 use dj_store::serialize::write_jsonl_into;
@@ -59,6 +62,27 @@ impl OutputFormat {
     }
 }
 
+/// The hash a part's checksum was taken with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartHash {
+    /// [`dj_hash::checksum64`], a word at a time: every part this build
+    /// writes or seals.
+    Checksum64,
+    /// FNV-1a, byte at a time: what an entry that names no hash was summed
+    /// with by an earlier release. [`ShardedWriter`] reads and verifies
+    /// it, and never writes it.
+    Fnv1a,
+}
+
+impl PartHash {
+    fn name(self) -> &'static str {
+        match self {
+            PartHash::Checksum64 => "checksum64",
+            PartHash::Fnv1a => "fnv1a",
+        }
+    }
+}
+
 /// One committed output part.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartEntry {
@@ -66,21 +90,69 @@ pub struct PartEntry {
     pub samples: usize,
     pub bytes: u64,
     pub checksum: u64,
+    /// The hash `checksum` was taken with.
+    pub hash: PartHash,
 }
 
 impl PartEntry {
+    /// The entry of a part holding `contents`, summed as this build sums.
+    fn of(file: String, samples: usize, contents: &[u8]) -> PartEntry {
+        PartEntry {
+            file,
+            samples,
+            bytes: contents.len() as u64,
+            checksum: checksum64(contents),
+            hash: PartHash::Checksum64,
+        }
+    }
+
+    /// Whether `contents` are this part: its size, and its checksum under
+    /// the hash the entry names.
+    fn holds(&self, contents: &[u8]) -> bool {
+        contents.len() as u64 == self.bytes
+            && match self.hash {
+                PartHash::Checksum64 => checksum64(contents) == self.checksum,
+                PartHash::Fnv1a => legacy_checksum_holds(contents, self.checksum),
+            }
+    }
+
+    /// The checksum is written unsigned, as a string of decimal digits: a
+    /// JSON number past 2⁵³ does not read back exactly in most readers
+    /// (this workspace's parser reads an integer past `i64` as a float).
     fn to_value(&self) -> Value {
         let mut m = BTreeMap::new();
         m.insert("file".to_string(), Value::Str(self.file.clone()));
         m.insert("samples".to_string(), Value::Int(self.samples as i64));
         m.insert("bytes".to_string(), Value::Int(self.bytes as i64));
-        m.insert("checksum".to_string(), Value::Int(self.checksum as i64));
+        m.insert(
+            "checksum".to_string(),
+            Value::Str(self.checksum.to_string()),
+        );
+        m.insert("hash".to_string(), Value::Str(self.hash.name().into()));
         Value::Map(m)
     }
 
+    /// Reads what [`to_value`](PartEntry::to_value) writes, and what
+    /// earlier releases wrote: no `hash` (FNV-1a), and the checksum's bits
+    /// printed as a signed integer.
     fn from_value(v: &Value) -> Result<PartEntry> {
         let bad = || DjError::Storage("malformed manifest part entry".into());
         let m = v.as_map().ok_or_else(bad)?;
+        let hash = match m.get("hash") {
+            None => PartHash::Fnv1a,
+            Some(Value::Str(name)) if name == PartHash::Checksum64.name() => PartHash::Checksum64,
+            Some(Value::Str(name)) if name == PartHash::Fnv1a.name() => PartHash::Fnv1a,
+            Some(other) => {
+                return Err(DjError::Storage(format!(
+                    "manifest part entry names an unknown hash {other}"
+                )))
+            }
+        };
+        let checksum = match m.get("checksum") {
+            Some(Value::Str(digits)) => digits.parse::<u64>().map_err(|_| bad())?,
+            Some(Value::Int(signed)) => *signed as u64,
+            _ => return Err(bad()),
+        };
         Ok(PartEntry {
             file: m
                 .get("file")
@@ -89,9 +161,18 @@ impl PartEntry {
                 .to_string(),
             samples: m.get("samples").and_then(Value::as_int).ok_or_else(bad)? as usize,
             bytes: m.get("bytes").and_then(Value::as_int).ok_or_else(bad)? as u64,
-            checksum: m.get("checksum").and_then(Value::as_int).ok_or_else(bad)? as u64,
+            checksum,
+            hash,
         })
     }
+}
+
+/// Whether `contents` match `checksum` as an earlier release logged it:
+/// FNV-1a, byte at a time. Resume is the only reader of such an entry, and
+/// this is the only FNV-1a in this file: CI's "Egress parts are checksummed
+/// by the word" step keeps it off the egress path.
+fn legacy_checksum_holds(contents: &[u8], checksum: u64) -> bool {
+    fnv1a(contents) == checksum
 }
 
 /// The sealed description of a sharded output directory.
@@ -205,10 +286,12 @@ impl ShardedWriter {
     }
 
     /// Read the commit log and keep only entries whose part file still
-    /// matches (exists, right size, right checksum) and, as a `frames`
-    /// part, opens under this build's envelope: one sealed by an earlier
-    /// envelope version is rewritten, never sealed into a manifest beside
-    /// parts that read back.
+    /// matches (exists, right size, right checksum under the hash its line
+    /// names) and, as a `frames` part, opens under this build's envelope:
+    /// one sealed by an earlier envelope version is rewritten, never sealed
+    /// into a manifest beside parts that read back. A part kept from a line
+    /// of an earlier release is re-summed, so the manifest it is sealed
+    /// into names one hash.
     fn scan_partial(dir: &Path, format: OutputFormat) -> Result<BTreeMap<usize, PartEntry>> {
         let log_path = dir.join(PARTIAL_LOG);
         let text = match fs::read_to_string(&log_path) {
@@ -234,11 +317,13 @@ impl ShardedWriter {
             let Ok(contents) = fs::read(&path) else {
                 continue;
             };
-            if contents.len() as u64 == entry.bytes
-                && fnv1a(&contents) == entry.checksum
+            if entry.holds(&contents)
                 && (format != OutputFormat::Frames || envelope::open_one(&contents).is_ok())
             {
-                out.insert(idx as usize, entry);
+                out.insert(
+                    idx as usize,
+                    PartEntry::of(entry.file, entry.samples, &contents),
+                );
             }
         }
         Ok(out)
@@ -340,12 +425,7 @@ impl ShardedWriter {
         fs::write(&tmp, bytes)?;
         faults::check("io.egress.rename")?;
         fs::rename(&tmp, &path)?;
-        let entry = PartEntry {
-            file,
-            samples,
-            bytes: bytes.len() as u64,
-            checksum: fnv1a(bytes),
-        };
+        let entry = PartEntry::of(file, samples, bytes);
         // Log after the rename: a crash in between leaves a valid part
         // file that simply gets rewritten on resume.
         let mut line = entry.to_value();
@@ -410,6 +490,114 @@ mod tests {
         Dataset::from_texts(texts.iter().copied())
     }
 
+    /// A commit-log line as earlier releases wrote it: no hash named, the
+    /// part's FNV-1a checksum printed as a signed integer.
+    fn legacy_line(idx: usize, file: &str, samples: usize, contents: &[u8]) -> String {
+        format!(
+            "{{\"bytes\":{},\"checksum\":{},\"file\":\"{file}\",\"part\":{idx},\"samples\":{samples}}}",
+            contents.len(),
+            fnv1a(contents) as i64
+        )
+    }
+
+    #[test]
+    fn a_checksum_with_the_high_bit_set_reads_in_both_forms() {
+        let checksum = 16_983_201_986_236_672_459u64;
+        assert!(checksum > i64::MAX as u64);
+        // As this build writes it: unsigned digits, the hash named.
+        let entry = PartEntry {
+            file: "part-00000.jsonl".into(),
+            samples: 64,
+            bytes: 5113,
+            checksum,
+            hash: PartHash::Checksum64,
+        };
+        let text = entry.to_value().to_string();
+        assert_eq!(
+            text,
+            "{\"bytes\":5113,\"checksum\":\"16983201986236672459\",\
+             \"file\":\"part-00000.jsonl\",\"hash\":\"checksum64\",\"samples\":64}"
+        );
+        assert_eq!(
+            PartEntry::from_value(&parse_json(&text).unwrap()).unwrap(),
+            entry
+        );
+        // As earlier releases wrote it: the same bits, signed, no hash.
+        let old = "{\"bytes\":5113,\"checksum\":-1463542087472879157,\
+                   \"file\":\"part-00000.jsonl\",\"samples\":64}";
+        let read = PartEntry::from_value(&parse_json(old).unwrap()).unwrap();
+        assert_eq!(read.checksum, checksum);
+        assert_eq!(read.hash, PartHash::Fnv1a);
+        // A sealed manifest round-trips; an unknown hash is refused.
+        let manifest = EgressManifest {
+            format: OutputFormat::Jsonl,
+            parts: vec![entry],
+            total_samples: 64,
+            total_bytes: 5113,
+        };
+        assert_eq!(
+            EgressManifest::from_json(&manifest.to_json()).unwrap(),
+            manifest
+        );
+        let unknown = text.replace("checksum64", "crc32");
+        let err = PartEntry::from_value(&parse_json(&unknown).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("unknown hash"), "{err}");
+    }
+
+    #[test]
+    fn a_log_an_earlier_release_wrote_resumes_with_its_intact_parts_kept() {
+        for format in [OutputFormat::Jsonl, OutputFormat::Frames] {
+            let dir = tmpdir(&format!("legacy-{}", format.name()));
+            let shards = [shard(&["a", "b"]), shard(&["c"]), shard(&["d", "e"])];
+            // Parts 0..3 committed, then the log rewritten as an earlier
+            // release logged them.
+            {
+                let w = ShardedWriter::create(&dir, format).unwrap();
+                for (i, s) in shards.iter().enumerate() {
+                    w.store_shard(i, s).unwrap();
+                }
+            }
+            let file = |i: usize| format!("part-{i:05}.{}", format.extension());
+            let mut log = String::new();
+            for (i, s) in shards.iter().enumerate() {
+                let contents = fs::read(dir.join(file(i))).unwrap();
+                log.push_str(&legacy_line(i, &file(i), s.len(), &contents));
+                log.push('\n');
+            }
+            fs::write(dir.join(PARTIAL_LOG), log).unwrap();
+            // Part 1 damaged since: same size, one byte flipped.
+            let mut damaged = fs::read(dir.join(file(1))).unwrap();
+            let last = damaged.len() - 1;
+            damaged[last] ^= 0x20;
+            fs::write(dir.join(file(1)), &damaged).unwrap();
+
+            let w = ShardedWriter::create(&dir, format).unwrap();
+            assert_eq!(w.resumed_parts(), 2, "{format:?}: parts 0 and 2 are intact");
+            for (i, s) in shards.iter().enumerate() {
+                w.store_shard(i, s).unwrap();
+            }
+            let rewritten = fs::metadata(dir.join(file(1))).unwrap().len();
+            assert_eq!(w.bytes_written(), rewritten, "{format:?}");
+            let manifest = w.finish().unwrap();
+            let sealed = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+            assert_eq!(sealed.matches("\"hash\":\"checksum64\"").count(), 3);
+            for (i, (part, s)) in manifest.parts.iter().zip(&shards).enumerate() {
+                let bytes = fs::read(dir.join(&part.file)).unwrap();
+                assert_eq!(part.hash, PartHash::Checksum64, "{format:?} part {i}");
+                assert_eq!(part.checksum, checksum64(&bytes), "{format:?} part {i}");
+                let back = match format {
+                    OutputFormat::Jsonl => from_jsonl(std::str::from_utf8(&bytes).unwrap()),
+                    OutputFormat::Frames => {
+                        read_shard_frame(&mut bytes.as_slice()).map(Option::unwrap)
+                    }
+                };
+                assert_eq!(back.unwrap(), *s, "{format:?} part {i}");
+            }
+            assert_eq!(EgressManifest::load(&dir).unwrap(), manifest);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn jsonl_parts_and_manifest_roundtrip() {
         let dir = tmpdir("jsonl");
@@ -429,7 +617,8 @@ mod tests {
         let mut all = Dataset::new();
         for p in &loaded.parts {
             let text = fs::read_to_string(dir.join(&p.file)).unwrap();
-            assert_eq!(fnv1a(text.as_bytes()), p.checksum);
+            assert_eq!(checksum64(text.as_bytes()), p.checksum);
+            assert_eq!(p.hash, PartHash::Checksum64);
             all.extend(from_jsonl(&text).unwrap());
         }
         assert_eq!(all, Dataset::from_shards(shards.to_vec()));
@@ -520,21 +709,11 @@ mod tests {
         fs::write(dir.join(file), &old).unwrap();
         let err = read_shard_frame(&mut old.as_slice()).unwrap_err();
         assert!(err.to_string().contains("envelope version 0"), "{err}");
-        let mut line = PartEntry {
-            file: file.to_string(),
-            samples: 1,
-            bytes: old.len() as u64,
-            checksum: fnv1a(&old),
-        }
-        .to_value();
-        if let Value::Map(m) = &mut line {
-            m.insert("part".to_string(), Value::Int(0));
-        }
         let mut log = OpenOptions::new()
             .append(true)
             .open(dir.join(PARTIAL_LOG))
             .unwrap();
-        writeln!(log, "{line}").unwrap();
+        writeln!(log, "{}", legacy_line(0, file, 1, &old)).unwrap();
         drop(log);
 
         let w = ShardedWriter::create(&dir, OutputFormat::Frames).unwrap();
@@ -547,7 +726,7 @@ mod tests {
         assert_eq!(written, manifest.parts[0].bytes + manifest.parts[2].bytes);
         for (part, s) in manifest.parts.iter().zip(&shards) {
             let bytes = fs::read(dir.join(&part.file)).unwrap();
-            assert_eq!(fnv1a(&bytes), part.checksum);
+            assert_eq!(checksum64(&bytes), part.checksum);
             assert_eq!(
                 read_shard_frame(&mut bytes.as_slice()).unwrap().unwrap(),
                 *s

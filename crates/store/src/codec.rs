@@ -56,19 +56,35 @@ impl Codec {
 
 /// Compress `data` into a self-describing frame.
 pub fn compress(data: &[u8], codec: Codec) -> Vec<u8> {
-    // Sized for the worst case up front, so the output never reallocates:
-    // literals cost one control byte per 128, and a djz match token (3 bytes
-    // standing for at least 4) pays for the control byte of the literal run
-    // it cuts.
-    let mut out = Vec::with_capacity(12 + data.len() + data.len() / 128 + 1);
+    let mut out = Vec::with_capacity(compress_bound(data.len()));
+    compress_into(data, codec, &mut out, &mut Vec::new());
+    out
+}
+
+/// The most bytes a frame of `len` input bytes takes: literals cost one
+/// control byte per 128, and a djz match token (3 bytes standing for at
+/// least 4) pays for the control byte of the literal run it cuts.
+fn compress_bound(len: usize) -> usize {
+    12 + len + len / 128 + 1
+}
+
+/// Append the frame [`compress`] makes of `data` to `out`, which is grown
+/// once, for the worst case, so it never reallocates midway. `table` is the
+/// djz match table: sized and cleared here, so one a caller reuses costs
+/// no allocation.
+pub(crate) fn compress_into(data: &[u8], codec: Codec, out: &mut Vec<u8>, table: &mut Vec<u32>) {
+    out.reserve(compress_bound(data.len()));
     out.extend_from_slice(MAGIC);
     out.push(codec.id());
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     match codec {
         Codec::None => out.extend_from_slice(data),
-        Codec::Djz => djz_compress(data, &mut out),
+        Codec::Djz => {
+            table.clear();
+            table.resize(1 << HASH_BITS, 0);
+            djz_compress(data, out, table);
+        }
     }
-    out
 }
 
 /// The most bytes `compressed_len` bytes can decompress to: the densest
@@ -80,6 +96,14 @@ pub(crate) fn max_raw_len(compressed_len: usize) -> u64 {
 
 /// Decompress a frame produced by [`compress`].
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    decompress_into(frame, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`] into `out`, replacing what it held: a buffer a caller
+/// reuses is grown only when the frame is larger than any before it.
+pub(crate) fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<()> {
     if frame.len() < 12 || &frame[..3] != MAGIC {
         return Err(DjError::Storage("bad compression frame header".into()));
     }
@@ -93,17 +117,18 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
         )));
     }
     let expected = expected as usize;
-    let out = match codec {
-        Codec::None => body.to_vec(),
-        Codec::Djz => djz_decompress(body, expected)?,
-    };
+    out.clear();
+    match codec {
+        Codec::None => out.extend_from_slice(body),
+        Codec::Djz => djz_decompress(body, expected, out)?,
+    }
     if out.len() != expected {
         return Err(DjError::Storage(format!(
             "decompressed size mismatch: got {}, expected {expected}",
             out.len()
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---- DJZ (LZ77) ------------------------------------------------------------
@@ -124,7 +149,7 @@ const CHUNK: usize = 16;
 
 /// Room the decoder's output has past the declared size, for the last
 /// chunk of a match, which may run past the match's end.
-const SLACK: usize = CHUNK;
+pub(crate) const SLACK: usize = CHUNK;
 
 /// Over an incompressible stretch the encoder's step between probes grows
 /// by one every this many misses in a row.
@@ -168,11 +193,11 @@ fn common_len(data: &[u8], a: usize, b: usize) -> usize {
     l
 }
 
-fn djz_compress(data: &[u8], out: &mut Vec<u8>) {
+/// `table` holds `1 << HASH_BITS` zeros on entry.
+fn djz_compress(data: &[u8], out: &mut Vec<u8>, table: &mut [u32]) {
     // Each slot holds the last position whose first four bytes hashed
     // there, as a `u32`: only a hint, which the 4-byte compare verifies, so
     // one that wrapped past 4 GiB costs a miss, never a wrong match.
-    let mut table = vec![0u32; 1 << HASH_BITS];
     let mut i = 0;
     let mut lit_start = 0;
     let mut misses = 0;
@@ -217,10 +242,10 @@ fn flush_djz_literals(mut lits: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Expand a djz body into at most `expected` bytes (fewer only if the body
-/// ends early, which [`decompress`] refuses).
-fn djz_decompress(body: &[u8], expected: usize) -> Result<Vec<u8>> {
-    let mut out = vec![0; expected + SLACK];
+/// Expand a djz body into `out` (empty on entry): at most `expected` bytes,
+/// fewer only if the body ends early, which [`decompress`] refuses.
+fn djz_decompress(body: &[u8], expected: usize, out: &mut Vec<u8>) -> Result<()> {
+    out.resize(expected + SLACK, 0);
     let mut pos = 0;
     let mut i = 0;
     while i < body.len() {
@@ -250,12 +275,12 @@ fn djz_decompress(body: &[u8], expected: usize) -> Result<Vec<u8>> {
             if len > expected - pos {
                 return Err(overrun(expected));
             }
-            copy_match(&mut out, pos, offset, len);
+            copy_match(out, pos, offset, len);
             pos += len;
         }
     }
     out.truncate(pos);
-    Ok(out)
+    Ok(())
 }
 
 fn overrun(expected: usize) -> DjError {

@@ -53,8 +53,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use dj_core::{Dataset, DjError, Result, Sample, Value};
 use dj_hash::checksum64;
 
-use crate::codec::{compress, decompress, max_raw_len, Codec};
+use crate::codec::{compress_into, decompress_into, max_raw_len, Codec, SLACK};
 use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
+use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::serialize::{
     read_value_at, skip_value_at, take_str, take_u32, take_u64, take_u8, walk_path, write_value,
     COLUMN_DEPTH,
@@ -73,6 +74,13 @@ const MAX_COLUMNLESS_SAMPLES: u64 = 1 << 20;
 
 /// Encode one shard as a columnar frame.
 pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
+    encode_into(shard, codec, &BufferPool::default()).into_vec()
+}
+
+/// [`encode_columnar_frame`] built in a buffer from `pool`, each column's
+/// body written into one reused buffer and compressed straight into the
+/// frame.
+pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> PooledBuf {
     // Column set = union of top-level keys across all samples, sorted.
     let mut names: BTreeSet<&str> = BTreeSet::new();
     for s in shard.iter() {
@@ -80,77 +88,115 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
             names.extend(m.keys().map(String::as_str));
         }
     }
-
-    let regions: Vec<Region<'_>> = names
-        .iter()
-        .map(|name| Region::fresh(name, &column_body(shard.iter().map(Some), name), codec))
-        .collect();
-    assemble_frame(shard.len(), &regions)
+    let mut frame = FrameBuilder::new(pool, shard.len(), names.iter().copied());
+    let mut body = pool.take_largest(Holds::Raw);
+    for name in &names {
+        column_body(&mut body, shard.iter().map(Some), name);
+        frame.compress(&body, codec);
+    }
+    frame.seal()
 }
 
-/// One column's region before compression: per stored sample a presence
-/// byte and, when present, the tagged value. A `None` sample — one a stage
-/// dropped — stores an absent entry.
-fn column_body<'s>(samples: impl Iterator<Item = Option<&'s Sample>>, name: &str) -> Vec<u8> {
-    let mut body = Vec::new();
+/// Write one column's region before compression into `body`: per stored
+/// sample a presence byte and, when present, the tagged value. A `None`
+/// sample — one a stage dropped — stores an absent entry.
+fn column_body<'s>(
+    body: &mut Vec<u8>,
+    samples: impl Iterator<Item = Option<&'s Sample>>,
+    name: &str,
+) {
+    body.clear();
     for s in samples {
         match s.and_then(|s| s.value().as_map()).and_then(|m| m.get(name)) {
             Some(v) => {
                 body.push(1);
-                write_value(&mut body, v);
+                write_value(body, v);
             }
             None => body.push(0),
         }
     }
-    body
 }
 
-/// One column's region on its way into a frame.
-struct Region<'a> {
-    name: &'a str,
-    /// The compressed region: copied out of an input frame, or fresh.
-    bytes: Cow<'a, [u8]>,
-    raw_len: u64,
-    /// `checksum64` of `bytes`.
-    checksum: u64,
+/// A sealed columnar frame under construction in one pooled buffer: room
+/// for the envelope header, then the payload header and the directory with
+/// its words zeroed; the regions are appended in directory order — copied,
+/// or compressed in place — each patching its directory words, and
+/// [`seal`](FrameBuilder::seal) seals the buffer where it is.
+struct FrameBuilder {
+    out: PooledBuf,
+    /// Where each directory entry's four words sit, in directory order.
+    words: Vec<usize>,
+    /// Where the regions start (directory offsets count from here).
+    regions: usize,
+    /// Regions appended so far.
+    done: usize,
 }
 
-impl<'a> Region<'a> {
-    /// `body` compressed and checksummed.
-    fn fresh(name: &'a str, body: &[u8], codec: Codec) -> Region<'a> {
-        let bytes = compress(body, codec);
-        Region {
-            name,
-            checksum: checksum64(&bytes),
-            raw_len: body.len() as u64,
-            bytes: Cow::Owned(bytes),
+impl FrameBuilder {
+    /// A frame of `samples` samples whose columns are `names`, in
+    /// directory (sorted) order.
+    fn new<'n>(
+        pool: &BufferPool,
+        samples: usize,
+        names: impl IntoIterator<Item = &'n str>,
+    ) -> FrameBuilder {
+        let mut out = pool.take_largest(Holds::Frames);
+        out.resize(envelope::HEADER_LEN, 0);
+        out.push(COLUMNAR_VERSION);
+        out.extend_from_slice(&(samples as u64).to_le_bytes());
+        out.extend_from_slice(&[0; 4]);
+        let mut words = Vec::new();
+        for name in names {
+            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            words.push(out.len());
+            out.extend_from_slice(&[0; 4 * 8]);
+        }
+        let count_at = envelope::HEADER_LEN + 1 + 8;
+        out[count_at..count_at + 4].copy_from_slice(&(words.len() as u32).to_le_bytes());
+        FrameBuilder {
+            regions: out.len(),
+            out,
+            words,
+            done: 0,
         }
     }
-}
 
-/// Directory + concatenated regions behind the frame envelope. `regions`
-/// are in directory (sorted) order.
-fn assemble_frame(samples: usize, regions: &[Region<'_>]) -> Vec<u8> {
-    let len = regions
-        .iter()
-        .map(|r| MIN_DIRECTORY_ENTRY + r.name.len() + r.bytes.len());
-    let mut payload = Vec::with_capacity(1 + 8 + 4 + len.sum::<usize>());
-    payload.push(COLUMNAR_VERSION);
-    payload.extend_from_slice(&(samples as u64).to_le_bytes());
-    payload.extend_from_slice(&(regions.len() as u32).to_le_bytes());
-    let mut offset = 0u64;
-    for r in regions {
-        payload.extend_from_slice(&(r.name.len() as u32).to_le_bytes());
-        payload.extend_from_slice(r.name.as_bytes());
-        for word in [offset, r.bytes.len() as u64, r.raw_len, r.checksum] {
-            payload.extend_from_slice(&word.to_le_bytes());
+    /// Record the region that ends the buffer, from `start`, in the next
+    /// directory entry.
+    fn close_region(&mut self, start: usize, raw_len: u64, checksum: u64) {
+        let len = self.out.len() - start;
+        let at = self.words[self.done];
+        let words = [(start - self.regions) as u64, len as u64, raw_len, checksum];
+        for (k, word) in words.iter().enumerate() {
+            self.out[at + 8 * k..at + 8 * (k + 1)].copy_from_slice(&word.to_le_bytes());
         }
-        offset += r.bytes.len() as u64;
+        self.done += 1;
     }
-    for r in regions {
-        payload.extend_from_slice(&r.bytes);
+
+    /// Append the next region as another frame stores it: its compressed
+    /// bytes, its raw length and its checksum, carried, not recomputed.
+    fn copy(&mut self, bytes: &[u8], raw_len: u64, checksum: u64) {
+        let start = self.out.len();
+        self.out.extend_from_slice(bytes);
+        self.close_region(start, raw_len, checksum);
     }
-    envelope::seal(COLUMNAR_FRAME_MAGIC, &payload)
+
+    /// Compress `body` straight into the frame as the next region.
+    fn compress(&mut self, body: &[u8], codec: Codec) {
+        let start = self.out.len();
+        let pool = self.out.pool().clone();
+        pool.with_table(|table| compress_into(body, codec, &mut self.out, table));
+        let checksum = checksum64(&self.out[start..]);
+        self.close_region(start, body.len() as u64, checksum);
+    }
+
+    /// The sealed frame, once every column's region is in.
+    fn seal(mut self) -> PooledBuf {
+        debug_assert_eq!(self.done, self.words.len(), "a region is missing");
+        envelope::seal_in_place(COLUMNAR_FRAME_MAGIC, &mut self.out);
+        self.out
+    }
 }
 
 /// Read one entry's presence byte: whether a tagged value follows.
@@ -177,11 +223,14 @@ struct ColumnEntry {
 
 /// A loaded-but-undecoded columnar frame.
 ///
-/// The payload stays as one owned byte buffer; every accessor decompresses
-/// and decodes only the regions it is asked for.
+/// The payload stays in the buffer it was read into; every accessor
+/// decompresses and decodes only the regions it is asked for, into scratch
+/// from that buffer's pool.
 #[derive(Debug)]
 pub struct ColumnarSlab {
-    payload: Vec<u8>,
+    /// The payload, from byte `base` on.
+    buf: PooledBuf,
+    base: usize,
     samples: usize,
     columns: Vec<ColumnEntry>,
 }
@@ -193,11 +242,11 @@ impl ColumnarSlab {
         Ok(Frame::parse(frame)?.0)
     }
 
-    /// The slab of a columnar frame's verified payload. Every count and
-    /// length the header claims is checked against the bytes that are
-    /// actually there before anything is sized by it.
-    pub(crate) fn from_payload(payload: Vec<u8>) -> Result<ColumnarSlab> {
-        let mut cur: &[u8] = &payload;
+    /// The slab of a columnar frame's verified payload, `buf[base..]`.
+    /// Every count and length the header claims is checked against the
+    /// bytes that are actually there before anything is sized by it.
+    pub(crate) fn from_payload(buf: PooledBuf, base: usize) -> Result<ColumnarSlab> {
+        let mut cur: &[u8] = &buf[base..];
         let version = take_u8(&mut cur)?;
         if version != COLUMNAR_VERSION {
             return Err(DjError::Storage(format!(
@@ -216,7 +265,7 @@ impl ColumnarSlab {
             raw_columns.push((name, offset, len, raw_len, checksum));
         }
         // Regions base = everything after the directory.
-        let regions_base = payload.len() - cur.len();
+        let regions_base = buf.len() - cur.len();
         let regions_len = cur.len() as u64;
         let mut columns = Vec::with_capacity(raw_columns.len());
         for (name, offset, len, raw_len, checksum) in raw_columns {
@@ -251,7 +300,8 @@ impl ColumnarSlab {
             )));
         }
         Ok(ColumnarSlab {
-            payload,
+            buf,
+            base,
             samples: samples as usize,
             columns,
         })
@@ -264,7 +314,7 @@ impl ColumnarSlab {
 
     /// Payload size in bytes (the slab's memory footprint).
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
+        self.buf.len() - self.base
     }
 
     /// Column names in directory (sorted) order.
@@ -287,7 +337,7 @@ impl ColumnarSlab {
     }
 
     fn region_bytes(&self, c: &ColumnEntry) -> Result<&[u8]> {
-        let region = &self.payload[c.start..c.start + c.len];
+        let region = &self.buf[c.start..c.start + c.len];
         if checksum64(region) != c.checksum {
             return Err(DjError::Storage(format!(
                 "columnar region checksum mismatch for column `{}`",
@@ -297,20 +347,11 @@ impl ColumnarSlab {
         Ok(region)
     }
 
-    /// Column `c`'s region as stored, for a verbatim copy: its checksum is
-    /// verified here and carried into the new directory, not recomputed.
-    fn verbatim<'a>(&'a self, c: &'a ColumnEntry) -> Result<Region<'a>> {
-        Ok(Region {
-            name: &c.name,
-            bytes: Cow::Borrowed(self.region_bytes(c)?),
-            raw_len: c.raw_len,
-            checksum: c.checksum,
-        })
-    }
-
-    /// One region decompressed, checksum- and size-verified.
-    fn region_raw(&self, c: &ColumnEntry) -> Result<Vec<u8>> {
-        let data = decompress(self.region_bytes(c)?)?;
+    /// One region decompressed, checksum- and size-verified, into a buffer
+    /// from this frame's pool.
+    fn region_raw(&self, c: &ColumnEntry) -> Result<PooledBuf> {
+        let mut data = self.buf.pool().take(Holds::Raw, c.raw_len as usize + SLACK);
+        decompress_into(self.region_bytes(c)?, &mut data)?;
         if data.len() as u64 != c.raw_len {
             return Err(DjError::Storage(format!(
                 "columnar region size mismatch for column `{}`: got {}, expected {}",
@@ -392,7 +433,7 @@ impl ColumnarSlab {
 
     /// Every region decompressed (checksum- and size-verified), with its
     /// column name, in directory order — the transcoder's input.
-    pub(crate) fn raw_regions(&self) -> Result<Vec<(&str, Vec<u8>)>> {
+    pub(crate) fn raw_regions(&self) -> Result<Vec<(&str, PooledBuf)>> {
         self.columns
             .iter()
             .map(|c| Ok((c.name.as_str(), self.region_raw(c)?)))
@@ -419,17 +460,18 @@ impl ColumnarSlab {
     /// an absent entry in each re-encoded column and its old entries in the
     /// copied ones, so `keep` must travel with the frame as its mask
     /// ([`filter_frame`](ColumnarSlab::filter_frame) compacts it). No region
-    /// is decompressed. Returns the new frame plus `bytes_passthrough`: the
-    /// decompressed size of the regions copied. A processed sample carrying
-    /// a column that was *not* decoded is a field-footprint violation and
-    /// errors — silent column collisions must never reach disk.
+    /// is decompressed, and the new frame is built in a buffer from this
+    /// frame's pool. Returns it plus `bytes_passthrough`: the decompressed
+    /// size of the regions copied. A processed sample carrying a column
+    /// that was *not* decoded is a field-footprint violation and errors —
+    /// silent column collisions must never reach disk.
     pub fn splice(
         &self,
         processed: &Dataset,
         decoded: Option<&BTreeSet<String>>,
         keep: &[bool],
         codec: Codec,
-    ) -> Result<(Vec<u8>, u64)> {
+    ) -> Result<(PooledBuf, u64)> {
         check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
         if processed.len() != kept {
@@ -465,18 +507,30 @@ impl ColumnarSlab {
         }
 
         let bytes_passthrough = passthrough.iter().map(|c| c.raw_len).sum();
-        let mut regions = passthrough
+        // Directory order is sorted by name: `None` marks a column to
+        // re-encode.
+        let mut columns: Vec<(&str, Option<&ColumnEntry>)> = passthrough
             .into_iter()
-            .map(|c| self.verbatim(c))
-            .collect::<Result<Vec<_>>>()?;
-        for name in encoded_names {
-            let mut samples = processed.iter();
-            let stored = keep.iter().map(|k| if *k { samples.next() } else { None });
-            regions.push(Region::fresh(name, &column_body(stored, name), codec));
+            .map(|c| (c.name.as_str(), Some(c)))
+            .chain(encoded_names.into_iter().map(|name| (name, None)))
+            .collect();
+        columns.sort_by_key(|(name, _)| *name);
+        let pool = self.buf.pool();
+        let mut frame = FrameBuilder::new(pool, self.samples, columns.iter().map(|(n, _)| *n));
+        let mut body = None;
+        for (name, entry) in columns {
+            match entry {
+                Some(c) => frame.copy(self.region_bytes(c)?, c.raw_len, c.checksum),
+                None => {
+                    let body = body.get_or_insert_with(|| pool.take_largest(Holds::Raw));
+                    let mut samples = processed.iter();
+                    let stored = keep.iter().map(|k| if *k { samples.next() } else { None });
+                    column_body(body, stored, name);
+                    frame.compress(body, codec);
+                }
+            }
         }
-        // Directory order is sorted by name.
-        regions.sort_by(|a, b| a.name.cmp(b.name));
-        Ok((assemble_frame(self.samples, &regions), bytes_passthrough))
+        Ok((frame.seal(), bytes_passthrough))
     }
 
     /// This frame with only the samples `keep` keeps, never materializing a
@@ -484,45 +538,46 @@ impl ColumnarSlab {
     /// by skipping) are copied and recompressed — verbatim regions when
     /// nothing is dropped. This is where a masked spool's dead entries leave
     /// the bytes, as the spool is saved into a cache entry.
-    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<Vec<u8>> {
+    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<PooledBuf> {
         check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
-        let regions = self
-            .columns
-            .iter()
-            .map(|c| {
-                if kept == self.samples {
-                    return self.verbatim(c);
+        let pool = self.buf.pool();
+        let names = self.columns.iter().map(|c| c.name.as_str());
+        let mut frame = FrameBuilder::new(pool, kept, names);
+        let mut body = pool.take_largest(Holds::Raw);
+        for c in &self.columns {
+            if kept == self.samples {
+                frame.copy(self.region_bytes(c)?, c.raw_len, c.checksum);
+                continue;
+            }
+            let region = self.region_raw(c)?;
+            body.clear();
+            let mut cur: &[u8] = &region;
+            for keep_it in keep {
+                let entry = cur;
+                if take_entry(&mut cur, &c.name)? {
+                    skip_value_at(&mut cur, COLUMN_DEPTH)?;
                 }
-                let region = self.region_raw(c)?;
-                let mut body = Vec::with_capacity(region.len());
-                let mut cur: &[u8] = &region;
-                for keep_it in keep {
-                    let entry = cur;
-                    if take_entry(&mut cur, &c.name)? {
-                        skip_value_at(&mut cur, COLUMN_DEPTH)?;
-                    }
-                    if *keep_it {
-                        body.extend_from_slice(&entry[..entry.len() - cur.len()]);
-                    }
+                if *keep_it {
+                    body.extend_from_slice(&entry[..entry.len() - cur.len()]);
                 }
-                if !cur.is_empty() {
-                    return Err(DjError::Storage(format!(
-                        "trailing bytes after column `{}`",
-                        c.name
-                    )));
-                }
-                Ok(Region::fresh(&c.name, &body, codec))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(assemble_frame(kept, &regions))
+            }
+            if !cur.is_empty() {
+                return Err(DjError::Storage(format!(
+                    "trailing bytes after column `{}`",
+                    c.name
+                )));
+            }
+            frame.compress(&body, codec);
+        }
+        Ok(frame.seal())
     }
 }
 
 /// One decompressed column region, ready for zero-copy text borrowing.
 #[derive(Debug)]
 pub struct ColumnRegion {
-    data: Vec<u8>,
+    data: PooledBuf,
     samples: usize,
 }
 
@@ -570,6 +625,7 @@ pub fn split_column_path(field: &str) -> (&str, &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decompress;
 
     fn rich_shard() -> Dataset {
         let mut ds = Dataset::new();
@@ -735,15 +791,17 @@ mod tests {
             names.extend(s.value().as_map().unwrap().keys().cloned());
         }
         for name in names {
-            let body = column_body(processed.iter().map(Some), &name);
+            let mut body = Vec::new();
+            column_body(&mut body, processed.iter().map(Some), &name);
             bodies.push((name, body));
         }
         bodies.sort();
-        let regions: Vec<Region<'_>> = bodies
-            .iter()
-            .map(|(name, body)| Region::fresh(name, body, Codec::Djz))
-            .collect();
-        assemble_frame(processed.len(), &regions)
+        let names = bodies.iter().map(|(name, _)| name.as_str());
+        let mut frame = FrameBuilder::new(&BufferPool::default(), processed.len(), names);
+        for (_, body) in &bodies {
+            frame.compress(body, Codec::Djz);
+        }
+        frame.seal().into_vec()
     }
 
     #[test]

@@ -39,6 +39,7 @@ use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::Codec;
 use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab};
+use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::shard_stream::FrameSlab;
 
 /// Magic of row shard frames (the `frames` output format).
@@ -75,12 +76,21 @@ pub mod envelope {
     /// Wrap `payload`: magic, payload length and version, checksum, payload.
     pub fn seal(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(magic);
-        let word = payload.len() as u64 | (VERSION as u64) << 56;
-        out.extend_from_slice(&word.to_le_bytes());
-        out.extend_from_slice(&checksum64(payload).to_le_bytes());
+        out.resize(HEADER_LEN, 0);
         out.extend_from_slice(payload);
+        seal_in_place(magic, &mut out);
         out
+    }
+
+    /// Seal a payload built where it will stay: `buf` is [`HEADER_LEN`]
+    /// bytes of room for the header, then the payload. The result is
+    /// [`seal`]'s, without the copy.
+    pub fn seal_in_place(magic: &[u8; 4], buf: &mut [u8]) {
+        let (header, payload) = buf.split_at_mut(HEADER_LEN);
+        let word = payload.len() as u64 | (VERSION as u64) << 56;
+        header[..4].copy_from_slice(magic);
+        header[4..12].copy_from_slice(&word.to_le_bytes());
+        header[12..].copy_from_slice(&checksum64(payload).to_le_bytes());
     }
 
     /// Open the sealed string `bytes` starts with: its magic, its verified
@@ -196,7 +206,21 @@ impl Frame {
     /// Parse exactly one sealed frame.
     pub fn parse(sealed: &[u8]) -> Result<Frame> {
         let payload = columnar_payload(sealed)?;
-        Ok(Frame(ColumnarSlab::from_payload(payload.to_vec())?))
+        let mut buf = BufferPool::default().take(Holds::Frames, payload.len());
+        buf.extend_from_slice(payload);
+        Ok(Frame(ColumnarSlab::from_payload(buf, 0)?))
+    }
+
+    /// Parse exactly one sealed frame that `sealed` holds, keeping it: the
+    /// frame reads its payload in place, its work on the payload borrows
+    /// scratch from the buffer's pool, and the buffer returns there when
+    /// the frame drops.
+    pub fn parse_owned(sealed: PooledBuf) -> Result<Frame> {
+        columnar_payload(&sealed)?;
+        Ok(Frame(ColumnarSlab::from_payload(
+            sealed,
+            envelope::HEADER_LEN,
+        )?))
     }
 
     /// Samples stored in the frame, from its header.
@@ -233,7 +257,7 @@ impl Frame {
         cols: Option<&BTreeSet<String>>,
         keep: &[bool],
         codec: Codec,
-    ) -> Result<(Vec<u8>, usize, u64)> {
+    ) -> Result<(PooledBuf, usize, u64)> {
         let (bytes, passthrough) = self.0.splice(processed, cols, keep, codec)?;
         Ok((bytes, self.0.sample_count(), passthrough))
     }
@@ -272,14 +296,16 @@ impl Frame {
 /// ranges, no value decoded — the dead entries a spool's mask covers leave
 /// the bytes here.
 pub(crate) fn checked_copy(
-    sealed: Vec<u8>,
+    sealed: PooledBuf,
     keep: Option<&[bool]>,
     codec: Codec,
 ) -> Result<Vec<u8>> {
-    let payload = columnar_payload(&sealed)?;
+    columnar_payload(&sealed)?;
     match keep {
-        None => Ok(sealed),
-        Some(keep) => ColumnarSlab::from_payload(payload.to_vec())?.filter_frame(keep, codec),
+        None => Ok(sealed.into_vec()),
+        Some(keep) => Ok(ColumnarSlab::from_payload(sealed, envelope::HEADER_LEN)?
+            .filter_frame(keep, codec)?
+            .into_vec()),
     }
 }
 
@@ -314,6 +340,40 @@ mod tests {
         let mut out = ds.clone();
         out.retain_mask(keep);
         out
+    }
+
+    fn pooled(bytes: &[u8]) -> PooledBuf {
+        let mut buf = BufferPool::default().take(Holds::Frames, bytes.len());
+        buf.extend_from_slice(bytes);
+        buf
+    }
+
+    #[test]
+    fn a_frame_parsed_in_place_reads_like_a_copied_one_and_returns_its_buffer() {
+        let ds = rich_shard();
+        let sealed = Frame::encode(&ds, Codec::Djz);
+        // Sealing in place is sealing a copy.
+        let mut built = vec![0; envelope::HEADER_LEN];
+        built.extend_from_slice(&sealed[envelope::HEADER_LEN..]);
+        envelope::seal_in_place(COLUMNAR_FRAME_MAGIC, &mut built);
+        assert_eq!(built, sealed);
+        let pool = BufferPool::default();
+        let mut buf = pool.take(Holds::Frames, sealed.len());
+        buf.extend_from_slice(&sealed);
+        let at = buf.as_ptr();
+        let frame = Frame::parse_owned(buf).unwrap();
+        assert_eq!(frame.payload_len(), sealed.len() - envelope::HEADER_LEN);
+        assert_eq!(frame.decode(None, None).unwrap().0, ds);
+        let mut out = String::new();
+        frame.write_jsonl(None, &mut out).unwrap();
+        assert_eq!(out, crate::to_jsonl(&ds));
+        drop(frame);
+        assert_eq!(pool.take(Holds::Frames, sealed.len()).as_ptr(), at);
+        // Damage is refused in place too.
+        let mut bad = pooled(&sealed);
+        let last = bad.len() - 1;
+        bad[last] ^= 1;
+        assert!(Frame::parse_owned(bad).is_err());
     }
 
     #[test]
@@ -441,12 +501,12 @@ mod tests {
         let keep = [false, true, true];
         let sealed = Frame::encode(&ds, Codec::Djz);
         // Unmasked: the bytes themselves.
-        let copy = checked_copy(sealed.clone(), None, Codec::Djz).unwrap();
+        let copy = checked_copy(pooled(&sealed), None, Codec::Djz).unwrap();
         assert_eq!(copy, sealed);
         // Masked: the kept samples, still a columnar frame (one that keeps
         // a column whose last entry was dropped, so only its content is
         // compared).
-        let thinned = checked_copy(sealed.clone(), Some(&keep), Codec::Djz).unwrap();
+        let thinned = checked_copy(pooled(&sealed), Some(&keep), Codec::Djz).unwrap();
         let thinned = Frame::parse(&thinned).unwrap();
         assert_eq!(thinned.decode(None, None).unwrap().0, masked(&ds, &keep));
         // A damaged frame is never copied, masked or not, and a row frame
@@ -457,7 +517,7 @@ mod tests {
         let row = encode_shard_frame(&ds, Codec::Djz);
         for frame in [bad, row] {
             for mask in [None, Some(&keep[..])] {
-                let err = checked_copy(frame.clone(), mask, Codec::Djz).unwrap_err();
+                let err = checked_copy(pooled(&frame), mask, Codec::Djz).unwrap_err();
                 assert!(matches!(err, DjError::Storage(_)), "{err:?}");
             }
         }

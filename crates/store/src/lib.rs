@@ -20,6 +20,10 @@
 //!   format: per-column compressed, checksummed regions behind an offset
 //!   table, so projection-aware stages decode only the columns their OPs'
 //!   field footprints name and splice the rest through byte-for-byte;
+//! * [`pool`] — the buffers a run reuses shard after shard (slot reads,
+//!   frames being built, column bodies, decompressed regions, codec
+//!   tables), so the spill and egress path stops paying page faults on
+//!   fresh multi-megabyte buffers for every shard;
 //! * `transcode` — frame → JSONL transcoding ([`Frame::write_jsonl`]):
 //!   spool egress prints JSON text straight from undecoded column regions,
 //!   never building a `Value`.
@@ -33,6 +37,7 @@ pub mod cache;
 pub mod codec;
 pub mod columnar;
 pub mod frame;
+pub mod pool;
 pub mod serialize;
 pub mod shard_stream;
 pub mod space;
@@ -42,6 +47,7 @@ pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedEntry};
 pub use codec::{compress, decompress, Codec};
 pub use columnar::{encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab};
 pub use frame::{envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC};
+pub use pool::{BufferPool, Holds, PooledBuf};
 pub use serialize::{from_bytes, from_jsonl, to_bytes, to_jsonl, write_jsonl_into};
 
 pub use shard_stream::{encode_shard_frame, FrameSlab, ShardSpool};

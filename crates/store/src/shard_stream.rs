@@ -10,17 +10,22 @@
 //! shard — the disk backing of the executor's spill path. Files are
 //! written to a temporary name and atomically renamed, so a reader (or a
 //! restarted run) never observes a partial frame, and every read goes
-//! through the one checked [`ShardSpool::read`]. The spool removes its
-//! directory on drop.
+//! through the one checked [`ShardSpool::read`]. A spool reads slots into,
+//! and encodes shards in, buffers from its [`BufferPool`] — the run's,
+//! when the run hands it one — so a frame read or built for one shard
+//! reuses the memory of the last. The spool removes its directory on drop.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::{compress, decompress, Codec};
+use crate::columnar::encode_into;
 use crate::frame::{checked_copy, envelope, Frame, SHARD_FRAME_MAGIC};
+use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::serialize::{from_bytes, to_bytes};
 
 /// Encode one shard into a self-contained row frame.
@@ -64,6 +69,7 @@ impl FrameSlab {
 pub struct ShardSpool {
     dir: PathBuf,
     codec: Codec,
+    pool: BufferPool,
     /// Samples stored per written slot (`None` until stored) — the shard
     /// layout metadata a keep mask over the stored samples is sized by
     /// (a frame may store samples such a mask drops). Grows on demand so
@@ -74,14 +80,27 @@ pub struct ShardSpool {
 
 impl ShardSpool {
     /// Create a spool with `slots` shard slots rooted at `dir` (created,
-    /// including parents, if missing). Writing past `slots` grows the
-    /// spool — pass 0 for a stream of unknown length.
+    /// including parents, if missing), with a pool of its own. Writing
+    /// past `slots` grows the spool — pass 0 for a stream of unknown
+    /// length.
     pub fn create(dir: impl Into<PathBuf>, slots: usize, codec: Codec) -> Result<ShardSpool> {
+        ShardSpool::create_pooled(dir, slots, codec, BufferPool::default())
+    }
+
+    /// [`create`](ShardSpool::create) a spool that reads and encodes in
+    /// buffers from `pool`: a run hands every spool it makes its one pool.
+    pub fn create_pooled(
+        dir: impl Into<PathBuf>,
+        slots: usize,
+        codec: Codec,
+        pool: BufferPool,
+    ) -> Result<ShardSpool> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(ShardSpool {
             dir,
             codec,
+            pool,
             lens: Mutex::new(vec![None; slots]),
         })
     }
@@ -100,7 +119,8 @@ impl ShardSpool {
 
     /// Encode `shard` into slot `idx` (atomic: temp file then rename).
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        self.write_frame_bytes(idx, &Frame::encode(shard, self.codec), shard.len())
+        let frame = encode_into(shard, self.codec, &self.pool);
+        self.write_frame_bytes(idx, &frame, shard.len())
     }
 
     /// Store a pre-encoded frame (a column splice, a frame copied out of a
@@ -131,18 +151,25 @@ impl ShardSpool {
     /// Slot `idx`'s frame file as it stands on disk — the one place a slot
     /// is read, and so the `store.frame.read` fault site. Nothing that
     /// comes out of here is used before its checksum was verified.
-    fn slot_bytes(&self, idx: usize) -> Result<Vec<u8>> {
+    /// It is read into a buffer from the spool's pool.
+    fn slot_bytes(&self, idx: usize) -> Result<PooledBuf> {
         let path = self.slot_path(idx);
-        let mut bytes = fs::read(&path).map_err(|e| {
+        let missing = |e: std::io::Error| {
             DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}"))
-        })?;
+        };
+        let mut file = File::open(&path).map_err(missing)?;
+        let len = file.metadata().map_err(missing)?.len();
+        let mut bytes = self.pool.take(Holds::Frames, len.try_into().unwrap_or(0));
+        file.read_to_end(&mut bytes).map_err(missing)?;
         dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
         Ok(bytes)
     }
 
-    /// Load slot `idx`: checksum verified, nothing decoded. Non-destructive: spilled shards can be re-streamed.
+    /// Load slot `idx`: checksum verified, nothing decoded — the frame
+    /// keeps the buffer the slot was read into. Non-destructive: spilled
+    /// shards can be re-streamed.
     pub fn read(&self, idx: usize) -> Result<Frame> {
-        Frame::parse(&self.slot_bytes(idx)?)
+        Frame::parse_owned(self.slot_bytes(idx)?)
     }
 
     /// Slot `idx` decoded whole.

@@ -23,6 +23,11 @@
 //! region it is, so no buffer as large as that region decompressed is ever
 //! made — not even when the stage dropped samples.
 //!
+//! A warmed spool cycle allocates nothing large at all: the slot files,
+//! the frames built, the column bodies, the decompressed regions and the
+//! codec's match table all come out of the run's buffer pool, so once the
+//! first shard has sized them, a shard like it reuses every one.
+//!
 //! The codec has the tightest budget of all: `decompress` makes exactly one
 //! allocation, the declared size plus a fixed slack, and `compress` at most
 //! two, its match table and its output — no buffer grows by doubling.
@@ -39,8 +44,8 @@ use data_juicer::core::{Dataset, Fingerprints, Op, Sample, SampleContext};
 use data_juicer::io::{OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
-    compress, decompress, encode_columnar_frame, to_bytes, to_jsonl, Codec, ColumnarSlab,
-    ShardSpool,
+    compress, decompress, encode_columnar_frame, to_bytes, to_jsonl, BufferPool, Codec,
+    ColumnarSlab, ShardSpool,
 };
 use data_juicer::synth::{web_corpus, WebNoise};
 use data_juicer::text::normalize;
@@ -355,6 +360,82 @@ fn a_columnar_stage_cycle_never_allocates_a_passthrough_region() {
         .iter()
         .zip(kept.iter())
         .all(|(o, k)| o.text() == k.text()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The whole life of a shard on the file path, on ten equal shards with one
+/// pool shared by both spools, the way a run shares one: write the slot
+/// (ingest), read and parse it and decode its text column, splice the
+/// stage's output — text rewritten, 30 % of the samples dropped, every
+/// other column copied — into the next spool, then read that slot back and
+/// print its live samples as a JSONL part (egress). The first shard sizes
+/// the pool's buffers; after it no request of the cycle reaches 64 KiB,
+/// though the slots, the frames, the bodies and the regions all do.
+#[test]
+fn a_warmed_spool_cycle_allocates_no_large_buffer() {
+    const LARGE: usize = 64 << 10;
+    let dir = std::env::temp_dir().join(format!("dj-alloc-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut shard = web_corpus(31, 600, WebNoise::default());
+    for (i, s) in shard.samples_mut().iter_mut().enumerate() {
+        s.set_meta("url", format!("https://example.org/{i}"));
+        let log = format!("fetch {i}: dns 12ms, connect 31ms, ttfb 140ms; ").repeat(40);
+        s.set_meta("render_log", log);
+    }
+    let slab = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&shard, Codec::Djz)).unwrap();
+    let (text_raw, meta_raw) = (slab.column_raw_len("text"), slab.column_raw_len("meta"));
+    assert!(
+        text_raw
+            .zip(meta_raw)
+            .is_some_and(|(t, m)| t.min(m) > 4 * LARGE as u64),
+        "regions of {text_raw:?} and {meta_raw:?} bytes are too small to tell"
+    );
+
+    let pool = BufferPool::default();
+    let input = ShardSpool::create_pooled(dir.join("in"), 0, Codec::Djz, pool.clone()).unwrap();
+    let output = ShardSpool::create_pooled(dir.join("out"), 0, Codec::Djz, pool).unwrap();
+    let writer = ShardedWriter::create(dir.join("parts"), OutputFormat::Jsonl).unwrap();
+    let text: BTreeSet<String> = ["text".to_string()].into();
+    let keep: Vec<bool> = (0..shard.len()).map(|i| i % 10 >= 3).collect();
+    let mut expected = shard.clone();
+    expected.retain_mask(&keep);
+    for s in expected.samples_mut() {
+        let up = s.text().to_uppercase();
+        s.set_text(up);
+    }
+    let mut largest = Vec::new();
+    for i in 0..10 {
+        LARGEST.with(|max| max.set(0));
+        input.write_shard(i, &shard).unwrap();
+        let frame = input.read(i).unwrap();
+        let (mut kept, _) = frame.decode(Some(&text), None).unwrap();
+        kept.retain_mask(&keep);
+        for s in kept.samples_mut() {
+            let up = s.text().to_uppercase();
+            s.set_text(up);
+        }
+        let (bytes, stored, _) = frame
+            .store_processed(&kept, Some(&text), &keep, Codec::Djz)
+            .unwrap();
+        output.write_frame_bytes(i, &bytes, stored).unwrap();
+        drop((frame, kept, bytes));
+        let frame = output.read(i).unwrap();
+        writer
+            .store_jsonl(i, |out| frame.write_jsonl(Some(&keep), out))
+            .unwrap();
+        drop(frame);
+        largest.push(LARGEST.with(Cell::get));
+        let part = std::fs::read_to_string(dir.join("parts").join(format!("part-{i:05}.jsonl")));
+        assert_eq!(part.unwrap(), to_jsonl(&expected), "shard {i}");
+    }
+    assert!(
+        largest[0] >= LARGE,
+        "the first shard sized nothing: {largest:?}"
+    );
+    assert!(
+        largest[1..].iter().all(|n| *n < LARGE),
+        "largest allocation per shard: {largest:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

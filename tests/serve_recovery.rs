@@ -41,7 +41,7 @@ fn write_corpus(path: &Path) {
 fn recipe_json(input: &Path, output: &Path) -> String {
     format!(
         concat!(
-            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"recovery\",",
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"project_name\":\"recovery\",",
             "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}},",
             "{{\"document_deduplicator\":{{}}}}],",
             "\"input_path\":\"{}\",\"output_path\":\"{}\"}}}}"
@@ -253,7 +253,7 @@ fn inline_texts_with_an_output_path_are_written_as_parts() {
     let quoted: Vec<String> = texts.iter().map(|t| format!("\"{t}\"")).collect();
     let cmd = format!(
         concat!(
-            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"inline-out\",",
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"project_name\":\"inline-out\",",
             "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}},",
             "{{\"document_deduplicator\":{{}}}}],\"output_path\":\"{}\"}},",
             "\"texts\":[{}]}}"
@@ -312,7 +312,7 @@ fn a_nesting_bomb_on_the_wire_is_an_error_event_and_serve_keeps_going() {
     writeln!(
         stdin,
         concat!(
-            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"after\",",
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"project_name\":\"after\",",
             "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}}]}},",
             "\"texts\":[\"still   serving\"]}}"
         )
@@ -362,7 +362,7 @@ fn oversized_minhash_params_are_error_events_and_serve_keeps_going() {
     writeln!(
         stdin,
         concat!(
-            "{{\"cmd\":\"submit\",\"recipe\":{{\"name\":\"after\",",
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"project_name\":\"after\",",
             "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}}]}},",
             "\"texts\":[\"still   serving\"]}}"
         )
@@ -522,14 +522,14 @@ fn a_torn_last_journal_line_is_skipped_and_the_next_event_starts_a_line() {
     let dir = fresh_dir("torn");
     let journal = dir.join("journal.jsonl");
     let submit = concat!(
-        "{\"cmd\":\"submit\",\"recipe\":{\"name\":\"torn\",",
+        "{\"cmd\":\"submit\",\"recipe\":{\"project_name\":\"torn\",",
         "\"process\":[{\"whitespace_normalization_mapper\":{}},",
         "{\"document_deduplicator\":{}}]},",
         "\"texts\":[\"torn   one\",\"torn two\",\"torn   one\"]}"
     );
     let mut history = format!("{{\"event\":\"submit\",\"job\":0,\"cmd\":{submit}}}\n").into_bytes();
     // `é` is two bytes; the kill landed between them.
-    let torn = "{\"event\":\"submit\",\"job\":1,\"cmd\":{\"recipe\":{\"name\":\"café";
+    let torn = "{\"event\":\"submit\",\"job\":1,\"cmd\":{\"recipe\":{\"project_name\":\"café";
     history.extend_from_slice(&torn.as_bytes()[..torn.len() - 1]);
     std::fs::write(&journal, &history).unwrap();
 
