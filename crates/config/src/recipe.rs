@@ -330,7 +330,7 @@ impl Recipe {
             recipe.max_error_ratio = Some(r);
         }
         let process = match v.get_path("process") {
-            None => Vec::new(),
+            None | Some(Value::Null) => Vec::new(),
             Some(Value::List(items)) => items
                 .iter()
                 .enumerate()
@@ -543,6 +543,21 @@ mod tests {
         let text = r.to_yaml();
         let parsed = Recipe::from_yaml(&text).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    /// `process:` with nothing under it is an empty pipeline, the way every
+    /// other top-level null reads as its default; a scalar is still refused.
+    #[test]
+    fn an_empty_process_key_loads_as_no_ops() {
+        let r = Recipe::from_yaml("project_name: x\nprocess:\n").unwrap();
+        assert_eq!(r.project_name, "x");
+        assert!(r.process.is_empty());
+        let err = Recipe::from_yaml("project_name: x\nprocess: 3\n").unwrap_err();
+        assert!(matches!(err, DjError::Config(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("`process` must be a list"),
+            "{err}"
+        );
     }
 
     #[test]

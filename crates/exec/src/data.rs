@@ -13,7 +13,7 @@
 //! | egress of resident shards | [`mem_feed`]: take the shard out of its slot, leaving behind what the deferred mask drops | `ShardedWriter::store_shard` | nothing — samples are resident |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
 //! | `frames` egress of a spool | checked slots, converted to row frames | `ShardedWriter::store_frame_bytes` | every sample the deferred mask keeps (the `frames` format is row frames) |
-//! | cache resume | [`StageData::from_cached`]: the entry's frames, one at a time | memory, or spool slots | every frame while the budget holds; past it, none — frame bytes are copied into slots |
+//! | cache resume | [`StageData::resume`]: every slot of the entry, checked against its seal | memory while the budget holds; past it, the entry itself is the next stage's input spool | every slot while the budget holds; past it, none — nothing is copied |
 //!
 //! The frame format is `dj-store`'s business: everything here works on its
 //! `Frame`.
@@ -33,7 +33,7 @@ use std::sync::Mutex;
 use dj_core::sync::lock;
 use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample};
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
-use dj_store::{CacheManager, CachedEntry, Codec, Frame, ShardSpool};
+use dj_store::{CacheManager, Codec, Frame, ShardSpool};
 
 use crate::barrier::{hash_loaded, hash_pass, hash_samples, join};
 use crate::executor::Executor;
@@ -386,38 +386,25 @@ impl StageData {
         (0..self.slot_count()).map(|i| self.shard_len(i)).collect()
     }
 
-    /// A resumed cache entry as stage input: its frames are decoded into
-    /// memory one at a time while they fit `budget` (an entry need not come
-    /// from a spill, and an under-budget run never downgrades to
-    /// out-of-core on resume). The moment one does not fit, what was decoded
-    /// is dropped and the entry's frames are copied — as bytes, each
-    /// checked, none decoded or re-encoded — into the slots of a spool from
-    /// `new_spool`. At most `budget` bytes and one frame are ever held.
-    pub(crate) fn from_cached(
-        mut entry: CachedEntry,
-        budget: u64,
-        new_spool: impl FnOnce() -> Result<ShardSpool>,
-    ) -> Result<StageData> {
-        let mut shards = Vec::new();
-        let mut bytes = 0u64;
-        while let Some(sealed) = entry.next_frame()? {
-            let shard = Frame::parse(&sealed)?.decode(None, None)?.0;
-            bytes += shard.approx_bytes() as u64;
-            if bytes > budget {
-                drop(shards);
-                entry.rewind()?;
-                let spool = new_spool()?;
-                let mut slot = 0;
-                while let Some(sealed) = entry.next_frame()? {
-                    let samples = Frame::parse(&sealed)?.sample_count();
-                    spool.write_frame_bytes(slot, &sealed, samples)?;
-                    slot += 1;
-                }
-                return Ok(StageData::new(Slots::Spool(spool)));
+    /// A resumed cache entry as stage input: every slot is read and held to
+    /// the seal before the run commits to it, decoded into memory while the
+    /// shards fit `budget` (an under-budget run never downgrades to
+    /// out-of-core). Past it the entry itself is the input spool: nothing
+    /// is copied. At most `budget` bytes and one frame are ever held.
+    pub(crate) fn resume(entry: ShardSpool, budget: u64) -> Result<StageData> {
+        let (mut shards, mut bytes) = (Some(Vec::new()), 0);
+        for i in 0..entry.shard_count() {
+            let frame = entry.read(i)?;
+            if let Some(held) = &mut shards {
+                let shard = frame.decode(None, None)?.0;
+                bytes += shard.approx_bytes() as u64;
+                held.push(shard);
             }
-            shards.push(shard);
+            // Past the budget what was decoded goes; later slots are only read.
+            shards.take_if(|_| bytes > budget);
         }
-        Ok(StageData::new(Slots::Mem(shards)))
+        let slots = shards.map_or(Slots::Spool(entry), Slots::Mem);
+        Ok(StageData::new(slots))
     }
 
     pub(crate) fn is_spilled(&self) -> bool {
@@ -453,38 +440,48 @@ impl StageData {
         }
     }
 
-    /// Persist as cache entry `key` (checkpoint mode retires entry
-    /// `replaces`) without merging: resident shards are compacted and
-    /// encoded one frame each, a spool's slot files are copied as they are
-    /// once their checksums held (slots the deferred mask thins are
-    /// entry-filtered on the way).
+    /// Persist as cache entry `key` (checkpoint mode retires `replaces`)
+    /// without merging. This run's spool becomes the entry by a rename once
+    /// the slots the mask thins are entry-filtered in place. Resident
+    /// shards are compacted and encoded, and an entry's slots checked and
+    /// copied (thinned), into a fresh entry. Spilled data *is* the entry
+    /// afterwards, with no mask.
     pub(crate) fn save(
         &mut self,
         cache: &CacheManager,
         key: u64,
         replaces: Option<u64>,
+        ctl: &RunCtl,
     ) -> Result<()> {
         self.compact();
-        match &self.slots {
+        let lens = self.shard_lens();
+        let mask = std::mem::take(&mut self.mask);
+        match &mut self.slots {
             Slots::Mem(shards) => {
-                // No shards still save one (empty) frame: a zero-byte entry
-                // would carry no checksum to refuse a truncated file by.
-                let empty = [Dataset::new()];
-                let shards = if shards.is_empty() {
-                    &empty[..]
-                } else {
-                    shards
-                };
-                let frames = shards.iter().map(|s| Ok(Frame::encode(s, cache.codec())));
-                cache.save_frames(key, replaces, frames)
+                let mut entry = cache.new_entry(key, ctl.buffers())?;
+                for (i, shard) in shards.iter().enumerate() {
+                    entry.write_shard(i, shard)?;
+                }
+                cache.seal(&mut entry, key, replaces)
+            }
+            Slots::Spool(spool) if spool.is_sealed() => {
+                let mut entry = cache.new_entry(key, ctl.buffers())?;
+                for (i, len) in lens.into_iter().enumerate() {
+                    entry.write_frame_bytes(i, &spool.read_frame_bytes(i, mask.slot(i))?, len)?;
+                }
+                cache.seal(&mut entry, key, replaces)?;
+                *spool = entry;
+                Ok(())
             }
             Slots::Spool(spool) => {
-                let slots = 0..spool.shard_count();
-                let frames = slots.map(|i| spool.read_frame_bytes(i, self.mask.slot(i)));
-                cache.save_frames(key, replaces, frames)
+                for (i, len) in lens.into_iter().enumerate() {
+                    if let Some(keep) = mask.slot(i).filter(|keep| keep.contains(&false)) {
+                        spool.write_frame_bytes(i, &spool.read_frame_bytes(i, Some(keep))?, len)?;
+                    }
+                }
+                cache.seal(spool, key, replaces)
             }
         }
-        .map(drop)
     }
 
     /// The resident shards, moved out of their slots (a spool has none).
@@ -667,54 +664,113 @@ impl StageData {
 mod tests {
     use super::*;
 
-    #[test]
-    fn a_cache_entry_over_budget_resumes_as_its_own_frames_copied_into_slots() {
-        use dj_store::CacheMode;
-        let root = std::env::temp_dir().join(format!("dj-exec-from-cached-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let shards =
-            Dataset::from_texts((0..20).map(|i| format!("cached document {i}"))).into_shards(3);
-        // Frames of two codecs, one the spool itself would not pick: only a
-        // byte copy can reproduce them.
-        let frames: Vec<Vec<u8>> = vec![
-            Frame::encode(&shards[0], Codec::None),
-            Frame::encode(&shards[1], Codec::Djz),
-            Frame::encode(&shards[2], Codec::None),
-        ];
-        let cache = CacheManager::new(root.join("cache"), CacheMode::Cache);
-        cache
-            .save_frames(7, None, frames.iter().cloned().map(Ok))
-            .unwrap();
-        let open = || cache.latest_match(&[7]).unwrap().unwrap().1;
-        let spool_dir = root.join("spool");
-        let new_spool = || ShardSpool::create(&spool_dir, 0, SPILL_CODEC);
-
-        // Under budget: decoded into memory, no spool is ever created.
-        let resident = StageData::from_cached(open(), u64::MAX, new_spool).unwrap();
-        assert!(!resident.is_spilled() && !spool_dir.exists());
-        assert_eq!(resident.shard_lens(), vec![7, 7, 6]);
-        assert_eq!(
-            resident.into_dataset().unwrap(),
-            Dataset::from_shards(shards.clone())
-        );
-
-        // Over budget from the second frame on: every slot file is the
-        // entry's frame, byte for byte — the first one included.
-        let first = shards[0].approx_bytes() as u64;
-        for budget in [1, first] {
-            let spilled = StageData::from_cached(open(), budget, new_spool).unwrap();
-            assert!(spilled.is_spilled());
-            assert_eq!(spilled.shard_lens(), vec![7, 7, 6]);
-            for (i, frame) in frames.iter().enumerate() {
-                let slot = std::fs::read(spool_dir.join(format!("shard-{i:05}.djs"))).unwrap();
-                assert_eq!(&slot, frame, "slot {i} was re-encoded");
+    /// Every file under `dir`, recursively, by path.
+    fn tree(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(tree(&path));
             }
-            assert_eq!(
-                spilled.into_dataset().unwrap(),
-                Dataset::from_shards(shards.clone())
-            );
-            assert!(!spool_dir.exists(), "the spool outlived its data");
+            out.push(path);
         }
+        out.sort();
+        out
+    }
+
+    /// A cached spilled stage is written once: its spool becomes the entry
+    /// by a rename, so every slot the mask leaves whole keeps its inode,
+    /// and only the thinned one is rewritten, entry-filtered. Resumed over
+    /// budget, the entry itself is the next stage's input: the resume
+    /// creates no file, and the stage projects and splices its frames.
+    #[cfg(unix)]
+    #[test]
+    fn a_cached_spilled_stage_is_written_once_and_resumed_without_a_copy() {
+        use dj_core::{Op, OpParams};
+        use dj_store::CacheMode;
+        use std::os::unix::fs::MetadataExt;
+        let root =
+            std::env::temp_dir().join(format!("dj-exec-written-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = CacheManager::new(root.join("cache"), CacheMode::Cache);
+        let mut ctl = RunCtl::new(None, None);
+        ctl.spill_dir = Some(cache.root().to_path_buf());
+        let mapper = dj_ops::builtin_registry()
+            .build("whitespace_normalization_mapper", &OpParams::new())
+            .unwrap();
+        assert!(matches!(mapper, Op::Mapper(_)));
+        let exec = Executor::new(vec![mapper]);
+        let shards: Vec<Dataset> = (0..3)
+            .map(|s| {
+                let mut shard = Dataset::from_texts((0..5).map(|i| format!("doc  {s} {i}  words")));
+                for sample in shard.samples_mut() {
+                    sample.set_meta("source", format!("crawl-{s}"));
+                }
+                shard
+            })
+            .collect();
+        let spool = exec.new_spool(3, &ctl).unwrap();
+        assert!(spool.dir().starts_with(cache.root()));
+        for (i, shard) in shards.iter().enumerate() {
+            spool.write_shard(i, shard).unwrap();
+        }
+        let keep = [true, false, true, true, false];
+        let inodes: Vec<u64> = (0..3)
+            .map(|i| {
+                let slot = spool.dir().join(format!("shard-{i:05}.djs"));
+                std::fs::metadata(slot).unwrap().ino()
+            })
+            .collect();
+        let thinned = spool.read_frame_bytes(1, Some(&keep)).unwrap();
+        let spool_dir = spool.dir().to_path_buf();
+        let mut data = StageData {
+            mask: Mask(vec![None, Some(keep.to_vec()), None]),
+            ..StageData::new(Slots::Spool(spool))
+        };
+        data.save(&cache, 7, None, &ctl).unwrap();
+        let entry = cache.root().join(format!("{:016x}", 7));
+        assert!(!spool_dir.exists(), "the spool was copied, not renamed");
+        for (i, ino) in inodes.iter().enumerate() {
+            let slot = entry.join(format!("shard-{i:05}.djs"));
+            if i == 1 {
+                assert_eq!(std::fs::read(&slot).unwrap(), thinned);
+            } else {
+                assert_eq!(std::fs::metadata(&slot).unwrap().ino(), *ino, "slot {i}");
+            }
+        }
+        // The data is the entry now: no mask, the thinned slot's count.
+        assert!(data.mask.0.is_empty());
+        assert_eq!(data.shard_lens(), vec![5, 3, 5]);
+        let mut eager = shards.clone();
+        eager[1].retain_mask(&keep);
+        let want = Dataset::from_shards(eager);
+        assert_eq!(data.into_dataset().unwrap(), want);
+        assert!(entry.is_dir(), "dropping the entry's data removed it");
+
+        // Resumed under budget: decoded into memory.
+        let open = || cache.latest_match(&[7], ctl.buffers()).unwrap().unwrap().1;
+        let resident = StageData::resume(open(), u64::MAX).unwrap();
+        assert!(!resident.is_spilled());
+        assert_eq!(resident.into_dataset().unwrap(), want);
+        // Resumed over budget: not a file is created, and the entry is the
+        // spool the next stage reads, spliced.
+        let before = tree(&root);
+        let spilled = StageData::resume(open(), 1).unwrap();
+        assert!(spilled.is_spilled());
+        assert_eq!(spilled.shard_lens(), vec![5, 3, 5]);
+        assert_eq!(tree(&root), before, "the resume wrote a file");
+        let steps = match &exec.plan().stages()[0] {
+            crate::fusion::Stage::Pipeline { steps, .. } => steps.clone(),
+            _ => panic!("a mapper's stage is a pipeline stage"),
+        };
+        let mut report = crate::report::RunReport::default();
+        let out = exec
+            .run_pipeline_stage(&steps, None, spilled, &ctl, &mut report)
+            .unwrap();
+        assert!(report.bytes_passthrough > 0, "{report:?}");
+        assert_eq!(out.len(), want.len());
+        drop(out);
+        assert!(entry.is_dir());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -850,8 +906,8 @@ mod tests {
 
         let saved = |data: &mut StageData, dir: &str| {
             let cache = CacheManager::new(root.join(dir), CacheMode::Cache);
-            data.save(&cache, 1, None).unwrap();
-            files(&root.join(dir))
+            data.save(&cache, 1, None, &ctl).unwrap();
+            files(&root.join(dir).join(format!("{:016x}", 1)))
         };
         let mut data = masked();
         assert_eq!(

@@ -6,7 +6,6 @@
 //! in the `stage` and `barrier` modules; which shape the data is in is the
 //! `data` module's business; this module only sequences them.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -89,10 +88,13 @@ impl Executor {
         Ok(ledger)
     }
 
-    /// A fresh spill spool, in the run's buffers.
+    /// A fresh spill spool in the run's buffers, in a unique, run-private
+    /// directory under the run's spill directory (or the system temp dir).
     pub(crate) fn new_spool(&self, slots: usize, ctl: &RunCtl) -> Result<ShardSpool> {
-        let pool = ctl.buffers().clone();
-        ShardSpool::create_pooled(self.fresh_spill_dir(), slots, SPILL_CODEC, pool)
+        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+        let base = ctl.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+        let dir = base.join(format!("dj-spill-{}-{seq}", std::process::id()));
+        ShardSpool::create_pooled(dir, slots, SPILL_CODEC, ctl.buffers().clone())
     }
 
     /// Execute the pipeline over an in-memory dataset and return the
@@ -183,7 +185,11 @@ impl Executor {
         };
         let start = Instant::now();
         let ledger = self.new_ledger()?;
-        let ctl = RunCtl::new(job, Some(Arc::clone(&ledger)));
+        let mut ctl = RunCtl::new(job, Some(Arc::clone(&ledger)));
+        // A cached run spools under its cache root: a spilled stage's spool
+        // then becomes its entry by one rename.
+        let root = cache.as_ref().map(|(cm, _)| cm.root().to_path_buf());
+        ctl.spill_dir = root.or_else(|| self.options.spill_dir.clone());
         let budget = self.options.memory_budget;
         let mut report = RunReport {
             fused_groups: plan.fused_groups,
@@ -201,14 +207,11 @@ impl Executor {
                 report.peak_bytes = dataset.approx_bytes();
                 // Resume from the longest cached stage prefix. A corrupt or
                 // unreadable entry must never fail the run — or reach it:
-                // its frames are verified as they are pulled, and anything
-                // but a clean read of all of them falls back to fresh
-                // execution (the §4.1.1 resilience goal).
+                // anything but a clean read of every slot against the seal
+                // falls back to fresh execution (the §4.1.1 resilience goal).
                 let resumed = cache.as_ref().and_then(|(cm, keys)| {
-                    let (idx, entry) = cm.latest_match(keys).ok()??;
-                    let budget = budget.unwrap_or(u64::MAX);
-                    let data =
-                        StageData::from_cached(entry, budget, || self.new_spool(0, &ctl)).ok()?;
+                    let (idx, entry) = cm.latest_match(keys, ctl.buffers()).ok()??;
+                    let data = StageData::resume(entry, budget.unwrap_or(u64::MAX)).ok()?;
                     // Checkpoint mode retires it once the next stage saves.
                     saved = Some(keys[idx]);
                     report.spilled |= data.is_spilled();
@@ -226,7 +229,7 @@ impl Executor {
             data = self.execute_stage(stage, next, data, budget, &ctl, &mut report)?;
             report.peak_bytes = report.peak_bytes.max(data.approx_bytes());
             if let Some((cm, keys)) = &cache {
-                data.save(cm, keys[i], saved)?;
+                data.save(cm, keys[i], saved, &ctl)?;
                 saved = Some(keys[i]);
             }
         }
@@ -325,20 +328,6 @@ impl Executor {
                 chain
             })
             .collect())
-    }
-
-    /// A unique, run-private directory for one spill spool.
-    fn fresh_spill_dir(&self) -> PathBuf {
-        let base = self
-            .options
-            .spill_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir);
-        base.join(format!(
-            "dj-spill-{}-{}",
-            std::process::id(),
-            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
     }
 
     /// Shard count for the spill cut: honor an explicit `shard_size`,

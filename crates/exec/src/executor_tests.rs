@@ -8,7 +8,7 @@ use dj_core::OpRegistry;
 use dj_io::OutputFormat;
 use dj_ops::builtin_registry;
 use dj_store::CacheMode;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn noisy_dataset() -> Dataset {
@@ -293,8 +293,19 @@ fn the_budget_derived_spill_cut_fits_every_np() {
     }
 }
 
-/// Every cache entry under `root`, by file name: name, length and FNV-1a
-/// of its bytes.
+/// An entry's slot files, in slot order: the sealed frames it holds.
+fn entry_slots(entry: &Path) -> Vec<Vec<u8>> {
+    let mut slots: Vec<PathBuf> = std::fs::read_dir(entry)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "djs"))
+        .collect();
+    slots.sort();
+    slots.iter().map(|p| std::fs::read(p).unwrap()).collect()
+}
+
+/// Every cache entry under `root`, by directory name: name, length and
+/// FNV-1a of its slot files concatenated in slot order.
 fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(root)
         .unwrap()
@@ -304,7 +315,7 @@ fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
     entries
         .iter()
         .map(|path| {
-            let bytes = std::fs::read(path).unwrap();
+            let bytes = entry_slots(path).concat();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             (name, bytes.len(), fnv1a(&bytes))
         })
@@ -316,13 +327,11 @@ fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
 /// releases saved resident shards as: the parts' concatenated length and
 /// FNV-1a.
 fn entry_as_row_frames(cache: &CacheManager, key: u64, out: &Path) -> (usize, u64) {
-    let (_, mut entry) = cache.latest_match(&[key]).unwrap().unwrap();
+    let entry = cache.root().join(format!("{key:016x}"));
     let writer = ShardedWriter::create(out, OutputFormat::Frames).unwrap();
-    let mut shard = 0;
-    while let Some(sealed) = entry.next_frame().unwrap() {
-        let samples = dj_store::Frame::parse(&sealed).unwrap().decode(None, None);
+    for (shard, sealed) in entry_slots(&entry).iter().enumerate() {
+        let samples = dj_store::Frame::parse(sealed).unwrap().decode(None, None);
         writer.store_shard(shard, &samples.unwrap().0).unwrap();
-        shard += 1;
     }
     let parts = writer.finish().unwrap().parts;
     let bytes: Vec<u8> = parts
@@ -408,7 +417,7 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             let got = cache_entries(&dir.join("cache"));
             let mut saved: Vec<(String, usize, u64)> = want
                 .iter()
-                .map(|(key, (len, sum), _)| (format!("{key:016x}.djc"), *len, *sum))
+                .map(|(key, (len, sum), _)| (format!("{key:016x}"), *len, *sum))
                 .collect();
             saved.sort();
             assert_eq!(got, saved, "{tag}");

@@ -132,7 +132,7 @@
 //!    the budget (an explicit `shard_size` is honored as-is) and each shard
 //!    is written to a `dj-store` [`ShardSpool`](dj_store::ShardSpool) — a
 //!    directory of length-prefixed, checksummed, atomically-renamed frame
-//!    files under `spill_dir` (default: the system temp dir).
+//!    files under `spill_dir` (default: the temp dir; see step 4 for a cache).
 //! 2. Each pipeline stage streams spool→spool through the driver: each
 //!    of `num_workers` steppers reads one slot, drives it through the
 //!    whole stage and spills the result before it reads another, so at
@@ -145,14 +145,13 @@
 //!    is written). The barrier then opens **no frame**: it clusters the
 //!    carried hashes and leaves its keep mask on the spool for the next
 //!    pass to consume (`RunReport::fingerprinted_barriers` counts these).
-//! 4. Every cache/checkpoint entry is a concatenation of sealed shard
-//!    frames (`CacheManager::save_frames`), in the spool's one format: a
-//!    spilled stage's slot files copied as they are, a resident stage's
-//!    shards encoded one frame each. A resume pulls the frames back one
-//!    at a time — decoded while they fit the budget, copied as bytes into
-//!    spool slots once they do not — so persistence and resume never
-//!    materialize the dataset either. An entry an earlier release saved
-//!    as row frames is a miss.
+//! 4. Every cache/checkpoint entry is a sealed spool directory. A cached
+//!    run spools under its cache root, so a spilled stage's spool becomes
+//!    its entry by one rename and every byte is written once; resident
+//!    shards are encoded one slot each. A resume checks every slot against
+//!    the seal and decodes them while they fit the budget; past it the
+//!    entry itself is the next stage's read-only input spool. Nothing is
+//!    copied or materialized. An earlier release's entry is a miss.
 //! 5. Spilled shards are columnar `DJSC` frames, and every pass decodes
 //!    only the top-level columns named by its steps' field footprints
 //!    ([`Mapper::fields_read`](dj_core::Mapper::fields_read) et al.);

@@ -31,8 +31,9 @@ pub struct ExecOptions {
     /// disables spilling. A [`Runtime`](crate::Runtime) with a global
     /// budget sets each job's to its share, or keeps a tighter one.
     pub memory_budget: Option<u64>,
-    /// Directory for spilled shard frames; `None` = the system temp dir.
-    /// Each run creates (and removes on completion) its own subdirectories.
+    /// Directory for spilled shard frames; `None` = the system temp dir. A
+    /// cached run spills under its cache root instead (a spool becomes its
+    /// entry by a rename). Each run creates and removes its own subdirectories.
     pub spill_dir: Option<PathBuf>,
     /// Input corpus for [`Executor::run_io`] and
     /// [`Runtime::submit_io`](crate::Runtime::submit_io): a file path or

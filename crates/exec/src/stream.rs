@@ -38,6 +38,8 @@ pub(crate) struct RunCtl {
     /// in, reused shard after shard; a runtime job's are released when a
     /// pass ends ([`drive`]).
     buffers: BufferPool,
+    /// Where the run's spools live: a cached run's root, else `spill_dir`.
+    pub(crate) spill_dir: Option<std::path::PathBuf>,
 }
 
 impl RunCtl {
@@ -47,6 +49,7 @@ impl RunCtl {
             job,
             ledger,
             buffers: BufferPool::default(),
+            spill_dir: None,
         }
     }
 

@@ -1,8 +1,8 @@
 //! Sealed frames: the one envelope and the one [`Frame`].
 //!
 //! Everything this crate persists between stages — a spool slot, a
-//! `frames` output part, a cache entry — is one or more *sealed* byte
-//! strings sharing a 20-byte envelope:
+//! `frames` output part, a cache entry's slots and seal record — is one or
+//! more *sealed* byte strings sharing a 20-byte envelope:
 //!
 //! ```text
 //! ┌──────────┬──────────────┬──────────┬──────────────┬──────────┐
@@ -11,9 +11,8 @@
 //! └──────────┴──────────────┴──────────┴──────────────┴──────────┘
 //! ```
 //!
-//! The length prefix makes sealed strings skippable (a cache entry is a
-//! plain concatenation of them), the checksum detects bit rot and torn
-//! writes. It is [`dj_hash::checksum64`], a word-at-a-time hash pinned as
+//! The length prefix lets a sealed string be cut off a stream
+//! ([`envelope::read_one`]), the checksum detects bit rot and torn writes. It is [`dj_hash::checksum64`], a word-at-a-time hash pinned as
 //! a format hash, under which one flipped bit always changes the sum. The
 //! version names the checksum: an envelope an earlier release summed with
 //! FNV-1a has version 0 and is refused as such, not as damage.
@@ -93,10 +92,9 @@ pub mod envelope {
         header[12..].copy_from_slice(&checksum64(payload).to_le_bytes());
     }
 
-    /// Open the sealed string `bytes` starts with: its magic, its verified
-    /// payload, and whatever follows it (walking a concatenation is `open`
-    /// in a loop until the rest is empty).
-    pub fn open(bytes: &[u8]) -> Result<([u8; 4], &[u8], &[u8])> {
+    /// Open the one sealed string `bytes` holds (a slot file, an output
+    /// part, a seal record): its magic and its verified payload.
+    pub fn open_one(bytes: &[u8]) -> Result<([u8; 4], &[u8])> {
         if bytes.len() < HEADER_LEN {
             return Err(DjError::Storage(format!(
                 "truncated frame header ({} of {HEADER_LEN} bytes)",
@@ -133,18 +131,9 @@ pub mod envelope {
                 "frame checksum mismatch (corrupted data)".into(),
             ));
         }
-        Ok((magic, payload, rest))
-    }
-
-    /// [`open`] bytes that must hold exactly one sealed string (a slot
-    /// file, an output part).
-    pub fn open_one(bytes: &[u8]) -> Result<([u8; 4], &[u8])> {
-        let (magic, payload, rest) = open(bytes)?;
         if !rest.is_empty() {
-            return Err(DjError::Storage(format!(
-                "{} trailing bytes after frame",
-                rest.len()
-            )));
+            let n = rest.len();
+            return Err(DjError::Storage(format!("{n} trailing bytes after frame")));
         }
         Ok((magic, payload))
     }
@@ -152,7 +141,7 @@ pub mod envelope {
     /// Cut the next sealed string off a stream, unopened: `Ok(None)` at a
     /// clean end of stream. The length field only says how far to read —
     /// the buffer grows with the bytes that actually arrive — so a short or
-    /// damaged string comes back as it is, for [`open`] to refuse.
+    /// damaged string comes back as it is, for [`open_one`] to refuse.
     pub fn read_one<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
         let mut sealed = Vec::new();
         r.by_ref()
@@ -291,10 +280,10 @@ impl Frame {
 /// hold the samples `keep` keeps.
 ///
 /// Without a mask that is the stored bytes themselves once the checksum
-/// held: spool slots and cache entries share one format, so data moves
-/// between them by copying. A mask re-encodes from the kept entries' byte
-/// ranges, no value decoded — the dead entries a spool's mask covers leave
-/// the bytes here.
+/// held: spool slots and cache entries share one format (an entry is a
+/// sealed spool), so data moves between them by copying. A mask re-encodes
+/// from the kept entries' byte ranges, no value decoded — the dead entries
+/// a spool's mask covers leave the bytes here.
 pub(crate) fn checked_copy(
     sealed: PooledBuf,
     keep: Option<&[bool]>,
@@ -377,18 +366,15 @@ mod tests {
     }
 
     #[test]
-    fn seal_open_roundtrip_and_concatenation_walk() {
+    fn seal_open_roundtrip_and_stream_cut() {
         let a = envelope::seal(b"AAAA", b"first");
         let b = envelope::seal(b"BBBB", b"");
         let mut both = a.clone();
         both.extend_from_slice(&b);
-        let (magic, payload, rest) = envelope::open(&both).unwrap();
+        let (magic, payload) = envelope::open_one(&a).unwrap();
         assert_eq!((&magic, payload), (b"AAAA", &b"first"[..]));
-        assert_eq!(rest, b.as_slice());
-        let (magic, payload, rest) = envelope::open(rest).unwrap();
+        let (magic, payload) = envelope::open_one(&b).unwrap();
         assert_eq!((&magic, payload), (b"BBBB", &b""[..]));
-        assert!(rest.is_empty());
-        assert!(envelope::open_one(&a).is_ok());
         let err = envelope::open_one(&both).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
         // The stream cutter hands back the same strings, then a clean end.
@@ -414,7 +400,7 @@ mod tests {
             encode_shard_frame(&rich_shard(), Codec::Djz)[envelope::HEADER_LEN..].to_vec();
         let old = sealed_under_version_0(SHARD_FRAME_MAGIC, &payload);
         for err in [
-            envelope::open(&old).unwrap_err(),
+            envelope::open_one(&old).unwrap_err(),
             Frame::parse(&old).unwrap_err(),
             read_shard_frame(&mut old.as_slice()).unwrap_err(),
         ] {
@@ -423,7 +409,7 @@ mod tests {
         }
         let mut future = envelope::seal(SHARD_FRAME_MAGIC, &payload);
         future[11] = envelope::VERSION + 1;
-        let err = envelope::open(&future).unwrap_err();
+        let err = envelope::open_one(&future).unwrap_err();
         assert!(
             err.to_string().contains("unknown frame envelope version 2"),
             "{err}"
@@ -446,7 +432,7 @@ mod tests {
         for len in 0..=64 {
             let mut torn = envelope::seal(b"TEST", &vec![7; len]);
             torn[12..].fill(0);
-            let err = envelope::open(&torn).unwrap_err();
+            let err = envelope::open_one(&torn).unwrap_err();
             assert!(
                 err.to_string().contains("checksum mismatch"),
                 "{len}: {err}"

@@ -5,13 +5,13 @@
 //! * [`serialize`] — compact binary dataset format + JSONL import/export;
 //! * [`cache`] — per-OP cache & checkpoint management with resume-from-
 //!   longest-prefix, the backbone of the feedback-loop acceleration; an
-//!   entry is a concatenation of sealed frames, pulled back one at a time;
+//!   entry is a sealed [`ShardSpool`], saved by a rename, read in place;
 //! * [`space`] — the Appendix A.2 space-usage model and the automatic
 //!   cache/checkpoint deployment policy;
 //! * [`frame`] — the one envelope (magic · length · version · `checksum64`
-//!   · payload) every spool slot, `frames` part and cache entry is sealed
-//!   in, and the one [`Frame`] every spool slot and cache entry
-//!   holds: the only module that checks an envelope or a spill or cache
+//!   · payload) every spool slot, `frames` part and cache seal record is
+//!   sealed in, and the one [`Frame`] every spool slot (a cache entry's
+//!   included) holds: the only module that checks an envelope or a spill
 //!   frame's magic;
 //! * [`shard_stream`] — row `DJSF` shard frames (the `frames` output
 //!   format) and the disk-backed [`ShardSpool`], the storage substrate of
@@ -43,7 +43,7 @@ pub mod shard_stream;
 pub mod space;
 mod transcode;
 
-pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedEntry};
+pub use cache::{open_seal_record, seal_record, CacheManager, CacheMode, ENTRY_SEAL_MAGIC};
 pub use codec::{compress, decompress, Codec};
 pub use columnar::{encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab};
 pub use frame::{envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC};

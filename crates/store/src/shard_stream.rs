@@ -7,13 +7,13 @@
 //! [`FrameSlab`] reads it back.
 //!
 //! [`ShardSpool`] is a directory with one columnar (`DJSC`) frame file per
-//! shard — the disk backing of the executor's spill path. Files are
+//! shard: a spilled stage's store, and once sealed a cache entry. Files are
 //! written to a temporary name and atomically renamed, so a reader (or a
 //! restarted run) never observes a partial frame, and every read goes
 //! through the one checked [`ShardSpool::read`]. A spool reads slots into,
 //! and encodes shards in, buffers from its [`BufferPool`] — the run's,
 //! when the run hands it one — so a frame read or built for one shard
-//! reuses the memory of the last. The spool removes its directory on drop.
+//! reuses the memory of the last. Unsealed, it removes its dir on drop.
 
 use std::fs::{self, File};
 use std::io::Read;
@@ -58,24 +58,26 @@ impl FrameSlab {
     }
 }
 
-/// A directory of shard frame files: the disk backing of spilled stages.
+/// A directory of shard frame files: the disk backing of spilled stages and cache entries.
 ///
 /// Slot `i` lives in `shard-i.djs`, written atomically (temp file + rename)
 /// so crashes and concurrent readers never see partial frames; the spool
 /// holds slot frames and nothing else (a barrier's fingerprints ride in
 /// memory on the executor's stage data). Distinct slots may be written
 /// concurrently. The directory and its contents are removed when the spool
-/// drops.
+/// drops, unless it is sealed.
 pub struct ShardSpool {
-    dir: PathBuf,
-    codec: Codec,
-    pool: BufferPool,
+    pub(crate) dir: PathBuf,
+    pub(crate) codec: Codec,
+    pub(crate) pool: BufferPool,
     /// Samples stored per written slot (`None` until stored) — the shard
     /// layout metadata a keep mask over the stored samples is sized by
     /// (a frame may store samples such a mask drops). Grows on demand so
     /// streaming ingest can append slots before the total shard count is
     /// known.
-    lens: Mutex<Vec<Option<usize>>>,
+    pub(crate) lens: Mutex<Vec<Option<usize>>>,
+    /// A cache entry ([`crate::cache`]): read-only, and outlives the spool.
+    pub(crate) sealed: bool,
 }
 
 impl ShardSpool {
@@ -102,7 +104,13 @@ impl ShardSpool {
             codec,
             pool,
             lens: Mutex::new(vec![None; slots]),
+            sealed: false,
         })
+    }
+
+    /// Whether this spool is a sealed cache entry.
+    pub fn is_sealed(&self) -> bool {
+        self.sealed
     }
 
     pub fn dir(&self) -> &Path {
@@ -113,7 +121,7 @@ impl ShardSpool {
         dj_core::sync::lock(&self.lens).len()
     }
 
-    fn slot_path(&self, idx: usize) -> PathBuf {
+    pub(crate) fn slot_path(&self, idx: usize) -> PathBuf {
         self.dir.join(format!("shard-{idx:05}.djs"))
     }
 
@@ -123,10 +131,14 @@ impl ShardSpool {
         self.write_frame_bytes(idx, &frame, shard.len())
     }
 
-    /// Store a pre-encoded frame (a column splice, a frame copied out of a
-    /// cache entry) into slot `idx` atomically,
-    /// recording `samples` as the number of samples the frame stores.
+    /// Store a pre-encoded frame (a column splice, a frame copied out of
+    /// another spool) into slot `idx` atomically, recording `samples` as the
+    /// number of samples the frame stores. A sealed spool refuses it.
     pub fn write_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
+        if self.sealed {
+            let dir = &self.dir;
+            return Err(DjError::Storage(format!("{dir:?} is a sealed cache entry")));
+        }
         let path = self.slot_path(idx);
         let tmp = path.with_extension("djs.tmp");
         if dj_core::faults::armed("store.frame.write") {
@@ -165,11 +177,17 @@ impl ShardSpool {
         Ok(bytes)
     }
 
-    /// Load slot `idx`: checksum verified, nothing decoded — the frame
-    /// keeps the buffer the slot was read into. Non-destructive: spilled
-    /// shards can be re-streamed.
+    /// Load slot `idx`: checksum verified, stored samples held to the
+    /// slot's record, nothing decoded — the frame keeps the buffer the slot
+    /// was read into. Non-destructive: spilled shards can be re-streamed.
     pub fn read(&self, idx: usize) -> Result<Frame> {
-        Frame::parse_owned(self.slot_bytes(idx)?)
+        let frame = Frame::parse_owned(self.slot_bytes(idx)?)?;
+        let (stored, recorded) = (frame.sample_count(), self.shard_len(idx));
+        if recorded.is_some_and(|n| n != stored) {
+            let msg = format!("spool slot {idx} stores {stored} samples, not as recorded");
+            return Err(DjError::Storage(msg));
+        }
+        Ok(frame)
     }
 
     /// Slot `idx` decoded whole.
@@ -178,7 +196,7 @@ impl ShardSpool {
     }
 
     /// Slot `idx` as frame bytes holding the samples `keep` keeps — how a
-    /// spool is persisted as a cache entry.
+    /// masked slot goes into a cache entry.
     /// Without a mask that is a checked copy of the slot file; with one the
     /// frame is re-encoded from the kept entries' byte ranges. No value is
     /// decoded either way.
@@ -202,8 +220,10 @@ impl ShardSpool {
 
 impl Drop for ShardSpool {
     fn drop(&mut self) {
-        // Spill data is transient by definition: leave no temp dirs behind.
-        let _ = fs::remove_dir_all(&self.dir);
+        // Spill data is transient: leave no temp dirs (an entry is no spill).
+        if !self.sealed {
+            let _ = fs::remove_dir_all(&self.dir);
+        }
     }
 }
 

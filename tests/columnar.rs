@@ -344,6 +344,21 @@ fn a_stage_mask_keeps_carried_fingerprints_file_to_file() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// A cache entry's slot files concatenated in slot order: its sealed
+/// frames, the bytes a flat entry file of earlier releases held.
+fn entry_bytes(entry: &std::path::Path) -> Vec<u8> {
+    let mut slots: Vec<std::path::PathBuf> = std::fs::read_dir(entry)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "djs"))
+        .collect();
+    slots.sort();
+    slots
+        .iter()
+        .flat_map(|p| std::fs::read(p).unwrap())
+        .collect()
+}
+
 /// Cache entries of a spilled columnar run are made of compacted frames:
 /// the dead entries a stage mask or a barrier mask leaves on the spool
 /// leave the bytes on the way into the entry. Pinned: each entry's length
@@ -384,21 +399,21 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
         let got: Vec<(String, usize, u64)> = entries
             .iter()
             .map(|path| {
-                let bytes = std::fs::read(path).unwrap();
+                let bytes = entry_bytes(path);
                 let name = path.file_name().unwrap().to_string_lossy().into_owned();
                 (name, bytes.len(), fnv1a(&bytes))
             })
             .collect();
         let mut want: Vec<(String, usize, u64)> = ENTRIES
             .iter()
-            .map(|(key, len, sum)| (format!("{key:016x}.djc"), *len, *sum))
+            .map(|(key, len, sum)| (format!("{key:016x}"), *len, *sum))
             .collect();
         want.sort();
         assert_eq!(got, want, "np {np}");
         // The last stage's entry stores exactly the run's output, no dead
         // entry.
-        let last = format!("{:016x}.djc", ENTRIES[3].0);
-        let last = std::fs::read(dir.join("cache").join(last)).unwrap();
+        let last = format!("{:016x}", ENTRIES[3].0);
+        let last = entry_bytes(&dir.join("cache").join(last));
         let (mut stream, mut stored) = (&last[..], 0);
         while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
             stored += Frame::parse(&sealed).unwrap().sample_count();

@@ -119,12 +119,13 @@ fn cache_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every entry file directly under a cache root.
+/// Every sealed entry directly under a cache root: a directory holding
+/// its seal record.
 fn entries(root: &Path) -> Vec<PathBuf> {
     let mut out: Vec<PathBuf> = std::fs::read_dir(root)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "djc"))
+        .filter(|p| p.join("entry.seal").is_file())
         .collect();
     out.sort();
     out
@@ -284,7 +285,7 @@ fn checkpoint_mode_keeps_one_entry_per_run_and_spares_other_recipes() {
     assert_eq!(entries(&dir).len(), 4);
 
     for entry in &kept {
-        assert!(entry.is_file(), "{} was removed", entry.display());
+        assert!(entry.is_dir(), "{} was removed", entry.display());
     }
     let (_, report) = cached(&other).run_with_cache(data, &cache).unwrap();
     assert_eq!(report.resumed_steps, 3);

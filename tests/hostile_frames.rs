@@ -1,9 +1,12 @@
 //! Bytes we did not write: one seeded, structure-aware mutation loop over
-//! everything that opens sealed bytes — `envelope::open`, `Frame::parse` and
+//! everything that opens sealed bytes — the envelope (`envelope::open_one`,
+//! `envelope::read_one`), `Frame::parse` and
 //! every operation on the parsed (`DJSC`) frame, the `frames` part readers
 //! (`FrameSlab` and the `Read` adapter, the row `DJSF` parser's entry
-//! points) and the spool's reads. A row frame is never a spill or cache
-//! frame: `Frame::parse` and every spool read refuse it with a typed error.
+//! points), the spool's reads, and a cache entry's seal record (`DJES`:
+//! `open_seal_record`, and the entry opened through it with every slot
+//! read). A row frame is never a spill or cache frame: `Frame::parse` and
+//! every spool read refuse it with a typed error.
 //!
 //! Whatever the input — flipped bits, truncation at every header boundary,
 //! length-prefix bombs (a length, count or size field claiming far more than
@@ -34,9 +37,9 @@ use proptest::TestRng;
 use data_juicer::core::{Dataset, DjError, Sample, Value, MAX_NESTING_DEPTH};
 use data_juicer::hash::checksum64;
 use data_juicer::store::{
-    compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, read_shard_frame,
-    to_jsonl, Codec, ColumnarSlab, Frame, FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC,
-    SHARD_FRAME_MAGIC,
+    compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, open_seal_record,
+    read_shard_frame, to_jsonl, BufferPool, CacheManager, CacheMode, Codec, ColumnarSlab, Frame,
+    FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC, ENTRY_SEAL_MAGIC, SHARD_FRAME_MAGIC,
 };
 
 thread_local! {
@@ -105,22 +108,53 @@ fn shard() -> Dataset {
 
 const MASK: [bool; 7] = [true, false, true, true, false, true, false];
 
+/// What the parsers are fed through: a spool slot, and a sealed cache
+/// entry of two slots whose seal record is replaced.
+struct Targets {
+    spool: ShardSpool,
+    cache: CacheManager,
+    entry: std::path::PathBuf,
+}
+
+/// The entry key [`Targets::cache`] holds.
+const KEY: u64 = 1;
+
+impl Targets {
+    fn new(dir: &std::path::Path) -> Targets {
+        let _ = std::fs::remove_dir_all(dir);
+        let cache = CacheManager::new(dir.join("cache"), CacheMode::Cache);
+        let mut entry = cache.new_entry(KEY, &BufferPool::default()).unwrap();
+        for (i, half) in shard().into_shards(2).iter().enumerate() {
+            entry.write_shard(i, half).unwrap();
+        }
+        cache.seal(&mut entry, KEY, None).unwrap();
+        Targets {
+            spool: ShardSpool::create(dir.join("spool"), 1, Codec::Djz).unwrap(),
+            entry: entry.dir().to_path_buf(),
+            cache,
+        }
+    }
+
+    /// The entry's sound seal record.
+    fn seal(&self) -> Vec<u8> {
+        std::fs::read(self.entry.join("entry.seal")).unwrap()
+    }
+}
+
 /// Everything that opens sealed bytes, fed `bytes`. Returns whether
-/// `Frame::parse` or the `frames` part reader accepted them as one shard
-/// frame.
-fn feed(spool: &ShardSpool, bytes: &[u8]) -> bool {
+/// `Frame::parse`, the `frames` part reader or the seal record parser
+/// accepted them as one shard frame or one seal record.
+fn feed(targets: &Targets, bytes: &[u8]) -> bool {
+    let spool = &targets.spool;
     let text: BTreeSet<String> = ["text".to_string()].into();
     let mut results: Vec<Result<(), DjError>> = Vec::new();
 
-    // The envelope itself, walked as a concatenation.
-    let mut rest = bytes;
-    results.push(loop {
-        match envelope::open(rest) {
-            Ok((_, _, [])) => break Ok(()),
-            Ok((_, _, tail)) => rest = tail,
-            Err(e) => break Err(e),
-        }
-    });
+    // The envelope itself, and cut off a stream as a concatenation.
+    results.push(envelope::open_one(bytes).map(drop));
+    let mut stream = bytes;
+    while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
+        results.push(envelope::open_one(&sealed).map(drop));
+    }
 
     // One spill or cache frame, and every operation on it.
     let parsed = Frame::parse(bytes);
@@ -146,6 +180,22 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> bool {
     results.push(part.map(drop));
     results.push(read_back.map(drop));
     results.push(ColumnarSlab::from_frame_bytes(bytes).map(drop));
+
+    // A cache entry's seal record, alone and as the seal of an entry whose
+    // every slot is then read the way a resume reads it.
+    let seal = open_seal_record(bytes);
+    frame |= seal.is_ok();
+    results.push(seal.map(drop));
+    if bytes.starts_with(ENTRY_SEAL_MAGIC) {
+        std::fs::write(targets.entry.join("entry.seal"), bytes).unwrap();
+        match targets.cache.latest_match(&[KEY], &BufferPool::default()) {
+            Ok(Some((_, entry))) => {
+                results.extend((0..entry.shard_count()).map(|i| entry.read(i).map(drop)));
+            }
+            Ok(None) => panic!("the entry vanished"),
+            Err(e) => results.push(Err(e)),
+        }
+    }
 
     // As a spool slot: the checked reads, byte-copying ones included.
     spool.write_frame_bytes(0, bytes, MASK.len()).unwrap();
@@ -175,9 +225,9 @@ fn feed(spool: &ShardSpool, bytes: &[u8]) -> bool {
 
 /// [`feed`] under the guards: no panic, no oversized allocation. Returns
 /// whether anyone accepted the bytes.
-fn check(spool: &ShardSpool, what: &str, bytes: &[u8]) -> bool {
+fn check(targets: &Targets, what: &str, bytes: &[u8]) -> bool {
     LARGEST.with(|max| max.set(0));
-    let outcome = catch_unwind(AssertUnwindSafe(|| feed(spool, bytes)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| feed(targets, bytes)));
     let largest = LARGEST.with(Cell::get);
     let accepted = outcome.unwrap_or_else(|_| panic!("{what}: a parser panicked on {bytes:02x?}"));
     assert!(
@@ -231,6 +281,13 @@ fn mutate_payload(rng: &mut TestRng, magic: &[u8; 4], payload: &[u8]) -> (String
             out = with_u64(&out, at, bomb(rng));
             format!("size bomb @{at}")
         }
+        // A seal record is words only: the slot count, then each slot's
+        // length and sample count.
+        3 if magic == ENTRY_SEAL_MAGIC => {
+            let at = 8 * rng.below((out.len() / 8 + 1) as u64) as usize;
+            out = with_u64(&out, at, bomb(rng));
+            format!("seal word bomb @{at}")
+        }
         // A columnar directory entry's words (offset, length, raw length,
         // checksum) sit after its name; aim at the first entries.
         3 if magic == COLUMNAR_FRAME_MAGIC => {
@@ -277,10 +334,10 @@ fn mutate_payload(rng: &mut TestRng, magic: &[u8; 4], payload: &[u8]) -> (String
 #[test]
 fn no_parser_panics_overallocates_or_lets_damage_through() {
     let dir = std::env::temp_dir().join(format!("dj-hostile-frames-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
+    let targets = Targets::new(&dir);
     let ds = shard();
     let seeds: Vec<(&[u8; 4], Vec<u8>)> = vec![
+        (ENTRY_SEAL_MAGIC, targets.seal()),
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::None)),
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::Djz)),
         (
@@ -297,18 +354,23 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
     // The sweeps: every seed as it is, cut at every header boundary and a
     // byte either side, under every magic, with every length-field bomb.
     for (magic, sealed) in &seeds {
-        assert!(check(&spool, "seed", sealed), "{magic:?} seed refused");
+        assert!(check(&targets, "seed", sealed), "{magic:?} seed refused");
         let n = sealed.len();
         for cut in [0, 1, 3, 4, 5, 11, 12, 13, 19, 20, 21, n / 2, n - 1] {
-            let accepted = check(&spool, &format!("cut at {cut}"), &sealed[..cut]);
+            let accepted = check(&targets, &format!("cut at {cut}"), &sealed[..cut]);
             assert!(!accepted, "{magic:?} cut at {cut} of {n} was accepted");
         }
-        for other in [SHARD_FRAME_MAGIC, COLUMNAR_FRAME_MAGIC, b"\0\0\0\0"] {
+        for other in [
+            SHARD_FRAME_MAGIC,
+            COLUMNAR_FRAME_MAGIC,
+            ENTRY_SEAL_MAGIC,
+            b"\0\0\0\0",
+        ] {
             // The checksum does not cover the magic: a swap hands a payload
             // to the wrong parser, which must refuse it on its own.
             let mut swapped = sealed.clone();
             swapped[..4].copy_from_slice(other);
-            let accepted = check(&spool, "swapped magic", &swapped);
+            let accepted = check(&targets, "swapped magic", &swapped);
             assert_eq!(accepted, other == *magic, "{magic:?} as {other:?}");
         }
         for len in [
@@ -321,7 +383,7 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
         ] {
             // Under the current version byte, so the length itself is judged.
             let word = len & ((1 << 56) - 1) | u64::from(envelope::VERSION) << 56;
-            let accepted = check(&spool, "length bomb", &with_u64(sealed, 4, word));
+            let accepted = check(&targets, "length bomb", &with_u64(sealed, 4, word));
             assert!(!accepted, "length {len} accepted for {n} sealed bytes");
         }
         // A torn write that zeroes the checksum and the payload but leaves
@@ -329,21 +391,46 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
         // payload parsers would make of zeros.
         let mut torn = sealed.clone();
         torn[12..].fill(0);
-        assert!(envelope::open(&torn).is_err(), "{magic:?} zeroed");
-        assert!(!check(&spool, "zeroed checksum and payload", &torn));
+        assert!(envelope::open_one(&torn).is_err(), "{magic:?} zeroed");
+        assert!(!check(&targets, "zeroed checksum and payload", &torn));
         // Another envelope version: 0 is the FNV-1a envelope of earlier
         // releases, the rest are unknown.
         for version in [0, 2, 0xff] {
             let mut other = sealed.clone();
             other[11] = version;
-            assert!(!check(&spool, "envelope version", &other), "{version}");
+            assert!(!check(&targets, "envelope version", &other), "{version}");
         }
         let mut trailing = sealed.clone();
         trailing.push(0);
-        assert!(!check(&spool, "trailing byte", &trailing));
+        assert!(!check(&targets, "trailing byte", &trailing));
         let mut doubled = sealed.clone();
         doubled.extend_from_slice(sealed);
-        assert!(!check(&spool, "two frames where one belongs", &doubled));
+        assert!(!check(&targets, "two frames where one belongs", &doubled));
+        if *magic == ENTRY_SEAL_MAGIC {
+            // Behind a valid checksum, a seal record cut anywhere — at
+            // every field boundary and inside every field — or with a
+            // slot count of any other value is refused.
+            let (_, payload) = envelope::open_one(sealed).unwrap();
+            for cut in 0..payload.len() {
+                let resealed = envelope::seal(magic, &payload[..cut]);
+                assert!(!check(&targets, "seal cut", &resealed), "seal cut at {cut}");
+            }
+            let slots = u64::from_le_bytes(payload[..8].try_into().unwrap());
+            for count in [
+                0,
+                slots - 1,
+                slots + 1,
+                1 << 32,
+                u64::MAX / 16 + 1,
+                u64::MAX,
+            ] {
+                let bombed = envelope::seal(magic, &with_u64(payload, 0, count));
+                assert!(
+                    !check(&targets, "slot count", &bombed),
+                    "slot count {count}"
+                );
+            }
+        }
     }
 
     // The loop: seeded, so a failure replays; time-boxed, so it stays in the
@@ -359,7 +446,7 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             let mut bad = sealed.clone();
             let at = rng.below(bad.len() as u64) as usize;
             bad[at] ^= 1 << rng.below(8);
-            let accepted = check(&spool, "bit flip", &bad);
+            let accepted = check(&targets, "bit flip", &bad);
             // (No two of the magics are one bit apart, so a flip inside
             // one never lands on another.)
             assert!(!accepted, "{magic:?} bit flip @{at} read back as data");
@@ -367,11 +454,12 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             // Damage behind a valid checksum: the inner parsers' turn.
             let (_, payload) = envelope::open_one(sealed).unwrap();
             let (what, mutated) = mutate_payload(&mut rng, magic, payload);
-            check(&spool, &what, &envelope::seal(magic, &mutated));
+            check(&targets, &what, &envelope::seal(magic, &mutated));
         }
     }
-    drop(spool);
-    assert!(!dir.exists());
+    drop(targets);
+    assert!(!dir.join("spool").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One sample whose `text` is `lists` nested lists around a `null`.
@@ -416,8 +504,7 @@ fn one_column_frame(name: &str, body: &[u8]) -> Vec<u8> {
 #[test]
 fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     let dir = std::env::temp_dir().join(format!("dj-hostile-nesting-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
+    let targets = Targets::new(&dir);
     fn refused<T: std::fmt::Debug>(result: Result<T, DjError>, what: &str) {
         assert!(
             matches!(result, Err(DjError::Storage(_))),
@@ -428,13 +515,13 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     for (lists, fits) in [(MAX_NESTING_DEPTH - 1, true), (MAX_NESTING_DEPTH, false)] {
         let ds = nested_sample(lists);
         let sealed = encode_columnar_frame(&ds, Codec::Djz);
-        check(&spool, "nesting at the limit", &sealed);
+        check(&targets, "nesting at the limit", &sealed);
         let frame = Frame::parse(&sealed).unwrap();
         let decoded = frame.decode(None, None).map(|(d, _)| d);
         let mut printed = String::new();
         let written = frame.write_jsonl(None, &mut printed);
         let part = encode_shard_frame(&ds, Codec::Djz);
-        check(&spool, "nesting at the limit", &part);
+        check(&targets, "nesting at the limit", &part);
         let read_back = read_shard_frame(&mut part.as_slice()).map(Option::unwrap);
         if fits {
             assert_eq!(decoded.unwrap(), ds, "{lists} lists");
@@ -457,7 +544,7 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     }
     deep.push(0); // null
     let sealed = one_column_frame("text", &[&[1u8][..], &deep].concat());
-    check(&spool, "nesting bomb", &sealed);
+    check(&targets, "nesting bomb", &sealed);
     let frame = Frame::parse(&sealed).unwrap();
     refused(frame.decode(None, None), "decode");
     refused(frame.write_jsonl(None, &mut String::new()), "transcode");
@@ -471,12 +558,13 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     payload.extend_from_slice(b"text");
     payload.extend_from_slice(&deep);
     let sealed = envelope::seal(SHARD_FRAME_MAGIC, &compress(&payload, Codec::None));
-    check(&spool, "nesting bomb", &sealed);
+    check(&targets, "nesting bomb", &sealed);
     refused(read_shard_frame(&mut sealed.as_slice()), "read back");
     refused(
         FrameSlab::from_frame_bytes(&sealed).and_then(|slab| slab.decode()),
         "decode a part",
     );
-    drop(spool);
-    assert!(!dir.exists());
+    drop(targets);
+    assert!(!dir.join("spool").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,7 +16,7 @@
 //! op, alone, through every shape.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -585,7 +585,7 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
         let [entry] = &added[..] else {
             panic!("{tag}: the extended run added {added:?}")
         };
-        let good = fs::read(entry).unwrap();
+        let good = read_entry(entry);
         assert!(good.starts_with(COLUMNAR_FRAME_MAGIC), "{tag}");
         let damaged = [0, 5, 13, 20, good.len() / 2, good.len() - 1].map(|pos| {
             let mut bad = good.clone();
@@ -594,7 +594,7 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
         });
         let old_format = ("row frames".to_string(), as_row_frames(&good));
         for (what, bad) in damaged.into_iter().chain([old_format]) {
-            fs::write(entry, &bad).unwrap();
+            write_entry(entry, &bad);
             let (out, rerun) = exec(&extended)
                 .run_with_cache(data.clone(), &cache)
                 .unwrap();
@@ -604,9 +604,55 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
             );
             assert_eq!(to_jsonl(&out), fresh, "{tag} {what}");
             // The fresh run saved the entry again, whole.
-            assert_eq!(fs::read(entry).unwrap(), good, "{tag} {what}");
+            assert_eq!(read_entry(entry), good, "{tag} {what}");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// An entry's slot files in slot order.
+fn entry_slots(entry: &Path) -> Vec<PathBuf> {
+    let mut slots: Vec<PathBuf> = fs::read_dir(entry)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "djs"))
+        .collect();
+    slots.sort();
+    slots
+}
+
+/// A cache entry's sealed frames: its slot files concatenated in slot
+/// order, the bytes a flat entry file of earlier releases held.
+fn read_entry(entry: &Path) -> Vec<u8> {
+    entry_slots(entry)
+        .iter()
+        .flat_map(|p| fs::read(p).unwrap())
+        .collect()
+}
+
+/// Write `bytes` — an entry's frames, damaged or re-encoded — back over
+/// its slots, one frame per slot: split at the slots' own lengths when the
+/// total is theirs (a flipped bit), else at the frames' envelopes.
+fn write_entry(entry: &Path, bytes: &[u8]) {
+    let slots = entry_slots(entry);
+    let lens: Vec<usize> = slots
+        .iter()
+        .map(|p| fs::metadata(p).unwrap().len() as usize)
+        .collect();
+    let mut frames = Vec::new();
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let len = if lens.iter().sum::<usize>() == bytes.len() {
+            lens[frames.len()]
+        } else {
+            envelope::read_one(&mut &rest[..]).unwrap().unwrap().len()
+        };
+        frames.push(&rest[..len]);
+        rest = &rest[len..];
+    }
+    assert_eq!(frames.len(), slots.len());
+    for (slot, frame) in slots.iter().zip(frames) {
+        fs::write(slot, frame).unwrap();
     }
 }
 
@@ -615,12 +661,9 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
 fn as_row_frames(entry: &[u8]) -> Vec<u8> {
     let mut rest = entry;
     let mut out = Vec::new();
-    while !rest.is_empty() {
-        let (_, _, tail) = envelope::open(rest).unwrap();
-        let sealed = &rest[..rest.len() - tail.len()];
-        let (shard, _) = Frame::parse(sealed).unwrap().decode(None, None).unwrap();
+    while let Some(sealed) = envelope::read_one(&mut rest).unwrap() {
+        let (shard, _) = Frame::parse(&sealed).unwrap().decode(None, None).unwrap();
         out.extend(encode_shard_frame(&shard, Codec::Djz));
-        rest = tail;
     }
     assert!(out.starts_with(SHARD_FRAME_MAGIC));
     out
