@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dj_config::{OpSpec, Recipe};
-use dj_core::faults::{ErrKind, FaultPlan};
+use dj_core::faults::{self, ErrKind, FaultPlan};
 use dj_core::Dataset;
 use dj_exec::{ExecOptions, Executor, RetryPolicy, Runtime, RuntimeConfig};
 use dj_synth::{web_corpus, WebNoise};
@@ -136,11 +136,11 @@ fn bench_latency_distribution(c: &mut Criterion) {
     group.finish();
 }
 
-/// The self-healing overhead: the same 4-tenant fleet, but one tenant
-/// carries a deterministic injected transient IO fault each iteration.
-/// The retrying runtime absorbs it (every job must still succeed), so
-/// the delta against `concurrent_4jobs` prices one failed attempt plus
-/// its backoff under multi-tenant load.
+/// The self-healing overhead: the same 4-tenant fleet under one
+/// deterministic injected transient IO fault per iteration, which fails
+/// whichever tenant hits it first. The retrying runtime absorbs it (every
+/// job must still succeed), so the delta against `concurrent_4jobs`
+/// prices one failed attempt plus its backoff under multi-tenant load.
 fn bench_faulty_tenant(c: &mut Criterion) {
     const JOBS: usize = 4;
     const DOCS: usize = 300;
@@ -162,21 +162,14 @@ fn bench_faulty_tenant(c: &mut Criterion) {
                     cap: Duration::from_millis(5),
                 },
             });
-            // A fresh single-shot fault per iteration: the first worker
-            // step after install fails with a transient IO error.
-            let plan = Arc::new(FaultPlan::single("exec.worker.step", ErrKind::Io, 1, 11));
+            // A fresh single-shot fault per iteration, the process's while
+            // the fleet runs: the first worker step of any job fails with a
+            // transient IO error.
+            let plan = FaultPlan::single("exec.worker.step", ErrKind::Io, 1, 11);
+            let _faults = faults::install(Arc::new(plan));
             let handles: Vec<_> = corpora
                 .iter()
-                .enumerate()
-                .map(|(i, ds)| {
-                    let mut exec = exec(2);
-                    if i == 0 {
-                        let mut opts = exec.options().clone();
-                        opts.faults = Some(Arc::clone(&plan));
-                        exec = exec.with_options(opts);
-                    }
-                    rt.submit(exec, ds.clone())
-                })
+                .map(|ds| rt.submit(exec(2), ds.clone()))
                 .collect();
             for h in handles {
                 h.wait().expect("faulted job must recover via retry");

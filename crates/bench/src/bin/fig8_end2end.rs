@@ -616,17 +616,19 @@ fn main() {
         });
     }
 
-    // Same multi-tenant load, but one tenant carries an injected
-    // transient IO fault (deterministic, seeded — see dj-core::faults).
-    // The retrying runtime must absorb it: every job still completes,
-    // every output still matches its solo run, and the row's delta over
-    // `Data-Juicer-serve` is the price of the failed attempt + backoff.
-    section("Service runtime: 4 tenants, one faulty (retry absorbs)");
+    // Same multi-tenant load under one injected transient IO fault per
+    // round (deterministic, seeded — see dj-core::faults), installed for
+    // the process while the round runs: whichever tenant hits it first
+    // fails an attempt. The retrying runtime must absorb it: every job
+    // still completes, every output still matches its solo run, and the
+    // row's delta over `Data-Juicer-serve` is the price of the failed
+    // attempt + backoff.
+    section("Service runtime: 4 tenants, one fault per round (retry absorbs)");
     {
         use std::sync::Arc;
         use std::time::Duration;
 
-        use dj_core::faults::{ErrKind, FaultPlan};
+        use dj_core::faults::{self, ErrKind, FaultPlan};
         use dj_exec::{RetryPolicy, Runtime, RuntimeConfig};
 
         let np = *nps.last().expect("np sweep non-empty");
@@ -663,18 +665,18 @@ fn main() {
         let (mut in_total, mut out_total) = (0usize, 0usize);
         for round in 0..ROUNDS {
             // One fresh single-shot fault per round: the first worker
-            // step after install fails with a transient IO error.
+            // step after install, in any tenant, fails with a transient IO
+            // error.
             let plan = Arc::new(FaultPlan::single(FAULT_SITE, ErrKind::Io, 1, 11));
+            let installed = faults::install(Arc::clone(&plan));
             let t0 = Instant::now();
             let handles: Vec<_> = tenants
                 .iter()
-                .enumerate()
-                .map(|(i, (_, data))| {
+                .map(|(_, data)| {
                     let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
                         num_workers: np,
                         op_fusion: true,
                         shard_size: None,
-                        faults: (i == 0).then(|| Arc::clone(&plan)),
                         ..ExecOptions::default()
                     });
                     (Instant::now(), rt.submit(exec, (*data).clone()))
@@ -696,6 +698,7 @@ fn main() {
                 }
             }
             agg_seconds += t0.elapsed().as_secs_f64();
+            drop(installed);
             if plan.hits(FAULT_SITE) > 0 {
                 fired_rounds += 1;
             }
@@ -708,7 +711,7 @@ fn main() {
         let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize];
         let (p50, p99) = (pct(0.50), pct(0.99));
         println!(
-            "{} tenants x {ROUNDS} rounds, 1 faulty: p50 {:.1} ms | p99 {:.1} ms | \
+            "{} tenants x {ROUNDS} rounds, 1 fault each: p50 {:.1} ms | p99 {:.1} ms | \
              aggregate {:.0} samples/s | fault fired {fired_rounds}/{ROUNDS} rounds, \
              all outputs matched solo runs",
             tenants.len(),

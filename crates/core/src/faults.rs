@@ -32,10 +32,12 @@
 //!
 //! e.g. `DJ_FAULTS=seed:7,store.frame.read:bitflip@2`.
 //!
-//! No library crate reads the variable ([`FAULTS_ENV`]): a run's plan is
-//! its `ExecOptions::faults`. `dj serve` parses `DJ_FAULTS` once at
-//! startup and hands every job a fresh plan of it; the chaos suite's
-//! `env_seed_smoke` replays one spec from it.
+//! No library crate reads the variable ([`FAULTS_ENV`]) or installs a
+//! plan: a plan is the process's, installed by its host. `dj serve` parses
+//! `DJ_FAULTS` once at startup and installs that plan for the whole
+//! process before it replays its journal, so one set of hit counters
+//! counts every job; the chaos suite's `env_seed_smoke` replays one spec
+//! from it.
 //!
 //! ## Hooks
 //!
@@ -49,15 +51,17 @@
 //! panics at the site in both flavors, exercising the pool / runtime
 //! `catch_unwind` paths.
 //!
-//! Hit counters live in the plan itself (shared via `Arc`), so a retry
-//! that re-runs an executor with the same plan does **not** re-fire a
-//! fault that already spent its hit — which is what lets the chaos
-//! property ("retried run is byte-identical to the fault-free run")
-//! hold for transient faults.
+//! Hit counters live in the plan itself, so a retry that re-runs an
+//! executor under the same installed plan does **not** re-fire a fault
+//! that already spent its hit — which is what lets the chaos property
+//! ("retried run is byte-identical to the fault-free run") hold for
+//! transient faults.
 //!
-//! A plan becomes visible to the storage/IO layers by being installed
-//! process-globally with [`install`]; the returned guard restores the
-//! previous plan on drop. With no plan installed every hook is a single
+//! A plan becomes visible to the storage, IO and execution layers by being
+//! installed process-globally with [`install`], by the host around
+//! whatever it means to fault; the returned guard restores the previous
+//! plan on drop. Every run in the process, concurrent ones included, sees
+//! the one installed plan. With no plan installed every hook is a single
 //! relaxed atomic load.
 
 use std::collections::HashMap;
@@ -295,8 +299,9 @@ impl Drop for FaultGuard {
 }
 
 /// Install `plan` process-globally for the lifetime of the returned
-/// guard. Counters live in the `Arc`, so re-installing the same plan
-/// (e.g. per retry attempt) keeps its hit history.
+/// guard: a host's call (`dj serve`, a chaos test, a bench), made around
+/// the runs it means to fault, never the engine's. Counters live in the
+/// `Arc`, so re-installing the same plan keeps its hit history.
 pub fn install(plan: Arc<FaultPlan>) -> FaultGuard {
     let mut slot = sync::write(&ACTIVE);
     let prev = slot.replace(plan);

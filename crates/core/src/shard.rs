@@ -153,6 +153,10 @@ impl ResidencyGauge {
         self.live_samples.load(Ordering::Relaxed)
     }
 
+    pub fn live_bytes(&self) -> usize {
+        self.live_bytes.load(Ordering::Relaxed)
+    }
+
     pub fn peak_samples(&self) -> usize {
         self.peak_samples.load(Ordering::Relaxed)
     }

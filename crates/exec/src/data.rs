@@ -664,6 +664,12 @@ impl StageData {
 mod tests {
     use super::*;
 
+    /// A direct run's controls: a private control block, a `Fail` ledger.
+    fn direct_ctl() -> RunCtl {
+        let ledger = dj_io::ErrorLedger::new(dj_core::OnError::Fail, 1.0);
+        RunCtl::new(Default::default(), std::sync::Arc::new(ledger))
+    }
+
     /// Every file under `dir`, recursively, by path.
     fn tree(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
         let mut out = Vec::new();
@@ -693,7 +699,7 @@ mod tests {
             std::env::temp_dir().join(format!("dj-exec-written-once-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cache = CacheManager::new(root.join("cache"), CacheMode::Cache);
-        let mut ctl = RunCtl::new(None, None);
+        let mut ctl = direct_ctl();
         ctl.spill_dir = Some(cache.root().to_path_buf());
         let mapper = dj_ops::builtin_registry()
             .build("whitespace_normalization_mapper", &OpParams::new())
@@ -858,7 +864,7 @@ mod tests {
 
         let exec = Executor::new(Vec::new());
         let mut data = masked();
-        let ctl = RunCtl::new(None, None);
+        let ctl = direct_ctl();
         let (feed, sink) = data.open(&exec, None, &ctl).unwrap();
         assert!(!sink.carries_fingerprints());
         let mut opened = Vec::new();

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use dj_core::{faults, write_json, Dataset, Deduplicator, DjError, Op, Result};
+use dj_core::{write_json, Dataset, Deduplicator, DjError, Op, Result};
 use dj_hash::{checksum64, fnv1a, hash64_seeded};
 use dj_io::{CorpusReader, ErrorLedger, ShardedWriter};
 use dj_store::{CacheManager, ShardSpool};
@@ -131,7 +131,7 @@ impl Executor {
     /// chains from the input's digest, and a file corpus has none yet
     /// (only a resident dataset is digested).
     pub fn run_io(&self) -> Result<(Option<Dataset>, RunReport)> {
-        self.sequence(None, None, None)
+        self.sequence(None, None, Arc::default())
     }
 
     /// `run` / `run_with_cache`: the dataset comes back, so there is no
@@ -148,27 +148,24 @@ impl Executor {
                 dir.display()
             )));
         }
-        let (out, report) = self.sequence(Some(dataset), cache, None)?;
+        let (out, report) = self.sequence(Some(dataset), cache, Arc::default())?;
         // Without an output directory the sequencer always materializes.
         Ok((out.unwrap_or_default(), report))
     }
 
     /// The one run sequencer, for `dataset` (`None`: the corpus named by
-    /// [`ExecOptions::input`]) and the owning runtime `job`, if any: plan →
-    /// cache resume or ingest → the stage loop → ledger seal → egress or
-    /// materialize, under [`ExecOptions::faults`]. After ingest nothing
-    /// here knows whether the input was a file: a resident dataset and a
-    /// spooled corpus run the same loop, and [`ExecOptions::output`] set
-    /// means manifest-tracked parts for both.
+    /// [`ExecOptions::input`]) under the run's control block `job` (a
+    /// runtime job's, or a direct run's own): plan → cache resume or
+    /// ingest → the stage loop → ledger seal → egress or materialize. After
+    /// ingest nothing here knows whether the input was a file: a resident
+    /// dataset and a spooled corpus run the same loop, and
+    /// [`ExecOptions::output`] set means manifest-tracked parts for both.
     pub(crate) fn sequence(
         &self,
         dataset: Option<Dataset>,
         cache: Option<&CacheManager>,
-        job: Option<Arc<JobControl>>,
+        job: Arc<JobControl>,
     ) -> Result<(Option<Dataset>, RunReport)> {
-        // The plan in force for this attempt. Retry attempts share its
-        // `Arc`, so a fault spent on one stays spent on the next.
-        let _faults = self.options.faults.clone().map(faults::install);
         let source = match dataset {
             Some(dataset) => Source::Resident(dataset),
             None => Source::Corpus(self.options.input.as_deref().ok_or_else(|| {
@@ -185,7 +182,7 @@ impl Executor {
         };
         let start = Instant::now();
         let ledger = self.new_ledger()?;
-        let mut ctl = RunCtl::new(job, Some(Arc::clone(&ledger)));
+        let mut ctl = RunCtl::new(job, Arc::clone(&ledger));
         // A cached run spools under its cache root: a spilled stage's spool
         // then becomes its entry by one rename.
         let root = cache.as_ref().map(|(cm, _)| cm.root().to_path_buf());

@@ -102,10 +102,12 @@
 //!
 //! The recipe (or these options) is the one place a run is configured:
 //! no library crate reads the environment. A host-level memory cap is
-//! [`RuntimeConfig::memory_budget`] (`dj serve --memory-budget`), and a
-//! chaos plan is [`ExecOptions::faults`] — `dj serve` fills it from
-//! `DJ_FAULTS`, the one variable the binary reads. The test suite picks
-//! shapes in process, through these options (`tests/mode_matrix.rs`).
+//! [`RuntimeConfig::memory_budget`] (`dj serve --memory-budget`). A chaos
+//! plan is no run's option but process state its host installs
+//! ([`dj_core::faults`]): `dj serve` installs one parsed from
+//! `DJ_FAULTS`, the one variable the binary reads, before it replays its
+//! journal. The test suite picks shapes in process, through these options
+//! (`tests/mode_matrix.rs`).
 //!
 //! Seven former knobs are gone, because no recipe, test or benchmark
 //! needed another value: the post-barrier shard fill threshold (barriers
@@ -219,8 +221,6 @@ pub use fusion::{plan_fused, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};
 pub use options::{default_parallelism, executor_from_recipe, ExecOptions, DEFAULT_IO_SHARD_SIZE};
 pub use report::{BarrierDecision, OpReport, RunReport};
-pub use runtime::{
-    JobControl, JobHandle, JobOutput, JobProgress, RetryPolicy, Runtime, RuntimeConfig,
-};
+pub use runtime::{JobControl, JobHandle, JobOutput, RetryPolicy, Runtime, RuntimeConfig};
 
 pub use dj_io as io;

@@ -3,9 +3,8 @@
 //! its recipe, or these options.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use dj_core::{FaultPlan, OnError, Result};
+use dj_core::{OnError, Result};
 use dj_io::OutputFormat;
 
 use crate::executor::Executor;
@@ -15,7 +14,9 @@ use crate::executor::Executor;
 /// scheduling) instead of idling at the stage join.
 const AUTO_SHARDS_PER_WORKER: usize = 4;
 
-/// Executor configuration.
+/// Executor configuration. A fault plan is not among it: a plan is the
+/// process's, installed by its host ([`dj_core::faults`]) around
+/// whatever runs it faults, so every run and job in the process sees it.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Number of worker threads (the recipe's `np`).
@@ -68,13 +69,6 @@ pub struct ExecOptions {
     /// `(skipped + quarantined) / records_seen` exceeds this ratio.
     /// `1.0` (default) never trips.
     pub max_error_ratio: f64,
-    /// Deterministic fault plan for chaos testing, installed for the
-    /// duration of each run. The plan's per-site hit counters live in the
-    /// `Arc`, which every clone of these options shares — so the retry
-    /// attempts of a runtime job all count against one plan, and an
-    /// injected transient fault fires exactly on its programmed hit and
-    /// never again.
-    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ExecOptions {
@@ -91,7 +85,6 @@ impl Default for ExecOptions {
             adaptive: false,
             on_error: OnError::Fail,
             max_error_ratio: 1.0,
-            faults: None,
         }
     }
 }
@@ -159,13 +152,13 @@ pub fn executor_from_recipe(
             None => OnError::Fail,
         },
         max_error_ratio: recipe.max_error_ratio.unwrap_or(1.0),
-        ..ExecOptions::default()
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use super::*;
     use dj_core::{Dataset, DjError, Mapper, Op, Sample, SampleContext};

@@ -52,7 +52,8 @@ pub struct RunReport {
     /// Peak samples simultaneously resident in the streaming stage
     /// machinery. This stays ≤ `num_workers × shard_size` — the engine's
     /// constant-memory bound while stages stream spilled shards: every pass
-    /// holds one live shard per worker.
+    /// holds one live shard per worker. Read off the run's control block
+    /// (`JobControl`), so a runtime job's peak covers all its attempts.
     pub peak_resident_samples: usize,
     /// Approximate heap bytes of those resident samples at the peak: at
     /// most `num_workers` shards' worth (`num_workers × shard_size`

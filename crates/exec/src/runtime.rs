@@ -21,8 +21,15 @@
 //!   shard of work per worker, releases its residency accounting, and
 //!   drops its spill spools (the spool's remove-on-drop guarantees no
 //!   leaked files).
-//! * **Progress** — [`JobHandle::progress`] reports shards completed and
-//!   samples/bytes currently resident, live while the job runs.
+//! * **Progress** — the job's [`JobControl`] ([`JobHandle::control`])
+//!   counts shards completed, samples/bytes currently resident and
+//!   attempts, live while the job runs.
+//!
+//! A fault plan is no job's: a chaos host installs one for the whole
+//! process ([`dj_core::faults`]), and it fires in whichever job
+//! hits its site first. `dj serve` installs the `DJ_FAULTS` plan before
+//! it replays its journal, so the plan reaches replayed jobs and the
+//! partial-egress cleanup of a failed one too.
 //!
 //! A job is an executor plus an optional resident dataset, and runs the
 //! executor's one sequencer — the same one [`Executor::run`] and
@@ -76,13 +83,11 @@ impl Default for RuntimeConfig {
 /// error-budget overruns — are never retried: rerunning the same
 /// recipe over the same bytes reproduces them exactly.
 ///
-/// A retried attempt re-enters the executor with the *same* options
-/// value, so the fault plan in `ExecOptions::faults` — one `Arc`, and its
-/// per-site hit counters with it — carries over: an injected fault that
-/// fired on attempt 1 stays consumed, and the retry runs clean and
-/// byte-identical. The options hold nothing else an attempt could leave
-/// behind: spill spools and the error ledger are made fresh for every
-/// attempt.
+/// An installed fault plan is the process's, and its per-site hit counters
+/// outlive every attempt: an injected fault that fired on attempt 1 stays
+/// consumed, and the retry runs clean and byte-identical. An attempt leaves
+/// nothing behind for the next: spill spools and the error ledger are made
+/// fresh for every attempt.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts, including the first. `1` (default) disables
@@ -122,25 +127,27 @@ impl RetryPolicy {
     }
 }
 
-/// Per-job control block shared between the runtime, the executor's
-/// streaming passes (via `RunCtl`) and the caller's [`JobHandle`].
+/// A run's one control block, shared between the runtime, the executor's
+/// streaming passes (via `RunCtl`) and the caller's [`JobHandle`]. A
+/// direct [`Executor`] run makes a private one.
 #[derive(Debug, Default)]
 pub struct JobControl {
     cancelled: AtomicBool,
     shards_done: AtomicUsize,
-    live_samples: AtomicUsize,
-    live_bytes: AtomicUsize,
+    /// Samples and bytes resident in the run's passes, now and at the
+    /// peak of every attempt (`RunReport::peak_resident_*`).
+    pub(crate) gauge: ResidencyGauge,
     /// Execution attempts started so far (1 for a job that never
     /// needed a retry; 0 until the job is admitted).
     attempts: AtomicUsize,
     /// The runtime's cross-job gauge, mirrored on every acquire/release
     /// so aggregate residency (and its peak) is observable at the
-    /// runtime level. `None` for control blocks made outside a runtime.
+    /// runtime level. `None` for a direct run's block.
     aggregate: Option<Arc<ResidencyGauge>>,
 }
 
 impl JobControl {
-    fn new(aggregate: Option<Arc<ResidencyGauge>>) -> JobControl {
+    pub(crate) fn new(aggregate: Option<Arc<ResidencyGauge>>) -> JobControl {
         JobControl {
             aggregate,
             ..JobControl::default()
@@ -165,12 +172,12 @@ impl JobControl {
 
     /// Samples currently resident in this job's streaming machinery.
     pub fn live_samples(&self) -> usize {
-        self.live_samples.load(Ordering::Relaxed)
+        self.gauge.live_samples()
     }
 
     /// Approximate heap bytes of those resident samples.
     pub fn live_bytes(&self) -> usize {
-        self.live_bytes.load(Ordering::Relaxed)
+        self.gauge.live_bytes()
     }
 
     /// Execution attempts started so far (> 1 once a transient failure
@@ -183,17 +190,21 @@ impl JobControl {
         self.attempts.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Whether the run is a runtime job, sharing its process with others
+    /// (its residency mirrors into the runtime's aggregate gauge).
+    pub(crate) fn is_runtime_job(&self) -> bool {
+        self.aggregate.is_some()
+    }
+
     pub(crate) fn acquire(&self, samples: usize, bytes: usize) {
-        self.live_samples.fetch_add(samples, Ordering::Relaxed);
-        self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.gauge.acquire(samples, bytes);
         if let Some(g) = &self.aggregate {
             g.acquire(samples, bytes);
         }
     }
 
     pub(crate) fn release(&self, samples: usize, bytes: usize) {
-        self.live_samples.fetch_sub(samples, Ordering::Relaxed);
-        self.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.gauge.release(samples, bytes);
         if let Some(g) = &self.aggregate {
             g.release(samples, bytes);
         }
@@ -202,25 +213,6 @@ impl JobControl {
     pub(crate) fn note_shard_done(&self) {
         self.shards_done.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// A point-in-time progress snapshot of a submitted job.
-#[derive(Debug, Clone, Copy)]
-pub struct JobProgress {
-    /// Shards driven through a full stage pass so far.
-    pub shards_done: usize,
-    /// Samples currently resident in the job's streaming machinery.
-    pub live_samples: usize,
-    /// Approximate heap bytes of those resident samples.
-    pub live_bytes: usize,
-    /// Whether the job's result is available ([`JobHandle::wait`] will
-    /// not block).
-    pub finished: bool,
-    /// Whether the job has been cancelled.
-    pub cancelled: bool,
-    /// Execution attempts started so far (> 1 once a transient failure
-    /// has been retried under [`RuntimeConfig::retry`]).
-    pub attempts: usize,
 }
 
 /// What a finished job produced.
@@ -293,19 +285,8 @@ impl JobHandle {
         self.slot.done.load(Ordering::Acquire)
     }
 
-    /// Live progress counters.
-    pub fn progress(&self) -> JobProgress {
-        JobProgress {
-            shards_done: self.ctl.shards_done(),
-            live_samples: self.ctl.live_samples(),
-            live_bytes: self.ctl.live_bytes(),
-            finished: self.is_finished(),
-            cancelled: self.ctl.is_cancelled(),
-            attempts: self.ctl.attempts(),
-        }
-    }
-
-    /// The job's control block (shared with the executor).
+    /// The job's control block (shared with the executor): cancellation
+    /// and the live progress counters.
     pub fn control(&self) -> Arc<JobControl> {
         Arc::clone(&self.ctl)
     }
@@ -439,8 +420,7 @@ impl RuntimeInner {
     /// are retried with capped exponential backoff up to
     /// [`RetryPolicy::max_attempts`]; deterministic failures (op errors,
     /// config errors, error-budget overruns) and panics surface
-    /// immediately. Every attempt re-enters the executor with the same
-    /// options value, so the fault plan's hit counters persist across
+    /// immediately. An installed fault plan's hit counters outlive the
     /// attempts — a seeded fault consumed on attempt 1 does not re-fire
     /// on attempt 2. The resident input is copied only for an
     /// attempt another one can follow; the last attempt takes it.
@@ -460,7 +440,7 @@ impl RuntimeInner {
             } else {
                 dataset.take()
             };
-            let run = || exec.sequence(input, None, Some(Arc::clone(ctl)));
+            let run = || exec.sequence(input, None, Arc::clone(ctl));
             let result = match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(r) => r.map(|(dataset, report)| JobOutput { dataset, report }),
                 Err(payload) => Err(DjError::op(

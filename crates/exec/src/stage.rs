@@ -375,7 +375,7 @@ fn apply_step(
 /// flows through the full mapper/filter chain while it is hot in cache,
 /// and dropped samples never reach later steps.
 ///
-/// With a ledger, a sample that makes an OP error is routed through the
+/// A sample that makes an OP error is routed through the ledger's
 /// `on_error` policy — dropped (and optionally quarantined with
 /// `op@shard-N` provenance) instead of failing the stage — unless the
 /// policy is `fail` or the error budget is spent.
@@ -383,7 +383,7 @@ fn run_stage_on_shard(
     steps: &[PlanStep],
     shard: Dataset,
     ctx: &mut SampleContext,
-    ledger: Option<&ErrorLedger>,
+    ledger: &ErrorLedger,
     shard_idx: usize,
 ) -> Result<ShardOutcome> {
     // Chaos-harness injection point: one fault per stage-shard pass.
@@ -402,9 +402,6 @@ fn run_stage_on_shard(
             let verdict = match apply_step(step, &mut sample, ctx) {
                 Ok(verdict) => verdict,
                 Err((e, op)) => {
-                    let Some(ledger) = ledger else {
-                        return Err(e);
-                    };
                     ledger.absorb(e, &format!("{op}@shard-{shard_idx}"), || {
                         sample.value().clone()
                     })?;

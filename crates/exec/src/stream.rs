@@ -1,39 +1,37 @@
 //! The one shard driver: a [`Feed`] yields loaded shards, [`drive`] pushes
 //! each through a body on the shared [`WorkerPool`], and [`RunCtl`]
-//! carries the run's residency gauge, job control block and error ledger
-//! into every pass.
+//! carries the run's control block, error ledger and buffers into every
+//! pass.
 //!
 //! Every pass of every execution shape — pipeline stages, barrier hash
 //! passes, ingest and egress — runs through this one loop, so the live-set
 //! contract lives in exactly one place: `workers` steppers, each claiming,
 //! loading, processing and releasing one shard per step, so at most
 //! `workers` shards are ever live, and `ctl.check` /
-//! `faults::check("exec.shard.claim")` / acquire / release / `shard_done`
-//! each appear once.
+//! `faults::check("exec.shard.claim")` / acquire / release /
+//! `note_shard_done` each appear once.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use dj_core::sync::lock;
-use dj_core::{faults, DjError, ResidencyGauge, Result, Step, WorkerPool};
+use dj_core::{faults, DjError, Result, Step, WorkerPool};
 use dj_io::ErrorLedger;
 use dj_store::BufferPool;
 
 use crate::runtime::JobControl;
 
-/// Per-run control block: the residency gauge plus the owning service
-/// job (when the run was submitted through the runtime). Threaded through
-/// every pass so that (a) resident-sample accounting also mirrors into the
-/// job's admission-control counters and the runtime's aggregate gauge,
-/// (b) cancellation is observed at every shard boundary, and (c) shard
-/// completions feed the job's progress API. Direct runs construct one
-/// with no job attached.
+/// What every pass of one run shares: the run's [`JobControl`] — a
+/// runtime job's, or a direct run's own — whose gauge counts the resident
+/// samples, whose flag is checked for cancellation at every shard claim
+/// and whose counter takes every finished shard; the error ledger; and the
+/// run's buffers.
 pub(crate) struct RunCtl {
-    gauge: ResidencyGauge,
-    job: Option<Arc<JobControl>>,
+    job: Arc<JobControl>,
     /// Record-level error policy for this run; shard workers route
-    /// per-sample OP failures through it.
-    ledger: Option<Arc<ErrorLedger>>,
+    /// per-sample OP failures through it (a `Fail` ledger hands every
+    /// error back untouched).
+    ledger: Arc<ErrorLedger>,
     /// The buffers every spool of this run reads, encodes and decompresses
     /// in, reused shard after shard; a runtime job's are released when a
     /// pass ends ([`drive`]).
@@ -43,9 +41,8 @@ pub(crate) struct RunCtl {
 }
 
 impl RunCtl {
-    pub(crate) fn new(job: Option<Arc<JobControl>>, ledger: Option<Arc<ErrorLedger>>) -> RunCtl {
+    pub(crate) fn new(job: Arc<JobControl>, ledger: Arc<ErrorLedger>) -> RunCtl {
         RunCtl {
-            gauge: ResidencyGauge::default(),
             job,
             ledger,
             buffers: BufferPool::default(),
@@ -57,47 +54,28 @@ impl RunCtl {
         &self.buffers
     }
 
-    pub(crate) fn ledger(&self) -> Option<&ErrorLedger> {
-        self.ledger.as_deref()
+    pub(crate) fn ledger(&self) -> &ErrorLedger {
+        &self.ledger
     }
 
-    /// Fail with [`DjError::Cancelled`] if the owning job was cancelled.
-    /// Checked at every shard claim, so a cancelled job stops within one
-    /// shard of work per stepper.
+    /// Fail with [`DjError::Cancelled`] if the run was cancelled. Checked
+    /// at every shard claim, so a cancelled job stops within one shard of
+    /// work per stepper.
     pub(crate) fn check(&self) -> Result<()> {
-        match &self.job {
-            Some(job) if job.is_cancelled() => Err(DjError::Cancelled),
-            _ => Ok(()),
+        if self.job.is_cancelled() {
+            return Err(DjError::Cancelled);
         }
+        Ok(())
     }
 
-    fn acquire(&self, samples: usize, bytes: usize) {
-        self.gauge.acquire(samples, bytes);
-        if let Some(job) = &self.job {
-            job.acquire(samples, bytes);
-        }
-    }
-
-    fn release(&self, samples: usize, bytes: usize) {
-        self.gauge.release(samples, bytes);
-        if let Some(job) = &self.job {
-            job.release(samples, bytes);
-        }
-    }
-
-    /// Record one finished shard toward the job's progress counters.
-    fn shard_done(&self) {
-        if let Some(job) = &self.job {
-            job.note_shard_done();
-        }
-    }
-
+    /// Peak samples resident in the run's passes, every attempt counted.
     pub(crate) fn peak_samples(&self) -> usize {
-        self.gauge.peak_samples()
+        self.job.gauge.peak_samples()
     }
 
+    /// Approximate heap bytes of those samples at their peak.
     pub(crate) fn peak_bytes(&self) -> usize {
-        self.gauge.peak_bytes()
+        self.job.gauge.peak_bytes()
     }
 }
 
@@ -183,10 +161,10 @@ where
             Err(e) => return fail(e),
         };
         let (samples, bytes) = item.residency();
-        ctl.acquire(samples, bytes);
+        ctl.job.acquire(samples, bytes);
         let r = work(idx, item);
-        ctl.release(samples, bytes);
-        ctl.shard_done();
+        ctl.job.release(samples, bytes);
+        ctl.job.note_shard_done();
         match r {
             Ok(v) => {
                 lock(&results).push((idx, v));
@@ -202,7 +180,7 @@ where
     // rose 10 %. So a job's pass lets go of them instead. A direct run that
     // released them too gave up 13 MB of `meta-file-col`'s peak RSS, because
     // the allocator serves what a later pass takes from a heap it grows.
-    if ctl.job.is_some() {
+    if ctl.job.is_runtime_job() {
         ctl.buffers.release();
     }
     if let Some(e) = first_err
@@ -241,9 +219,15 @@ mod tests {
         feed
     }
 
+    /// A run under `job` with a `Fail` ledger.
+    fn run_ctl(job: &Arc<JobControl>) -> RunCtl {
+        let ledger = Arc::new(ErrorLedger::new(dj_core::OnError::Fail, 1.0));
+        RunCtl::new(Arc::clone(job), ledger)
+    }
+
     fn ctl() -> (RunCtl, Arc<JobControl>) {
         let job = Arc::new(JobControl::default());
-        (RunCtl::new(Some(Arc::clone(&job)), None), job)
+        (run_ctl(&job), job)
     }
 
     /// Every (feed kind, workers) the driver is exercised under.
@@ -268,8 +252,9 @@ mod tests {
     #[test]
     fn a_runtime_jobs_pass_releases_the_runs_buffers_and_a_direct_runs_keeps_them() {
         use dj_store::Holds;
-        let (job_ctl, _job) = ctl();
-        for (ctl, kept) in [(RunCtl::new(None, None), true), (job_ctl, false)] {
+        let direct = Arc::new(JobControl::default());
+        let job = Arc::new(JobControl::new(Some(Arc::default())));
+        for (ctl, kept) in [(run_ctl(&direct), true), (run_ctl(&job), false)] {
             drop(ctl.buffers().take(Holds::Raw, 4096));
             drive(&test_feed(3, true, None), 2, &ctl, |_, i| Ok(i)).unwrap();
             let after = ctl.buffers().take_largest(Holds::Raw).capacity();

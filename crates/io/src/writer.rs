@@ -31,8 +31,9 @@ use dj_store::shard_stream::encode_shard_frame;
 pub enum OutputFormat {
     /// One JSON document per line — the interchange default.
     Jsonl,
-    /// Checksummed row shard frames (`DJSF`), one per part, read back with
-    /// `dj_store::read_shard_frame`.
+    /// Checksummed row shard frames (`DJSF`), exactly one per part: a part
+    /// is read back whole, by the row frame reader of
+    /// [`dj_store::shard_stream`].
     Frames,
 }
 
@@ -153,14 +154,19 @@ impl PartEntry {
             Some(Value::Int(signed)) => *signed as u64,
             _ => return Err(bad()),
         };
+        // A count is never negative: one that is makes the entry malformed.
+        let count = |key: &str| {
+            let n = m.get(key).and_then(Value::as_int);
+            n.and_then(|n| usize::try_from(n).ok()).ok_or_else(bad)
+        };
         Ok(PartEntry {
             file: m
                 .get("file")
                 .and_then(Value::as_str)
                 .ok_or_else(bad)?
                 .to_string(),
-            samples: m.get("samples").and_then(Value::as_int).ok_or_else(bad)? as usize,
-            bytes: m.get("bytes").and_then(Value::as_int).ok_or_else(bad)? as u64,
+            samples: count("samples")?,
+            bytes: count("bytes")? as u64,
             checksum,
             hash,
         })
@@ -307,7 +313,8 @@ impl ShardedWriter {
             // A torn final line (crash mid-append) is not an error — the
             // part it described is simply rewritten.
             let Ok(v) = parse_json(line) else { continue };
-            let Some(idx) = v.get_path("part").and_then(Value::as_int) else {
+            let idx = v.get_path("part").and_then(Value::as_int);
+            let Some(idx) = idx.and_then(|i| usize::try_from(i).ok()) else {
                 continue;
             };
             let Ok(entry) = PartEntry::from_value(&v) else {
@@ -320,10 +327,7 @@ impl ShardedWriter {
             if entry.holds(&contents)
                 && (format != OutputFormat::Frames || envelope::open_one(&contents).is_ok())
             {
-                out.insert(
-                    idx as usize,
-                    PartEntry::of(entry.file, entry.samples, &contents),
-                );
+                out.insert(idx, PartEntry::of(entry.file, entry.samples, &contents));
             }
         }
         Ok(out)
@@ -477,8 +481,7 @@ impl ShardedWriter {
 mod tests {
     use super::*;
     use dj_core::Sample;
-    use dj_store::from_jsonl;
-    use dj_store::read_shard_frame;
+    use dj_store::{decompress, from_bytes, from_jsonl};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dj-writer-{tag}-{}", std::process::id()));
@@ -488,6 +491,13 @@ mod tests {
 
     fn shard(texts: &[&str]) -> Dataset {
         Dataset::from_texts(texts.iter().copied())
+    }
+
+    /// A `frames` part's samples: the part is one row frame, opened whole.
+    fn frames_part(bytes: &[u8]) -> Result<Dataset> {
+        let (magic, payload) = envelope::open_one(bytes)?;
+        assert_eq!(&magic, b"DJSF");
+        from_bytes(&decompress(payload)?)
     }
 
     /// A commit-log line as earlier releases wrote it: no hash named, the
@@ -587,9 +597,7 @@ mod tests {
                 assert_eq!(part.checksum, checksum64(&bytes), "{format:?} part {i}");
                 let back = match format {
                     OutputFormat::Jsonl => from_jsonl(std::str::from_utf8(&bytes).unwrap()),
-                    OutputFormat::Frames => {
-                        read_shard_frame(&mut bytes.as_slice()).map(Option::unwrap)
-                    }
+                    OutputFormat::Frames => frames_part(&bytes),
                 };
                 assert_eq!(back.unwrap(), *s, "{format:?} part {i}");
             }
@@ -636,8 +644,8 @@ mod tests {
         w.store_shard(0, &rich).unwrap();
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.format, OutputFormat::Frames);
-        let mut f = File::open(dir.join(&manifest.parts[0].file)).unwrap();
-        let back = read_shard_frame(&mut f).unwrap().unwrap();
+        let part = fs::read(dir.join(&manifest.parts[0].file)).unwrap();
+        let back = frames_part(&part).unwrap();
         assert_eq!(back, rich);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -664,6 +672,47 @@ mod tests {
         assert_eq!(w.bytes_written(), part1_len);
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.total_samples, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A sample count is never negative. A commit-log line that says so
+    /// is a miss, so its part is rewritten: adopted, its count read as
+    /// `usize::MAX` and overflowed the manifest's total.
+    #[test]
+    fn a_negative_sample_count_in_the_log_is_a_miss() {
+        let dir = tmpdir("negative");
+        let shards = [shard(&["a", "b"]), shard(&["c"]), shard(&["d", "e"])];
+        {
+            let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
+            for (i, s) in shards.iter().enumerate() {
+                w.store_shard(i, s).unwrap();
+            }
+        }
+        let log = fs::read_to_string(dir.join(PARTIAL_LOG)).unwrap();
+        let edited: String = log
+            .lines()
+            .map(|line| {
+                let line = if line.contains("\"part\":0") {
+                    line.replace("\"samples\":2", "\"samples\":-1")
+                } else {
+                    line.to_string()
+                };
+                line + "\n"
+            })
+            .collect();
+        assert_ne!(edited, log, "part 0's line was not edited");
+        fs::write(dir.join(PARTIAL_LOG), edited).unwrap();
+
+        let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
+        assert_eq!(w.resumed_parts(), 2, "parts 1 and 2 are intact");
+        for (i, s) in shards.iter().enumerate() {
+            w.store_shard(i, s).unwrap();
+        }
+        let part0 = fs::metadata(dir.join("part-00000.jsonl")).unwrap().len();
+        assert_eq!(w.bytes_written(), part0, "only part 0 is rewritten");
+        let manifest = w.finish().unwrap();
+        assert_eq!(manifest.parts[0].samples, 2);
+        assert_eq!(manifest.total_samples, 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -707,7 +756,7 @@ mod tests {
         old.extend_from_slice(&fnv1a(payload).to_le_bytes());
         old.extend_from_slice(payload);
         fs::write(dir.join(file), &old).unwrap();
-        let err = read_shard_frame(&mut old.as_slice()).unwrap_err();
+        let err = frames_part(&old).unwrap_err();
         assert!(err.to_string().contains("envelope version 0"), "{err}");
         let mut log = OpenOptions::new()
             .append(true)
@@ -727,10 +776,7 @@ mod tests {
         for (part, s) in manifest.parts.iter().zip(&shards) {
             let bytes = fs::read(dir.join(&part.file)).unwrap();
             assert_eq!(checksum64(&bytes), part.checksum);
-            assert_eq!(
-                read_shard_frame(&mut bytes.as_slice()).unwrap().unwrap(),
-                *s
-            );
+            assert_eq!(frames_part(&bytes).unwrap(), *s);
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -11,9 +11,11 @@
 //! └──────────┴──────────────┴──────────┴──────────────┴──────────┘
 //! ```
 //!
-//! The length prefix lets a sealed string be cut off a stream
-//! ([`envelope::read_one`]), the checksum detects bit rot and torn writes. It is [`dj_hash::checksum64`], a word-at-a-time hash pinned as
-//! a format hash, under which one flipped bit always changes the sum. The
+//! Every sealed string lives in a file of its own and is opened whole
+//! ([`envelope::open_one`]): the length prefix says where the payload
+//! ends, so trailing bytes are refused, and the checksum detects bit rot
+//! and torn writes. It is [`dj_hash::checksum64`], a word-at-a-time hash
+//! pinned as a format hash, under which one flipped bit always changes the sum. The
 //! version names the checksum: an envelope an earlier release summed with
 //! FNV-1a has version 0 and is refused as such, not as damage.
 //! [`envelope`] is the only code that writes or checks that header.
@@ -26,20 +28,19 @@
 //! (columnar: per-column regions, [`ColumnarSlab`]), which [`Frame`] wraps;
 //! every consumer — the spool, the cache, the executor's feeds and sinks —
 //! works on a [`Frame`]. `DJSF` (row: one compressed run of whole samples,
-//! [`FrameSlab`]) is the `frames` output format only: the spool converts to
-//! it on the way out and [`read_shard_frame`] reads it back, and
-//! [`Frame::parse`] refuses it with a typed error.
+//! [`FrameSlab`](crate::FrameSlab)) is the `frames` output format only:
+//! the spool converts to it on the way out,
+//! [`FrameSlab::from_frame_bytes`](crate::FrameSlab::from_frame_bytes)
+//! reads a part back, and [`Frame::parse`] refuses it with a typed error.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::io::Read;
 
 use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::Codec;
 use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab};
 use crate::pool::{BufferPool, Holds, PooledBuf};
-use crate::shard_stream::FrameSlab;
 
 /// Magic of row shard frames (the `frames` output format).
 pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
@@ -137,30 +138,11 @@ pub mod envelope {
         }
         Ok((magic, payload))
     }
-
-    /// Cut the next sealed string off a stream, unopened: `Ok(None)` at a
-    /// clean end of stream. The length field only says how far to read —
-    /// the buffer grows with the bytes that actually arrive — so a short or
-    /// damaged string comes back as it is, for [`open_one`] to refuse.
-    pub fn read_one<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
-        let mut sealed = Vec::new();
-        r.by_ref()
-            .take(HEADER_LEN as u64)
-            .read_to_end(&mut sealed)?;
-        if sealed.is_empty() {
-            return Ok(None);
-        }
-        if sealed.len() == HEADER_LEN {
-            let (len, _) = length_word(&sealed);
-            r.by_ref().take(len).read_to_end(&mut sealed)?;
-        }
-        Ok(Some(sealed))
-    }
 }
 
 /// The verified payload of one sealed spill or cache frame — the one place
 /// such a frame's magic is checked. Only `DJSC` is one: a row `DJSF` frame
-/// is the `frames` output format ([`FrameSlab`]), and a spool slot or cache
+/// is the `frames` output format ([`FrameSlab`](crate::FrameSlab)), and a spool slot or cache
 /// entry an earlier release wrote in it is refused here, which makes such an
 /// entry a cache miss.
 fn columnar_payload(sealed: &[u8]) -> Result<&[u8]> {
@@ -298,20 +280,10 @@ pub(crate) fn checked_copy(
     }
 }
 
-/// Read the next row frame off a stream and decode it — how a `frames`
-/// output part is read back. `Ok(None)` on a clean end of stream (EOF
-/// exactly at a frame boundary).
-pub fn read_shard_frame<R: Read>(r: &mut R) -> Result<Option<Dataset>> {
-    let Some(sealed) = envelope::read_one(r)? else {
-        return Ok(None);
-    };
-    Ok(Some(FrameSlab::from_frame_bytes(&sealed)?.decode()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard_stream::encode_shard_frame;
+    use crate::shard_stream::{encode_shard_frame, FrameSlab};
     use dj_core::Sample;
 
     fn rich_shard() -> Dataset {
@@ -366,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_open_roundtrip_and_stream_cut() {
+    fn seal_open_roundtrip_and_trailing_bytes_refused() {
         let a = envelope::seal(b"AAAA", b"first");
         let b = envelope::seal(b"BBBB", b"");
         let mut both = a.clone();
@@ -377,11 +349,6 @@ mod tests {
         assert_eq!((&magic, payload), (b"BBBB", &b""[..]));
         let err = envelope::open_one(&both).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
-        // The stream cutter hands back the same strings, then a clean end.
-        let mut stream = both.as_slice();
-        assert_eq!(envelope::read_one(&mut stream).unwrap(), Some(a));
-        assert_eq!(envelope::read_one(&mut stream).unwrap(), Some(b));
-        assert_eq!(envelope::read_one(&mut stream).unwrap(), None);
     }
 
     /// An envelope as earlier releases sealed it: a plain u64 length (top
@@ -402,7 +369,7 @@ mod tests {
         for err in [
             envelope::open_one(&old).unwrap_err(),
             Frame::parse(&old).unwrap_err(),
-            read_shard_frame(&mut old.as_slice()).unwrap_err(),
+            FrameSlab::from_frame_bytes(&old).unwrap_err(),
         ] {
             assert!(matches!(err, DjError::Storage(_)), "{err:?}");
             assert!(err.to_string().contains("envelope version 0"), "{err}");
@@ -414,17 +381,11 @@ mod tests {
             err.to_string().contains("unknown frame envelope version 2"),
             "{err}"
         );
-        // The stream cutter reads the length under the version byte, so a
-        // stream of current envelopes walks as before.
+        // The version byte sits under the length word's top byte, which
+        // the current envelope's length never reaches.
         let sealed = envelope::seal(SHARD_FRAME_MAGIC, &payload);
         assert_eq!(sealed[11], envelope::VERSION);
-        let two = sealed.repeat(2);
-        let mut stream = two.as_slice();
-        assert_eq!(
-            envelope::read_one(&mut stream).unwrap(),
-            Some(sealed.clone())
-        );
-        assert_eq!(envelope::read_one(&mut stream).unwrap(), Some(sealed));
+        assert_eq!(envelope::open_one(&sealed).unwrap().1, &payload[..]);
     }
 
     #[test]
@@ -513,21 +474,20 @@ mod tests {
     fn row_frames_are_read_back_as_output_and_refused_as_spill_frames() {
         let ds = rich_shard();
         let row = encode_shard_frame(&ds, Codec::Djz);
-        let mut stream = row.repeat(2);
-        let mut r = stream.as_slice();
-        assert_eq!(read_shard_frame(&mut r).unwrap().unwrap(), ds);
-        assert_eq!(read_shard_frame(&mut r).unwrap().unwrap(), ds);
-        assert!(read_shard_frame(&mut r).unwrap().is_none());
-        // A frame cut short is a typed error, not a clean end.
-        let err = read_shard_frame(&mut &row[..row.len() - 1]).unwrap_err();
+        let read = |bytes: &[u8]| FrameSlab::from_frame_bytes(bytes)?.decode();
+        assert_eq!(read(&row).unwrap(), ds);
+        // A part holds exactly one frame: a second is trailing bytes, and a
+        // frame cut short is a typed error.
+        let err = read(&row.repeat(2)).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+        let err = read(&row[..row.len() - 1]).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         // A row frame is no spill or cache frame, and a columnar one is no
         // `frames` part: each is refused by its magic.
         let err = Frame::parse(&row).unwrap_err();
         assert!(matches!(err, DjError::Storage(_)), "{err:?}");
         assert!(err.to_string().contains("DJSF"), "{err}");
-        stream = Frame::encode(&ds, Codec::Djz);
-        assert!(read_shard_frame(&mut stream.as_slice()).is_err());
+        assert!(read(&Frame::encode(&ds, Codec::Djz)).is_err());
         // A sealed string that is not a shard frame is refused by magic.
         let other = envelope::seal(b"TEST", b"x");
         let err = Frame::parse(&other).unwrap_err();

@@ -46,7 +46,7 @@ mod transcode;
 pub use cache::{open_seal_record, seal_record, CacheManager, CacheMode, ENTRY_SEAL_MAGIC};
 pub use codec::{compress, decompress, Codec};
 pub use columnar::{encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab};
-pub use frame::{envelope, read_shard_frame, Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC};
+pub use frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC};
 pub use pool::{BufferPool, Holds, PooledBuf};
 pub use serialize::{from_bytes, from_jsonl, to_bytes, to_jsonl, write_jsonl_into};
 

@@ -230,7 +230,6 @@ impl Drop for ShardSpool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::read_shard_frame;
     use dj_core::Sample;
     use proptest::prelude::*;
 
@@ -257,7 +256,10 @@ mod tests {
         for codec in [Codec::None, Codec::Djz] {
             for ds in [Dataset::new(), shard(&["a", "b"]), rich_shard()] {
                 let frame = encode_shard_frame(&ds, codec);
-                let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
+                let back = FrameSlab::from_frame_bytes(&frame)
+                    .unwrap()
+                    .decode()
+                    .unwrap();
                 assert_eq!(back, ds, "codec {codec:?}");
             }
         }
@@ -277,7 +279,10 @@ mod tests {
         );
         for codec in [Codec::None, Codec::Djz] {
             let frame = encode_shard_frame(&big, codec);
-            let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
+            let back = FrameSlab::from_frame_bytes(&frame)
+                .unwrap()
+                .decode()
+                .unwrap();
             assert_eq!(back, big, "codec {codec:?}");
         }
     }
@@ -421,7 +426,7 @@ mod tests {
             let codec = [Codec::None, Codec::Djz][codec_id as usize];
             let ds = Dataset::from_texts(texts);
             let frame = encode_shard_frame(&ds, codec);
-            let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
+            let back = FrameSlab::from_frame_bytes(&frame).unwrap().decode().unwrap();
             prop_assert_eq!(back, ds);
         }
     }

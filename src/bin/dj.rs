@@ -17,8 +17,9 @@
 //!
 //! This binary is the one place the environment reaches a run: `dj serve`
 //! parses `DJ_FAULTS` once at startup (a malformed value exits with code 2
-//! before any command is read) and hands every submitted or replayed job
-//! a freshly parsed copy of that fault plan.
+//! before any command is read) and installs that fault plan for the whole
+//! process before it replays the journal, so one plan's hit counters count
+//! every job, replayed ones and their retries included.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -29,10 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use data_juicer::config::Recipe;
-use data_juicer::core::faults::{FaultPlan, FAULTS_ENV};
+use data_juicer::core::faults::{self, FaultPlan, FAULTS_ENV};
 use data_juicer::core::sync::lock;
 use data_juicer::core::{parse_json, Dataset, Value};
-use data_juicer::exec::{executor_from_recipe, ExecOptions, JobControl, Runtime, RuntimeConfig};
+use data_juicer::exec::{executor_from_recipe, JobControl, Runtime, RuntimeConfig};
 use data_juicer::ops::builtin_registry;
 
 const USAGE: &str = "usage: dj serve [--socket PATH] [--max-jobs N] [--memory-budget BYTES] [--retries N] [--journal PATH]
@@ -41,7 +42,7 @@ Commands are line-delimited JSON on stdin (or the socket); events are
 line-delimited JSON on stdout (or the socket). See docs/service.md.
 --retries N retries transiently-failed jobs up to N attempts total;
 --journal PATH makes submissions crash-recoverable (docs/robustness.md).
-DJ_FAULTS=<plan> in the environment hands every job a fault plan.";
+DJ_FAULTS=<plan> in the environment installs a fault plan for the process.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,8 +65,8 @@ struct ServeOpts {
     cfg: RuntimeConfig,
     socket: Option<String>,
     journal: Option<String>,
-    /// The `DJ_FAULTS` spec, validated: every job parses its own plan.
-    faults: Option<String>,
+    /// The `DJ_FAULTS` plan, installed for the whole process.
+    faults: Option<FaultPlan>,
 }
 
 fn serve_config(args: &[String]) -> Result<ServeOpts, String> {
@@ -116,17 +117,17 @@ fn serve_config(args: &[String]) -> Result<ServeOpts, String> {
     })
 }
 
-/// The `DJ_FAULTS` spec, if set and not blank. A value that does not
+/// The `DJ_FAULTS` plan, if set and not blank. A value that does not
 /// parse is an error naming the variable.
-fn faults_from_env() -> Result<Option<String>, String> {
+fn faults_from_env() -> Result<Option<FaultPlan>, String> {
     let spec = match std::env::var(FAULTS_ENV) {
         Ok(spec) if spec.trim().is_empty() => return Ok(None),
         Ok(spec) => spec,
         Err(std::env::VarError::NotPresent) => return Ok(None),
         Err(e) => return Err(format!("{FAULTS_ENV}: {e}")),
     };
-    FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}=`{spec}`: {e}"))?;
-    Ok(Some(spec))
+    let plan = FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}=`{spec}`: {e}"))?;
+    Ok(Some(plan))
 }
 
 /// One tracked job: the control block for cancel/progress plus a flag the
@@ -195,7 +196,8 @@ struct Replay {
 
 impl Replay {
     /// Read the journal's lines. A line that is not UTF-8 JSON (a kill
-    /// can tear the last one, mid-character too) is skipped.
+    /// can tear the last one, mid-character too), or whose job id is not
+    /// one this service hands out (a negative one), is skipped.
     fn parse(history: &[u8]) -> Replay {
         let mut submits: Vec<(u64, Value)> = Vec::new();
         let mut terminal: Vec<u64> = Vec::new();
@@ -210,10 +212,10 @@ impl Replay {
             let Some(event) = entry.get_path("event").and_then(Value::as_str) else {
                 continue;
             };
-            let Some(id) = entry.get_path("job").and_then(Value::as_int) else {
+            let job = entry.get_path("job").and_then(Value::as_int);
+            let Some(id) = job.and_then(|id| u64::try_from(id).ok()) else {
                 continue;
             };
-            let id = id as u64;
             next_id = next_id.max(id.saturating_add(1));
             match event {
                 "submit" => {
@@ -240,12 +242,14 @@ struct Service {
     /// replayed journal, so no id names two jobs across restarts.
     next_id: AtomicU64,
     journal: Option<Arc<Journal>>,
-    faults: Option<String>,
 }
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 fn serve(opts: ServeOpts) {
+    // The plan is the process's from here on: serve never returns, it
+    // exits, so the guard never uninstalls it.
+    let _faults = opts.faults.map(|plan| faults::install(Arc::new(plan)));
     let (history, journal) = match &opts.journal {
         Some(path) => match Journal::open(path) {
             Ok((history, j)) => (history, Some(Arc::new(j))),
@@ -262,7 +266,6 @@ fn serve(opts: ServeOpts) {
         jobs: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(replay.next_id),
         journal,
-        faults: opts.faults,
     });
     replay_journal(&service, replay.pending);
     match opts.socket {
@@ -440,17 +443,8 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
     let recipe_value = cmd.get_path("recipe").ok_or("submit requires `recipe`")?;
     let recipe = Recipe::from_value(recipe_value).map_err(|e| format!("bad recipe: {e}"))?;
     let registry = builtin_registry();
-    let mut exec =
+    let exec =
         executor_from_recipe(&recipe, &registry, true).map_err(|e| format!("bad recipe: {e}"))?;
-    if let Some(spec) = &service.faults {
-        // A plan of its own: hit counters are per job, shared by its retries.
-        let plan = FaultPlan::parse(spec).map_err(|e| format!("{FAULTS_ENV}: {e}"))?;
-        let options = ExecOptions {
-            faults: Some(Arc::new(plan)),
-            ..exec.options().clone()
-        };
-        exec = exec.with_options(options);
-    }
 
     // File-to-file when the recipe names an input; otherwise the command
     // must carry the samples inline as `texts`.

@@ -8,22 +8,31 @@
 //!
 //! The matrix runs three execution shapes — in-memory, forced spill and
 //! file-to-file (JSONL and `frames` output) — so
-//! the store, IO and exec layers each see their sites exercised. Fault
-//! plans install process-globally, so everything here serializes through
-//! one gate mutex.
+//! the store, IO and exec layers each see their sites exercised. A fault
+//! plan is the process's: each test installs its plan around the runs it
+//! faults, as a chaos host does, so everything here serializes through one
+//! gate mutex.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::faults::{self, FaultPlan, FAULTS_ENV, KINDS, SITES};
-use data_juicer::core::{Dataset, DjError, Sample};
-use data_juicer::exec::{ExecOptions, Executor, OutputFormat, RetryPolicy, Runtime, RuntimeConfig};
+use data_juicer::core::{Dataset, DjError, Mapper, Op, Result, Sample, SampleContext};
+use data_juicer::exec::{
+    ExecOptions, Executor, JobHandle, OutputFormat, RetryPolicy, Runtime, RuntimeConfig,
+};
 use data_juicer::ops::builtin_registry;
 
 /// Fault plans are process-global; every test that runs with one holds
 /// this gate.
 static GATE: Mutex<()> = Mutex::new(());
+
+/// Run `f` with `plan` installed for the process, as a chaos host does.
+fn under<R>(plan: &Arc<FaultPlan>, f: impl FnOnce() -> R) -> R {
+    let _installed = faults::install(Arc::clone(plan));
+    f()
+}
 
 const RETRIES: usize = 3;
 
@@ -82,12 +91,11 @@ fn runtime() -> Runtime {
 /// The resident-input shapes: in-memory, forced spill.
 const MEM_SHAPES: [bool; 2] = [false, true];
 
-fn mem_options(spill: bool, plan: Arc<FaultPlan>) -> ExecOptions {
+fn mem_options(spill: bool) -> ExecOptions {
     ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         memory_budget: spill.then_some(1),
-        faults: Some(plan),
         ..ExecOptions::default()
     }
 }
@@ -148,9 +156,8 @@ fn every_site_and_kind_holds_the_chaos_property_in_memory() {
             for &kind in KINDS {
                 let ctx = format!("site={site} kind={} spill={spill}", kind.name());
                 let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
-                let exec =
-                    Executor::new(ops.clone()).with_options(mem_options(spill, Arc::clone(&plan)));
-                let result = runtime().submit(exec, dataset(48)).wait();
+                let exec = Executor::new(ops.clone()).with_options(mem_options(spill));
+                let result = under(&plan, || runtime().submit(exec, dataset(48)).wait());
                 match result {
                     Ok(out) => {
                         let out = out.dataset.expect("mem job returns a dataset");
@@ -173,13 +180,12 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
     let ops = recipe().build_ops(&builtin_registry()).unwrap();
     let input_dir = unique_dir("input");
     let input = write_corpus(&input_dir, 48);
-    let options = |format: OutputFormat, out: &Path, plan: Option<Arc<FaultPlan>>| ExecOptions {
+    let options = |format: OutputFormat, out: &Path| ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
         output_format: format,
-        faults: plan,
         ..ExecOptions::default()
     };
 
@@ -187,8 +193,7 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
     // copies slot bytes — which must be just as checked.
     for format in [OutputFormat::Jsonl, OutputFormat::Frames] {
         let baseline_dir = unique_dir("baseline");
-        let baseline_exec =
-            Executor::new(ops.clone()).with_options(options(format, &baseline_dir, None));
+        let baseline_exec = Executor::new(ops.clone()).with_options(options(format, &baseline_dir));
         baseline_exec.run_io().unwrap();
         let expected = egress_bytes(&baseline_dir).expect("baseline egress");
 
@@ -198,12 +203,8 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
                 let ctx = format!("site={site} kind={} io {}", kind.name(), format.name());
                 let out_dir = unique_dir(&format!("{site}-{}", kind.name()));
                 let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
-                let exec = Executor::new(ops.clone()).with_options(options(
-                    format,
-                    &out_dir,
-                    Some(Arc::clone(&plan)),
-                ));
-                let result = runtime().submit_io(exec).wait();
+                let exec = Executor::new(ops.clone()).with_options(options(format, &out_dir));
+                let result = under(&plan, || runtime().submit_io(exec).wait());
                 if plan.hits(site) > 0 {
                     fired += 1;
                 }
@@ -264,17 +265,15 @@ fn frames_egress_never_ships_a_slot_damaged_at_write() {
             input: Some(input.display().to_string()),
             output: Some(out_dir.clone()),
             output_format: OutputFormat::Frames,
-            faults: Some(Arc::clone(&plan)),
             ..ExecOptions::default()
         });
-        let err = Runtime::new(RuntimeConfig {
+        let runtime = Runtime::new(RuntimeConfig {
             max_jobs: 1,
             ..RuntimeConfig::default()
-        })
-        .submit_io(exec)
-        .wait()
-        .err()
-        .unwrap_or_else(|| panic!("{ctx}: a damaged slot was shipped"));
+        });
+        let err = under(&plan, || runtime.submit_io(exec).wait())
+            .err()
+            .unwrap_or_else(|| panic!("{ctx}: a damaged slot was shipped"));
         assert_eq!(
             plan.hits("store.frame.write"),
             6,
@@ -317,10 +316,8 @@ fn columnar_pipeline_stage_reaches_the_exec_fault_sites() {
         .0;
     for site in ["exec.shard.claim", "exec.worker.step"] {
         let plan = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, 1, 7));
-        let exec = Executor::new(ops.clone()).with_options(mem_options(true, Arc::clone(&plan)));
-        let out = runtime()
-            .submit(exec, dataset(48))
-            .wait()
+        let exec = Executor::new(ops.clone()).with_options(mem_options(true));
+        let out = under(&plan, || runtime().submit(exec, dataset(48)).wait())
             .unwrap_or_else(|e| panic!("{site}: a transient fault must be retried away: {e}"));
         assert!(out.report.spilled, "{site}: shape");
         assert!(
@@ -350,15 +347,13 @@ fn a_resident_job_egresses_through_the_shard_driver() {
             num_workers: 1,
             shard_size: Some(8),
             output: Some(out.to_path_buf()),
-            faults: Some(Arc::clone(plan)),
             ..ExecOptions::default()
         });
-        Runtime::new(RuntimeConfig {
+        let runtime = Runtime::new(RuntimeConfig {
             max_jobs: 1,
             ..RuntimeConfig::default()
-        })
-        .submit(exec, dataset(48))
-        .wait()
+        });
+        under(plan, || runtime.submit(exec, dataset(48)).wait())
     };
 
     // A plan that never fires counts the claims: 7 for the stage, 7 for
@@ -387,6 +382,102 @@ fn a_resident_job_egresses_through_the_shard_driver() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// Where a mapper holds its job until the test lets it go: the job's
+/// first sample enters the gate and waits for it to open.
+#[derive(Default)]
+struct Gate {
+    /// (a sample entered, the gate is open)
+    state: Mutex<(bool, bool)>,
+    turned: Condvar,
+}
+
+impl Gate {
+    fn wait_until(&self, done: impl Fn(&(bool, bool)) -> bool) {
+        let mut state = self.state.lock().unwrap();
+        while !done(&state) {
+            state = self.turned.wait(state).unwrap();
+        }
+    }
+
+    fn set(&self, change: impl FnOnce(&mut (bool, bool))) {
+        change(&mut self.state.lock().unwrap());
+        self.turned.notify_all();
+    }
+}
+
+struct Held(Arc<Gate>);
+
+impl Mapper for Held {
+    fn name(&self) -> &'static str {
+        "held_mapper"
+    }
+    fn process(&self, _: &mut Sample, _: &mut SampleContext) -> Result<bool> {
+        self.0.set(|state| state.0 = true);
+        self.0.wait_until(|state| state.1);
+        Ok(false)
+    }
+}
+
+/// A plan is the process's, not a job's: two runtime jobs that overlap and
+/// end in either order leave it armed throughout, and its hit counters
+/// count the shard claims of both. (When each run installed its own copy
+/// and restored the plan it found on the way out, the job that ended first
+/// disarmed the plan under the other, or re-armed a spent one after both.)
+#[test]
+fn a_host_plan_outlives_concurrent_jobs() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let site = "exec.shard.claim";
+    let rt = Runtime::new(RuntimeConfig {
+        max_jobs: 2,
+        ..RuntimeConfig::default()
+    });
+    // One worker: a job's one pass runs on its own driver thread, so a
+    // held sample blocks that job and no other.
+    let submit = |gate: &Arc<Gate>| {
+        let exec = Executor::new(vec![Op::Mapper(Arc::new(Held(Arc::clone(gate))))]);
+        let options = ExecOptions {
+            num_workers: 1,
+            shard_size: Some(8),
+            ..ExecOptions::default()
+        };
+        rt.submit(exec.with_options(options), dataset(24))
+    };
+    // A plan that never fires counts one job's claims, run alone.
+    let idle = || Arc::new(FaultPlan::single(site, faults::ErrKind::Io, u64::MAX, 7));
+    let solo = idle();
+    let open = Arc::new(Gate::default());
+    open.set(|state| state.1 = true);
+    under(&solo, || submit(&open).wait()).unwrap();
+    assert!(solo.hits(site) > 0, "a job claimed no shard");
+
+    for order in [[0, 1], [1, 0]] {
+        let plan = idle();
+        let installed = faults::install(Arc::clone(&plan));
+        let gates = [Arc::new(Gate::default()), Arc::new(Gate::default())];
+        let mut jobs: Vec<Option<JobHandle>> = gates.iter().map(|g| Some(submit(g))).collect();
+        for gate in &gates {
+            gate.wait_until(|state| state.0);
+        }
+        // Both jobs are inside their pass now.
+        for i in order {
+            gates[i].set(|state| state.1 = true);
+            let job = jobs[i].take().unwrap();
+            let out = job.wait().unwrap().dataset.unwrap();
+            assert_eq!(out.len(), 24, "job {i}");
+            assert!(
+                faults::armed(site),
+                "{order:?}: job {i} ended and took the plan"
+            );
+        }
+        assert_eq!(plan.hits(site), 2 * solo.hits(site), "{order:?}");
+        drop(installed);
+        assert!(
+            !faults::armed(site),
+            "{order:?}: the plan outlived its host"
+        );
+    }
+}
+
 /// A file-to-file run with a terminal barrier reads each spilled frame
 /// exactly once — in the egress pass, where the barrier's deferred mask is
 /// consumed while the frame is transcoded to JSONL (the barrier itself
@@ -412,19 +503,18 @@ fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
     let input = input_dir.join("in.jsonl");
     std::fs::write(&input, lines.join("\n") + "\n").unwrap();
     let site = "store.frame.read";
-    let options = |out: &Path, plan: Arc<FaultPlan>| ExecOptions {
+    let options = |out: &Path| ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
-        faults: Some(plan),
         ..ExecOptions::default()
     };
     // A plan that never fires counts the reads: one per shard.
     let baseline_dir = unique_dir("masked-egress-baseline");
     let idle = Arc::new(FaultPlan::single(site, faults::ErrKind::Io, u64::MAX, 7));
-    let exec = Executor::new(ops.clone()).with_options(options(&baseline_dir, Arc::clone(&idle)));
-    let (_, report) = exec.run_io().unwrap();
+    let exec = Executor::new(ops.clone()).with_options(options(&baseline_dir));
+    let (_, report) = under(&idle, || exec.run_io()).unwrap();
     assert_eq!(report.final_samples, 32);
     assert_eq!(report.fingerprinted_barriers, 1);
     assert_eq!(
@@ -439,9 +529,8 @@ fn a_frame_read_fault_inside_the_masked_egress_pass_holds_the_chaos_property() {
             let ctx = format!("kind={} at={at}", kind.name());
             let out_dir = unique_dir("masked-egress-out");
             let plan = Arc::new(FaultPlan::single(site, kind, at, 7));
-            let exec =
-                Executor::new(ops.clone()).with_options(options(&out_dir, Arc::clone(&plan)));
-            let result = runtime().submit_io(exec).wait();
+            let exec = Executor::new(ops.clone()).with_options(options(&out_dir));
+            let result = under(&plan, || runtime().submit_io(exec).wait());
             assert!(plan.hits(site) >= at, "{ctx}: the fault never fired");
             match result {
                 Ok(_) => assert_eq!(
@@ -486,18 +575,17 @@ fn env_seed_smoke() {
     };
     let input_dir = unique_dir("env-input");
     let input = write_corpus(&input_dir, 48);
-    let io_options = |out: &Path, plan: Option<Arc<FaultPlan>>| ExecOptions {
+    let io_options = |out: &Path| ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
         output_format: OutputFormat::Jsonl,
-        faults: plan,
         ..ExecOptions::default()
     };
     let baseline_dir = unique_dir("env-baseline");
     Executor::new(ops.clone())
-        .with_options(io_options(&baseline_dir, None))
+        .with_options(io_options(&baseline_dir))
         .run_io()
         .unwrap();
     let expected = egress_bytes(&baseline_dir).expect("baseline egress");
@@ -507,8 +595,8 @@ fn env_seed_smoke() {
         for spill in MEM_SHAPES {
             let plan = Arc::new(FaultPlan::parse(spec).unwrap());
             let ctx = format!("{spec} spill={spill}");
-            let exec = Executor::new(ops.clone()).with_options(mem_options(spill, plan));
-            match runtime().submit(exec, dataset(48)).wait() {
+            let exec = Executor::new(ops.clone()).with_options(mem_options(spill));
+            match under(&plan, || runtime().submit(exec, dataset(48)).wait()) {
                 Ok(out) => assert_eq!(
                     out.dataset.expect("mem job returns a dataset"),
                     baseline,
@@ -522,8 +610,8 @@ fn env_seed_smoke() {
         let out_dir = unique_dir("env-out");
         let plan = Arc::new(FaultPlan::parse(spec).unwrap());
         let ctx = format!("{spec} io");
-        let exec = Executor::new(ops.clone()).with_options(io_options(&out_dir, Some(plan)));
-        match runtime().submit_io(exec).wait() {
+        let exec = Executor::new(ops.clone()).with_options(io_options(&out_dir));
+        match under(&plan, || runtime().submit_io(exec).wait()) {
             Ok(_) => {
                 let got = egress_bytes(&out_dir)
                     .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));

@@ -15,7 +15,7 @@ use data_juicer::exec::{executor_from_recipe, EgressManifest, ExecOptions, Execu
 use data_juicer::hash::fnv1a;
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
-    encode_columnar_frame, envelope, to_jsonl, CacheManager, CacheMode, Codec, ColumnarSlab, Frame,
+    encode_columnar_frame, to_jsonl, CacheManager, CacheMode, Codec, ColumnarSlab, Frame,
 };
 use data_juicer::synth::{web_corpus, WebNoise};
 
@@ -344,19 +344,21 @@ fn a_stage_mask_keeps_carried_fingerprints_file_to_file() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
-/// A cache entry's slot files concatenated in slot order: its sealed
-/// frames, the bytes a flat entry file of earlier releases held.
-fn entry_bytes(entry: &std::path::Path) -> Vec<u8> {
+/// A cache entry's sealed frames, one per slot file, in slot order.
+fn entry_frames(entry: &std::path::Path) -> Vec<Vec<u8>> {
     let mut slots: Vec<std::path::PathBuf> = std::fs::read_dir(entry)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "djs"))
         .collect();
     slots.sort();
-    slots
-        .iter()
-        .flat_map(|p| std::fs::read(p).unwrap())
-        .collect()
+    slots.iter().map(|p| std::fs::read(p).unwrap()).collect()
+}
+
+/// A cache entry's slot files concatenated in slot order: the bytes a
+/// flat entry file of earlier releases held.
+fn entry_bytes(entry: &std::path::Path) -> Vec<u8> {
+    entry_frames(entry).concat()
 }
 
 /// Cache entries of a spilled columnar run are made of compacted frames:
@@ -413,11 +415,10 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
         // The last stage's entry stores exactly the run's output, no dead
         // entry.
         let last = format!("{:016x}", ENTRIES[3].0);
-        let last = entry_bytes(&dir.join("cache").join(last));
-        let (mut stream, mut stored) = (&last[..], 0);
-        while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
-            stored += Frame::parse(&sealed).unwrap().sample_count();
-        }
+        let stored: usize = entry_frames(&dir.join("cache").join(last))
+            .iter()
+            .map(|sealed| Frame::parse(sealed).unwrap().sample_count())
+            .sum();
         assert_eq!(stored, out.len(), "np {np}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,9 +1,9 @@
 //! Bytes we did not write: one seeded, structure-aware mutation loop over
-//! everything that opens sealed bytes — the envelope (`envelope::open_one`,
-//! `envelope::read_one`), `Frame::parse` and
-//! every operation on the parsed (`DJSC`) frame, the `frames` part readers
-//! (`FrameSlab` and the `Read` adapter, the row `DJSF` parser's entry
-//! points), the spool's reads, and a cache entry's seal record (`DJES`:
+//! everything that opens sealed bytes — the envelope
+//! (`envelope::open_one`), `Frame::parse` and every operation on the parsed
+//! (`DJSC`) frame, the `frames` part reader (`FrameSlab`, the row `DJSF`
+//! parser's entry point), the spool's reads, and a cache entry's seal
+//! record (`DJES`:
 //! `open_seal_record`, and the entry opened through it with every slot
 //! read). A row frame is never a spill or cache frame: `Frame::parse` and
 //! every spool read refuse it with a typed error.
@@ -38,8 +38,8 @@ use data_juicer::core::{Dataset, DjError, Sample, Value, MAX_NESTING_DEPTH};
 use data_juicer::hash::checksum64;
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, open_seal_record,
-    read_shard_frame, to_jsonl, BufferPool, CacheManager, CacheMode, Codec, ColumnarSlab, Frame,
-    FrameSlab, ShardSpool, COLUMNAR_FRAME_MAGIC, ENTRY_SEAL_MAGIC, SHARD_FRAME_MAGIC,
+    to_jsonl, BufferPool, CacheManager, CacheMode, Codec, ColumnarSlab, Frame, FrameSlab,
+    ShardSpool, COLUMNAR_FRAME_MAGIC, ENTRY_SEAL_MAGIC, SHARD_FRAME_MAGIC,
 };
 
 thread_local! {
@@ -149,12 +149,8 @@ fn feed(targets: &Targets, bytes: &[u8]) -> bool {
     let text: BTreeSet<String> = ["text".to_string()].into();
     let mut results: Vec<Result<(), DjError>> = Vec::new();
 
-    // The envelope itself, and cut off a stream as a concatenation.
+    // The envelope itself.
     results.push(envelope::open_one(bytes).map(drop));
-    let mut stream = bytes;
-    while let Some(sealed) = envelope::read_one(&mut stream).unwrap() {
-        results.push(envelope::open_one(&sealed).map(drop));
-    }
 
     // One spill or cache frame, and every operation on it.
     let parsed = Frame::parse(bytes);
@@ -172,13 +168,10 @@ fn feed(targets: &Targets, bytes: &[u8]) -> bool {
         }
         Err(e) => results.push(Err(e)),
     }
-    // One `frames` output part: the row parser's two entry points.
+    // One `frames` output part, read whole.
     let part = FrameSlab::from_frame_bytes(bytes).and_then(|slab| slab.decode());
-    let mut stream = bytes;
-    let read_back = read_shard_frame(&mut stream);
     frame |= part.is_ok();
     results.push(part.map(drop));
-    results.push(read_back.map(drop));
     results.push(ColumnarSlab::from_frame_bytes(bytes).map(drop));
 
     // A cache entry's seal record, alone and as the seal of an entry whose
@@ -522,7 +515,7 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
         let written = frame.write_jsonl(None, &mut printed);
         let part = encode_shard_frame(&ds, Codec::Djz);
         check(&targets, "nesting at the limit", &part);
-        let read_back = read_shard_frame(&mut part.as_slice()).map(Option::unwrap);
+        let read_back = FrameSlab::from_frame_bytes(&part).and_then(|slab| slab.decode());
         if fits {
             assert_eq!(decoded.unwrap(), ds, "{lists} lists");
             written.unwrap();
@@ -559,7 +552,6 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     payload.extend_from_slice(&deep);
     let sealed = envelope::seal(SHARD_FRAME_MAGIC, &compress(&payload, Codec::None));
     check(&targets, "nesting bomb", &sealed);
-    refused(read_shard_frame(&mut sealed.as_slice()), "read back");
     refused(
         FrameSlab::from_frame_bytes(&sealed).and_then(|slab| slab.decode()),
         "decode a part",

@@ -15,7 +15,7 @@ use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, DjError, Sample};
 use data_juicer::exec::{EgressManifest, ExecOptions, Executor, OutputFormat};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{read_shard_frame, to_bytes, to_jsonl};
+use data_juicer::store::{envelope, to_bytes, to_jsonl, FrameSlab};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -186,12 +186,14 @@ fn frames_egress_round_trips_through_the_frame_format() {
     assert_eq!(manifest.format, OutputFormat::Frames);
     let mut rebuilt = Dataset::new();
     for part in &manifest.parts {
-        let mut f = fs::File::open(out_dir.join(&part.file)).unwrap();
-        let shard = read_shard_frame(&mut f)
+        let bytes = fs::read(out_dir.join(&part.file)).unwrap();
+        // One frame per part: the envelope refuses trailing bytes.
+        envelope::open_one(&bytes).expect("one frame per part");
+        let shard = FrameSlab::from_frame_bytes(&bytes)
             .unwrap()
-            .expect("one frame per part");
+            .decode()
+            .unwrap();
         assert_eq!(shard.len(), part.samples, "{} sample count", part.file);
-        assert!(read_shard_frame(&mut f).unwrap().is_none());
         for s in shard.iter() {
             rebuilt.push(s.clone());
         }

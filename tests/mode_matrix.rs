@@ -29,8 +29,8 @@ use data_juicer::exec::{
 };
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
-    encode_shard_frame, envelope, read_shard_frame, to_jsonl, CacheManager, CacheMode, Codec,
-    Frame, COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC,
+    encode_shard_frame, to_jsonl, CacheManager, CacheMode, Codec, Frame, FrameSlab,
+    COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC,
 };
 use data_juicer::synth::{
     arxiv_corpus, chinese_corpus, code_corpus, dialog_corpus, web_corpus, wiki_corpus, WebNoise,
@@ -247,7 +247,12 @@ impl Mode {
                     .map(|p| {
                         let bytes = fs::read(out_dir.join(&p.file)).unwrap();
                         if self.frames {
-                            to_jsonl(&read_shard_frame(&mut bytes.as_slice()).unwrap().unwrap())
+                            to_jsonl(
+                                &FrameSlab::from_frame_bytes(&bytes)
+                                    .unwrap()
+                                    .decode()
+                                    .unwrap(),
+                            )
                         } else {
                             String::from_utf8(bytes).unwrap()
                         }
@@ -586,13 +591,21 @@ fn a_cache_resume_keeps_the_entrys_format_and_a_damaged_entry_is_a_miss() {
             panic!("{tag}: the extended run added {added:?}")
         };
         let good = read_entry(entry);
-        assert!(good.starts_with(COLUMNAR_FRAME_MAGIC), "{tag}");
-        let damaged = [0, 5, 13, 20, good.len() / 2, good.len() - 1].map(|pos| {
+        let len = good.concat().len();
+        assert!(good[0].starts_with(COLUMNAR_FRAME_MAGIC), "{tag}");
+        // A flipped bit at byte `pos` of the slots laid end to end.
+        let damaged = [0, 5, 13, 20, len / 2, len - 1].map(|pos| {
             let mut bad = good.clone();
-            bad[pos] ^= 0x20;
+            let (mut slot, mut at) = (0, pos);
+            while at >= bad[slot].len() {
+                at -= bad[slot].len();
+                slot += 1;
+            }
+            bad[slot][at] ^= 0x20;
             (format!("@{pos}"), bad)
         });
-        let old_format = ("row frames".to_string(), as_row_frames(&good));
+        let row_frames = good.iter().map(|slot| as_row_frame(slot)).collect();
+        let old_format = ("row frames".to_string(), row_frames);
         for (what, bad) in damaged.into_iter().chain([old_format]) {
             write_entry(entry, &bad);
             let (out, rerun) = exec(&extended)
@@ -621,52 +634,31 @@ fn entry_slots(entry: &Path) -> Vec<PathBuf> {
     slots
 }
 
-/// A cache entry's sealed frames: its slot files concatenated in slot
-/// order, the bytes a flat entry file of earlier releases held.
-fn read_entry(entry: &Path) -> Vec<u8> {
+/// A cache entry's sealed frames, one per slot, in slot order.
+fn read_entry(entry: &Path) -> Vec<Vec<u8>> {
     entry_slots(entry)
         .iter()
-        .flat_map(|p| fs::read(p).unwrap())
+        .map(|p| fs::read(p).unwrap())
         .collect()
 }
 
-/// Write `bytes` — an entry's frames, damaged or re-encoded — back over
-/// its slots, one frame per slot: split at the slots' own lengths when the
-/// total is theirs (a flipped bit), else at the frames' envelopes.
-fn write_entry(entry: &Path, bytes: &[u8]) {
+/// Write `frames` — an entry's frames, damaged or re-encoded — back over
+/// its slots, one frame per slot.
+fn write_entry(entry: &Path, frames: &[Vec<u8>]) {
     let slots = entry_slots(entry);
-    let lens: Vec<usize> = slots
-        .iter()
-        .map(|p| fs::metadata(p).unwrap().len() as usize)
-        .collect();
-    let mut frames = Vec::new();
-    let mut rest = bytes;
-    while !rest.is_empty() {
-        let len = if lens.iter().sum::<usize>() == bytes.len() {
-            lens[frames.len()]
-        } else {
-            envelope::read_one(&mut &rest[..]).unwrap().unwrap().len()
-        };
-        frames.push(&rest[..len]);
-        rest = &rest[len..];
-    }
     assert_eq!(frames.len(), slots.len());
     for (slot, frame) in slots.iter().zip(frames) {
         fs::write(slot, frame).unwrap();
     }
 }
 
-/// A cache entry's frames, each decoded and re-encoded as a row frame —
-/// the entry an earlier release saved for the same samples.
-fn as_row_frames(entry: &[u8]) -> Vec<u8> {
-    let mut rest = entry;
-    let mut out = Vec::new();
-    while let Some(sealed) = envelope::read_one(&mut rest).unwrap() {
-        let (shard, _) = Frame::parse(&sealed).unwrap().decode(None, None).unwrap();
-        out.extend(encode_shard_frame(&shard, Codec::Djz));
-    }
-    assert!(out.starts_with(SHARD_FRAME_MAGIC));
-    out
+/// One slot's frame decoded and re-encoded as a row frame — the slot an
+/// earlier release saved for the same samples.
+fn as_row_frame(sealed: &[u8]) -> Vec<u8> {
+    let (shard, _) = Frame::parse(sealed).unwrap().decode(None, None).unwrap();
+    let row = encode_shard_frame(&shard, Codec::Djz);
+    assert!(row.starts_with(SHARD_FRAME_MAGIC));
+    row
 }
 
 proptest! {

@@ -423,9 +423,10 @@ fn a_malformed_fault_plan_stops_serve_before_it_reads_a_command() {
     assert!(stderr.contains(FAULTS_ENV), "{stderr}");
 }
 
-/// Every job `dj serve` runs gets the `DJ_FAULTS` plan, its own copy: a
-/// transient fault on the first part write fails attempt 1, and the retry
-/// — same plan, the fault spent — writes the parts a fault-free run writes.
+/// Every job `dj serve` runs runs under the `DJ_FAULTS` plan, which serve
+/// installs for the whole process: a transient fault on the first part
+/// write fails attempt 1, and the retry — same plan, the fault spent —
+/// writes the parts a fault-free run writes.
 #[test]
 fn serve_hands_each_job_the_fault_plan_and_a_retry_absorbs_it() {
     let dir = fresh_dir("faults");
@@ -558,5 +559,53 @@ fn a_torn_last_journal_line_is_skipped_and_the_next_event_starts_a_line() {
         "{appended}"
     );
     assert!(appended.contains("\"samples_out\":2"), "{appended}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal line whose job id is negative names no job this service
+/// handed out: the restart skips it, as it skips a torn line. (Read as
+/// `u64::MAX`, it saturated the next id, the replayed line took that id,
+/// and the next submission wrapped around to job 0 — an id the journal had
+/// already closed, so a crash during that job would have lost it.)
+#[test]
+fn a_negative_job_id_in_the_journal_is_skipped() {
+    let dir = fresh_dir("negative-id");
+    let journal = dir.join("journal.jsonl");
+    let submit = concat!(
+        "{\"cmd\":\"submit\",\"recipe\":{\"project_name\":\"negative\",",
+        "\"process\":[{\"whitespace_normalization_mapper\":{}}]},",
+        "\"texts\":[\"negative   one\",\"negative two\"]}"
+    );
+    let history = format!(
+        "{{\"event\":\"submit\",\"job\":0,\"cmd\":{submit}}}\n\
+         {{\"event\":\"done\",\"job\":0}}\n\
+         {{\"event\":\"submit\",\"job\":-1,\"cmd\":{submit}}}\n"
+    );
+    std::fs::write(&journal, &history).unwrap();
+
+    let mut serve = spawn_serve(&journal);
+    let mut stdin = serve.stdin.take().unwrap();
+    let mut events = BufReader::new(serve.stdout.take().unwrap()).lines();
+    writeln!(stdin, "{submit}").unwrap();
+    stdin.flush().unwrap();
+    let accepted = events
+        .by_ref()
+        .map(Result::unwrap)
+        .find(|e| e.contains("\"accepted\""))
+        .expect("no acceptance");
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    assert!(serve.wait().unwrap().success());
+    assert_eq!(event_and_job(&accepted), ("accepted".to_string(), 1));
+
+    let log = std::fs::read_to_string(&journal).unwrap();
+    let appended = &log[history.len()..];
+    let mut events: Vec<(String, i64)> = appended.lines().map(event_and_job).collect();
+    events.sort();
+    assert_eq!(
+        events,
+        [("done".to_string(), 1), ("submit".to_string(), 1)],
+        "{appended}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
