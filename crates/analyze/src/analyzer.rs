@@ -2,17 +2,18 @@
 //!
 //! "By default, the summary of per-sample statistics covers 13 dimensions
 //! and automatically displays histograms and box plots for each statistical
-//! variable." This module computes those dimensions, records them into each
-//! sample's `stats` column (so Filters can reuse them — the §3.2
-//! decoupling), and summarizes every column with count / mean / std /
-//! min / max / quantiles / entropy.
+//! variable." This module measures those dimensions with the built-in
+//! filters' own `compute_stats` — one definition of each statistic, shared
+//! by the processing and the analysis side — records them into each
+//! sample's `stats` column, and summarizes every column with count / mean /
+//! std / min / max / quantiles / entropy.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use dj_core::{Dataset, SampleContext};
+use dj_core::{Dataset, Filter, Op, OpParams, SampleContext, Value};
 use dj_hash::FxHashMap;
 use dj_text::lexicon;
-use dj_text::stats as tstats;
 
 /// The 13 default analyzer dimensions.
 pub const DEFAULT_DIMENSIONS: [&str; 13] = [
@@ -30,6 +31,26 @@ pub const DEFAULT_DIMENSIONS: [&str; 13] = [
     "paragraph_count",
     "word_entropy",
 ];
+
+/// The built-in filters whose stat is one of `dims`, built on `field` with
+/// their defaults, except that `word_repetition_filter` measures at
+/// `rep_len` 5.
+fn measuring_filters(dims: &[String], field: &str) -> Vec<Arc<dyn Filter>> {
+    let registry = dj_ops::builtin_registry();
+    let defaults = OpParams::from([
+        ("field".to_string(), Value::from(field)),
+        ("rep_len".to_string(), Value::Int(5)),
+    ]);
+    let build = |op| registry.build_with_defaults(op, &OpParams::new(), &defaults);
+    registry
+        .names()
+        .into_iter()
+        .filter_map(|op| match build(op) {
+            Ok(Op::Filter(f)) if dims.iter().any(|d| d == f.stats_key()) => Some(f),
+            _ => None,
+        })
+        .collect()
+}
 
 /// Summary statistics of one numeric column.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,15 +218,17 @@ impl Analyzer {
         self
     }
 
-    /// Analyze the dataset: record per-sample stats and summarize.
+    /// Analyze the dataset: measure and record per-sample stats, and
+    /// summarize.
     ///
-    /// Stats already present on a sample are *not* recomputed, so a probe
-    /// after a filtering pipeline reuses the filters' work.
+    /// Every dimension that is a built-in filter's stat is measured again,
+    /// with that filter's `compute_stats`, replacing any value recorded
+    /// under its name. A dimension no filter measures is read where it is
+    /// recorded.
     pub fn probe(&self, dataset: &mut Dataset) -> DataProbe {
-        let stopwords = lexicon::english_stopwords();
-        let flagged = lexicon::flagged_words();
         let verbs = lexicon::common_verbs();
         let nouns = lexicon::common_nouns();
+        let filters = measuring_filters(&self.dimensions, &self.field);
         let mut columns: BTreeMap<String, Vec<f64>> = self
             .dimensions
             .iter()
@@ -216,31 +239,11 @@ impl Analyzer {
         let field = self.field.clone();
         for sample in dataset.samples_mut() {
             ctx.invalidate();
+            for f in &filters {
+                f.compute_stats(sample, &mut ctx)
+                    .expect("a built-in filter measures every sample");
+            }
             for dim in &self.dimensions {
-                if !sample.has_stat(dim) {
-                    // Borrow the text, compute, record once the borrow ends.
-                    let text = sample.text_at(&field);
-                    let v = match dim.as_str() {
-                        "text_len" => ctx.chars(text).chars as f64,
-                        "word_count" => ctx.words(text).len() as f64,
-                        "avg_word_length" => tstats::avg_word_length(ctx.words(text)),
-                        "alnum_ratio" => ctx.chars(text).alnum_ratio(),
-                        "special_char_ratio" => ctx.chars(text).special_ratio(),
-                        "whitespace_ratio" => ctx.chars(text).whitespace_ratio(),
-                        "digit_ratio" => ctx.chars(text).digit_ratio(),
-                        "char_rep_ratio" => tstats::char_rep_ratio(text, 10, ctx.scratch()),
-                        "word_rep_ratio" => {
-                            let (words, scratch) = ctx.words_and_scratch(text);
-                            tstats::word_rep_ratio(words, 5, scratch)
-                        }
-                        "stopword_ratio" => tstats::lexicon_ratio(ctx.words(text), &stopwords),
-                        "flagged_word_ratio" => tstats::lexicon_ratio(ctx.words(text), &flagged),
-                        "paragraph_count" => tstats::paragraph_count(text) as f64,
-                        "word_entropy" => tstats::word_entropy(ctx.words(text)),
-                        _ => continue, // unknown custom dimension: only reused if present
-                    };
-                    sample.set_stat(dim, v);
-                }
                 if let Some(v) = sample.stat(dim) {
                     columns.get_mut(dim).expect("dim registered").push(v);
                 }
@@ -288,8 +291,8 @@ mod tests {
             assert!(probe.summaries.contains_key(dim), "missing {dim}");
             assert_eq!(probe.columns[dim].len(), 4);
         }
-        // Stats were recorded on the samples for reuse.
-        assert!(ds.get(0).unwrap().has_stat("word_count"));
+        // Stats were recorded on the samples.
+        assert_eq!(ds.get(0).unwrap().stat("word_count"), Some(13.0));
     }
 
     #[test]
@@ -315,14 +318,62 @@ mod tests {
     }
 
     #[test]
-    fn existing_stats_are_reused() {
+    fn existing_stats_are_measured_again() {
         let mut ds = Dataset::from_samples(vec![{
             let mut s = Sample::from_text("three little words");
-            s.set_stat("word_count", 99.0); // pre-seeded, wrong on purpose
+            s.set_stat("word_count", 99.0); // recorded, wrong on purpose
+            s.set_stat("custom", 7.0); // no filter measures it: read as is
             s
         }]);
+        let probe = Analyzer::new()
+            .with_dimensions(&["word_count", "custom"])
+            .probe(&mut ds);
+        assert_eq!(probe.columns["word_count"], vec![3.0]);
+        assert_eq!(probe.columns["custom"], vec![7.0]);
+        assert_eq!(ds.get(0).unwrap().stat("word_count"), Some(3.0));
+    }
+
+    #[test]
+    fn every_default_dimension_is_one_filters_stat() {
+        let dims: Vec<String> = DEFAULT_DIMENSIONS.iter().map(|d| d.to_string()).collect();
+        let mut keys: Vec<&str> = measuring_filters(&dims, "text")
+            .iter()
+            .map(|f| f.stats_key())
+            .collect();
+        keys.sort_unstable();
+        let mut expected = DEFAULT_DIMENSIONS;
+        expected.sort_unstable();
+        assert_eq!(keys, expected);
+    }
+
+    /// The probe reads what the analyzer's own formulas read before it
+    /// measured with the filters: `rep_len` 5, `ngram` 10, the stock
+    /// lexicons.
+    #[test]
+    fn a_probe_reads_the_formulas_it_always_read() {
+        use dj_text::stats as tstats;
+        let text = "the cat sat on the mat and the cat sat on the mat again, 42 times.\n\nOK";
+        let mut ds = Dataset::from_texts([text]);
         let probe = Analyzer::new().probe(&mut ds);
-        assert_eq!(probe.columns["word_count"], vec![99.0]);
+        let mut ctx = SampleContext::new();
+        let (words, scratch) = ctx.words_and_scratch(text);
+        let word_rep = tstats::word_rep_ratio(words, 5, scratch);
+        let char_rep = tstats::char_rep_ratio(text, 10, ctx.scratch());
+        let stop = tstats::lexicon_ratio(ctx.words(text), &lexicon::english_stopwords());
+        let chars = ctx.chars(text);
+        let expected = [
+            ("text_len", chars.chars as f64),
+            ("alnum_ratio", chars.alnum_ratio()),
+            ("digit_ratio", chars.digit_ratio()),
+            ("word_rep_ratio", word_rep),
+            ("char_rep_ratio", char_rep),
+            ("stopword_ratio", stop),
+            ("paragraph_count", tstats::paragraph_count(text) as f64),
+        ];
+        for (dim, v) in expected {
+            assert_eq!(probe.columns[dim], vec![v], "{dim}");
+        }
+        assert!(word_rep > 0.0);
     }
 
     #[test]
@@ -347,7 +398,7 @@ mod tests {
             .with_dimensions(&["text_len", "word_count"])
             .probe(&mut ds);
         assert_eq!(probe.summaries.len(), 2);
-        assert!(!ds.get(0).unwrap().has_stat("alnum_ratio"));
+        assert_eq!(ds.get(0).unwrap().stat("alnum_ratio"), None);
     }
 
     #[test]

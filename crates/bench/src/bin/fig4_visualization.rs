@@ -76,6 +76,13 @@ fn main() {
         "tracer must capture edits and discards"
     );
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    for dim in dims {
+        println!(
+            "mean {dim}: before {:.3e}, after {:.3e}",
+            mean(&probe_before.columns[dim]),
+            mean(&probe_after.columns[dim])
+        );
+    }
     assert!(
         mean(&probe_after.columns["flagged_word_ratio"])
             < mean(&probe_before.columns["flagged_word_ratio"]) + 1e-12,

@@ -411,34 +411,41 @@ impl Recipe {
             .collect()
     }
 
-    /// Instantiate the pipeline against a registry.
+    /// Instantiate the pipeline against a registry. The recipe's
+    /// `text_key`, unless it is `text`, is the `field` of every op that
+    /// names none and reads one.
     pub fn build_ops(&self, registry: &OpRegistry) -> Result<Vec<dj_core::Op>> {
-        self.resolved_ops()
-            .map(|(name, params, _)| registry.build(name, &params))
+        let defaults = self.op_defaults();
+        self.process
+            .iter()
+            .map(|spec| registry.build_with_defaults(&spec.name, &spec.params, &defaults))
             .collect()
     }
 
     /// Each op's identity, in recipe order: what the executor's cache keys
-    /// are made of. Two ops share one exactly when the registry receives
-    /// the same name and params for both.
+    /// are made of — FNV-1a of the name followed by the canonical JSON (keys
+    /// sorted) of the params [`Recipe::build_ops`] builds it from, the
+    /// recipe's `field` default included. Two ops share one exactly when
+    /// they are built from the same name and params.
     pub fn op_ids(&self) -> Vec<u64> {
-        self.resolved_ops().map(|(_, _, id)| id).collect()
+        let defaults = self.op_defaults();
+        self.process
+            .iter()
+            .map(|spec| {
+                let mut params = defaults.clone();
+                params.extend(spec.params.clone());
+                fnv1a(format!("{}{}", spec.name, Value::Map(params)).as_bytes())
+            })
+            .collect()
     }
 
-    /// Every op as [`Recipe::build_ops`] hands it to the registry — its
-    /// name, and its params with the recipe's text key propagated unless
-    /// the op names a `field` — with its identity over exactly those:
-    /// FNV-1a of the name followed by the params' canonical JSON (keys
-    /// sorted).
-    fn resolved_ops(&self) -> impl Iterator<Item = (&str, OpParams, u64)> {
-        self.process.iter().map(|spec| {
-            let mut params = spec.params.clone();
-            if self.text_key != "text" && !params.contains_key("field") {
-                params.insert("field".into(), Value::from(self.text_key.clone()));
-            }
-            let canonical = format!("{}{}", spec.name, Value::Map(params.clone()));
-            (spec.name.as_str(), params, fnv1a(canonical.as_bytes()))
-        })
+    /// The params every op is offered by default: the recipe's text key.
+    fn op_defaults(&self) -> OpParams {
+        let mut defaults = OpParams::new();
+        if self.text_key != "text" {
+            defaults.insert("field".into(), Value::from(self.text_key.clone()));
+        }
+        defaults
     }
 }
 

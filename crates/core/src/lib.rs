@@ -52,7 +52,7 @@ pub use fingerprints::{words_to_value, Fingerprints};
 pub use json::{parse_json, write_json, write_json_f64, write_json_str, MAX_NESTING_DEPTH};
 pub use op::{
     params, Deduplicator, FieldSet, Filter, Formatter, Mapper, Op, OpCost, OpFactory, OpKind,
-    OpParams, OpRegistry,
+    OpParams, OpRegistry, ParamView,
 };
 pub use pool::{Step, WorkerPool};
 pub use sample::{Sample, META_KEY, STATS_KEY, TEXT_KEY};

@@ -9,9 +9,11 @@
 //!   (as `u64` words: `fingerprint` then `cluster`)
 //!
 //! The Filter split is the stats/decision decoupling the paper highlights:
-//! statistics land in the sample's `stats` column where the analyzer (and any
-//! later filter) can reuse them for the *entire* dataset, not the kept subset.
+//! statistics land in the sample's `stats` column, where the decision — and
+//! anyone reading the output — finds them. A filter measures its own stat
+//! every time; a stat is never reused because its name is already there.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -165,9 +167,12 @@ pub trait Mapper: Send + Sync {
 pub trait Filter: Send + Sync {
     fn name(&self) -> &'static str;
 
-    /// Compute and record this filter's statistic(s) into `sample.stats`.
-    /// Implementations should early-return if the stat is already present so
-    /// precomputed analyzer passes are reused.
+    /// Measure this filter's statistic(s) and record them into
+    /// `sample.stats`, replacing whatever is recorded under the same name
+    /// (an input line, an analyzer pass, another filter on another field or
+    /// with other params). The engine calls it right before
+    /// [`process`](Filter::process), one filter at a time — in a fused
+    /// step too — so the decision reads this filter's own measurement.
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()>;
 
     /// Keep-decision from recorded stats only (no recomputation).
@@ -186,10 +191,12 @@ pub trait Filter: Send + Sync {
     }
 
     /// Whether this filter may be reordered relative to *other commutable
-    /// filters* in the same mapper/dedup-free window. Filters decide
-    /// per-sample from their own recorded stats, so they commute by
-    /// default; a filter whose decision depends on stats written by an
-    /// *earlier* filter (or on side effects) must opt out.
+    /// filters* in the same mapper/dedup-free window. Filters measure and
+    /// decide per sample from their own stats, so their keep decisions
+    /// commute by default; a filter whose decision depends on stats written
+    /// by an *earlier* filter (or on side effects) must opt out. Two
+    /// filters that write the same key still commute in their decisions,
+    /// but which one's value a kept sample carries follows the order run.
     fn commutable(&self) -> bool {
         true
     }
@@ -418,8 +425,50 @@ pub enum OpKind {
 /// Parameters handed to an OP factory: a map parsed from the recipe config.
 pub type OpParams = BTreeMap<String, Value>;
 
-/// Factory signature: build an [`Op`] from recipe parameters.
-pub type OpFactory = fn(&OpParams) -> Result<Op>;
+/// Factory signature: build an [`Op`] from recipe parameters, read through
+/// the [`params`] helpers.
+pub type OpFactory = fn(&ParamView<'_>) -> Result<Op>;
+
+/// What an OP factory reads its parameters through: the params a recipe
+/// gave, then the defaults its caller offers under keys the params do not
+/// set. It records every given key a factory reads, so
+/// [`OpRegistry::build`] can refuse one no factory read — a misspelt
+/// parameter — rather than run the op with its default.
+pub struct ParamView<'a> {
+    params: &'a OpParams,
+    defaults: &'a OpParams,
+    read: RefCell<Vec<&'a str>>,
+}
+
+impl<'a> ParamView<'a> {
+    pub fn new(params: &'a OpParams, defaults: &'a OpParams) -> ParamView<'a> {
+        ParamView {
+            params,
+            defaults,
+            read: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The value under `key`, recording the read.
+    pub fn get(&self, key: &str) -> Option<&'a Value> {
+        match self.params.get_key_value(key) {
+            Some((k, v)) => {
+                self.read.borrow_mut().push(k);
+                Some(v)
+            }
+            None => self.defaults.get(key),
+        }
+    }
+
+    /// The first given key nothing has read.
+    fn unread(&self) -> Option<&'a str> {
+        let read = self.read.borrow();
+        self.params
+            .keys()
+            .map(String::as_str)
+            .find(|k| !read.contains(k))
+    }
+}
 
 /// Registry mapping OP names to factories (advanced-extension entry point,
 /// paper §5.3: users "register their new OPs" by name).
@@ -438,13 +487,33 @@ impl OpRegistry {
         self.factories.insert(name.to_string(), factory);
     }
 
-    /// Instantiate an OP by name with the given parameters.
+    /// Instantiate an OP by name with the given parameters. A parameter
+    /// the OP's factory does not read is a config error naming both.
     pub fn build(&self, name: &str, params: &OpParams) -> Result<Op> {
+        self.build_with_defaults(name, params, &OpParams::new())
+    }
+
+    /// [`build`](OpRegistry::build), with `defaults` offered under the keys
+    /// `params` does not set (a recipe's `text_key` is the `field` of every
+    /// op that names none). A default the factory does not read is no error.
+    pub fn build_with_defaults(
+        &self,
+        name: &str,
+        params: &OpParams,
+        defaults: &OpParams,
+    ) -> Result<Op> {
         let factory = self
             .factories
             .get(name)
             .ok_or_else(|| DjError::Config(format!("unknown operator `{name}`")))?;
-        factory(params)
+        let view = ParamView::new(params, defaults);
+        let op = factory(&view)?;
+        match view.unread() {
+            Some(key) => Err(DjError::Config(format!(
+                "operator `{name}` has no parameter `{key}`"
+            ))),
+            None => Ok(op),
+        }
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -465,11 +534,12 @@ impl OpRegistry {
     }
 }
 
-/// Helpers for reading typed parameters out of [`OpParams`] with defaults.
+/// Helpers for reading typed parameters out of a [`ParamView`] with
+/// defaults.
 pub mod params {
     use super::*;
 
-    pub fn f64_or(p: &OpParams, key: &str, default: f64) -> Result<f64> {
+    pub fn f64_or(p: &ParamView<'_>, key: &str, default: f64) -> Result<f64> {
         match p.get(key) {
             None => Ok(default),
             Some(v) => v.as_float().ok_or_else(|| {
@@ -481,7 +551,7 @@ pub mod params {
         }
     }
 
-    pub fn usize_or(p: &OpParams, key: &str, default: usize) -> Result<usize> {
+    pub fn usize_or(p: &ParamView<'_>, key: &str, default: usize) -> Result<usize> {
         match p.get(key) {
             None => Ok(default),
             Some(v) => match v.as_int() {
@@ -494,7 +564,7 @@ pub mod params {
         }
     }
 
-    pub fn bool_or(p: &OpParams, key: &str, default: bool) -> Result<bool> {
+    pub fn bool_or(p: &ParamView<'_>, key: &str, default: bool) -> Result<bool> {
         match p.get(key) {
             None => Ok(default),
             Some(v) => v.as_bool().ok_or_else(|| {
@@ -506,7 +576,7 @@ pub mod params {
         }
     }
 
-    pub fn str_or<'a>(p: &'a OpParams, key: &str, default: &'a str) -> Result<&'a str> {
+    pub fn str_or<'a>(p: &ParamView<'a>, key: &str, default: &'a str) -> Result<&'a str> {
         match p.get(key) {
             None => Ok(default),
             Some(v) => v.as_str().ok_or_else(|| {
@@ -518,7 +588,7 @@ pub mod params {
         }
     }
 
-    pub fn str_list(p: &OpParams, key: &str) -> Result<Vec<String>> {
+    pub fn str_list(p: &ParamView<'_>, key: &str) -> Result<Vec<String>> {
         match p.get(key) {
             None => Ok(Vec::new()),
             Some(Value::List(l)) => l
@@ -560,9 +630,7 @@ mod tests {
             "min_len_filter"
         }
         fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-            if !sample.has_stat("text_len") {
-                sample.set_stat("text_len", sample.text().chars().count() as f64);
-            }
+            sample.set_stat("text_len", sample.text().chars().count() as f64);
             Ok(())
         }
         fn process(&self, sample: &Sample) -> Result<bool> {
@@ -573,7 +641,7 @@ mod tests {
         }
     }
 
-    fn upper_factory(_: &OpParams) -> Result<Op> {
+    fn upper_factory(_: &ParamView<'_>) -> Result<Op> {
         Ok(Op::Mapper(Arc::new(Upper)))
     }
 
@@ -669,14 +737,14 @@ mod tests {
     }
 
     #[test]
-    fn filter_reuses_precomputed_stats() {
+    fn filter_measures_over_a_recorded_stat() {
         let f = MinLen(4);
         let mut s = Sample::from_text("abcde");
-        s.set_stat("text_len", 1.0); // e.g. analyzer already wrote it
+        s.set_stat("text_len", 1.0); // e.g. an input line carried it
         let mut ctx = SampleContext::new();
         f.compute_stats(&mut s, &mut ctx).unwrap();
-        assert_eq!(s.stat("text_len"), Some(1.0));
-        assert!(!f.process(&s).unwrap());
+        assert_eq!(s.stat("text_len"), Some(5.0));
+        assert!(f.process(&s).unwrap());
     }
 
     #[test]
@@ -700,15 +768,54 @@ mod tests {
         p.insert("flag".into(), Value::Bool(true));
         p.insert("lang".into(), Value::from("en"));
         p.insert("words".into(), Value::from(vec!["a", "b"]));
+        let none = OpParams::new();
+        let v = ParamView::new(&p, &none);
 
-        assert_eq!(params::f64_or(&p, "ratio", 0.0).unwrap(), 0.5);
-        assert_eq!(params::f64_or(&p, "count", 0.0).unwrap(), 7.0);
-        assert_eq!(params::f64_or(&p, "missing", 9.0).unwrap(), 9.0);
-        assert_eq!(params::usize_or(&p, "count", 0).unwrap(), 7);
-        assert!(params::bool_or(&p, "flag", false).unwrap());
-        assert_eq!(params::str_or(&p, "lang", "zh").unwrap(), "en");
-        assert_eq!(params::str_list(&p, "words").unwrap(), vec!["a", "b"]);
-        assert!(params::usize_or(&p, "ratio", 0).is_err());
-        assert!(params::bool_or(&p, "lang", false).is_err());
+        assert_eq!(params::f64_or(&v, "ratio", 0.0).unwrap(), 0.5);
+        assert_eq!(params::f64_or(&v, "count", 0.0).unwrap(), 7.0);
+        assert_eq!(params::f64_or(&v, "missing", 9.0).unwrap(), 9.0);
+        assert_eq!(params::usize_or(&v, "count", 0).unwrap(), 7);
+        assert!(params::bool_or(&v, "flag", false).unwrap());
+        assert_eq!(params::str_or(&v, "lang", "zh").unwrap(), "en");
+        assert_eq!(params::str_list(&v, "words").unwrap(), vec!["a", "b"]);
+        assert!(params::usize_or(&v, "ratio", 0).is_err());
+        assert!(params::bool_or(&v, "lang", false).is_err());
+    }
+
+    fn ratio_factory(p: &ParamView<'_>) -> Result<Op> {
+        params::f64_or(p, "ratio", 0.5)?;
+        params::str_or(p, "field", "text")?;
+        upper_factory(p)
+    }
+
+    #[test]
+    fn a_parameter_the_factory_does_not_read_is_refused() {
+        let mut reg = OpRegistry::new();
+        reg.register("ratio_mapper", ratio_factory);
+        reg.register("upper_mapper", upper_factory);
+        let mut p = OpParams::new();
+        p.insert("ratio".into(), Value::Float(0.1));
+        assert!(reg.build("ratio_mapper", &p).is_ok());
+        p.insert("ratoi".into(), Value::Float(0.2));
+        let err = reg.build("ratio_mapper", &p).unwrap_err();
+        assert!(matches!(err, DjError::Config(_)), "{err}");
+        assert!(err.to_string().contains("`ratio_mapper`"), "{err}");
+        assert!(err.to_string().contains("`ratoi`"), "{err}");
+        // A default is offered, not given: an op that does not read it
+        // builds, and a given key still wins over it.
+        let field = OpParams::from([("field".to_string(), Value::from("body"))]);
+        let mut given = OpParams::new();
+        given.insert("field".into(), Value::from("title"));
+        assert!(reg
+            .build_with_defaults("upper_mapper", &OpParams::new(), &field)
+            .is_ok());
+        assert!(reg
+            .build_with_defaults("upper_mapper", &given, &field)
+            .is_err());
+        let v = ParamView::new(&given, &field);
+        assert_eq!(params::str_or(&v, "field", "text").unwrap(), "title");
+        let empty = OpParams::new();
+        let v = ParamView::new(&empty, &field);
+        assert_eq!(params::str_or(&v, "field", "text").unwrap(), "body");
     }
 }

@@ -144,15 +144,11 @@ impl Sample {
     /// Write a numeric statistic (`stats.<key>`).
     ///
     /// Filters call this from `compute_stats` so that the decision in
-    /// `process` — and any later analyzer pass — reads a recorded value
-    /// rather than recomputing it (the decoupling of paper §3.2).
+    /// `process` reads the value just measured rather than recomputing it
+    /// (the decoupling of paper §3.2). A value already recorded under
+    /// `key` is replaced.
     pub fn set_stat(&mut self, key: &str, value: f64) {
         self.section_set(STATS_KEY, key, Value::Float(value));
-    }
-
-    /// True when the statistic has already been computed.
-    pub fn has_stat(&self, key: &str) -> bool {
-        self.section_get(STATS_KEY, key).is_some()
     }
 
     /// All recorded statistics as `(key, value)` pairs.
@@ -223,8 +219,7 @@ mod tests {
         assert_eq!(s.meta("language").unwrap().as_str(), Some("EN"));
         assert_eq!(s.meta("stars").unwrap().as_int(), Some(42));
         assert_eq!(s.stat("word_count"), Some(1.0));
-        assert!(s.has_stat("word_count"));
-        assert!(!s.has_stat("perplexity"));
+        assert_eq!(s.stat("perplexity"), None);
         assert_eq!(s.stats(), vec![("word_count".to_string(), 1.0)]);
     }
 

@@ -65,9 +65,10 @@ impl Executor {
         report: &mut RunReport,
     ) -> Result<StageData> {
         // Kept samples pass every filter of a commutable window under any
-        // order and collect the same (key-sorted) stats, and reordering
-        // never changes the stage's union footprint, so neither the output
-        // nor a projected decode set depends on the order a shard ran.
+        // order and collect the same (key-sorted) stats — save a key two
+        // filters write, which the one run last sets — and reordering never
+        // changes the stage's union footprint, so neither the output nor a
+        // projected decode set depends on the order a shard ran.
         let sched = self.stage_schedule(steps, feed.len);
         let fp_dedup = next_dedup.filter(|_| sink.carries_fingerprints());
         let per_shard = drive(feed, self.options.num_workers, ctl, |i, loaded| {
@@ -351,21 +352,21 @@ fn apply_step(
             Ok(Verdict::Keep { changed })
         }
         PlanStep::Filters(filters) => {
-            // Phase 1: stats for every member filter with one shared
-            // context — fused filters derive words/lines views once.
-            let computed = filters
-                .iter()
-                .try_for_each(|f| f.compute_stats(sample, ctx).map_err(|e| (e, f.name())));
+            // Each member measures, then decides, on one shared context
+            // (fused filters derive words/lines views once), and the first
+            // drop ends the step: no member decides on another's stat.
+            let stop = filters.iter().find_map(|f| {
+                let kept = f
+                    .compute_stats(sample, ctx)
+                    .and_then(|()| f.process(sample));
+                match kept {
+                    Ok(keep) => (!keep).then_some(Ok(Verdict::Drop)),
+                    Err(e) => Some(Err((e, f.name()))),
+                }
+            });
             // Fused-OP contract: contexts are cleaned after the op.
             ctx.clear();
-            computed?;
-            // Phase 2: boolean decisions from recorded stats only.
-            for f in filters.iter() {
-                if !f.process(sample).map_err(|e| (e, f.name()))? {
-                    return Ok(Verdict::Drop);
-                }
-            }
-            Ok(Verdict::Keep { changed: false })
+            stop.unwrap_or(Ok(Verdict::Keep { changed: false }))
         }
         PlanStep::Dedup(_) => unreachable!("dedup steps are barriers, not pipeline steps"),
     }

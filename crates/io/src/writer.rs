@@ -212,6 +212,9 @@ impl EgressManifest {
         Value::Map(m).to_string()
     }
 
+    /// Parse a sealed manifest. Its totals must be non-negative and equal
+    /// the sums of its parts' counts; a manifest that disagrees with itself
+    /// is malformed.
     pub fn from_json(text: &str) -> Result<EgressManifest> {
         let bad = || DjError::Storage("malformed egress manifest".into());
         let v = parse_json(text)?;
@@ -225,17 +228,24 @@ impl EgressManifest {
             .iter()
             .map(PartEntry::from_value)
             .collect::<Result<Vec<_>>>()?;
+        let total = |key: &str| {
+            m.get(key)
+                .and_then(Value::as_int)
+                .and_then(|n| u64::try_from(n).ok())
+        };
+        let samples = parts
+            .iter()
+            .try_fold(0usize, |n, p| n.checked_add(p.samples));
+        let bytes = parts.iter().try_fold(0u64, |n, p| n.checked_add(p.bytes));
+        let (samples, bytes) = samples.zip(bytes).ok_or_else(bad)?;
+        if total("total_samples") != Some(samples as u64) || total("total_bytes") != Some(bytes) {
+            return Err(bad());
+        }
         Ok(EgressManifest {
             format,
-            total_samples: m
-                .get("total_samples")
-                .and_then(Value::as_int)
-                .ok_or_else(bad)? as usize,
-            total_bytes: m
-                .get("total_bytes")
-                .and_then(Value::as_int)
-                .ok_or_else(bad)? as u64,
             parts,
+            total_samples: samples,
+            total_bytes: bytes,
         })
     }
 
@@ -552,6 +562,33 @@ mod tests {
         let unknown = text.replace("checksum64", "crc32");
         let err = PartEntry::from_value(&parse_json(&unknown).unwrap()).unwrap_err();
         assert!(err.to_string().contains("unknown hash"), "{err}");
+    }
+
+    #[test]
+    fn a_manifest_whose_totals_disagree_with_its_parts_is_refused() {
+        let dir = tmpdir("bad-totals");
+        let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
+        w.store_shard(0, &shard(&["a", "b"])).unwrap();
+        w.store_shard(1, &shard(&["c"])).unwrap();
+        let sealed = w.finish().unwrap();
+        assert_eq!(EgressManifest::load(&dir).unwrap(), sealed);
+        let text = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let bytes = format!("\"total_bytes\":{}", sealed.total_bytes);
+        for (from, to) in [
+            ("\"total_samples\":3", "\"total_samples\":-1".to_string()),
+            ("\"total_samples\":3", "\"total_samples\":4".to_string()),
+            (bytes.as_str(), "\"total_bytes\":-5".to_string()),
+            (
+                bytes.as_str(),
+                format!("\"total_bytes\":{}", sealed.total_bytes + 1),
+            ),
+        ] {
+            assert!(text.contains(from), "{text}");
+            fs::write(dir.join(MANIFEST_FILE), text.replace(from, &to)).unwrap();
+            let err = EgressManifest::load(&dir).unwrap_err();
+            assert!(err.to_string().contains("malformed"), "{to}: {err}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Filter OPs: conditional text removal driven by recorded statistics
-//! (Table 1). Every filter writes its statistic into `sample.stats` in
-//! `compute_stats` (skipping when already present) and decides from the
+//! (Table 1). Every filter measures its statistic and writes it into
+//! `sample.stats` in `compute_stats`, every time, and decides from the
 //! recorded value in `process` — the stats/decision decoupling of §3.2.
 //!
 //! `compute_stats` never copies the text it reads: it borrows the field,
@@ -44,8 +44,8 @@ impl RangeBound {
 }
 
 /// Stats-driven filters read their configured text field plus the `stats`
-/// column (statistics may be pre-seeded by an analyzer pass) and write only
-/// into `stats` — the footprint the columnar executor projects on.
+/// column (`process` decides from it) and write only into `stats` — the
+/// footprint the columnar executor projects on.
 macro_rules! stat_filter_footprint {
     () => {
         fn fields_read(&self) -> FieldSet {
@@ -117,10 +117,7 @@ macro_rules! range_filter {
             }
 
             fn process(&self, sample: &Sample) -> Result<bool> {
-                let v = sample.stat($stats_key).ok_or_else(|| {
-                    DjError::op($op_name, format!("missing stat `{}`", $stats_key))
-                })?;
-                Ok(self.range.contains(v))
+                Ok(self.range.contains(stat(sample, $stats_key, $op_name)?))
             }
 
             stat_filter_footprint!();
@@ -694,13 +691,11 @@ impl Filter for StarCountFilter {
         "star_count"
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
-        if !sample.has_stat("star_count") {
-            let stars = sample
-                .meta("stars")
-                .and_then(|v| v.as_float())
-                .unwrap_or(0.0);
-            sample.set_stat("star_count", stars);
-        }
+        let stars = sample
+            .meta("stars")
+            .and_then(|v| v.as_float())
+            .unwrap_or(0.0);
+        sample.set_stat("star_count", stars);
         Ok(())
     }
     fn process(&self, sample: &Sample) -> Result<bool> {
@@ -834,13 +829,11 @@ impl Filter for StatsRangeFilter {
     }
 }
 
-/// The "borrow text, write stat after" rule in one place: unless `key` is
-/// already recorded, compute it from the borrowed text of `field`, then —
-/// the borrow over — record it.
+/// The "borrow text, write stat after" rule in one place: measure `key`
+/// from the borrowed text of `field`, then — the borrow over — set it,
+/// whatever an input line, an analyzer pass or an earlier op recorded
+/// under that name.
 fn record_stat(sample: &mut Sample, field: &str, key: &str, compute: impl FnOnce(&str) -> f64) {
-    if sample.has_stat(key) {
-        return;
-    }
     let value = compute(sample.text_at(field));
     sample.set_stat(key, value);
 }
@@ -1011,13 +1004,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_not_recomputed() {
+    fn a_recorded_stat_is_measured_again() {
+        // A stat already recorded under the filter's name (an input line,
+        // an analyzer pass, another field) is measured again, not reused.
         let f = TextLengthFilter::new(0.0, 100.0).unwrap();
         let mut s = Sample::from_text("abc");
-        s.set_stat("text_len", 42.0); // pre-seeded by an analyzer pass
+        s.set_stat("text_len", 42.0);
         let mut ctx = SampleContext::new();
         f.compute_stats(&mut s, &mut ctx).unwrap();
-        assert_eq!(s.stat("text_len"), Some(42.0));
+        assert_eq!(s.stat("text_len"), Some(3.0));
+        let stars = StarCountFilter::new(10);
+        s.set_meta("stars", 7i64);
+        s.set_stat("star_count", 500.0);
+        stars.compute_stats(&mut s, &mut ctx).unwrap();
+        assert!(!stars.process(&s).unwrap());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use dj_core::{params, Op, OpParams, OpRegistry, Result};
+use dj_core::{params, Op, OpRegistry, ParamView, Result};
 
 use crate::dedup::{
     DocumentDeduplicator, MinHashDeduplicator, ParagraphDeduplicator, SimHashDeduplicator,
@@ -13,7 +13,7 @@ use crate::dedup::{
 use crate::filters::*;
 use crate::mappers::*;
 
-fn field_of(p: &OpParams) -> Result<String> {
+fn field_of(p: &ParamView<'_>) -> Result<String> {
     Ok(params::str_or(p, "field", dj_core::TEXT_KEY)?.to_string())
 }
 
@@ -314,7 +314,7 @@ pub fn builtin_registry() -> OpRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dj_core::Value;
+    use dj_core::{OpParams, Value};
 
     #[test]
     fn registry_has_the_paper_scale_op_pool() {
@@ -334,6 +334,16 @@ mod tests {
         for name in reg.names() {
             let op = reg.build(name, &OpParams::new());
             assert!(op.is_ok(), "default build of `{name}` failed: {op:?}");
+        }
+    }
+
+    #[test]
+    fn every_op_refuses_a_parameter_it_does_not_read() {
+        let reg = builtin_registry();
+        let p = OpParams::from([("no_such_param".to_string(), Value::Int(1))]);
+        for name in reg.names() {
+            let err = reg.build(name, &p).unwrap_err();
+            assert!(matches!(err, dj_core::DjError::Config(_)), "{name}: {err}");
         }
     }
 

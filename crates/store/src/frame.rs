@@ -427,7 +427,7 @@ mod tests {
         // Projection decodes only the named columns and counts their bytes.
         let (projected, bytes) = frame.decode(Some(&text), None).unwrap();
         assert!(bytes > 0);
-        assert!(projected.iter().all(|s| !s.has_stat("wc")));
+        assert!(projected.iter().all(|s| s.stat("wc").is_none()));
         // A stage's output frame stores every sample this one stored, for
         // `keep` to mask.
         let processed = masked(&ds, &keep);

@@ -17,7 +17,7 @@ use data_juicer::synth::{ift_subset, IftSubsetSpec};
 fn main() -> Result<()> {
     // An instruction dataset with the weaknesses Fig. 5 uncovers: low
     // expression diversity and junky short responses.
-    let original = ift_subset(
+    let mut original = ift_subset(
         5,
         &IftSubsetSpec::new("raw-ift", 1500)
             .diversity(0.25)
@@ -25,10 +25,9 @@ fn main() -> Result<()> {
     );
 
     // ---- Step 1: analyze the original dataset -------------------------
-    // Probe a copy: a probe records its stats on the samples, and a filter
-    // that finds a stat of its name already recorded reuses it, even when
-    // the probe measured another field.
-    let probe = Analyzer::new().probe(&mut original.clone());
+    // The probe records its stats on the samples; a filter measures its
+    // own again, so the recipe below decides on what it measures.
+    let probe = Analyzer::new().probe(&mut original);
     println!(
         "STEP 1 — original data probe ({} samples)",
         probe.sample_count
@@ -84,7 +83,7 @@ fn main() -> Result<()> {
     // ---- Step 4: analyze the refined dataset --------------------------
     let probe_after = Analyzer::new().probe(&mut refined);
     println!(
-        "\nSTEP 4 — mean response length {:.0} -> {:.0} chars; junk gone",
+        "\nSTEP 4 — mean sample length {:.0} -> {:.0} chars; junk gone",
         probe.summaries["text_len"].mean, probe_after.summaries["text_len"].mean
     );
 

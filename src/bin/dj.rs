@@ -177,13 +177,19 @@ impl Journal {
         Ok((history, journal))
     }
 
-    /// Append one event line, newline included, in one write.
-    fn append(&self, fields: &[(&str, Value)]) {
+    /// Append one event line, newline included, in one write, and sync
+    /// it. A failed append is cut back off the journal where it can be, so
+    /// the next event still starts a line of its own.
+    fn append(&self, fields: &[(&str, Value)]) -> std::io::Result<()> {
         let mut line = json_line(fields);
         line.push('\n');
         let mut f = lock(&self.file);
-        let _ = f.write_all(line.as_bytes());
-        let _ = f.sync_data();
+        let len = f.metadata()?.len();
+        let appended = f.write_all(line.as_bytes()).and_then(|()| f.sync_data());
+        if appended.is_err() {
+            let _ = f.set_len(len);
+        }
+        appended
     }
 }
 
@@ -317,21 +323,23 @@ fn replay_journal(service: &Arc<Service>, pending: Vec<(u64, Value)>) {
     for (old_id, cmd) in pending {
         match submit(service, &cmd, &sink) {
             Ok(new_id) => {
-                journal.append(&[
+                let appended = journal.append(&[
                     ("event", Value::from("readmitted")),
                     ("job", Value::from(old_id as i64)),
                     ("as", Value::from(new_id as i64)),
                 ]);
+                report_append(appended, old_id);
                 eprintln!("dj serve: journal: readmitted job {old_id} as {new_id}");
             }
             Err(msg) => {
                 // Mark terminal so the next restart does not retry a
                 // submission that can no longer be honoured.
-                journal.append(&[
+                let appended = journal.append(&[
                     ("event", Value::from("failed")),
                     ("job", Value::from(old_id as i64)),
                     ("error", Value::from(msg.clone())),
                 ]);
+                report_append(appended, old_id);
                 eprintln!("dj serve: journal: job {old_id} not readmitted: {msg}");
             }
         }
@@ -448,25 +456,42 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
 
     // File-to-file when the recipe names an input; otherwise the command
     // must carry the samples inline as `texts`.
-    let handle = if recipe.input_path.is_some() {
-        service.runtime.submit_io(exec)
-    } else {
-        let texts = cmd
-            .get_path("texts")
-            .and_then(Value::as_list)
-            .ok_or("submit requires recipe `input_path` or inline `texts`")?;
-        let texts: Vec<String> = texts
-            .iter()
-            .map(|t| {
-                t.as_str()
-                    .map(str::to_string)
-                    .ok_or("`texts` must be strings")
-            })
-            .collect::<Result<_, _>>()?;
-        service.runtime.submit(exec, Dataset::from_texts(texts))
+    let inline = match recipe.input_path {
+        Some(_) => None,
+        None => {
+            let texts = cmd
+                .get_path("texts")
+                .and_then(Value::as_list)
+                .ok_or("submit requires recipe `input_path` or inline `texts`")?;
+            let texts: Vec<String> = texts
+                .iter()
+                .map(|t| {
+                    t.as_str()
+                        .map(str::to_string)
+                        .ok_or("`texts` must be strings")
+                })
+                .collect::<Result<_, _>>()?;
+            Some(Dataset::from_texts(texts))
+        }
     };
 
+    // Journal the acceptance with the full original command *before*
+    // starting or acknowledging it, so an acknowledged submission is
+    // always recoverable; one the journal refused is neither.
     let id = service.next_id.fetch_add(1, Ordering::Relaxed);
+    if let Some(journal) = &service.journal {
+        journal
+            .append(&[
+                ("event", Value::from("submit")),
+                ("job", Value::from(id as i64)),
+                ("cmd", cmd.clone()),
+            ])
+            .map_err(|e| format!("journal: job not accepted: {e}"))?;
+    }
+    let handle = match inline {
+        None => service.runtime.submit_io(exec),
+        Some(data) => service.runtime.submit(exec, data),
+    };
     let finished = Arc::new(AtomicBool::new(false));
     lock(&service.jobs).insert(
         id,
@@ -475,16 +500,6 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
             finished: Arc::clone(&finished),
         },
     );
-    // Journal the acceptance with the full original command *before*
-    // acknowledging it, so an acknowledged submission is always
-    // recoverable.
-    if let Some(journal) = &service.journal {
-        journal.append(&[
-            ("event", Value::from("submit")),
-            ("job", Value::from(id as i64)),
-            ("cmd", cmd.clone()),
-        ]);
-    }
     emit(
         out,
         &[
@@ -537,7 +552,7 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
         };
         // Journal first: once the outcome is durable, tell the client.
         if let Some(journal) = &journal {
-            journal.append(&terminal);
+            report_append(journal.append(&terminal), id);
         }
         emit(&out, &terminal);
         // Set only after the terminal event is written, so a shutdown
@@ -545,6 +560,14 @@ fn submit(service: &Arc<Service>, cmd: &Value, out: &SharedWriter) -> Result<u64
         finished.store(true, Ordering::Release);
     });
     Ok(id)
+}
+
+/// Say on stderr that an event of job `id` did not reach the journal: the
+/// client has its answer, and a restart will not know it.
+fn report_append(appended: std::io::Result<()>, id: u64) {
+    if let Err(e) = appended {
+        eprintln!("dj serve: journal: an event of job {id} was not journaled: {e}");
+    }
 }
 
 fn emit_status(out: &SharedWriter, id: u64, job: &ServeJob) {

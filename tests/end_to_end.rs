@@ -26,6 +26,28 @@ fn every_catalog_recipe_resolves_against_the_registry() {
     }
 }
 
+/// Every recipe file the repository ships — the fixtures and the
+/// benchmark's — loads and builds: none carries a key its op does not read.
+#[test]
+fn every_shipped_recipe_file_builds() {
+    let registry = builtin_registry();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut built = 0;
+    for dir in ["fixtures", "djbench/recipes"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "yaml") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                Recipe::from_yaml(&text)
+                    .and_then(|r| r.build_ops(&registry))
+                    .unwrap_or_else(|e| panic!("{} fails to build: {e}", path.display()));
+                built += 1;
+            }
+        }
+    }
+    assert!(built >= 4, "{built} recipe files");
+}
+
 /// Every catalog recipe runs on mixed data without growing it — and gives
 /// the same bytes in every shape a recipe can ask for: spilled, planned
 /// adaptively, and submitted to a runtime. The
@@ -162,9 +184,10 @@ fn yaml_recipe_file_roundtrip_via_disk() {
 
 #[test]
 fn analyzer_stats_are_consumed_by_later_filters() {
-    // An analyzer pass precomputes stats; the pipeline's filters must not
-    // recompute them (the §3.2 decoupling across tools) — whether the stats
-    // stay resident or travel through a spool.
+    // An analyzer pass records stats; the pipeline's filters measure their
+    // own again, with the code the analyzer measured with, so a survivor
+    // carries exactly the analyzer's value — whether the stats stay resident
+    // or travel through a spool.
     let registry = builtin_registry();
     let mut data = web_corpus(8, 60, WebNoise::default());
     Analyzer::new().probe(&mut data);
@@ -183,7 +206,7 @@ fn analyzer_stats_are_consumed_by_later_filters() {
         });
         let (out, report) = exec.run(data.clone()).unwrap();
         assert_eq!(report.spilled, memory_budget.is_some());
-        // Every surviving sample keeps the exact analyzer-computed value.
+        // Every surviving sample carries the exact analyzer-computed value.
         for s in out.iter() {
             let v = s.stat("word_count").expect("stat present");
             assert!(before_stats.contains(&Some(v)), "{memory_budget:?}");

@@ -419,6 +419,28 @@ fn unknown_op_in_recipe_is_a_config_error() {
 }
 
 #[test]
+fn a_misspelt_op_parameter_is_a_config_error() {
+    let registry = builtin_registry();
+    let recipe =
+        Recipe::new("typo").then(OpSpec::new("text_length_filter").with("min_lenght", 40.0));
+    let err = recipe.build_ops(&registry).unwrap_err();
+    assert!(matches!(err, DjError::Config(_)), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("`text_length_filter`") && msg.contains("`min_lenght`"),
+        "{msg}"
+    );
+    // A recipe's text key is a default `field`, not a given one: an op that
+    // reads no field still builds under it.
+    let yaml = "text_key: content\nprocess:\n  - suffix_filter:\n  - text_length_filter:\n";
+    let ops = Recipe::from_yaml(yaml)
+        .unwrap()
+        .build_ops(&registry)
+        .unwrap();
+    assert_eq!(ops.len(), 2);
+}
+
+#[test]
 fn filter_process_before_compute_stats_is_an_op_error() {
     // The executor always computes stats first; calling process directly on
     // an unprepared sample must produce a descriptive error, not a panic.

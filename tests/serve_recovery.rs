@@ -609,3 +609,55 @@ fn a_negative_job_id_in_the_journal_is_skipped() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A submission the journal cannot record is not acknowledged and not
+/// run. The shell sets this child's file-size limit to 0 (and ignores the
+/// signal that would kill it at the limit), so every journal write fails
+/// with `EFBIG`: the answer is an `error` event, never `accepted`, and the
+/// journal stays empty.
+#[test]
+fn a_submission_the_journal_refuses_is_an_error_event_and_never_runs() {
+    let dir = fresh_dir("unjournaled");
+    let journal = dir.join("journal.log");
+    std::fs::write(&journal, b"").unwrap();
+    let mut serve = Command::new("sh")
+        .arg("-c")
+        .arg(r#"trap "" XFSZ; ulimit -f 0; exec "$0" serve --journal "$1""#)
+        .arg(env!("CARGO_BIN_EXE_dj"))
+        .arg(&journal)
+        .env(FAULTS_ENV, " ")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dj serve under a file-size limit");
+    let mut stdin = serve.stdin.take().unwrap();
+    writeln!(
+        stdin,
+        concat!(
+            "{{\"cmd\":\"submit\",\"recipe\":{{\"project_name\":\"unjournaled\",",
+            "\"process\":[{{\"whitespace_normalization_mapper\":{{}}}}]}},",
+            "\"texts\":[\"never   run\"]}}"
+        )
+    )
+    .unwrap();
+    writeln!(stdin, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    stdin.flush().unwrap();
+    let events: Vec<String> = BufReader::new(serve.stdout.take().unwrap())
+        .lines()
+        .map(Result::unwrap)
+        .collect();
+    assert!(serve.wait().unwrap().success(), "{events:?}");
+    assert!(
+        events[0].contains("\"error\"") && events[0].contains("journal"),
+        "{events:?}"
+    );
+    assert!(
+        !events
+            .iter()
+            .any(|e| e.contains("\"accepted\"") || e.contains("\"done\"")),
+        "{events:?}"
+    );
+    assert_eq!(std::fs::read(&journal).unwrap(), b"");
+    let _ = std::fs::remove_dir_all(&dir);
+}
