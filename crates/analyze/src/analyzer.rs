@@ -8,7 +8,7 @@
 //! sample's `stats` column, and summarizes every column with count / mean /
 //! std / min / max / quantiles / entropy.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dj_core::{Dataset, Filter, Op, OpParams, SampleContext, Value};
@@ -34,21 +34,25 @@ pub const DEFAULT_DIMENSIONS: [&str; 13] = [
 
 /// The built-in filters whose stat is one of `dims`, built on `field` with
 /// their defaults, except that `word_repetition_filter` measures at
-/// `rep_len` 5.
+/// `rep_len` 5. Only those filters are built: some others train a model
+/// when they are.
 fn measuring_filters(dims: &[String], field: &str) -> Vec<Arc<dyn Filter>> {
     let registry = dj_ops::builtin_registry();
     let defaults = OpParams::from([
         ("field".to_string(), Value::from(field)),
         ("rep_len".to_string(), Value::Int(5)),
     ]);
-    let build = |op| registry.build_with_defaults(op, &OpParams::new(), &defaults);
-    registry
-        .names()
-        .into_iter()
-        .filter_map(|op| match build(op) {
-            Ok(Op::Filter(f)) if dims.iter().any(|d| d == f.stats_key()) => Some(f),
-            _ => None,
-        })
+    let ops: BTreeSet<&str> = dims
+        .iter()
+        .filter_map(|d| dj_ops::measuring_filter(d))
+        .collect();
+    ops.into_iter()
+        .filter_map(
+            |op| match registry.build_with_defaults(op, &OpParams::new(), &defaults) {
+                Ok(Op::Filter(f)) => Some(f),
+                _ => None,
+            },
+        )
         .collect()
 }
 

@@ -22,11 +22,24 @@
 //! in place: the run between two escapes is copied in one piece and numbers
 //! are parsed from the borrowed slice. Error offsets are byte offsets into
 //! the input. Arrays and objects nest at most [`MAX_NESTING_DEPTH`] deep.
+//!
+//! **The record splitter** ([`parse_record`]) reads one JSONL record the
+//! way the reader feeds a run: only the top-level fields the run's ops can
+//! touch become `Value`s. Every other field is stepped over by a scanner
+//! that recognizes canonical text — exactly what [`write_json`] prints for
+//! the value [`parse_json`] would build — and its bytes go to the shard's
+//! [`RawColumns`] as they are; a field the scanner does not recognize is
+//! parsed and written, so its entry is canonical all the same. A record
+//! the splitter cannot read goes to [`parse_json`] whole, so it accepts
+//! and refuses exactly what `parse_json` does, with the same error.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 
 use crate::error::{DjError, Result};
+use crate::raw::RawColumns;
+use crate::sample::Sample;
 use crate::value::Value;
 
 /// How deep arrays and objects may nest in anything this workspace decodes
@@ -150,22 +163,86 @@ pub fn write_json<W: fmt::Write>(out: &mut W, v: &Value) -> fmt::Result {
     }
 }
 
+/// Text short enough for the stack: a number's canonical form, at most 24
+/// bytes. Writing more is an error.
+#[derive(Default)]
+struct StackText {
+    buf: [u8; 32],
+    len: usize,
+}
+
+impl StackText {
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl fmt::Write for StackText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
 // ---- parser -----------------------------------------------------------
 
 /// Parse a JSON document into a [`Value`].
 pub fn parse_json(input: &str) -> Result<Value> {
-    let mut p = Parser {
-        src: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    parse_json_nested(input, 0)
+}
+
+/// Parse a JSON document that sits `depth` arrays and objects deep inside
+/// another (a top-level field of a sample is 1 deep), so that the whole
+/// nests at most [`MAX_NESTING_DEPTH`] levels.
+pub fn parse_json_nested(input: &str, depth: usize) -> Result<Value> {
+    let mut p = Parser::new(input, depth);
     let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.finish()?;
     Ok(v)
+}
+
+/// Parse one JSONL record into a sample, leaving its top-level fields that
+/// `parsed` does not name out of it: each becomes the open sample's entry
+/// in `raw`, as canonical JSON text, and `raw` closes the sample. The
+/// input bytes of a field are copied when the scanner confirms they are
+/// what [`write_json`] prints; any other field is parsed and written.
+///
+/// Accepts and refuses exactly what `parse_json` followed by
+/// [`Sample::from_value`] does, with the same error, and leaves `raw` as it
+/// was on an error: a record the splitter cannot read is handed to
+/// `parse_json` whole.
+pub fn parse_record(
+    input: &str,
+    parsed: &BTreeSet<String>,
+    raw: &mut RawColumns,
+) -> Result<Sample> {
+    let split = Parser::new(input, 0).split_record(parsed, raw);
+    let root = match split {
+        Ok(root) => root,
+        Err(_) => {
+            raw.discard_open();
+            let mut root = parse_json(input)?;
+            if root.as_map().is_some() {
+                raw.take_inert(&mut root, |key| parsed.contains(key));
+            }
+            root
+        }
+    };
+    match Sample::from_value(root) {
+        Ok(sample) => {
+            raw.close();
+            Ok(sample)
+        }
+        Err(e) => {
+            raw.discard_open();
+            Err(e)
+        }
+    }
 }
 
 /// A cursor over the input's bytes. `pos` only ever steps over ASCII bytes
@@ -179,7 +256,236 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, depth: usize) -> Parser<'a> {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth,
+        }
+    }
+
+    /// Only whitespace may follow the document.
+    fn finish(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
+    /// The root object of a record, holding the fields `parsed` names;
+    /// every other field goes to `raw`'s open sample. Any error here is
+    /// re-judged by [`parse_json`], so only the verdict matters.
+    fn split_record(&mut self, parsed: &BTreeSet<String>, raw: &mut RawColumns) -> Result<Value> {
+        self.skip_ws();
+        self.expect(b'{')?;
+        self.depth = 1;
+        let mut map = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                let key = self.parse_key()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                if parsed.contains(key.as_ref()) {
+                    let value = self.parse_value()?;
+                    map.insert(key.into_owned(), value);
+                } else {
+                    self.skip_ws();
+                    let start = self.pos;
+                    if self.scan_canonical() {
+                        raw.push(&key, &self.src[start..self.pos]);
+                    } else {
+                        self.pos = start;
+                        let value = self.parse_value()?;
+                        raw.push_with(&key, |text| {
+                            let _ = write_json(text, &value);
+                        });
+                    }
+                }
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.err("expected `,` or `}` in object")),
+                }
+            }
+        }
+        self.depth = 0;
+        self.finish()?;
+        Ok(Value::Map(map))
+    }
+
+    /// An object key, borrowed from the input when it holds no escape.
+    fn parse_key(&mut self) -> Result<Cow<'a, str>> {
+        let start = self.pos;
+        self.expect(b'"')?;
+        let run = next_special(self.bytes, self.pos);
+        if self.bytes.get(run) == Some(&b'"') {
+            self.pos = run + 1;
+            return Ok(Cow::Borrowed(&self.src[start + 1..run]));
+        }
+        self.pos = start;
+        self.parse_string().map(Cow::Owned)
+    }
+
+    // ---- the canonical-text scanner ------------------------------------
+    //
+    // `scan_*` step over one value at `pos` and answer whether its text is
+    // canonical: valid JSON that `parse_value` reads to exactly where the
+    // scan stopped, and that `write_json` prints back byte for byte. Any
+    // doubt — invalid text included — answers `false` at once, and the
+    // caller re-reads the value from its start with `parse_value`, which
+    // decides. Nothing is allocated.
+
+    fn scan_canonical(&mut self) -> bool {
+        match self.peek() {
+            Some(b'{') => self.scan_nested(Self::scan_object),
+            Some(b'[') => self.scan_nested(Self::scan_array),
+            Some(b'"') => self.scan_string().is_some(),
+            Some(b't') => self.scan_literal("true"),
+            Some(b'f') => self.scan_literal("false"),
+            Some(b'n') => self.scan_literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.scan_number(),
+            _ => false,
+        }
+    }
+
+    /// One level deeper, within [`MAX_NESTING_DEPTH`].
+    fn scan_nested(&mut self, scan: fn(&mut Self) -> bool) -> bool {
+        if self.depth == MAX_NESTING_DEPTH {
+            return false;
+        }
+        self.depth += 1;
+        let canonical = scan(self);
+        self.depth -= 1;
+        canonical
+    }
+
+    fn scan_literal(&mut self, lit: &str) -> bool {
+        let matched = self.bytes[self.pos..].starts_with(lit.as_bytes());
+        self.pos += if matched { lit.len() } else { 0 };
+        matched
+    }
+
+    /// `{`, keys in strictly ascending order, `}`, with no whitespace.
+    /// A key holding an escape is not compared: it answers `false`.
+    fn scan_object(&mut self) -> bool {
+        self.pos += 1;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return true;
+        }
+        let mut prev: Option<&[u8]> = None;
+        loop {
+            let start = self.pos + 1;
+            if self.peek() != Some(b'"') || self.scan_string() != Some(false) {
+                return false;
+            }
+            let key = &self.bytes[start..self.pos - 1];
+            if prev.is_some_and(|p| p >= key) || self.peek() != Some(b':') {
+                return false;
+            }
+            prev = Some(key);
+            self.pos += 1;
+            if !self.scan_canonical() {
+                return false;
+            }
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// `[`, values, `]`, with no whitespace.
+    fn scan_array(&mut self) -> bool {
+        self.pos += 1;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return true;
+        }
+        loop {
+            if !self.scan_canonical() {
+                return false;
+            }
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// A string whose escapes are exactly the writer's: `\"`, `\\`, `\n`,
+    /// `\r`, `\t`, and `\u00xx` (lower-case hex) for the other bytes below
+    /// `0x20`. `Some(escaped)` when canonical.
+    fn scan_string(&mut self) -> Option<bool> {
+        self.pos += 1;
+        let mut escaped = false;
+        loop {
+            self.pos = next_special(self.bytes, self.pos);
+            match self.peek()? {
+                b'"' => {
+                    self.pos += 1;
+                    return Some(escaped);
+                }
+                b'\\' => {
+                    escaped = true;
+                    match *self.bytes.get(self.pos + 1)? {
+                        b'"' | b'\\' | b'n' | b'r' | b't' => self.pos += 2,
+                        b'u' => {
+                            let hex = self.bytes.get(self.pos + 2..self.pos + 6)?;
+                            let low = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+                            let canonical = hex[..2] == *b"00"
+                                && matches!(hex[2], b'0' | b'1')
+                                && low(hex[3])
+                                && !matches!(&hex[2..], b"09" | b"0a" | b"0d");
+                            if !canonical {
+                                return None;
+                            }
+                            self.pos += 6;
+                        }
+                        _ => return None,
+                    }
+                }
+                // A raw control byte: invalid, for `parse_value` to refuse.
+                _ => return None,
+            }
+        }
+    }
+
+    /// An integer in `i64` range as `i64`'s `Display` prints it, or a
+    /// finite float as [`write_json_f64`] prints it.
+    fn scan_number(&mut self) -> bool {
+        let start = self.pos;
+        let Ok(value) = self.parse_number() else {
+            return false;
+        };
+        let text = &self.src[start..self.pos];
+        let mut printed = StackText::default();
+        let fits = match value {
+            Value::Int(i) => write!(printed, "{i}").is_ok(),
+            Value::Float(x) => x.is_finite() && write_json_f64(&mut printed, x).is_ok(),
+            _ => false,
+        };
+        fits && printed.as_bytes() == text.as_bytes()
+    }
     fn err(&self, msg: &str) -> DjError {
         DjError::Parse(format!("json: {msg} at offset {}", self.pos))
     }
@@ -557,6 +863,85 @@ mod tests {
             "]".repeat(200_000)
         );
         assert!(matches!(parse_json(&bomb), Err(DjError::Parse(_))));
+    }
+
+    /// `parse_record` against `parse_json`: the same verdict and error, the
+    /// same sample once the raw entries are parsed back in, and every entry
+    /// what `write_json` prints for its field.
+    fn splits_like_parse_json(line: &str, parsed: &[&str]) -> Option<Vec<(String, String)>> {
+        let parsed: BTreeSet<String> = parsed.iter().map(|s| s.to_string()).collect();
+        let mut raw = RawColumns::new();
+        raw.push("left", "\"over\"");
+        raw.close();
+        let want = parse_json(line).and_then(Sample::from_value);
+        let got = parse_record(line, &parsed, &mut raw);
+        match (got, want) {
+            (Ok(sample), Ok(want)) => {
+                assert_eq!(raw.len(), 2, "{line}");
+                let mut whole = sample.into_value();
+                let mut entries = Vec::new();
+                for (name, text) in raw.sample_entries(1) {
+                    assert!(!parsed.contains(name), "{line}: {name} was parsed");
+                    let value = want.value().get_path(name).unwrap();
+                    assert_eq!(text, value.to_string(), "{line}: {name}");
+                    whole
+                        .as_map_mut()
+                        .unwrap()
+                        .insert(name.into(), parse_json(text).unwrap());
+                    entries.push((name.to_string(), text.to_string()));
+                }
+                // Printed, the two are one record (a non-finite float is
+                // `null` either way).
+                assert_eq!(whole.to_string(), want.value().to_string(), "{line}");
+                Some(entries)
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got.to_string(), want.to_string(), "{line}");
+                assert_eq!((raw.len(), raw.text_len()), (1, 6), "{line}: left debris");
+                None
+            }
+            (got, want) => panic!("{line}: {got:?} vs {want:?}"),
+        }
+    }
+
+    #[test]
+    fn a_record_splits_into_its_parsed_fields_and_canonical_raw_text() {
+        let canonical = r#"{"text":"t","url":"https:\/\/x","h":{"a":[1,-2,0.5,-0.0,true,null],"b":"q\"\\\n\u0001"}}"#;
+        let entries = splits_like_parse_json(canonical, &["text"]).unwrap();
+        assert_eq!(entries.len(), 2);
+        // Non-canonical text of every kind is parsed and written instead.
+        for line in [
+            r#"{"text":"t", "m" : { "b" : 1 , "a" : 2 } }"#,
+            r#"{"text":"t","m":"\/\u0041\u001F\u000a\b\f\ud83d\ude00"}"#,
+            r#"{"text":"t","m":[1.0e3,-0,01,1E2,99999999999999999999,1e999,2.50]}"#,
+            r#"{"text":"t","m":{"b":1,"a":2},"n":{"a":1,"a":2},"o":{"\n":1}}"#,
+            r#"{"m":1,"m":{"z":[]},"text":"x","text":"y"}"#,
+            r#"{}"#,
+            r#" {"text":"only"} "#,
+        ] {
+            splits_like_parse_json(line, &["text"]);
+            splits_like_parse_json(line, &[]);
+        }
+        // Refused exactly as parse_json refuses, with nothing left behind.
+        for line in [
+            r#"{"text":"t","m":"\x"}"#,
+            r#"{"text":"t","m":[1,}"#,
+            r#"{"text":"t","m":tru}"#,
+            r#"{"text":"t","m":"raw
+control"}"#,
+            r#"{"text":"t","m":1} trailing"#,
+            r#"{"text":"t","m":{"a":1"#,
+            r#"[1,2]"#,
+            r#""just a string""#,
+            r#"{"text":"t","m":"\ud83d"}"#,
+        ] {
+            assert!(splits_like_parse_json(line, &["text"]).is_none(), "{line}");
+        }
+        // Nesting counts from the record's root, on both paths.
+        for levels in [MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1] {
+            let line = nested(levels).replace("\"text\"", "\"m\"");
+            splits_like_parse_json(&line, &["text"]);
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * the operator traits of Listing 1 ([`Formatter`], [`Mapper`],
 //!   [`Filter`], [`Deduplicator`]) together with the type-erased [`Op`]
 //!   and the [`OpRegistry`] extension point;
+//! * [`RawColumns`] — the top-level fields of a file shard that no op
+//!   reads, kept as canonical JSON text from ingest to egress
+//!   ([`parse_record`] splits them off a record);
 //! * [`faults`] — the deterministic fault-injection plan chaos tests
 //!   replay (the `DJ_FAULTS` grammar), with named sites threaded through
 //!   the storage, IO and execution crates.
@@ -36,6 +39,7 @@ pub mod fingerprints;
 pub mod json;
 pub mod op;
 pub mod pool;
+pub mod raw;
 pub mod sample;
 pub mod shard;
 pub mod sync;
@@ -49,12 +53,16 @@ pub use dataset::Dataset;
 pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};
 pub use fingerprints::{words_to_value, Fingerprints};
-pub use json::{parse_json, write_json, write_json_f64, write_json_str, MAX_NESTING_DEPTH};
+pub use json::{
+    parse_json, parse_json_nested, parse_record, write_json, write_json_f64, write_json_str,
+    MAX_NESTING_DEPTH,
+};
 pub use op::{
     params, Deduplicator, FieldSet, Filter, Formatter, Mapper, Op, OpCost, OpFactory, OpKind,
     OpParams, OpRegistry, ParamView,
 };
 pub use pool::{Step, WorkerPool};
+pub use raw::RawColumns;
 pub use sample::{Sample, META_KEY, STATS_KEY, TEXT_KEY};
 pub use shard::{MemShardStore, ResidencyGauge, ShardStats};
 pub use value::Value;

@@ -7,7 +7,7 @@
 //! |---|---|---|---|
 //! | in memory | [`StageData::open`]: take the shard out of its slot, leaving behind what the deferred mask drops | [`Sink::Mem`]: store into a slot | nothing — samples are resident |
 //! | spilled | [`spool_feed`], [`Load::Decode`]`(cols)` | [`Sink::Spool`] | the pass's footprint columns `cols` of every sample the deferred mask keeps; the frame rides to the sink, which copies every other region verbatim and keeps the samples the stage dropped stored, under the new spool's mask |
-//! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the parsed records |
+//! | file ingest | [`reader_feed`]: shards cut off a `CorpusReader` | [`Sink::Spool`] | the fields some op reads or writes; every other top-level field rides beside the shard as raw JSON text and is stored as it is |
 //! | barrier hash pass | live resident samples in morsels, or [`spool_feed`] with [`Load::Undecoded`] | — | only the hashed field's text |
 //! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing |
 //! | egress of resident shards | [`mem_feed`]: take the shard out of its slot, leaving behind what the deferred mask drops | `ShardedWriter::store_shard` | nothing — samples are resident |
@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use dj_core::sync::lock;
-use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, Result, Sample};
+use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, RawColumns, Result, Sample};
 use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
 use dj_store::{CacheManager, Codec, Frame, ShardSpool};
 
@@ -50,10 +50,22 @@ use crate::stream::{drive, Feed, Resident, RunCtl};
 /// buffers reused. On the fixed-input `djbench child` at `np: 1` it took
 /// 1.65 cpu-s against 1.95, with 11.1 k minor faults against 7.3 k and
 /// 35 MB resident against 28. On `meta-file-col` it read `wall_s` 0.89 s
-/// against 1.08 and `peak_rss_mb` 71 MB against 55 (3 pairs). Djz stays:
-/// passthrough frames make a spool 2.7× larger on disk and the run's
-/// peak memory 30 % larger. A benchmark spool lives about a second, mostly
-/// in the page cache, so the timings here leave the disk traffic out.
+/// against 1.08 and `peak_rss_mb` 71 MB against 55 (3 pairs). Djz stays
+/// for tagged regions: passthrough frames make a spool 2.7× larger on disk
+/// and the run's peak memory 30 % larger. A benchmark spool lives about a
+/// second, mostly in the page cache, so the timings here leave the disk
+/// traffic out.
+///
+/// A raw JSON region (a field no op of a file run reads) is stored
+/// uncompressed whatever this codec says (`dj-store`'s rule), and read in
+/// place. Measured on raw regions alone, against Djz for them (seed 11,
+/// alternating pairs): `meta-file-col` `wall_s` 0.735 s against 0.899
+/// (−18 %, 4 of 4 pairs) and `peak_rss_mb` 52.9 MB against 50.3 (+5 %);
+/// `serve-4tenant` 0.336 s against 0.387 (−13 %, 3 of 3) and 129.8 MB
+/// against 106.6 (+22 %). The ingest spool of the `meta-file-col` corpus
+/// (120 MB of JSONL) takes 113.4 MB against 41.9 MB. Djz spent the time
+/// compressing text at ingest and decompressing it into a second buffer at
+/// egress; stored, the text is read where the slot was loaded.
 pub(crate) const SPILL_CODEC: Codec = Codec::Djz;
 
 /// Samples per in-memory barrier hash morsel: workers stay balanced by
@@ -101,6 +113,12 @@ pub(crate) struct Loaded<'a> {
     /// Decompressed bytes decoded to build `shard`, where the frame
     /// attributes them.
     pub decoded: u64,
+    /// When a reader cut the shard: the fields of each sample that no op
+    /// of the run touches, left unparsed, for the sink to store beside
+    /// `shard` as they are.
+    pub raw: Option<RawColumns>,
+    /// The input bytes a reader cut the shard from.
+    pub read_bytes: u64,
 }
 
 impl Loaded<'_> {
@@ -110,16 +128,21 @@ impl Loaded<'_> {
             frame: None,
             keep: None,
             decoded: 0,
+            raw: None,
+            read_bytes: 0,
         }
     }
 }
 
 impl Resident for Loaded<'_> {
-    /// A carried frame charges its payload; decoded samples their heap size.
+    /// A carried frame charges its payload, a shard a reader cut the input
+    /// bytes it was parsed from (counted as it was read, so no value is
+    /// walked), and other decoded samples their heap size.
     fn residency(&self) -> (usize, usize) {
-        match &self.frame {
-            Some(frame) => frame.residency(),
-            None => (self.shard.len(), self.shard.approx_bytes()),
+        match (&self.frame, &self.raw) {
+            (Some(frame), _) => frame.residency(),
+            (None, Some(_)) => (self.shard.len(), self.read_bytes as usize),
+            (None, None) => (self.shard.len(), self.shard.approx_bytes()),
         }
     }
 }
@@ -204,11 +227,16 @@ pub(crate) fn reader_feed<'a>(
         len: None,
         next: Box::new(move || {
             let mut guard = lock(reader);
-            let Some(shard) = guard.0.next_shard(shard_size)? else {
+            let Some(read) = guard.0.next_split_shard(shard_size)? else {
                 return Ok(None);
             };
             guard.1 += 1;
-            Ok(Some((guard.1 - 1, Loaded::samples(shard))))
+            let loaded = Loaded {
+                raw: Some(read.raw),
+                read_bytes: read.bytes,
+                ..Loaded::samples(read.samples)
+            };
+            Ok(Some((guard.1 - 1, loaded)))
         }),
     }
 }
@@ -220,7 +248,9 @@ pub(crate) enum Sink<'a> {
     /// A fresh spill spool. A shard whose load carried its frame is stored
     /// as that frame's splice — the named columns re-encoded from the
     /// processed samples, every other column copied undecoded, the dropped
-    /// samples still stored; anything else is encoded whole.
+    /// samples still stored. A shard a reader cut with raw JSON columns is
+    /// stored beside them, the dropped samples still stored too; anything
+    /// else is encoded whole.
     Spool(ShardSpool, Option<&'a BTreeSet<String>>),
 }
 
@@ -230,8 +260,9 @@ impl Sink<'_> {
         matches!(self, Sink::Spool(..))
     }
 
-    /// Store shard `idx`. `frame` is what the load carried, `keep` says per
-    /// *stored* sample of that frame whether it survived into `shard` (see
+    /// Store shard `idx`. `frame` and `raw` are what the load carried,
+    /// `keep` says per *stored* sample of that frame, or per sample the
+    /// reader produced, whether it survived into `shard` (see
     /// [`widen_keep`]). Returns the decompressed bytes that crossed
     /// input→output undecoded and, when the stored frame still holds
     /// samples `keep` dropped, `keep` itself: the slot's mask, for
@@ -240,6 +271,7 @@ impl Sink<'_> {
         &self,
         idx: usize,
         frame: Option<Frame>,
+        raw: Option<RawColumns>,
         shard: Dataset,
         keep: Vec<bool>,
     ) -> Result<(u64, Option<Vec<bool>>)> {
@@ -247,19 +279,22 @@ impl Sink<'_> {
             Sink::Mem(slots) => return slots.store_shard(idx, shard).map(|()| (0, None)),
             Sink::Spool(out, cols) => (out, *cols),
         };
-        let (passthrough, mask) = match frame {
-            Some(frame) => {
+        let (passthrough, samples) = match (frame, raw) {
+            (Some(frame), _) => {
                 let (bytes, samples, passthrough) =
                     frame.store_processed(&shard, cols, &keep, SPILL_CODEC)?;
                 out.write_frame_bytes(idx, &bytes, samples)?;
-                (passthrough, (samples != shard.len()).then_some(keep))
+                (passthrough, samples)
             }
-            None => {
+            (None, Some(raw)) if raw.has_columns() => {
+                (0, out.write_ingested(idx, &shard, &raw, &keep)?)
+            }
+            (None, _) => {
                 out.write_shard(idx, &shard)?;
-                (0, None)
+                (0, shard.len())
             }
         };
-        Ok((passthrough, mask))
+        Ok((passthrough, (samples != shard.len()).then_some(keep)))
     }
 
     /// The stored shards, as the next stage's input. `masks` holds what
@@ -553,7 +588,7 @@ impl StageData {
                     .map(|d| hash_samples(d, shard.samples()))
                     .transpose()?,
             );
-            sink.store(i, None, shard, Vec::new())?;
+            sink.store(i, None, None, shard, Vec::new())?;
         }
         sink.finish(Vec::new(), fingerprints)
     }
@@ -778,6 +813,39 @@ mod tests {
         drop(out);
         assert!(entry.is_dir());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A shard a reader cut charges the gauge the input bytes it was read
+    /// from, counted as it was read, and carries the fields no op touches
+    /// as raw JSON text beside its samples.
+    #[test]
+    fn a_reader_fed_shard_charges_the_bytes_it_was_read_from() {
+        let dir = std::env::temp_dir().join(format!("dj-exec-reader-feed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let lines: Vec<String> = (0..5)
+            .map(|i| format!("{{\"text\":\"doc {i}\",\"url\":\"https://example.org/{i}\"}}\n"))
+            .collect();
+        std::fs::write(dir.join("in.jsonl"), lines.concat()).unwrap();
+        let parsed: BTreeSet<String> = ["text".to_string()].into();
+        let reader = CorpusReader::from_pattern(&format!("{}/*.jsonl", dir.display()))
+            .unwrap()
+            .parsing_only(parsed);
+        let reader = Mutex::new((reader, 0));
+        let feed = reader_feed(&reader, 3);
+        let mut charged = Vec::new();
+        while let Some((_, loaded)) = (feed.next)().unwrap() {
+            let raw = loaded.raw.as_ref().unwrap();
+            assert_eq!(raw.len(), loaded.shard.len());
+            assert!(loaded
+                .shard
+                .iter()
+                .all(|s| s.value().get_path("url").is_none()));
+            charged.push(loaded.residency());
+        }
+        let bytes = |r: std::ops::Range<usize>| lines[r].iter().map(String::len).sum::<usize>();
+        assert_eq!(charged, [(3, bytes(0..3)), (2, bytes(3..5))]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Three resident shards of distinct documents, the middle one of four.

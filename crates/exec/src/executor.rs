@@ -217,7 +217,10 @@ impl Executor {
                 });
                 resumed.unwrap_or_else(|| (StageData::resident(dataset), 0))
             }
-            Source::Corpus(input) => self.ingest(input, &stages, &ledger, &ctl, &mut report)?,
+            Source::Corpus(input) => {
+                let parsed = plan.columns_touched();
+                self.ingest(input, parsed, &stages, &ledger, &ctl, &mut report)?
+            }
         };
 
         for (i, stage) in stages.iter().enumerate().skip(first_stage) {
@@ -263,11 +266,14 @@ impl Executor {
     /// Ingest the corpus at `input`: the plan's first pipeline stage is
     /// driven over shards cut off a corpus reader into a growing spool (a
     /// leading barrier takes the raw shards instead), and each shard is
-    /// fingerprinted for the barrier that follows. Returns the spool and
-    /// the number of stages it ran.
+    /// fingerprinted for the barrier that follows. The reader parses only
+    /// the top-level fields `parsed` names (all of them for `None`); the
+    /// rest are stored as the JSON text they were read as. Returns the
+    /// spool and the number of stages it ran.
     fn ingest(
         &self,
         input: &str,
+        parsed: Option<std::collections::BTreeSet<String>>,
         stages: &[Stage],
         ledger: &Arc<ErrorLedger>,
         ctl: &RunCtl,
@@ -279,7 +285,10 @@ impl Executor {
             .shard_size
             .unwrap_or(DEFAULT_IO_SHARD_SIZE)
             .max(1);
-        let reader = CorpusReader::from_pattern(input)?.with_ledger(Arc::clone(ledger));
+        let mut reader = CorpusReader::from_pattern(input)?.with_ledger(Arc::clone(ledger));
+        if let Some(parsed) = parsed {
+            reader = reader.parsing_only(parsed);
+        }
         let (steps, ran): (&[PlanStep], usize) = match stages.first() {
             Some(Stage::Pipeline { steps, .. }) => (steps, 1),
             _ => (&[], 0),

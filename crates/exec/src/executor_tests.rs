@@ -364,12 +364,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             [
                 (
                     STAGE,
-                    (1_678, 7_967_219_958_824_201_082),
+                    (1_594, 14_291_859_101_291_498_302),
                     (1_150, 8_340_056_087_111_528_943),
                 ),
                 (
                     BARRIER,
-                    (1_656, 1_623_368_697_736_730_361),
+                    (1_572, 16_993_878_675_257_706_588),
                     (1_134, 17_714_607_690_819_406_091),
                 ),
             ],
@@ -379,12 +379,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             [
                 (
                     STAGE,
-                    (510, 936_516_119_609_247_145),
+                    (496, 11_700_923_943_813_675_542),
                     (396, 2_542_646_165_673_211_883),
                 ),
                 (
                     BARRIER,
-                    (490, 16_130_685_773_108_368_857),
+                    (476, 9_825_258_325_217_428_589),
                     (382, 11_625_822_995_169_161_923),
                 ),
             ],

@@ -163,6 +163,18 @@ impl std::fmt::Debug for Stage {
 }
 
 impl Plan {
+    /// The top-level columns some step of the plan reads or writes — every
+    /// op's footprint, each deduplicator's hashed field included — or
+    /// `None` when a step declares [`FieldSet::All`]. Every other column is
+    /// *inert*: nothing in the run decodes or changes it, so a file run
+    /// reads it as JSON text and writes that text back as it is.
+    pub fn columns_touched(&self) -> Option<std::collections::BTreeSet<String>> {
+        self.steps
+            .iter()
+            .fold(FieldSet::none(), |acc, step| acc.union(step.footprint()))
+            .top_level_columns()
+    }
+
     /// Segment the plan into pipeline stages at dedup barriers.
     pub fn stages(&self) -> Vec<Stage> {
         let mut stages = Vec::new();

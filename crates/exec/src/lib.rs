@@ -38,7 +38,7 @@
 //!    |---|---|---|---|
 //!    | in memory | take the shard out of its slot | store into a slot | nothing — samples are resident |
 //!    | spilled | read slot *i*, decode only the stage's footprint columns, carry the frame | splice: re-encode the decoded columns, copy every other region from the carried frame verbatim; dropped samples stay stored, masked | the footprint columns |
-//!    | file ingest ([`ExecOptions::input`]) | cut the next `shard_size` records off a [`CorpusReader`] | encode a frame | the parsed records |
+//!    | file ingest ([`ExecOptions::input`]) | cut the next `shard_size` records off a [`CorpusReader`], parsing only the fields some op reads or writes ([`Plan::columns_touched`]); the rest ride beside the shard as raw JSON text | encode a frame, the raw JSON columns stored as they were read; dropped samples stay stored, masked | the touched fields of each record |
 //!
 //!    A sink that writes frames also hashes each shard's survivors for
 //!    the barrier that follows (fingerprint-on-ingest); they ride on the

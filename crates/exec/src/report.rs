@@ -58,7 +58,8 @@ pub struct RunReport {
     /// Approximate heap bytes of those resident samples at the peak: at
     /// most `num_workers` shards' worth (`num_workers × shard_size`
     /// samples), which is what the budget-derived spill cut sizes shards
-    /// against.
+    /// against. A shard a corpus reader cut is charged the input bytes it
+    /// was read from, which its parsed fields and raw JSON text hold.
     pub peak_resident_bytes: usize,
     /// Total wall time spent inside dedup barriers: fingerprinting and
     /// clustering. No barrier applies its mask; it rides on the data to the

@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use dj_core::sync::lock;
 use dj_core::{
-    faults, Dataset, Deduplicator, DjError, FieldSet, OpCost, Result, Sample, SampleContext,
-    ShardStats,
+    faults, parse_json, Dataset, Deduplicator, DjError, FieldSet, OpCost, RawColumns, Result,
+    Sample, SampleContext, ShardStats, Value,
 };
 use dj_io::ErrorLedger;
 
@@ -77,11 +77,14 @@ impl Executor {
                 frame,
                 keep: deferred,
                 decoded,
+                raw,
+                ..
             } = loaded;
             let mut ctx = SampleContext::new();
             let order = sched.as_ref().map(StageSchedule::order);
             let live = order.as_ref().map_or(steps, |o| &o.steps);
-            let mut outcome = run_stage_on_shard(live, shard, &mut ctx, ctl.ledger(), i)?;
+            let mut outcome =
+                run_stage_on_shard(live, shard, raw.as_ref(), &mut ctx, ctl.ledger(), i)?;
             if let (Some(sched), Some(order)) = (&sched, &order) {
                 outcome = remap_outcome(order, outcome);
                 sched.observe(&outcome.stats);
@@ -90,7 +93,7 @@ impl Executor {
                 .map(|d| hash_samples(d, outcome.shard.samples()))
                 .transpose()?;
             let keep = widen_keep(deferred, outcome.keep);
-            let (passthrough, mask) = sink.store(i, frame, outcome.shard, keep)?;
+            let (passthrough, mask) = sink.store(i, frame, raw, outcome.shard, keep)?;
             for st in &mut outcome.stats {
                 st.bytes_decoded = decoded;
             }
@@ -378,11 +381,13 @@ fn apply_step(
 ///
 /// A sample that makes an OP error is routed through the ledger's
 /// `on_error` policy — dropped (and optionally quarantined with
-/// `op@shard-N` provenance) instead of failing the stage — unless the
-/// policy is `fail` or the error budget is spent.
+/// `op@shard-N` provenance, the fields a reader left in `raw` put back)
+/// instead of failing the stage — unless the policy is `fail` or the error
+/// budget is spent.
 fn run_stage_on_shard(
     steps: &[PlanStep],
     shard: Dataset,
+    raw: Option<&RawColumns>,
     ctx: &mut SampleContext,
     ledger: &ErrorLedger,
     shard_idx: usize,
@@ -403,8 +408,9 @@ fn run_stage_on_shard(
             let verdict = match apply_step(step, &mut sample, ctx) {
                 Ok(verdict) => verdict,
                 Err((e, op)) => {
+                    let at = keep_mask.len();
                     ledger.absorb(e, &format!("{op}@shard-{shard_idx}"), || {
-                        sample.value().clone()
+                        whole_record(&sample, raw, at)
                     })?;
                     stats[k].removed += 1;
                     keep_mask.push(false);
@@ -435,6 +441,21 @@ fn run_stage_on_shard(
         stats,
         keep: keep_mask,
     })
+}
+
+/// Sample `at` of a shard as it was read: its parsed fields, and those the
+/// reader left unparsed in `raw` parsed back in.
+fn whole_record(sample: &Sample, raw: Option<&RawColumns>, at: usize) -> Value {
+    let mut record = sample.value().clone();
+    if let (Some(raw), Some(map)) = (raw, record.as_map_mut()) {
+        for (name, text) in raw.sample_entries(at) {
+            // The reader checked every entry: it is JSON `write_json` wrote.
+            if let Ok(value) = parse_json(text) {
+                map.insert(name.to_string(), value);
+            }
+        }
+    }
+    record
 }
 
 #[cfg(test)]

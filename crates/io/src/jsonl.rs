@@ -8,12 +8,19 @@
 //! fails with that number, not a panic. A line that is not UTF-8 is such a
 //! record too, not an IO error: it is counted, and `on_error` can skip or
 //! quarantine it.
+//!
+//! [`JsonlReader::next_split`] reads the way a run ingests: only the
+//! top-level fields the run's ops can touch are parsed, and every other
+//! field goes to the shard's [`RawColumns`] as canonical JSON text
+//! ([`dj_core::parse_record`]), accepted and refused exactly as a whole
+//! parse would.
 
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
-use dj_core::{parse_json, DjError, Result, Sample};
+use dj_core::{parse_json, parse_record, DjError, RawColumns, Result, Sample};
 
 #[derive(Debug)]
 pub struct JsonlReader {
@@ -49,6 +56,24 @@ impl JsonlReader {
     /// A line that is not UTF-8 is a record-level [`DjError::Parse`] like
     /// any malformed JSON, so the `on_error` policy can absorb it.
     pub fn next_sample(&mut self) -> Result<Option<Sample>> {
+        self.next_with(|line| parse_json(line).and_then(Sample::from_value))
+    }
+
+    /// [`next_sample`](JsonlReader::next_sample) with the top-level fields
+    /// `parsed` does not name left unparsed: they become `raw`'s next
+    /// sample, which a malformed line leaves untouched.
+    pub fn next_split(
+        &mut self,
+        parsed: &BTreeSet<String>,
+        raw: &mut RawColumns,
+    ) -> Result<Option<Sample>> {
+        self.next_with(|line| parse_record(line, parsed, raw))
+    }
+
+    fn next_with(
+        &mut self,
+        mut parse: impl FnMut(&str) -> Result<Sample>,
+    ) -> Result<Option<Sample>> {
         loop {
             self.buf.clear();
             let n = self
@@ -66,7 +91,7 @@ impl JsonlReader {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    parse_json(line).and_then(Sample::from_value)
+                    parse(line)
                 }
                 Err(e) => Err(DjError::Parse(format!("invalid UTF-8: {e}"))),
             };

@@ -36,5 +36,5 @@ pub use jsonl::JsonlReader;
 pub use policy::{
     cleanup_partial_egress, read_quarantine, ErrorLedger, QuarantineEntry, QUARANTINE_FILE,
 };
-pub use reader::{detect_format, CorpusReader, FileFormat};
+pub use reader::{detect_format, CorpusReader, FileFormat, ReadShard};
 pub use writer::{EgressManifest, OutputFormat, PartEntry, PartHash, ShardedWriter, MANIFEST_FILE};

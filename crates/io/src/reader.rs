@@ -5,11 +5,17 @@
 //! driver: the reader never materializes more than one shard, and the
 //! executor never holds more than one per worker — so a 10 GB file runs in
 //! the same resident footprint as a 10 MB one.
+//!
+//! A reader told which top-level fields a run's ops can touch
+//! ([`CorpusReader::parsing_only`]) parses only those: every other field of
+//! a record goes into the shard's [`RawColumns`] as canonical JSON text, and
+//! stays that text until egress copies it.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dj_core::{faults, Dataset, DjError, Result, Sample, Value};
+use dj_core::{faults, Dataset, DjError, RawColumns, Result, Sample, Value};
 
 use crate::csv::CsvReader;
 use crate::glob::expand_glob;
@@ -62,6 +68,27 @@ impl FileReader {
         }
     }
 
+    /// The next sample with the fields `parsed` does not name moved into
+    /// `raw`'s next sample: left unparsed in a JSONL record, written back
+    /// out of a CSV row.
+    fn next_split(
+        &mut self,
+        parsed: &BTreeSet<String>,
+        raw: &mut RawColumns,
+    ) -> Result<Option<Sample>> {
+        match self {
+            FileReader::Jsonl(r) => r.next_split(parsed, raw),
+            FileReader::Csv(r) => {
+                let mut sample = r.next_sample()?;
+                if let Some(sample) = &mut sample {
+                    raw.take_inert(sample.value_mut(), |key| parsed.contains(key));
+                    raw.close();
+                }
+                Ok(sample)
+            }
+        }
+    }
+
     fn take_bad_record(&mut self) -> Option<String> {
         match self {
             FileReader::Jsonl(r) => r.take_bad_record(),
@@ -95,6 +122,23 @@ pub struct CorpusReader {
     ledger: Option<Arc<ErrorLedger>>,
     /// Set once an error has been returned: the stream ends there.
     failed: bool,
+    /// The top-level fields [`next_split_shard`](CorpusReader::next_split_shard)
+    /// parses (`None`: every field).
+    parsed: Option<BTreeSet<String>>,
+}
+
+/// A shard cut off the corpus stream by
+/// [`CorpusReader::next_split_shard`].
+#[derive(Debug)]
+pub struct ReadShard {
+    /// The samples, holding the fields the reader parsed.
+    pub samples: Dataset,
+    /// Every other field of each sample, as canonical JSON text (one
+    /// sample per sample of `samples`).
+    pub raw: RawColumns,
+    /// Input bytes the shard was read from, the lines a policy absorbed
+    /// included.
+    pub bytes: u64,
 }
 
 impl CorpusReader {
@@ -119,7 +163,16 @@ impl CorpusReader {
             samples_read: 0,
             ledger: None,
             failed: false,
+            parsed: None,
         })
+    }
+
+    /// Parse only the top-level fields `fields` names in the shards
+    /// [`next_split_shard`](CorpusReader::next_split_shard) cuts: the rest
+    /// of every record is left to the shard's raw columns.
+    pub fn parsing_only(mut self, fields: BTreeSet<String>) -> CorpusReader {
+        self.parsed = Some(fields);
+        self
     }
 
     /// Route malformed records through an error ledger instead of
@@ -154,15 +207,22 @@ impl CorpusReader {
     /// workers sharing it never read past the record that failed the run
     /// (a later record's failure could otherwise be reported first).
     pub fn next_sample(&mut self) -> Result<Option<Sample>> {
+        self.next_into(None)
+    }
+
+    /// [`next_sample`](CorpusReader::next_sample), splitting the fields
+    /// [`parsing_only`](CorpusReader::parsing_only) leaves unparsed into
+    /// `raw` when given one.
+    fn next_into(&mut self, raw: Option<&mut RawColumns>) -> Result<Option<Sample>> {
         if self.failed {
             return Ok(None);
         }
-        let next = self.read_sample();
+        let next = self.read_sample(raw);
         self.failed = next.is_err();
         next
     }
 
-    fn read_sample(&mut self) -> Result<Option<Sample>> {
+    fn read_sample(&mut self, mut raw: Option<&mut RawColumns>) -> Result<Option<Sample>> {
         loop {
             let reader = match self.current.as_mut() {
                 Some(r) => r,
@@ -176,7 +236,11 @@ impl CorpusReader {
                 }
             };
             faults::check("io.ingest.read")?;
-            match reader.next_sample() {
+            let next = match (&self.parsed, raw.as_deref_mut()) {
+                (Some(parsed), Some(raw)) => reader.next_split(parsed, raw),
+                _ => reader.next_sample(),
+            };
+            match next {
                 Ok(Some(s)) => {
                     self.samples_read += 1;
                     if let Some(ledger) = &self.ledger {
@@ -211,11 +275,36 @@ impl CorpusReader {
 
     /// Cut the next shard of up to `shard_size` samples off the stream.
     /// Shards span file boundaries; `None` once the stream is dry.
+    /// Every field of every record is parsed, whatever
+    /// [`parsing_only`](CorpusReader::parsing_only) said.
     pub fn next_shard(&mut self, shard_size: usize) -> Result<Option<Dataset>> {
+        self.fill(shard_size, None)
+    }
+
+    /// [`next_shard`](CorpusReader::next_shard), with the fields
+    /// [`parsing_only`](CorpusReader::parsing_only) leaves unparsed in the
+    /// shard's raw columns, and the input bytes it was read from.
+    pub fn next_split_shard(&mut self, shard_size: usize) -> Result<Option<ReadShard>> {
+        let before = self.bytes_read();
+        let mut raw = RawColumns::new();
+        Ok(self
+            .fill(shard_size, Some(&mut raw))?
+            .map(|samples| ReadShard {
+                samples,
+                raw,
+                bytes: self.bytes_read() - before,
+            }))
+    }
+
+    fn fill(
+        &mut self,
+        shard_size: usize,
+        mut raw: Option<&mut RawColumns>,
+    ) -> Result<Option<Dataset>> {
         debug_assert!(shard_size > 0, "shard_size must be positive");
         let mut shard = Dataset::new();
         while shard.len() < shard_size {
-            match self.next_sample()? {
+            match self.next_into(raw.as_deref_mut())? {
                 Some(s) => shard.push(s),
                 None => break,
             }

@@ -35,6 +35,46 @@ macro_rules! range_factory {
     }};
 }
 
+/// Each built-in filter's stat key, beside the op that measures it: so the
+/// analyzer builds the one filter a dimension needs rather than every op
+/// (some train a model when built). Held to the filters' own
+/// [`stats_key`](dj_core::Filter::stats_key) by this module's tests.
+const MEASURING_FILTERS: [(&str, &str); 25] = [
+    ("alnum_ratio", "alphanumeric_ratio_filter"),
+    ("avg_line_length", "average_line_length_filter"),
+    ("avg_word_length", "average_word_length_filter"),
+    ("char_rep_ratio", "character_repetition_filter"),
+    ("digit_ratio", "spec_numerals_filter"),
+    ("flagged_word_ratio", "flagged_words_filter"),
+    ("lang_score", "language_id_score_filter"),
+    ("max_line_length", "maximum_line_length_filter"),
+    ("meta_tag_match", "meta_tag_filter"),
+    ("num_tokens", "token_num_filter"),
+    ("paragraph_count", "paragraph_count_filter"),
+    ("perplexity", "perplexity_filter"),
+    ("quality_score", "quality_score_filter"),
+    ("special_char_ratio", "special_characters_filter"),
+    ("star_count", "star_count_filter"),
+    ("stats_range", "stats_range_filter"),
+    ("stopword_ratio", "stopwords_filter"),
+    ("suffix_match", "suffix_filter"),
+    ("text_len", "text_length_filter"),
+    ("uppercase_ratio", "uppercase_ratio_filter"),
+    ("verb_noun_pairs", "action_verb_filter"),
+    ("whitespace_ratio", "whitespace_ratio_filter"),
+    ("word_count", "word_num_filter"),
+    ("word_entropy", "word_entropy_filter"),
+    ("word_rep_ratio", "word_repetition_filter"),
+];
+
+/// The built-in filter whose stat is `stats_key`, by op name.
+pub fn measuring_filter(stats_key: &str) -> Option<&'static str> {
+    MEASURING_FILTERS
+        .iter()
+        .find(|(key, _)| *key == stats_key)
+        .map(|(_, op)| *op)
+}
+
 /// Build the full built-in registry (50+ OPs).
 pub fn builtin_registry() -> OpRegistry {
     let mut reg = OpRegistry::new();
@@ -326,6 +366,22 @@ mod tests {
             "total OPs = {}",
             reg.len() + crate::formatter_names().len()
         );
+    }
+
+    /// The stat-key table names every built-in filter under the key its
+    /// `stats_key` reports, and nothing else.
+    #[test]
+    fn measuring_filter_names_the_filter_of_every_stat() {
+        let reg = builtin_registry();
+        let mut filters = 0;
+        for name in reg.names() {
+            if let Ok(Op::Filter(f)) = reg.build(name, &OpParams::new()) {
+                assert_eq!(measuring_filter(f.stats_key()), Some(name), "{name}");
+                filters += 1;
+            }
+        }
+        assert_eq!(filters, MEASURING_FILTERS.len());
+        assert_eq!(measuring_filter("no_such_stat"), None);
     }
 
     #[test]

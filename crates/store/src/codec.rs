@@ -101,6 +101,28 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Append a [`Codec::None`] frame whose data `write` appends to `out`
+/// itself: the frame [`compress_into`] makes of that data, without a copy
+/// of it.
+pub(crate) fn store_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(MAGIC);
+    out.push(Codec::None.id());
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    write(out);
+    let len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The data of a frame [`Codec::None`] stored, in place — what
+/// [`decompress`] would copy out — or `None` for any other frame (which
+/// [`decompress_into`] then judges).
+pub(crate) fn stored_data(frame: &[u8]) -> Option<&[u8]> {
+    let body = frame.get(12..)?;
+    let plain = &frame[..3] == MAGIC && frame[3] == Codec::None.id();
+    (plain && crate::serialize::le_u64(&frame[4..12]) == body.len() as u64).then_some(body)
+}
+
 /// [`decompress`] into `out`, replacing what it held: a buffer a caller
 /// reuses is grown only when the frame is larger than any before it.
 pub(crate) fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<()> {

@@ -4,31 +4,45 @@
 //! (`DJSF`, the `frames` output format) serializes whole samples, so a stage
 //! whose OPs read one field would still decode (and re-encode) every
 //! metadata column. A columnar frame stores each *top-level column* of the
-//! samples' root maps as its own contiguous, individually compressed and
-//! checksummed region, addressable from an offset table:
+//! samples' root maps as its own contiguous, individually compressed
+//! region, addressable from an offset table:
 //!
 //! ```text
 //! payload (behind the [`crate::frame`] envelope, magic `DJSC`; the
 //! payload itself is not compressed, its regions are):
-//!   version       u8 (= 1)
+//!   version       u8 (= 2)
 //!   sample_count  u64 LE
 //!   column_count  u32 LE
 //!   directory, one entry per column, sorted by name:
 //!     name_len  u32 LE, name bytes (UTF-8)
+//!     kind      u8       0 = tagged values, 1 = raw JSON text
 //!     offset    u64 LE   region start, relative to the end of the directory
 //!     len       u64 LE   compressed region length
 //!     raw_len   u64 LE   decompressed region length
-//!     checksum  u64 LE   `dj_hash::checksum64` of the compressed region
 //!   regions, concatenated in directory order
 //!
-//! region (before compression), one entry per sample:
+//! region (before compression), one entry per stored sample:
 //!   presence  u8 (0 = column absent in this sample, 1 = present)
-//!   value     tagged value (same encoding as `serialize`), iff present
+//!   iff present, in a tagged column:   the tagged value (as `serialize`)
+//!                in a raw JSON column: len u32 LE, then `len` bytes of
+//!                                      canonical JSON text
 //! ```
 //!
 //! The presence byte distinguishes a *missing* column from an explicit
 //! `null`, so columnar↔row round-trips are value-identical: a `frames`
 //! output part converted from a spool slot equals a fresh row encode.
+//!
+//! A *raw JSON* column holds a field no op of the run reads, as the text
+//! `write_json` prints for its value: the JSONL reader leaves such fields
+//! unparsed ([`RawColumns`]), and nothing between ingest and egress ever
+//! builds their values. A raw JSON region is stored uncompressed
+//! (`Codec::None`), whatever codec the frame's tagged regions use, and read
+//! where the frame holds it: JSONL egress copies an entry, a decode parses
+//! it. (`SPILL_CODEC` in `dj-exec` has the measurement against Djz.)
+//! The envelope's checksum covers every byte of the payload, so a region
+//! carries none of its own. Version 1 frames (tagged columns only, a
+//! checksum per region) are refused as such, which makes an earlier
+//! release's spool slot or cache entry a miss.
 //!
 //! Two access patterns motivate the format:
 //!
@@ -37,8 +51,8 @@
 //!   [`ColumnarSlab::read_column`] feeds dedup hash passes a single column's
 //!   texts as borrowed `Cow`s without building samples at all);
 //! * **passthrough splice** — [`ColumnarSlab::splice`] copies the regions of
-//!   untouched columns into the output frame verbatim, compressed bytes and
-//!   checksum alike. A sample the stage dropped stays stored: its entries in
+//!   untouched columns into the output frame verbatim, compressed bytes,
+//!   kind and all. A sample the stage dropped stays stored: its entries in
 //!   the re-encoded columns are absent, and the keep mask the executor keeps
 //!   beside the spool skips it. No region the stage did not decode is ever
 //!   decompressed.
@@ -50,22 +64,105 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use dj_core::{Dataset, DjError, Result, Sample, Value};
-use dj_hash::checksum64;
+use dj_core::{parse_json_nested, Dataset, DjError, RawColumns, Result, Sample, Value};
 
-use crate::codec::{compress_into, decompress_into, max_raw_len, Codec, SLACK};
+use crate::codec::{
+    compress_into, decompress_into, max_raw_len, store_into, stored_data, Codec, SLACK,
+};
 use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
 use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::serialize::{
-    read_value_at, skip_value_at, take_str, take_u32, take_u64, take_u8, walk_path, write_value,
-    COLUMN_DEPTH,
+    read_value_at, skip_value_at, take_bytes, take_str, take_u32, take_u64, take_u8, walk_path,
+    write_value, COLUMN_DEPTH,
 };
 use crate::transcode::{check_mask, keeps};
 
-const COLUMNAR_VERSION: u8 = 1;
+const COLUMNAR_VERSION: u8 = 2;
 
-/// Bytes of the shortest directory entry (an empty name and four words).
-const MIN_DIRECTORY_ENTRY: usize = 4 + 4 * 8;
+/// Bytes a stored (uncompressed) region spends on its codec header.
+const HEADER_OF_STORED: usize = 12;
+
+/// Directory kind byte of a column of tagged values.
+pub(crate) const COLUMN_TAGGED: u8 = 0;
+/// Directory kind byte of a column of raw JSON text.
+pub(crate) const COLUMN_RAW_JSON: u8 = 1;
+
+/// What a column's entries hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// Tagged values, the `serialize` encoding.
+    Tagged,
+    /// Canonical JSON text, length-prefixed.
+    RawJson,
+}
+
+impl Kind {
+    fn byte(self) -> u8 {
+        match self {
+            Kind::Tagged => COLUMN_TAGGED,
+            Kind::RawJson => COLUMN_RAW_JSON,
+        }
+    }
+
+    fn from_byte(byte: u8, column: &str) -> Result<Kind> {
+        match byte {
+            COLUMN_TAGGED => Ok(Kind::Tagged),
+            COLUMN_RAW_JSON => Ok(Kind::RawJson),
+            other => Err(DjError::Storage(format!(
+                "unknown kind {other} for column `{column}`"
+            ))),
+        }
+    }
+
+    /// Step over one present entry's value.
+    pub(crate) fn skip(self, cur: &mut &[u8]) -> Result<()> {
+        match self {
+            Kind::Tagged => skip_value_at(cur, COLUMN_DEPTH),
+            Kind::RawJson => {
+                let len = take_u32(cur)? as usize;
+                take_bytes(cur, len).map(drop)
+            }
+        }
+    }
+
+    /// Read one present entry's value.
+    fn read(self, cur: &mut &[u8], column: &str) -> Result<Value> {
+        match self {
+            Kind::Tagged => read_value_at(cur, COLUMN_DEPTH),
+            Kind::RawJson => parse_json_nested(take_raw(cur, column)?, COLUMN_DEPTH)
+                .map_err(|e| DjError::Storage(format!("raw JSON in column `{column}`: {e}"))),
+        }
+    }
+}
+
+/// One present raw JSON entry's text, checked to be what a JSONL line can
+/// hold as it is: UTF-8, with no control byte (canonical JSON escapes
+/// every one).
+pub(crate) fn take_raw<'a>(cur: &mut &'a [u8], column: &str) -> Result<&'a str> {
+    let text = take_str(cur)?;
+    if has_control_byte(text.as_bytes()) {
+        return Err(DjError::Storage(format!(
+            "control byte in raw JSON of column `{column}`"
+        )));
+    }
+    Ok(text)
+}
+
+/// Whether any byte of `bytes` is below `0x20`, eight at a time.
+fn has_control_byte(bytes: &[u8]) -> bool {
+    const LOW7: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut words = bytes.chunks_exact(8);
+    let below = words.any(|w| {
+        let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        w.wrapping_sub(LOW7 * 0x20) & !w & HIGH != 0
+    });
+    below || words.remainder().iter().any(|b| *b < 0x20)
+}
+
+/// Bytes of the shortest directory entry (an empty name, the kind byte
+/// and three words).
+const MIN_DIRECTORY_ENTRY: usize = 4 + 1 + 3 * 8;
 
 /// Most samples a frame with no column at all may claim. Such a frame —
 /// every sample an empty map — is 33 bytes whatever its count, so nothing in
@@ -81,20 +178,101 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
 /// body written into one reused buffer and compressed straight into the
 /// frame.
 pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> PooledBuf {
-    // Column set = union of top-level keys across all samples, sorted.
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    for s in shard.iter() {
-        if let Value::Map(m) = s.value() {
-            names.extend(m.keys().map(String::as_str));
-        }
-    }
-    let mut frame = FrameBuilder::new(pool, shard.len(), names.iter().copied());
+    let names = top_level_names(shard);
+    let columns = names.iter().map(|name| (*name, Kind::Tagged));
+    let mut frame = FrameBuilder::new(pool, shard.len(), columns);
     let mut body = pool.take_largest(Holds::Raw);
     for name in &names {
         column_body(&mut body, shard.iter().map(Some), name);
         frame.compress(&body, codec);
     }
     frame.seal()
+}
+
+/// The union of the samples' top-level keys, sorted.
+fn top_level_names(samples: &Dataset) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
+    for s in samples.iter() {
+        if let Value::Map(m) = s.value() {
+            names.extend(m.keys().map(String::as_str));
+        }
+    }
+    names
+}
+
+/// The frame a shard read from text is stored as: `processed`, the samples
+/// `keep` kept of the ones the reader produced, as tagged columns
+/// compressed with `codec`, and the reader's `raw` JSON columns beside
+/// them, stored. Every sample read stays stored — a dropped one with no
+/// entry in any column — for `keep` to mask, the way a splice stores what a
+/// stage dropped.
+pub(crate) fn encode_ingested(
+    processed: &Dataset,
+    raw: &RawColumns,
+    keep: &[bool],
+    codec: Codec,
+    pool: &BufferPool,
+) -> Result<PooledBuf> {
+    check_mask(Some(keep), raw.len())?;
+    check_kept(processed, keep)?;
+    // An entry's length prefix is a u32; no entry is longer than all of them.
+    if u32::try_from(raw.text_len()).is_err() {
+        return Err(DjError::Storage(format!(
+            "{} bytes of raw JSON in one shard: an entry's length must fit a u32",
+            raw.text_len()
+        )));
+    }
+    let tagged = top_level_names(processed);
+    let mut columns: Vec<(&str, Kind)> = tagged.iter().map(|n| (*n, Kind::Tagged)).collect();
+    for name in raw.names() {
+        if tagged.contains(name) {
+            return Err(DjError::Storage(format!(
+                "field-footprint violation: a stage wrote the unparsed column `{name}`"
+            )));
+        }
+        columns.push((name, Kind::RawJson));
+    }
+    columns.sort_by_key(|(name, _)| *name);
+    let mut frame = FrameBuilder::new(pool, keep.len(), columns.iter().copied());
+    let mut body = None;
+    for (name, kind) in columns {
+        match raw.column(name).filter(|_| kind == Kind::RawJson) {
+            Some(c) => {
+                let entries = keep.iter().enumerate();
+                let entries = entries.map(|(i, k)| raw.entry(c, i).filter(|_| *k));
+                frame.store(|out| raw_column_body(out, entries));
+            }
+            None => {
+                let body = body.get_or_insert_with(|| pool.take_largest(Holds::Raw));
+                column_body(body, stored(processed, keep), name);
+                frame.compress(body, codec);
+            }
+        }
+    }
+    Ok(frame.seal())
+}
+
+/// `processed` must hold exactly the samples `keep` keeps.
+fn check_kept(processed: &Dataset, keep: &[bool]) -> Result<()> {
+    let kept = keep.iter().filter(|k| **k).count();
+    if processed.len() != kept {
+        return Err(DjError::Storage(format!(
+            "{} processed samples, keep mask kept {kept}",
+            processed.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The processed samples at the positions `keep` kept, `None` where it
+/// dropped: one item per stored sample.
+fn stored<'s>(
+    processed: &'s Dataset,
+    keep: &'s [bool],
+) -> impl Iterator<Item = Option<&'s Sample>> + 's {
+    let mut samples = processed.iter();
+    keep.iter()
+        .map(move |k| if *k { samples.next() } else { None })
 }
 
 /// Write one column's region before compression into `body`: per stored
@@ -117,6 +295,24 @@ fn column_body<'s>(
     }
 }
 
+/// Append one raw JSON column's region to `body`: per stored sample a
+/// presence byte and, when present, the length-prefixed JSON text.
+pub(crate) fn raw_column_body<'e>(
+    body: &mut Vec<u8>,
+    entries: impl Iterator<Item = Option<&'e str>>,
+) {
+    for entry in entries {
+        match entry {
+            Some(text) => {
+                body.push(1);
+                body.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                body.extend_from_slice(text.as_bytes());
+            }
+            None => body.push(0),
+        }
+    }
+}
+
 /// A sealed columnar frame under construction in one pooled buffer: room
 /// for the envelope header, then the payload header and the directory with
 /// its words zeroed; the regions are appended in directory order — copied,
@@ -124,7 +320,7 @@ fn column_body<'s>(
 /// [`seal`](FrameBuilder::seal) seals the buffer where it is.
 struct FrameBuilder {
     out: PooledBuf,
-    /// Where each directory entry's four words sit, in directory order.
+    /// Where each directory entry's three words sit, in directory order.
     words: Vec<usize>,
     /// Where the regions start (directory offsets count from here).
     regions: usize,
@@ -133,12 +329,12 @@ struct FrameBuilder {
 }
 
 impl FrameBuilder {
-    /// A frame of `samples` samples whose columns are `names`, in
+    /// A frame of `samples` samples whose columns are `columns`, in
     /// directory (sorted) order.
     fn new<'n>(
         pool: &BufferPool,
         samples: usize,
-        names: impl IntoIterator<Item = &'n str>,
+        columns: impl IntoIterator<Item = (&'n str, Kind)>,
     ) -> FrameBuilder {
         let mut out = pool.take_largest(Holds::Frames);
         out.resize(envelope::HEADER_LEN, 0);
@@ -146,11 +342,12 @@ impl FrameBuilder {
         out.extend_from_slice(&(samples as u64).to_le_bytes());
         out.extend_from_slice(&[0; 4]);
         let mut words = Vec::new();
-        for name in names {
+        for (name, kind) in columns {
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
+            out.push(kind.byte());
             words.push(out.len());
-            out.extend_from_slice(&[0; 4 * 8]);
+            out.extend_from_slice(&[0; 3 * 8]);
         }
         let count_at = envelope::HEADER_LEN + 1 + 8;
         out[count_at..count_at + 4].copy_from_slice(&(words.len() as u32).to_le_bytes());
@@ -164,10 +361,10 @@ impl FrameBuilder {
 
     /// Record the region that ends the buffer, from `start`, in the next
     /// directory entry.
-    fn close_region(&mut self, start: usize, raw_len: u64, checksum: u64) {
+    fn close_region(&mut self, start: usize, raw_len: u64) {
         let len = self.out.len() - start;
         let at = self.words[self.done];
-        let words = [(start - self.regions) as u64, len as u64, raw_len, checksum];
+        let words = [(start - self.regions) as u64, len as u64, raw_len];
         for (k, word) in words.iter().enumerate() {
             self.out[at + 8 * k..at + 8 * (k + 1)].copy_from_slice(&word.to_le_bytes());
         }
@@ -175,11 +372,30 @@ impl FrameBuilder {
     }
 
     /// Append the next region as another frame stores it: its compressed
-    /// bytes, its raw length and its checksum, carried, not recomputed.
-    fn copy(&mut self, bytes: &[u8], raw_len: u64, checksum: u64) {
+    /// bytes and its raw length, carried, not recomputed.
+    fn copy(&mut self, bytes: &[u8], raw_len: u64) {
         let start = self.out.len();
         self.out.extend_from_slice(bytes);
-        self.close_region(start, raw_len, checksum);
+        self.close_region(start, raw_len);
+    }
+
+    /// Append the next region as `write` writes it, stored uncompressed:
+    /// the way every raw JSON region is kept, so that egress reads its
+    /// text where the frame holds it.
+    fn store(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.out.len();
+        store_into(&mut self.out, write);
+        let raw_len = self.out.len() - start - HEADER_OF_STORED;
+        self.close_region(start, raw_len as u64);
+    }
+
+    /// The next region, of kind `kind`, from its bytes before compression:
+    /// a tagged one compressed with `codec`, a raw JSON one stored.
+    fn region(&mut self, kind: Kind, body: &[u8], codec: Codec) {
+        match kind {
+            Kind::Tagged => self.compress(body, codec),
+            Kind::RawJson => self.store(|out| out.extend_from_slice(body)),
+        }
     }
 
     /// Compress `body` straight into the frame as the next region.
@@ -187,8 +403,7 @@ impl FrameBuilder {
         let start = self.out.len();
         let pool = self.out.pool().clone();
         pool.with_table(|table| compress_into(body, codec, &mut self.out, table));
-        let checksum = checksum64(&self.out[start..]);
-        self.close_region(start, body.len() as u64, checksum);
+        self.close_region(start, body.len() as u64);
     }
 
     /// The sealed frame, once every column's region is in.
@@ -199,7 +414,7 @@ impl FrameBuilder {
     }
 }
 
-/// Read one entry's presence byte: whether a tagged value follows.
+/// Read one entry's presence byte: whether a value follows.
 fn take_entry(cur: &mut &[u8], column: &str) -> Result<bool> {
     match take_u8(cur)? {
         0 => Ok(false),
@@ -214,11 +429,11 @@ fn take_entry(cur: &mut &[u8], column: &str) -> Result<bool> {
 #[derive(Debug, Clone)]
 struct ColumnEntry {
     name: String,
+    kind: Kind,
     /// Absolute byte range of the compressed region within the payload.
     start: usize,
     len: usize,
     raw_len: u64,
-    checksum: u64,
 }
 
 /// A loaded-but-undecoded columnar frame.
@@ -250,7 +465,8 @@ impl ColumnarSlab {
         let version = take_u8(&mut cur)?;
         if version != COLUMNAR_VERSION {
             return Err(DjError::Storage(format!(
-                "unsupported columnar format version {version}"
+                "unsupported columnar format version {version} (this build reads \
+                 {COLUMNAR_VERSION})"
             )));
         }
         let samples = take_u64(&mut cur)?;
@@ -258,17 +474,17 @@ impl ColumnarSlab {
         let mut raw_columns = Vec::with_capacity(count.min(cur.len() / MIN_DIRECTORY_ENTRY));
         for _ in 0..count {
             let name = take_str(&mut cur)?.to_string();
+            let kind = Kind::from_byte(take_u8(&mut cur)?, &name)?;
             let offset = take_u64(&mut cur)?;
             let len = take_u64(&mut cur)?;
             let raw_len = take_u64(&mut cur)?;
-            let checksum = take_u64(&mut cur)?;
-            raw_columns.push((name, offset, len, raw_len, checksum));
+            raw_columns.push((name, kind, offset, len, raw_len));
         }
         // Regions base = everything after the directory.
         let regions_base = buf.len() - cur.len();
         let regions_len = cur.len() as u64;
         let mut columns = Vec::with_capacity(raw_columns.len());
-        for (name, offset, len, raw_len, checksum) in raw_columns {
+        for (name, kind, offset, len, raw_len) in raw_columns {
             let end = offset.checked_add(len).ok_or_else(|| {
                 DjError::Storage(format!("columnar region overflow for column `{name}`"))
             })?;
@@ -287,10 +503,10 @@ impl ColumnarSlab {
             }
             columns.push(ColumnEntry {
                 name,
+                kind,
                 start: regions_base + offset as usize,
                 len: len as usize,
                 raw_len,
-                checksum,
             });
         }
         // Only a frame of column-less samples has a count no region bounds.
@@ -332,26 +548,32 @@ impl ColumnarSlab {
         self.columns.iter().map(|c| c.raw_len).sum()
     }
 
+    /// Whether column `name` holds raw JSON text rather than tagged values.
+    pub fn is_raw_json(&self, name: &str) -> bool {
+        self.entry(name).is_some_and(|c| c.kind == Kind::RawJson)
+    }
+
     fn entry(&self, name: &str) -> Option<&ColumnEntry> {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    fn region_bytes(&self, c: &ColumnEntry) -> Result<&[u8]> {
-        let region = &self.buf[c.start..c.start + c.len];
-        if checksum64(region) != c.checksum {
-            return Err(DjError::Storage(format!(
-                "columnar region checksum mismatch for column `{}`",
-                c.name
-            )));
-        }
-        Ok(region)
+    fn region_bytes(&self, c: &ColumnEntry) -> &[u8] {
+        &self.buf[c.start..c.start + c.len]
     }
 
-    /// One region decompressed, checksum- and size-verified, into a buffer
-    /// from this frame's pool.
-    fn region_raw(&self, c: &ColumnEntry) -> Result<PooledBuf> {
-        let mut data = self.buf.pool().take(Holds::Raw, c.raw_len as usize + SLACK);
-        decompress_into(self.region_bytes(c)?, &mut data)?;
+    /// One region's bytes before compression, size-verified: read in
+    /// place when the region is stored uncompressed, else decompressed into
+    /// a buffer from this frame's pool.
+    fn region_raw(&self, c: &ColumnEntry) -> Result<RegionData<'_>> {
+        let region = self.region_bytes(c);
+        let data = match stored_data(region) {
+            Some(data) => RegionData::InPlace(data),
+            None => {
+                let mut data = self.buf.pool().take(Holds::Raw, c.raw_len as usize + SLACK);
+                decompress_into(region, &mut data)?;
+                RegionData::Decompressed(data)
+            }
+        };
         if data.len() as u64 != c.raw_len {
             return Err(DjError::Storage(format!(
                 "columnar region size mismatch for column `{}`: got {}, expected {}",
@@ -363,9 +585,9 @@ impl ColumnarSlab {
         Ok(data)
     }
 
-    /// Decompress one column's region (checksum-verified), or `Ok(None)`
-    /// when the frame has no such column.
-    pub fn read_column(&self, name: &str) -> Result<Option<ColumnRegion>> {
+    /// Decompress one column's region, or `Ok(None)` when the frame has no
+    /// such column.
+    pub fn read_column(&self, name: &str) -> Result<Option<ColumnRegion<'_>>> {
         let Some(c) = self.entry(name) else {
             return Ok(None);
         };
@@ -373,6 +595,7 @@ impl ColumnarSlab {
         Ok(Some(ColumnRegion {
             data,
             samples: self.samples,
+            kind: c.kind,
         }))
     }
 
@@ -382,7 +605,7 @@ impl ColumnarSlab {
     /// every region that had to be decoded to build it. Columns requested
     /// but absent from the frame are simply missing from the samples, and
     /// frame columns not requested are skipped entirely (their regions are
-    /// never decompressed).
+    /// never decompressed). A raw JSON entry is parsed.
     pub fn decode_projected(&self, cols: Option<&BTreeSet<String>>) -> Result<(Dataset, u64)> {
         self.decode_kept(cols, None)
     }
@@ -411,10 +634,10 @@ impl ColumnarSlab {
                 let present = take_entry(&mut cur, &c.name)?;
                 if !keeps(keep, i) {
                     if present {
-                        skip_value_at(&mut cur, COLUMN_DEPTH)?;
+                        c.kind.skip(&mut cur)?;
                     }
                 } else if let (Some(map), true) = (maps.next(), present) {
-                    map.insert(c.name.clone(), read_value_at(&mut cur, COLUMN_DEPTH)?);
+                    map.insert(c.name.clone(), c.kind.read(&mut cur, &c.name)?);
                 }
             }
             if !cur.is_empty() {
@@ -431,12 +654,12 @@ impl ColumnarSlab {
         Ok((Dataset::from_samples(samples), bytes_decoded))
     }
 
-    /// Every region decompressed (checksum- and size-verified), with its
-    /// column name, in directory order — the transcoder's input.
-    pub(crate) fn raw_regions(&self) -> Result<Vec<(&str, PooledBuf)>> {
+    /// Every region decompressed (size-verified), with its column name and
+    /// kind, in directory order — the transcoder's input.
+    pub(crate) fn raw_regions(&self) -> Result<Vec<(&str, Kind, RegionData<'_>)>> {
         self.columns
             .iter()
-            .map(|c| Ok((c.name.as_str(), self.region_raw(c)?)))
+            .map(|c| Ok((c.name.as_str(), c.kind, self.region_raw(c)?)))
             .collect()
     }
 
@@ -473,13 +696,7 @@ impl ColumnarSlab {
         codec: Codec,
     ) -> Result<(PooledBuf, u64)> {
         check_mask(Some(keep), self.samples)?;
-        let kept = keep.iter().filter(|k| **k).count();
-        if processed.len() != kept {
-            return Err(DjError::Storage(format!(
-                "splice got {} processed samples, keep mask kept {kept}",
-                processed.len()
-            )));
-        }
+        check_kept(processed, keep)?;
 
         let passthrough: Vec<&ColumnEntry> = match decoded {
             None => Vec::new(),
@@ -491,12 +708,7 @@ impl ColumnarSlab {
         };
 
         // Columns re-encoded from the processed samples.
-        let mut encoded_names: BTreeSet<&str> = BTreeSet::new();
-        for s in processed.iter() {
-            if let Value::Map(m) = s.value() {
-                encoded_names.extend(m.keys().map(String::as_str));
-            }
-        }
+        let encoded_names = top_level_names(processed);
         for c in &passthrough {
             if encoded_names.contains(c.name.as_str()) {
                 return Err(DjError::Storage(format!(
@@ -516,16 +728,17 @@ impl ColumnarSlab {
             .collect();
         columns.sort_by_key(|(name, _)| *name);
         let pool = self.buf.pool();
-        let mut frame = FrameBuilder::new(pool, self.samples, columns.iter().map(|(n, _)| *n));
+        let kinds = columns
+            .iter()
+            .map(|(n, c)| (*n, c.map_or(Kind::Tagged, |c| c.kind)));
+        let mut frame = FrameBuilder::new(pool, self.samples, kinds);
         let mut body = None;
         for (name, entry) in columns {
             match entry {
-                Some(c) => frame.copy(self.region_bytes(c)?, c.raw_len, c.checksum),
+                Some(c) => frame.copy(self.region_bytes(c), c.raw_len),
                 None => {
                     let body = body.get_or_insert_with(|| pool.take_largest(Holds::Raw));
-                    let mut samples = processed.iter();
-                    let stored = keep.iter().map(|k| if *k { samples.next() } else { None });
-                    column_body(body, stored, name);
+                    column_body(body, stored(processed, keep), name);
                     frame.compress(body, codec);
                 }
             }
@@ -542,12 +755,12 @@ impl ColumnarSlab {
         check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
         let pool = self.buf.pool();
-        let names = self.columns.iter().map(|c| c.name.as_str());
-        let mut frame = FrameBuilder::new(pool, kept, names);
+        let columns = self.columns.iter().map(|c| (c.name.as_str(), c.kind));
+        let mut frame = FrameBuilder::new(pool, kept, columns);
         let mut body = pool.take_largest(Holds::Raw);
         for c in &self.columns {
             if kept == self.samples {
-                frame.copy(self.region_bytes(c)?, c.raw_len, c.checksum);
+                frame.copy(self.region_bytes(c), c.raw_len);
                 continue;
             }
             let region = self.region_raw(c)?;
@@ -556,7 +769,7 @@ impl ColumnarSlab {
             for keep_it in keep {
                 let entry = cur;
                 if take_entry(&mut cur, &c.name)? {
-                    skip_value_at(&mut cur, COLUMN_DEPTH)?;
+                    c.kind.skip(&mut cur)?;
                 }
                 if *keep_it {
                     body.extend_from_slice(&entry[..entry.len() - cur.len()]);
@@ -568,20 +781,40 @@ impl ColumnarSlab {
                     c.name
                 )));
             }
-            frame.compress(&body, codec);
+            frame.region(c.kind, &body, codec);
         }
         Ok(frame.seal())
     }
 }
 
-/// One decompressed column region, ready for zero-copy text borrowing.
+/// A region's bytes before compression: in the frame's own buffer when it
+/// is stored uncompressed, else in a buffer it was decompressed into.
 #[derive(Debug)]
-pub struct ColumnRegion {
-    data: PooledBuf,
-    samples: usize,
+pub(crate) enum RegionData<'a> {
+    InPlace(&'a [u8]),
+    Decompressed(PooledBuf),
 }
 
-impl ColumnRegion {
+impl std::ops::Deref for RegionData<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            RegionData::InPlace(data) => data,
+            RegionData::Decompressed(data) => data,
+        }
+    }
+}
+
+/// One decompressed column region, ready for zero-copy text borrowing.
+#[derive(Debug)]
+pub struct ColumnRegion<'a> {
+    data: RegionData<'a>,
+    samples: usize,
+    kind: Kind,
+}
+
+impl ColumnRegion<'_> {
     /// Decompressed size of this region.
     pub fn raw_len(&self) -> u64 {
         self.data.len() as u64
@@ -590,7 +823,8 @@ impl ColumnRegion {
     /// Borrow the text at dotted path `rest` *within* this column for every
     /// sample (`""` = the column value itself). Semantics mirror
     /// [`dj_core::Sample::text_at`]: a missing path, an absent column entry
-    /// or a non-string value yields `""`.
+    /// or a non-string value yields `""`. A raw JSON entry is parsed, and
+    /// its text copied out.
     pub fn texts_at(&self, rest: &str) -> Result<Vec<Cow<'_, str>>> {
         let segments: Vec<&str> = if rest.is_empty() {
             Vec::new()
@@ -600,9 +834,14 @@ impl ColumnRegion {
         let mut cur: &[u8] = &self.data;
         let mut out = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
-            out.push(match take_entry(&mut cur, "")? {
-                true => walk_path(&mut cur, &segments)?,
-                false => Cow::Borrowed(""),
+            out.push(match (take_entry(&mut cur, "")?, self.kind) {
+                (false, _) => Cow::Borrowed(""),
+                (true, Kind::Tagged) => walk_path(&mut cur, &segments)?,
+                (true, Kind::RawJson) => {
+                    let value = Kind::RawJson.read(&mut cur, "")?;
+                    let at = segments.iter().try_fold(&value, |v, s| v.as_map()?.get(*s));
+                    Cow::Owned(at.and_then(Value::as_str).unwrap_or("").to_string())
+                }
             });
         }
         if !cur.is_empty() {
@@ -772,7 +1011,7 @@ mod tests {
     ) -> Vec<u8> {
         let mut bodies: Vec<(String, Vec<u8>)> = Vec::new();
         for c in slab.columns.iter().filter(|c| !decoded.contains(&c.name)) {
-            let region = decompress(slab.region_bytes(c).unwrap()).unwrap();
+            let region = decompress(slab.region_bytes(c)).unwrap();
             let mut body = Vec::new();
             let mut cur: &[u8] = &region;
             for keep_it in keep {
@@ -796,7 +1035,7 @@ mod tests {
             bodies.push((name, body));
         }
         bodies.sort();
-        let names = bodies.iter().map(|(name, _)| name.as_str());
+        let names = bodies.iter().map(|(name, _)| (name.as_str(), Kind::Tagged));
         let mut frame = FrameBuilder::new(&BufferPool::default(), processed.len(), names);
         for (_, body) in &bodies {
             frame.compress(body, Codec::Djz);
@@ -837,8 +1076,8 @@ mod tests {
         assert_eq!(passthrough, copied.iter().map(|c| c.raw_len).sum::<u64>());
         for c in copied {
             let o = out.entry(&c.name).unwrap();
-            assert_eq!(out.region_bytes(o).unwrap(), slab.region_bytes(c).unwrap());
-            assert_eq!((o.raw_len, o.checksum), (c.raw_len, c.checksum));
+            assert_eq!(out.region_bytes(o), slab.region_bytes(c));
+            assert_eq!((o.raw_len, o.kind), (c.raw_len, c.kind));
         }
         // Read through the mask, the frame is the stage's output.
         let mut expected = masked(&ds, &keep);
@@ -889,20 +1128,137 @@ mod tests {
     }
 
     #[test]
-    fn region_corruption_behind_a_valid_envelope_is_detected() {
-        // Flip a region byte but re-seal, so only the per-region checksum
-        // can catch it (the envelope's own checks are `frame`'s business).
+    fn a_version_1_frame_is_refused_by_its_version() {
+        // The layout of earlier releases: no kind byte, a checksum per
+        // region. Its version byte alone refuses it.
         let ds = rich_shard();
         let frame = encode_columnar_frame(&ds, Codec::Djz);
         let (magic, payload) = envelope::open_one(&frame).unwrap();
-        let mut payload = payload.to_vec();
-        let last = payload.len() - 1;
-        payload[last] ^= 0x01;
-        let slab = ColumnarSlab::from_frame_bytes(&envelope::seal(&magic, &payload)).unwrap();
-        assert!(slab.decode().is_err());
+        let mut old = payload.to_vec();
+        old[0] = 1;
+        let err = ColumnarSlab::from_frame_bytes(&envelope::seal(&magic, &old)).unwrap_err();
+        assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+        assert!(err.to_string().contains("version 1"), "{err}");
         // A columnar slab is only ever built from a columnar frame.
         let row = crate::encode_shard_frame(&ds, Codec::Djz);
         assert!(ColumnarSlab::from_frame_bytes(&row).is_err());
+    }
+
+    /// Four samples read from text: `text` parsed, `url` and `h` left raw,
+    /// the third sample without `h`.
+    fn ingested() -> (Dataset, RawColumns) {
+        let mut raw = RawColumns::new();
+        let mut samples = Dataset::new();
+        for i in 0..4 {
+            samples.push(Sample::from_text(format!("doc {i}")));
+            raw.push("url", &format!("\"https://x/{i}\""));
+            if i != 2 {
+                raw.push("h", &format!("{{\"n\":{i},\"s\":[\"a\\\"b\",null]}}"));
+            }
+            raw.close();
+        }
+        (samples, raw)
+    }
+
+    /// The samples of [`ingested`] with their raw fields parsed back in.
+    fn whole(samples: &Dataset, raw: &RawColumns) -> Dataset {
+        let mut whole = samples.clone();
+        for (i, s) in whole.samples_mut().iter_mut().enumerate() {
+            for (name, text) in raw.sample_entries(i) {
+                let value = dj_core::parse_json(text).unwrap();
+                s.value_mut()
+                    .as_map_mut()
+                    .unwrap()
+                    .insert(name.into(), value);
+            }
+        }
+        whole
+    }
+
+    #[test]
+    fn raw_json_columns_are_stored_as_text_and_read_as_values() {
+        let (samples, raw) = ingested();
+        let want = whole(&samples, &raw);
+        let keep = [true, false, true, true];
+        let processed = masked(&samples, &keep);
+        let pool = BufferPool::default();
+        let sealed = encode_ingested(&processed, &raw, &keep, Codec::Djz, &pool).unwrap();
+        let slab = ColumnarSlab::from_frame_bytes(&sealed).unwrap();
+        assert_eq!(slab.sample_count(), 4, "a dropped sample stays stored");
+        assert_eq!(slab.column_names(), vec!["h", "text", "url"]);
+        assert!(slab.is_raw_json("url") && slab.is_raw_json("h") && !slab.is_raw_json("text"));
+        // A region holds each entry's text as it is.
+        let region = decompress(slab.region_bytes(slab.entry("url").unwrap())).unwrap();
+        assert_eq!(&region[..5], &[1, 13, 0, 0, 0]);
+        assert_eq!(&region[5..18], b"\"https://x/0\"");
+        assert_eq!(region[18], 0, "the dropped sample has no entry");
+        // Decoded, a raw entry is its value; projected away, it is skipped.
+        let want = masked(&want, &keep);
+        assert_eq!(slab.decode_kept(None, Some(&keep)).unwrap().0, want);
+        let text: BTreeSet<String> = ["text".to_string()].into();
+        assert_eq!(
+            slab.decode_kept(Some(&text), Some(&keep)).unwrap().0,
+            processed
+        );
+        let mut out = String::new();
+        slab.write_jsonl(Some(&keep), &mut out).unwrap();
+        assert_eq!(out, crate::to_jsonl(&want));
+        // Texts inside a raw column are reached by parsing.
+        let texts = slab.read_column("h").unwrap().unwrap();
+        let texts = texts.texts_at("s").unwrap();
+        assert_eq!(texts, vec![Cow::Borrowed(""); 4], "a list is no text");
+        let urls = slab.read_column("url").unwrap().unwrap();
+        assert_eq!(urls.texts_at("").unwrap()[3], "https://x/3");
+        // A stage over `text` copies the raw regions, kind and bytes.
+        let (mut upper, _) = slab.decode_kept(Some(&text), Some(&keep)).unwrap();
+        for s in upper.samples_mut() {
+            let t = s.text().to_uppercase();
+            s.set_text(t);
+        }
+        let (spliced, passthrough) = slab.splice(&upper, Some(&text), &keep, Codec::Djz).unwrap();
+        let spliced = ColumnarSlab::from_frame_bytes(&spliced).unwrap();
+        assert_eq!(
+            passthrough,
+            slab.column_raw_len("h").unwrap() + slab.column_raw_len("url").unwrap()
+        );
+        for name in ["h", "url"] {
+            let (a, b) = (spliced.entry(name).unwrap(), slab.entry(name).unwrap());
+            assert_eq!(spliced.region_bytes(a), slab.region_bytes(b));
+            assert_eq!(a.kind, Kind::RawJson);
+        }
+        // Compacted for a cache entry, a raw column stays raw.
+        let compact = spliced.filter_frame(&keep, Codec::Djz).unwrap();
+        let compact = ColumnarSlab::from_frame_bytes(&compact).unwrap();
+        assert!(compact.is_raw_json("h"));
+        let mut decoded = compact.decode().unwrap();
+        for s in decoded.samples_mut() {
+            let t = s.text().to_lowercase();
+            s.set_text(t);
+        }
+        assert_eq!(decoded, want);
+    }
+
+    #[test]
+    fn a_stage_that_writes_an_unparsed_column_is_refused() {
+        let (samples, raw) = ingested();
+        let mut processed = samples.clone();
+        processed.samples_mut()[0]
+            .value_mut()
+            .set_path("url", Value::Null)
+            .unwrap();
+        let keep = [true; 4];
+        let err = encode_ingested(&processed, &raw, &keep, Codec::Djz, &BufferPool::default())
+            .unwrap_err();
+        assert!(err.to_string().contains("footprint"), "{err}");
+        let err = encode_ingested(
+            &samples,
+            &raw,
+            &keep[1..],
+            Codec::Djz,
+            &BufferPool::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, DjError::Storage(_)), "{err:?}");
     }
 
     #[test]

@@ -163,7 +163,9 @@ fn columnar_payload(sealed: &[u8]) -> Result<&[u8]> {
 
 /// One spill or cache frame, checked and loaded but not decoded: a
 /// columnar `DJSC` frame's directory and still-compressed regions. Every
-/// accessor decompresses only the regions it is asked for.
+/// accessor decompresses only the regions it is asked for. A raw JSON
+/// column (a field no op of the run reads) is parsed only by a decode;
+/// JSONL egress copies its text.
 #[derive(Debug)]
 pub struct Frame(pub(crate) ColumnarSlab);
 

@@ -17,9 +17,11 @@
 //!   format) and the disk-backed [`ShardSpool`], the storage substrate of
 //!   the out-of-core (spill-to-disk) execution mode;
 //! * [`columnar`] — columnar `DJSC` shard frames, the one spill and cache
-//!   format: per-column compressed, checksummed regions behind an offset
-//!   table, so projection-aware stages decode only the columns their OPs'
-//!   field footprints name and splice the rest through byte-for-byte;
+//!   format: per-column regions behind an offset table, so
+//!   projection-aware stages decode only the columns their OPs' field
+//!   footprints name and splice the rest through byte-for-byte; a column
+//!   no op of a file run reads is stored as the raw JSON text it was read
+//!   as, and egress copies it;
 //! * [`pool`] — the buffers a run reuses shard after shard (slot reads,
 //!   frames being built, column bodies, decompressed regions, codec
 //!   tables), so the spill and egress path stops paying page faults on

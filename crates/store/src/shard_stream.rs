@@ -20,10 +20,10 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dj_core::{Dataset, DjError, Result};
+use dj_core::{Dataset, DjError, RawColumns, Result};
 
 use crate::codec::{compress, decompress, Codec};
-use crate::columnar::encode_into;
+use crate::columnar::{encode_ingested, encode_into};
 use crate::frame::{checked_copy, envelope, Frame, SHARD_FRAME_MAGIC};
 use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::serialize::{from_bytes, to_bytes};
@@ -129,6 +129,23 @@ impl ShardSpool {
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
         let frame = encode_into(shard, self.codec, &self.pool);
         self.write_frame_bytes(idx, &frame, shard.len())
+    }
+
+    /// Store a shard read from text into slot `idx`: `processed`, the
+    /// samples `keep` kept of those the reader produced, beside the
+    /// reader's `raw` JSON columns, copied as they are. Every sample read
+    /// stays stored, a dropped one with no entry, for `keep` to mask.
+    /// Returns the samples stored.
+    pub fn write_ingested(
+        &self,
+        idx: usize,
+        processed: &Dataset,
+        raw: &RawColumns,
+        keep: &[bool],
+    ) -> Result<usize> {
+        let frame = encode_ingested(processed, raw, keep, self.codec, &self.pool)?;
+        self.write_frame_bytes(idx, &frame, keep.len())?;
+        Ok(keep.len())
     }
 
     /// Store a pre-encoded frame (a column splice, a frame copied out of

@@ -8,6 +8,10 @@
 //! `Value` or `BTreeMap` is built on the way, and samples a deferred
 //! barrier mask drops are stepped over by [`skip_value_at`].
 //!
+//! A raw JSON column's entries are canonical JSON text already: each is
+//! copied into the part as it is, after the check that keeps a line a line
+//! (UTF-8, no control byte).
+//!
 //! Key order is the stored order, which for every frame this crate writes
 //! is `BTreeMap` order (a columnar directory, a map value's entries). A
 //! frame whose keys are not strictly ascending was not written by this
@@ -18,10 +22,10 @@ use std::fmt::Write as _;
 
 use dj_core::{write_json_f64, write_json_str, DjError, Result};
 
-use crate::columnar::ColumnarSlab;
+use crate::columnar::{take_raw, ColumnarSlab, Kind};
 use crate::serialize::{
-    deeper, le_u64, skip_value_at, take_bytes, take_str, take_u32, take_u8, COLUMN_DEPTH,
-    TAG_BOOL_FALSE, TAG_BOOL_TRUE, TAG_FLOAT, TAG_INT, TAG_LIST, TAG_MAP, TAG_NULL, TAG_STR,
+    deeper, le_u64, take_bytes, take_str, take_u32, take_u8, COLUMN_DEPTH, TAG_BOOL_FALSE,
+    TAG_BOOL_TRUE, TAG_FLOAT, TAG_INT, TAG_LIST, TAG_MAP, TAG_NULL, TAG_STR,
 };
 
 /// `keep`, when present, must cover the frame's `samples` exactly.
@@ -113,14 +117,17 @@ impl ColumnarSlab {
         let regions = self.raw_regions()?;
         let mut prev = None;
         let mut keys = Vec::with_capacity(regions.len());
-        for (name, _) in &regions {
+        for (name, _, _) in &regions {
             check_key_order(&mut prev, name)?;
             let mut key = String::with_capacity(name.len() + 3);
             let _ = write_json_str(&mut key, name);
             key.push(':');
             keys.push(key);
         }
-        let mut cursors: Vec<&[u8]> = regions.iter().map(|(_, data)| data.as_slice()).collect();
+        let mut cursors: Vec<(&[u8], Kind, &str)> = regions
+            .iter()
+            .map(|(name, kind, data)| (&data[..], *kind, *name))
+            .collect();
         let mut written = 0;
         for i in 0..self.sample_count() {
             let kept = keeps(keep, i);
@@ -128,16 +135,19 @@ impl ColumnarSlab {
             if kept {
                 out.push('{');
             }
-            for (cur, key) in cursors.iter_mut().zip(&keys) {
+            for ((cur, kind, name), key) in cursors.iter_mut().zip(&keys) {
                 match take_u8(cur)? {
                     0 => {}
-                    1 if !kept => skip_value_at(cur, COLUMN_DEPTH)?,
+                    1 if !kept => kind.skip(cur)?,
                     1 => {
                         if !std::mem::take(&mut first) {
                             out.push(',');
                         }
                         out.push_str(key);
-                        transcode_value(cur, out, COLUMN_DEPTH)?;
+                        match kind {
+                            Kind::Tagged => transcode_value(cur, out, COLUMN_DEPTH)?,
+                            Kind::RawJson => out.push_str(take_raw(cur, name)?),
+                        }
                     }
                     other => {
                         return Err(DjError::Storage(format!("bad presence byte {other}")));
@@ -149,7 +159,7 @@ impl ColumnarSlab {
                 written += 1;
             }
         }
-        if cursors.iter().any(|cur| !cur.is_empty()) {
+        if cursors.iter().any(|(cur, ..)| !cur.is_empty()) {
             return Err(DjError::Storage("trailing bytes after column".into()));
         }
         Ok(written)
@@ -221,9 +231,9 @@ mod tests {
     }
 
     /// A one-sample columnar frame whose columns hold the given
-    /// (uncompressed) region bodies, in the given order.
+    /// (uncompressed) region bodies of tagged values, in the given order.
     fn hand_built(columns: &[(&str, Vec<u8>)]) -> ColumnarSlab {
-        let mut payload = vec![1u8];
+        let mut payload = vec![2u8];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&(columns.len() as u32).to_le_bytes());
         let regions: Vec<Vec<u8>> = columns
@@ -234,12 +244,8 @@ mod tests {
         for ((name, body), region) in columns.iter().zip(&regions) {
             payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
             payload.extend_from_slice(name.as_bytes());
-            let words = [
-                offset,
-                region.len() as u64,
-                body.len() as u64,
-                dj_hash::checksum64(region),
-            ];
+            payload.push(crate::columnar::COLUMN_TAGGED);
+            let words = [offset, region.len() as u64, body.len() as u64];
             words
                 .iter()
                 .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));

@@ -28,6 +28,11 @@
 //! codec's match table all come out of the run's buffer pool, so once the
 //! first shard has sized them, a shard like it reuses every one.
 //!
+//! Ingest has a budget per *field*: a record's fields that no op reads are
+//! left as JSON text in the shard's raw columns, so a line carrying them
+//! allocates per sample no more than the same line without them — no key,
+//! no `Value`, no string per field.
+//!
 //! The codec has the tightest budget of all: `decompress` makes exactly one
 //! allocation, the declared size plus a fixed slack, and `compress` at most
 //! two, its match table and its output — no buffer grows by doubling.
@@ -41,7 +46,7 @@ use std::collections::BTreeSet;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, Fingerprints, Op, Sample, SampleContext};
-use data_juicer::io::{OutputFormat, ShardedWriter};
+use data_juicer::io::{CorpusReader, OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, to_bytes, to_jsonl, BufferPool, Codec,
@@ -297,6 +302,56 @@ fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
         "allocations grow with the shard: {per_shard:?} for {sizes:?} samples"
     );
     assert!(steady[0] < 64, "{} allocations per shard", steady[0]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard cut by a reader that parses only `text`: one record per line, each
+/// carrying `inert` fields no op reads, and the allocations the cut took.
+fn ingest_allocations(dir: &std::path::Path, lines: usize, inert: usize) -> (u64, usize) {
+    let path = dir.join(format!("in-{inert}.jsonl"));
+    let mut text = String::new();
+    for i in 0..lines {
+        text.push_str(&format!(
+            "{{\"text\":\"document {i} with a few words in it\""
+        ));
+        for k in 0..inert {
+            text.push_str(&format!(
+                ",\"field{k}\":{{\"n\":[{i},{k},2.5,null],\"url\":\"https://example.org/{i}/{k}\"}}"
+            ));
+        }
+        text.push_str("}\n");
+    }
+    std::fs::write(&path, text).unwrap();
+    let parsed: BTreeSet<String> = ["text".to_string()].into();
+    let mut reader = CorpusReader::from_files(vec![path])
+        .unwrap()
+        .parsing_only(parsed);
+    let before = ALLOCATIONS.with(Cell::get);
+    let shard = reader.next_split_shard(lines).unwrap().unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(shard.samples.len(), lines);
+    assert_eq!(shard.raw.names().count(), inert);
+    (allocations, shard.raw.text_len())
+}
+
+#[test]
+fn an_inert_field_costs_ingest_no_allocation_per_sample() {
+    let dir = std::env::temp_dir().join(format!("dj-alloc-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let lines = 2048;
+    let (bare, _) = ingest_allocations(&dir, lines, 0);
+    for inert in [1, 4, 16] {
+        let (with, text) = ingest_allocations(&dir, lines, inert);
+        assert!(text > lines * inert * 30, "{text} bytes of raw text");
+        // The raw table's text and each column's name and entry list: one
+        // allocation, then growth by doubling (11 times to 2048 entries) —
+        // per shard and column, never per sample.
+        assert!(
+            with <= bare + 16 * (inert as u64 + 1),
+            "{inert} inert fields: {with} allocations against {bare} for {lines} lines"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

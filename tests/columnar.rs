@@ -5,12 +5,12 @@
 //! metadata-heavy corpus, the byte accounting, the retired recipe knob and
 //! the masks a stage leaves on its spool.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::{Dataset, Mapper, Op, Result, Sample, SampleContext, Value};
+use data_juicer::core::{Dataset, FieldSet, Mapper, Op, Result, Sample, SampleContext, Value};
 use data_juicer::exec::{executor_from_recipe, EgressManifest, ExecOptions, Executor};
 use data_juicer::hash::fnv1a;
 use data_juicer::ops::builtin_registry;
@@ -372,10 +372,10 @@ fn entry_bytes(entry: &std::path::Path) -> Vec<u8> {
 fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
     // Per stage, in order: key, entry length, FNV-1a of the entry.
     const ENTRIES: [(u64, usize, u64); 4] = [
-        (0x2bde_ef65_bf30_1810, 72_696, 5_506_603_431_746_966_956),
-        (0x815c_12f2_3359_3147, 69_820, 6_746_886_024_807_640_559),
-        (0x7017_bdcb_f324_90f2, 54_449, 12_263_912_218_426_052_372),
-        (0xbc26_b5a3_f02a_fe47, 53_793, 8_915_907_762_420_069_072),
+        (0x2bde_ef65_bf30_1810, 71_576, 14_060_653_567_133_703_691),
+        (0x815c_12f2_3359_3147, 68_700, 2_760_358_418_438_877_155),
+        (0x7017_bdcb_f324_90f2, 53_329, 13_472_227_677_334_668_326),
+        (0xbc26_b5a3_f02a_fe47, 52_673, 12_674_823_924_446_586_541),
     ];
     let data = metadata_heavy_corpus(160);
     for np in [1, 2] {
@@ -422,6 +422,124 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
         assert_eq!(stored, out.len(), "np {np}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A mapper that changes nothing and, on its first sample, looks at the
+/// spool its stage reads: per slot file, the raw JSON columns of the frame.
+/// Each sample also says whether it carries `url`. It declares its
+/// footprint `text` when `declared`, [`FieldSet::All`] otherwise.
+struct SpoolProbe {
+    spill: std::path::PathBuf,
+    declared: bool,
+    /// (raw JSON columns over every slot, samples seen, samples with `url`).
+    seen: Mutex<(Vec<String>, usize, usize)>,
+}
+
+impl Mapper for SpoolProbe {
+    fn name(&self) -> &'static str {
+        "spool_probe_mapper"
+    }
+
+    fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
+        let mut seen = self.seen.lock().unwrap();
+        if seen.1 == 0 {
+            for spool in std::fs::read_dir(&self.spill).unwrap() {
+                for slot in std::fs::read_dir(spool.unwrap().path()).unwrap() {
+                    let bytes = std::fs::read(slot.unwrap().path()).unwrap();
+                    let slab = ColumnarSlab::from_frame_bytes(&bytes).unwrap();
+                    for name in slab.column_names() {
+                        if slab.is_raw_json(name) && !seen.0.iter().any(|n| n == name) {
+                            seen.0.push(name.to_string());
+                        }
+                    }
+                }
+            }
+        }
+        seen.1 += 1;
+        seen.2 += usize::from(sample.value().get_path("url").is_some());
+        Ok(false)
+    }
+
+    fn fields_read(&self) -> FieldSet {
+        match self.declared {
+            true => FieldSet::of(["text"]),
+            false => FieldSet::All,
+        }
+    }
+
+    fn fields_written(&self) -> FieldSet {
+        self.fields_read()
+    }
+}
+
+/// A file run reads the fields no op touches as JSON text and stores it:
+/// behind the first barrier the spool holds them as raw JSON columns, and
+/// no op sees them. One op that declares [`FieldSet::All`] touches every
+/// field, so nothing is raw: every sample carries its every field, and the
+/// run writes the same bytes.
+#[test]
+fn a_recipe_with_an_undeclared_op_stores_no_raw_column_and_writes_the_same_bytes() {
+    let data = metadata_heavy_corpus(96);
+    let input = tmp_dir("all-in");
+    std::fs::create_dir_all(&input).unwrap();
+    std::fs::write(input.join("corpus.jsonl"), to_jsonl(&data)).unwrap();
+    let head = Recipe::new("all")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(OpSpec::new("document_deduplicator"))
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let (expected, _) = Executor::new(head.clone()).run(data.clone()).unwrap();
+    let mut outputs = Vec::new();
+    for declared in [true, false] {
+        let dir = tmp_dir(&format!("all-{declared}"));
+        let probe = Arc::new(SpoolProbe {
+            spill: dir.join("spill"),
+            declared,
+            seen: Mutex::new((Vec::new(), 0, 0)),
+        });
+        let mut ops = head.clone();
+        ops.push(Op::Mapper(probe.clone()));
+        let out_dir = dir.join("out");
+        Executor::new(ops)
+            .with_options(ExecOptions {
+                num_workers: 1,
+                shard_size: Some(16),
+                input: Some(format!("{}/*.jsonl", input.display())),
+                output: Some(out_dir.clone()),
+                spill_dir: Some(dir.join("spill")),
+                ..ExecOptions::default()
+            })
+            .run_io()
+            .unwrap();
+        let (raw, samples, with_url) = probe.seen.lock().unwrap().clone();
+        assert_eq!(samples, expected.len());
+        if declared {
+            let mut raw = raw;
+            raw.sort();
+            assert_eq!(
+                raw,
+                ["crawl_ts", "docid", "headers", "meta", "render_log", "url"]
+            );
+            assert_eq!(with_url, 0, "an inert field reached an op");
+        } else {
+            assert!(
+                raw.is_empty(),
+                "raw columns {raw:?} under a FieldSet::All op"
+            );
+            assert_eq!(with_url, samples);
+        }
+        let manifest = EgressManifest::load(&out_dir).unwrap();
+        let output: String = manifest
+            .parts
+            .iter()
+            .map(|p| std::fs::read_to_string(out_dir.join(&p.file)).unwrap())
+            .collect();
+        outputs.push(output);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(outputs[0], to_jsonl(&expected));
+    assert_eq!(outputs[1], outputs[0]);
+    let _ = std::fs::remove_dir_all(&input);
 }
 
 proptest! {

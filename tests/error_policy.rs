@@ -172,6 +172,62 @@ fn a_nesting_bomb_is_a_malformed_record_the_policy_handles() {
     }
 }
 
+/// [`PoisonMapper`] that declares its footprint: it reads and writes
+/// `text` only, so a file run leaves every other field of a record
+/// unparsed, as raw JSON text beside the sample.
+struct DeclaredPoisonMapper;
+
+impl data_juicer::core::Mapper for DeclaredPoisonMapper {
+    fn name(&self) -> &'static str {
+        "declared_poison_mapper"
+    }
+    fn process(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<bool> {
+        data_juicer::core::Mapper::process(&PoisonMapper, sample, ctx)
+    }
+    fn fields_read(&self) -> data_juicer::core::FieldSet {
+        data_juicer::core::FieldSet::of(["text"])
+    }
+    fn fields_written(&self) -> data_juicer::core::FieldSet {
+        self.fields_read()
+    }
+}
+
+/// A quarantined op casualty is the record as it was read, the fields the
+/// reader left unparsed included — not the part of it the op could see.
+#[test]
+fn a_quarantined_record_keeps_the_fields_no_op_read() {
+    let dir = fresh_dir("raw-record");
+    let input = dir.join("meta.jsonl");
+    let lines = [
+        r#"{"text":"a good sample","url":"https://example.org/1","h":{"b":[1,2.5],"a":null}}"#,
+        r#"{"h":{"k":"v"},"text":"this one is poison","url":"https://example.org/2"}"#,
+    ];
+    std::fs::write(&input, lines.join("\n") + "\n").unwrap();
+    let out = dir.join("out");
+    let (_, report) = Executor::new(vec![Op::Mapper(Arc::new(DeclaredPoisonMapper))])
+        .with_options(ExecOptions {
+            input: Some(input.display().to_string()),
+            output: Some(out.clone()),
+            on_error: OnError::Quarantine,
+            max_error_ratio: 1.0,
+            ..ExecOptions::default()
+        })
+        .run_io()
+        .unwrap();
+    assert_eq!((report.final_samples, report.records_quarantined), (1, 1));
+    let entries = read_quarantine(&out.join(QUARANTINE_FILE)).unwrap();
+    assert_eq!(
+        entries[0].record.to_string(),
+        r#"{"h":{"k":"v"},"text":"this one is poison","url":"https://example.org/2"}"#
+    );
+    let part = std::fs::read_to_string(out.join("part-00000.jsonl")).unwrap();
+    assert_eq!(
+        part,
+        "{\"h\":{\"a\":null,\"b\":[1,2.5]},\"text\":\"a good sample\",\"url\":\"https://example.org/1\"}\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn exceeding_the_error_budget_fails_cleanly_without_a_manifest() {
     let dir = fresh_dir("budget");

@@ -1,7 +1,7 @@
 //! Bytes we did not write: one seeded, structure-aware mutation loop over
 //! everything that opens sealed bytes — the envelope
 //! (`envelope::open_one`), `Frame::parse` and every operation on the parsed
-//! (`DJSC`) frame, the `frames` part reader (`FrameSlab`, the row `DJSF`
+//! (`DJSC`) frame, tagged and raw JSON columns alike, the `frames` part reader (`FrameSlab`, the row `DJSF`
 //! parser's entry point), the spool's reads, and a cache entry's seal
 //! record (`DJES`:
 //! `open_seal_record`, and the entry opened through it with every slot
@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 
 use proptest::TestRng;
 
-use data_juicer::core::{Dataset, DjError, Sample, Value, MAX_NESTING_DEPTH};
-use data_juicer::hash::checksum64;
+use data_juicer::core::{Dataset, DjError, RawColumns, Sample, Value, MAX_NESTING_DEPTH};
 use data_juicer::store::{
     compress, decompress, encode_columnar_frame, encode_shard_frame, envelope, open_seal_record,
     to_jsonl, BufferPool, CacheManager, CacheMode, Codec, ColumnarSlab, Frame, FrameSlab,
@@ -107,6 +106,25 @@ fn shard() -> Dataset {
 }
 
 const MASK: [bool; 7] = [true, false, true, true, false, true, false];
+
+/// [`shard`] as a file run stores it: `text` parsed, the rest raw JSON
+/// text, the samples [`MASK`] drops stored without entries. Sealed bytes,
+/// as a spool slot holds them.
+fn ingested_frame(dir: &std::path::Path, codec: Codec) -> Vec<u8> {
+    let mut raw = RawColumns::new();
+    let mut samples = Dataset::new();
+    for s in shard().iter() {
+        let mut root = s.value().clone();
+        raw.take_inert(&mut root, |key| key == "text");
+        raw.close();
+        samples.push(Sample::from_value(root).unwrap());
+    }
+    let mut processed = samples.clone();
+    processed.retain_mask(&MASK);
+    let spool = ShardSpool::create(dir.join("ingest"), 1, codec).unwrap();
+    spool.write_ingested(0, &processed, &raw, &MASK).unwrap();
+    std::fs::read(spool.dir().join("shard-00000.djs")).unwrap()
+}
 
 /// What the parsers are fed through: a spool slot, and a sealed cache
 /// entry of two slots whose seal record is replaced.
@@ -342,6 +360,8 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             COLUMNAR_FRAME_MAGIC,
             encode_columnar_frame(&Dataset::new(), Codec::Djz),
         ),
+        (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir, Codec::None)),
+        (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir, Codec::Djz)),
     ];
 
     // The sweeps: every seed as it is, cut at every header boundary and a
@@ -466,26 +486,96 @@ fn nested_sample(lists: usize) -> Dataset {
     Dataset::from_samples(vec![sample])
 }
 
-/// A sealed one-sample columnar frame with the single column `name` whose
-/// (uncompressed) region is `body`.
-fn one_column_frame(name: &str, body: &[u8]) -> Vec<u8> {
+/// A sealed one-sample columnar frame with the single column `name`, of
+/// kind `kind` (0 tagged, 1 raw JSON), whose (uncompressed) region is
+/// `body`.
+fn one_column_frame(name: &str, kind: u8, body: &[u8]) -> Vec<u8> {
     let region = compress(body, Codec::None);
-    let mut payload = vec![1u8];
+    let mut payload = vec![2u8];
     payload.extend_from_slice(&1u64.to_le_bytes());
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
     payload.extend_from_slice(name.as_bytes());
-    let words = [
-        0,
-        region.len() as u64,
-        body.len() as u64,
-        checksum64(&region),
-    ];
+    payload.push(kind);
+    let words = [0, region.len() as u64, body.len() as u64];
     words
         .iter()
         .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
     payload.extend_from_slice(&region);
     envelope::seal(COLUMNAR_FRAME_MAGIC, &payload)
+}
+
+/// A one-sample raw JSON region holding `text` behind a length prefix of
+/// `len`.
+fn raw_entry(len: u32, text: &[u8]) -> Vec<u8> {
+    let mut body = vec![1u8];
+    body.extend_from_slice(&len.to_le_bytes());
+    body.extend_from_slice(text);
+    body
+}
+
+/// A raw JSON entry behind a valid checksum is text no reader checked. A
+/// decode parses it, so anything but JSON `write_json` could have printed —
+/// bad escapes, invalid UTF-8, a control byte, nesting past the limit, a
+/// length prefix past the region — is a typed storage error from every
+/// reader of the column, never a panic, and never printed into a part.
+#[test]
+fn a_damaged_raw_json_entry_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("dj-hostile-raw-{}", std::process::id()));
+    let targets = Targets::new(&dir);
+    let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+    // A field of a sample sits one level in: the root object is the first.
+    let fits = deep(MAX_NESTING_DEPTH - 1);
+    let sealed = one_column_frame("meta", 1, &raw_entry(fits.len() as u32, fits.as_bytes()));
+    check(&targets, "raw nesting at the limit", &sealed);
+    let frame = Frame::parse(&sealed).unwrap();
+    assert_eq!(frame.decode(None, None).unwrap().0.len(), 1);
+    let mut printed = String::new();
+    frame.write_jsonl(None, &mut printed).unwrap();
+    assert_eq!(printed, format!("{{\"meta\":{fits}}}\n"));
+
+    let past = deep(MAX_NESTING_DEPTH);
+    let damaged: Vec<(&str, Vec<u8>)> = vec![
+        ("bad escape", raw_entry(4, b"\"\\x\"")),
+        ("not JSON", raw_entry(3, b"{,}")),
+        ("trailing text", raw_entry(4, b"1 2x")),
+        ("invalid UTF-8", raw_entry(3, b"\"\xff\"")),
+        ("control byte", raw_entry(3, b"\"\n\"")),
+        (
+            "nesting one level past",
+            raw_entry(past.len() as u32, past.as_bytes()),
+        ),
+        ("length past the region", raw_entry(1 << 30, b"null")),
+        ("length bomb", raw_entry(u32::MAX, b"")),
+        ("cut length", vec![1u8, 7, 0]),
+    ];
+    for (what, body) in damaged {
+        let sealed = one_column_frame("meta", 1, &body);
+        check(&targets, what, &sealed);
+        let frame = Frame::parse(&sealed).unwrap();
+        for result in [
+            frame.decode(None, None).map(drop),
+            frame.decode(None, Some(&[true])).map(drop),
+            frame.with_texts("meta.x", |t| Ok(t.len())).map(drop),
+        ] {
+            assert!(
+                matches!(result, Err(DjError::Storage(_))),
+                "{what}: {result:?}"
+            );
+        }
+        // A part gets JSON text or nothing: what egress copies must at
+        // least be one line of UTF-8.
+        let mut printed = String::new();
+        match frame.write_jsonl(None, &mut printed) {
+            Ok(_) => assert!(!printed.trim_end().contains(['\n', '\r']), "{what}"),
+            Err(e) => assert!(matches!(e, DjError::Storage(_)), "{what}: {e:?}"),
+        }
+    }
+    // An unknown column kind is refused when the frame is parsed.
+    let err = Frame::parse(&one_column_frame("meta", 2, &raw_entry(4, b"null"))).unwrap_err();
+    assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+    drop(targets);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Nesting behind a valid checksum. The tagged-value decoders recurse once
@@ -536,7 +626,7 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
         deep.extend_from_slice(&1u32.to_le_bytes());
     }
     deep.push(0); // null
-    let sealed = one_column_frame("text", &[&[1u8][..], &deep].concat());
+    let sealed = one_column_frame("text", 0, &[&[1u8][..], &deep].concat());
     check(&targets, "nesting bomb", &sealed);
     let frame = Frame::parse(&sealed).unwrap();
     refused(frame.decode(None, None), "decode");

@@ -8,14 +8,22 @@
 //! non-ASCII, clean runs longer than a machine word, integral / huge /
 //! NaN / infinite floats, nested maps and lists, columns absent vs explicit
 //! `null`, empty shards and masks that drop everything.
+//!
+//! The record splitter (`parse_record`, what file ingest reads with) is
+//! held to `parse_json` itself: the same accept/reject set with the same
+//! error text and byte offsets, and on success the same record — the
+//! fields it parsed, plus the ones it left as raw JSON text, each of which
+//! is exactly what the writer prints for that field's value.
 
 mod json_reference;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write as _;
 
 use proptest::prelude::*;
 
-use data_juicer::core::{parse_json, Dataset, Sample, Value};
+use data_juicer::core::{parse_json, parse_record, Dataset, RawColumns, Sample, Value};
+use data_juicer::io::JsonlReader;
 use data_juicer::store::{
     encode_columnar_frame, encode_shard_frame, to_jsonl, Codec, ColumnarSlab, FrameSlab,
 };
@@ -211,8 +219,99 @@ fn mutations(text: &str, seed: u64) -> Vec<String> {
     vec![with(&[]), with(&[chars[at], chars[at]]), with(&[swap])]
 }
 
+/// The splitter on one record, parsing only `text`: the verdict, error
+/// text and record `parse_json` gives, with every raw entry the writer's
+/// text for its field, and `raw` untouched by a refused record.
+fn splitter_agrees(input: &str) {
+    let parsed: BTreeSet<String> = ["text".to_string()].into();
+    let mut raw = RawColumns::new();
+    raw.push("before", "1");
+    raw.close();
+    let want = parse_json(input).and_then(Sample::from_value);
+    match (parse_record(input, &parsed, &mut raw), want) {
+        (Ok(got), Ok(want)) => {
+            let mut whole = got.into_value();
+            for (name, text) in raw.sample_entries(1) {
+                let value = want.value().get_path(name).unwrap();
+                assert_eq!(text, json_reference::to_json(value), "{input:?}: `{name}`");
+                let back = parse_json(text).unwrap();
+                whole.as_map_mut().unwrap().insert(name.to_string(), back);
+            }
+            assert_eq!(
+                json_reference::to_json(&whole),
+                json_reference::to_json(want.value()),
+                "{input:?}"
+            );
+        }
+        (Err(got), Err(want)) => {
+            assert_eq!(got.to_string(), want.to_string(), "{input:?}");
+            assert_eq!((raw.len(), raw.text_len()), (1, 1), "{input:?}: debris");
+        }
+        (got, want) => panic!("{input:?}: {got:?} vs {want:?}"),
+    }
+}
+
+/// `v` as a record: a map as it is, anything else under a key of its own
+/// beside `text`.
+fn as_record(v: Value, text: String) -> Value {
+    match v {
+        Value::Map(mut m) => {
+            m.insert("text".into(), Value::Str(text));
+            Value::Map(m)
+        }
+        other => Value::Map(BTreeMap::from([
+            ("text".to_string(), Value::Str(text)),
+            ("other".to_string(), other),
+        ])),
+    }
+}
+
+/// The rendering with a bit of text rewritten the way no writer here
+/// writes it: the escapes, numbers and spacing `parse_json` accepts and
+/// `write_json` never prints.
+fn noncanonical(rendered: &str, seed: u64) -> String {
+    let edits: [(&str, &str); 8] = [
+        ("\\\"", "\\u0022"),
+        ("/", "\\/"),
+        ("a", "\\u0061"),
+        ("\\n", "\\u000A"),
+        (".0", ".0e0"),
+        (",", " ,\n"),
+        (":", " : "),
+        ("0", "-0"),
+    ];
+    let (from, to) = edits[(seed % edits.len() as u64) as usize];
+    let at = rendered
+        .match_indices(from)
+        .map(|(i, _)| i)
+        .nth((seed / 8) as usize % rendered.matches(from).count().max(1));
+    match at {
+        Some(i) => format!("{}{to}{}", &rendered[..i], &rendered[i + from.len()..]),
+        None => rendered.to_string(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn prop_the_splitter_reads_what_parse_json_reads(
+        v in tree(),
+        text in text(),
+        seed in any::<u64>(),
+        doc in garbage(),
+    ) {
+        let rendered = json_reference::to_json(&as_record(v, text));
+        splitter_agrees(&rendered);
+        splitter_agrees(&noncanonical(&rendered, seed));
+        splitter_agrees(&format!(" \n{}\t\r ", rendered.replace("\":", "\" :\n")));
+        for mutated in mutations(&rendered, seed) {
+            splitter_agrees(&mutated);
+        }
+        splitter_agrees(&doc);
+        splitter_agrees(&format!("{{\"text\":\"t\",\"m\":{doc}}}"));
+        splitter_agrees(&format!("{{\"m\":{doc},\"text\":\"t\"}}"));
+    }
 
     #[test]
     fn prop_writer_prints_what_the_reference_prints(v in tree()) {
@@ -271,6 +370,52 @@ proptest! {
         }
         prop_assert!(same(&back, &printable(&v)), "{v:?} read back as {back:?}");
     }
+}
+
+/// Nesting is counted from the record's root on both paths, and a field
+/// with a bad escape refuses its record: the same error at the same byte
+/// offset. A line that is not UTF-8 is refused before either parser runs,
+/// with the same error from both of the reader's paths.
+#[test]
+fn the_splitter_refuses_what_parse_json_refuses() {
+    for levels in [1, 126, 127, 128, 200] {
+        let field = format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        splitter_agrees(&format!("{{\"text\":\"t\",\"m\":{field}}}"));
+        splitter_agrees(&format!("{{\"m\":{field},\"text\":\"t\"}}"));
+        splitter_agrees(&format!("{{\"text\":{field}}}"));
+    }
+    for bad in [
+        r#"{"text":"t","m":"\x"}"#,
+        r#"{"text":"t","m":"\u12"}"#,
+        r#"{"text":"t","m":"\ud800x"}"#,
+        r#"{"m":"a\"#,
+        r#"{"text":"t","m":01x}"#,
+        r#"{"text":"t","m":[1,2}"#,
+        r#"{"text":"t","m":{"a" 1}}"#,
+        r#"{"text":"t" "m":1}"#,
+        r#"{"text":"t","m":1}}"#,
+    ] {
+        splitter_agrees(bad);
+        assert!(parse_json(bad).is_err(), "{bad}");
+    }
+
+    let path = std::env::temp_dir().join(format!("dj-json-diff-utf8-{}.jsonl", std::process::id()));
+    let mut file = std::fs::File::create(&path).unwrap();
+    file.write_all(b"{\"text\":\"t\",\"m\":\"\xff\"}\n{\"text\":\"ok\",\"m\":\"\\/\"}\n")
+        .unwrap();
+    drop(file);
+    let parsed: BTreeSet<String> = ["text".to_string()].into();
+    let mut whole = JsonlReader::open(&path).unwrap();
+    let mut split = JsonlReader::open(&path).unwrap();
+    let mut raw = RawColumns::new();
+    let (a, b) = (whole.next_sample(), split.next_split(&parsed, &mut raw));
+    assert_eq!(a.unwrap_err().to_string(), b.unwrap_err().to_string());
+    assert_eq!((raw.len(), raw.text_len()), (0, 0));
+    assert_eq!(whole.take_bad_record(), split.take_bad_record());
+    let sample = split.next_split(&parsed, &mut raw).unwrap().unwrap();
+    assert_eq!(sample.text(), "ok");
+    assert_eq!(raw.sample_entries(0).collect::<Vec<_>>(), [("m", "\"/\"")]);
+    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {

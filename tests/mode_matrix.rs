@@ -455,6 +455,65 @@ fn corner_recipes_and_corpora_match_the_oracle_in_every_mode() {
     check_case(&leading, &Case::new("one", corpus(8, 1), 1));
 }
 
+/// The text of sample `i`'s fields no op reads, written as no writer of
+/// this workspace writes JSON: whitespace, `\/` and `\u0041` escapes,
+/// `1.0e3` and `-0`, nested keys out of order, duplicate keys — and `url`
+/// canonical on every other line only, so one column takes both paths.
+fn noncanonical_fields(i: usize) -> String {
+    let url = match i % 2 {
+        0 => format!("\"url\":\"https://example.org/{i}\""),
+        _ => format!("\"url\" : \"https:\\/\\/example.org\\/{i}\""),
+    };
+    let extra = match i % 5 {
+        0 => format!("\"meta\":{{\"z\":{i},\"a\":{{\"y\":[1.0e3,-0,2.50],\"b\":\"\\u0041\\t\"}}}}"),
+        1 => "\"dup\":\"first\",\"dup\":{\"k\":[true,null],\"j\":1E2}".to_string(),
+        2 => "\"s\":\"\\ud83d\\ude00 \\u00e9 \\b\\f\\u001F\",\"n\":-0.0".to_string(),
+        3 => "\"big\":99999999999999999999,\"e\":[ 1 , { } , [ ] ]".to_string(),
+        _ => format!("\"meta\":{{\"a\":{{\"b\":\"A\\t\",\"y\":[1000.0,0,2.5]}},\"z\":{i}}}"),
+    };
+    format!("{url}, {extra}")
+}
+
+/// Inert fields that are not canonical JSON text are parsed and written,
+/// each on its own, on the way in; canonical ones are copied. Either way
+/// every shape prints what the oracle prints for the parsed record.
+#[test]
+fn non_canonical_inert_fields_match_the_oracle_in_every_mode() {
+    let texts = corpus(21, 60);
+    let lines: Vec<String> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let mut text = String::new();
+            data_juicer::core::write_json_str(&mut text, s.text()).unwrap();
+            match i % 3 {
+                0 => format!("{{\"text\":{text},{}}}", noncanonical_fields(i)),
+                1 => format!(" {{ {} , \"text\" : {text} }} ", noncanonical_fields(i)),
+                _ => format!(
+                    "{{{},\"text\":\"overwritten\",\"text\":{text}}}",
+                    noncanonical_fields(i)
+                ),
+            }
+        })
+        .collect();
+    let data: Dataset = lines
+        .iter()
+        .map(|line| Sample::from_value(data_juicer::core::parse_json(line).unwrap()).unwrap())
+        .collect();
+    let case = Case::new("noncanonical", data, 8);
+    let per_file = lines.len().div_ceil(3);
+    for (k, chunk) in lines.chunks(per_file).enumerate() {
+        fs::write(
+            case.dir.join(format!("in/{k:02}.jsonl")),
+            chunk.join("\n") + "\n",
+        )
+        .unwrap();
+    }
+    let kept = check_case(&[0, 3, 8, 1, 4, 9], &case);
+    assert!(kept > 0 && kept < case.data.len(), "{kept}");
+    check_case(&[10, 2, 5], &case);
+}
+
 /// A spilled barrier writes nothing — its mask rides on the spool to
 /// whatever opens it next. Every next thing, in every shape: JSONL egress
 /// (transcoded), `frames` egress (a masked decode into row frames),
