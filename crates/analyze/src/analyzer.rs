@@ -44,7 +44,7 @@ fn measuring_filters(dims: &[String], field: &str) -> Vec<Arc<dyn Filter>> {
     ]);
     let ops: BTreeSet<&str> = dims
         .iter()
-        .filter_map(|d| dj_ops::measuring_filter(d))
+        .filter_map(|d| registry.filter_measuring(d))
         .collect();
     ops.into_iter()
         .filter_map(

@@ -29,9 +29,14 @@
 //! that recognizes canonical text — exactly what [`write_json`] prints for
 //! the value [`parse_json`] would build — and its bytes go to the shard's
 //! [`RawColumns`] as they are; a field the scanner does not recognize is
-//! parsed and written, so its entry is canonical all the same. A record
-//! the splitter cannot read goes to [`parse_json`] whole, so it accepts
-//! and refuses exactly what `parse_json` does, with the same error.
+//! parsed and written, so its entry is canonical all the same. A field
+//! whose value that text would not read back as (a non-finite float, an
+//! integral float printed as an integer: see [`round_trips`]) demotes its
+//! column for the rest of the shard: the field is parsed into the samples
+//! from then on, and the entries the column already holds are parsed into
+//! theirs ([`RawColumns::restore_demoted`]). A record the splitter cannot
+//! read goes to [`parse_json`] whole, so it accepts and refuses exactly
+//! what `parse_json` does, with the same error.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -163,6 +168,29 @@ pub fn write_json<W: fmt::Write>(out: &mut W, v: &Value) -> fmt::Result {
     }
 }
 
+/// Whether [`parse_json`] reads back `v` itself from what [`write_json`]
+/// prints for it. Two floats print as another value: a non-finite one as
+/// `null`, and an integral one of `|x| ≥ 1e15` that fits an `i64` as the
+/// digits of an integer, which read back as [`Value::Int`].
+pub(crate) fn round_trips(v: &Value) -> bool {
+    match v {
+        Value::Float(x) if !x.is_finite() => false,
+        Value::Float(x) if x.fract() != 0.0 || x.abs() < 1e15 => true,
+        Value::Float(x) => {
+            // Printed as the digits of an integer, too long for the stack
+            // unless they might fit an `i64`.
+            let mut printed = StackText::default();
+            let as_int = write_json_f64(&mut printed, *x).is_ok()
+                && std::str::from_utf8(printed.as_bytes())
+                    .is_ok_and(|text| text.parse::<i64>().is_ok());
+            !as_int
+        }
+        Value::List(items) => items.iter().all(round_trips),
+        Value::Map(map) => map.values().all(round_trips),
+        Value::Null | Value::Bool(_) | Value::Int(_) | Value::Str(_) => true,
+    }
+}
+
 /// Text short enough for the stack: a number's canonical form, at most 24
 /// bytes. Writing more is an error.
 #[derive(Default)]
@@ -210,12 +238,14 @@ pub fn parse_json_nested(input: &str, depth: usize) -> Result<Value> {
 /// `parsed` does not name out of it: each becomes the open sample's entry
 /// in `raw`, as canonical JSON text, and `raw` closes the sample. The
 /// input bytes of a field are copied when the scanner confirms they are
-/// what [`write_json`] prints; any other field is parsed and written.
+/// what [`write_json`] prints; any other field is parsed and written, or,
+/// when that text would read back as another value, kept in the sample and
+/// its column demoted ([`RawColumns::demote`]).
 ///
 /// Accepts and refuses exactly what `parse_json` followed by
-/// [`Sample::from_value`] does, with the same error, and leaves `raw` as it
-/// was on an error: a record the splitter cannot read is handed to
-/// `parse_json` whole.
+/// [`Sample::from_value`] does, with the same error, and leaves no entry of
+/// a refused record in `raw`: a record the splitter cannot read is handed
+/// to `parse_json` whole.
 pub fn parse_record(
     input: &str,
     parsed: &BTreeSet<String>,
@@ -292,7 +322,7 @@ impl<'a> Parser<'a> {
                 let key = self.parse_key()?;
                 self.skip_ws();
                 self.expect(b':')?;
-                if parsed.contains(key.as_ref()) {
+                if parsed.contains(key.as_ref()) || raw.is_demoted(&key) {
                     let value = self.parse_value()?;
                     map.insert(key.into_owned(), value);
                 } else {
@@ -303,9 +333,14 @@ impl<'a> Parser<'a> {
                     } else {
                         self.pos = start;
                         let value = self.parse_value()?;
-                        raw.push_with(&key, |text| {
-                            let _ = write_json(text, &value);
-                        });
+                        if round_trips(&value) {
+                            raw.push_with(&key, |text| {
+                                let _ = write_json(text, &value);
+                            });
+                        } else {
+                            raw.demote(&key);
+                            map.insert(key.into_owned(), value);
+                        }
                     }
                 }
                 self.skip_ws();
@@ -882,6 +917,7 @@ mod tests {
                 let mut entries = Vec::new();
                 for (name, text) in raw.sample_entries(1) {
                     assert!(!parsed.contains(name), "{line}: {name} was parsed");
+                    assert!(!raw.is_demoted(name), "{line}: {name} was demoted");
                     let value = want.value().get_path(name).unwrap();
                     assert_eq!(text, value.to_string(), "{line}: {name}");
                     whole
@@ -890,8 +926,9 @@ mod tests {
                         .insert(name.into(), parse_json(text).unwrap());
                     entries.push((name.to_string(), text.to_string()));
                 }
-                // Printed, the two are one record (a non-finite float is
-                // `null` either way).
+                // The two are one record, value for value: no entry reads
+                // back as another value than the one it was printed from.
+                assert_eq!(&whole, want.value(), "{line}");
                 assert_eq!(whole.to_string(), want.value().to_string(), "{line}");
                 Some(entries)
             }
@@ -916,6 +953,8 @@ mod tests {
             r#"{"text":"t","m":[1.0e3,-0,01,1E2,99999999999999999999,1e999,2.50]}"#,
             r#"{"text":"t","m":{"b":1,"a":2},"n":{"a":1,"a":2},"o":{"\n":1}}"#,
             r#"{"m":1,"m":{"z":[]},"text":"x","text":"y"}"#,
+            r#"{"text":"t","m":1700000000000000.0,"n":[1e999],"o":{"a":-1e15}}"#,
+            r#"{"m":2,"m":1e999,"n":1e999,"n":3}"#,
             r#"{}"#,
             r#" {"text":"only"} "#,
         ] {
@@ -942,6 +981,77 @@ control"}"#,
             let line = nested(levels).replace("\"text\"", "\"m\"");
             splits_like_parse_json(&line, &["text"]);
         }
+    }
+
+    /// `round_trips` is what the writer and the parser do.
+    #[test]
+    fn round_trips_says_whether_a_value_reads_back_from_its_text() {
+        let two63 = 2f64.powi(63);
+        let floats = [
+            0.0,
+            -0.0,
+            0.5,
+            1e-7,
+            2.5e14,
+            999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1.7e15,
+            1e15 + 0.5,
+            9.2e18,
+            two63,
+            -two63,
+            -two63 * 2.0,
+            1e20,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in floats {
+            let v = Value::Float(x);
+            let back = parse_json(&v.to_string()).unwrap();
+            assert_eq!(round_trips(&v), back == v, "{x}: read back as {back:?}");
+        }
+        assert!(round_trips(
+            &parse_json(r#"{"a":[1,"s",null,true,2.5]}"#).unwrap()
+        ));
+        let nested = Value::from(vec![Value::Int(1), Value::Float(f64::INFINITY)]);
+        assert!(!round_trips(&nested));
+    }
+
+    /// A field with a value that would read back as another demotes its
+    /// column for the rest of the shard: the entries the column already
+    /// held are parsed into their samples, so the shard holds what a whole
+    /// parse of each record holds.
+    #[test]
+    fn a_value_that_reads_back_as_another_demotes_its_column() {
+        let lines = [
+            r#"{"text":"a","m":1,"u":"x"}"#,
+            r#"{"text":"b","u":"y"}"#,
+            r#"{"text":"c","m": 2.0,"u":"z"}"#,
+            r#"{"text":"d","m":1700000000000000.0,"u":"w"}"#,
+            r#"{"text":"e","m":"s","u":1e999}"#,
+            r#"{"text":"f","m":3,"u":"v"}"#,
+        ];
+        let parsed: BTreeSet<String> = ["text".to_string()].into();
+        let mut raw = RawColumns::new();
+        let mut shard = crate::Dataset::new();
+        for line in lines {
+            shard.push(parse_record(line, &parsed, &mut raw).unwrap());
+        }
+        assert!(raw.is_demoted("m") && raw.is_demoted("u"));
+        assert!(!raw.has_columns());
+        raw.restore_demoted(&mut shard).unwrap();
+        for (sample, line) in shard.iter().zip(lines) {
+            let want = parse_json(line).unwrap();
+            assert_eq!(sample.value(), &want, "{line}");
+        }
+        assert_eq!(
+            shard.get(3).unwrap().value().get_path("m"),
+            Some(&Value::Float(1.7e15))
+        );
     }
 
     #[test]

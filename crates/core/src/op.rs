@@ -475,6 +475,8 @@ impl<'a> ParamView<'a> {
 #[derive(Default)]
 pub struct OpRegistry {
     factories: BTreeMap<String, OpFactory>,
+    /// Stat key → the filter op registered as recording it.
+    measured_by: BTreeMap<String, String>,
 }
 
 impl OpRegistry {
@@ -484,7 +486,23 @@ impl OpRegistry {
 
     /// Register a factory under `name`; replaces any previous registration.
     pub fn register(&mut self, name: &str, factory: OpFactory) {
+        self.measured_by.retain(|_, op| op != name);
         self.factories.insert(name.to_string(), factory);
+    }
+
+    /// [`register`](OpRegistry::register) a filter whose filters record the
+    /// stat `stats_key` ([`Filter::stats_key`]), so that
+    /// [`filter_measuring`](OpRegistry::filter_measuring) finds it without
+    /// building any op.
+    pub fn register_filter(&mut self, name: &str, stats_key: &str, factory: OpFactory) {
+        self.register(name, factory);
+        self.measured_by
+            .insert(stats_key.to_string(), name.to_string());
+    }
+
+    /// The filter registered as recording the stat `stats_key`.
+    pub fn filter_measuring(&self, stats_key: &str) -> Option<&str> {
+        self.measured_by.get(stats_key).map(String::as_str)
     }
 
     /// Instantiate an OP by name with the given parameters. A parameter

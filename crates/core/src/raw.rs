@@ -8,9 +8,20 @@
 //! its canonical JSON text — exactly what [`crate::write_json`] prints for
 //! the value — into the shard's [`RawColumns`], one column per field name.
 //! The shard's frame stores the text as it is, and egress copies it.
+//!
+//! An entry is only ever text that reads back as the value it was printed
+//! from. A field with a value that does not (a float the writer prints as
+//! `null` or as an integer) is *demoted* for the rest of the shard: it is
+//! parsed into the samples like a field some op touches, and the entries
+//! its column already held are parsed into theirs when the shard is cut
+//! ([`RawColumns::restore_demoted`]), so a decode of the shard reads back
+//! the values a whole parse reads.
 
 use std::ops::Range;
 
+use crate::dataset::Dataset;
+use crate::error::Result;
+use crate::json::{parse_json_nested, round_trips};
 use crate::value::Value;
 
 /// One raw column: its field name and, per sample, where that sample's
@@ -41,11 +52,22 @@ pub struct RawColumns {
     samples: usize,
     /// Where the open sample's text starts.
     open_at: usize,
+    /// Columns taken out of the table ([`demote`](RawColumns::demote)),
+    /// with the entries of the closed samples they held.
+    demoted: Vec<RawColumn>,
 }
 
 impl RawColumns {
     pub fn new() -> RawColumns {
         RawColumns::default()
+    }
+
+    /// An empty table with room for `text` bytes of entries.
+    pub fn with_capacity(text: usize) -> RawColumns {
+        RawColumns {
+            text: String::with_capacity(text),
+            ..RawColumns::default()
+        }
     }
 
     /// Closed samples.
@@ -116,18 +138,69 @@ impl RawColumns {
     }
 
     /// Move every top-level field of `root` (a map) that `parsed` does not
-    /// name out of it and into the open sample, printed by `write_json`.
+    /// name and no demoted column holds out of it and into the open sample,
+    /// printed by `write_json`. A value that would not read back from that
+    /// text stays in `root`, and its column is demoted.
     pub fn take_inert(&mut self, root: &mut Value, parsed: impl Fn(&str) -> bool) {
         let Some(map) = root.as_map_mut() else { return };
-        let inert: Vec<String> = map.keys().filter(|k| !parsed(k)).cloned().collect();
+        let inert: Vec<String> = map
+            .keys()
+            .filter(|k| !parsed(k) && !self.is_demoted(k))
+            .cloned()
+            .collect();
         for key in inert {
-            if let Some(value) = map.remove(&key) {
+            if !map.get(&key).is_some_and(round_trips) {
+                self.demote(&key);
+            } else if let Some(value) = map.remove(&key) {
                 self.push_with(&key, |text| {
                     // Writing into a String cannot fail.
                     let _ = crate::json::write_json(text, &value);
                 });
             }
         }
+    }
+
+    /// Whether column `name` was demoted: its field is parsed into the
+    /// samples for the rest of the table.
+    pub fn is_demoted(&self, name: &str) -> bool {
+        self.demoted.iter().any(|c| c.name == name)
+    }
+
+    /// Take column `name` out of the table: from now on its field is
+    /// parsed into the samples. The entries of the closed samples go with
+    /// it, for [`restore_demoted`](RawColumns::restore_demoted); the open
+    /// sample's entry, if any, is dropped, as the value that demoted the
+    /// column replaces it.
+    pub fn demote(&mut self, name: &str) {
+        if self.is_demoted(name) {
+            return;
+        }
+        let mut column = match self.column(name) {
+            Some(c) => self.columns.remove(c),
+            None => RawColumn {
+                name: name.to_string(),
+                entries: Vec::new(),
+            },
+        };
+        column.entries.truncate(self.samples);
+        self.demoted.push(column);
+    }
+
+    /// Parse every entry a demoted column held into its sample of
+    /// `samples`, the table's closed samples in order.
+    pub fn restore_demoted(&mut self, samples: &mut Dataset) -> Result<()> {
+        for column in std::mem::take(&mut self.demoted) {
+            let entries = column.entries.iter().zip(samples.samples_mut());
+            for (range, sample) in entries {
+                let Some(range) = range else { continue };
+                // Text that came out of `write_json`, one level deep.
+                let value = parse_json_nested(&self.text[range.clone()], 1)?;
+                if let Some(map) = sample.value_mut().as_map_mut() {
+                    map.insert(column.name.clone(), value);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The open sample becomes the table's next sample.

@@ -57,15 +57,22 @@ use crate::stream::{drive, Feed, Resident, RunCtl};
 /// traffic out.
 ///
 /// A raw JSON region (a field no op of a file run reads) is stored
-/// uncompressed whatever this codec says (`dj-store`'s rule), and read in
-/// place. Measured on raw regions alone, against Djz for them (seed 11,
-/// alternating pairs): `meta-file-col` `wall_s` 0.735 s against 0.899
-/// (−18 %, 4 of 4 pairs) and `peak_rss_mb` 52.9 MB against 50.3 (+5 %);
-/// `serve-4tenant` 0.336 s against 0.387 (−13 %, 3 of 3) and 129.8 MB
-/// against 106.6 (+22 %). The ingest spool of the `meta-file-col` corpus
-/// (120 MB of JSONL) takes 113.4 MB against 41.9 MB. Djz spent the time
-/// compressing text at ingest and decompressing it into a second buffer at
-/// egress; stored, the text is read where the slot was loaded.
+/// uncompressed whatever this codec says (`dj-store`'s rule), read in
+/// place, and passed on by a splice without a copy. Measured against Djz
+/// for raw regions alone, on the same code otherwise (seed 11, 4
+/// alternating pairs each, 2-core VM): `meta-file-col` `wall_s` 0.769 s
+/// against 0.930 (−17 %, 4 of 4 pairs) at 47.6 MB `peak_rss_mb` against
+/// 47.4; `serve-4tenant` 0.432 s against 0.446 and 126.4 MB against 131.4.
+/// The ingest spool of the `meta-file-col` corpus (120 MB of JSONL) takes
+/// 113.4 MB stored against 41.9 MB with Djz. Djz spent the time
+/// compressing text at ingest and decompressing it into a second buffer
+/// at egress. Djz does not lower `serve-4tenant`'s peak either: that peak
+/// is set by the multi-MB blocks glibc keeps once freed, not by live
+/// bytes: run with `MALLOC_MMAP_THRESHOLD_=1048576` (a diagnostic only),
+/// the code before raw regions read ≈ 71 MB and code with stored raw
+/// regions ≈ 50 (3 pairs). What a
+/// 2.7× larger spool costs a spill that waits on the disk is not
+/// measured: a benchmark spool lives in the page cache.
 pub(crate) const SPILL_CODEC: Codec = Codec::Djz;
 
 /// Samples per in-memory barrier hash morsel: workers stay balanced by
@@ -222,12 +229,13 @@ fn mem_feed<'a>(shards: Vec<Dataset>, mask: Mask) -> Feed<'a, Loaded<'a>> {
 pub(crate) fn reader_feed<'a>(
     reader: &'a Mutex<(CorpusReader, usize)>,
     shard_size: usize,
+    parsed: Option<&'a BTreeSet<String>>,
 ) -> Feed<'a, Loaded<'a>> {
     Feed {
         len: None,
         next: Box::new(move || {
             let mut guard = lock(reader);
-            let Some(read) = guard.0.next_split_shard(shard_size)? else {
+            let Some(read) = guard.0.next_split_shard(shard_size, parsed)? else {
                 return Ok(None);
             };
             guard.1 += 1;
@@ -281,9 +289,9 @@ impl Sink<'_> {
         };
         let (passthrough, samples) = match (frame, raw) {
             (Some(frame), _) => {
-                let (bytes, samples, passthrough) =
+                let (parts, samples, passthrough) =
                     frame.store_processed(&shard, cols, &keep, SPILL_CODEC)?;
-                out.write_frame_bytes(idx, &bytes, samples)?;
+                out.write_frame(idx, &parts, samples)?;
                 (passthrough, samples)
             }
             (None, Some(raw)) if raw.has_columns() => {
@@ -828,11 +836,9 @@ mod tests {
             .collect();
         std::fs::write(dir.join("in.jsonl"), lines.concat()).unwrap();
         let parsed: BTreeSet<String> = ["text".to_string()].into();
-        let reader = CorpusReader::from_pattern(&format!("{}/*.jsonl", dir.display()))
-            .unwrap()
-            .parsing_only(parsed);
+        let reader = CorpusReader::from_pattern(&format!("{}/*.jsonl", dir.display())).unwrap();
         let reader = Mutex::new((reader, 0));
-        let feed = reader_feed(&reader, 3);
+        let feed = reader_feed(&reader, 3, Some(&parsed));
         let mut charged = Vec::new();
         while let Some((_, loaded)) = (feed.next)().unwrap() {
             let raw = loaded.raw.as_ref().unwrap();

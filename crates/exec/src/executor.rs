@@ -285,16 +285,13 @@ impl Executor {
             .shard_size
             .unwrap_or(DEFAULT_IO_SHARD_SIZE)
             .max(1);
-        let mut reader = CorpusReader::from_pattern(input)?.with_ledger(Arc::clone(ledger));
-        if let Some(parsed) = parsed {
-            reader = reader.parsing_only(parsed);
-        }
+        let reader = CorpusReader::from_pattern(input)?.with_ledger(Arc::clone(ledger));
         let (steps, ran): (&[PlanStep], usize) = match stages.first() {
             Some(Stage::Pipeline { steps, .. }) => (steps, 1),
             _ => (&[], 0),
         };
         let reader = Mutex::new((reader, 0));
-        let feed = reader_feed(&reader, shard_size);
+        let feed = reader_feed(&reader, shard_size, parsed.as_ref());
         // Slot count 0: the spool grows with the stream — the corpus
         // length is unknown until it is dry.
         let sink = Sink::Spool(self.new_spool(0, ctl)?, None);

@@ -7,9 +7,9 @@
 //! permutations.
 //!
 //! The same hash under a fixed nonzero seed, [`checksum64`], is a *format*
-//! hash: it is the checksum of every sealed frame envelope and of every
-//! `DJSC` column region (`dj-store::frame`, `dj-store::columnar`), so its
-//! bit pattern is pinned by the known-answer tests below like
+//! hash: it is the checksum of every sealed frame envelope
+//! (`dj-store::frame`; [`Checksum64`] sums a frame written in pieces), so
+//! its bit pattern is pinned by the known-answer tests below like
 //! [`crate::fnv`]'s. It folds a word per multiply — several times FNV-1a's
 //! byte-at-a-time rate — and each step is a bijection of the word it takes
 //! in, so one flipped bit anywhere always changes the result. The seed
@@ -100,11 +100,70 @@ pub fn hash64(bytes: &[u8]) -> u64 {
 const CHECKSUM_SEED: u64 = u64::from_le_bytes(*b"djsealed");
 
 /// The checksum of bytes this workspace seals and reads back (frame
-/// envelopes, `DJSC` regions): [`hash64_seeded`] under a fixed nonzero
+/// envelopes, egress parts): [`hash64_seeded`] under a fixed nonzero
 /// seed, so an all-zero buffer never sums to an all-zero checksum field.
 #[inline]
 pub fn checksum64(bytes: &[u8]) -> u64 {
     hash64_seeded(bytes, CHECKSUM_SEED)
+}
+
+/// [`checksum64`] of bytes that arrive in pieces: the sum of their
+/// concatenation, wherever it is cut. A word split between two pieces is
+/// held until it is whole.
+#[derive(Clone)]
+pub struct Checksum64 {
+    hasher: FxHasher,
+    /// The bytes of a word not yet whole.
+    pending: [u8; 8],
+    pending_len: usize,
+}
+
+impl Default for Checksum64 {
+    fn default() -> Checksum64 {
+        Checksum64 {
+            hasher: FxHasher {
+                hash: CHECKSUM_SEED,
+            },
+            pending: [0; 8],
+            pending_len: 0,
+        }
+    }
+}
+
+impl Checksum64 {
+    pub fn new() -> Checksum64 {
+        Checksum64::default()
+    }
+
+    /// Add the next piece.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.pending_len > 0 {
+            let take = (8 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 8 {
+                return;
+            }
+            self.hasher.add_to_hash(u64::from_le_bytes(self.pending));
+            self.pending_len = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.hasher
+                .add_to_hash(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rem = words.remainder();
+        self.pending[..rem.len()].copy_from_slice(rem);
+        self.pending_len = rem.len();
+    }
+
+    /// The sum of every piece added, in order.
+    pub fn finish(mut self) -> u64 {
+        let tail = self.pending;
+        self.hasher.write(&tail[..self.pending_len]);
+        self.hasher.finish()
+    }
 }
 
 /// Hash a string to 128 bits by combining two independent 64-bit hashes.
@@ -141,6 +200,34 @@ mod tests {
         assert_eq!(checksum64(b"chongo was here!\n"), 0x5920_3683_374a_d009);
         let all: Vec<u8> = (0..=255).collect();
         assert_eq!(checksum64(&all), 0x1eeb_75f9_216e_cff2);
+    }
+
+    /// Pieces sum to what their concatenation sums to, however the bytes
+    /// are cut: pieces shorter than a word, empty ones, none at all.
+    #[test]
+    fn a_checksum_in_pieces_is_the_checksum_of_the_whole() {
+        let data: Vec<u8> = (0u16..300).map(|b| (b * 37 % 251) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 16, 63, 300] {
+            let whole = checksum64(&data[..len]);
+            for cuts in [
+                vec![],
+                vec![0],
+                vec![3],
+                vec![1, 2, 3],
+                vec![5, 5, 13],
+                vec![8, 16],
+            ] {
+                let mut sum = Checksum64::new();
+                let mut at = 0;
+                for cut in cuts.into_iter().map(|c| c.min(len)) {
+                    let end = cut.max(at);
+                    sum.update(&data[at..end]);
+                    at = end;
+                }
+                sum.update(&data[at..len]);
+                assert_eq!(sum.finish(), whole, "{len} bytes");
+            }
+        }
     }
 
     /// The checksum property the envelope relies on: every single-bit

@@ -26,7 +26,8 @@ pub mod unionfind;
 
 pub use fnv::{fnv1a, Fnv1a};
 pub use fxhash::{
-    checksum64, hash128, hash64, hash64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
+    checksum64, hash128, hash64, hash64_seeded, Checksum64, FxBuildHasher, FxHashMap, FxHashSet,
+    FxHasher,
 };
 pub use minhash::{band_key, Lanes, MinHasher};
 pub use simhash::{hamming, simhash_tokens, simhash_weighted, SIMHASH_BLOCKS};

@@ -6,10 +6,10 @@
 //! executor never holds more than one per worker — so a 10 GB file runs in
 //! the same resident footprint as a 10 MB one.
 //!
-//! A reader told which top-level fields a run's ops can touch
-//! ([`CorpusReader::parsing_only`]) parses only those: every other field of
-//! a record goes into the shard's [`RawColumns`] as canonical JSON text, and
-//! stays that text until egress copies it.
+//! A shard cut by [`CorpusReader::next_split_shard`], told which top-level
+//! fields a run's ops can touch, has only those parsed: every other field
+//! of a record goes into the shard's [`RawColumns`] as canonical JSON text,
+//! and stays that text until egress copies it.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -122,10 +122,13 @@ pub struct CorpusReader {
     ledger: Option<Arc<ErrorLedger>>,
     /// Set once an error has been returned: the stream ends there.
     failed: bool,
-    /// The top-level fields [`next_split_shard`](CorpusReader::next_split_shard)
-    /// parses (`None`: every field).
-    parsed: Option<BTreeSet<String>>,
+    /// Room the next split shard's raw columns start with: what the last
+    /// one took, and an eighth more.
+    raw_room: usize,
 }
+
+/// The fields to parse, and the raw columns every other field goes to.
+type Split<'s> = (&'s BTreeSet<String>, &'s mut RawColumns);
 
 /// A shard cut off the corpus stream by
 /// [`CorpusReader::next_split_shard`].
@@ -163,16 +166,8 @@ impl CorpusReader {
             samples_read: 0,
             ledger: None,
             failed: false,
-            parsed: None,
+            raw_room: 0,
         })
-    }
-
-    /// Parse only the top-level fields `fields` names in the shards
-    /// [`next_split_shard`](CorpusReader::next_split_shard) cuts: the rest
-    /// of every record is left to the shard's raw columns.
-    pub fn parsing_only(mut self, fields: BTreeSet<String>) -> CorpusReader {
-        self.parsed = Some(fields);
-        self
     }
 
     /// Route malformed records through an error ledger instead of
@@ -210,19 +205,18 @@ impl CorpusReader {
         self.next_into(None)
     }
 
-    /// [`next_sample`](CorpusReader::next_sample), splitting the fields
-    /// [`parsing_only`](CorpusReader::parsing_only) leaves unparsed into
-    /// `raw` when given one.
-    fn next_into(&mut self, raw: Option<&mut RawColumns>) -> Result<Option<Sample>> {
+    /// [`next_sample`](CorpusReader::next_sample), with the fields a
+    /// `split` set does not name left unparsed in its raw columns.
+    fn next_into(&mut self, split: Option<Split<'_>>) -> Result<Option<Sample>> {
         if self.failed {
             return Ok(None);
         }
-        let next = self.read_sample(raw);
+        let next = self.read_sample(split);
         self.failed = next.is_err();
         next
     }
 
-    fn read_sample(&mut self, mut raw: Option<&mut RawColumns>) -> Result<Option<Sample>> {
+    fn read_sample(&mut self, mut split: Option<Split<'_>>) -> Result<Option<Sample>> {
         loop {
             let reader = match self.current.as_mut() {
                 Some(r) => r,
@@ -236,9 +230,9 @@ impl CorpusReader {
                 }
             };
             faults::check("io.ingest.read")?;
-            let next = match (&self.parsed, raw.as_deref_mut()) {
-                (Some(parsed), Some(raw)) => reader.next_split(parsed, raw),
-                _ => reader.next_sample(),
+            let next = match &mut split {
+                Some((parsed, raw)) => reader.next_split(parsed, raw),
+                None => reader.next_sample(),
             };
             match next {
                 Ok(Some(s)) => {
@@ -275,36 +269,42 @@ impl CorpusReader {
 
     /// Cut the next shard of up to `shard_size` samples off the stream.
     /// Shards span file boundaries; `None` once the stream is dry.
-    /// Every field of every record is parsed, whatever
-    /// [`parsing_only`](CorpusReader::parsing_only) said.
     pub fn next_shard(&mut self, shard_size: usize) -> Result<Option<Dataset>> {
         self.fill(shard_size, None)
     }
 
-    /// [`next_shard`](CorpusReader::next_shard), with the fields
-    /// [`parsing_only`](CorpusReader::parsing_only) leaves unparsed in the
-    /// shard's raw columns, and the input bytes it was read from.
-    pub fn next_split_shard(&mut self, shard_size: usize) -> Result<Option<ReadShard>> {
-        let before = self.bytes_read();
-        let mut raw = RawColumns::new();
-        Ok(self
-            .fill(shard_size, Some(&mut raw))?
-            .map(|samples| ReadShard {
-                samples,
-                raw,
-                bytes: self.bytes_read() - before,
-            }))
-    }
-
-    fn fill(
+    /// [`next_shard`](CorpusReader::next_shard) with only the top-level
+    /// fields `parsed` names parsed (all of them for `None`): the others
+    /// are the shard's raw columns. Also counts the input bytes the shard
+    /// was read from.
+    pub fn next_split_shard(
         &mut self,
         shard_size: usize,
-        mut raw: Option<&mut RawColumns>,
-    ) -> Result<Option<Dataset>> {
+        parsed: Option<&BTreeSet<String>>,
+    ) -> Result<Option<ReadShard>> {
+        let before = self.bytes_read();
+        // Sized up front, the text is one allocation per shard rather than
+        // a chain of doublings, each a copy of the last and a free block
+        // the allocator may keep.
+        let mut raw = RawColumns::with_capacity(self.raw_room);
+        let Some(mut samples) = self.fill(shard_size, parsed.map(|p| (p, &mut raw)))? else {
+            return Ok(None);
+        };
+        self.raw_room = raw.text_len() + raw.text_len() / 8;
+        raw.restore_demoted(&mut samples)?;
+        Ok(Some(ReadShard {
+            samples,
+            raw,
+            bytes: self.bytes_read() - before,
+        }))
+    }
+
+    fn fill(&mut self, shard_size: usize, mut split: Option<Split<'_>>) -> Result<Option<Dataset>> {
         debug_assert!(shard_size > 0, "shard_size must be positive");
         let mut shard = Dataset::new();
         while shard.len() < shard_size {
-            match self.next_into(raw.as_deref_mut())? {
+            let split = split.as_mut().map(|(parsed, raw)| (*parsed, &mut **raw));
+            match self.next_into(split)? {
                 Some(s) => shard.push(s),
                 None => break,
             }

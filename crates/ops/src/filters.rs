@@ -81,6 +81,9 @@ macro_rules! range_filter {
         }
 
         impl $name {
+            /// The stat this filter records and decides on.
+            pub const STATS_KEY: &'static str = $stats_key;
+
             pub fn new(min: f64, max: f64) -> Result<Self> {
                 Ok(Self {
                     field: TEXT_KEY.to_string(),
@@ -243,13 +246,18 @@ impl CharRepetitionFilter {
     }
 }
 
+impl CharRepetitionFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "char_rep_ratio";
+}
+
 impl Filter for CharRepetitionFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "character_repetition_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "char_rep_ratio"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::CHARS
@@ -294,13 +302,18 @@ impl WordRepetitionFilter {
     }
 }
 
+impl WordRepetitionFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "word_rep_ratio";
+}
+
 impl Filter for WordRepetitionFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "word_repetition_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "word_rep_ratio"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::WORDS
@@ -346,13 +359,18 @@ impl StopwordsFilter {
     }
 }
 
+impl StopwordsFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "stopword_ratio";
+}
+
 impl Filter for StopwordsFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "stopwords_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "stopword_ratio"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::WORDS
@@ -392,13 +410,18 @@ impl FlaggedWordsFilter {
     }
 }
 
+impl FlaggedWordsFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "flagged_word_ratio";
+}
+
 impl Filter for FlaggedWordsFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "flagged_words_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "flagged_word_ratio"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::WORDS
@@ -440,13 +463,18 @@ impl LanguageIdScoreFilter {
     }
 }
 
+impl LanguageIdScoreFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "lang_score";
+}
+
 impl Filter for LanguageIdScoreFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "language_id_score_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "lang_score"
+        Self::STATS_KEY
     }
     fn cost(&self) -> OpCost {
         OpCost::Expensive
@@ -485,13 +513,18 @@ impl PerplexityFilter {
     }
 }
 
+impl PerplexityFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "perplexity";
+}
+
 impl Filter for PerplexityFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "perplexity_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "perplexity"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::WORDS
@@ -543,13 +576,18 @@ impl TokenNumFilter {
     }
 }
 
+impl TokenNumFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "num_tokens";
+}
+
 impl Filter for TokenNumFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "token_num_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "num_tokens"
+        Self::STATS_KEY
     }
     fn cost(&self) -> OpCost {
         if self.tokenizer.is_some() {
@@ -599,13 +637,18 @@ impl QualityScoreFilter {
     }
 }
 
+impl QualityScoreFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "quality_score";
+}
+
 impl Filter for QualityScoreFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "quality_score_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "quality_score"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::WORDS
@@ -646,13 +689,18 @@ impl MetaTagFilter {
     }
 }
 
+impl MetaTagFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "meta_tag_match";
+}
+
 impl Filter for MetaTagFilter {
     meta_filter_footprint!();
     fn name(&self) -> &'static str {
         "meta_tag_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "meta_tag_match"
+        Self::STATS_KEY
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
         let hit = sample
@@ -682,13 +730,18 @@ impl StarCountFilter {
     }
 }
 
+impl StarCountFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "star_count";
+}
+
 impl Filter for StarCountFilter {
     meta_filter_footprint!();
     fn name(&self) -> &'static str {
         "star_count_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "star_count"
+        Self::STATS_KEY
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
         let stars = sample
@@ -725,13 +778,18 @@ impl ActionVerbFilter {
     }
 }
 
+impl ActionVerbFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "verb_noun_pairs";
+}
+
 impl Filter for ActionVerbFilter {
     stat_filter_footprint!();
     fn name(&self) -> &'static str {
         "action_verb_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "verb_noun_pairs"
+        Self::STATS_KEY
     }
     fn context_needs(&self) -> ContextNeeds {
         ContextNeeds::WORDS
@@ -768,13 +826,18 @@ impl SuffixFilter {
     }
 }
 
+impl SuffixFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "suffix_match";
+}
+
 impl Filter for SuffixFilter {
     meta_filter_footprint!();
     fn name(&self) -> &'static str {
         "suffix_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "suffix_match"
+        Self::STATS_KEY
     }
     fn compute_stats(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
         let hit = sample
@@ -811,12 +874,17 @@ impl StatsRangeFilter {
     }
 }
 
+impl StatsRangeFilter {
+    /// The stat this filter records and decides on.
+    pub const STATS_KEY: &'static str = "stats_range";
+}
+
 impl Filter for StatsRangeFilter {
     fn name(&self) -> &'static str {
         "stats_range_filter"
     }
     fn stats_key(&self) -> &'static str {
-        "stats_range"
+        Self::STATS_KEY
     }
     fn compute_stats(&self, _sample: &mut Sample, _ctx: &mut SampleContext) -> Result<()> {
         Ok(()) // consumes stats computed by others

@@ -27,7 +27,7 @@ pub use dedup::{
     SimHashDeduplicator,
 };
 pub use par_dedup::ParallelDedup;
-pub use registry::{builtin_registry, measuring_filter};
+pub use registry::builtin_registry;
 
 /// Names of the formatter OPs (registered separately from the
 /// mapper/filter/dedup registry because they construct datasets rather

@@ -35,46 +35,6 @@ macro_rules! range_factory {
     }};
 }
 
-/// Each built-in filter's stat key, beside the op that measures it: so the
-/// analyzer builds the one filter a dimension needs rather than every op
-/// (some train a model when built). Held to the filters' own
-/// [`stats_key`](dj_core::Filter::stats_key) by this module's tests.
-const MEASURING_FILTERS: [(&str, &str); 25] = [
-    ("alnum_ratio", "alphanumeric_ratio_filter"),
-    ("avg_line_length", "average_line_length_filter"),
-    ("avg_word_length", "average_word_length_filter"),
-    ("char_rep_ratio", "character_repetition_filter"),
-    ("digit_ratio", "spec_numerals_filter"),
-    ("flagged_word_ratio", "flagged_words_filter"),
-    ("lang_score", "language_id_score_filter"),
-    ("max_line_length", "maximum_line_length_filter"),
-    ("meta_tag_match", "meta_tag_filter"),
-    ("num_tokens", "token_num_filter"),
-    ("paragraph_count", "paragraph_count_filter"),
-    ("perplexity", "perplexity_filter"),
-    ("quality_score", "quality_score_filter"),
-    ("special_char_ratio", "special_characters_filter"),
-    ("star_count", "star_count_filter"),
-    ("stats_range", "stats_range_filter"),
-    ("stopword_ratio", "stopwords_filter"),
-    ("suffix_match", "suffix_filter"),
-    ("text_len", "text_length_filter"),
-    ("uppercase_ratio", "uppercase_ratio_filter"),
-    ("verb_noun_pairs", "action_verb_filter"),
-    ("whitespace_ratio", "whitespace_ratio_filter"),
-    ("word_count", "word_num_filter"),
-    ("word_entropy", "word_entropy_filter"),
-    ("word_rep_ratio", "word_repetition_filter"),
-];
-
-/// The built-in filter whose stat is `stats_key`, by op name.
-pub fn measuring_filter(stats_key: &str) -> Option<&'static str> {
-    MEASURING_FILTERS
-        .iter()
-        .find(|(key, _)| *key == stats_key)
-        .map(|(_, op)| *op)
-}
-
 /// Build the full built-in registry (50+ OPs).
 pub fn builtin_registry() -> OpRegistry {
     let mut reg = OpRegistry::new();
@@ -170,121 +130,157 @@ pub fn builtin_registry() -> OpRegistry {
     });
 
     // ---- Filters -------------------------------------------------------
-    reg.register("alphanumeric_ratio_filter", |p| {
-        range_factory!(p, AlnumRatioFilter, 0.25, 1.0)
-    });
-    reg.register("special_characters_filter", |p| {
-        range_factory!(p, SpecialCharsFilter, 0.0, 0.25)
-    });
-    reg.register("whitespace_ratio_filter", |p| {
-        range_factory!(p, WhitespaceRatioFilter, 0.0, 0.5)
-    });
-    reg.register("uppercase_ratio_filter", |p| {
-        range_factory!(p, UppercaseRatioFilter, 0.0, 0.6)
-    });
-    reg.register("spec_numerals_filter", |p| {
+    reg.register_filter(
+        "alphanumeric_ratio_filter",
+        AlnumRatioFilter::STATS_KEY,
+        |p| range_factory!(p, AlnumRatioFilter, 0.25, 1.0),
+    );
+    reg.register_filter(
+        "special_characters_filter",
+        SpecialCharsFilter::STATS_KEY,
+        |p| range_factory!(p, SpecialCharsFilter, 0.0, 0.25),
+    );
+    reg.register_filter(
+        "whitespace_ratio_filter",
+        WhitespaceRatioFilter::STATS_KEY,
+        |p| range_factory!(p, WhitespaceRatioFilter, 0.0, 0.5),
+    );
+    reg.register_filter(
+        "uppercase_ratio_filter",
+        UppercaseRatioFilter::STATS_KEY,
+        |p| range_factory!(p, UppercaseRatioFilter, 0.0, 0.6),
+    );
+    reg.register_filter("spec_numerals_filter", DigitRatioFilter::STATS_KEY, |p| {
         range_factory!(p, DigitRatioFilter, 0.0, 0.4)
     });
-    reg.register("text_length_filter", |p| {
+    reg.register_filter("text_length_filter", TextLengthFilter::STATS_KEY, |p| {
         let min = params::f64_or(p, "min_len", 10.0)?;
         let max = params::f64_or(p, "max_len", 1e7)?;
         let mut f = TextLengthFilter::new(min, max)?;
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("word_num_filter", |p| {
+    reg.register_filter("word_num_filter", WordNumFilter::STATS_KEY, |p| {
         let min = params::f64_or(p, "min_num", 5.0)?;
         let max = params::f64_or(p, "max_num", 1e6)?;
         let mut f = WordNumFilter::new(min, max)?;
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("average_line_length_filter", |p| {
-        let min = params::f64_or(p, "min_len", 10.0)?;
-        let max = params::f64_or(p, "max_len", 1e5)?;
-        let mut f = AvgLineLengthFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("maximum_line_length_filter", |p| {
-        let min = params::f64_or(p, "min_len", 10.0)?;
-        let max = params::f64_or(p, "max_len", 1e5)?;
-        let mut f = MaxLineLengthFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("paragraph_count_filter", |p| {
-        let min = params::f64_or(p, "min_num", 1.0)?;
-        let max = params::f64_or(p, "max_num", 1e5)?;
-        let mut f = ParagraphCountFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("average_word_length_filter", |p| {
-        let min = params::f64_or(p, "min_len", 2.0)?;
-        let max = params::f64_or(p, "max_len", 12.0)?;
-        let mut f = AvgWordLengthFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("word_entropy_filter", |p| {
+    reg.register_filter(
+        "average_line_length_filter",
+        AvgLineLengthFilter::STATS_KEY,
+        |p| {
+            let min = params::f64_or(p, "min_len", 10.0)?;
+            let max = params::f64_or(p, "max_len", 1e5)?;
+            let mut f = AvgLineLengthFilter::new(min, max)?;
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter(
+        "maximum_line_length_filter",
+        MaxLineLengthFilter::STATS_KEY,
+        |p| {
+            let min = params::f64_or(p, "min_len", 10.0)?;
+            let max = params::f64_or(p, "max_len", 1e5)?;
+            let mut f = MaxLineLengthFilter::new(min, max)?;
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter(
+        "paragraph_count_filter",
+        ParagraphCountFilter::STATS_KEY,
+        |p| {
+            let min = params::f64_or(p, "min_num", 1.0)?;
+            let max = params::f64_or(p, "max_num", 1e5)?;
+            let mut f = ParagraphCountFilter::new(min, max)?;
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter(
+        "average_word_length_filter",
+        AvgWordLengthFilter::STATS_KEY,
+        |p| {
+            let min = params::f64_or(p, "min_len", 2.0)?;
+            let max = params::f64_or(p, "max_len", 12.0)?;
+            let mut f = AvgWordLengthFilter::new(min, max)?;
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter("word_entropy_filter", WordEntropyFilter::STATS_KEY, |p| {
         let min = params::f64_or(p, "min_entropy", 1.0)?;
         let max = params::f64_or(p, "max_entropy", 1e3)?;
         let mut f = WordEntropyFilter::new(min, max)?;
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("character_repetition_filter", |p| {
-        let n = params::usize_or(p, "ngram", 10)?;
-        let min = params::f64_or(p, "min_ratio", 0.0)?;
-        let max = params::f64_or(p, "max_ratio", 0.5)?;
-        let mut f = CharRepetitionFilter::new(n, min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("word_repetition_filter", |p| {
-        let n = params::usize_or(p, "rep_len", 10)?;
-        let min = params::f64_or(p, "min_ratio", 0.0)?;
-        let max = params::f64_or(p, "max_ratio", 0.5)?;
-        let mut f = WordRepetitionFilter::new(n, min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("stopwords_filter", |p| {
+    reg.register_filter(
+        "character_repetition_filter",
+        CharRepetitionFilter::STATS_KEY,
+        |p| {
+            let n = params::usize_or(p, "ngram", 10)?;
+            let min = params::f64_or(p, "min_ratio", 0.0)?;
+            let max = params::f64_or(p, "max_ratio", 0.5)?;
+            let mut f = CharRepetitionFilter::new(n, min, max)?;
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter(
+        "word_repetition_filter",
+        WordRepetitionFilter::STATS_KEY,
+        |p| {
+            let n = params::usize_or(p, "rep_len", 10)?;
+            let min = params::f64_or(p, "min_ratio", 0.0)?;
+            let max = params::f64_or(p, "max_ratio", 0.5)?;
+            let mut f = WordRepetitionFilter::new(n, min, max)?;
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter("stopwords_filter", StopwordsFilter::STATS_KEY, |p| {
         let mut f = StopwordsFilter::new(params::f64_or(p, "min_ratio", 0.1)?);
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("flagged_words_filter", |p| {
+    reg.register_filter("flagged_words_filter", FlaggedWordsFilter::STATS_KEY, |p| {
         let mut f = FlaggedWordsFilter::new(params::f64_or(p, "max_ratio", 0.01)?);
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("language_id_score_filter", |p| {
-        let lang = params::str_or(p, "lang", "en")?;
-        let min = params::f64_or(p, "min_score", 0.5)?;
-        let mut f = LanguageIdScoreFilter::new(lang, min);
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    });
-    reg.register("perplexity_filter", |p| {
+    reg.register_filter(
+        "language_id_score_filter",
+        LanguageIdScoreFilter::STATS_KEY,
+        |p| {
+            let lang = params::str_or(p, "lang", "en")?;
+            let min = params::f64_or(p, "min_score", 0.5)?;
+            let mut f = LanguageIdScoreFilter::new(lang, min);
+            f.field = field_of(p)?;
+            Ok(Op::Filter(Arc::new(f)))
+        },
+    );
+    reg.register_filter("perplexity_filter", PerplexityFilter::STATS_KEY, |p| {
         let mut f = PerplexityFilter::new(params::f64_or(p, "max_ppl", 10000.0)?);
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("token_num_filter", |p| {
+    reg.register_filter("token_num_filter", TokenNumFilter::STATS_KEY, |p| {
         let min = params::f64_or(p, "min_num", 10.0)?;
         let max = params::f64_or(p, "max_num", 1e7)?;
         let mut f = TokenNumFilter::new(min, max)?;
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("quality_score_filter", |p| {
+    reg.register_filter("quality_score_filter", QualityScoreFilter::STATS_KEY, |p| {
         let mut f = QualityScoreFilter::new(params::f64_or(p, "min_score", 0.5)?);
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("meta_tag_filter", |p| {
+    reg.register_filter("meta_tag_filter", MetaTagFilter::STATS_KEY, |p| {
         let key = params::str_or(p, "key", "language")?;
         let mut allowed = params::str_list(p, "allowed")?;
         if allowed.is_empty() {
@@ -292,23 +288,23 @@ pub fn builtin_registry() -> OpRegistry {
         }
         Ok(Op::Filter(Arc::new(MetaTagFilter::new(key, allowed)?)))
     });
-    reg.register("star_count_filter", |p| {
+    reg.register_filter("star_count_filter", StarCountFilter::STATS_KEY, |p| {
         let min = params::usize_or(p, "min_stars", 10)? as i64;
         Ok(Op::Filter(Arc::new(StarCountFilter::new(min))))
     });
-    reg.register("action_verb_filter", |p| {
+    reg.register_filter("action_verb_filter", ActionVerbFilter::STATS_KEY, |p| {
         let mut f = ActionVerbFilter::new(params::usize_or(p, "min_pairs", 1)?);
         f.field = field_of(p)?;
         Ok(Op::Filter(Arc::new(f)))
     });
-    reg.register("suffix_filter", |p| {
+    reg.register_filter("suffix_filter", SuffixFilter::STATS_KEY, |p| {
         let mut allowed = params::str_list(p, "allowed")?;
         if allowed.is_empty() {
             allowed = vec!["txt".into(), "md".into(), "py".into(), "rs".into()];
         }
         Ok(Op::Filter(Arc::new(SuffixFilter::new(allowed)?)))
     });
-    reg.register("stats_range_filter", |p| {
+    reg.register_filter("stats_range_filter", StatsRangeFilter::STATS_KEY, |p| {
         let key = params::str_or(p, "key", "")?;
         let min = params::f64_or(p, "min", f64::MIN)?;
         let max = params::f64_or(p, "max", f64::MAX)?;
@@ -366,22 +362,6 @@ mod tests {
             "total OPs = {}",
             reg.len() + crate::formatter_names().len()
         );
-    }
-
-    /// The stat-key table names every built-in filter under the key its
-    /// `stats_key` reports, and nothing else.
-    #[test]
-    fn measuring_filter_names_the_filter_of_every_stat() {
-        let reg = builtin_registry();
-        let mut filters = 0;
-        for name in reg.names() {
-            if let Ok(Op::Filter(f)) = reg.build(name, &OpParams::new()) {
-                assert_eq!(measuring_filter(f.stats_key()), Some(name), "{name}");
-                filters += 1;
-            }
-        }
-        assert_eq!(filters, MEASURING_FILTERS.len());
-        assert_eq!(measuring_filter("no_such_stat"), None);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn compress(data: &[u8], codec: Codec) -> Vec<u8> {
 /// The most bytes a frame of `len` input bytes takes: literals cost one
 /// control byte per 128, and a djz match token (3 bytes standing for at
 /// least 4) pays for the control byte of the literal run it cuts.
-fn compress_bound(len: usize) -> usize {
+pub(crate) fn compress_bound(len: usize) -> usize {
     12 + len + len / 128 + 1
 }
 

@@ -50,9 +50,11 @@
 //!   the columns a stage's field footprints name (and
 //!   [`ColumnarSlab::read_column`] feeds dedup hash passes a single column's
 //!   texts as borrowed `Cow`s without building samples at all);
-//! * **passthrough splice** — [`ColumnarSlab::splice`] copies the regions of
-//!   untouched columns into the output frame verbatim, compressed bytes,
-//!   kind and all. A sample the stage dropped stays stored: its entries in
+//! * **passthrough splice** — [`ColumnarSlab::splice`] passes the regions
+//!   of untouched columns into the output frame verbatim, compressed bytes,
+//!   kind and all, and without a copy: the output is [`FrameParts`], its
+//!   own bytes with those regions lent from the input frame between them,
+//!   written to the slot piece after piece. A sample the stage dropped stays stored: its entries in
 //!   the re-encoded columns are absent, and the keep mask the executor keeps
 //!   beside the spool skips it. No region the stage did not decode is ever
 //!   decompressed.
@@ -67,7 +69,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use dj_core::{parse_json_nested, Dataset, DjError, RawColumns, Result, Sample, Value};
 
 use crate::codec::{
-    compress_into, decompress_into, max_raw_len, store_into, stored_data, Codec, SLACK,
+    compress_bound, compress_into, decompress_into, max_raw_len, store_into, stored_data, Codec,
+    SLACK,
 };
 use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
 use crate::pool::{BufferPool, Holds, PooledBuf};
@@ -180,7 +183,7 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
 pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> PooledBuf {
     let names = top_level_names(shard);
     let columns = names.iter().map(|name| (*name, Kind::Tagged));
-    let mut frame = FrameBuilder::new(pool, shard.len(), columns);
+    let mut frame = FrameBuilder::new(pool.take_largest(Holds::Frames), shard.len(), columns);
     let mut body = pool.take_largest(Holds::Raw);
     for name in &names {
         column_body(&mut body, shard.iter().map(Some), name);
@@ -233,7 +236,15 @@ pub(crate) fn encode_ingested(
         columns.push((name, Kind::RawJson));
     }
     columns.sort_by_key(|(name, _)| *name);
-    let mut frame = FrameBuilder::new(pool, keep.len(), columns.iter().copied());
+    // Room for it all up front: grown region by region, a frame of stored
+    // text is a chain of copies, each leaving the allocator a free block.
+    let directory: usize = columns.iter().map(|(name, _)| name.len()).sum::<usize>()
+        + columns.len() * MIN_DIRECTORY_ENTRY;
+    let raw_regions = raw.text_len() + raw.names().count() * (HEADER_OF_STORED + 5 * keep.len());
+    let tagged_regions = compress_bound(processed.approx_bytes()) + tagged.len() * keep.len();
+    let mut out = pool.take_largest(Holds::Frames);
+    out.reserve_exact(envelope::HEADER_LEN + 13 + directory + raw_regions + tagged_regions);
+    let mut frame = FrameBuilder::new(out, keep.len(), columns.iter().copied());
     let mut body = None;
     for (name, kind) in columns {
         match raw.column(name).filter(|_| kind == Kind::RawJson) {
@@ -315,11 +326,17 @@ pub(crate) fn raw_column_body<'e>(
 
 /// A sealed columnar frame under construction in one pooled buffer: room
 /// for the envelope header, then the payload header and the directory with
-/// its words zeroed; the regions are appended in directory order — copied,
-/// or compressed in place — each patching its directory words, and
-/// [`seal`](FrameBuilder::seal) seals the buffer where it is.
-struct FrameBuilder {
+/// its words zeroed; the regions follow in directory order — copied,
+/// compressed in place, or lent by another frame — each patching its
+/// directory words. [`seal`](FrameBuilder::seal) seals the buffer where it
+/// is; a frame with lent regions is sealed in pieces instead
+/// ([`seal_parts`](FrameBuilder::seal_parts)).
+struct FrameBuilder<'a> {
     out: PooledBuf,
+    /// Regions lent by another frame, each with where in `out` it goes.
+    lent: Vec<(usize, &'a [u8])>,
+    /// Bytes lent so far.
+    lent_len: usize,
     /// Where each directory entry's three words sit, in directory order.
     words: Vec<usize>,
     /// Where the regions start (directory offsets count from here).
@@ -328,15 +345,69 @@ struct FrameBuilder {
     done: usize,
 }
 
-impl FrameBuilder {
+/// A sealed frame in pieces: its own bytes — the envelope, the directory
+/// and the regions built for it — with regions lent by the frame it was
+/// spliced from between them. Written piece after piece, it is the frame;
+/// no buffer ever holds it whole.
+#[derive(Debug)]
+pub struct FrameParts<'a> {
+    own: PooledBuf,
+    lent: Vec<(usize, &'a [u8])>,
+}
+
+impl FrameParts<'_> {
+    /// The frame's bytes, in order.
+    pub fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        pieces(&self.own, &self.lent, 0)
+    }
+
+    /// The frame's length in bytes.
+    pub fn len(&self) -> usize {
+        self.own.len() + self.lent.iter().map(|(_, l)| l.len()).sum::<usize>()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The frame as one byte string.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut whole = Vec::with_capacity(self.len());
+        for piece in self.pieces() {
+            whole.extend_from_slice(piece);
+        }
+        whole
+    }
+}
+
+/// `own[from..]` with each lent slice inserted where it goes, as non-empty
+/// pieces in order.
+fn pieces<'s>(
+    own: &'s [u8],
+    lent: &'s [(usize, &[u8])],
+    from: usize,
+) -> impl Iterator<Item = &'s [u8]> {
+    let mut at = from;
+    lent.iter()
+        .flat_map(move |(to, bytes)| {
+            let before = &own[at..*to];
+            at = *to;
+            [before, *bytes]
+        })
+        .chain(std::iter::once_with(move || {
+            &own[lent.last().map_or(from, |l| l.0)..]
+        }))
+        .filter(|piece| !piece.is_empty())
+}
+
+impl<'a> FrameBuilder<'a> {
     /// A frame of `samples` samples whose columns are `columns`, in
-    /// directory (sorted) order.
+    /// directory (sorted) order, built in `out`, a frame buffer.
     fn new<'n>(
-        pool: &BufferPool,
+        mut out: PooledBuf,
         samples: usize,
         columns: impl IntoIterator<Item = (&'n str, Kind)>,
-    ) -> FrameBuilder {
-        let mut out = pool.take_largest(Holds::Frames);
+    ) -> FrameBuilder<'a> {
         out.resize(envelope::HEADER_LEN, 0);
         out.push(COLUMNAR_VERSION);
         out.extend_from_slice(&(samples as u64).to_le_bytes());
@@ -354,15 +425,22 @@ impl FrameBuilder {
         FrameBuilder {
             regions: out.len(),
             out,
+            lent: Vec::new(),
+            lent_len: 0,
             words,
             done: 0,
         }
     }
 
-    /// Record the region that ends the buffer, from `start`, in the next
+    /// The frame's length so far, lent regions included.
+    fn len(&self) -> usize {
+        self.out.len() + self.lent_len
+    }
+
+    /// Record the region that ends the frame, from `start`, in the next
     /// directory entry.
     fn close_region(&mut self, start: usize, raw_len: u64) {
-        let len = self.out.len() - start;
+        let len = self.len() - start;
         let at = self.words[self.done];
         let words = [(start - self.regions) as u64, len as u64, raw_len];
         for (k, word) in words.iter().enumerate() {
@@ -374,8 +452,18 @@ impl FrameBuilder {
     /// Append the next region as another frame stores it: its compressed
     /// bytes and its raw length, carried, not recomputed.
     fn copy(&mut self, bytes: &[u8], raw_len: u64) {
-        let start = self.out.len();
+        let start = self.len();
         self.out.extend_from_slice(bytes);
+        self.close_region(start, raw_len);
+    }
+
+    /// [`copy`](FrameBuilder::copy) without copying: the region stays where
+    /// the other frame holds it, and goes out between this frame's own
+    /// bytes.
+    fn lend(&mut self, bytes: &'a [u8], raw_len: u64) {
+        let start = self.len();
+        self.lent.push((self.out.len(), bytes));
+        self.lent_len += bytes.len();
         self.close_region(start, raw_len);
     }
 
@@ -383,9 +471,9 @@ impl FrameBuilder {
     /// the way every raw JSON region is kept, so that egress reads its
     /// text where the frame holds it.
     fn store(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
-        let start = self.out.len();
+        let start = self.len();
         store_into(&mut self.out, write);
-        let raw_len = self.out.len() - start - HEADER_OF_STORED;
+        let raw_len = self.len() - start - HEADER_OF_STORED;
         self.close_region(start, raw_len as u64);
     }
 
@@ -400,17 +488,31 @@ impl FrameBuilder {
 
     /// Compress `body` straight into the frame as the next region.
     fn compress(&mut self, body: &[u8], codec: Codec) {
-        let start = self.out.len();
+        let start = self.len();
         let pool = self.out.pool().clone();
         pool.with_table(|table| compress_into(body, codec, &mut self.out, table));
         self.close_region(start, body.len() as u64);
     }
 
-    /// The sealed frame, once every column's region is in.
+    /// The sealed frame, once every column's region is in (none lent).
     fn seal(mut self) -> PooledBuf {
         debug_assert_eq!(self.done, self.words.len(), "a region is missing");
+        debug_assert!(self.lent.is_empty(), "a lent region would be lost");
         envelope::seal_in_place(COLUMNAR_FRAME_MAGIC, &mut self.out);
         self.out
+    }
+
+    /// The sealed frame in pieces, once every column's region is in.
+    fn seal_parts(mut self) -> FrameParts<'a> {
+        debug_assert_eq!(self.done, self.words.len(), "a region is missing");
+        let mut header = [0; envelope::HEADER_LEN];
+        let payload = pieces(&self.out, &self.lent, envelope::HEADER_LEN);
+        envelope::seal_pieces(COLUMNAR_FRAME_MAGIC, &mut header, payload);
+        self.out[..envelope::HEADER_LEN].copy_from_slice(&header);
+        FrameParts {
+            own: self.out,
+            lent: self.lent,
+        }
     }
 }
 
@@ -670,7 +772,7 @@ impl ColumnarSlab {
 
     /// The output frame of a stage that ran on this frame: `decoded`
     /// columns re-encoded from `processed`, every other column's region
-    /// copied verbatim from this frame.
+    /// lent verbatim from this frame, so the frame comes back in pieces.
     ///
     /// * `processed` holds the *kept* samples (`processed.len()` must equal
     ///   the number of `true`s in `keep`) carrying only decoded/written
@@ -683,9 +785,10 @@ impl ColumnarSlab {
     /// an absent entry in each re-encoded column and its old entries in the
     /// copied ones, so `keep` must travel with the frame as its mask
     /// ([`filter_frame`](ColumnarSlab::filter_frame) compacts it). No region
-    /// is decompressed, and the new frame is built in a buffer from this
-    /// frame's pool. Returns it plus `bytes_passthrough`: the decompressed
-    /// size of the regions copied. A processed sample carrying a column
+    /// is decompressed or copied: the new frame's own bytes are built in a
+    /// buffer from this frame's pool, and the passed regions stay here.
+    /// Returns it plus `bytes_passthrough`: the decompressed size of the
+    /// regions passed. A processed sample carrying a column
     /// that was *not* decoded is a field-footprint violation and errors —
     /// silent column collisions must never reach disk.
     pub fn splice(
@@ -694,7 +797,7 @@ impl ColumnarSlab {
         decoded: Option<&BTreeSet<String>>,
         keep: &[bool],
         codec: Codec,
-    ) -> Result<(PooledBuf, u64)> {
+    ) -> Result<(FrameParts<'_>, u64)> {
         check_mask(Some(keep), self.samples)?;
         check_kept(processed, keep)?;
 
@@ -731,11 +834,13 @@ impl ColumnarSlab {
         let kinds = columns
             .iter()
             .map(|(n, c)| (*n, c.map_or(Kind::Tagged, |c| c.kind)));
-        let mut frame = FrameBuilder::new(pool, self.samples, kinds);
+        // The passed regions are lent, so the frame's own bytes are few:
+        // the tightest free buffer, not the largest.
+        let mut frame = FrameBuilder::new(pool.take(Holds::Frames, 0), self.samples, kinds);
         let mut body = None;
         for (name, entry) in columns {
             match entry {
-                Some(c) => frame.copy(self.region_bytes(c), c.raw_len),
+                Some(c) => frame.lend(self.region_bytes(c), c.raw_len),
                 None => {
                     let body = body.get_or_insert_with(|| pool.take_largest(Holds::Raw));
                     column_body(body, stored(processed, keep), name);
@@ -743,7 +848,7 @@ impl ColumnarSlab {
                 }
             }
         }
-        Ok((frame.seal(), bytes_passthrough))
+        Ok((frame.seal_parts(), bytes_passthrough))
     }
 
     /// This frame with only the samples `keep` keeps, never materializing a
@@ -756,7 +861,7 @@ impl ColumnarSlab {
         let kept = keep.iter().filter(|k| **k).count();
         let pool = self.buf.pool();
         let columns = self.columns.iter().map(|c| (c.name.as_str(), c.kind));
-        let mut frame = FrameBuilder::new(pool, kept, columns);
+        let mut frame = FrameBuilder::new(pool.take_largest(Holds::Frames), kept, columns);
         let mut body = pool.take_largest(Holds::Raw);
         for c in &self.columns {
             if kept == self.samples {
@@ -973,8 +1078,24 @@ mod tests {
             passthrough,
             slab.total_raw_len() - slab.column_raw_len("text").unwrap()
         );
+        // ... and without a copy: each such region is a piece of the input
+        // frame, lent between the output's own bytes.
+        let lent: Vec<&[u8]> = out_frame.lent.iter().map(|(_, bytes)| *bytes).collect();
+        let passed: Vec<&[u8]> = slab
+            .columns
+            .iter()
+            .filter(|c| c.name != "text")
+            .map(|c| slab.region_bytes(c))
+            .collect();
+        assert_eq!(lent, passed);
+        assert!(lent
+            .iter()
+            .all(|l| slab.buf.as_ptr_range().contains(&l.as_ptr())));
+        let whole = out_frame.to_vec();
+        assert_eq!(whole.len(), out_frame.len());
+        assert_eq!(out_frame.pieces().collect::<Vec<_>>().concat(), whole);
 
-        let out = ColumnarSlab::from_frame_bytes(&out_frame).unwrap();
+        let out = ColumnarSlab::from_frame_bytes(&whole).unwrap();
         let decoded = out.decode().unwrap();
         assert_eq!(decoded.len(), ds.len());
         for (got, orig) in decoded.iter().zip(ds.iter()) {
@@ -1036,7 +1157,11 @@ mod tests {
         }
         bodies.sort();
         let names = bodies.iter().map(|(name, _)| (name.as_str(), Kind::Tagged));
-        let mut frame = FrameBuilder::new(&BufferPool::default(), processed.len(), names);
+        let mut frame = FrameBuilder::new(
+            BufferPool::default().take_largest(Holds::Frames),
+            processed.len(),
+            names,
+        );
         for (_, body) in &bodies {
             frame.compress(body, Codec::Djz);
         }
@@ -1067,7 +1192,7 @@ mod tests {
         let (stored, passthrough) = slab
             .splice(&processed, Some(&cols), &keep, Codec::Djz)
             .unwrap();
-        let out = ColumnarSlab::from_frame_bytes(&stored).unwrap();
+        let out = ColumnarSlab::from_frame_bytes(&stored.to_vec()).unwrap();
         // Every stored sample is still stored.
         assert_eq!(out.sample_count(), ds.len());
         // Every passthrough region is the input's, bytes and directory entry.
@@ -1092,7 +1217,7 @@ mod tests {
         assert_eq!(compacted, compacted_splice(&slab, &processed, &cols, &keep));
         // With nothing dropped there is nothing to compact.
         let all = vec![true; ds.len()];
-        assert_eq!(out.filter_frame(&all, Codec::Djz).unwrap(), stored);
+        assert_eq!(out.filter_frame(&all, Codec::Djz).unwrap(), stored.to_vec());
     }
 
     #[test]
@@ -1216,7 +1341,7 @@ mod tests {
             s.set_text(t);
         }
         let (spliced, passthrough) = slab.splice(&upper, Some(&text), &keep, Codec::Djz).unwrap();
-        let spliced = ColumnarSlab::from_frame_bytes(&spliced).unwrap();
+        let spliced = ColumnarSlab::from_frame_bytes(&spliced.to_vec()).unwrap();
         assert_eq!(
             passthrough,
             slab.column_raw_len("h").unwrap() + slab.column_raw_len("url").unwrap()

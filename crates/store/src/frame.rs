@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::Codec;
-use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab};
+use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab, FrameParts};
 use crate::pool::{BufferPool, Holds, PooledBuf};
 
 /// Magic of row shard frames (the `frames` output format).
@@ -52,7 +52,7 @@ pub const COLUMNAR_FRAME_MAGIC: &[u8; 4] = b"DJSC";
 pub mod envelope {
     use super::*;
     use crate::serialize::le_u64;
-    use dj_hash::checksum64;
+    use dj_hash::{checksum64, Checksum64};
 
     /// Magic, payload length and version, checksum.
     pub const HEADER_LEN: usize = 4 + 8 + 8;
@@ -87,10 +87,30 @@ pub mod envelope {
     /// [`seal`]'s, without the copy.
     pub fn seal_in_place(magic: &[u8; 4], buf: &mut [u8]) {
         let (header, payload) = buf.split_at_mut(HEADER_LEN);
-        let word = payload.len() as u64 | (VERSION as u64) << 56;
+        write_header(header, magic, payload.len(), checksum64(payload));
+    }
+
+    /// Seal a payload that lies in pieces, never joined: `header` is
+    /// [`HEADER_LEN`] bytes of room, `payload` the payload's pieces in
+    /// order. The header written is [`seal`]'s for their concatenation.
+    pub fn seal_pieces<'p>(
+        magic: &[u8; 4],
+        header: &mut [u8],
+        payload: impl Iterator<Item = &'p [u8]>,
+    ) {
+        let (mut len, mut sum) = (0, Checksum64::new());
+        for piece in payload {
+            len += piece.len();
+            sum.update(piece);
+        }
+        write_header(header, magic, len, sum.finish());
+    }
+
+    fn write_header(header: &mut [u8], magic: &[u8; 4], len: usize, checksum: u64) {
+        let word = len as u64 | (VERSION as u64) << 56;
         header[..4].copy_from_slice(magic);
         header[4..12].copy_from_slice(&word.to_le_bytes());
-        header[12..].copy_from_slice(&checksum64(payload).to_le_bytes());
+        header[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     }
 
     /// Open the one sealed string `bytes` holds (a slot file, an output
@@ -221,7 +241,9 @@ impl Frame {
     /// `keep` (one verdict per *stored* sample) kept, after a stage ran on
     /// the columns `cols` — with the samples it stores and the decompressed
     /// bytes that reached it undecoded. `cols` is re-encoded from
-    /// `processed`, every other column's region is copied verbatim, and
+    /// `processed`, every other column's region is lent from this frame as
+    /// it is (the output is in pieces, written one after another by
+    /// [`ShardSpool::write_frame`](crate::ShardSpool::write_frame)), and
     /// every sample this frame stored stays stored: the ones `keep` dropped
     /// as dead entries, for `keep` to mask.
     pub fn store_processed(
@@ -230,9 +252,9 @@ impl Frame {
         cols: Option<&BTreeSet<String>>,
         keep: &[bool],
         codec: Codec,
-    ) -> Result<(PooledBuf, usize, u64)> {
-        let (bytes, passthrough) = self.0.splice(processed, cols, keep, codec)?;
-        Ok((bytes, self.0.sample_count(), passthrough))
+    ) -> Result<(FrameParts<'_>, usize, u64)> {
+        let (parts, passthrough) = self.0.splice(processed, cols, keep, codec)?;
+        Ok((parts, self.0.sample_count(), passthrough))
     }
 
     /// Lend `f` the text at dotted path `field` of every stored sample,
@@ -439,7 +461,7 @@ mod tests {
             .unwrap();
         assert!(passthrough > 0);
         assert_eq!(samples, ds.len());
-        let stored = Frame::parse(&stored).unwrap();
+        let stored = Frame::parse(&stored.to_vec()).unwrap();
         assert_eq!(stored.sample_count(), ds.len());
         assert_eq!(stored.decode(None, Some(&keep)).unwrap().0, processed);
     }

@@ -16,14 +16,14 @@
 //! reuses the memory of the last. Unsealed, it removes its dir on drop.
 
 use std::fs::{self, File};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use dj_core::{Dataset, DjError, RawColumns, Result};
 
 use crate::codec::{compress, decompress, Codec};
-use crate::columnar::{encode_ingested, encode_into};
+use crate::columnar::{encode_ingested, encode_into, FrameParts};
 use crate::frame::{checked_copy, envelope, Frame, SHARD_FRAME_MAGIC};
 use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::serialize::{from_bytes, to_bytes};
@@ -148,10 +148,25 @@ impl ShardSpool {
         Ok(keep.len())
     }
 
-    /// Store a pre-encoded frame (a column splice, a frame copied out of
-    /// another spool) into slot `idx` atomically, recording `samples` as the
-    /// number of samples the frame stores. A sealed spool refuses it.
+    /// Store a pre-encoded frame (a frame copied out of another spool) into
+    /// slot `idx` atomically, recording `samples` as the number of samples
+    /// the frame stores. A sealed spool refuses it.
     pub fn write_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
+        self.write_pieces(idx, [frame].into_iter(), samples)
+    }
+
+    /// [`write_frame_bytes`](ShardSpool::write_frame_bytes) of a frame in
+    /// pieces (a column splice), written one after another.
+    pub fn write_frame(&self, idx: usize, frame: &FrameParts<'_>, samples: usize) -> Result<()> {
+        self.write_pieces(idx, frame.pieces(), samples)
+    }
+
+    fn write_pieces<'p>(
+        &self,
+        idx: usize,
+        pieces: impl Iterator<Item = &'p [u8]>,
+        samples: usize,
+    ) -> Result<()> {
         if self.sealed {
             let dir = &self.dir;
             return Err(DjError::Storage(format!("{dir:?} is a sealed cache entry")));
@@ -162,11 +177,14 @@ impl ShardSpool {
             // Chaos path: damage the bytes *after* the frame checksum was
             // computed, like real media corruption — the error surfaces
             // at whichever read validates this slot.
-            let mut bytes = frame.to_vec();
+            let mut bytes: Vec<u8> = pieces.flatten().copied().collect();
             dj_core::faults::corrupt("store.frame.write", &mut bytes)?;
             fs::write(&tmp, &bytes)?;
         } else {
-            fs::write(&tmp, frame)?;
+            let mut file = File::create(&tmp)?;
+            for piece in pieces {
+                file.write_all(piece)?;
+            }
         }
         fs::rename(&tmp, &path)?;
         let mut lens = dj_core::sync::lock(&self.lens);

@@ -323,11 +323,12 @@ fn ingest_allocations(dir: &std::path::Path, lines: usize, inert: usize) -> (u64
     }
     std::fs::write(&path, text).unwrap();
     let parsed: BTreeSet<String> = ["text".to_string()].into();
-    let mut reader = CorpusReader::from_files(vec![path])
-        .unwrap()
-        .parsing_only(parsed);
+    let mut reader = CorpusReader::from_files(vec![path]).unwrap();
     let before = ALLOCATIONS.with(Cell::get);
-    let shard = reader.next_split_shard(lines).unwrap().unwrap();
+    let shard = reader
+        .next_split_shard(lines, Some(&parsed))
+        .unwrap()
+        .unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(shard.samples.len(), lines);
     assert_eq!(shard.raw.names().count(), inert);
@@ -399,7 +400,7 @@ fn a_columnar_stage_cycle_never_allocates_a_passthrough_region() {
     let (bytes, stored, passthrough) = frame
         .store_processed(&kept, Some(&text), &keep, Codec::Djz)
         .unwrap();
-    output.write_frame_bytes(0, &bytes, stored).unwrap();
+    output.write_frame(0, &bytes, stored).unwrap();
     let largest = LARGEST.with(Cell::get);
 
     assert_eq!(passthrough, meta, "the metadata column crossed whole");
@@ -472,8 +473,9 @@ fn a_warmed_spool_cycle_allocates_no_large_buffer() {
         let (bytes, stored, _) = frame
             .store_processed(&kept, Some(&text), &keep, Codec::Djz)
             .unwrap();
-        output.write_frame_bytes(i, &bytes, stored).unwrap();
-        drop((frame, kept, bytes));
+        output.write_frame(i, &bytes, stored).unwrap();
+        drop(bytes);
+        drop((frame, kept));
         let frame = output.read(i).unwrap();
         writer
             .store_jsonl(i, |out| frame.write_jsonl(Some(&keep), out))

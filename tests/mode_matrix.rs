@@ -514,6 +514,84 @@ fn non_canonical_inert_fields_match_the_oracle_in_every_mode() {
     check_case(&[10, 2, 5], &case);
 }
 
+/// Inert fields whose values the writer prints as another value — an
+/// integral float of `|x| ≥ 1e15`, printed as an integer, and an
+/// overflowing float, printed as `null` — keep those values through a file
+/// run. The `frames` parts (row frames carry each value's type) and the
+/// dataset a run without an output directory returns hold, value for
+/// value, what the oracle makes of a whole parse of each record. `ts` is
+/// an integer on most lines, so a shard's column holds entries before a
+/// float demotes it.
+#[test]
+fn inert_values_their_text_would_change_survive_a_file_run() {
+    let texts = corpus(22, 60);
+    let lines: Vec<String> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let mut text = String::new();
+            data_juicer::core::write_json_str(&mut text, s.text()).unwrap();
+            let ts = match i % 4 {
+                3 => "1700000000000000.0".to_string(),
+                _ => format!("{}", 1_700_000_000_000_000i64 + i as i64),
+            };
+            let score = if i % 7 == 5 { "1e999" } else { "0.5" };
+            format!("{{\"text\":{text},\"ts\":{ts},\"score\":[{score}],\"url\":\"u{i}\"}}")
+        })
+        .collect();
+    let data: Dataset = lines
+        .iter()
+        .map(|line| Sample::from_value(data_juicer::core::parse_json(line).unwrap()).unwrap())
+        .collect();
+    assert!(data
+        .iter()
+        .any(|s| s.value().get_path("ts") == Some(&Value::Float(1.7e15))));
+    let case = Case::new("roundtrip", data, 8);
+    let per_file = lines.len().div_ceil(3);
+    for (k, chunk) in lines.chunks(per_file).enumerate() {
+        fs::write(
+            case.dir.join(format!("in/{k:02}.jsonl")),
+            chunk.join("\n") + "\n",
+        )
+        .unwrap();
+    }
+    let out_dir = case.dir.join("out");
+    for picks in [&[0, 3, 8, 1, 4, 9][..], &[10, 2, 5]] {
+        let ops = build(picks);
+        let want = oracle(&ops, case.data.clone());
+        for (np, output) in [(1, false), (3, false), (1, true), (3, true)] {
+            let _ = fs::remove_dir_all(&out_dir);
+            let options = ExecOptions {
+                num_workers: np,
+                shard_size: Some(case.shard_size),
+                input: Some(format!("{}/in/*.jsonl", case.dir.display())),
+                output: output.then(|| out_dir.clone()),
+                output_format: OutputFormat::Frames,
+                ..ExecOptions::default()
+            };
+            let (out, _) = Executor::new(ops.clone())
+                .with_options(options)
+                .run_io()
+                .unwrap();
+            let got = match out {
+                Some(dataset) => dataset,
+                None => {
+                    let manifest = EgressManifest::load(&out_dir).unwrap();
+                    let parts = manifest.parts.iter().map(|p| {
+                        let bytes = fs::read(out_dir.join(&p.file)).unwrap();
+                        FrameSlab::from_frame_bytes(&bytes)
+                            .unwrap()
+                            .decode()
+                            .unwrap()
+                    });
+                    Dataset::concat(parts.collect())
+                }
+            };
+            assert_eq!(got, want, "picks={picks:?} np={np} frames parts: {output}");
+        }
+    }
+}
+
 /// A spilled barrier writes nothing — its mask rides on the spool to
 /// whatever opens it next. Every next thing, in every shape: JSONL egress
 /// (transcoded), `frames` egress (a masked decode into row frames),
