@@ -31,7 +31,7 @@
 //! [`RawColumns`] as they are; a field the scanner does not recognize is
 //! parsed and written, so its entry is canonical all the same. A field
 //! whose value that text would not read back as (a non-finite float, an
-//! integral float printed as an integer: see [`round_trips`]) demotes its
+//! integral float printed as an integer: see `round_trips`) demotes its
 //! column for the rest of the shard: the field is parsed into the samples
 //! from then on, and the entries the column already holds are parsed into
 //! theirs ([`RawColumns::restore_demoted`]). A record the splitter cannot

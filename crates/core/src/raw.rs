@@ -70,6 +70,11 @@ impl RawColumns {
         }
     }
 
+    /// Room for `more` bytes of entries beyond those held.
+    pub fn reserve(&mut self, more: usize) {
+        self.text.reserve(more);
+    }
+
     /// Closed samples.
     pub fn len(&self) -> usize {
         self.samples

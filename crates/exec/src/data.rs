@@ -66,11 +66,11 @@ use crate::stream::{drive, Feed, Resident, RunCtl};
 /// The ingest spool of the `meta-file-col` corpus (120 MB of JSONL) takes
 /// 113.4 MB stored against 41.9 MB with Djz. Djz spent the time
 /// compressing text at ingest and decompressing it into a second buffer
-/// at egress. Djz does not lower `serve-4tenant`'s peak either: that peak
-/// is set by the multi-MB blocks glibc keeps once freed, not by live
-/// bytes: run with `MALLOC_MMAP_THRESHOLD_=1048576` (a diagnostic only),
-/// the code before raw regions read ≈ 71 MB and code with stored raw
-/// regions ≈ 50 (3 pairs). What a
+/// at egress. Djz did not lower `serve-4tenant`'s peak either: it was set
+/// by the multi-MB blocks glibc kept once freed, not by live bytes, and
+/// fell to ≈ 62 MB once `dj serve` fixed glibc's mmap threshold and its
+/// jobs shared one buffer pool (`docs/service.md`, "Memory"; ≈ 50 MB with
+/// the threshold alone on the code before the shared pool). What a
 /// 2.7× larger spool costs a spill that waits on the disk is not
 /// measured: a benchmark spool lives in the page cache.
 pub(crate) const SPILL_CODEC: Codec = Codec::Djz;

@@ -47,6 +47,7 @@ use std::time::Duration;
 
 use dj_core::sync::{lock, wait};
 use dj_core::{panic_message, Dataset, DjError, ResidencyGauge, Result};
+use dj_store::BufferPool;
 
 use crate::executor::Executor;
 use crate::report::RunReport;
@@ -144,16 +145,11 @@ pub struct JobControl {
     /// so aggregate residency (and its peak) is observable at the
     /// runtime level. `None` for a direct run's block.
     aggregate: Option<Arc<ResidencyGauge>>,
+    /// The buffers the run's spools reuse: the runtime's pool, or a direct run's own.
+    pub(crate) buffers: BufferPool,
 }
 
 impl JobControl {
-    pub(crate) fn new(aggregate: Option<Arc<ResidencyGauge>>) -> JobControl {
-        JobControl {
-            aggregate,
-            ..JobControl::default()
-        }
-    }
-
     /// Whether [`JobHandle::cancel`] has been called. The executor checks
     /// this at every shard claim.
     pub fn is_cancelled(&self) -> bool {
@@ -188,12 +184,6 @@ impl JobControl {
 
     fn note_attempt(&self) {
         self.attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether the run is a runtime job, sharing its process with others
-    /// (its residency mirrors into the runtime's aggregate gauge).
-    pub(crate) fn is_runtime_job(&self) -> bool {
-        self.aggregate.is_some()
     }
 
     pub(crate) fn acquire(&self, samples: usize, bytes: usize) {
@@ -316,6 +306,8 @@ struct Sched {
 struct RuntimeInner {
     cfg: RuntimeConfig,
     aggregate: Arc<ResidencyGauge>,
+    /// The one pool every job's spools share.
+    buffers: BufferPool,
     sched: Mutex<Sched>,
 }
 
@@ -332,6 +324,7 @@ impl Runtime {
             inner: Arc::new(RuntimeInner {
                 cfg,
                 aggregate: Arc::new(ResidencyGauge::default()),
+                buffers: BufferPool::default(),
                 sched: Mutex::new(Sched {
                     running: 0,
                     pending: VecDeque::new(),
@@ -358,6 +351,11 @@ impl Runtime {
         self.inner.aggregate.peak_bytes()
     }
 
+    /// Bytes of the buffer pool the jobs share, free and on loan.
+    pub fn pool_bytes(&self) -> usize {
+        self.inner.buffers.bytes()
+    }
+
     /// Jobs currently executing plus jobs queued for admission.
     pub fn jobs_in_flight(&self) -> usize {
         let sched = lock(&self.inner.sched);
@@ -380,7 +378,11 @@ impl Runtime {
     }
 
     fn enqueue(&self, mut exec: Executor, dataset: Option<Dataset>) -> JobHandle {
-        let ctl = Arc::new(JobControl::new(Some(Arc::clone(&self.inner.aggregate))));
+        let ctl = Arc::new(JobControl {
+            aggregate: Some(Arc::clone(&self.inner.aggregate)),
+            buffers: self.inner.buffers.clone(),
+            ..JobControl::default()
+        });
         let slot = Arc::new(JobSlot::new());
         // Partition the global budget. The job's own budget only ever
         // tightens further.

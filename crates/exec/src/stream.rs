@@ -23,19 +23,15 @@ use crate::runtime::JobControl;
 
 /// What every pass of one run shares: the run's [`JobControl`] — a
 /// runtime job's, or a direct run's own — whose gauge counts the resident
-/// samples, whose flag is checked for cancellation at every shard claim
-/// and whose counter takes every finished shard; the error ledger; and the
-/// run's buffers.
+/// samples, whose flag is checked for cancellation at every shard claim,
+/// whose counter takes every finished shard and whose buffers every spool
+/// of the run reuses; and the error ledger.
 pub(crate) struct RunCtl {
     job: Arc<JobControl>,
     /// Record-level error policy for this run; shard workers route
     /// per-sample OP failures through it (a `Fail` ledger hands every
     /// error back untouched).
     ledger: Arc<ErrorLedger>,
-    /// The buffers every spool of this run reads, encodes and decompresses
-    /// in, reused shard after shard; a runtime job's are released when a
-    /// pass ends ([`drive`]).
-    buffers: BufferPool,
     /// Where the run's spools live: a cached run's root, else `spill_dir`.
     pub(crate) spill_dir: Option<std::path::PathBuf>,
 }
@@ -45,13 +41,14 @@ impl RunCtl {
         RunCtl {
             job,
             ledger,
-            buffers: BufferPool::default(),
             spill_dir: None,
         }
     }
 
+    /// The buffers every spool of this run reads, encodes and decompresses
+    /// in: the runtime's for a job, the run's own for a direct run.
     pub(crate) fn buffers(&self) -> &BufferPool {
-        &self.buffers
+        &self.job.buffers
     }
 
     pub(crate) fn ledger(&self) -> &ErrorLedger {
@@ -174,15 +171,6 @@ where
         }
     });
 
-    // A run alone in its process keeps its buffers for the next pass. A
-    // runtime job shares the process with other jobs, and every job kept
-    // the buffers of all its passes at once: `serve-4tenant`'s peak RSS
-    // rose 10 %. So a job's pass lets go of them instead. A direct run that
-    // released them too gave up 13 MB of `meta-file-col`'s peak RSS, because
-    // the allocator serves what a later pass takes from a heap it grows.
-    if ctl.job.is_runtime_job() {
-        ctl.buffers.release();
-    }
     if let Some(e) = first_err
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -247,19 +235,6 @@ mod tests {
             "{tag}: {} live shards > {workers} workers",
             ctl.peak_samples()
         );
-    }
-
-    #[test]
-    fn a_runtime_jobs_pass_releases_the_runs_buffers_and_a_direct_runs_keeps_them() {
-        use dj_store::Holds;
-        let direct = Arc::new(JobControl::default());
-        let job = Arc::new(JobControl::new(Some(Arc::default())));
-        for (ctl, kept) in [(run_ctl(&direct), true), (run_ctl(&job), false)] {
-            drop(ctl.buffers().take(Holds::Raw, 4096));
-            drive(&test_feed(3, true, None), 2, &ctl, |_, i| Ok(i)).unwrap();
-            let after = ctl.buffers().take_largest(Holds::Raw).capacity();
-            assert_eq!(after >= 4096, kept, "capacity {after} after the pass");
-        }
     }
 
     #[test]

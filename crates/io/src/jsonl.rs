@@ -47,6 +47,17 @@ impl JsonlReader {
         })
     }
 
+    /// Read lines into `buf` (a buffer another reader used), not a new one.
+    pub fn with_line_buffer(mut self, buf: Vec<u8>) -> JsonlReader {
+        self.buf = buf;
+        self
+    }
+
+    /// The line buffer, for the next file's reader.
+    pub fn into_line_buffer(self) -> Vec<u8> {
+        self.buf
+    }
+
     /// Raw input bytes consumed so far (newlines included).
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read

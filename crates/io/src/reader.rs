@@ -9,7 +9,8 @@
 //! A shard cut by [`CorpusReader::next_split_shard`], told which top-level
 //! fields a run's ops can touch, has only those parsed: every other field
 //! of a record goes into the shard's [`RawColumns`] as canonical JSON text,
-//! and stays that text until egress copies it.
+//! and stays that text until egress copies it. One line buffer serves
+//! every JSONL file of the corpus.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -54,9 +55,12 @@ enum FileReader {
 }
 
 impl FileReader {
-    fn open(path: &Path) -> Result<FileReader> {
+    /// Open `path`; a JSONL file reads its lines into `line`.
+    fn open(path: &Path, line: Vec<u8>) -> Result<FileReader> {
         match detect_format(path)? {
-            FileFormat::Jsonl => Ok(FileReader::Jsonl(JsonlReader::open(path)?)),
+            FileFormat::Jsonl => Ok(FileReader::Jsonl(
+                JsonlReader::open(path)?.with_line_buffer(line),
+            )),
             FileFormat::Csv => Ok(FileReader::Csv(CsvReader::open(path)?)),
         }
     }
@@ -122,9 +126,11 @@ pub struct CorpusReader {
     ledger: Option<Arc<ErrorLedger>>,
     /// Set once an error has been returned: the stream ends there.
     failed: bool,
-    /// Room the next split shard's raw columns start with: what the last
-    /// one took, and an eighth more.
+    /// Room the next split shard's raw columns start with: the most an
+    /// earlier one took, and an eighth more.
     raw_room: usize,
+    /// The JSONL line buffer, between files.
+    line: Vec<u8>,
 }
 
 /// The fields to parse, and the raw columns every other field goes to.
@@ -167,6 +173,7 @@ impl CorpusReader {
             ledger: None,
             failed: false,
             raw_room: 0,
+            line: Vec::new(),
         })
     }
 
@@ -224,7 +231,8 @@ impl CorpusReader {
                     if self.next_file >= self.files.len() {
                         return Ok(None);
                     }
-                    let opened = FileReader::open(&self.files[self.next_file])?;
+                    let line = std::mem::take(&mut self.line);
+                    let opened = FileReader::open(&self.files[self.next_file], line)?;
                     self.next_file += 1;
                     self.current.insert(opened)
                 }
@@ -244,7 +252,9 @@ impl CorpusReader {
                 }
                 Ok(None) => {
                     self.finished_bytes += reader.bytes_read();
-                    self.current = None;
+                    if let Some(FileReader::Jsonl(done)) = self.current.take() {
+                        self.line = done.into_line_buffer();
+                    }
                 }
                 // Only parse errors are record-level; IO errors are the
                 // whole file going bad and always propagate.
@@ -270,7 +280,7 @@ impl CorpusReader {
     /// Cut the next shard of up to `shard_size` samples off the stream.
     /// Shards span file boundaries; `None` once the stream is dry.
     pub fn next_shard(&mut self, shard_size: usize) -> Result<Option<Dataset>> {
-        self.fill(shard_size, None)
+        self.fill(Dataset::new(), shard_size, None)
     }
 
     /// [`next_shard`](CorpusReader::next_shard) with only the top-level
@@ -285,12 +295,21 @@ impl CorpusReader {
         let before = self.bytes_read();
         // Sized up front, the text is one allocation per shard rather than
         // a chain of doublings, each a copy of the last and a free block
-        // the allocator may keep.
+        // the allocator may keep. A reader's first shard is sized by its
+        // first record.
         let mut raw = RawColumns::with_capacity(self.raw_room);
-        let Some(mut samples) = self.fill(shard_size, parsed.map(|p| (p, &mut raw)))? else {
+        let mut first = Dataset::new();
+        if let (0, Some(parsed)) = (self.raw_room, parsed) {
+            if let Some(sample) = self.next_into(Some((parsed, &mut raw)))? {
+                first.push(sample);
+                let room = raw.text_len() * shard_size;
+                raw.reserve(room + room / 8);
+            }
+        }
+        let Some(mut samples) = self.fill(first, shard_size, parsed.map(|p| (p, &mut raw)))? else {
             return Ok(None);
         };
-        self.raw_room = raw.text_len() + raw.text_len() / 8;
+        self.raw_room = self.raw_room.max(raw.text_len() + raw.text_len() / 8);
         raw.restore_demoted(&mut samples)?;
         Ok(Some(ReadShard {
             samples,
@@ -299,9 +318,15 @@ impl CorpusReader {
         }))
     }
 
-    fn fill(&mut self, shard_size: usize, mut split: Option<Split<'_>>) -> Result<Option<Dataset>> {
+    /// Add samples to `shard` until it holds `shard_size` or the stream is
+    /// dry.
+    fn fill(
+        &mut self,
+        mut shard: Dataset,
+        shard_size: usize,
+        mut split: Option<Split<'_>>,
+    ) -> Result<Option<Dataset>> {
         debug_assert!(shard_size > 0, "shard_size must be positive");
-        let mut shard = Dataset::new();
         while shard.len() < shard_size {
             let split = split.as_mut().map(|(parsed, raw)| (*parsed, &mut **raw));
             match self.next_into(split)? {

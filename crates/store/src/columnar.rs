@@ -182,14 +182,23 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
 /// frame.
 pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> PooledBuf {
     let names = top_level_names(shard);
+    let (room, body_room) = tagged_room(shard, names.len(), shard.len());
     let columns = names.iter().map(|name| (*name, Kind::Tagged));
-    let mut frame = FrameBuilder::new(pool.take_largest(Holds::Frames), shard.len(), columns);
-    let mut body = pool.take_largest(Holds::Raw);
+    let mut frame = FrameBuilder::new(pool, room, shard.len(), columns);
+    let mut body = pool.take(Holds::Raw, body_room);
     for name in &names {
         column_body(&mut body, shard.iter().map(Some), name);
         frame.compress(&body, codec);
     }
     frame.seal()
+}
+
+/// Room for `columns` tagged regions of `samples`, `stored` entries each,
+/// compressed, and for the largest before (a tagged value ≤ its heap size).
+fn tagged_room(samples: &Dataset, columns: usize, stored: usize) -> (usize, usize) {
+    let body = samples.approx_bytes() + stored;
+    let regions = compress_bound(body + columns * stored) + columns * compress_bound(0);
+    (regions, body)
 }
 
 /// The union of the samples' top-level keys, sorted.
@@ -236,15 +245,11 @@ pub(crate) fn encode_ingested(
         columns.push((name, Kind::RawJson));
     }
     columns.sort_by_key(|(name, _)| *name);
-    // Room for it all up front: grown region by region, a frame of stored
-    // text is a chain of copies, each leaving the allocator a free block.
-    let directory: usize = columns.iter().map(|(name, _)| name.len()).sum::<usize>()
-        + columns.len() * MIN_DIRECTORY_ENTRY;
+    // Room for it all up front: a frame grown region by region is a chain of copies.
     let raw_regions = raw.text_len() + raw.names().count() * (HEADER_OF_STORED + 5 * keep.len());
-    let tagged_regions = compress_bound(processed.approx_bytes()) + tagged.len() * keep.len();
-    let mut out = pool.take_largest(Holds::Frames);
-    out.reserve_exact(envelope::HEADER_LEN + 13 + directory + raw_regions + tagged_regions);
-    let mut frame = FrameBuilder::new(out, keep.len(), columns.iter().copied());
+    let (tagged_regions, body_room) = tagged_room(processed, tagged.len(), keep.len());
+    let room = raw_regions + tagged_regions;
+    let mut frame = FrameBuilder::new(pool, room, keep.len(), columns.iter().copied());
     let mut body = None;
     for (name, kind) in columns {
         match raw.column(name).filter(|_| kind == Kind::RawJson) {
@@ -254,7 +259,7 @@ pub(crate) fn encode_ingested(
                 frame.store(|out| raw_column_body(out, entries));
             }
             None => {
-                let body = body.get_or_insert_with(|| pool.take_largest(Holds::Raw));
+                let body = body.get_or_insert_with(|| pool.take(Holds::Raw, body_room));
                 column_body(body, stored(processed, keep), name);
                 frame.compress(body, codec);
             }
@@ -402,12 +407,18 @@ fn pieces<'s>(
 
 impl<'a> FrameBuilder<'a> {
     /// A frame of `samples` samples whose columns are `columns`, in
-    /// directory (sorted) order, built in `out`, a frame buffer.
+    /// directory (sorted) order, built in a frame buffer from `pool` with
+    /// room for `regions` bytes of its own regions besides.
     fn new<'n>(
-        mut out: PooledBuf,
+        pool: &BufferPool,
+        regions: usize,
         samples: usize,
         columns: impl IntoIterator<Item = (&'n str, Kind)>,
     ) -> FrameBuilder<'a> {
+        let columns: Vec<(&str, Kind)> = columns.into_iter().collect();
+        let names: usize = columns.iter().map(|c| c.0.len()).sum();
+        let room = envelope::HEADER_LEN + 13 + names + columns.len() * MIN_DIRECTORY_ENTRY;
+        let mut out = pool.take(Holds::Frames, room + regions);
         out.resize(envelope::HEADER_LEN, 0);
         out.push(COLUMNAR_VERSION);
         out.extend_from_slice(&(samples as u64).to_le_bytes());
@@ -834,15 +845,14 @@ impl ColumnarSlab {
         let kinds = columns
             .iter()
             .map(|(n, c)| (*n, c.map_or(Kind::Tagged, |c| c.kind)));
-        // The passed regions are lent, so the frame's own bytes are few:
-        // the tightest free buffer, not the largest.
-        let mut frame = FrameBuilder::new(pool.take(Holds::Frames, 0), self.samples, kinds);
+        let (room, body_room) = tagged_room(processed, columns.len(), self.samples);
+        let mut frame = FrameBuilder::new(pool, room, self.samples, kinds);
         let mut body = None;
         for (name, entry) in columns {
             match entry {
                 Some(c) => frame.lend(self.region_bytes(c), c.raw_len),
                 None => {
-                    let body = body.get_or_insert_with(|| pool.take_largest(Holds::Raw));
+                    let body = body.get_or_insert_with(|| pool.take(Holds::Raw, body_room));
                     column_body(body, stored(processed, keep), name);
                     frame.compress(body, codec);
                 }
@@ -860,9 +870,12 @@ impl ColumnarSlab {
         check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
         let pool = self.buf.pool();
+        // Kept entries are at most the region's, recompressed.
+        let raw_lens = self.columns.iter().map(|c| c.raw_len as usize);
+        let room = raw_lens.clone().map(compress_bound).sum();
         let columns = self.columns.iter().map(|c| (c.name.as_str(), c.kind));
-        let mut frame = FrameBuilder::new(pool.take_largest(Holds::Frames), kept, columns);
-        let mut body = pool.take_largest(Holds::Raw);
+        let mut frame = FrameBuilder::new(pool, room, kept, columns);
+        let mut body = pool.take(Holds::Raw, raw_lens.max().unwrap_or(0));
         for c in &self.columns {
             if kept == self.samples {
                 frame.copy(self.region_bytes(c), c.raw_len);
@@ -1157,11 +1170,7 @@ mod tests {
         }
         bodies.sort();
         let names = bodies.iter().map(|(name, _)| (name.as_str(), Kind::Tagged));
-        let mut frame = FrameBuilder::new(
-            BufferPool::default().take_largest(Holds::Frames),
-            processed.len(),
-            names,
-        );
+        let mut frame = FrameBuilder::new(&BufferPool::default(), 0, processed.len(), names);
         for (_, body) in &bodies {
             frame.compress(body, Codec::Djz);
         }
@@ -1214,10 +1223,16 @@ mod tests {
         assert_eq!(out.decode_kept(None, Some(&keep)).unwrap().0, expected);
         // Compacted, it is byte for byte what the compacting splice wrote.
         let compacted = out.filter_frame(&keep, Codec::Djz).unwrap();
-        assert_eq!(compacted, compacted_splice(&slab, &processed, &cols, &keep));
+        assert_eq!(
+            *compacted,
+            *compacted_splice(&slab, &processed, &cols, &keep)
+        );
         // With nothing dropped there is nothing to compact.
         let all = vec![true; ds.len()];
-        assert_eq!(out.filter_frame(&all, Codec::Djz).unwrap(), stored.to_vec());
+        assert_eq!(
+            *out.filter_frame(&all, Codec::Djz).unwrap(),
+            stored.to_vec()
+        );
     }
 
     #[test]

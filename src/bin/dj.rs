@@ -20,6 +20,11 @@
 //! before any command is read) and installs that fault plan for the whole
 //! process before it replays the journal, so one plan's hit counters count
 //! every job, replayed ones and their retries included.
+//!
+//! It is also the one place that tunes the allocator: before its runtime
+//! starts, `dj serve` fixes glibc's mmap threshold at 1 MiB
+//! ([`fix_mmap_threshold`]), so every buffer the process frees that large
+//! goes back to the OS (`docs/service.md`, "Memory").
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -252,7 +257,32 @@ struct Service {
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
+/// Serve every allocation of 1 MiB or more by its own mapping, returned to
+/// the OS when it is freed. glibc's default threshold moves up to the size
+/// of each such block freed, and from then on blocks that large come from
+/// heaps it grows and keeps, so a long-lived process's peak RSS would be
+/// set by what every job ever freed. Setting it turns the adjustment off.
+/// The runtime's buffer pool keeps the buffers that are reused, so what is
+/// freed is what nothing took back.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn fix_mmap_threshold() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_MMAP_THRESHOLD: i32 = -3;
+    // SAFETY: `mallopt` only sets a glibc tunable, here before any thread
+    // of the runtime exists; it returns 0 on failure, which leaves the
+    // default and changes nothing else.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 1 << 20);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn fix_mmap_threshold() {}
+
 fn serve(opts: ServeOpts) {
+    fix_mmap_threshold();
     // The plan is the process's from here on: serve never returns, it
     // exits, so the guard never uninstalls it.
     let _faults = opts.faults.map(|plan| faults::install(Arc::new(plan)));

@@ -26,7 +26,9 @@
 //! A warmed spool cycle allocates nothing large at all: the slot files,
 //! the frames built, the column bodies, the decompressed regions and the
 //! codec's match table all come out of the run's buffer pool, so once the
-//! first shard has sized them, a shard like it reuses every one.
+//! first shard has sized them, a shard like it reuses every one. A runtime
+//! has one pool for all its jobs, so a job's passes reuse what the job
+//! before it freed.
 //!
 //! Ingest has a budget per *field*: a record's fields that no op reads are
 //! left as JSON text in the shard's raw columns, so a line carrying them
@@ -43,9 +45,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::{Dataset, Fingerprints, Op, Sample, SampleContext};
+use data_juicer::core::{Dataset, FieldSet, Fingerprints, Mapper, Op, Sample, SampleContext};
+use data_juicer::exec::{ExecOptions, Executor, Runtime, RuntimeConfig};
 use data_juicer::io::{CorpusReader, OutputFormat, ShardedWriter};
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
@@ -493,6 +498,96 @@ fn a_warmed_spool_cycle_allocates_no_large_buffer() {
         largest[1..].iter().all(|n| *n < LARGE),
         "largest allocation per shard: {largest:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A mapper that reads `text` and changes nothing. At every sample after
+/// the first it notes the largest allocation its thread made since the
+/// sample before: everything the run did between, loads and stores and
+/// barrier passes included.
+#[derive(Default)]
+struct Probe {
+    calls: AtomicUsize,
+    largest: AtomicUsize,
+}
+
+impl Mapper for Probe {
+    fn name(&self) -> &'static str {
+        "allocation_probe_mapper"
+    }
+
+    fn process(&self, _: &mut Sample, _: &mut SampleContext) -> data_juicer::core::Result<bool> {
+        let since = LARGEST.with(|max| max.replace(0));
+        if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {
+            self.largest.fetch_max(since, Ordering::Relaxed);
+        }
+        Ok(false)
+    }
+
+    fn fields_read(&self) -> FieldSet {
+        FieldSet::of(["text"])
+    }
+
+    fn fields_written(&self) -> FieldSet {
+        FieldSet::none()
+    }
+}
+
+/// Two file jobs, one after the other, on one runtime: each at `np: 1`,
+/// so its passes run on the one thread the runtime gives it, each probing
+/// that thread from a stage before a barrier and one after it. The first
+/// job sizes the runtime's pool; every pass of the second, from its first
+/// sample on, takes the buffers the first freed — the slot reads, the
+/// frames built, the column bodies and the decompressed regions — and
+/// allocates nothing of 64 KiB. (A shard's raw text, the field no op
+/// reads, is its own allocation, under 64 KiB here.)
+#[test]
+fn a_second_job_on_a_runtime_takes_the_buffers_the_first_freed() {
+    const LARGE: usize = 64 << 10;
+    let dir = std::env::temp_dir().join(format!("dj-alloc-runtime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut corpus = web_corpus(37, 600, WebNoise::default());
+    for (i, s) in corpus.samples_mut().iter_mut().enumerate() {
+        let log = format!("fetch {i}: dns 12ms, connect 31ms, ttfb 140ms; ").repeat(15);
+        s.set_meta("render_log", log);
+    }
+    let input = dir.join("in.jsonl");
+    std::fs::write(&input, to_jsonl(&corpus)).unwrap();
+
+    let rt = Runtime::new(RuntimeConfig {
+        max_jobs: 1,
+        ..RuntimeConfig::default()
+    });
+    let job = |n: usize| {
+        let probe = Arc::new(Probe::default());
+        let dedup = builtin_registry()
+            .build("document_deduplicator", &Default::default())
+            .unwrap();
+        let ops = vec![Op::Mapper(probe.clone()), dedup, Op::Mapper(probe.clone())];
+        let exec = Executor::new(ops).with_options(ExecOptions {
+            num_workers: 1,
+            shard_size: Some(60),
+            input: Some(input.display().to_string()),
+            output: Some(dir.join(format!("out-{n}"))),
+            ..ExecOptions::default()
+        });
+        rt.submit_io(exec).wait().unwrap();
+        (probe.largest.load(Ordering::Relaxed), rt.pool_bytes())
+    };
+    let (first, sized) = job(1);
+    let (second, after) = job(2);
+    assert!(
+        first >= LARGE,
+        "the first job allocated nothing large: {first}"
+    );
+    assert!(
+        second < LARGE,
+        "the second job allocated {second} bytes at once"
+    );
+    assert_eq!(sized, after, "the pool grew in the second job");
+    let out = |n: usize| std::fs::read_to_string(dir.join(format!("out-{n}/part-00000.jsonl")));
+    assert_eq!(out(1).unwrap(), out(2).unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
