@@ -6,8 +6,11 @@
 //! **The writer** ([`write_json`], [`write_json_str`], [`write_json_f64`])
 //! is the one place JSON text is produced: `Value`'s `Display`, the JSONL
 //! exporter and `dj-store`'s frame → JSONL transcoder all call it, so every
-//! output is byte-identical whichever path rendered it. The text contract
-//! (also in `docs/formats.md`):
+//! output is byte-identical whichever path rendered it. Text that is
+//! *stored* in place of a value — a `dj-store` frame's JSON columns — is
+//! printed by its guard, [`write_exact_json`], which refuses a value its
+//! text would not read back as (see `round_trips` below). The text
+//! contract (also in `docs/formats.md`):
 //!
 //! * strings escape exactly `"` → `\"`, `\` → `\\`, LF → `\n`, CR → `\r`,
 //!   TAB → `\t` and every other byte below `0x20` → `\u00xx` (lower-case
@@ -188,6 +191,47 @@ pub(crate) fn round_trips(v: &Value) -> bool {
         Value::List(items) => items.iter().all(round_trips),
         Value::Map(map) => map.values().all(round_trips),
         Value::Null | Value::Bool(_) | Value::Int(_) | Value::Str(_) => true,
+    }
+}
+
+/// Print `v`'s JSON text — exactly what [`write_json`] prints — at the end
+/// of `out` and return its length, when [`parse_json_nested`] at `depth`
+/// (the arrays and objects the text will sit inside) reads that text back
+/// as `v` itself; otherwise refuse with `None`, writing nothing. It refuses
+/// a float printed as another value (see `round_trips`) and a value nested
+/// deeper than [`MAX_NESTING_DEPTH`] counts from `depth`. This is the
+/// writer for text that is stored in place of a value.
+pub fn write_exact_json(out: &mut Vec<u8>, v: &Value, depth: usize) -> Option<usize> {
+    if !round_trips(v) || !nests_within(v, depth) {
+        return None;
+    }
+    let start = out.len();
+    // Writing into a byte buffer cannot fail.
+    let _ = write_json(&mut ByteText(out), v);
+    Some(out.len() - start)
+}
+
+/// Whether the parser, `depth` containers deep, reads `v` without passing
+/// [`MAX_NESTING_DEPTH`]. Stops at the limit, however deep `v` goes.
+fn nests_within(v: &Value, depth: usize) -> bool {
+    match v {
+        Value::List(items) => {
+            depth < MAX_NESTING_DEPTH && items.iter().all(|i| nests_within(i, depth + 1))
+        }
+        Value::Map(map) => {
+            depth < MAX_NESTING_DEPTH && map.values().all(|i| nests_within(i, depth + 1))
+        }
+        _ => true,
+    }
+}
+
+/// A byte buffer the writer prints into.
+struct ByteText<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for ByteText<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -1019,6 +1063,45 @@ control"}"#,
         ));
         let nested = Value::from(vec![Value::Int(1), Value::Float(f64::INFINITY)]);
         assert!(!round_trips(&nested));
+    }
+
+    /// The guarded writer prints what `write_json` prints, and refuses
+    /// exactly what `round_trips` refuses and what the parser would not
+    /// read back at the depth given.
+    #[test]
+    fn the_guarded_writer_prints_only_text_that_reads_back() {
+        let values = [
+            parse_json(r#"{"a":[1,"s\n\"",null,true,2.5],"b":{}}"#).unwrap(),
+            Value::Str("中文 \u{1} \\".into()),
+            Value::Float(-0.0),
+            Value::Float(1e20),
+            Value::Float(1e16),
+            Value::Float(1.7e15),
+            Value::Float(f64::NAN),
+            Value::from(vec![Value::Int(1), Value::Float(f64::INFINITY)]),
+        ];
+        for v in values {
+            let mut out = b"x".to_vec();
+            let len = write_exact_json(&mut out, &v, 0);
+            if round_trips(&v) {
+                assert_eq!(out[1..], *v.to_string().as_bytes(), "{v:?}");
+                assert_eq!(len, Some(out.len() - 1));
+            } else {
+                assert_eq!((len, &out[..]), (None, &b"x"[..]), "{v:?}");
+            }
+        }
+        // Nested as deep as the parser reads from `depth`, and one deeper.
+        let mut v = Value::Null;
+        for levels in 1..=MAX_NESTING_DEPTH + 1 {
+            v = Value::List(vec![v]);
+            for depth in [0, 1, 5] {
+                let text = v.to_string();
+                let reads = parse_json_nested(&text, depth).is_ok();
+                let written = write_exact_json(&mut Vec::new(), &v, depth);
+                assert_eq!(written.is_some(), reads, "{levels} levels at {depth}");
+                assert_eq!(reads, levels + depth <= MAX_NESTING_DEPTH);
+            }
+        }
     }
 
     /// A field with a value that would read back as another demotes its

@@ -54,8 +54,8 @@ pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};
 pub use fingerprints::{words_to_value, Fingerprints};
 pub use json::{
-    parse_json, parse_json_nested, parse_record, write_json, write_json_f64, write_json_str,
-    MAX_NESTING_DEPTH,
+    parse_json, parse_json_nested, parse_record, write_exact_json, write_json, write_json_f64,
+    write_json_str, MAX_NESTING_DEPTH,
 };
 pub use op::{
     params, Deduplicator, FieldSet, Filter, Formatter, Mapper, Op, OpCost, OpFactory, OpKind,

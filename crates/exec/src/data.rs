@@ -40,9 +40,19 @@ use crate::executor::Executor;
 use crate::options::ExecOptions;
 use crate::stream::{drive, Feed, Resident, RunCtl};
 
-/// Codec for spilled shard frames (cheap LZ77: spill IO shrinks without a
-/// zstd-class CPU bill). Measured on `meta-file-col`'s shards (`djbench
-/// --trace 1`, 2-core VM): ≈ 320 MB/s to compress, ≈ 770 MB/s to
+/// Codec for the tagged regions of spilled shard frames (cheap LZ77: spill
+/// IO shrinks without a zstd-class CPU bill). Since every column is stored
+/// as JSON text unless a value demotes it (`dj-store`'s storage rule), only
+/// demoted columns are compressed, and on the djbench workloads none is:
+/// the ingest spool of the `web-file` corpus (seed 11, 67.4 MB of JSONL)
+/// took 27.7 MB with `text` and `stats` tagged and compressed, and takes
+/// 75.9 MB as text, for 0.11 s of `egress_s` against 0.23 and 1.20 cpu-s
+/// against 1.25 at `np: 1` (fixed-input `djbench child`, 10 pairs, medians
+/// on a noisy 2-core VM). Those spool pages stay in the page cache on the
+/// benchmark VM, so what the larger spool costs a spill that waits on the
+/// disk is not measured. The measurements below are from before that
+/// rule. Measured on `meta-file-col`'s shards (`djbench --trace 1`, 2-core
+/// VM): ≈ 320 MB/s to compress, ≈ 770 MB/s to
 /// decompress into fresh memory, 2.7× smaller: byte for byte, writing a
 /// spilled frame costs the codec about 2.4 times what reading it back does.
 ///

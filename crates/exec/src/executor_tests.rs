@@ -346,10 +346,10 @@ fn entry_as_row_frames(cache: &CacheManager, key: u64, out: &Path) -> (usize, u6
 /// the one a barrier that thinned its shards on the spot saved. Every
 /// eighth document repeats an earlier one, so no shard is thinned to half
 /// its fill. Pinned by length and FNV-1a; a deliberate codec or frame
-/// layout change re-pins them. Entries were row frames until resident
-/// saves took the one spill format: the row pins stay, held by the same
-/// samples written as row frames, so a re-pin cannot change what an entry
-/// holds. The entries' keys are pinned too: content identity, the same at
+/// layout change re-pins them (the last: every column stored as JSON
+/// text). Entries were row frames until resident saves took the one spill
+/// format: the row pins stay, held by the same samples written as row
+/// frames, so a re-pin cannot change what an entry holds. The entries' keys are pinned too: content identity, the same at
 /// every shard size and worker count.
 #[test]
 fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
@@ -364,12 +364,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             [
                 (
                     STAGE,
-                    (1_594, 14_291_859_101_291_498_302),
+                    (5_102, 14_466_902_492_956_366_666),
                     (1_150, 8_340_056_087_111_528_943),
                 ),
                 (
                     BARRIER,
-                    (1_572, 16_993_878_675_257_706_588),
+                    (4_557, 1_320_918_449_715_246_273),
                     (1_134, 17_714_607_690_819_406_091),
                 ),
             ],
@@ -379,12 +379,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             [
                 (
                     STAGE,
-                    (496, 11_700_923_943_813_675_542),
+                    (4_482, 12_524_886_848_217_907_267),
                     (396, 2_542_646_165_673_211_883),
                 ),
                 (
                     BARRIER,
-                    (476, 9_825_258_325_217_428_589),
+                    (3_937, 13_865_650_253_443_048_137),
                     (382, 11_625_822_995_169_161_923),
                 ),
             ],

@@ -32,17 +32,28 @@
 //! `null`, so columnar↔row round-trips are value-identical: a `frames`
 //! output part converted from a spool slot equals a fresh row encode.
 //!
-//! A *raw JSON* column holds a field no op of the run reads, as the text
-//! `write_json` prints for its value: the JSONL reader leaves such fields
-//! unparsed ([`RawColumns`]), and nothing between ingest and egress ever
-//! builds their values. A raw JSON region is stored uncompressed
-//! (`Codec::None`), whatever codec the frame's tagged regions use, and read
-//! where the frame holds it: JSONL egress copies an entry, a decode parses
-//! it. (`SPILL_CODEC` in `dj-exec` has the measurement against Djz.)
+//! **The storage rule: a column is canonical JSON text unless a value in it
+//! forbids that.** A field no op of the run reads comes from the JSONL
+//! reader as text already ([`RawColumns`]) and is copied. Every column of
+//! values a sink writes — file ingest (`encode_ingested`), the columns a
+//! splice re-encodes, a resident stage's spill or cache save
+//! ([`encode_columnar_frame`]) — is printed by `dj_core`'s guarded writer,
+//! [`write_exact_json`], straight into its region. The guard refuses a
+//! value whose text would not read back as itself (a non-finite float, an
+//! integral float printed as an integer, a value nested deeper than a
+//! decode reads); the first refusal *demotes* the column in this frame:
+//! its text is dropped, its directory entry patched, and its values
+//! written tagged, compressed with the frame's codec. A cheap pre-pass
+//! sizes the text, so a frame reserves about the bytes it will hold. A
+//! raw JSON region is stored uncompressed (`Codec::None`), whatever the
+//! codec, and read where the frame holds it: JSONL egress copies an entry,
+//! a decode parses it, a hash pass borrows a plain string.
+//! (`SPILL_CODEC` in `dj-exec` has the measurements against Djz.)
 //! The envelope's checksum covers every byte of the payload, so a region
-//! carries none of its own. Version 1 frames (tagged columns only, a
-//! checksum per region) are refused as such, which makes an earlier
-//! release's spool slot or cache entry a miss.
+//! carries none of its own. A frame written before the rule, with tagged
+//! touched columns, reads as it always did. Version 1 frames (tagged
+//! columns only, a checksum per region) are refused as such, which makes
+//! an earlier release's spool slot or cache entry a miss.
 //!
 //! Two access patterns motivate the format:
 //!
@@ -51,22 +62,26 @@
 //!   [`ColumnarSlab::read_column`] feeds dedup hash passes a single column's
 //!   texts as borrowed `Cow`s without building samples at all);
 //! * **passthrough splice** — [`ColumnarSlab::splice`] passes the regions
-//!   of untouched columns into the output frame verbatim, compressed bytes,
-//!   kind and all, and without a copy: the output is [`FrameParts`], its
-//!   own bytes with those regions lent from the input frame between them,
-//!   written to the slot piece after piece. A sample the stage dropped stays stored: its entries in
+//!   of untouched columns into the output frame verbatim, stored or
+//!   compressed bytes, kind and all, and without a copy: the output is
+//!   [`FrameParts`], its own bytes with those regions lent from the input
+//!   frame between them, written to the slot piece after piece. A sample
+//!   the stage dropped stays stored: its entries in
 //!   the re-encoded columns are absent, and the keep mask the executor keeps
 //!   beside the spool skips it. No region the stage did not decode is ever
 //!   decompressed.
 //!
 //! Dropped entries leave the bytes only where the bytes leave the spool:
 //! [`ColumnarSlab::filter_frame`] compacts a masked frame for a cache entry
-//! by walking entry boundaries, never decoding a value.
+//! by walking entry boundaries, never decoding a value: a text region's
+//! kept entries are copied into the frame, a tagged one's recompressed.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use dj_core::{parse_json_nested, Dataset, DjError, RawColumns, Result, Sample, Value};
+use dj_core::{
+    parse_json_nested, write_exact_json, Dataset, DjError, RawColumns, Result, Sample, Value,
+};
 
 use crate::codec::{
     compress_bound, compress_into, decompress_into, max_raw_len, store_into, stored_data, Codec,
@@ -151,16 +166,34 @@ pub(crate) fn take_raw<'a>(cur: &mut &'a [u8], column: &str) -> Result<&'a str> 
     Ok(text)
 }
 
+const LOW7: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
 /// Whether any byte of `bytes` is below `0x20`, eight at a time.
 fn has_control_byte(bytes: &[u8]) -> bool {
-    const LOW7: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
+    any_word(bytes, |w| w.wrapping_sub(LOW7 * 0x20) & !w & HIGH != 0)
+}
+
+/// Whether any byte of `bytes` is a quote or a backslash, eight at a time.
+fn has_quote_or_backslash(bytes: &[u8]) -> bool {
+    let has_zero = |w: u64| w.wrapping_sub(LOW7) & !w & HIGH != 0;
+    any_word(bytes, |w| {
+        has_zero(w ^ (LOW7 * b'"' as u64)) || has_zero(w ^ (LOW7 * b'\\' as u64))
+    })
+}
+
+/// Whether `hit` holds for any eight bytes of `bytes`, read as a
+/// little-endian word; the last, short word is padded with `a`, a byte
+/// neither check looks for.
+fn any_word(bytes: &[u8], hit: impl Fn(u64) -> bool) -> bool {
+    let word = |w: &[u8]| {
+        let mut padded = [b'a'; 8];
+        padded[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(padded)
+    };
     let mut words = bytes.chunks_exact(8);
-    let below = words.any(|w| {
-        let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
-        w.wrapping_sub(LOW7 * 0x20) & !w & HIGH != 0
-    });
-    below || words.remainder().iter().any(|b| *b < 0x20)
+    let found = words.any(|w| hit(word(w)));
+    found || hit(word(words.remainder()))
 }
 
 /// Bytes of the shortest directory entry (an empty name, the kind byte
@@ -177,28 +210,75 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
     encode_into(shard, codec, &BufferPool::default()).into_vec()
 }
 
-/// [`encode_columnar_frame`] built in a buffer from `pool`, each column's
-/// body written into one reused buffer and compressed straight into the
-/// frame.
+/// [`encode_columnar_frame`] built in a buffer from `pool`: each column
+/// printed as JSON text straight into the frame, or, demoted, written in
+/// one reused buffer and compressed into it with `codec`.
 pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> PooledBuf {
-    let names = top_level_names(shard);
-    let (room, body_room) = tagged_room(shard, names.len(), shard.len());
-    let columns = names.iter().map(|name| (*name, Kind::Tagged));
-    let mut frame = FrameBuilder::new(pool, room, shard.len(), columns);
-    let mut body = pool.take(Holds::Raw, body_room);
-    for name in &names {
-        column_body(&mut body, shard.iter().map(Some), name);
-        frame.compress(&body, codec);
+    let samples = || shard.iter().map(Some);
+    let columns: Vec<(&str, Source)> = top_level_names(shard)
+        .into_iter()
+        .map(|name| (name, Source::Values(text_room(samples(), name))))
+        .collect();
+    let mut frame = FrameBuilder::planned(pool, 0, shard.len(), &columns);
+    for (name, _) in &columns {
+        frame.values(samples(), name, codec);
     }
     frame.seal()
 }
 
-/// Room for `columns` tagged regions of `samples`, `stored` entries each,
-/// compressed, and for the largest before (a tagged value ≤ its heap size).
-fn tagged_room(samples: &Dataset, columns: usize, stored: usize) -> (usize, usize) {
-    let body = samples.approx_bytes() + stored;
-    let regions = compress_bound(body + columns * stored) + columns * compress_bound(0);
-    (regions, body)
+/// Where a column of a frame being built comes from.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// The samples' values, printed as text unless a value refuses, with
+    /// room for the text the pre-pass sized.
+    Values(usize),
+    /// A reader's raw JSON column (its index in the table), copied.
+    Reader(usize),
+    /// Another frame's region, lent.
+    Lent(&'a ColumnEntry),
+}
+
+impl Source<'_> {
+    fn kind(self) -> Kind {
+        match self {
+            Source::Values(_) | Source::Reader(_) => Kind::RawJson,
+            Source::Lent(c) => c.kind,
+        }
+    }
+}
+
+/// The value column `name` has in a stored sample, if any (`None` is a
+/// sample a stage dropped).
+fn value_of<'s>(sample: Option<&'s Sample>, name: &str) -> Option<&'s Value> {
+    sample?.value().as_map()?.get(name)
+}
+
+/// The pre-pass: the room column `name` of `samples`, one item per stored
+/// sample, takes as text — cheap, with neither a string scanned nor a
+/// number printed, and about what it holds: a presence byte and a length
+/// per entry, and [`json_room`] per value.
+fn text_room<'s>(samples: impl Iterator<Item = Option<&'s Sample>>, name: &str) -> usize {
+    let entries = samples.map(|s| value_of(s, name).map_or(0, |v| 4 + json_room(v)));
+    entries.map(|entry| 1 + entry).sum()
+}
+
+/// About the length of `v`'s JSON text: a string's bytes, an eighth more
+/// for escapes, and its quotes; 24 bytes a number (a longer one, or more
+/// escapes, grow the frame once).
+fn json_room(v: &Value) -> usize {
+    let string = |s: &str| s.len() + s.len() / 8 + 2;
+    match v {
+        Value::Null | Value::Bool(_) => 5,
+        Value::Int(_) | Value::Float(_) => 24,
+        Value::Str(s) => string(s),
+        Value::List(items) => 2 + items.iter().map(|i| 1 + json_room(i)).sum::<usize>(),
+        Value::Map(m) => {
+            2 + m
+                .iter()
+                .map(|(k, i)| string(k) + 2 + json_room(i))
+                .sum::<usize>()
+        }
+    }
 }
 
 /// The union of the samples' top-level keys, sorted.
@@ -213,11 +293,11 @@ fn top_level_names(samples: &Dataset) -> BTreeSet<&str> {
 }
 
 /// The frame a shard read from text is stored as: `processed`, the samples
-/// `keep` kept of the ones the reader produced, as tagged columns
-/// compressed with `codec`, and the reader's `raw` JSON columns beside
-/// them, stored. Every sample read stays stored — a dropped one with no
-/// entry in any column — for `keep` to mask, the way a splice stores what a
-/// stage dropped.
+/// `keep` kept of the ones the reader produced, as columns of values
+/// ([`FrameBuilder::values`]), and the reader's `raw` JSON columns beside
+/// them, copied. Every sample read stays stored — a dropped one with no entry in
+/// any column — for `keep` to mask, the way a splice stores what a stage
+/// dropped.
 pub(crate) fn encode_ingested(
     processed: &Dataset,
     raw: &RawColumns,
@@ -234,35 +314,32 @@ pub(crate) fn encode_ingested(
             raw.text_len()
         )));
     }
-    let tagged = top_level_names(processed);
-    let mut columns: Vec<(&str, Kind)> = tagged.iter().map(|n| (*n, Kind::Tagged)).collect();
-    for name in raw.names() {
-        if tagged.contains(name) {
+    let samples = || stored(processed, keep);
+    let values = top_level_names(processed);
+    let mut columns: Vec<(&str, Source)> = Vec::new();
+    for name in &values {
+        columns.push((name, Source::Values(text_room(samples(), name))));
+    }
+    for (c, name) in raw.names().enumerate() {
+        if values.contains(name) {
             return Err(DjError::Storage(format!(
                 "field-footprint violation: a stage wrote the unparsed column `{name}`"
             )));
         }
-        columns.push((name, Kind::RawJson));
+        columns.push((name, Source::Reader(c)));
     }
     columns.sort_by_key(|(name, _)| *name);
-    // Room for it all up front: a frame grown region by region is a chain of copies.
     let raw_regions = raw.text_len() + raw.names().count() * (HEADER_OF_STORED + 5 * keep.len());
-    let (tagged_regions, body_room) = tagged_room(processed, tagged.len(), keep.len());
-    let room = raw_regions + tagged_regions;
-    let mut frame = FrameBuilder::new(pool, room, keep.len(), columns.iter().copied());
-    let mut body = None;
-    for (name, kind) in columns {
-        match raw.column(name).filter(|_| kind == Kind::RawJson) {
-            Some(c) => {
+    let mut frame = FrameBuilder::planned(pool, raw_regions, keep.len(), &columns);
+    for (name, source) in &columns {
+        match *source {
+            Source::Values(_) => frame.values(samples(), name, codec),
+            Source::Reader(c) => {
                 let entries = keep.iter().enumerate();
                 let entries = entries.map(|(i, k)| raw.entry(c, i).filter(|_| *k));
                 frame.store(|out| raw_column_body(out, entries));
             }
-            None => {
-                let body = body.get_or_insert_with(|| pool.take(Holds::Raw, body_room));
-                column_body(body, stored(processed, keep), name);
-                frame.compress(body, codec);
-            }
+            Source::Lent(_) => {}
         }
     }
     Ok(frame.seal())
@@ -285,15 +362,15 @@ fn check_kept(processed: &Dataset, keep: &[bool]) -> Result<()> {
 fn stored<'s>(
     processed: &'s Dataset,
     keep: &'s [bool],
-) -> impl Iterator<Item = Option<&'s Sample>> + 's {
+) -> impl Iterator<Item = Option<&'s Sample>> + Clone + 's {
     let mut samples = processed.iter();
     keep.iter()
         .map(move |k| if *k { samples.next() } else { None })
 }
 
-/// Write one column's region before compression into `body`: per stored
-/// sample a presence byte and, when present, the tagged value. A `None`
-/// sample — one a stage dropped — stores an absent entry.
+/// Write one demoted column's region before compression into `body`: per
+/// stored sample a presence byte and, when present, the tagged value. A
+/// `None` sample — one a stage dropped — stores an absent entry.
 fn column_body<'s>(
     body: &mut Vec<u8>,
     samples: impl Iterator<Item = Option<&'s Sample>>,
@@ -301,7 +378,7 @@ fn column_body<'s>(
 ) {
     body.clear();
     for s in samples {
-        match s.and_then(|s| s.value().as_map()).and_then(|m| m.get(name)) {
+        match value_of(s, name) {
             Some(v) => {
                 body.push(1);
                 write_value(body, v);
@@ -309,6 +386,33 @@ fn column_body<'s>(
             None => body.push(0),
         }
     }
+}
+
+/// Append one text column's region to `out`, where the frame holds it: per
+/// stored sample a presence byte and, when present, the length-prefixed
+/// text of the value, printed in place by the guarded writer. Returns
+/// whether every value was printed: at the first the guard refuses (or
+/// whose text is too long for a u32 length) it stops.
+fn text_column_body<'s>(
+    out: &mut Vec<u8>,
+    samples: impl Iterator<Item = Option<&'s Sample>>,
+    name: &str,
+) -> bool {
+    for s in samples {
+        let Some(v) = value_of(s, name) else {
+            out.push(0);
+            continue;
+        };
+        out.push(1);
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        let printed = write_exact_json(out, v, COLUMN_DEPTH);
+        match printed.and_then(|len| u32::try_from(len).ok()) {
+            Some(len) => out[at..at + 4].copy_from_slice(&len.to_le_bytes()),
+            None => return false,
+        }
+    }
+    true
 }
 
 /// Append one raw JSON column's region to `body`: per stored sample a
@@ -338,6 +442,9 @@ pub(crate) fn raw_column_body<'e>(
 /// ([`seal_parts`](FrameBuilder::seal_parts)).
 struct FrameBuilder<'a> {
     out: PooledBuf,
+    /// The body demoted columns are written in before compression, taken
+    /// from the pool for the first.
+    body: Option<PooledBuf>,
     /// Regions lent by another frame, each with where in `out` it goes.
     lent: Vec<(usize, &'a [u8])>,
     /// Bytes lent so far.
@@ -436,11 +543,63 @@ impl<'a> FrameBuilder<'a> {
         FrameBuilder {
             regions: out.len(),
             out,
+            body: None,
             lent: Vec::new(),
             lent_len: 0,
             words,
             done: 0,
         }
+    }
+
+    /// A frame of `samples` samples whose columns are `columns`, in
+    /// directory order, with room for the text of its columns of values
+    /// (as the pre-pass sized it) plus `more` bytes of regions built
+    /// otherwise.
+    fn planned(
+        pool: &BufferPool,
+        more: usize,
+        samples: usize,
+        columns: &[(&str, Source)],
+    ) -> FrameBuilder<'a> {
+        let values = columns.iter().map(|(_, source)| match source {
+            Source::Values(room) => HEADER_OF_STORED + room,
+            _ => 0,
+        });
+        let kinds = columns.iter().map(|(name, source)| (*name, source.kind()));
+        FrameBuilder::new(pool, more + values.sum::<usize>(), samples, kinds)
+    }
+
+    /// Append column `name` of `samples`, one item per stored sample, as
+    /// the next region: printed as text where the frame holds it, unless
+    /// the guard refuses a value. Then the column is *demoted* in this
+    /// frame: what was printed is dropped, the directory entry says
+    /// tagged, and the values are written tagged in the frame's body and
+    /// compressed with `codec`.
+    fn values<'s>(
+        &mut self,
+        samples: impl Iterator<Item = Option<&'s Sample>> + Clone,
+        name: &str,
+        codec: Codec,
+    ) {
+        let own = self.out.len();
+        let mut printed = true;
+        self.store(|out| printed = text_column_body(out, samples.clone(), name));
+        if printed {
+            return;
+        }
+        self.done -= 1;
+        self.out.truncate(own);
+        let kind = self.words[self.done] - 1;
+        self.out[kind] = Kind::Tagged.byte();
+        // A tagged value takes at most its heap size.
+        let room = (samples.clone())
+            .map(|s| 1 + value_of(s, name).map_or(0, Value::approx_bytes))
+            .sum();
+        let pool = self.out.pool().clone();
+        let mut body = (self.body.take()).unwrap_or_else(|| pool.take(Holds::Raw, room));
+        column_body(&mut body, samples, name);
+        self.compress(&body, codec);
+        self.body = Some(body);
     }
 
     /// The frame's length so far, lent regions included.
@@ -486,15 +645,6 @@ impl<'a> FrameBuilder<'a> {
         store_into(&mut self.out, write);
         let raw_len = self.len() - start - HEADER_OF_STORED;
         self.close_region(start, raw_len as u64);
-    }
-
-    /// The next region, of kind `kind`, from its bytes before compression:
-    /// a tagged one compressed with `codec`, a raw JSON one stored.
-    fn region(&mut self, kind: Kind, body: &[u8], codec: Codec) {
-        match kind {
-            Kind::Tagged => self.compress(body, codec),
-            Kind::RawJson => self.store(|out| out.extend_from_slice(body)),
-        }
     }
 
     /// Compress `body` straight into the frame as the next region.
@@ -833,29 +983,22 @@ impl ColumnarSlab {
         }
 
         let bytes_passthrough = passthrough.iter().map(|c| c.raw_len).sum();
-        // Directory order is sorted by name: `None` marks a column to
-        // re-encode.
-        let mut columns: Vec<(&str, Option<&ColumnEntry>)> = passthrough
+        let samples = || stored(processed, keep);
+        let mut columns: Vec<(&str, Source)> = passthrough
             .into_iter()
-            .map(|c| (c.name.as_str(), Some(c)))
-            .chain(encoded_names.into_iter().map(|name| (name, None)))
+            .map(|c| (c.name.as_str(), Source::Lent(c)))
+            .chain(
+                (encoded_names.into_iter())
+                    .map(|name| (name, Source::Values(text_room(samples(), name)))),
+            )
             .collect();
         columns.sort_by_key(|(name, _)| *name);
-        let pool = self.buf.pool();
-        let kinds = columns
-            .iter()
-            .map(|(n, c)| (*n, c.map_or(Kind::Tagged, |c| c.kind)));
-        let (room, body_room) = tagged_room(processed, columns.len(), self.samples);
-        let mut frame = FrameBuilder::new(pool, room, self.samples, kinds);
-        let mut body = None;
-        for (name, entry) in columns {
-            match entry {
-                Some(c) => frame.lend(self.region_bytes(c), c.raw_len),
-                None => {
-                    let body = body.get_or_insert_with(|| pool.take(Holds::Raw, body_room));
-                    column_body(body, stored(processed, keep), name);
-                    frame.compress(body, codec);
-                }
+        let mut frame = FrameBuilder::planned(self.buf.pool(), 0, self.samples, &columns);
+        for (name, source) in &columns {
+            match *source {
+                Source::Lent(c) => frame.lend(self.region_bytes(c), c.raw_len),
+                Source::Values(_) => frame.values(samples(), name, codec),
+                Source::Reader(_) => {}
             }
         }
         Ok((frame.seal_parts(), bytes_passthrough))
@@ -870,39 +1013,63 @@ impl ColumnarSlab {
         check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
         let pool = self.buf.pool();
-        // Kept entries are at most the region's, recompressed.
-        let raw_lens = self.columns.iter().map(|c| c.raw_len as usize);
-        let room = raw_lens.clone().map(compress_bound).sum();
         let columns = self.columns.iter().map(|c| (c.name.as_str(), c.kind));
-        let mut frame = FrameBuilder::new(pool, room, kept, columns);
-        let mut body = pool.take(Holds::Raw, raw_lens.max().unwrap_or(0));
-        for c in &self.columns {
-            if kept == self.samples {
+        if kept == self.samples {
+            let room = self.columns.iter().map(|c| c.len).sum();
+            let mut frame = FrameBuilder::new(pool, room, kept, columns);
+            for c in &self.columns {
                 frame.copy(self.region_bytes(c), c.raw_len);
-                continue;
             }
+            return Ok(frame.seal());
+        }
+        // Kept entries are at most the region's, recompressed.
+        let room = (self.columns.iter())
+            .map(|c| compress_bound(c.raw_len as usize))
+            .sum();
+        let mut frame = FrameBuilder::new(pool, room, kept, columns);
+        let mut body = None;
+        for c in &self.columns {
             let region = self.region_raw(c)?;
-            body.clear();
-            let mut cur: &[u8] = &region;
-            for keep_it in keep {
-                let entry = cur;
-                if take_entry(&mut cur, &c.name)? {
-                    c.kind.skip(&mut cur)?;
+            match c.kind {
+                Kind::RawJson => {
+                    let mut copied = Ok(());
+                    frame.store(|out| copied = copy_kept(out, &region, keep, c));
+                    copied?;
                 }
-                if *keep_it {
-                    body.extend_from_slice(&entry[..entry.len() - cur.len()]);
+                Kind::Tagged => {
+                    let room = c.raw_len as usize;
+                    let body = body.get_or_insert_with(|| pool.take(Holds::Raw, room));
+                    body.clear();
+                    copy_kept(body, &region, keep, c)?;
+                    frame.compress(body, codec);
                 }
             }
-            if !cur.is_empty() {
-                return Err(DjError::Storage(format!(
-                    "trailing bytes after column `{}`",
-                    c.name
-                )));
-            }
-            frame.region(c.kind, &body, codec);
         }
         Ok(frame.seal())
     }
+}
+
+/// Append the entries of `region`, column `c`'s bytes before compression,
+/// that `keep` keeps — presence byte and value, found by skipping — to
+/// `out`.
+fn copy_kept(out: &mut Vec<u8>, region: &[u8], keep: &[bool], c: &ColumnEntry) -> Result<()> {
+    let mut cur = region;
+    for keep_it in keep {
+        let entry = cur;
+        if take_entry(&mut cur, &c.name)? {
+            c.kind.skip(&mut cur)?;
+        }
+        if *keep_it {
+            out.extend_from_slice(&entry[..entry.len() - cur.len()]);
+        }
+    }
+    if !cur.is_empty() {
+        return Err(DjError::Storage(format!(
+            "trailing bytes after column `{}`",
+            c.name
+        )));
+    }
+    Ok(())
 }
 
 /// A region's bytes before compression: in the frame's own buffer when it
@@ -941,8 +1108,9 @@ impl ColumnRegion<'_> {
     /// Borrow the text at dotted path `rest` *within* this column for every
     /// sample (`""` = the column value itself). Semantics mirror
     /// [`dj_core::Sample::text_at`]: a missing path, an absent column entry
-    /// or a non-string value yields `""`. A raw JSON entry is parsed, and
-    /// its text copied out.
+    /// or a non-string value yields `""`. A raw JSON entry that is a whole
+    /// string with no escape is borrowed from between its quotes; any other
+    /// is parsed, and its text copied out.
     pub fn texts_at(&self, rest: &str) -> Result<Vec<Cow<'_, str>>> {
         let segments: Vec<&str> = if rest.is_empty() {
             Vec::new()
@@ -956,9 +1124,19 @@ impl ColumnRegion<'_> {
                 (false, _) => Cow::Borrowed(""),
                 (true, Kind::Tagged) => walk_path(&mut cur, &segments)?,
                 (true, Kind::RawJson) => {
-                    let value = Kind::RawJson.read(&mut cur, "")?;
-                    let at = segments.iter().try_fold(&value, |v, s| v.as_map()?.get(*s));
-                    Cow::Owned(at.and_then(Value::as_str).unwrap_or("").to_string())
+                    let text = take_raw(&mut cur, "")?;
+                    match plain_string(text) {
+                        // A string has no path inside it.
+                        Some(plain) if segments.is_empty() => Cow::Borrowed(plain),
+                        Some(_) => Cow::Borrowed(""),
+                        None => {
+                            let value = parse_json_nested(text, COLUMN_DEPTH).map_err(|e| {
+                                DjError::Storage(format!("raw JSON in column: {e}"))
+                            })?;
+                            let at = segments.iter().try_fold(&value, |v, s| v.as_map()?.get(*s));
+                            Cow::Owned(at.and_then(Value::as_str).unwrap_or("").to_string())
+                        }
+                    }
                 }
             });
         }
@@ -967,6 +1145,13 @@ impl ColumnRegion<'_> {
         }
         Ok(out)
     }
+}
+
+/// The string a JSON text is, when it is one string with nothing escaped:
+/// the bytes between its quotes, which hold no quote and no backslash.
+fn plain_string(text: &str) -> Option<&str> {
+    let inner = text.strip_prefix('"')?.strip_suffix('"')?;
+    (!has_quote_or_backslash(inner.as_bytes())).then_some(inner)
 }
 
 /// Split a dotted field path into (top-level column, rest-of-path) for
@@ -1133,17 +1318,18 @@ mod tests {
 
     /// What a splice that drops samples wrote before dropped samples stayed
     /// stored: every passthrough region decompressed, its kept entries
-    /// copied and recompressed, the re-encoded columns holding the kept
-    /// samples only. Cache entries and `frames` parts were made of these
-    /// bytes, so a stored splice compacted by `filter_frame` must equal
-    /// them.
+    /// copied and stored again as its kind is (text stored, tagged values
+    /// recompressed), the re-encoded columns holding the kept samples only,
+    /// laid out by the storage rule. Cache entries and `frames` parts were
+    /// made of these bytes, so a stored splice compacted by `filter_frame`
+    /// must equal them.
     fn compacted_splice(
         slab: &ColumnarSlab,
         processed: &Dataset,
         decoded: &BTreeSet<String>,
         keep: &[bool],
     ) -> Vec<u8> {
-        let mut bodies: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut bodies: Vec<(String, Kind, Vec<u8>)> = Vec::new();
         for c in slab.columns.iter().filter(|c| !decoded.contains(&c.name)) {
             let region = decompress(slab.region_bytes(c)).unwrap();
             let mut body = Vec::new();
@@ -1151,28 +1337,31 @@ mod tests {
             for keep_it in keep {
                 let entry = cur;
                 if take_entry(&mut cur, &c.name).unwrap() {
-                    skip_value_at(&mut cur, COLUMN_DEPTH).unwrap();
+                    c.kind.skip(&mut cur).unwrap();
                 }
                 if *keep_it {
                     body.extend_from_slice(&entry[..entry.len() - cur.len()]);
                 }
             }
-            bodies.push((c.name.clone(), body));
+            bodies.push((c.name.clone(), c.kind, body));
         }
         let mut names = BTreeSet::new();
         for s in processed.iter() {
             names.extend(s.value().as_map().unwrap().keys().cloned());
         }
+        let encoded = names.clone();
         for name in names {
-            let mut body = Vec::new();
-            column_body(&mut body, processed.iter().map(Some), &name);
-            bodies.push((name, body));
+            bodies.push((name, Kind::RawJson, Vec::new()));
         }
-        bodies.sort();
-        let names = bodies.iter().map(|(name, _)| (name.as_str(), Kind::Tagged));
+        bodies.sort_by(|a, b| a.0.cmp(&b.0));
+        let names = bodies.iter().map(|(name, kind, _)| (name.as_str(), *kind));
         let mut frame = FrameBuilder::new(&BufferPool::default(), 0, processed.len(), names);
-        for (_, body) in &bodies {
-            frame.compress(body, Codec::Djz);
+        for (name, kind, body) in &bodies {
+            match (encoded.contains(name), kind) {
+                (true, _) => frame.values(processed.iter().map(Some), name, Codec::Djz),
+                (false, Kind::RawJson) => frame.store(|out| out.extend_from_slice(body)),
+                (false, Kind::Tagged) => frame.compress(body, Codec::Djz),
+            }
         }
         frame.seal().into_vec()
     }
@@ -1326,7 +1515,11 @@ mod tests {
         let slab = ColumnarSlab::from_frame_bytes(&sealed).unwrap();
         assert_eq!(slab.sample_count(), 4, "a dropped sample stays stored");
         assert_eq!(slab.column_names(), vec!["h", "text", "url"]);
-        assert!(slab.is_raw_json("url") && slab.is_raw_json("h") && !slab.is_raw_json("text"));
+        // The reader's columns are its text; `text`, parsed, is printed
+        // back as text by the storage rule.
+        assert!(["h", "text", "url"]
+            .iter()
+            .all(|name| slab.is_raw_json(name)));
         // A region holds each entry's text as it is.
         let region = decompress(slab.region_bytes(slab.entry("url").unwrap())).unwrap();
         assert_eq!(&region[..5], &[1, 13, 0, 0, 0]);
@@ -1399,6 +1592,200 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+    }
+
+    /// Six samples whose `stats` and `meta` demote — a NaN, and an integral
+    /// float its text would read back as an integer — beside text columns
+    /// (`text`, and `zero`, whose `-0.0` keeps its sign as text), and an
+    /// empty sample.
+    fn mixed_shard() -> Dataset {
+        let mut ds = Dataset::new();
+        for i in 0..6 {
+            let mut s = Sample::from_text(format!("doc {i} \"q\" ü"));
+            s.set_stat("ratio", i as f64 / 4.0);
+            if i == 3 {
+                s.set_stat("bad", f64::NAN);
+            }
+            s.set_meta("n", i as i64);
+            if i == 4 {
+                s.set_meta("ts", 1.7e15);
+            }
+            s.value_mut().set_path("zero", Value::Float(-0.0)).unwrap();
+            ds.push(s);
+        }
+        ds.push(Sample::new());
+        ds
+    }
+
+    /// Value for value, by bits: a NaN equals itself, `-0.0` is not `0.0`.
+    fn same(got: &Dataset, want: &Dataset) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want.iter()) {
+            assert!(g.value().structural_eq(w.value()), "{g:?} != {w:?}");
+        }
+    }
+
+    fn kinds(slab: &ColumnarSlab) -> Vec<(&str, Kind)> {
+        slab.columns
+            .iter()
+            .map(|c| (c.name.as_str(), c.kind))
+            .collect()
+    }
+
+    #[test]
+    fn a_frame_of_text_and_demoted_columns_reads_back_on_every_path() {
+        let ds = mixed_shard();
+        let slab = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&ds, Codec::Djz)).unwrap();
+        let (tagged, text) = (Kind::Tagged, Kind::RawJson);
+        let all = [
+            ("meta", tagged),
+            ("stats", tagged),
+            ("text", text),
+            ("zero", text),
+        ];
+        assert_eq!(kinds(&slab), all);
+        // A demoted column is compressed with the frame's codec, a text
+        // column stored.
+        for (name, kind) in all {
+            let stored = stored_data(slab.region_bytes(slab.entry(name).unwrap())).is_some();
+            assert_eq!(stored, kind == text, "{name}");
+        }
+        same(&slab.decode().unwrap(), &ds);
+        // Sample 3 (the NaN) and the empty sample are dropped.
+        let keep = [true, true, false, false, true, true, false];
+        let masked_ds = masked(&ds, &keep);
+        same(&slab.decode_kept(None, Some(&keep)).unwrap().0, &masked_ds);
+
+        // A stage over `text` and `stats`: `stats` is printed again, and
+        // without the NaN it is text; `meta` and `zero` are lent as they
+        // are, `meta` tagged.
+        let cols: BTreeSet<String> = ["stats".to_string(), "text".to_string()].into();
+        let (mut processed, _) = slab.decode_kept(Some(&cols), Some(&keep)).unwrap();
+        for s in processed.samples_mut() {
+            let up = s.text().to_uppercase();
+            s.set_text(up);
+        }
+        let (parts, _) = slab
+            .splice(&processed, Some(&cols), &keep, Codec::Djz)
+            .unwrap();
+        let spliced = ColumnarSlab::from_frame_bytes(&parts.to_vec()).unwrap();
+        let after = [
+            ("meta", tagged),
+            ("stats", text),
+            ("text", text),
+            ("zero", text),
+        ];
+        assert_eq!(kinds(&spliced), after);
+        let mut want = masked_ds.clone();
+        for (w, p) in want.samples_mut().iter_mut().zip(processed.iter()) {
+            w.set_text(p.text().to_string());
+        }
+        same(&spliced.decode_kept(None, Some(&keep)).unwrap().0, &want);
+        let mut jsonl = String::new();
+        spliced.write_jsonl(Some(&keep), &mut jsonl).unwrap();
+        assert_eq!(jsonl, crate::to_jsonl(&want));
+
+        // Compacted for a cache entry, each column keeps its kind.
+        let compact = spliced.filter_frame(&keep, Codec::Djz).unwrap();
+        let compact = ColumnarSlab::from_frame_bytes(&compact).unwrap();
+        assert_eq!(kinds(&compact), after);
+        same(&compact.decode().unwrap(), &want);
+        let mut again = String::new();
+        compact.write_jsonl(None, &mut again).unwrap();
+        assert_eq!(again, jsonl);
+        // The input frame compacted: its demoted columns recompressed.
+        let compact = slab.filter_frame(&keep, Codec::Djz).unwrap();
+        let compact = ColumnarSlab::from_frame_bytes(&compact).unwrap();
+        assert_eq!(kinds(&compact), all);
+        same(&compact.decode().unwrap(), &masked_ds);
+    }
+
+    /// A web-like shard: documents of a few hundred bytes to a few
+    /// kilobytes, a URL and a language, two stats.
+    fn web_like_shard() -> Dataset {
+        let mut ds = Dataset::new();
+        for i in 0..300 {
+            let words = ["data", "juicer", "über", "tokens", "corpus", "quality"];
+            let text: Vec<&str> = (0..40 + (i * 37) % 400)
+                .map(|k| words[(i + k) % 6])
+                .collect();
+            let mut s = Sample::from_text(text.join(if i % 5 == 0 { "\n" } else { " " }));
+            s.set_meta("url", format!("https://example.org/{i}/index.html"));
+            s.set_meta("lang", "en");
+            s.set_stat("ratio", i as f64 / 7.0);
+            s.set_stat("words", (40 + (i * 37) % 400) as f64);
+            ds.push(s);
+        }
+        ds
+    }
+
+    #[test]
+    fn a_frame_reserves_about_the_bytes_it_seals() {
+        let ds = web_like_shard();
+        let pool = BufferPool::default();
+        let sealed = encode_into(&ds, Codec::Djz, &pool);
+        assert!(
+            sealed.capacity() <= 2 * sealed.len(),
+            "{}",
+            sealed.capacity()
+        );
+        assert!(pool.bytes() <= 2 * sealed.len(), "{}", pool.bytes());
+        // A splice's own bytes, and an ingested shard's frame.
+        let slab = ColumnarSlab::from_frame_bytes(&sealed).unwrap();
+        let cols: BTreeSet<String> = ["text".to_string()].into();
+        let keep = vec![true; ds.len()];
+        let (processed, _) = slab.decode_kept(Some(&cols), None).unwrap();
+        let (parts, _) = slab
+            .splice(&processed, Some(&cols), &keep, Codec::Djz)
+            .unwrap();
+        let own = parts.own.len();
+        assert!(parts.own.capacity() <= 2 * own, "{}", parts.own.capacity());
+        let mut raw = RawColumns::new();
+        let mut samples = Dataset::new();
+        for s in ds.iter() {
+            let mut root = s.value().clone();
+            raw.take_inert(&mut root, |key| key == "text");
+            raw.close();
+            samples.push(Sample::from_value(root).unwrap());
+        }
+        let ingested = encode_ingested(&samples, &raw, &keep, Codec::Djz, &pool).unwrap();
+        assert!(ingested.capacity() <= 2 * ingested.len());
+        assert_eq!(
+            ColumnarSlab::from_frame_bytes(&ingested)
+                .unwrap()
+                .decode()
+                .unwrap(),
+            ds
+        );
+    }
+
+    #[test]
+    fn a_plain_string_entry_is_borrowed_and_any_other_is_parsed() {
+        let mut ds = Dataset::new();
+        for text in [
+            "plain ü 🦀",
+            "line\nbreak",
+            "a \"quote\"",
+            "back\\slash",
+            "",
+        ] {
+            ds.push(Sample::from_text(text));
+        }
+        let mut n = Sample::new();
+        n.value_mut().set_path("text", Value::Int(7)).unwrap();
+        ds.push(n);
+        let slab = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&ds, Codec::Djz)).unwrap();
+        let region = slab.read_column("text").unwrap().unwrap();
+        let texts = region.texts_at("").unwrap();
+        let want: Vec<&str> = ds.iter().map(|s| s.text_at("text")).collect();
+        assert_eq!(texts, want);
+        let borrowed: Vec<bool> = texts
+            .iter()
+            .map(|t| matches!(t, Cow::Borrowed(_)))
+            .collect();
+        assert_eq!(borrowed, [true, false, false, false, true, false]);
+        // A string has no path inside it.
+        assert_eq!(region.texts_at("a.b").unwrap(), vec![Cow::Borrowed(""); 6]);
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Frame → JSONL transcoding: the way out of a spool.
+//! Frame → JSONL: the way out of a spool.
 //!
 //! JSONL egress of spilled data is not a decode: [`ColumnarSlab::write_jsonl`]
-//! walks one cursor per column region of an undecoded frame, printing JSON
-//! text straight into the caller's (reused) part buffer through `dj-core`'s
-//! byte-level writer — the same writer `Value`'s `Display` uses, so the text
-//! equals `decode()` → `write_jsonl_into` byte for byte. No `Sample`,
-//! `Value` or `BTreeMap` is built on the way, and samples a deferred
-//! barrier mask drops are stepped over by [`skip_value_at`].
+//! walks one cursor per column region of an undecoded frame, straight into
+//! the caller's (reused) part buffer, reserved once at the part's bound. No
+//! `Sample`, `Value` or `BTreeMap` is built on the way, and samples a
+//! deferred barrier mask drops are stepped over.
 //!
-//! A raw JSON column's entries are canonical JSON text already: each is
-//! copied into the part as it is, after the check that keeps a line a line
-//! (UTF-8, no control byte).
+//! Under the storage rule (`columnar.rs`) a column is JSON text unless a
+//! value demoted it, so nearly every entry is canonical JSON text already:
+//! each is copied into the part as it is, after the check that keeps a line
+//! a line (UTF-8, no control byte). The tag walker here serves the demoted
+//! columns (and frames written before the rule): it prints tagged values
+//! through `dj-core`'s byte-level writer — the same writer `Value`'s
+//! `Display` uses — so the text equals `decode()` → `write_jsonl_into` byte
+//! for byte either way.
 //!
 //! Key order is the stored order, which for every frame this crate writes
 //! is `BTreeMap` order (a columnar directory, a map value's entries). A
@@ -128,6 +131,13 @@ impl ColumnarSlab {
             .iter()
             .map(|(name, kind, data)| (&data[..], *kind, *name))
             .collect();
+        // The part's size, reserved once: every entry's bytes (a JSON
+        // entry's text is shorter than its stored entry), and per kept
+        // sample each key, the commas and the braces.
+        let kept = keep.map_or(self.sample_count(), |k| k.iter().filter(|k| **k).count());
+        let entries: usize = regions.iter().map(|(_, _, data)| data.len()).sum();
+        let per_sample: usize = keys.iter().map(|k| k.len() + 1).sum();
+        out.reserve(entries + kept * (per_sample + 2));
         let mut written = 0;
         for i in 0..self.sample_count() {
             let kept = keeps(keep, i);

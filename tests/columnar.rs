@@ -344,6 +344,61 @@ fn a_stage_mask_keeps_carried_fingerprints_file_to_file() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// Two deduplicators in a row, file to file: the second barrier has no
+/// stage before it to carry fingerprints, so it hashes `text` from the
+/// spool the first one masked — JSON text, a plain string borrowed where
+/// it sits, any other parsed. The output is the resident run's at every np.
+#[test]
+fn back_to_back_deduplicators_file_to_file_match_the_resident_run() {
+    let mut data = metadata_heavy_corpus(120);
+    let copies: Vec<Sample> = data.iter().step_by(7).cloned().collect();
+    for (k, mut s) in copies.into_iter().enumerate() {
+        if k % 2 == 0 {
+            // A near duplicate, with characters JSON escapes.
+            let text = format!("{} \"quoted\"\tand\\slashed", s.text());
+            s.set_text(text);
+        }
+        data.push(s);
+    }
+    let ops = Recipe::new("two-dedups")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(OpSpec::new("document_deduplicator"))
+        .then(OpSpec::new("document_simhash_deduplicator"))
+        .build_ops(&builtin_registry())
+        .unwrap();
+    let expected = resident_run(&ops, data.clone());
+    assert!(expected.len() < data.len());
+    let input = tmp_dir("dedups-in");
+    std::fs::create_dir_all(&input).unwrap();
+    std::fs::write(input.join("corpus.jsonl"), to_jsonl(&data)).unwrap();
+    let out_dir = tmp_dir("dedups-out");
+    for np in [1, 2] {
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let (_, report) = Executor::new(ops.clone())
+            .with_options(ExecOptions {
+                num_workers: np,
+                shard_size: Some(16),
+                input: Some(format!("{}/*.jsonl", input.display())),
+                output: Some(out_dir.clone()),
+                ..ExecOptions::default()
+            })
+            .run_io()
+            .unwrap();
+        let removed = |name: &str| report.ops.iter().find(|o| o.name == name).unwrap().removed;
+        assert!(removed("document_deduplicator") > 0, "np {np}");
+        assert!(report.fingerprinted_barriers < 2, "np {np}");
+        let manifest = EgressManifest::load(&out_dir).unwrap();
+        let output: String = manifest
+            .parts
+            .iter()
+            .map(|p| std::fs::read_to_string(out_dir.join(&p.file)).unwrap())
+            .collect();
+        assert_eq!(output, to_jsonl(&expected), "np {np}");
+    }
+    let _ = std::fs::remove_dir_all(&input);
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
 /// A cache entry's sealed frames, one per slot file, in slot order.
 fn entry_frames(entry: &std::path::Path) -> Vec<Vec<u8>> {
     let mut slots: Vec<std::path::PathBuf> = std::fs::read_dir(entry)
@@ -361,21 +416,55 @@ fn entry_bytes(entry: &std::path::Path) -> Vec<u8> {
     entry_frames(entry).concat()
 }
 
+/// The FNV-1a of an entry's samples printed as JSONL: what the entry holds,
+/// whatever layout its frames store it in.
+fn entry_samples_sum(entry: &std::path::Path) -> u64 {
+    let mut samples = Dataset::new();
+    for sealed in entry_frames(entry) {
+        samples.extend(Frame::parse(&sealed).unwrap().decode(None, None).unwrap().0);
+    }
+    fnv1a(to_jsonl(&samples).as_bytes())
+}
+
 /// Cache entries of a spilled columnar run are made of compacted frames:
 /// the dead entries a stage mask or a barrier mask leaves on the spool
 /// leave the bytes on the way into the entry. Pinned: each entry's length
-/// and FNV-1a as the release before stage masks wrote them (stages then
-/// compacted every frame they stored). A deliberate change to the codec or
-/// the frame layout re-pins them. Each entry's key is pinned with it: the
+/// and FNV-1a, and the FNV-1a of the samples it holds. The samples are
+/// those the release before stage masks stored (stages then compacted
+/// every frame they stored, and the touched columns were tagged values);
+/// the bytes are the same entries with every column stored as JSON text.
+/// A deliberate change to the codec or the frame layout re-pins the
+/// bytes, never the samples. Each entry's key is pinned with it: the
 /// content identity of the stage's output, the same at every np.
 #[test]
 fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
-    // Per stage, in order: key, entry length, FNV-1a of the entry.
-    const ENTRIES: [(u64, usize, u64); 4] = [
-        (0x2bde_ef65_bf30_1810, 71_576, 14_060_653_567_133_703_691),
-        (0x815c_12f2_3359_3147, 68_700, 2_760_358_418_438_877_155),
-        (0x7017_bdcb_f324_90f2, 53_329, 13_472_227_677_334_668_326),
-        (0xbc26_b5a3_f02a_fe47, 52_673, 12_674_823_924_446_586_541),
+    // Per stage, in order: key, entry length, FNV-1a of the entry, FNV-1a
+    // of its samples as JSONL.
+    const ENTRIES: [(u64, usize, u64, u64); 4] = [
+        (
+            0x2bde_ef65_bf30_1810,
+            390_723,
+            7_992_474_223_428_114_850,
+            12_399_570_063_049_191_649,
+        ),
+        (
+            0x815c_12f2_3359_3147,
+            366_159,
+            8_089_372_658_105_445_786,
+            145_428_130_775_030_558,
+        ),
+        (
+            0x7017_bdcb_f324_90f2,
+            233_375,
+            10_622_163_342_844_805_488,
+            6_543_206_247_526_639_590,
+        ),
+        (
+            0xbc26_b5a3_f02a_fe47,
+            228_360,
+            7_275_594_717_922_012_738,
+            8_173_733_058_474_912_694,
+        ),
     ];
     let data = metadata_heavy_corpus(160);
     for np in [1, 2] {
@@ -398,17 +487,17 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
             .map(|e| e.unwrap().path())
             .collect();
         entries.sort();
-        let got: Vec<(String, usize, u64)> = entries
+        let got: Vec<(String, usize, u64, u64)> = entries
             .iter()
             .map(|path| {
                 let bytes = entry_bytes(path);
                 let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                (name, bytes.len(), fnv1a(&bytes))
+                (name, bytes.len(), fnv1a(&bytes), entry_samples_sum(path))
             })
             .collect();
-        let mut want: Vec<(String, usize, u64)> = ENTRIES
+        let mut want: Vec<(String, usize, u64, u64)> = ENTRIES
             .iter()
-            .map(|(key, len, sum)| (format!("{key:016x}"), *len, *sum))
+            .map(|(key, len, sum, samples)| (format!("{key:016x}"), *len, *sum, *samples))
             .collect();
         want.sort();
         assert_eq!(got, want, "np {np}");
@@ -472,13 +561,15 @@ impl Mapper for SpoolProbe {
     }
 }
 
-/// A file run reads the fields no op touches as JSON text and stores it:
-/// behind the first barrier the spool holds them as raw JSON columns, and
-/// no op sees them. One op that declares [`FieldSet::All`] touches every
-/// field, so nothing is raw: every sample carries its every field, and the
-/// run writes the same bytes.
+/// A file run reads the fields no op touches as JSON text and stores it,
+/// and every other column is stored as JSON text too (no value here
+/// demotes one): behind the first barrier every column of the spool is a
+/// raw JSON column. What an op touches decides what it sees, not how it is
+/// stored: no op sees an inert field. One op that declares
+/// [`FieldSet::All`] touches every field, so every sample carries its
+/// every field, and the run writes the same bytes.
 #[test]
-fn a_recipe_with_an_undeclared_op_stores_no_raw_column_and_writes_the_same_bytes() {
+fn a_recipe_with_an_undeclared_op_parses_every_field_and_writes_the_same_bytes() {
     let data = metadata_heavy_corpus(96);
     let input = tmp_dir("all-in");
     std::fs::create_dir_all(&input).unwrap();
@@ -511,22 +602,26 @@ fn a_recipe_with_an_undeclared_op_stores_no_raw_column_and_writes_the_same_bytes
             })
             .run_io()
             .unwrap();
-        let (raw, samples, with_url) = probe.seen.lock().unwrap().clone();
+        let (mut raw, samples, with_url) = probe.seen.lock().unwrap().clone();
         assert_eq!(samples, expected.len());
+        raw.sort();
+        assert_eq!(
+            raw,
+            [
+                "crawl_ts",
+                "docid",
+                "headers",
+                "meta",
+                "render_log",
+                "text",
+                "url"
+            ],
+            "declared {declared}"
+        );
         if declared {
-            let mut raw = raw;
-            raw.sort();
-            assert_eq!(
-                raw,
-                ["crawl_ts", "docid", "headers", "meta", "render_log", "url"]
-            );
             assert_eq!(with_url, 0, "an inert field reached an op");
         } else {
-            assert!(
-                raw.is_empty(),
-                "raw columns {raw:?} under a FieldSet::All op"
-            );
-            assert_eq!(with_url, samples);
+            assert_eq!(with_url, samples, "a FieldSet::All op missed a field");
         }
         let manifest = EgressManifest::load(&out_dir).unwrap();
         let output: String = manifest

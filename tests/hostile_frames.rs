@@ -1,7 +1,7 @@
 //! Bytes we did not write: one seeded, structure-aware mutation loop over
 //! everything that opens sealed bytes — the envelope
 //! (`envelope::open_one`), `Frame::parse` and every operation on the parsed
-//! (`DJSC`) frame, tagged and raw JSON columns alike, the `frames` part reader (`FrameSlab`, the row `DJSF`
+//! (`DJSC`) frame, tagged (demoted) and raw JSON columns alike, the `frames` part reader (`FrameSlab`, the row `DJSF`
 //! parser's entry point), the spool's reads, and a cache entry's seal
 //! record (`DJES`:
 //! `open_seal_record`, and the entry opened through it with every slot
@@ -106,6 +106,19 @@ fn shard() -> Dataset {
 }
 
 const MASK: [bool; 7] = [true, false, true, true, false, true, false];
+
+/// [`shard`] with a NaN stat in one sample: a frame stores every column as
+/// JSON text but `stats`, which the NaN demotes to tagged values,
+/// compressed with `codec`. The tagged decoder and the codec are reached
+/// through such a column only.
+fn demoted_frame(codec: Codec) -> Vec<u8> {
+    let mut ds = shard();
+    ds.samples_mut()[2].set_stat("nan", f64::NAN);
+    let sealed = encode_columnar_frame(&ds, codec);
+    let slab = ColumnarSlab::from_frame_bytes(&sealed).unwrap();
+    assert!(!slab.is_raw_json("stats") && slab.is_raw_json("text"));
+    sealed
+}
 
 /// [`shard`] as a file run stores it: `text` parsed, the rest raw JSON
 /// text, the samples [`MASK`] drops stored without entries. Sealed bytes,
@@ -362,6 +375,7 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
         ),
         (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir, Codec::None)),
         (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir, Codec::Djz)),
+        (COLUMNAR_FRAME_MAGIC, demoted_frame(Codec::Djz)),
     ];
 
     // The sweeps: every seed as it is, cut at every header boundary and a

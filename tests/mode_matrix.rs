@@ -592,6 +592,160 @@ fn inert_values_their_text_would_change_survive_a_file_run() {
     }
 }
 
+/// Writes into `stats.extreme`, a field ops touch, a float picked by the
+/// sum of the text's bytes: on a few sums one its JSON text would read back as
+/// another value (`1e16` and `1.7e15` as integers, infinity as `null`) or
+/// must keep its sign (`-0.0`), else a plain fraction.
+struct ExtremeFloats;
+
+impl data_juicer::core::Mapper for ExtremeFloats {
+    fn name(&self) -> &'static str {
+        "extreme_float_mapper"
+    }
+
+    fn process(
+        &self,
+        sample: &mut Sample,
+        _ctx: &mut SampleContext,
+    ) -> data_juicer::core::Result<bool> {
+        let sum: usize = sample.text().bytes().map(usize::from).sum();
+        let x = match sum % 13 {
+            0 => 1e16,
+            1 => 1.7e15,
+            2 => -0.0,
+            3 => f64::INFINITY,
+            _ => sum as f64 / 4.0,
+        };
+        sample.set_stat("extreme", x);
+        Ok(true)
+    }
+
+    fn fields_read(&self) -> data_juicer::core::FieldSet {
+        data_juicer::core::FieldSet::of(["text"])
+    }
+
+    fn fields_written(&self) -> data_juicer::core::FieldSet {
+        data_juicer::core::FieldSet::of(["stats"])
+    }
+}
+
+fn extreme_floats(_: &data_juicer::core::ParamView<'_>) -> data_juicer::core::Result<Op> {
+    Ok(Op::Mapper(std::sync::Arc::new(ExtremeFloats)))
+}
+
+/// `got` holds `want`'s values, a float's sign included.
+fn same_values(got: &Dataset, want: &Dataset, ctx: &str) {
+    assert_eq!(got, want, "{ctx}");
+    for (g, w) in got.iter().zip(want.iter()) {
+        assert!(g.value().structural_eq(w.value()), "{ctx}: {g:?} != {w:?}");
+    }
+}
+
+/// Values a stage writes into a touched field whose JSON text would read
+/// back as another value demote their column, in the frame they are
+/// stored in, to tagged values: every way out that keeps types holds the
+/// oracle's values — the dataset a run returns (spilled, and file to file
+/// without an output directory), the `frames` parts of a file run, and a
+/// spilled run resumed from the cache entries of a shorter recipe — at np
+/// 1 and 3. A stage between the barriers lends the demoted column on;
+/// JSONL egress prints the oracle's bytes.
+#[test]
+fn touched_values_their_text_would_change_survive_every_way_out() {
+    let mut registry = builtin_registry();
+    registry.register("extreme_float_mapper", extreme_floats);
+    let recipe = |ops: &[&str]| {
+        let mut recipe = Recipe::new("extreme");
+        for op in ops {
+            recipe = recipe.then(OpSpec::new(op));
+        }
+        recipe
+    };
+    let head = recipe(&["extreme_float_mapper", "document_deduplicator"]);
+    let full = recipe(&[
+        "extreme_float_mapper",
+        "document_deduplicator",
+        "whitespace_normalization_mapper",
+    ]);
+    let case = Case::new("extreme", corpus(23, 70), 8);
+    let ops = full.build_ops(&registry).unwrap();
+    let want = oracle(&ops, case.data.clone());
+    for x in [1e16, 1.7e15, -0.0, f64::INFINITY] {
+        let hits = want.iter().filter(|s| {
+            let v = s.value().get_path("stats.extreme");
+            v.is_some_and(|v| v.structural_eq(&Value::Float(x)))
+        });
+        assert!(hits.count() > 0, "no sample keeps {x}");
+    }
+    let dir = case.dir.clone();
+    let out_dir = dir.join("out");
+    let exec = |recipe: &Recipe, options: ExecOptions| {
+        executor_from_recipe(recipe, &registry, true)
+            .unwrap()
+            .with_options(options)
+    };
+    for np in [1, 3] {
+        let base = ExecOptions {
+            num_workers: np,
+            shard_size: Some(case.shard_size),
+            spill_dir: Some(dir.join("spill")),
+            ..ExecOptions::default()
+        };
+        let spilled = ExecOptions {
+            memory_budget: Some(1),
+            ..base.clone()
+        };
+        let (out, report) = exec(&full, spilled.clone()).run(case.data.clone()).unwrap();
+        assert!(report.spilled);
+        same_values(&out, &want, &format!("spilled np {np}"));
+        let file = ExecOptions {
+            input: Some(format!("{}/in/*.jsonl", dir.display())),
+            ..base.clone()
+        };
+        let (out, _) = exec(&full, file.clone()).run_io().unwrap();
+        same_values(&out.unwrap(), &want, &format!("file np {np}"));
+        for format in [OutputFormat::Frames, OutputFormat::Jsonl] {
+            let _ = fs::remove_dir_all(&out_dir);
+            let options = ExecOptions {
+                output: Some(out_dir.clone()),
+                output_format: format,
+                ..file.clone()
+            };
+            exec(&full, options).run_io().unwrap();
+            let manifest = EgressManifest::load(&out_dir).unwrap();
+            let parts = manifest
+                .parts
+                .iter()
+                .map(|p| fs::read(out_dir.join(&p.file)).unwrap());
+            match format {
+                OutputFormat::Frames => {
+                    let parts = parts.map(|bytes| {
+                        FrameSlab::from_frame_bytes(&bytes)
+                            .unwrap()
+                            .decode()
+                            .unwrap()
+                    });
+                    let got = Dataset::concat(parts.collect());
+                    same_values(&got, &want, &format!("frames parts np {np}"));
+                }
+                OutputFormat::Jsonl => {
+                    let got: Vec<u8> = parts.flatten().collect();
+                    assert_eq!(String::from_utf8(got).unwrap(), to_jsonl(&want), "np {np}");
+                }
+            }
+        }
+        // The cache: the head's entries, then the full recipe resumed.
+        let cache = CacheManager::new(dir.join(format!("cache-{np}")), CacheMode::Cache);
+        exec(&head, spilled.clone())
+            .run_with_cache(case.data.clone(), &cache)
+            .unwrap();
+        let (out, resumed) = exec(&full, spilled)
+            .run_with_cache(case.data.clone(), &cache)
+            .unwrap();
+        assert!(resumed.resumed_steps > 0, "np {np}");
+        same_values(&out, &want, &format!("cache resume np {np}"));
+    }
+}
+
 /// A spilled barrier writes nothing — its mask rides on the spool to
 /// whatever opens it next. Every next thing, in every shape: JSONL egress
 /// (transcoded), `frames` egress (a masked decode into row frames),
