@@ -589,6 +589,7 @@ impl<'a> FrameBuilder<'a> {
         }
         self.done -= 1;
         self.out.truncate(own);
+        // The kind byte sits just before the entry's three words.
         let kind = self.words[self.done] - 1;
         self.out[kind] = Kind::Tagged.byte();
         // A tagged value takes at most its heap size.
