@@ -106,12 +106,7 @@ fn bench_columnar(c: &mut Criterion) {
     group.bench_function("store_processed_with_drops", |b| {
         b.iter(|| {
             frame
-                .store_processed(
-                    criterion::black_box(&kept),
-                    Some(&text_cols),
-                    &keep,
-                    Codec::Djz,
-                )
+                .store_processed(criterion::black_box(&kept), Some(&text_cols), &keep)
                 .unwrap()
         })
     });

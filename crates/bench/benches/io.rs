@@ -37,22 +37,19 @@ fn bench_io(c: &mut Criterion) {
         })
     });
 
-    // Sharded egress: serialize + atomic-rename + manifest seal, in both
-    // output formats.
+    // Sharded egress: serialize + atomic-rename + manifest seal.
     let shards = data.clone().into_shards(8);
-    for fmt in [OutputFormat::Jsonl, OutputFormat::Frames] {
-        group.bench_function(format!("egress_{}", fmt.name()), |b| {
-            b.iter(|| {
-                let out = dir.join(format!("out-{}", fmt.name()));
-                let _ = std::fs::remove_dir_all(&out);
-                let w = ShardedWriter::create(&out, fmt).unwrap();
-                for (i, s) in shards.iter().enumerate() {
-                    w.store_shard(i, s).unwrap();
-                }
-                w.finish().unwrap()
-            })
-        });
-    }
+    group.bench_function("egress_jsonl", |b| {
+        b.iter(|| {
+            let out = dir.join("out-jsonl");
+            let _ = std::fs::remove_dir_all(&out);
+            let w = ShardedWriter::create(&out, OutputFormat::Jsonl).unwrap();
+            for (i, s) in shards.iter().enumerate() {
+                w.store_shard(i, s).unwrap();
+            }
+            w.finish().unwrap()
+        })
+    });
 
     // The whole file-to-file pipeline: streamed ingest through the first
     // pipeline stage, fingerprint-on-ingest, single-pass dedup barrier,

@@ -1,15 +1,17 @@
 //! Appendix A.2 — the cache/checkpoint space-usage model:
 //! cache mode stores `(1 + M + F + 𝟙(F>0) + D) × S`, checkpoint mode peaks
-//! at `3 × S`. The harness runs a real pipeline under both cache modes
-//! (compression off so sizes are comparable) and checks the measured disk
-//! usage against the formulas.
+//! at `3 × S`. The harness runs a real pipeline under both cache modes and
+//! checks the measured disk usage against the formulas. An entry
+//! compresses only the columns a value demotes from JSON text, so its
+//! size stays comparable to the serialized dataset; every check is a
+//! bound.
 
 use dj_bench::section;
 use dj_config::{OpSpec, Recipe};
 use dj_core::OpKind;
 use dj_exec::{executor_from_recipe, ExecOptions};
 use dj_store::{
-    cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, CacheManager, CacheMode, Codec,
+    cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, CacheManager, CacheMode,
     PipelineShape, StoragePlan,
 };
 use dj_synth::{web_corpus, WebNoise};
@@ -73,7 +75,7 @@ fn main() {
 
     // Cache mode: every step stored. Filters shrink the dataset, so the
     // measured bytes are a lower bound of the (1+M+F+1+D)·S worst case.
-    let cache = CacheManager::new(&cache_dir, CacheMode::Cache).with_codec(Codec::None);
+    let cache = CacheManager::new(&cache_dir, CacheMode::Cache);
     let exec = executor_from_recipe(&recipe, &dj_ops::builtin_registry(), false)
         .expect("recipe valid")
         .with_options(ExecOptions {
@@ -93,7 +95,7 @@ fn main() {
     );
 
     // Checkpoint mode: only the last entry remains on disk.
-    let ckpt = CacheManager::new(&ckpt_dir, CacheMode::Checkpoint).with_codec(Codec::None);
+    let ckpt = CacheManager::new(&ckpt_dir, CacheMode::Checkpoint);
     let (_, ckpt_report) = exec.run_with_cache(data, &ckpt).expect("pipeline runs");
     let measured_ckpt = ckpt.disk_usage().expect("disk usage readable");
     println!(

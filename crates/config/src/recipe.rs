@@ -60,12 +60,9 @@ pub struct Recipe {
     /// in-memory dataset.
     pub input_path: Option<String>,
     /// Output directory for file-backed execution: the processed corpus is
-    /// written as manifest-tracked shard parts. `None` = the result is
+    /// written as manifest-tracked JSONL parts. `None` = the result is
     /// returned in memory.
     pub output_path: Option<String>,
-    /// Egress format for `output_path`: `"jsonl"` (default) or `"frames"`
-    /// (raw shard frames, re-ingestable without a decode round-trip).
-    pub output_format: Option<String>,
     /// Mid-run replanning: each pipeline stage re-ranks its commutable
     /// filters once, from what its first shards measured (default
     /// `false`).
@@ -100,7 +97,6 @@ impl Default for Recipe {
             text_key: "text".to_string(),
             input_path: None,
             output_path: None,
-            output_format: None,
             adaptive: false,
             columnar: false,
             on_error: None,
@@ -158,12 +154,6 @@ impl Recipe {
     /// Builder: set the sharded-output directory (file-backed execution).
     pub fn with_output_path(mut self, path: impl Into<String>) -> Recipe {
         self.output_path = Some(path.into());
-        self
-    }
-
-    /// Builder: set the egress format (`"jsonl"` or `"frames"`).
-    pub fn with_output_format(mut self, format: impl Into<String>) -> Recipe {
-        self.output_format = Some(format.into());
         self
     }
 
@@ -301,13 +291,13 @@ impl Recipe {
         if let Some(p) = typed(v, "output_path", STR, Value::as_str)? {
             recipe.output_path = Some(p.to_string());
         }
-        if let Some(f) = typed(v, "output_format", STR, Value::as_str)? {
-            if f != "jsonl" && f != "frames" {
-                return Err(DjError::Config(format!(
-                    "output_format must be `jsonl` or `frames`, got `{f}`"
-                )));
-            }
-            recipe.output_format = Some(f.to_string());
+        // One output format is left, so `jsonl` loads with no effect. Any
+        // other value is refused rather than ignored: a recipe that asked
+        // for another format must not get JSONL unannounced.
+        if let Some(f) = typed(v, "output_format", STR, Value::as_str)?.filter(|f| *f != "jsonl") {
+            return Err(DjError::Config(format!(
+                "`output_format` has one value left, `jsonl`, got `{f}`"
+            )));
         }
         if let Some(a) = typed(v, "adaptive", BOOL, Value::as_bool)? {
             recipe.adaptive = a;
@@ -374,9 +364,6 @@ impl Recipe {
         }
         if let Some(p) = &self.output_path {
             set("output_path", Value::from(p.clone()));
-        }
-        if let Some(f) = &self.output_format {
-            set("output_format", Value::from(f.clone()));
         }
         if self.adaptive {
             set("adaptive", Value::Bool(true));
@@ -743,7 +730,6 @@ process:
             .with_spill_dir("spill")
             .with_input_path("in/*.jsonl")
             .with_output_path("out")
-            .with_output_format("frames")
             .with_adaptive(true);
         let written = full.to_value();
         let keys = written.as_map().unwrap().keys();
@@ -755,11 +741,9 @@ process:
     fn io_knobs_roundtrip_and_validate() {
         let r = sample_recipe()
             .with_input_path("data/*.jsonl")
-            .with_output_path("out/clean")
-            .with_output_format("frames");
+            .with_output_path("out/clean");
         assert_eq!(r.input_path.as_deref(), Some("data/*.jsonl"));
         assert_eq!(r.output_path.as_deref(), Some("out/clean"));
-        assert_eq!(r.output_format.as_deref(), Some("frames"));
         let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
         assert_eq!(parsed, r);
         assert_eq!(
@@ -767,16 +751,11 @@ process:
             sample_recipe().op_ids(),
             "io knobs leave op identities alone"
         );
-        let y =
-            Recipe::from_yaml("input_path: corpus/*.csv\noutput_path: out\noutput_format: jsonl\n")
-                .unwrap();
+        let y = Recipe::from_yaml("input_path: corpus/*.csv\noutput_path: out\n").unwrap();
         assert_eq!(y.input_path.as_deref(), Some("corpus/*.csv"));
-        assert_eq!(y.output_format.as_deref(), Some("jsonl"));
-        assert!(Recipe::from_yaml("output_format: parquet\n").is_err());
         let defaults = Recipe::from_yaml("np: 2\n").unwrap();
         assert_eq!(defaults.input_path, None);
         assert_eq!(defaults.output_path, None);
-        assert_eq!(defaults.output_format, None);
     }
 
     #[test]

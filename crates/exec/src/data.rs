@@ -12,7 +12,6 @@
 //! | barrier mask | — (nothing is read or written: [`StageData::masked`] and-combines the mask into the data's own) | — | nothing |
 //! | egress of resident shards | [`mem_feed`]: take the shard out of its slot, leaving behind what the deferred mask drops | `ShardedWriter::store_shard` | nothing — samples are resident |
 //! | JSONL egress of a spool | [`spool_feed`], [`Load::Undecoded`] | `ShardedWriter::store_jsonl` | nothing — frame bytes are transcoded to JSON text |
-//! | `frames` egress of a spool | checked slots, converted to row frames | `ShardedWriter::store_frame_bytes` | every sample the deferred mask keeps (the `frames` format is row frames) |
 //! | cache resume | [`StageData::resume`]: every slot of the entry, checked against its seal | memory while the budget holds; past it, the entry itself is the next stage's input spool | every slot while the budget holds; past it, none — nothing is copied |
 //!
 //! The frame format is `dj-store`'s business: everything here works on its
@@ -32,58 +31,13 @@ use std::sync::Mutex;
 
 use dj_core::sync::lock;
 use dj_core::{Dataset, Deduplicator, Fingerprints, MemShardStore, RawColumns, Result, Sample};
-use dj_io::{CorpusReader, OutputFormat, ShardedWriter};
-use dj_store::{CacheManager, Codec, Frame, ShardSpool};
+use dj_io::{CorpusReader, ShardedWriter};
+use dj_store::{CacheManager, Frame, ShardSpool};
 
 use crate::barrier::{hash_loaded, hash_pass, hash_samples, join};
 use crate::executor::Executor;
 use crate::options::ExecOptions;
 use crate::stream::{drive, Feed, Resident, RunCtl};
-
-/// Codec for the tagged regions of spilled shard frames (cheap LZ77: spill
-/// IO shrinks without a zstd-class CPU bill). Since every column is stored
-/// as JSON text unless a value demotes it (`dj-store`'s storage rule), only
-/// demoted columns are compressed, and on the djbench workloads none is:
-/// the ingest spool of the `web-file` corpus (seed 11, 67.4 MB of JSONL)
-/// took 27.7 MB with `text` and `stats` tagged and compressed, and takes
-/// 75.9 MB as text, for 0.11 s of `egress_s` against 0.23 and 1.20 cpu-s
-/// against 1.25 at `np: 1` (fixed-input `djbench child`, 10 pairs, medians
-/// on a noisy 2-core VM). Those spool pages stay in the page cache on the
-/// benchmark VM, so what the larger spool costs a spill that waits on the
-/// disk is not measured. The measurements below are from before that
-/// rule. Measured on `meta-file-col`'s shards (`djbench --trace 1`, 2-core
-/// VM): ≈ 320 MB/s to compress, ≈ 770 MB/s to
-/// decompress into fresh memory, 2.7× smaller: byte for byte, writing a
-/// spilled frame costs the codec about 2.4 times what reading it back does.
-///
-/// `Codec::None` was measured against it on the same VM, with the run's
-/// buffers reused. On the fixed-input `djbench child` at `np: 1` it took
-/// 1.65 cpu-s against 1.95, with 11.1 k minor faults against 7.3 k and
-/// 35 MB resident against 28. On `meta-file-col` it read `wall_s` 0.89 s
-/// against 1.08 and `peak_rss_mb` 71 MB against 55 (3 pairs). Djz stays
-/// for tagged regions: passthrough frames make a spool 2.7× larger on disk
-/// and the run's peak memory 30 % larger. A benchmark spool lives about a
-/// second, mostly in the page cache, so the timings here leave the disk
-/// traffic out.
-///
-/// A raw JSON region (a field no op of a file run reads) is stored
-/// uncompressed whatever this codec says (`dj-store`'s rule), read in
-/// place, and passed on by a splice without a copy. Measured against Djz
-/// for raw regions alone, on the same code otherwise (seed 11, 4
-/// alternating pairs each, 2-core VM): `meta-file-col` `wall_s` 0.769 s
-/// against 0.930 (−17 %, 4 of 4 pairs) at 47.6 MB `peak_rss_mb` against
-/// 47.4; `serve-4tenant` 0.432 s against 0.446 and 126.4 MB against 131.4.
-/// The ingest spool of the `meta-file-col` corpus (120 MB of JSONL) takes
-/// 113.4 MB stored against 41.9 MB with Djz. Djz spent the time
-/// compressing text at ingest and decompressing it into a second buffer
-/// at egress. Djz did not lower `serve-4tenant`'s peak either: it was set
-/// by the multi-MB blocks glibc kept once freed, not by live bytes, and
-/// fell to ≈ 62 MB once `dj serve` fixed glibc's mmap threshold and its
-/// jobs shared one buffer pool (`docs/service.md`, "Memory"; ≈ 50 MB with
-/// the threshold alone on the code before the shared pool). What a
-/// 2.7× larger spool costs a spill that waits on the disk is not
-/// measured: a benchmark spool lives in the page cache.
-pub(crate) const SPILL_CODEC: Codec = Codec::Djz;
 
 /// Samples per in-memory barrier hash morsel: workers stay balanced by
 /// *samples* whatever the shard cut, and a cancelled job stops within one
@@ -299,8 +253,7 @@ impl Sink<'_> {
         };
         let (passthrough, samples) = match (frame, raw) {
             (Some(frame), _) => {
-                let (parts, samples, passthrough) =
-                    frame.store_processed(&shard, cols, &keep, SPILL_CODEC)?;
+                let (parts, samples, passthrough) = frame.store_processed(&shard, cols, &keep)?;
                 out.write_frame(idx, &parts, samples)?;
                 (passthrough, samples)
             }
@@ -545,12 +498,9 @@ impl StageData {
         }
     }
 
-    /// Write every shard to `writer`, in `options.output_format`, through
-    /// the one driver. Resident shards leave their slots as the pass
-    /// reaches them, thinned by the mask. A spool's JSONL is transcoded
-    /// from the undecoded frames; its `frames` parts are the slots
-    /// converted to row frames inside the store, because the `frames`
-    /// contract is row frames.
+    /// Write every shard to `writer` as JSONL, through the one driver.
+    /// Resident shards leave their slots as the pass reaches them, thinned
+    /// by the mask. A spool's JSONL is transcoded from the undecoded frames.
     pub(crate) fn egress(
         &mut self,
         writer: &ShardedWriter,
@@ -558,26 +508,14 @@ impl StageData {
         ctl: &RunCtl,
     ) -> Result<()> {
         let workers = options.num_workers;
-        let spool = match &self.slots {
+        match &self.slots {
             Slots::Mem(_) => {
                 let shards = mem_feed(self.take_resident(), std::mem::take(&mut self.mask));
                 drive(&shards, workers, ctl, |i, loaded| {
                     writer.store_shard(i, &loaded.shard)
                 })?;
-                return Ok(());
             }
-            Slots::Spool(spool) => spool,
-        };
-        match options.output_format {
-            OutputFormat::Frames => {
-                let slots = Feed::indexed(spool.shard_count(), |i| {
-                    spool.read_row_frame_bytes(i, self.mask.slot(i))
-                });
-                drive(&slots, workers, ctl, |i, frame| {
-                    writer.store_frame_bytes(i, &frame, self.shard_len(i))
-                })?;
-            }
-            OutputFormat::Jsonl => {
+            Slots::Spool(spool) => {
                 let slots = Feed::indexed(spool.shard_count(), |i| spool.read(i));
                 drive(&slots, workers, ctl, |i, frame| {
                     writer.store_jsonl(i, |out| frame.write_jsonl(self.mask.slot(i), out))
@@ -981,7 +919,7 @@ mod tests {
         // them: the fingerprints ride on the data, the spool holds slot
         // frames only, and a second barrier would find none left to take.
         let spool_dir = root.join("spool");
-        let spool = ShardSpool::create(&spool_dir, 2, SPILL_CODEC).unwrap();
+        let spool = ShardSpool::create(&spool_dir, 2).unwrap();
         let mut spilled = masked().spill(spool, 2, Some(dedup.as_ref())).unwrap();
         assert_eq!(spilled.shard_lens(), vec![3, 3]);
         assert_eq!(spilled.take_fingerprints(), Some(eager_hashes.0));

@@ -12,10 +12,10 @@ use std::time::Instant;
 
 use dj_core::{write_json, Dataset, Deduplicator, DjError, Op, Result};
 use dj_hash::{checksum64, fnv1a, hash64_seeded};
-use dj_io::{CorpusReader, ErrorLedger, ShardedWriter};
+use dj_io::{CorpusReader, ErrorLedger, OutputFormat, ShardedWriter};
 use dj_store::{CacheManager, ShardSpool};
 
-use crate::data::{reader_feed, Sink, StageData, SPILL_CODEC};
+use crate::data::{reader_feed, Sink, StageData};
 use crate::fusion::{plan_fused, plan_unfused, Plan, PlanStep, Stage};
 use crate::options::{ExecOptions, DEFAULT_IO_SHARD_SIZE};
 use crate::report::RunReport;
@@ -94,7 +94,7 @@ impl Executor {
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let base = ctl.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
         let dir = base.join(format!("dj-spill-{}-{seq}", std::process::id()));
-        ShardSpool::create_pooled(dir, slots, SPILL_CODEC, ctl.buffers().clone())
+        ShardSpool::create_pooled(dir, slots, ctl.buffers().clone())
     }
 
     /// Execute the pipeline over an in-memory dataset and return the
@@ -248,7 +248,7 @@ impl Executor {
         let egress_start = Instant::now();
         let out = match &self.options.output {
             Some(dir) => {
-                let writer = ShardedWriter::create(dir, self.options.output_format)?;
+                let writer = ShardedWriter::create(dir, OutputFormat::Jsonl)?;
                 data.egress(&writer, &self.options, &ctl)?;
                 report.egress_bytes = writer.bytes_written();
                 writer.finish()?;

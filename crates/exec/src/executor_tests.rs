@@ -5,7 +5,6 @@ use super::*;
 use crate::executor_from_recipe;
 use dj_config::{OpSpec, Recipe};
 use dj_core::OpRegistry;
-use dj_io::OutputFormat;
 use dj_ops::builtin_registry;
 use dj_store::CacheMode;
 use std::path::{Path, PathBuf};
@@ -322,21 +321,17 @@ fn cache_entries(root: &Path) -> Vec<(String, usize, u64)> {
         .collect()
 }
 
-/// One cache entry's frames, each decoded and written back as a `frames`
-/// output part — a row frame of the same samples, which is what earlier
-/// releases saved resident shards as: the parts' concatenated length and
-/// FNV-1a.
-fn entry_as_row_frames(cache: &CacheManager, key: u64, out: &Path) -> (usize, u64) {
+/// One cache entry's frames, each decoded and serialized whole with
+/// `dj_store::to_bytes`, in slot order: the concatenation's length and
+/// FNV-1a. It pins the samples an entry holds, whatever its frame layout.
+fn entry_as_sample_bytes(cache: &CacheManager, key: u64) -> (usize, u64) {
     let entry = cache.root().join(format!("{key:016x}"));
-    let writer = ShardedWriter::create(out, OutputFormat::Frames).unwrap();
-    for (shard, sealed) in entry_slots(&entry).iter().enumerate() {
-        let samples = dj_store::Frame::parse(sealed).unwrap().decode(None, None);
-        writer.store_shard(shard, &samples.unwrap().0).unwrap();
-    }
-    let parts = writer.finish().unwrap().parts;
-    let bytes: Vec<u8> = parts
+    let bytes: Vec<u8> = entry_slots(&entry)
         .iter()
-        .flat_map(|part| std::fs::read(out.join(&part.file)).unwrap())
+        .flat_map(|sealed| {
+            let samples = dj_store::Frame::parse(sealed).unwrap().decode(None, None);
+            dj_store::to_bytes(&samples.unwrap().0)
+        })
         .collect();
     (bytes.len(), fnv1a(&bytes))
 }
@@ -347,16 +342,17 @@ fn entry_as_row_frames(cache: &CacheManager, key: u64, out: &Path) -> (usize, u6
 /// eighth document repeats an earlier one, so no shard is thinned to half
 /// its fill. Pinned by length and FNV-1a; a deliberate codec or frame
 /// layout change re-pins them (the last: every column stored as JSON
-/// text). Entries were row frames until resident saves took the one spill
-/// format: the row pins stay, held by the same samples written as row
-/// frames, so a re-pin cannot change what an entry holds. The entries' keys are pinned too: content identity, the same at
-/// every shard size and worker count.
+/// text). Each entry's samples are pinned apart from its layout, serialized
+/// whole with `to_bytes` (those pins were read where the row-frame pins of
+/// the same samples held), so a re-pin cannot change what an entry holds.
+/// The entries' keys are pinned too: content identity, the same at every
+/// shard size and worker count.
 #[test]
 fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
     const STAGE: u64 = 0x703d_5802_4a6a_a89b;
     const BARRIER: u64 = 0xa044_572a_5d24_0761;
     // (shard size, entries): six frames, then one. An entry: key,
-    // (length, FNV-1a) as saved, and as row frames.
+    // (length, FNV-1a) as saved, and of its samples serialized whole.
     type Entry = (u64, (usize, u64), (usize, u64));
     let pins: [(usize, [Entry; 2]); 2] = [
         (
@@ -365,12 +361,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
                 (
                     STAGE,
                     (5_102, 14_466_902_492_956_366_666),
-                    (1_150, 8_340_056_087_111_528_943),
+                    (5_564, 11_312_440_399_066_394_247),
                 ),
                 (
                     BARRIER,
                     (4_557, 1_320_918_449_715_246_273),
-                    (1_134, 17_714_607_690_819_406_091),
+                    (4_875, 3_491_814_906_032_166_870),
                 ),
             ],
         ),
@@ -380,12 +376,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
                 (
                     STAGE,
                     (4_482, 12_524_886_848_217_907_267),
-                    (396, 2_542_646_165_673_211_883),
+                    (5_519, 6_814_472_757_597_413_484),
                 ),
                 (
                     BARRIER,
                     (3_937, 13_865_650_253_443_048_137),
-                    (382, 11_625_822_995_169_161_923),
+                    (4_830, 7_312_925_266_278_686_473),
                 ),
             ],
         ),
@@ -421,10 +417,9 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
                 .collect();
             saved.sort();
             assert_eq!(got, saved, "{tag}");
-            for (key, _, row) in want {
-                let out = dir.join(format!("row-{key:016x}"));
-                let got = entry_as_row_frames(&cache, key, &out);
-                assert_eq!(got, row, "{tag}: {key:016x} holds other samples");
+            for (key, _, samples) in want {
+                let got = entry_as_sample_bytes(&cache, key);
+                assert_eq!(got, samples, "{tag}: {key:016x} holds other samples");
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -85,11 +85,12 @@
 //!   out-of-core knobs (recipe YAML `memory_budget` / `spill_dir`); see
 //!   below. The streaming resident ceiling is `num_workers × shard_size`
 //!   samples, on every spilled and file-backed shape.
-//! * [`ExecOptions::input`] / [`ExecOptions::output`] /
-//!   [`ExecOptions::output_format`] — the IO knobs (recipe YAML
-//!   `input_path` / `output_path` / `output_format`): the corpus
+//! * [`ExecOptions::input`] / [`ExecOptions::output`] — the IO knobs
+//!   (recipe YAML `input_path` / `output_path`): the corpus
 //!   [`Executor::run_io`] and [`Runtime::submit_io`] read, and the egress
-//!   directory every input is written to when set; see below.
+//!   directory every input is written to as JSONL parts when set; see
+//!   below. There is one output format, so no knob picks it: a run's
+//!   columnar artifact is its cache entry (`docs/formats.md`).
 //! * [`ExecOptions::adaptive`] — mid-run replanning (recipe YAML
 //!   `adaptive`). Every pipeline stage, a corpus run's ingest stage
 //!   included, re-ranks its commutable steps once by measured ns/sample ÷
@@ -163,8 +164,7 @@
 //!    as its mask (the same one step 3's barriers leave), and leave the
 //!    bytes only where the bytes leave the spool: egress or a cache save.
 //!    `RunReport::bytes_decoded` / `RunReport::bytes_passthrough` account
-//!    the split. `frames` output is row frames, converted from the slots
-//!    on the way out.
+//!    the split.
 //!
 //! ## One run sequencer: ingest, stages, egress
 //!
@@ -177,10 +177,10 @@
 //! runs *during* ingest into a growing spool, fingerprinting its shards
 //! for an adjacent barrier. After ingest nothing knows the input
 //! was a file. With [`ExecOptions::output`] set, whatever the input, the
-//! result is written as manifest-tracked shard parts (atomic temp+rename
-//! per part, append-only commit log, resumable after a kill; `jsonl` or
-//! row-frame `frames` parts); `run` and `run_with_cache` refuse it, and
-//! materialize the result once, at the very end. A file run keeps the
+//! result is written as manifest-tracked JSONL parts (atomic temp+rename
+//! per part, append-only commit log, resumable after a kill); `run` and
+//! `run_with_cache` refuse it, and materialize the result once, at the
+//! very end. A file run keeps the
 //! resident set ≤ `num_workers × shard_size` samples no
 //! matter the corpus size, and its output is byte-identical to the
 //! in-memory engine on the concatenated corpus (`tests/io_roundtrip.rs`).

@@ -5,7 +5,6 @@
 use std::path::PathBuf;
 
 use dj_core::{OnError, Result};
-use dj_io::OutputFormat;
 
 use crate::executor::Executor;
 
@@ -43,15 +42,13 @@ pub struct ExecOptions {
     /// resident dataset handed to a run is its input instead.
     pub input: Option<String>,
     /// Egress directory: the processed dataset is written as
-    /// manifest-tracked shard parts (see `dj_io::ShardedWriter`) instead
+    /// manifest-tracked JSONL parts (see `dj_io::ShardedWriter`) instead
     /// of being returned in memory — whatever the input, for
     /// [`Executor::run_io`] and every runtime job. [`Executor::run`] and
     /// [`Executor::run_with_cache`] return the dataset, so they refuse a
     /// set `output` with a [`DjError::Config`](dj_core::DjError::Config)
     /// before any work.
     pub output: Option<PathBuf>,
-    /// Egress file format when `output` is set.
-    pub output_format: OutputFormat,
     /// Mid-run replanning (recipe `adaptive:`): each pipeline stage —
     /// the ingest stage of a corpus run too — measures its first shards
     /// and, once, re-ranks its commutable steps cheapest-and-most-selective
@@ -81,7 +78,6 @@ impl Default for ExecOptions {
             spill_dir: None,
             input: None,
             output: None,
-            output_format: OutputFormat::Jsonl,
             adaptive: false,
             on_error: OnError::Fail,
             max_error_ratio: 1.0,
@@ -132,10 +128,6 @@ pub fn executor_from_recipe(
     fusion: bool,
 ) -> Result<Executor> {
     let ops = recipe.build_ops(registry)?;
-    let output_format = match recipe.output_format.as_deref() {
-        Some(name) => OutputFormat::from_name(name)?,
-        None => OutputFormat::Jsonl,
-    };
     let exec = Executor::new(ops).with_op_ids(recipe.op_ids());
     Ok(exec.with_options(ExecOptions {
         num_workers: recipe.np,
@@ -145,7 +137,6 @@ pub fn executor_from_recipe(
         spill_dir: recipe.spill_dir.as_ref().map(PathBuf::from),
         input: recipe.input_path.clone(),
         output: recipe.output_path.as_ref().map(PathBuf::from),
-        output_format,
         adaptive: recipe.adaptive,
         on_error: match recipe.on_error.as_deref() {
             Some(name) => OnError::from_name(name)?,

@@ -8,11 +8,11 @@
 //!   footprint stays bounded by one shard per worker, not the input size.
 //! - [`JsonlReader`] / [`CsvReader`] stream one file each; malformed
 //!   records are typed `path:line` parse errors, never panics.
-//! - [`ShardedWriter`] writes manifest-tracked sharded output (JSONL or
-//!   raw `DJSF` frames), each part committed atomically (temp + rename)
-//!   and logged so a killed run resumes without rewriting finished parts.
+//! - [`ShardedWriter`] writes manifest-tracked sharded JSONL output, each
+//!   part committed atomically (temp + rename) and logged so a killed run
+//!   resumes without rewriting finished parts.
 //! - [`EgressManifest`] is the sealed description of an output directory:
-//!   per-part sample counts, byte sizes and FNV-1a checksums.
+//!   per-part sample counts, byte sizes and `checksum64` checksums.
 //! - [`ErrorLedger`] routes malformed records and per-sample OP errors
 //!   through the `on_error` policy (fail / skip / quarantine), bounded
 //!   by an error-ratio budget; quarantined records land in a

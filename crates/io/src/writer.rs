@@ -6,11 +6,11 @@
 //! hash that took it (`checksum64`, a word at a time). While parts are
 //! being written, an append-only `manifest.partial` log records each
 //! committed part — so a killed run can be resumed: already committed
-//! parts (verified by size + checksum) are skipped, everything else is
-//! rewritten. A log line that names no hash was written by an earlier
-//! release, which summed parts with FNV-1a; resume verifies it so, and
-//! seals the part under `checksum64`. `finish()` seals the output by
-//! writing the full manifest and removing the partial log.
+//! parts (verified by file name, size and checksum) are skipped,
+//! everything else is rewritten. A log line that names no hash was
+//! written by an earlier release, which summed parts with FNV-1a; resume
+//! verifies it so, and seals the part under `checksum64`. `finish()` seals
+//! the output by writing the full manifest and removing the partial log.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -21,46 +21,28 @@ use std::sync::Mutex;
 
 use dj_core::{faults, parse_json, sync, Dataset, DjError, Result, Value};
 use dj_hash::{checksum64, fnv1a};
-use dj_store::codec::Codec;
-use dj_store::envelope;
 use dj_store::serialize::write_jsonl_into;
-use dj_store::shard_stream::encode_shard_frame;
 
-/// Egress file formats.
+/// The egress file format. One is left: a run's columnar artifact is its
+/// cache entry directory, not an output format (`docs/formats.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputFormat {
-    /// One JSON document per line — the interchange default.
+    /// One JSON document per line.
     Jsonl,
-    /// Checksummed row shard frames (`DJSF`), exactly one per part: a part
-    /// is read back whole, by the row frame reader of
-    /// [`dj_store::shard_stream`].
-    Frames,
 }
 
 impl OutputFormat {
-    pub fn from_name(name: &str) -> Result<OutputFormat> {
-        match name {
-            "jsonl" => Ok(OutputFormat::Jsonl),
-            "frames" => Ok(OutputFormat::Frames),
-            other => Err(DjError::Config(format!(
-                "unknown output format `{other}` (expected `jsonl` or `frames`)"
-            ))),
-        }
-    }
-
+    /// The name a sealed manifest records, and its parts' extension.
     pub fn name(&self) -> &'static str {
         match self {
             OutputFormat::Jsonl => "jsonl",
-            OutputFormat::Frames => "frames",
         }
     }
+}
 
-    fn extension(&self) -> &'static str {
-        match self {
-            OutputFormat::Jsonl => "jsonl",
-            OutputFormat::Frames => "djs",
-        }
-    }
+/// The file part `idx` is written to.
+fn part_file(idx: usize, format: OutputFormat) -> String {
+    format!("part-{idx:05}.{}", format.name())
 }
 
 /// The hash a part's checksum was taken with.
@@ -219,8 +201,14 @@ impl EgressManifest {
         let bad = || DjError::Storage("malformed egress manifest".into());
         let v = parse_json(text)?;
         let m = v.as_map().ok_or_else(bad)?;
-        let format =
-            OutputFormat::from_name(m.get("format").and_then(Value::as_str).ok_or_else(bad)?)?;
+        let format = match m.get("format").and_then(Value::as_str).ok_or_else(bad)? {
+            "jsonl" => OutputFormat::Jsonl,
+            other => {
+                return Err(DjError::Storage(format!(
+                    "egress manifest of format `{other}`: this build reads `jsonl` output only"
+                )))
+            }
+        };
         let parts = m
             .get("parts")
             .and_then(Value::as_list)
@@ -265,7 +253,6 @@ impl EgressManifest {
 pub struct ShardedWriter {
     dir: PathBuf,
     format: OutputFormat,
-    codec: Codec,
     parts: Mutex<BTreeMap<usize, PartEntry>>,
     /// Parts found committed by a previous (killed) run — verified
     /// against size+checksum, skipped on re-store.
@@ -292,7 +279,6 @@ impl ShardedWriter {
         Ok(ShardedWriter {
             dir,
             format,
-            codec: Codec::Djz,
             parts: Mutex::new(BTreeMap::new()),
             resumed,
             log: Mutex::new(log),
@@ -301,13 +287,14 @@ impl ShardedWriter {
         })
     }
 
-    /// Read the commit log and keep only entries whose part file still
-    /// matches (exists, right size, right checksum under the hash its line
-    /// names) and, as a `frames` part, opens under this build's envelope:
-    /// one sealed by an earlier envelope version is rewritten, never sealed
-    /// into a manifest beside parts that read back. A part kept from a line
-    /// of an earlier release is re-summed, so the manifest it is sealed
-    /// into names one hash.
+    /// Read the commit log and keep only entries that name the file this
+    /// writer gives their part and whose file still matches it (exists,
+    /// right size, right checksum under the hash its line names). A line
+    /// naming another file — a part of another format, left by an earlier
+    /// release's run into the same directory — is a miss: its part is
+    /// rewritten, never sealed into a manifest it does not belong to. A
+    /// part kept from a line of an earlier release is re-summed, so the
+    /// manifest it is sealed into names one hash.
     fn scan_partial(dir: &Path, format: OutputFormat) -> Result<BTreeMap<usize, PartEntry>> {
         let log_path = dir.join(PARTIAL_LOG);
         let text = match fs::read_to_string(&log_path) {
@@ -330,13 +317,13 @@ impl ShardedWriter {
             let Ok(entry) = PartEntry::from_value(&v) else {
                 continue;
             };
-            let path = dir.join(&entry.file);
-            let Ok(contents) = fs::read(&path) else {
+            if entry.file != part_file(idx, format) {
+                continue;
+            }
+            let Ok(contents) = fs::read(dir.join(&entry.file)) else {
                 continue;
             };
-            if entry.holds(&contents)
-                && (format != OutputFormat::Frames || envelope::open_one(&contents).is_ok())
-            {
+            if entry.holds(&contents) {
                 out.insert(idx, PartEntry::of(entry.file, entry.samples, &contents));
             }
         }
@@ -357,10 +344,6 @@ impl ShardedWriter {
         self.resumed.len()
     }
 
-    fn part_file(&self, idx: usize) -> String {
-        format!("part-{idx:05}.{}", self.format.extension())
-    }
-
     /// Whether part `idx` is already on disk from a previous run (verified
     /// at open); it is then adopted as it stands.
     fn adopt_resumed(&self, idx: usize) -> bool {
@@ -373,19 +356,10 @@ impl ShardedWriter {
 
     /// Serialize and commit shard `idx`.
     pub fn store_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        match self.format {
-            OutputFormat::Jsonl => self.store_jsonl(idx, |buf| {
-                write_jsonl_into(shard, buf);
-                Ok(shard.len())
-            }),
-            OutputFormat::Frames => {
-                if self.adopt_resumed(idx) {
-                    return Ok(());
-                }
-                let bytes = encode_shard_frame(shard, self.codec);
-                self.commit_part(idx, &bytes, shard.len())
-            }
-        }
+        self.store_jsonl(idx, |buf| {
+            write_jsonl_into(shard, buf);
+            Ok(shard.len())
+        })
     }
 
     /// Commit JSONL part `idx` from text the caller prints: `fill` appends
@@ -397,11 +371,6 @@ impl ShardedWriter {
         idx: usize,
         fill: impl FnOnce(&mut String) -> Result<usize>,
     ) -> Result<()> {
-        if self.format != OutputFormat::Jsonl {
-            return Err(DjError::Storage(
-                "store_jsonl requires the `jsonl` output format".into(),
-            ));
-        }
         if self.adopt_resumed(idx) {
             return Ok(());
         }
@@ -412,24 +381,10 @@ impl ShardedWriter {
         result
     }
 
-    /// Commit raw pre-encoded frame bytes as part `idx` (the
-    /// spool→frames egress path; `frames` format only).
-    pub fn store_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
-        if self.format != OutputFormat::Frames {
-            return Err(DjError::Storage(
-                "store_frame_bytes requires the `frames` output format".into(),
-            ));
-        }
-        if self.adopt_resumed(idx) {
-            return Ok(());
-        }
-        self.commit_part(idx, frame, samples)
-    }
-
     fn commit_part(&self, idx: usize, bytes: &[u8], samples: usize) -> Result<()> {
-        let file = self.part_file(idx);
+        let file = part_file(idx, self.format);
         let path = self.dir.join(&file);
-        let tmp = path.with_extension(format!("{}.tmp", self.format.extension()));
+        let tmp = path.with_extension(format!("{}.tmp", self.format.name()));
         // Injection points for the chaos harness. Both are *control*
         // sites (typed error, never corrupted bytes): egress parts are
         // not read back within the run, so silently damaging them would
@@ -490,8 +445,7 @@ impl ShardedWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dj_core::Sample;
-    use dj_store::{decompress, from_bytes, from_jsonl};
+    use dj_store::from_jsonl;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dj-writer-{tag}-{}", std::process::id()));
@@ -501,13 +455,6 @@ mod tests {
 
     fn shard(texts: &[&str]) -> Dataset {
         Dataset::from_texts(texts.iter().copied())
-    }
-
-    /// A `frames` part's samples: the part is one row frame, opened whole.
-    fn frames_part(bytes: &[u8]) -> Result<Dataset> {
-        let (magic, payload) = envelope::open_one(bytes)?;
-        assert_eq!(&magic, b"DJSF");
-        from_bytes(&decompress(payload)?)
     }
 
     /// A commit-log line as earlier releases wrote it: no hash named, the
@@ -593,54 +540,49 @@ mod tests {
 
     #[test]
     fn a_log_an_earlier_release_wrote_resumes_with_its_intact_parts_kept() {
-        for format in [OutputFormat::Jsonl, OutputFormat::Frames] {
-            let dir = tmpdir(&format!("legacy-{}", format.name()));
-            let shards = [shard(&["a", "b"]), shard(&["c"]), shard(&["d", "e"])];
-            // Parts 0..3 committed, then the log rewritten as an earlier
-            // release logged them.
-            {
-                let w = ShardedWriter::create(&dir, format).unwrap();
-                for (i, s) in shards.iter().enumerate() {
-                    w.store_shard(i, s).unwrap();
-                }
-            }
-            let file = |i: usize| format!("part-{i:05}.{}", format.extension());
-            let mut log = String::new();
-            for (i, s) in shards.iter().enumerate() {
-                let contents = fs::read(dir.join(file(i))).unwrap();
-                log.push_str(&legacy_line(i, &file(i), s.len(), &contents));
-                log.push('\n');
-            }
-            fs::write(dir.join(PARTIAL_LOG), log).unwrap();
-            // Part 1 damaged since: same size, one byte flipped.
-            let mut damaged = fs::read(dir.join(file(1))).unwrap();
-            let last = damaged.len() - 1;
-            damaged[last] ^= 0x20;
-            fs::write(dir.join(file(1)), &damaged).unwrap();
-
-            let w = ShardedWriter::create(&dir, format).unwrap();
-            assert_eq!(w.resumed_parts(), 2, "{format:?}: parts 0 and 2 are intact");
+        let dir = tmpdir("legacy");
+        let shards = [shard(&["a", "b"]), shard(&["c"]), shard(&["d", "e"])];
+        // Parts 0..3 committed, then the log rewritten as an earlier
+        // release logged them.
+        {
+            let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
             for (i, s) in shards.iter().enumerate() {
                 w.store_shard(i, s).unwrap();
             }
-            let rewritten = fs::metadata(dir.join(file(1))).unwrap().len();
-            assert_eq!(w.bytes_written(), rewritten, "{format:?}");
-            let manifest = w.finish().unwrap();
-            let sealed = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-            assert_eq!(sealed.matches("\"hash\":\"checksum64\"").count(), 3);
-            for (i, (part, s)) in manifest.parts.iter().zip(&shards).enumerate() {
-                let bytes = fs::read(dir.join(&part.file)).unwrap();
-                assert_eq!(part.hash, PartHash::Checksum64, "{format:?} part {i}");
-                assert_eq!(part.checksum, checksum64(&bytes), "{format:?} part {i}");
-                let back = match format {
-                    OutputFormat::Jsonl => from_jsonl(std::str::from_utf8(&bytes).unwrap()),
-                    OutputFormat::Frames => frames_part(&bytes),
-                };
-                assert_eq!(back.unwrap(), *s, "{format:?} part {i}");
-            }
-            assert_eq!(EgressManifest::load(&dir).unwrap(), manifest);
-            let _ = fs::remove_dir_all(&dir);
         }
+        let file = |i: usize| format!("part-{i:05}.jsonl");
+        let mut log = String::new();
+        for (i, s) in shards.iter().enumerate() {
+            let contents = fs::read(dir.join(file(i))).unwrap();
+            log.push_str(&legacy_line(i, &file(i), s.len(), &contents));
+            log.push('\n');
+        }
+        fs::write(dir.join(PARTIAL_LOG), log).unwrap();
+        // Part 1 damaged since: same size, one byte flipped.
+        let mut damaged = fs::read(dir.join(file(1))).unwrap();
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x20;
+        fs::write(dir.join(file(1)), &damaged).unwrap();
+
+        let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
+        assert_eq!(w.resumed_parts(), 2, "parts 0 and 2 are intact");
+        for (i, s) in shards.iter().enumerate() {
+            w.store_shard(i, s).unwrap();
+        }
+        let rewritten = fs::metadata(dir.join(file(1))).unwrap().len();
+        assert_eq!(w.bytes_written(), rewritten);
+        let manifest = w.finish().unwrap();
+        let sealed = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        assert_eq!(sealed.matches("\"hash\":\"checksum64\"").count(), 3);
+        for (i, (part, s)) in manifest.parts.iter().zip(&shards).enumerate() {
+            let bytes = fs::read(dir.join(&part.file)).unwrap();
+            assert_eq!(part.hash, PartHash::Checksum64, "part {i}");
+            assert_eq!(part.checksum, checksum64(&bytes), "part {i}");
+            let back = from_jsonl(std::str::from_utf8(&bytes).unwrap());
+            assert_eq!(back.unwrap(), *s, "part {i}");
+        }
+        assert_eq!(EgressManifest::load(&dir).unwrap(), manifest);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -667,23 +609,6 @@ mod tests {
             all.extend(from_jsonl(&text).unwrap());
         }
         assert_eq!(all, Dataset::from_shards(shards.to_vec()));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn frames_parts_decode_back() {
-        let dir = tmpdir("frames");
-        let w = ShardedWriter::create(&dir, OutputFormat::Frames).unwrap();
-        let mut rich = Dataset::new();
-        let mut s = Sample::from_text("hello");
-        s.set_stat("wc", 1.0);
-        rich.push(s);
-        w.store_shard(0, &rich).unwrap();
-        let manifest = w.finish().unwrap();
-        assert_eq!(manifest.format, OutputFormat::Frames);
-        let part = fs::read(dir.join(&manifest.parts[0].file)).unwrap();
-        let back = frames_part(&part).unwrap();
-        assert_eq!(back, rich);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -772,48 +697,45 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// An earlier release's `frames` run into the same directory logged
+    /// its parts under another name (`part-NNNNN.djs`, a row frame each). A
+    /// line whose file is not the one this writer gives its part is a miss,
+    /// however well the file holds its size and checksum: the part is
+    /// written again as JSONL, and the manifest names only JSONL parts.
     #[test]
-    fn a_frames_part_sealed_under_an_old_envelope_is_rewritten_on_resume() {
-        let dir = tmpdir("old-envelope");
-        let shards = [shard(&["a"]), shard(&["b"]), shard(&["c"])];
+    fn a_logged_part_of_another_name_is_rewritten_on_resume() {
+        let dir = tmpdir("other-name");
+        let shards = [shard(&["a"]), shard(&["b", "c"])];
         {
-            let w = ShardedWriter::create(&dir, OutputFormat::Frames).unwrap();
-            w.store_shard(0, &shards[0]).unwrap();
+            let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
             w.store_shard(1, &shards[1]).unwrap();
-            drop(w);
         }
-        // Part 0 as an earlier release sealed it (a plain u64 length, so
-        // version byte 0, and an FNV-1a sum), committed in the log under
-        // its own size and checksum.
-        let file = "part-00000.djs";
-        let sealed = fs::read(dir.join(file)).unwrap();
-        let payload = &sealed[envelope::HEADER_LEN..];
-        let mut old = sealed[..4].to_vec();
-        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        old.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        old.extend_from_slice(payload);
-        fs::write(dir.join(file), &old).unwrap();
-        let err = frames_part(&old).unwrap_err();
-        assert!(err.to_string().contains("envelope version 0"), "{err}");
+        let row = b"DJSF: a row frame part an earlier release wrote".as_slice();
+        fs::write(dir.join("part-00000.djs"), row).unwrap();
+        let mut line = PartEntry::of("part-00000.djs".into(), 1, row).to_value();
+        if let Value::Map(m) = &mut line {
+            m.insert("part".to_string(), Value::Int(0));
+        }
         let mut log = OpenOptions::new()
             .append(true)
             .open(dir.join(PARTIAL_LOG))
             .unwrap();
-        writeln!(log, "{}", legacy_line(0, file, 1, &old)).unwrap();
+        writeln!(log, "{line}").unwrap();
         drop(log);
 
-        let w = ShardedWriter::create(&dir, OutputFormat::Frames).unwrap();
-        assert_eq!(w.resumed_parts(), 1, "only the part this build reads");
+        let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
+        assert_eq!(w.resumed_parts(), 1, "only part 1 is this writer's");
         for (i, s) in shards.iter().enumerate() {
             w.store_shard(i, s).unwrap();
         }
         let written = w.bytes_written();
         let manifest = w.finish().unwrap();
-        assert_eq!(written, manifest.parts[0].bytes + manifest.parts[2].bytes);
-        for (part, s) in manifest.parts.iter().zip(&shards) {
-            let bytes = fs::read(dir.join(&part.file)).unwrap();
-            assert_eq!(checksum64(&bytes), part.checksum);
-            assert_eq!(frames_part(&bytes).unwrap(), *s);
+        assert_eq!(written, manifest.parts[0].bytes);
+        for (i, (part, s)) in manifest.parts.iter().zip(&shards).enumerate() {
+            assert_eq!(part.file, format!("part-{i:05}.jsonl"));
+            let text = fs::read_to_string(dir.join(&part.file)).unwrap();
+            assert_eq!(checksum64(text.as_bytes()), part.checksum);
+            assert_eq!(from_jsonl(&text).unwrap(), *s);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -829,24 +751,23 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A manifest an earlier release sealed over `frames` parts names a
+    /// format this build does not read: a typed storage error.
     #[test]
-    fn store_frame_bytes_requires_frames_format() {
-        let dir = tmpdir("fmt");
-        let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
-        assert!(w.store_frame_bytes(0, b"DJSF....", 1).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn output_format_names() {
-        assert_eq!(
-            OutputFormat::from_name("jsonl").unwrap(),
-            OutputFormat::Jsonl
-        );
-        assert_eq!(
-            OutputFormat::from_name("frames").unwrap(),
-            OutputFormat::Frames
-        );
-        assert!(OutputFormat::from_name("parquet").is_err());
+    fn a_manifest_of_another_format_is_refused() {
+        let manifest = EgressManifest {
+            format: OutputFormat::Jsonl,
+            parts: Vec::new(),
+            total_samples: 0,
+            total_bytes: 0,
+        };
+        let text = manifest.to_json();
+        assert_eq!(EgressManifest::from_json(&text).unwrap(), manifest);
+        for other in ["frames", "parquet"] {
+            let text = text.replace("\"jsonl\"", &format!("\"{other}\""));
+            let err = EgressManifest::from_json(&text).unwrap_err();
+            assert!(matches!(err, DjError::Storage(_)), "{other}: {err:?}");
+            assert!(err.to_string().contains(other), "{err}");
+        }
     }
 }

@@ -30,7 +30,6 @@ use std::sync::Mutex;
 
 use dj_core::{DjError, Result};
 
-use crate::codec::Codec;
 use crate::frame::envelope;
 use crate::pool::BufferPool;
 use crate::serialize::le_u64;
@@ -83,7 +82,6 @@ pub enum CacheMode {
 pub struct CacheManager {
     root: PathBuf,
     mode: CacheMode,
-    codec: Codec,
 }
 
 impl CacheManager {
@@ -93,13 +91,7 @@ impl CacheManager {
         CacheManager {
             root: dir.into(),
             mode,
-            codec: Codec::Djz,
         }
-    }
-
-    pub fn with_codec(mut self, codec: Codec) -> CacheManager {
-        self.codec = codec;
-        self
     }
 
     /// The cache root directory (shared across recipes and inputs).
@@ -116,7 +108,7 @@ impl CacheManager {
     pub fn new_entry(&self, key: u64, pool: &BufferPool) -> Result<ShardSpool> {
         let tmp = self.entry_dir(key).with_extension("tmp");
         let _ = fs::remove_dir_all(&tmp);
-        ShardSpool::create_pooled(tmp, 0, self.codec, pool.clone())
+        ShardSpool::create_pooled(tmp, 0, pool.clone())
     }
 
     /// Seal `spool` (unsealed, under the root) as entry `key`: its seal
@@ -169,7 +161,6 @@ impl CacheManager {
             let lens = slots.iter().map(|(_, samples)| Some(*samples as usize));
             let entry = ShardSpool {
                 dir,
-                codec: self.codec,
                 pool: pool.clone(),
                 lens: Mutex::new(lens.collect()),
                 sealed: true,
@@ -222,6 +213,7 @@ impl CacheManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use crate::frame::Frame;
     use dj_core::{Dataset, Sample};
 
@@ -406,7 +398,7 @@ mod tests {
                 _ => Frame::encode(s, Codec::None),
             })
             .collect();
-        let mut spool = ShardSpool::create(dir.join("spill"), 0, Codec::Djz).unwrap();
+        let mut spool = ShardSpool::create(dir.join("spill"), 0).unwrap();
         for (i, (frame, shard)) in frames.iter().zip(&shards).enumerate() {
             spool.write_frame_bytes(i, frame, shard.len()).unwrap();
         }
@@ -442,7 +434,7 @@ mod tests {
         drop(spool);
         assert_eq!(load(&cm, 1).unwrap().unwrap(), full);
         // A spool with a slot never written seals nothing.
-        let mut gappy = ShardSpool::create(dir.join("gappy"), 2, Codec::Djz).unwrap();
+        let mut gappy = ShardSpool::create(dir.join("gappy"), 2).unwrap();
         gappy.write_shard(1, &ds(2)).unwrap();
         assert!(cm.seal(&mut gappy, 3, None).is_err());
         drop(gappy);
@@ -524,15 +516,14 @@ mod tests {
         assert!(open_seal_record(&frame).is_err());
     }
 
-    /// The codec compresses the columns an entry stores as tagged values:
-    /// the demoted ones, here a column with a NaN in it (every other
-    /// column is JSON text, stored whatever the codec).
+    /// An entry compresses the columns it stores as tagged values: the
+    /// demoted ones, here a column with a NaN in it (every other column is
+    /// JSON text, stored uncompressed). Its slot is held to the same
+    /// samples encoded with no compression at all.
     #[test]
     fn compression_reduces_cache_size() {
-        let raw_dir = tmpdir("codec-raw");
-        let packed_dir = tmpdir("codec-packed");
-        let raw = CacheManager::new(&raw_dir, CacheMode::Cache).with_codec(Codec::None);
-        let packed = CacheManager::new(&packed_dir, CacheMode::Cache).with_codec(Codec::Djz);
+        let dir = tmpdir("codec");
+        let cm = CacheManager::new(&dir, CacheMode::Cache);
         // Repetitive dataset → compressible.
         let mut d =
             Dataset::from_texts((0..100).map(|_| "repeat repeat repeat repeat".to_string()));
@@ -540,13 +531,18 @@ mod tests {
             s.set_meta("nan", f64::NAN);
             s.set_meta("log", "repeat repeat repeat repeat ".repeat(10));
         }
-        save(&raw, 1, None, &d);
-        save(&packed, 1, None, &d);
-        assert!(packed.disk_usage().unwrap() < raw.disk_usage().unwrap() / 2);
+        let path = save(&cm, 1, None, &d);
+        let slot = fs::read(path.join("shard-00000.djs")).unwrap();
+        let raw = Frame::encode(&d, Codec::None);
+        assert!(
+            slot.len() < raw.len() / 2,
+            "{} of {}",
+            slot.len(),
+            raw.len()
+        );
         // And still loads correctly (a NaN equals no float, so by JSONL).
-        let loaded = load(&packed, 1).unwrap().unwrap();
+        let loaded = load(&cm, 1).unwrap().unwrap();
         assert_eq!(crate::to_jsonl(&loaded), crate::to_jsonl(&d));
-        let _ = fs::remove_dir_all(&raw_dir);
-        let _ = fs::remove_dir_all(&packed_dir);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

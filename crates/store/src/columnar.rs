@@ -1,7 +1,7 @@
 //! Columnar shard frames (`DJSC`): decode only the bytes an OP touches.
 //!
 //! Every spool slot and cache entry is a columnar frame. A row frame
-//! (`DJSF`, the `frames` output format) serializes whole samples, so a stage
+//! (`DJSF`, which no spool holds) serializes whole samples, so a stage
 //! whose OPs read one field would still decode (and re-encode) every
 //! metadata column. A columnar frame stores each *top-level column* of the
 //! samples' root maps as its own contiguous, individually compressed
@@ -29,8 +29,7 @@
 //! ```
 //!
 //! The presence byte distinguishes a *missing* column from an explicit
-//! `null`, so columnar↔row round-trips are value-identical: a `frames`
-//! output part converted from a spool slot equals a fresh row encode.
+//! `null`, so a frame decodes to exactly the samples it was encoded from.
 //!
 //! **The storage rule: a column is canonical JSON text unless a value in it
 //! forbids that.** A field no op of the run reads comes from the JSONL
@@ -48,7 +47,8 @@
 //! raw JSON region is stored uncompressed (`Codec::None`), whatever the
 //! codec, and read where the frame holds it: JSONL egress copies an entry,
 //! a decode parses it, a hash pass borrows a plain string.
-//! (`SPILL_CODEC` in `dj-exec` has the measurements against Djz.)
+//! (`SPOOL_CODEC` in [`crate::shard_stream`] has the measurements against
+//! Djz.)
 //! The envelope's checksum covers every byte of the payload, so a region
 //! carries none of its own. A frame written before the rule, with tagged
 //! touched columns, reads as it always did. Version 1 frames (tagged
@@ -1321,9 +1321,9 @@ mod tests {
     /// stored: every passthrough region decompressed, its kept entries
     /// copied and stored again as its kind is (text stored, tagged values
     /// recompressed), the re-encoded columns holding the kept samples only,
-    /// laid out by the storage rule. Cache entries and `frames` parts were
-    /// made of these bytes, so a stored splice compacted by `filter_frame`
-    /// must equal them.
+    /// laid out by the storage rule. Cache entries were made of these
+    /// bytes, so a stored splice compacted by `filter_frame` must equal
+    /// them.
     fn compacted_splice(
         slab: &ColumnarSlab,
         processed: &Dataset,

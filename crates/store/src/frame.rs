@@ -1,8 +1,8 @@
 //! Sealed frames: the one envelope and the one [`Frame`].
 //!
-//! Everything this crate persists between stages — a spool slot, a
-//! `frames` output part, a cache entry's slots and seal record — is one or
-//! more *sealed* byte strings sharing a 20-byte envelope:
+//! Everything this crate persists between stages — a spool slot, a cache
+//! entry's slots and seal record — is one or more *sealed* byte strings
+//! sharing a 20-byte envelope:
 //!
 //! ```text
 //! ┌──────────┬──────────────┬──────────┬──────────────┬──────────┐
@@ -28,10 +28,9 @@
 //! (columnar: per-column regions, [`ColumnarSlab`]), which [`Frame`] wraps;
 //! every consumer — the spool, the cache, the executor's feeds and sinks —
 //! works on a [`Frame`]. `DJSF` (row: one compressed run of whole samples,
-//! [`FrameSlab`](crate::FrameSlab)) is the `frames` output format only:
-//! the spool converts to it on the way out,
-//! [`FrameSlab::from_frame_bytes`](crate::FrameSlab::from_frame_bytes)
-//! reads a part back, and [`Frame::parse`] refuses it with a typed error.
+//! [`FrameSlab`](crate::FrameSlab)) is written and read by nothing in the
+//! engine, only by djbench's probes ([`crate::shard_stream`]), and
+//! [`Frame::parse`] refuses it with a typed error.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -41,8 +40,9 @@ use dj_core::{Dataset, DjError, Result};
 use crate::codec::Codec;
 use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab, FrameParts};
 use crate::pool::{BufferPool, Holds, PooledBuf};
+use crate::shard_stream::SPOOL_CODEC;
 
-/// Magic of row shard frames (the `frames` output format).
+/// Magic of row shard frames, which no spool slot holds.
 pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
 
 /// Magic of columnar shard frames (every spool slot and cache entry).
@@ -161,19 +161,18 @@ pub mod envelope {
 }
 
 /// The verified payload of one sealed spill or cache frame — the one place
-/// such a frame's magic is checked. Only `DJSC` is one: a row `DJSF` frame
-/// is the `frames` output format ([`FrameSlab`](crate::FrameSlab)), and a spool slot or cache
-/// entry an earlier release wrote in it is refused here, which makes such an
-/// entry a cache miss.
+/// such a frame's magic is checked. Only `DJSC` is one: a spool slot or
+/// cache entry an earlier release wrote as a row `DJSF` frame is refused
+/// here, which makes such an entry a cache miss.
 fn columnar_payload(sealed: &[u8]) -> Result<&[u8]> {
     let (magic, payload) = envelope::open_one(sealed)?;
     if &magic == COLUMNAR_FRAME_MAGIC {
         Ok(payload)
     } else if &magic == SHARD_FRAME_MAGIC {
         Err(DjError::Storage(
-            "row shard frame (`DJSF`) where a columnar `DJSC` frame belongs: row \
-             frames are the `frames` output format only (a spool slot or cache \
-             entry an earlier release wrote in it is not read)"
+            "row shard frame (`DJSF`) where a columnar `DJSC` frame belongs (a \
+             spool slot or cache entry an earlier release wrote as row frames \
+             is not read)"
                 .into(),
         ))
     } else {
@@ -251,9 +250,8 @@ impl Frame {
         processed: &Dataset,
         cols: Option<&BTreeSet<String>>,
         keep: &[bool],
-        codec: Codec,
     ) -> Result<(FrameParts<'_>, usize, u64)> {
-        let (parts, passthrough) = self.0.splice(processed, cols, keep, codec)?;
+        let (parts, passthrough) = self.0.splice(processed, cols, keep, SPOOL_CODEC)?;
         Ok((parts, self.0.sample_count(), passthrough))
     }
 
@@ -290,16 +288,12 @@ impl Frame {
 /// sealed spool), so data moves between them by copying. A mask re-encodes
 /// from the kept entries' byte ranges, no value decoded — the dead entries
 /// a spool's mask covers leave the bytes here.
-pub(crate) fn checked_copy(
-    sealed: PooledBuf,
-    keep: Option<&[bool]>,
-    codec: Codec,
-) -> Result<Vec<u8>> {
+pub(crate) fn checked_copy(sealed: PooledBuf, keep: Option<&[bool]>) -> Result<Vec<u8>> {
     columnar_payload(&sealed)?;
     match keep {
         None => Ok(sealed.into_vec()),
         Some(keep) => Ok(ColumnarSlab::from_payload(sealed, envelope::HEADER_LEN)?
-            .filter_frame(keep, codec)?
+            .filter_frame(keep, SPOOL_CODEC)?
             .into_vec()),
     }
 }
@@ -457,7 +451,7 @@ mod tests {
         let processed = masked(&ds, &keep);
         let kept_text = frame.decode(Some(&text), Some(&keep)).unwrap().0;
         let (stored, samples, passthrough) = frame
-            .store_processed(&kept_text, Some(&text), &keep, Codec::Djz)
+            .store_processed(&kept_text, Some(&text), &keep)
             .unwrap();
         assert!(passthrough > 0);
         assert_eq!(samples, ds.len());
@@ -472,12 +466,12 @@ mod tests {
         let keep = [false, true, true];
         let sealed = Frame::encode(&ds, Codec::Djz);
         // Unmasked: the bytes themselves.
-        let copy = checked_copy(pooled(&sealed), None, Codec::Djz).unwrap();
+        let copy = checked_copy(pooled(&sealed), None).unwrap();
         assert_eq!(copy, sealed);
         // Masked: the kept samples, still a columnar frame (one that keeps
         // a column whose last entry was dropped, so only its content is
         // compared).
-        let thinned = checked_copy(pooled(&sealed), Some(&keep), Codec::Djz).unwrap();
+        let thinned = checked_copy(pooled(&sealed), Some(&keep)).unwrap();
         let thinned = Frame::parse(&thinned).unwrap();
         assert_eq!(thinned.decode(None, None).unwrap().0, masked(&ds, &keep));
         // A damaged frame is never copied, masked or not, and a row frame
@@ -488,26 +482,26 @@ mod tests {
         let row = encode_shard_frame(&ds, Codec::Djz);
         for frame in [bad, row] {
             for mask in [None, Some(&keep[..])] {
-                let err = checked_copy(pooled(&frame), mask, Codec::Djz).unwrap_err();
+                let err = checked_copy(pooled(&frame), mask).unwrap_err();
                 assert!(matches!(err, DjError::Storage(_)), "{err:?}");
             }
         }
     }
 
     #[test]
-    fn row_frames_are_read_back_as_output_and_refused_as_spill_frames() {
+    fn row_frames_are_refused_as_spill_frames() {
         let ds = rich_shard();
         let row = encode_shard_frame(&ds, Codec::Djz);
         let read = |bytes: &[u8]| FrameSlab::from_frame_bytes(bytes)?.decode();
         assert_eq!(read(&row).unwrap(), ds);
-        // A part holds exactly one frame: a second is trailing bytes, and a
+        // A slab is exactly one frame: a second is trailing bytes, and a
         // frame cut short is a typed error.
         let err = read(&row.repeat(2)).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
         let err = read(&row[..row.len() - 1]).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         // A row frame is no spill or cache frame, and a columnar one is no
-        // `frames` part: each is refused by its magic.
+        // row slab: each is refused by its magic.
         let err = Frame::parse(&row).unwrap_err();
         assert!(matches!(err, DjError::Storage(_)), "{err:?}");
         assert!(err.to_string().contains("DJSF"), "{err}");

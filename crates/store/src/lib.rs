@@ -9,13 +9,13 @@
 //! * [`space`] — the Appendix A.2 space-usage model and the automatic
 //!   cache/checkpoint deployment policy;
 //! * [`frame`] — the one envelope (magic · length · version · `checksum64`
-//!   · payload) every spool slot, `frames` part and cache seal record is
-//!   sealed in, and the one [`Frame`] every spool slot (a cache entry's
-//!   included) holds: the only module that checks an envelope or a spill
-//!   frame's magic;
-//! * [`shard_stream`] — row `DJSF` shard frames (the `frames` output
-//!   format) and the disk-backed [`ShardSpool`], the storage substrate of
-//!   the out-of-core (spill-to-disk) execution mode;
+//!   · payload) every spool slot and cache seal record is sealed in, and
+//!   the one [`Frame`] every spool slot (a cache entry's included) holds:
+//!   the only module that checks an envelope or a spill frame's magic;
+//! * [`shard_stream`] — the disk-backed [`ShardSpool`], the storage
+//!   substrate of the out-of-core (spill-to-disk) execution mode, and the
+//!   one choice of the codec its frames are compressed with; also row
+//!   `DJSF` shard frames, which only djbench's probes still use;
 //! * [`columnar`] — columnar `DJSC` shard frames, the one spill and cache
 //!   format: per-column regions behind an offset table, so
 //!   projection-aware stages decode only the columns their OPs' field

@@ -2,9 +2,11 @@
 //!
 //! A row frame is the [`crate::frame`] envelope around one codec-compressed
 //! run of whole serialized samples (`compress(to_bytes(shard))`); the
-//! payload reuses the self-describing [`Codec`] frame. It is the `frames`
-//! output format, and nothing else: [`encode_shard_frame`] writes it,
-//! [`FrameSlab`] reads it back.
+//! payload reuses the self-describing [`Codec`] frame. The engine neither
+//! writes nor reads one, and a spool slot holding one is refused:
+//! [`encode_shard_frame`] and [`FrameSlab`] stay only because djbench's
+//! `store.row.*` and `codec.*` probes call them, and go once the
+//! benchmark's own change (ROADMAP item 2) retargets those probes.
 //!
 //! [`ShardSpool`] is a directory with one columnar (`DJSC`) frame file per
 //! shard: a spilled stage's store, and once sealed a cache entry. Files are
@@ -28,12 +30,61 @@ use crate::frame::{checked_copy, envelope, Frame, SHARD_FRAME_MAGIC};
 use crate::pool::{BufferPool, Holds, PooledBuf};
 use crate::serialize::{from_bytes, to_bytes};
 
-/// Encode one shard into a self-contained row frame.
+/// Codec for the tagged regions of every spool's frames: a spilled stage's
+/// and a cache entry's alike, because a spilled stage becomes an entry by a
+/// rename, so this is the one place it is chosen (cheap LZ77: spill IO
+/// shrinks without a zstd-class CPU bill). Since every column is stored
+/// as JSON text unless a value demotes it ([`crate::columnar`]'s rule),
+/// only demoted columns are compressed, and on the djbench workloads none is:
+/// the ingest spool of the `web-file` corpus (seed 11, 67.4 MB of JSONL)
+/// took 27.7 MB with `text` and `stats` tagged and compressed, and takes
+/// 75.9 MB as text, for 0.11 s of `egress_s` against 0.23 and 1.20 cpu-s
+/// against 1.25 at `np: 1` (fixed-input `djbench child`, 10 pairs, medians
+/// on a noisy 2-core VM). Those spool pages stay in the page cache on the
+/// benchmark VM, so what the larger spool costs a spill that waits on the
+/// disk is not measured. The measurements below are from before that
+/// rule. Measured on `meta-file-col`'s shards (`djbench --trace 1`, 2-core
+/// VM): ≈ 320 MB/s to compress, ≈ 770 MB/s to
+/// decompress into fresh memory, 2.7× smaller: byte for byte, writing a
+/// spilled frame costs the codec about 2.4 times what reading it back does.
+///
+/// `Codec::None` was measured against it on the same VM, with the run's
+/// buffers reused. On the fixed-input `djbench child` at `np: 1` it took
+/// 1.65 cpu-s against 1.95, with 11.1 k minor faults against 7.3 k and
+/// 35 MB resident against 28. On `meta-file-col` it read `wall_s` 0.89 s
+/// against 1.08 and `peak_rss_mb` 71 MB against 55 (3 pairs). Djz stays
+/// for tagged regions: passthrough frames make a spool 2.7× larger on disk
+/// and the run's peak memory 30 % larger. A benchmark spool lives about a
+/// second, mostly in the page cache, so the timings here leave the disk
+/// traffic out.
+///
+/// A raw JSON region (a field no op of a file run reads) is stored
+/// uncompressed whatever this codec says ([`crate::columnar`]'s rule),
+/// read in place, and passed on by a splice without a copy. Measured against Djz
+/// for raw regions alone, on the same code otherwise (seed 11, 4
+/// alternating pairs each, 2-core VM): `meta-file-col` `wall_s` 0.769 s
+/// against 0.930 (−17 %, 4 of 4 pairs) at 47.6 MB `peak_rss_mb` against
+/// 47.4; `serve-4tenant` 0.432 s against 0.446 and 126.4 MB against 131.4.
+/// The ingest spool of the `meta-file-col` corpus (120 MB of JSONL) takes
+/// 113.4 MB stored against 41.9 MB with Djz. Djz spent the time
+/// compressing text at ingest and decompressing it into a second buffer
+/// at egress. Djz did not lower `serve-4tenant`'s peak either: it was set
+/// by the multi-MB blocks glibc kept once freed, not by live bytes, and
+/// fell to ≈ 62 MB once `dj serve` fixed glibc's mmap threshold and its
+/// jobs shared one buffer pool (`docs/service.md`, "Memory"; ≈ 50 MB with
+/// the threshold alone on the code before the shared pool). What a
+/// 2.7× larger spool costs a spill that waits on the disk is not
+/// measured: a benchmark spool lives in the page cache.
+pub(crate) const SPOOL_CODEC: Codec = Codec::Djz;
+
+/// Encode one shard into a self-contained row frame (kept for djbench's
+/// probes; see the module docs).
 pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
     envelope::seal(SHARD_FRAME_MAGIC, &compress(&to_bytes(shard), codec))
 }
 
-/// A row frame loaded but not decoded: its verified, decompressed payload.
+/// A row frame loaded but not decoded: its verified, decompressed payload
+/// (kept for djbench's probes; see the module docs).
 #[derive(Debug)]
 pub struct FrameSlab {
     payload: Vec<u8>,
@@ -68,7 +119,6 @@ impl FrameSlab {
 /// drops, unless it is sealed.
 pub struct ShardSpool {
     pub(crate) dir: PathBuf,
-    pub(crate) codec: Codec,
     pub(crate) pool: BufferPool,
     /// Samples stored per written slot (`None` until stored) — the shard
     /// layout metadata a keep mask over the stored samples is sized by
@@ -85,8 +135,8 @@ impl ShardSpool {
     /// including parents, if missing), with a pool of its own. Writing
     /// past `slots` grows the spool — pass 0 for a stream of unknown
     /// length.
-    pub fn create(dir: impl Into<PathBuf>, slots: usize, codec: Codec) -> Result<ShardSpool> {
-        ShardSpool::create_pooled(dir, slots, codec, BufferPool::default())
+    pub fn create(dir: impl Into<PathBuf>, slots: usize) -> Result<ShardSpool> {
+        ShardSpool::create_pooled(dir, slots, BufferPool::default())
     }
 
     /// [`create`](ShardSpool::create) a spool that reads and encodes in
@@ -94,14 +144,12 @@ impl ShardSpool {
     pub fn create_pooled(
         dir: impl Into<PathBuf>,
         slots: usize,
-        codec: Codec,
         pool: BufferPool,
     ) -> Result<ShardSpool> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(ShardSpool {
             dir,
-            codec,
             pool,
             lens: Mutex::new(vec![None; slots]),
             sealed: false,
@@ -127,7 +175,7 @@ impl ShardSpool {
 
     /// Encode `shard` into slot `idx` (atomic: temp file then rename).
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        let frame = encode_into(shard, self.codec, &self.pool);
+        let frame = encode_into(shard, SPOOL_CODEC, &self.pool);
         self.write_frame_bytes(idx, &frame, shard.len())
     }
 
@@ -143,7 +191,7 @@ impl ShardSpool {
         raw: &RawColumns,
         keep: &[bool],
     ) -> Result<usize> {
-        let frame = encode_ingested(processed, raw, keep, self.codec, &self.pool)?;
+        let frame = encode_ingested(processed, raw, keep, SPOOL_CODEC, &self.pool)?;
         self.write_frame_bytes(idx, &frame, keep.len())?;
         Ok(keep.len())
     }
@@ -236,15 +284,7 @@ impl ShardSpool {
     /// frame is re-encoded from the kept entries' byte ranges. No value is
     /// decoded either way.
     pub fn read_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
-        checked_copy(self.slot_bytes(idx)?, keep, self.codec)
-    }
-
-    /// Slot `idx`'s samples that `keep` keeps as a *row* frame — the
-    /// `frames` output contract: the slot is decoded and re-encoded, the
-    /// one conversion that contract requires.
-    pub fn read_row_frame_bytes(&self, idx: usize, keep: Option<&[bool]>) -> Result<Vec<u8>> {
-        let (kept, _) = self.read(idx)?.decode(None, keep)?;
-        Ok(encode_shard_frame(&kept, self.codec))
+        checked_copy(self.slot_bytes(idx)?, keep)
     }
 
     /// Samples stored in slot `idx`, if it has been written.
@@ -327,7 +367,7 @@ mod tests {
         let dir = tmpdir("spool");
         let shards = [shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
         {
-            let spool = ShardSpool::create(&dir, 3, Codec::Djz).unwrap();
+            let spool = ShardSpool::create(&dir, 3).unwrap();
             for (i, s) in shards.iter().enumerate() {
                 spool.write_shard(i, s).unwrap();
             }
@@ -345,7 +385,7 @@ mod tests {
     #[test]
     fn spool_detects_truncation_and_missing_shards() {
         let dir = tmpdir("spool-corrupt");
-        let spool = ShardSpool::create(&dir, 2, Codec::Djz).unwrap();
+        let spool = ShardSpool::create(&dir, 2).unwrap();
         spool.write_shard(0, &rich_shard()).unwrap();
         // Truncate the file as a mid-write kill would (without the atomic
         // rename protection).
@@ -365,7 +405,7 @@ mod tests {
         // `.tmp` file; the slot then correctly reads as missing, and a
         // rewrite replaces it atomically.
         let dir = tmpdir("spool-tmp");
-        let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
+        let spool = ShardSpool::create(&dir, 1).unwrap();
         fs::write(
             dir.join("shard-00000.djs.tmp"),
             b"partial frame from a killed run",
@@ -379,7 +419,7 @@ mod tests {
     #[test]
     fn spool_grows_past_initial_slots() {
         let dir = tmpdir("spool-grow");
-        let spool = ShardSpool::create(&dir, 0, Codec::Djz).unwrap();
+        let spool = ShardSpool::create(&dir, 0).unwrap();
         assert_eq!(spool.shard_count(), 0);
         spool.write_shard(0, &shard(&["a"])).unwrap();
         spool.write_shard(2, &rich_shard()).unwrap();
@@ -392,10 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn a_spool_holds_columnar_frames_and_hands_out_row_frames_only_as_output() {
+    fn a_spool_holds_columnar_frames_and_refuses_row_frames() {
         let dir = tmpdir("spool-format");
         let shards = [shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
-        let spool = ShardSpool::create(&dir, 3, Codec::Djz).unwrap();
+        let spool = ShardSpool::create(&dir, 3).unwrap();
         for (i, s) in shards.iter().enumerate() {
             spool.write_shard(i, s).unwrap();
         }
@@ -403,20 +443,8 @@ mod tests {
             let slot = fs::read(dir.join(format!("shard-{i:05}.djs"))).unwrap();
             assert_eq!(slot, Frame::encode(s, Codec::Djz));
             assert_eq!(&spool.read_shard(i).unwrap(), s);
-            // Byte reads copy the slot; row-frame reads convert it, past a
-            // mask too: what a fresh row encode of the kept samples gives.
+            // Byte reads copy the slot.
             assert_eq!(spool.read_frame_bytes(i, None).unwrap(), slot);
-            assert_eq!(
-                spool.read_row_frame_bytes(i, None).unwrap(),
-                encode_shard_frame(s, Codec::Djz)
-            );
-            let keep: Vec<bool> = (0..s.len()).map(|k| k % 2 == 1).collect();
-            let mut kept = s.clone();
-            kept.retain_mask(&keep);
-            assert_eq!(
-                spool.read_row_frame_bytes(i, Some(&keep)).unwrap(),
-                encode_shard_frame(&kept, Codec::Djz)
-            );
         }
         // A pre-encoded frame lands like any other write, in a codec the
         // spool would not pick, and reads back through the same calls.
@@ -432,7 +460,6 @@ mod tests {
             spool.read(1).map(drop).unwrap_err(),
             spool.read_shard(1).map(drop).unwrap_err(),
             spool.read_frame_bytes(1, None).map(drop).unwrap_err(),
-            spool.read_row_frame_bytes(1, None).map(drop).unwrap_err(),
         ] {
             assert!(matches!(err, DjError::Storage(_)), "{err:?}");
         }

@@ -279,7 +279,7 @@ fn spool_to_jsonl_egress_allocates_per_shard_not_per_sample() {
             shard
         })
         .collect();
-    let spool = ShardSpool::create(dir.join("spool"), sizes.len(), Codec::Djz).unwrap();
+    let spool = ShardSpool::create(dir.join("spool"), sizes.len()).unwrap();
     for (i, shard) in shards.iter().enumerate() {
         spool.write_shard(i, shard).unwrap();
     }
@@ -376,8 +376,8 @@ fn a_columnar_stage_cycle_never_allocates_a_passthrough_region() {
         let log = format!("fetch {i}: dns 12ms, connect 31ms, ttfb 140ms; ").repeat(60);
         s.set_meta("render_log", log);
     }
-    let input = ShardSpool::create(dir.join("in"), 1, Codec::Djz).unwrap();
-    let output = ShardSpool::create(dir.join("out"), 1, Codec::Djz).unwrap();
+    let input = ShardSpool::create(dir.join("in"), 1).unwrap();
+    let output = ShardSpool::create(dir.join("out"), 1).unwrap();
     input.write_shard(0, &shard).unwrap();
     let meta = ColumnarSlab::from_frame_bytes(&encode_columnar_frame(&shard, Codec::Djz))
         .unwrap()
@@ -402,9 +402,7 @@ fn a_columnar_stage_cycle_never_allocates_a_passthrough_region() {
         let up = s.text().to_uppercase();
         s.set_text(up);
     }
-    let (bytes, stored, passthrough) = frame
-        .store_processed(&kept, Some(&text), &keep, Codec::Djz)
-        .unwrap();
+    let (bytes, stored, passthrough) = frame.store_processed(&kept, Some(&text), &keep).unwrap();
     output.write_frame(0, &bytes, stored).unwrap();
     let largest = LARGEST.with(Cell::get);
 
@@ -453,8 +451,8 @@ fn a_warmed_spool_cycle_allocates_no_large_buffer() {
     );
 
     let pool = BufferPool::default();
-    let input = ShardSpool::create_pooled(dir.join("in"), 0, Codec::Djz, pool.clone()).unwrap();
-    let output = ShardSpool::create_pooled(dir.join("out"), 0, Codec::Djz, pool).unwrap();
+    let input = ShardSpool::create_pooled(dir.join("in"), 0, pool.clone()).unwrap();
+    let output = ShardSpool::create_pooled(dir.join("out"), 0, pool).unwrap();
     let writer = ShardedWriter::create(dir.join("parts"), OutputFormat::Jsonl).unwrap();
     let text: BTreeSet<String> = ["text".to_string()].into();
     let keep: Vec<bool> = (0..shard.len()).map(|i| i % 10 >= 3).collect();
@@ -475,9 +473,7 @@ fn a_warmed_spool_cycle_allocates_no_large_buffer() {
             let up = s.text().to_uppercase();
             s.set_text(up);
         }
-        let (bytes, stored, _) = frame
-            .store_processed(&kept, Some(&text), &keep, Codec::Djz)
-            .unwrap();
+        let (bytes, stored, _) = frame.store_processed(&kept, Some(&text), &keep).unwrap();
         output.write_frame(i, &bytes, stored).unwrap();
         drop(bytes);
         drop((frame, kept));

@@ -19,9 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::faults::{self, FaultPlan, FAULTS_ENV, KINDS, SITES};
 use data_juicer::core::{Dataset, DjError, Mapper, Op, Result, Sample, SampleContext};
-use data_juicer::exec::{
-    ExecOptions, Executor, JobHandle, OutputFormat, RetryPolicy, Runtime, RuntimeConfig,
-};
+use data_juicer::exec::{ExecOptions, Executor, JobHandle, RetryPolicy, Runtime, RuntimeConfig};
 use data_juicer::ops::builtin_registry;
 
 /// Fault plans are process-global; every test that runs with one holds
@@ -180,91 +178,83 @@ fn every_site_and_kind_holds_the_chaos_property_file_to_file() {
     let ops = recipe().build_ops(&builtin_registry()).unwrap();
     let input_dir = unique_dir("input");
     let input = write_corpus(&input_dir, 48);
-    let options = |format: OutputFormat, out: &Path| ExecOptions {
+    let options = |out: &Path| ExecOptions {
         num_workers: 2,
         shard_size: Some(8),
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
-        output_format: format,
         ..ExecOptions::default()
     };
 
-    // Both ways out of the spool: JSONL transcodes every frame, `frames`
-    // copies slot bytes — which must be just as checked.
-    for format in [OutputFormat::Jsonl, OutputFormat::Frames] {
-        let baseline_dir = unique_dir("baseline");
-        let baseline_exec = Executor::new(ops.clone()).with_options(options(format, &baseline_dir));
-        baseline_exec.run_io().unwrap();
-        let expected = egress_bytes(&baseline_dir).expect("baseline egress");
+    let baseline_dir = unique_dir("baseline");
+    let baseline_exec = Executor::new(ops.clone()).with_options(options(&baseline_dir));
+    baseline_exec.run_io().unwrap();
+    let expected = egress_bytes(&baseline_dir).expect("baseline egress");
 
-        let mut fired = 0u32;
-        for &site in SITES {
-            for &kind in KINDS {
-                let ctx = format!("site={site} kind={} io {}", kind.name(), format.name());
-                let out_dir = unique_dir(&format!("{site}-{}", kind.name()));
-                let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
-                let exec = Executor::new(ops.clone()).with_options(options(format, &out_dir));
-                let result = under(&plan, || runtime().submit_io(exec).wait());
-                if plan.hits(site) > 0 {
-                    fired += 1;
-                }
-                match result {
-                    Ok(_) => {
-                        let got = egress_bytes(&out_dir)
-                            .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));
-                        assert_eq!(got, expected, "{ctx}: survived run must be byte-identical");
-                    }
-                    Err(e) => {
-                        assert_clean_error(&e, &ctx);
-                        assert!(
-                            egress_bytes(&out_dir).is_none(),
-                            "{ctx}: failed run must not commit a manifest"
-                        );
-                        assert_no_partial_egress(&out_dir, &ctx);
-                    }
-                }
-                let _ = std::fs::remove_dir_all(&out_dir);
+    let mut fired = 0u32;
+    for &site in SITES {
+        for &kind in KINDS {
+            let ctx = format!("site={site} kind={} io", kind.name());
+            let out_dir = unique_dir(&format!("{site}-{}", kind.name()));
+            let plan = Arc::new(FaultPlan::single(site, kind, 1, 7));
+            let exec = Executor::new(ops.clone()).with_options(options(&out_dir));
+            let result = under(&plan, || runtime().submit_io(exec).wait());
+            if plan.hits(site) > 0 {
+                fired += 1;
             }
+            match result {
+                Ok(_) => {
+                    let got = egress_bytes(&out_dir)
+                        .unwrap_or_else(|| panic!("{ctx}: success without committed manifest"));
+                    assert_eq!(got, expected, "{ctx}: survived run must be byte-identical");
+                }
+                Err(e) => {
+                    assert_clean_error(&e, &ctx);
+                    assert!(
+                        egress_bytes(&out_dir).is_none(),
+                        "{ctx}: failed run must not commit a manifest"
+                    );
+                    assert_no_partial_egress(&out_dir, &ctx);
+                }
+            }
+            let _ = std::fs::remove_dir_all(&out_dir);
         }
-        // The matrix is only meaningful if the file-to-file path actually
-        // reaches its sites: every io.* and exec.* site must have been hit.
-        assert!(
-            fired >= 20,
-            "{}: only {fired} of the armed site/kind pairs were ever reached",
-            format.name()
-        );
-        let _ = std::fs::remove_dir_all(&baseline_dir);
     }
+    // The matrix is only meaningful if the file-to-file path actually
+    // reaches its sites: every io.* and exec.* site must have been hit.
+    assert!(
+        fired >= 20,
+        "only {fired} of the armed site/kind pairs were ever reached"
+    );
+    let _ = std::fs::remove_dir_all(&baseline_dir);
 
     let _ = std::fs::remove_dir_all(&input_dir);
 }
 
-/// `frames` egress once copied an unmasked slot without opening its
-/// envelope: a frame damaged as it was written went out as a committed part
-/// that no reader could open. The job gets one attempt, so the one damaged
-/// write stays damaged — it must end in the typed storage error the slot's
-/// checksum raises on its way to a row frame, with no manifest and no part
-/// (parts of undamaged slots that other workers committed meanwhile are the
-/// runtime's to clear).
+/// Egress reads every slot of the spool through its checksum: a frame
+/// damaged as it was written never goes out as a committed part. The job
+/// gets one attempt, so the one damaged write stays damaged — it must end
+/// in the typed storage error the slot's checksum raises on its way to
+/// JSON text, with no manifest and no part (parts of undamaged slots that
+/// other workers committed meanwhile are the runtime's to clear).
 #[test]
-fn frames_egress_never_ships_a_slot_damaged_at_write() {
+fn egress_never_ships_a_slot_damaged_at_write() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let ops = Recipe::new("chaos-frames-egress")
+    let ops = Recipe::new("chaos-egress")
         .then(OpSpec::new("whitespace_normalization_mapper"))
         .build_ops(&builtin_registry())
         .unwrap();
-    let input_dir = unique_dir("frames-egress-input");
+    let input_dir = unique_dir("egress-input");
     let input = write_corpus(&input_dir, 48);
     for kind in [faults::ErrKind::BitFlip, faults::ErrKind::Truncate] {
         let ctx = format!("kind={}", kind.name());
-        let out_dir = unique_dir("frames-egress-out");
+        let out_dir = unique_dir("egress-out");
         let plan = Arc::new(FaultPlan::single("store.frame.write", kind, 1, 7));
         let exec = Executor::new(ops.clone()).with_options(ExecOptions {
             num_workers: 2,
             shard_size: Some(8),
             input: Some(input.display().to_string()),
             output: Some(out_dir.clone()),
-            output_format: OutputFormat::Frames,
             ..ExecOptions::default()
         });
         let runtime = Runtime::new(RuntimeConfig {
@@ -580,7 +570,6 @@ fn env_seed_smoke() {
         shard_size: Some(8),
         input: Some(input.display().to_string()),
         output: Some(out.to_path_buf()),
-        output_format: OutputFormat::Jsonl,
         ..ExecOptions::default()
     };
     let baseline_dir = unique_dir("env-baseline");

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use data_juicer::core::{DjError, OnError, Op, Result, Sample, SampleContext};
-use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor, OutputFormat};
+use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor};
 use data_juicer::io::{read_quarantine, EgressManifest, QUARANTINE_FILE};
 use data_juicer::ops::builtin_registry;
 
@@ -59,7 +59,6 @@ fn exec_with(policy: OnError, ratio: f64, input: &Path, output: &Path) -> Execut
         shard_size: Some(4),
         input: Some(input.display().to_string()),
         output: Some(output.to_path_buf()),
-        output_format: OutputFormat::Jsonl,
         on_error: policy,
         max_error_ratio: ratio,
         ..ExecOptions::default()

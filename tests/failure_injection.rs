@@ -96,10 +96,10 @@ fn mapper_error_propagates_through_spilled_execution() {
 
 #[test]
 fn truncated_and_corrupted_spill_frames_are_clean_storage_errors() {
-    use data_juicer::store::{Codec, ShardSpool};
+    use data_juicer::store::ShardSpool;
     let dir = std::env::temp_dir().join(format!("dj-it-spill-frames-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spool = ShardSpool::create(&dir, 2, Codec::Djz).unwrap();
+    let spool = ShardSpool::create(&dir, 2).unwrap();
     let shard = web_corpus(3, 20, WebNoise::default());
     spool.write_shard(0, &shard).unwrap();
     spool.write_shard(1, &shard).unwrap();

@@ -1,9 +1,9 @@
 //! Bytes we did not write: one seeded, structure-aware mutation loop over
 //! everything that opens sealed bytes — the envelope
 //! (`envelope::open_one`), `Frame::parse` and every operation on the parsed
-//! (`DJSC`) frame, tagged (demoted) and raw JSON columns alike, the `frames` part reader (`FrameSlab`, the row `DJSF`
-//! parser's entry point), the spool's reads, and a cache entry's seal
-//! record (`DJES`:
+//! (`DJSC`) frame, tagged (demoted) and raw JSON columns alike, the row
+//! `DJSF` parser (`FrameSlab`, public while djbench's probes use it), the
+//! spool's reads, and a cache entry's seal record (`DJES`:
 //! `open_seal_record`, and the entry opened through it with every slot
 //! read). A row frame is never a spill or cache frame: `Frame::parse` and
 //! every spool read refuse it with a typed error.
@@ -123,7 +123,7 @@ fn demoted_frame(codec: Codec) -> Vec<u8> {
 /// [`shard`] as a file run stores it: `text` parsed, the rest raw JSON
 /// text, the samples [`MASK`] drops stored without entries. Sealed bytes,
 /// as a spool slot holds them.
-fn ingested_frame(dir: &std::path::Path, codec: Codec) -> Vec<u8> {
+fn ingested_frame(dir: &std::path::Path) -> Vec<u8> {
     let mut raw = RawColumns::new();
     let mut samples = Dataset::new();
     for s in shard().iter() {
@@ -134,7 +134,7 @@ fn ingested_frame(dir: &std::path::Path, codec: Codec) -> Vec<u8> {
     }
     let mut processed = samples.clone();
     processed.retain_mask(&MASK);
-    let spool = ShardSpool::create(dir.join("ingest"), 1, codec).unwrap();
+    let spool = ShardSpool::create(dir.join("ingest"), 1).unwrap();
     spool.write_ingested(0, &processed, &raw, &MASK).unwrap();
     std::fs::read(spool.dir().join("shard-00000.djs")).unwrap()
 }
@@ -160,7 +160,7 @@ impl Targets {
         }
         cache.seal(&mut entry, KEY, None).unwrap();
         Targets {
-            spool: ShardSpool::create(dir.join("spool"), 1, Codec::Djz).unwrap(),
+            spool: ShardSpool::create(dir.join("spool"), 1).unwrap(),
             entry: entry.dir().to_path_buf(),
             cache,
         }
@@ -173,7 +173,7 @@ impl Targets {
 }
 
 /// Everything that opens sealed bytes, fed `bytes`. Returns whether
-/// `Frame::parse`, the `frames` part reader or the seal record parser
+/// `Frame::parse`, the row frame parser or the seal record parser
 /// accepted them as one shard frame or one seal record.
 fn feed(targets: &Targets, bytes: &[u8]) -> bool {
     let spool = &targets.spool;
@@ -199,7 +199,7 @@ fn feed(targets: &Targets, bytes: &[u8]) -> bool {
         }
         Err(e) => results.push(Err(e)),
     }
-    // One `frames` output part, read whole.
+    // One row frame, read whole.
     let part = FrameSlab::from_frame_bytes(bytes).and_then(|slab| slab.decode());
     frame |= part.is_ok();
     results.push(part.map(drop));
@@ -226,7 +226,6 @@ fn feed(targets: &Targets, bytes: &[u8]) -> bool {
     let mut slot = vec![spool.read(0).map(drop)];
     for keep in [None, Some(&MASK[..])] {
         slot.push(spool.read_frame_bytes(0, keep).map(drop));
-        slot.push(spool.read_row_frame_bytes(0, keep).map(drop));
     }
     if row {
         for read in &slot {
@@ -373,8 +372,7 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
             COLUMNAR_FRAME_MAGIC,
             encode_columnar_frame(&Dataset::new(), Codec::Djz),
         ),
-        (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir, Codec::None)),
-        (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir, Codec::Djz)),
+        (COLUMNAR_FRAME_MAGIC, ingested_frame(&dir)),
         (COLUMNAR_FRAME_MAGIC, demoted_frame(Codec::Djz)),
     ];
 
@@ -596,7 +594,7 @@ fn a_damaged_raw_json_entry_is_a_typed_error() {
 /// per level, so without a limit a deep enough payload overflows the stack
 /// — an abort no `catch_unwind` sees. A sample may nest `MAX_NESTING_DEPTH`
 /// levels, its root object included (the JSON text limit), in a spill
-/// frame and in a `frames` part; one level more, or 200 000, is a typed
+/// frame and in a row frame; one level more, or 200 000, is a typed
 /// storage error from every decoder.
 #[test]
 fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
@@ -646,7 +644,7 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     refused(frame.decode(None, None), "decode");
     refused(frame.write_jsonl(None, &mut String::new()), "transcode");
     refused(frame.with_texts("text.x", |t| Ok(t.len())), "skip");
-    // ... and as a `frames` part's one sample.
+    // ... and as a row frame's one sample.
     let mut payload = vec![1u8];
     payload.extend_from_slice(&1u64.to_le_bytes());
     payload.push(7); // map of one entry: "text" →
@@ -658,7 +656,7 @@ fn a_nesting_bomb_behind_a_valid_checksum_is_a_typed_error() {
     check(&targets, "nesting bomb", &sealed);
     refused(
         FrameSlab::from_frame_bytes(&sealed).and_then(|slab| slab.decode()),
-        "decode a part",
+        "decode a row frame",
     );
     drop(targets);
     assert!(!dir.join("spool").exists());

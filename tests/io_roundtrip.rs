@@ -13,9 +13,11 @@ use proptest::prelude::*;
 
 use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::{Dataset, DjError, Sample};
-use data_juicer::exec::{EgressManifest, ExecOptions, Executor, OutputFormat};
+use data_juicer::exec::{
+    executor_from_recipe, EgressManifest, ExecOptions, Executor, OutputFormat,
+};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{envelope, to_bytes, to_jsonl, FrameSlab};
+use data_juicer::store::{to_bytes, to_jsonl};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -137,7 +139,14 @@ fn file_backed_run_is_byte_identical_to_in_memory() {
     assert_eq!(manifest.total_samples, expected.len());
     let mut concat = String::new();
     for part in &manifest.parts {
-        concat.push_str(&fs::read_to_string(out_dir.join(&part.file)).unwrap());
+        let text = fs::read_to_string(out_dir.join(&part.file)).unwrap();
+        assert_eq!(
+            text.lines().count(),
+            part.samples,
+            "{} sample count",
+            part.file
+        );
+        concat.push_str(&text);
     }
     assert_eq!(
         concat,
@@ -157,49 +166,40 @@ fn file_backed_run_is_byte_identical_to_in_memory() {
     let _ = fs::remove_dir_all(&out_dir);
 }
 
-/// `frames` egress re-reads through the spool frame decoder to exactly the
-/// dataset the in-memory engine produces — the zero-copy output format
-/// loses nothing.
+/// A recipe's `output_format` has one value left: `jsonl` loads with no
+/// effect, and the run it configures writes JSONL parts; any other value,
+/// `frames` included, is a config error that names `jsonl`.
 #[test]
-fn frames_egress_round_trips_through_the_frame_format() {
-    let input_dir = fresh_dir("frames-in");
-    let out_dir = unique_dir("frames-out");
+fn output_format_has_one_value_left() {
+    let input_dir = fresh_dir("format-in");
+    let out_dir = unique_dir("format-out");
     let _ = fs::remove_dir_all(&out_dir);
-    let data = tricky_corpus();
-    let pattern = write_corpus_files(&input_dir, &data, 2);
-    let ops = dedup_recipe().build_ops(&builtin_registry()).unwrap();
-    let expected = in_memory_reference(ops.clone(), data);
-
-    let _ = fs::remove_dir_all(&out_dir);
-    let exec = Executor::new(ops.clone()).with_options(ExecOptions {
-        num_workers: 2,
-        shard_size: Some(6),
-        input: Some(pattern.clone()),
-        output: Some(out_dir.clone()),
-        output_format: OutputFormat::Frames,
-        ..ExecOptions::default()
-    });
-    let (_, report) = exec.run_io().unwrap();
-    assert!(report.egress_bytes > 0);
-
+    let pattern = write_corpus_files(&input_dir, &tricky_corpus(), 2);
+    let yaml = |format: Option<&str>| {
+        let format = format.map(|f| format!("output_format: {f}\n"));
+        format!(
+            "input_path: {pattern}\noutput_path: {}\n{}process:\n  - whitespace_normalization_mapper:\n",
+            out_dir.display(),
+            format.unwrap_or_default()
+        )
+    };
+    let recipe = Recipe::from_yaml(&yaml(Some("jsonl"))).unwrap();
+    assert_eq!(recipe, Recipe::from_yaml(&yaml(None)).unwrap());
+    let exec = executor_from_recipe(&recipe, &builtin_registry(), true).unwrap();
+    let (out, _) = exec.run_io().unwrap();
+    assert!(out.is_none(), "egress to a directory returns no dataset");
     let manifest = EgressManifest::load(&out_dir).unwrap();
-    assert_eq!(manifest.format, OutputFormat::Frames);
-    let mut rebuilt = Dataset::new();
+    assert_eq!(manifest.format, OutputFormat::Jsonl);
+    assert!(!manifest.parts.is_empty());
     for part in &manifest.parts {
-        let bytes = fs::read(out_dir.join(&part.file)).unwrap();
-        // One frame per part: the envelope refuses trailing bytes.
-        envelope::open_one(&bytes).expect("one frame per part");
-        let shard = FrameSlab::from_frame_bytes(&bytes)
-            .unwrap()
-            .decode()
-            .unwrap();
-        assert_eq!(shard.len(), part.samples, "{} sample count", part.file);
-        for s in shard.iter() {
-            rebuilt.push(s.clone());
-        }
+        assert!(part.file.ends_with(".jsonl"), "{}", part.file);
     }
-    assert_eq!(rebuilt, expected);
-    assert_eq!(manifest.total_samples, expected.len());
+    for format in ["frames", "parquet"] {
+        let err = Recipe::from_yaml(&yaml(Some(format))).unwrap_err();
+        assert!(matches!(err, DjError::Config(_)), "{format}: {err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("`jsonl`") && msg.contains(format), "{msg}");
+    }
 
     let _ = fs::remove_dir_all(&input_dir);
     let _ = fs::remove_dir_all(&out_dir);

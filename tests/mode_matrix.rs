@@ -24,13 +24,12 @@ use proptest::prelude::*;
 use data_juicer::config::{recipes, OpSpec, Recipe};
 use data_juicer::core::{Dataset, Op, Sample, SampleContext, Value};
 use data_juicer::exec::{
-    executor_from_recipe, EgressManifest, ExecOptions, Executor, OutputFormat, RunReport, Runtime,
-    RuntimeConfig,
+    executor_from_recipe, EgressManifest, ExecOptions, Executor, RunReport, Runtime, RuntimeConfig,
 };
 use data_juicer::ops::builtin_registry;
 use data_juicer::store::{
-    encode_shard_frame, to_jsonl, CacheManager, CacheMode, Codec, Frame, FrameSlab,
-    COLUMNAR_FRAME_MAGIC, SHARD_FRAME_MAGIC,
+    encode_shard_frame, to_jsonl, CacheManager, CacheMode, Codec, Frame, COLUMNAR_FRAME_MAGIC,
+    SHARD_FRAME_MAGIC,
 };
 use data_juicer::synth::{
     arxiv_corpus, chinese_corpus, code_corpus, dialog_corpus, web_corpus, wiki_corpus, WebNoise,
@@ -99,8 +98,6 @@ struct Mode {
     /// Submitted as a job to the test's [`runtime`] (`submit` /
     /// `submit_io`, then `wait`) instead of calling the executor.
     runtime: bool,
-    /// Modes that write parts write `frames` parts instead of JSONL.
-    frames: bool,
     /// A resident input (in-memory or spilled) submitted as a runtime job
     /// with `output` set: it writes parts, as the file shape does.
     egress: bool,
@@ -122,7 +119,6 @@ impl Mode {
             np: 2,
             adaptive: false,
             runtime: false,
-            frames: false,
             egress: false,
         }
     }
@@ -147,26 +143,20 @@ impl Mode {
         modes
     }
 
-    /// The ways out of a barrier: every shape × np × `jsonl` / `frames`
-    /// output (the output format only exists for the modes that write
-    /// parts: the file shape, and each resident shape again as a runtime
-    /// job with `output` set).
+    /// The ways out of a barrier: every shape × np, and each resident
+    /// shape again as a runtime job with `output` set, which writes parts
+    /// as the file shape does.
     fn ways_out() -> Vec<Mode> {
         let mut modes = Vec::new();
-        for base in SHAPES.into_iter().flat_map(|shape| {
-            [1, 3].map(|np| Mode {
-                np,
-                ..Mode::plain(shape)
-            })
-        }) {
-            let file = base.shape == Shape::File;
-            for frames in [false, true] {
-                if file || !frames {
-                    modes.push(Mode { frames, ..base });
-                }
-                if !file {
+        for shape in SHAPES {
+            for np in [1, 3] {
+                let base = Mode {
+                    np,
+                    ..Mode::plain(shape)
+                };
+                modes.push(base);
+                if shape != Shape::File {
                     modes.push(Mode {
-                        frames,
                         egress: true,
                         runtime: true,
                         ..base
@@ -184,11 +174,6 @@ impl Mode {
             shard_size: Some(shard_size),
             memory_budget: (self.shape == Shape::Spill).then_some(1),
             adaptive: self.adaptive,
-            output_format: if self.frames {
-                OutputFormat::Frames
-            } else {
-                OutputFormat::Jsonl
-            },
             ..ExecOptions::default()
         }
     }
@@ -244,19 +229,7 @@ impl Mode {
                 let written: String = manifest
                     .parts
                     .iter()
-                    .map(|p| {
-                        let bytes = fs::read(out_dir.join(&p.file)).unwrap();
-                        if self.frames {
-                            to_jsonl(
-                                &FrameSlab::from_frame_bytes(&bytes)
-                                    .unwrap()
-                                    .decode()
-                                    .unwrap(),
-                            )
-                        } else {
-                            String::from_utf8(bytes).unwrap()
-                        }
-                    })
+                    .map(|p| fs::read_to_string(out_dir.join(&p.file)).unwrap())
                     .collect();
                 (written, report)
             }
@@ -516,12 +489,13 @@ fn non_canonical_inert_fields_match_the_oracle_in_every_mode() {
 
 /// Inert fields whose values the writer prints as another value — an
 /// integral float of `|x| ≥ 1e15`, printed as an integer, and an
-/// overflowing float, printed as `null` — keep those values through a file
-/// run. The `frames` parts (row frames carry each value's type) and the
-/// dataset a run without an output directory returns hold, value for
-/// value, what the oracle makes of a whole parse of each record. `ts` is
-/// an integer on most lines, so a shard's column holds entries before a
-/// float demotes it.
+/// overflowing float, printed as `null` — keep those values through the
+/// ways out that keep types: the dataset a file run without an output
+/// directory returns, and a spilled run of the parsed records resumed from
+/// the cache entries of its first stages, hold, value for value, what the
+/// oracle makes of a whole parse of each record. `ts` is an integer on
+/// most lines, so a shard's column holds entries before a float demotes
+/// it.
 #[test]
 fn inert_values_their_text_would_change_survive_a_file_run() {
     let texts = corpus(22, 60);
@@ -555,39 +529,40 @@ fn inert_values_their_text_would_change_survive_a_file_run() {
         )
         .unwrap();
     }
-    let out_dir = case.dir.join("out");
     for picks in [&[0, 3, 8, 1, 4, 9][..], &[10, 2, 5]] {
         let ops = build(picks);
         let want = oracle(&ops, case.data.clone());
-        for (np, output) in [(1, false), (3, false), (1, true), (3, true)] {
-            let _ = fs::remove_dir_all(&out_dir);
-            let options = ExecOptions {
+        let head = &picks[..=picks.iter().position(|&i| i >= FIRST_DEDUP).unwrap()];
+        for np in [1, 3] {
+            let ctx = format!("picks={picks:?} np={np}");
+            let base = ExecOptions {
                 num_workers: np,
                 shard_size: Some(case.shard_size),
-                input: Some(format!("{}/in/*.jsonl", case.dir.display())),
-                output: output.then(|| out_dir.clone()),
-                output_format: OutputFormat::Frames,
                 ..ExecOptions::default()
             };
+            let file = ExecOptions {
+                input: Some(format!("{}/in/*.jsonl", case.dir.display())),
+                ..base.clone()
+            };
             let (out, _) = Executor::new(ops.clone())
-                .with_options(options)
+                .with_options(file)
                 .run_io()
                 .unwrap();
-            let got = match out {
-                Some(dataset) => dataset,
-                None => {
-                    let manifest = EgressManifest::load(&out_dir).unwrap();
-                    let parts = manifest.parts.iter().map(|p| {
-                        let bytes = fs::read(out_dir.join(&p.file)).unwrap();
-                        FrameSlab::from_frame_bytes(&bytes)
-                            .unwrap()
-                            .decode()
-                            .unwrap()
-                    });
-                    Dataset::concat(parts.collect())
-                }
+            same_values(&out.unwrap(), &want, &format!("{ctx} file"));
+            let cache = CacheManager::new(case.dir.join(format!("cache-{np}")), CacheMode::Cache);
+            let spilled = ExecOptions {
+                memory_budget: Some(1),
+                spill_dir: Some(case.dir.join("spill")),
+                ..base
             };
-            assert_eq!(got, want, "picks={picks:?} np={np} frames parts: {output}");
+            cached(head, spilled.clone())
+                .run_with_cache(case.data.clone(), &cache)
+                .unwrap();
+            let (out, resumed) = cached(picks, spilled)
+                .run_with_cache(case.data.clone(), &cache)
+                .unwrap();
+            assert!(resumed.spilled && resumed.resumed_steps > 0, "{ctx}");
+            same_values(&out, &want, &format!("{ctx} cache resume"));
         }
     }
 }
@@ -645,10 +620,10 @@ fn same_values(got: &Dataset, want: &Dataset, ctx: &str) {
 /// back as another value demote their column, in the frame they are
 /// stored in, to tagged values: every way out that keeps types holds the
 /// oracle's values — the dataset a run returns (spilled, and file to file
-/// without an output directory), the `frames` parts of a file run, and a
-/// spilled run resumed from the cache entries of a shorter recipe — at np
-/// 1 and 3. A stage between the barriers lends the demoted column on;
-/// JSONL egress prints the oracle's bytes.
+/// without an output directory), and a spilled run resumed from the cache
+/// entries of a shorter recipe — at np 1 and 3. A stage between the
+/// barriers lends the demoted column on; JSONL egress prints the oracle's
+/// bytes.
 #[test]
 fn touched_values_their_text_would_change_survive_every_way_out() {
     let mut registry = builtin_registry();
@@ -703,36 +678,19 @@ fn touched_values_their_text_would_change_survive_every_way_out() {
         };
         let (out, _) = exec(&full, file.clone()).run_io().unwrap();
         same_values(&out.unwrap(), &want, &format!("file np {np}"));
-        for format in [OutputFormat::Frames, OutputFormat::Jsonl] {
-            let _ = fs::remove_dir_all(&out_dir);
-            let options = ExecOptions {
-                output: Some(out_dir.clone()),
-                output_format: format,
-                ..file.clone()
-            };
-            exec(&full, options).run_io().unwrap();
-            let manifest = EgressManifest::load(&out_dir).unwrap();
-            let parts = manifest
-                .parts
-                .iter()
-                .map(|p| fs::read(out_dir.join(&p.file)).unwrap());
-            match format {
-                OutputFormat::Frames => {
-                    let parts = parts.map(|bytes| {
-                        FrameSlab::from_frame_bytes(&bytes)
-                            .unwrap()
-                            .decode()
-                            .unwrap()
-                    });
-                    let got = Dataset::concat(parts.collect());
-                    same_values(&got, &want, &format!("frames parts np {np}"));
-                }
-                OutputFormat::Jsonl => {
-                    let got: Vec<u8> = parts.flatten().collect();
-                    assert_eq!(String::from_utf8(got).unwrap(), to_jsonl(&want), "np {np}");
-                }
-            }
-        }
+        let _ = fs::remove_dir_all(&out_dir);
+        let options = ExecOptions {
+            output: Some(out_dir.clone()),
+            ..file.clone()
+        };
+        exec(&full, options).run_io().unwrap();
+        let manifest = EgressManifest::load(&out_dir).unwrap();
+        let got: String = manifest
+            .parts
+            .iter()
+            .map(|p| fs::read_to_string(out_dir.join(&p.file)).unwrap())
+            .collect();
+        assert_eq!(got, to_jsonl(&want), "np {np}");
         // The cache: the head's entries, then the full recipe resumed.
         let cache = CacheManager::new(dir.join(format!("cache-{np}")), CacheMode::Cache);
         exec(&head, spilled.clone())
@@ -748,9 +706,9 @@ fn touched_values_their_text_would_change_survive_every_way_out() {
 
 /// A spilled barrier writes nothing — its mask rides on the spool to
 /// whatever opens it next. Every next thing, in every shape: JSONL egress
-/// (transcoded), `frames` egress (a masked decode into row frames),
-/// materialization, a following stage, a second
-/// barrier with no stage between.
+/// (transcoded), materialization, a following stage, a second barrier with
+/// no stage between, and a cache save, read back by a run of the same
+/// recipe that resumes every step from it.
 #[test]
 fn a_deferred_mask_reaches_every_way_out() {
     let terminal = [0, 3, 8];
@@ -773,6 +731,27 @@ fn a_deferred_mask_reaches_every_way_out() {
         for mode in Mode::ways_out() {
             let (out, _) = mode.run(&ops, case);
             assert_eq!(out, expected, "{mode:?} picks={picks:?}");
+        }
+        for np in [1, 3] {
+            let ctx = format!("cache np {np} picks={picks:?}");
+            let cache = CacheManager::new(case.dir.join(format!("cache-{np}")), CacheMode::Cache);
+            let exec = cached(
+                picks,
+                ExecOptions {
+                    num_workers: np,
+                    shard_size: Some(case.shard_size),
+                    memory_budget: Some(1),
+                    spill_dir: Some(case.dir.join("spill")),
+                    op_fusion: false,
+                    ..ExecOptions::default()
+                },
+            );
+            let (saved, first) = exec.run_with_cache(case.data.clone(), &cache).unwrap();
+            let (resumed, again) = exec.run_with_cache(case.data.clone(), &cache).unwrap();
+            assert_eq!(first.resumed_steps, 0, "{ctx}");
+            assert_eq!(again.resumed_steps, picks.len(), "{ctx}");
+            assert_eq!(to_jsonl(&saved), expected, "{ctx}: saved");
+            assert_eq!(to_jsonl(&resumed), expected, "{ctx}: resumed");
         }
     }
 }
