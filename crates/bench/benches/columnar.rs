@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::BTreeSet;
 
 use dj_core::Value;
-use dj_store::{encode_columnar_frame, encode_shard_frame, Codec, ColumnarSlab, Frame, FrameSlab};
+use dj_store::{encode_shard_frame, Codec, ColumnarSlab, Frame, FrameSlab};
 use dj_synth::{web_corpus, WebNoise};
 
 /// A shard whose text is a minority share: every sample carries url,
@@ -36,12 +36,12 @@ fn metadata_heavy_shard(n: usize) -> dj_core::Dataset {
 fn bench_columnar(c: &mut Criterion) {
     let shard = metadata_heavy_shard(300);
     let row_frame = encode_shard_frame(&shard, Codec::Djz);
-    let col_frame = encode_columnar_frame(&shard, Codec::Djz);
+    let col_frame = Frame::encode(&shard);
     let slab = ColumnarSlab::from_frame_bytes(&col_frame).expect("columnar frame parses");
     let text_cols: BTreeSet<String> = ["text", "stats"].iter().map(|s| s.to_string()).collect();
     println!(
         "shard: {} samples, row frame {} bytes, columnar frame {} bytes, \
-         text column {} of {} raw bytes",
+         text column {} of {} region bytes",
         shard.len(),
         row_frame.len(),
         col_frame.len(),
@@ -53,7 +53,7 @@ fn bench_columnar(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(slab.total_raw_len()));
 
     group.bench_function("encode_columnar", |b| {
-        b.iter(|| encode_columnar_frame(criterion::black_box(&shard), Codec::Djz))
+        b.iter(|| Frame::encode(criterion::black_box(&shard)))
     });
     group.bench_function("decode_row_full", |b| {
         b.iter(|| {
@@ -71,7 +71,7 @@ fn bench_columnar(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    // The pushdown path: only the text/stats columns leave compression.
+    // The pushdown path: only the text/stats columns are decoded.
     group.bench_function("decode_columnar_projected", |b| {
         b.iter(|| {
             ColumnarSlab::from_frame_bytes(criterion::black_box(&col_frame))
@@ -92,7 +92,7 @@ fn bench_columnar(c: &mut Criterion) {
     let keep: Vec<bool> = (0..shard.len()).map(|i| i % 2 == 0).collect();
     group.bench_function("filter_frame_half", |b| {
         b.iter(|| {
-            slab.filter_frame(criterion::black_box(&keep), Codec::Djz)
+            slab.filter_frame(criterion::black_box(&keep), Codec::None)
                 .unwrap()
         })
     });

@@ -2,9 +2,9 @@
 //! cache mode stores `(1 + M + F + 𝟙(F>0) + D) × S`, checkpoint mode peaks
 //! at `3 × S`. The harness runs a real pipeline under both cache modes and
 //! checks the measured disk usage against the formulas. An entry
-//! compresses only the columns a value demotes from JSON text, so its
-//! size stays comparable to the serialized dataset; every check is a
-//! bound.
+//! compresses nothing: each column is its entries, JSON text unless a
+//! value demotes it to tagged values, so its size stays comparable to the
+//! serialized dataset; every check is a bound.
 
 use dj_bench::section;
 use dj_config::{OpSpec, Recipe};

@@ -485,7 +485,7 @@ fn main() {
         let seconds = t0.elapsed().as_secs_f64();
         assert!(report.spilled, "1-byte budget must spill");
         assert_eq!(out, expected, "out-of-core output diverged from in-memory");
-        let whole = dj_store::Frame::encode(&data, dj_store::Codec::None);
+        let whole = dj_store::Frame::encode(&data);
         let raw = dj_store::ColumnarSlab::from_frame_bytes(&whole)
             .expect("columnar frame parses")
             .total_raw_len();

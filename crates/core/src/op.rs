@@ -259,7 +259,7 @@ pub trait Deduplicator: Send + Sync {
     /// appends.
     ///
     /// The executor uses this for zero-copy hash passes: it borrows the
-    /// field's text straight out of a decompressed frame slab instead of
+    /// field's text straight out of an undecoded frame instead of
     /// decoding whole samples. `None` (the default) keeps custom
     /// deduplicators on the decode-everything path.
     fn hash_field(&self) -> Option<&str> {

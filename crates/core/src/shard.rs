@@ -32,7 +32,7 @@ pub struct ShardStats {
     pub changed: usize,
     /// CPU time this shard spent inside this step.
     pub duration: Duration,
-    /// Decoded (decompressed) payload bytes this step's stage read to run
+    /// Region bytes this step's stage decoded to run
     /// this shard. Only spilled stages attribute bytes; resident stages
     /// leave it zero. Every step of a fused stage reports the same shard
     /// decode — the stage decodes once for all of them.

@@ -54,7 +54,7 @@ pub(crate) fn hash_samples<'a>(
     fingerprint(dedup, samples.into_iter().map(HashInput::Sample))
 }
 
-/// Fingerprint one spool load, plus the decompressed bytes decoded to
+/// Fingerprint one spool load, plus the region bytes decoded to
 /// reach the texts. An undecoded frame lends out the hashed field's text of
 /// the samples its deferred mask keeps, so no `Sample` is ever built;
 /// decoded samples (a deduplicator that hashes whole samples) hash as such.

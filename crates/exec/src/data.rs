@@ -235,7 +235,7 @@ impl Sink<'_> {
     /// Store shard `idx`. `frame` and `raw` are what the load carried,
     /// `keep` says per *stored* sample of that frame, or per sample the
     /// reader produced, whether it survived into `shard` (see
-    /// [`widen_keep`]). Returns the decompressed bytes that crossed
+    /// [`widen_keep`]). Returns the region bytes that crossed
     /// input→output undecoded and, when the stored frame still holds
     /// samples `keep` dropped, `keep` itself: the slot's mask, for
     /// [`finish`](Sink::finish).
@@ -601,7 +601,7 @@ impl StageData {
     }
 
     /// Fingerprint every live sample for `dedup`, in dataset order:
-    /// `(fingerprints, decompressed bytes decoded)`. Resident samples are
+    /// `(fingerprints, region bytes decoded)`. Resident samples are
     /// hashed in place, in sample-balanced morsels, and spilled ones by
     /// borrowing the hashed field's text out of undecoded frames — a full
     /// decode only when the deduplicator hashes whole samples.

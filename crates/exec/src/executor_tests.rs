@@ -340,9 +340,9 @@ fn entry_as_sample_bytes(cache: &CacheManager, key: u64) -> (usize, u64) {
 /// save right after it compacts them where the bytes leave: each entry is
 /// the one a barrier that thinned its shards on the spot saved. Every
 /// eighth document repeats an earlier one, so no shard is thinned to half
-/// its fill. Pinned by length and FNV-1a; a deliberate codec or frame
-/// layout change re-pins them (the last: every column stored as JSON
-/// text). Each entry's samples are pinned apart from its layout, serialized
+/// its fill. Pinned by length and FNV-1a; a deliberate frame layout
+/// change re-pins them (the last: layout version 3, a region is its
+/// entries alone). Each entry's samples are pinned apart from its layout, serialized
 /// whole with `to_bytes` (those pins were read where the row-frame pins of
 /// the same samples held), so a re-pin cannot change what an entry holds.
 /// The entries' keys are pinned too: content identity, the same at every
@@ -360,12 +360,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             [
                 (
                     STAGE,
-                    (5_102, 14_466_902_492_956_366_666),
+                    (4_862, 16_920_525_572_965_210_562),
                     (5_564, 11_312_440_399_066_394_247),
                 ),
                 (
                     BARRIER,
-                    (4_557, 1_320_918_449_715_246_273),
+                    (4_317, 9_930_282_215_807_412_711),
                     (4_875, 3_491_814_906_032_166_870),
                 ),
             ],
@@ -375,12 +375,12 @@ fn a_resident_barrier_saves_the_cache_entries_it_always_saved() {
             [
                 (
                     STAGE,
-                    (4_482, 12_524_886_848_217_907_267),
+                    (4_442, 9_002_386_420_672_677_747),
                     (5_519, 6_814_472_757_597_413_484),
                 ),
                 (
                     BARRIER,
-                    (3_937, 13_865_650_253_443_048_137),
+                    (3_897, 12_855_576_458_285_644_118),
                     (4_830, 7_312_925_266_278_686_473),
                 ),
             ],

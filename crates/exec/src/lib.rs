@@ -58,7 +58,7 @@
 //!    (a spilled barrier then opens no frame; the barrier takes them, so
 //!    a second barrier behind it hashes); otherwise they come from one
 //!    hash pass that borrows the hashed field's text — from resident
-//!    samples in sample-balanced morsels, or from one decompressed column
+//!    samples in sample-balanced morsels, or from one column
 //!    region of a spilled frame — and only decodes whole samples for a
 //!    deduplicator that hashes whole samples. Shard boundaries **carry
 //!    through** the barrier unchanged, so it pays no materialization,
@@ -158,8 +158,8 @@
 //! 5. Spilled shards are columnar `DJSC` frames, and every pass decodes
 //!    only the top-level columns named by its steps' field footprints
 //!    ([`Mapper::fields_read`](dj_core::Mapper::fields_read) et al.);
-//!    untouched columns' regions are copied into the output frame
-//!    verbatim, never decompressed. Samples the stage's filters dropped
+//!    untouched columns' regions are passed into the output frame
+//!    verbatim, never read. Samples the stage's filters dropped
 //!    stay stored in its output frames; the verdicts ride on the new spool
 //!    as its mask (the same one step 3's barriers leave), and leave the
 //!    bytes only where the bytes leave the spool: egress or a cache save.

@@ -23,8 +23,8 @@ pub struct OpReport {
     /// time each shard spent inside this step.
     pub duration: Duration,
     pub fused: bool,
-    /// Decompressed spill bytes decoded to run this step (spilled stages
-    /// only; every step of a stage reports the stage's shared decode).
+    /// Spill region bytes decoded to run this step (spilled stages only;
+    /// every step of a stage reports the stage's shared decode).
     pub bytes_decoded: u64,
 }
 
@@ -88,15 +88,15 @@ pub struct RunReport {
     pub replans: usize,
     /// Per-barrier clustering worker decisions, in execution order.
     pub barrier_decisions: Vec<BarrierDecision>,
-    /// Decompressed bytes the spilled stages actually decoded — the
-    /// projected columns' share of the spilled data (plus full decodes
+    /// Region bytes the spilled stages actually decoded — the projected
+    /// columns' share of the spilled data (plus full decodes
     /// where a step declared `FieldSet::All`) and the
     /// column regions a barrier's hash pass read. Applying a barrier's
     /// mask decodes nothing.
     pub bytes_decoded: u64,
-    /// Decompressed size of the untouched columns' regions that crossed
-    /// stage input→output copied verbatim, never decompressed — the work
-    /// projection pushdown avoided. Always whole regions: samples a stage
+    /// Region bytes of the untouched columns that crossed stage
+    /// input→output verbatim, never read — the work projection pushdown
+    /// avoided. Always whole regions: samples a stage
     /// drops stay stored under the spool's mask. Pipeline stages only: a
     /// spilled barrier rewrites no frame (its mask rides on the spool), so
     /// it adds nothing here, and neither does egress.

@@ -45,8 +45,8 @@ impl RunCtl {
         }
     }
 
-    /// The buffers every spool of this run reads, encodes and decompresses
-    /// in: the runtime's for a job, the run's own for a direct run.
+    /// The buffers every spool of this run reads and encodes in: the
+    /// runtime's for a job, the run's own for a direct run.
     pub(crate) fn buffers(&self) -> &BufferPool {
         &self.job.buffers
     }

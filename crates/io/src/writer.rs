@@ -45,6 +45,19 @@ fn part_file(idx: usize, format: OutputFormat) -> String {
     format!("part-{idx:05}.{}", format.name())
 }
 
+/// Whether `file`, a name a commit log holds, is a part of another format
+/// than `format` that a run left in the output directory:
+/// `part-<digits>.<alphanumeric extension>`, a bare name. The log is
+/// outside input, so a name of any other shape (a path, `..`) names
+/// nothing this writer removes, and neither does a name of its own format.
+fn stale_part(file: &str, format: OutputFormat) -> bool {
+    let Some((digits, ext)) = file.strip_prefix("part-").and_then(|f| f.split_once('.')) else {
+        return false;
+    };
+    let all = |s: &str, f: fn(&u8) -> bool| !s.is_empty() && s.bytes().all(|b| f(&b));
+    all(digits, u8::is_ascii_digit) && all(ext, u8::is_ascii_alphanumeric) && ext != format.name()
+}
+
 /// The hash a part's checksum was taken with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartHash {
@@ -292,9 +305,10 @@ impl ShardedWriter {
     /// right size, right checksum under the hash its line names). A line
     /// naming another file — a part of another format, left by an earlier
     /// release's run into the same directory — is a miss: its part is
-    /// rewritten, never sealed into a manifest it does not belong to. A
-    /// part kept from a line of an earlier release is re-summed, so the
-    /// manifest it is sealed into names one hash.
+    /// rewritten, never sealed into a manifest it does not belong to, and
+    /// the file it names is removed if it is a part of another format
+    /// ([`stale_part`]). A part kept from a line of an earlier release is
+    /// re-summed, so the manifest it is sealed into names one hash.
     fn scan_partial(dir: &Path, format: OutputFormat) -> Result<BTreeMap<usize, PartEntry>> {
         let log_path = dir.join(PARTIAL_LOG);
         let text = match fs::read_to_string(&log_path) {
@@ -318,6 +332,9 @@ impl ShardedWriter {
                 continue;
             };
             if entry.file != part_file(idx, format) {
+                if stale_part(&entry.file, format) {
+                    let _ = fs::remove_file(dir.join(&entry.file));
+                }
                 continue;
             }
             let Ok(contents) = fs::read(dir.join(&entry.file)) else {
@@ -701,10 +718,14 @@ mod tests {
     /// its parts under another name (`part-NNNNN.djs`, a row frame each). A
     /// line whose file is not the one this writer gives its part is a miss,
     /// however well the file holds its size and checksum: the part is
-    /// written again as JSONL, and the manifest names only JSONL parts.
+    /// written again as JSONL, the file the line named is removed, and the
+    /// sealed directory holds the manifest and JSONL parts only. A line
+    /// naming a file outside the directory removes nothing.
     #[test]
     fn a_logged_part_of_another_name_is_rewritten_on_resume() {
         let dir = tmpdir("other-name");
+        let outside = tmpdir("other-name-outside");
+        fs::create_dir_all(&outside).unwrap();
         let shards = [shard(&["a"]), shard(&["b", "c"])];
         {
             let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
@@ -712,15 +733,26 @@ mod tests {
         }
         let row = b"DJSF: a row frame part an earlier release wrote".as_slice();
         fs::write(dir.join("part-00000.djs"), row).unwrap();
-        let mut line = PartEntry::of("part-00000.djs".into(), 1, row).to_value();
-        if let Value::Map(m) = &mut line {
-            m.insert("part".to_string(), Value::Int(0));
-        }
+        fs::write(outside.join("part-00002.djs"), row).unwrap();
+        let escape = format!(
+            "../{}/part-00002.djs",
+            outside.file_name().unwrap().to_string_lossy()
+        );
+        let absolute = outside
+            .join("part-00002.djs")
+            .to_string_lossy()
+            .into_owned();
         let mut log = OpenOptions::new()
             .append(true)
             .open(dir.join(PARTIAL_LOG))
             .unwrap();
-        writeln!(log, "{line}").unwrap();
+        for (idx, file) in [(0, "part-00000.djs"), (2, &escape), (2, &absolute)] {
+            let mut line = PartEntry::of(file.to_string(), 1, row).to_value();
+            if let Value::Map(m) = &mut line {
+                m.insert("part".to_string(), Value::Int(idx));
+            }
+            writeln!(log, "{line}").unwrap();
+        }
         drop(log);
 
         let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
@@ -737,7 +769,40 @@ mod tests {
             assert_eq!(checksum64(text.as_bytes()), part.checksum);
             assert_eq!(from_jsonl(&text).unwrap(), *s);
         }
+        let mut files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [MANIFEST_FILE, "part-00000.jsonl", "part-00001.jsonl"]
+        );
+        assert_eq!(fs::read(outside.join("part-00002.djs")).unwrap(), row);
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&outside);
+    }
+
+    /// Only a bare part name of another format is stale.
+    #[test]
+    fn only_a_bare_part_name_of_another_format_is_stale() {
+        let jsonl = OutputFormat::Jsonl;
+        for name in ["part-00000.djs", "part-7.parquet"] {
+            assert!(stale_part(name, jsonl), "{name}");
+        }
+        for name in [
+            "part-00000.jsonl",
+            "../part-00000.djs",
+            "/tmp/part-00000.djs",
+            "part-00000.djs/../../x",
+            "part-.djs",
+            "part-0.",
+            "part-0a.djs",
+            "part-00000.d-s",
+            "manifest.json",
+        ] {
+            assert!(!stale_part(name, jsonl), "{name}");
+        }
     }
 
     #[test]

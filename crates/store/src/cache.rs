@@ -339,10 +339,7 @@ mod tests {
         // What earlier releases saved: sound frames under names no key
         // reaches — a recipe directory of stage files, and a flat
         // `<key>.djc` of concatenated frames.
-        let frames = [
-            Frame::encode(&ds(3), Codec::Djz),
-            Frame::encode(&ds(2), Codec::Djz),
-        ];
+        let frames = [Frame::encode(&ds(3)), Frame::encode(&ds(2))];
         let old = dir.join("recipe-00000000000000ab");
         fs::create_dir_all(&old).unwrap();
         fs::write(old.join("0000-op.djc"), &frames[0]).unwrap();
@@ -388,16 +385,7 @@ mod tests {
         let cm = CacheManager::new(&dir, CacheMode::Cache);
         let full = ds(10);
         let shards: Vec<Dataset> = full.clone().into_shards(3);
-        // Frames of two codecs side by side, as spliced slots and freshly
-        // encoded shards would leave them.
-        let frames: Vec<Vec<u8>> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| match i % 2 {
-                0 => Frame::encode(s, Codec::Djz),
-                _ => Frame::encode(s, Codec::None),
-            })
-            .collect();
+        let frames: Vec<Vec<u8>> = shards.iter().map(Frame::encode).collect();
         let mut spool = ShardSpool::create(dir.join("spill"), 0).unwrap();
         for (i, (frame, shard)) in frames.iter().zip(&shards).enumerate() {
             spool.write_frame_bytes(i, frame, shard.len()).unwrap();
@@ -470,7 +458,7 @@ mod tests {
         assert_eq!(load(&cm, 1).unwrap().unwrap(), data);
         // A slot that disagrees with a sound seal: one of another length,
         // and one storing another number of samples than recorded.
-        fs::write(&slot, Frame::encode(&ds(5), Codec::Djz)).unwrap();
+        fs::write(&slot, Frame::encode(&ds(5))).unwrap();
         refused("another length");
         fs::write(&slot, &good).unwrap();
         fs::write(path.join(SEAL_FILE), seal_record(&[(good.len() as u64, 5)])).unwrap();
@@ -514,35 +502,5 @@ mod tests {
         }
         let frame = envelope::seal(crate::COLUMNAR_FRAME_MAGIC, payload);
         assert!(open_seal_record(&frame).is_err());
-    }
-
-    /// An entry compresses the columns it stores as tagged values: the
-    /// demoted ones, here a column with a NaN in it (every other column is
-    /// JSON text, stored uncompressed). Its slot is held to the same
-    /// samples encoded with no compression at all.
-    #[test]
-    fn compression_reduces_cache_size() {
-        let dir = tmpdir("codec");
-        let cm = CacheManager::new(&dir, CacheMode::Cache);
-        // Repetitive dataset → compressible.
-        let mut d =
-            Dataset::from_texts((0..100).map(|_| "repeat repeat repeat repeat".to_string()));
-        for s in d.samples_mut() {
-            s.set_meta("nan", f64::NAN);
-            s.set_meta("log", "repeat repeat repeat repeat ".repeat(10));
-        }
-        let path = save(&cm, 1, None, &d);
-        let slot = fs::read(path.join("shard-00000.djs")).unwrap();
-        let raw = Frame::encode(&d, Codec::None);
-        assert!(
-            slot.len() < raw.len() / 2,
-            "{} of {}",
-            slot.len(),
-            raw.len()
-        );
-        // And still loads correctly (a NaN equals no float, so by JSONL).
-        let loaded = load(&cm, 1).unwrap().unwrap();
-        assert_eq!(crate::to_jsonl(&loaded), crate::to_jsonl(&d));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

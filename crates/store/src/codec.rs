@@ -54,78 +54,37 @@ impl Codec {
     }
 }
 
-/// Compress `data` into a self-describing frame.
+/// Compress `data` into a self-describing frame, in a buffer allocated
+/// once, for the worst case (`compress_bound`), so it never reallocates
+/// midway.
 pub fn compress(data: &[u8], codec: Codec) -> Vec<u8> {
     let mut out = Vec::with_capacity(compress_bound(data.len()));
-    compress_into(data, codec, &mut out, &mut Vec::new());
+    out.extend_from_slice(MAGIC);
+    out.push(codec.id());
+    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    match codec {
+        Codec::None => out.extend_from_slice(data),
+        Codec::Djz => djz_compress(data, &mut out, &mut vec![0; 1 << HASH_BITS]),
+    }
     out
 }
 
 /// The most bytes a frame of `len` input bytes takes: literals cost one
 /// control byte per 128, and a djz match token (3 bytes standing for at
 /// least 4) pays for the control byte of the literal run it cuts.
-pub(crate) fn compress_bound(len: usize) -> usize {
+fn compress_bound(len: usize) -> usize {
     12 + len + len / 128 + 1
-}
-
-/// Append the frame [`compress`] makes of `data` to `out`, which is grown
-/// once, for the worst case, so it never reallocates midway. `table` is the
-/// djz match table: sized and cleared here, so one a caller reuses costs
-/// no allocation.
-pub(crate) fn compress_into(data: &[u8], codec: Codec, out: &mut Vec<u8>, table: &mut Vec<u32>) {
-    out.reserve(compress_bound(data.len()));
-    out.extend_from_slice(MAGIC);
-    out.push(codec.id());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    match codec {
-        Codec::None => out.extend_from_slice(data),
-        Codec::Djz => {
-            table.clear();
-            table.resize(1 << HASH_BITS, 0);
-            djz_compress(data, out, table);
-        }
-    }
 }
 
 /// The most bytes `compressed_len` bytes can decompress to: the densest
 /// token is a 3-byte djz match standing for [`MAX_MATCH`] bytes. A length
 /// field claiming more is damage, and nothing is allocated on its word.
-pub(crate) fn max_raw_len(compressed_len: usize) -> u64 {
+fn max_raw_len(compressed_len: usize) -> u64 {
     (compressed_len as u64).saturating_mul(MAX_MATCH.div_ceil(3) as u64)
 }
 
 /// Decompress a frame produced by [`compress`].
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    decompress_into(frame, &mut out)?;
-    Ok(out)
-}
-
-/// Append a [`Codec::None`] frame whose data `write` appends to `out`
-/// itself: the frame [`compress_into`] makes of that data, without a copy
-/// of it.
-pub(crate) fn store_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
-    out.extend_from_slice(MAGIC);
-    out.push(Codec::None.id());
-    let len_at = out.len();
-    out.extend_from_slice(&[0; 8]);
-    write(out);
-    let len = (out.len() - len_at - 8) as u64;
-    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
-/// The data of a frame [`Codec::None`] stored, in place — what
-/// [`decompress`] would copy out — or `None` for any other frame (which
-/// [`decompress_into`] then judges).
-pub(crate) fn stored_data(frame: &[u8]) -> Option<&[u8]> {
-    let body = frame.get(12..)?;
-    let plain = &frame[..3] == MAGIC && frame[3] == Codec::None.id();
-    (plain && crate::serialize::le_u64(&frame[4..12]) == body.len() as u64).then_some(body)
-}
-
-/// [`decompress`] into `out`, replacing what it held: a buffer a caller
-/// reuses is grown only when the frame is larger than any before it.
-pub(crate) fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<()> {
     if frame.len() < 12 || &frame[..3] != MAGIC {
         return Err(DjError::Storage("bad compression frame header".into()));
     }
@@ -139,10 +98,10 @@ pub(crate) fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<()> {
         )));
     }
     let expected = expected as usize;
-    out.clear();
+    let mut out = Vec::new();
     match codec {
         Codec::None => out.extend_from_slice(body),
-        Codec::Djz => djz_decompress(body, expected, out)?,
+        Codec::Djz => djz_decompress(body, expected, &mut out)?,
     }
     if out.len() != expected {
         return Err(DjError::Storage(format!(
@@ -150,7 +109,7 @@ pub(crate) fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<()> {
             out.len()
         )));
     }
-    Ok(())
+    Ok(out)
 }
 
 // ---- DJZ (LZ77) ------------------------------------------------------------
@@ -171,7 +130,7 @@ const CHUNK: usize = 16;
 
 /// Room the decoder's output has past the declared size, for the last
 /// chunk of a match, which may run past the match's end.
-pub(crate) const SLACK: usize = CHUNK;
+const SLACK: usize = CHUNK;
 
 /// Over an incompressible stretch the encoder's step between probes grows
 /// by one every this many misses in a row.

@@ -4,24 +4,23 @@
 //! (`DJSF`, which no spool holds) serializes whole samples, so a stage
 //! whose OPs read one field would still decode (and re-encode) every
 //! metadata column. A columnar frame stores each *top-level column* of the
-//! samples' root maps as its own contiguous, individually compressed
-//! region, addressable from an offset table:
+//! samples' root maps as its own contiguous region, addressable from an
+//! offset table:
 //!
 //! ```text
-//! payload (behind the [`crate::frame`] envelope, magic `DJSC`; the
-//! payload itself is not compressed, its regions are):
-//!   version       u8 (= 2)
+//! payload (behind the [`crate::frame`] envelope, magic `DJSC`; nothing in
+//! it is compressed):
+//!   version       u8 (= 3)
 //!   sample_count  u64 LE
 //!   column_count  u32 LE
 //!   directory, one entry per column, sorted by name:
 //!     name_len  u32 LE, name bytes (UTF-8)
 //!     kind      u8       0 = tagged values, 1 = raw JSON text
 //!     offset    u64 LE   region start, relative to the end of the directory
-//!     len       u64 LE   compressed region length
-//!     raw_len   u64 LE   decompressed region length
+//!     len       u64 LE   region length
 //!   regions, concatenated in directory order
 //!
-//! region (before compression), one entry per stored sample:
+//! region, one entry per stored sample:
 //!   presence  u8 (0 = column absent in this sample, 1 = present)
 //!   iff present, in a tagged column:   the tagged value (as `serialize`)
 //!                in a raw JSON column: len u32 LE, then `len` bytes of
@@ -30,6 +29,7 @@
 //!
 //! The presence byte distinguishes a *missing* column from an explicit
 //! `null`, so a frame decodes to exactly the samples it was encoded from.
+//! A region is its entries, read where the frame holds them.
 //!
 //! **The storage rule: a column is canonical JSON text unless a value in it
 //! forbids that.** A field no op of the run reads comes from the JSONL
@@ -42,17 +42,13 @@
 //! integral float printed as an integer, a value nested deeper than a
 //! decode reads); the first refusal *demotes* the column in this frame:
 //! its text is dropped, its directory entry patched, and its values
-//! written tagged, compressed with the frame's codec. A cheap pre-pass
-//! sizes the text, so a frame reserves about the bytes it will hold. A
-//! raw JSON region is stored uncompressed (`Codec::None`), whatever the
-//! codec, and read where the frame holds it: JSONL egress copies an entry,
-//! a decode parses it, a hash pass borrows a plain string.
-//! (`SPOOL_CODEC` in [`crate::shard_stream`] has the measurements against
-//! Djz.)
+//! written tagged in its place. A cheap pre-pass sizes the text, so a
+//! frame reserves about the bytes it will hold. JSONL egress copies a
+//! text entry, a decode parses it, a hash pass borrows a plain string.
 //! The envelope's checksum covers every byte of the payload, so a region
-//! carries none of its own. A frame written before the rule, with tagged
-//! touched columns, reads as it always did. Version 1 frames (tagged
-//! columns only, a checksum per region) are refused as such, which makes
+//! carries none of its own. Version 1 frames (a checksum per region) and
+//! version 2 frames (each region behind a codec header, with its
+//! decompressed length in the directory) are refused as such, which makes
 //! an earlier release's spool slot or cache entry a miss.
 //!
 //! Two access patterns motivate the format:
@@ -62,19 +58,18 @@
 //!   [`ColumnarSlab::read_column`] feeds dedup hash passes a single column's
 //!   texts as borrowed `Cow`s without building samples at all);
 //! * **passthrough splice** — [`ColumnarSlab::splice`] passes the regions
-//!   of untouched columns into the output frame verbatim, stored or
-//!   compressed bytes, kind and all, and without a copy: the output is
-//!   [`FrameParts`], its own bytes with those regions lent from the input
-//!   frame between them, written to the slot piece after piece. A sample
-//!   the stage dropped stays stored: its entries in
-//!   the re-encoded columns are absent, and the keep mask the executor keeps
-//!   beside the spool skips it. No region the stage did not decode is ever
-//!   decompressed.
+//!   of untouched columns into the output frame verbatim, kind and all,
+//!   and without a copy: the output is [`FrameParts`], its own bytes with
+//!   those regions lent from the input frame between them, written to the
+//!   slot piece after piece. A sample the stage dropped stays stored: its
+//!   entries in the re-encoded columns are absent, and the keep mask the
+//!   executor keeps beside the spool skips it. No region the stage did not
+//!   decode is ever read.
 //!
 //! Dropped entries leave the bytes only where the bytes leave the spool:
 //! [`ColumnarSlab::filter_frame`] compacts a masked frame for a cache entry
-//! by walking entry boundaries, never decoding a value: a text region's
-//! kept entries are copied into the frame, a tagged one's recompressed.
+//! by walking entry boundaries, never decoding a value: each region's kept
+//! entries are copied into the frame.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,22 +78,16 @@ use dj_core::{
     parse_json_nested, write_exact_json, Dataset, DjError, RawColumns, Result, Sample, Value,
 };
 
-use crate::codec::{
-    compress_bound, compress_into, decompress_into, max_raw_len, store_into, stored_data, Codec,
-    SLACK,
-};
+use crate::codec::Codec;
 use crate::frame::{envelope, Frame, COLUMNAR_FRAME_MAGIC};
-use crate::pool::{BufferPool, Holds, PooledBuf};
+use crate::pool::{BufferPool, PooledBuf};
 use crate::serialize::{
     read_value_at, skip_value_at, take_bytes, take_str, take_u32, take_u64, take_u8, walk_path,
     write_value, COLUMN_DEPTH,
 };
 use crate::transcode::{check_mask, keeps};
 
-const COLUMNAR_VERSION: u8 = 2;
-
-/// Bytes a stored (uncompressed) region spends on its codec header.
-const HEADER_OF_STORED: usize = 12;
+const COLUMNAR_VERSION: u8 = 3;
 
 /// Directory kind byte of a column of tagged values.
 pub(crate) const COLUMN_TAGGED: u8 = 0;
@@ -144,7 +133,7 @@ impl Kind {
     }
 
     /// Read one present entry's value.
-    fn read(self, cur: &mut &[u8], column: &str) -> Result<Value> {
+    pub(crate) fn read(self, cur: &mut &[u8], column: &str) -> Result<Value> {
         match self {
             Kind::Tagged => read_value_at(cur, COLUMN_DEPTH),
             Kind::RawJson => parse_json_nested(take_raw(cur, column)?, COLUMN_DEPTH)
@@ -197,23 +186,26 @@ fn any_word(bytes: &[u8], hit: impl Fn(u64) -> bool) -> bool {
 }
 
 /// Bytes of the shortest directory entry (an empty name, the kind byte
-/// and three words).
-const MIN_DIRECTORY_ENTRY: usize = 4 + 1 + 3 * 8;
+/// and two words).
+const MIN_DIRECTORY_ENTRY: usize = 4 + 1 + 2 * 8;
 
 /// Most samples a frame with no column at all may claim. Such a frame —
 /// every sample an empty map — is 33 bytes whatever its count, so nothing in
 /// it bounds the count; no shard the executor cuts comes near this.
 const MAX_COLUMNLESS_SAMPLES: u64 = 1 << 20;
 
-/// Encode one shard as a columnar frame.
-pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
-    encode_into(shard, codec, &BufferPool::default()).into_vec()
+/// Encode one shard as a columnar frame. `_codec` is unused: nothing in a
+/// frame is compressed. It stays until djbench's `store.col.*` probes,
+/// which pass one, are retargeted by the benchmark's own change (ROADMAP
+/// item 2).
+pub fn encode_columnar_frame(shard: &Dataset, _codec: Codec) -> Vec<u8> {
+    encode_into(shard, &BufferPool::default()).into_vec()
 }
 
 /// [`encode_columnar_frame`] built in a buffer from `pool`: each column
-/// printed as JSON text straight into the frame, or, demoted, written in
-/// one reused buffer and compressed into it with `codec`.
-pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> PooledBuf {
+/// printed as JSON text straight into the frame, or, demoted, written
+/// there as tagged values.
+pub(crate) fn encode_into(shard: &Dataset, pool: &BufferPool) -> PooledBuf {
     let samples = || shard.iter().map(Some);
     let columns: Vec<(&str, Source)> = top_level_names(shard)
         .into_iter()
@@ -221,7 +213,7 @@ pub(crate) fn encode_into(shard: &Dataset, codec: Codec, pool: &BufferPool) -> P
         .collect();
     let mut frame = FrameBuilder::planned(pool, 0, shard.len(), &columns);
     for (name, _) in &columns {
-        frame.values(samples(), name, codec);
+        frame.values(samples(), name);
     }
     frame.seal()
 }
@@ -302,7 +294,6 @@ pub(crate) fn encode_ingested(
     processed: &Dataset,
     raw: &RawColumns,
     keep: &[bool],
-    codec: Codec,
     pool: &BufferPool,
 ) -> Result<PooledBuf> {
     check_mask(Some(keep), raw.len())?;
@@ -329,11 +320,11 @@ pub(crate) fn encode_ingested(
         columns.push((name, Source::Reader(c)));
     }
     columns.sort_by_key(|(name, _)| *name);
-    let raw_regions = raw.text_len() + raw.names().count() * (HEADER_OF_STORED + 5 * keep.len());
+    let raw_regions = raw.text_len() + raw.names().count() * 5 * keep.len();
     let mut frame = FrameBuilder::planned(pool, raw_regions, keep.len(), &columns);
     for (name, source) in &columns {
         match *source {
-            Source::Values(_) => frame.values(samples(), name, codec),
+            Source::Values(_) => frame.values(samples(), name),
             Source::Reader(c) => {
                 let entries = keep.iter().enumerate();
                 let entries = entries.map(|(i, k)| raw.entry(c, i).filter(|_| *k));
@@ -368,22 +359,21 @@ fn stored<'s>(
         .map(move |k| if *k { samples.next() } else { None })
 }
 
-/// Write one demoted column's region before compression into `body`: per
-/// stored sample a presence byte and, when present, the tagged value. A
-/// `None` sample — one a stage dropped — stores an absent entry.
+/// Append one demoted column's region to `out`: per stored sample a
+/// presence byte and, when present, the tagged value. A `None` sample —
+/// one a stage dropped — stores an absent entry.
 fn column_body<'s>(
-    body: &mut Vec<u8>,
+    out: &mut Vec<u8>,
     samples: impl Iterator<Item = Option<&'s Sample>>,
     name: &str,
 ) {
-    body.clear();
     for s in samples {
         match value_of(s, name) {
             Some(v) => {
-                body.push(1);
-                write_value(body, v);
+                out.push(1);
+                write_value(out, v);
             }
-            None => body.push(0),
+            None => out.push(0),
         }
     }
 }
@@ -435,21 +425,18 @@ pub(crate) fn raw_column_body<'e>(
 
 /// A sealed columnar frame under construction in one pooled buffer: room
 /// for the envelope header, then the payload header and the directory with
-/// its words zeroed; the regions follow in directory order — copied,
-/// compressed in place, or lent by another frame — each patching its
-/// directory words. [`seal`](FrameBuilder::seal) seals the buffer where it
-/// is; a frame with lent regions is sealed in pieces instead
+/// its words zeroed; the regions follow in directory order — written in
+/// place or lent by another frame — each patching its directory words.
+/// [`seal`](FrameBuilder::seal) seals the buffer where it is; a frame with
+/// lent regions is sealed in pieces instead
 /// ([`seal_parts`](FrameBuilder::seal_parts)).
 struct FrameBuilder<'a> {
     out: PooledBuf,
-    /// The body demoted columns are written in before compression, taken
-    /// from the pool for the first.
-    body: Option<PooledBuf>,
     /// Regions lent by another frame, each with where in `out` it goes.
     lent: Vec<(usize, &'a [u8])>,
     /// Bytes lent so far.
     lent_len: usize,
-    /// Where each directory entry's three words sit, in directory order.
+    /// Where each directory entry's two words sit, in directory order.
     words: Vec<usize>,
     /// Where the regions start (directory offsets count from here).
     regions: usize,
@@ -525,7 +512,7 @@ impl<'a> FrameBuilder<'a> {
         let columns: Vec<(&str, Kind)> = columns.into_iter().collect();
         let names: usize = columns.iter().map(|c| c.0.len()).sum();
         let room = envelope::HEADER_LEN + 13 + names + columns.len() * MIN_DIRECTORY_ENTRY;
-        let mut out = pool.take(Holds::Frames, room + regions);
+        let mut out = pool.take(room + regions);
         out.resize(envelope::HEADER_LEN, 0);
         out.push(COLUMNAR_VERSION);
         out.extend_from_slice(&(samples as u64).to_le_bytes());
@@ -536,14 +523,13 @@ impl<'a> FrameBuilder<'a> {
             out.extend_from_slice(name.as_bytes());
             out.push(kind.byte());
             words.push(out.len());
-            out.extend_from_slice(&[0; 3 * 8]);
+            out.extend_from_slice(&[0; 2 * 8]);
         }
         let count_at = envelope::HEADER_LEN + 1 + 8;
         out[count_at..count_at + 4].copy_from_slice(&(words.len() as u32).to_le_bytes());
         FrameBuilder {
             regions: out.len(),
             out,
-            body: None,
             lent: Vec::new(),
             lent_len: 0,
             words,
@@ -562,7 +548,7 @@ impl<'a> FrameBuilder<'a> {
         columns: &[(&str, Source)],
     ) -> FrameBuilder<'a> {
         let values = columns.iter().map(|(_, source)| match source {
-            Source::Values(room) => HEADER_OF_STORED + room,
+            Source::Values(room) => *room,
             _ => 0,
         });
         let kinds = columns.iter().map(|(name, source)| (*name, source.kind()));
@@ -573,13 +559,11 @@ impl<'a> FrameBuilder<'a> {
     /// the next region: printed as text where the frame holds it, unless
     /// the guard refuses a value. Then the column is *demoted* in this
     /// frame: what was printed is dropped, the directory entry says
-    /// tagged, and the values are written tagged in the frame's body and
-    /// compressed with `codec`.
+    /// tagged, and the values are written tagged in its place.
     fn values<'s>(
         &mut self,
         samples: impl Iterator<Item = Option<&'s Sample>> + Clone,
         name: &str,
-        codec: Codec,
     ) {
         let own = self.out.len();
         let mut printed = true;
@@ -589,18 +573,15 @@ impl<'a> FrameBuilder<'a> {
         }
         self.done -= 1;
         self.out.truncate(own);
-        // The kind byte sits just before the entry's three words.
+        // The kind byte sits just before the entry's two words.
         let kind = self.words[self.done] - 1;
         self.out[kind] = Kind::Tagged.byte();
         // A tagged value takes at most its heap size.
         let room = (samples.clone())
             .map(|s| 1 + value_of(s, name).map_or(0, Value::approx_bytes))
             .sum();
-        let pool = self.out.pool().clone();
-        let mut body = (self.body.take()).unwrap_or_else(|| pool.take(Holds::Raw, room));
-        column_body(&mut body, samples, name);
-        self.compress(&body, codec);
-        self.body = Some(body);
+        self.out.reserve(room);
+        self.store(|out| column_body(out, samples, name));
     }
 
     /// The frame's length so far, lent regions included.
@@ -610,50 +591,30 @@ impl<'a> FrameBuilder<'a> {
 
     /// Record the region that ends the frame, from `start`, in the next
     /// directory entry.
-    fn close_region(&mut self, start: usize, raw_len: u64) {
-        let len = self.len() - start;
+    fn close_region(&mut self, start: usize) {
         let at = self.words[self.done];
-        let words = [(start - self.regions) as u64, len as u64, raw_len];
+        let words = [(start - self.regions) as u64, (self.len() - start) as u64];
         for (k, word) in words.iter().enumerate() {
             self.out[at + 8 * k..at + 8 * (k + 1)].copy_from_slice(&word.to_le_bytes());
         }
         self.done += 1;
     }
 
-    /// Append the next region as another frame stores it: its compressed
-    /// bytes and its raw length, carried, not recomputed.
-    fn copy(&mut self, bytes: &[u8], raw_len: u64) {
-        let start = self.len();
-        self.out.extend_from_slice(bytes);
-        self.close_region(start, raw_len);
-    }
-
-    /// [`copy`](FrameBuilder::copy) without copying: the region stays where
-    /// the other frame holds it, and goes out between this frame's own
-    /// bytes.
-    fn lend(&mut self, bytes: &'a [u8], raw_len: u64) {
+    /// Append the next region as another frame holds it, without a copy:
+    /// the region stays where that frame holds it, and goes out between
+    /// this frame's own bytes.
+    fn lend(&mut self, bytes: &'a [u8]) {
         let start = self.len();
         self.lent.push((self.out.len(), bytes));
         self.lent_len += bytes.len();
-        self.close_region(start, raw_len);
+        self.close_region(start);
     }
 
-    /// Append the next region as `write` writes it, stored uncompressed:
-    /// the way every raw JSON region is kept, so that egress reads its
-    /// text where the frame holds it.
+    /// Append the next region as `write` writes it into the frame.
     fn store(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         let start = self.len();
-        store_into(&mut self.out, write);
-        let raw_len = self.len() - start - HEADER_OF_STORED;
-        self.close_region(start, raw_len as u64);
-    }
-
-    /// Compress `body` straight into the frame as the next region.
-    fn compress(&mut self, body: &[u8], codec: Codec) {
-        let start = self.len();
-        let pool = self.out.pool().clone();
-        pool.with_table(|table| compress_into(body, codec, &mut self.out, table));
-        self.close_region(start, body.len() as u64);
+        write(&mut self.out);
+        self.close_region(start);
     }
 
     /// The sealed frame, once every column's region is in (none lent).
@@ -694,17 +655,15 @@ fn take_entry(cur: &mut &[u8], column: &str) -> Result<bool> {
 struct ColumnEntry {
     name: String,
     kind: Kind,
-    /// Absolute byte range of the compressed region within the payload.
+    /// Absolute byte range of the region within the payload.
     start: usize,
     len: usize,
-    raw_len: u64,
 }
 
 /// A loaded-but-undecoded columnar frame.
 ///
 /// The payload stays in the buffer it was read into; every accessor
-/// decompresses and decodes only the regions it is asked for, into scratch
-/// from that buffer's pool.
+/// decodes only the regions it is asked for, where the buffer holds them.
 #[derive(Debug)]
 pub struct ColumnarSlab {
     /// The payload, from byte `base` on.
@@ -741,14 +700,13 @@ impl ColumnarSlab {
             let kind = Kind::from_byte(take_u8(&mut cur)?, &name)?;
             let offset = take_u64(&mut cur)?;
             let len = take_u64(&mut cur)?;
-            let raw_len = take_u64(&mut cur)?;
-            raw_columns.push((name, kind, offset, len, raw_len));
+            raw_columns.push((name, kind, offset, len));
         }
         // Regions base = everything after the directory.
         let regions_base = buf.len() - cur.len();
         let regions_len = cur.len() as u64;
         let mut columns = Vec::with_capacity(raw_columns.len());
-        for (name, kind, offset, len, raw_len) in raw_columns {
+        for (name, kind, offset, len) in raw_columns {
             let end = offset.checked_add(len).ok_or_else(|| {
                 DjError::Storage(format!("columnar region overflow for column `{name}`"))
             })?;
@@ -757,12 +715,11 @@ impl ColumnarSlab {
                     "columnar region for column `{name}` out of bounds ({end} > {regions_len})"
                 )));
             }
-            // Every sample has a presence byte in every region, and a
-            // region cannot decompress to more than its codec allows.
-            if raw_len > max_raw_len(len as usize) || samples > raw_len {
+            // Every sample has a presence byte in every region.
+            if samples > len {
                 return Err(DjError::Storage(format!(
-                    "implausible sizes for column `{name}`: {samples} samples, \
-                     {len} bytes holding {raw_len}"
+                    "implausible sizes for column `{name}`: {samples} samples in \
+                     {len} bytes"
                 )));
             }
             columns.push(ColumnEntry {
@@ -770,7 +727,6 @@ impl ColumnarSlab {
                 kind,
                 start: regions_base + offset as usize,
                 len: len as usize,
-                raw_len,
             });
         }
         // Only a frame of column-less samples has a count no region bounds.
@@ -802,14 +758,14 @@ impl ColumnarSlab {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Decompressed size of one column's region, if present.
+    /// Size of one column's region, if present.
     pub fn column_raw_len(&self, name: &str) -> Option<u64> {
-        self.entry(name).map(|c| c.raw_len)
+        self.entry(name).map(|c| c.len as u64)
     }
 
-    /// Total decompressed bytes across all column regions.
+    /// Total bytes across all column regions.
     pub fn total_raw_len(&self) -> u64 {
-        self.columns.iter().map(|c| c.raw_len).sum()
+        self.columns.iter().map(|c| c.len as u64).sum()
     }
 
     /// Whether column `name` holds raw JSON text rather than tagged values.
@@ -821,43 +777,16 @@ impl ColumnarSlab {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    fn region_bytes(&self, c: &ColumnEntry) -> &[u8] {
+    /// One region's bytes, where the frame holds them.
+    fn region(&self, c: &ColumnEntry) -> &[u8] {
         &self.buf[c.start..c.start + c.len]
     }
 
-    /// One region's bytes before compression, size-verified: read in
-    /// place when the region is stored uncompressed, else decompressed into
-    /// a buffer from this frame's pool.
-    fn region_raw(&self, c: &ColumnEntry) -> Result<RegionData<'_>> {
-        let region = self.region_bytes(c);
-        let data = match stored_data(region) {
-            Some(data) => RegionData::InPlace(data),
-            None => {
-                let mut data = self.buf.pool().take(Holds::Raw, c.raw_len as usize + SLACK);
-                decompress_into(region, &mut data)?;
-                RegionData::Decompressed(data)
-            }
-        };
-        if data.len() as u64 != c.raw_len {
-            return Err(DjError::Storage(format!(
-                "columnar region size mismatch for column `{}`: got {}, expected {}",
-                c.name,
-                data.len(),
-                c.raw_len
-            )));
-        }
-        Ok(data)
-    }
-
-    /// Decompress one column's region, or `Ok(None)` when the frame has no
-    /// such column.
+    /// One column's region, or `Ok(None)` when the frame has no such
+    /// column.
     pub fn read_column(&self, name: &str) -> Result<Option<ColumnRegion<'_>>> {
-        let Some(c) = self.entry(name) else {
-            return Ok(None);
-        };
-        let data = self.region_raw(c)?;
-        Ok(Some(ColumnRegion {
-            data,
+        Ok(self.entry(name).map(|c| ColumnRegion {
+            data: self.region(c),
             samples: self.samples,
             kind: c.kind,
         }))
@@ -865,11 +794,11 @@ impl ColumnarSlab {
 
     /// Materialize samples from the named columns only (`None` = all).
     ///
-    /// Returns the dataset and `bytes_decoded` — the decompressed bytes of
-    /// every region that had to be decoded to build it. Columns requested
-    /// but absent from the frame are simply missing from the samples, and
+    /// Returns the dataset and `bytes_decoded` — the region bytes of every
+    /// column that had to be decoded to build it. Columns requested but
+    /// absent from the frame are simply missing from the samples, and
     /// frame columns not requested are skipped entirely (their regions are
-    /// never decompressed). A raw JSON entry is parsed.
+    /// never read). A raw JSON entry is parsed.
     pub fn decode_projected(&self, cols: Option<&BTreeSet<String>>) -> Result<(Dataset, u64)> {
         self.decode_kept(cols, None)
     }
@@ -890,9 +819,8 @@ impl ColumnarSlab {
             if cols.is_some_and(|wanted| !wanted.contains(&c.name)) {
                 continue;
             }
-            let region = self.region_raw(c)?;
-            bytes_decoded += c.raw_len;
-            let mut cur: &[u8] = &region;
+            bytes_decoded += c.len as u64;
+            let mut cur = self.region(c);
             let mut maps = maps.iter_mut();
             for i in 0..self.samples {
                 let present = take_entry(&mut cur, &c.name)?;
@@ -918,12 +846,11 @@ impl ColumnarSlab {
         Ok((Dataset::from_samples(samples), bytes_decoded))
     }
 
-    /// Every region decompressed (size-verified), with its column name and
-    /// kind, in directory order — the transcoder's input.
-    pub(crate) fn raw_regions(&self) -> Result<Vec<(&str, Kind, RegionData<'_>)>> {
-        self.columns
-            .iter()
-            .map(|c| Ok((c.name.as_str(), c.kind, self.region_raw(c)?)))
+    /// Every region with its column name and kind, in directory order —
+    /// the transcoder's input.
+    pub(crate) fn regions(&self) -> Vec<(&str, Kind, &[u8])> {
+        (self.columns.iter())
+            .map(|c| (c.name.as_str(), c.kind, self.region(c)))
             .collect()
     }
 
@@ -946,11 +873,11 @@ impl ColumnarSlab {
     /// The output stores every sample this frame stores: a dropped one has
     /// an absent entry in each re-encoded column and its old entries in the
     /// copied ones, so `keep` must travel with the frame as its mask
-    /// ([`filter_frame`](ColumnarSlab::filter_frame) compacts it). No region
-    /// is decompressed or copied: the new frame's own bytes are built in a
+    /// ([`filter_frame`](ColumnarSlab::filter_frame) compacts it). No passed
+    /// region is read or copied: the new frame's own bytes are built in a
     /// buffer from this frame's pool, and the passed regions stay here.
-    /// Returns it plus `bytes_passthrough`: the decompressed size of the
-    /// regions passed. A processed sample carrying a column
+    /// Returns it plus `bytes_passthrough`: the size of the regions
+    /// passed. A processed sample carrying a column
     /// that was *not* decoded is a field-footprint violation and errors —
     /// silent column collisions must never reach disk.
     pub fn splice(
@@ -958,7 +885,6 @@ impl ColumnarSlab {
         processed: &Dataset,
         decoded: Option<&BTreeSet<String>>,
         keep: &[bool],
-        codec: Codec,
     ) -> Result<(FrameParts<'_>, u64)> {
         check_mask(Some(keep), self.samples)?;
         check_kept(processed, keep)?;
@@ -983,7 +909,7 @@ impl ColumnarSlab {
             }
         }
 
-        let bytes_passthrough = passthrough.iter().map(|c| c.raw_len).sum();
+        let bytes_passthrough = passthrough.iter().map(|c| c.len as u64).sum();
         let samples = || stored(processed, keep);
         let mut columns: Vec<(&str, Source)> = passthrough
             .into_iter()
@@ -997,8 +923,8 @@ impl ColumnarSlab {
         let mut frame = FrameBuilder::planned(self.buf.pool(), 0, self.samples, &columns);
         for (name, source) in &columns {
             match *source {
-                Source::Lent(c) => frame.lend(self.region_bytes(c), c.raw_len),
-                Source::Values(_) => frame.values(samples(), name, codec),
+                Source::Lent(c) => frame.lend(self.region(c)),
+                Source::Values(_) => frame.values(samples(), name),
                 Source::Reader(_) => {}
             }
         }
@@ -1007,52 +933,34 @@ impl ColumnarSlab {
 
     /// This frame with only the samples `keep` keeps, never materializing a
     /// `Value`: each region's kept entries (presence byte and value, found
-    /// by skipping) are copied and recompressed — verbatim regions when
-    /// nothing is dropped. This is where a masked spool's dead entries leave
-    /// the bytes, as the spool is saved into a cache entry.
-    pub fn filter_frame(&self, keep: &[bool], codec: Codec) -> Result<PooledBuf> {
+    /// by skipping) are copied — whole regions when nothing is dropped.
+    /// This is where a masked spool's dead entries leave the bytes, as the
+    /// spool is saved into a cache entry. `_codec` is unused: nothing in a
+    /// frame is compressed. It stays only so that callers written against
+    /// the compressing layout (`tests/json_differential.rs`) still build.
+    pub fn filter_frame(&self, keep: &[bool], _codec: Codec) -> Result<PooledBuf> {
         check_mask(Some(keep), self.samples)?;
         let kept = keep.iter().filter(|k| **k).count();
-        let pool = self.buf.pool();
         let columns = self.columns.iter().map(|c| (c.name.as_str(), c.kind));
-        if kept == self.samples {
-            let room = self.columns.iter().map(|c| c.len).sum();
-            let mut frame = FrameBuilder::new(pool, room, kept, columns);
-            for c in &self.columns {
-                frame.copy(self.region_bytes(c), c.raw_len);
-            }
-            return Ok(frame.seal());
-        }
-        // Kept entries are at most the region's, recompressed.
-        let room = (self.columns.iter())
-            .map(|c| compress_bound(c.raw_len as usize))
-            .sum();
-        let mut frame = FrameBuilder::new(pool, room, kept, columns);
-        let mut body = None;
+        // Kept entries are at most the region's.
+        let room = self.columns.iter().map(|c| c.len).sum();
+        let mut frame = FrameBuilder::new(self.buf.pool(), room, kept, columns);
         for c in &self.columns {
-            let region = self.region_raw(c)?;
-            match c.kind {
-                Kind::RawJson => {
-                    let mut copied = Ok(());
-                    frame.store(|out| copied = copy_kept(out, &region, keep, c));
-                    copied?;
-                }
-                Kind::Tagged => {
-                    let room = c.raw_len as usize;
-                    let body = body.get_or_insert_with(|| pool.take(Holds::Raw, room));
-                    body.clear();
-                    copy_kept(body, &region, keep, c)?;
-                    frame.compress(body, codec);
-                }
+            let region = self.region(c);
+            let mut copied = Ok(());
+            if kept == self.samples {
+                frame.store(|out| out.extend_from_slice(region));
+            } else {
+                frame.store(|out| copied = copy_kept(out, region, keep, c));
             }
+            copied?;
         }
         Ok(frame.seal())
     }
 }
 
-/// Append the entries of `region`, column `c`'s bytes before compression,
-/// that `keep` keeps — presence byte and value, found by skipping — to
-/// `out`.
+/// Append the entries of `region`, column `c`'s, that `keep` keeps —
+/// presence byte and value, found by skipping — to `out`.
 fn copy_kept(out: &mut Vec<u8>, region: &[u8], keep: &[bool], c: &ColumnEntry) -> Result<()> {
     let mut cur = region;
     for keep_it in keep {
@@ -1073,35 +981,16 @@ fn copy_kept(out: &mut Vec<u8>, region: &[u8], keep: &[bool], c: &ColumnEntry) -
     Ok(())
 }
 
-/// A region's bytes before compression: in the frame's own buffer when it
-/// is stored uncompressed, else in a buffer it was decompressed into.
-#[derive(Debug)]
-pub(crate) enum RegionData<'a> {
-    InPlace(&'a [u8]),
-    Decompressed(PooledBuf),
-}
-
-impl std::ops::Deref for RegionData<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            RegionData::InPlace(data) => data,
-            RegionData::Decompressed(data) => data,
-        }
-    }
-}
-
-/// One decompressed column region, ready for zero-copy text borrowing.
+/// One column region, ready for zero-copy text borrowing.
 #[derive(Debug)]
 pub struct ColumnRegion<'a> {
-    data: RegionData<'a>,
+    data: &'a [u8],
     samples: usize,
     kind: Kind,
 }
 
 impl ColumnRegion<'_> {
-    /// Decompressed size of this region.
+    /// Size of this region.
     pub fn raw_len(&self) -> u64 {
         self.data.len() as u64
     }
@@ -1118,7 +1007,7 @@ impl ColumnRegion<'_> {
         } else {
             rest.split('.').collect()
         };
-        let mut cur: &[u8] = &self.data;
+        let mut cur = self.data;
         let mut out = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
             out.push(match (take_entry(&mut cur, "")?, self.kind) {
@@ -1168,7 +1057,6 @@ pub fn split_column_path(field: &str) -> (&str, &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::decompress;
 
     fn rich_shard() -> Dataset {
         let mut ds = Dataset::new();
@@ -1195,14 +1083,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_codecs() {
-        for codec in [Codec::None, Codec::Djz] {
-            for ds in [Dataset::new(), rich_shard()] {
-                let frame = encode_columnar_frame(&ds, codec);
-                let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
-                assert_eq!(slab.sample_count(), ds.len());
-                assert_eq!(slab.decode().unwrap(), ds, "codec {codec:?}");
-            }
+    fn empty_and_rich_shards_round_trip() {
+        for ds in [Dataset::new(), rich_shard()] {
+            let frame = encode_columnar_frame(&ds, Codec::Djz);
+            let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
+            assert_eq!(slab.sample_count(), ds.len());
+            assert_eq!(slab.decode().unwrap(), ds);
         }
     }
 
@@ -1269,9 +1155,7 @@ mod tests {
             }
         }
         let keep = vec![true; ds.len()];
-        let (out_frame, passthrough) = slab
-            .splice(&projected, Some(&cols), &keep, Codec::Djz)
-            .unwrap();
+        let (out_frame, passthrough) = slab.splice(&projected, Some(&cols), &keep).unwrap();
         // Everything except the text region crossed without decode.
         assert_eq!(
             passthrough,
@@ -1284,7 +1168,7 @@ mod tests {
             .columns
             .iter()
             .filter(|c| c.name != "text")
-            .map(|c| slab.region_bytes(c))
+            .map(|c| slab.region(c))
             .collect();
         assert_eq!(lent, passed);
         assert!(lent
@@ -1318,12 +1202,10 @@ mod tests {
     }
 
     /// What a splice that drops samples wrote before dropped samples stayed
-    /// stored: every passthrough region decompressed, its kept entries
-    /// copied and stored again as its kind is (text stored, tagged values
-    /// recompressed), the re-encoded columns holding the kept samples only,
-    /// laid out by the storage rule. Cache entries were made of these
-    /// bytes, so a stored splice compacted by `filter_frame` must equal
-    /// them.
+    /// stored: every passthrough region's kept entries copied, the
+    /// re-encoded columns holding the kept samples only, laid out by the
+    /// storage rule. Cache entries were made of these bytes, so a stored
+    /// splice compacted by `filter_frame` must equal them.
     fn compacted_splice(
         slab: &ColumnarSlab,
         processed: &Dataset,
@@ -1332,9 +1214,8 @@ mod tests {
     ) -> Vec<u8> {
         let mut bodies: Vec<(String, Kind, Vec<u8>)> = Vec::new();
         for c in slab.columns.iter().filter(|c| !decoded.contains(&c.name)) {
-            let region = decompress(slab.region_bytes(c)).unwrap();
             let mut body = Vec::new();
-            let mut cur: &[u8] = &region;
+            let mut cur = slab.region(c);
             for keep_it in keep {
                 let entry = cur;
                 if take_entry(&mut cur, &c.name).unwrap() {
@@ -1357,11 +1238,10 @@ mod tests {
         bodies.sort_by(|a, b| a.0.cmp(&b.0));
         let names = bodies.iter().map(|(name, kind, _)| (name.as_str(), *kind));
         let mut frame = FrameBuilder::new(&BufferPool::default(), 0, processed.len(), names);
-        for (name, kind, body) in &bodies {
-            match (encoded.contains(name), kind) {
-                (true, _) => frame.values(processed.iter().map(Some), name, Codec::Djz),
-                (false, Kind::RawJson) => frame.store(|out| out.extend_from_slice(body)),
-                (false, Kind::Tagged) => frame.compress(body, Codec::Djz),
+        for (name, _, body) in &bodies {
+            match encoded.contains(name) {
+                true => frame.values(processed.iter().map(Some), name),
+                false => frame.store(|out| out.extend_from_slice(body)),
             }
         }
         frame.seal().into_vec()
@@ -1388,20 +1268,21 @@ mod tests {
             }
         }
 
-        let (stored, passthrough) = slab
-            .splice(&processed, Some(&cols), &keep, Codec::Djz)
-            .unwrap();
+        let (stored, passthrough) = slab.splice(&processed, Some(&cols), &keep).unwrap();
         let out = ColumnarSlab::from_frame_bytes(&stored.to_vec()).unwrap();
         // Every stored sample is still stored.
         assert_eq!(out.sample_count(), ds.len());
         // Every passthrough region is the input's, bytes and directory entry.
         assert_eq!(out.column_names(), slab.column_names());
         let copied: Vec<&ColumnEntry> = slab.columns.iter().filter(|c| c.name != "text").collect();
-        assert_eq!(passthrough, copied.iter().map(|c| c.raw_len).sum::<u64>());
+        assert_eq!(
+            passthrough,
+            copied.iter().map(|c| c.len as u64).sum::<u64>()
+        );
         for c in copied {
             let o = out.entry(&c.name).unwrap();
-            assert_eq!(out.region_bytes(o), slab.region_bytes(c));
-            assert_eq!((o.raw_len, o.kind), (c.raw_len, c.kind));
+            assert_eq!(out.region(o), slab.region(c));
+            assert_eq!((o.len, o.kind), (c.len, c.kind));
         }
         // Read through the mask, the frame is the stage's output.
         let mut expected = masked(&ds, &keep);
@@ -1412,7 +1293,7 @@ mod tests {
         }
         assert_eq!(out.decode_kept(None, Some(&keep)).unwrap().0, expected);
         // Compacted, it is byte for byte what the compacting splice wrote.
-        let compacted = out.filter_frame(&keep, Codec::Djz).unwrap();
+        let compacted = out.filter_frame(&keep, Codec::None).unwrap();
         assert_eq!(
             *compacted,
             *compacted_splice(&slab, &processed, &cols, &keep)
@@ -1420,7 +1301,7 @@ mod tests {
         // With nothing dropped there is nothing to compact.
         let all = vec![true; ds.len()];
         assert_eq!(
-            *out.filter_frame(&all, Codec::Djz).unwrap(),
+            *out.filter_frame(&all, Codec::None).unwrap(),
             stored.to_vec()
         );
     }
@@ -1431,13 +1312,13 @@ mod tests {
         let frame = encode_columnar_frame(&ds, Codec::Djz);
         let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
         let keep = vec![false, true, true, false];
-        let out_frame = slab.filter_frame(&keep, Codec::Djz).unwrap();
+        let out_frame = slab.filter_frame(&keep, Codec::None).unwrap();
         let out = ColumnarSlab::from_frame_bytes(&out_frame)
             .unwrap()
             .decode()
             .unwrap();
         assert_eq!(out, masked(&ds, &keep));
-        assert!(slab.filter_frame(&keep[1..], Codec::Djz).is_err());
+        assert!(slab.filter_frame(&keep[1..], Codec::None).is_err());
     }
 
     #[test]
@@ -1451,24 +1332,29 @@ mod tests {
         bad.set_meta("smuggled", 1i64);
         let processed = Dataset::from_samples(vec![bad]);
         let keep = vec![true, false, false, false];
-        let err = slab
-            .splice(&processed, Some(&cols), &keep, Codec::None)
-            .unwrap_err();
+        let err = slab.splice(&processed, Some(&cols), &keep).unwrap_err();
         assert!(err.to_string().contains("footprint"), "{err}");
     }
 
     #[test]
     fn a_version_1_frame_is_refused_by_its_version() {
-        // The layout of earlier releases: no kind byte, a checksum per
-        // region. Its version byte alone refuses it.
+        // The layouts of earlier releases: version 1 with no kind byte and
+        // a checksum per region, version 2 with a codec header per region
+        // and a decompressed length per directory entry. The version byte
+        // alone refuses either.
         let ds = rich_shard();
         let frame = encode_columnar_frame(&ds, Codec::Djz);
         let (magic, payload) = envelope::open_one(&frame).unwrap();
-        let mut old = payload.to_vec();
-        old[0] = 1;
-        let err = ColumnarSlab::from_frame_bytes(&envelope::seal(&magic, &old)).unwrap_err();
-        assert!(matches!(err, DjError::Storage(_)), "{err:?}");
-        assert!(err.to_string().contains("version 1"), "{err}");
+        for version in [1, 2] {
+            let mut old = payload.to_vec();
+            old[0] = version;
+            let err = ColumnarSlab::from_frame_bytes(&envelope::seal(&magic, &old)).unwrap_err();
+            assert!(matches!(err, DjError::Storage(_)), "{err:?}");
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
         // A columnar slab is only ever built from a columnar frame.
         let row = crate::encode_shard_frame(&ds, Codec::Djz);
         assert!(ColumnarSlab::from_frame_bytes(&row).is_err());
@@ -1512,7 +1398,7 @@ mod tests {
         let keep = [true, false, true, true];
         let processed = masked(&samples, &keep);
         let pool = BufferPool::default();
-        let sealed = encode_ingested(&processed, &raw, &keep, Codec::Djz, &pool).unwrap();
+        let sealed = encode_ingested(&processed, &raw, &keep, &pool).unwrap();
         let slab = ColumnarSlab::from_frame_bytes(&sealed).unwrap();
         assert_eq!(slab.sample_count(), 4, "a dropped sample stays stored");
         assert_eq!(slab.column_names(), vec!["h", "text", "url"]);
@@ -1522,7 +1408,7 @@ mod tests {
             .iter()
             .all(|name| slab.is_raw_json(name)));
         // A region holds each entry's text as it is.
-        let region = decompress(slab.region_bytes(slab.entry("url").unwrap())).unwrap();
+        let region = slab.region(slab.entry("url").unwrap());
         assert_eq!(&region[..5], &[1, 13, 0, 0, 0]);
         assert_eq!(&region[5..18], b"\"https://x/0\"");
         assert_eq!(region[18], 0, "the dropped sample has no entry");
@@ -1549,7 +1435,7 @@ mod tests {
             let t = s.text().to_uppercase();
             s.set_text(t);
         }
-        let (spliced, passthrough) = slab.splice(&upper, Some(&text), &keep, Codec::Djz).unwrap();
+        let (spliced, passthrough) = slab.splice(&upper, Some(&text), &keep).unwrap();
         let spliced = ColumnarSlab::from_frame_bytes(&spliced.to_vec()).unwrap();
         assert_eq!(
             passthrough,
@@ -1557,11 +1443,11 @@ mod tests {
         );
         for name in ["h", "url"] {
             let (a, b) = (spliced.entry(name).unwrap(), slab.entry(name).unwrap());
-            assert_eq!(spliced.region_bytes(a), slab.region_bytes(b));
+            assert_eq!(spliced.region(a), slab.region(b));
             assert_eq!(a.kind, Kind::RawJson);
         }
         // Compacted for a cache entry, a raw column stays raw.
-        let compact = spliced.filter_frame(&keep, Codec::Djz).unwrap();
+        let compact = spliced.filter_frame(&keep, Codec::None).unwrap();
         let compact = ColumnarSlab::from_frame_bytes(&compact).unwrap();
         assert!(compact.is_raw_json("h"));
         let mut decoded = compact.decode().unwrap();
@@ -1581,17 +1467,9 @@ mod tests {
             .set_path("url", Value::Null)
             .unwrap();
         let keep = [true; 4];
-        let err = encode_ingested(&processed, &raw, &keep, Codec::Djz, &BufferPool::default())
-            .unwrap_err();
+        let err = encode_ingested(&processed, &raw, &keep, &BufferPool::default()).unwrap_err();
         assert!(err.to_string().contains("footprint"), "{err}");
-        let err = encode_ingested(
-            &samples,
-            &raw,
-            &keep[1..],
-            Codec::Djz,
-            &BufferPool::default(),
-        )
-        .unwrap_err();
+        let err = encode_ingested(&samples, &raw, &keep[1..], &BufferPool::default()).unwrap_err();
         assert!(matches!(err, DjError::Storage(_)), "{err:?}");
     }
 
@@ -1645,12 +1523,12 @@ mod tests {
             ("zero", text),
         ];
         assert_eq!(kinds(&slab), all);
-        // A demoted column is compressed with the frame's codec, a text
-        // column stored.
-        for (name, kind) in all {
-            let stored = stored_data(slab.region_bytes(slab.entry(name).unwrap())).is_some();
-            assert_eq!(stored, kind == text, "{name}");
-        }
+        // A region is its entries, whatever its kind: here a present
+        // tagged map, and a present length-prefixed string.
+        let meta = slab.region(slab.entry("meta").unwrap());
+        assert_eq!(meta[..2], [1, crate::serialize::TAG_MAP]);
+        let texts = slab.region(slab.entry("text").unwrap());
+        assert_eq!((texts[0], texts[5]), (1, b'"'));
         same(&slab.decode().unwrap(), &ds);
         // Sample 3 (the NaN) and the empty sample are dropped.
         let keep = [true, true, false, false, true, true, false];
@@ -1666,9 +1544,7 @@ mod tests {
             let up = s.text().to_uppercase();
             s.set_text(up);
         }
-        let (parts, _) = slab
-            .splice(&processed, Some(&cols), &keep, Codec::Djz)
-            .unwrap();
+        let (parts, _) = slab.splice(&processed, Some(&cols), &keep).unwrap();
         let spliced = ColumnarSlab::from_frame_bytes(&parts.to_vec()).unwrap();
         let after = [
             ("meta", tagged),
@@ -1687,15 +1563,15 @@ mod tests {
         assert_eq!(jsonl, crate::to_jsonl(&want));
 
         // Compacted for a cache entry, each column keeps its kind.
-        let compact = spliced.filter_frame(&keep, Codec::Djz).unwrap();
+        let compact = spliced.filter_frame(&keep, Codec::None).unwrap();
         let compact = ColumnarSlab::from_frame_bytes(&compact).unwrap();
         assert_eq!(kinds(&compact), after);
         same(&compact.decode().unwrap(), &want);
         let mut again = String::new();
         compact.write_jsonl(None, &mut again).unwrap();
         assert_eq!(again, jsonl);
-        // The input frame compacted: its demoted columns recompressed.
-        let compact = slab.filter_frame(&keep, Codec::Djz).unwrap();
+        // The input frame compacted: its demoted columns stay tagged.
+        let compact = slab.filter_frame(&keep, Codec::None).unwrap();
         let compact = ColumnarSlab::from_frame_bytes(&compact).unwrap();
         assert_eq!(kinds(&compact), all);
         same(&compact.decode().unwrap(), &masked_ds);
@@ -1724,7 +1600,7 @@ mod tests {
     fn a_frame_reserves_about_the_bytes_it_seals() {
         let ds = web_like_shard();
         let pool = BufferPool::default();
-        let sealed = encode_into(&ds, Codec::Djz, &pool);
+        let sealed = encode_into(&ds, &pool);
         assert!(
             sealed.capacity() <= 2 * sealed.len(),
             "{}",
@@ -1736,9 +1612,7 @@ mod tests {
         let cols: BTreeSet<String> = ["text".to_string()].into();
         let keep = vec![true; ds.len()];
         let (processed, _) = slab.decode_kept(Some(&cols), None).unwrap();
-        let (parts, _) = slab
-            .splice(&processed, Some(&cols), &keep, Codec::Djz)
-            .unwrap();
+        let (parts, _) = slab.splice(&processed, Some(&cols), &keep).unwrap();
         let own = parts.own.len();
         assert!(parts.own.capacity() <= 2 * own, "{}", parts.own.capacity());
         let mut raw = RawColumns::new();
@@ -1749,7 +1623,7 @@ mod tests {
             raw.close();
             samples.push(Sample::from_value(root).unwrap());
         }
-        let ingested = encode_ingested(&samples, &raw, &keep, Codec::Djz, &pool).unwrap();
+        let ingested = encode_ingested(&samples, &raw, &keep, &pool).unwrap();
         assert!(ingested.capacity() <= 2 * ingested.len());
         assert_eq!(
             ColumnarSlab::from_frame_bytes(&ingested)

@@ -38,9 +38,8 @@ use std::collections::BTreeSet;
 use dj_core::{Dataset, DjError, Result};
 
 use crate::codec::Codec;
-use crate::columnar::{encode_columnar_frame, split_column_path, ColumnarSlab, FrameParts};
-use crate::pool::{BufferPool, Holds, PooledBuf};
-use crate::shard_stream::SPOOL_CODEC;
+use crate::columnar::{encode_into, split_column_path, ColumnarSlab, FrameParts};
+use crate::pool::{BufferPool, PooledBuf};
 
 /// Magic of row shard frames, which no spool slot holds.
 pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
@@ -181,24 +180,23 @@ fn columnar_payload(sealed: &[u8]) -> Result<&[u8]> {
 }
 
 /// One spill or cache frame, checked and loaded but not decoded: a
-/// columnar `DJSC` frame's directory and still-compressed regions. Every
-/// accessor decompresses only the regions it is asked for. A raw JSON
-/// column (a field no op of the run reads) is parsed only by a decode;
-/// JSONL egress copies its text.
+/// columnar `DJSC` frame's directory and regions. Every accessor reads
+/// only the regions it is asked for. A raw JSON column is parsed only by a
+/// decode; JSONL egress copies its text.
 #[derive(Debug)]
 pub struct Frame(pub(crate) ColumnarSlab);
 
 impl Frame {
     /// Encode one shard as a sealed frame — the one format every spool
     /// slot and cache entry holds.
-    pub fn encode(shard: &Dataset, codec: Codec) -> Vec<u8> {
-        encode_columnar_frame(shard, codec)
+    pub fn encode(shard: &Dataset) -> Vec<u8> {
+        encode_into(shard, &BufferPool::default()).into_vec()
     }
 
     /// Parse exactly one sealed frame.
     pub fn parse(sealed: &[u8]) -> Result<Frame> {
         let payload = columnar_payload(sealed)?;
-        let mut buf = BufferPool::default().take(Holds::Frames, payload.len());
+        let mut buf = BufferPool::default().take(payload.len());
         buf.extend_from_slice(payload);
         Ok(Frame(ColumnarSlab::from_payload(buf, 0)?))
     }
@@ -227,7 +225,7 @@ impl Frame {
 
     /// Build the samples `keep` keeps (all of them without a mask) from
     /// the columns `cols` names (`None` = every column), and count the
-    /// decompressed bytes of the regions decoded to build them.
+    /// region bytes decoded to build them.
     pub fn decode(
         &self,
         cols: Option<&BTreeSet<String>>,
@@ -238,8 +236,8 @@ impl Frame {
 
     /// The output frame for `processed` — the samples of this frame that
     /// `keep` (one verdict per *stored* sample) kept, after a stage ran on
-    /// the columns `cols` — with the samples it stores and the decompressed
-    /// bytes that reached it undecoded. `cols` is re-encoded from
+    /// the columns `cols` — with the samples it stores and the region bytes
+    /// that reached it undecoded. `cols` is re-encoded from
     /// `processed`, every other column's region is lent from this frame as
     /// it is (the output is in pieces, written one after another by
     /// [`ShardSpool::write_frame`](crate::ShardSpool::write_frame)), and
@@ -251,14 +249,13 @@ impl Frame {
         cols: Option<&BTreeSet<String>>,
         keep: &[bool],
     ) -> Result<(FrameParts<'_>, usize, u64)> {
-        let (parts, passthrough) = self.0.splice(processed, cols, keep, SPOOL_CODEC)?;
+        let (parts, passthrough) = self.0.splice(processed, cols, keep)?;
         Ok((parts, self.0.sample_count(), passthrough))
     }
 
     /// Lend `f` the text at dotted path `field` of every stored sample,
-    /// borrowed from that column's decompressed region, so no `Sample` is
-    /// ever built. Returns `f`'s result and the decompressed bytes decoded
-    /// to reach the texts.
+    /// borrowed from that column's region, so no `Sample` is ever built.
+    /// Returns `f`'s result and the region bytes read to reach the texts.
     pub fn with_texts<R>(
         &self,
         field: &str,
@@ -293,7 +290,7 @@ pub(crate) fn checked_copy(sealed: PooledBuf, keep: Option<&[bool]>) -> Result<V
     match keep {
         None => Ok(sealed.into_vec()),
         Some(keep) => Ok(ColumnarSlab::from_payload(sealed, envelope::HEADER_LEN)?
-            .filter_frame(keep, SPOOL_CODEC)?
+            .filter_frame(keep, Codec::None)?
             .into_vec()),
     }
 }
@@ -322,7 +319,7 @@ mod tests {
     }
 
     fn pooled(bytes: &[u8]) -> PooledBuf {
-        let mut buf = BufferPool::default().take(Holds::Frames, bytes.len());
+        let mut buf = BufferPool::default().take(bytes.len());
         buf.extend_from_slice(bytes);
         buf
     }
@@ -330,14 +327,14 @@ mod tests {
     #[test]
     fn a_frame_parsed_in_place_reads_like_a_copied_one_and_returns_its_buffer() {
         let ds = rich_shard();
-        let sealed = Frame::encode(&ds, Codec::Djz);
+        let sealed = Frame::encode(&ds);
         // Sealing in place is sealing a copy.
         let mut built = vec![0; envelope::HEADER_LEN];
         built.extend_from_slice(&sealed[envelope::HEADER_LEN..]);
         envelope::seal_in_place(COLUMNAR_FRAME_MAGIC, &mut built);
         assert_eq!(built, sealed);
         let pool = BufferPool::default();
-        let mut buf = pool.take(Holds::Frames, sealed.len());
+        let mut buf = pool.take(sealed.len());
         buf.extend_from_slice(&sealed);
         let at = buf.as_ptr();
         let frame = Frame::parse_owned(buf).unwrap();
@@ -347,7 +344,7 @@ mod tests {
         frame.write_jsonl(None, &mut out).unwrap();
         assert_eq!(out, crate::to_jsonl(&ds));
         drop(frame);
-        assert_eq!(pool.take(Holds::Frames, sealed.len()).as_ptr(), at);
+        assert_eq!(pool.take(sealed.len()).as_ptr(), at);
         // Damage is refused in place too.
         let mut bad = pooled(&sealed);
         let last = bad.len() - 1;
@@ -424,7 +421,7 @@ mod tests {
         let ds = rich_shard();
         let keep = [true, false, true];
         let text: BTreeSet<String> = ["text".to_string()].into();
-        let frame = Frame::parse(&Frame::encode(&ds, Codec::Djz)).unwrap();
+        let frame = Frame::parse(&Frame::encode(&ds)).unwrap();
         assert_eq!(frame.sample_count(), ds.len());
         assert!(frame.payload_len() > 0);
         assert_eq!(frame.decode(None, None).unwrap().0, ds);
@@ -464,7 +461,7 @@ mod tests {
     fn checked_copy_keeps_bytes_and_filters_entries() {
         let ds = rich_shard();
         let keep = [false, true, true];
-        let sealed = Frame::encode(&ds, Codec::Djz);
+        let sealed = Frame::encode(&ds);
         // Unmasked: the bytes themselves.
         let copy = checked_copy(pooled(&sealed), None).unwrap();
         assert_eq!(copy, sealed);
@@ -505,7 +502,7 @@ mod tests {
         let err = Frame::parse(&row).unwrap_err();
         assert!(matches!(err, DjError::Storage(_)), "{err:?}");
         assert!(err.to_string().contains("DJSF"), "{err}");
-        assert!(read(&Frame::encode(&ds, Codec::Djz)).is_err());
+        assert!(read(&Frame::encode(&ds)).is_err());
         // A sealed string that is not a shard frame is refused by magic.
         let other = envelope::seal(b"TEST", b"x");
         let err = Frame::parse(&other).unwrap_err();

@@ -1,9 +1,8 @@
 //! Buffers reused shard after shard.
 //!
 //! Every shard the spill and egress path touches passes through buffers
-//! of megabytes: the slot file as read, the frame a stage or an ingest
-//! builds, each column body and decompressed region, and the codec's
-//! match table. Allocated fresh for every shard, each pays its pages'
+//! of megabytes: the slot file as read and the frame a stage or an ingest
+//! builds. Allocated fresh for every shard, each pays its pages'
 //! first-touch faults again. A [`BufferPool`] keeps them: a buffer on loan
 //! ([`PooledBuf`]) returns to its pool when it drops, and a request, which
 //! states its size, takes the free buffer that holds it most tightly. A
@@ -34,36 +33,21 @@ pub struct BufferPool(Arc<Mutex<Free>>);
 
 #[derive(Default)]
 struct Free {
-    /// Free buffers by what they hold.
-    bags: [Vec<Vec<u8>>; 2],
-    tables: Vec<Vec<u32>>,
+    buffers: Vec<Vec<u8>>,
     /// Capacity free, on loan (as lent), and most ever on loan at once.
     bytes: usize,
     lent: usize,
     peak: usize,
 }
 
-/// What a buffer holds. The pool keeps the two kinds apart because they
-/// fill their capacity differently. A frame being built reserves room for
-/// the worst case of each region it compresses and writes far less, so
-/// most of its pages are never touched. A region decompressed into such a
-/// buffer would touch them all and keep them resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Holds {
-    /// Sealed frames: slot files as read, frames being built.
-    Frames,
-    /// Raw bytes: column bodies, decompressed regions.
-    Raw,
-}
-
 impl BufferPool {
-    /// An empty buffer for `holds` with room for `want` bytes: the free
-    /// buffer that holds `want` most tightly, unless it is more than twice
-    /// `want` and more than 1 MiB past it, else the largest free one too
-    /// small, regrown, else a new one.
-    pub fn take(&self, holds: Holds, want: usize) -> PooledBuf {
+    /// An empty buffer with room for `want` bytes: the free buffer that
+    /// holds `want` most tightly, unless it is more than twice `want` and
+    /// more than 1 MiB past it, else the largest free one too small,
+    /// regrown, else a new one.
+    pub fn take(&self, want: usize) -> PooledBuf {
         let mut free = lock(&self.0);
-        let bag = &mut free.bags[holds as usize];
+        let bag = &mut free.buffers;
         let by_size = bag.iter().enumerate().map(|(i, b)| (b.capacity(), i));
         let fits = (by_size.clone())
             .filter(|(c, _)| *c >= want && *c - want <= want.max(1 << 20))
@@ -82,7 +66,6 @@ impl BufferPool {
         PooledBuf {
             bytes,
             loan,
-            holds,
             pool: self.clone(),
         }
     }
@@ -92,14 +75,6 @@ impl BufferPool {
     pub fn bytes(&self) -> usize {
         let free = lock(&self.0);
         free.bytes + free.lent
-    }
-
-    /// Lend `f` a codec match table (see `codec::compress_into`).
-    pub(crate) fn with_table<R>(&self, f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
-        let mut table = lock(&self.0).tables.pop().unwrap_or_default();
-        let r = f(&mut table);
-        lock(&self.0).tables.push(table);
-        r
     }
 }
 
@@ -115,7 +90,6 @@ pub struct PooledBuf {
     bytes: Vec<u8>,
     /// The capacity the pool counts as lent.
     loan: usize,
-    holds: Holds,
     pool: BufferPool,
 }
 
@@ -139,7 +113,7 @@ impl Drop for PooledBuf {
         free.lent -= self.loan;
         if bytes.capacity() > 0 && free.bytes + bytes.capacity() <= 2 * free.peak {
             free.bytes += bytes.capacity();
-            free.bags[self.holds as usize].push(bytes);
+            free.buffers.push(bytes);
         }
     }
 }
@@ -179,7 +153,7 @@ mod tests {
         const K: usize = 1 << 10;
         const M: usize = 1 << 20;
         let pool = BufferPool::default();
-        let raw = |want| pool.take(Holds::Raw, want);
+        let raw = |want| pool.take(want);
         let (small, big) = (raw(100 * K), raw(10 * M));
         let (small_at, big_at) = (small.as_ptr(), big.as_ptr());
         drop((small, big));
@@ -204,10 +178,6 @@ mod tests {
         grown.resize(10 * M, 0);
         drop(grown);
         assert_eq!(pool.bytes(), 14 * M, "returned over the cap, freed");
-        // A frame buffer is never handed out for raw bytes, or back.
-        let frame = pool.take(Holds::Frames, 6 * M);
-        assert!(frame.as_ptr() != big_at);
-        drop(frame);
         assert_eq!(raw(6 * M).as_ptr(), big_at);
         // A buffer taken for good never returns, and its loan ends.
         let kept = raw(10 * M).into_vec();
@@ -247,7 +217,7 @@ mod tests {
                                 .map(|k| {
                                     let class = CLASSES[(k + t + round) % CLASSES.len()];
                                     let want = class - (round > 0) as usize * (t + round) * 512;
-                                    let buf = pool.take(Holds::Raw, want);
+                                    let buf = pool.take(want);
                                     lent.push((want, buf.capacity()));
                                     buf
                                 })

@@ -200,15 +200,29 @@ pub(crate) fn read_value_at(cur: &mut &[u8], depth: usize) -> Result<Value> {
             let n = take_u32(cur)? as usize;
             let depth = deeper(depth)?;
             let mut m = std::collections::BTreeMap::new();
+            let mut prev = None;
             for _ in 0..n {
-                let k = take_str(cur)?.to_string();
-                let v = read_value_at(cur, depth)?;
-                m.insert(k, v);
+                let k = take_str(cur)?;
+                check_key_order(&mut prev, k)?;
+                m.insert(k.to_string(), read_value_at(cur, depth)?);
             }
             Value::Map(m)
         }
         other => return Err(DjError::Storage(format!("unknown value tag {other}"))),
     })
+}
+
+/// `key` must sort after the previous key of its map: every map this crate
+/// writes is in `BTreeMap` order, so a frame with keys out of order (or
+/// repeated) was written by something else, and is refused.
+pub(crate) fn check_key_order<'a>(prev: &mut Option<&'a str>, key: &'a str) -> Result<()> {
+    if prev.is_some_and(|p| p >= key) {
+        return Err(DjError::Storage(format!(
+            "map key `{key}` is out of order in frame"
+        )));
+    }
+    *prev = Some(key);
+    Ok(())
 }
 
 fn skip_value_body(cur: &mut &[u8], tag: u8, depth: usize) -> Result<()> {

@@ -27,55 +27,8 @@ use dj_core::{Dataset, DjError, RawColumns, Result};
 use crate::codec::{compress, decompress, Codec};
 use crate::columnar::{encode_ingested, encode_into, FrameParts};
 use crate::frame::{checked_copy, envelope, Frame, SHARD_FRAME_MAGIC};
-use crate::pool::{BufferPool, Holds, PooledBuf};
+use crate::pool::{BufferPool, PooledBuf};
 use crate::serialize::{from_bytes, to_bytes};
-
-/// Codec for the tagged regions of every spool's frames: a spilled stage's
-/// and a cache entry's alike, because a spilled stage becomes an entry by a
-/// rename, so this is the one place it is chosen (cheap LZ77: spill IO
-/// shrinks without a zstd-class CPU bill). Since every column is stored
-/// as JSON text unless a value demotes it ([`crate::columnar`]'s rule),
-/// only demoted columns are compressed, and on the djbench workloads none is:
-/// the ingest spool of the `web-file` corpus (seed 11, 67.4 MB of JSONL)
-/// took 27.7 MB with `text` and `stats` tagged and compressed, and takes
-/// 75.9 MB as text, for 0.11 s of `egress_s` against 0.23 and 1.20 cpu-s
-/// against 1.25 at `np: 1` (fixed-input `djbench child`, 10 pairs, medians
-/// on a noisy 2-core VM). Those spool pages stay in the page cache on the
-/// benchmark VM, so what the larger spool costs a spill that waits on the
-/// disk is not measured. The measurements below are from before that
-/// rule. Measured on `meta-file-col`'s shards (`djbench --trace 1`, 2-core
-/// VM): ≈ 320 MB/s to compress, ≈ 770 MB/s to
-/// decompress into fresh memory, 2.7× smaller: byte for byte, writing a
-/// spilled frame costs the codec about 2.4 times what reading it back does.
-///
-/// `Codec::None` was measured against it on the same VM, with the run's
-/// buffers reused. On the fixed-input `djbench child` at `np: 1` it took
-/// 1.65 cpu-s against 1.95, with 11.1 k minor faults against 7.3 k and
-/// 35 MB resident against 28. On `meta-file-col` it read `wall_s` 0.89 s
-/// against 1.08 and `peak_rss_mb` 71 MB against 55 (3 pairs). Djz stays
-/// for tagged regions: passthrough frames make a spool 2.7× larger on disk
-/// and the run's peak memory 30 % larger. A benchmark spool lives about a
-/// second, mostly in the page cache, so the timings here leave the disk
-/// traffic out.
-///
-/// A raw JSON region (a field no op of a file run reads) is stored
-/// uncompressed whatever this codec says ([`crate::columnar`]'s rule),
-/// read in place, and passed on by a splice without a copy. Measured against Djz
-/// for raw regions alone, on the same code otherwise (seed 11, 4
-/// alternating pairs each, 2-core VM): `meta-file-col` `wall_s` 0.769 s
-/// against 0.930 (−17 %, 4 of 4 pairs) at 47.6 MB `peak_rss_mb` against
-/// 47.4; `serve-4tenant` 0.432 s against 0.446 and 126.4 MB against 131.4.
-/// The ingest spool of the `meta-file-col` corpus (120 MB of JSONL) takes
-/// 113.4 MB stored against 41.9 MB with Djz. Djz spent the time
-/// compressing text at ingest and decompressing it into a second buffer
-/// at egress. Djz did not lower `serve-4tenant`'s peak either: it was set
-/// by the multi-MB blocks glibc kept once freed, not by live bytes, and
-/// fell to ≈ 62 MB once `dj serve` fixed glibc's mmap threshold and its
-/// jobs shared one buffer pool (`docs/service.md`, "Memory"; ≈ 50 MB with
-/// the threshold alone on the code before the shared pool). What a
-/// 2.7× larger spool costs a spill that waits on the disk is not
-/// measured: a benchmark spool lives in the page cache.
-pub(crate) const SPOOL_CODEC: Codec = Codec::Djz;
 
 /// Encode one shard into a self-contained row frame (kept for djbench's
 /// probes; see the module docs).
@@ -175,7 +128,7 @@ impl ShardSpool {
 
     /// Encode `shard` into slot `idx` (atomic: temp file then rename).
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        let frame = encode_into(shard, SPOOL_CODEC, &self.pool);
+        let frame = encode_into(shard, &self.pool);
         self.write_frame_bytes(idx, &frame, shard.len())
     }
 
@@ -191,7 +144,7 @@ impl ShardSpool {
         raw: &RawColumns,
         keep: &[bool],
     ) -> Result<usize> {
-        let frame = encode_ingested(processed, raw, keep, SPOOL_CODEC, &self.pool)?;
+        let frame = encode_ingested(processed, raw, keep, &self.pool)?;
         self.write_frame_bytes(idx, &frame, keep.len())?;
         Ok(keep.len())
     }
@@ -254,7 +207,7 @@ impl ShardSpool {
         };
         let mut file = File::open(&path).map_err(missing)?;
         let len = file.metadata().map_err(missing)?.len();
-        let mut bytes = self.pool.take(Holds::Frames, len.try_into().unwrap_or(0));
+        let mut bytes = self.pool.take(len.try_into().unwrap_or(0));
         file.read_to_end(&mut bytes).map_err(missing)?;
         dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
         Ok(bytes)
@@ -441,14 +394,14 @@ mod tests {
         }
         for (i, s) in shards.iter().enumerate() {
             let slot = fs::read(dir.join(format!("shard-{i:05}.djs"))).unwrap();
-            assert_eq!(slot, Frame::encode(s, Codec::Djz));
+            assert_eq!(slot, Frame::encode(s));
             assert_eq!(&spool.read_shard(i).unwrap(), s);
             // Byte reads copy the slot.
             assert_eq!(spool.read_frame_bytes(i, None).unwrap(), slot);
         }
         // A pre-encoded frame lands like any other write, in a codec the
         // spool would not pick, and reads back through the same calls.
-        let frame = Frame::encode(&shards[0], Codec::None);
+        let frame = Frame::encode(&shards[0]);
         spool.write_frame_bytes(1, &frame, shards[0].len()).unwrap();
         assert_eq!(spool.read_shard(1).unwrap(), shards[0]);
         assert_eq!(spool.shard_len(1), Some(3));
@@ -471,7 +424,7 @@ mod tests {
         let slab = FrameSlab::from_frame_bytes(&encode_shard_frame(&ds, Codec::Djz)).unwrap();
         assert_eq!(slab.decode().unwrap(), ds);
         // A row slab is only ever built from a row frame.
-        let columnar = Frame::encode(&ds, Codec::Djz);
+        let columnar = Frame::encode(&ds);
         assert!(FrameSlab::from_frame_bytes(&columnar).is_err());
     }
 

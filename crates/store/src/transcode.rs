@@ -3,33 +3,28 @@
 //! JSONL egress of spilled data is not a decode: [`ColumnarSlab::write_jsonl`]
 //! walks one cursor per column region of an undecoded frame, straight into
 //! the caller's (reused) part buffer, reserved once at the part's bound. No
-//! `Sample`, `Value` or `BTreeMap` is built on the way, and samples a
-//! deferred barrier mask drops are stepped over.
+//! `Sample` or `BTreeMap` is built on the way, and samples a deferred
+//! barrier mask drops are stepped over.
 //!
 //! Under the storage rule (`columnar.rs`) a column is JSON text unless a
 //! value demoted it, so nearly every entry is canonical JSON text already:
 //! each is copied into the part as it is, after the check that keeps a line
-//! a line (UTF-8, no control byte). The tag walker here serves the demoted
-//! columns (and frames written before the rule): it prints tagged values
-//! through `dj-core`'s byte-level writer — the same writer `Value`'s
-//! `Display` uses — so the text equals `decode()` → `write_jsonl_into` byte
-//! for byte either way.
+//! a line (UTF-8, no control byte). An entry of a demoted column is read
+//! as its value and printed by `dj-core`'s writer — the same writer
+//! `Value`'s `Display` uses — so the text equals `decode()` →
+//! `write_jsonl_into` byte for byte either way.
 //!
 //! Key order is the stored order, which for every frame this crate writes
 //! is `BTreeMap` order (a columnar directory, a map value's entries). A
 //! frame whose keys are not strictly ascending was not written by this
 //! crate; it is refused with a typed error rather than printed in an order
-//! the decoding path would not have produced.
+//! the decoding path would not have produced (a map value's keys are
+//! checked where every tagged value is read, `serialize::read_value_at`).
 
-use std::fmt::Write as _;
-
-use dj_core::{write_json_f64, write_json_str, DjError, Result};
+use dj_core::{write_json, write_json_str, DjError, Result};
 
 use crate::columnar::{take_raw, ColumnarSlab, Kind};
-use crate::serialize::{
-    deeper, le_u64, take_bytes, take_str, take_u32, take_u8, COLUMN_DEPTH, TAG_BOOL_FALSE,
-    TAG_BOOL_TRUE, TAG_FLOAT, TAG_INT, TAG_LIST, TAG_MAP, TAG_NULL, TAG_STR,
-};
+use crate::serialize::{check_key_order, take_u8};
 
 /// `keep`, when present, must cover the frame's `samples` exactly.
 pub(crate) fn check_mask(keep: Option<&[bool]>, samples: usize) -> Result<()> {
@@ -47,95 +42,32 @@ pub(crate) fn keeps(keep: Option<&[bool]>, i: usize) -> bool {
     keep.is_none_or(|k| k[i])
 }
 
-/// `key` must sort after the previous key of its map.
-fn check_key_order<'a>(prev: &mut Option<&'a str>, key: &'a str) -> Result<()> {
-    if prev.is_some_and(|p| p >= key) {
-        return Err(DjError::Storage(format!(
-            "map key `{key}` is out of order in frame"
-        )));
-    }
-    *prev = Some(key);
-    Ok(())
-}
-
 // Writing into a `String` cannot fail, so the `fmt::Result`s below are
 // dropped.
-
-/// Print the tagged value at `cur` as JSON text, consuming it; `depth` is
-/// how many lists and maps enclose it.
-fn transcode_value(cur: &mut &[u8], out: &mut String, depth: usize) -> Result<()> {
-    match take_u8(cur)? {
-        TAG_NULL => out.push_str("null"),
-        TAG_BOOL_FALSE => out.push_str("false"),
-        TAG_BOOL_TRUE => out.push_str("true"),
-        TAG_INT => {
-            let _ = write!(out, "{}", le_u64(take_bytes(cur, 8)?) as i64);
-        }
-        TAG_FLOAT => {
-            let _ = write_json_f64(out, f64::from_bits(le_u64(take_bytes(cur, 8)?)));
-        }
-        TAG_STR => {
-            let _ = write_json_str(out, take_str(cur)?);
-        }
-        TAG_LIST => {
-            let depth = deeper(depth)?;
-            out.push('[');
-            for i in 0..take_u32(cur)? {
-                if i > 0 {
-                    out.push(',');
-                }
-                transcode_value(cur, out, depth)?;
-            }
-            out.push(']');
-        }
-        TAG_MAP => {
-            let depth = deeper(depth)?;
-            out.push('{');
-            let mut prev = None;
-            for i in 0..take_u32(cur)? {
-                if i > 0 {
-                    out.push(',');
-                }
-                let key = take_str(cur)?;
-                check_key_order(&mut prev, key)?;
-                let _ = write_json_str(out, key);
-                out.push(':');
-                transcode_value(cur, out, depth)?;
-            }
-            out.push('}');
-        }
-        other => return Err(DjError::Storage(format!("unknown value tag {other}"))),
-    }
-    Ok(())
-}
 
 impl ColumnarSlab {
     /// Append the JSON-Lines text of this frame's samples to `out` — those
     /// `keep` keeps, all of them without a mask — and return how many lines
-    /// that was. Every region is decompressed once and walked by a cursor of
-    /// its own; a sample's object lists the columns whose presence byte is
-    /// set, in directory order.
+    /// that was. Every region is walked by a cursor of its own; a sample's
+    /// object lists the columns whose presence byte is set, in directory
+    /// order.
     pub fn write_jsonl(&self, keep: Option<&[bool]>, out: &mut String) -> Result<usize> {
         check_mask(keep, self.sample_count())?;
-        let regions = self.raw_regions()?;
+        let mut cursors = self.regions();
         let mut prev = None;
-        let mut keys = Vec::with_capacity(regions.len());
-        for (name, _, _) in &regions {
+        let mut keys = Vec::with_capacity(cursors.len());
+        for (name, _, _) in &cursors {
             check_key_order(&mut prev, name)?;
             let mut key = String::with_capacity(name.len() + 3);
             let _ = write_json_str(&mut key, name);
             key.push(':');
             keys.push(key);
         }
-        let mut cursors: Vec<(&[u8], Kind, &str)> = regions
-            .iter()
-            .map(|(name, kind, data)| (&data[..], *kind, *name))
-            .collect();
         // The part's size, reserved once: every entry's bytes (a JSON
         // entry's text is shorter than its stored entry), and per kept
         // sample each key, the commas and the braces.
         let kept = keep.map_or(self.sample_count(), |k| k.iter().filter(|k| **k).count());
-        let entries: usize = regions.iter().map(|(_, _, data)| data.len()).sum();
+        let entries: usize = cursors.iter().map(|(_, _, data)| data.len()).sum();
         let per_sample: usize = keys.iter().map(|k| k.len() + 1).sum();
         out.reserve(entries + kept * (per_sample + 2));
         let mut written = 0;
@@ -145,7 +77,7 @@ impl ColumnarSlab {
             if kept {
                 out.push('{');
             }
-            for ((cur, kind, name), key) in cursors.iter_mut().zip(&keys) {
+            for ((name, kind, cur), key) in cursors.iter_mut().zip(&keys) {
                 match take_u8(cur)? {
                     0 => {}
                     1 if !kept => kind.skip(cur)?,
@@ -155,7 +87,9 @@ impl ColumnarSlab {
                         }
                         out.push_str(key);
                         match kind {
-                            Kind::Tagged => transcode_value(cur, out, COLUMN_DEPTH)?,
+                            Kind::Tagged => {
+                                let _ = write_json(out, &kind.read(cur, name)?);
+                            }
                             Kind::RawJson => out.push_str(take_raw(cur, name)?),
                         }
                     }
@@ -169,7 +103,7 @@ impl ColumnarSlab {
                 written += 1;
             }
         }
-        if cursors.iter().any(|(cur, ..)| !cur.is_empty()) {
+        if cursors.iter().any(|(_, _, cur)| !cur.is_empty()) {
             return Err(DjError::Storage("trailing bytes after column".into()));
         }
         Ok(written)
@@ -179,10 +113,10 @@ impl ColumnarSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{compress, Codec};
+    use crate::codec::Codec;
     use crate::columnar::encode_columnar_frame;
     use crate::frame::{envelope::seal, COLUMNAR_FRAME_MAGIC};
-    use crate::serialize::{to_jsonl, write_value};
+    use crate::serialize::{to_jsonl, write_value, TAG_MAP};
     use dj_core::{Dataset, Sample, Value};
 
     fn rich_shard() -> Dataset {
@@ -240,28 +174,26 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A one-sample columnar frame whose columns hold the given
-    /// (uncompressed) region bodies of tagged values, in the given order.
+    /// A one-sample columnar frame whose columns hold the given region
+    /// bodies of tagged values, in the given order.
     fn hand_built(columns: &[(&str, Vec<u8>)]) -> ColumnarSlab {
-        let mut payload = vec![2u8];
+        let mut payload = vec![3u8];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&(columns.len() as u32).to_le_bytes());
-        let regions: Vec<Vec<u8>> = columns
-            .iter()
-            .map(|(_, body)| compress(body, Codec::None))
-            .collect();
         let mut offset = 0u64;
-        for ((name, body), region) in columns.iter().zip(&regions) {
+        for (name, body) in columns {
             payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
             payload.extend_from_slice(name.as_bytes());
             payload.push(crate::columnar::COLUMN_TAGGED);
-            let words = [offset, region.len() as u64, body.len() as u64];
+            let words = [offset, body.len() as u64];
             words
                 .iter()
                 .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
-            offset += region.len() as u64;
+            offset += body.len() as u64;
         }
-        regions.iter().for_each(|r| payload.extend_from_slice(r));
+        columns
+            .iter()
+            .for_each(|(_, b)| payload.extend_from_slice(b));
         ColumnarSlab::from_frame_bytes(&seal(COLUMNAR_FRAME_MAGIC, &payload)).unwrap()
     }
 

@@ -432,9 +432,9 @@ fn entry_samples_sum(entry: &std::path::Path) -> u64 {
 /// and FNV-1a, and the FNV-1a of the samples it holds. The samples are
 /// those the release before stage masks stored (stages then compacted
 /// every frame they stored, and the touched columns were tagged values);
-/// the bytes are the same entries with every column stored as JSON text.
-/// A deliberate change to the codec or the frame layout re-pins the
-/// bytes, never the samples. Each entry's key is pinned with it: the
+/// the bytes are the same entries with every column stored as JSON text,
+/// each region its entries alone (layout version 3). A deliberate change
+/// to the frame layout re-pins the bytes, never the samples. Each entry's key is pinned with it: the
 /// content identity of the stage's output, the same at every np.
 #[test]
 fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
@@ -443,26 +443,26 @@ fn a_cached_run_behind_a_stage_mask_saves_the_entries_it_always_saved() {
     const ENTRIES: [(u64, usize, u64, u64); 4] = [
         (
             0x2bde_ef65_bf30_1810,
-            390_723,
-            7_992_474_223_428_114_850,
+            387_523,
+            13_243_660_767_408_021_513,
             12_399_570_063_049_191_649,
         ),
         (
             0x815c_12f2_3359_3147,
-            366_159,
-            8_089_372_658_105_445_786,
+            362_959,
+            18_133_952_182_522_008_377,
             145_428_130_775_030_558,
         ),
         (
             0x7017_bdcb_f324_90f2,
-            233_375,
-            10_622_163_342_844_805_488,
+            230_175,
+            16_977_521_081_111_160_512,
             6_543_206_247_526_639_590,
         ),
         (
             0xbc26_b5a3_f02a_fe47,
-            228_360,
-            7_275_594_717_922_012_738,
+            225_160,
+            3_083_314_771_239_053_462,
             8_173_733_058_474_912_694,
         ),
     ];
@@ -667,13 +667,11 @@ proptest! {
             }
             ds.push(s);
         }
-        for codec in [Codec::None, Codec::Djz] {
-            let frame = encode_columnar_frame(&ds, codec);
-            let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
-            let decoded = slab.decode().unwrap();
-            prop_assert_eq!(&decoded, &ds);
-            let again = encode_columnar_frame(&decoded, codec);
-            prop_assert_eq!(again, frame, "re-encode must be deterministic");
-        }
+        let frame = encode_columnar_frame(&ds, Codec::Djz);
+        let slab = ColumnarSlab::from_frame_bytes(&frame).unwrap();
+        let decoded = slab.decode().unwrap();
+        prop_assert_eq!(&decoded, &ds);
+        let again = encode_columnar_frame(&decoded, Codec::Djz);
+        prop_assert_eq!(again, frame, "re-encode must be deterministic");
     }
 }

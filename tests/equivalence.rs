@@ -10,7 +10,7 @@ use data_juicer::config::{OpSpec, Recipe};
 use data_juicer::core::Dataset;
 use data_juicer::exec::{executor_from_recipe, ExecOptions, Executor};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{to_jsonl, CacheManager, CacheMode};
+use data_juicer::store::{envelope, to_jsonl, CacheManager, CacheMode};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 fn texts(d: &Dataset) -> Vec<String> {
@@ -206,7 +206,8 @@ fn a_param_edit_under_one_cache_root_returns_the_fresh_runs_output() {
 }
 
 /// The same recipe over another input is a miss under the same root, and
-/// so is an entry of the layout earlier releases saved — a
+/// so is an entry of a layout earlier releases saved — one whose slots
+/// hold frames of columnar layout version 2, and a
 /// `recipe-<fingerprint>/<index>-<stage>.djc` file holding the very
 /// samples this run would resume.
 #[test]
@@ -231,11 +232,40 @@ fn a_different_input_or_an_old_layout_entry_under_one_root_is_a_miss() {
     assert_eq!(mine.resumed_steps, 2, "an unchanged re-run resumes");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // The one entry of `other`, moved to where an earlier release kept it.
     exec.run_with_cache(other.clone(), &cache).unwrap();
     let [entry] = &entries(&dir)[..] else {
         panic!("one stage, one entry")
     };
+    // The one entry of `other` with version byte 2 in every slot frame,
+    // re-sealed at the same length so its seal record still holds: a miss,
+    // recomputed and saved again in this build's layout.
+    let slots: Vec<PathBuf> = std::fs::read_dir(entry)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "djs"))
+        .collect();
+    assert!(!slots.is_empty());
+    let layout = |slot: &Path| {
+        let sealed = std::fs::read(slot).unwrap();
+        let (magic, payload) = envelope::open_one(&sealed).unwrap();
+        (magic, payload.to_vec())
+    };
+    for slot in &slots {
+        let (magic, mut payload) = layout(slot);
+        payload[0] = 2;
+        std::fs::write(slot, envelope::seal(&magic, &payload)).unwrap();
+    }
+    let (out, report) = exec.run_with_cache(other.clone(), &cache).unwrap();
+    assert_eq!(report.resumed_steps, 0, "a version 2 entry was resumed");
+    assert_eq!(
+        to_jsonl(&out),
+        to_jsonl(&exec.run(other.clone()).unwrap().0)
+    );
+    for slot in &slots {
+        assert_eq!(layout(slot).1[0], 3, "{slot:?} was not saved again");
+    }
+
+    // The same entry, moved to where an earlier release kept it.
     let old = dir.join("recipe-00c0ffee00c0ffee");
     std::fs::create_dir_all(&old).unwrap();
     let name = "0000-whitespace_normalization_mapper+text_length_filter.djc";

@@ -108,9 +108,8 @@ fn shard() -> Dataset {
 const MASK: [bool; 7] = [true, false, true, true, false, true, false];
 
 /// [`shard`] with a NaN stat in one sample: a frame stores every column as
-/// JSON text but `stats`, which the NaN demotes to tagged values,
-/// compressed with `codec`. The tagged decoder and the codec are reached
-/// through such a column only.
+/// JSON text but `stats`, which the NaN demotes to tagged values. The
+/// tagged decoder is reached through such a column only.
 fn demoted_frame(codec: Codec) -> Vec<u8> {
     let mut ds = shard();
     ds.samples_mut()[2].set_stat("nan", f64::NAN);
@@ -363,10 +362,6 @@ fn no_parser_panics_overallocates_or_lets_damage_through() {
         (ENTRY_SEAL_MAGIC, targets.seal()),
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::None)),
         (SHARD_FRAME_MAGIC, encode_shard_frame(&ds, Codec::Djz)),
-        (
-            COLUMNAR_FRAME_MAGIC,
-            encode_columnar_frame(&ds, Codec::None),
-        ),
         (COLUMNAR_FRAME_MAGIC, encode_columnar_frame(&ds, Codec::Djz)),
         (
             COLUMNAR_FRAME_MAGIC,
@@ -499,21 +494,19 @@ fn nested_sample(lists: usize) -> Dataset {
 }
 
 /// A sealed one-sample columnar frame with the single column `name`, of
-/// kind `kind` (0 tagged, 1 raw JSON), whose (uncompressed) region is
-/// `body`.
+/// kind `kind` (0 tagged, 1 raw JSON), whose region is `body`.
 fn one_column_frame(name: &str, kind: u8, body: &[u8]) -> Vec<u8> {
-    let region = compress(body, Codec::None);
-    let mut payload = vec![2u8];
+    let mut payload = vec![3u8];
     payload.extend_from_slice(&1u64.to_le_bytes());
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
     payload.extend_from_slice(name.as_bytes());
     payload.push(kind);
-    let words = [0, region.len() as u64, body.len() as u64];
+    let words = [0, body.len() as u64];
     words
         .iter()
         .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
-    payload.extend_from_slice(&region);
+    payload.extend_from_slice(body);
     envelope::seal(COLUMNAR_FRAME_MAGIC, &payload)
 }
 
