@@ -194,9 +194,10 @@ pub trait Filter: Send + Sync {
     /// filters* in the same mapper/dedup-free window. Filters measure and
     /// decide per sample from their own stats, so their keep decisions
     /// commute by default; a filter whose decision depends on stats written
-    /// by an *earlier* filter (or on side effects) must opt out. Two
-    /// filters that write the same key still commute in their decisions,
-    /// but which one's value a kept sample carries follows the order run.
+    /// by an *earlier* filter (or on side effects) must opt out, and then
+    /// ends its filter group where the recipe put it. Two filters that
+    /// write the same key still commute in their decisions, but which
+    /// one's value a kept sample carries follows the order run.
     fn commutable(&self) -> bool {
         true
     }

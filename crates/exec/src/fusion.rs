@@ -2,8 +2,9 @@
 //!
 //! The optimizer walks the OP list and:
 //!
-//! 1. **Finds filter groups** — maximal runs of consecutive Filters
-//!    (Filters are commutative with each other; Mappers and Deduplicators
+//! 1. **Finds filter groups** — maximal runs of consecutive commutable
+//!    Filters (Filters are commutative with each other; Mappers,
+//!    Deduplicators and a non-[`commutable`](Filter::commutable) filter
 //!    break groups because they are not).
 //! 2. **Fuses** the filters inside a group whose context needs intersect
 //!    (they share derived views such as segmented words) into a single
@@ -290,7 +291,13 @@ pub fn plan_fused(ops: &[Op]) -> Plan {
 
     for op in ops {
         match op {
-            Op::Filter(f) => group.push(Arc::clone(f)),
+            Op::Filter(f) if f.commutable() => group.push(Arc::clone(f)),
+            // A filter that must not move past the filters before it ends
+            // their group, as a mapper does.
+            Op::Filter(f) => {
+                flush(&mut group, &mut steps, &mut fused_groups, &mut fused_ops);
+                steps.push(PlanStep::Filters(vec![Arc::clone(f)]));
+            }
             Op::Mapper(m) => {
                 flush(&mut group, &mut steps, &mut fused_groups, &mut fused_ops);
                 steps.push(PlanStep::Mapper(Arc::clone(m)));
@@ -415,6 +422,28 @@ mod tests {
         assert_eq!(plan.fused_groups, 0);
         assert_eq!(plan.steps.len(), 3);
         assert_eq!(plan.steps[1].name(), "lowercase_mapper");
+    }
+
+    #[test]
+    fn a_non_commutable_filter_breaks_the_filter_group() {
+        // `stats_range_filter` decides on a stat an earlier op recorded, so
+        // it keeps its place and the filters around it do not fuse.
+        let ops = build(&[
+            "word_repetition_filter",
+            "stats_range_filter",
+            "word_num_filter",
+        ]);
+        let plan = plan_fused(&ops);
+        assert_eq!(plan.fused_groups, 0);
+        let names: Vec<String> = plan.steps.iter().map(PlanStep::name).collect();
+        assert_eq!(
+            names,
+            [
+                "word_repetition_filter",
+                "stats_range_filter",
+                "word_num_filter"
+            ]
+        );
     }
 
     #[test]

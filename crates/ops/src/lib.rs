@@ -5,11 +5,14 @@
 //! * [`formatters`] — unify raw payloads (JSONL, txt, CSV/TSV, Markdown,
 //!   HTML, LaTeX, code) into the intermediate representation;
 //! * [`mappers`] — in-place text editing (cleaning, normalization, repair);
-//! * [`filters`] — conditional removal driven by recorded per-sample stats,
-//!   including model-backed filters (language id, perplexity, quality score);
+//! * [`filters`] — conditional removal driven by recorded per-sample stats:
+//!   every built-in filter is one [`StatFilter`](filters::StatFilter), a
+//!   [`Measure`](filters::Measure) and a keep range, model-backed ones
+//!   (language id, perplexity, quality score) included;
 //! * [`dedup`] — exact, MinHash-LSH, SimHash and paragraph-level
 //!   deduplication with deterministic first-occurrence retention;
-//! * [`registry`] — the name → factory table recipes resolve against;
+//! * [`registry`] — the name → factory table recipes resolve against, one
+//!   row per built-in filter;
 //! * [`models`] — shared lazily-trained default auxiliary models.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -3,9 +3,11 @@
 //! The original system downloads fastText/KenLM/classifier checkpoints from
 //! a cloud drive on first use; we train small substitutes once per process
 //! from embedded seed corpora (deterministic, a few milliseconds each) and
-//! share them behind `OnceLock`s. OPs also accept user-supplied models via
-//! their `with_model` constructors — the "fresh links to auxiliary models"
-//! customization of paper §5.3.
+//! share them behind `OnceLock`s: every filter built on a default model
+//! holds the one shared instance. A filter on another model — the "fresh
+//! links to auxiliary models" customization of paper §5.3 — is a
+//! [`StatFilter`](crate::filters::StatFilter) whose
+//! [`Measure`](crate::filters::Measure) holds that model.
 
 use std::sync::{Arc, OnceLock};
 
@@ -57,9 +59,9 @@ fn noisy_seed() -> Vec<String> {
 }
 
 /// Shared default language-identification model.
-pub fn default_langid() -> &'static LangIdModel {
-    static MODEL: OnceLock<LangIdModel> = OnceLock::new();
-    MODEL.get_or_init(LangIdModel::builtin)
+pub fn default_langid() -> &'static Arc<LangIdModel> {
+    static MODEL: OnceLock<Arc<LangIdModel>> = OnceLock::new();
+    MODEL.get_or_init(|| Arc::new(LangIdModel::builtin()))
 }
 
 /// Shared default perplexity model (3-gram, trained on the fluent seed).

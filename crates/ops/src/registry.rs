@@ -6,12 +6,14 @@
 use std::sync::Arc;
 
 use dj_core::{params, Op, OpRegistry, ParamView, Result};
+use dj_text::lexicon;
 
 use crate::dedup::{
     DocumentDeduplicator, MinHashDeduplicator, ParagraphDeduplicator, SimHashDeduplicator,
 };
-use crate::filters::*;
+use crate::filters::{Measure, StatFilter};
 use crate::mappers::*;
+use crate::models;
 
 fn field_of(p: &ParamView<'_>) -> Result<String> {
     Ok(params::str_or(p, "field", dj_core::TEXT_KEY)?.to_string())
@@ -25,14 +27,50 @@ macro_rules! mapper_factory {
     }};
 }
 
-macro_rules! range_factory {
-    ($p:ident, $ty:ident, $dmin:expr, $dmax:expr) => {{
-        let min = params::f64_or($p, "min_ratio", $dmin)?;
-        let max = params::f64_or($p, "max_ratio", $dmax)?;
-        let mut f = $ty::new(min, max)?;
-        f.field = field_of($p)?;
-        Ok(Op::Filter(Arc::new(f)))
-    }};
+/// The one filter factory: the filter `name` recording `stats_key`, which
+/// keeps the samples whose `measure` lies in `range` (`[min, max]`), on the
+/// `field` parameter when the measure reads text.
+fn stat_filter(
+    p: &ParamView<'_>,
+    name: &'static str,
+    stats_key: &'static str,
+    measure: Measure,
+    (min, max): (f64, f64),
+) -> Result<Op> {
+    let reads_text = measure.reads_text();
+    let mut f = StatFilter::new(name, stats_key, measure, min, max)?;
+    if reads_text {
+        f.field = field_of(p)?;
+    }
+    Ok(Op::Filter(Arc::new(f)))
+}
+
+/// `[min, max]` from two parameters, each `(key, default)`.
+fn between(p: &ParamView<'_>, min: (&str, f64), max: (&str, f64)) -> Result<(f64, f64)> {
+    Ok((
+        params::f64_or(p, min.0, min.1)?,
+        params::f64_or(p, max.0, max.1)?,
+    ))
+}
+
+fn at_least(min: f64) -> (f64, f64) {
+    (min, f64::INFINITY)
+}
+
+fn at_most(max: f64) -> (f64, f64) {
+    (f64::NEG_INFINITY, max)
+}
+
+/// The range a 0 / 1 match stat is kept in: above 0.5.
+const MATCHED: (f64, f64) = (0.5f64.next_up(), f64::INFINITY);
+
+/// A list of strings, `default` when it is absent or empty.
+fn list_or(p: &ParamView<'_>, key: &str, default: &[&str]) -> Result<Vec<String>> {
+    let list = params::str_list(p, key)?;
+    if list.is_empty() {
+        return Ok(default.iter().map(|s| s.to_string()).collect());
+    }
+    Ok(list)
 }
 
 /// Build the full built-in registry (50+ OPs).
@@ -130,185 +168,149 @@ pub fn builtin_registry() -> OpRegistry {
     });
 
     // ---- Filters -------------------------------------------------------
-    reg.register_filter(
-        "alphanumeric_ratio_filter",
-        AlnumRatioFilter::STATS_KEY,
-        |p| range_factory!(p, AlnumRatioFilter, 0.25, 1.0),
-    );
-    reg.register_filter(
-        "special_characters_filter",
-        SpecialCharsFilter::STATS_KEY,
-        |p| range_factory!(p, SpecialCharsFilter, 0.0, 0.25),
-    );
-    reg.register_filter(
-        "whitespace_ratio_filter",
-        WhitespaceRatioFilter::STATS_KEY,
-        |p| range_factory!(p, WhitespaceRatioFilter, 0.0, 0.5),
-    );
-    reg.register_filter(
-        "uppercase_ratio_filter",
-        UppercaseRatioFilter::STATS_KEY,
-        |p| range_factory!(p, UppercaseRatioFilter, 0.0, 0.6),
-    );
-    reg.register_filter("spec_numerals_filter", DigitRatioFilter::STATS_KEY, |p| {
-        range_factory!(p, DigitRatioFilter, 0.0, 0.4)
+    // One row per op: name, stats key, the parameters it reads (in the
+    // order it reads them) with their defaults, and its measure.
+    reg.register_filter("alphanumeric_ratio_filter", "alnum_ratio", |p| {
+        let range = between(p, ("min_ratio", 0.25), ("max_ratio", 1.0))?;
+        let m = Measure::AlnumRatio;
+        stat_filter(p, "alphanumeric_ratio_filter", "alnum_ratio", m, range)
     });
-    reg.register_filter("text_length_filter", TextLengthFilter::STATS_KEY, |p| {
-        let min = params::f64_or(p, "min_len", 10.0)?;
-        let max = params::f64_or(p, "max_len", 1e7)?;
-        let mut f = TextLengthFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("special_characters_filter", "special_char_ratio", |p| {
+        let range = between(p, ("min_ratio", 0.0), ("max_ratio", 0.25))?;
+        let m = Measure::SpecialCharRatio;
+        stat_filter(
+            p,
+            "special_characters_filter",
+            "special_char_ratio",
+            m,
+            range,
+        )
     });
-    reg.register_filter("word_num_filter", WordNumFilter::STATS_KEY, |p| {
-        let min = params::f64_or(p, "min_num", 5.0)?;
-        let max = params::f64_or(p, "max_num", 1e6)?;
-        let mut f = WordNumFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("whitespace_ratio_filter", "whitespace_ratio", |p| {
+        let range = between(p, ("min_ratio", 0.0), ("max_ratio", 0.5))?;
+        let m = Measure::WhitespaceRatio;
+        stat_filter(p, "whitespace_ratio_filter", "whitespace_ratio", m, range)
     });
-    reg.register_filter(
-        "average_line_length_filter",
-        AvgLineLengthFilter::STATS_KEY,
-        |p| {
-            let min = params::f64_or(p, "min_len", 10.0)?;
-            let max = params::f64_or(p, "max_len", 1e5)?;
-            let mut f = AvgLineLengthFilter::new(min, max)?;
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter(
-        "maximum_line_length_filter",
-        MaxLineLengthFilter::STATS_KEY,
-        |p| {
-            let min = params::f64_or(p, "min_len", 10.0)?;
-            let max = params::f64_or(p, "max_len", 1e5)?;
-            let mut f = MaxLineLengthFilter::new(min, max)?;
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter(
-        "paragraph_count_filter",
-        ParagraphCountFilter::STATS_KEY,
-        |p| {
-            let min = params::f64_or(p, "min_num", 1.0)?;
-            let max = params::f64_or(p, "max_num", 1e5)?;
-            let mut f = ParagraphCountFilter::new(min, max)?;
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter(
-        "average_word_length_filter",
-        AvgWordLengthFilter::STATS_KEY,
-        |p| {
-            let min = params::f64_or(p, "min_len", 2.0)?;
-            let max = params::f64_or(p, "max_len", 12.0)?;
-            let mut f = AvgWordLengthFilter::new(min, max)?;
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter("word_entropy_filter", WordEntropyFilter::STATS_KEY, |p| {
-        let min = params::f64_or(p, "min_entropy", 1.0)?;
-        let max = params::f64_or(p, "max_entropy", 1e3)?;
-        let mut f = WordEntropyFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("uppercase_ratio_filter", "uppercase_ratio", |p| {
+        let range = between(p, ("min_ratio", 0.0), ("max_ratio", 0.6))?;
+        let m = Measure::UppercaseRatio;
+        stat_filter(p, "uppercase_ratio_filter", "uppercase_ratio", m, range)
     });
-    reg.register_filter(
-        "character_repetition_filter",
-        CharRepetitionFilter::STATS_KEY,
-        |p| {
-            let n = params::usize_or(p, "ngram", 10)?;
-            let min = params::f64_or(p, "min_ratio", 0.0)?;
-            let max = params::f64_or(p, "max_ratio", 0.5)?;
-            let mut f = CharRepetitionFilter::new(n, min, max)?;
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter(
-        "word_repetition_filter",
-        WordRepetitionFilter::STATS_KEY,
-        |p| {
-            let n = params::usize_or(p, "rep_len", 10)?;
-            let min = params::f64_or(p, "min_ratio", 0.0)?;
-            let max = params::f64_or(p, "max_ratio", 0.5)?;
-            let mut f = WordRepetitionFilter::new(n, min, max)?;
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter("stopwords_filter", StopwordsFilter::STATS_KEY, |p| {
-        let mut f = StopwordsFilter::new(params::f64_or(p, "min_ratio", 0.1)?);
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("spec_numerals_filter", "digit_ratio", |p| {
+        let range = between(p, ("min_ratio", 0.0), ("max_ratio", 0.4))?;
+        let m = Measure::DigitRatio;
+        stat_filter(p, "spec_numerals_filter", "digit_ratio", m, range)
     });
-    reg.register_filter("flagged_words_filter", FlaggedWordsFilter::STATS_KEY, |p| {
-        let mut f = FlaggedWordsFilter::new(params::f64_or(p, "max_ratio", 0.01)?);
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("text_length_filter", "text_len", |p| {
+        let range = between(p, ("min_len", 10.0), ("max_len", 1e7))?;
+        let m = Measure::TextLength;
+        stat_filter(p, "text_length_filter", "text_len", m, range)
     });
-    reg.register_filter(
-        "language_id_score_filter",
-        LanguageIdScoreFilter::STATS_KEY,
-        |p| {
-            let lang = params::str_or(p, "lang", "en")?;
-            let min = params::f64_or(p, "min_score", 0.5)?;
-            let mut f = LanguageIdScoreFilter::new(lang, min);
-            f.field = field_of(p)?;
-            Ok(Op::Filter(Arc::new(f)))
-        },
-    );
-    reg.register_filter("perplexity_filter", PerplexityFilter::STATS_KEY, |p| {
-        let mut f = PerplexityFilter::new(params::f64_or(p, "max_ppl", 10000.0)?);
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("word_num_filter", "word_count", |p| {
+        let range = between(p, ("min_num", 5.0), ("max_num", 1e6))?;
+        let m = Measure::WordCount;
+        stat_filter(p, "word_num_filter", "word_count", m, range)
     });
-    reg.register_filter("token_num_filter", TokenNumFilter::STATS_KEY, |p| {
-        let min = params::f64_or(p, "min_num", 10.0)?;
-        let max = params::f64_or(p, "max_num", 1e7)?;
-        let mut f = TokenNumFilter::new(min, max)?;
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("average_line_length_filter", "avg_line_length", |p| {
+        let range = between(p, ("min_len", 10.0), ("max_len", 1e5))?;
+        let m = Measure::AvgLineLength;
+        stat_filter(p, "average_line_length_filter", "avg_line_length", m, range)
     });
-    reg.register_filter("quality_score_filter", QualityScoreFilter::STATS_KEY, |p| {
-        let mut f = QualityScoreFilter::new(params::f64_or(p, "min_score", 0.5)?);
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("maximum_line_length_filter", "max_line_length", |p| {
+        let range = between(p, ("min_len", 10.0), ("max_len", 1e5))?;
+        let m = Measure::MaxLineLength;
+        stat_filter(p, "maximum_line_length_filter", "max_line_length", m, range)
     });
-    reg.register_filter("meta_tag_filter", MetaTagFilter::STATS_KEY, |p| {
-        let key = params::str_or(p, "key", "language")?;
-        let mut allowed = params::str_list(p, "allowed")?;
-        if allowed.is_empty() {
-            allowed.push("EN".to_string());
-        }
-        Ok(Op::Filter(Arc::new(MetaTagFilter::new(key, allowed)?)))
+    reg.register_filter("paragraph_count_filter", "paragraph_count", |p| {
+        let range = between(p, ("min_num", 1.0), ("max_num", 1e5))?;
+        let m = Measure::ParagraphCount;
+        stat_filter(p, "paragraph_count_filter", "paragraph_count", m, range)
     });
-    reg.register_filter("star_count_filter", StarCountFilter::STATS_KEY, |p| {
-        let min = params::usize_or(p, "min_stars", 10)? as i64;
-        Ok(Op::Filter(Arc::new(StarCountFilter::new(min))))
+    reg.register_filter("average_word_length_filter", "avg_word_length", |p| {
+        let range = between(p, ("min_len", 2.0), ("max_len", 12.0))?;
+        let m = Measure::AvgWordLength;
+        stat_filter(p, "average_word_length_filter", "avg_word_length", m, range)
     });
-    reg.register_filter("action_verb_filter", ActionVerbFilter::STATS_KEY, |p| {
-        let mut f = ActionVerbFilter::new(params::usize_or(p, "min_pairs", 1)?);
-        f.field = field_of(p)?;
-        Ok(Op::Filter(Arc::new(f)))
+    reg.register_filter("word_entropy_filter", "word_entropy", |p| {
+        let range = between(p, ("min_entropy", 1.0), ("max_entropy", 1e3))?;
+        let m = Measure::WordEntropy;
+        stat_filter(p, "word_entropy_filter", "word_entropy", m, range)
     });
-    reg.register_filter("suffix_filter", SuffixFilter::STATS_KEY, |p| {
-        let mut allowed = params::str_list(p, "allowed")?;
-        if allowed.is_empty() {
-            allowed = vec!["txt".into(), "md".into(), "py".into(), "rs".into()];
-        }
-        Ok(Op::Filter(Arc::new(SuffixFilter::new(allowed)?)))
+    reg.register_filter("character_repetition_filter", "char_rep_ratio", |p| {
+        let ngram = params::usize_or(p, "ngram", 10)?;
+        let range = between(p, ("min_ratio", 0.0), ("max_ratio", 0.5))?;
+        let m = Measure::CharRepetition { ngram };
+        stat_filter(p, "character_repetition_filter", "char_rep_ratio", m, range)
     });
-    reg.register_filter("stats_range_filter", StatsRangeFilter::STATS_KEY, |p| {
-        let key = params::str_or(p, "key", "")?;
-        let min = params::f64_or(p, "min", f64::MIN)?;
-        let max = params::f64_or(p, "max", f64::MAX)?;
-        Ok(Op::Filter(Arc::new(StatsRangeFilter::new(key, min, max)?)))
+    reg.register_filter("word_repetition_filter", "word_rep_ratio", |p| {
+        let rep_len = params::usize_or(p, "rep_len", 10)?;
+        let range = between(p, ("min_ratio", 0.0), ("max_ratio", 0.5))?;
+        let m = Measure::WordRepetition { rep_len };
+        stat_filter(p, "word_repetition_filter", "word_rep_ratio", m, range)
+    });
+    reg.register_filter("stopwords_filter", "stopword_ratio", |p| {
+        let range = at_least(params::f64_or(p, "min_ratio", 0.1)?);
+        let m = Measure::LexiconRatio(Arc::new(lexicon::english_stopwords()));
+        stat_filter(p, "stopwords_filter", "stopword_ratio", m, range)
+    });
+    reg.register_filter("flagged_words_filter", "flagged_word_ratio", |p| {
+        let range = at_most(params::f64_or(p, "max_ratio", 0.01)?);
+        let m = Measure::LexiconRatio(Arc::new(lexicon::flagged_words()));
+        stat_filter(p, "flagged_words_filter", "flagged_word_ratio", m, range)
+    });
+    reg.register_filter("language_id_score_filter", "lang_score", |p| {
+        let lang = params::str_or(p, "lang", "en")?.to_string();
+        let range = at_least(params::f64_or(p, "min_score", 0.5)?);
+        let model = Arc::clone(models::default_langid());
+        let m = Measure::LanguageScore { lang, model };
+        stat_filter(p, "language_id_score_filter", "lang_score", m, range)
+    });
+    reg.register_filter("perplexity_filter", "perplexity", |p| {
+        let range = at_most(params::f64_or(p, "max_ppl", 10000.0)?);
+        let m = Measure::Perplexity(Arc::clone(models::default_perplexity_model()));
+        stat_filter(p, "perplexity_filter", "perplexity", m, range)
+    });
+    reg.register_filter("token_num_filter", "num_tokens", |p| {
+        let range = between(p, ("min_num", 10.0), ("max_num", 1e7))?;
+        let m = Measure::TokenCount;
+        stat_filter(p, "token_num_filter", "num_tokens", m, range)
+    });
+    reg.register_filter("quality_score_filter", "quality_score", |p| {
+        let range = at_least(params::f64_or(p, "min_score", 0.5)?);
+        let m = Measure::QualityScore(Arc::clone(models::default_quality_classifier()));
+        stat_filter(p, "quality_score_filter", "quality_score", m, range)
+    });
+    reg.register_filter("meta_tag_filter", "meta_tag_match", |p| {
+        let key = params::str_or(p, "key", "language")?.to_string();
+        let allowed = list_or(p, "allowed", &["EN"])?;
+        let m = Measure::MetaIn { key, allowed };
+        stat_filter(p, "meta_tag_filter", "meta_tag_match", m, MATCHED)
+    });
+    reg.register_filter("star_count_filter", "star_count", |p| {
+        let range = at_least(params::usize_or(p, "min_stars", 10)? as f64);
+        let m = Measure::MetaNumber("stars".to_string());
+        stat_filter(p, "star_count_filter", "star_count", m, range)
+    });
+    reg.register_filter("action_verb_filter", "verb_noun_pairs", |p| {
+        let range = at_least(params::usize_or(p, "min_pairs", 1)? as f64);
+        let verbs = Arc::new(lexicon::common_verbs());
+        let nouns = Arc::new(lexicon::common_nouns());
+        let m = Measure::VerbNounPairs { verbs, nouns };
+        stat_filter(p, "action_verb_filter", "verb_noun_pairs", m, range)
+    });
+    reg.register_filter("suffix_filter", "suffix_match", |p| {
+        let allowed = list_or(p, "allowed", &["txt", "md", "py", "rs"])?;
+        let m = Measure::MetaIn {
+            key: "suffix".to_string(),
+            allowed,
+        };
+        stat_filter(p, "suffix_filter", "suffix_match", m, MATCHED)
+    });
+    reg.register_filter("stats_range_filter", "stats_range", |p| {
+        let key = params::str_or(p, "key", "")?.to_string();
+        let range = between(p, ("min", f64::MIN), ("max", f64::MAX))?;
+        let m = Measure::Recorded(key);
+        stat_filter(p, "stats_range_filter", "stats_range", m, range)
     });
 
     // ---- Deduplicators -------------------------------------------------

@@ -260,3 +260,40 @@ fn a_fused_plan_errors_on_the_records_the_unfused_plan_errors_on() {
         assert_eq!(f.final_samples, 2, "{shape:?}");
     }
 }
+
+#[test]
+fn a_range_over_a_recorded_stat_decides_after_the_filter_that_records_it() {
+    // `stats_range_filter` decides on `word_rep_ratio`, which the filter
+    // before it records: no plan may run the range first, where the stat
+    // is still missing and every sample would be kept.
+    let plan = ops(&[
+        OpSpec::new("word_repetition_filter")
+            .with("rep_len", 2i64)
+            .with("max_ratio", 1.0),
+        OpSpec::new("stats_range_filter")
+            .with("key", "word_rep_ratio")
+            .with("min", 0.0)
+            .with("max", 0.1),
+    ]);
+    let data = Dataset::from_texts([
+        "all words in this sentence differ completely",
+        "buy now buy now buy now buy now",
+        "sale sale sale sale sale sale",
+    ]);
+    for shape in SHAPES {
+        let with = |op_fusion: bool, adaptive: bool| ExecOptions {
+            op_fusion,
+            adaptive,
+            ..ExecOptions::default()
+        };
+        let (unfused, report) = run(&plan, &data, shape, with(false, false));
+        assert_eq!(report.final_samples, 1, "{shape:?}");
+        for (op_fusion, adaptive) in [(true, false), (true, true), (false, true)] {
+            let (got, _) = run(&plan, &data, shape, with(op_fusion, adaptive));
+            assert_eq!(
+                got, unfused,
+                "{shape:?} fusion {op_fusion} adaptive {adaptive}"
+            );
+        }
+    }
+}
